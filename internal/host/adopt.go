@@ -81,7 +81,7 @@ func (h *Host) adoptObjects(inv *rt.Invocation) ([][]byte, error) {
 			return nil, fmt.Errorf("host %v: adopt spawn %v: %w", h.self, l, err)
 		}
 		h.mu.Lock()
-		h.running[l.ID()] = o.Impl
+		h.running[l.ID()] = &resident{impl: o.Impl}
 		h.mu.Unlock()
 		started = append(started, l)
 		adopted++

@@ -33,8 +33,18 @@ type checkpointer struct {
 	stop    chan struct{}
 	wg      sync.WaitGroup
 
-	mu   sync.Mutex
-	seen map[loid.LOID]uint64 // object -> mutation clock at last checkpoint
+	// mu admits one round at a time. What each resident last had
+	// checkpointed lives in its resident record, not here, so it goes
+	// when the object does.
+	mu sync.Mutex
+}
+
+// ckptMark is what a round records once the Magistrate accepts a
+// snapshot: the resident it came from and the mutation clock read
+// before the save.
+type ckptMark struct {
+	r     *resident
+	clock uint64
 }
 
 // StartCheckpointer begins periodic checkpointing of this host's
@@ -54,7 +64,6 @@ func (h *Host) StartCheckpointer(mag loid.LOID, magAddr oa.Address, every time.D
 		mag:     mag,
 		magAddr: magAddr,
 		stop:    make(chan struct{}),
-		seen:    make(map[loid.LOID]uint64),
 	}
 	h.ckpt = c
 	h.mu.Unlock()
@@ -75,8 +84,8 @@ func (h *Host) StartCheckpointer(mag loid.LOID, magAddr oa.Address, every time.D
 	}()
 }
 
-// StopCheckpointer halts the loop (waiting for an in-flight round) and
-// forgets the dirty clocks. Safe to call when no loop is running.
+// StopCheckpointer halts the loop (waiting for an in-flight round).
+// Safe to call when no loop is running.
 func (h *Host) StopCheckpointer() {
 	h.mu.Lock()
 	c := h.ckpt
@@ -105,9 +114,9 @@ func (h *Host) CheckpointNow() (int, error) {
 		h.mu.Unlock()
 		return 0, fmt.Errorf("host %v: no checkpointer", h.self)
 	}
-	targets := make(map[loid.LOID]string, len(h.running))
-	for l, impl := range h.running {
-		targets[l] = impl
+	targets := make(map[loid.LOID]*resident, len(h.running))
+	for l, r := range h.running {
+		targets[l] = r
 	}
 	h.mu.Unlock()
 
@@ -123,7 +132,7 @@ func (h *Host) CheckpointNow() (int, error) {
 
 	var (
 		pending      []persist.OPR
-		clocks       []uint64
+		marks        []ckptMark // parallel to pending
 		pendingBytes int
 	)
 	flush := func() {
@@ -151,8 +160,8 @@ func (h *Host) CheckpointNow() (int, error) {
 			span.Event("checkpoint", fmt.Sprintf("batch of %d failed: %v", len(pending), err))
 			reg.Counter("ckpt/errors").Inc()
 		} else {
-			for i, o := range pending {
-				c.seen[o.LOID] = clocks[i]
+			for _, m := range marks {
+				m.r.ckpt.Store(m.clock + 1)
 			}
 			saved += int(accepted)
 			span.Event("checkpoint", fmt.Sprintf("batch of %d, %d bytes, %d accepted",
@@ -162,18 +171,17 @@ func (h *Host) CheckpointNow() (int, error) {
 			reg.Counter("ckpt/bytes").Add(uint64(pendingBytes))
 		}
 		pending = pending[:0]
-		clocks = clocks[:0]
+		marks = marks[:0]
 		pendingBytes = 0
 	}
 
-	for l, implName := range targets {
+	for l, r := range targets {
 		o, ok := h.node.Lookup(l)
 		if !ok {
-			delete(c.seen, l)
 			continue
 		}
 		clock := o.Mutations()
-		if last, ok := c.seen[l]; ok && last == clock {
+		if last, ok := r.savedClock(); ok && last == clock {
 			continue // idle since last round
 		}
 		// SaveState goes through the object's own mailbox, so it
@@ -195,8 +203,8 @@ func (h *Host) CheckpointNow() (int, error) {
 			reg.Counter("ckpt/errors").Inc()
 			continue
 		}
-		pending = append(pending, persist.OPR{LOID: l, Impl: implName, State: state})
-		clocks = append(clocks, clock)
+		pending = append(pending, persist.OPR{LOID: l, Impl: r.impl, State: state})
+		marks = append(marks, ckptMark{r, clock})
 		pendingBytes += len(state)
 		if len(pending) >= ckptBatchEntries || pendingBytes >= ckptBatchBytes {
 			flush()

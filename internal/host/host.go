@@ -10,6 +10,7 @@ package host
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/idl"
 	"repro/internal/implreg"
@@ -86,15 +87,36 @@ type Host struct {
 	newRes ResolverFactory
 
 	mu       sync.Mutex
-	running  map[loid.LOID]string // object -> impl name
-	cpuLimit uint64               // max concurrently active objects; 0 = unlimited
-	memLimit uint64               // advisory memory budget, reported via GetState
+	running  map[loid.LOID]*resident
+	cpuLimit uint64 // max concurrently active objects; 0 = unlimited
+	memLimit uint64 // advisory memory budget, reported via GetState
 	obj      *rt.Object
 	ckpt     *checkpointer  // periodic durability loop; nil when off
 	loadRep  *loadReporter  // heartbeat load reports; nil when off
 	telem    *obs.Telemetry // piggybacked telemetry; nil when off
 
 	meter loadMeter // dispatch-rate sampling for the load vector
+}
+
+// resident is everything the host keeps about one object it runs. The
+// record is made when the object arrives (start, adoption) and dropped
+// when it leaves (stop, kill, crash, migrate-out), so per-object state
+// cannot outlive the incarnation it describes: an object that comes
+// back gets a fresh record.
+type resident struct {
+	impl string
+	// ckpt is the mutation clock at the last accepted checkpoint, plus
+	// one; zero means this incarnation was never checkpointed.
+	ckpt atomic.Uint64
+}
+
+// savedClock returns the mutation clock of the last accepted
+// checkpoint and whether there was one.
+func (r *resident) savedClock() (uint64, bool) {
+	if c := r.ckpt.Load(); c != 0 {
+		return c - 1, true
+	}
+	return 0, false
 }
 
 // New builds a Host Object for node. impls is the implementation
@@ -106,7 +128,7 @@ func New(self loid.LOID, node *rt.Node, impls *implreg.Registry, newRes Resolver
 		node:    node,
 		impls:   impls,
 		newRes:  newRes,
-		running: make(map[loid.LOID]string),
+		running: make(map[loid.LOID]*resident),
 	}
 }
 
@@ -254,7 +276,7 @@ func (h *Host) startObject(inv *rt.Invocation) ([][]byte, error) {
 		return nil, err
 	}
 	h.mu.Lock()
-	h.running[l.ID()] = implName
+	h.running[l.ID()] = &resident{impl: implName}
 	h.mu.Unlock()
 	return [][]byte{wire.Address(h.Address())}, nil
 }
@@ -269,7 +291,7 @@ func (h *Host) stopObject(inv *rt.Invocation) ([][]byte, error) {
 		return nil, err
 	}
 	h.mu.Lock()
-	implName, ok := h.running[l.ID()]
+	r, ok := h.running[l.ID()]
 	h.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("host %v does not run %v", h.self, l)
@@ -289,7 +311,7 @@ func (h *Host) stopObject(inv *rt.Invocation) ([][]byte, error) {
 	h.mu.Lock()
 	delete(h.running, l.ID())
 	h.mu.Unlock()
-	return [][]byte{state, wire.String(implName)}, nil
+	return [][]byte{state, wire.String(r.impl)}, nil
 }
 
 func (h *Host) killObject(inv *rt.Invocation) ([][]byte, error) {
@@ -316,7 +338,7 @@ func (h *Host) CrashResidents() []loid.LOID {
 	for l := range h.running {
 		lost = append(lost, l)
 	}
-	h.running = make(map[loid.LOID]string)
+	h.running = make(map[loid.LOID]*resident)
 	h.mu.Unlock()
 	for _, l := range lost {
 		h.node.Kill(l)

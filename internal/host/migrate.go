@@ -41,7 +41,7 @@ func (h *Host) prepareMigrate(inv *rt.Invocation) ([][]byte, error) {
 		return nil, err
 	}
 	h.mu.Lock()
-	implName, ok := h.running[l.ID()]
+	r, ok := h.running[l.ID()]
 	h.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("host %v does not run %v", h.self, l)
@@ -65,7 +65,7 @@ func (h *Host) prepareMigrate(inv *rt.Invocation) ([][]byte, error) {
 		return nil, fmt.Errorf("host %v: drain %v: %w", h.self, l, err)
 	}
 	h.node.Registry().Histogram("mig/drain").Observe(clk.Since(t0))
-	return [][]byte{state, wire.String(implName)}, nil
+	return [][]byte{state, wire.String(r.impl)}, nil
 }
 
 // abortMigrate reopens a prepared object: parked calls replay into its
@@ -180,29 +180,20 @@ func (h *Host) LoadNow() Load {
 		CPULimit:  h.cpuLimit,
 		MemLimit:  h.memLimit,
 	}
-	residents := make([]loid.LOID, 0, len(h.running))
-	for l := range h.running {
-		residents = append(residents, l)
+	residents := make(map[loid.LOID]*resident, len(h.running))
+	for l, r := range h.running {
+		residents[l] = r
 	}
-	ckpt := h.ckpt
+	checkpointing := h.ckpt != nil
 	h.mu.Unlock()
 
-	var seen map[loid.LOID]uint64
-	if ckpt != nil {
-		ckpt.mu.Lock()
-		seen = make(map[loid.LOID]uint64, len(ckpt.seen))
-		for l, clock := range ckpt.seen {
-			seen[l] = clock
-		}
-		ckpt.mu.Unlock()
-	}
-	for _, l := range residents {
+	for l, r := range residents {
 		o, ok := h.node.Lookup(l)
 		if !ok {
 			continue
 		}
 		ld.MailboxDepth += uint64(o.QueueLen())
-		if seen != nil && seen[l] != o.Mutations() {
+		if saved, _ := r.savedClock(); checkpointing && saved != o.Mutations() {
 			ld.CkptDirty++
 		}
 	}

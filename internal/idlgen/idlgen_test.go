@@ -5,9 +5,11 @@ import (
 	"go/format"
 	"go/parser"
 	"go/token"
+	"os"
 	"strings"
 	"testing"
 
+	"repro/internal/demo"
 	"repro/internal/idl"
 )
 
@@ -129,5 +131,34 @@ func TestGenerateKeywordParamNames(t *testing.T) {
 	fset := token.NewFileSet()
 	if _, err := parser.ParseFile(fset, "gen.go", code, 0); err != nil {
 		t.Fatalf("keyword params break generation: %v\n%s", err, code)
+	}
+}
+
+// TestGoldenCounter: the checked-in internal/demo/counter_gen.go is
+// what this generator emits for demo.CounterIDL (after gofmt), and the
+// interface accessor it emits hands every caller the one interface the
+// class has — demo.CounterInterface is that emitted code, compiled.
+func TestGoldenCounter(t *testing.T) {
+	in, err := idl.ParseOne(demo.CounterIDL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, err := Generate("demo", in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := format.Source(code)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile("../demo/counter_gen.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("internal/demo/counter_gen.go is stale; regenerate it with legion-idl gen -pkg demo and gofmt.\nwant:\n%s", want)
+	}
+	if demo.CounterInterface() != demo.CounterInterface() {
+		t.Error("CounterInterface built a second interface; every instance would carry its own")
 	}
 }

@@ -241,6 +241,41 @@ func storeConformance(t *testing.T, mk func(t *testing.T) Store) {
 			}
 		}
 	})
+	t.Run("UseAfterClose", func(t *testing.T) {
+		s := mk(t)
+		c, ok := s.(interface{ Close() error })
+		if !ok {
+			t.Skip("backend has no Close")
+		}
+		addr, err := s.Put(sampleOPR())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// A closed store refuses writers with ErrClosed; it must not
+		// panic or accept the write.
+		if _, err := s.Put(sampleOPR()); !errors.Is(err, ErrClosed) {
+			t.Errorf("Put after Close = %v, want ErrClosed", err)
+		}
+		if err := s.Delete(addr); !errors.Is(err, ErrClosed) {
+			t.Errorf("Delete after Close = %v, want ErrClosed", err)
+		}
+		if bp, ok := s.(BatchPutter); ok {
+			if _, err := bp.PutBatch([]OPR{sampleOPR()}); !errors.Is(err, ErrClosed) {
+				t.Errorf("PutBatch after Close = %v, want ErrClosed", err)
+			}
+		}
+		if cp, ok := s.(interface{ CompactNow() (int, error) }); ok {
+			if _, err := cp.CompactNow(); !errors.Is(err, ErrClosed) {
+				t.Errorf("CompactNow after Close = %v, want ErrClosed", err)
+			}
+		}
+		if err := c.Close(); err != nil {
+			t.Errorf("second Close = %v", err)
+		}
+	})
 }
 
 // TestBackendConformance runs the contract suite over every registered

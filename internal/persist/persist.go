@@ -27,6 +27,9 @@ var ErrNotFound = errors.New("persist: no such persistent representation")
 // quarantined, never silently activated.
 var ErrCorrupt = errors.New("persist: corrupt persistent representation")
 
+// ErrClosed reports a write to a store that has been closed.
+var ErrClosed = errors.New("persist: store closed")
+
 // PersistentAddress names an OPR inside one Jurisdiction's storage.
 type PersistentAddress string
 

@@ -170,8 +170,11 @@ func NewSegmentStore(dir string, opts SegmentOptions) (*SegmentStore, error) {
 // Dir returns the backing directory.
 func (s *SegmentStore) Dir() string { return s.dir }
 
-// Close stops the compaction loop and closes the active segment. The
-// store is unusable afterwards.
+// Close stops the compaction loop and closes the active segment. It
+// fences writers with the store's sticky write error: Put, PutBatch,
+// Delete and CompactNow return ErrClosed from then on, and a writer
+// caught between its append and its group commit gets ErrClosed, not
+// an acknowledgement. Reads of committed records keep working.
 func (s *SegmentStore) Close() error {
 	s.compactMu.Lock() // wait out an in-flight compaction
 	s.stopOnce.Do(func() { close(s.stop) })
@@ -179,6 +182,10 @@ func (s *SegmentStore) Close() error {
 	s.wg.Wait()
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.failLocked(ErrClosed)
+	for s.syncing {
+		s.cond.Wait() // the commit leader is inside Sync on s.active
+	}
 	if s.active != nil {
 		err := s.active.Close()
 		s.active = nil
@@ -512,8 +519,12 @@ func (s *SegmentStore) Delete(addr PersistentAddress) error {
 
 // appendLocked writes raw record bytes to the active segment. A write
 // error (including an injected torn write) is a sticky store failure:
-// the log tail is now indeterminate.
+// the log tail is now indeterminate. A failed or closed store takes no
+// more appends — after Close there is no active segment to write.
 func (s *SegmentStore) appendLocked(b []byte) error {
+	if s.werr != nil {
+		return s.werr
+	}
 	if _, err := s.active.Write(b); err != nil {
 		s.failLocked(fmt.Errorf("persist: segment append: %w", err))
 		return s.werr
@@ -690,6 +701,12 @@ func (s *SegmentStore) CompactNow() (reclaimed int, err error) {
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
 
+	s.mu.Lock()
+	err = s.werr
+	s.mu.Unlock()
+	if err != nil {
+		return 0, err
+	}
 	for {
 		seg, ok := s.pickCompactionVictim()
 		if !ok {

@@ -527,3 +527,42 @@ func FuzzSegmentRecord(f *testing.F) {
 		}
 	})
 }
+
+// TestSegmentCloseDuringDeleteTail: a bulk adoption commits, then
+// deletes the shipped OPRs one by one; a system shutting down closes
+// the store under that tail. Every delete either commits or is refused
+// with ErrClosed — none may reach the closed segment.
+func TestSegmentCloseDuringDeleteTail(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		st, err := NewSegmentStore(t.TempDir(), SegmentOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		oprs := make([]OPR, 64)
+		for i := range oprs {
+			oprs[i] = OPR{LOID: loid.NewNoKey(256, uint64(i)), Impl: "x", State: []byte{byte(i)}}
+		}
+		addrs, err := st.PutBatch(oprs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		started := make(chan struct{})
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for i, a := range addrs {
+				if i == 2 {
+					close(started)
+				}
+				if err := st.Delete(a); err != nil && !errors.Is(err, ErrClosed) {
+					t.Errorf("Delete %s = %v, want nil or ErrClosed", a, err)
+				}
+			}
+		}()
+		<-started
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		<-done
+	}
+}

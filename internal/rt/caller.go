@@ -97,19 +97,14 @@ func NewCaller(node *Node, self loid.LOID, resolver Resolver) *Caller {
 		MaxRefresh: 2,
 	}
 	c.resolver.Store(&resolverRef{r: resolver})
-	cache := binding.NewCache(DefaultBindingCacheSize)
-	if node.clk != nil {
-		// Bindings minted under a virtual clock carry virtual-epoch
-		// expiries; the cache must judge them on the same time base.
-		cache.SetClock(node.clk.Now)
-	}
-	c.cache.Store(cache)
 	c.rngState.Store(uint64(self.ClassID)<<32 ^ uint64(self.ClassSpecific) ^ 0x5DEECE66D)
 	return c
 }
 
 // DefaultBindingCacheSize is the default per-object binding cache
-// capacity; experiments override it via SetCache.
+// capacity; experiments override it via SetCache. The cache is built
+// on first use (see Cache): most objects only ever answer calls, and
+// an unused cache would be the largest part of an idle object.
 const DefaultBindingCacheSize = 512
 
 // SetResolver installs or replaces the resolver.
@@ -121,6 +116,8 @@ func (c *Caller) SetResolver(r Resolver) {
 // The node's clock carries over to the new cache.
 func (c *Caller) SetCache(cache *binding.Cache) {
 	if c.node.clk != nil {
+		// Bindings minted under a virtual clock carry virtual-epoch
+		// expiries; the cache must judge them on the same time base.
 		cache.SetClock(c.node.clk.Now)
 	}
 	c.cache.Store(cache)
@@ -139,8 +136,19 @@ func (c *Caller) SetHealth(t *health.Tracker) {
 func (c *Caller) Health() *health.Tracker { return c.health.Load() }
 
 // Cache returns the binding cache (for inspection and explicit
-// AddBinding-style propagation).
+// AddBinding-style propagation), building it on first use: concurrent
+// first users race one CAS and all get the winner.
 func (c *Caller) Cache() *binding.Cache {
+	if cache := c.cache.Load(); cache != nil {
+		return cache
+	}
+	cache := binding.NewCache(DefaultBindingCacheSize)
+	if c.node.clk != nil {
+		cache.SetClock(c.node.clk.Now)
+	}
+	if c.cache.CompareAndSwap(nil, cache) {
+		return cache
+	}
 	return c.cache.Load()
 }
 
@@ -213,10 +221,18 @@ func withSpan(ctx context.Context, span *trace.Span) context.Context {
 // as a span event and hands its identity to a CtxResolver so Binding
 // Agent hops join the trace.
 func (c *Caller) resolve(ctx context.Context, target loid.LOID, span *trace.Span) (binding.Binding, error) {
-	cache := c.Cache()
-	if b, ok := cache.Get(target); ok {
-		span.Event("cache", "hit")
-		return b, nil
+	// A caller that never held a binding has no cache yet: that is a
+	// miss, and only a resolver that can fill one brings it into being
+	// (before the Get, so the miss is counted like any other).
+	cache := c.cache.Load()
+	if cache == nil && c.getResolver() != nil {
+		cache = c.Cache()
+	}
+	if cache != nil {
+		if b, ok := cache.Get(target); ok {
+			span.Event("cache", "hit")
+			return b, nil
+		}
 	}
 	span.Event("cache", "miss")
 	r := c.getResolver()
@@ -233,7 +249,7 @@ func (c *Caller) resolve(ctx context.Context, target loid.LOID, span *trace.Span
 	if err != nil {
 		return binding.Binding{}, fmt.Errorf("%w: %v: %v", ErrUnbound, target, err)
 	}
-	cache.Add(b)
+	c.Cache().Add(b) // not cache: a resolver installed since the check above finds it nil
 	return b, nil
 }
 
@@ -379,7 +395,9 @@ func deadlineNanos(ctx context.Context) int64 {
 
 func (c *Caller) refresh(ctx context.Context, stale binding.Binding, span *trace.Span) (binding.Binding, error) {
 	span.Event("refresh", "stale binding invalidated")
-	c.Cache().InvalidateBinding(stale)
+	if cache := c.cache.Load(); cache != nil {
+		cache.InvalidateBinding(stale)
+	}
 	r := c.getResolver()
 	if r == nil {
 		return binding.Binding{}, ErrUnbound
@@ -843,18 +861,14 @@ func (c *Caller) deliverOne(ctx context.Context, e oa.Element, target loid.LOID,
 			o := v.(*Object)
 			// A migration gate must see every arrival: while one is up
 			// for the target, skip the bypass so the transport loopback
-			// routes this call through the park/forward machinery.
-			if (o.inline || o.concurrency > 1) && !c.node.gated(target) {
-				select {
-				case <-o.done:
-					// Stopped but not yet unregistered: let the transport
-					// loopback answer with the stale-binding verdict.
-				default:
-					env := c.env
-					env.Deadline = dlNanos
-					env.TraceID, env.SpanID, env.ParentSpanID = sc.TraceID, sc.SpanID, sc.ParentSpanID
-					return o.serveLocal(method, &env, args), nil
-				}
+			// routes this call through the park/forward machinery. So does
+			// a stopped but not yet unregistered object: the loopback
+			// answers with the stale-binding verdict.
+			if (o.inline || o.concurrency > 1) && !o.mailbox.isClosed() && !c.node.gated(target) {
+				env := c.env
+				env.Deadline = dlNanos
+				env.TraceID, env.SpanID, env.ParentSpanID = sc.TraceID, sc.SpanID, sc.ParentSpanID
+				return o.serveLocal(method, &env, args), nil
 			}
 		}
 	}

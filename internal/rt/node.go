@@ -68,6 +68,10 @@ type Node struct {
 	gmu    sync.Mutex
 	gates  map[loid.LOID]*gate // loid.LOID (identity) -> gate
 	nGates atomic.Int64
+	// gateEpoch counts Parks. A deliverer reads it before looking for a
+	// gate and the mailbox compares it under its lock (mailbox.put), so a
+	// gate that goes up in between is not missed.
+	gateEpoch atomic.Uint64
 
 	// served counts dispatched requests (all residents); Host Objects
 	// derive their dispatch-rate load signal from its delta.
@@ -210,13 +214,8 @@ func (n *Node) Observer() Observer {
 // at the node's address under l. label names the object in metrics
 // (e.g. "class/L256.0"); empty disables per-object counting.
 func (n *Node) Spawn(l loid.LOID, impl Impl, opts ...SpawnOption) (*Object, error) {
-	o := &Object{
-		node:    n,
-		self:    l,
-		impl:    impl,
-		mailbox: make(chan *wire.Frame, mailboxDepth),
-		done:    make(chan struct{}),
-	}
+	o := &Object{node: n, self: l, impl: impl}
+	o.mailbox.init(&n.gateEpoch)
 	for _, opt := range opts {
 		opt(o)
 	}
@@ -324,6 +323,18 @@ func (n *Node) receiveFrame(b *buf.Buffer, data []byte, sync bool) {
 		n.completeReply(f)
 		f.Close()
 	case wire.KindRequest, wire.KindOneWay:
+		n.routeRequest(f, b)
+	default:
+		n.cGarbage.Inc()
+		f.Close()
+	}
+}
+
+// routeRequest routes one parsed request frame to its target: through the
+// target's migration gate if one is up, else to the object.
+func (n *Node) routeRequest(f *wire.Frame, b *buf.Buffer) {
+	for {
+		epoch := n.gateEpoch.Load() // before the gate check; see mailbox.put
 		if n.nGates.Load() != 0 {
 			n.gmu.Lock()
 			g, ok := n.gates[f.TargetID()]
@@ -334,6 +345,9 @@ func (n *Node) receiveFrame(b *buf.Buffer, data []byte, sync bool) {
 		}
 		v, ok := n.objects.Load(f.TargetID())
 		if !ok {
+			if n.gateEpoch.Load() != epoch {
+				continue // it may have migrated away behind a gate we missed
+			}
 			// The sender's binding is stale (§4.1.4); tell it so.
 			n.cStale.Inc()
 			if f.Kind == wire.KindRequest && f.HasReplyTo() {
@@ -350,29 +364,35 @@ func (n *Node) receiveFrame(b *buf.Buffer, data []byte, sync bool) {
 			// mailbox handoff and its goroutine switches entirely. The
 			// frame's bytes stay valid for the duration of the call (the
 			// transport's reference pins b), so no Own is needed.
-			select {
-			case <-o.done:
-				if f.Kind == wire.KindRequest && f.HasReplyTo() {
-					n.replyFrame(f, wire.ErrNoSuchObject, "object stopped", nil)
-				}
-			default:
+			if o.mailbox.isClosed() {
+				n.replyStopped(f)
+			} else {
 				o.serveInline(f)
 			}
 			f.Close()
 			return
 		}
-		f.Own(b) // the mailbox outlives this call: pin the buffer
-		select {
-		case o.mailbox <- f:
-		case <-o.done:
-			if f.Kind == wire.KindRequest && f.HasReplyTo() {
-				n.replyFrame(f, wire.ErrNoSuchObject, "object stopped", nil)
-			}
-			f.Close()
+		if b != nil {
+			f.Own(b) // the mailbox outlives this call: pin the buffer
+			b = nil  // once, however often the gate check repeats
 		}
-	default:
-		n.cGarbage.Inc()
-		f.Close()
+		switch o.mailbox.put(f, true, epoch) {
+		case putOK:
+			return
+		case putRefused:
+			n.replyStopped(f)
+			f.Close()
+			return
+		}
+		// putRegate: a Park began after the gate check; check again.
+	}
+}
+
+// replyStopped answers a request that reached an object after its stop
+// with the stale-binding verdict.
+func (n *Node) replyStopped(f *wire.Frame) {
+	if f.Kind == wire.KindRequest && f.HasReplyTo() {
+		n.replyFrame(f, wire.ErrNoSuchObject, "object stopped", nil)
 	}
 }
 
@@ -508,6 +528,3 @@ func (n *Node) send(to oa.Element, data []byte) error {
 func (n *Node) sendBuf(to oa.Element, b *buf.Buffer) error {
 	return n.ep.SendBuf(to, b)
 }
-
-// mailboxDepth bounds each object's queue of unprocessed messages.
-const mailboxDepth = 1024

@@ -46,9 +46,7 @@ type Object struct {
 	// skip idle objects.
 	muts atomic.Uint64
 
-	mailbox chan *wire.Frame
-	done    chan struct{}
-	once    sync.Once
+	mailbox mailbox
 }
 
 // SpawnOption configures an object at spawn time.
@@ -126,21 +124,16 @@ func (o *Object) Mutations() uint64 { return o.muts.Load() }
 
 // QueueLen is the object's current mailbox backlog — one term of the
 // Host Object's load vector.
-func (o *Object) QueueLen() int { return len(o.mailbox) }
+func (o *Object) QueueLen() int { return o.mailbox.len() }
 
 // SetPolicy replaces the object's MayI policy at run time.
 func (o *Object) SetPolicy(p security.Policy) { o.policy = p }
 
 // loop is one dispatch worker; Spawn starts o.concurrency of them.
 func (o *Object) loop() {
-	for {
-		select {
-		case f := <-o.mailbox:
-			o.serve(f)
-			f.Close()
-		case <-o.done:
-			return
-		}
+	for f := o.mailbox.get(); f != nil; f = o.mailbox.get() {
+		o.serve(f)
+		f.Close()
 	}
 }
 
@@ -380,24 +373,18 @@ func (o *Object) FullInterface() *idl.Interface {
 	return full
 }
 
+// stop deactivates the object; Kill and Close take it out of the
+// node's table first, so it runs once per object.
 func (o *Object) stop() {
-	o.once.Do(func() {
-		close(o.done)
-		// Queued frames hold pooled buffers the workers will never
-		// drain; release them now that no worker will race the drain.
-	drain:
-		for {
-			select {
-			case f := <-o.mailbox:
-				f.Close()
-			default:
-				break drain
-			}
-		}
-		if s, ok := o.impl.(Stopper); ok {
-			s.Stop()
-		}
-	})
+	// Queued frames hold pooled buffers the workers will never serve;
+	// release them.
+	backlog := o.mailbox.close()
+	for f := backlog.Pop(); f != nil; f = backlog.Pop() {
+		f.Close()
+	}
+	if s, ok := o.impl.(Stopper); ok {
+		s.Stop()
+	}
 }
 
 var objectMandatoryOnce sync.Once

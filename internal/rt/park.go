@@ -36,7 +36,7 @@ type gate struct {
 	dead       bool
 	to         oa.Element
 	exempt     loid.LOID
-	q          []*wire.Frame
+	q          wire.FrameQueue
 }
 
 // Park installs a drain gate for l: request frames arriving for l are
@@ -55,6 +55,7 @@ func (n *Node) Park(l loid.LOID, exempt loid.LOID) error {
 	}
 	n.gates[l.ID()] = &gate{exempt: exempt}
 	n.nGates.Add(1)
+	n.gateEpoch.Add(1) // after nGates: whoever sees the new epoch sees the gate
 	return nil
 }
 
@@ -73,21 +74,18 @@ func (n *Node) Unpark(l loid.LOID) int {
 	}
 	o, live := n.Lookup(l)
 	replayed := 0
-	for _, f := range g.q {
-		if !live {
+	for f := g.q.Pop(); f != nil; f = g.q.Pop() {
+		switch {
+		case !live:
 			n.bounceParked(f, "object gone during migration abort")
-			continue
-		}
-		select {
-		case o.mailbox <- f:
+		case o.mailbox.put(f, false, n.gateEpoch.Load()) == putOK: // no Park while we hold gmu
 			replayed++
 		default:
-			// A full mailbox must not block the abort; bounce to the
-			// caller's retry loop instead.
+			// A full (or just stopped) mailbox must not block the abort;
+			// bounce to the caller's retry loop instead.
 			n.bounceParked(f, "mailbox full during migration abort")
 		}
 	}
-	g.q = nil
 	g.dead = true
 	delete(n.gates, l.ID())
 	n.nGates.Add(-1)
@@ -110,12 +108,11 @@ func (n *Node) ForwardParked(l loid.LOID, to oa.Element) int {
 	g.forwarding = true
 	g.to = to
 	flushed := 0
-	for _, f := range g.q {
+	for f := g.q.Pop(); f != nil; f = g.q.Pop() {
 		n.forwardFrame(f, to)
 		f.Close()
 		flushed++
 	}
-	g.q = nil
 	return flushed
 }
 
@@ -145,10 +142,9 @@ func (n *Node) clearGate(l loid.LOID) {
 	}
 	n.gmu.Lock()
 	if g, ok := n.gates[l.ID()]; ok {
-		for _, f := range g.q {
+		for f := g.q.Pop(); f != nil; f = g.q.Pop() {
 			n.bounceParked(f, "object respawned during migration")
 		}
-		g.q = nil
 		g.dead = true
 		delete(n.gates, l.ID())
 		n.nGates.Add(-1)
@@ -160,10 +156,9 @@ func (n *Node) clearGate(l loid.LOID) {
 func (n *Node) dropAllGates() {
 	n.gmu.Lock()
 	for id, g := range n.gates {
-		for _, f := range g.q {
+		for f := g.q.Pop(); f != nil; f = g.q.Pop() {
 			f.Close()
 		}
-		g.q = nil
 		g.dead = true
 		delete(n.gates, id)
 		n.nGates.Add(-1)
@@ -187,7 +182,8 @@ func (n *Node) gated(l loid.LOID) bool {
 // handleGated routes one request frame through l's gate. It reports
 // whether the frame was consumed; false means "deliver normally" (the
 // gate is dead, or the frame is exempt from the drain). Called from
-// receiveFrame with the frame parsed and the backing buffer live.
+// routeRequest with the frame parsed; b is the backing buffer, or nil when
+// the frame already owns it.
 func (n *Node) handleGated(g *gate, f *wire.Frame, b *buf.Buffer) bool {
 	n.gmu.Lock()
 	if g.dead {
@@ -219,7 +215,7 @@ func (n *Node) handleGated(g *gate, f *wire.Frame, b *buf.Buffer) bool {
 		n.gmu.Unlock()
 		return false
 	}
-	if len(g.q) >= parkBound {
+	if g.q.Len() >= parkBound {
 		n.gmu.Unlock()
 		if f.Kind == wire.KindRequest && f.HasReplyTo() {
 			n.replyFrame(f, wire.ErrUnavailable, "migration drain queue full", nil)
@@ -227,8 +223,10 @@ func (n *Node) handleGated(g *gate, f *wire.Frame, b *buf.Buffer) bool {
 		f.Close()
 		return true
 	}
-	f.Own(b) // the queue outlives this call: pin the buffer
-	g.q = append(g.q, f)
+	if b != nil {
+		f.Own(b) // the queue outlives this call: pin the buffer
+	}
+	g.q.Push(f)
 	n.cParked.Inc()
 	n.gmu.Unlock()
 	if ob := n.Observer(); ob != nil {

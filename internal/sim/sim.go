@@ -33,67 +33,78 @@ import (
 const WorkerImplName = "sim.worker"
 
 // NewWorkerImpl is the implreg factory for WorkerImplName.
-func NewWorkerImpl() rt.Impl {
-	var (
-		mu    sync.Mutex
-		calls uint64
-		pad   []byte
-	)
-	return &rt.Behavior{
-		Iface: WorkerInterface(),
-		Handlers: map[string]rt.Handler{
-			"Work": func(inv *rt.Invocation) ([][]byte, error) {
-				mu.Lock()
-				calls++
-				n := calls
-				mu.Unlock()
-				return [][]byte{wire.Uint64(n)}, nil
-			},
-			"Pad": func(inv *rt.Invocation) ([][]byte, error) {
-				raw, err := inv.Arg(0)
-				if err != nil {
-					return nil, err
-				}
-				sz, err := wire.AsUint64(raw)
-				if err != nil {
-					return nil, err
-				}
-				mu.Lock()
-				pad = make([]byte, sz)
-				mu.Unlock()
-				return nil, nil
-			},
-		},
-		Save: func() ([]byte, error) {
-			mu.Lock()
-			defer mu.Unlock()
-			out := wire.Uint64(calls)
-			return append(out, pad...), nil
-		},
-		Restore: func(s []byte) error {
-			if len(s) == 0 {
-				return nil
-			}
-			if len(s) < 8 {
-				return fmt.Errorf("sim.worker: short state")
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			var err error
-			calls, err = wire.AsUint64(s[:8])
-			pad = append([]byte(nil), s[8:]...)
-			return err
-		},
-	}
+func NewWorkerImpl() rt.Impl { return new(worker) }
+
+// worker is one instance's state. Everything the instances have in
+// common — the interface, the dispatch table — is code or the shared
+// workerInterface, so an instance costs only these fields.
+type worker struct {
+	mu    sync.Mutex
+	calls uint64
+	pad   []byte
 }
 
-// WorkerInterface describes the worker instances.
-func WorkerInterface() *idl.Interface {
-	return idl.NewInterface("SimWorker",
-		idl.MethodSig{Name: "Work", Returns: []idl.Param{{Name: "calls", Type: idl.TUint64}}},
-		idl.MethodSig{Name: "Pad", Params: []idl.Param{{Name: "size", Type: idl.TUint64}}},
-	)
+// Interface implements rt.Impl.
+func (w *worker) Interface() *idl.Interface { return workerInterface }
+
+// Dispatch implements rt.Impl.
+func (w *worker) Dispatch(inv *rt.Invocation) ([][]byte, error) {
+	switch inv.Method {
+	case "Work":
+		w.mu.Lock()
+		w.calls++
+		n := w.calls
+		w.mu.Unlock()
+		return [][]byte{wire.Uint64(n)}, nil
+	case "Pad":
+		raw, err := inv.Arg(0)
+		if err != nil {
+			return nil, err
+		}
+		sz, err := wire.AsUint64(raw)
+		if err != nil {
+			return nil, err
+		}
+		w.mu.Lock()
+		w.pad = make([]byte, sz)
+		w.mu.Unlock()
+		return nil, nil
+	}
+	return nil, &rt.NoSuchMethodError{Method: inv.Method}
 }
+
+// SaveState implements rt.Impl.
+func (w *worker) SaveState() ([]byte, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return append(wire.Uint64(w.calls), w.pad...), nil
+}
+
+// RestoreState implements rt.Impl.
+func (w *worker) RestoreState(s []byte) error {
+	if len(s) == 0 {
+		return nil
+	}
+	if len(s) < 8 {
+		return fmt.Errorf("sim.worker: short state")
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	var err error
+	w.calls, err = wire.AsUint64(s[:8])
+	w.pad = append([]byte(nil), s[8:]...)
+	return err
+}
+
+// workerInterface is built once; it is immutable from then on.
+var workerInterface = idl.NewInterface("SimWorker",
+	idl.MethodSig{Name: "Work", Returns: []idl.Param{{Name: "calls", Type: idl.TUint64}}},
+	idl.MethodSig{Name: "Pad", Params: []idl.Param{{Name: "size", Type: idl.TUint64}}},
+)
+
+// WorkerInterface describes the worker instances. Every call returns
+// the same interface; callers must not modify it.
+func WorkerInterface() *idl.Interface { return workerInterface }
 
 // Config sizes a simulated deployment.
 type Config struct {

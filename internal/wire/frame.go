@@ -69,6 +69,7 @@ const fwdFlag = 0x80
 type Frame struct {
 	data  []byte
 	owner *buf.Buffer
+	next  *Frame // FrameQueue link; nil while the frame is in no queue
 
 	ver  byte
 	fwd  bool
@@ -121,6 +122,47 @@ func (f *Frame) Close() {
 		f.argOff = nil
 	}
 	framePool2.Put(f)
+}
+
+// FrameQueue is a FIFO of frames threaded through the frames
+// themselves: an empty queue is three words and a queued frame costs
+// nothing beyond the (pooled) frame, so a holder's memory follows its
+// backlog rather than its capacity. A frame sits in at most one queue
+// at a time. Not synchronized — the holder's lock guards it. The zero
+// value is an empty queue.
+type FrameQueue struct {
+	head, tail *Frame
+	n          int
+}
+
+// Len returns the number of queued frames.
+func (q *FrameQueue) Len() int { return q.n }
+
+// Push appends f.
+func (q *FrameQueue) Push(f *Frame) {
+	if q.tail == nil {
+		q.head = f
+	} else {
+		q.tail.next = f
+	}
+	q.tail = f
+	q.n++
+}
+
+// Pop removes and returns the oldest frame, nil when the queue is
+// empty.
+func (q *FrameQueue) Pop() *Frame {
+	f := q.head
+	if f == nil {
+		return nil
+	}
+	q.head = f.next
+	if q.head == nil {
+		q.tail = nil
+	}
+	f.next = nil
+	q.n--
+	return f
 }
 
 // Parse decodes the frame structure of data: eager fixed fields,

@@ -224,3 +224,37 @@ func BenchmarkUnmarshalEager(b *testing.B) {
 		}
 	}
 }
+
+// TestFrameQueueFIFO: frames come out in the order they went in, an
+// emptied queue is reusable, and a popped frame can join another queue.
+func TestFrameQueueFIFO(t *testing.T) {
+	var q, q2 FrameQueue
+	if q.Pop() != nil || q.Len() != 0 {
+		t.Fatal("zero queue not empty")
+	}
+	frames := []*Frame{GetFrame(), GetFrame(), GetFrame()}
+	for round := 0; round < 2; round++ {
+		for i, f := range frames {
+			q.Push(f)
+			if q.Len() != i+1 {
+				t.Fatalf("Len = %d after %d pushes", q.Len(), i+1)
+			}
+		}
+		for i, want := range frames {
+			got := q.Pop()
+			if got != want {
+				t.Fatalf("round %d pop %d: wrong frame", round, i)
+			}
+			q2.Push(got)
+		}
+		if q.Pop() != nil || q.Len() != 0 {
+			t.Fatal("queue not empty after popping everything")
+		}
+		for range frames {
+			q2.Pop()
+		}
+	}
+	for _, f := range frames {
+		f.Close()
+	}
+}
