@@ -235,6 +235,9 @@ func e19UnderTraffic(scale Scale) (*e19Result, error) {
 			res.incarnations = n
 		}
 	}
+	if err := mag.CheckResidentCounts(); err != nil {
+		return nil, fmt.Errorf("E19 under traffic: %w", err)
+	}
 	return res, nil
 }
 
@@ -340,6 +343,11 @@ func e19CrashAt(scale Scale, phase, side string) (*e19Result, error) {
 	// grew it; any value below the warm count means migrated state was
 	// lost.
 	res.regressed = post <= pre
+	// Whichever way the migration settled, the Magistrate's kept
+	// per-host resident counts must equal a recount of its table.
+	if err := mag.CheckResidentCounts(); err != nil {
+		return nil, fmt.Errorf("E19 crash %s at %s: %w", side, phase, err)
+	}
 	return res, nil
 }
 
@@ -435,6 +443,9 @@ func e19Rebalance(scale Scale) (*e19Result, error) {
 	// hold more than ~60% of the population afterwards.
 	if res.moves == 0 || maxC > objects*3/5 {
 		res.regressed = true // reuse the flag: the scenario claim failed
+	}
+	if err := s.Sys.Jurisdictions[0].MagistrateImpl().CheckResidentCounts(); err != nil {
+		return nil, fmt.Errorf("E19 rebalance: %w", err)
 	}
 	return res, nil
 }

@@ -446,5 +446,10 @@ func e21Recovery(scale Scale, mode e21Mode) (*e21RecResult, error) {
 	res.usedBulk = s.Reg.Counter("mag/bulk_adoptions").Value() > 0
 	res.fellBack = s.Reg.Counter("mag/bulk_adopt_failed").Value() > 0 &&
 		s.Reg.Counter("mag/reactivations").Value() > 0
+	// Bulk adoption, its fallback and per-OPR reactivation all place
+	// records; the kept resident counts must equal a recount.
+	if err := mag.CheckResidentCounts(); err != nil {
+		return nil, fmt.Errorf("E21 recovery: %w", err)
+	}
 	return res, nil
 }

@@ -101,7 +101,7 @@ func (m *Magistrate) checkpointBatch(inv *rt.Invocation) ([][]byte, error) {
 		_ = m.store.Delete(a)
 	}
 	for _, i := range accepted {
-		plane.NoteGeneration(live[i].LOID.ID().String(), "checkpoint", fromHost.String(), len(live[i].State))
+		noteGeneration(plane, live[i].LOID, "checkpoint", fromHost, len(live[i].State))
 	}
 	m.reg().Counter("mag/ckpt_batches").Inc()
 	m.reg().Counter("mag/ckpt_batch_saved").Add(uint64(len(accepted)))
@@ -243,13 +243,11 @@ func (m *Magistrate) bulkAdopt(ls []loid.LOID) {
 	for i, l := range ids {
 		rec := recs[i]
 		rec.activating = false
-		if _, still := m.table[l.ID()]; !still {
+		if m.table[l.ID()] != rec {
 			orphans = append(orphans, l)
 			continue
 		}
-		rec.active = true
-		rec.host = target.l
-		rec.addr = target.addr
+		m.place(rec, target.l, target.addr)
 		rec.oprAddr = ""
 		if rec.ckptAddr != "" && rec.ckptAddr != addrs[i] {
 			_ = m.store.Delete(rec.ckptAddr)
@@ -293,7 +291,7 @@ func (m *Magistrate) bulkAdopt(ls []loid.LOID) {
 	}
 	m.mu.Unlock()
 	for _, n := range notices {
-		plane.NoteGeneration(n.l.ID().String(), "adopt", target.l.String(), 0)
+		noteGeneration(plane, n.l, "adopt", target.l, 0)
 		m.notifyClass(n.l, n.b)
 	}
 }

@@ -106,7 +106,10 @@ type record struct {
 	// host dies, HostFailed promotes it to oprAddr so the object
 	// reactivates with its checkpointed state instead of a blank one.
 	ckptAddr persist.PersistentAddress
-	active   bool
+	// active, host and addr say where the object runs. place and
+	// unplace (below) are their only writers: they keep the Magistrate's
+	// per-host resident counts in step with the table.
+	active bool
 	// activating marks an in-flight activation: concurrent Activate
 	// calls wait on it rather than starting the object a second time
 	// on another host.
@@ -141,6 +144,17 @@ type Magistrate struct {
 	loads     map[loid.LOID]loadEntry
 	lastPick  loid.LOID
 	oblivious bool
+
+	// residents counts, per host, the table's records that are active
+	// there — the placement score's resident term and Loads()'s view.
+	// It is kept, not derived: place/unplace adjust it at the moment a
+	// record changes hands, so a pick costs O(hosts), not O(table). It
+	// is keyed by host identity, not by membership of m.hosts: a record
+	// may outlive its host's place in the pool (a migrating record
+	// across HostFailed, any record across RemoveHost/ForgetHosts) and
+	// is still counted there until it is unplaced. Zero entries are
+	// deleted.
+	residents map[loid.LOID]int
 
 	// migHook observes migration phase boundaries (test injection).
 	migHook MigrateHook
@@ -178,10 +192,11 @@ type hostEntry struct {
 // New builds a Magistrate persisting OPRs into store.
 func New(self loid.LOID, store persist.Store) *Magistrate {
 	m := &Magistrate{
-		self:  self,
-		store: store,
-		table: make(map[loid.LOID]*record),
-		loads: make(map[loid.LOID]loadEntry),
+		self:      self,
+		store:     store,
+		table:     make(map[loid.LOID]*record),
+		loads:     make(map[loid.LOID]loadEntry),
+		residents: make(map[loid.LOID]int),
 	}
 	m.cond = sync.NewCond(&m.mu)
 	return m
@@ -453,9 +468,10 @@ func (m *Magistrate) register(inv *rt.Invocation) ([][]byte, error) {
 		if old.ckptAddr != "" {
 			_ = m.store.Delete(old.ckptAddr)
 		}
+		m.unplace(old) // it leaves the table
 	}
 	m.table[l.ID()] = &record{impl: implName, oprAddr: oprAddr}
-	m.plane.NoteGeneration(l.ID().String(), "register", "", len(state))
+	noteGeneration(m.plane, l, "register", loid.Nil, len(state))
 	return nil, nil
 }
 
@@ -511,7 +527,7 @@ func (m *Magistrate) checkpoint(inv *rt.Invocation) ([][]byte, error) {
 	if old != "" {
 		_ = m.store.Delete(old)
 	}
-	plane.NoteGeneration(l.ID().String(), "checkpoint", fromHost.String(), len(state))
+	noteGeneration(plane, l, "checkpoint", fromHost, len(state))
 	return nil, nil
 }
 
@@ -621,16 +637,15 @@ func (m *Magistrate) startOn(ctx context.Context, l loid.LOID, rec *record, h ho
 	// The state now lives in the running object; drop the stale OPR.
 	_ = m.store.Delete(oprAddr)
 	m.mu.Lock()
-	// The object may have been deleted while we were starting it; in
-	// that case reap the orphan instead of recording it.
-	if _, still := m.table[l.ID()]; !still {
+	// The object may have been deleted (or its record replaced) while we
+	// were starting it; in that case reap the orphan instead of recording
+	// it.
+	if m.table[l.ID()] != rec {
 		m.mu.Unlock()
 		_ = hc.KillObject(l)
 		return binding.Binding{}, fmt.Errorf("magistrate %v: object %v deleted during activation", m.self, l)
 	}
-	rec.active = true
-	rec.host = h.l
-	rec.addr = addr
+	m.place(rec, h.l, addr)
 	rec.oprAddr = ""
 	if rec.ckptAddr != "" && rec.ckptAddr != oprAddr {
 		// A leftover checkpoint from a previous incarnation is stale
@@ -641,8 +656,10 @@ func (m *Magistrate) startOn(ctx context.Context, l loid.LOID, rec *record, h ho
 	b := m.bindingLocked(l, addr)
 	plane := m.plane
 	m.mu.Unlock()
-	plane.NoteGeneration(l.ID().String(), "activate", h.l.String(), len(opr.State))
-	plane.Record(obs.KindActivate, l.ID().String(), "started on "+h.l.String(), trace.FromContext(ctx).TraceID)
+	noteGeneration(plane, l, "activate", h.l, len(opr.State))
+	if plane != nil {
+		plane.Record(obs.KindActivate, l.ID().String(), "started on "+h.l.String(), trace.FromContext(ctx).TraceID)
+	}
 	return b, nil
 }
 
@@ -678,9 +695,7 @@ func (m *Magistrate) HostFailed(h loid.LOID) []loid.LOID {
 		if !rec.active || !rec.host.SameObject(h) || rec.activating || rec.migrating {
 			continue
 		}
-		rec.active = false
-		rec.host = loid.Nil
-		rec.addr = oa.Address{}
+		m.unplace(rec)
 		promoted := false
 		if rec.ckptAddr != "" {
 			// Recover from the newest checkpoint.
@@ -698,7 +713,7 @@ func (m *Magistrate) HostFailed(h loid.LOID) []loid.LOID {
 			}
 		}
 		if promoted {
-			m.plane.NoteGeneration(id.ID().String(), "promote", h.String(), 0)
+			noteGeneration(m.plane, id, "promote", h, 0)
 		}
 		affected = append(affected, id)
 	}
@@ -707,8 +722,10 @@ func (m *Magistrate) HostFailed(h loid.LOID) []loid.LOID {
 	bulk := !m.noBulk && canExport && len(affected) >= 2
 	plane := m.plane
 	m.mu.Unlock()
-	plane.Record(obs.KindFailover, h.String(),
-		fmt.Sprintf("host failed, %d objects affected (survivors=%v)", len(affected), survivors), 0)
+	if plane != nil {
+		plane.Record(obs.KindFailover, h.String(),
+			fmt.Sprintf("host failed, %d objects affected (survivors=%v)", len(affected), survivors), 0)
+	}
 	if len(affected) > 0 && survivors {
 		if bulk {
 			go m.bulkAdopt(affected)
@@ -845,10 +862,13 @@ const loadStaleAfter = 2 * time.Second
 
 // pickHostLocked applies the host hint, or least-loaded-with-
 // hysteresis placement over the jurisdiction's hosts. The resident
-// count comes from the magistrate's own table (always current); the
-// dynamic terms — mailbox backlog, dispatch rate, checkpoint pressure
-// — from the hosts' heartbeat load vectors when fresh. With idle,
-// equally-populated hosts the policy degenerates to round-robin.
+// count is the magistrate's own (m.residents, current as of the last
+// place/unplace); the dynamic terms — mailbox backlog, dispatch rate,
+// checkpoint pressure — come from the hosts' heartbeat load vectors
+// when fresh. With idle, equally-populated hosts the policy degenerates
+// to round-robin. The cost is O(hosts) with no allocation, whatever the
+// size of the jurisdiction's table (§5: no core object's work per
+// request may grow with the system).
 func (m *Magistrate) pickHostLocked(hint loid.LOID) (hostEntry, error) {
 	if len(m.hosts) == 0 {
 		return hostEntry{}, fmt.Errorf("magistrate %v has no hosts", m.self)
@@ -870,12 +890,6 @@ func (m *Magistrate) pickHostLocked(hint loid.LOID) (hostEntry, error) {
 		m.lastPick = h.l
 		return h, nil
 	}
-	counts := make(map[loid.LOID]float64, len(m.hosts))
-	for _, rec := range m.table {
-		if rec.active {
-			counts[rec.host.ID()]++
-		}
-	}
 	now := m.now()
 	var best, last hostEntry
 	bestScore, lastScore := 0.0, 0.0
@@ -885,7 +899,7 @@ func (m *Magistrate) pickHostLocked(hint loid.LOID) (hostEntry, error) {
 	n := len(m.hosts)
 	for i := 0; i < n; i++ {
 		h := m.hosts[(m.rr+i)%n]
-		s := counts[h.l.ID()]
+		s := float64(m.residents[h.l.ID()])
 		if le, ok := m.loads[h.l.ID()]; ok && now.Sub(le.at) < loadStaleAfter {
 			s += le.ld.Score() - float64(le.ld.Residents)
 		}
@@ -902,6 +916,76 @@ func (m *Magistrate) pickHostLocked(hint loid.LOID) (hostEntry, error) {
 	m.rr++
 	m.lastPick = best.l
 	return best, nil
+}
+
+// place records that rec runs on host at addr; unplace, that it runs
+// nowhere (it went inert, or is leaving the table). Together they are
+// the only code that writes rec.active, rec.host and rec.addr, and so
+// the one place m.residents changes: after either returns, every
+// host's count equals the number of active records of m.table placed
+// there (CheckResidentCounts recounts). rec must be the table's record
+// for its object — callers that dropped m.mu since they looked it up
+// re-check m.table[id] == rec first — and m.mu must be held.
+func (m *Magistrate) place(rec *record, host loid.LOID, addr oa.Address) {
+	m.unplace(rec)
+	rec.active, rec.host, rec.addr = true, host, addr
+	m.residents[host.ID()]++
+}
+
+// unplace is a no-op on an inert record. The host need not be in
+// m.hosts any more: counts are keyed by host identity, not by pool
+// membership.
+func (m *Magistrate) unplace(rec *record) {
+	if !rec.active {
+		return
+	}
+	h := rec.host.ID()
+	if n := m.residents[h]; n > 1 {
+		m.residents[h] = n - 1
+	} else {
+		delete(m.residents, h)
+	}
+	rec.active, rec.host, rec.addr = false, loid.Nil, oa.Address{}
+}
+
+// CheckResidentCounts recounts the table and reports the first host
+// whose kept resident count differs from it — the invariant place and
+// unplace maintain. O(table): for tests and experiment epilogues, not
+// for any request path.
+func (m *Magistrate) CheckResidentCounts() error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	// excess[h] = kept count minus the table's count.
+	excess := make(map[loid.LOID]int, len(m.residents))
+	for h, n := range m.residents {
+		excess[h] = n
+	}
+	for _, rec := range m.table {
+		if rec.active {
+			excess[rec.host.ID()]--
+		}
+	}
+	for h, d := range excess {
+		if d != 0 {
+			kept := m.residents[h]
+			return fmt.Errorf("magistrate %v: host %v: kept resident count %d, table holds %d", m.self, h, kept, kept-d)
+		}
+	}
+	return nil
+}
+
+// noteGeneration appends one entry to l's OPR history when an
+// observability plane is attached; without one nothing is formatted.
+// A nil host is logged as "".
+func noteGeneration(p *obs.Plane, l loid.LOID, kind string, host loid.LOID, bytes int) {
+	if p == nil {
+		return
+	}
+	hs := ""
+	if !host.IsNil() {
+		hs = host.String()
+	}
+	p.NoteGeneration(l.ID().String(), kind, hs, bytes)
 }
 
 func (m *Magistrate) deactivate(inv *rt.Invocation) ([][]byte, error) {
@@ -944,9 +1028,7 @@ func (m *Magistrate) deactivateByLOID(l loid.LOID) error {
 		return fmt.Errorf("magistrate %v: persist %v: %w", m.self, l, err)
 	}
 	m.mu.Lock()
-	rec.active = false
-	rec.host = loid.Nil
-	rec.addr = oa.Address{}
+	m.unplace(rec)
 	rec.oprAddr = oprAddr
 	rec.impl = implName
 	ckpt := rec.ckptAddr
@@ -957,7 +1039,7 @@ func (m *Magistrate) deactivateByLOID(l loid.LOID) error {
 		// The clean-shutdown OPR supersedes any crash checkpoint.
 		_ = m.store.Delete(ckpt)
 	}
-	plane.NoteGeneration(l.ID().String(), "deactivate", hostL.String(), len(state))
+	noteGeneration(plane, l, "deactivate", hostL, len(state))
 	return nil
 }
 
@@ -985,6 +1067,7 @@ func (m *Magistrate) deleteByLOID(l loid.LOID) error {
 		return fmt.Errorf("magistrate %v: unknown object %v", m.self, l)
 	}
 	active, hostL, oprAddr, ckptAddr := rec.active, rec.host, rec.oprAddr, rec.ckptAddr
+	m.unplace(rec) // it leaves the table
 	delete(m.table, l.ID())
 	m.mu.Unlock()
 
@@ -1164,6 +1247,11 @@ func (m *Magistrate) RestoreState(state []byte) error {
 	nr, err := take8()
 	if err != nil {
 		return err
+	}
+	// The old table's records leave with it; every restored record is
+	// inert, so the resident counts restart from zero.
+	for _, rec := range m.table {
+		m.unplace(rec)
 	}
 	m.table = make(map[loid.LOID]*record, nr)
 	for i := uint64(0); i < nr; i++ {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/idl"
 	"repro/internal/implreg"
 	"repro/internal/loid"
+	"repro/internal/metrics"
 	"repro/internal/oa"
 	"repro/internal/persist"
 	"repro/internal/rt"
@@ -22,6 +23,7 @@ import (
 type fixture struct {
 	fabric *transport.Fabric
 	store  *persist.MemStore
+	reg    *metrics.Registry // the magistrate node's
 	mag    *Magistrate
 	magL   loid.LOID
 	hosts  []*host.Host
@@ -50,16 +52,16 @@ func counterFactory() rt.Impl {
 	}
 }
 
-func newFixture(t *testing.T, nHosts int) *fixture {
+func newFixture(t testing.TB, nHosts int) *fixture {
 	t.Helper()
 	f := transport.NewFabric(nil)
 	t.Cleanup(func() { f.Close() })
 	impls := implreg.NewRegistry()
 	impls.MustRegister("counter", counterFactory)
 
-	fx := &fixture{fabric: f, store: persist.NewMemStore()}
+	fx := &fixture{fabric: f, store: persist.NewMemStore(), reg: metrics.NewRegistry()}
 
-	magNode, err := rt.NewNode(f, nil, "mag")
+	magNode, err := rt.NewNode(f, fx.reg, "mag")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/host"
 	"repro/internal/loid"
-	"repro/internal/oa"
 	"repro/internal/obs"
 	"repro/internal/persist"
 	"repro/internal/rt"
@@ -33,10 +32,11 @@ type loadEntry struct {
 }
 
 // HostLoad is a host's load vector as the Magistrate sees it: the
-// resident count comes from the Magistrate's own placement table (it
-// is authoritative — heartbeats lag), the dynamic terms from the
-// host's newest report, Age telling how stale that report is. A host
-// that never reported carries zero dynamic terms and a negative Age.
+// resident count is the Magistrate's own, kept per host as records are
+// placed and unplaced (it is authoritative — heartbeats lag), the
+// dynamic terms come from the host's newest report, Age telling how
+// stale that report is. A host that never reported carries zero dynamic
+// terms and a negative Age.
 type HostLoad struct {
 	Host loid.LOID
 	Load host.Load
@@ -83,10 +83,12 @@ func (m *Magistrate) hook(phase string, l, src, dest loid.LOID) {
 	m.mu.Unlock()
 	// Every phase boundary is a flight-recorder event; the commit is
 	// additionally an entry in the object's incarnation history.
-	plane.Record(obs.KindMigrate, l.ID().String(),
-		phase+" "+src.String()+" -> "+dest.String(), 0)
-	if phase == "committed" {
-		plane.NoteGeneration(l.ID().String(), "migrate", dest.String(), 0)
+	if plane != nil {
+		plane.Record(obs.KindMigrate, l.ID().String(),
+			phase+" "+src.String()+" -> "+dest.String(), 0)
+		if phase == "committed" {
+			noteGeneration(plane, l, "migrate", dest, 0)
+		}
 	}
 	if h != nil {
 		h(phase, l, src, dest)
@@ -126,18 +128,13 @@ func (m *Magistrate) reportLoad(inv *rt.Invocation) ([][]byte, error) {
 }
 
 // Loads returns the jurisdiction's per-host load view, in host-list
-// order. Resident counts are recomputed from the placement table so
-// the view never lags the Magistrate's own actions (activations,
-// migrations) behind the heartbeat cadence.
+// order. Resident counts are the ones place/unplace keep (m.residents),
+// so the view never lags the Magistrate's own actions (activations,
+// migrations) behind the heartbeat cadence, and reading it costs
+// O(hosts) whatever the size of the table.
 func (m *Magistrate) Loads() []HostLoad {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	counts := make(map[loid.LOID]uint64, len(m.hosts))
-	for _, rec := range m.table {
-		if rec.active {
-			counts[rec.host.ID()]++
-		}
-	}
 	now := m.now()
 	out := make([]HostLoad, 0, len(m.hosts))
 	for _, h := range m.hosts {
@@ -146,7 +143,7 @@ func (m *Magistrate) Loads() []HostLoad {
 			hl.Load = le.ld
 			hl.Age = now.Sub(le.at)
 		}
-		hl.Load.Residents = counts[h.l.ID()]
+		hl.Load.Residents = uint64(m.residents[h.l.ID()])
 		out = append(out, hl)
 	}
 	return out
@@ -332,9 +329,7 @@ func (m *Magistrate) MigrateObject(ctx context.Context, l, destHost loid.LOID) e
 	destGone := rec.active && rec.host.SameObject(dest.l) && !m.hostKnownLocked(dest.l)
 	var revive []loid.LOID
 	if destGone {
-		rec.active = false
-		rec.host = loid.Nil
-		rec.addr = oa.Address{}
+		m.unplace(rec)
 		if rec.ckptAddr != "" {
 			if rec.oprAddr != "" {
 				_ = m.store.Delete(rec.oprAddr)
@@ -412,7 +407,7 @@ func (m *Magistrate) runMigration(ctx context.Context, span *trace.Span, l loid.
 
 	// Phase 4: republish. The binding atomically flips to the new home.
 	m.mu.Lock()
-	if _, still := m.table[l.ID()]; !still {
+	if m.table[l.ID()] != rec {
 		m.mu.Unlock()
 		_ = destHC.KillObject(l)
 		_ = srcHC.AbortMigrate(ctx, l)
@@ -425,9 +420,7 @@ func (m *Magistrate) runMigration(ctx context.Context, span *trace.Span, l loid.
 		return m.abortToSource(l, rec, src, srcHC,
 			fmt.Errorf("magistrate %v: destination %v failed before republish", m.self, dest.l))
 	}
-	rec.active = true
-	rec.host = dest.l
-	rec.addr = addr
+	m.place(rec, dest.l, addr)
 	b := m.bindingLocked(l, addr)
 	m.mu.Unlock()
 	m.notifyClass(l, b)
@@ -468,9 +461,7 @@ func (m *Magistrate) abortToSource(l loid.LOID, rec *record, src loid.LOID, srcH
 	m.mu.Lock()
 	var revive []loid.LOID
 	if rec.active && rec.host.SameObject(src) {
-		rec.active = false
-		rec.host = loid.Nil
-		rec.addr = oa.Address{}
+		m.unplace(rec)
 		if rec.ckptAddr != "" {
 			if rec.oprAddr != "" {
 				_ = m.store.Delete(rec.oprAddr)
