@@ -3,6 +3,7 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
+	"sort"
 	"strings"
 	"time"
 
@@ -67,15 +68,32 @@ func RunE17(scale Scale) (*Table, error) {
 		return ids[0], nil
 	}
 
-	// Warm path: repeated calls against a cached binding; keep the last
-	// trace as the representative.
-	var warmID uint64
-	for i := 0; i < warmIters; i++ {
-		if warmID, err = call("warm"); err != nil {
+	// total is a trace's end-to-end time: the duration of its root call
+	// span(s).
+	total := func(spans []*trace.Span) time.Duration {
+		var t time.Duration
+		for _, sp := range spans {
+			if sp.Kind == "call" && sp.Context().ParentSpanID == 0 {
+				t += sp.Duration()
+			}
+		}
+		return t
+	}
+
+	// Warm path: repeated calls against a cached binding. The
+	// representative is the median call by end-to-end time, not the
+	// last one: a single sample can absorb a GC pause or a descheduled
+	// goroutine that has nothing to do with the chain being attributed.
+	warmTraces := make([][]*trace.Span, warmIters)
+	for i := range warmTraces {
+		id, err := call("warm")
+		if err != nil {
 			return nil, err
 		}
+		warmTraces[i] = tr.Trace(id)
 	}
-	warm := tr.Trace(warmID)
+	sort.Slice(warmTraces, func(i, j int) bool { return total(warmTraces[i]) < total(warmTraces[j]) })
+	warm := warmTraces[len(warmTraces)/2]
 
 	// Cold path: push the object back to its Object Persistent
 	// Representation and forget it everywhere the §4.1 chain caches.
@@ -127,15 +145,6 @@ func RunE17(scale Scale) (*Table, error) {
 			}
 		}
 		return n, d
-	}
-	total := func(spans []*trace.Span) time.Duration {
-		var t time.Duration
-		for _, sp := range spans {
-			if sp.Kind == "call" && sp.Context().ParentSpanID == 0 {
-				t += sp.Duration()
-			}
-		}
-		return t
 	}
 	cell := func(n int, d time.Duration) string {
 		if n == 0 {

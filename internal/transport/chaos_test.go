@@ -208,48 +208,5 @@ func TestFabricPartitionHeals(t *testing.T) {
 // mid-batch, the loss must be counted in net/tcp_dropped and reported
 // to a subsequent Send as an error — never swallowed.
 func TestTCPDropSurfaced(t *testing.T) {
-	reg := metrics.NewRegistry()
-	tr := &TCP{Registry: reg}
-	a, err := tr.NewEndpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := tr.NewEndpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	col := newCollector()
-	b.SetHandler(col.handler)
-
-	// Establish the connection.
-	if err := a.Send(b.Element(), []byte("warm")); err != nil {
-		t.Fatal(err)
-	}
-	col.wait(t, 1)
-
-	// Kill the destination: listener and accepted sockets die, so the
-	// writer's socket will fail once the kernel notices.
-	b.Close()
-
-	// Pump large frames until the failure surfaces. The kernel buffers
-	// some, then the writer hits a write error, fails to redial (the
-	// listener is gone), and drops what it holds; the NEXT Send gets
-	// the loss report.
-	payload := make([]byte, 64<<10)
-	deadline := time.Now().Add(5 * time.Second)
-	var sendErr error
-	for time.Now().Before(deadline) {
-		if err := a.Send(b.Element(), payload); err != nil {
-			sendErr = err
-			break
-		}
-	}
-	if sendErr == nil {
-		t.Fatal("no send error surfaced after destination death: frames were lost silently")
-	}
-	if got := reg.Counter("net/tcp_dropped").Value(); got == 0 {
-		t.Error("net/tcp_dropped = 0; dropped frames were not counted")
-	}
-	t.Logf("surfaced: %v (net/tcp_dropped=%d)", sendErr, reg.Counter("net/tcp_dropped").Value())
+	testLossSurfaced(t, tcpHarness)
 }

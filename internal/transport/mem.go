@@ -233,23 +233,11 @@ func (f *Fabric) NewEndpoint() (Endpoint, error) {
 	return ep, nil
 }
 
-// SendFrom delivers data to the endpoint named by to, applying loss,
-// latency, and the partition state between from and the destination.
-// from may be 0 for "source unknown" (partition checks are skipped).
-// The data buffer is copied; SendBuf is the zero-copy form.
-func (f *Fabric) SendFrom(from uint64, to oa.Element, data []byte) error {
-	fb := buf.Get()
-	fb.B = append(fb.B, data...)
-	err := f.sendBufFrom(from, to, fb)
-	fb.Release()
-	return err
-}
-
 // sendBufFrom is the delivery core: it applies chaos (loss, latency,
-// partitions, duplication, reorder) and routes the reference-counted
-// frame to the destination. Every path that needs fb past return takes
-// its own reference; the caller keeps (and eventually releases) the
-// reference it came in with.
+// partitions between from and the destination, duplication, reorder)
+// and routes the reference-counted frame to the destination. Every
+// path that needs fb past return takes its own reference; the caller
+// keeps (and eventually releases) the reference it came in with.
 func (f *Fabric) sendBufFrom(from uint64, to oa.Element, fb *buf.Buffer) error {
 	id, ok := oa.MemID(to)
 	if !ok {
@@ -350,10 +338,8 @@ func (f *Fabric) sendBufFrom(from uint64, to oa.Element, fb *buf.Buffer) error {
 	// traffic (the sender's reference pins the buffer for the duration
 	// of the call). sync=true tells the handler the sender is blocked
 	// on it, so inline dispatch of the method itself is safe.
-	select {
-	case <-ep.done:
+	if ep.closed() {
 		return ErrUnreachable
-	default:
 	}
 	ep.deliver(fb, true)
 	return nil
@@ -387,22 +373,36 @@ type memEndpoint struct {
 
 func (e *memEndpoint) Element() oa.Element { return oa.MemElement(e.id) }
 
+// Send copies data into a pooled frame and sends it; SendBuf is the
+// zero-copy form.
 func (e *memEndpoint) Send(to oa.Element, data []byte) error {
+	fb := buf.Get()
+	fb.B = append(fb.B, data...)
+	err := e.SendBuf(to, fb)
+	fb.Release()
+	return err
+}
+
+func (e *memEndpoint) SendBuf(to oa.Element, b *buf.Buffer) error {
+	if e.closed() {
+		return ErrClosed
+	}
 	if e.down.Load() {
 		// A crashed machine sends nothing either; anything a stale
 		// goroutine still tries to transmit vanishes.
 		e.fabric.cCrashDrop.Inc()
 		return nil
 	}
-	return e.fabric.SendFrom(e.id, to, data)
+	return e.fabric.sendBufFrom(e.id, to, b)
 }
 
-func (e *memEndpoint) SendBuf(to oa.Element, b *buf.Buffer) error {
-	if e.down.Load() {
-		e.fabric.cCrashDrop.Inc()
-		return nil
+func (e *memEndpoint) closed() bool {
+	select {
+	case <-e.done:
+		return true
+	default:
+		return false
 	}
-	return e.fabric.sendBufFrom(e.id, to, b)
 }
 
 func (e *memEndpoint) SetHandler(h Handler) {

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,31 +17,30 @@ import (
 // limits with headroom).
 const maxFrame = 32 << 20
 
-// sendQueueDepth bounds the frames queued to one reactor's writer
-// loop; a full queue applies backpressure to senders.
+// sendQueueDepth bounds the frames queued to one destination; a full
+// queue applies backpressure to senders.
 const sendQueueDepth = 256
 
 // writerBatch caps how many queued frames one writev gathers. Batching
-// amortizes the kernel write; the writer still flushes immediately when
-// its queue runs dry, so an isolated message pays no added latency.
+// amortizes the kernel write; a frame that finds the connection idle is
+// written at once, so an isolated message pays no added latency.
 const writerBatch = 64
 
 // TCP is a Transport over real TCP sockets, for multi-process Legion
 // deployments. Each endpoint owns one listener; messages are
 // length-prefixed frames.
 //
-// Outbound traffic is organized as per-destination reactor shards: each
-// destination gets up to Reactors independent connections, each owned
-// by one event loop that drains a bounded queue with writev
-// (net.Buffers) batching — the frame headers and reference-counted
-// payload buffers go to the kernel as one iovec list, so a frame is
-// never copied between the sender and the socket. Sends are sharded
-// round-robin across the reactors, so concurrent senders to one peer
-// do not serialize on a single writer goroutine or socket. Flushing is
-// adaptive: a loop that finds its queue dry writes immediately; under
-// load it coalesces up to writerBatch frames per syscall.
+// Outbound, each destination gets one connection and one FIFO queue.
+// The sender that finds no write in progress becomes the writer: it
+// drains the queue on its own goroutine, handing up to writerBatch
+// frame headers and reference-counted payload buffers to the kernel as
+// one writev (net.Buffers), so a frame is never copied between the
+// sender and the socket. Senders that arrive while a write is in
+// progress enqueue and return; the writer carries their frames in its
+// next batch. One queue and one socket per destination is what makes
+// frames from one endpoint reach the destination in Send order.
 //
-// Inbound, every accepted connection (one per remote reactor) gets its
+// Inbound, every accepted connection (one per remote endpoint) gets its
 // own read loop delivering frames in pooled ref-counted buffers.
 type TCP struct {
 	// ListenHost is the host/IP to bind listeners on. Defaults to
@@ -51,12 +49,6 @@ type TCP struct {
 	// Registry receives transport metrics (net/tcp_dropped: outbound
 	// frames lost when a destination's connection died). Nil discards.
 	Registry *metrics.Registry
-	// Reactors is the number of parallel connections (and event loops)
-	// per destination. 0 means min(GOMAXPROCS, 8). Frames to one
-	// destination are sharded across reactors and may arrive out of
-	// order relative to each other, which the transport contract
-	// permits.
-	Reactors int
 }
 
 // NewEndpoint starts a listener on an ephemeral port.
@@ -68,13 +60,6 @@ func (t *TCP) NewEndpoint() (Endpoint, error) {
 	reg := t.Registry
 	if reg == nil {
 		reg = metrics.Nop
-	}
-	reactors := t.Reactors
-	if reactors <= 0 {
-		reactors = runtime.GOMAXPROCS(0)
-		if reactors > 8 {
-			reactors = 8
-		}
 	}
 	ln, err := net.Listen("tcp", net.JoinHostPort(host, "0"))
 	if err != nil {
@@ -89,7 +74,6 @@ func (t *TCP) NewEndpoint() (Endpoint, error) {
 	ep := &tcpEndpoint{
 		ln:       ln,
 		elem:     elem,
-		nShards:  reactors,
 		accepted: make(map[net.Conn]struct{}),
 		done:     make(chan struct{}),
 		cDropped: reg.Counter("net/tcp_dropped"),
@@ -99,9 +83,8 @@ func (t *TCP) NewEndpoint() (Endpoint, error) {
 }
 
 type tcpEndpoint struct {
-	ln      net.Listener
-	elem    oa.Element
-	nShards int
+	ln   net.Listener
+	elem oa.Element
 
 	handler atomic.Pointer[FrameHandler]
 
@@ -125,72 +108,23 @@ type tcpEndpoint struct {
 	once sync.Once
 }
 
-// tcpConn is the send-side state for one destination: the reactor
-// shards (each one connection generation + event loop) plus the sticky
-// drop count from failed generations.
+// tcpConn is the send side of one destination: one connection and the
+// FIFO queue of frames waiting for it.
 type tcpConn struct {
 	hostport string
-	rr       atomic.Uint32 // round-robin shard choice
-	dropped  atomic.Uint64 // frames lost when a writer died; surfaced on the next Send
 
-	mu     sync.Mutex
-	shards []*tcpWriter // nil slots: not yet dialed (or fell over)
-}
+	mu      sync.Mutex
+	space   sync.Cond     // on mu: the queue shrank, or the endpoint closed
+	conn    net.Conn      // nil until dialed, and again after a failure or Close
+	queue   []*buf.Buffer // frames not yet handed to the kernel, in Send order
+	writing bool          // a sender is draining queue
+	dropped uint64        // frames lost since the last report; surfaced on the next Send
 
-// noteDropped records n lost frames against the destination: they are
-// counted in net/tcp_dropped immediately and reported to the next Send
-// as an error, so the loss is never silent.
-func (e *tcpEndpoint) noteDropped(tc *tcpConn, n uint64) {
-	if n == 0 {
-		return
-	}
-	e.cDropped.Add(n)
-	tc.dropped.Add(n)
-}
-
-// takeDropped consumes the pending drop report.
-func (tc *tcpConn) takeDropped() uint64 {
-	return tc.dropped.Swap(0)
-}
-
-// tcpWriter is one reactor shard generation: a socket, a bounded frame
-// queue, and the event loop that drains it.
-type tcpWriter struct {
-	shard int
-	cmu   sync.Mutex // guards conn (replaced on in-loop redial)
-	conn  net.Conn
-	// wmu serializes actual socket writes between the event loop and
-	// SendBuf's direct-write fast path (see SendBuf).
-	wmu  sync.Mutex
-	ch   chan *buf.Buffer
-	dead chan struct{} // closed when this generation fails
-	once sync.Once
-}
-
-func (w *tcpWriter) kill() { w.once.Do(func() { close(w.dead) }) }
-
-// swapConn replaces the socket after a successful redial.
-func (w *tcpWriter) swapConn(conn net.Conn) {
-	w.cmu.Lock()
-	old := w.conn
-	w.conn = conn
-	w.cmu.Unlock()
-	old.Close()
-}
-
-// closeConn closes the current socket (whichever generation holds it).
-func (w *tcpWriter) closeConn() {
-	w.cmu.Lock()
-	conn := w.conn
-	w.cmu.Unlock()
-	conn.Close()
-}
-
-func (w *tcpWriter) current() net.Conn {
-	w.cmu.Lock()
-	conn := w.conn
-	w.cmu.Unlock()
-	return conn
+	// Writer scratch, touched only by the sender holding writing. out is
+	// the copy of iov that writev consumes.
+	batch    []*buf.Buffer
+	iov, out net.Buffers
+	hdrs     [writerBatch][4]byte
 }
 
 func (e *tcpEndpoint) Element() oa.Element { return e.elem }
@@ -204,9 +138,12 @@ func (e *tcpEndpoint) SetFrameHandler(h FrameHandler) {
 	e.handler.Store(&h)
 }
 
-func (e *tcpEndpoint) handle(fb *buf.Buffer) {
-	if h := e.handler.Load(); h != nil {
-		(*h)(fb, fb.B, false)
+func (e *tcpEndpoint) closed() bool {
+	select {
+	case <-e.done:
+		return true
+	default:
+		return false
 	}
 }
 
@@ -215,10 +152,8 @@ func (e *tcpEndpoint) acceptLoop() {
 	for {
 		conn, err := e.ln.Accept()
 		if err != nil {
-			select {
-			case <-e.done:
+			if e.closed() {
 				return
-			default:
 			}
 			// Transient accept failure (e.g. fd exhaustion): back off
 			// instead of spinning hot on the error.
@@ -340,11 +275,12 @@ func (e *tcpEndpoint) Send(to oa.Element, data []byte) error {
 	return err
 }
 
-// SendBuf queues one frame (the whole of b.B) to a reactor shard of
-// the destination, dialing synchronously when that shard has no live
-// connection (so an unreachable destination is still reported to the
-// caller). The shard's event loop holds its own reference on b until
-// the bytes reach the kernel.
+// SendBuf appends one frame (the whole of b.B) to the destination's
+// queue, dialing synchronously when there is no live connection (so an
+// unreachable destination is still reported to the caller). The queue
+// holds its own reference on b until the bytes reach the kernel. If no
+// write is in progress, this sender becomes the writer and drains the
+// queue before returning.
 func (e *tcpEndpoint) SendBuf(to oa.Element, b *buf.Buffer) error {
 	if to.Type != oa.TypeIP {
 		return ErrUnreachable
@@ -352,198 +288,120 @@ func (e *tcpEndpoint) SendBuf(to oa.Element, b *buf.Buffer) error {
 	if len(b.B) > maxFrame {
 		return fmt.Errorf("transport: frame of %d bytes exceeds limit", len(b.B))
 	}
-	select {
-	case <-e.done:
-		return ErrClosed
-	default:
-	}
 	tc := e.connFor(to)
-	if n := tc.takeDropped(); n > 0 {
-		// A previous writer to this destination died with frames in
-		// hand. Surfacing the loss here (instead of dropping silently)
-		// lets the rt layer treat the destination as unavailable and
-		// retransmit.
-		return fmt.Errorf("%w: %d frame(s) to %s lost on connection failure", ErrUnreachable, n, tc.hostport)
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	for {
+		if e.closed() {
+			return ErrClosed
+		}
+		if err := tc.lossLocked(); err != nil {
+			return err
+		}
+		if len(tc.queue) < sendQueueDepth {
+			break
+		}
+		tc.space.Wait()
 	}
-	shard := int(tc.rr.Add(1)) % e.nShards
-	for attempt := 0; attempt < 2; attempt++ {
-		w, err := e.writerFor(tc, shard)
+	if tc.conn == nil {
+		conn, err := net.Dial("tcp", tc.hostport)
 		if err != nil {
 			return fmt.Errorf("%w: %v", ErrUnreachable, err)
 		}
-		// Adaptive flush, idle half: when nothing is queued and the
-		// socket is free, write the frame right here on the sender's
-		// goroutine — the syscall happens immediately instead of after
-		// two scheduler handoffs (enqueue, writer wake-up). Under load
-		// the TryLock fails (the event loop is mid-writev) or the queue
-		// is non-empty, and the frame joins the queue to be coalesced
-		// into the loop's next batch. Frames sent directly may overtake
-		// queued frames of other senders, which the transport contract
-		// already permits (reactor shards reorder anyway).
-		if len(w.ch) == 0 && w.wmu.TryLock() {
-			err := w.writeOne(b)
-			w.wmu.Unlock()
-			if err != nil {
-				// The socket died under us mid-frame; the stream may be
-				// truncated, so this generation is done. The frame is
-				// lost and counted, but unlike a queued drop the loss
-				// is reported to THIS send directly, so there is no
-				// deferred next-Send report to file.
-				e.cDropped.Add(1)
-				e.failWriter(tc, w)
-				return fmt.Errorf("%w: %v", ErrUnreachable, err)
-			}
-			return nil
-		}
-		ref := b.Retain()
-		select {
-		case w.ch <- ref:
-			return nil
-		case <-w.dead:
-			// This generation failed while we held it; dial a fresh one.
-			ref.Release()
-			continue
-		case <-e.done:
-			ref.Release()
-			return ErrClosed
-		}
+		tc.conn = conn
 	}
-	return ErrUnreachable
+	tc.queue = append(tc.queue, b.Retain())
+	if tc.writing {
+		return nil
+	}
+	tc.writing = true
+	e.drainLocked(tc)
+	tc.writing = false
+	return tc.lossLocked()
 }
 
-// writeOne writes a single length-prefixed frame to the current socket;
-// the caller holds wmu.
-func (w *tcpWriter) writeOne(b *buf.Buffer) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(b.B)))
-	iov := net.Buffers{hdr[:], b.B}
-	_, err := iov.WriteTo(w.current())
-	return err
+// lossLocked consumes the pending drop report. Surfacing the loss as an
+// error (instead of dropping silently) lets the rt layer treat the
+// destination as unavailable and retransmit.
+func (tc *tcpConn) lossLocked() error {
+	n := tc.dropped
+	if n == 0 {
+		return nil
+	}
+	tc.dropped = 0
+	return fmt.Errorf("%w: %d frame(s) to %s lost on connection failure", ErrUnreachable, n, tc.hostport)
 }
 
-// writerFor returns the live writer of one reactor shard, dialing a new
-// connection (and starting its event loop) if none exists.
-func (e *tcpEndpoint) writerFor(tc *tcpConn, shard int) (*tcpWriter, error) {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	if tc.shards == nil {
-		tc.shards = make([]*tcpWriter, e.nShards)
-	}
-	if w := tc.shards[shard]; w != nil {
-		select {
-		case <-w.dead:
-			tc.shards[shard] = nil // fell over since the last send
-		default:
-			return w, nil
-		}
-	}
-	conn, err := net.Dial("tcp", tc.hostport)
-	if err != nil {
-		return nil, err
-	}
-	w := &tcpWriter{
-		shard: shard,
-		conn:  conn,
-		ch:    make(chan *buf.Buffer, sendQueueDepth),
-		dead:  make(chan struct{}),
-	}
-	tc.shards[shard] = w
-	go e.writeLoop(tc, w)
-	return w, nil
-}
-
-// writeLoop is one reactor shard's event loop: it gathers whatever is
-// queued (up to writerBatch frames), hands the length headers and
-// payload buffers to the kernel as one writev, and releases the frame
-// references. The gather is adaptive — an empty queue means the frame
-// in hand goes out immediately; a busy queue means one syscall carries
-// many frames. On a write error the loop redials once and keeps
-// draining (frames caught mid-failure are counted and surfaced, never
-// silently lost) before declaring the generation dead.
-func (e *tcpEndpoint) writeLoop(tc *tcpConn, w *tcpWriter) {
-	var hdrs [writerBatch][4]byte
-	batch := make([]*buf.Buffer, 0, writerBatch)
-	iov := make(net.Buffers, 0, 2*writerBatch)
+// drainLocked is the writer: it hands queued frames to the kernel in
+// batches of up to writerBatch, one writev each, until the queue is
+// empty. Called and returns with tc.mu held; the lock is released for
+// each write, so senders keep enqueueing behind the batch in flight.
+// On a write error it redials once and keeps draining (the batch caught
+// mid-failure is counted and surfaced, never silently lost); a second
+// failure, or Close, drops the rest of the queue the same way.
+func (e *tcpEndpoint) drainLocked(tc *tcpConn) {
 	redialed := false
-	for {
-		select {
-		case fb := <-w.ch:
-			batch = append(batch[:0], fb)
-		gather:
-			for len(batch) < writerBatch {
-				select {
-				case fb2 := <-w.ch:
-					batch = append(batch, fb2)
-				default:
-					break gather
-				}
-			}
-			iov = iov[:0]
-			for i, b := range batch {
-				binary.BigEndian.PutUint32(hdrs[i][:], uint32(len(b.B)))
-				iov = append(iov, hdrs[i][:], b.B)
-			}
-			v := iov // WriteTo consumes its receiver; keep iov's backing array
-			w.wmu.Lock()
-			_, err := v.WriteTo(w.current())
-			w.wmu.Unlock()
-			for _, b := range batch {
+	for len(tc.queue) > 0 {
+		conn := tc.conn
+		if conn == nil { // Close, or the redial failed: drop the rest
+			for _, b := range tc.queue {
 				b.Release()
 			}
-			if err != nil {
-				// The batch's frames were consumed and may not have
-				// reached the peer (the socket died mid-writev): account
-				// them as dropped — TCP gives no delivery receipt, and an
-				// undercounted loss is a silent one.
-				e.noteDropped(tc, uint64(len(batch)))
-				if !redialed {
-					redialed = true
-					if conn, derr := net.Dial("tcp", tc.hostport); derr == nil {
-						w.swapConn(conn)
-						continue // keep draining on the fresh socket
-					}
-				}
-				e.failWriter(tc, w)
-				return
-			}
+			e.noteDroppedLocked(tc, uint64(len(tc.queue)))
+			clear(tc.queue)
+			tc.queue = tc.queue[:0]
+			tc.space.Broadcast()
+			return
+		}
+		k := min(len(tc.queue), writerBatch)
+		batch := append(tc.batch[:0], tc.queue[:k]...)
+		n := copy(tc.queue, tc.queue[k:])
+		clear(tc.queue[n:])
+		tc.queue = tc.queue[:n]
+		tc.space.Broadcast()
+		tc.mu.Unlock()
+
+		tc.iov = tc.iov[:0]
+		for i, b := range batch {
+			binary.BigEndian.PutUint32(tc.hdrs[i][:], uint32(len(b.B)))
+			tc.iov = append(tc.iov, tc.hdrs[i][:], b.B)
+		}
+		tc.out = tc.iov
+		_, err := tc.out.WriteTo(conn)
+		for _, b := range batch {
+			b.Release()
+		}
+		clear(batch)
+		tc.batch = batch
+
+		tc.mu.Lock()
+		if err == nil {
 			redialed = false
-		case <-w.dead:
-			// Another goroutine (a failed direct write) retired this
-			// generation; drain what was queued so the loss is counted.
-			e.failWriter(tc, w)
-			return
-		case <-e.done:
-			w.closeConn()
-			w.kill()
-			return
+			continue
+		}
+		// The batch may not have reached the peer (the socket died
+		// mid-writev): account it as dropped — TCP gives no delivery
+		// receipt, and an undercounted loss is a silent one.
+		conn.Close()
+		tc.conn = nil
+		e.noteDroppedLocked(tc, uint64(len(batch)))
+		if !redialed && !e.closed() {
+			redialed = true
+			if c, derr := net.Dial("tcp", tc.hostport); derr == nil {
+				tc.conn = c
+			}
 		}
 	}
 }
 
-// failWriter retires a dead shard generation: unhooks it so the next
-// Send redials, closes the socket, and drains queued frames. The
-// drained frames cannot be delivered, but the loss is NOT silent: each
-// is counted in net/tcp_dropped and reported to the destination's next
-// Send as an error, so callers learn the channel lost traffic.
-func (e *tcpEndpoint) failWriter(tc *tcpConn, w *tcpWriter) {
-	tc.mu.Lock()
-	if tc.shards != nil && tc.shards[w.shard] == w {
-		tc.shards[w.shard] = nil
+// noteDroppedLocked counts n lost frames in net/tcp_dropped and in the
+// destination's pending drop report.
+func (e *tcpEndpoint) noteDroppedLocked(tc *tcpConn, n uint64) {
+	if n == 0 {
+		return
 	}
-	tc.mu.Unlock()
-	w.kill()
-	w.closeConn()
-	var lost uint64
-	for {
-		select {
-		case fb := <-w.ch:
-			fb.Release()
-			lost++
-		default:
-			e.noteDropped(tc, lost)
-			return
-		}
-	}
+	e.cDropped.Add(n)
+	tc.dropped += n
 }
 
 func (e *tcpEndpoint) connFor(to oa.Element) *tcpConn {
@@ -551,10 +409,16 @@ func (e *tcpEndpoint) connFor(to oa.Element) *tcpConn {
 		return v.(*tcpConn)
 	}
 	hostport, _ := oa.IPHostPort(to) // to.Type checked by the caller
-	v, _ := e.conns.LoadOrStore(to, &tcpConn{hostport: hostport})
+	tc := &tcpConn{hostport: hostport}
+	tc.space.L = &tc.mu
+	v, _ := e.conns.LoadOrStore(to, tc)
 	return v.(*tcpConn)
 }
 
+// Close stops the listener, the inbound sockets and every outbound
+// connection. A writer caught mid-write sees its socket fail and drops
+// (releases and counts) what is still queued; senders blocked on a full
+// queue wake and get ErrClosed.
 func (e *tcpEndpoint) Close() error {
 	e.once.Do(func() {
 		close(e.done)
@@ -567,13 +431,11 @@ func (e *tcpEndpoint) Close() error {
 		e.conns.Range(func(_, v any) bool {
 			tc := v.(*tcpConn)
 			tc.mu.Lock()
-			for i, w := range tc.shards {
-				if w != nil {
-					w.kill()
-					w.closeConn()
-					tc.shards[i] = nil
-				}
+			if tc.conn != nil {
+				tc.conn.Close()
+				tc.conn = nil
 			}
+			tc.space.Broadcast()
 			tc.mu.Unlock()
 			return true
 		})

@@ -61,11 +61,26 @@ type Endpoint interface {
 	// SetFrameHandler installs the zero-copy consumer; it supersedes
 	// any Handler installed via SetHandler.
 	SetFrameHandler(FrameHandler)
-	// Send delivers data to the endpoint named by to. Delivery is
-	// asynchronous and unordered with respect to other sends; an error
-	// is returned only for local or addressing failures — silent loss
-	// in transit is possible, as on a real network. The data buffer is
-	// not referenced after Send returns.
+	// Send delivers data to the endpoint named by to.
+	//
+	// Ordering: frames from one endpoint to one destination reach the
+	// destination's handler in Send order (calls that overlap in time
+	// are ordered as they enter the transport). Frames of different
+	// flows are not ordered with respect to each other.
+	//
+	// Loss: a frame can be lost in transit (a connection dies with it
+	// in flight), but the loss is counted and surfaced: the next Send
+	// to that destination fails with an error wrapping ErrUnreachable.
+	// An error otherwise reports a local or addressing failure.
+	//
+	// The mem Fabric keeps both promises on its zero-latency path and
+	// breaks them on purpose when told to model a worse network:
+	// SetLatency, SetLinkLatency, SetReorder and SetDuplicate deliver
+	// through one time.AfterFunc per frame and promise no order, and
+	// SetLoss, SetLinkLoss and Crash drop silently (counted in the
+	// fabric's net/* counters, never reported to the sender).
+	//
+	// The data buffer is not referenced after Send returns.
 	Send(to oa.Element, data []byte) error
 	// SendBuf delivers the contents of b (one whole frame in b.B) to
 	// the endpoint named by to without copying: the transport takes its
@@ -74,8 +89,8 @@ type Endpoint interface {
 	// first SendBuf until its own Release — the same buffer may be
 	// in flight to several destinations at once.
 	SendBuf(to oa.Element, b *buf.Buffer) error
-	// Close tears the endpoint down; subsequent sends to it fail with
-	// ErrUnreachable.
+	// Close tears the endpoint down and is idempotent; subsequent sends
+	// to it fail with ErrUnreachable, and sends from it with ErrClosed.
 	Close() error
 }
 

@@ -46,22 +46,6 @@ func (c *collector) wait(t *testing.T, n int) [][]byte {
 	return out
 }
 
-func TestFabricDelivery(t *testing.T) {
-	f := NewFabric(nil)
-	defer f.Close()
-	a, _ := f.NewEndpoint()
-	b, _ := f.NewEndpoint()
-	col := newCollector()
-	b.SetHandler(col.handler)
-	if err := a.Send(b.Element(), []byte("hello")); err != nil {
-		t.Fatal(err)
-	}
-	msgs := col.wait(t, 1)
-	if string(msgs[0]) != "hello" {
-		t.Errorf("got %q", msgs[0])
-	}
-}
-
 func TestFabricCopiesBuffer(t *testing.T) {
 	f := NewFabric(nil)
 	defer f.Close()
@@ -197,29 +181,6 @@ func TestFabricCloseRejectsNewEndpoints(t *testing.T) {
 	}
 }
 
-func TestTCPDelivery(t *testing.T) {
-	tr := &TCP{}
-	a, err := tr.NewEndpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := tr.NewEndpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	col := newCollector()
-	b.SetHandler(col.handler)
-	if err := a.Send(b.Element(), []byte("over tcp")); err != nil {
-		t.Fatal(err)
-	}
-	msgs := col.wait(t, 1)
-	if string(msgs[0]) != "over tcp" {
-		t.Errorf("got %q", msgs[0])
-	}
-}
-
 func TestTCPBidirectionalAndReuse(t *testing.T) {
 	tr := &TCP{}
 	a, _ := tr.NewEndpoint()
@@ -241,24 +202,6 @@ func TestTCPBidirectionalAndReuse(t *testing.T) {
 	colA.wait(t, 20)
 }
 
-func TestTCPUnreachable(t *testing.T) {
-	tr := &TCP{}
-	a, _ := tr.NewEndpoint()
-	defer a.Close()
-	// A port that nothing listens on: allocate and immediately close.
-	dead, _ := tr.NewEndpoint()
-	deadElem := dead.Element()
-	dead.Close()
-	time.Sleep(10 * time.Millisecond)
-	err := a.Send(deadElem, []byte("x"))
-	if err == nil {
-		t.Error("send to closed endpoint succeeded")
-	}
-	if err := a.Send(oa.MemElement(1), []byte("x")); err != ErrUnreachable {
-		t.Errorf("mem element over tcp: %v", err)
-	}
-}
-
 func TestTCPRedialAfterPeerRestart(t *testing.T) {
 	tr := &TCP{}
 	a, _ := tr.NewEndpoint()
@@ -277,17 +220,6 @@ func TestTCPRedialAfterPeerRestart(t *testing.T) {
 	// not hang or panic.
 	a.Send(b.Element(), []byte("2"))
 	a.Send(b.Element(), []byte("3"))
-}
-
-func TestTCPSendAfterCloseFails(t *testing.T) {
-	tr := &TCP{}
-	a, _ := tr.NewEndpoint()
-	b, _ := tr.NewEndpoint()
-	defer b.Close()
-	a.Close()
-	if err := a.Send(b.Element(), []byte("x")); err == nil {
-		t.Error("send from closed endpoint succeeded")
-	}
 }
 
 func TestTCPRejectsOversizeFrame(t *testing.T) {
