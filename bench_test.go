@@ -21,8 +21,8 @@ import (
 	"repro/internal/magistrate"
 	"repro/internal/metrics"
 	"repro/internal/oa"
-	"repro/internal/persist"
 	"repro/internal/obs"
+	"repro/internal/persist"
 	"repro/internal/rt"
 	"repro/internal/security"
 	"repro/internal/sim"
@@ -462,14 +462,25 @@ func bindingForeverB(l loid.LOID, addr oa.Address) binding.Binding {
 // claim of §5.2.1 that a cached binding makes an invocation as close to
 // a raw message send as possible, under load. Run with -benchmem; see
 // EXPERIMENTS.md.
+//
+// mem and tcp call an inline leaf whose Work returns nothing, so their
+// allocs/op is the runtime's own cost of a whole call, caller and server.
+// mem-mailbox is the call the benchmark rig's rt.allocs_per_call counts:
+// default mailbox dispatch to a sim.worker, whose Work returns one 8-byte
+// result (the handler's result slice and bytes are two of its allocs).
 func BenchmarkParallelInvoke(b *testing.B) {
 	b.Run("mem", func(b *testing.B) {
 		f := transport.NewFabric(nil)
 		defer f.Close()
-		benchParallelInvoke(b, f, nil)
+		benchParallelInvoke(b, f, nil, false)
 	})
 	b.Run("tcp", func(b *testing.B) {
-		benchParallelInvoke(b, &transport.TCP{}, nil)
+		benchParallelInvoke(b, &transport.TCP{}, nil, false)
+	})
+	b.Run("mem-mailbox", func(b *testing.B) {
+		f := transport.NewFabric(nil)
+		defer f.Close()
+		benchParallelInvoke(b, f, nil, true)
 	})
 }
 
@@ -488,14 +499,16 @@ func BenchmarkParallelInvokeTraced(b *testing.B) {
 	b.Run("mem", func(b *testing.B) {
 		f := transport.NewFabric(nil)
 		defer f.Close()
-		benchParallelInvoke(b, f, tracer())
+		benchParallelInvoke(b, f, tracer(), false)
 	})
 	b.Run("tcp", func(b *testing.B) {
-		benchParallelInvoke(b, &transport.TCP{}, tracer())
+		benchParallelInvoke(b, &transport.TCP{}, tracer(), false)
 	})
 }
 
-func benchParallelInvoke(b *testing.B, tr transport.Transport, tracer *trace.Tracer) {
+// benchParallelInvoke drives Work at one object: an inline leaf, or with
+// mailbox a default-option sim.worker.
+func benchParallelInvoke(b *testing.B, tr transport.Transport, tracer *trace.Tracer, mailbox bool) {
 	server, err := rt.NewNode(tr, nil, "bench-srv")
 	mustNoErr(b, err)
 	defer server.Close()
@@ -512,16 +525,20 @@ func benchParallelInvoke(b *testing.B, tr transport.Transport, tracer *trace.Tra
 	}
 
 	target := loid.New(700, 1, loid.DeriveKey("bench/parallel"))
-	impl := &rt.Behavior{
-		Iface: idl.NewInterface("BenchWorker", idl.MethodSig{Name: "Work"}),
-		Handlers: map[string]rt.Handler{
-			"Work": func(*rt.Invocation) ([][]byte, error) { return nil, nil },
-		},
+	if mailbox {
+		_, err = server.Spawn(target, sim.NewWorkerImpl())
+	} else {
+		impl := &rt.Behavior{
+			Iface: idl.NewInterface("BenchWorker", idl.MethodSig{Name: "Work"}),
+			Handlers: map[string]rt.Handler{
+				"Work": func(*rt.Invocation) ([][]byte, error) { return nil, nil },
+			},
+		}
+		// Work is a leaf method (no nested calls, never blocks), so it is
+		// exactly what inline dispatch is for: requests execute on the
+		// delivering goroutine with no mailbox handoff.
+		_, err = server.Spawn(target, impl, rt.WithConcurrency(runtime.GOMAXPROCS(0)), rt.WithInlineDispatch())
 	}
-	// Work is a leaf method (no nested calls, never blocks), so it is
-	// exactly what inline dispatch is for: requests execute on the
-	// delivering goroutine with no mailbox handoff.
-	_, err = server.Spawn(target, impl, rt.WithConcurrency(runtime.GOMAXPROCS(0)), rt.WithInlineDispatch())
 	mustNoErr(b, err)
 	bind := binding.Forever(target, server.Address())
 

@@ -5,6 +5,7 @@
 package binding
 
 import (
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -53,20 +54,23 @@ func (b Binding) String() string {
 	return fmt.Sprintf("%v->%v(until %v)", b.LOID, b.Address, b.Expires.Format(time.RFC3339))
 }
 
-// Marshal appends the binary encoding of b to dst. Expiry is encoded as
-// Unix nanoseconds, with 0 meaning "never".
+// EncodedSize is the length of b's binary encoding.
+func (b Binding) EncodedSize() int { return loid.EncodedSize + b.Address.EncodedSize() + 8 }
+
+// Marshal appends the binary encoding of b to dst, growing it at most
+// once, to the exact size. Expiry is encoded as Unix nanoseconds, with
+// 0 meaning "never".
 func (b Binding) Marshal(dst []byte) []byte {
+	if n := b.EncodedSize(); cap(dst)-len(dst) < n {
+		dst = append(make([]byte, 0, len(dst)+n), dst...)
+	}
 	dst = b.LOID.Marshal(dst)
 	dst = b.Address.Marshal(dst)
 	var ns int64
 	if !b.Expires.IsZero() {
 		ns = b.Expires.UnixNano()
 	}
-	var buf [8]byte
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(uint64(ns) >> (56 - 8*i))
-	}
-	return append(dst, buf[:]...)
+	return binary.BigEndian.AppendUint64(dst, uint64(ns))
 }
 
 // Unmarshal decodes a Binding from the front of src and returns the

@@ -137,6 +137,56 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
+// TestCacheAddRecyclesEvicted: once a full cache has evicted an entry,
+// Add reuses the evicted entry instead of allocating one, and eviction
+// still counts every victim and removes the least recently used.
+func TestCacheAddRecyclesEvicted(t *testing.T) {
+	const capacity = 64
+	bs := make([]Binding, 2*capacity)
+	for i := range bs {
+		bs[i] = bindingFor(256, uint64(i+1), uint64(i+1))
+	}
+	c := NewCache(capacity)
+	added := 0
+	add := func() { c.Add(bs[added%len(bs)]); added++ }
+	// One pass fills the cache and starts evicting; the second brings
+	// every shard map to the size the cycle needs.
+	for added < 2*len(bs) {
+		add()
+	}
+	// One run is a whole cycle of Adds, every one evicting, so the
+	// figure is the exact allocation count of the cycle, not an average.
+	if allocs := testing.AllocsPerRun(1, func() {
+		for range bs {
+			add()
+		}
+	}); allocs != 0 {
+		t.Errorf("a cycle of %d evicting Adds allocated %.0f times, want 0", len(bs), allocs)
+	}
+	if s := c.Stats(); s.Evictions != uint64(added-capacity) {
+		t.Errorf("evictions = %d after %d Adds into %d slots", s.Evictions, added, capacity)
+	}
+	snap := c.Snapshot()
+	if len(snap) != capacity {
+		t.Fatalf("%d bindings cached, want %d", len(snap), capacity)
+	}
+	for i, b := range snap { // most recently used first
+		if want := bs[(added-1-i)%len(bs)]; !b.Equal(want) {
+			t.Fatalf("LRU position %d holds %v, want %v", i, b, want)
+		}
+	}
+	// A touched entry survives the next eviction; the next oldest goes.
+	oldest, second := bs[(added-capacity)%len(bs)], bs[(added-capacity+1)%len(bs)]
+	c.Get(oldest.LOID)
+	add()
+	if _, ok := c.Get(oldest.LOID); !ok {
+		t.Error("recently touched entry evicted")
+	}
+	if _, ok := c.Get(second.LOID); ok {
+		t.Error("least recently used entry survived")
+	}
+}
+
 func TestCacheExpiry(t *testing.T) {
 	c := NewCache(0)
 	now := time.Unix(1000, 0)

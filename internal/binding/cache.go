@@ -71,6 +71,9 @@ type Cache struct {
 	total  atomic.Int64  // live entries across all shards
 	tick   atomic.Uint64 // LRU logical clock
 	clock  atomic.Pointer[func() time.Time]
+	// spare is the entry the last eviction freed; the next insert takes
+	// it instead of allocating, so a full cache's Add allocates nothing.
+	spare atomic.Pointer[entry]
 
 	hits        atomic.Uint64
 	misses      atomic.Uint64
@@ -126,7 +129,11 @@ func (c *Cache) Add(b Binding) {
 		s.mu.Unlock()
 		return
 	}
-	e := &entry{key: k, b: b, stamp: c.tick.Add(1)}
+	e := c.spare.Swap(nil)
+	if e == nil {
+		e = new(entry)
+	}
+	*e = entry{key: k, b: b, stamp: c.tick.Add(1)}
 	s.items[k] = e
 	s.pushFront(e)
 	s.mu.Unlock()
@@ -164,6 +171,10 @@ func (c *Cache) evictOldest() {
 		victim.mu.Unlock()
 		c.total.Add(-1)
 		c.evictions.Add(1)
+		// Out of the map and the list, e is unreachable: drop its address
+		// and keep it for the next insert.
+		*e = entry{}
+		c.spare.Store(e)
 	}
 }
 

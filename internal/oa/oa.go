@@ -244,9 +244,16 @@ func TCPElement(hostport string) (Element, error) {
 	return IPElement(ip, port, 0)
 }
 
+// EncodedSize is the length of a's canonical binary encoding.
+func (a Address) EncodedSize() int { return 4 + len(a.Elements)*ElementSize }
+
 // Marshal appends the canonical binary encoding of a to dst:
 // semantic(1) k(1) count(2) then count elements of ElementSize bytes.
+// dst grows at most once, to the exact size.
 func (a Address) Marshal(dst []byte) []byte {
+	if n := a.EncodedSize(); cap(dst)-len(dst) < n {
+		dst = append(make([]byte, 0, len(dst)+n), dst...)
+	}
 	dst = append(dst, byte(a.Semantic), a.K)
 	var n [2]byte
 	binary.BigEndian.PutUint16(n[:], uint16(len(a.Elements)))

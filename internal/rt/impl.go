@@ -21,6 +21,12 @@ import (
 
 // Invocation describes one incoming method call as seen by an object
 // implementation.
+//
+// An Invocation is lent to the Impl: inv, inv.Args and the context
+// inv.Ctx returns are valid until Dispatch returns. The runtime then
+// zeroes them and reuses their storage for a later call, so a handler
+// that keeps any of them longer, or hands one to a goroutine that
+// outlives the call, must copy what it needs first.
 type Invocation struct {
 	Method string
 	// Args are borrowed views into the request's transport buffer:
@@ -49,13 +55,21 @@ type Invocation struct {
 	// Span is the serve span covering this method execution (nil when
 	// untraced or unsampled); handlers may attach events to it.
 	Span *trace.Span
+
+	// ctx is the context Ctx returns, kept beside the Invocation by the
+	// runtime; nil for an Invocation built by hand.
+	ctx *invCtx
 }
 
 // Ctx returns a context carrying the invocation's propagated deadline
 // and trace identity (context.Background-equivalent when neither was
 // set). It is timer-free and needs no cancel: both are immutable state,
-// not resources.
+// not resources. Like the Invocation, it is valid until Dispatch
+// returns.
 func (inv *Invocation) Ctx() context.Context {
+	if inv.ctx != nil {
+		return inv.ctx
+	}
 	c := invCtx{t: inv.Deadline, sc: inv.Trace}
 	if inv.Obj != nil {
 		c.clk = inv.Obj.node.clk // nil on the wall clock

@@ -21,12 +21,38 @@ import (
 // runtime record. Capacity reserved for traffic that may never come —
 // mailbox slots, a binding cache — would show here.
 func TestIdleObjectFootprint(t *testing.T) {
+	const budget = 5 << 10 // bytes per idle object
+	per := objectFootprint(t, false)
+	t.Logf("%d B per idle object", per)
+	if per > budget {
+		t.Errorf("an idle object costs %d B, budget %d B", per, budget)
+	}
+}
+
+// TestServedObjectFootprint is TestIdleObjectFootprint after one call to
+// each object. Serving grows the dispatch goroutine's stack from 2 to
+// 4 KiB, which is most of the difference (5.6 KiB against 3.4 KiB idle).
+// Scratch kept per object or per worker between calls would show here,
+// and so would a serve path whose frames push the stack to 8 KiB.
+func TestServedObjectFootprint(t *testing.T) {
+	const budget = 6 << 10 // bytes per served object
+	per := objectFootprint(t, true)
+	t.Logf("%d B per object served once", per)
+	if per > budget {
+		t.Errorf("an object served once costs %d B, budget %d B", per, budget)
+	}
+}
+
+// objectFootprint spawns 1024 default-option objects, calls each once
+// when serve is set, and returns what each costs in HeapInuse +
+// StackInuse once its dispatch goroutine is waiting again.
+func objectFootprint(t *testing.T, serve bool) int64 {
 	if raceEnabled {
 		t.Skip("the race detector's larger frames and heap records are not the object's cost")
 	}
 	const objects = 1024
-	const budget = 5 << 10 // bytes per idle object
-	_, nodes := newTestFabricNodes(t, 1)
+	_, nodes := newTestFabricNodes(t, 2)
+	c := clientOn(nodes[1], clientLOID)
 	inuse := func() uint64 {
 		runtime.GC()
 		runtime.GC()
@@ -36,17 +62,21 @@ func TestIdleObjectFootprint(t *testing.T) {
 	}
 	before := inuse()
 	for i := 0; i < objects; i++ {
-		if _, err := nodes[0].Spawn(loid.NewNoKey(400, uint64(i+1)), &echoImpl{}); err != nil {
+		l := loid.NewNoKey(400, uint64(i+1))
+		if _, err := nodes[0].Spawn(l, &echoImpl{}); err != nil {
 			t.Fatal(err)
+		}
+		if !serve {
+			continue
+		}
+		res, err := c.CallAddr(nodes[0].Address(), l, "Echo", []byte("once"))
+		if err != nil || res.Code != wire.OK {
+			t.Fatalf("call %d: %v %v", i, res, err)
 		}
 	}
 	// Let every dispatch goroutine reach its wait before measuring.
 	time.Sleep(50 * time.Millisecond)
-	per := int64(inuse()-before) / objects
-	t.Logf("%d B per idle object", per)
-	if per > budget {
-		t.Errorf("an idle object costs %d B, budget %d B", per, budget)
-	}
+	return int64(inuse()-before) / objects
 }
 
 // gatedImpl serves "Seq": it checks that each sender's sequence numbers

@@ -412,7 +412,7 @@ func (n *Node) completeReply(f *wire.Frame) {
 	if fu.remaining <= 0 {
 		delete(s.m, f.ID)
 	}
-	res := &Result{Code: f.Code, ErrText: f.ErrText(), Results: f.CopyArgs()}
+	res := replyResult(f)
 	if f.HasReplyTo() {
 		// Replies carry the responder's address so the caller can
 		// attribute them to an endpoint (health tracking).
@@ -420,6 +420,59 @@ func (n *Node) completeReply(f *wire.Frame) {
 	}
 	fu.complete(res)
 	s.mu.Unlock()
+}
+
+// replyInline is how many result bytes a one-result reply carries inside
+// its Result's own allocation: Work's 8-byte counter and the other
+// scalar replies fit.
+const replyInline = 16
+
+// replyBox is a one-result reply in one allocation: the Result, its
+// result header and, when they fit, the result bytes.
+type replyBox struct {
+	res   Result
+	hdr   [1][]byte
+	bytes [replyInline]byte
+}
+
+// replyResult copies a reply frame's code, error text and results into
+// a Result the caller owns. A reply with no result, or one result of up
+// to replyInline bytes, is one allocation; any other is at most three
+// (the Result, the result headers, one block for all the result bytes).
+func replyResult(f *wire.Frame) *Result {
+	var res *Result
+	switch n := f.NumArgs(); n {
+	case 0:
+		res = new(Result)
+	case 1:
+		box := new(replyBox)
+		if a := f.Arg(0); len(a) > replyInline {
+			box.hdr[0] = append([]byte(nil), a...)
+		} else if len(a) > 0 {
+			copy(box.bytes[:], a)
+			box.hdr[0] = box.bytes[:len(a):len(a)]
+		}
+		res = &box.res
+		res.Results = box.hdr[:]
+	default:
+		total := 0
+		for i := 0; i < n; i++ {
+			total += len(f.Arg(i))
+		}
+		block := make([]byte, 0, total)
+		res = &Result{Results: make([][]byte, n)}
+		for i := range res.Results {
+			if a := f.Arg(i); len(a) > 0 {
+				off := len(block)
+				block = append(block, a...)
+				// Capped, so appending to one result cannot overwrite the next.
+				res.Results[i] = block[off:len(block):len(block)]
+			}
+		}
+	}
+	res.Code = f.Code
+	res.ErrText = f.ErrText()
+	return res
 }
 
 // replyFrame answers a request frame without materializing a Message:

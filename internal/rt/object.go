@@ -149,6 +149,32 @@ func (o *Object) serveInline(f *wire.Frame) {
 	o.serve(f)
 }
 
+// serveRec is the scratch one dispatch runs on: the Invocation the Impl
+// sees, the context its Ctx returns, and the first inlineArgs argument
+// views. serve and serveLocal take one per call and zero and return it
+// once the reply no longer needs it, so a served call allocates none of
+// them and no object or worker holds one between calls.
+type serveRec struct {
+	inv  Invocation
+	ctx  invCtx
+	args [inlineArgs][]byte
+}
+
+// inlineArgs is how many argument views a serve record holds; a request
+// with more spills one slice to the heap.
+const inlineArgs = 8
+
+var servePool = sync.Pool{New: func() any { return new(serveRec) }}
+
+func getServeRec() *serveRec { return servePool.Get().(*serveRec) }
+
+// release zeroes r, so nothing it pointed at stays reachable through the
+// pool, and recycles it.
+func (r *serveRec) release() {
+	*r = serveRec{}
+	servePool.Put(r)
+}
+
 // serve runs one framed request. The frame is borrowed: its bytes stay
 // valid for the duration of the call (including marshalling the reply,
 // which copies any results that alias the request), and the caller
@@ -194,8 +220,12 @@ func (o *Object) serve(f *wire.Frame) {
 		}
 		return
 	}
-	env := f.Env()
-	code, errText, results := o.safeDispatch(method, &env, f.ArgViews(nil), span)
+	r := getServeRec()
+	r.inv.Env = f.Env()
+	if f.NumArgs() > 0 {
+		r.inv.Args = f.ArgViews(r.args[:0])
+	}
+	code, errText, results := o.safeDispatch(r, method, span)
 	if span != nil {
 		if errText != "" {
 			span.Event("error", errText)
@@ -205,6 +235,8 @@ func (o *Object) serve(f *wire.Frame) {
 	if f.Kind == wire.KindRequest && f.HasReplyTo() {
 		o.node.replyFrame(f, code, errText, results)
 	}
+	// The results may alias r.args (an echo); the reply is marshalled.
+	r.release()
 	if ob != nil {
 		ob.ServeDone(o.component(), method, o.node.since(start), tid)
 	}
@@ -246,7 +278,11 @@ func (o *Object) serveLocal(method string, env *wire.Env, args [][]byte) *Result
 		}
 		return &Result{Code: wire.ErrDeadlineExceeded, ErrText: "deadline expired before dispatch", From: o.node.Element()}
 	}
-	code, errText, results := o.safeDispatch(method, env, args, span)
+	r := getServeRec()
+	r.inv.Env = *env
+	r.inv.Args = args // the caller's own slice: results that alias it outlive r
+	code, errText, results := o.safeDispatch(r, method, span)
+	r.release()
 	if span != nil {
 		if errText != "" {
 			span.Event("error", errText)
@@ -273,20 +309,22 @@ func (o *Object) component() string {
 // as an object exception, rather than taking the whole node down —
 // the runtime-level half of the Host Object's duty to "report object
 // exceptions" (§2.3).
-func (o *Object) safeDispatch(method string, env *wire.Env, args [][]byte, span *trace.Span) (code wire.Code, errText string, results [][]byte) {
+func (o *Object) safeDispatch(r *serveRec, method string, span *trace.Span) (code wire.Code, errText string, results [][]byte) {
 	defer func() {
-		if r := recover(); r != nil {
+		if p := recover(); p != nil {
 			o.node.cExcept.Inc()
-			code, errText, results = wire.ErrApp, fmt.Sprintf("object exception in %s: %v", method, r), nil
+			code, errText, results = wire.ErrApp, fmt.Sprintf("object exception in %s: %v", method, p), nil
 		}
 	}()
-	return o.dispatch(method, env, args, span)
+	return o.dispatch(r, method, span)
 }
 
 // dispatch enforces MayI, answers runtime-provided member functions,
-// and routes the rest to the Impl. args are borrowed views of the
-// request frame, valid until the reply has been marshalled.
-func (o *Object) dispatch(method string, env *wire.Env, args [][]byte, span *trace.Span) (wire.Code, string, [][]byte) {
+// and routes the rest to the Impl. r carries the call's environment and
+// arguments (borrowed views of the request frame, valid until the reply
+// has been marshalled); dispatch completes r.inv before handing it on.
+func (o *Object) dispatch(r *serveRec, method string, span *trace.Span) (wire.Code, string, [][]byte) {
+	env, args := &r.inv.Env, r.inv.Args
 	// Every method invocation is performed in the (RA, SA, CA)
 	// environment and checked by the object's MayI (§2.4). MayI itself
 	// is always answerable so callers can probe their own access.
@@ -334,7 +372,8 @@ func (o *Object) dispatch(method string, env *wire.Env, args [][]byte, span *tra
 		return wire.OK, "", nil
 	}
 	o.muts.Add(1)
-	inv := &Invocation{Method: method, Args: args, Env: *env, Obj: o, Span: span}
+	inv := &r.inv
+	inv.Method, inv.Obj, inv.Span = method, o, span
 	if env.Deadline != 0 {
 		inv.Deadline = time.Unix(0, env.Deadline)
 	}
@@ -349,6 +388,8 @@ func (o *Object) dispatch(method string, env *wire.Env, args [][]byte, span *tra
 			ParentSpanID: env.ParentSpanID,
 		}
 	}
+	r.ctx = invCtx{t: inv.Deadline, sc: inv.Trace, clk: o.node.clk}
+	inv.ctx = &r.ctx
 	results, err := o.impl.Dispatch(inv)
 	if err != nil {
 		if _, ok := err.(*NoSuchMethodError); ok {

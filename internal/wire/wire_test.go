@@ -243,6 +243,35 @@ func TestValueHelpers(t *testing.T) {
 	}
 }
 
+// TestValueCodecsAllocateOnce: the LOID, Object Address and binding
+// encoders size their output up front, so each encoding is exactly one
+// allocation however many address elements it carries.
+func TestValueCodecsAllocateOnce(t *testing.T) {
+	l := loid.New(5, 6, loid.DeriveKey("x"))
+	for _, a := range []oa.Address{
+		oa.Single(oa.MemElement(1)),
+		oa.Replicated(oa.SemAll, 0, oa.MemElement(1), oa.MemElement(2), oa.MemElement(3)),
+	} {
+		bd := binding.Until(l, a, time.Unix(500, 0))
+		for _, c := range []struct {
+			name string
+			size int
+			enc  func() []byte
+		}{
+			{"LOID", loid.EncodedSize, func() []byte { return LOID(l) }},
+			{"Address", a.EncodedSize(), func() []byte { return Address(a) }},
+			{"Binding", bd.EncodedSize(), func() []byte { return Binding(bd) }},
+		} {
+			if n := len(c.enc()); n != c.size {
+				t.Errorf("%s with %d elements: %d bytes, want %d", c.name, len(a.Elements), n, c.size)
+			}
+			if allocs := testing.AllocsPerRun(100, func() { c.enc() }); allocs != 1 {
+				t.Errorf("%s with %d elements: %.1f allocs, want 1", c.name, len(a.Elements), allocs)
+			}
+		}
+	}
+}
+
 func TestListHelpers(t *testing.T) {
 	ls := []loid.LOID{loid.NewNoKey(1, 2), loid.NewNoKey(3, 4)}
 	got, err := AsLOIDList(LOIDList(ls))
