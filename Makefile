@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-invoke fuzz-smoke vet check experiments crash-test migrate-test obs-test store-test des-test
+.PHONY: all build test race bench bench-invoke fuzz-smoke vet check experiments crash-test migrate-test obs-test store-matrix store-test des-test
 
 all: check
 
@@ -62,13 +62,30 @@ bench:
 bench-invoke:
 	$(GO) test -run xxx -bench 'BenchmarkParallelInvoke|BenchmarkE1BindingPath' -benchmem -benchtime=2s .
 
-# Storage engine gauntlet: the fault-injected recovery matrix (torn
-# writes, fsync errors, crash tails, mid-compaction crashes) and the
-# backend conformance suite under the race detector, then the chaos
-# tests driven over the segment backend, and a quick E21 run.
-store-test:
-	$(GO) test -race -run 'TestSegment|TestBackendConformance|TestFileStoreDirSync' ./internal/persist
-	$(GO) test -race -run 'TestCrash|TestRestart' ./internal/core ./internal/sim
+# check-run PKGS,REGEX fails unless every |-separated alternative of a
+# -run REGEX names at least one test in PKGS, so renaming a test cannot
+# silently drop it from a matrix.
+define check-run
+	@for t in $$(echo '$(2)' | tr '|' ' '); do \
+		$(GO) test -list "^$$t" $(1) | grep -q "^$$t" || { echo "no test in $(1) matches -run $$t"; exit 1; }; \
+	done
+endef
+
+STORE_RUN = TestSegment|TestBackendConformance|TestWriteFileAtomic
+RESTART_RUN = TestCrash|TestRestart
+
+# Storage fault matrix: the fault-injected recovery tests (torn writes,
+# fsync errors, crash tails, mid-compaction crashes), the backend
+# conformance suite and the atomic snapshot write under the race
+# detector, then the chaos tests driven over the segment backend.
+store-matrix:
+	$(call check-run,./internal/persist,$(STORE_RUN))
+	$(call check-run,./internal/core ./internal/sim,$(RESTART_RUN))
+	$(GO) test -race -run '$(STORE_RUN)' ./internal/persist
+	$(GO) test -race -run '$(RESTART_RUN)' ./internal/core ./internal/sim
+
+# Storage engine gauntlet: the fault matrix and a quick E21 run.
+store-test: store-matrix
 	$(GO) run ./cmd/legion-bench -quick -run E21
 
 # Discrete-event scale harness: the clock seam and virtual clock under

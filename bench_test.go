@@ -649,13 +649,10 @@ func BenchmarkE15WideArea(b *testing.B) {
 }
 
 // BenchmarkCheckpointStorm measures the jurisdiction store under a
-// checkpoint storm: GOMAXPROCS writers Put OPRs as fast as they can,
-// and every acknowledged Put must be durable. file-sync is the
-// conservative FileStore configuration (one temp file + rename + data
-// fsync + directory fsync per record); segment is the append-only
-// SegmentStore, where concurrent writers pile onto one group commit
-// and share a single fsync. The E21 acceptance bar is segment ≥10x
-// file-sync throughput; BENCH_<date>.json records the measured ratio.
+// checkpoint storm: 64 writers per core Put OPRs as fast as they can,
+// and every acknowledged Put must be durable. In the append-only
+// SegmentStore concurrent writers pile onto one group commit and share
+// a single fsync.
 func BenchmarkCheckpointStorm(b *testing.B) {
 	storm := func(b *testing.B, st persist.Store) {
 		state := make([]byte, 256)
@@ -682,13 +679,6 @@ func BenchmarkCheckpointStorm(b *testing.B) {
 			}
 		})
 	}
-	b.Run("file-sync", func(b *testing.B) {
-		st, err := persist.NewFileStore(b.TempDir(), persist.WithSync())
-		if err != nil {
-			b.Fatal(err)
-		}
-		storm(b, st)
-	})
 	b.Run("segment", func(b *testing.B) {
 		st, err := persist.NewSegmentStore(b.TempDir(), persist.SegmentOptions{})
 		if err != nil {

@@ -44,12 +44,10 @@ func main() {
 	fanout := flag.Int("agent-fanout", 0, "core: binding agent tree fanout (0 = flat)")
 	seq := flag.Uint64("seq", 100, "host: unique host sequence number")
 	magIdx := flag.Int("magistrate", 0, "host: index of the jurisdiction to join")
-	vault := flag.String("vault", "", "core: directory for on-disk jurisdiction storage (default: in-memory)")
 	dataDir := flag.String("data-dir", "", "core: durable home for the whole system — OPRs, checkpoints, and tables persist here across daemon restarts")
 	ckptEvery := flag.Duration("checkpoint", 0, "checkpoint residents' state this often (0 disables; core and host modes)")
 	loadReport := flag.Duration("load-report", 0, "report host load vectors to the Magistrate this often — feeds load-aware placement and /debug/placements (0 disables; core and host modes)")
-	syncOPRs := flag.Bool("sync", false, "core: fsync every persistent-representation write")
-	storeBackend := flag.String("store", "", "core: jurisdiction storage engine: mem | file | segment (default: mem, or file when -vault/-data-dir is set)")
+	storeBackend := flag.String("store", "", "core: jurisdiction storage engine: mem | segment (default: segment with -data-dir, else mem)")
 	debugAddr := flag.String("debug-addr", "", "serve the observability surface (metrics, traces, health, pprof) on this address; empty disables it")
 	traceSample := flag.Int("trace-sample", trace.DefaultSampleEvery, "trace one invocation in N (1 = every invocation); effective with -debug-addr")
 	flag.Parse()
@@ -67,9 +65,7 @@ func main() {
 			HostsPerJurisdiction: *hosts,
 			LeafAgents:           *leaves,
 			AgentFanout:          *fanout,
-			VaultDir:             *vault,
 			DataDir:              *dataDir,
-			SyncOPRs:             *syncOPRs,
 			StoreBackend:         *storeBackend,
 			CheckpointEvery:      *ckptEvery,
 			LoadReportEvery:      *loadReport,

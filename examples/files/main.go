@@ -97,7 +97,7 @@ func main() {
 	sys, err := core.Boot(core.Options{
 		Impls:                impls,
 		HostsPerJurisdiction: 2,
-		VaultDir:             "", // in-memory vault; set a dir for on-disk OPR files
+		DataDir:              "", // in-memory vault; set a dir for on-disk OPRs
 	})
 	if err != nil {
 		log.Fatal(err)

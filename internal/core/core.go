@@ -9,7 +9,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
@@ -66,26 +65,21 @@ type Options struct {
 	// CallTimeout is the per-wave reply deadline for all bootstrapped
 	// callers (default 5s).
 	CallTimeout time.Duration
-	// VaultDir, if set, backs each jurisdiction's persistent storage
-	// with an on-disk FileStore under VaultDir/j<N> instead of memory;
-	// Object Persistent Addresses are then real file names (§3.1.1).
-	VaultDir string
-	// DataDir makes the whole system restartable: jurisdiction storage
-	// goes on disk under DataDir/j<N> (overriding VaultDir), and Boot
-	// restores the metaclass, core class, and magistrate tables from
+	// DataDir makes the whole system restartable: each jurisdiction's
+	// storage is a segment log under DataDir/j<N>, and Boot restores the
+	// metaclass, core class, and magistrate tables from
 	// DataDir/system.state when one exists (written by SaveSnapshot).
 	// Objects come back inert from their newest persistent
 	// representation and reactivate on first touch.
 	DataDir string
-	// SyncOPRs fsyncs every persistent-representation write (and its
-	// directory) before it is acknowledged — survives power loss, costs
-	// a disk flush per checkpoint. Only meaningful with on-disk storage.
+	// SyncOPRs has no effect. Segment-store writes are always fsynced
+	// by their group commit and SaveSnapshot always fsyncs
+	// system.state. It remains only because the benchmark harness
+	// still sets it.
 	SyncOPRs bool
-	// StoreBackend selects the jurisdiction storage engine by registry
-	// name — "mem", "file", or "segment" (persist.Backends lists them).
-	// Empty keeps the legacy defaulting: memory, or a FileStore when
-	// VaultDir/DataDir is set. Disk backends root each jurisdiction
-	// under <root>/j<N>.
+	// StoreBackend selects the jurisdiction storage engine: "mem" or
+	// "segment" (persist.Backends). Empty means "segment" when DataDir
+	// is set, else "mem". "segment" needs DataDir.
 	StoreBackend string
 	// CheckpointEvery, when > 0, starts a checkpoint loop on every Host
 	// Object: each interval, residents whose state changed since the
@@ -148,8 +142,8 @@ type AgentRef struct {
 }
 
 // Jurisdiction groups a Magistrate with its hosts and storage (§2.2).
-// Store is a MemStore by default, or a FileStore rooted under
-// Options.VaultDir — the on-disk form of Fig 11's jurisdiction disks.
+// Store is a MemStore by default, or a segment log rooted under
+// Options.DataDir — the on-disk form of Fig 11's jurisdiction disks.
 type Jurisdiction struct {
 	Magistrate     loid.LOID
 	MagistrateAddr oa.Address
@@ -423,32 +417,13 @@ func (s *System) bootstrap() error {
 	hostSeq, magSeq := uint64(0), uint64(0)
 	var allMags []loid.LOID
 	for j := 0; j < s.Options.Jurisdictions; j++ {
-		dir := s.storeRoot()
-		backend := s.Options.StoreBackend
-		if backend == "" {
-			if dir != "" {
-				backend = "file"
-			} else {
-				backend = "mem"
-			}
-		}
-		if backend != "mem" && dir == "" {
-			return fmt.Errorf("core: store backend %q needs DataDir or VaultDir", backend)
-		}
-		store, err := persist.Open(backend, persist.BackendConfig{
-			Dir:     fmt.Sprintf("%s/j%d", dir, j),
-			Sync:    s.Options.SyncOPRs,
-			Metrics: s.Reg,
-		})
+		store, err := s.openStore(j)
 		if err != nil {
-			return fmt.Errorf("core: open %s store: %w", backend, err)
-		}
-		if sp, ok := store.(persist.StatsProvider); ok {
-			if q := sp.Stats().Quarantined; q > 0 {
-				s.Reg.Counter("persist/quarantined").Add(uint64(q))
-			}
+			return err
 		}
 		juris := &Jurisdiction{Store: store}
+		// Listed at once, so a failed Boot's Close closes the store too.
+		s.Jurisdictions = append(s.Jurisdictions, juris)
 
 		for h := 0; h < s.Options.HostsPerJurisdiction; h++ {
 			hostSeq++
@@ -533,7 +508,6 @@ func (s *System) bootstrap() error {
 				hobj.StartLoadReporter(ml, node.Address(), s.Options.LoadReportEvery)
 			}
 		}
-		s.Jurisdictions = append(s.Jurisdictions, juris)
 		allMags = append(allMags, ml)
 	}
 
@@ -547,6 +521,31 @@ func (s *System) bootstrap() error {
 		return err
 	}
 	return nil
+}
+
+// openStore opens the store of the jurisdiction at index j, per
+// Options.StoreBackend and DataDir, rooted at DataDir/j<j>. Records
+// quarantined by the open's recovery scan are counted in
+// persist/quarantined.
+func (s *System) openStore(j int) (persist.Store, error) {
+	backend, dir := s.Options.StoreBackend, s.Options.DataDir
+	if backend == "" {
+		backend = "mem"
+		if dir != "" {
+			backend = "segment"
+		}
+	}
+	if backend != "mem" && dir == "" {
+		return nil, fmt.Errorf("core: store backend %q needs DataDir", backend)
+	}
+	store, err := persist.Open(backend, fmt.Sprintf("%s/j%d", dir, j), persist.SegmentOptions{Metrics: s.Reg})
+	if err != nil {
+		return nil, fmt.Errorf("core: open %s store: %w", backend, err)
+	}
+	if q := store.Stats().Quarantined; q > 0 {
+		s.Reg.Counter("persist/quarantined").Add(uint64(q))
+	}
+	return store, nil
 }
 
 // bootAgents builds the agent tree bottom-up.
@@ -717,9 +716,7 @@ func (s *System) Close() {
 		n.Close()
 	}
 	for _, j := range s.Jurisdictions {
-		if c, ok := j.Store.(io.Closer); ok {
-			_ = c.Close() // stops segment compaction and group commit
-		}
+		_ = j.Store.Close() // teardown: a late writer gets ErrClosed
 	}
 	if s.Fabric != nil {
 		s.Fabric.Close()

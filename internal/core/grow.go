@@ -9,7 +9,6 @@ import (
 	"repro/internal/loid"
 	"repro/internal/magistrate"
 	"repro/internal/oa"
-	"repro/internal/persist"
 	"repro/internal/rt"
 	"repro/internal/wire"
 )
@@ -22,7 +21,13 @@ import (
 
 // AddJurisdiction starts a new Magistrate with its own storage and
 // hostCount fresh Host Objects, announcing everything to the core
-// classes exactly like the boot-time jurisdictions.
+// classes exactly like the boot-time jurisdictions. Its store is opened
+// as Boot opens theirs (StoreBackend, DataDir/j<index>). Boot does not
+// restore a runtime-added jurisdiction after a restart: it rebuilds
+// only Options.Jurisdictions of them from the snapshot. So when
+// DataDir/j<index> still holds an earlier run's records, which no
+// Magistrate refers to any more, AddJurisdiction refuses to adopt them
+// and errors; remove the directory to reuse the index.
 func (s *System) AddJurisdiction(hostCount int) (*Jurisdiction, error) {
 	if hostCount < 0 {
 		hostCount = 0
@@ -34,13 +39,21 @@ func (s *System) AddJurisdiction(hostCount int) (*Jurisdiction, error) {
 	s.nextHostSeq += uint64(hostCount)
 	s.mu.Unlock()
 
-	var store persist.Store = persist.NewMemStore()
-	if s.Options.VaultDir != "" {
-		fs, err := persist.NewFileStore(fmt.Sprintf("%s/j%d", s.Options.VaultDir, magSeq))
-		if err != nil {
-			return nil, err
+	// Magistrates are numbered from 1 in jurisdiction order, so the
+	// new jurisdiction's index is magSeq-1.
+	index := int(magSeq) - 1
+	store, err := s.openStore(index)
+	if err != nil {
+		return nil, err
+	}
+	added := false
+	defer func() {
+		if !added {
+			_ = store.Close() // System.Close only closes stores it lists
 		}
-		store = fs
+	}()
+	if n := store.Stats().Records; n > 0 {
+		return nil, fmt.Errorf("core: new jurisdiction %d: %s/j%d holds %d records from an earlier run", index, s.Options.DataDir, index, n)
 	}
 	juris := &Jurisdiction{Store: store}
 
@@ -92,6 +105,7 @@ func (s *System) AddJurisdiction(hostCount int) (*Jurisdiction, error) {
 	s.mu.Lock()
 	s.Jurisdictions = append(s.Jurisdictions, juris)
 	s.mu.Unlock()
+	added = true
 	return juris, nil
 }
 

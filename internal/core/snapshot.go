@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 
 	"repro/internal/loid"
+	"repro/internal/persist"
 )
 
 // snapshotName is the file under Options.DataDir holding the system
@@ -40,15 +41,6 @@ func (s *System) snapshotPath() string {
 	return filepath.Join(s.Options.DataDir, snapshotName)
 }
 
-// storeRoot is where jurisdiction stores live on disk: DataDir when the
-// system is restartable, else the legacy VaultDir, else "" (memory).
-func (s *System) storeRoot() string {
-	if s.Options.DataDir != "" {
-		return s.Options.DataDir
-	}
-	return s.Options.VaultDir
-}
-
 // loadSnapshot reads DataDir/system.state; a missing file (first boot)
 // is not an error, a corrupt one is quarantined alongside and ignored —
 // the system boots fresh rather than not at all, mirroring the store's
@@ -75,8 +67,9 @@ func (s *System) loadSnapshot() (*snapshot, error) {
 }
 
 // SaveSnapshot writes the system tables to DataDir/system.state
-// (atomically: temp file + rename), so a subsequent Boot with the same
-// DataDir restores every registered class and object. Call
+// (atomically: temp file + rename, with the file and the rename fsynced
+// before it returns), so a subsequent Boot with the same DataDir
+// restores every registered class and object. Call
 // CheckpointNow first if active objects' latest state should be
 // captured too. Errors when the system has no DataDir.
 func (s *System) SaveSnapshot() error {
@@ -117,20 +110,7 @@ func (s *System) SaveSnapshot() error {
 	if err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	if s.Options.SyncOPRs {
-		if d, err := os.Open(s.Options.DataDir); err == nil {
-			_ = d.Sync()
-			_ = d.Close()
-		}
-	}
-	return nil
+	return persist.WriteFileAtomic(persist.OS{}, path, data)
 }
 
 // CheckpointNow forces one synchronous checkpoint round on every host:

@@ -1,23 +1,29 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/loid"
 	"repro/internal/magistrate"
+	"repro/internal/persist"
 	"repro/internal/wire"
 )
 
 // TestDiskBackedVault boots a system whose jurisdiction storage is a
-// real directory: deactivation produces an .opr file (the paper's
-// "Object Persistent Address will typically be a file name", §3.1.1),
-// reactivation consumes it, and the state round-trips through disk.
+// real directory: deactivation writes the object's OPR into the segment
+// log under DataDir/j0, reactivation reads it back from disk and
+// consumes it, and the state round-trips.
 func TestDiskBackedVault(t *testing.T) {
-	vaultDir := t.TempDir()
-	sys := bootSys(t, Options{VaultDir: vaultDir})
+	dataDir := t.TempDir()
+	sys := bootSys(t, Options{DataDir: dataDir})
+	j := sys.Jurisdictions[0]
+	if st := j.Store.Stats(); st.Backend != "segment" {
+		t.Fatalf("DataDir store backend = %q, want segment", st.Backend)
+	}
 	cl, _, err := sys.DeriveClass("Counter", "counter", counterInterface(), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -33,20 +39,18 @@ func TestDiskBackedVault(t *testing.T) {
 		}
 	}
 
-	mag := magistrate.NewClient(sys.BootClient(), sys.Jurisdictions[0].Magistrate)
+	mag := magistrate.NewClient(sys.BootClient(), j.Magistrate)
 	if err := mag.Deactivate(obj); err != nil {
 		t.Fatal(err)
 	}
-	// The OPR is a real file on disk.
-	files := oprFiles(t, vaultDir)
-	if len(files) != 1 {
-		t.Fatalf("vault files after deactivate = %v", files)
+	if n := j.StoredOPRs(); n != 1 {
+		t.Fatalf("StoredOPRs after deactivate = %d, want 1", n)
 	}
-	if sys.Jurisdictions[0].StoredOPRs() != 1 {
-		t.Error("StoredOPRs disagrees with the directory")
+	if segs, _ := filepath.Glob(filepath.Join(dataDir, "j0", "seg-*.seg")); len(segs) == 0 {
+		t.Fatal("no segment file under DataDir/j0")
 	}
 
-	// Reactivation reads the file and continues the state.
+	// Reactivation reads the OPR from disk and continues the state.
 	res, err := user.Call(obj, "Inc")
 	if err != nil || res.Code != wire.OK {
 		t.Fatalf("Inc after reactivation: %v %v", res, err)
@@ -55,25 +59,89 @@ func TestDiskBackedVault(t *testing.T) {
 	if v, _ := wire.AsUint64(raw); v != 4 {
 		t.Errorf("counter = %d after disk round trip, want 4", v)
 	}
-	if files := oprFiles(t, vaultDir); len(files) != 0 {
-		t.Errorf("stale OPR files after reactivation: %v", files)
+	if n := j.StoredOPRs(); n != 0 {
+		t.Errorf("StoredOPRs after reactivation = %d, want 0: the consumed OPR is still stored", n)
 	}
 }
 
-func oprFiles(t *testing.T, root string) []string {
-	t.Helper()
-	var out []string
-	err := filepath.Walk(root, func(path string, info os.FileInfo, err error) error {
-		if err != nil {
-			return err
-		}
-		if !info.IsDir() && strings.HasSuffix(path, ".opr") {
-			out = append(out, path)
-		}
-		return nil
-	})
+// TestAddJurisdictionUsesSystemStore: a jurisdiction added at run time
+// gets its storage exactly as Boot's do — a segment log under
+// DataDir/j<index> — not a memory store whose OPRs die with the process.
+func TestAddJurisdictionUsesSystemStore(t *testing.T) {
+	dataDir := t.TempDir()
+	sys := bootSys(t, Options{DataDir: dataDir})
+	added, err := sys.AddJurisdiction(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out
+	if st := added.Store.Stats(); st.Backend != "segment" {
+		t.Fatalf("added jurisdiction's store backend = %q, want segment", st.Backend)
+	}
+	index := len(sys.Jurisdictions) - 1
+	if sys.Jurisdictions[index] != added {
+		t.Fatalf("added jurisdiction is not last in the system's list")
+	}
+	if segs, _ := filepath.Glob(filepath.Join(dataDir, fmt.Sprintf("j%d", index), "seg-*.seg")); len(segs) == 0 {
+		t.Fatalf("no segment file under DataDir/j%d", index)
+	}
+}
+
+// TestAddJurisdictionAfterRestart: Boot does not restore a runtime-added
+// jurisdiction, so the records its segment log kept are orphans. The
+// next run's AddJurisdiction at the same index refuses to adopt them
+// rather than counting them as its own forever.
+func TestAddJurisdictionAfterRestart(t *testing.T) {
+	dataDir := t.TempDir()
+	sys := bootSys(t, Options{DataDir: dataDir})
+	added, err := sys.AddJurisdiction(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := added.Store.Put(persist.OPR{LOID: loid.NewNoKey(300, 7), Impl: "counter"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.SaveSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	sys.Close()
+
+	sys = bootSys(t, Options{DataDir: dataDir})
+	if _, err := sys.AddJurisdiction(0); err == nil {
+		t.Fatal("AddJurisdiction adopted the previous run's orphaned records")
+	}
+	if n := len(sys.Jurisdictions); n != 1 {
+		t.Fatalf("%d jurisdictions after the refused add, want 1", n)
+	}
+	sys.Close()
+
+	// With the orphaned directory removed, the index is free again.
+	if err := os.RemoveAll(filepath.Join(dataDir, "j1")); err != nil {
+		t.Fatal(err)
+	}
+	sys = bootSys(t, Options{DataDir: dataDir})
+	if _, err := sys.AddJurisdiction(0); err != nil {
+		t.Fatalf("AddJurisdiction over a removed index: %v", err)
+	}
+}
+
+// TestBootRejectsFileLayout: a DataDir written by the retired
+// one-file-per-OPR store fails Boot with persist.ErrFileLayout instead
+// of booting with every restored record pointing at nothing.
+func TestBootRejectsFileLayout(t *testing.T) {
+	dataDir := t.TempDir()
+	j0 := filepath.Join(dataDir, "j0")
+	if err := os.MkdirAll(j0, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(j0, "opr-1-300-7.opr"), []byte("legacy"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sys, err := Boot(Options{DataDir: dataDir})
+	if err == nil {
+		sys.Close()
+		t.Fatal("Boot accepted a one-file-per-OPR directory")
+	}
+	if !errors.Is(err, persist.ErrFileLayout) {
+		t.Fatalf("Boot error = %v, want persist.ErrFileLayout", err)
+	}
 }

@@ -23,7 +23,7 @@ const (
 // checkpointer is the host's periodic snapshot loop: every interval it
 // walks the resident objects, saves the state of the ones that changed
 // since the last round, and ships each snapshot to the jurisdiction's
-// Magistrate (Checkpoint), which files it in the Jurisdiction's Store.
+// Magistrate (CheckpointBatch), which files it in the Jurisdiction's Store.
 // That OPR is what HostFailed recovery activates from — the paper's "a
 // Magistrate can always activate the object" (§3.1.1) extended to
 // hosts that die without warning.

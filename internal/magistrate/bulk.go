@@ -26,21 +26,22 @@ func (m *Magistrate) SetAdoptHook(h func(target loid.LOID)) {
 
 // SetBulkAdoption toggles snapshot-shipped recovery after a host
 // failure. On (the default), HostFailed ships the dead host's whole
-// resident set to one survivor in a single AdoptObjects call when the
-// store can export snapshots; off forces the per-OPR reactivation
-// path — the ablation baseline E21 measures bulk adoption against.
+// resident set to one survivor in a single AdoptObjects call; off
+// forces the per-OPR reactivation path — the ablation baseline E21
+// measures bulk adoption against.
 func (m *Magistrate) SetBulkAdoption(on bool) {
 	m.mu.Lock()
 	m.noBulk = !on
 	m.mu.Unlock()
 }
 
-// checkpointBatch is the batched Checkpoint intake: one RPC carries a
-// host's whole dirty set (persist.EncodeOPRBatch), and on a batching
-// store the whole set is persisted under one group commit instead of
-// one fsync per object. Entries whose object the Magistrate no longer
-// believes active on the sender are dropped, exactly as in the
-// single-object path; the accepted count is returned.
+// checkpointBatch is the checkpoint intake: one RPC carries a host's
+// whole dirty set (persist.EncodeOPRBatch), persisted under one group
+// commit instead of one fsync per object. Only the newest checkpoint of
+// each object is kept. Entries whose object the Magistrate no longer
+// believes active on the sender are dropped — the deactivation path has
+// already persisted authoritative (post-shutdown) state; the accepted
+// count is returned.
 func (m *Magistrate) checkpointBatch(inv *rt.Invocation) ([][]byte, error) {
 	fromHost, err := argLOID(inv, 0)
 	if err != nil {
@@ -72,7 +73,7 @@ func (m *Magistrate) checkpointBatch(inv *rt.Invocation) ([][]byte, error) {
 		return [][]byte{wire.Uint64(0)}, nil
 	}
 
-	addrs, err := putBatch(m.store, live)
+	addrs, err := m.store.PutBatch(live)
 	if err != nil {
 		return nil, fmt.Errorf("magistrate %v: checkpoint batch of %d: %w", m.self, len(live), err)
 	}
@@ -108,28 +109,6 @@ func (m *Magistrate) checkpointBatch(inv *rt.Invocation) ([][]byte, error) {
 	return [][]byte{wire.Uint64(uint64(len(accepted)))}, nil
 }
 
-// putBatch persists a set of OPRs through the store's PutBatch when it
-// has one (a single group commit on the segment backend), falling back
-// to per-OPR Puts. All-or-nothing: a mid-batch failure in the fallback
-// deletes the already-written prefix.
-func putBatch(s persist.Store, oprs []persist.OPR) ([]persist.PersistentAddress, error) {
-	if bp, ok := s.(persist.BatchPutter); ok {
-		return bp.PutBatch(oprs)
-	}
-	addrs := make([]persist.PersistentAddress, len(oprs))
-	for i, o := range oprs {
-		a, err := s.Put(o)
-		if err != nil {
-			for _, done := range addrs[:i] {
-				_ = s.Delete(done)
-			}
-			return nil, err
-		}
-		addrs[i] = a
-	}
-	return addrs, nil
-}
-
 // bulkAdopt is the fast half of HostFailed recovery: instead of one
 // StartObject round trip per crashed resident (reactivate), the
 // promoted OPRs are exported from the store as one snapshot stream and
@@ -141,11 +120,6 @@ func putBatch(s persist.Store, oprs []persist.OPR) ([]persist.PersistentAddress,
 // target refuses) releases the claims and falls back to per-OPR
 // reactivation, which can spread the objects across hosts.
 func (m *Magistrate) bulkAdopt(ls []loid.LOID) {
-	exp, ok := m.store.(persist.SnapshotExporter)
-	if !ok {
-		m.reactivate(ls)
-		return
-	}
 	span := m.tracer().RootAlways("call", "bulk.adopt", "magistrate")
 	reg := m.reg()
 	t0 := m.now()
@@ -217,7 +191,7 @@ func (m *Magistrate) bulkAdopt(ls []loid.LOID) {
 		fallback("placement", perr)
 		return
 	}
-	blob, err := exp.ExportSnapshot(addrs)
+	blob, err := m.store.ExportSnapshot(addrs)
 	if err != nil {
 		fallback("snapshot export", err)
 		return

@@ -96,20 +96,11 @@ func (cl *Client) ActivateCtx(ctx context.Context, l loid.LOID, hostHint loid.LO
 	return wire.AsBinding(raw)
 }
 
-// Checkpoint files a crash-recovery snapshot of an object running on
-// host h: the newest checkpoint is what HostFailed recovery activates
-// from. Hosts call this from their checkpoint loops.
-func (cl *Client) Checkpoint(h, l loid.LOID, impl string, state []byte) error {
-	res, err := cl.c.Call(cl.m, "Checkpoint", wire.LOID(h), wire.LOID(l), wire.String(impl), state)
-	if err != nil {
-		return err
-	}
-	return res.Err()
-}
-
-// CheckpointBatch files one host's whole dirty set in a single call;
-// batch is a persist.EncodeOPRBatch stream. Returns how many entries
-// the Magistrate accepted (stale entries are silently dropped).
+// CheckpointBatch files crash-recovery snapshots of objects running on
+// host h — one host's whole dirty set in a single call; batch is a
+// persist.EncodeOPRBatch stream. The newest checkpoint is what
+// HostFailed recovery activates from. Returns how many entries the
+// Magistrate accepted (stale entries are silently dropped).
 func (cl *Client) CheckpointBatch(h loid.LOID, batch []byte) (uint64, error) {
 	res, err := cl.c.Call(cl.m, "CheckpointBatch", wire.LOID(h), batch)
 	if err != nil {

@@ -58,12 +58,6 @@ var Interface = idl.NewInterface("LegionMagistrate",
 			{Name: "object", Type: idl.TLOID},
 			{Name: "impl", Type: idl.TString},
 			{Name: "state", Type: idl.TBytes}}},
-	idl.MethodSig{Name: "Checkpoint",
-		Params: []idl.Param{
-			{Name: "host", Type: idl.TLOID},
-			{Name: "object", Type: idl.TLOID},
-			{Name: "impl", Type: idl.TString},
-			{Name: "state", Type: idl.TBytes}}},
 	idl.MethodSig{Name: "CheckpointBatch",
 		Params: []idl.Param{
 			{Name: "host", Type: idl.TLOID},
@@ -102,7 +96,7 @@ type record struct {
 	impl    string
 	oprAddr persist.PersistentAddress // set iff inert
 	// ckptAddr is the newest crash-recovery checkpoint of an ACTIVE
-	// object (Host checkpointers ship these via Checkpoint). If the
+	// object (Host checkpointers ship these via CheckpointBatch). If the
 	// host dies, HostFailed promotes it to oprAddr so the object
 	// reactivates with its checkpointed state instead of a blank one.
 	ckptAddr persist.PersistentAddress
@@ -261,20 +255,18 @@ func (m *Magistrate) SetPlane(p *obs.Plane) {
 		}
 		return out
 	})
-	if sp, ok := m.store.(persist.StatsProvider); ok {
-		p.AddStoreSource(func() obs.StoreView {
-			st := sp.Stats()
-			return obs.StoreView{
-				Backend:     st.Backend,
-				Records:     st.Records,
-				Segments:    st.Segments,
-				Quarantined: st.Quarantined,
-				GCSegments:  st.GCSegments,
-				GCRecords:   st.GCRecords,
-				GroupCommit: st.GroupCommit,
-			}
-		})
-	}
+	p.AddStoreSource(func() obs.StoreView {
+		st := m.store.Stats()
+		return obs.StoreView{
+			Backend:     st.Backend,
+			Records:     st.Records,
+			Segments:    st.Segments,
+			Quarantined: st.Quarantined,
+			GCSegments:  st.GCSegments,
+			GCRecords:   st.GCRecords,
+			GroupCommit: st.GroupCommit,
+		}
+	})
 	p.AddHostSource(func() []obs.HostView {
 		ls := m.Loads()
 		out := make([]obs.HostView, 0, len(ls))
@@ -338,8 +330,6 @@ func (m *Magistrate) Dispatch(inv *rt.Invocation) ([][]byte, error) {
 		return [][]byte{wire.LOIDList(ls)}, nil
 	case "Register", "ReceiveOPR":
 		return m.register(inv)
-	case "Checkpoint":
-		return m.checkpoint(inv)
 	case "CheckpointBatch":
 		return m.checkpointBatch(inv)
 	case "Activate":
@@ -472,62 +462,6 @@ func (m *Magistrate) register(inv *rt.Invocation) ([][]byte, error) {
 	}
 	m.table[l.ID()] = &record{impl: implName, oprAddr: oprAddr}
 	noteGeneration(m.plane, l, "register", loid.Nil, len(state))
-	return nil, nil
-}
-
-// checkpoint files a crash-recovery snapshot of an active object into
-// the Jurisdiction's store. Only the newest checkpoint is kept. A
-// checkpoint for an object the Magistrate no longer believes active is
-// dropped: the deactivation path has already persisted authoritative
-// (post-shutdown) state.
-func (m *Magistrate) checkpoint(inv *rt.Invocation) ([][]byte, error) {
-	fromHost, err := argLOID(inv, 0)
-	if err != nil {
-		return nil, err
-	}
-	l, err := argLOID(inv, 1)
-	if err != nil {
-		return nil, err
-	}
-	implName, err := argString(inv, 2)
-	if err != nil {
-		return nil, err
-	}
-	state, err := inv.Arg(3)
-	if err != nil {
-		return nil, err
-	}
-	m.mu.Lock()
-	rec, ok := m.table[l.ID()]
-	live := ok && rec.active && rec.host.SameObject(fromHost)
-	m.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("magistrate %v: checkpoint for unknown object %v", m.self, l)
-	}
-	if !live {
-		return nil, nil // deactivated or migrated since the host sampled it
-	}
-	newAddr, err := m.store.Put(persist.OPR{LOID: l, Impl: implName, State: state})
-	if err != nil {
-		return nil, fmt.Errorf("magistrate %v: checkpoint %v: %w", m.self, l, err)
-	}
-	m.mu.Lock()
-	rec2, ok := m.table[l.ID()]
-	if !ok || rec2 != rec || !rec2.active || !rec2.host.SameObject(fromHost) {
-		// The object's life changed while we wrote; the new file is
-		// not the truth anymore.
-		m.mu.Unlock()
-		_ = m.store.Delete(newAddr)
-		return nil, nil
-	}
-	old := rec2.ckptAddr
-	rec2.ckptAddr = newAddr
-	plane := m.plane
-	m.mu.Unlock()
-	if old != "" {
-		_ = m.store.Delete(old)
-	}
-	noteGeneration(plane, l, "checkpoint", fromHost, len(state))
 	return nil, nil
 }
 
@@ -718,8 +652,7 @@ func (m *Magistrate) HostFailed(h loid.LOID) []loid.LOID {
 		affected = append(affected, id)
 	}
 	survivors := len(m.hosts) > 0
-	_, canExport := m.store.(persist.SnapshotExporter)
-	bulk := !m.noBulk && canExport && len(affected) >= 2
+	bulk := !m.noBulk && len(affected) >= 2
 	plane := m.plane
 	m.mu.Unlock()
 	if plane != nil {

@@ -1,18 +1,23 @@
 package persist
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
 	"repro/internal/loid"
 )
 
-// storeConformance is the shared Store contract suite: every Store
-// implementation (MemStore, FileStore, whatever comes next) must pass
-// it unchanged. mk builds a fresh empty store per subtest.
-func storeConformance(t *testing.T, mk func(t *testing.T) Store) {
+// storeConformance is the shared Store contract suite: both backends
+// must pass it unchanged. open opens (or reopens) a store rooted at
+// dir; mk builds a fresh empty one per subtest.
+func storeConformance(t *testing.T, open func(t *testing.T, dir string) Store) {
+	mk := func(t *testing.T) Store { return open(t, t.TempDir()+"/vault") }
 	t.Run("RoundTrip", func(t *testing.T) {
 		s := mk(t)
 		o := sampleOPR()
@@ -178,10 +183,6 @@ func storeConformance(t *testing.T, mk func(t *testing.T) Store) {
 	t.Run("SnapshotRoundTrip", func(t *testing.T) {
 		// Every built-in backend must export a bulk-adoption snapshot.
 		s := mk(t)
-		exp, ok := s.(SnapshotExporter)
-		if !ok {
-			t.Fatalf("%T does not implement SnapshotExporter", s)
-		}
 		var addrs []PersistentAddress
 		for i := 0; i < 4; i++ {
 			a, err := s.Put(OPR{LOID: loid.NewNoKey(256, uint64(i+1)), Impl: "w", State: []byte{byte(i), 0xEE}})
@@ -190,7 +191,7 @@ func storeConformance(t *testing.T, mk func(t *testing.T) Store) {
 			}
 			addrs = append(addrs, a)
 		}
-		blob, err := exp.ExportSnapshot(addrs)
+		blob, err := s.ExportSnapshot(addrs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,15 +244,11 @@ func storeConformance(t *testing.T, mk func(t *testing.T) Store) {
 	})
 	t.Run("UseAfterClose", func(t *testing.T) {
 		s := mk(t)
-		c, ok := s.(interface{ Close() error })
-		if !ok {
-			t.Skip("backend has no Close")
-		}
 		addr, err := s.Put(sampleOPR())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Close(); err != nil {
+		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
 		// A closed store refuses writers with ErrClosed; it must not
@@ -262,49 +259,157 @@ func storeConformance(t *testing.T, mk func(t *testing.T) Store) {
 		if err := s.Delete(addr); !errors.Is(err, ErrClosed) {
 			t.Errorf("Delete after Close = %v, want ErrClosed", err)
 		}
-		if bp, ok := s.(BatchPutter); ok {
-			if _, err := bp.PutBatch([]OPR{sampleOPR()}); !errors.Is(err, ErrClosed) {
-				t.Errorf("PutBatch after Close = %v, want ErrClosed", err)
-			}
+		if _, err := s.PutBatch([]OPR{sampleOPR()}); !errors.Is(err, ErrClosed) {
+			t.Errorf("PutBatch after Close = %v, want ErrClosed", err)
 		}
 		if cp, ok := s.(interface{ CompactNow() (int, error) }); ok {
 			if _, err := cp.CompactNow(); !errors.Is(err, ErrClosed) {
 				t.Errorf("CompactNow after Close = %v, want ErrClosed", err)
 			}
 		}
-		if err := c.Close(); err != nil {
+		// Committed records stay readable.
+		if got, err := s.Get(addr); err != nil || got.Impl != sampleOPR().Impl {
+			t.Errorf("Get after Close = %+v, %v", got, err)
+		}
+		if err := s.Close(); err != nil {
 			t.Errorf("second Close = %v", err)
+		}
+	})
+	t.Run("PutBatchInOrder", func(t *testing.T) {
+		s := mk(t)
+		oprs := make([]OPR, 5)
+		for i := range oprs {
+			oprs[i] = OPR{LOID: loid.NewNoKey(256, uint64(i+1)), Impl: "b", State: []byte{byte(i)}}
+		}
+		addrs, err := s.PutBatch(oprs)
+		if err != nil || len(addrs) != len(oprs) {
+			t.Fatalf("PutBatch = %v, %v", addrs, err)
+		}
+		for i, a := range addrs {
+			got, err := s.Get(a)
+			if err != nil || got.LOID != oprs[i].LOID || got.State[0] != byte(i) {
+				t.Errorf("batch entry %d at %s = %+v, %v", i, a, got, err)
+			}
+		}
+		if st := s.Stats(); st.Records != len(oprs) {
+			t.Errorf("Stats().Records = %d, want %d", st.Records, len(oprs))
+		}
+	})
+	// reopened writes one record to a fresh directory, closes the store
+	// and opens it again; it skips on a backend that keeps nothing.
+	reopened := func(t *testing.T) (Store, PersistentAddress) {
+		dir := t.TempDir()
+		s := open(t, dir)
+		if s.Stats().Backend == "mem" {
+			t.Skip("mem keeps nothing across Close")
+		}
+		a1, err := s.Put(sampleOPR())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return open(t, dir), a1
+	}
+	t.Run("ReopenKeepsRecords", func(t *testing.T) {
+		// A disk backend's acknowledged records survive Close and reopen.
+		r, a1 := reopened(t)
+		got, err := r.Get(a1)
+		if err != nil || got.Impl != sampleOPR().Impl || string(got.State) != string(sampleOPR().State) {
+			t.Fatalf("reopened Get = %+v, %v", got, err)
+		}
+		if list, _ := r.List(); len(list) != 1 || list[0] != a1 {
+			t.Errorf("reopened List = %v", list)
+		}
+	})
+	t.Run("ReopenNoAddressReuse", func(t *testing.T) {
+		// The reopened store never reissues an address a record still
+		// holds (that would overwrite it).
+		r, a1 := reopened(t)
+		a2, err := r.Put(sampleOPR())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a2 == a1 {
+			t.Fatalf("reopened store reissued address %q", a1)
+		}
+		if _, err := r.Get(a1); err != nil {
+			t.Errorf("original record gone after reopen+Put: %v", err)
+		}
+	})
+	t.Run("CorruptRecord", func(t *testing.T) {
+		// Bit rot inside a record's bytes on disk is reported as
+		// ErrCorrupt, by Get and by ExportSnapshot (the bulk-adoption
+		// read), so the Magistrate never activates a silently wrong OPR.
+		dir := t.TempDir()
+		s := open(t, dir)
+		marker := []byte("precious checkpoint bytes")
+		addr, err := s.Put(OPR{LOID: loid.NewNoKey(256, 7), Impl: "counter", State: marker})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if flipOnDisk(t, dir, marker) == 0 {
+			t.Skip("backend keeps nothing on disk")
+		}
+		if got, err := s.Get(addr); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("Get of a corrupt record = %+v, %v; want ErrCorrupt", got, err)
+		}
+		if _, err := s.ExportSnapshot([]PersistentAddress{addr}); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("ExportSnapshot of a corrupt record = %v, want ErrCorrupt", err)
 		}
 	})
 }
 
-// TestBackendConformance runs the contract suite over every registered
-// backend — a backend added to the registry is tested by existing. Each
-// disk backend additionally runs in a synced variant and under a
-// (fault-free) FaultVFS, proving the VFS plumbing itself doesn't change
-// behaviour.
+// flipOnDisk flips one bit in the middle of marker in every file under
+// dir that holds it, and returns how many files it changed.
+func flipOnDisk(t *testing.T, dir string, marker []byte) int {
+	t.Helper()
+	n := 0
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		at := bytes.Index(data, marker)
+		if at < 0 {
+			return nil
+		}
+		data[at+len(marker)/2] ^= 0x10
+		n++
+		return os.WriteFile(path, data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestBackendConformance runs the contract suite over every backend
+// Open accepts. The segment backend also runs under a (fault-free)
+// FaultVFS, proving the VFS plumbing itself doesn't change behaviour.
 func TestBackendConformance(t *testing.T) {
 	for _, name := range Backends() {
 		name := name
-		mk := func(sync bool, vfs VFS) func(t *testing.T) Store {
-			return func(t *testing.T) Store {
-				s, err := Open(name, BackendConfig{Dir: t.TempDir() + "/vault", Sync: sync, VFS: vfs})
+		open := func(vfs VFS) func(t *testing.T, dir string) Store {
+			return func(t *testing.T, dir string) Store {
+				s, err := Open(name, dir, SegmentOptions{VFS: vfs})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if c, ok := s.(interface{ Close() error }); ok {
-					t.Cleanup(func() { c.Close() })
-				}
+				t.Cleanup(func() { s.Close() })
 				return s
 			}
 		}
-		t.Run(name, func(t *testing.T) { storeConformance(t, mk(false, nil)) })
+		t.Run(name, func(t *testing.T) { storeConformance(t, open(nil)) })
 		if name == "mem" {
 			continue
 		}
-		t.Run(name+"/sync", func(t *testing.T) { storeConformance(t, mk(true, nil)) })
 		t.Run(name+"/faultvfs", func(t *testing.T) {
-			storeConformance(t, mk(false, NewFaultVFS(FaultPlan{})))
+			storeConformance(t, open(NewFaultVFS(FaultPlan{})))
 		})
 	}
 }

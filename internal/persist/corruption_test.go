@@ -1,10 +1,7 @@
 package persist
 
 import (
-	"errors"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -58,161 +55,5 @@ func TestOPRUnmarshalBoundsImplLen(t *testing.T) {
 	buf[loidLen] = 0xFF // impl length becomes 0xFF000001 — way past maxImplLen
 	if _, err := Unmarshal(buf); err == nil {
 		t.Fatal("oversized impl length accepted")
-	}
-}
-
-// writeOPR puts one record into a FileStore and returns its address
-// and on-disk path.
-func writeOPR(t *testing.T, s *FileStore) (PersistentAddress, string) {
-	t.Helper()
-	addr, err := s.Put(OPR{
-		LOID:  loid.New(256, 7, loid.DeriveKey("o")),
-		Impl:  "counter",
-		State: []byte("precious checkpoint bytes"),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return addr, filepath.Join(s.Dir(), string(addr))
-}
-
-// TestFileStoreDetectsBitFlip: any single-bit flip anywhere in the
-// record file must surface as ErrCorrupt (and quarantine the file),
-// never as a silently wrong OPR.
-func TestFileStoreDetectsBitFlip(t *testing.T) {
-	for _, bit := range []int{0, 13, 35, 64, 200} {
-		dir := t.TempDir()
-		s, err := NewFileStore(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		addr, path := writeOPR(t, s)
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if bit/8 >= len(data) {
-			t.Fatalf("record only %d bytes", len(data))
-		}
-		data[bit/8] ^= byte(1 << (bit % 8))
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Get(addr); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("bit %d: Get = %v, want ErrCorrupt", bit, err)
-		}
-		if s.Quarantined() != 1 {
-			t.Errorf("bit %d: quarantined = %d", bit, s.Quarantined())
-		}
-		if _, err := os.Stat(filepath.Join(dir, quarantineDir, string(addr))); err != nil {
-			t.Errorf("bit %d: corrupt file not moved to quarantine: %v", bit, err)
-		}
-	}
-}
-
-// TestFileStoreDetectsTruncation: a torn write (file cut short at any
-// point) is rejected as corrupt.
-func TestFileStoreDetectsTruncation(t *testing.T) {
-	s, err := NewFileStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr, path := writeOPR(t, s)
-	full, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for n := 0; n < len(full); n += 3 {
-		if err := os.WriteFile(path, full[:n], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Get(addr); err == nil {
-			t.Fatalf("truncation to %d bytes accepted", n)
-		}
-		// Restore the file (Get may have quarantined it).
-		os.MkdirAll(filepath.Dir(path), 0o755)
-		if err := os.WriteFile(path, full, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestFileStoreRecoveryQuarantines: reopening a store over a directory
-// with corrupt and torn records quarantines them, keeps the good ones,
-// and never fails the open.
-func TestFileStoreRecoveryQuarantines(t *testing.T) {
-	dir := t.TempDir()
-	s1, err := NewFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	goodAddr, _ := writeOPR(t, s1)
-	_, badPath := writeOPR(t, s1)
-	// Corrupt the second record and plant an orphan temp file (a Put
-	// that died before its rename).
-	data, _ := os.ReadFile(badPath)
-	data[len(data)/2] ^= 0x40
-	if err := os.WriteFile(badPath, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	orphan := filepath.Join(dir, "opr-99-1-1.opr.tmp")
-	if err := os.WriteFile(orphan, []byte("half a record"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, err := NewFileStore(dir)
-	if err != nil {
-		t.Fatalf("recovery failed the open: %v", err)
-	}
-	if s2.Quarantined() != 1 {
-		t.Errorf("quarantined = %d, want 1", s2.Quarantined())
-	}
-	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
-		t.Error("orphan temp file survived recovery")
-	}
-	if _, err := s2.Get(goodAddr); err != nil {
-		t.Errorf("good record lost in recovery: %v", err)
-	}
-	list, _ := s2.List()
-	if len(list) != 1 || list[0] != goodAddr {
-		t.Errorf("List after recovery = %v", list)
-	}
-}
-
-// TestFileStoreReopenDoesNotReuseAddresses: the sequence counter picks
-// up past the highest existing record, so a reopened store can't
-// overwrite an old OPR with a new one.
-func TestFileStoreReopenDoesNotReuseAddresses(t *testing.T) {
-	dir := t.TempDir()
-	s1, _ := NewFileStore(dir)
-	a1, _ := writeOPR(t, s1)
-	s2, _ := NewFileStore(dir)
-	a2, _ := writeOPR(t, s2)
-	if a1 == a2 {
-		t.Fatalf("reopened store reused address %q", a1)
-	}
-	if _, err := s2.Get(a1); err != nil {
-		t.Errorf("original record gone after reopen+Put: %v", err)
-	}
-}
-
-// TestFileStoreReadsLegacyRecords: records written before the
-// checksummed frame (bare OPR encodings) still decode.
-func TestFileStoreReadsLegacyRecords(t *testing.T) {
-	dir := t.TempDir()
-	legacy := OPR{LOID: loid.NewNoKey(256, 3), Impl: "counter", State: []byte("old"), Saved: time.Unix(5, 0)}
-	if err := os.WriteFile(filepath.Join(dir, "opr-1-256-3.opr"), legacy.Marshal(nil), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Quarantined() != 0 {
-		t.Fatalf("legacy record quarantined")
-	}
-	got, err := s.Get("opr-1-256-3.opr")
-	if err != nil || got.Impl != "counter" || string(got.State) != "old" {
-		t.Errorf("legacy Get = %+v, %v", got, err)
 	}
 }

@@ -27,6 +27,12 @@ var ErrNotFound = errors.New("persist: no such persistent representation")
 // quarantined, never silently activated.
 var ErrCorrupt = errors.New("persist: corrupt persistent representation")
 
+// ErrFileLayout reports a directory written in the retired
+// one-file-per-OPR layout (opr-N-C-S.opr). The segment store cannot
+// read it, and opening it empty would orphan every record a restored
+// Magistrate points at.
+var ErrFileLayout = errors.New("persist: directory holds the retired one-file-per-OPR layout, which the segment store does not read")
+
 // ErrClosed reports a write to a store that has been closed.
 var ErrClosed = errors.New("persist: store closed")
 
@@ -116,15 +122,57 @@ func Unmarshal(src []byte) (OPR, error) {
 // Store is a Jurisdiction's aggregate persistent storage (§2.2). All of
 // a Jurisdiction's hosts can reach its Store directly (§3.1: "all of a
 // Jurisdiction's persistent storage space must be visible from each of
-// its hosts").
+// its hosts"). Checkpoint writes and recovery reads go through this one
+// contract; the conformance suite holds every backend to it.
 type Store interface {
 	// Put writes an OPR and returns its persistent address.
 	Put(o OPR) (PersistentAddress, error)
-	// Get reads the OPR at addr.
+	// PutBatch writes several OPRs with one durability round-trip (one
+	// group commit on the segment backend). Addresses are returned in
+	// input order.
+	PutBatch(oprs []OPR) ([]PersistentAddress, error)
+	// Get reads the OPR at addr. A record that fails validation is
+	// reported as ErrCorrupt, never returned.
 	Get(addr PersistentAddress) (OPR, error)
 	// Delete removes the OPR at addr; deleting a missing address is an
 	// error (ErrNotFound).
 	Delete(addr PersistentAddress) error
 	// List enumerates every persistent address in the store.
 	List() ([]PersistentAddress, error)
+	// ExportSnapshot serialises the OPRs at addrs into one
+	// self-validating stream (EncodeSnapshot): the unit of bulk adoption.
+	ExportSnapshot(addrs []PersistentAddress) ([]byte, error)
+	// Stats is a point-in-time view of the store for the observability
+	// plane.
+	Stats() StoreStats
+	// Close fences writers: Put, PutBatch and Delete return ErrClosed
+	// from then on, while reads keep working. Closing twice is harmless.
+	Close() error
+}
+
+// StoreStats is a point-in-time view of a backend's internals.
+type StoreStats struct {
+	Backend     string
+	Records     int    // live records (current OPRs)
+	Segments    int    // segment files (segment backend; 0 otherwise)
+	Quarantined int    // corrupt records moved aside over this store's lifetime
+	GCSegments  int    // segments reclaimed by compaction
+	GCRecords   int    // dead records dropped by compaction
+	GroupCommit uint64 // fsync batches issued (segment backend)
+}
+
+// Backends lists the names Open accepts. The conformance suite iterates
+// it, so both backends are held to one contract.
+func Backends() []string { return []string{"mem", "segment"} }
+
+// Open builds a Store by backend name: "mem" (dir and opts unused) or
+// "segment", a segment log rooted at dir.
+func Open(backend, dir string, opts SegmentOptions) (Store, error) {
+	switch backend {
+	case "mem":
+		return NewMemStore(), nil
+	case "segment":
+		return NewSegmentStore(dir, opts)
+	}
+	return nil, fmt.Errorf("persist: unknown store backend %q (have %v)", backend, Backends())
 }

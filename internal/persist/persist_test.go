@@ -101,14 +101,6 @@ func TestMemStore(t *testing.T) {
 	testStore(t, NewMemStore())
 }
 
-func TestFileStore(t *testing.T) {
-	s, err := NewFileStore(t.TempDir() + "/vault")
-	if err != nil {
-		t.Fatal(err)
-	}
-	testStore(t, s)
-}
-
 func TestMemStoreIsolatesState(t *testing.T) {
 	s := NewMemStore()
 	o := sampleOPR()
@@ -122,27 +114,6 @@ func TestMemStoreIsolatesState(t *testing.T) {
 	again, _ := s.Get(addr)
 	if again.State[0] == 'Y' {
 		t.Error("store shares state buffer with reader")
-	}
-}
-
-func TestFileStorePersistsAcrossReopen(t *testing.T) {
-	dir := t.TempDir() + "/vault"
-	s1, _ := NewFileStore(dir)
-	addr, err := s1.Put(sampleOPR())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, _ := NewFileStore(dir)
-	got, err := s2.Get(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Impl != "echo-v1" {
-		t.Errorf("reopened Get = %+v", got)
-	}
-	list, _ := s2.List()
-	if len(list) != 1 || list[0] != addr {
-		t.Errorf("reopened List = %v", list)
 	}
 }
 

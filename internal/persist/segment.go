@@ -27,16 +27,16 @@ import (
 // from 0) — it detects dropped or reordered records that are
 // individually intact.
 const (
-	segRecMagic    = "LSR1"
-	segRecHdrLen   = 4 + 1 + 2 + 4 + 4 + 4
-	segKindPut     = byte(1)
-	segKindDelete  = byte(2)
-	maxSegAddrLen  = 4096
-	maxSegPayload  = maxStateLen + maxImplLen + 64
-	segFileMagic   = "LSEGV01\n"
-	snapshotMagic  = "LSNAPV1\n"
-	segFilePrefix  = "seg-"
-	segFileExt     = ".seg"
+	segRecMagic   = "LSR1"
+	segRecHdrLen  = 4 + 1 + 2 + 4 + 4 + 4
+	segKindPut    = byte(1)
+	segKindDelete = byte(2)
+	maxSegAddrLen = 4096
+	maxSegPayload = maxStateLen + maxImplLen + 64
+	segFileMagic  = "LSEGV01\n"
+	snapshotMagic = "LSNAPV1\n"
+	segFilePrefix = "seg-"
+	segFileExt    = ".seg"
 )
 
 var (
@@ -252,16 +252,9 @@ func DecodeOPRBatch(b []byte) ([]OPR, error) {
 	return out, nil
 }
 
-// SnapshotExporter is implemented by stores that can serialise a set of
-// OPRs into a single shippable stream. All built-in backends implement
-// it; the Magistrate uses it for bulk adoption after a host failure.
-type SnapshotExporter interface {
-	ExportSnapshot(addrs []PersistentAddress) ([]byte, error)
-}
-
-// exportSnapshot is the shared SnapshotExporter implementation: read
-// each OPR through the store's own Get (so per-backend validation and
-// quarantine applies) and encode the stream.
+// exportSnapshot is the shared Store.ExportSnapshot: read each OPR
+// through the store's own Get (so per-backend validation applies) and
+// encode the stream.
 func exportSnapshot(s Store, addrs []PersistentAddress) ([]byte, error) {
 	oprs := make([]OPR, 0, len(addrs))
 	kept := make([]PersistentAddress, 0, len(addrs))
@@ -274,53 +267,4 @@ func exportSnapshot(s Store, addrs []PersistentAddress) ([]byte, error) {
 		oprs = append(oprs, o)
 	}
 	return EncodeSnapshot(kept, oprs)
-}
-
-// ExportSnapshot implements SnapshotExporter.
-func (s *MemStore) ExportSnapshot(addrs []PersistentAddress) ([]byte, error) {
-	return exportSnapshot(s, addrs)
-}
-
-// ExportSnapshot implements SnapshotExporter.
-func (s *FileStore) ExportSnapshot(addrs []PersistentAddress) ([]byte, error) {
-	return exportSnapshot(s, addrs)
-}
-
-// BatchPutter is an optional Store capability: persist several OPRs
-// with one durability round-trip (one group commit for the segment
-// backend). Addresses are returned in input order.
-type BatchPutter interface {
-	PutBatch(oprs []OPR) ([]PersistentAddress, error)
-}
-
-// StoreStats is a point-in-time view of a backend's internals for the
-// observability plane.
-type StoreStats struct {
-	Backend     string
-	Records     int // live records (current OPRs)
-	Segments    int // segment files (segment backend; 0 otherwise)
-	Quarantined int // corrupt records moved aside over this store's lifetime
-	GCSegments  int // segments reclaimed by compaction
-	GCRecords   int // dead records dropped by compaction
-	GroupCommit uint64 // fsync batches issued (segment backend)
-}
-
-// StatsProvider is an optional Store capability.
-type StatsProvider interface {
-	Stats() StoreStats
-}
-
-// Stats implements StatsProvider.
-func (s *MemStore) Stats() StoreStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return StoreStats{Backend: "mem", Records: len(s.objs)}
-}
-
-// Stats implements StatsProvider.
-func (s *FileStore) Stats() StoreStats {
-	addrs, _ := s.List()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return StoreStats{Backend: "file", Records: len(addrs), Quarantined: s.quarantined}
 }

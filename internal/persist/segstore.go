@@ -15,13 +15,11 @@ import (
 )
 
 // SegmentStore is the log-structured Store: every Put and Delete is one
-// CRC-chained record appended to the active segment file, made durable
-// by a group commit (one fsync covers every record appended while the
-// previous fsync was in flight), and reclaimed by background compaction
-// that rewrites a mostly-dead segment's live records into the active
-// segment and deletes the file. This is the backend ROADMAP calls for
-// at millions-of-objects checkpoint churn: FileStore pays an fsync per
-// OPR; SegmentStore pays one per batch.
+// CRC-chained record appended to the active segment file and made
+// durable by a group commit (one fsync covers every record appended
+// while the previous fsync was in flight). CompactNow reclaims space by
+// rewriting a mostly-dead segment's live records into the active
+// segment and deleting the file.
 //
 // Crash consistency contract (exercised by the E21 fault matrix):
 //   - A Put/PutBatch/Delete that returned nil was group-committed; it
@@ -55,12 +53,11 @@ type SegmentStore struct {
 	// Group-commit state. appended/committed are epoch counters: each
 	// record (or batch) gets the epoch assigned at append time; a writer
 	// returns once committed >= its epoch.
-	appended     uint64
-	committed    uint64
-	syncing      bool
-	pendingRecs  int
-	pendingBytes int
-	werr         error // sticky write failure
+	appended    uint64
+	committed   uint64
+	syncing     bool
+	pendingRecs int
+	werr        error // sticky write failure
 
 	quarantined  int
 	gcSegments   int
@@ -69,9 +66,6 @@ type SegmentStore struct {
 	groupCommits uint64
 
 	compactMu sync.Mutex
-	stop      chan struct{}
-	stopOnce  sync.Once
-	wg        sync.WaitGroup
 }
 
 // segLoc places a live record inside a segment file.
@@ -98,44 +92,27 @@ type SegmentOptions struct {
 	// VFS routes all file I/O; defaults to OS. Tests substitute a
 	// FaultVFS here.
 	VFS VFS
-	// GroupDelay optionally makes a commit leader wait this long for
-	// stragglers before fsyncing (when pending bytes are still below
-	// GroupBytes). 0 = sync immediately; batching then comes from sync
-	// absorption — writers that arrive during an in-flight fsync share
-	// the next one.
-	GroupDelay time.Duration
-	// GroupBytes short-circuits GroupDelay once this many bytes are
-	// pending. Default 256 KiB.
-	GroupBytes int
 	// TargetSegmentBytes rolls the active segment once it exceeds this
 	// size. Default 8 MiB.
 	TargetSegmentBytes int64
-	// CompactRatio is the dead-record fraction above which a sealed
-	// segment is compacted. Default 0.5.
-	CompactRatio float64
-	// CompactEvery runs background compaction at this period; 0
-	// disables the loop (CompactNow still works).
-	CompactEvery time.Duration
-	// NoSync skips fsync entirely (benchmark baseline only — the
-	// durability contract is void).
-	NoSync bool
 	// Metrics, when set, receives persist/group_commit, persist/gc/*,
 	// persist/segments and persist/quarantined_records counters.
 	Metrics *metrics.Registry
 }
 
+// compactRatio is the dead-record fraction above which CompactNow
+// rewrites a sealed segment.
+const compactRatio = 0.5
+
+// quarantineDir is the subdirectory damaged byte ranges are copied to.
+const quarantineDir = "quarantine"
+
 func (o *SegmentOptions) defaults() {
 	if o.VFS == nil {
 		o.VFS = OS{}
 	}
-	if o.GroupBytes <= 0 {
-		o.GroupBytes = 256 << 10
-	}
 	if o.TargetSegmentBytes <= 0 {
 		o.TargetSegmentBytes = 8 << 20
-	}
-	if o.CompactRatio <= 0 {
-		o.CompactRatio = 0.5
 	}
 }
 
@@ -150,7 +127,6 @@ func NewSegmentStore(dir string, opts SegmentOptions) (*SegmentStore, error) {
 		index:    make(map[PersistentAddress]segLoc),
 		segments: make(map[uint64]*segmentInfo),
 		now:      time.Now,
-		stop:     make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	if err := s.vfs.MkdirAll(dir, 0o755); err != nil {
@@ -160,26 +136,17 @@ func NewSegmentStore(dir string, opts SegmentOptions) (*SegmentStore, error) {
 		return nil, err
 	}
 	s.publishGauges()
-	if opts.CompactEvery > 0 {
-		s.wg.Add(1)
-		go s.compactLoop()
-	}
 	return s, nil
 }
 
-// Dir returns the backing directory.
-func (s *SegmentStore) Dir() string { return s.dir }
-
-// Close stops the compaction loop and closes the active segment. It
-// fences writers with the store's sticky write error: Put, PutBatch,
-// Delete and CompactNow return ErrClosed from then on, and a writer
-// caught between its append and its group commit gets ErrClosed, not
-// an acknowledgement. Reads of committed records keep working.
+// Close implements Store: it closes the active segment and fences
+// writers with the store's sticky write error. Put, PutBatch, Delete
+// and CompactNow return ErrClosed from then on, and a writer caught
+// between its append and its group commit gets ErrClosed, not an
+// acknowledgement. Reads of committed records keep working.
 func (s *SegmentStore) Close() error {
-	s.compactMu.Lock() // wait out an in-flight compaction
-	s.stopOnce.Do(func() { close(s.stop) })
+	s.compactMu.Lock() // wait out an in-flight CompactNow
 	s.compactMu.Unlock()
-	s.wg.Wait()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.failLocked(ErrClosed)
@@ -210,6 +177,24 @@ func parseSegName(name string) (uint64, bool) {
 	return n, true
 }
 
+// parseSeq extracts the N of "opr-N-..." so a reopened store never
+// reuses (and silently overwrites) an existing address.
+func parseSeq(name string) (uint64, bool) {
+	rest, ok := strings.CutPrefix(name, "opr-")
+	if !ok {
+		return 0, false
+	}
+	num, _, ok := strings.Cut(rest, "-")
+	if !ok {
+		return 0, false
+	}
+	seq, err := strconv.ParseUint(num, 10, 64)
+	if err != nil {
+		return 0, false
+	}
+	return seq, true
+}
+
 // ---- recovery ----
 
 // recoverAll scans every segment in ascending order, rebuilding the
@@ -222,13 +207,19 @@ func (s *SegmentStore) recoverAll() error {
 		return fmt.Errorf("persist: %w", err)
 	}
 	var segs []uint64
+	legacy := 0
 	for _, e := range entries {
 		if e.IsDir() {
 			continue
 		}
 		if n, ok := parseSegName(e.Name()); ok {
 			segs = append(segs, n)
+		} else if strings.HasSuffix(e.Name(), ".opr") {
+			legacy++
 		}
+	}
+	if len(segs) == 0 && legacy > 0 {
+		return fmt.Errorf("%w: %s holds %d *.opr files", ErrFileLayout, s.dir, legacy)
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
 
@@ -406,15 +397,13 @@ func (s *SegmentStore) openActiveLocked(n uint64) error {
 		f.Close()
 		return fmt.Errorf("persist: %w", err)
 	}
-	if !s.opts.NoSync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return fmt.Errorf("persist: %w", err)
-		}
-		if err := s.vfs.SyncDir(s.dir); err != nil {
-			f.Close()
-			return fmt.Errorf("persist: %w", err)
-		}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return fmt.Errorf("persist: %w", err)
+	}
+	if err := s.vfs.SyncDir(s.dir); err != nil {
+		f.Close()
+		return fmt.Errorf("persist: %w", err)
 	}
 	s.active = f
 	s.activeSeg = n
@@ -437,7 +426,7 @@ func (s *SegmentStore) Put(o OPR) (PersistentAddress, error) {
 	return addrs[0], nil
 }
 
-// PutBatch implements BatchPutter: all records are appended under one
+// PutBatch implements Store: all records are appended under one
 // lock hold and share a single commit epoch, so the whole batch costs
 // one fsync (at most — sync absorption can fold several batches into
 // one).
@@ -530,7 +519,6 @@ func (s *SegmentStore) appendLocked(b []byte) error {
 		return s.werr
 	}
 	s.activeSize += int64(len(b))
-	s.pendingBytes += len(b)
 	if info := s.segments[s.activeSeg]; info != nil {
 		info.records++
 		info.bytes = s.activeSize
@@ -555,34 +543,22 @@ func (s *SegmentStore) failLocked(err error) {
 // or the store has failed. Called with s.mu held; returns with it held.
 //
 // The first waiter that finds no fsync in flight becomes the leader: it
-// captures the current append epoch, releases the lock, optionally
-// lingers (GroupDelay) to let stragglers pile on, fsyncs once, and
-// advances committed past everything the fsync covered. Writers that
-// arrived during the fsync find syncing==true and wait — they form the
-// next batch. This is sync absorption: the slower the disk, the bigger
-// the batches get, and throughput stays ~constant instead of collapsing
-// to one record per fsync.
+// captures the current append epoch, releases the lock, fsyncs once,
+// and advances committed past everything the fsync covered. Writers
+// that arrived during the fsync find syncing==true and wait — they form
+// the next batch. This is sync absorption: the slower the disk, the
+// bigger the batches get, and throughput stays ~constant instead of
+// collapsing to one record per fsync.
 func (s *SegmentStore) commitWaitLocked(epoch uint64) error {
-	if s.opts.NoSync {
-		s.committed = s.appended
-		s.pendingRecs = 0
-		return s.werr
-	}
 	for s.committed < epoch && s.werr == nil {
 		if s.syncing {
 			s.cond.Wait()
 			continue
 		}
 		s.syncing = true
-		if s.opts.GroupDelay > 0 && s.pendingBytes < s.opts.GroupBytes {
-			s.mu.Unlock()
-			time.Sleep(s.opts.GroupDelay)
-			s.mu.Lock()
-		}
 		target := s.appended
 		recs := s.pendingRecs
 		s.pendingRecs = 0
-		s.pendingBytes = 0
 		f := s.active
 		s.mu.Unlock()
 		err := f.Sync()
@@ -670,29 +646,15 @@ func (s *SegmentStore) List() ([]PersistentAddress, error) {
 	return out, nil
 }
 
-// ExportSnapshot implements SnapshotExporter.
+// ExportSnapshot implements Store.
 func (s *SegmentStore) ExportSnapshot(addrs []PersistentAddress) ([]byte, error) {
 	return exportSnapshot(s, addrs)
 }
 
 // ---- compaction ----
 
-func (s *SegmentStore) compactLoop() {
-	defer s.wg.Done()
-	t := time.NewTicker(s.opts.CompactEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-t.C:
-			s.CompactNow()
-		}
-	}
-}
-
 // CompactNow scans sealed segments and rewrites any whose dead fraction
-// exceeds CompactRatio: live records are re-appended (same address) to
+// exceeds compactRatio: live records are re-appended (same address) to
 // the active segment, still-needed tombstones are carried forward, the
 // batch is group-committed, and only then is the old file deleted — a
 // crash at any point leaves either the old segment, or the old segment
@@ -735,7 +697,7 @@ func (s *SegmentStore) pickCompactionVictim() (uint64, bool) {
 			continue
 		}
 		dead := info.records - live[n]
-		if float64(dead)/float64(info.records) <= s.opts.CompactRatio {
+		if float64(dead)/float64(info.records) <= compactRatio {
 			continue
 		}
 		if !found || n < best {
@@ -855,9 +817,6 @@ func (s *SegmentStore) compactSegment(seg uint64) error {
 	if err := s.vfs.Remove(segPath(s.dir, seg)); err != nil {
 		return fmt.Errorf("persist: removing compacted segment: %w", err)
 	}
-	if s.opts.NoSync {
-		return nil
-	}
 	return s.vfs.SyncDir(s.dir)
 }
 
@@ -877,7 +836,7 @@ func (s *SegmentStore) Quarantined() int {
 	return s.quarantined
 }
 
-// Stats implements StatsProvider.
+// Stats implements Store.
 func (s *SegmentStore) Stats() StoreStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()

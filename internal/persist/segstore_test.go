@@ -7,8 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/loid"
 )
@@ -71,6 +71,38 @@ func TestSegmentStoreReopen(t *testing.T) {
 		if na == a {
 			t.Fatalf("reopened store re-minted address %q", na)
 		}
+	}
+}
+
+// TestSegmentRejectsFileLayout: a directory of one-file-per-OPR records
+// and no segments fails the open with ErrFileLayout, rather than
+// opening empty beside records it cannot read. A stray .opr next to
+// real segments does not.
+func TestSegmentRejectsFileLayout(t *testing.T) {
+	dir := t.TempDir()
+	legacy := filepath.Join(dir, "opr-1-256-1.opr")
+	if err := os.WriteFile(legacy, []byte("legacy"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := NewSegmentStore(dir, SegmentOptions{}); !errors.Is(err, ErrFileLayout) {
+		if s != nil {
+			s.Close()
+		}
+		t.Fatalf("open over *.opr files: err = %v, want ErrFileLayout", err)
+	}
+
+	mixed := t.TempDir()
+	s := newSegStore(t, mixed, SegmentOptions{})
+	if _, err := s.Put(segOPR(0)); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	if err := os.WriteFile(filepath.Join(mixed, "opr-1-256-1.opr"), []byte("legacy"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r := newSegStore(t, mixed, SegmentOptions{})
+	if n := r.Stats().Records; n != 1 {
+		t.Fatalf("reopened segment store has %d records, want 1", n)
 	}
 }
 
@@ -387,37 +419,72 @@ func TestSegmentShortRead(t *testing.T) {
 }
 
 // TestSegmentGroupCommitBatches: concurrent writers must share fsyncs —
-// the whole point of the log. With 64 writers racing, the commit count
-// must come in well under one per record.
+// the whole point of the log. The first commit's fsync is held until
+// every writer has appended, so sync absorption is deterministic: the
+// leader commits its own record, and the next leader's one fsync covers
+// all the others.
 func TestSegmentGroupCommitBatches(t *testing.T) {
-	dir := t.TempDir()
-	// A linger window makes batching deterministic: on tmpfs (or under
-	// the race detector's serialization) fsync returns so fast that
-	// pure sync absorption can degenerate to one commit per record.
-	s := newSegStore(t, dir, SegmentOptions{GroupDelay: 2 * time.Millisecond})
-	const writers, per = 16, 8
+	const writers = 16
+	vfs := &holdFirstSyncVFS{VFS: OS{}, want: writers, appended: make(chan struct{})}
+	s := newSegStore(t, t.TempDir(), SegmentOptions{VFS: vfs})
+	vfs.armed.Store(true)
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < per; i++ {
-				if _, err := s.Put(segOPR(w*per + i)); err != nil {
-					t.Error(err)
-					return
-				}
+			if _, err := s.Put(segOPR(w)); err != nil {
+				t.Error(err)
 			}
 		}(w)
 	}
 	wg.Wait()
 	st := s.Stats()
-	if st.Records != writers*per {
-		t.Fatalf("records = %d, want %d", st.Records, writers*per)
+	if st.Records != writers {
+		t.Fatalf("records = %d, want %d", st.Records, writers)
 	}
-	if st.GroupCommit >= writers*per {
-		t.Errorf("group commit absorbed nothing: %d commits for %d records", st.GroupCommit, writers*per)
+	if st.GroupCommit != 2 {
+		t.Errorf("%d records took %d group commits, want 2 (the held one, then one for the rest)", writers, st.GroupCommit)
 	}
-	t.Logf("%d records in %d group commits", writers*per, st.GroupCommit)
+}
+
+// holdFirstSyncVFS parks the first fsync issued after it is armed until
+// want records have been appended.
+type holdFirstSyncVFS struct {
+	VFS
+	want     int64
+	armed    atomic.Bool
+	held     atomic.Bool
+	writes   atomic.Int64
+	appended chan struct{}
+}
+
+func (v *holdFirstSyncVFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
+	f, err := v.VFS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return &holdSyncFile{File: f, v: v}, nil
+}
+
+type holdSyncFile struct {
+	File
+	v *holdFirstSyncVFS
+}
+
+func (f *holdSyncFile) Write(p []byte) (int, error) {
+	n, err := f.File.Write(p)
+	if f.v.armed.Load() && f.v.writes.Add(1) == f.v.want {
+		close(f.v.appended)
+	}
+	return n, err
+}
+
+func (f *holdSyncFile) Sync() error {
+	if f.v.armed.Load() && f.v.held.CompareAndSwap(false, true) {
+		<-f.v.appended
+	}
+	return f.File.Sync()
 }
 
 // TestSegmentPutBatch: one batch, one epoch, addresses in order.
@@ -442,55 +509,6 @@ func TestSegmentPutBatch(t *testing.T) {
 		}
 	}
 }
-
-// TestFileStoreDirSyncOnPut is the satellite-1 regression test: the
-// rename path must fsync the parent directory even WITHOUT WithSync —
-// otherwise a crash can un-happen an acknowledged Put.
-func TestFileStoreDirSyncOnPut(t *testing.T) {
-	rec := &recordingVFS{VFS: OS{}}
-	s, err := NewFileStore(t.TempDir()+"/vault", WithVFS(rec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Put(sampleOPR()); err != nil {
-		t.Fatal(err)
-	}
-	if rec.dirSyncs.Load() == 0 {
-		t.Fatal("Put without WithSync never fsynced the directory — the rename is not durable")
-	}
-}
-
-// TestFileStoreDirSyncErrorFailsPut: if the directory fsync fails the
-// Put must report it, not acknowledge a record that may evaporate.
-func TestFileStoreDirSyncErrorFailsPut(t *testing.T) {
-	vfs := NewFaultVFS(FaultPlan{FailSyncAt: 1})
-	s, err := NewFileStore(t.TempDir()+"/vault", WithVFS(vfs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Put(sampleOPR()); !errors.Is(err, ErrInjected) {
-		t.Fatalf("Put with failing dir fsync = %v, want injected error surfaced", err)
-	}
-}
-
-// recordingVFS counts SyncDir calls.
-type recordingVFS struct {
-	VFS
-	dirSyncs atomicCounter
-}
-
-func (r *recordingVFS) SyncDir(name string) error {
-	r.dirSyncs.Add(1)
-	return r.VFS.SyncDir(name)
-}
-
-type atomicCounter struct {
-	mu sync.Mutex
-	n  int
-}
-
-func (c *atomicCounter) Add(d int) { c.mu.Lock(); c.n += d; c.mu.Unlock() }
-func (c *atomicCounter) Load() int { c.mu.Lock(); defer c.mu.Unlock(); return c.n }
 
 // FuzzSegmentRecord mirrors FuzzParseFrame for the segment record
 // decoder: arbitrary corruption or truncation must yield an error or a

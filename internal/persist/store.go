@@ -1,14 +1,8 @@
 package persist
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"os"
-	"path/filepath"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 )
@@ -16,10 +10,11 @@ import (
 // MemStore is an in-memory Store, used by single-process deployments
 // and the simulator.
 type MemStore struct {
-	mu   sync.Mutex
-	next uint64
-	objs map[PersistentAddress]OPR
-	now  func() time.Time
+	mu     sync.Mutex
+	next   uint64
+	objs   map[PersistentAddress]OPR
+	now    func() time.Time
+	closed bool
 }
 
 // NewMemStore builds an empty in-memory store.
@@ -31,6 +26,28 @@ func NewMemStore() *MemStore {
 func (s *MemStore) Put(o OPR) (PersistentAddress, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return "", ErrClosed
+	}
+	return s.putLocked(o), nil
+}
+
+// PutBatch implements Store. Memory has no durability round-trip to
+// share, so it is Put in a loop under one lock hold.
+func (s *MemStore) PutBatch(oprs []OPR) ([]PersistentAddress, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil, ErrClosed
+	}
+	addrs := make([]PersistentAddress, len(oprs))
+	for i, o := range oprs {
+		addrs[i] = s.putLocked(o)
+	}
+	return addrs, nil
+}
+
+func (s *MemStore) putLocked(o OPR) PersistentAddress {
 	if o.Saved.IsZero() {
 		o.Saved = s.now()
 	}
@@ -39,7 +56,7 @@ func (s *MemStore) Put(o OPR) (PersistentAddress, error) {
 	// Copy state so later caller mutation can't corrupt the store.
 	o.State = append([]byte(nil), o.State...)
 	s.objs[addr] = o
-	return addr, nil
+	return addr
 }
 
 // Get implements Store.
@@ -58,6 +75,9 @@ func (s *MemStore) Get(addr PersistentAddress) (OPR, error) {
 func (s *MemStore) Delete(addr PersistentAddress) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return ErrClosed
+	}
 	if _, ok := s.objs[addr]; !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, addr)
 	}
@@ -77,280 +97,29 @@ func (s *MemStore) List() ([]PersistentAddress, error) {
 	return out, nil
 }
 
+// ExportSnapshot implements Store.
+func (s *MemStore) ExportSnapshot(addrs []PersistentAddress) ([]byte, error) {
+	return exportSnapshot(s, addrs)
+}
+
+// Stats implements Store.
+func (s *MemStore) Stats() StoreStats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return StoreStats{Backend: "mem", Records: len(s.objs)}
+}
+
+// Close implements Store.
+func (s *MemStore) Close() error {
+	s.mu.Lock()
+	s.closed = true
+	s.mu.Unlock()
+	return nil
+}
+
 // Len returns the number of stored OPRs.
 func (s *MemStore) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.objs)
-}
-
-// FileStore is a Store backed by a directory: each OPR is one file, and
-// the Object Persistent Address is the file name — exactly the paper's
-// "an Object Persistent Address will typically be a file name". Records
-// are framed with a magic number and a CRC32 so a torn or bit-rotted
-// file is detected rather than activated; writes go through a temp
-// file + rename so a crash mid-Put leaves either the old record or
-// none, never a half-written one.
-type FileStore struct {
-	dir  string
-	sync bool
-	vfs  VFS
-
-	mu          sync.Mutex
-	next        uint64
-	quarantined int
-}
-
-// FileOption configures a FileStore.
-type FileOption func(*FileStore)
-
-// WithSync makes every Put fsync the record file before returning.
-// Slower, but a power failure cannot lose an acknowledged checkpoint.
-// (The parent directory is fsynced after the rename regardless of this
-// option — an acknowledged Put must never evaporate because the
-// directory entry was still in the page cache.)
-func WithSync() FileOption {
-	return func(s *FileStore) { s.sync = true }
-}
-
-// WithVFS routes the store's file I/O through v (tests inject faults or
-// record calls this way).
-func WithVFS(v VFS) FileOption {
-	return func(s *FileStore) { s.vfs = v }
-}
-
-const (
-	fileExt       = ".opr"
-	tmpExt        = ".tmp"
-	quarantineDir = "quarantine"
-)
-
-// recordMagic opens every framed OPR file: "OPR2" followed by the
-// IEEE CRC32 of the payload, then the OPR encoding itself. Files
-// without the magic are read as legacy unframed encodings.
-var recordMagic = []byte("OPR2")
-
-const recordHeaderLen = 4 + 4 // magic + crc32
-
-// frameRecord wraps a marshalled OPR payload in the checksummed frame.
-func frameRecord(payload []byte) []byte {
-	out := make([]byte, 0, recordHeaderLen+len(payload))
-	out = append(out, recordMagic...)
-	out = binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
-	return append(out, payload...)
-}
-
-// decodeRecord validates and decodes one OPR file's bytes.
-func decodeRecord(data []byte) (OPR, error) {
-	if len(data) >= recordHeaderLen && string(data[:4]) == string(recordMagic) {
-		payload := data[recordHeaderLen:]
-		want := binary.BigEndian.Uint32(data[4:8])
-		if crc32.ChecksumIEEE(payload) != want {
-			return OPR{}, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
-		}
-		o, err := Unmarshal(payload)
-		if err != nil {
-			return OPR{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-		return o, nil
-	}
-	// Legacy unframed record (pre-checksum format).
-	o, err := Unmarshal(data)
-	if err != nil {
-		return OPR{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return o, nil
-}
-
-// NewFileStore creates (if needed) and opens a directory-backed store,
-// then recovers it: orphaned temp files from interrupted writes are
-// removed, and any OPR that fails validation is moved into a
-// quarantine/ subdirectory (and counted) instead of failing the
-// Jurisdiction — one rotten record must not take the store down.
-func NewFileStore(dir string, opts ...FileOption) (*FileStore, error) {
-	s := &FileStore{dir: dir, vfs: OS{}}
-	for _, opt := range opts {
-		opt(s)
-	}
-	if err := s.vfs.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("persist: %w", err)
-	}
-	if err := s.recover(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// recover scans the directory once at open.
-func (s *FileStore) recover() error {
-	entries, err := s.vfs.ReadDir(s.dir)
-	if err != nil {
-		return fmt.Errorf("persist: %w", err)
-	}
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		name := e.Name()
-		switch {
-		case strings.HasSuffix(name, tmpExt):
-			// A Put died between write and rename; the record was never
-			// acknowledged, so it is garbage.
-			s.vfs.Remove(filepath.Join(s.dir, name))
-		case strings.HasSuffix(name, fileExt):
-			if seq, ok := parseSeq(name); ok && seq > s.next {
-				s.next = seq
-			}
-			data, err := s.vfs.ReadFile(filepath.Join(s.dir, name))
-			if err != nil {
-				continue
-			}
-			if _, err := decodeRecord(data); err != nil {
-				s.quarantine(name)
-			}
-		}
-	}
-	return nil
-}
-
-// parseSeq extracts the N of "opr-N-..." so a reopened store never
-// reuses (and silently overwrites) an existing address.
-func parseSeq(name string) (uint64, bool) {
-	rest, ok := strings.CutPrefix(name, "opr-")
-	if !ok {
-		return 0, false
-	}
-	num, _, ok := strings.Cut(rest, "-")
-	if !ok {
-		return 0, false
-	}
-	seq, err := strconv.ParseUint(num, 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return seq, true
-}
-
-// quarantine moves a bad record aside. Best-effort: if the move fails
-// the file stays where it is and keeps failing loudly on Get.
-func (s *FileStore) quarantine(name string) {
-	qdir := filepath.Join(s.dir, quarantineDir)
-	if err := s.vfs.MkdirAll(qdir, 0o755); err != nil {
-		return
-	}
-	if err := s.vfs.Rename(filepath.Join(s.dir, name), filepath.Join(qdir, name)); err != nil {
-		return
-	}
-	s.mu.Lock()
-	s.quarantined++
-	s.mu.Unlock()
-}
-
-// Quarantined reports how many corrupt OPRs this store has moved to
-// quarantine (at open or on read).
-func (s *FileStore) Quarantined() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.quarantined
-}
-
-// Dir returns the backing directory.
-func (s *FileStore) Dir() string { return s.dir }
-
-// Put implements Store.
-func (s *FileStore) Put(o OPR) (PersistentAddress, error) {
-	if o.Saved.IsZero() {
-		o.Saved = time.Now()
-	}
-	s.mu.Lock()
-	s.next++
-	name := fmt.Sprintf("opr-%d-%d-%d%s", s.next, o.LOID.ClassID, o.LOID.ClassSpecific, fileExt)
-	s.mu.Unlock()
-	path := filepath.Join(s.dir, name)
-	tmp := path + tmpExt
-	if err := s.writeFile(tmp, frameRecord(o.Marshal(nil))); err != nil {
-		s.vfs.Remove(tmp)
-		return "", fmt.Errorf("persist: %w", err)
-	}
-	if err := s.vfs.Rename(tmp, path); err != nil {
-		s.vfs.Remove(tmp)
-		return "", fmt.Errorf("persist: %w", err)
-	}
-	// The rename is only durable once the directory entry is. This used
-	// to happen only under WithSync, which let a crash un-happen an
-	// acknowledged Put; the directory fsync is cheap (no data pages) and
-	// unconditional.
-	if err := s.vfs.SyncDir(s.dir); err != nil {
-		return "", fmt.Errorf("persist: dir sync: %w", err)
-	}
-	return PersistentAddress(name), nil
-}
-
-func (s *FileStore) writeFile(path string, data []byte) error {
-	f, err := s.vfs.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if s.sync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	return f.Close()
-}
-
-// Get implements Store. A record that fails validation is quarantined
-// on the spot and reported as ErrCorrupt.
-func (s *FileStore) Get(addr PersistentAddress) (OPR, error) {
-	name := string(addr)
-	if name != filepath.Base(name) {
-		return OPR{}, fmt.Errorf("%w: %s", ErrNotFound, addr)
-	}
-	data, err := s.vfs.ReadFile(filepath.Join(s.dir, name))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return OPR{}, fmt.Errorf("%w: %s", ErrNotFound, addr)
-		}
-		return OPR{}, fmt.Errorf("persist: %w", err)
-	}
-	o, err := decodeRecord(data)
-	if err != nil {
-		s.quarantine(name)
-		return OPR{}, fmt.Errorf("%s: %w", addr, err)
-	}
-	return o, nil
-}
-
-// Delete implements Store.
-func (s *FileStore) Delete(addr PersistentAddress) error {
-	name := string(addr)
-	if name != filepath.Base(name) {
-		return fmt.Errorf("%w: %s", ErrNotFound, addr)
-	}
-	err := s.vfs.Remove(filepath.Join(s.dir, name))
-	if os.IsNotExist(err) {
-		return fmt.Errorf("%w: %s", ErrNotFound, addr)
-	}
-	return err
-}
-
-// List implements Store.
-func (s *FileStore) List() ([]PersistentAddress, error) {
-	entries, err := s.vfs.ReadDir(s.dir)
-	if err != nil {
-		return nil, fmt.Errorf("persist: %w", err)
-	}
-	var out []PersistentAddress
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), fileExt) {
-			out = append(out, PersistentAddress(e.Name()))
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 )
@@ -85,6 +86,43 @@ func (OS) SyncDir(name string) error {
 		return serr
 	}
 	return cerr
+}
+
+// WriteFileAtomic replaces path with data so that a crash or power loss
+// leaves either the old file or the whole new one under that name: it
+// writes a temp file beside path, fsyncs and closes it, renames it into
+// place, and fsyncs the directory so the rename itself is durable. On
+// failure the temp file is removed and the error returned.
+func WriteFileAtomic(v VFS, path string, data []byte) error {
+	tmp := path + ".tmp"
+	if err := writeSynced(v, tmp, data); err != nil {
+		v.Remove(tmp)
+		return fmt.Errorf("persist: %w", err)
+	}
+	if err := v.Rename(tmp, path); err != nil {
+		v.Remove(tmp)
+		return fmt.Errorf("persist: %w", err)
+	}
+	if err := v.SyncDir(filepath.Dir(path)); err != nil {
+		return fmt.Errorf("persist: dir sync: %w", err)
+	}
+	return nil
+}
+
+func writeSynced(v VFS, path string, data []byte) error {
+	f, err := v.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // ErrInjected marks a fault the FaultVFS injected (as opposed to a real

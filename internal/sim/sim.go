@@ -134,9 +134,9 @@ type Config struct {
 	// DataDir, when set, makes the deployment durable (on-disk OPRs and
 	// a restorable system snapshot) — see core.Options.DataDir.
 	DataDir string
-	// StoreBackend selects the jurisdiction storage engine ("mem",
-	// "file", "segment"); see core.Options.StoreBackend. A disk backend
-	// with no DataDir gets a temporary directory, removed on Close.
+	// StoreBackend selects the jurisdiction storage engine ("mem" or
+	// "segment"); see core.Options.StoreBackend. "segment" with no
+	// DataDir gets a temporary DataDir, removed on Close.
 	StoreBackend string
 	// Obs, when true, builds the observability plane: per-method SLO
 	// histograms with trace exemplars, a flight recorder on every node,
@@ -226,15 +226,15 @@ func Build(cfg Config) (*Sim, error) {
 			SlowCall: cfg.SlowCall,
 		})
 	}
-	tmpData, vaultDir := "", ""
-	if cfg.StoreBackend != "" && cfg.StoreBackend != "mem" && cfg.DataDir == "" {
-		// A disk backend needs a root; a throwaway vault keeps the
-		// deployment otherwise non-durable (no snapshot semantics).
+	tmpData, dataDir := "", cfg.DataDir
+	if cfg.StoreBackend != "" && cfg.StoreBackend != "mem" && dataDir == "" {
+		// A disk backend needs a root. A fresh directory holds no
+		// snapshot, so the deployment still boots blank.
 		d, err := os.MkdirTemp("", "legion-sim-store-")
 		if err != nil {
 			return nil, fmt.Errorf("sim: store dir: %w", err)
 		}
-		tmpData, vaultDir = d, d
+		tmpData, dataDir = d, d
 	}
 	sys, err := core.Boot(core.Options{
 		Registry:             reg,
@@ -250,8 +250,7 @@ func Build(cfg Config) (*Sim, error) {
 		Tracer:               tracer,
 		CheckpointEvery:      cfg.CheckpointEvery,
 		LoadReportEvery:      cfg.LoadReportEvery,
-		DataDir:              cfg.DataDir,
-		VaultDir:             vaultDir,
+		DataDir:              dataDir,
 		StoreBackend:         cfg.StoreBackend,
 		Obs:                  plane,
 		Clock:                cfg.Clock,
