@@ -105,6 +105,6 @@ func main() {
 	}
 	user.Cache().InvalidateLOID(repLOID)
 	user.AddBinding(binding.Forever(repLOID, oa.Replicated(oa.SemAll, 0, elems...)))
-	user.MaxRefresh = 0
+	user.Retry.MaxAttempts = 1
 	try("all semantic, all dead")
 }

@@ -482,7 +482,7 @@ func TestDeleteInstance(t *testing.T) {
 		t.Error("GetBinding after Delete succeeded")
 	}
 	// Stale binding in the caller eventually fails too.
-	fx.caller.MaxRefresh = 0
+	fx.caller.Retry.MaxAttempts = 1
 	res, _ := fx.caller.Call(l, "Echo", []byte("x"))
 	if res.Code != wire.ErrNoSuchObject {
 		t.Errorf("call after delete: %v", res.Code)

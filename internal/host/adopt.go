@@ -42,15 +42,6 @@ func (h *Host) adoptObjects(inv *rt.Invocation) ([][]byte, error) {
 	reg := h.node.Registry()
 	span := h.node.Tracer().RootAlways("serve", "adopt", "host")
 	var started []loid.LOID
-	undo := func() {
-		for _, l := range started {
-			h.node.Kill(l)
-			h.node.Unpark(l)
-			h.mu.Lock()
-			delete(h.running, l.ID())
-			h.mu.Unlock()
-		}
-	}
 	adopted := 0
 	for _, o := range oprs {
 		l := o.LOID
@@ -58,31 +49,13 @@ func (h *Host) adoptObjects(inv *rt.Invocation) ([][]byte, error) {
 			adopted++ // already running here: idempotent
 			continue
 		}
-		impl, err := h.impls.New(o.Impl)
-		if err != nil {
-			undo()
+		if err := h.spawnResident(l, o.Impl, o.State); err != nil {
+			for _, s := range started {
+				h.evict(s)
+				h.node.Unpark(s)
+			}
 			return nil, fmt.Errorf("host %v: adopt %v: %w", h.self, l, err)
 		}
-		if len(o.State) > 0 {
-			if err := impl.RestoreState(o.State); err != nil {
-				undo()
-				return nil, fmt.Errorf("host %v: adopt restore %v: %w", h.self, l, err)
-			}
-		}
-		opts := []rt.SpawnOption{rt.WithLabel("obj/" + l.ID().String())}
-		if h.newRes != nil {
-			opts = append(opts, rt.WithCaller(rt.NewCaller(h.node, l, h.newRes(l))))
-		}
-		if h.impls.IsConcurrent(o.Impl) {
-			opts = append(opts, rt.WithConcurrency(ServiceConcurrency))
-		}
-		if _, err := h.node.Spawn(l, impl, opts...); err != nil {
-			undo()
-			return nil, fmt.Errorf("host %v: adopt spawn %v: %w", h.self, l, err)
-		}
-		h.mu.Lock()
-		h.running[l.ID()] = &resident{impl: o.Impl}
-		h.mu.Unlock()
 		started = append(started, l)
 		adopted++
 	}

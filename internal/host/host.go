@@ -252,14 +252,24 @@ func (h *Host) startObject(inv *rt.Invocation) ([][]byte, error) {
 		return nil, fmt.Errorf("host %v at capacity (%d objects)", h.self, h.cpuLimit)
 	}
 	h.mu.Unlock()
+	if err := h.spawnResident(l, implName, state); err != nil {
+		return nil, err
+	}
+	return [][]byte{wire.Address(h.Address())}, nil
+}
 
+// spawnResident builds an incarnation of implName for l, restores state
+// into it (empty state = fresh object), starts it on the host's node and
+// records it as a resident: the one way an object arrives here, by
+// StartObject or by AdoptObjects.
+func (h *Host) spawnResident(l loid.LOID, implName string, state []byte) error {
 	impl, err := h.impls.New(implName)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if len(state) > 0 {
 		if err := impl.RestoreState(state); err != nil {
-			return nil, fmt.Errorf("host %v: restore %v: %w", h.self, l, err)
+			return fmt.Errorf("host %v: restore %v: %w", h.self, l, err)
 		}
 	}
 	// Label by canonical ID (key fingerprint stripped) so per-object
@@ -273,12 +283,24 @@ func (h *Host) startObject(inv *rt.Invocation) ([][]byte, error) {
 		opts = append(opts, rt.WithConcurrency(ServiceConcurrency))
 	}
 	if _, err := h.node.Spawn(l, impl, opts...); err != nil {
-		return nil, err
+		return err
 	}
 	h.mu.Lock()
 	h.running[l.ID()] = &resident{impl: implName}
 	h.mu.Unlock()
-	return [][]byte{wire.Address(h.Address())}, nil
+	return nil
+}
+
+// evict kills l's incarnation and forgets it as a resident: the one way
+// an object leaves the host other than a crash (stop, kill, an undone
+// adoption, migrate-out). What becomes of calls parked at a migration
+// gate — bounced back to their callers by Unpark, or sent on by
+// ForwardParked — is the caller's choice.
+func (h *Host) evict(l loid.LOID) {
+	h.node.Kill(l)
+	h.mu.Lock()
+	delete(h.running, l.ID())
+	h.mu.Unlock()
 }
 
 // stopObject saves the object's state, removes it from the node, and
@@ -304,13 +326,10 @@ func (h *Host) stopObject(inv *rt.Invocation) ([][]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("host %v: save %v: %w", h.self, l, err)
 	}
-	h.node.Kill(l)
+	h.evict(l)
 	// A pending migration drain gate must not outlive the object:
 	// bounce its parked frames back to their callers' retry loops.
 	h.node.Unpark(l)
-	h.mu.Lock()
-	delete(h.running, l.ID())
-	h.mu.Unlock()
 	return [][]byte{state, wire.String(r.impl)}, nil
 }
 
@@ -319,11 +338,8 @@ func (h *Host) killObject(inv *rt.Invocation) ([][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	h.node.Kill(l)
+	h.evict(l)
 	h.node.Unpark(l)
-	h.mu.Lock()
-	delete(h.running, l.ID())
-	h.mu.Unlock()
 	return nil, nil
 }
 

@@ -162,7 +162,7 @@ func TestStopObjectSavesState(t *testing.T) {
 		t.Errorf("Running = %d after stop", fx.host.Running())
 	}
 	// The object is gone: callers now observe stale bindings.
-	fx.caller.MaxRefresh = 0
+	fx.caller.Retry.MaxAttempts = 1
 	res, _ := fx.caller.Call(objL, "Inc")
 	if res.Code != wire.ErrNoSuchObject {
 		t.Errorf("post-stop call = %v", res.Code)
@@ -172,7 +172,7 @@ func TestStopObjectSavesState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fx.caller.MaxRefresh = 2
+	fx.caller.Retry.MaxAttempts = 3
 	res, err = fx.caller.Call(objL, "Inc")
 	if err != nil {
 		t.Fatal(err)

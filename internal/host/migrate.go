@@ -100,10 +100,7 @@ func (h *Host) finishMigrate(inv *rt.Invocation) ([][]byte, error) {
 	if len(addr.Elements) == 0 {
 		return nil, fmt.Errorf("host %v: finish %v: empty destination address", h.self, l)
 	}
-	h.node.Kill(l)
-	h.mu.Lock()
-	delete(h.running, l.ID())
-	h.mu.Unlock()
+	h.evict(l)
 	lid := l.ID()
 	h.node.ForwardParked(lid, addr.Elements[0])
 	node := h.node

@@ -98,9 +98,7 @@ func (m *Magistrate) checkpointBatch(inv *rt.Invocation) ([][]byte, error) {
 	}
 	plane := m.plane
 	m.mu.Unlock()
-	for _, a := range stale {
-		_ = m.store.Delete(a)
-	}
+	m.drop(stale...)
 	for _, i := range accepted {
 		noteGeneration(plane, live[i].LOID, "checkpoint", fromHost, len(live[i].State))
 	}
@@ -113,20 +111,20 @@ func (m *Magistrate) checkpointBatch(inv *rt.Invocation) ([][]byte, error) {
 // StartObject round trip per crashed resident (reactivate), the
 // promoted OPRs are exported from the store as one snapshot stream and
 // shipped to a single surviving host in one AdoptObjects call. The
-// per-record settlement mirrors activateLocal/startOn exactly —
-// records are claimed with the activating flag so concurrent Activate,
-// Deactivate, and Delete calls wait instead of racing a second
-// incarnation into existence. Any failure (no host, export error, the
-// target refuses) releases the claims and falls back to per-OPR
-// reactivation, which can spread the objects across hosts.
+// records are claimed, and committed, exactly as activateLocal/startOn
+// do one at a time, so concurrent Activate, Deactivate, and Delete
+// calls wait instead of racing a second incarnation into existence.
+// Any failure (no host, export error, the target refuses) releases the
+// claims and falls back to per-OPR reactivation, which can spread the
+// objects across hosts.
 func (m *Magistrate) bulkAdopt(ls []loid.LOID) {
 	span := m.tracer().RootAlways("call", "bulk.adopt", "magistrate")
 	reg := m.reg()
 	t0 := m.now()
 
-	// Claim: mark each inert record activating and collect its OPR
-	// address. Records already active, settling elsewhere, or without a
-	// persistent representation are left to the per-OPR path.
+	// Claim each inert record and collect its OPR address. Records
+	// already active, busy elsewhere, or without a persistent
+	// representation are left to the per-OPR path.
 	m.mu.Lock()
 	var (
 		ids   []loid.LOID
@@ -139,11 +137,11 @@ func (m *Magistrate) bulkAdopt(ls []loid.LOID) {
 		if !ok || rec.active {
 			continue
 		}
-		if rec.activating || rec.migrating || rec.oprAddr == "" {
+		if rec.busy || rec.oprAddr == "" {
 			rest = append(rest, l)
 			continue
 		}
-		rec.activating = true
+		m.claimLocked(rec)
 		ids = append(ids, l)
 		recs = append(recs, rec)
 		addrs = append(addrs, rec.oprAddr)
@@ -165,10 +163,7 @@ func (m *Magistrate) bulkAdopt(ls []loid.LOID) {
 
 	release := func() {
 		m.mu.Lock()
-		for _, rec := range recs {
-			rec.activating = false
-		}
-		m.cond.Broadcast()
+		m.releaseLocked(recs...)
 		m.mu.Unlock()
 	}
 	fallback := func(why string, err error) {
@@ -212,30 +207,29 @@ func (m *Magistrate) bulkAdopt(ls []loid.LOID) {
 	// Commit: every shipped object now runs at the target host. A record
 	// that vanished while the adoption was in flight leaves an orphan on
 	// the target; reap it, as startOn does.
-	var orphans []loid.LOID
+	type notice struct {
+		l loid.LOID
+		b binding.Binding
+	}
+	var (
+		orphans []loid.LOID
+		stale   []persist.PersistentAddress
+	)
+	notices := make([]notice, 0, len(ids))
 	m.mu.Lock()
+	m.releaseLocked(recs...)
 	for i, l := range ids {
-		rec := recs[i]
-		rec.activating = false
-		if m.table[l.ID()] != rec {
+		s, ok := m.commitStartedLocked(l, recs[i], target.l, target.addr, addrs[i])
+		if !ok {
 			orphans = append(orphans, l)
 			continue
 		}
-		m.place(rec, target.l, target.addr)
-		rec.oprAddr = ""
-		if rec.ckptAddr != "" && rec.ckptAddr != addrs[i] {
-			_ = m.store.Delete(rec.ckptAddr)
-		}
-		rec.ckptAddr = ""
+		stale = append(stale, s[:]...)
+		notices = append(notices, notice{l: l, b: m.bindingLocked(l, target.addr)})
 	}
-	m.cond.Broadcast()
 	plane := m.plane
 	m.mu.Unlock()
-	// The state lives in the running incarnations now; the shipped OPRs
-	// are stale.
-	for _, a := range addrs {
-		_ = m.store.Delete(a)
-	}
+	m.drop(stale...)
 	for _, l := range orphans {
 		_ = hc.KillObject(l)
 	}
@@ -247,23 +241,6 @@ func (m *Magistrate) bulkAdopt(ls []loid.LOID) {
 
 	// Repair the naming chain for each adopted object, as reactivate
 	// does one by one.
-	m.mu.Lock()
-	orphaned := make(map[loid.LOID]bool, len(orphans))
-	for _, l := range orphans {
-		orphaned[l] = true
-	}
-	type notice struct {
-		l loid.LOID
-		b binding.Binding
-	}
-	notices := make([]notice, 0, len(ids))
-	for _, l := range ids {
-		if orphaned[l] {
-			continue
-		}
-		notices = append(notices, notice{l: l, b: m.bindingLocked(l, target.addr)})
-	}
-	m.mu.Unlock()
 	for _, n := range notices {
 		noteGeneration(plane, n.l, "adopt", target.l, 0)
 		m.notifyClass(n.l, n.b)

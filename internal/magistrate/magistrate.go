@@ -104,17 +104,15 @@ type record struct {
 	// unplace (below) are their only writers: they keep the Magistrate's
 	// per-host resident counts in step with the table.
 	active bool
-	// activating marks an in-flight activation: concurrent Activate
-	// calls wait on it rather than starting the object a second time
-	// on another host.
-	activating bool
-	// migrating marks an in-flight live migration (migrate.go). The
-	// migration driver owns the record's fate while it is set:
-	// Deactivate/Delete wait on it, and HostFailed leaves the record to
-	// the driver's own partial-failure settlement.
-	migrating bool
-	host      loid.LOID  // host running the object, if active
-	addr      oa.Address // object address, if active
+	// busy marks a record claimed by an in-flight activation, bulk
+	// adoption or live migration. The claimant owns the record's fate
+	// while it is set: Activate, Deactivate, Delete and MigrateObject
+	// wait for it (an active record still answers Activate), and
+	// HostFailed leaves it to the claimant's own settlement. claimLocked
+	// and releaseLocked are its only writers.
+	busy bool
+	host loid.LOID  // host running the object, if active
+	addr oa.Address // object address, if active
 }
 
 // Magistrate is the Magistrate implementation.
@@ -123,7 +121,7 @@ type Magistrate struct {
 	store persist.Store
 
 	mu     sync.Mutex
-	cond   *sync.Cond // signals activation completion; tied to mu
+	cond   *sync.Cond // signals a released claim (releaseLocked); tied to mu
 	hosts  []hostEntry
 	subs   []subEntry // sub-magistrates (jurisdiction hierarchy, §2.2)
 	rr     int        // placement cursor (fallback when scores tie)
@@ -144,7 +142,7 @@ type Magistrate struct {
 	// It is kept, not derived: place/unplace adjust it at the moment a
 	// record changes hands, so a pick costs O(hosts), not O(table). It
 	// is keyed by host identity, not by membership of m.hosts: a record
-	// may outlive its host's place in the pool (a migrating record
+	// may outlive its host's place in the pool (a record mid-migration
 	// across HostFailed, any record across RemoveHost/ForgetHosts) and
 	// is still counted there until it is unplaced. Zero entries are
 	// deleted.
@@ -449,19 +447,15 @@ func (m *Magistrate) register(inv *rt.Invocation) ([][]byte, error) {
 		return nil, fmt.Errorf("magistrate %v: %w", m.self, err)
 	}
 	m.mu.Lock()
-	defer m.mu.Unlock()
+	var replaced [2]persist.PersistentAddress
 	if old, ok := m.table[l.ID()]; ok {
-		// Replace any previous persistent representations.
-		if old.oprAddr != "" {
-			_ = m.store.Delete(old.oprAddr)
-		}
-		if old.ckptAddr != "" {
-			_ = m.store.Delete(old.ckptAddr)
-		}
+		replaced = [2]persist.PersistentAddress{old.oprAddr, old.ckptAddr}
 		m.unplace(old) // it leaves the table
 	}
 	m.table[l.ID()] = &record{impl: implName, oprAddr: oprAddr}
 	noteGeneration(m.plane, l, "register", loid.Nil, len(state))
+	m.mu.Unlock()
+	m.drop(replaced[:]...)
 	return nil, nil
 }
 
@@ -503,52 +497,48 @@ func (m *Magistrate) activate(inv *rt.Invocation) ([][]byte, error) {
 // lets the caller try hierarchy delegation). Both the Activate method
 // and crash reactivation funnel through here.
 func (m *Magistrate) activateLocal(ctx context.Context, l, hint loid.LOID) (b binding.Binding, known bool, err error) {
-	for {
-		m.mu.Lock()
-		rec, ok := m.table[l.ID()]
-		if !ok {
-			m.mu.Unlock()
-			return binding.Binding{}, false, nil
-		}
-		if rec.active {
-			b := m.bindingLocked(l, rec.addr)
-			m.mu.Unlock()
-			return b, true, nil
-		}
-		if rec.activating {
-			// Another worker is starting this object; wait for the
-			// outcome and re-examine rather than double-activating.
-			m.cond.Wait()
-			m.mu.Unlock()
-			continue
-		}
-		h, err := m.pickHostLocked(hint)
-		if err != nil {
-			m.mu.Unlock()
-			return binding.Binding{}, true, err
-		}
-		implName, oprAddr := rec.impl, rec.oprAddr
-		if m.filter != nil {
-			if ferr := m.filter(l, implName, h.l); ferr != nil {
-				m.mu.Unlock()
-				return binding.Binding{}, true, fmt.Errorf("magistrate %v refuses to activate %v: %w", m.self, l, ferr)
-			}
-		}
-		rec.activating = true
-		m.mu.Unlock()
-
-		b, err := m.startOn(ctx, l, rec, h, implName, oprAddr)
-		m.mu.Lock()
-		rec.activating = false
-		m.cond.Broadcast()
-		m.mu.Unlock()
-		return b, true, err
+	m.mu.Lock()
+	rec, ok := m.table[l.ID()]
+	for ok && !rec.active && rec.busy {
+		// Another actor owns this inert record; wait for the outcome and
+		// re-examine rather than double-activating.
+		m.cond.Wait()
+		rec, ok = m.table[l.ID()]
 	}
+	if !ok {
+		m.mu.Unlock()
+		return binding.Binding{}, false, nil
+	}
+	if rec.active {
+		b := m.bindingLocked(l, rec.addr)
+		m.mu.Unlock()
+		return b, true, nil
+	}
+	h, err := m.pickHostLocked(hint)
+	if err != nil {
+		m.mu.Unlock()
+		return binding.Binding{}, true, err
+	}
+	implName, oprAddr := rec.impl, rec.oprAddr
+	if m.filter != nil {
+		if ferr := m.filter(l, implName, h.l); ferr != nil {
+			m.mu.Unlock()
+			return binding.Binding{}, true, fmt.Errorf("magistrate %v refuses to activate %v: %w", m.self, l, ferr)
+		}
+	}
+	m.claimLocked(rec)
+	m.mu.Unlock()
+	b, err = m.startOn(ctx, l, rec, h, implName, oprAddr)
+	return b, true, err
 }
 
-// startOn performs the unlocked portion of an activation; exactly one
-// goroutine runs it per object at a time (the activating guard).
+// startOn starts rec's object on h from the OPR at oprAddr. rec is
+// claimed by the caller; startOn releases the claim, whatever the
+// outcome, in the critical section that commits the started object, so
+// no other actor (HostFailed above all) sees it placed yet still
+// claimed.
 func (m *Magistrate) startOn(ctx context.Context, l loid.LOID, rec *record, h hostEntry, implName string, oprAddr persist.PersistentAddress) (binding.Binding, error) {
+	hc := host.NewClient(m.obj.Caller(), h.l)
 	opr, err := m.store.Get(oprAddr)
 	if errors.Is(err, persist.ErrCorrupt) {
 		// The representation is damaged (now quarantined by the store).
@@ -560,36 +550,28 @@ func (m *Magistrate) startOn(ctx context.Context, l loid.LOID, rec *record, h ho
 		sp.Finish(wire.ErrApp.String())
 		opr, err = persist.OPR{LOID: l, Impl: implName}, nil
 	}
+	var addr oa.Address
 	if err != nil {
-		return binding.Binding{}, fmt.Errorf("magistrate %v: opr for %v: %w", m.self, l, err)
+		err = fmt.Errorf("magistrate %v: opr for %v: %w", m.self, l, err)
+	} else if addr, err = hc.StartObjectCtx(ctx, l, opr.Impl, opr.State); err != nil {
+		err = fmt.Errorf("magistrate %v: start %v on %v: %w", m.self, l, h.l, err)
 	}
-	hc := host.NewClient(m.obj.Caller(), h.l)
-	addr, err := hc.StartObjectCtx(ctx, l, opr.Impl, opr.State)
-	if err != nil {
-		return binding.Binding{}, fmt.Errorf("magistrate %v: start %v on %v: %w", m.self, l, h.l, err)
-	}
-	// The state now lives in the running object; drop the stale OPR.
-	_ = m.store.Delete(oprAddr)
 	m.mu.Lock()
-	// The object may have been deleted (or its record replaced) while we
-	// were starting it; in that case reap the orphan instead of recording
-	// it.
-	if m.table[l.ID()] != rec {
+	m.releaseLocked(rec)
+	if err != nil {
+		m.mu.Unlock()
+		return binding.Binding{}, err
+	}
+	stale, ok := m.commitStartedLocked(l, rec, h.l, addr, oprAddr)
+	if !ok {
 		m.mu.Unlock()
 		_ = hc.KillObject(l)
 		return binding.Binding{}, fmt.Errorf("magistrate %v: object %v deleted during activation", m.self, l)
 	}
-	m.place(rec, h.l, addr)
-	rec.oprAddr = ""
-	if rec.ckptAddr != "" && rec.ckptAddr != oprAddr {
-		// A leftover checkpoint from a previous incarnation is stale
-		// the moment the object restarts from the authoritative OPR.
-		_ = m.store.Delete(rec.ckptAddr)
-	}
-	rec.ckptAddr = ""
 	b := m.bindingLocked(l, addr)
 	plane := m.plane
 	m.mu.Unlock()
+	m.drop(stale[:]...)
 	noteGeneration(plane, l, "activate", h.l, len(opr.State))
 	if plane != nil {
 		plane.Record(obs.KindActivate, l.ID().String(), "started on "+h.l.String(), trace.FromContext(ctx).TraceID)
@@ -597,14 +579,113 @@ func (m *Magistrate) startOn(ctx context.Context, l loid.LOID, rec *record, h ho
 	return b, nil
 }
 
+// commitStartedLocked records that rec's object, started from the OPR
+// at from, now runs on host at addr. It returns the representations the
+// start made stale — the consumed OPR and any checkpoint left by an
+// earlier incarnation — for the caller to drop once m.mu is released (a
+// store delete may fsync). ok is false when rec left the table while the
+// object started (deleted, or replaced by Register or RestoreState): the
+// new incarnation is an orphan the caller must reap, and rec's
+// representations are left to whoever removed it. m.mu held.
+func (m *Magistrate) commitStartedLocked(l loid.LOID, rec *record, host loid.LOID, addr oa.Address, from persist.PersistentAddress) (stale [2]persist.PersistentAddress, ok bool) {
+	if m.table[l.ID()] != rec {
+		return stale, false
+	}
+	m.place(rec, host, addr)
+	stale[0] = from
+	if rec.ckptAddr != from {
+		stale[1] = rec.ckptAddr
+	}
+	rec.oprAddr, rec.ckptAddr = "", ""
+	return stale, true
+}
+
+// drop deletes persistent representations nothing refers to any more,
+// skipping empty addresses. Call it without m.mu: a delete may fsync.
+func (m *Magistrate) drop(addrs ...persist.PersistentAddress) {
+	for _, a := range addrs {
+		if a != "" {
+			_ = m.store.Delete(a)
+		}
+	}
+}
+
+// claimLocked marks rec busy for its caller — an activation, a bulk
+// adoption or a migration — which must later release it. claimLocked
+// and releaseLocked are the only writers of rec.busy. m.mu held.
+func (m *Magistrate) claimLocked(rec *record) { rec.busy = true }
+
+// releaseLocked ends the claims on recs and wakes every actor waiting
+// for a record to settle. m.mu held.
+func (m *Magistrate) releaseLocked(recs ...*record) {
+	for _, rec := range recs {
+		rec.busy = false
+	}
+	m.cond.Broadcast()
+}
+
+// settleLostLocked turns rec, active on a host that is gone, into an
+// inert record the Magistrate can activate again (§3.1.1). The running
+// state died with the host, so the newest checkpoint is promoted to the
+// authoritative OPR; without one an OPR already on file stands; without
+// either a blank OPR is minted and the object restarts from its initial
+// state. It is the only code that settles a lost incarnation, for
+// HostFailed and for a migration whose host died under it. m.mu held.
+func (m *Magistrate) settleLostLocked(id loid.LOID, rec *record) {
+	lostOn := rec.host
+	m.unplace(rec)
+	switch {
+	case rec.ckptAddr != "":
+		if rec.oprAddr != "" {
+			_ = m.store.Delete(rec.oprAddr)
+		}
+		rec.oprAddr = rec.ckptAddr
+		rec.ckptAddr = ""
+		noteGeneration(m.plane, id, "promote", lostOn, 0)
+	case rec.oprAddr == "":
+		rec.oprAddr = m.mintBlank(id, rec.impl)
+	}
+}
+
+// mintBlank persists an empty-state OPR for l, so a record whose state
+// is gone stays activatable. It returns "" when the store refuses.
+func (m *Magistrate) mintBlank(l loid.LOID, impl string) persist.PersistentAddress {
+	a, err := m.store.Put(persist.OPR{LOID: l, Impl: impl})
+	if err != nil {
+		return ""
+	}
+	return a
+}
+
+// recoverLost brings back objects settleLostLocked left inert: with no
+// surviving host it leaves them for the next Activate; otherwise two or
+// more ship to one survivor as a bulk adoption (unless SetBulkAdoption
+// turned that off) and fewer are reactivated one OPR at a time. It is
+// the only way a lost object comes back, and it runs in the background
+// so that a caller still holding a claim never waits on itself.
+func (m *Magistrate) recoverLost(ls []loid.LOID) {
+	m.mu.Lock()
+	survivors := len(m.hosts) > 0
+	bulk := !m.noBulk && len(ls) >= 2
+	m.mu.Unlock()
+	switch {
+	case len(ls) == 0 || !survivors:
+		// Nothing lost, or nowhere to run it: the next Activate will.
+	case bulk:
+		go m.bulkAdopt(ls)
+	default:
+		go m.reactivate(ls)
+	}
+}
+
 // HostFailed records the crash of a host (invoked by whatever failure
 // detector notices it — in the simulator, the chaos controller). Every
-// object that was active on h becomes inert again. An object with a
-// checkpoint has it promoted to its authoritative OPR, so it comes
-// back with its last checkpointed state; one without any persistent
-// representation restarts from its initial (empty) state — a crash
-// loses the host's volatile memory. In-flight activations onto h are
-// left to fail on their own and re-examine.
+// object that was active on h is settled inert (settleLostLocked): a
+// crash loses the host's volatile memory, so each comes back from its
+// last checkpoint, or else from its initial state. A record that is
+// busy is left to its claimant: a migration re-checks host liveness at
+// every phase boundary and settles the record itself, so settling it
+// here would race it into a second incarnation.
 //
 // If surviving hosts remain, the affected objects are reactivated
 // EAGERLY in the background ("the Magistrate can always activate the
@@ -622,50 +703,19 @@ func (m *Magistrate) HostFailed(h loid.LOID) []loid.LOID {
 	}
 	var affected []loid.LOID
 	for id, rec := range m.table {
-		// Migrating records are left to the migration driver: it
-		// re-checks host liveness at every phase boundary and runs this
-		// same checkpoint-promotion settlement itself, so flipping the
-		// record here would race it into a second incarnation.
-		if !rec.active || !rec.host.SameObject(h) || rec.activating || rec.migrating {
-			continue
+		if rec.active && rec.host.SameObject(h) && !rec.busy {
+			m.settleLostLocked(id, rec)
+			affected = append(affected, id)
 		}
-		m.unplace(rec)
-		promoted := false
-		if rec.ckptAddr != "" {
-			// Recover from the newest checkpoint.
-			if rec.oprAddr != "" {
-				_ = m.store.Delete(rec.oprAddr)
-			}
-			rec.oprAddr = rec.ckptAddr
-			rec.ckptAddr = ""
-			promoted = true
-		} else if rec.oprAddr == "" {
-			// The running state died with the host; persist a blank
-			// OPR so the record is activatable again.
-			if a, err := m.store.Put(persist.OPR{LOID: id, Impl: rec.impl}); err == nil {
-				rec.oprAddr = a
-			}
-		}
-		if promoted {
-			noteGeneration(m.plane, id, "promote", h, 0)
-		}
-		affected = append(affected, id)
 	}
 	survivors := len(m.hosts) > 0
-	bulk := !m.noBulk && len(affected) >= 2
 	plane := m.plane
 	m.mu.Unlock()
 	if plane != nil {
 		plane.Record(obs.KindFailover, h.String(),
 			fmt.Sprintf("host failed, %d objects affected (survivors=%v)", len(affected), survivors), 0)
 	}
-	if len(affected) > 0 && survivors {
-		if bulk {
-			go m.bulkAdopt(affected)
-		} else {
-			go m.reactivate(affected)
-		}
-	}
+	m.recoverLost(affected)
 	return affected
 }
 
@@ -763,17 +813,14 @@ func (m *Magistrate) bindingLocked(l loid.LOID, addr oa.Address) binding.Binding
 	return binding.Forever(l, addr)
 }
 
-// waitSettledLocked waits (on m.cond, m.mu held) until l's record has
-// no in-flight activation or migration, then returns it. The record is
-// re-looked-up on every wake: it may be deleted while we wait.
+// waitSettledLocked waits (on m.cond, m.mu held) until l's record is
+// not busy, then returns it. The record is re-looked-up on every wake:
+// it may be deleted while we wait.
 func (m *Magistrate) waitSettledLocked(id loid.LOID) (*record, bool) {
 	for {
 		rec, ok := m.table[id]
-		if !ok {
-			return nil, false
-		}
-		if !rec.activating && !rec.migrating {
-			return rec, true
+		if !ok || !rec.busy {
+			return rec, ok
 		}
 		m.cond.Wait()
 	}
@@ -968,10 +1015,7 @@ func (m *Magistrate) deactivateByLOID(l loid.LOID) error {
 	rec.ckptAddr = ""
 	plane := m.plane
 	m.mu.Unlock()
-	if ckpt != "" {
-		// The clean-shutdown OPR supersedes any crash checkpoint.
-		_ = m.store.Delete(ckpt)
-	}
+	m.drop(ckpt) // the clean-shutdown OPR supersedes any crash checkpoint
 	noteGeneration(plane, l, "deactivate", hostL, len(state))
 	return nil
 }
@@ -1010,12 +1054,7 @@ func (m *Magistrate) deleteByLOID(l loid.LOID) error {
 			return fmt.Errorf("magistrate %v: kill %v: %w", m.self, l, err)
 		}
 	}
-	if oprAddr != "" {
-		_ = m.store.Delete(oprAddr)
-	}
-	if ckptAddr != "" {
-		_ = m.store.Delete(ckptAddr)
-	}
+	m.drop(oprAddr, ckptAddr)
 	return nil
 }
 
@@ -1212,11 +1251,8 @@ func (m *Magistrate) RestoreState(state []byte) error {
 		oprAddr := persist.PersistentAddress(state[:alen])
 		state = state[alen:]
 		if oprAddr == "" {
-			// Active with no checkpoint at save time: the state is
-			// gone; mint a blank OPR so the record stays activatable.
-			if a, err := m.store.Put(persist.OPR{LOID: l, Impl: implName}); err == nil {
-				oprAddr = a
-			}
+			// Active with no checkpoint at save time: the state is gone.
+			oprAddr = m.mintBlank(l, implName)
 		}
 		m.table[l.ID()] = &record{impl: implName, oprAddr: oprAddr}
 	}

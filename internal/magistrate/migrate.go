@@ -277,9 +277,9 @@ func (m *Magistrate) migrateObject(inv *rt.Invocation) ([][]byte, error) {
 //
 // Partial failures settle exactly-once: any failure before the binding
 // republishes aborts back to the source (or, if the source is gone,
-// promotes the migration checkpoint and reactivates); a destination
-// that dies after republish is caught by the deferred settlement here
-// — HostFailed deliberately skips migrating records.
+// settles the record lost and recovers it); a destination that dies
+// after republish is caught by the deferred settlement here —
+// HostFailed deliberately skips the busy record.
 func (m *Magistrate) MigrateObject(ctx context.Context, l, destHost loid.LOID) error {
 	reg := m.reg()
 	reg.Counter("mig/attempts").Inc()
@@ -312,44 +312,26 @@ func (m *Magistrate) MigrateObject(ctx context.Context, l, destHost loid.LOID) e
 		return fmt.Errorf("magistrate %v: destination host %v not in jurisdiction", m.self, destHost)
 	}
 	src := rec.host
-	rec.migrating = true
+	m.claimLocked(rec)
 	m.mu.Unlock()
 
 	span := m.tracer().RootAlways("call", "migrate", "magistrate")
 	span.Event("migrate", fmt.Sprintf("%v: %v -> %v", l, src, dest.l))
 	err := m.runMigration(ctx, span, l, rec, src, dest)
 
-	// Settlement. The migrating flag made HostFailed skip this record,
-	// so a destination crash after republish left it pointing at a dead
-	// host; re-check now that the flag drops and recover from the
-	// migration checkpoint if so.
+	// Settlement. The claim made HostFailed skip this record, so a
+	// destination crash after republish left it placed on a dead host;
+	// settle it now, as HostFailed would have.
 	m.mu.Lock()
-	rec.migrating = false
-	m.cond.Broadcast()
+	m.releaseLocked(rec)
 	destGone := rec.active && rec.host.SameObject(dest.l) && !m.hostKnownLocked(dest.l)
-	var revive []loid.LOID
 	if destGone {
-		m.unplace(rec)
-		if rec.ckptAddr != "" {
-			if rec.oprAddr != "" {
-				_ = m.store.Delete(rec.oprAddr)
-			}
-			rec.oprAddr = rec.ckptAddr
-			rec.ckptAddr = ""
-		} else if rec.oprAddr == "" {
-			if a, perr := m.store.Put(persist.OPR{LOID: l, Impl: rec.impl}); perr == nil {
-				rec.oprAddr = a
-			}
-		}
-		revive = append(revive, l.ID())
+		m.settleLostLocked(l.ID(), rec)
 	}
-	survivors := len(m.hosts) > 0
 	m.mu.Unlock()
-	if len(revive) > 0 {
+	if destGone {
 		span.Event("migrate", fmt.Sprintf("%v: destination died post-republish; recovering from checkpoint", l))
-		if survivors {
-			go m.reactivate(revive)
-		}
+		m.recoverLost([]loid.LOID{l.ID()})
 	}
 
 	if err != nil {
@@ -363,7 +345,7 @@ func (m *Magistrate) MigrateObject(ctx context.Context, l, destHost loid.LOID) e
 	return nil
 }
 
-// runMigration performs the phase sequence with rec.migrating held.
+// runMigration performs the phase sequence with rec claimed.
 func (m *Magistrate) runMigration(ctx context.Context, span *trace.Span, l loid.LOID, rec *record, src loid.LOID, dest hostEntry) error {
 	srcHC := host.NewClient(m.obj.Caller(), src)
 	destHC := host.NewClient(m.obj.Caller(), dest.l)
@@ -389,9 +371,7 @@ func (m *Magistrate) runMigration(ctx context.Context, span *trace.Span, l loid.
 	old := rec.ckptAddr
 	rec.ckptAddr = ckptAddr
 	m.mu.Unlock()
-	if old != "" {
-		_ = m.store.Delete(old)
-	}
+	m.drop(old)
 
 	// Phase 3: ship. Start the object on the destination.
 	addr, err := destHC.StartObjectCtx(ctx, l, implName, state)
@@ -442,44 +422,26 @@ func (m *Magistrate) runMigration(ctx context.Context, span *trace.Span, l loid.
 // abortToSource unwinds a migration that failed before republish. If
 // the source host is still in the jurisdiction, the object reopens
 // there (parked calls replay in order) and remains the active
-// incarnation. If the source died meanwhile, the record settles inert
+// incarnation. If the source died meanwhile, the record is settled lost
 // — promoting the migration checkpoint when phase 2 wrote one — and
-// reactivates in the background, exactly as HostFailed would have done
-// had the record not been migrating.
+// recovered, exactly as HostFailed would have done had the record not
+// been busy. The recovery waits for MigrateObject to release the claim.
 func (m *Magistrate) abortToSource(l loid.LOID, rec *record, src loid.LOID, srcHC *host.Client, cause error) error {
 	m.mu.Lock()
-	srcAlive := m.hostKnownLocked(src)
-	m.mu.Unlock()
-	if srcAlive {
+	if m.hostKnownLocked(src) {
+		m.mu.Unlock()
 		if err := srcHC.AbortMigrate(context.Background(), l); err != nil {
 			m.reg().Counter("mig/abort_failed").Inc()
 		}
 		return cause
 	}
-	// Source is gone: settle the record inert so reactivation brings
-	// the object back from the best persistent representation.
-	m.mu.Lock()
-	var revive []loid.LOID
+	var lost []loid.LOID
 	if rec.active && rec.host.SameObject(src) {
-		m.unplace(rec)
-		if rec.ckptAddr != "" {
-			if rec.oprAddr != "" {
-				_ = m.store.Delete(rec.oprAddr)
-			}
-			rec.oprAddr = rec.ckptAddr
-			rec.ckptAddr = ""
-		} else if rec.oprAddr == "" {
-			if a, perr := m.store.Put(persist.OPR{LOID: l, Impl: rec.impl}); perr == nil {
-				rec.oprAddr = a
-			}
-		}
-		revive = append(revive, l.ID())
+		m.settleLostLocked(l.ID(), rec)
+		lost = []loid.LOID{l.ID()}
 	}
-	survivors := len(m.hosts) > 0
 	m.mu.Unlock()
-	if len(revive) > 0 && survivors {
-		go m.reactivate(revive)
-	}
+	m.recoverLost(lost)
 	return cause
 }
 

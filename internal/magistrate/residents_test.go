@@ -3,6 +3,7 @@ package magistrate
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -50,6 +51,27 @@ func (w *walker) check(when string) {
 	}
 }
 
+// checkSettled holds the table to what a finished step leaves behind:
+// no record still claimed, and every inert record activatable — its
+// OPR readable from the store. (Inside a migration the claim is held,
+// so this runs between steps only.)
+func (w *walker) checkSettled() {
+	w.t.Helper()
+	m := w.fx.mag
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for id, rec := range m.table {
+		if rec.busy {
+			w.t.Fatalf("step %d (%s): %v left busy", w.step, w.op, id)
+		}
+		if !rec.active {
+			if _, err := m.store.Get(rec.oprAddr); err != nil {
+				w.t.Fatalf("step %d (%s): inert %v has no readable OPR (%q): %v", w.step, w.op, id, rec.oprAddr, err)
+			}
+		}
+	}
+}
+
 // pool returns the indexes of the fixture's hosts currently in m.hosts.
 func (w *walker) pool() []int {
 	m := w.fx.mag
@@ -71,7 +93,7 @@ func (w *walker) placed() (ls []loid.LOID, on []loid.LOID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, l := range w.objs {
-		if rec, ok := m.table[l.ID()]; ok && rec.active && !rec.activating && !rec.migrating {
+		if rec, ok := m.table[l.ID()]; ok && rec.active && !rec.busy {
 			ls, on = append(ls, l), append(on, rec.host)
 		}
 	}
@@ -88,7 +110,7 @@ func (w *walker) settle(ls []loid.LOID) {
 		m.mu.Lock()
 		pending := 0
 		for _, l := range ls {
-			if rec, ok := m.table[l.ID()]; ok && (!rec.active || rec.activating || rec.migrating) {
+			if rec, ok := m.table[l.ID()]; ok && (!rec.active || rec.busy) {
 				pending++
 			}
 		}
@@ -97,6 +119,7 @@ func (w *walker) settle(ls []loid.LOID) {
 			return
 		}
 		if time.Now().After(deadline) {
+			w.checkSettled() // name the broken invariant, if one is
 			w.t.Fatalf("step %d (%s): %d objects never came back", w.step, w.op, pending)
 		}
 		time.Sleep(time.Millisecond)
@@ -243,9 +266,50 @@ func (w *walker) hostFailed(bulk bool) {
 	}
 	m.mu.Unlock()
 	m.SetBulkAdoption(bulk)
+	// The lost objects' callers, whose bindings went stale, re-activate
+	// them while the adoption holds its claims: each activation waits on
+	// a claim and must be woken when the adoption releases it.
+	var (
+		racers  sync.WaitGroup
+		errMu   sync.Mutex
+		raceErr error
+	)
+	m.SetAdoptHook(func(loid.LOID) {
+		for _, l := range w.claimed() {
+			racers.Add(1)
+			go func() {
+				defer racers.Done()
+				if _, err := w.fx.client.Activate(l, loid.Nil); err != nil {
+					errMu.Lock()
+					raceErr = err
+					errMu.Unlock()
+				}
+			}()
+		}
+		time.Sleep(2 * time.Millisecond) // let the activations reach the claims
+	})
+	defer m.SetAdoptHook(nil)
 	affected := w.failHost(victim)
 	w.check("HostFailed returned")
 	w.settle(affected)
+	racers.Wait()
+	if raceErr != nil {
+		w.t.Fatalf("step %d (%s): activation racing the adoption: %v", w.step, w.op, raceErr)
+	}
+}
+
+// claimed returns the objects whose inert records are claimed.
+func (w *walker) claimed() []loid.LOID {
+	m := w.fx.mag
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var ls []loid.LOID
+	for id, rec := range m.table {
+		if rec.busy && !rec.active {
+			ls = append(ls, id)
+		}
+	}
+	return ls
 }
 
 // removeHost withdraws a host from the pool without a failure: its
@@ -327,12 +391,14 @@ func TestResidentCountsMatchTable(t *testing.T) {
 				w.step, w.op = w.step+1, steps[i].name
 				steps[i].do()
 				w.check("done")
+				w.checkSettled()
 			}
 			for i := 0; i < 150; i++ {
 				s := steps[w.g.intn(len(steps))]
 				w.step, w.op = w.step+1, s.name
 				s.do()
 				w.check("done")
+				w.checkSettled()
 			}
 			// The walk must have gone down every settlement path.
 			for _, c := range []string{"mig/success", "mig/aborts", "mag/reactivations", "mag/bulk_adoptions"} {

@@ -74,11 +74,8 @@ type Caller struct {
 	// a propagated deadline uses min(Timeout, remaining budget) per
 	// wave.
 	Timeout time.Duration
-	// MaxRefresh bounds stale-binding refresh attempts per invocation
-	// (default 2). Superseded by Retry.MaxAttempts when that is set.
-	MaxRefresh int
-	// Retry configures the synchronous retry loop; the zero value
-	// keeps the historical MaxRefresh+1-attempts-no-backoff behaviour.
+	// Retry configures the synchronous retry loop; the zero value makes
+	// three attempts (two stale-binding refreshes) with no backoff.
 	Retry RetryPolicy
 	// Budget, when non-nil, rate-limits this caller's retries (shared
 	// budgets bound retry amplification fleet-wide). Nil = unlimited.
@@ -90,11 +87,10 @@ type Caller struct {
 // addresses will work — the bootstrap objects run this way).
 func NewCaller(node *Node, self loid.LOID, resolver Resolver) *Caller {
 	c := &Caller{
-		node:       node,
-		self:       self,
-		env:        security.Env(self),
-		Timeout:    2 * time.Second,
-		MaxRefresh: 2,
+		node:    node,
+		self:    self,
+		env:     security.Env(self),
+		Timeout: 2 * time.Second,
 	}
 	c.resolver.Store(&resolverRef{r: resolver})
 	c.rngState.Store(uint64(self.ClassID)<<32 ^ uint64(self.ClassSpecific) ^ 0x5DEECE66D)
@@ -302,7 +298,7 @@ func (c *Caller) callCtx(ctx context.Context, target loid.LOID, method string, a
 	deadline := deadlineOf(ctx)
 	maxAttempts := c.Retry.MaxAttempts
 	if maxAttempts <= 0 {
-		maxAttempts = c.MaxRefresh + 1
+		maxAttempts = defaultMaxAttempts
 	}
 	for attempt := 0; ; attempt++ {
 		res, err := c.deliver(ctx, b.Address, target, method, args, span)

@@ -28,7 +28,7 @@ func TestCallSurvivesMessageLoss(t *testing.T) {
 	r.set(binding.Forever(echoLOID, n0.Address()))
 	c := NewCaller(n1, clientLOID, r)
 	c.Timeout = 100 * time.Millisecond
-	c.MaxRefresh = 12
+	c.Retry.MaxAttempts = 13
 
 	f.SetLoss(0.25, 7) // 25% of all messages vanish
 	okCount := 0
@@ -59,7 +59,7 @@ func TestCallSurvivesLossWithoutResolver(t *testing.T) {
 
 	c := NewCaller(n1, clientLOID, nil)
 	c.Timeout = 100 * time.Millisecond
-	c.MaxRefresh = 12
+	c.Retry.MaxAttempts = 13
 	c.AddBinding(binding.Forever(echoLOID, n0.Address()))
 
 	f.SetLoss(0.25, 11)
@@ -88,7 +88,7 @@ func TestPartitionAndHeal(t *testing.T) {
 
 	c := NewCaller(n1, clientLOID, nil)
 	c.Timeout = 100 * time.Millisecond
-	c.MaxRefresh = 1
+	c.Retry.MaxAttempts = 2
 	c.AddBinding(binding.Forever(echoLOID, n0.Address()))
 
 	srvID, _ := oa.MemID(n0.Element())
@@ -124,7 +124,7 @@ func TestPartitionHealRecoversViaResolver(t *testing.T) {
 	r.set(binding.Forever(echoLOID, n0.Address()))
 	c := NewCaller(n1, clientLOID, r)
 	c.Timeout = 100 * time.Millisecond
-	c.MaxRefresh = 1
+	c.Retry.MaxAttempts = 2
 
 	// Warm the cache, then partition.
 	if res, err := c.Call(echoLOID, "Echo", []byte("warm")); err != nil || res.Code != wire.OK {

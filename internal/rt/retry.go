@@ -8,11 +8,12 @@ import (
 )
 
 // RetryPolicy configures the synchronous call retry loop (Call /
-// CallCtx). The zero value preserves the historical behaviour:
-// MaxRefresh+1 delivery attempts with no backoff between them.
+// CallCtx). The zero value makes defaultMaxAttempts delivery attempts
+// with no backoff between them.
 type RetryPolicy struct {
 	// MaxAttempts bounds total delivery attempts per call, including
-	// the first (0 = legacy: the caller's MaxRefresh+1).
+	// the first; each retry refreshes a stale binding first
+	// (0 = defaultMaxAttempts). 1 disables retries.
 	MaxAttempts int
 	// BaseBackoff is the backoff ceiling before the first retry; each
 	// subsequent retry doubles the ceiling up to MaxBackoff, and the
@@ -23,6 +24,10 @@ type RetryPolicy struct {
 	// is set).
 	MaxBackoff time.Duration
 }
+
+// defaultMaxAttempts is the attempt bound of a zero RetryPolicy: the
+// first delivery and two stale-binding refreshes.
+const defaultMaxAttempts = 3
 
 // backoff returns the jittered sleep before retry number `retry`
 // (0-based), using rnd as a source of [0,n) randomness.

@@ -174,7 +174,7 @@ func TestNoSuchMethod(t *testing.T) {
 func TestNoSuchObjectSignalsStaleBinding(t *testing.T) {
 	_, nodes := newTestFabricNodes(t, 2)
 	c := clientOn(nodes[1], clientLOID)
-	c.MaxRefresh = 0
+	c.Retry.MaxAttempts = 1
 	c.AddBinding(binding.Forever(echoLOID, nodes[0].Address()))
 	res, err := c.Call(echoLOID, "Echo", []byte("x"))
 	if err != nil {
@@ -276,7 +276,7 @@ func TestRefreshBoundedByMaxRefresh(t *testing.T) {
 	r.set(binding.Forever(echoLOID, nodes[0].Address())) // points nowhere useful
 	c := NewCaller(nodes[1], clientLOID, r)
 	c.Timeout = 200 * time.Millisecond
-	c.MaxRefresh = 3
+	c.Retry.MaxAttempts = 4 // the first delivery and three refreshes
 	res, err := c.Call(echoLOID, "Echo", []byte("x"))
 	if err != nil {
 		t.Fatal(err)
@@ -425,7 +425,7 @@ func TestKillThenCallYieldsNoSuchObject(t *testing.T) {
 	_, nodes := newTestFabricNodes(t, 2)
 	spawnEcho(t, nodes[0], echoLOID)
 	c := clientOn(nodes[1], clientLOID)
-	c.MaxRefresh = 0
+	c.Retry.MaxAttempts = 1
 	c.AddBinding(binding.Forever(echoLOID, nodes[0].Address()))
 	if !nodes[0].Kill(echoLOID) {
 		t.Fatal("Kill reported no object")
@@ -844,7 +844,7 @@ func TestReplicationDeadReplicaFastErrorDoesNotWin(t *testing.T) {
 	}
 	addr := oa.Replicated(oa.SemAll, 0, nodes[0].Element(), nodes[1].Element())
 	c := clientOn(nodes[2], clientLOID)
-	c.MaxRefresh = 0
+	c.Retry.MaxAttempts = 1
 	c.AddBinding(binding.Forever(rep, addr))
 	for i := 0; i < 10; i++ {
 		res, err := c.Call(rep, "Work")
@@ -864,7 +864,7 @@ func TestReplicationAllDeadStillFails(t *testing.T) {
 	rep := loid.NewNoKey(256, 81)
 	addr := oa.Replicated(oa.SemAll, 0, nodes[0].Element(), nodes[1].Element())
 	c := clientOn(nodes[2], clientLOID)
-	c.MaxRefresh = 0
+	c.Retry.MaxAttempts = 1
 	c.Timeout = 500 * time.Millisecond
 	c.AddBinding(binding.Forever(rep, addr))
 	start := time.Now()

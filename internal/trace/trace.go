@@ -3,8 +3,8 @@
 // method invocation across every hop of the §4.1 binding chain —
 // caller send, binding-cache lookup, Binding Agent resolution, class
 // lookup and Magistrate activation, host dispatch, and server-side
-// method execution. Identifiers ride in the wire envelope (protocol
-// v3: Env.TraceID/SpanID/ParentSpanID), so a trace is causal across
+// method execution. Identifiers ride in the wire envelope
+// (Env.TraceID/SpanID/ParentSpanID), so a trace is causal across
 // nodes with no side channel.
 //
 // The design goal is a fast path that stays fast:

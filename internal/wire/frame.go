@@ -11,12 +11,13 @@ import (
 	"repro/internal/oa"
 )
 
-// Wire v4 is the zero-copy frame layout. Unlike v2/v3 — which the
-// decoder still accepts — v4 places every fixed-width field at a fixed
-// offset so a receiver can route a frame (kind, id, code, target) by
-// reading a handful of words, and decodes the variable sections lazily
-// as views into the received buffer: no method-string copy, no argument
-// copies, no Message allocation on the hot path.
+// Wire v4 is the zero-copy frame layout and the only version spoken:
+// a frame with any other version byte is rejected. v4 places every
+// fixed-width field at a fixed offset so a receiver can route a frame
+// (kind, id, code, target) by reading a handful of words, and decodes
+// the variable sections lazily as views into the received buffer: no
+// method-string copy, no argument copies, no Message allocation on the
+// hot path.
 //
 //	offset  size  field
 //	0       2     magic 0x4C47
@@ -45,9 +46,9 @@ const (
 	v4OffCode     = 12
 	v4OffReplyHdr = 14
 	v4OffMethLen  = 18
-	v4OffDeadline = 20
+	v4OffDeadline = 20 // the trace triple follows it
 	v4OffTarget   = 52
-	v4OffEnv      = 100
+	v4OffEnv      = 100 // responsible, security, calling: contiguous
 	v4Fixed       = 244
 )
 
@@ -71,16 +72,10 @@ type Frame struct {
 	owner *buf.Buffer
 	next  *Frame // FrameQueue link; nil while the frame is in no queue
 
-	ver  byte
 	fwd  bool
 	Kind Kind
 	ID   uint64
 	Code Code
-
-	offTarget uint32
-	offEnv    uint32 // responsible/security/calling, contiguous
-	offMeta   uint32 // deadline; trace triple follows when hasTrace
-	hasTrace  bool
 
 	replySem oa.Semantic
 	replyK   byte
@@ -167,31 +162,22 @@ func (q *FrameQueue) Pop() *Frame {
 
 // Parse decodes the frame structure of data: eager fixed fields,
 // recorded offsets for everything variable. data is retained as a view
-// — see the Frame lifetime rules. Accepts v2, v3, and v4 envelopes.
+// — see the Frame lifetime rules. Only v4 envelopes are accepted.
 func (f *Frame) Parse(data []byte) error {
 	f.data = data
 	f.nArgs = 0
 	f.nReply = 0
-	f.hasTrace = false
 	if len(data) < 4 {
 		return fmt.Errorf("wire: short header")
 	}
 	if binary.BigEndian.Uint16(data[0:2]) != magic {
 		return fmt.Errorf("wire: bad magic %#x", data[0:2])
 	}
-	f.ver = data[2]
-	if f.ver < oldestVer || f.ver > version {
-		return fmt.Errorf("wire: unsupported version %d", f.ver)
+	if data[2] != version {
+		return fmt.Errorf("wire: unsupported version %d", data[2])
 	}
 	f.Kind = Kind(data[3] &^ fwdFlag)
 	f.fwd = data[3]&fwdFlag != 0
-	if f.ver == 4 {
-		return f.parseV4(data)
-	}
-	return f.parseLegacy(data)
-}
-
-func (f *Frame) parseV4(data []byte) error {
 	if len(data) < v4Fixed {
 		return fmt.Errorf("wire: short v4 frame: %d bytes", len(data))
 	}
@@ -201,10 +187,6 @@ func (f *Frame) parseV4(data []byte) error {
 	f.replyK = data[v4OffReplyHdr+1]
 	f.nReply = int(binary.BigEndian.Uint16(data[v4OffReplyHdr+2:]))
 	f.methodLen = uint32(binary.BigEndian.Uint16(data[v4OffMethLen:]))
-	f.offMeta = v4OffDeadline
-	f.hasTrace = true
-	f.offTarget = v4OffTarget
-	f.offEnv = v4OffEnv
 
 	p := uint32(v4Fixed)
 	need := uint32(f.nReply) * oa.ElementSize
@@ -228,78 +210,7 @@ func (f *Frame) parseV4(data []byte) error {
 	return nil
 }
 
-// parseLegacy walks a v2/v3 envelope, recording the same offsets the
-// fixed v4 layout provides directly.
-func (f *Frame) parseLegacy(data []byte) error {
-	n := uint32(len(data))
-	p := uint32(4)
-	if n-p < 8 {
-		return fmt.Errorf("wire: short id")
-	}
-	f.ID = binary.BigEndian.Uint64(data[p:])
-	p += 8
-	if n-p < loid.EncodedSize {
-		return fmt.Errorf("wire: target: short encoding")
-	}
-	f.offTarget = p
-	p += loid.EncodedSize
-	if n-p < 4 {
-		return fmt.Errorf("wire: method: short string length")
-	}
-	mlen := binary.BigEndian.Uint32(data[p:])
-	p += 4
-	if mlen > maxArgLen || n-p < mlen {
-		return fmt.Errorf("wire: method: short string body")
-	}
-	f.offMethod = p
-	f.methodLen = mlen
-	p += mlen
-	if n-p < 3*loid.EncodedSize {
-		return fmt.Errorf("wire: env: short encoding")
-	}
-	f.offEnv = p
-	p += 3 * loid.EncodedSize
-	if n-p < 8 {
-		return fmt.Errorf("wire: short deadline")
-	}
-	f.offMeta = p
-	p += 8
-	if f.ver >= 3 {
-		if n-p < 24 {
-			return fmt.Errorf("wire: short trace ids")
-		}
-		f.hasTrace = true
-		p += 24
-	}
-	if n-p < 4 {
-		return fmt.Errorf("wire: reply-to: short address header")
-	}
-	f.replySem = oa.Semantic(data[p])
-	f.replyK = data[p+1]
-	f.nReply = int(binary.BigEndian.Uint16(data[p+2:]))
-	p += 4
-	need := uint32(f.nReply) * oa.ElementSize
-	if n-p < need {
-		return fmt.Errorf("wire: reply-to: short element list")
-	}
-	f.offReply = p
-	p += need
-	if n-p < 2 {
-		return fmt.Errorf("wire: short code")
-	}
-	f.Code = Code(binary.BigEndian.Uint16(data[p:]))
-	p += 2
-	var err error
-	if p, err = f.parseErrAndArgs(data, p); err != nil {
-		return err
-	}
-	if p != n {
-		return fmt.Errorf("wire: %d trailing bytes", n-p)
-	}
-	return nil
-}
-
-// parseErrAndArgs handles the common trailer: errText then the argument
+// parseErrAndArgs handles the trailer: errText then the argument
 // vector, recording a length-prefix offset per argument.
 func (f *Frame) parseErrAndArgs(data []byte, p uint32) (uint32, error) {
 	n := uint32(len(data))
@@ -350,9 +261,6 @@ func (f *Frame) parseErrAndArgs(data []byte, p uint32) (uint32, error) {
 	return p, nil
 }
 
-// Version reports the envelope version the frame arrived in.
-func (f *Frame) Version() byte { return f.ver }
-
 // Forwarded reports whether the frame was re-sent by a migration
 // tombstone (one hop already consumed).
 func (f *Frame) Forwarded() bool { return f.fwd }
@@ -380,52 +288,37 @@ func getLOID(b []byte) loid.LOID {
 }
 
 // Target decodes the destination LOID.
-func (f *Frame) Target() loid.LOID { return getLOID(f.data[f.offTarget:]) }
+func (f *Frame) Target() loid.LOID { return getLOID(f.data[v4OffTarget:]) }
 
 // TargetID decodes only the target's identity fields (the routing key),
 // skipping the 32-byte public key copy.
 func (f *Frame) TargetID() loid.LOID {
 	return loid.LOID{
-		ClassID:       binary.BigEndian.Uint64(f.data[f.offTarget:]),
-		ClassSpecific: binary.BigEndian.Uint64(f.data[f.offTarget+8:]),
+		ClassID:       binary.BigEndian.Uint64(f.data[v4OffTarget:]),
+		ClassSpecific: binary.BigEndian.Uint64(f.data[v4OffTarget+8:]),
 	}
 }
 
 // Deadline returns the propagated absolute deadline in unix nanos.
 func (f *Frame) Deadline() int64 {
-	return int64(binary.BigEndian.Uint64(f.data[f.offMeta:]))
+	return int64(binary.BigEndian.Uint64(f.data[v4OffDeadline:]))
 }
 
-// TraceID returns the caller's trace identity (0 = untraced or v2).
-func (f *Frame) TraceID() uint64 {
-	if !f.hasTrace {
-		return 0
-	}
-	return binary.BigEndian.Uint64(f.data[f.offMeta+8:])
-}
+// TraceID returns the caller's trace identity (0 = untraced).
+func (f *Frame) TraceID() uint64 { return binary.BigEndian.Uint64(f.data[v4OffDeadline+8:]) }
 
 // SpanID returns the caller's span id (0 when untraced).
-func (f *Frame) SpanID() uint64 {
-	if !f.hasTrace {
-		return 0
-	}
-	return binary.BigEndian.Uint64(f.data[f.offMeta+16:])
-}
+func (f *Frame) SpanID() uint64 { return binary.BigEndian.Uint64(f.data[v4OffDeadline+16:]) }
 
 // ParentSpanID returns the caller's parent span id.
-func (f *Frame) ParentSpanID() uint64 {
-	if !f.hasTrace {
-		return 0
-	}
-	return binary.BigEndian.Uint64(f.data[f.offMeta+24:])
-}
+func (f *Frame) ParentSpanID() uint64 { return binary.BigEndian.Uint64(f.data[v4OffDeadline+24:]) }
 
 // Env decodes the full security environment.
 func (f *Frame) Env() Env {
 	return Env{
-		Responsible:  getLOID(f.data[f.offEnv:]),
-		Security:     getLOID(f.data[f.offEnv+loid.EncodedSize:]),
-		Calling:      getLOID(f.data[f.offEnv+2*loid.EncodedSize:]),
+		Responsible:  getLOID(f.data[v4OffEnv:]),
+		Security:     getLOID(f.data[v4OffEnv+loid.EncodedSize:]),
+		Calling:      getLOID(f.data[v4OffEnv+2*loid.EncodedSize:]),
 		Deadline:     f.Deadline(),
 		TraceID:      f.TraceID(),
 		SpanID:       f.SpanID(),
@@ -435,7 +328,7 @@ func (f *Frame) Env() Env {
 
 // EnvCalling decodes just the Calling Agent LOID (the reply target).
 func (f *Frame) EnvCalling() loid.LOID {
-	return getLOID(f.data[f.offEnv+2*loid.EncodedSize:])
+	return getLOID(f.data[v4OffEnv+2*loid.EncodedSize:])
 }
 
 // MethodBytes returns the method name as a view into the frame.
