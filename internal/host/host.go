@@ -69,8 +69,8 @@ var Interface = idl.NewInterface("LegionHost",
 		Returns: []idl.Param{{Name: "adopted", Type: idl.TUint64}}},
 )
 
-// ServiceConcurrency is the number of dispatch workers given to
-// objects whose implementations are registered concurrency-safe.
+// ServiceConcurrency is how many dispatches may run at once on an
+// object whose implementation is registered concurrency-safe.
 const ServiceConcurrency = 16
 
 // ResolverFactory builds the Resolver a newly started object's

@@ -11,37 +11,46 @@ import (
 const mailboxDepth = 1024
 
 // mailbox is an object's queue of accepted, not yet dispatched request
-// frames. Its memory follows the backlog, not the bound: the frames are
-// linked through themselves (wire.FrameQueue), so an idle object's
-// mailbox is this struct and nothing else. Deliverers block while
-// mailboxDepth frames wait (back-pressure), workers block while none
-// do, and close wakes both for good.
+// frames, and the count of dispatch goroutines draining it. Its memory
+// follows the backlog, not the bound: the frames are linked through
+// themselves (wire.FrameQueue), so an idle object's mailbox is this
+// struct and nothing else. No goroutine waits on an empty mailbox: the
+// put that finds fewer than limit drainers running takes a drainer's
+// place for its caller to fill (dispatch.go), and a drainer leaves once
+// next finds nothing to serve. Deliverers block while mailboxDepth
+// frames wait (back-pressure), and close wakes them for good.
 type mailbox struct {
-	mu       sync.Mutex
-	q        wire.FrameQueue
-	closed   atomic.Bool // written under mu; read lock-free by isClosed
-	notEmpty sync.Cond   // workers wait here
-	notFull  sync.Cond   // deliverers wait here
+	mu      sync.Mutex
+	q       wire.FrameQueue
+	running int         // drainers serving this mailbox, at most limit; under mu
+	limit   int         // the object's concurrency
+	closed  atomic.Bool // written under mu; read lock-free by isClosed
+	notFull sync.Cond   // deliverers wait here
 
 	gateEpoch *atomic.Uint64 // the node's; see put
 }
 
-// init ties the mailbox to its node's gate epoch (see put).
-func (m *mailbox) init(gateEpoch *atomic.Uint64) {
-	m.notEmpty.L = &m.mu
+// init ties the mailbox to its node's gate epoch (see put) and allows
+// limit drainers at once.
+func (m *mailbox) init(gateEpoch *atomic.Uint64, limit int) {
 	m.notFull.L = &m.mu
 	m.gateEpoch = gateEpoch
+	m.limit = max(limit, 1)
 }
 
 // put's verdicts.
 const (
 	putOK      = iota
+	putDrain   // enqueued, and a drainer's place was taken: the caller must start one
 	putRefused // closed, or full and the deliverer would not wait; f stays the caller's
 	putRegate  // a migration gate went up since epoch was read; f stays the caller's
 )
 
 // put enqueues f. A full mailbox makes a waiting deliverer wait for
-// room (back-pressure) and refuses a non-waiting one.
+// room (back-pressure) and refuses a non-waiting one. When fewer than
+// limit drainers are running, put counts one more and answers putDrain.
+// A drainer only leaves after finding the queue empty under the same
+// lock, so every enqueued frame has a drainer that will see it.
 //
 // epoch is the node's gate epoch as the deliverer read it BEFORE it
 // looked for a migration gate. Comparing it again under the mailbox
@@ -64,25 +73,27 @@ func (m *mailbox) put(f *wire.Frame, wait bool, epoch uint64) int {
 		return putRefused
 	}
 	m.q.Push(f)
+	verdict := putOK
+	if m.running < m.limit {
+		m.running++
+		verdict = putDrain
+	}
 	m.mu.Unlock()
-	m.notEmpty.Signal()
-	return putOK
+	return verdict
 }
 
-// get dequeues the oldest frame, waiting while there is none. It
-// returns nil once the mailbox is closed.
-func (m *mailbox) get() *wire.Frame {
+// next dequeues the oldest frame for a drainer. It returns nil, and
+// counts the drainer out, once the queue is empty or the mailbox closed.
+func (m *mailbox) next() *wire.Frame {
 	m.mu.Lock()
-	for m.q.Len() == 0 && !m.closed.Load() {
-		m.notEmpty.Wait()
-	}
-	if m.closed.Load() {
+	if m.q.Len() == 0 || m.closed.Load() {
+		m.running--
 		m.mu.Unlock()
 		return nil
 	}
 	f := m.q.Pop()
 	m.mu.Unlock()
-	// Every get frees a slot; with no deliverer waiting this is one
+	// Every next frees a slot; with no deliverer waiting this is one
 	// atomic compare.
 	m.notFull.Signal()
 	return f
@@ -96,15 +107,15 @@ func (m *mailbox) len() int {
 
 func (m *mailbox) isClosed() bool { return m.closed.Load() }
 
-// close shuts the mailbox, wakes every waiter, and hands the backlog to
-// the caller, which owns those frames from then on. Call once.
+// close shuts the mailbox, wakes every waiting deliverer, and hands the
+// backlog to the caller, which owns those frames from then on. Drainers
+// leave at their next call to next. Call once.
 func (m *mailbox) close() wire.FrameQueue {
 	m.mu.Lock()
 	m.closed.Store(true)
 	backlog := m.q
 	m.q = wire.FrameQueue{}
 	m.mu.Unlock()
-	m.notEmpty.Broadcast()
 	m.notFull.Broadcast()
 	return backlog
 }

@@ -17,11 +17,12 @@ import (
 )
 
 // TestIdleObjectFootprint bounds what an active object that is doing
-// nothing costs: its goroutine stack plus a few hundred bytes of
-// runtime record. Capacity reserved for traffic that may never come —
-// mailbox slots, a binding cache — would show here.
+// nothing costs: its runtime record, mailbox and Caller, under 1 KiB.
+// An idle object owns no goroutine. Capacity reserved for traffic that
+// may never come — a goroutine stack, mailbox slots, a binding cache —
+// would show here.
 func TestIdleObjectFootprint(t *testing.T) {
-	const budget = 5 << 10 // bytes per idle object
+	const budget = 1536 // bytes per idle object
 	per := objectFootprint(t, false)
 	t.Logf("%d B per idle object", per)
 	if per > budget {
@@ -30,12 +31,12 @@ func TestIdleObjectFootprint(t *testing.T) {
 }
 
 // TestServedObjectFootprint is TestIdleObjectFootprint after one call to
-// each object. Serving grows the dispatch goroutine's stack from 2 to
-// 4 KiB, which is most of the difference (5.6 KiB against 3.4 KiB idle).
-// Scratch kept per object or per worker between calls would show here,
-// and so would a serve path whose frames push the stack to 8 KiB.
+// each object, and costs about the same: the dispatch goroutine that
+// served a call went back idle and is shared by every object. A
+// goroutine kept per object, or scratch kept per object or per
+// dispatch goroutine between calls, would show here.
 func TestServedObjectFootprint(t *testing.T) {
-	const budget = 6 << 10 // bytes per served object
+	const budget = 1536 // bytes per served object
 	per := objectFootprint(t, true)
 	t.Logf("%d B per object served once", per)
 	if per > budget {
@@ -45,7 +46,7 @@ func TestServedObjectFootprint(t *testing.T) {
 
 // objectFootprint spawns 1024 default-option objects, calls each once
 // when serve is set, and returns what each costs in HeapInuse +
-// StackInuse once its dispatch goroutine is waiting again.
+// StackInuse once the dispatch goroutines are idle again.
 func objectFootprint(t *testing.T, serve bool) int64 {
 	if raceEnabled {
 		t.Skip("the race detector's larger frames and heap records are not the object's cost")
@@ -74,7 +75,7 @@ func objectFootprint(t *testing.T, serve bool) int64 {
 			t.Fatalf("call %d: %v %v", i, res, err)
 		}
 	}
-	// Let every dispatch goroutine reach its wait before measuring.
+	// Let every dispatch goroutine go idle before measuring.
 	time.Sleep(50 * time.Millisecond)
 	return int64(inuse()-before) / objects
 }

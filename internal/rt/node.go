@@ -90,6 +90,7 @@ type Node struct {
 	cExcept    *metrics.Counter
 	cParked    *metrics.Counter
 	cForwarded *metrics.Counter
+	cSpawns    *metrics.Counter // dispatch goroutines started (dispatch.go)
 }
 
 // NewNode creates a node with a fresh endpoint on t. Metrics are
@@ -115,6 +116,9 @@ func NewNode(t transport.Transport, reg *metrics.Registry, name string) (*Node, 
 		// process, so the debug surface shows one system-wide view.
 		cParked:    reg.Counter("mig/parked"),
 		cForwarded: reg.Counter("mig/forwarded"),
+		// Counted per start, never per call: a steady rate means the
+		// idle pool is too small for the load.
+		cSpawns: reg.Counter("rt/dispatch_spawns"),
 	}
 	for i := range n.pending {
 		n.pending[i].m = make(map[uint64]*Future)
@@ -215,15 +219,20 @@ func (n *Node) Observer() Observer {
 // (e.g. "class/L256.0"); empty disables per-object counting.
 func (n *Node) Spawn(l loid.LOID, impl Impl, opts ...SpawnOption) (*Object, error) {
 	o := &Object{node: n, self: l, impl: impl}
-	o.mailbox.init(&n.gateEpoch)
 	for _, opt := range opts {
 		opt(o)
 	}
+	o.mailbox.init(&n.gateEpoch, o.concurrency)
 	if o.label != "" {
 		o.cReq = n.reg.Counter("req/" + o.label)
 	}
 	if o.caller == nil {
 		o.caller = NewCaller(n, l, nil)
+	}
+	// Bind before the object is reachable: the first request may be
+	// dispatched the moment it is published, inline or co-resident.
+	if b, ok := impl.(Binder); ok {
+		b.Bind(o)
 	}
 	n.mu.Lock()
 	if n.closed.Load() {
@@ -238,16 +247,6 @@ func (n *Node) Spawn(l loid.LOID, impl Impl, opts ...SpawnOption) (*Object, erro
 	// A live incarnation supersedes any leftover migration tombstone
 	// (the object migrated back here): clear it or it would shadow us.
 	n.clearGate(l)
-	if b, ok := impl.(Binder); ok {
-		b.Bind(o)
-	}
-	workers := o.concurrency
-	if workers < 1 {
-		workers = 1
-	}
-	for i := 0; i < workers; i++ {
-		go o.loop()
-	}
 	return o, nil
 }
 
@@ -376,7 +375,7 @@ func (n *Node) routeRequest(f *wire.Frame, b *buf.Buffer) {
 			f.Own(b) // the mailbox outlives this call: pin the buffer
 			b = nil  // once, however often the gate check repeats
 		}
-		switch o.mailbox.put(f, true, epoch) {
+		switch o.enqueue(f, true, epoch) {
 		case putOK:
 			return
 		case putRefused:

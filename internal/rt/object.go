@@ -15,9 +15,11 @@ import (
 )
 
 // Object is the runtime handle of one active Legion object: its LOID,
-// its behaviour, its security policy, and its mailbox. Methods execute
-// sequentially on the object's own goroutine; the mailbox accepts
-// messages in any order while a method runs (§2).
+// its behaviour, its security policy, and its mailbox. The mailbox
+// accepts messages in any order while a method runs (§2); methods
+// execute one at a time, on a dispatch goroutine the object holds only
+// while its mailbox has requests to serve (dispatch.go). An idle object
+// owns no goroutine.
 type Object struct {
 	node        *Node
 	self        loid.LOID
@@ -32,7 +34,7 @@ type Object struct {
 	// to the mailbox.
 	inline bool
 	// dmu serializes dispatch for single-worker objects whose methods
-	// may run off the mailbox goroutine (inline dispatch, co-resident
+	// may run off a mailbox drainer (inline dispatch, co-resident
 	// bypass), preserving the one-method-at-a-time model.
 	dmu sync.Mutex
 
@@ -71,13 +73,14 @@ func WithCaller(c *Caller) SpawnOption {
 	return func(o *Object) { o.caller = c }
 }
 
-// WithConcurrency runs n dispatch workers instead of one. The default
-// single worker gives user objects the simple sequential model; core
-// service objects (classes, Magistrates, Binding Agents, Host Objects)
-// are internally synchronized and run concurrently so that a service
-// call that itself invokes another object does not stall the mailbox —
-// without this, mutually-waiting service objects could distributedly
-// deadlock. The Impl must be safe for concurrent Dispatch.
+// WithConcurrency lets up to n dispatch goroutines drain the object's
+// mailbox at once instead of one; none is started until requests wait.
+// The default single drainer gives user objects the simple sequential
+// model; core service objects (classes, Magistrates, Binding Agents,
+// Host Objects) are internally synchronized and run concurrently so
+// that a service call that itself invokes another object does not stall
+// the mailbox — without this, mutually-waiting service objects could
+// distributedly deadlock. The Impl must be safe for concurrent Dispatch.
 func WithConcurrency(n int) SpawnOption {
 	return func(o *Object) { o.concurrency = n }
 }
@@ -85,10 +88,10 @@ func WithConcurrency(n int) SpawnOption {
 // WithInlineDispatch opts the object into inline dispatch: incoming
 // requests execute directly on the delivering goroutine — the sender's
 // own goroutine for co-resident and in-memory-fabric callers, the read
-// loop for TCP — instead of being queued to the mailbox. This removes
-// every goroutine handoff from the invocation path and is what makes a
-// cached-binding call "as close to a raw message send as possible"
-// (§5.2.1).
+// loop for TCP — instead of being queued to the mailbox for a dispatch
+// goroutine. This removes every goroutine handoff from the invocation
+// path and is what makes a cached-binding call "as close to a raw
+// message send as possible" (§5.2.1).
 //
 // The option is ONLY for leaf methods: fast, non-blocking handlers
 // that invoke no other objects. A method that blocks holds the
@@ -98,7 +101,7 @@ func WithConcurrency(n int) SpawnOption {
 // read loop the method is occupying). Single-worker objects keep their
 // sequential model: inline dispatches are serialized with a mutex.
 // Objects spawned with WithConcurrency run inline dispatches
-// concurrently, exactly like their mailbox workers would.
+// concurrently, exactly like their mailbox drainers would.
 func WithInlineDispatch() SpawnOption {
 	return func(o *Object) { o.inline = true }
 }
@@ -129,9 +132,21 @@ func (o *Object) QueueLen() int { return o.mailbox.len() }
 // SetPolicy replaces the object's MayI policy at run time.
 func (o *Object) SetPolicy(p security.Policy) { o.policy = p }
 
-// loop is one dispatch worker; Spawn starts o.concurrency of them.
-func (o *Object) loop() {
-	for f := o.mailbox.get(); f != nil; f = o.mailbox.get() {
+// enqueue puts f in o's mailbox (see mailbox.put) and, when the put
+// took a drainer's place, hands o to a dispatch goroutine. It answers
+// putOK, putRefused or putRegate.
+func (o *Object) enqueue(f *wire.Frame, wait bool, epoch uint64) int {
+	verdict := o.mailbox.put(f, wait, epoch)
+	if verdict == putDrain {
+		startDrain(o)
+		verdict = putOK
+	}
+	return verdict
+}
+
+// drain serves o's mailbox on a dispatch goroutine until it is empty.
+func (o *Object) drain() {
+	for f := o.mailbox.next(); f != nil; f = o.mailbox.next() {
 		o.serve(f)
 		f.Close()
 	}
@@ -153,7 +168,7 @@ func (o *Object) serveInline(f *wire.Frame) {
 // sees, the context its Ctx returns, and the first inlineArgs argument
 // views. serve and serveLocal take one per call and zero and return it
 // once the reply no longer needs it, so a served call allocates none of
-// them and no object or worker holds one between calls.
+// them and no object or dispatch goroutine holds one between calls.
 type serveRec struct {
 	inv  Invocation
 	ctx  invCtx
@@ -417,7 +432,7 @@ func (o *Object) FullInterface() *idl.Interface {
 // stop deactivates the object; Kill and Close take it out of the
 // node's table first, so it runs once per object.
 func (o *Object) stop() {
-	// Queued frames hold pooled buffers the workers will never serve;
+	// Queued frames hold pooled buffers no drainer will serve now;
 	// release them.
 	backlog := o.mailbox.close()
 	for f := backlog.Pop(); f != nil; f = backlog.Pop() {

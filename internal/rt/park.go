@@ -78,7 +78,7 @@ func (n *Node) Unpark(l loid.LOID) int {
 		switch {
 		case !live:
 			n.bounceParked(f, "object gone during migration abort")
-		case o.mailbox.put(f, false, n.gateEpoch.Load()) == putOK: // no Park while we hold gmu
+		case o.enqueue(f, false, n.gateEpoch.Load()) == putOK: // no Park while we hold gmu
 			replayed++
 		default:
 			// A full (or just stopped) mailbox must not block the abort;
