@@ -104,8 +104,10 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzParseFrame -fuzztime 15s ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzSegmentRecord -fuzztime 15s ./internal/persist
 
+# vet also fails when any file needs gofmt.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 check: build vet test race
 

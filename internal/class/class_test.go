@@ -49,6 +49,8 @@ type fixture struct {
 	meta     *Metaclass
 	magL     loid.LOID
 	mag      *Magistrate2
+	store    *persist.MemStore // the magistrate's
+	nodes    []*rt.Node
 	hostL    loid.LOID
 	hostObj  *host.Host
 	caller   *rt.Caller
@@ -110,6 +112,7 @@ func newFixture(t *testing.T) *fixture {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { n.Close() })
+		fx.nodes = append(fx.nodes, n)
 		return n
 	}
 	resFactory := func(self loid.LOID) rt.Resolver { return fx.resolver }
@@ -139,7 +142,8 @@ func newFixture(t *testing.T) *fixture {
 	// One magistrate over that host.
 	magNode := newNode("mag")
 	fx.magL = loid.NewNoKey(loid.ClassIDMagistrate, 1)
-	fx.mag = magistrate.New(fx.magL, persist.NewMemStore())
+	fx.store = persist.NewMemStore()
+	fx.mag = magistrate.New(fx.magL, fx.store)
 	if _, err := magNode.Spawn(fx.magL, fx.mag,
 		rt.WithCaller(rt.NewCaller(magNode, fx.magL, fx.resolver))); err != nil {
 		t.Fatal(err)

@@ -237,13 +237,10 @@ func (c *ClassImpl) create(inv *rt.Invocation) ([][]byte, error) {
 	}
 
 	mc := magistrate.NewClient(c.obj.Caller(), mag)
-	if err := mc.RegisterCtx(inv.Ctx(), l, implSpec, initState); err != nil {
-		return nil, fmt.Errorf("class %s: register %v with %v: %w", c.meta.Name, l, mag, err)
-	}
 	// Scheduling hook (§3.7/§3.8): with no explicit host hint, the
 	// class may employ its Scheduling Agent to suggest a host, passing
-	// the suggestion through Activate's second parameter. Placement
-	// falls back to the Magistrate's default policy if the agent is
+	// the suggestion through Instantiate's host hint. Placement falls
+	// back to the Magistrate's default policy if the agent is
 	// unreachable — scheduling is advice, not mechanism.
 	if hostHint.IsNil() && !sched.IsNil() {
 		if hosts, err := mc.ListHosts(); err == nil && len(hosts) > 0 {
@@ -252,9 +249,12 @@ func (c *ClassImpl) create(inv *rt.Invocation) ([][]byte, error) {
 			}
 		}
 	}
-	b, err := mc.ActivateCtx(inv.Ctx(), l, hostHint)
+	// One Magistrate call registers and starts the object: a Create that
+	// fails leaves nothing behind, and one that succeeds writes nothing
+	// to the jurisdiction's store.
+	b, err := mc.InstantiateCtx(inv.Ctx(), l, implSpec, initState, hostHint)
 	if err != nil {
-		return nil, fmt.Errorf("class %s: activate %v: %w", c.meta.Name, l, err)
+		return nil, fmt.Errorf("class %s: instantiate %v with %v: %w", c.meta.Name, l, mag, err)
 	}
 	c.mu.Lock()
 	c.table[l.ID()] = &Row{
@@ -309,10 +309,13 @@ func (c *ClassImpl) derive(inv *rt.Invocation) ([][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return c.deriveClass(name, implName, newIfc, Flags(flags), magHint, false)
+	return c.deriveClass(inv.Ctx(), name, implName, newIfc, Flags(flags), magHint, false)
 }
 
-func (c *ClassImpl) deriveClass(name, implName string, newIfc *idl.Interface, flags Flags, magHint loid.LOID, isClone bool) ([][]byte, error) {
+// deriveClass makes and starts a subclass object for Derive and Clone.
+// ctx is the invocation's, so the LegionClass consult and the
+// Magistrate hop keep the caller's deadline and trace.
+func (c *ClassImpl) deriveClass(ctx context.Context, name, implName string, newIfc *idl.Interface, flags Flags, magHint loid.LOID, isClone bool) ([][]byte, error) {
 	c.mu.Lock()
 	if c.meta.Flags.Private() && !isClone {
 		c.mu.Unlock()
@@ -333,7 +336,7 @@ func (c *ClassImpl) deriveClass(name, implName string, newIfc *idl.Interface, fl
 	}
 	// Obtain a unique Class Identifier from LegionClass, which records
 	// that we are responsible for locating the new class (§4.1.3).
-	res, err := c.obj.Caller().Call(loid.LegionClass, "NewClassID",
+	res, err := c.obj.Caller().CallCtx(ctx, loid.LegionClass, "NewClassID",
 		wire.LOID(selfL), wire.String(name))
 	if err != nil {
 		return nil, fmt.Errorf("class %s: contact LegionClass: %w", parentName, err)
@@ -393,13 +396,9 @@ func (c *ClassImpl) deriveClass(name, implName string, newIfc *idl.Interface, fl
 	if err != nil {
 		return nil, err
 	}
-	mc := magistrate.NewClient(c.obj.Caller(), mag)
-	if err := mc.Register(childMeta.Self, ImplName, childState); err != nil {
-		return nil, fmt.Errorf("class %s: register subclass %s: %w", parentName, name, err)
-	}
-	b, err := mc.Activate(childMeta.Self, loid.Nil)
+	b, err := magistrate.NewClient(c.obj.Caller(), mag).InstantiateCtx(ctx, childMeta.Self, ImplName, childState, loid.Nil)
 	if err != nil {
-		return nil, fmt.Errorf("class %s: activate subclass %s: %w", parentName, name, err)
+		return nil, fmt.Errorf("class %s: instantiate subclass %s: %w", parentName, name, err)
 	}
 	c.mu.Lock()
 	c.table[childMeta.Self.ID()] = &Row{
@@ -667,7 +666,7 @@ func (c *ClassImpl) clone(inv *rt.Invocation) ([][]byte, error) {
 	c.mu.Lock()
 	name := fmt.Sprintf("%s-clone%d", c.meta.Name, len(c.table))
 	c.mu.Unlock()
-	return c.deriveClass(name, "", nil, 0, magHint, true)
+	return c.deriveClass(inv.Ctx(), name, "", nil, 0, magHint, true)
 }
 
 func (c *ClassImpl) getRow(inv *rt.Invocation) ([][]byte, error) {

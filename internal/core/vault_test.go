@@ -64,6 +64,33 @@ func TestDiskBackedVault(t *testing.T) {
 	}
 }
 
+// TestCreateWritesNothing gates what creation costs the store: a new
+// object starts from the state in hand, so N Creates and a Derive on a
+// segment-store jurisdiction add no group commit and no record.
+func TestCreateWritesNothing(t *testing.T) {
+	sys := bootSys(t, Options{DataDir: t.TempDir()})
+	st := sys.Jurisdictions[0].Store
+	commits := func() uint64 { return sys.Reg.CounterValue("persist/group_commit") }
+	c0, r0 := commits(), st.Stats().Records
+
+	cl, _, err := sys.DeriveClass("Counter", "counter", counterInterface(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 32
+	for i := 0; i < n; i++ {
+		if _, _, err := cl.Create(nil, loid.Nil, loid.Nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d := commits() - c0; d != 0 {
+		t.Errorf("%d Creates and one Derive made %d group commits, want 0", n, d)
+	}
+	if r := st.Stats().Records; r != r0 {
+		t.Errorf("%d Creates and one Derive took the store from %d records to %d", n, r0, r)
+	}
+}
+
 // TestAddJurisdictionUsesSystemStore: a jurisdiction added at run time
 // gets its storage exactly as Boot's do — a segment log under
 // DataDir/j<index> — not a memory store whose OPRs die with the process.

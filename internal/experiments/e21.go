@@ -25,9 +25,9 @@ import (
 // when the adoption target itself dies mid-ship.
 func RunE21(scale Scale) (*Table, error) {
 	t := &Table{
-		ID:    "E21",
-		Title: "Crash-consistent segment store and bulk adoption (§3.1.1, §4.3)",
-		Claim: "group-committed checkpoints survive torn writes, fsync errors, and crashes mid-compaction or mid-ship with zero acknowledged-record loss; snapshot-shipped bulk adoption recovers a crashed host's residents faster than per-OPR reactivation with exactly one incarnation per object",
+		ID:      "E21",
+		Title:   "Crash-consistent segment store and bulk adoption (§3.1.1, §4.3)",
+		Claim:   "group-committed checkpoints survive torn writes, fsync errors, and crashes mid-compaction or mid-ship with zero acknowledged-record loss; snapshot-shipped bulk adoption recovers a crashed host's residents faster than per-OPR reactivation with exactly one incarnation per object",
 		Columns: []string{"scenario", "objects", "acked", "lost", "quarantined", "regressions", "multi-incarnation", "recovery"},
 	}
 

@@ -59,15 +59,10 @@ func (cl *Client) ListHosts() ([]loid.LOID, error) {
 }
 
 // Register places a new object's persistent representation under the
-// magistrate's control.
+// magistrate's control, inert: it runs on first Activate. (A class's
+// Create uses InstantiateCtx, which starts the object instead.)
 func (cl *Client) Register(l loid.LOID, impl string, state []byte) error {
-	return cl.RegisterCtx(context.Background(), l, impl, state)
-}
-
-// RegisterCtx is Register carrying the surrounding invocation's
-// deadline and trace identity.
-func (cl *Client) RegisterCtx(ctx context.Context, l loid.LOID, impl string, state []byte) error {
-	res, err := cl.c.CallCtx(ctx, cl.m, "Register", wire.LOID(l), wire.String(impl), state)
+	res, err := cl.c.Call(cl.m, "Register", wire.LOID(l), wire.String(impl), state)
 	if err != nil {
 		return err
 	}
@@ -86,6 +81,23 @@ func (cl *Client) Activate(l loid.LOID, hostHint loid.LOID) (binding.Binding, er
 // hop of the originating trace.
 func (cl *Client) ActivateCtx(ctx context.Context, l loid.LOID, hostHint loid.LOID) (binding.Binding, error) {
 	res, err := cl.c.CallCtx(ctx, cl.m, "Activate", wire.LOID(l), wire.LOID(hostHint))
+	if err != nil {
+		return binding.Binding{}, err
+	}
+	raw, err := res.Result(0)
+	if err != nil {
+		return binding.Binding{}, err
+	}
+	return wire.AsBinding(raw)
+}
+
+// InstantiateCtx places a new object l under the magistrate's control
+// and starts it from state on one of the jurisdiction's hosts (hostHint
+// may be loid.Nil), returning its binding: the Create of §4.2 in one
+// call. It writes nothing to the store, and an object that fails to
+// start is not kept.
+func (cl *Client) InstantiateCtx(ctx context.Context, l loid.LOID, impl string, state []byte, hostHint loid.LOID) (binding.Binding, error) {
+	res, err := cl.c.CallCtx(ctx, cl.m, "Instantiate", wire.LOID(l), wire.String(impl), state, wire.LOID(hostHint))
 	if err != nil {
 		return binding.Binding{}, err
 	}

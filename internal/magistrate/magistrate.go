@@ -45,6 +45,13 @@ var Interface = idl.NewInterface("LegionMagistrate",
 	idl.MethodSig{Name: "Activate",
 		Params:  []idl.Param{{Name: "object", Type: idl.TLOID}, {Name: "hostHint", Type: idl.TLOID}},
 		Returns: []idl.Param{{Name: "b", Type: idl.TBinding}}},
+	idl.MethodSig{Name: "Instantiate",
+		Params: []idl.Param{
+			{Name: "object", Type: idl.TLOID},
+			{Name: "impl", Type: idl.TString},
+			{Name: "state", Type: idl.TBytes},
+			{Name: "hostHint", Type: idl.TLOID}},
+		Returns: []idl.Param{{Name: "b", Type: idl.TBinding}}},
 	idl.MethodSig{Name: "Deactivate",
 		Params: []idl.Param{{Name: "object", Type: idl.TLOID}}},
 	idl.MethodSig{Name: "Delete",
@@ -93,8 +100,11 @@ var Interface = idl.NewInterface("LegionMagistrate",
 type ActivationFilter func(object loid.LOID, impl string, onHost loid.LOID) error
 
 type record struct {
-	impl    string
-	oprAddr persist.PersistentAddress // set iff inert
+	impl string
+	// oprAddr is set iff the record is inert, with one exception: the
+	// record Instantiate inserts is inert, claimed and has none until
+	// its object starts (or it leaves the table). See unborn.
+	oprAddr persist.PersistentAddress
 	// ckptAddr is the newest crash-recovery checkpoint of an ACTIVE
 	// object (Host checkpointers ship these via CheckpointBatch). If the
 	// host dies, HostFailed promotes it to oprAddr so the object
@@ -114,6 +124,11 @@ type record struct {
 	host loid.LOID  // host running the object, if active
 	addr oa.Address // object address, if active
 }
+
+// unborn reports a record Instantiate has inserted but whose object has
+// not started yet: no binding has been returned to anyone, and nothing
+// is filed for it. m.mu held.
+func (r *record) unborn() bool { return r.busy && !r.active && r.oprAddr == "" }
 
 // Magistrate is the Magistrate implementation.
 type Magistrate struct {
@@ -332,6 +347,8 @@ func (m *Magistrate) Dispatch(inv *rt.Invocation) ([][]byte, error) {
 		return m.checkpointBatch(inv)
 	case "Activate":
 		return m.activate(inv)
+	case "Instantiate":
+		return m.instantiate(inv)
 	case "Deactivate":
 		return m.deactivate(inv)
 	case "Delete":
@@ -514,31 +531,14 @@ func (m *Magistrate) activateLocal(ctx context.Context, l, hint loid.LOID) (b bi
 		m.mu.Unlock()
 		return b, true, nil
 	}
-	h, err := m.pickHostLocked(hint)
+	implName, oprAddr := rec.impl, rec.oprAddr
+	h, err := m.pickAdmittedLocked(l, implName, hint)
 	if err != nil {
 		m.mu.Unlock()
 		return binding.Binding{}, true, err
 	}
-	implName, oprAddr := rec.impl, rec.oprAddr
-	if m.filter != nil {
-		if ferr := m.filter(l, implName, h.l); ferr != nil {
-			m.mu.Unlock()
-			return binding.Binding{}, true, fmt.Errorf("magistrate %v refuses to activate %v: %w", m.self, l, ferr)
-		}
-	}
 	m.claimLocked(rec)
 	m.mu.Unlock()
-	b, err = m.startOn(ctx, l, rec, h, implName, oprAddr)
-	return b, true, err
-}
-
-// startOn starts rec's object on h from the OPR at oprAddr. rec is
-// claimed by the caller; startOn releases the claim, whatever the
-// outcome, in the critical section that commits the started object, so
-// no other actor (HostFailed above all) sees it placed yet still
-// claimed.
-func (m *Magistrate) startOn(ctx context.Context, l loid.LOID, rec *record, h hostEntry, implName string, oprAddr persist.PersistentAddress) (binding.Binding, error) {
-	hc := host.NewClient(m.obj.Caller(), h.l)
 	opr, err := m.store.Get(oprAddr)
 	if errors.Is(err, persist.ErrCorrupt) {
 		// The representation is damaged (now quarantined by the store).
@@ -550,19 +550,115 @@ func (m *Magistrate) startOn(ctx context.Context, l loid.LOID, rec *record, h ho
 		sp.Finish(wire.ErrApp.String())
 		opr, err = persist.OPR{LOID: l, Impl: implName}, nil
 	}
-	var addr oa.Address
 	if err != nil {
-		err = fmt.Errorf("magistrate %v: opr for %v: %w", m.self, l, err)
-	} else if addr, err = hc.StartObjectCtx(ctx, l, opr.Impl, opr.State); err != nil {
-		err = fmt.Errorf("magistrate %v: start %v on %v: %w", m.self, l, h.l, err)
+		m.mu.Lock()
+		m.releaseLocked(rec)
+		m.mu.Unlock()
+		return binding.Binding{}, true, fmt.Errorf("magistrate %v: opr for %v: %w", m.self, l, err)
 	}
+	b, err = m.startOn(ctx, l, rec, h, opr, oprAddr)
+	return b, true, err
+}
+
+// instantiate implements Instantiate: a new object enters the
+// jurisdiction already running (§4.2). Its record is inserted claimed
+// and started from the state in the invocation — borrowed bytes that go
+// to the host inside this dispatch and are never retained — so a Create
+// writes nothing to the store: an OPR put here would be deleted the
+// moment the object ran. Until a checkpoint or Deactivate files one,
+// the object is "active, no checkpoint", whose loss settles to a blank
+// OPR like any other.
+func (m *Magistrate) instantiate(inv *rt.Invocation) ([][]byte, error) {
+	l, err := argLOID(inv, 0)
+	if err != nil {
+		return nil, err
+	}
+	implName, err := argString(inv, 1)
+	if err != nil {
+		return nil, err
+	}
+	state, err := inv.Arg(2)
+	if err != nil {
+		return nil, err
+	}
+	hint, err := argLOID(inv, 3)
+	if err != nil {
+		return nil, err
+	}
+	for {
+		m.mu.Lock()
+		rec, ok := m.table[l.ID()]
+		if !ok {
+			break // m.mu stays held for the insert
+		}
+		held := rec.impl
+		m.mu.Unlock()
+		if held != implName {
+			return nil, fmt.Errorf("magistrate %v: object %v already exists", m.self, l)
+		}
+		// A redelivery: the caller retried after a late or lost reply.
+		// Wait on the first delivery's claim and answer its binding. If
+		// that start failed, the record has left the table: start afresh.
+		b, known, err := m.activateLocal(inv.Ctx(), l, hint)
+		if known {
+			if err != nil {
+				return nil, err
+			}
+			return [][]byte{wire.Binding(b)}, nil
+		}
+	}
+	h, err := m.pickAdmittedLocked(l, implName, hint)
+	if err != nil {
+		m.mu.Unlock()
+		return nil, err
+	}
+	rec := &record{impl: implName}
+	m.table[l.ID()] = rec
+	m.claimLocked(rec)
+	m.mu.Unlock()
+	b, err := m.startOn(inv.Ctx(), l, rec, h, persist.OPR{LOID: l, Impl: implName, State: state}, "")
+	if err != nil {
+		return nil, err
+	}
+	return [][]byte{wire.Binding(b)}, nil
+}
+
+// pickAdmittedLocked picks the host l is to start on (pickHostLocked)
+// and applies the activation filter there. m.mu held.
+func (m *Magistrate) pickAdmittedLocked(l loid.LOID, implName string, hint loid.LOID) (hostEntry, error) {
+	h, err := m.pickHostLocked(hint)
+	if err != nil {
+		return hostEntry{}, err
+	}
+	if m.filter != nil {
+		if ferr := m.filter(l, implName, h.l); ferr != nil {
+			return hostEntry{}, fmt.Errorf("magistrate %v refuses to activate %v: %w", m.self, l, ferr)
+		}
+	}
+	return h, nil
+}
+
+// startOn starts rec's object on h from opr, the representation filed
+// at from, or, when from is "", the state a new object was handed
+// (instantiate), which is filed nowhere. rec is claimed by the caller;
+// startOn releases the claim, whatever the outcome, in the critical
+// section that commits the started object, so no other actor
+// (HostFailed above all) sees it placed yet still claimed. A new object
+// that fails to start leaves the table in that same critical section:
+// with nothing filed, no actor may ever see it inert.
+func (m *Magistrate) startOn(ctx context.Context, l loid.LOID, rec *record, h hostEntry, opr persist.OPR, from persist.PersistentAddress) (binding.Binding, error) {
+	hc := host.NewClient(m.obj.Caller(), h.l)
+	addr, err := hc.StartObjectCtx(ctx, l, opr.Impl, opr.State)
 	m.mu.Lock()
 	m.releaseLocked(rec)
 	if err != nil {
+		if from == "" && m.table[l.ID()] == rec {
+			delete(m.table, l.ID())
+		}
 		m.mu.Unlock()
-		return binding.Binding{}, err
+		return binding.Binding{}, fmt.Errorf("magistrate %v: start %v on %v: %w", m.self, l, h.l, err)
 	}
-	stale, ok := m.commitStartedLocked(l, rec, h.l, addr, oprAddr)
+	stale, ok := m.commitStartedLocked(l, rec, h.l, addr, from)
 	if !ok {
 		m.mu.Unlock()
 		_ = hc.KillObject(l)
@@ -572,6 +668,11 @@ func (m *Magistrate) startOn(ctx context.Context, l loid.LOID, rec *record, h ho
 	plane := m.plane
 	m.mu.Unlock()
 	m.drop(stale[:]...)
+	if from == "" {
+		// A new object is registered only once it runs: a failed
+		// Instantiate leaves no generation behind.
+		noteGeneration(plane, l, "register", loid.Nil, len(opr.State))
+	}
 	noteGeneration(plane, l, "activate", h.l, len(opr.State))
 	if plane != nil {
 		plane.Record(obs.KindActivate, l.ID().String(), "started on "+h.l.String(), trace.FromContext(ctx).TraceID)
@@ -1144,12 +1245,23 @@ func (m *Magistrate) SaveState() ([]byte, error) {
 		out = s.l.Marshal(out)
 		out = s.addr.Marshal(out)
 	}
-	// Every record is saved. An active object's running state dies
-	// with the process, so it is recorded as inert-at-restore, pointing
-	// at its newest checkpoint when one exists (empty address = blank
-	// restart). Inert records keep their authoritative OPR address.
-	out = append(out, wire.Uint64(uint64(len(m.table)))...)
+	// Every record is saved but an unborn one, whose Instantiate has
+	// returned no binding yet (restored, it would mint a blank OPR for
+	// an object whose Create may still fail). An active object's running
+	// state dies with the process, so it is recorded as inert-at-restore,
+	// pointing at its newest checkpoint when one exists (empty address =
+	// blank restart). Inert records keep their authoritative OPR address.
+	n := len(m.table)
+	for _, rec := range m.table {
+		if rec.unborn() {
+			n--
+		}
+	}
+	out = append(out, wire.Uint64(uint64(n))...)
 	for l, rec := range m.table {
+		if rec.unborn() {
+			continue
+		}
 		addr := rec.oprAddr
 		if rec.active {
 			addr = rec.ckptAddr

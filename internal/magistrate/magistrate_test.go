@@ -1,8 +1,10 @@
 package magistrate
 
 import (
+	"context"
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -22,6 +24,7 @@ import (
 // fixture: a jurisdiction with two hosts, one magistrate, one client.
 type fixture struct {
 	fabric *transport.Fabric
+	impls  *implreg.Registry // the hosts'
 	store  *persist.MemStore
 	reg    *metrics.Registry // the magistrate node's
 	mag    *Magistrate
@@ -59,7 +62,7 @@ func newFixture(t testing.TB, nHosts int) *fixture {
 	impls := implreg.NewRegistry()
 	impls.MustRegister("counter", counterFactory)
 
-	fx := &fixture{fabric: f, store: persist.NewMemStore(), reg: metrics.NewRegistry()}
+	fx := &fixture{fabric: f, impls: impls, store: persist.NewMemStore(), reg: metrics.NewRegistry()}
 
 	magNode, err := rt.NewNode(f, fx.reg, "mag")
 	if err != nil {
@@ -155,6 +158,78 @@ func TestActivateIdempotent(t *testing.T) {
 	}
 	if !b1.Address.Equal(b2.Address) {
 		t.Error("double activation changed address")
+	}
+}
+
+// TestInstantiateRedelivery: the caller's retry loop re-sends an
+// Instantiate whose reply was late or lost. A second delivery while the
+// first is still starting waits for it, one after it committed finds it
+// running; both answer the first's binding, and the object starts once.
+// While it starts, SaveState leaves the unborn record out.
+func TestInstantiateRedelivery(t *testing.T) {
+	fx := newFixture(t, 1)
+	entered, gate := make(chan struct{}), make(chan struct{})
+	var starts atomic.Int32
+	fx.impls.MustRegister("gated", func() rt.Impl {
+		if starts.Add(1) == 1 {
+			close(entered)
+			<-gate
+		}
+		return counterFactory()
+	})
+	type reply struct {
+		b   binding.Binding
+		err error
+	}
+	deliver := func() chan reply {
+		ch := make(chan reply, 1)
+		go func() {
+			b, err := fx.client.InstantiateCtx(context.Background(), objL, "gated", nil, loid.Nil)
+			ch <- reply{b, err}
+		}()
+		return ch
+	}
+	first := deliver()
+	<-entered // the first delivery holds the claim, inside StartObject
+
+	st, err := fx.mag.SaveState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := New(fx.magL, persist.NewMemStore())
+	if err := restored.RestoreState(st); err != nil {
+		t.Fatal(err)
+	}
+	if _, kept := restored.table[objL.ID()]; kept {
+		t.Error("SaveState kept a record whose Instantiate has not returned")
+	}
+
+	second := deliver()
+	select {
+	case r := <-second:
+		t.Fatalf("redelivery answered while the first was starting: %v, %v", r.b, r.err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(gate)
+	r1, r2 := <-first, <-second
+	if r1.err != nil || r2.err != nil {
+		t.Fatalf("deliveries: %v / %v", r1.err, r2.err)
+	}
+	r3 := <-deliver() // after the commit
+	if r3.err != nil {
+		t.Fatal(r3.err)
+	}
+	for _, r := range []reply{r2, r3} {
+		if !r.b.Address.Equal(r1.b.Address) {
+			t.Errorf("redelivery bound %v, first %v", r.b.Address, r1.b.Address)
+		}
+	}
+	if n := starts.Load(); n != 1 || fx.hosts[0].Running() != 1 {
+		t.Errorf("%d incarnations, %d running; want one", n, fx.hosts[0].Running())
+	}
+	// Only another impl under the same LOID is refused.
+	if _, err := fx.client.InstantiateCtx(context.Background(), objL, "counter", nil, loid.Nil); err == nil {
+		t.Error("Instantiate under a held LOID with another impl succeeded")
 	}
 }
 

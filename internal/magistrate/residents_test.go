@@ -2,6 +2,7 @@ package magistrate
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -140,6 +141,56 @@ func (w *walker) create() {
 		w.t.Fatalf("step %d: register: %v", w.step, err)
 	}
 	w.objs = append(w.objs, l)
+}
+
+// instantiate makes an object the way a class's Create does, in one
+// Instantiate, on a random host of the pool or where the Magistrate
+// picks. It must file nothing in the store.
+func (w *walker) instantiate() {
+	w.next++
+	l := loid.NewNoKey(256, w.next)
+	hint := loid.Nil
+	if in := w.pool(); len(in) > 0 && w.g.intn(2) == 0 {
+		hint = w.fx.hostLs[in[w.g.intn(len(in))]]
+	}
+	records := w.fx.store.Stats().Records
+	if _, err := w.fx.client.InstantiateCtx(context.Background(), l, "counter", nil, hint); err != nil {
+		w.t.Fatalf("step %d: instantiate %v: %v", w.step, l, err)
+	}
+	if n := w.fx.store.Stats().Records; n != records {
+		w.t.Fatalf("step %d: instantiate %v took the store from %d records to %d", w.step, l, records, n)
+	}
+	w.objs = append(w.objs, l)
+}
+
+// instantiateFails runs an Instantiate that must fail and leave nothing:
+// impl "refused" is turned away by the walk's activation filter before
+// any record exists; impl "absent" passes the filter but no host can
+// start it, so its record is inserted and must leave with the claim.
+// With withdrawn set, the hinted host has just left the pool.
+func (w *walker) instantiateFails(impl string, withdrawn bool) {
+	in := w.pool()
+	if len(in) < 2 {
+		return
+	}
+	hint := w.fx.hostLs[in[w.g.intn(len(in))]]
+	if withdrawn {
+		if err := w.fx.client.RemoveHost(hint); err != nil {
+			w.t.Fatalf("step %d: remove host: %v", w.step, err)
+		}
+	}
+	w.next++
+	l := loid.NewNoKey(256, w.next)
+	if _, err := w.fx.client.InstantiateCtx(context.Background(), l, impl, nil, hint); err == nil {
+		w.t.Fatalf("step %d: instantiate %v (%s) on %v succeeded", w.step, l, impl, hint)
+	}
+	m := w.fx.mag
+	m.mu.Lock()
+	_, kept := m.table[l.ID()]
+	m.mu.Unlock()
+	if kept {
+		w.t.Fatalf("step %d: the failed instantiate left %v in the table", w.step, l)
+	}
 }
 
 // reset brings the jurisdiction back to full strength: every host in
@@ -358,11 +409,21 @@ func TestResidentCountsMatchTable(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			w := &walker{t: t, fx: newFixture(t, 3), g: splitmix64{s: seed}, injected: map[string]int{}}
+			w.fx.mag.SetFilter(func(_ loid.LOID, impl string, _ loid.LOID) error {
+				if impl == "refused" {
+					return errors.New("not run in this jurisdiction")
+				}
+				return nil
+			})
 			steps := []struct {
 				name string
 				do   func()
 			}{
 				{"create", w.create}, {"create", w.create},
+				{"instantiate", w.instantiate}, {"instantiate", w.instantiate},
+				{"instantiate/filter-refused", func() { w.instantiateFails("refused", false) }},
+				{"instantiate/host-removed", func() { w.instantiateFails("counter", true) }},
+				{"instantiate/start-fails", func() { w.instantiateFails("absent", false) }},
 				{"activate", w.activate}, {"activate", w.activate}, {"activate", w.activate},
 				{"deactivate", w.deactivate},
 				{"delete", w.remove},
