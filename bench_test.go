@@ -472,15 +472,15 @@ func BenchmarkParallelInvoke(b *testing.B) {
 	b.Run("mem", func(b *testing.B) {
 		f := transport.NewFabric(nil)
 		defer f.Close()
-		benchParallelInvoke(b, f, nil, false)
+		benchParallelInvoke(b, f, f, nil, false)
 	})
 	b.Run("tcp", func(b *testing.B) {
-		benchParallelInvoke(b, &transport.TCP{}, nil, false)
+		benchParallelInvoke(b, &transport.TCP{}, &transport.TCP{}, nil, false)
 	})
 	b.Run("mem-mailbox", func(b *testing.B) {
 		f := transport.NewFabric(nil)
 		defer f.Close()
-		benchParallelInvoke(b, f, nil, true)
+		benchParallelInvoke(b, f, f, nil, true)
 	})
 }
 
@@ -499,20 +499,23 @@ func BenchmarkParallelInvokeTraced(b *testing.B) {
 	b.Run("mem", func(b *testing.B) {
 		f := transport.NewFabric(nil)
 		defer f.Close()
-		benchParallelInvoke(b, f, tracer(), false)
+		benchParallelInvoke(b, f, f, tracer(), false)
 	})
 	b.Run("tcp", func(b *testing.B) {
-		benchParallelInvoke(b, &transport.TCP{}, tracer(), false)
+		benchParallelInvoke(b, &transport.TCP{}, &transport.TCP{}, tracer(), false)
 	})
 }
 
 // benchParallelInvoke drives Work at one object: an inline leaf, or with
-// mailbox a default-option sim.worker.
-func benchParallelInvoke(b *testing.B, tr transport.Transport, tracer *trace.Tracer, mailbox bool) {
-	server, err := rt.NewNode(tr, nil, "bench-srv")
+// mailbox a default-option sim.worker. The server node is built on srvTr
+// and the client node on cliTr; the tcp rows pass two TCP values, as two
+// processes would have, so each call crosses a real socket rather than
+// the same-process path.
+func benchParallelInvoke(b *testing.B, srvTr, cliTr transport.Transport, tracer *trace.Tracer, mailbox bool) {
+	server, err := rt.NewNode(srvTr, nil, "bench-srv")
 	mustNoErr(b, err)
 	defer server.Close()
-	clientNode, err := rt.NewNode(tr, nil, "bench-cli")
+	clientNode, err := rt.NewNode(cliTr, nil, "bench-cli")
 	mustNoErr(b, err)
 	defer clientNode.Close()
 	if tracer != nil {

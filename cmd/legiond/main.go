@@ -57,9 +57,10 @@ func main() {
 
 	switch *mode {
 	case "core":
+		reg := metrics.NewRegistry()
 		opts := core.Options{
-			Transport:            &transport.TCP{},
-			Registry:             metrics.NewRegistry(),
+			Transport:            &transport.TCP{Registry: reg},
+			Registry:             reg,
 			Impls:                impls,
 			Jurisdictions:        *jurisdictions,
 			HostsPerJurisdiction: *hosts,

@@ -140,9 +140,12 @@ type Remote struct {
 }
 
 // Attach prepares a process to talk to the system described by ni over
-// TCP.
+// TCP. The Remote gets a TCP value of its own, counting into Reg, so
+// its traffic to the system crosses sockets even when the system was
+// booted in the same process.
 func Attach(ni *NetInfo) (*Remote, error) {
-	r := &Remote{Info: ni, Trans: &transport.TCP{}, Reg: metrics.NewRegistry()}
+	reg := metrics.NewRegistry()
+	r := &Remote{Info: ni, Trans: &transport.TCP{Registry: reg}, Reg: reg}
 	var err error
 	r.leafLOID, r.leafAddr, err = ni.Leaves[0].resolve()
 	if err != nil {

@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -556,7 +557,7 @@ func (m *Magistrate) activateLocal(ctx context.Context, l, hint loid.LOID) (b bi
 		m.mu.Unlock()
 		return binding.Binding{}, true, fmt.Errorf("magistrate %v: opr for %v: %w", m.self, l, err)
 	}
-	b, err = m.startOn(ctx, l, rec, h, opr, oprAddr)
+	b, err = m.startOn(ctx, l, rec, h, !hint.IsNil(), opr, oprAddr)
 	return b, true, err
 }
 
@@ -616,7 +617,7 @@ func (m *Magistrate) instantiate(inv *rt.Invocation) ([][]byte, error) {
 	m.table[l.ID()] = rec
 	m.claimLocked(rec)
 	m.mu.Unlock()
-	b, err := m.startOn(inv.Ctx(), l, rec, h, persist.OPR{LOID: l, Impl: implName, State: state}, "")
+	b, err := m.startOn(inv.Ctx(), l, rec, h, !hint.IsNil(), persist.OPR{LOID: l, Impl: implName, State: state}, "")
 	if err != nil {
 		return nil, err
 	}
@@ -640,15 +641,17 @@ func (m *Magistrate) pickAdmittedLocked(l loid.LOID, implName string, hint loid.
 
 // startOn starts rec's object on h from opr, the representation filed
 // at from, or, when from is "", the state a new object was handed
-// (instantiate), which is filed nowhere. rec is claimed by the caller;
-// startOn releases the claim, whatever the outcome, in the critical
-// section that commits the started object, so no other actor
-// (HostFailed above all) sees it placed yet still claimed. A new object
-// that fails to start leaves the table in that same critical section:
-// with nothing filed, no actor may ever see it inert.
-func (m *Magistrate) startOn(ctx context.Context, l loid.LOID, rec *record, h hostEntry, opr persist.OPR, from persist.PersistentAddress) (binding.Binding, error) {
+// (instantiate), which is filed nowhere. A host that refuses because it
+// lacks the implementation is passed over unless the caller pinned h
+// (see startFirst). rec is claimed by the caller; startOn releases the
+// claim, whatever the outcome, in the critical section that commits the
+// started object, so no other actor (HostFailed above all) sees it
+// placed yet still claimed. A new object that fails to start leaves the
+// table in that same critical section: with nothing filed, no actor may
+// ever see it inert.
+func (m *Magistrate) startOn(ctx context.Context, l loid.LOID, rec *record, h hostEntry, pinned bool, opr persist.OPR, from persist.PersistentAddress) (binding.Binding, error) {
+	h, addr, err := m.startFirst(ctx, l, h, pinned, opr)
 	hc := host.NewClient(m.obj.Caller(), h.l)
-	addr, err := hc.StartObjectCtx(ctx, l, opr.Impl, opr.State)
 	m.mu.Lock()
 	m.releaseLocked(rec)
 	if err != nil {
@@ -678,6 +681,45 @@ func (m *Magistrate) startOn(ctx context.Context, l loid.LOID, rec *record, h ho
 		plane.Record(obs.KindActivate, l.ID().String(), "started on "+h.l.String(), trace.FromContext(ctx).TraceID)
 	}
 	return b, nil
+}
+
+// startFirst asks h to start l from opr and returns the host that ran
+// it. Hosts need not carry every implementation (a process that joins
+// with only its own code), so a refusal for want of one
+// (wire.ErrUnknownImpl) moves on: each admitted host of the pool not yet
+// asked is tried once, in pool order, before the refusal is returned. A
+// host the caller named by hint is pinned and has no fallback.
+func (m *Magistrate) startFirst(ctx context.Context, l loid.LOID, h hostEntry, pinned bool, opr persist.OPR) (hostEntry, oa.Address, error) {
+	asked := []loid.LOID{h.l}
+	for {
+		addr, err := host.NewClient(m.obj.Caller(), h.l).StartObjectCtx(ctx, l, opr.Impl, opr.State)
+		if pinned || !rt.IsCode(err, wire.ErrUnknownImpl) {
+			return h, addr, err
+		}
+		m.mu.Lock()
+		next, ok := m.unaskedAdmittedLocked(l, opr.Impl, asked)
+		m.mu.Unlock()
+		if !ok {
+			return h, addr, err
+		}
+		h = next
+		asked = append(asked, h.l)
+	}
+}
+
+// unaskedAdmittedLocked returns the first host of the pool that is not
+// in asked and that the activation filter admits for l. m.mu held.
+func (m *Magistrate) unaskedAdmittedLocked(l loid.LOID, implName string, asked []loid.LOID) (hostEntry, bool) {
+	for _, h := range m.hosts {
+		if slices.ContainsFunc(asked, h.l.SameObject) {
+			continue
+		}
+		if m.filter != nil && m.filter(l, implName, h.l) != nil {
+			continue
+		}
+		return h, true
+	}
+	return hostEntry{}, false
 }
 
 // commitStartedLocked records that rec's object, started from the OPR

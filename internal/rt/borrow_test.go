@@ -12,6 +12,7 @@ import (
 	"repro/internal/buf"
 	"repro/internal/idl"
 	"repro/internal/loid"
+	"repro/internal/metrics"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -54,20 +55,24 @@ func TestBorrowAcrossHandlerReturn(t *testing.T) {
 	t.Run("mem", func(t *testing.T) {
 		f := transport.NewFabric(nil)
 		defer f.Close()
-		runBorrowStorm(t, f)
+		runBorrowStorm(t, func() transport.Transport { return f })
 	})
 	t.Run("tcp", func(t *testing.T) {
-		runBorrowStorm(t, &transport.TCP{})
+		reg := metrics.NewRegistry()
+		runBorrowStorm(t, ownTCP(reg))
+		wantDials(t, reg)
 	})
 }
 
-func runBorrowStorm(t *testing.T, tr transport.Transport) {
+// runBorrowStorm runs the storm over two nodes, each built on the
+// transport tr returns for it.
+func runBorrowStorm(t *testing.T, tr func() transport.Transport) {
 	live0 := buf.Live()
-	n0, err := NewNode(tr, nil, "borrow-srv")
+	n0, err := NewNode(tr(), nil, "borrow-srv")
 	if err != nil {
 		t.Fatal(err)
 	}
-	n1, err := NewNode(tr, nil, "borrow-cli")
+	n1, err := NewNode(tr(), nil, "borrow-cli")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -828,10 +828,10 @@ func (c *Caller) sendOne(e oa.Element, target loid.LOID, method string, args [][
 // one element, the shape every cached binding to an unreplicated
 // object produces. Semantics match deliver exactly (deadline clipping,
 // breaker fail-fast, health attribution, retryable verdicts); what it
-// sheds is the per-wave bookkeeping, and — for the mem fabric's
-// zero-latency path, which completes the future on this very goroutine
-// during the send — the reply is collected by a non-blocking poll
-// before any timer is armed.
+// sheds is the per-wave bookkeeping, and — for a synchronous delivery
+// (the mem fabric's zero-latency path, TCP within one TCP value), which
+// can complete the future on this very goroutine during the send — the
+// reply is collected by a non-blocking poll before any timer is armed.
 //
 // When the target is co-resident AND runs its methods safely on the
 // calling goroutine (an inline leaf, or an internally-synchronized

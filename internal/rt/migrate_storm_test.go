@@ -11,6 +11,7 @@ import (
 	"repro/internal/buf"
 	"repro/internal/idl"
 	"repro/internal/loid"
+	"repro/internal/metrics"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -113,24 +114,28 @@ func TestMigrationStormFIFO(t *testing.T) {
 	t.Run("mem", func(t *testing.T) {
 		f := transport.NewFabric(nil)
 		defer f.Close()
-		runMigrationStorm(t, f)
+		runMigrationStorm(t, func() transport.Transport { return f })
 	})
 	t.Run("tcp", func(t *testing.T) {
-		runMigrationStorm(t, &transport.TCP{})
+		reg := metrics.NewRegistry()
+		runMigrationStorm(t, ownTCP(reg))
+		wantDials(t, reg)
 	})
 }
 
-func runMigrationStorm(t *testing.T, tr transport.Transport) {
+// runMigrationStorm runs the storm over three nodes, each built on the
+// transport tr returns for it.
+func runMigrationStorm(t *testing.T, tr func() transport.Transport) {
 	live0 := buf.Live()
-	src, err := NewNode(tr, nil, "mig-src")
+	src, err := NewNode(tr(), nil, "mig-src")
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst, err := NewNode(tr, nil, "mig-dst")
+	dst, err := NewNode(tr(), nil, "mig-dst")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cliNode, err := NewNode(tr, nil, "mig-cli")
+	cliNode, err := NewNode(tr(), nil, "mig-cli")
 	if err != nil {
 		t.Fatal(err)
 	}

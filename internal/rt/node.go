@@ -309,7 +309,8 @@ func (n *Node) Close() error {
 // transport buffer (Frame.Own), so the payload bytes flow from the
 // socket to the dispatched method without ever being copied. sync
 // reports that the delivery runs on the sender's goroutine (the mem
-// fabric's zero-latency path).
+// fabric's zero-latency path, or TCP between endpoints of one TCP
+// value).
 func (n *Node) receiveFrame(b *buf.Buffer, data []byte, sync bool) {
 	f := wire.GetFrame()
 	if err := f.Parse(data); err != nil {
@@ -358,8 +359,8 @@ func (n *Node) routeRequest(f *wire.Frame, b *buf.Buffer) {
 		o := v.(*Object)
 		if o.inline {
 			// Leaf-method fast path (WithInlineDispatch): run the method
-			// right here — on the sender's goroutine for the mem fabric's
-			// synchronous path, on the read loop for TCP — skipping the
+			// right here — on the sender's goroutine for a synchronous
+			// delivery, on the read loop for a socket — skipping the
 			// mailbox handoff and its goroutine switches entirely. The
 			// frame's bytes stay valid for the duration of the call (the
 			// transport's reference pins b), so no Own is needed.

@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -409,6 +410,10 @@ func (o *Object) dispatch(r *serveRec, method string, span *trace.Span) (wire.Co
 	if err != nil {
 		if _, ok := err.(*NoSuchMethodError); ok {
 			return wire.ErrNoSuchMethod, err.Error(), nil
+		}
+		var ue *UnknownImplError
+		if errors.As(err, &ue) {
+			return wire.ErrUnknownImpl, err.Error(), nil
 		}
 		return wire.ErrApp, err.Error(), results
 	}

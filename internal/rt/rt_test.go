@@ -614,14 +614,30 @@ func TestConcurrentCallsManyClients(t *testing.T) {
 	}
 }
 
+// ownTCP gives each node it is called for a TCP value of its own, as
+// nodes in separate processes have, so calls between them cross real
+// sockets. Every value counts into reg.
+func ownTCP(reg *metrics.Registry) func() transport.Transport {
+	return func() transport.Transport { return &transport.TCP{Registry: reg} }
+}
+
+// wantDials fails t unless some frame counted in reg crossed a socket.
+func wantDials(t *testing.T, reg *metrics.Registry) {
+	t.Helper()
+	if reg.Counter("net/tcp_dials").Value() == 0 {
+		t.Error("net/tcp_dials = 0; no frame crossed a socket")
+	}
+}
+
 func TestCallOverTCP(t *testing.T) {
-	tr := &transport.TCP{}
-	n0, err := NewNode(tr, nil, "t0")
+	reg := metrics.NewRegistry()
+	tr := ownTCP(reg)
+	n0, err := NewNode(tr(), nil, "t0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer n0.Close()
-	n1, err := NewNode(tr, nil, "t1")
+	n1, err := NewNode(tr(), nil, "t1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -637,6 +653,7 @@ func TestCallOverTCP(t *testing.T) {
 	if string(out) != "tcp" {
 		t.Errorf("result = %q", out)
 	}
+	wantDials(t, reg)
 }
 
 func TestBehaviorDefaults(t *testing.T) {

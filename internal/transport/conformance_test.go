@@ -25,8 +25,14 @@ type harness struct {
 	foreign oa.Element
 	// lossCounter names the counter of frames lost to a dead
 	// destination, which the transport also reports to the next Send;
-	// empty when loss is silent by design (the fabric's crash drop).
-	lossCounter string
+	// empty when nothing in flight can be lost, for the reason noLoss
+	// gives.
+	lossCounter, noLoss string
+	// inMemory reports that endpoints of one transport reach each other
+	// on the sender's goroutine (sync=true) without a dial.
+	inMemory bool
+	// dialCounter names the counter of dials, when the transport dials.
+	dialCounter string
 }
 
 var (
@@ -37,21 +43,44 @@ var (
 			t.Cleanup(func() { f.Close() })
 			return f
 		},
-		foreign: oa.Element{Type: oa.TypeIP},
+		foreign:  oa.Element{Type: oa.TypeIP},
+		noLoss:   "loss to a crashed fabric endpoint is silent by design",
+		inMemory: true,
 	}
+	// tcpHarness puts every endpoint on a TCP value of its own, so every
+	// frame crosses a socket, as between processes.
 	tcpHarness = harness{
 		name:        "tcp",
-		mk:          func(t *testing.T, reg *metrics.Registry) Transport { return &TCP{Registry: reg} },
+		mk:          func(t *testing.T, reg *metrics.Registry) Transport { return tcpPerEndpoint{reg} },
 		foreign:     oa.MemElement(1),
 		lossCounter: "net/tcp_dropped",
+		dialCounter: "net/tcp_dials",
+	}
+	// tcpLocalHarness puts every endpoint on one TCP value: the
+	// same-process path, which never touches a socket.
+	tcpLocalHarness = harness{
+		name:        "tcp-local",
+		mk:          func(t *testing.T, reg *metrics.Registry) Transport { return &TCP{Registry: reg} },
+		foreign:     oa.MemElement(1),
+		noLoss:      "same-value delivery has no socket to lose frames on",
+		inMemory:    true,
+		dialCounter: "net/tcp_dials",
 	}
 )
+
+// tcpPerEndpoint makes each endpoint on a fresh TCP value — a process of
+// its own, as far as the transport can tell — all counting into reg.
+type tcpPerEndpoint struct{ reg *metrics.Registry }
+
+func (p tcpPerEndpoint) NewEndpoint() (Endpoint, error) {
+	return (&TCP{Registry: p.reg}).NewEndpoint()
+}
 
 // TestTransportConformance holds every transport to the Endpoint
 // contract (transport.go): per-flow FIFO, loss counted and surfaced,
 // back-pressure, and the Close rules.
 func TestTransportConformance(t *testing.T) {
-	for _, h := range []harness{fabricHarness, tcpHarness} {
+	for _, h := range []harness{fabricHarness, tcpHarness, tcpLocalHarness} {
 		t.Run(h.name, func(t *testing.T) { transportConformance(t, h) })
 	}
 }
@@ -72,15 +101,58 @@ func (h harness) endpoints(t *testing.T, reg *metrics.Registry, n int) []Endpoin
 	return eps
 }
 
+// checkDials fails t unless the dials counted in reg fit the delivery
+// path: none in memory, at least one across sockets.
+func (h harness) checkDials(t *testing.T, reg *metrics.Registry) {
+	t.Helper()
+	if h.dialCounter == "" {
+		return
+	}
+	switch n := reg.Counter(h.dialCounter).Value(); {
+	case h.inMemory && n != 0:
+		t.Errorf("%s = %d; endpoints of one transport dialed each other", h.dialCounter, n)
+	case !h.inMemory && n == 0:
+		t.Errorf("%s = 0; no frame crossed a socket", h.dialCounter)
+	}
+}
+
 func transportConformance(t *testing.T, h harness) {
 	t.Run("Delivery", func(t *testing.T) {
-		eps := h.endpoints(t, nil, 2)
-		col := newCollector()
-		eps[1].SetHandler(col.handler)
+		reg := metrics.NewRegistry()
+		eps := h.endpoints(t, reg, 2)
+		type delivery struct {
+			data string
+			sync bool
+		}
+		got := make(chan delivery, 1)
+		eps[1].SetFrameHandler(func(_ *buf.Buffer, data []byte, sync bool) {
+			got <- delivery{string(data), sync}
+		})
 		if err := eps[0].Send(eps[1].Element(), []byte("hello")); err != nil {
 			t.Fatal(err)
 		}
-		if msgs := col.wait(t, 1); string(msgs[0]) != "hello" {
+		select {
+		case d := <-got:
+			if d.data != "hello" {
+				t.Errorf("got %q", d.data)
+			}
+			if d.sync != h.inMemory {
+				t.Errorf("handler saw sync=%v, want %v", d.sync, h.inMemory)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("timed out waiting for the frame")
+		}
+		h.checkDials(t, reg)
+	})
+
+	t.Run("SelfSend", func(t *testing.T) {
+		ep := h.endpoints(t, nil, 1)[0]
+		col := newCollector()
+		ep.SetHandler(col.handler)
+		if err := ep.Send(ep.Element(), []byte("me")); err != nil {
+			t.Fatal(err)
+		}
+		if msgs := col.wait(t, 1); string(msgs[0]) != "me" {
 			t.Errorf("got %q", msgs[0])
 		}
 	})
@@ -90,7 +162,8 @@ func transportConformance(t *testing.T, h harness) {
 		// contend for the one flow; each goroutine's own sequence must
 		// arrive gap-free and in order.
 		const senders, per = 8, 2000
-		eps := h.endpoints(t, nil, 2)
+		reg := metrics.NewRegistry()
+		eps := h.endpoints(t, reg, 2)
 		src, dst := eps[0], eps[1]
 		var mu sync.Mutex
 		var next [senders]uint32
@@ -131,6 +204,7 @@ func transportConformance(t *testing.T, h harness) {
 		if bad != nil {
 			t.Fatal(bad)
 		}
+		h.checkDials(t, reg)
 	})
 
 	t.Run("Unreachable", func(t *testing.T) {
@@ -198,12 +272,76 @@ func transportConformance(t *testing.T, h harness) {
 		}
 	})
 
+	t.Run("FramesReleased", func(t *testing.T) {
+		if !buf.Tracking {
+			t.Skip("needs -tags buftrack")
+		}
+		testFramesReleased(t, h)
+	})
+
 	t.Run("LossSurfaced", func(t *testing.T) {
 		if h.lossCounter == "" {
-			t.Skip("loss to a crashed fabric endpoint is silent by design")
+			t.Skip(h.noLoss)
 		}
 		testLossSurfaced(t, h)
 	})
+}
+
+// testFramesReleased sends frames of several sizes, copied (Send) and
+// zero-copy (SendBuf), to a handler that parks every other one past its
+// return, as a mailbox does. Once the parked frames are released and
+// both endpoints closed, no pooled buffer may be left live.
+func testFramesReleased(t *testing.T, h harness) {
+	const frames = 200
+	live0 := buf.Live()
+	eps := h.endpoints(t, nil, 2)
+	src, dst := eps[0], eps[1]
+	var mu sync.Mutex
+	var parked []*buf.Buffer
+	got := 0
+	all := make(chan struct{})
+	dst.SetFrameHandler(func(b *buf.Buffer, _ []byte, _ bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		if got%2 == 0 {
+			parked = append(parked, b.Retain())
+		}
+		if got++; got == frames {
+			close(all)
+		}
+	})
+	sizes := []int{1, 900, 70000} // the last is larger than a TCP read window
+	for i := 0; i < frames; i++ {
+		payload := make([]byte, sizes[i%len(sizes)])
+		if i%2 == 0 {
+			if err := src.Send(dst.Element(), payload); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		fb := buf.Get()
+		fb.B = append(fb.B, payload...)
+		err := src.SendBuf(dst.Element(), fb)
+		fb.Release()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	await(t, all, "every frame")
+	mu.Lock()
+	for _, b := range parked {
+		b.Release()
+	}
+	mu.Unlock()
+	src.Close()
+	dst.Close()
+	deadline := time.Now().Add(2 * time.Second)
+	for buf.Live() > live0 && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := buf.Live(); n > live0 {
+		t.Errorf("%d buffers still live after Close:\n%s", n-live0, strings.Join(buf.LiveStacks(), "---\n"))
+	}
 }
 
 // testLossSurfaced kills a connected destination and pumps frames at it
@@ -239,6 +377,7 @@ func testLossSurfaced(t *testing.T, h harness) {
 	if got := reg.Counter(h.lossCounter).Value(); got == 0 {
 		t.Errorf("%s = 0; dropped frames were not counted", h.lossCounter)
 	}
+	h.checkDials(t, reg)
 	t.Logf("surfaced: %v (%s=%d)", sendErr, h.lossCounter, reg.Counter(h.lossCounter).Value())
 }
 

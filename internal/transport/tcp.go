@@ -42,13 +42,24 @@ const writerBatch = 64
 //
 // Inbound, every accepted connection (one per remote endpoint) gets its
 // own read loop delivering frames in pooled ref-counted buffers.
+//
+// One TCP value is one process's network. Endpoints made by the same
+// value skip the socket: a frame to one of them is delivered on the
+// sender's goroutine with sync=true, as the mem fabric's zero-latency
+// path does — no dial, no queue, no writer, no read loop. Only frames to
+// endpoints of other TCP values (other processes) cross a socket.
 type TCP struct {
 	// ListenHost is the host/IP to bind listeners on. Defaults to
 	// 127.0.0.1, which keeps tests and examples self-contained.
 	ListenHost string
 	// Registry receives transport metrics (net/tcp_dropped: outbound
-	// frames lost when a destination's connection died). Nil discards.
+	// frames lost when a destination's connection died; net/tcp_dials:
+	// dials and redials attempted). Nil discards.
 	Registry *metrics.Registry
+
+	// local holds the live endpoints this value made, for same-process
+	// delivery.
+	local sync.Map // oa.Element -> *tcpEndpoint
 }
 
 // NewEndpoint starts a listener on an ephemeral port.
@@ -72,17 +83,21 @@ func (t *TCP) NewEndpoint() (Endpoint, error) {
 		return nil, err
 	}
 	ep := &tcpEndpoint{
+		t:        t,
 		ln:       ln,
 		elem:     elem,
 		accepted: make(map[net.Conn]struct{}),
 		done:     make(chan struct{}),
 		cDropped: reg.Counter("net/tcp_dropped"),
+		cDials:   reg.Counter("net/tcp_dials"),
 	}
+	t.local.Store(elem, ep)
 	go ep.acceptLoop()
 	return ep, nil
 }
 
 type tcpEndpoint struct {
+	t    *TCP // the value that made it; its local registry lists it while open
 	ln   net.Listener
 	elem oa.Element
 
@@ -103,6 +118,9 @@ type tcpEndpoint struct {
 	// cDropped counts outbound frames lost because a destination's
 	// connection died with frames queued or mid-batch (net/tcp_dropped).
 	cDropped *metrics.Counter
+	// cDials counts dial attempts, first dials and redials alike
+	// (net/tcp_dials).
+	cDials *metrics.Counter
 
 	done chan struct{}
 	once sync.Once
@@ -275,18 +293,22 @@ func (e *tcpEndpoint) Send(to oa.Element, data []byte) error {
 	return err
 }
 
-// SendBuf appends one frame (the whole of b.B) to the destination's
-// queue, dialing synchronously when there is no live connection (so an
-// unreachable destination is still reported to the caller). The queue
-// holds its own reference on b until the bytes reach the kernel. If no
-// write is in progress, this sender becomes the writer and drains the
-// queue before returning.
+// SendBuf delivers one frame (the whole of b.B). A destination made by
+// the same TCP value gets it on this goroutine (sendLocal). Any other is
+// sent through its queue, dialing synchronously when there is no live
+// connection (so an unreachable destination is still reported to the
+// caller). The queue holds its own reference on b until the bytes reach
+// the kernel. If no write is in progress, this sender becomes the
+// writer and drains the queue before returning.
 func (e *tcpEndpoint) SendBuf(to oa.Element, b *buf.Buffer) error {
 	if to.Type != oa.TypeIP {
 		return ErrUnreachable
 	}
 	if len(b.B) > maxFrame {
 		return fmt.Errorf("transport: frame of %d bytes exceeds limit", len(b.B))
+	}
+	if dst, ok := e.t.local.Load(to); ok {
+		return e.sendLocal(dst.(*tcpEndpoint), b)
 	}
 	tc := e.connFor(to)
 	tc.mu.Lock()
@@ -304,7 +326,7 @@ func (e *tcpEndpoint) SendBuf(to oa.Element, b *buf.Buffer) error {
 		tc.space.Wait()
 	}
 	if tc.conn == nil {
-		conn, err := net.Dial("tcp", tc.hostport)
+		conn, err := e.dial(tc.hostport)
 		if err != nil {
 			return fmt.Errorf("%w: %v", ErrUnreachable, err)
 		}
@@ -318,6 +340,29 @@ func (e *tcpEndpoint) SendBuf(to oa.Element, b *buf.Buffer) error {
 	e.drainLocked(tc)
 	tc.writing = false
 	return tc.lossLocked()
+}
+
+// sendLocal delivers b to dst, an endpoint of the same TCP value, on the
+// sender's goroutine with sync=true. The sender's reference pins b for
+// the call, and no lock is held across the handler. A destination with
+// no handler yet drops the frame, as the read loop does.
+func (e *tcpEndpoint) sendLocal(dst *tcpEndpoint, b *buf.Buffer) error {
+	if e.closed() {
+		return ErrClosed
+	}
+	if dst.closed() {
+		return ErrUnreachable
+	}
+	if h := dst.handler.Load(); h != nil {
+		(*h)(b, b.B, true)
+	}
+	return nil
+}
+
+// dial connects to hostport, counted in net/tcp_dials.
+func (e *tcpEndpoint) dial(hostport string) (net.Conn, error) {
+	e.cDials.Inc()
+	return net.Dial("tcp", hostport)
 }
 
 // lossLocked consumes the pending drop report. Surfacing the loss as an
@@ -387,7 +432,7 @@ func (e *tcpEndpoint) drainLocked(tc *tcpConn) {
 		e.noteDroppedLocked(tc, uint64(len(batch)))
 		if !redialed && !e.closed() {
 			redialed = true
-			if c, derr := net.Dial("tcp", tc.hostport); derr == nil {
+			if c, derr := e.dial(tc.hostport); derr == nil {
 				tc.conn = c
 			}
 		}
@@ -415,12 +460,13 @@ func (e *tcpEndpoint) connFor(to oa.Element) *tcpConn {
 	return v.(*tcpConn)
 }
 
-// Close stops the listener, the inbound sockets and every outbound
-// connection. A writer caught mid-write sees its socket fail and drops
-// (releases and counts) what is still queued; senders blocked on a full
-// queue wake and get ErrClosed.
+// Close leaves the value's local registry, then stops the listener, the
+// inbound sockets and every outbound connection. A writer caught
+// mid-write sees its socket fail and drops (releases and counts) what is
+// still queued; senders blocked on a full queue wake and get ErrClosed.
 func (e *tcpEndpoint) Close() error {
 	e.once.Do(func() {
+		e.t.local.CompareAndDelete(e.elem, e)
 		close(e.done)
 		e.ln.Close()
 		e.amu.Lock()

@@ -6,7 +6,9 @@
 //     latency, message loss, and link partitions, plus per-link
 //     counters. It is the substrate for the scalability experiments —
 //     the paper's wide-area testbed substituted per DESIGN.md.
-//   - TCP: a real TCP transport for multi-process deployments.
+//   - TCP: a real TCP transport for multi-process deployments. One TCP
+//     value is one process; its own endpoints reach each other in
+//     memory, and only traffic to other processes crosses a socket.
 //
 // Transports move opaque byte strings; framing, retries, and stale
 // address handling live in the layers above (internal/rt).
@@ -27,12 +29,14 @@ var ErrUnreachable = errors.New("transport: endpoint unreachable")
 // ErrClosed reports use of a closed endpoint or transport.
 var ErrClosed = errors.New("transport: closed")
 
-// Handler consumes one received message. Handlers are called
-// sequentially per endpoint; implementations hand off to mailboxes and
-// return quickly. The data buffer is only valid for the duration of
-// the call — transports recycle receive buffers — so a handler that
-// needs the bytes afterwards must copy them (decoding into an owned
-// structure, as wire.Unmarshal does, counts).
+// Handler consumes one received message. Handlers may run concurrently
+// on one endpoint: each TCP read loop calls its own, and a synchronous
+// delivery (see FrameHandler) runs on whichever goroutine sent the
+// frame. Implementations must be safe for concurrent use, hand off to
+// mailboxes and return quickly. The data buffer is only valid for the
+// duration of the call — transports recycle receive buffers — so a
+// handler that needs the bytes afterwards must copy them (decoding into
+// an owned structure, as wire.Unmarshal does, counts).
 type Handler func(data []byte)
 
 // FrameHandler is the zero-copy message consumer. data is the frame
@@ -42,7 +46,8 @@ type Handler func(data []byte)
 // and releases it when done; no copy is required.
 //
 // sync reports that the delivery runs synchronously on the sender's
-// goroutine (the mem transport's zero-latency path): the sender is
+// goroutine — the mem transport's zero-latency path, or a TCP frame
+// between two endpoints made by the same TCP value: the sender is
 // blocked until the handler returns, so the handler may run the method
 // inline without stalling unrelated traffic. When sync is false the
 // handler runs on a shared transport goroutine (a TCP read loop, a
@@ -66,7 +71,11 @@ type Endpoint interface {
 	// Ordering: frames from one endpoint to one destination reach the
 	// destination's handler in Send order (calls that overlap in time
 	// are ordered as they enter the transport). Frames of different
-	// flows are not ordered with respect to each other.
+	// flows are not ordered with respect to each other. On the
+	// same-process paths — the mem Fabric's zero-latency delivery and
+	// TCP between endpoints of one TCP value — the handler has run by
+	// the time Send returns, which keeps the order trivially; handlers
+	// of overlapping Sends run concurrently.
 	//
 	// Loss: a frame can be lost in transit (a connection dies with it
 	// in flight), but the loss is counted and surfaced: the next Send

@@ -181,12 +181,20 @@ func TestFabricCloseRejectsNewEndpoints(t *testing.T) {
 	}
 }
 
+// wantDials fails t unless the endpoints counting into reg dialed: the
+// TCP tests below put each endpoint on its own TCP value, so their
+// frames cross real sockets.
+func wantDials(t *testing.T, reg *metrics.Registry) {
+	t.Helper()
+	if reg.Counter("net/tcp_dials").Value() == 0 {
+		t.Error("net/tcp_dials = 0; no frame crossed a socket")
+	}
+}
+
 func TestTCPBidirectionalAndReuse(t *testing.T) {
-	tr := &TCP{}
-	a, _ := tr.NewEndpoint()
-	defer a.Close()
-	b, _ := tr.NewEndpoint()
-	defer b.Close()
+	reg := metrics.NewRegistry()
+	eps := tcpHarness.endpoints(t, reg, 2)
+	a, b := eps[0], eps[1]
 	colA, colB := newCollector(), newCollector()
 	a.SetHandler(colA.handler)
 	b.SetHandler(colB.handler)
@@ -200,19 +208,23 @@ func TestTCPBidirectionalAndReuse(t *testing.T) {
 	}
 	colB.wait(t, 20)
 	colA.wait(t, 20)
+	// One connection each way, reused for all twenty frames.
+	if n := reg.Counter("net/tcp_dials").Value(); n != 2 {
+		t.Errorf("net/tcp_dials = %d, want 2", n)
+	}
 }
 
 func TestTCPRedialAfterPeerRestart(t *testing.T) {
-	tr := &TCP{}
-	a, _ := tr.NewEndpoint()
-	defer a.Close()
-	b, _ := tr.NewEndpoint()
+	reg := metrics.NewRegistry()
+	eps := tcpHarness.endpoints(t, reg, 2)
+	a, b := eps[0], eps[1]
 	col := newCollector()
 	b.SetHandler(col.handler)
 	if err := a.Send(b.Element(), []byte("1")); err != nil {
 		t.Fatal(err)
 	}
 	col.wait(t, 1)
+	wantDials(t, reg)
 	b.Close()
 	time.Sleep(20 * time.Millisecond)
 	// First send may fail (cached conn broken + listener gone): either
@@ -223,11 +235,13 @@ func TestTCPRedialAfterPeerRestart(t *testing.T) {
 }
 
 func TestTCPRejectsOversizeFrame(t *testing.T) {
-	tr := &TCP{}
-	a, _ := tr.NewEndpoint()
-	defer a.Close()
-	b, _ := tr.NewEndpoint()
-	defer b.Close()
+	reg := metrics.NewRegistry()
+	eps := tcpHarness.endpoints(t, reg, 2)
+	a, b := eps[0], eps[1]
+	if err := a.Send(b.Element(), []byte("fits")); err != nil {
+		t.Fatal(err)
+	}
+	wantDials(t, reg)
 	huge := make([]byte, maxFrame+1)
 	if err := a.Send(b.Element(), huge); err == nil {
 		t.Error("oversize frame accepted")
