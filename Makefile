@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-invoke fuzz-smoke vet check experiments crash-test migrate-test obs-test store-matrix store-test des-test
+.PHONY: all build test race fuzz-smoke vet check experiments crash-test migrate-test obs-test store-matrix store-test des-test
 
 all: check
 
@@ -46,21 +46,6 @@ obs-test:
 	$(GO) test -race ./internal/obs ./internal/metrics ./internal/debughttp
 	$(GO) test -race -run 'TestLiveLQLOverTheWire' ./internal/sim
 	$(GO) run ./cmd/legion-bench -quick -run E20
-
-# All microbenchmarks, with allocation counts. The invocation fast
-# path (E1 binding + the ParallelInvoke suite) is additionally written
-# to BENCH_<date>.json — commit that file with perf-sensitive changes
-# so regressions are diffable in review.
-BENCH_JSON = BENCH_$(shell date -u +%Y-%m-%d).json
-bench:
-	$(GO) test -run xxx -bench 'BenchmarkParallelInvoke|BenchmarkE1BindingPath|BenchmarkCheckpointStorm' \
-		-benchmem -benchtime=2s . | $(GO) run ./cmd/benchjson > $(BENCH_JSON)
-	@echo wrote $(BENCH_JSON)
-	$(GO) test -run xxx -bench . -benchmem -benchtime=2s .
-
-# Just the invocation fast path (the §5.2.1 "common case" pipeline).
-bench-invoke:
-	$(GO) test -run xxx -bench 'BenchmarkParallelInvoke|BenchmarkE1BindingPath' -benchmem -benchtime=2s .
 
 # check-run PKGS,REGEX fails unless every |-separated alternative of a
 # -run REGEX names at least one test in PKGS, so renaming a test cannot

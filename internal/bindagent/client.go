@@ -30,30 +30,31 @@ func NewClient(caller *rt.Caller, agent loid.LOID, addr oa.Address) *Client {
 // Agent returns the agent's LOID.
 func (c *Client) Agent() loid.LOID { return c.agent }
 
-// Resolve implements rt.Resolver via GetBinding(LOID).
+// Resolve is ResolveCtx without a deadline or trace.
 func (c *Client) Resolve(l loid.LOID) (binding.Binding, error) {
 	return c.ResolveCtx(context.Background(), l)
 }
 
-// ResolveCtx implements rt.CtxResolver: the caller's remaining
-// deadline and trace identity propagate into the agent hop.
+// ResolveCtx implements rt.Resolver via GetBinding(LOID): the caller's
+// remaining deadline and trace identity propagate into the agent hop.
 func (c *Client) ResolveCtx(ctx context.Context, l loid.LOID) (binding.Binding, error) {
 	return c.call(ctx, "GetBinding", wire.LOID(l))
 }
 
-// Refresh implements rt.Resolver via the GetBinding(binding) overload.
+// Refresh is RefreshCtx without a deadline or trace.
 func (c *Client) Refresh(stale binding.Binding) (binding.Binding, error) {
 	return c.RefreshCtx(context.Background(), stale)
 }
 
-// RefreshCtx implements rt.CtxResolver.
+// RefreshCtx implements rt.Resolver via the GetBinding(binding)
+// overload.
 func (c *Client) RefreshCtx(ctx context.Context, stale binding.Binding) (binding.Binding, error) {
 	return c.call(ctx, "RebindStale", wire.Binding(stale))
 }
 
 // AddBinding propagates a binding into the agent's cache (§3.6).
 func (c *Client) AddBinding(b binding.Binding) error {
-	res, err := c.caller.CallAddr(c.addr, c.agent, "AddBinding", wire.Binding(b))
+	res, err := c.caller.CallAddrCtx(context.Background(), c.addr, c.agent, "AddBinding", wire.Binding(b))
 	if err != nil {
 		return err
 	}
@@ -62,7 +63,7 @@ func (c *Client) AddBinding(b binding.Binding) error {
 
 // InvalidateLOID removes any binding for l from the agent's cache.
 func (c *Client) InvalidateLOID(l loid.LOID) error {
-	res, err := c.caller.CallAddr(c.addr, c.agent, "InvalidateLOID", wire.LOID(l))
+	res, err := c.caller.CallAddrCtx(context.Background(), c.addr, c.agent, "InvalidateLOID", wire.LOID(l))
 	if err != nil {
 		return err
 	}
@@ -72,7 +73,7 @@ func (c *Client) InvalidateLOID(l loid.LOID) error {
 // InvalidateBinding removes b from the agent's cache if it matches
 // exactly.
 func (c *Client) InvalidateBinding(b binding.Binding) error {
-	res, err := c.caller.CallAddr(c.addr, c.agent, "InvalidateBinding", wire.Binding(b))
+	res, err := c.caller.CallAddrCtx(context.Background(), c.addr, c.agent, "InvalidateBinding", wire.Binding(b))
 	if err != nil {
 		return err
 	}
@@ -81,7 +82,7 @@ func (c *Client) InvalidateBinding(b binding.Binding) error {
 
 // CacheStats reads the agent's hit/miss counters.
 func (c *Client) CacheStats() (hits, misses uint64, err error) {
-	res, err := c.caller.CallAddr(c.addr, c.agent, "CacheStats")
+	res, err := c.caller.CallAddrCtx(context.Background(), c.addr, c.agent, "CacheStats")
 	if err != nil {
 		return 0, 0, err
 	}

@@ -1,6 +1,7 @@
 package class
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"sync"
@@ -27,7 +28,7 @@ type staticResolver struct {
 	table map[loid.LOID]binding.Binding
 }
 
-func (s *staticResolver) Resolve(l loid.LOID) (binding.Binding, error) {
+func (s *staticResolver) ResolveCtx(_ context.Context, l loid.LOID) (binding.Binding, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	b, ok := s.table[l.ID()]
@@ -37,8 +38,8 @@ func (s *staticResolver) Resolve(l loid.LOID) (binding.Binding, error) {
 	return b, nil
 }
 
-func (s *staticResolver) Refresh(stale binding.Binding) (binding.Binding, error) {
-	return s.Resolve(stale.LOID)
+func (s *staticResolver) RefreshCtx(ctx context.Context, stale binding.Binding) (binding.Binding, error) {
+	return s.ResolveCtx(ctx, stale.LOID)
 }
 
 type fixture struct {

@@ -171,7 +171,8 @@ func (j *Jurisdiction) StoredOPRs() int {
 func (j *Jurisdiction) MagistrateImpl() *magistrate.Magistrate { return j.mag }
 
 // HostImpls exposes the in-process Host Objects (checkpoint control,
-// chaos injection).
+// chaos injection), index-aligned with Hosts and HostAddrs. The entry
+// of a host that runs in another process is nil.
 func (j *Jurisdiction) HostImpls() []*host.Host { return j.hostImpls }
 
 // System is a booted Legion instance.
@@ -260,33 +261,6 @@ func Boot(opts Options) (*System, error) {
 	return sys, nil
 }
 
-func (s *System) newNode(name string) (*rt.Node, error) {
-	n, err := rt.NewNode(s.Trans, s.Reg, name)
-	if err != nil {
-		return nil, err
-	}
-	if s.Options.Tracer != nil {
-		n.SetTracer(s.Options.Tracer)
-	}
-	if ob := s.Options.Obs.Observer(); ob != nil {
-		n.SetObserver(ob)
-	}
-	if s.Options.Clock != nil {
-		n.SetClock(s.Options.Clock)
-	}
-	s.nodes = append(s.nodes, n)
-	return n, nil
-}
-
-// tune applies the system-wide caller knobs (per-wave timeout, shared
-// health tracker) to a freshly built caller.
-func (s *System) tune(c *rt.Caller) {
-	c.Timeout = s.Options.CallTimeout
-	if s.Options.Health != nil {
-		c.SetHealth(s.Options.Health)
-	}
-}
-
 func (s *System) bootstrap() error {
 	// 0. A previous life's snapshot, if DataDir holds one. Restores are
 	// threaded through the ordinary bootstrap below: each component is
@@ -296,12 +270,9 @@ func (s *System) bootstrap() error {
 	if err != nil {
 		return err
 	}
+	p := s.proc()
 
 	// 1. LegionClass, started exactly once, out-of-band (§4.2.1).
-	metaNode, err := s.newNode("legionclass")
-	if err != nil {
-		return err
-	}
 	s.meta, err = class.NewMetaclass()
 	if err != nil {
 		return err
@@ -316,11 +287,9 @@ func (s *System) bootstrap() error {
 		// at their new homes moments from now.
 		s.meta.ForgetBindings()
 	}
-	metaCaller := rt.NewCaller(metaNode, loid.LegionClass, nil)
-	s.tune(metaCaller)
-	if _, err := metaNode.Spawn(loid.LegionClass, s.meta,
-		rt.WithCaller(metaCaller), rt.WithLabel("class/LegionClass"),
-		rt.WithConcurrency(host.ServiceConcurrency)); err != nil {
+	metaNode, metaCaller, err := p.spawn("legionclass", "class/LegionClass", loid.LegionClass, nil,
+		func(*rt.Node) rt.Impl { return s.meta })
+	if err != nil {
 		return err
 	}
 	s.LegionClassAddr = metaNode.Address()
@@ -330,7 +299,7 @@ func (s *System) bootstrap() error {
 	needResolver := []*rt.Caller{metaCaller}
 
 	// Bootstrap caller: a client identity used only during Boot.
-	bootNode, err := s.newNode("boot")
+	bootNode, err := p.newNode("boot")
 	if err != nil {
 		return err
 	}
@@ -354,10 +323,6 @@ func (s *System) bootstrap() error {
 		{loid.LegionBindingAgent, "LegionBindingAgent"},
 	}
 	for _, cc := range coreClasses {
-		node, err := s.newNode("class-" + cc.name)
-		if err != nil {
-			return err
-		}
 		meta := &class.Meta{
 			Self:  loid.New(cc.l.ClassID, 0, loid.DeriveKey("class/"+cc.name)),
 			Name:  cc.name,
@@ -376,15 +341,15 @@ func (s *System) bootstrap() error {
 				return fmt.Errorf("core: restore class %s: %w", cc.name, err)
 			}
 		}
-		caller := rt.NewCaller(node, meta.Self, nil)
-		s.tune(caller)
-		caller.AddBinding(bindingFor(loid.LegionClass, s.LegionClassAddr))
-		needResolver = append(needResolver, caller)
-		if _, err := node.Spawn(cc.l, impl,
-			rt.WithCaller(caller), rt.WithLabel("class/"+cc.name),
-			rt.WithConcurrency(host.ServiceConcurrency)); err != nil {
+		// Spawned under its keyed self, which names the same object as
+		// cc.l and is the identity its calls carry.
+		node, caller, err := p.spawn("class-"+cc.name, "class/"+cc.name, meta.Self, nil,
+			func(*rt.Node) rt.Impl { return impl })
+		if err != nil {
 			return err
 		}
+		caller.AddBinding(bindingFor(loid.LegionClass, s.LegionClassAddr))
+		needResolver = append(needResolver, caller)
 		s.CoreClassAddrs[cc.l.ID()] = node.Address()
 		if err := mc.RegisterClassBinding(cc.l, node.Address()); err != nil {
 			return err
@@ -401,126 +366,32 @@ func (s *System) bootstrap() error {
 	// Legion object contains the Object Address of its Binding Agent"
 	// (§3.6).
 	for i, c := range needResolver {
-		leaf := s.leafFor(i)
-		c.SetResolver(bindagent.NewClient(c, leaf.LOID, leaf.Addr))
+		c.SetResolver(s.leafFor(i).client(c))
 	}
 
 	// 4. Hosts and Magistrates per jurisdiction. They are started
 	// out-of-band and then "contact the existing class object ... to
 	// tell it of their existence" (§4.2.1).
-	hostClass := class.NewClient(s.boot, loid.LegionHost)
-	magClass := class.NewClient(s.boot, loid.LegionMagistrate)
 	s.boot.AddBinding(bindingFor(loid.LegionHost, s.CoreClassAddrs[loid.LegionHost.ID()]))
 	s.boot.AddBinding(bindingFor(loid.LegionMagistrate, s.CoreClassAddrs[loid.LegionMagistrate.ID()]))
 	s.boot.AddBinding(bindingFor(loid.LegionObject, s.CoreClassAddrs[loid.LegionObject.ID()]))
-
-	hostSeq, magSeq := uint64(0), uint64(0)
-	var allMags []loid.LOID
 	for j := 0; j < s.Options.Jurisdictions; j++ {
-		store, err := s.openStore(j)
-		if err != nil {
+		var saved []byte
+		if snap != nil && j < len(snap.Magistrates) {
+			saved = snap.Magistrates[j]
+		}
+		if _, err := s.addJurisdiction(s.Options.HostsPerJurisdiction, saved); err != nil {
 			return err
 		}
-		juris := &Jurisdiction{Store: store}
-		// Listed at once, so a failed Boot's Close closes the store too.
-		s.Jurisdictions = append(s.Jurisdictions, juris)
-
-		for h := 0; h < s.Options.HostsPerJurisdiction; h++ {
-			hostSeq++
-			hl := loid.New(loid.ClassIDLegionHost, hostSeq, loid.DeriveKey(fmt.Sprintf("host/%d", hostSeq)))
-			node, err := s.newNode(fmt.Sprintf("host%d", hostSeq))
-			if err != nil {
-				return err
-			}
-			leaf := s.leafFor(int(hostSeq))
-			resFactory := func(self loid.LOID) rt.Resolver {
-				c := rt.NewCaller(node, self, nil)
-				s.tune(c)
-				return bindagent.NewClient(c, leaf.LOID, leaf.Addr)
-			}
-			hobj := host.New(hl, node, s.Impls, resFactory)
-			hostCaller := rt.NewCaller(node, hl, nil)
-			s.tune(hostCaller)
-			hostCaller.SetResolver(bindagent.NewClient(hostCaller, leaf.LOID, leaf.Addr))
-			if _, err := node.Spawn(hl, hobj,
-				rt.WithCaller(hostCaller), rt.WithLabel(fmt.Sprintf("host/%d", hostSeq)),
-				rt.WithConcurrency(host.ServiceConcurrency)); err != nil {
-				return err
-			}
-			if err := hostClass.RegisterInstance(hl, node.Address()); err != nil {
-				return err
-			}
-			juris.Hosts = append(juris.Hosts, hl)
-			juris.HostAddrs = append(juris.HostAddrs, node.Address())
-			juris.hostImpls = append(juris.hostImpls, hobj)
-		}
-
-		magSeq++
-		ml := loid.New(loid.ClassIDMagistrate, magSeq, loid.DeriveKey(fmt.Sprintf("magistrate/%d", magSeq)))
-		node, err := s.newNode(fmt.Sprintf("mag%d", magSeq))
-		if err != nil {
-			return err
-		}
-		mag := magistrate.New(ml, juris.Store)
-		mag.BindingTTL = s.Options.BindingTTL
-		mag.SetClock(s.Options.Clock)
-		if s.Options.Obs != nil {
-			mag.SetPlane(s.Options.Obs)
-		}
-		if snap != nil && j < len(snap.Magistrates) && len(snap.Magistrates[j]) > 0 {
-			if err := mag.RestoreState(snap.Magistrates[j]); err != nil {
-				return fmt.Errorf("core: restore magistrate %d: %w", j, err)
-			}
-			// The saved host list names the previous process's
-			// endpoints; this life's hosts AddHost themselves below.
-			mag.ForgetHosts()
-		}
-		leaf := s.leafFor(j)
-		magCaller := rt.NewCaller(node, ml, nil)
-		s.tune(magCaller)
-		magCaller.SetResolver(bindagent.NewClient(magCaller, leaf.LOID, leaf.Addr))
-		if _, err := node.Spawn(ml, mag,
-			rt.WithCaller(magCaller), rt.WithLabel(fmt.Sprintf("magistrate/%d", magSeq)),
-			rt.WithConcurrency(host.ServiceConcurrency)); err != nil {
-			return err
-		}
-		if err := magClass.RegisterInstance(ml, node.Address()); err != nil {
-			return err
-		}
-		juris.Magistrate = ml
-		juris.MagistrateAddr = node.Address()
-		juris.mag = mag
-
-		mcl := magistrate.NewClient(s.boot, ml)
-		s.boot.AddBinding(bindingFor(ml, node.Address()))
-		for i, hl := range juris.Hosts {
-			if err := mcl.AddHost(hl, juris.HostAddrs[i]); err != nil {
-				return err
-			}
-		}
-		if s.Options.CheckpointEvery > 0 {
-			for _, hobj := range juris.hostImpls {
-				hobj.StartCheckpointer(ml, node.Address(), s.Options.CheckpointEvery)
-			}
-		}
-		if s.Options.LoadReportEvery > 0 {
-			for _, hobj := range juris.hostImpls {
-				hobj.StartLoadReporter(ml, node.Address(), s.Options.LoadReportEvery)
-			}
-		}
-		allMags = append(allMags, ml)
 	}
-
-	s.nextHostSeq = hostSeq
-	s.nextMagSeq = magSeq
 
 	// 5. Give LegionObject (the class everyone derives from) the full
 	// magistrate set as candidates, so Derive works out of the box.
-	lo := class.NewClient(s.boot, loid.LegionObject)
-	if err := lo.SetDefaultMagistrates(allMags); err != nil {
-		return err
+	mags := make([]loid.LOID, len(s.Jurisdictions))
+	for i, j := range s.Jurisdictions {
+		mags[i] = j.Magistrate
 	}
-	return nil
+	return class.NewClient(s.boot, loid.LegionObject).SetDefaultMagistrates(mags)
 }
 
 // openStore opens the store of the jurisdiction at index j, per
@@ -551,17 +422,10 @@ func (s *System) openStore(j int) (persist.Store, error) {
 // bootAgents builds the agent tree bottom-up.
 func (s *System) bootAgents() error {
 	newAgent := func(name string, seq uint64) (AgentRef, *bindagent.Agent, error) {
-		node, err := s.newNode(name)
-		if err != nil {
-			return AgentRef{}, nil, err
-		}
 		al := loid.New(loid.ClassIDBindingAgent, seq, loid.DeriveKey("agent/"+name))
 		agent := bindagent.New(al, s.Options.AgentCacheSize, s.LegionClassAddr)
-		caller := rt.NewCaller(node, al, nil)
-		s.tune(caller)
-		if _, err := node.Spawn(al, agent,
-			rt.WithCaller(caller), rt.WithLabel("bindagent/"+name),
-			rt.WithConcurrency(host.ServiceConcurrency)); err != nil {
+		node, _, err := s.proc().spawn(name, "bindagent/"+name, al, nil, func(*rt.Node) rt.Impl { return agent })
+		if err != nil {
 			return AgentRef{}, nil, err
 		}
 		ref := AgentRef{LOID: al, Addr: node.Address()}
@@ -638,13 +502,17 @@ func (s *System) NextLeaf() AgentRef {
 // the next leaf Binding Agent. The returned caller is what application
 // code uses as its communication layer.
 func (s *System) NewClient(self loid.LOID) (*rt.Caller, error) {
-	node, err := s.newNode("client")
+	p := s.proc()
+	node, err := p.newNode("client")
 	if err != nil {
 		return nil, err
 	}
-	leaf := s.NextLeaf()
-	c := rt.NewCaller(node, self, bindagent.NewClient(newRawCaller(node, self, s.Options.CallTimeout), leaf.LOID, leaf.Addr))
-	s.tune(c)
+	// The agent client reaches its agent by address, so its caller
+	// needs no resolver and takes no health tracker.
+	raw := rt.NewCaller(node, self, nil)
+	raw.Timeout = s.Options.CallTimeout
+	c := p.caller(node, self)
+	c.SetResolver(s.NextLeaf().client(raw))
 	if s.Options.ClientCacheSize > 0 {
 		c.SetCache(newCache(s.Options.ClientCacheSize))
 	}
@@ -706,28 +574,11 @@ func (s *System) Close() {
 		return
 	}
 	s.closed = true
-	for _, j := range s.Jurisdictions {
-		for _, h := range j.hostImpls {
-			h.StopCheckpointer()
-			h.StopLoadReporter()
-		}
-	}
-	for _, n := range s.nodes {
-		n.Close()
-	}
+	shutdown(s.Jurisdictions, s.nodes)
 	for _, j := range s.Jurisdictions {
 		_ = j.Store.Close() // teardown: a late writer gets ErrClosed
 	}
 	if s.Fabric != nil {
 		s.Fabric.Close()
 	}
-}
-
-// newRawCaller builds a resolver-less caller for a component's own
-// agent client (the agent is reached by address, so no resolver is
-// needed).
-func newRawCaller(node *rt.Node, self loid.LOID, timeout time.Duration) *rt.Caller {
-	c := rt.NewCaller(node, self, nil)
-	c.Timeout = timeout
-	return c
 }

@@ -354,7 +354,7 @@ func TestAgentClientResolverInterface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	node, err := sys.newNode("probe")
+	node, err := sys.proc().newNode("probe")
 	if err != nil {
 		t.Fatal(err)
 	}

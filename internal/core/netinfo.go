@@ -6,12 +6,9 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/bindagent"
-	"repro/internal/class"
 	"repro/internal/host"
 	"repro/internal/implreg"
 	"repro/internal/loid"
-	"repro/internal/magistrate"
 	"repro/internal/metrics"
 	"repro/internal/oa"
 	"repro/internal/obs"
@@ -132,11 +129,9 @@ type Remote struct {
 	// how remote processes' metrics reach cluster-wide LQL queries.
 	Obs *obs.Plane
 
-	leafLOID loid.LOID
-	leafAddr oa.Address
-
+	leaf   AgentRef
 	nodes  []*rt.Node
-	joined []*host.Host
+	joined []*Jurisdiction // one per JoinHost, listing the host it joined
 }
 
 // Attach prepares a process to talk to the system described by ni over
@@ -147,45 +142,28 @@ func Attach(ni *NetInfo) (*Remote, error) {
 	reg := metrics.NewRegistry()
 	r := &Remote{Info: ni, Trans: &transport.TCP{Registry: reg}, Reg: reg}
 	var err error
-	r.leafLOID, r.leafAddr, err = ni.Leaves[0].resolve()
+	r.leaf.LOID, r.leaf.Addr, err = ni.Leaves[0].resolve()
 	if err != nil {
 		return nil, err
 	}
 	return r, nil
 }
 
-// newNode builds a process-local node with the Remote's tracer and
-// observability hooks installed, mirroring System.newNode.
-func (r *Remote) newNode(name string) (*rt.Node, error) {
-	node, err := rt.NewNode(r.Trans, r.Reg, name)
-	if err != nil {
-		return nil, err
-	}
-	if r.Tracer != nil {
-		node.SetTracer(r.Tracer)
-	}
-	if ob := r.Obs.Observer(); ob != nil {
-		node.SetObserver(ob)
-	}
-	r.nodes = append(r.nodes, node)
-	return node, nil
-}
-
 // NewClient builds a caller in this process wired to the remote
 // system's Binding Agents.
 func (r *Remote) NewClient(self loid.LOID) (*rt.Caller, error) {
-	node, err := r.newNode("remote-client")
+	p := r.proc()
+	node, err := p.newNode("remote-client")
 	if err != nil {
 		return nil, err
 	}
-	c := rt.NewCaller(node, self, nil)
-	c.Timeout = 10 * time.Second
-	c.SetResolver(bindagent.NewClient(c, r.leafLOID, r.leafAddr))
+	c := p.caller(node, self)
+	c.SetResolver(r.leaf.client(c))
 	return c, nil
 }
 
-// JoinedHost is a Host Object this process contributes to the remote
-// system.
+// JoinedHost is a started Host Object: one this process contributes
+// to a remote system, or one a System starts in its own.
 type JoinedHost struct {
 	Host *host.Host
 	LOID loid.LOID
@@ -194,7 +172,8 @@ type JoinedHost struct {
 
 // JoinHost starts a Host Object in this process, announces it to
 // LegionHost (§4.2.1), and places it under the given magistrate's
-// jurisdiction. seq must be unique across the system's hosts.
+// jurisdiction, just as Boot starts and enrolls its own hosts. seq
+// must be unique across the system's hosts.
 func (r *Remote) JoinHost(seq uint64, impls *implreg.Registry, magistrateIdx int) (*JoinedHost, error) {
 	if magistrateIdx >= len(r.Info.Magistrates) {
 		return nil, fmt.Errorf("core: magistrate index %d out of range", magistrateIdx)
@@ -203,60 +182,30 @@ func (r *Remote) JoinHost(seq uint64, impls *implreg.Registry, magistrateIdx int
 	if err != nil {
 		return nil, err
 	}
-	node, err := r.newNode(fmt.Sprintf("joined-host%d", seq))
-	if err != nil {
-		return nil, err
-	}
-	hl := loid.New(loid.ClassIDLegionHost, seq, loid.DeriveKey(fmt.Sprintf("host/%d", seq)))
-	resFactory := func(self loid.LOID) rt.Resolver {
-		c := rt.NewCaller(node, self, nil)
-		c.Timeout = 10 * time.Second
-		return bindagent.NewClient(c, r.leafLOID, r.leafAddr)
-	}
-	h := host.New(hl, node, impls, resFactory)
-	hostCaller := rt.NewCaller(node, hl, nil)
-	hostCaller.Timeout = 10 * time.Second
-	hostCaller.SetResolver(bindagent.NewClient(hostCaller, r.leafLOID, r.leafAddr))
-	if _, err := node.Spawn(hl, h,
-		rt.WithCaller(hostCaller), rt.WithLabel(fmt.Sprintf("host/%d", seq)),
-		rt.WithConcurrency(host.ServiceConcurrency)); err != nil {
-		return nil, err
-	}
-	// Announce to LegionHost and join the jurisdiction.
 	admin, err := r.NewClient(loid.NewNoKey(299, seq+100))
 	if err != nil {
 		return nil, err
 	}
-	if err := class.NewClient(admin, loid.LegionHost).RegisterInstance(hl, node.Address()); err != nil {
-		return nil, fmt.Errorf("core: register with LegionHost: %w", err)
-	}
 	admin.AddBinding(bindingFor(magL, magAddr))
-	if err := magistrate.NewClient(admin, magL).AddHost(hl, node.Address()); err != nil {
-		return nil, fmt.Errorf("core: AddHost: %w", err)
-	}
-	if r.CheckpointEvery > 0 {
-		h.StartCheckpointer(magL, magAddr, r.CheckpointEvery)
+	h, err := r.proc().startHost(seq, impls, r.leaf, admin)
+	if err != nil {
+		return nil, err
 	}
 	if r.Obs != nil {
 		// This process owns its registry (distinct from the
 		// Magistrate's), so piggybacked telemetry never double-counts.
-		h.SetTelemetry(obs.NewTelemetry(r.Reg, r.Obs.Recorder()))
+		h.Host.SetTelemetry(obs.NewTelemetry(r.Reg, r.Obs.Recorder()))
 	}
-	if r.LoadReportEvery > 0 {
-		h.StartLoadReporter(magL, magAddr, r.LoadReportEvery)
+	j := &Jurisdiction{Magistrate: magL, MagistrateAddr: magAddr}
+	if err := j.enroll(admin, h.LOID, h.Node.Address(), h.Host, r.CheckpointEvery, r.LoadReportEvery); err != nil {
+		return nil, fmt.Errorf("core: AddHost: %w", err)
 	}
-	r.joined = append(r.joined, h)
-	return &JoinedHost{Host: h, LOID: hl, Node: node}, nil
+	r.joined = append(r.joined, j)
+	return h, nil
 }
 
 // Close tears down the process-local nodes (the remote system is
 // unaffected).
 func (r *Remote) Close() {
-	for _, h := range r.joined {
-		h.StopCheckpointer()
-		h.StopLoadReporter()
-	}
-	for _, n := range r.nodes {
-		n.Close()
-	}
+	shutdown(r.joined, r.nodes)
 }

@@ -5,8 +5,7 @@
 // of §5, class cloning, stale-binding recovery, object lifecycle and
 // replication semantics. DESIGN.md carries the full experiment index;
 // EXPERIMENTS.md records claim vs. measured outcome. cmd/legion-bench
-// prints these tables; bench_test.go wraps the same bodies in
-// testing.B benchmarks.
+// prints these tables.
 package experiments
 
 import (

@@ -1,6 +1,7 @@
 package host
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -140,7 +141,7 @@ func (h *Host) CheckpointNow() (int, error) {
 			return
 		}
 		blob := persist.EncodeOPRBatch(pending)
-		res, err := h.obj.Caller().CallAddr(c.magAddr, c.mag, "CheckpointBatch",
+		res, err := h.obj.Caller().CallAddrCtx(context.Background(), c.magAddr, c.mag, "CheckpointBatch",
 			wire.LOID(h.self), blob)
 		if err == nil {
 			err = res.Err()
@@ -187,7 +188,7 @@ func (h *Host) CheckpointNow() (int, error) {
 		// SaveState goes through the object's own mailbox, so it
 		// serializes after any in-flight method (read clock first: a
 		// mutation that lands mid-save is re-checkpointed next round).
-		res, err := h.obj.Caller().CallAddr(h.Address(), l, "SaveState")
+		res, err := h.obj.Caller().CallAddrCtx(context.Background(), h.Address(), l, "SaveState")
 		if err == nil {
 			err = res.Err()
 		}

@@ -8,6 +8,7 @@
 package host
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -318,7 +319,7 @@ func (h *Host) stopObject(inv *rt.Invocation) ([][]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("host %v does not run %v", h.self, l)
 	}
-	res, err := h.obj.Caller().CallAddr(h.Address(), l, "SaveState")
+	res, err := h.obj.Caller().CallAddrCtx(context.Background(), h.Address(), l, "SaveState")
 	if err != nil {
 		return nil, fmt.Errorf("host %v: save %v: %w", h.self, l, err)
 	}

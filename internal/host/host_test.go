@@ -1,6 +1,7 @@
 package host
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -302,11 +303,11 @@ func TestConcurrentImplGetsWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	fx.caller.AddBinding(binding.Forever(l, addr))
-	f1, err := fx.caller.Invoke(l, "Slow")
+	f1, err := fx.caller.InvokeCtx(context.Background(), l, "Slow")
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2, err := fx.caller.Invoke(l, "Slow")
+	f2, err := fx.caller.InvokeCtx(context.Background(), l, "Slow")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@
 package host
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -51,7 +52,7 @@ func (h *Host) prepareMigrate(inv *rt.Invocation) ([][]byte, error) {
 	}
 	clk := h.node.Clock()
 	t0 := clk.Now()
-	res, err := h.obj.Caller().CallAddr(h.Address(), l, "SaveState")
+	res, err := h.obj.Caller().CallAddrCtx(context.Background(), h.Address(), l, "SaveState")
 	if err == nil {
 		err = res.Err()
 	}
@@ -257,10 +258,10 @@ func (h *Host) StartLoadReporter(mag loid.LOID, magAddr oa.Address, every time.D
 				// telemetry sender piggybacks its delta report as an
 				// optional third argument — one message carries both.
 				if tb := h.telemetry().Report(); tb != nil {
-					_, _ = h.obj.Caller().CallAddr(magAddr, mag, "ReportLoad",
+					_, _ = h.obj.Caller().CallAddrCtx(context.Background(), magAddr, mag, "ReportLoad",
 						wire.LOID(h.self), ld.Marshal(), tb)
 				} else {
-					_, _ = h.obj.Caller().CallAddr(magAddr, mag, "ReportLoad",
+					_, _ = h.obj.Caller().CallAddrCtx(context.Background(), magAddr, mag, "ReportLoad",
 						wire.LOID(h.self), ld.Marshal())
 				}
 			}

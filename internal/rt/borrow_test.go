@@ -2,6 +2,7 @@ package rt
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"sync"
@@ -119,7 +120,7 @@ func runBorrowStorm(t *testing.T, tr func() transport.Transport) {
 				for k := 0; k < pipeline; k++ {
 					seed := uint64(g)<<32 | uint64(i)<<8 | uint64(k)
 					p := borrowPayload(seed, sizes[(i+k)%len(sizes)])
-					fu, err := c.Invoke(echoLOID, "EchoV", p)
+					fu, err := c.InvokeCtx(context.Background(), echoLOID, "EchoV", p)
 					if err != nil {
 						errs <- err
 						return

@@ -27,21 +27,14 @@ var ErrUnbound = errors.New("rt: no binding for target")
 
 // Resolver obtains bindings on local cache misses; it is typically
 // backed by the object's Binding Agent (§3.6), whose Object Address is
-// part of the object's persistent state.
+// part of the object's persistent state. The context carries the
+// original call's remaining deadline and trace identity into the
+// resolution chain.
 type Resolver interface {
-	// Resolve binds l to an Object Address (GetBinding(LOID)).
-	Resolve(l loid.LOID) (binding.Binding, error)
-	// Refresh asks for a different binding than the stale one passed
-	// in (GetBinding(binding), §3.6).
-	Refresh(stale binding.Binding) (binding.Binding, error)
-}
-
-// CtxResolver is an optional Resolver extension. A resolver that makes
-// nested invocations (the Binding Agent client) implements it so the
-// original call's remaining deadline and trace identity propagate into
-// the resolution chain; plain Resolvers keep working unchanged.
-type CtxResolver interface {
+	// ResolveCtx binds l to an Object Address (GetBinding(LOID)).
 	ResolveCtx(ctx context.Context, l loid.LOID) (binding.Binding, error)
+	// RefreshCtx asks for a different binding than the stale one passed
+	// in (GetBinding(binding), §3.6).
 	RefreshCtx(ctx context.Context, stale binding.Binding) (binding.Binding, error)
 }
 
@@ -214,7 +207,7 @@ func withSpan(ctx context.Context, span *trace.Span) context.Context {
 
 // resolve order: cache, then resolver. The cache-hit path is lock-free
 // above the cache shard itself. A traced call records the cache verdict
-// as a span event and hands its identity to a CtxResolver so Binding
+// as a span event and hands its identity to the resolver so Binding
 // Agent hops join the trace.
 func (c *Caller) resolve(ctx context.Context, target loid.LOID, span *trace.Span) (binding.Binding, error) {
 	// A caller that never held a binding has no cache yet: that is a
@@ -235,13 +228,7 @@ func (c *Caller) resolve(ctx context.Context, target loid.LOID, span *trace.Span
 	if r == nil {
 		return binding.Binding{}, fmt.Errorf("%w: %v (no resolver)", ErrUnbound, target)
 	}
-	var b binding.Binding
-	var err error
-	if cr, ok := r.(CtxResolver); ok {
-		b, err = cr.ResolveCtx(withSpan(ctx, span), target)
-	} else {
-		b, err = r.Resolve(target)
-	}
+	b, err := r.ResolveCtx(withSpan(ctx, span), target)
 	if err != nil {
 		return binding.Binding{}, fmt.Errorf("%w: %v: %v", ErrUnbound, target, err)
 	}
@@ -249,16 +236,11 @@ func (c *Caller) resolve(ctx context.Context, target loid.LOID, span *trace.Span
 	return b, nil
 }
 
-// Invoke performs a non-blocking method invocation and returns a
+// InvokeCtx performs a non-blocking method invocation and returns a
 // Future. Binding resolution and transmission happen before return;
-// only the reply is awaited through the Future.
-func (c *Caller) Invoke(target loid.LOID, method string, args ...[]byte) (*Future, error) {
-	return c.InvokeCtx(context.Background(), target, method, args...)
-}
-
-// InvokeCtx is Invoke with a context: the context's deadline (if any)
-// is stamped into the request environment so the receiving object and
-// its nested calls inherit the remaining budget.
+// only the reply is awaited through the Future. The context's deadline
+// (if any) is stamped into the request environment so the receiving
+// object and its nested calls inherit the remaining budget.
 func (c *Caller) InvokeCtx(ctx context.Context, target loid.LOID, method string, args ...[]byte) (*Future, error) {
 	b, err := c.resolve(ctx, target, nil)
 	if err != nil {
@@ -267,7 +249,7 @@ func (c *Caller) InvokeCtx(ctx context.Context, target loid.LOID, method string,
 	return c.sendRequest(b.Address, target, method, args, deadlineNanos(ctx), trace.FromContext(ctx))
 }
 
-// Call is the synchronous convenience around Invoke: it awaits the
+// Call is the synchronous convenience around InvokeCtx: it awaits the
 // reply, transparently refreshing stale bindings and retrying
 // (§4.1.4: "when [a binding] doesn't work ... request that the binding
 // be refreshed").
@@ -398,13 +380,7 @@ func (c *Caller) refresh(ctx context.Context, stale binding.Binding, span *trace
 	if r == nil {
 		return binding.Binding{}, ErrUnbound
 	}
-	var nb binding.Binding
-	var err error
-	if cr, ok := r.(CtxResolver); ok {
-		nb, err = cr.RefreshCtx(withSpan(ctx, span), stale)
-	} else {
-		nb, err = r.Refresh(stale)
-	}
+	nb, err := r.RefreshCtx(withSpan(ctx, span), stale)
 	if err != nil {
 		return binding.Binding{}, err
 	}
@@ -412,15 +388,11 @@ func (c *Caller) refresh(ctx context.Context, stale binding.Binding, span *trace
 	return nb, nil
 }
 
-// CallAddr invokes a method at an explicit Object Address, bypassing
+// CallAddrCtx invokes a method at an explicit Object Address, bypassing
 // binding resolution. Bootstrap and Binding Agent clients use it (the
-// agent's address is part of the object's persistent state, §3.6).
-func (c *Caller) CallAddr(addr oa.Address, target loid.LOID, method string, args ...[]byte) (*Result, error) {
-	return c.CallAddrCtx(context.Background(), addr, target, method, args...)
-}
-
-// CallAddrCtx is CallAddr with a context: the deadline bounds the call
-// and a carried trace identity parents this hop's span.
+// agent's address is part of the object's persistent state, §3.6). The
+// context's deadline bounds the call and a carried trace identity
+// parents this hop's span.
 func (c *Caller) CallAddrCtx(ctx context.Context, addr oa.Address, target loid.LOID, method string, args ...[]byte) (*Result, error) {
 	span := c.startSpan(ctx, method)
 	res, err := c.deliver(ctx, addr, target, method, args, span)

@@ -3,6 +3,7 @@
 package rt
 
 import (
+	"context"
 	"runtime"
 	"testing"
 	"time"
@@ -27,7 +28,7 @@ func TestKilledObjectCollectable(t *testing.T) {
 	}
 	impl = nil
 	for i := 0; i < 3; i++ {
-		res, err := c.CallAddr(srv.Address(), l, "Echo", []byte("x"))
+		res, err := c.CallAddrCtx(context.Background(), srv.Address(), l, "Echo", []byte("x"))
 		if err != nil || res.Code != wire.OK {
 			t.Fatalf("call: %v %v", res, err)
 		}

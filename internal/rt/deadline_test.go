@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -158,7 +159,7 @@ func TestServerRejectsExpiredDeadline(t *testing.T) {
 	c.AddBinding(binding.Forever(busyLOID, nodes[0].Address()))
 
 	// Occupy the single dispatch worker…
-	f1, err := c.Invoke(busyLOID, "Work")
+	f1, err := c.InvokeCtx(context.Background(), busyLOID, "Work")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +261,7 @@ func TestHealthBreakerSkipsDeadReplica(t *testing.T) {
 	c.SetHealth(tr)
 
 	for i := 0; i < 6; i++ {
-		res, err := c.CallAddr(addr, echoLOID, "Echo", []byte("x"))
+		res, err := c.CallAddrCtx(context.Background(), addr, echoLOID, "Echo", []byte("x"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -281,7 +282,7 @@ func TestHealthBreakerSkipsDeadReplica(t *testing.T) {
 	// Wave ordering: with SemOrdered, the sick replica's wave moves
 	// behind the healthy one, so calls stop paying for it at all.
 	ordered := oa.Replicated(oa.SemOrdered, 0, deadElem, nodes[0].Element())
-	res, err := c.CallAddr(ordered, echoLOID, "Echo", []byte("y"))
+	res, err := c.CallAddrCtx(context.Background(), ordered, echoLOID, "Echo", []byte("y"))
 	if err != nil || res.Code != wire.OK {
 		t.Fatalf("ordered call through health layer: %v %v", res, err)
 	}

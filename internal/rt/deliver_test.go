@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -41,7 +42,7 @@ func TestDeliverVerdictReflectsLastWave(t *testing.T) {
 	c := clientOn(nodes[2], clientLOID)
 	c.Timeout = 100 * time.Millisecond
 
-	res, err := c.CallAddr(addr, stuck, "Hang")
+	res, err := c.CallAddrCtx(context.Background(), addr, stuck, "Hang")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestDeliverDefinitiveReplyBeatsLaterWaves(t *testing.T) {
 	impl := spawnEcho(t, nodes[0], echoLOID)
 	addr := oa.Replicated(oa.SemOrdered, 0, nodes[0].Element(), nodes[1].Element())
 	c := clientOn(nodes[2], clientLOID)
-	res, err := c.CallAddr(addr, echoLOID, "Echo", []byte("hi"))
+	res, err := c.CallAddrCtx(context.Background(), addr, echoLOID, "Echo", []byte("hi"))
 	if err != nil || res.Code != wire.OK {
 		t.Fatalf("call: %v %v", res, err)
 	}

@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"context"
 	"errors"
 	"runtime"
 	"sync"
@@ -94,7 +95,7 @@ func TestDispatchFollowsWork(t *testing.T) {
 			t.Errorf("spawning %d objects started %d goroutines", len(objs), rise)
 		}
 		for _, l := range objs {
-			res, err := c.CallAddr(srv.Address(), l, "Echo", []byte("once"))
+			res, err := c.CallAddrCtx(context.Background(), srv.Address(), l, "Echo", []byte("once"))
 			if err != nil || res.Code != wire.OK {
 				t.Fatalf("call %v: %v %v", l, res, err)
 			}
@@ -122,7 +123,7 @@ func TestDispatchFollowsWork(t *testing.T) {
 				t.Fatal(err)
 			}
 			c.AddBinding(binding.Forever(l, srv.Address()))
-			fu, err := c.Invoke(l, "Hold")
+			fu, err := c.InvokeCtx(context.Background(), l, "Hold")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -139,7 +140,7 @@ func TestDispatchFollowsWork(t *testing.T) {
 		waitFor(t, "every object is blocked in its handler", func() bool { return hold.inFlight.Load() == k })
 		free := loid.NewNoKey(502, k+1)
 		spawnEcho(t, srv, free)
-		res, err := c.CallAddr(srv.Address(), free, "Echo", []byte("free"))
+		res, err := c.CallAddrCtx(context.Background(), srv.Address(), free, "Echo", []byte("free"))
 		if err != nil || res.Code != wire.OK {
 			t.Fatalf("call to an idle object while %d others block: %v %v", k, res, err)
 		}
@@ -155,7 +156,7 @@ func TestDispatchFollowsWork(t *testing.T) {
 		c.AddBinding(binding.Forever(l, srv.Address()))
 		var futures []*Future
 		for i := 0; i < calls; i++ {
-			fu, err := c.Invoke(l, "Hold")
+			fu, err := c.InvokeCtx(context.Background(), l, "Hold")
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -70,7 +71,7 @@ func objectFootprint(t *testing.T, serve bool) int64 {
 		if !serve {
 			continue
 		}
-		res, err := c.CallAddr(nodes[0].Address(), l, "Echo", []byte("once"))
+		res, err := c.CallAddrCtx(context.Background(), nodes[0].Address(), l, "Echo", []byte("once"))
 		if err != nil || res.Code != wire.OK {
 			t.Fatalf("call %d: %v %v", i, res, err)
 		}
@@ -137,7 +138,7 @@ func storm(t *testing.T, cli, srv *Node, target loid.LOID, senders, perSender in
 			c.AddBinding(binding.Forever(target, srv.Address()))
 			futures := make([]*Future, 0, perSender)
 			for seq := uint64(1); seq <= uint64(perSender); seq++ {
-				fu, err := c.Invoke(target, "Seq", wire.Uint64(s), wire.Uint64(seq))
+				fu, err := c.InvokeCtx(context.Background(), target, "Seq", wire.Uint64(s), wire.Uint64(seq))
 				if err != nil {
 					t.Errorf("sender %d seq %d: %v", s, seq, err)
 					return
@@ -208,7 +209,7 @@ func TestMailboxDepthBoundAndStop(t *testing.T) {
 	c.AddBinding(binding.Forever(echoLOID, srv.Address()))
 	invoke := func(seq uint64) *Future {
 		t.Helper()
-		fu, err := c.Invoke(echoLOID, "Seq", wire.Uint64(1), wire.Uint64(seq))
+		fu, err := c.InvokeCtx(context.Background(), echoLOID, "Seq", wire.Uint64(1), wire.Uint64(seq))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +232,7 @@ func TestMailboxDepthBoundAndStop(t *testing.T) {
 	// One more deliverer must wait for room.
 	delivered := make(chan *Future, 2)
 	deliver := func(seq uint64) { // for goroutines other than the test's
-		fu, err := c.Invoke(echoLOID, "Seq", wire.Uint64(1), wire.Uint64(seq))
+		fu, err := c.InvokeCtx(context.Background(), echoLOID, "Seq", wire.Uint64(1), wire.Uint64(seq))
 		if err != nil {
 			t.Error(err)
 		}

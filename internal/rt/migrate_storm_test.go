@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"sync"
@@ -167,7 +168,7 @@ func runMigrationStorm(t *testing.T, tr func() transport.Transport) {
 				futures := make([]*Future, 0, pipeline)
 				for k := 0; k < pipeline; k++ {
 					seq++
-					fu, err := c.Invoke(objL, "Add", wire.Uint64(uint64(g)), wire.Uint64(seq))
+					fu, err := c.InvokeCtx(context.Background(), objL, "Add", wire.Uint64(uint64(g)), wire.Uint64(seq))
 					if err != nil {
 						errs <- err
 						return
@@ -208,7 +209,7 @@ func runMigrationStorm(t *testing.T, tr func() transport.Transport) {
 	if err := src.Park(objL, hostL); err != nil {
 		t.Fatal(err)
 	}
-	res, err := drainCaller.CallAddr(src.Address(), objL, "SaveState")
+	res, err := drainCaller.CallAddrCtx(context.Background(), src.Address(), objL, "SaveState")
 	if err != nil {
 		t.Fatalf("drain: %v", err)
 	}

@@ -505,7 +505,7 @@ var futurePool sync.Pool
 // newFuture registers a pending future under a fresh correlation id,
 // expecting up to expect replies (one per replica contacted). pooled
 // futures are recycled by the deliver loop (putFuture) once out of the
-// table; futures handed to users (Invoke) are never pooled — their
+// table; futures handed to users (InvokeCtx) are never pooled — their
 // lifetime is the user's business.
 func (n *Node) newFuture(expect int, pooled bool) *Future {
 	if expect < 1 {

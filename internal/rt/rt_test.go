@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -127,7 +128,7 @@ func TestInvokeIsNonBlocking(t *testing.T) {
 	c := clientOn(nodes[1], clientLOID)
 	c.AddBinding(binding.Forever(loid.NewNoKey(256, 9), nodes[0].Address()))
 	start := time.Now()
-	f, err := c.Invoke(loid.NewNoKey(256, 9), "Slow")
+	f, err := c.InvokeCtx(context.Background(), loid.NewNoKey(256, 9), "Slow")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +204,7 @@ func (m *mapResolver) set(b binding.Binding) {
 	m.table[b.LOID.ID()] = b
 }
 
-func (m *mapResolver) Resolve(l loid.LOID) (binding.Binding, error) {
+func (m *mapResolver) ResolveCtx(_ context.Context, l loid.LOID) (binding.Binding, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.resolves++
@@ -214,7 +215,7 @@ func (m *mapResolver) Resolve(l loid.LOID) (binding.Binding, error) {
 	return b, nil
 }
 
-func (m *mapResolver) Refresh(stale binding.Binding) (binding.Binding, error) {
+func (m *mapResolver) RefreshCtx(_ context.Context, stale binding.Binding) (binding.Binding, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.refreshs++
@@ -527,7 +528,7 @@ func TestFutureTimeout(t *testing.T) {
 	nodes[0].Spawn(slow, impl)
 	c := clientOn(nodes[1], clientLOID)
 	c.AddBinding(binding.Forever(slow, nodes[0].Address()))
-	f, err := c.Invoke(slow, "Slow")
+	f, err := c.InvokeCtx(context.Background(), slow, "Slow")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -741,7 +742,7 @@ func TestFutureDoneChannel(t *testing.T) {
 	spawnEcho(t, nodes[0], echoLOID)
 	c := clientOn(nodes[1], clientLOID)
 	c.AddBinding(binding.Forever(echoLOID, nodes[0].Address()))
-	f, err := c.Invoke(echoLOID, "Echo", []byte("x"))
+	f, err := c.InvokeCtx(context.Background(), echoLOID, "Echo", []byte("x"))
 	if err != nil {
 		t.Fatal(err)
 	}

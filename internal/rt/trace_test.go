@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -175,7 +176,7 @@ func TestTraceDeadlineRejectionEvent(t *testing.T) {
 	c := clientOn(nodes[1], clientLOID)
 	c.AddBinding(binding.Forever(busyLOID, nodes[0].Address()))
 
-	f1, err := c.Invoke(busyLOID, "Work")
+	f1, err := c.InvokeCtx(context.Background(), busyLOID, "Work")
 	if err != nil {
 		t.Fatal(err)
 	}
