@@ -2,6 +2,7 @@ package bindagent
 
 import (
 	"context"
+	"sync/atomic"
 
 	"repro/internal/binding"
 	"repro/internal/loid"
@@ -16,15 +17,39 @@ import (
 // the Object Address of its Binding Agent" (§3.6) — so resolution never
 // needs resolution.
 type Client struct {
-	caller *rt.Caller
-	agent  loid.LOID
-	addr   oa.Address
+	caller    atomic.Pointer[rt.Caller]
+	newCaller func() *rt.Caller // builds caller on first use (NewLazyClient)
+	agent     loid.LOID
+	addr      oa.Address
 }
 
 // NewClient builds a resolver that consults the agent at addr, making
 // calls through caller.
 func NewClient(caller *rt.Caller, agent loid.LOID, addr oa.Address) *Client {
-	return &Client{caller: caller, agent: agent, addr: addr}
+	c := &Client{agent: agent, addr: addr}
+	c.caller.Store(caller)
+	return c
+}
+
+// NewLazyClient is NewClient with the caller newCaller builds on the
+// client's first call: an object whose bindings all come from its own
+// cache never needs one.
+func NewLazyClient(newCaller func() *rt.Caller, agent loid.LOID, addr oa.Address) *Client {
+	return &Client{newCaller: newCaller, agent: agent, addr: addr}
+}
+
+// from returns the caller the client calls the agent through, building
+// it on first use: concurrent first users race one CAS and all get the
+// winner.
+func (c *Client) from() *rt.Caller {
+	if rc := c.caller.Load(); rc != nil {
+		return rc
+	}
+	rc := c.newCaller()
+	if c.caller.CompareAndSwap(nil, rc) {
+		return rc
+	}
+	return c.caller.Load()
 }
 
 // Agent returns the agent's LOID.
@@ -54,7 +79,7 @@ func (c *Client) RefreshCtx(ctx context.Context, stale binding.Binding) (binding
 
 // AddBinding propagates a binding into the agent's cache (§3.6).
 func (c *Client) AddBinding(b binding.Binding) error {
-	res, err := c.caller.CallAddrCtx(context.Background(), c.addr, c.agent, "AddBinding", wire.Binding(b))
+	res, err := c.from().CallAddrCtx(context.Background(), c.addr, c.agent, "AddBinding", wire.Binding(b))
 	if err != nil {
 		return err
 	}
@@ -63,7 +88,7 @@ func (c *Client) AddBinding(b binding.Binding) error {
 
 // InvalidateLOID removes any binding for l from the agent's cache.
 func (c *Client) InvalidateLOID(l loid.LOID) error {
-	res, err := c.caller.CallAddrCtx(context.Background(), c.addr, c.agent, "InvalidateLOID", wire.LOID(l))
+	res, err := c.from().CallAddrCtx(context.Background(), c.addr, c.agent, "InvalidateLOID", wire.LOID(l))
 	if err != nil {
 		return err
 	}
@@ -73,7 +98,7 @@ func (c *Client) InvalidateLOID(l loid.LOID) error {
 // InvalidateBinding removes b from the agent's cache if it matches
 // exactly.
 func (c *Client) InvalidateBinding(b binding.Binding) error {
-	res, err := c.caller.CallAddrCtx(context.Background(), c.addr, c.agent, "InvalidateBinding", wire.Binding(b))
+	res, err := c.from().CallAddrCtx(context.Background(), c.addr, c.agent, "InvalidateBinding", wire.Binding(b))
 	if err != nil {
 		return err
 	}
@@ -82,7 +107,7 @@ func (c *Client) InvalidateBinding(b binding.Binding) error {
 
 // CacheStats reads the agent's hit/miss counters.
 func (c *Client) CacheStats() (hits, misses uint64, err error) {
-	res, err := c.caller.CallAddrCtx(context.Background(), c.addr, c.agent, "CacheStats")
+	res, err := c.from().CallAddrCtx(context.Background(), c.addr, c.agent, "CacheStats")
 	if err != nil {
 		return 0, 0, err
 	}
@@ -101,7 +126,7 @@ func (c *Client) CacheStats() (hits, misses uint64, err error) {
 }
 
 func (c *Client) call(ctx context.Context, method string, arg []byte) (binding.Binding, error) {
-	res, err := c.caller.CallAddrCtx(ctx, c.addr, c.agent, method, arg)
+	res, err := c.from().CallAddrCtx(ctx, c.addr, c.agent, method, arg)
 	if err != nil {
 		return binding.Binding{}, err
 	}

@@ -40,9 +40,8 @@ const noStamp = ^uint64(0)
 // entry is an intrusive doubly-linked LRU node; prev/next are only
 // touched under the owning shard's lock.
 type entry struct {
-	key   loid.LOID // identity form (key field cleared)
-	b     Binding
-	stamp uint64 // global LRU logical time of last touch
+	b     Binding // keyed by b.LOID.Ident()
+	stamp uint64  // global LRU logical time of last touch
 	prev  *entry
 	next  *entry
 }
@@ -53,7 +52,7 @@ type entry struct {
 // without taking every lock.
 type shard struct {
 	mu     sync.Mutex
-	items  map[loid.LOID]*entry
+	items  map[loid.Ident]*entry
 	head   *entry
 	tail   *entry
 	oldest atomic.Uint64
@@ -89,7 +88,7 @@ func NewCache(capacity int) *Cache {
 	now := time.Now
 	c.clock.Store(&now)
 	for i := range c.shards {
-		c.shards[i].items = make(map[loid.LOID]*entry)
+		c.shards[i].items = make(map[loid.Ident]*entry)
 		c.shards[i].oldest.Store(noStamp)
 	}
 	return c
@@ -108,7 +107,7 @@ func (c *Cache) now() time.Time {
 // shardFor hashes the identity fields of l to a shard. The multiply-
 // xorshift mix spreads sequential ClassSpecific values (the common
 // allocation pattern) across shards.
-func (c *Cache) shardFor(k loid.LOID) *shard {
+func (c *Cache) shardFor(k loid.Ident) *shard {
 	h := k.ClassSpecific*0x9E3779B97F4A7C15 ^ k.ClassID*0xBF58476D1CE4E5B9
 	h ^= h >> 29
 	return &c.shards[h&(numShards-1)]
@@ -120,7 +119,7 @@ func (c *Cache) Add(b Binding) {
 	if !b.ValidAt(c.now()) {
 		return
 	}
-	k := b.LOID.ID()
+	k := b.LOID.Ident()
 	s := c.shardFor(k)
 	s.mu.Lock()
 	if e, ok := s.items[k]; ok {
@@ -133,7 +132,7 @@ func (c *Cache) Add(b Binding) {
 	if e == nil {
 		e = new(entry)
 	}
-	*e = entry{key: k, b: b, stamp: c.tick.Add(1)}
+	*e = entry{b: b, stamp: c.tick.Add(1)}
 	s.items[k] = e
 	s.pushFront(e)
 	s.mu.Unlock()
@@ -167,7 +166,7 @@ func (c *Cache) evictOldest() {
 			continue
 		}
 		victim.remove(e)
-		delete(victim.items, e.key)
+		delete(victim.items, e.b.LOID.Ident())
 		victim.mu.Unlock()
 		c.total.Add(-1)
 		c.evictions.Add(1)
@@ -180,7 +179,7 @@ func (c *Cache) evictOldest() {
 
 // Get returns the cached, unexpired binding for l, if any.
 func (c *Cache) Get(l loid.LOID) (Binding, bool) {
-	k := l.ID()
+	k := l.Ident()
 	s := c.shardFor(k)
 	s.mu.Lock()
 	e, ok := s.items[k]
@@ -210,7 +209,7 @@ func (c *Cache) Get(l loid.LOID) (Binding, bool) {
 // InvalidateLOID removes any binding for l (§3.6
 // InvalidateBinding(LOID)). It reports whether an entry was removed.
 func (c *Cache) InvalidateLOID(l loid.LOID) bool {
-	k := l.ID()
+	k := l.Ident()
 	s := c.shardFor(k)
 	s.mu.Lock()
 	e, ok := s.items[k]
@@ -229,7 +228,7 @@ func (c *Cache) InvalidateLOID(l loid.LOID) bool {
 // InvalidateBinding removes the binding for b.LOID only if the cached
 // binding matches b exactly (§3.6 InvalidateBinding(binding)).
 func (c *Cache) InvalidateBinding(b Binding) bool {
-	k := b.LOID.ID()
+	k := b.LOID.Ident()
 	s := c.shardFor(k)
 	s.mu.Lock()
 	e, ok := s.items[k]
@@ -278,7 +277,7 @@ func (c *Cache) Clear() {
 		s := &c.shards[i]
 		s.mu.Lock()
 		n := len(s.items)
-		s.items = make(map[loid.LOID]*entry)
+		s.items = make(map[loid.Ident]*entry)
 		s.head, s.tail = nil, nil
 		s.oldest.Store(noStamp)
 		s.mu.Unlock()

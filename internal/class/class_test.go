@@ -596,7 +596,7 @@ func TestClassStateRoundTrip(t *testing.T) {
 	if len(fresh.table) != 2 {
 		t.Errorf("restored table has %d rows", len(fresh.table))
 	}
-	row, ok := fresh.table[sub.ID()]
+	row, ok := fresh.table[sub.Ident()]
 	if !ok || !row.IsSubclass {
 		t.Error("subclass row lost in state round trip")
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/binding"
@@ -96,7 +97,7 @@ var Interface = idl.NewInterface("LegionClass",
 type ClassImpl struct {
 	mu    sync.Mutex
 	meta  *Meta
-	table map[loid.LOID]*Row
+	table map[loid.Ident]*Row
 	rr    int // round-robin over default magistrates
 	subs  subscribers
 	obj   *rt.Object
@@ -110,7 +111,7 @@ func NewClassImpl(meta *Meta) (*ClassImpl, error) {
 	if meta.InstanceInterface == nil {
 		meta.InstanceInterface = idl.NewInterface(meta.Name)
 	}
-	return &ClassImpl{meta: meta, table: make(map[loid.LOID]*Row)}, nil
+	return &ClassImpl{meta: meta, table: make(map[loid.Ident]*Row)}, nil
 }
 
 // NewEmptyClassImpl builds an uninitialized class object, to be filled
@@ -118,7 +119,7 @@ func NewClassImpl(meta *Meta) (*ClassImpl, error) {
 func NewEmptyClassImpl() rt.Impl {
 	return &ClassImpl{
 		meta:  &Meta{Name: "uninitialized", Self: loid.NewNoKey(1, 0), Flags: FlagAbstract},
-		table: make(map[loid.LOID]*Row),
+		table: make(map[loid.Ident]*Row),
 	}
 }
 
@@ -230,7 +231,7 @@ func (c *ClassImpl) create(inv *rt.Invocation) ([][]byte, error) {
 	implSpec := implreg.CompositeSpec(c.meta.ImplParts)
 	mag, err := c.pickMagistrateLocked(magHint)
 	sched := c.meta.DefaultSchedulingAgent
-	candidates := append([]loid.LOID(nil), c.meta.DefaultMagistrates...)
+	candidates := c.meta.DefaultMagistrates
 	c.mu.Unlock()
 	if err != nil {
 		return nil, err
@@ -257,9 +258,9 @@ func (c *ClassImpl) create(inv *rt.Invocation) ([][]byte, error) {
 		return nil, fmt.Errorf("class %s: instantiate %v with %v: %w", c.meta.Name, l, mag, err)
 	}
 	c.mu.Lock()
-	c.table[l.ID()] = &Row{
+	c.table[l.Ident()] = &Row{
 		Address:              b.Address,
-		CurrentMagistrates:   []loid.LOID{mag},
+		CurrentMagistrates:   c.oneMagistrateLocked(mag),
 		SchedulingAgent:      sched,
 		CandidateMagistrates: candidates,
 	}
@@ -328,7 +329,7 @@ func (c *ClassImpl) deriveClass(ctx context.Context, name, implName string, newI
 	parentParts := append([]string(nil), c.meta.ImplParts...)
 	parentIfc := c.meta.InstanceInterface.Clone("")
 	parentSched := c.meta.DefaultSchedulingAgent
-	parentMags := append([]loid.LOID(nil), c.meta.DefaultMagistrates...)
+	parentMags := c.meta.DefaultMagistrates
 	c.mu.Unlock()
 
 	if name == "" {
@@ -401,9 +402,9 @@ func (c *ClassImpl) deriveClass(ctx context.Context, name, implName string, newI
 		return nil, fmt.Errorf("class %s: instantiate subclass %s: %w", parentName, name, err)
 	}
 	c.mu.Lock()
-	c.table[childMeta.Self.ID()] = &Row{
+	c.table[childMeta.Self.Ident()] = &Row{
 		Address:              b.Address,
-		CurrentMagistrates:   []loid.LOID{mag},
+		CurrentMagistrates:   c.oneMagistrateLocked(mag),
 		SchedulingAgent:      parentSched,
 		CandidateMagistrates: parentMags,
 		IsSubclass:           true,
@@ -481,14 +482,14 @@ func (c *ClassImpl) deleteObject(inv *rt.Invocation) ([][]byte, error) {
 		return nil, err
 	}
 	c.mu.Lock()
-	row, ok := c.table[l.ID()]
+	row, ok := c.table[l.Ident()]
 	if !ok {
 		name := c.meta.Name
 		c.mu.Unlock()
 		return nil, fmt.Errorf("class %s: unknown object %v", name, l)
 	}
 	mags := append([]loid.LOID(nil), row.CurrentMagistrates...)
-	delete(c.table, l.ID())
+	delete(c.table, l.Ident())
 	c.mu.Unlock()
 	c.pushInvalidate(l)
 	// Tell every holding magistrate to remove Active and Inert copies
@@ -542,7 +543,7 @@ func (c *ClassImpl) refreshBinding(inv *rt.Invocation) ([][]byte, error) {
 // and trace identity into the Magistrate/Host activation chain.
 func (c *ClassImpl) bindingFor(ctx context.Context, l loid.LOID, staleAddr oa.Address) (binding.Binding, error) {
 	c.mu.Lock()
-	row, ok := c.table[l.ID()]
+	row, ok := c.table[l.Ident()]
 	if !ok {
 		name := c.meta.Name
 		c.mu.Unlock()
@@ -572,7 +573,7 @@ func (c *ClassImpl) bindingFor(ctx context.Context, l loid.LOID, staleAddr oa.Ad
 			continue
 		}
 		c.mu.Lock()
-		if row2, ok := c.table[l.ID()]; ok {
+		if row2, ok := c.table[l.Ident()]; ok {
 			row2.Address = b.Address
 		}
 		c.mu.Unlock()
@@ -626,14 +627,14 @@ func (c *ClassImpl) registerInstance(inv *rt.Invocation, mustExist bool) ([][]by
 		return nil, err
 	}
 	c.mu.Lock()
-	row, ok := c.table[l.ID()]
+	row, ok := c.table[l.Ident()]
 	if !ok {
 		if mustExist {
 			c.mu.Unlock()
 			return nil, fmt.Errorf("class %s: unknown object %v", c.meta.Name, l)
 		}
 		row = &Row{SchedulingAgent: c.meta.DefaultSchedulingAgent}
-		c.table[l.ID()] = row
+		c.table[l.Ident()] = row
 	}
 	row.Address = addr
 	c.mu.Unlock()
@@ -647,7 +648,7 @@ func (c *ClassImpl) notifyDeactivated(inv *rt.Invocation) ([][]byte, error) {
 		return nil, err
 	}
 	c.mu.Lock()
-	if row, ok := c.table[l.ID()]; ok {
+	if row, ok := c.table[l.Ident()]; ok {
 		row.Address = oa.Address{}
 	}
 	c.mu.Unlock()
@@ -676,7 +677,7 @@ func (c *ClassImpl) getRow(inv *rt.Invocation) ([][]byte, error) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	row, ok := c.table[l.ID()]
+	row, ok := c.table[l.Ident()]
 	if !ok {
 		return nil, fmt.Errorf("class %s: unknown object %v", c.meta.Name, l)
 	}
@@ -700,7 +701,7 @@ func (c *ClassImpl) setSchedulingAgent(inv *rt.Invocation) ([][]byte, error) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	row, ok := c.table[l.ID()]
+	row, ok := c.table[l.Ident()]
 	if !ok {
 		return nil, fmt.Errorf("class %s: unknown object %v", c.meta.Name, l)
 	}
@@ -723,7 +724,7 @@ func (c *ClassImpl) setCandidateMagistrates(inv *rt.Invocation) ([][]byte, error
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	row, ok := c.table[l.ID()]
+	row, ok := c.table[l.Ident()]
 	if !ok {
 		return nil, fmt.Errorf("class %s: unknown object %v", c.meta.Name, l)
 	}
@@ -749,7 +750,7 @@ func (c *ClassImpl) setCurrentMagistrates(inv *rt.Invocation) ([][]byte, error) 
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	row, ok := c.table[l.ID()]
+	row, ok := c.table[l.Ident()]
 	if !ok {
 		return nil, fmt.Errorf("class %s: unknown object %v", c.meta.Name, l)
 	}
@@ -768,8 +769,20 @@ func (c *ClassImpl) setDefaultMagistrates(inv *rt.Invocation) ([][]byte, error) 
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	// Rows share the old list; replace it, never write into it.
 	c.meta.DefaultMagistrates = mags
 	return nil, nil
+}
+
+// oneMagistrateLocked is the Current Magistrate List [mag] for a new
+// row: a capped view of the class's default list when mag is on it, so
+// the rows of a class share one array instead of one each. Nothing
+// writes into a row's lists; they are only ever replaced. c.mu held.
+func (c *ClassImpl) oneMagistrateLocked(mag loid.LOID) []loid.LOID {
+	if i := slices.Index(c.meta.DefaultMagistrates, mag); i >= 0 {
+		return c.meta.DefaultMagistrates[i : i+1 : i+1]
+	}
+	return []loid.LOID{mag}
 }
 
 // pickMagistrateLocked applies the hint or rotates over the class's
@@ -794,8 +807,8 @@ func (c *ClassImpl) SaveState() ([]byte, error) {
 	w := &writer{}
 	c.meta.marshal(w)
 	w.u64(uint64(len(c.table)))
-	for l, row := range c.table {
-		marshalRow(w, l, row)
+	for id, row := range c.table {
+		marshalRow(w, id.LOID(), row)
 	}
 	return w.buf, nil
 }
@@ -819,13 +832,17 @@ func (c *ClassImpl) RestoreState(state []byte) error {
 	if n > uint64(len(r.buf))/loid.EncodedSize {
 		return fmt.Errorf("class: table size %d exceeds buffer", n)
 	}
-	table := make(map[loid.LOID]*Row, n)
+	table := make(map[loid.Ident]*Row, n)
 	for i := uint64(0); i < n; i++ {
 		l, row, err := unmarshalRow(r)
 		if err != nil {
 			return err
 		}
-		table[l.ID()] = row
+		// Restored rows share the class's default list like live ones.
+		if slices.Equal(row.CandidateMagistrates, meta.DefaultMagistrates) {
+			row.CandidateMagistrates = meta.DefaultMagistrates
+		}
+		table[l.Ident()] = row
 	}
 	if err := r.done(); err != nil {
 		return err

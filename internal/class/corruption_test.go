@@ -30,7 +30,7 @@ func TestClassStateRestoreNeverPanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	impl.table[loid.NewNoKey(300, 1)] = &Row{
+	impl.table[loid.NewNoKey(300, 1).Ident()] = &Row{
 		CurrentMagistrates: []loid.LOID{loid.NewNoKey(loid.ClassIDMagistrate, 1)},
 	}
 	valid, err := impl.SaveState()

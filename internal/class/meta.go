@@ -100,7 +100,8 @@ type Meta struct {
 	// objects unless one is explicitly specified (§3.7).
 	DefaultSchedulingAgent loid.LOID
 	// DefaultMagistrates are the candidate Magistrates for new
-	// objects of this class.
+	// objects of this class. The rows of its objects share the list,
+	// so it is replaced, never written into.
 	DefaultMagistrates []loid.LOID
 }
 

@@ -111,7 +111,7 @@ func (p proc) startHost(seq uint64, impls *implreg.Registry, leaf AgentRef, admi
 	var h *host.Host
 	node, _, err := p.spawn(fmt.Sprintf("host%d", seq), fmt.Sprintf("host/%d", seq), hl, &leaf, func(node *rt.Node) rt.Impl {
 		h = host.New(hl, node, impls, func(self loid.LOID) rt.Resolver {
-			return leaf.client(p.caller(node, self))
+			return bindagent.NewLazyClient(func() *rt.Caller { return p.caller(node, self) }, leaf.LOID, leaf.Addr)
 		})
 		return h
 	})

@@ -304,18 +304,18 @@ func RunE4(scale Scale) (*Table, error) {
 			}
 		}
 		elapsed := time.Since(start)
-		maxClass, _ := s.Reg.MaxCounter("req/obj/L") // user class objects run as host objects
+		_, maxClass := s.ClassRequests(targets)
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", clones),
 			fmt.Sprintf("%d", creates),
 			elapsed.Round(time.Millisecond).String(),
 			fmt.Sprintf("%.0f", float64(creates)/elapsed.Seconds()),
-			fmt.Sprintf("%d", maxClass.Value),
+			fmt.Sprintf("%d", maxClass),
 		})
 		if clones == 0 {
-			firstMax = maxClass.Value
+			firstMax = maxClass
 		}
-		lastMax = maxClass.Value
+		lastMax = maxClass
 		s.Close()
 	}
 	if lastMax < firstMax {

@@ -65,7 +65,7 @@ func RunE9(scale Scale) (*Table, error) {
 			return nil, err
 		}
 		maxAgent, _ := s.Reg.MaxCounter("req/bindagent/")
-		maxClass, _ := s.Reg.MaxCounter("req/obj/L")
+		_, maxClass := s.ClassRequests(s.Classes)
 		maxMag, _ := s.Reg.MaxCounter("req/magistrate/")
 		lc := s.Reg.Counter("req/class/LegionClass").Value()
 		t.Rows = append(t.Rows, []string{
@@ -74,13 +74,13 @@ func RunE9(scale Scale) (*Table, error) {
 			fmt.Sprintf("%d", len(s.Clients)),
 			fmt.Sprintf("%d", res.References),
 			per1k(maxAgent.Value, res.References),
-			per1k(maxClass.Value, res.References),
+			per1k(maxClass, res.References),
 			per1k(lc, res.References),
 			per1k(maxMag.Value, res.References),
 		})
 		worst := maxAgent.Value
-		if maxClass.Value > worst {
-			worst = maxClass.Value
+		if maxClass > worst {
+			worst = maxClass
 		}
 		if lc > worst {
 			worst = lc

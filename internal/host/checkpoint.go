@@ -69,10 +69,12 @@ func (h *Host) StartCheckpointer(mag loid.LOID, magAddr oa.Address, every time.D
 	h.ckpt = c
 	h.mu.Unlock()
 
+	// The ticker starts before Start returns, so time advanced on a
+	// virtual clock right after Start counts towards the first tick.
+	tick := h.node.Clock().NewTicker(every)
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
-		tick := h.node.Clock().NewTicker(every)
 		defer tick.Stop()
 		for {
 			select {
@@ -115,9 +117,9 @@ func (h *Host) CheckpointNow() (int, error) {
 		h.mu.Unlock()
 		return 0, fmt.Errorf("host %v: no checkpointer", h.self)
 	}
-	targets := make(map[loid.LOID]*resident, len(h.running))
-	for l, r := range h.running {
-		targets[l] = r
+	targets := make(map[loid.Ident]*resident, len(h.running))
+	for id, r := range h.running {
+		targets[id] = r
 	}
 	h.mu.Unlock()
 
@@ -176,7 +178,8 @@ func (h *Host) CheckpointNow() (int, error) {
 		pendingBytes = 0
 	}
 
-	for l, r := range targets {
+	for id, r := range targets {
+		l := id.LOID()
 		o, ok := h.node.Lookup(l)
 		if !ok {
 			continue

@@ -88,7 +88,7 @@ type Host struct {
 	newRes ResolverFactory
 
 	mu       sync.Mutex
-	running  map[loid.LOID]*resident
+	running  map[loid.Ident]*resident
 	cpuLimit uint64 // max concurrently active objects; 0 = unlimited
 	memLimit uint64 // advisory memory budget, reported via GetState
 	obj      *rt.Object
@@ -129,7 +129,7 @@ func New(self loid.LOID, node *rt.Node, impls *implreg.Registry, newRes Resolver
 		node:    node,
 		impls:   impls,
 		newRes:  newRes,
-		running: make(map[loid.LOID]*resident),
+		running: make(map[loid.Ident]*resident),
 	}
 }
 
@@ -184,8 +184,8 @@ func (h *Host) Dispatch(inv *rt.Invocation) ([][]byte, error) {
 	case "ListObjects":
 		h.mu.Lock()
 		ls := make([]loid.LOID, 0, len(h.running))
-		for l := range h.running {
-			ls = append(ls, l)
+		for id := range h.running {
+			ls = append(ls, id.LOID())
 		}
 		h.mu.Unlock()
 		return [][]byte{wire.LOIDList(ls)}, nil
@@ -278,7 +278,9 @@ func (h *Host) spawnResident(l loid.LOID, implName string, state []byte) error {
 	// by ID as well.
 	opts := []rt.SpawnOption{rt.WithLabel("obj/" + l.ID().String())}
 	if h.newRes != nil {
-		opts = append(opts, rt.WithCaller(rt.NewCaller(h.node, l, h.newRes(l))))
+		// The object builds its Caller, and so its resolver, on its
+		// first call-out; one that only answers calls never does.
+		opts = append(opts, rt.WithResolver(h.newRes))
 	}
 	if h.impls.IsConcurrent(implName) {
 		opts = append(opts, rt.WithConcurrency(ServiceConcurrency))
@@ -287,7 +289,7 @@ func (h *Host) spawnResident(l loid.LOID, implName string, state []byte) error {
 		return err
 	}
 	h.mu.Lock()
-	h.running[l.ID()] = &resident{impl: implName}
+	h.running[l.Ident()] = &resident{impl: implName}
 	h.mu.Unlock()
 	return nil
 }
@@ -300,7 +302,7 @@ func (h *Host) spawnResident(l loid.LOID, implName string, state []byte) error {
 func (h *Host) evict(l loid.LOID) {
 	h.node.Kill(l)
 	h.mu.Lock()
-	delete(h.running, l.ID())
+	delete(h.running, l.Ident())
 	h.mu.Unlock()
 }
 
@@ -314,7 +316,7 @@ func (h *Host) stopObject(inv *rt.Invocation) ([][]byte, error) {
 		return nil, err
 	}
 	h.mu.Lock()
-	r, ok := h.running[l.ID()]
+	r, ok := h.running[l.Ident()]
 	h.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("host %v does not run %v", h.self, l)
@@ -352,10 +354,10 @@ func (h *Host) killObject(inv *rt.Invocation) ([][]byte, error) {
 func (h *Host) CrashResidents() []loid.LOID {
 	h.mu.Lock()
 	lost := make([]loid.LOID, 0, len(h.running))
-	for l := range h.running {
-		lost = append(lost, l)
+	for id := range h.running {
+		lost = append(lost, id.LOID())
 	}
-	h.running = make(map[loid.LOID]*resident)
+	h.running = make(map[loid.Ident]*resident)
 	h.mu.Unlock()
 	for _, l := range lost {
 		h.node.Kill(l)

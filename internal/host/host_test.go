@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/binding"
+	"repro/internal/clock"
 	"repro/internal/idl"
 	"repro/internal/implreg"
 	"repro/internal/loid"
@@ -325,5 +326,28 @@ func TestConcurrentImplGetsWorkers(t *testing.T) {
 	}
 	if _, err := f2.Wait(2 * time.Second); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLoopStartSchedulesTicker: StartCheckpointer and StartLoadReporter
+// have scheduled their ticker by the time they return, so time a
+// virtual clock advances right after Start counts towards the first
+// tick instead of passing before the loop is listening.
+func TestLoopStartSchedulesTicker(t *testing.T) {
+	fx := newHostFixture(t)
+	v := clock.NewVirtual(time.Time{})
+	fx.host.Node().SetClock(v) // before any traffic
+	mag := loid.NewNoKey(loid.ClassIDMagistrate, 1)
+
+	p0 := v.Pending()
+	fx.host.StartCheckpointer(mag, fx.host.Address(), time.Second)
+	t.Cleanup(fx.host.StopCheckpointer)
+	if got := v.Pending(); got != p0+1 {
+		t.Errorf("after StartCheckpointer %d events are pending, want %d", got, p0+1)
+	}
+	fx.host.StartLoadReporter(mag, fx.host.Address(), time.Second)
+	t.Cleanup(fx.host.StopLoadReporter)
+	if got := v.Pending(); got != p0+2 {
+		t.Errorf("after StartLoadReporter %d events are pending, want %d", got, p0+2)
 	}
 }

@@ -42,7 +42,7 @@ func (h *Host) prepareMigrate(inv *rt.Invocation) ([][]byte, error) {
 		return nil, err
 	}
 	h.mu.Lock()
-	r, ok := h.running[l.ID()]
+	r, ok := h.running[l.Ident()]
 	h.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("host %v does not run %v", h.self, l)
@@ -178,15 +178,15 @@ func (h *Host) LoadNow() Load {
 		CPULimit:  h.cpuLimit,
 		MemLimit:  h.memLimit,
 	}
-	residents := make(map[loid.LOID]*resident, len(h.running))
-	for l, r := range h.running {
-		residents[l] = r
+	residents := make(map[loid.Ident]*resident, len(h.running))
+	for id, r := range h.running {
+		residents[id] = r
 	}
 	checkpointing := h.ckpt != nil
 	h.mu.Unlock()
 
-	for l, r := range residents {
-		o, ok := h.node.Lookup(l)
+	for id, r := range residents {
+		o, ok := h.node.Lookup(id.LOID())
 		if !ok {
 			continue
 		}
@@ -242,10 +242,12 @@ func (h *Host) StartLoadReporter(mag loid.LOID, magAddr oa.Address, every time.D
 	h.loadRep = r
 	h.mu.Unlock()
 
+	// The ticker starts before Start returns, so time advanced on a
+	// virtual clock right after Start counts towards the first tick.
+	tick := h.node.Clock().NewTicker(every)
 	r.wg.Add(1)
 	go func() {
 		defer r.wg.Done()
-		tick := h.node.Clock().NewTicker(every)
 		defer tick.Stop()
 		for {
 			select {

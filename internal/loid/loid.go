@@ -110,6 +110,27 @@ func (l LOID) ID() LOID {
 	return LOID{ClassID: l.ClassID, ClassSpecific: l.ClassSpecific}
 }
 
+// Ident is the identity of a LOID: its two identifier fields, without
+// the key. It is a third the size of the 48-byte LOID that ID()
+// returns, and the tables that hold one entry per object (a node's
+// objects, a host's residents, a Magistrate's records, a class's
+// instances, binding caches) key by it.
+type Ident struct {
+	ClassID       uint64
+	ClassSpecific uint64
+}
+
+// Ident returns l's identity.
+func (l LOID) Ident() Ident {
+	return Ident{ClassID: l.ClassID, ClassSpecific: l.ClassSpecific}
+}
+
+// LOID returns the key-less LOID the identity names: the same value
+// as ID() of any LOID with this identity.
+func (i Ident) LOID() LOID {
+	return LOID{ClassID: i.ClassID, ClassSpecific: i.ClassSpecific}
+}
+
 // String renders the canonical text form "L<classID>.<classSpecific>",
 // followed by a short key fingerprint when the key is non-zero, e.g.
 // "L256.17" or "L256.17#a1b2c3d4".

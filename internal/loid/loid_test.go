@@ -152,6 +152,21 @@ func TestIDClearsKey(t *testing.T) {
 	}
 }
 
+// TestIdentMatchesID: an identity names the object ID() names, with
+// or without the key, and converts back to exactly ID().
+func TestIdentMatchesID(t *testing.T) {
+	a := New(5, 5, DeriveKey("a"))
+	if a.Ident() != a.ID().Ident() {
+		t.Error("the key changed the identity")
+	}
+	if a.Ident().LOID() != a.ID() {
+		t.Errorf("Ident().LOID() = %v, want %v", a.Ident().LOID(), a.ID())
+	}
+	if a.Ident() == New(5, 6, DeriveKey("a")).Ident() {
+		t.Error("different instances share an identity")
+	}
+}
+
 func TestWellKnown(t *testing.T) {
 	core := CoreClasses()
 	if len(core) != 5 {

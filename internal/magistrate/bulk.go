@@ -61,7 +61,7 @@ func (m *Magistrate) checkpointBatch(inv *rt.Invocation) ([][]byte, error) {
 	live := oprs[:0]
 	recs := make([]*record, 0, len(oprs))
 	for _, o := range oprs {
-		rec, ok := m.table[o.LOID.ID()]
+		rec, ok := m.table[o.LOID.Ident()]
 		if !ok || !rec.active || !rec.host.SameObject(fromHost) {
 			continue // deactivated or migrated since the host sampled it
 		}
@@ -85,7 +85,7 @@ func (m *Magistrate) checkpointBatch(inv *rt.Invocation) ([][]byte, error) {
 	accepted := make([]int, 0, len(live))
 	m.mu.Lock()
 	for i := range live {
-		rec2, ok := m.table[live[i].LOID.ID()]
+		rec2, ok := m.table[live[i].LOID.Ident()]
 		if !ok || rec2 != recs[i] || !rec2.active || !rec2.host.SameObject(fromHost) {
 			stale = append(stale, addrs[i])
 			continue
@@ -133,7 +133,7 @@ func (m *Magistrate) bulkAdopt(ls []loid.LOID) {
 		rest  []loid.LOID
 	)
 	for _, l := range ls {
-		rec, ok := m.table[l.ID()]
+		rec, ok := m.table[l.Ident()]
 		if !ok || rec.active {
 			continue
 		}

@@ -116,7 +116,7 @@ func (m *Magistrate) subSnapshot() []subEntry {
 func (m *Magistrate) knowsLocally(l loid.LOID) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	_, ok := m.table[l.ID()]
+	_, ok := m.table[l.Ident()]
 	return ok
 }
 

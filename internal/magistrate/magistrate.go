@@ -141,7 +141,7 @@ type Magistrate struct {
 	hosts  []hostEntry
 	subs   []subEntry // sub-magistrates (jurisdiction hierarchy, §2.2)
 	rr     int        // placement cursor (fallback when scores tie)
-	table  map[loid.LOID]*record
+	table  map[loid.Ident]*record
 	filter ActivationFilter
 
 	// loads holds the newest heartbeat load vector per host
@@ -202,7 +202,7 @@ func New(self loid.LOID, store persist.Store) *Magistrate {
 	m := &Magistrate{
 		self:      self,
 		store:     store,
-		table:     make(map[loid.LOID]*record),
+		table:     make(map[loid.Ident]*record),
 		loads:     make(map[loid.LOID]loadEntry),
 		residents: make(map[loid.LOID]int),
 	}
@@ -384,7 +384,7 @@ func (m *Magistrate) Dispatch(inv *rt.Invocation) ([][]byte, error) {
 			return nil, err
 		}
 		m.mu.Lock()
-		rec, known := m.table[l.ID()]
+		rec, known := m.table[l.Ident()]
 		active := known && rec.active
 		m.mu.Unlock()
 		if !known {
@@ -403,8 +403,8 @@ func (m *Magistrate) Dispatch(inv *rt.Invocation) ([][]byte, error) {
 	case "ListObjects":
 		m.mu.Lock()
 		ls := make([]loid.LOID, 0, len(m.table))
-		for l := range m.table {
-			ls = append(ls, l)
+		for id := range m.table {
+			ls = append(ls, id.LOID())
 		}
 		m.mu.Unlock()
 		return [][]byte{wire.LOIDList(ls)}, nil
@@ -466,11 +466,11 @@ func (m *Magistrate) register(inv *rt.Invocation) ([][]byte, error) {
 	}
 	m.mu.Lock()
 	var replaced [2]persist.PersistentAddress
-	if old, ok := m.table[l.ID()]; ok {
+	if old, ok := m.table[l.Ident()]; ok {
 		replaced = [2]persist.PersistentAddress{old.oprAddr, old.ckptAddr}
 		m.unplace(old) // it leaves the table
 	}
-	m.table[l.ID()] = &record{impl: implName, oprAddr: oprAddr}
+	m.table[l.Ident()] = &record{impl: implName, oprAddr: oprAddr}
 	noteGeneration(m.plane, l, "register", loid.Nil, len(state))
 	m.mu.Unlock()
 	m.drop(replaced[:]...)
@@ -516,12 +516,12 @@ func (m *Magistrate) activate(inv *rt.Invocation) ([][]byte, error) {
 // and crash reactivation funnel through here.
 func (m *Magistrate) activateLocal(ctx context.Context, l, hint loid.LOID) (b binding.Binding, known bool, err error) {
 	m.mu.Lock()
-	rec, ok := m.table[l.ID()]
+	rec, ok := m.table[l.Ident()]
 	for ok && !rec.active && rec.busy {
 		// Another actor owns this inert record; wait for the outcome and
 		// re-examine rather than double-activating.
 		m.cond.Wait()
-		rec, ok = m.table[l.ID()]
+		rec, ok = m.table[l.Ident()]
 	}
 	if !ok {
 		m.mu.Unlock()
@@ -588,7 +588,7 @@ func (m *Magistrate) instantiate(inv *rt.Invocation) ([][]byte, error) {
 	}
 	for {
 		m.mu.Lock()
-		rec, ok := m.table[l.ID()]
+		rec, ok := m.table[l.Ident()]
 		if !ok {
 			break // m.mu stays held for the insert
 		}
@@ -614,7 +614,7 @@ func (m *Magistrate) instantiate(inv *rt.Invocation) ([][]byte, error) {
 		return nil, err
 	}
 	rec := &record{impl: implName}
-	m.table[l.ID()] = rec
+	m.table[l.Ident()] = rec
 	m.claimLocked(rec)
 	m.mu.Unlock()
 	b, err := m.startOn(inv.Ctx(), l, rec, h, !hint.IsNil(), persist.OPR{LOID: l, Impl: implName, State: state}, "")
@@ -655,8 +655,8 @@ func (m *Magistrate) startOn(ctx context.Context, l loid.LOID, rec *record, h ho
 	m.mu.Lock()
 	m.releaseLocked(rec)
 	if err != nil {
-		if from == "" && m.table[l.ID()] == rec {
-			delete(m.table, l.ID())
+		if from == "" && m.table[l.Ident()] == rec {
+			delete(m.table, l.Ident())
 		}
 		m.mu.Unlock()
 		return binding.Binding{}, fmt.Errorf("magistrate %v: start %v on %v: %w", m.self, l, h.l, err)
@@ -693,6 +693,11 @@ func (m *Magistrate) startFirst(ctx context.Context, l loid.LOID, h hostEntry, p
 	asked := []loid.LOID{h.l}
 	for {
 		addr, err := host.NewClient(m.obj.Caller(), h.l).StartObjectCtx(ctx, l, opr.Impl, opr.State)
+		if addr.Equal(h.addr) {
+			// Objects run at their host's address: the record shares the
+			// pool entry's copy instead of keeping one each.
+			addr = h.addr
+		}
 		if pinned || !rt.IsCode(err, wire.ErrUnknownImpl) {
 			return h, addr, err
 		}
@@ -731,7 +736,7 @@ func (m *Magistrate) unaskedAdmittedLocked(l loid.LOID, implName string, asked [
 // new incarnation is an orphan the caller must reap, and rec's
 // representations are left to whoever removed it. m.mu held.
 func (m *Magistrate) commitStartedLocked(l loid.LOID, rec *record, host loid.LOID, addr oa.Address, from persist.PersistentAddress) (stale [2]persist.PersistentAddress, ok bool) {
-	if m.table[l.ID()] != rec {
+	if m.table[l.Ident()] != rec {
 		return stale, false
 	}
 	m.place(rec, host, addr)
@@ -847,8 +852,9 @@ func (m *Magistrate) HostFailed(h loid.LOID) []loid.LOID {
 	var affected []loid.LOID
 	for id, rec := range m.table {
 		if rec.active && rec.host.SameObject(h) && !rec.busy {
-			m.settleLostLocked(id, rec)
-			affected = append(affected, id)
+			l := id.LOID()
+			m.settleLostLocked(l, rec)
+			affected = append(affected, l)
 		}
 	}
 	survivors := len(m.hosts) > 0
@@ -959,7 +965,7 @@ func (m *Magistrate) bindingLocked(l loid.LOID, addr oa.Address) binding.Binding
 // waitSettledLocked waits (on m.cond, m.mu held) until l's record is
 // not busy, then returns it. The record is re-looked-up on every wake:
 // it may be deleted while we wait.
-func (m *Magistrate) waitSettledLocked(id loid.LOID) (*record, bool) {
+func (m *Magistrate) waitSettledLocked(id loid.Ident) (*record, bool) {
 	for {
 		rec, ok := m.table[id]
 		if !ok || !rec.busy {
@@ -1124,7 +1130,7 @@ func (m *Magistrate) deactivate(inv *rt.Invocation) ([][]byte, error) {
 
 func (m *Magistrate) deactivateByLOID(l loid.LOID) error {
 	m.mu.Lock()
-	rec, ok := m.waitSettledLocked(l.ID())
+	rec, ok := m.waitSettledLocked(l.Ident())
 	if !ok {
 		m.mu.Unlock()
 		if _, delegated, derr := m.delegate(l, func(sc *Client) ([][]byte, error) {
@@ -1176,7 +1182,7 @@ func (m *Magistrate) delete(inv *rt.Invocation) ([][]byte, error) {
 
 func (m *Magistrate) deleteByLOID(l loid.LOID) error {
 	m.mu.Lock()
-	rec, ok := m.waitSettledLocked(l.ID())
+	rec, ok := m.waitSettledLocked(l.Ident())
 	if !ok {
 		m.mu.Unlock()
 		if _, delegated, derr := m.delegate(l, func(sc *Client) ([][]byte, error) {
@@ -1188,7 +1194,7 @@ func (m *Magistrate) deleteByLOID(l loid.LOID) error {
 	}
 	active, hostL, oprAddr, ckptAddr := rec.active, rec.host, rec.oprAddr, rec.ckptAddr
 	m.unplace(rec) // it leaves the table
-	delete(m.table, l.ID())
+	delete(m.table, l.Ident())
 	m.mu.Unlock()
 
 	if active {
@@ -1218,7 +1224,7 @@ func (m *Magistrate) copyTo(inv *rt.Invocation, move bool) ([][]byte, error) {
 		return nil, err
 	}
 	m.mu.Lock()
-	rec, ok := m.table[l.ID()]
+	rec, ok := m.table[l.Ident()]
 	if !ok {
 		m.mu.Unlock()
 		return nil, fmt.Errorf("magistrate %v: unknown object %v", m.self, l)
@@ -1250,7 +1256,7 @@ func (m *Magistrate) getBinding(inv *rt.Invocation) ([][]byte, error) {
 		return nil, err
 	}
 	m.mu.Lock()
-	rec, ok := m.table[l.ID()]
+	rec, ok := m.table[l.Ident()]
 	if !ok {
 		m.mu.Unlock()
 		if out, delegated, derr := m.delegate(l, func(sc *Client) ([][]byte, error) {
@@ -1300,7 +1306,7 @@ func (m *Magistrate) SaveState() ([]byte, error) {
 		}
 	}
 	out = append(out, wire.Uint64(uint64(n))...)
-	for l, rec := range m.table {
+	for id, rec := range m.table {
 		if rec.unborn() {
 			continue
 		}
@@ -1308,7 +1314,7 @@ func (m *Magistrate) SaveState() ([]byte, error) {
 		if rec.active {
 			addr = rec.ckptAddr
 		}
-		out = l.Marshal(out)
+		out = id.LOID().Marshal(out)
 		out = append(out, wire.Uint64(uint64(len(rec.impl)))...)
 		out = append(out, rec.impl...)
 		out = append(out, wire.Uint64(uint64(len(addr)))...)
@@ -1379,7 +1385,7 @@ func (m *Magistrate) RestoreState(state []byte) error {
 	for _, rec := range m.table {
 		m.unplace(rec)
 	}
-	m.table = make(map[loid.LOID]*record, nr)
+	m.table = make(map[loid.Ident]*record, nr)
 	for i := uint64(0); i < nr; i++ {
 		var l loid.LOID
 		l, state, err = loid.Unmarshal(state)
@@ -1408,7 +1414,7 @@ func (m *Magistrate) RestoreState(state []byte) error {
 			// Active with no checkpoint at save time: the state is gone.
 			oprAddr = m.mintBlank(l, implName)
 		}
-		m.table[l.ID()] = &record{impl: implName, oprAddr: oprAddr}
+		m.table[l.Ident()] = &record{impl: implName, oprAddr: oprAddr}
 	}
 	if len(state) != 0 {
 		return fmt.Errorf("magistrate: %d trailing state bytes", len(state))

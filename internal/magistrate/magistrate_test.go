@@ -200,7 +200,7 @@ func TestInstantiateRedelivery(t *testing.T) {
 	if err := restored.RestoreState(st); err != nil {
 		t.Fatal(err)
 	}
-	if _, kept := restored.table[objL.ID()]; kept {
+	if _, kept := restored.table[objL.Ident()]; kept {
 		t.Error("SaveState kept a record whose Instantiate has not returned")
 	}
 
@@ -531,7 +531,7 @@ func TestMagistrateStateRoundTrip(t *testing.T) {
 	if len(m2.hosts) != 2 {
 		t.Errorf("restored hosts = %d", len(m2.hosts))
 	}
-	rec, ok := m2.table[objL.ID()]
+	rec, ok := m2.table[objL.Ident()]
 	if !ok || rec.impl != "counter" || rec.oprAddr == "" {
 		t.Errorf("restored record = %+v, %v", rec, ok)
 	}

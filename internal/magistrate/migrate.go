@@ -155,8 +155,8 @@ func (m *Magistrate) Placements() []Placement {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	out := make([]Placement, 0, len(m.table))
-	for l, rec := range m.table {
-		p := Placement{Object: l, Impl: rec.impl, Active: rec.active}
+	for id, rec := range m.table {
+		p := Placement{Object: id.LOID(), Impl: rec.impl, Active: rec.active}
 		if rec.active {
 			p.Host = rec.host
 		}
@@ -286,7 +286,7 @@ func (m *Magistrate) MigrateObject(ctx context.Context, l, destHost loid.LOID) e
 	t0 := m.now()
 
 	m.mu.Lock()
-	rec, ok := m.waitSettledLocked(l.ID())
+	rec, ok := m.waitSettledLocked(l.Ident())
 	if !ok {
 		m.mu.Unlock()
 		return fmt.Errorf("magistrate %v: unknown object %v", m.self, l)
@@ -387,7 +387,7 @@ func (m *Magistrate) runMigration(ctx context.Context, span *trace.Span, l loid.
 
 	// Phase 4: republish. The binding atomically flips to the new home.
 	m.mu.Lock()
-	if m.table[l.ID()] != rec {
+	if m.table[l.Ident()] != rec {
 		m.mu.Unlock()
 		_ = destHC.KillObject(l)
 		_ = srcHC.AbortMigrate(ctx, l)

@@ -94,7 +94,7 @@ func (w *walker) placed() (ls []loid.LOID, on []loid.LOID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, l := range w.objs {
-		if rec, ok := m.table[l.ID()]; ok && rec.active && !rec.busy {
+		if rec, ok := m.table[l.Ident()]; ok && rec.active && !rec.busy {
 			ls, on = append(ls, l), append(on, rec.host)
 		}
 	}
@@ -111,7 +111,7 @@ func (w *walker) settle(ls []loid.LOID) {
 		m.mu.Lock()
 		pending := 0
 		for _, l := range ls {
-			if rec, ok := m.table[l.ID()]; ok && (!rec.active || rec.busy) {
+			if rec, ok := m.table[l.Ident()]; ok && (!rec.active || rec.busy) {
 				pending++
 			}
 		}
@@ -186,7 +186,7 @@ func (w *walker) instantiateFails(impl string, withdrawn bool) {
 	}
 	m := w.fx.mag
 	m.mu.Lock()
-	_, kept := m.table[l.ID()]
+	_, kept := m.table[l.Ident()]
 	m.mu.Unlock()
 	if kept {
 		w.t.Fatalf("step %d: the failed instantiate left %v in the table", w.step, l)
@@ -357,7 +357,7 @@ func (w *walker) claimed() []loid.LOID {
 	var ls []loid.LOID
 	for id, rec := range m.table {
 		if rec.busy && !rec.active {
-			ls = append(ls, id)
+			ls = append(ls, id.LOID())
 		}
 	}
 	return ls
@@ -496,7 +496,7 @@ func populated(n int) *Magistrate {
 	}
 	for i := 0; i < n; i++ {
 		rec := &record{impl: "counter"}
-		m.table[loid.NewNoKey(256, uint64(i+1))] = rec
+		m.table[loid.NewNoKey(256, uint64(i+1)).Ident()] = rec
 		m.place(rec, m.hosts[i%3].l, oa.Address{})
 	}
 	return m
@@ -520,8 +520,8 @@ func TestPickHostAllocFree(t *testing.T) {
 	// still follows the kept counts. (The scan it replaced would see
 	// three empty hosts here and rotate; its 3-entry map never left the
 	// stack, so the allocation count alone could not tell the two apart.)
-	m.place(m.table[loid.NewNoKey(256, 1)], m.hosts[1].l, oa.Address{}) // host 0 -> host 1
-	m.place(m.table[loid.NewNoKey(256, 4)], m.hosts[2].l, oa.Address{}) // host 0 -> host 2
+	m.place(m.table[loid.NewNoKey(256, 1).Ident()], m.hosts[1].l, oa.Address{}) // host 0 -> host 1
+	m.place(m.table[loid.NewNoKey(256, 4).Ident()], m.hosts[2].l, oa.Address{}) // host 0 -> host 2
 	m.table = nil
 	for i := 0; i < 6; i++ {
 		h, err := m.pickHostLocked(loid.Nil)

@@ -367,13 +367,16 @@ func (h *Histogram) Reset() {
 
 // Registry is a named collection of counters and histograms. Component
 // names follow "component/instance" convention, e.g. "class/L256.0" or
-// "bindagent/leaf3". Lookups are lock-free sync.Map reads so per-
-// message counter access never serializes hot paths (callers should
-// still intern counters they touch on every message). The zero value
-// is usable, but call NewRegistry for symmetry.
+// "bindagent/leaf3". A name is registered once, by the component that
+// counts under it, which keeps the *Counter or *Histogram it gets back:
+// no hot path looks a metric up by name. So plain maps under one
+// RWMutex suffice, and a registered counter costs its map entry, not a
+// concurrent map's nodes. The zero value is usable, but call
+// NewRegistry for symmetry.
 type Registry struct {
-	counts sync.Map // string -> *Counter
-	hists  sync.Map // string -> *Histogram
+	mu     sync.RWMutex
+	counts map[string]*Counter
+	hists  map[string]*Histogram
 	// noop marks a discard registry: Counter/Histogram return nil
 	// (whose methods are no-ops), and nothing is ever allocated or
 	// retained. Only Nop sets this.
@@ -391,11 +394,7 @@ func (r *Registry) Counter(name string) *Counter {
 	if r.noop {
 		return nil
 	}
-	if v, ok := r.counts.Load(name); ok {
-		return v.(*Counter)
-	}
-	v, _ := r.counts.LoadOrStore(name, &Counter{})
-	return v.(*Counter)
+	return lookupOrAdd(&r.mu, &r.counts, name)
 }
 
 // Histogram returns (creating if needed) the histogram with the given
@@ -405,38 +404,56 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if r.noop {
 		return nil
 	}
-	if v, ok := r.hists.Load(name); ok {
-		return v.(*Histogram)
+	return lookupOrAdd(&r.mu, &r.hists, name)
+}
+
+// lookupOrAdd returns the metric registered in *m under name, adding a
+// new one first when there is none.
+func lookupOrAdd[T any](mu *sync.RWMutex, m *map[string]*T, name string) *T {
+	mu.RLock()
+	v := (*m)[name]
+	mu.RUnlock()
+	if v != nil {
+		return v
 	}
-	v, _ := r.hists.LoadOrStore(name, &Histogram{})
-	return v.(*Histogram)
+	mu.Lock()
+	defer mu.Unlock()
+	if v = (*m)[name]; v == nil {
+		if *m == nil {
+			*m = make(map[string]*T)
+		}
+		v = new(T)
+		(*m)[name] = v
+	}
+	return v
 }
 
 // CounterValue reads the named counter without creating it (0 when
 // absent) — for query paths that must not pollute the registry.
 func (r *Registry) CounterValue(name string) uint64 {
-	if v, ok := r.counts.Load(name); ok {
-		return v.(*Counter).Value()
-	}
-	return 0
+	r.mu.RLock()
+	c := r.counts[name]
+	r.mu.RUnlock()
+	return c.Value()
 }
 
 // HistogramSnapshot reads the named histogram without creating it
 // (zero stats when absent).
 func (r *Registry) HistogramSnapshot(name string) HistStats {
-	if v, ok := r.hists.Load(name); ok {
-		return v.(*Histogram).Snapshot()
-	}
-	return HistStats{}
+	r.mu.RLock()
+	h := r.hists[name]
+	r.mu.RUnlock()
+	return h.Snapshot()
 }
 
 // Counters returns a stable-ordered snapshot of all counter values.
 func (r *Registry) Counters() []NamedValue {
-	var out []NamedValue
-	r.counts.Range(func(k, v any) bool {
-		out = append(out, NamedValue{Name: k.(string), Value: v.(*Counter).Value()})
-		return true
-	})
+	r.mu.RLock()
+	out := make([]NamedValue, 0, len(r.counts))
+	for name, c := range r.counts {
+		out = append(out, NamedValue{Name: name, Value: c.Value()})
+	}
+	r.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
@@ -449,11 +466,12 @@ type NamedHist struct {
 
 // Histograms returns a stable-ordered snapshot of all histograms.
 func (r *Registry) Histograms() []NamedHist {
-	var out []NamedHist
-	r.hists.Range(func(k, v any) bool {
-		out = append(out, NamedHist{Name: k.(string), Stats: v.(*Histogram).Snapshot()})
-		return true
-	})
+	r.mu.RLock()
+	out := make([]NamedHist, 0, len(r.hists))
+	for name, h := range r.hists {
+		out = append(out, NamedHist{Name: name, Stats: h.Snapshot()})
+	}
+	r.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
@@ -498,14 +516,14 @@ func (r *Registry) SumCounters(prefix string) uint64 {
 
 // Reset zeroes every metric but keeps registrations.
 func (r *Registry) Reset() {
-	r.counts.Range(func(_, v any) bool {
-		v.(*Counter).Reset()
-		return true
-	})
-	r.hists.Range(func(_, v any) bool {
-		v.(*Histogram).Reset()
-		return true
-	})
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for _, c := range r.counts {
+		c.Reset()
+	}
+	for _, h := range r.hists {
+		h.Reset()
+	}
 }
 
 // Nop is a shared discard registry for components that don't care

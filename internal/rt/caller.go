@@ -825,14 +825,14 @@ func (c *Caller) deliverOne(ctx context.Context, e oa.Element, target loid.LOID,
 	}
 	sc := span.Context()
 	if e == c.node.Element() {
-		if v, ok := c.node.objects.Load(target.ID()); ok {
+		if v, ok := c.node.objects.Load(target.Ident()); ok {
 			o := v.(*Object)
 			// A migration gate must see every arrival: while one is up
 			// for the target, skip the bypass so the transport loopback
 			// routes this call through the park/forward machinery. So does
 			// a stopped but not yet unregistered object: the loopback
 			// answers with the stale-binding verdict.
-			if (o.inline || o.concurrency > 1) && !o.mailbox.isClosed() && !c.node.gated(target) {
+			if (o.inline || o.mailbox.limit > 1) && !o.mailbox.isClosed() && !c.node.gated(target) {
 				env := c.env
 				env.Deadline = dlNanos
 				env.TraceID, env.SpanID, env.ParentSpanID = sc.TraceID, sc.SpanID, sc.ParentSpanID

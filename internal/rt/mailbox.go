@@ -21,21 +21,17 @@ const mailboxDepth = 1024
 // frames wait (back-pressure), and close wakes them for good.
 type mailbox struct {
 	mu      sync.Mutex
-	q       wire.FrameQueue
-	running int         // drainers serving this mailbox, at most limit; under mu
-	limit   int         // the object's concurrency
+	running int32       // drainers serving this mailbox, at most limit; under mu
+	limit   int32       // the object's concurrency (WithConcurrency); set before init
 	closed  atomic.Bool // written under mu; read lock-free by isClosed
-	notFull sync.Cond   // deliverers wait here
-
-	gateEpoch *atomic.Uint64 // the node's; see put
+	q       wire.FrameQueue
+	notFull sync.Cond // deliverers wait here
 }
 
-// init ties the mailbox to its node's gate epoch (see put) and allows
-// limit drainers at once.
-func (m *mailbox) init(gateEpoch *atomic.Uint64, limit int) {
+// init readies the mailbox for at least one drainer.
+func (m *mailbox) init() {
 	m.notFull.L = &m.mu
-	m.gateEpoch = gateEpoch
-	m.limit = max(limit, 1)
+	m.limit = max(m.limit, 1)
 }
 
 // put's verdicts.
@@ -52,20 +48,20 @@ const (
 // A drainer only leaves after finding the queue empty under the same
 // lock, so every enqueued frame has a drainer that will see it.
 //
-// epoch is the node's gate epoch as the deliverer read it BEFORE it
-// looked for a migration gate. Comparing it again under the mailbox
+// epoch is the node's gate epoch (gateEpoch) as the deliverer read it
+// BEFORE it looked for a migration gate. Comparing it again under the mailbox
 // lock makes "no gate, so enqueue" one atomic step: if no Park began
 // since, the frame is in the queue before that Park returns, so the
 // drain call that follows it (sent after Park, enqueued under this same
 // lock) serializes behind the frame. Otherwise the deliverer must look
 // at the gate table again.
-func (m *mailbox) put(f *wire.Frame, wait bool, epoch uint64) int {
+func (m *mailbox) put(f *wire.Frame, wait bool, epoch uint64, gateEpoch *atomic.Uint64) int {
 	m.mu.Lock()
 	for wait && m.q.Len() >= mailboxDepth && !m.closed.Load() {
 		m.notFull.Wait()
 	}
 	switch {
-	case m.gateEpoch.Load() != epoch: // first: a gated object may be stopped by now
+	case gateEpoch.Load() != epoch: // first: a gated object may be stopped by now
 		m.mu.Unlock()
 		return putRegate
 	case m.closed.Load() || m.q.Len() >= mailboxDepth:

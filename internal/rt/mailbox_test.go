@@ -18,12 +18,13 @@ import (
 )
 
 // TestIdleObjectFootprint bounds what an active object that is doing
-// nothing costs: its runtime record, mailbox and Caller, under 1 KiB.
-// An idle object owns no goroutine. Capacity reserved for traffic that
-// may never come — a goroutine stack, mailbox slots, a binding cache —
-// would show here.
+// nothing costs: its runtime record with its mailbox, and its entry in
+// the node's table, about 400 B. An idle object owns no goroutine and
+// no Caller. Capacity reserved for traffic that may never come — a
+// goroutine stack, mailbox slots, a Caller or its binding cache — would
+// show here.
 func TestIdleObjectFootprint(t *testing.T) {
-	const budget = 1536 // bytes per idle object
+	const budget = 640 // bytes per idle object
 	per := objectFootprint(t, false)
 	t.Logf("%d B per idle object", per)
 	if per > budget {
@@ -33,11 +34,12 @@ func TestIdleObjectFootprint(t *testing.T) {
 
 // TestServedObjectFootprint is TestIdleObjectFootprint after one call to
 // each object, and costs about the same: the dispatch goroutine that
-// served a call went back idle and is shared by every object. A
-// goroutine kept per object, or scratch kept per object or per
-// dispatch goroutine between calls, would show here.
+// served a call went back idle and is shared by every object, and
+// answering a call builds no Caller. A goroutine kept per object, or
+// scratch kept per object or per dispatch goroutine between calls,
+// would show here.
 func TestServedObjectFootprint(t *testing.T) {
-	const budget = 1536 // bytes per served object
+	const budget = 640 // bytes per served object
 	per := objectFootprint(t, true)
 	t.Logf("%d B per object served once", per)
 	if per > budget {
@@ -47,7 +49,8 @@ func TestServedObjectFootprint(t *testing.T) {
 
 // objectFootprint spawns 1024 default-option objects, calls each once
 // when serve is set, and returns what each costs in HeapInuse +
-// StackInuse once the dispatch goroutines are idle again.
+// StackInuse once the dispatch goroutines are idle again. A served
+// object must not have built a Caller: it never called out.
 func objectFootprint(t *testing.T, serve bool) int64 {
 	if raceEnabled {
 		t.Skip("the race detector's larger frames and heap records are not the object's cost")
@@ -78,7 +81,13 @@ func objectFootprint(t *testing.T, serve bool) int64 {
 	}
 	// Let every dispatch goroutine go idle before measuring.
 	time.Sleep(50 * time.Millisecond)
-	return int64(inuse()-before) / objects
+	per := int64(inuse()-before) / objects
+	for i := 0; i < objects; i++ {
+		if o, _ := nodes[0].Lookup(loid.NewNoKey(400, uint64(i+1))); o.caller.Load() != nil {
+			t.Fatalf("object %d built a Caller without calling out", i)
+		}
+	}
+	return per
 }
 
 // gatedImpl serves "Seq": it checks that each sender's sequence numbers

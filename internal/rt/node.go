@@ -45,7 +45,7 @@ type Node struct {
 	name string
 
 	mu      sync.Mutex // serializes Spawn/Kill/Close transitions
-	objects sync.Map   // loid.LOID (identity) -> *Object
+	objects sync.Map   // loid.Ident -> *Object
 	closed  atomic.Bool
 
 	pending [pendingShards]pendingShard
@@ -66,7 +66,7 @@ type Node struct {
 	// Migration gates (park.go). nGates is the fast-path short-circuit:
 	// receiveFrame consults the gate table only while it is nonzero.
 	gmu    sync.Mutex
-	gates  map[loid.LOID]*gate // loid.LOID (identity) -> gate
+	gates  map[loid.Ident]*gate
 	nGates atomic.Int64
 	// gateEpoch counts Parks. A deliverer reads it before looking for a
 	// gate and the mailbox compares it under its lock (mailbox.put), so a
@@ -222,12 +222,11 @@ func (n *Node) Spawn(l loid.LOID, impl Impl, opts ...SpawnOption) (*Object, erro
 	for _, opt := range opts {
 		opt(o)
 	}
-	o.mailbox.init(&n.gateEpoch, o.concurrency)
+	o.mailbox.init()
 	if o.label != "" {
-		o.cReq = n.reg.Counter("req/" + o.label)
-	}
-	if o.caller == nil {
-		o.caller = NewCaller(n, l, nil)
+		name := "req/" + o.label
+		o.cReq = n.reg.Counter(name)
+		o.label = name[len("req/"):] // one string for the label and the counter's name
 	}
 	// Bind before the object is reachable: the first request may be
 	// dispatched the moment it is published, inline or co-resident.
@@ -239,7 +238,7 @@ func (n *Node) Spawn(l loid.LOID, impl Impl, opts ...SpawnOption) (*Object, erro
 		n.mu.Unlock()
 		return nil, transport.ErrClosed
 	}
-	if _, exists := n.objects.LoadOrStore(l.ID(), o); exists {
+	if _, exists := n.objects.LoadOrStore(l.Ident(), o); exists {
 		n.mu.Unlock()
 		return nil, fmt.Errorf("rt: object %v already active on node %s", l, n.name)
 	}
@@ -252,7 +251,7 @@ func (n *Node) Spawn(l loid.LOID, impl Impl, opts ...SpawnOption) (*Object, erro
 
 // Lookup returns the active object registered under l, if any.
 func (n *Node) Lookup(l loid.LOID) (*Object, bool) {
-	v, ok := n.objects.Load(l.ID())
+	v, ok := n.objects.Load(l.Ident())
 	if !ok {
 		return nil, false
 	}
@@ -264,7 +263,7 @@ func (n *Node) Lookup(l loid.LOID) (*Object, bool) {
 // reports whether an object was removed.
 func (n *Node) Kill(l loid.LOID) bool {
 	n.mu.Lock()
-	v, ok := n.objects.LoadAndDelete(l.ID())
+	v, ok := n.objects.LoadAndDelete(l.Ident())
 	n.mu.Unlock()
 	if ok {
 		v.(*Object).stop()

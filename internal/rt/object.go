@@ -3,6 +3,7 @@ package rt
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,13 +23,17 @@ import (
 // while its mailbox has requests to serve (dispatch.go). An idle object
 // owns no goroutine.
 type Object struct {
-	node        *Node
-	self        loid.LOID
-	impl        Impl
-	policy      security.Policy
-	label       string
-	caller      *Caller
-	concurrency int
+	node   *Node
+	self   loid.LOID
+	impl   Impl
+	policy security.Policy
+	label  string
+
+	// caller is built on the object's first call-out (Caller); most
+	// objects only ever answer calls. newRes, when set, makes the
+	// resolver it gets.
+	caller atomic.Pointer[Caller]
+	newRes func(self loid.LOID) Resolver
 
 	// inline marks the object for inline dispatch (WithInlineDispatch):
 	// requests run on the delivering goroutine instead of being handed
@@ -71,7 +76,14 @@ func WithLabel(label string) SpawnOption {
 // WithCaller installs a pre-configured communication layer (binding
 // cache size, resolver, timeouts).
 func WithCaller(c *Caller) SpawnOption {
-	return func(o *Object) { o.caller = c }
+	return func(o *Object) { o.caller.Store(c) }
+}
+
+// WithResolver gives the Caller the object builds on its first
+// call-out the resolver newRes(self) makes. Without it (or WithCaller)
+// that Caller has no resolver.
+func WithResolver(newRes func(self loid.LOID) Resolver) SpawnOption {
+	return func(o *Object) { o.newRes = newRes }
 }
 
 // WithConcurrency lets up to n dispatch goroutines drain the object's
@@ -83,7 +95,7 @@ func WithCaller(c *Caller) SpawnOption {
 // the mailbox — without this, mutually-waiting service objects could
 // distributedly deadlock. The Impl must be safe for concurrent Dispatch.
 func WithConcurrency(n int) SpawnOption {
-	return func(o *Object) { o.concurrency = n }
+	return func(o *Object) { o.mailbox.limit = int32(min(n, math.MaxInt32)) }
 }
 
 // WithInlineDispatch opts the object into inline dispatch: incoming
@@ -117,8 +129,22 @@ func (o *Object) Node() *Node { return o.node }
 // components such as Host Objects during deactivation).
 func (o *Object) Impl() Impl { return o.impl }
 
-// Caller returns the object's communication layer.
-func (o *Object) Caller() *Caller { return o.caller }
+// Caller returns the object's communication layer, building it on
+// first use with the runtime's defaults and the WithResolver resolver:
+// concurrent first users race one CAS and all get the winner.
+func (o *Object) Caller() *Caller {
+	if c := o.caller.Load(); c != nil {
+		return c
+	}
+	c := NewCaller(o.node, o.self, nil)
+	if o.newRes != nil {
+		c.SetResolver(o.newRes(o.self))
+	}
+	if o.caller.CompareAndSwap(nil, c) {
+		return c
+	}
+	return o.caller.Load()
+}
 
 // Mutations returns the object's dirty clock: the count of dispatched
 // calls that may have changed its state. A checkpointer that remembers
@@ -137,7 +163,7 @@ func (o *Object) SetPolicy(p security.Policy) { o.policy = p }
 // took a drainer's place, hands o to a dispatch goroutine. It answers
 // putOK, putRefused or putRegate.
 func (o *Object) enqueue(f *wire.Frame, wait bool, epoch uint64) int {
-	verdict := o.mailbox.put(f, wait, epoch)
+	verdict := o.mailbox.put(f, wait, epoch, &o.node.gateEpoch)
 	if verdict == putDrain {
 		startDrain(o)
 		verdict = putOK
@@ -158,7 +184,7 @@ func (o *Object) drain() {
 // dispatch mutex so inline deliveries from concurrent senders keep the
 // one-method-at-a-time model.
 func (o *Object) serveInline(f *wire.Frame) {
-	if o.concurrency <= 1 {
+	if o.mailbox.limit <= 1 {
 		o.dmu.Lock()
 		defer o.dmu.Unlock()
 	}
@@ -264,7 +290,7 @@ func (o *Object) serve(f *wire.Frame) {
 // metrics, the serve span, deadline rejection, MayI, and panic
 // confinement all apply identically.
 func (o *Object) serveLocal(method string, env *wire.Env, args [][]byte) *Result {
-	if o.concurrency <= 1 {
+	if o.mailbox.limit <= 1 {
 		o.dmu.Lock()
 		defer o.dmu.Unlock()
 	}

@@ -47,13 +47,13 @@ type gate struct {
 func (n *Node) Park(l loid.LOID, exempt loid.LOID) error {
 	n.gmu.Lock()
 	defer n.gmu.Unlock()
-	if _, ok := n.gates[l.ID()]; ok {
+	if _, ok := n.gates[l.Ident()]; ok {
 		return fmt.Errorf("rt: object %v already gated on node %s", l, n.name)
 	}
 	if n.gates == nil {
-		n.gates = make(map[loid.LOID]*gate)
+		n.gates = make(map[loid.Ident]*gate)
 	}
-	n.gates[l.ID()] = &gate{exempt: exempt}
+	n.gates[l.Ident()] = &gate{exempt: exempt}
 	n.nGates.Add(1)
 	n.gateEpoch.Add(1) // after nGates: whoever sees the new epoch sees the gate
 	return nil
@@ -67,7 +67,7 @@ func (n *Node) Park(l loid.LOID, exempt loid.LOID) error {
 // deliver normally. Returns the number of frames replayed.
 func (n *Node) Unpark(l loid.LOID) int {
 	n.gmu.Lock()
-	g, ok := n.gates[l.ID()]
+	g, ok := n.gates[l.Ident()]
 	if !ok || g.forwarding {
 		n.gmu.Unlock()
 		return 0
@@ -87,7 +87,7 @@ func (n *Node) Unpark(l loid.LOID) int {
 		}
 	}
 	g.dead = true
-	delete(n.gates, l.ID())
+	delete(n.gates, l.Ident())
 	n.nGates.Add(-1)
 	n.gmu.Unlock()
 	return replayed
@@ -101,7 +101,7 @@ func (n *Node) Unpark(l loid.LOID) int {
 func (n *Node) ForwardParked(l loid.LOID, to oa.Element) int {
 	n.gmu.Lock()
 	defer n.gmu.Unlock()
-	g, ok := n.gates[l.ID()]
+	g, ok := n.gates[l.Ident()]
 	if !ok {
 		return 0
 	}
@@ -123,12 +123,12 @@ func (n *Node) ForwardParked(l loid.LOID, to oa.Element) int {
 func (n *Node) DropTombstone(l loid.LOID) bool {
 	n.gmu.Lock()
 	defer n.gmu.Unlock()
-	g, ok := n.gates[l.ID()]
+	g, ok := n.gates[l.Ident()]
 	if !ok || !g.forwarding {
 		return false
 	}
 	g.dead = true
-	delete(n.gates, l.ID())
+	delete(n.gates, l.Ident())
 	n.nGates.Add(-1)
 	return true
 }
@@ -141,12 +141,12 @@ func (n *Node) clearGate(l loid.LOID) {
 		return
 	}
 	n.gmu.Lock()
-	if g, ok := n.gates[l.ID()]; ok {
+	if g, ok := n.gates[l.Ident()]; ok {
 		for f := g.q.Pop(); f != nil; f = g.q.Pop() {
 			n.bounceParked(f, "object respawned during migration")
 		}
 		g.dead = true
-		delete(n.gates, l.ID())
+		delete(n.gates, l.Ident())
 		n.nGates.Add(-1)
 	}
 	n.gmu.Unlock()
@@ -174,7 +174,7 @@ func (n *Node) gated(l loid.LOID) bool {
 		return false
 	}
 	n.gmu.Lock()
-	_, ok := n.gates[l.ID()]
+	_, ok := n.gates[l.Ident()]
 	n.gmu.Unlock()
 	return ok
 }

@@ -95,10 +95,12 @@ func (r *Rebalancer) Start() {
 	r.stop = make(chan struct{})
 	stop := r.stop
 	r.mu.Unlock()
+	// The ticker starts before Start returns, so time advanced on a
+	// virtual clock right after Start counts towards the first tick.
+	tick := clock.Of(r.Clock).NewTicker(r.Interval)
 	r.wg.Add(1)
 	go func() {
 		defer r.wg.Done()
-		tick := clock.Of(r.Clock).NewTicker(r.Interval)
 		defer tick.Stop()
 		for {
 			select {

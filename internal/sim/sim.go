@@ -262,6 +262,7 @@ func Build(cfg Config) (*Sim, error) {
 		return nil, err
 	}
 	s := &Sim{Config: cfg, Sys: sys, Reg: reg, Tracer: tracer, Plane: plane, rng: rand.New(rand.NewSource(cfg.Seed)), tmpData: tmpData}
+	s.Flat = make([]loid.LOID, 0, cfg.Classes*cfg.ObjectsPerClass)
 
 	var allMags []loid.LOID
 	for _, j := range sys.Jurisdictions {
@@ -279,17 +280,18 @@ func Build(cfg Config) (*Sim, error) {
 			return nil, err
 		}
 		s.Classes = append(s.Classes, cl)
-		var objs []loid.LOID
+		start := len(s.Flat)
 		for o := 0; o < cfg.ObjectsPerClass; o++ {
 			l, _, err := cl.Create(nil, loid.Nil, loid.Nil)
 			if err != nil {
 				sys.Close()
 				return nil, fmt.Errorf("sim: create object %d of %s: %w", o, name, err)
 			}
-			objs = append(objs, l)
 			s.Flat = append(s.Flat, l)
 		}
-		s.Objects = append(s.Objects, objs)
+		// A class's objects are its run of Flat, not a second copy.
+		end := len(s.Flat)
+		s.Objects = append(s.Objects, s.Flat[start:end:end])
 	}
 	for i := 0; i < cfg.Clients; i++ {
 		cli, err := sys.NewClient(loid.New(300, uint64(i+1), loid.DeriveKey(fmt.Sprintf("client/%d", i))))
@@ -317,6 +319,20 @@ func (s *Sim) ResetMetrics() {
 	for _, c := range s.Clients {
 		c.Cache().ResetStats()
 	}
+}
+
+// ClassRequests reads the request counters of the class objects cls:
+// their sum and the busiest one's count. A class object runs like any
+// other object, so its counter is req/obj/<its LOID>; the instances
+// count under the same prefix, which is why they are read by LOID
+// rather than summed by prefix.
+func (s *Sim) ClassRequests(cls []*class.Client) (total, busiest uint64) {
+	for _, cl := range cls {
+		n := s.Reg.CounterValue("req/obj/" + cl.Class().ID().String())
+		total += n
+		busiest = max(busiest, n)
+	}
+	return total, busiest
 }
 
 // Query evaluates one LQL query on the deployment's observability

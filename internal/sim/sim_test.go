@@ -50,6 +50,43 @@ func TestRunLookupsSequential(t *testing.T) {
 	}
 }
 
+// TestClassRequestsCountClassObjectsOnly: ClassRequests counts the
+// calls the class objects served, not the instances' own Work calls,
+// which count under the same req/obj/ prefix. With every binding in
+// the clients' caches no reference reaches a class object, so the count
+// is zero; once a cache misses it is the class objects' counters.
+func TestClassRequestsCountClassObjectsOnly(t *testing.T) {
+	s := smallSim(t, Config{Classes: 2, ObjectsPerClass: 4, Clients: 1, ClientCacheSize: 64})
+	lookups := LookupWorkload{References: 64, Locality: 0}
+	if _, err := s.RunLookups(lookups); err != nil { // warm the caches
+		t.Fatal(err)
+	}
+	s.ResetMetrics()
+	res, err := s.RunLookups(lookups)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Failures != 0 || res.ClassRequests != 0 {
+		t.Errorf("warm run: %d class requests for %d references (%d failed), want 0",
+			res.ClassRequests, res.References, res.Failures)
+	}
+
+	s.Clients[0].Cache().Clear()
+	s.ResetMetrics()
+	res, err = s.RunLookups(lookups)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want uint64
+	for _, cl := range s.Classes {
+		want += s.Reg.CounterValue("req/obj/" + cl.Class().ID().String())
+	}
+	if res.ClassRequests != want || want >= uint64(res.References) {
+		t.Errorf("cold run: ClassRequests = %d, class objects served %d, references %d",
+			res.ClassRequests, want, res.References)
+	}
+}
+
 func TestRunLookupsConcurrent(t *testing.T) {
 	s := smallSim(t, Config{Classes: 1, ObjectsPerClass: 4, Clients: 4})
 	res, err := s.RunLookups(LookupWorkload{References: 80, Locality: 0.5, Concurrent: true})

@@ -52,7 +52,7 @@ type LookupResult struct {
 	ClientHitRate float64
 	// AgentRequests is the total requests served by all Binding
 	// Agents; LegionClassRequests and ClassRequests count requests to
-	// the metaclass and to all class objects.
+	// the metaclass and to the deployment's class objects (Classes).
 	AgentRequests       uint64
 	LegionClassRequests uint64
 	ClassRequests       uint64
@@ -142,6 +142,7 @@ func (s *Sim) RunLookups(w LookupWorkload) (LookupResult, error) {
 	for _, c := range s.Clients {
 		hitSum += c.Cache().Stats().HitRate()
 	}
+	total, _ := s.ClassRequests(s.Classes)
 	res := LookupResult{
 		References:          totalRefs,
 		Failures:            failures,
@@ -149,7 +150,7 @@ func (s *Sim) RunLookups(w LookupWorkload) (LookupResult, error) {
 		ClientHitRate:       hitSum / float64(len(s.Clients)),
 		AgentRequests:       s.Reg.SumCounters("req/bindagent/"),
 		LegionClassRequests: s.Reg.Counter("req/class/LegionClass").Value(),
-		ClassRequests:       s.Reg.SumCounters("req/class/") + s.Reg.SumCounters("req/obj/"),
+		ClassRequests:       total,
 		MagistrateRequests:  s.Reg.SumCounters("req/magistrate/"),
 	}
 	if totalRefs > 0 {

@@ -292,8 +292,8 @@ func (f *Frame) Target() loid.LOID { return getLOID(f.data[v4OffTarget:]) }
 
 // TargetID decodes only the target's identity fields (the routing key),
 // skipping the 32-byte public key copy.
-func (f *Frame) TargetID() loid.LOID {
-	return loid.LOID{
+func (f *Frame) TargetID() loid.Ident {
+	return loid.Ident{
 		ClassID:       binary.BigEndian.Uint64(f.data[v4OffTarget:]),
 		ClassSpecific: binary.BigEndian.Uint64(f.data[v4OffTarget+8:]),
 	}

@@ -27,8 +27,8 @@ func TestFrameLazyAccessorsV4(t *testing.T) {
 	if f.Target() != m.Target {
 		t.Errorf("Target = %v, want %v", f.Target(), m.Target)
 	}
-	if f.TargetID() != m.Target.ID() {
-		t.Errorf("TargetID = %v, want %v", f.TargetID(), m.Target.ID())
+	if f.TargetID() != m.Target.Ident() {
+		t.Errorf("TargetID = %v, want %v", f.TargetID(), m.Target.Ident())
 	}
 	if f.Env() != m.Env {
 		t.Errorf("Env = %+v, want %+v", f.Env(), m.Env)
