@@ -1,0 +1,59 @@
+package core
+
+import (
+	"testing"
+
+	"repro/internal/bindagent"
+	"repro/internal/host"
+	"repro/internal/loid"
+	"repro/internal/magistrate"
+)
+
+// TestCoreRPCAllocs gates the allocations of a mem round trip through
+// three core remote methods on their warm paths: Activate of an active
+// object, a Binding Agent GetBinding that hits the agent's cache, and a
+// StartObject of an object the host already runs. The ceilings are the
+// counts measured before the methods were declared as typed
+// descriptors; a declaration layer may not add to them.
+func TestCoreRPCAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	sys := bootSys(t, Options{})
+	cl, _, err := sys.DeriveClass("Counter", "counter", counterInterface(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj, _, err := cl.Create(nil, loid.Nil, loid.Nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boot := sys.BootClient()
+	j := sys.Jurisdictions[0]
+	mc := magistrate.NewClient(boot, j.Magistrate)
+	leaf := sys.Leaves[0]
+	agent := bindagent.NewClient(boot, leaf.LOID, leaf.Addr)
+	hc := host.NewClient(boot, j.Hosts[0])
+	for _, tc := range []struct {
+		name string
+		max  float64
+		call func() error
+	}{
+		{"Activate", 8, func() error { _, err := mc.Activate(obj, loid.Nil); return err }},
+		{"GetBinding", 7, func() error { _, err := agent.Resolve(obj); return err }},
+		{"StartObject", 9, func() error { _, err := hc.StartObject(obj, "counter", nil); return err }},
+	} {
+		if err := tc.call(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		got := testing.AllocsPerRun(200, func() {
+			if err := tc.call(); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+		})
+		t.Logf("%s: %.0f allocs per round trip", tc.name, got)
+		if got > tc.max {
+			t.Errorf("%s: %.0f allocs per round trip, want at most %.0f", tc.name, got, tc.max)
+		}
+	}
+}
