@@ -90,6 +90,7 @@ commands:
 }
 
 func dispatch(ni *core.NetInfo, cli *rt.Caller, args []string) error {
+	bg := context.Background()
 	cmd, rest := args[0], args[1:]
 	switch cmd {
 	case "ping":
@@ -175,19 +176,18 @@ func dispatch(ni *core.NetInfo, cli *rt.Caller, args []string) error {
 			return fmt.Errorf("derive needs NAME and IMPL")
 		}
 		ifc := implInterface(rest[1])
-		lo := class.NewClient(cli, loid.LegionObject)
-		clsL, _, err := lo.Derive(rest[0], rest[1], ifc, 0, loid.Nil)
+		made, err := class.Derive.Call(bg, cli.To(loid.LegionObject), class.Subclass{Name: rest[0], Impl: rest[1], Interface: ifc})
 		if err != nil {
 			return err
 		}
-		fmt.Printf("derived class %s = %v\n", rest[0], clsL)
+		fmt.Printf("derived class %s = %v\n", rest[0], made.LOID)
 		return nil
 	case "classinfo":
 		l, err := parseLOID(rest, 0)
 		if err != nil {
 			return err
 		}
-		info, err := class.NewClient(cli, l).Info()
+		info, err := class.Info.Call(bg, cli.To(l))
 		if err != nil {
 			return err
 		}
@@ -199,11 +199,11 @@ func dispatch(ni *core.NetInfo, cli *rt.Caller, args []string) error {
 		if err != nil {
 			return err
 		}
-		obj, b, err := class.NewClient(cli, l).Create(nil, loid.Nil, loid.Nil)
+		made, err := class.Create.Call(bg, cli.To(l), nil, loid.Nil, loid.Nil)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("created %v at %v\n", obj, b.Address)
+		fmt.Printf("created %v at %v\n", made.LOID, made.Binding.Address)
 		return nil
 	case "delete":
 		cls, err := parseLOID(rest, 0)
@@ -214,7 +214,7 @@ func dispatch(ni *core.NetInfo, cli *rt.Caller, args []string) error {
 		if err != nil {
 			return err
 		}
-		if err := class.NewClient(cli, cls).Delete(obj); err != nil {
+		if _, err := class.Delete.Call(bg, cli.To(cls), obj); err != nil {
 			return err
 		}
 		fmt.Printf("deleted %v\n", obj)
@@ -224,11 +224,11 @@ func dispatch(ni *core.NetInfo, cli *rt.Caller, args []string) error {
 		if err != nil {
 			return err
 		}
-		cloneL, _, err := class.NewClient(cli, l).Clone(loid.Nil)
+		made, err := class.Clone.Call(bg, cli.To(l), loid.Nil)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("cloned %v -> %v\n", l, cloneL)
+		fmt.Printf("cloned %v -> %v\n", l, made.LOID)
 		return nil
 	case "activate", "deactivate":
 		mc, err := magClient(ni, cli, rest, 0)
@@ -240,14 +240,14 @@ func dispatch(ni *core.NetInfo, cli *rt.Caller, args []string) error {
 			return err
 		}
 		if cmd == "activate" {
-			b, err := mc.Activate(obj, loid.Nil)
+			b, err := magistrate.Activate.Call(bg, mc, obj, loid.Nil)
 			if err != nil {
 				return err
 			}
 			fmt.Printf("activated %v at %v\n", obj, b.Address)
 			return nil
 		}
-		if err := mc.Deactivate(obj); err != nil {
+		if _, err := magistrate.Deactivate.Call(bg, mc, obj); err != nil {
 			return err
 		}
 		fmt.Printf("deactivated %v\n", obj)
@@ -268,7 +268,7 @@ func dispatch(ni *core.NetInfo, cli *rt.Caller, args []string) error {
 		if err != nil {
 			return err
 		}
-		if err := mc.Move(obj, dst.Magistrate()); err != nil {
+		if _, err := magistrate.Move.Call(bg, mc, obj, dst.Target); err != nil {
 			return err
 		}
 		fmt.Printf("moved %v to jurisdiction %s\n", obj, rest[2])
@@ -278,15 +278,15 @@ func dispatch(ni *core.NetInfo, cli *rt.Caller, args []string) error {
 		if err != nil {
 			return err
 		}
-		hosts, err := mc.ListHosts()
+		hosts, err := magistrate.ListHosts.Call(bg, mc)
 		if err != nil {
 			return err
 		}
-		objs, err := mc.ListObjects()
+		objs, err := magistrate.ListObjects.Call(bg, mc)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("magistrate %v\n  hosts:", mc.Magistrate())
+		fmt.Printf("magistrate %v\n  hosts:", mc.Target)
 		for _, h := range hosts {
 			fmt.Printf(" %v", h)
 		}
@@ -309,7 +309,7 @@ func dispatch(ni *core.NetInfo, cli *rt.Caller, args []string) error {
 		if err != nil {
 			return err
 		}
-		if err := mc.Migrate(context.Background(), obj, h); err != nil {
+		if _, err := magistrate.MigrateObject.Call(bg, mc, obj, h); err != nil {
 			return err
 		}
 		fmt.Printf("migrated %v to %v\n", obj, h)
@@ -319,7 +319,7 @@ func dispatch(ni *core.NetInfo, cli *rt.Caller, args []string) error {
 		if err != nil {
 			return err
 		}
-		loads, err := mc.GetLoads()
+		loads, err := magistrate.GetLoads.Call(bg, mc)
 		if err != nil {
 			return err
 		}
@@ -347,9 +347,9 @@ func dispatch(ni *core.NetInfo, cli *rt.Caller, args []string) error {
 		}
 		rb := sched.NewRebalancer(mc, nil)
 		fmt.Printf("rebalancing jurisdiction %v (hot > %.1fx mean for %d rounds moves <= %d objects/round)\n",
-			mc.Magistrate(), rb.HotFactor, rb.SustainRounds, rb.MaxMovesPerRound)
+			mc.Target, rb.HotFactor, rb.SustainRounds, rb.MaxMovesPerRound)
 		for i := 0; rounds == 0 || i < rounds; i++ {
-			moved, err := rb.RoundNow(context.Background())
+			moved, err := rb.RoundNow(bg)
 			if err != nil {
 				return err
 			}
@@ -373,7 +373,7 @@ func dispatch(ni *core.NetInfo, cli *rt.Caller, args []string) error {
 		if err != nil {
 			return err
 		}
-		t, err := mc.Query(q)
+		t, err := magistrate.Query.Call(bg, mc, q)
 		if err != nil {
 			return err
 		}
@@ -405,17 +405,18 @@ func dispatch(ni *core.NetInfo, cli *rt.Caller, args []string) error {
 // runTop renders a refreshing cluster view off the magistrate's
 // observability plane: host load, the hottest objects, and the tail of
 // the flight recorder. iters bounds the refresh count (0 = forever).
-func runTop(mc *magistrate.Client, iters int) error {
+func runTop(mc rt.Ref, iters int) error {
+	bg := context.Background()
 	for i := 0; iters == 0 || i < iters; i++ {
-		hosts, err := mc.Query("select * from hosts order by score desc")
+		hosts, err := magistrate.Query.Call(bg, mc, "select * from hosts order by score desc")
 		if err != nil {
 			return err
 		}
-		objs, err := mc.Query("select loid, impl, host, calls, p99, p999 from objects order by calls desc limit 10")
+		objs, err := magistrate.Query.Call(bg, mc, "select loid, impl, host, calls, p99, p999 from objects order by calls desc limit 10")
 		if err != nil {
 			return err
 		}
-		events, err := mc.Query("select at, host, kind, object, detail from events order by at desc limit 8")
+		events, err := magistrate.Query.Call(bg, mc, "select at, host, kind, object, detail from events order by at desc limit 8")
 		if err != nil {
 			return err
 		}
@@ -423,7 +424,7 @@ func runTop(mc *magistrate.Client, iters int) error {
 			fmt.Print("\x1b[H\x1b[2J") // home + clear; a plain dump when run once
 		}
 		fmt.Printf("legion top — magistrate %v (refresh %d)\n\nHOSTS\n%s\nHOT OBJECTS\n%s\nRECENT EVENTS\n%s",
-			mc.Magistrate(), i+1, hosts.Format(), objs.Format(), events.Format())
+			mc.Target, i+1, hosts.Format(), objs.Format(), events.Format())
 		if iters == 0 || i+1 < iters {
 			time.Sleep(time.Second)
 		}
@@ -431,23 +432,23 @@ func runTop(mc *magistrate.Client, iters int) error {
 	return nil
 }
 
-func magClient(ni *core.NetInfo, cli *rt.Caller, rest []string, idx int) (*magistrate.Client, error) {
+func magClient(ni *core.NetInfo, cli *rt.Caller, rest []string, idx int) (rt.Ref, error) {
 	if idx >= len(rest) {
-		return nil, fmt.Errorf("missing magistrate index")
+		return rt.Ref{}, fmt.Errorf("missing magistrate index")
 	}
 	return magClientAt(ni, cli, rest[idx])
 }
 
-func magClientAt(ni *core.NetInfo, cli *rt.Caller, idxStr string) (*magistrate.Client, error) {
+func magClientAt(ni *core.NetInfo, cli *rt.Caller, idxStr string) (rt.Ref, error) {
 	i, err := strconv.Atoi(idxStr)
 	if err != nil || i < 0 || i >= len(ni.Magistrates) {
-		return nil, fmt.Errorf("bad magistrate index %q (have %d)", idxStr, len(ni.Magistrates))
+		return rt.Ref{}, fmt.Errorf("bad magistrate index %q (have %d)", idxStr, len(ni.Magistrates))
 	}
 	l, err := loid.Parse(ni.Magistrates[i].LOID)
 	if err != nil {
-		return nil, err
+		return rt.Ref{}, err
 	}
-	return magistrate.NewClient(cli, l), nil
+	return cli.To(l), nil
 }
 
 func parseLOID(rest []string, idx int) (loid.LOID, error) {

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sync"
@@ -122,7 +123,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	names := naming.NewClient(alice, ctxObj)
+	names := alice.To(ctxObj)
 
 	// Alice creates two files and names them.
 	for _, name := range []string{"/home/alice/notes.txt", "/home/alice/data.bin"} {
@@ -130,14 +131,14 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := names.Bind(name, fl, false); err != nil {
+		if _, err := naming.BindName.Call(context.Background(), names, name, fl, false); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("created %-24s -> %v\n", name, fl)
 	}
 
 	// Write through the generated, fully typed client.
-	notesLOID, err := names.Lookup("/home/alice/notes.txt")
+	notesLOID, err := naming.LookupName.Call(context.Background(), names, "/home/alice/notes.txt")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -156,8 +157,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	bobNames := naming.NewClient(bob, ctxObj)
-	found, err := bobNames.Lookup("/home/alice/notes.txt")
+	bobNames := bob.To(ctxObj)
+	found, err := naming.LookupName.Call(context.Background(), bobNames, "/home/alice/notes.txt")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,8 +8,10 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
+	"repro/internal/class"
 
 	"repro/internal/core"
 	"repro/internal/demo"
@@ -76,28 +78,28 @@ func main() {
 
 	// Migrate: Move = Copy + Delete (§3.8).
 	fmt.Println("\nmoving the store to jurisdiction B...")
-	if err := magA.Move(kv, jB.Magistrate); err != nil {
+	bg := context.Background()
+	if _, err := magistrate.Move.Call(bg, magA.Ref, kv, jB.Magistrate); err != nil {
 		log.Fatal(err)
 	}
 	// The mover updates the class's logical table (Fig 16 fields).
-	if res, err := boot.Call(kvClass.Class(), "SetCurrentMagistrates",
-		wire.LOID(kv), wire.LOIDList([]loid.LOID{jB.Magistrate})); err != nil || res.Code != wire.OK {
-		log.Fatalf("update class: %v %v", res, err)
+	if _, err := class.SetCurrentMagistrates.Call(bg, kvClass.Ref, kv, []loid.LOID{jB.Magistrate}); err != nil {
+		log.Fatalf("update class: %v", err)
 	}
-	if err := kvClass.NotifyDeactivated(kv); err != nil {
+	if _, err := class.NotifyDeactivated.Call(bg, kvClass.Ref, kv); err != nil {
 		log.Fatal(err)
 	}
-	known, _, _ := magA.HasObject(kv)
-	fmt.Printf("jurisdiction A still knows the object: %v\n", known)
-	knownB, _, _ := magB.HasObject(kv)
-	fmt.Printf("jurisdiction B knows the object: %v\n", knownB)
+	inA, _ := magistrate.HasObject.Call(bg, magA.Ref, kv)
+	fmt.Printf("jurisdiction A still knows the object: %v\n", inA.Known)
+	inB, _ := magistrate.HasObject.Call(bg, magB.Ref, kv)
+	fmt.Printf("jurisdiction B knows the object: %v\n", inB.Known)
 
 	// The user still holds jurisdiction-A era bindings. One call heals
 	// everything, and the data survived two hops of persistent storage.
 	fmt.Printf("\nkv[paper] from jurisdiction B = %q\n", get("paper"))
 	fmt.Printf("kv[year]  from jurisdiction B = %q\n", get("year"))
-	_, active, _ := magB.HasObject(kv)
-	fmt.Printf("object active in jurisdiction B: %v\n", active)
+	inB, _ = magistrate.HasObject.Call(bg, magB.Ref, kv)
+	fmt.Printf("object active in jurisdiction B: %v\n", inB.Active)
 }
 
 func must(c *rt.Caller, target loid.LOID, method string, args ...[]byte) *rt.Result {

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -89,7 +90,7 @@ func main() {
 	fmt.Printf("\nthe instance's full interface:\n%s", ifc.Format())
 
 	// 6. Classes are objects too: ask the class about itself.
-	info, err := counterClass.Info()
+	info, err := class.Info.Call(context.Background(), counterClass.Ref)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func main() {
 	fmt.Printf("context lookup /classes/Counter -> %v\n", l)
 
 	// 8. Clean up: Delete removes instances from existence (§3.8).
-	if err := counterClass.Delete(objs[2]); err != nil {
+	if _, err := class.Delete.Call(context.Background(), counterClass.Ref, objs[2]); err != nil {
 		log.Fatal(err)
 	}
 	if _, err := class.NewClient(user, classLOID).GetBinding(objs[2]); err != nil {

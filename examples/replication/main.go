@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -82,7 +83,7 @@ func main() {
 	// Semantic 3: ordered failover — kill replica 1, the semantic
 	// hides it.
 	fmt.Println("\nkilling replica 1 ...")
-	if err := hostClients[0].KillObject(repLOID); err != nil {
+	if _, err := host.KillObject.Call(context.Background(), hostClients[0].Ref, repLOID); err != nil {
 		log.Fatal(err)
 	}
 	user.Cache().InvalidateLOID(repLOID)
@@ -91,7 +92,7 @@ func main() {
 
 	// Kill another one: still served by the last survivor.
 	fmt.Println("killing replica 2 ...")
-	if err := hostClients[1].KillObject(repLOID); err != nil {
+	if _, err := host.KillObject.Call(context.Background(), hostClients[1].Ref, repLOID); err != nil {
 		log.Fatal(err)
 	}
 	user.Cache().InvalidateLOID(repLOID)
@@ -100,7 +101,7 @@ func main() {
 
 	// Kill the last: now the failure is visible — as it must be.
 	fmt.Println("killing replica 3 ...")
-	if err := hostClients[2].KillObject(repLOID); err != nil {
+	if _, err := host.KillObject.Call(context.Background(), hostClients[2].Ref, repLOID); err != nil {
 		log.Fatal(err)
 	}
 	user.Cache().InvalidateLOID(repLOID)

@@ -15,34 +15,54 @@ import (
 	"sync"
 
 	"repro/internal/binding"
+	"repro/internal/class"
 	"repro/internal/idl"
 	"repro/internal/loid"
 	"repro/internal/oa"
 	"repro/internal/rt"
-	"repro/internal/wire"
 )
 
-// Interface is the member-function set of a Binding Agent (§3.6). The
-// two overloads of GetBinding and InvalidateBinding are distinct wire
-// methods, since the wire protocol dispatches on method name.
-var Interface = idl.NewInterface("LegionBindingAgent",
-	idl.MethodSig{Name: "GetBinding",
-		Params:  []idl.Param{{Name: "target", Type: idl.TLOID}},
-		Returns: []idl.Param{{Name: "b", Type: idl.TBinding}}},
-	idl.MethodSig{Name: "RebindStale",
-		Params:  []idl.Param{{Name: "stale", Type: idl.TBinding}},
-		Returns: []idl.Param{{Name: "b", Type: idl.TBinding}}},
-	idl.MethodSig{Name: "AddBinding",
-		Params: []idl.Param{{Name: "b", Type: idl.TBinding}}},
-	idl.MethodSig{Name: "InvalidateLOID",
-		Params: []idl.Param{{Name: "target", Type: idl.TLOID}}},
-	idl.MethodSig{Name: "InvalidateBinding",
-		Params: []idl.Param{{Name: "b", Type: idl.TBinding}}},
-	idl.MethodSig{Name: "CacheStats",
-		Returns: []idl.Param{
-			{Name: "hits", Type: idl.TUint64},
-			{Name: "misses", Type: idl.TUint64}}},
+// The Binding Agent's remote methods (§3.6). The two overloads of
+// GetBinding and InvalidateBinding are distinct wire methods, since the
+// wire protocol dispatches on method name. AddBinding and
+// InvalidateLOID, which classes push, are declared with their sender in
+// package class.
+var (
+	GetBinding        = rt.M1("GetBinding", rt.LOIDParam("target"), rt.BindingParam("b"))
+	RebindStale       = rt.M1("RebindStale", rt.BindingParam("stale"), rt.BindingParam("b"))
+	InvalidateBinding = rt.M1("InvalidateBinding", rt.BindingParam("b"), rt.None)
+	CacheStats        = rt.M0("CacheStats", rt.Struct(
+		rt.Field(rt.Uint64Param("hits"), func(s *Stats) *uint64 { return &s.Hits }),
+		rt.Field(rt.Uint64Param("misses"), func(s *Stats) *uint64 { return &s.Misses })))
 )
+
+// Stats is an agent's cache hit and miss counts (CacheStats); expired
+// entries count as misses.
+type Stats struct{ Hits, Misses uint64 }
+
+var server = rt.NewServer("LegionBindingAgent",
+	rt.Serve1(GetBinding, (*Agent).getBinding),
+	rt.Serve1(RebindStale, (*Agent).rebindStale),
+	rt.Serve1(class.AddBinding, func(a *Agent, _ context.Context, b binding.Binding) (rt.Void, error) {
+		a.cache.Add(b)
+		return rt.Void{}, nil
+	}),
+	rt.Serve1(class.InvalidateLOID, func(a *Agent, _ context.Context, l loid.LOID) (rt.Void, error) {
+		a.cache.InvalidateLOID(l)
+		return rt.Void{}, nil
+	}),
+	rt.Serve1(InvalidateBinding, func(a *Agent, _ context.Context, b binding.Binding) (rt.Void, error) {
+		a.cache.InvalidateBinding(b)
+		return rt.Void{}, nil
+	}),
+	rt.Serve0(CacheStats, func(a *Agent, _ context.Context) (Stats, error) {
+		st := a.cache.Stats()
+		return Stats{st.Hits, st.Misses + st.Expired}, nil
+	}),
+)
+
+// Interface is the member-function set of a Binding Agent.
+var Interface = server.Interface()
 
 // maxClassDepth bounds the kind-of recursion of §4.1.3.
 const maxClassDepth = 32
@@ -106,67 +126,7 @@ func (a *Agent) Interface() *idl.Interface { return Interface }
 func (a *Agent) Bind(o *rt.Object) { a.obj = o }
 
 // Dispatch implements rt.Impl.
-func (a *Agent) Dispatch(inv *rt.Invocation) ([][]byte, error) {
-	switch inv.Method {
-	case "GetBinding":
-		target, err := argLOID(inv, 0)
-		if err != nil {
-			return nil, err
-		}
-		b, err := a.getBinding(inv.Ctx(), target)
-		if err != nil {
-			return nil, err
-		}
-		return [][]byte{wire.Binding(b)}, nil
-	case "RebindStale":
-		raw, err := inv.Arg(0)
-		if err != nil {
-			return nil, err
-		}
-		stale, err := wire.AsBinding(raw)
-		if err != nil {
-			return nil, err
-		}
-		b, err := a.rebindStale(inv.Ctx(), stale)
-		if err != nil {
-			return nil, err
-		}
-		return [][]byte{wire.Binding(b)}, nil
-	case "AddBinding":
-		raw, err := inv.Arg(0)
-		if err != nil {
-			return nil, err
-		}
-		b, err := wire.AsBinding(raw)
-		if err != nil {
-			return nil, err
-		}
-		a.cache.Add(b)
-		return nil, nil
-	case "InvalidateLOID":
-		target, err := argLOID(inv, 0)
-		if err != nil {
-			return nil, err
-		}
-		a.cache.InvalidateLOID(target)
-		return nil, nil
-	case "InvalidateBinding":
-		raw, err := inv.Arg(0)
-		if err != nil {
-			return nil, err
-		}
-		b, err := wire.AsBinding(raw)
-		if err != nil {
-			return nil, err
-		}
-		a.cache.InvalidateBinding(b)
-		return nil, nil
-	case "CacheStats":
-		st := a.cache.Stats()
-		return [][]byte{wire.Uint64(st.Hits), wire.Uint64(st.Misses + st.Expired)}, nil
-	}
-	return nil, &rt.NoSuchMethodError{Method: inv.Method}
-}
+func (a *Agent) Dispatch(inv *rt.Invocation) ([][]byte, error) { return server.Dispatch(a, inv) }
 
 // getBinding implements GetBinding(LOID) (§4.1.2). ctx carries the
 // original invocation's remaining deadline and trace identity through
@@ -177,7 +137,7 @@ func (a *Agent) getBinding(ctx context.Context, target loid.LOID) (binding.Bindi
 	}
 	if !a.parent.IsNil() {
 		// Combining tree: forward the miss upward.
-		b, err := a.callBinding(ctx, a.parentAddr, a.parent, "GetBinding", wire.LOID(target))
+		b, err := GetBinding.Call(ctx, a.at(a.parentAddr, a.parent), target)
 		if err != nil {
 			return binding.Binding{}, err
 		}
@@ -207,7 +167,7 @@ func (a *Agent) rebindStale(ctx context.Context, stale binding.Binding) (binding
 		return b, nil
 	}
 	if !a.parent.IsNil() {
-		b, err := a.callBinding(ctx, a.parentAddr, a.parent, "RebindStale", wire.Binding(stale))
+		b, err := RebindStale.Call(ctx, a.at(a.parentAddr, a.parent), stale)
 		if err != nil {
 			return binding.Binding{}, err
 		}
@@ -228,7 +188,7 @@ func (a *Agent) rebindStale(ctx context.Context, stale binding.Binding) (binding
 	if err != nil {
 		return binding.Binding{}, err
 	}
-	b, err := a.callBinding(ctx, clsB.Address, clsB.LOID, "RefreshBinding", wire.Binding(stale))
+	b, err := class.RefreshBinding.Call(ctx, a.at(clsB.Address, clsB.LOID), stale)
 	if err != nil {
 		// The class binding itself may be stale — class objects can
 		// migrate too. Re-resolve the class and retry once.
@@ -237,7 +197,7 @@ func (a *Agent) rebindStale(ctx context.Context, stale binding.Binding) (binding
 		if rerr != nil {
 			return binding.Binding{}, fmt.Errorf("bindagent %v: refresh %v: %w", a.self, target, err)
 		}
-		b, err = a.callBinding(ctx, freshCls.Address, freshCls.LOID, "RefreshBinding", wire.Binding(stale))
+		b, err = class.RefreshBinding.Call(ctx, a.at(freshCls.Address, freshCls.LOID), stale)
 		if err != nil {
 			return binding.Binding{}, err
 		}
@@ -258,7 +218,7 @@ func (a *Agent) resolveViaClass(ctx context.Context, target loid.LOID) (binding.
 	if err != nil {
 		return binding.Binding{}, fmt.Errorf("bindagent %v: class of %v: %w", a.self, target, err)
 	}
-	b, err := a.callBinding(ctx, clsB.Address, clsB.LOID, "GetBinding", wire.LOID(target))
+	b, err := class.GetBinding.Call(ctx, a.at(clsB.Address, clsB.LOID), target)
 	if err != nil {
 		// The class binding itself may be stale (a migrated class
 		// object): drop it and retry once through a fresh class
@@ -268,7 +228,7 @@ func (a *Agent) resolveViaClass(ctx context.Context, target loid.LOID) (binding.
 		if rerr != nil {
 			return binding.Binding{}, fmt.Errorf("bindagent %v: %v: %w", a.self, target, err)
 		}
-		return a.callBinding(ctx, clsB.Address, clsB.LOID, "GetBinding", wire.LOID(target))
+		return class.GetBinding.Call(ctx, a.at(clsB.Address, clsB.LOID), target)
 	}
 	return b, nil
 }
@@ -292,22 +252,22 @@ func (a *Agent) resolveClass(ctx context.Context, cls loid.LOID, depth int) (bin
 	// Responsibility-pair cache first; LegionClass only on a pair miss.
 	resp, havePair := a.pairFor(cls)
 	if !havePair {
-		direct, b, responsible, err := a.locateClassStep(ctx, cls)
+		loc, err := class.LocateClass.Call(ctx, a.at(a.legionClassAddr, loid.LegionClass), cls)
 		if err != nil {
 			return binding.Binding{}, err
 		}
-		if direct {
-			a.cache.Add(b)
-			return b, nil
+		if loc.Direct {
+			a.cache.Add(loc.Binding)
+			return loc.Binding, nil
 		}
-		resp = responsible
+		resp = loc.Responsible
 		a.setPair(cls, resp)
 	}
 	respB, err := a.resolveClass(ctx, resp, depth+1)
 	if err != nil {
 		return binding.Binding{}, err
 	}
-	b, err := a.callBinding(ctx, respB.Address, respB.LOID, "GetBinding", wire.LOID(cls))
+	b, err := class.GetBinding.Call(ctx, a.at(respB.Address, respB.LOID), cls)
 	if err != nil {
 		return binding.Binding{}, fmt.Errorf("bindagent %v: responsible class %v: %w", a.self, resp, err)
 	}
@@ -324,15 +284,15 @@ func (a *Agent) refreshClassBinding(ctx context.Context, cls loid.LOID, staleB b
 	}
 	resp, havePair := a.pairFor(cls)
 	if !havePair {
-		direct, b, responsible, err := a.locateClassStep(ctx, cls)
+		loc, err := class.LocateClass.Call(ctx, a.at(a.legionClassAddr, loid.LegionClass), cls)
 		if err != nil {
 			return binding.Binding{}, err
 		}
-		if direct {
-			a.cache.Add(b)
-			return b, nil
+		if loc.Direct {
+			a.cache.Add(loc.Binding)
+			return loc.Binding, nil
 		}
-		resp = responsible
+		resp = loc.Responsible
 		a.setPair(cls, resp)
 	}
 	respB, err := a.resolveClass(ctx, resp, 0)
@@ -341,7 +301,7 @@ func (a *Agent) refreshClassBinding(ctx context.Context, cls loid.LOID, staleB b
 	}
 	stale := staleB
 	stale.LOID = cls
-	b, err := a.callBinding(ctx, respB.Address, respB.LOID, "RefreshBinding", wire.Binding(stale))
+	b, err := class.RefreshBinding.Call(ctx, a.at(respB.Address, respB.LOID), stale)
 	if err != nil {
 		return binding.Binding{}, err
 	}
@@ -349,47 +309,8 @@ func (a *Agent) refreshClassBinding(ctx context.Context, cls loid.LOID, staleB b
 	return b, nil
 }
 
-// locateClassStep performs one LocateClass call on LegionClass.
-func (a *Agent) locateClassStep(ctx context.Context, cls loid.LOID) (direct bool, b binding.Binding, responsible loid.LOID, err error) {
-	res, err := a.obj.Caller().CallAddrCtx(ctx, a.legionClassAddr, loid.LegionClass, "LocateClass", wire.LOID(cls))
-	if err != nil {
-		return false, binding.Binding{}, loid.Nil, err
-	}
-	raw, err := res.Result(0)
-	if err != nil {
-		return false, binding.Binding{}, loid.Nil, err
-	}
-	if direct, err = wire.AsBool(raw); err != nil {
-		return false, binding.Binding{}, loid.Nil, err
-	}
-	if raw, err = res.Result(1); err != nil {
-		return false, binding.Binding{}, loid.Nil, err
-	}
-	if b, err = wire.AsBinding(raw); err != nil {
-		return false, binding.Binding{}, loid.Nil, err
-	}
-	if raw, err = res.Result(2); err != nil {
-		return false, binding.Binding{}, loid.Nil, err
-	}
-	if responsible, err = wire.AsLOID(raw); err != nil {
-		return false, binding.Binding{}, loid.Nil, err
-	}
-	return direct, b, responsible, nil
-}
-
-// callBinding invokes a binding-returning method at an explicit
-// address and decodes the result.
-func (a *Agent) callBinding(ctx context.Context, addr oa.Address, target loid.LOID, method string, arg []byte) (binding.Binding, error) {
-	res, err := a.obj.Caller().CallAddrCtx(ctx, addr, target, method, arg)
-	if err != nil {
-		return binding.Binding{}, err
-	}
-	raw, err := res.Result(0)
-	if err != nil {
-		return binding.Binding{}, err
-	}
-	return wire.AsBinding(raw)
-}
+// at refers to target at addr through the agent's caller.
+func (a *Agent) at(addr oa.Address, target loid.LOID) rt.Ref { return a.obj.Caller().At(addr, target) }
 
 // SaveState implements rt.Impl: the agent persists its wiring (parent
 // and LegionClass addresses); cached bindings are soft state.
@@ -420,14 +341,6 @@ func (a *Agent) RestoreState(state []byte) error {
 		return fmt.Errorf("bindagent: %d trailing state bytes", len(state))
 	}
 	return nil
-}
-
-func argLOID(inv *rt.Invocation, i int) (loid.LOID, error) {
-	raw, err := inv.Arg(i)
-	if err != nil {
-		return loid.Nil, err
-	}
-	return wire.AsLOID(raw)
 }
 
 func (a *Agent) pairFor(cls loid.LOID) (loid.LOID, bool) {

@@ -1,6 +1,7 @@
 package bindagent
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -129,7 +130,7 @@ func newFixture(t *testing.T) *fixture {
 		rt.WithConcurrency(host.ServiceConcurrency)); err != nil {
 		t.Fatal(err)
 	}
-	if err := magistrate.NewClient(fx.caller, addBound(fx.caller, fx.magL, magNode.Address())).AddHost(hl, hostNode.Address()); err != nil {
+	if _, err := magistrate.AddHost.Call(context.Background(), fx.caller.To(addBound(fx.caller, fx.magL, magNode.Address())), hl, hostNode.Address()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -151,11 +152,11 @@ func newFixture(t *testing.T) *fixture {
 		rt.WithCaller(lmCaller), rt.WithConcurrency(host.ServiceConcurrency)); err != nil {
 		t.Fatal(err)
 	}
-	if err := class.NewMetaClient(fx.caller).RegisterClassBinding(loid.LegionMagistrate, lmNode.Address()); err != nil {
+	if _, err := class.RegisterClassBinding.Call(context.Background(), fx.caller.To(loid.LegionClass), loid.LegionMagistrate, lmNode.Address()); err != nil {
 		t.Fatal(err)
 	}
 	lmClient := class.NewClient(fx.caller, addBound(fx.caller, loid.LegionMagistrate, lmNode.Address()))
-	if err := lmClient.RegisterInstance(fx.magL, magNode.Address()); err != nil {
+	if _, err := class.RegisterInstance.Call(context.Background(), lmClient.Ref, fx.magL, magNode.Address()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -183,7 +184,7 @@ func newFixture(t *testing.T) *fixture {
 		t.Fatal(err)
 	}
 	fx.root = class.NewClient(fx.caller, addBound(fx.caller, fx.rootL, rootNode.Address()))
-	if err := class.NewMetaClient(fx.caller).RegisterClassBinding(fx.rootL, rootNode.Address()); err != nil {
+	if _, err := class.RegisterClassBinding.Call(context.Background(), fx.caller.To(loid.LegionClass), fx.rootL, rootNode.Address()); err != nil {
 		t.Fatal(err)
 	}
 	return fx
@@ -378,7 +379,7 @@ func TestAgentExplicitCacheManagement(t *testing.T) {
 	agent, ac, _ := fx.newAgent("a", 1, 0)
 	obj := loid.NewNoKey(100, 77)
 	b := binding.Forever(obj, oa.Single(oa.MemElement(4242)))
-	if err := ac.AddBinding(b); err != nil {
+	if _, err := class.AddBinding.Call(context.Background(), ac.Ref(), b); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ac.Resolve(obj)
@@ -387,15 +388,15 @@ func TestAgentExplicitCacheManagement(t *testing.T) {
 	}
 	// InvalidateBinding with a non-matching binding leaves the entry.
 	other := binding.Forever(obj, oa.Single(oa.MemElement(1)))
-	ac.InvalidateBinding(other)
+	_, _ = InvalidateBinding.Call(context.Background(), ac.Ref(), other)
 	if _, ok := agent.Cache().Get(obj); !ok {
 		t.Error("non-matching InvalidateBinding removed entry")
 	}
-	ac.InvalidateBinding(b)
+	_, _ = InvalidateBinding.Call(context.Background(), ac.Ref(), b)
 	if _, ok := agent.Cache().Get(obj); ok {
 		t.Error("InvalidateBinding left matching entry")
 	}
-	ac.AddBinding(b)
+	_, _ = class.AddBinding.Call(context.Background(), ac.Ref(), b)
 	ac.InvalidateLOID(obj)
 	if _, ok := agent.Cache().Get(obj); ok {
 		t.Error("InvalidateLOID left entry")

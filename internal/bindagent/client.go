@@ -5,17 +5,18 @@ import (
 	"sync/atomic"
 
 	"repro/internal/binding"
+	"repro/internal/class"
 	"repro/internal/loid"
 	"repro/internal/oa"
 	"repro/internal/rt"
-	"repro/internal/wire"
 )
 
 // Client is an rt.Resolver backed by a Binding Agent: the form every
 // object's communication layer uses. The agent is reached by explicit
 // Object Address — "the persistent state of each Legion object contains
 // the Object Address of its Binding Agent" (§3.6) — so resolution never
-// needs resolution.
+// needs resolution. Other calls go through the method descriptors
+// (CacheStats.Call(ctx, cl.Ref(), ...)).
 type Client struct {
 	caller    atomic.Pointer[rt.Caller]
 	newCaller func() *rt.Caller // builds caller on first use (NewLazyClient)
@@ -24,7 +25,7 @@ type Client struct {
 }
 
 // NewClient builds a resolver that consults the agent at addr, making
-// calls through caller.
+// calls through caller (ROADMAP item 13 keeps the name).
 func NewClient(caller *rt.Caller, agent loid.LOID, addr oa.Address) *Client {
 	c := &Client{agent: agent, addr: addr}
 	c.caller.Store(caller)
@@ -38,101 +39,50 @@ func NewLazyClient(newCaller func() *rt.Caller, agent loid.LOID, addr oa.Address
 	return &Client{newCaller: newCaller, agent: agent, addr: addr}
 }
 
-// from returns the caller the client calls the agent through, building
-// it on first use: concurrent first users race one CAS and all get the
-// winner.
-func (c *Client) from() *rt.Caller {
-	if rc := c.caller.Load(); rc != nil {
-		return rc
+// Ref refers to the agent at its address, through the client's caller,
+// building the caller on first use: concurrent first users race one CAS
+// and all get the winner.
+func (c *Client) Ref() rt.Ref {
+	rc := c.caller.Load()
+	if rc == nil {
+		if rc = c.newCaller(); !c.caller.CompareAndSwap(nil, rc) {
+			rc = c.caller.Load()
+		}
 	}
-	rc := c.newCaller()
-	if c.caller.CompareAndSwap(nil, rc) {
-		return rc
-	}
-	return c.caller.Load()
-}
-
-// Agent returns the agent's LOID.
-func (c *Client) Agent() loid.LOID { return c.agent }
-
-// Resolve is ResolveCtx without a deadline or trace.
-func (c *Client) Resolve(l loid.LOID) (binding.Binding, error) {
-	return c.ResolveCtx(context.Background(), l)
+	return rc.At(c.addr, c.agent)
 }
 
 // ResolveCtx implements rt.Resolver via GetBinding(LOID): the caller's
 // remaining deadline and trace identity propagate into the agent hop.
 func (c *Client) ResolveCtx(ctx context.Context, l loid.LOID) (binding.Binding, error) {
-	return c.call(ctx, "GetBinding", wire.LOID(l))
-}
-
-// Refresh is RefreshCtx without a deadline or trace.
-func (c *Client) Refresh(stale binding.Binding) (binding.Binding, error) {
-	return c.RefreshCtx(context.Background(), stale)
+	return GetBinding.Call(ctx, c.Ref(), l)
 }
 
 // RefreshCtx implements rt.Resolver via the GetBinding(binding)
 // overload.
 func (c *Client) RefreshCtx(ctx context.Context, stale binding.Binding) (binding.Binding, error) {
-	return c.call(ctx, "RebindStale", wire.Binding(stale))
+	return RebindStale.Call(ctx, c.Ref(), stale)
 }
 
-// AddBinding propagates a binding into the agent's cache (§3.6).
-func (c *Client) AddBinding(b binding.Binding) error {
-	res, err := c.from().CallAddrCtx(context.Background(), c.addr, c.agent, "AddBinding", wire.Binding(b))
-	if err != nil {
-		return err
-	}
-	return res.Err()
+// Resolve is ResolveCtx without a deadline (ROADMAP item 13).
+func (c *Client) Resolve(l loid.LOID) (binding.Binding, error) {
+	return c.ResolveCtx(context.Background(), l)
 }
 
-// InvalidateLOID removes any binding for l from the agent's cache.
+// Refresh is RefreshCtx without a deadline (ROADMAP item 13).
+func (c *Client) Refresh(stale binding.Binding) (binding.Binding, error) {
+	return c.RefreshCtx(context.Background(), stale)
+}
+
+// InvalidateLOID is class.InvalidateLOID.Call without a deadline
+// (ROADMAP item 13).
 func (c *Client) InvalidateLOID(l loid.LOID) error {
-	res, err := c.from().CallAddrCtx(context.Background(), c.addr, c.agent, "InvalidateLOID", wire.LOID(l))
-	if err != nil {
-		return err
-	}
-	return res.Err()
+	_, err := class.InvalidateLOID.Call(context.Background(), c.Ref(), l)
+	return err
 }
 
-// InvalidateBinding removes b from the agent's cache if it matches
-// exactly.
-func (c *Client) InvalidateBinding(b binding.Binding) error {
-	res, err := c.from().CallAddrCtx(context.Background(), c.addr, c.agent, "InvalidateBinding", wire.Binding(b))
-	if err != nil {
-		return err
-	}
-	return res.Err()
-}
-
-// CacheStats reads the agent's hit/miss counters.
+// CacheStats is CacheStats.Call without a deadline (ROADMAP item 13).
 func (c *Client) CacheStats() (hits, misses uint64, err error) {
-	res, err := c.from().CallAddrCtx(context.Background(), c.addr, c.agent, "CacheStats")
-	if err != nil {
-		return 0, 0, err
-	}
-	raw, err := res.Result(0)
-	if err != nil {
-		return 0, 0, err
-	}
-	if hits, err = wire.AsUint64(raw); err != nil {
-		return 0, 0, err
-	}
-	if raw, err = res.Result(1); err != nil {
-		return 0, 0, err
-	}
-	misses, err = wire.AsUint64(raw)
-	return hits, misses, err
-}
-
-func (c *Client) call(ctx context.Context, method string, arg []byte) (binding.Binding, error) {
-	res, err := c.from().CallAddrCtx(ctx, c.addr, c.agent, method, arg)
-	if err != nil {
-		return binding.Binding{}, err
-	}
-	raw, err := res.Result(0)
-	if err != nil {
-		return binding.Binding{}, err
-	}
-	return wire.AsBinding(raw)
+	st, err := CacheStats.Call(context.Background(), c.Ref())
+	return st.Hits, st.Misses, err
 }

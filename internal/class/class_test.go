@@ -156,7 +156,7 @@ func newFixture(t *testing.T) *fixture {
 	fx.caller = rt.NewCaller(clientNode, loid.NewNoKey(300, 1), fx.resolver)
 	fx.caller.Timeout = 3 * time.Second
 
-	if err := magistrate.NewClient(fx.caller, fx.magL).AddHost(fx.hostL, fx.hostObj.Address()); err != nil {
+	if _, err := magistrate.AddHost.Call(context.Background(), fx.caller.To(fx.magL), fx.hostL, fx.hostObj.Address()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -183,8 +183,8 @@ func newFixture(t *testing.T) *fixture {
 	seed(fx.rootL, rootNode.Address())
 	// LegionClass must know it can answer for this class directly and
 	// treat derived classes as its responsibility.
-	mc := NewMetaClient(fx.caller)
-	if err := mc.RegisterClassBinding(fx.rootL, rootNode.Address()); err != nil {
+	mc := fx.caller.To(loid.LegionClass)
+	if _, err := RegisterClassBinding.Call(context.Background(), mc, fx.rootL, rootNode.Address()); err != nil {
 		t.Fatal(err)
 	}
 	fx.root = NewClient(fx.caller, fx.rootL)
@@ -259,7 +259,7 @@ func TestClassGetBindingActivatesInert(t *testing.T) {
 	if err := magistrate.NewClient(fx.caller, fx.magL).Deactivate(l); err != nil {
 		t.Fatal(err)
 	}
-	if err := fx.root.NotifyDeactivated(l); err != nil {
+	if _, err := NotifyDeactivated.Call(context.Background(), fx.root.Ref, l); err != nil {
 		t.Fatal(err)
 	}
 	// "Referring to the LOID of an Inert object can cause the object
@@ -283,7 +283,7 @@ func TestRefreshBindingOnStale(t *testing.T) {
 	magistrate.NewClient(fx.caller, fx.magL).Deactivate(l)
 	// Plain GetBinding would return the stale table entry; the
 	// GetBinding(binding) overload must do better.
-	fresh, err := fx.root.RefreshBinding(stale)
+	fresh, err := RefreshBinding.Call(context.Background(), fx.root.Ref, stale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestDeriveSubclass(t *testing.T) {
 	}
 	fx.seedBinding(b)
 	subCl := NewClient(fx.caller, sub)
-	info, err := subCl.Info()
+	info, err := Info.Call(context.Background(), subCl.Ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func TestDeriveSubclass(t *testing.T) {
 		t.Errorf("Info = %+v", info)
 	}
 	// Subclass inherits the instance interface (§2.1).
-	ifc, err := subCl.GetInstanceInterface()
+	ifc, err := GetInstanceInterface.Call(context.Background(), subCl.Ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,18 +338,18 @@ func TestDeriveSubclass(t *testing.T) {
 		t.Fatalf("subclass instance call: %v %v", res, err)
 	}
 	// Responsibility pair recorded: LegionClass points to the parent.
-	mc := NewMetaClient(fx.caller)
-	resp, err := mc.WhoIsResponsible(sub)
+	mc := fx.caller.To(loid.LegionClass)
+	resp, err := WhoIsResponsible.Call(context.Background(), mc, sub)
 	if err != nil || !resp.SameObject(fx.rootL) {
 		t.Errorf("WhoIsResponsible = %v, %v", resp, err)
 	}
 	// Parent's table shows a kind-of row.
-	row, err := fx.root.GetRow(sub)
+	row, err := GetRow.Call(context.Background(), fx.root.Ref, sub)
 	if err != nil || !row.IsSubclass {
 		t.Errorf("GetRow = %+v, %v", row, err)
 	}
 	// Parent counts one subclass.
-	pInfo, _ := fx.root.Info()
+	pInfo, _ := Info.Call(context.Background(), fx.root.Ref)
 	if pInfo.Subclasses != 1 {
 		t.Errorf("parent subclass count = %d", pInfo.Subclasses)
 	}
@@ -371,11 +371,11 @@ func TestInheritFromMultipleInheritance(t *testing.T) {
 	}
 	fx.seedBinding(sb)
 	subCl := NewClient(fx.caller, subL)
-	if err := subCl.InheritFrom(baseL); err != nil {
+	if _, err := InheritFrom.Call(context.Background(), subCl.Ref, baseL); err != nil {
 		t.Fatal(err)
 	}
 	// Future instances export both interfaces.
-	ifc, _ := subCl.GetInstanceInterface()
+	ifc, _ := GetInstanceInterface.Call(context.Background(), subCl.Ref)
 	if !ifc.Has("Echo") || !ifc.Has("Greet") {
 		t.Fatalf("merged interface missing methods:\n%s", ifc.Format())
 	}
@@ -411,7 +411,7 @@ func TestInheritFromDoesNotAffectExistingInstances(t *testing.T) {
 
 	baseL, bb, _ := fx.root.Derive("GreeterBase", "greeter", greetFactory().Interface(), 0, loid.Nil)
 	fx.seedBinding(bb)
-	if err := subCl.InheritFrom(baseL); err != nil {
+	if _, err := InheritFrom.Call(context.Background(), subCl.Ref, baseL); err != nil {
 		t.Fatal(err)
 	}
 	// "It serves to alter the composition of FUTURE instances" (§2.1.1):
@@ -469,7 +469,7 @@ func TestAbstractPrivateFixedFlags(t *testing.T) {
 	}
 	fx.seedBinding(fb)
 	fixCl := NewClient(fx.caller, fixL)
-	if err := fixCl.InheritFrom(fx.rootL); err == nil || !strings.Contains(err.Error(), "Fixed") {
+	if _, err := InheritFrom.Call(context.Background(), fixCl.Ref, fx.rootL); err == nil || !strings.Contains(err.Error(), "Fixed") {
 		t.Errorf("Fixed InheritFrom: %v", err)
 	}
 }
@@ -478,7 +478,7 @@ func TestDeleteInstance(t *testing.T) {
 	fx := newFixture(t)
 	l, b, _ := fx.root.Create(nil, loid.Nil, loid.Nil)
 	fx.caller.AddBinding(b)
-	if err := fx.root.Delete(l); err != nil {
+	if _, err := Delete.Call(context.Background(), fx.root.Ref, l); err != nil {
 		t.Fatal(err)
 	}
 	// Future binding attempts fail (§3.8: "future attempts to bind the
@@ -492,22 +492,23 @@ func TestDeleteInstance(t *testing.T) {
 	if res.Code != wire.ErrNoSuchObject {
 		t.Errorf("call after delete: %v", res.Code)
 	}
-	if err := fx.root.Delete(l); err == nil {
+	if _, err := Delete.Call(context.Background(), fx.root.Ref, l); err == nil {
 		t.Error("double Delete succeeded")
 	}
 }
 
 func TestCloneSharesInterface(t *testing.T) {
 	fx := newFixture(t)
-	cloneL, cb, err := fx.root.Clone(loid.Nil)
+	rClone, err := Clone.Call(context.Background(), fx.root.Ref, loid.Nil)
+	cloneL, cb := rClone.LOID, rClone.Binding
 	if err != nil {
 		t.Fatal(err)
 	}
 	fx.seedBinding(cb)
 	cloneCl := NewClient(fx.caller, cloneL)
 	// "without changing the interface in any way" (§5.2.2).
-	origIfc, _ := fx.root.GetInstanceInterface()
-	cloneIfc, err := cloneCl.GetInstanceInterface()
+	origIfc, _ := GetInstanceInterface.Call(context.Background(), fx.root.Ref)
+	cloneIfc, err := GetInstanceInterface.Call(context.Background(), cloneCl.Ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -551,14 +552,14 @@ func TestReflectiveRowHooks(t *testing.T) {
 	fx := newFixture(t)
 	l, _, _ := fx.root.Create(nil, loid.Nil, loid.Nil)
 	agent := loid.NewNoKey(400, 1)
-	if err := fx.root.SetSchedulingAgent(l, agent); err != nil {
+	if _, err := SetSchedulingAgent.Call(context.Background(), fx.root.Ref, l, agent); err != nil {
 		t.Fatal(err)
 	}
 	cands := []loid.LOID{fx.magL, loid.NewNoKey(loid.ClassIDMagistrate, 9)}
-	if err := fx.root.SetCandidateMagistrates(l, cands); err != nil {
+	if _, err := SetCandidateMagistrates.Call(context.Background(), fx.root.Ref, l, cands); err != nil {
 		t.Fatal(err)
 	}
-	row, err := fx.root.GetRow(l)
+	row, err := GetRow.Call(context.Background(), fx.root.Ref, l)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -638,25 +639,27 @@ func TestMetaclassStateRoundTrip(t *testing.T) {
 
 func TestLocateClassSteps(t *testing.T) {
 	fx := newFixture(t)
-	mc := NewMetaClient(fx.caller)
+	mc := fx.caller.To(loid.LegionClass)
 	// Direct: the root class is registered with LegionClass.
-	direct, b, _, err := mc.LocateClass(fx.rootL)
+	rLocateClass, err := LocateClass.Call(context.Background(), mc, fx.rootL)
+	direct, b := rLocateClass.Direct, rLocateClass.Binding
 	if err != nil || !direct || b.Address.IsZero() {
 		t.Fatalf("LocateClass(root) = %v/%v, %v", direct, b, err)
 	}
 	// Indirect: a derived class resolves through its creator.
 	sub, sb, _ := fx.root.Derive("Locatable", "", nil, 0, loid.Nil)
 	fx.seedBinding(sb)
-	direct, _, resp, err := mc.LocateClass(sub)
+	rLocateClass2, err := LocateClass.Call(context.Background(), mc, sub)
+	direct, resp := rLocateClass2.Direct, rLocateClass2.Responsible
 	if err != nil || direct || !resp.SameObject(fx.rootL) {
 		t.Fatalf("LocateClass(sub) = %v/%v, %v", direct, resp, err)
 	}
 	// Unknown class errors.
-	if _, _, _, err := mc.LocateClass(loid.NewNoKey(9999, 0)); err == nil {
+	if _, err := LocateClass.Call(context.Background(), mc, loid.NewNoKey(9999, 0)); err == nil {
 		t.Error("LocateClass of unknown class succeeded")
 	}
 	// Non-class LOID rejected.
-	if _, _, _, err := mc.LocateClass(loid.NewNoKey(100, 5)); err == nil {
+	if _, err := LocateClass.Call(context.Background(), mc, loid.NewNoKey(100, 5)); err == nil {
 		t.Error("LocateClass of instance LOID succeeded")
 	}
 }
@@ -674,19 +677,19 @@ func TestMetaclassIsAbstractAndPrivate(t *testing.T) {
 
 func TestNewClassIDValidation(t *testing.T) {
 	fx := newFixture(t)
-	mc := NewMetaClient(fx.caller)
-	if _, err := mc.NewClassID(loid.Nil, "x"); err == nil {
+	mc := fx.caller.To(loid.LegionClass)
+	if _, err := NewClassID.Call(context.Background(), mc, loid.Nil, "x"); err == nil {
 		t.Error("NewClassID with nil creator succeeded")
 	}
-	id1, err := mc.NewClassID(fx.rootL, "a")
+	id1, err := NewClassID.Call(context.Background(), mc, fx.rootL, "a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	id2, _ := mc.NewClassID(fx.rootL, "b")
+	id2, _ := NewClassID.Call(context.Background(), mc, fx.rootL, "b")
 	if id2 <= id1 {
 		t.Errorf("ids not increasing: %d, %d", id1, id2)
 	}
-	if _, err := mc.WhoIsResponsible(loid.NewNoKey(424242, 0)); err == nil {
+	if _, err := WhoIsResponsible.Call(context.Background(), mc, loid.NewNoKey(424242, 0)); err == nil {
 		t.Error("WhoIsResponsible for unknown class succeeded")
 	}
 }
@@ -732,24 +735,24 @@ func TestRegisterInstanceAndNotifyAddress(t *testing.T) {
 	// Out-of-band instance registration (§4.2.1 bootstrap path).
 	inst := loid.NewNoKey(100, 900)
 	addr := oa.Single(oa.MemElement(424242))
-	if err := fx.root.RegisterInstance(inst, addr); err != nil {
+	if _, err := RegisterInstance.Call(context.Background(), fx.root.Ref, inst, addr); err != nil {
 		t.Fatal(err)
 	}
-	row, err := fx.root.GetRow(inst)
+	row, err := GetRow.Call(context.Background(), fx.root.Ref, inst)
 	if err != nil || !row.Address.Equal(addr) {
 		t.Fatalf("row after RegisterInstance: %+v, %v", row, err)
 	}
 	// NotifyAddress updates a known row ...
 	addr2 := oa.Single(oa.MemElement(424243))
-	if err := fx.root.NotifyAddress(inst, addr2); err != nil {
+	if _, err := magistrate.NotifyAddress.Call(context.Background(), fx.root.Ref, inst, addr2); err != nil {
 		t.Fatal(err)
 	}
-	row, _ = fx.root.GetRow(inst)
+	row, _ = GetRow.Call(context.Background(), fx.root.Ref, inst)
 	if !row.Address.Equal(addr2) {
 		t.Error("NotifyAddress did not update")
 	}
 	// ... but refuses unknown objects.
-	if err := fx.root.NotifyAddress(loid.NewNoKey(100, 901), addr2); err == nil {
+	if _, err := magistrate.NotifyAddress.Call(context.Background(), fx.root.Ref, loid.NewNoKey(100, 901), addr2); err == nil {
 		t.Error("NotifyAddress for unknown object accepted")
 	}
 	// GetBinding serves the registered address directly.
@@ -771,7 +774,7 @@ func TestSetCurrentMagistrates(t *testing.T) {
 	if err != nil || res.Code != wire.OK {
 		t.Fatalf("SetCurrentMagistrates: %v %v", res, err)
 	}
-	row, _ := fx.root.GetRow(l)
+	row, _ := GetRow.Call(context.Background(), fx.root.Ref, l)
 	if len(row.CurrentMagistrates) != 1 || !row.CurrentMagistrates[0].SameObject(newMags[0]) {
 		t.Errorf("current magistrates = %v", row.CurrentMagistrates)
 	}

@@ -2,7 +2,6 @@ package class
 
 import (
 	"context"
-
 	"fmt"
 	"slices"
 	"sync"
@@ -14,81 +13,208 @@ import (
 	"repro/internal/magistrate"
 	"repro/internal/oa"
 	"repro/internal/rt"
+	"repro/internal/sched"
 	"repro/internal/wire"
 )
 
-// Interface is the class-mandatory member-function set (§3.7: "it will
-// include at least Create(), Derive(), InheritFrom(), Delete(),
-// GetBinding(), and GetInterface()") plus the reflective table hooks
-// and notification methods this implementation exposes.
-var Interface = idl.NewInterface("LegionClass",
-	idl.MethodSig{Name: "Create",
-		Params: []idl.Param{
-			{Name: "initState", Type: idl.TBytes},
-			{Name: "magistrateHint", Type: idl.TLOID},
-			{Name: "hostHint", Type: idl.TLOID}},
-		Returns: []idl.Param{{Name: "object", Type: idl.TLOID}, {Name: "b", Type: idl.TBinding}}},
-	idl.MethodSig{Name: "Derive",
-		Params: []idl.Param{
-			{Name: "name", Type: idl.TString},
-			{Name: "impl", Type: idl.TString},
-			{Name: "interface", Type: idl.TBytes},
-			{Name: "flags", Type: idl.TUint64},
-			{Name: "magistrateHint", Type: idl.TLOID}},
-		Returns: []idl.Param{{Name: "class", Type: idl.TLOID}, {Name: "b", Type: idl.TBinding}}},
-	idl.MethodSig{Name: "InheritFrom",
-		Params: []idl.Param{{Name: "base", Type: idl.TLOID}}},
-	idl.MethodSig{Name: "Delete",
-		Params: []idl.Param{{Name: "object", Type: idl.TLOID}}},
-	idl.MethodSig{Name: "GetBinding",
-		Params:  []idl.Param{{Name: "object", Type: idl.TLOID}},
-		Returns: []idl.Param{{Name: "b", Type: idl.TBinding}}},
-	idl.MethodSig{Name: "RefreshBinding",
-		Params:  []idl.Param{{Name: "stale", Type: idl.TBinding}},
-		Returns: []idl.Param{{Name: "b", Type: idl.TBinding}}},
-	idl.MethodSig{Name: "GetInstanceInterface",
-		Returns: []idl.Param{{Name: "interface", Type: idl.TBytes}}},
-	idl.MethodSig{Name: "DescribeInstances",
-		Returns: []idl.Param{
-			{Name: "implSpec", Type: idl.TString},
-			{Name: "interface", Type: idl.TBytes},
-			{Name: "parts", Type: idl.TBytes}}},
-	idl.MethodSig{Name: "Info",
-		Returns: []idl.Param{
-			{Name: "name", Type: idl.TString},
-			{Name: "classID", Type: idl.TUint64},
-			{Name: "super", Type: idl.TLOID},
-			{Name: "flags", Type: idl.TUint64},
-			{Name: "instances", Type: idl.TUint64},
-			{Name: "subclasses", Type: idl.TUint64}}},
-	idl.MethodSig{Name: "RegisterInstance",
-		Params: []idl.Param{{Name: "object", Type: idl.TLOID}, {Name: "addr", Type: idl.TAddress}}},
-	idl.MethodSig{Name: "NotifyAddress",
-		Params: []idl.Param{{Name: "object", Type: idl.TLOID}, {Name: "addr", Type: idl.TAddress}}},
-	idl.MethodSig{Name: "NotifyDeactivated",
-		Params: []idl.Param{{Name: "object", Type: idl.TLOID}}},
-	idl.MethodSig{Name: "Clone",
-		Params:  []idl.Param{{Name: "magistrateHint", Type: idl.TLOID}},
-		Returns: []idl.Param{{Name: "class", Type: idl.TLOID}, {Name: "b", Type: idl.TBinding}}},
-	idl.MethodSig{Name: "GetRow",
-		Params: []idl.Param{{Name: "object", Type: idl.TLOID}},
-		Returns: []idl.Param{
-			{Name: "addr", Type: idl.TAddress},
-			{Name: "magistrates", Type: idl.TBytes},
-			{Name: "schedulingAgent", Type: idl.TLOID},
-			{Name: "candidates", Type: idl.TBytes},
-			{Name: "isSubclass", Type: idl.TBool}}},
-	idl.MethodSig{Name: "SetSchedulingAgent",
-		Params: []idl.Param{{Name: "object", Type: idl.TLOID}, {Name: "agent", Type: idl.TLOID}}},
-	idl.MethodSig{Name: "SetCandidateMagistrates",
-		Params: []idl.Param{{Name: "object", Type: idl.TLOID}, {Name: "magistrates", Type: idl.TBytes}}},
-	idl.MethodSig{Name: "SetCurrentMagistrates",
-		Params: []idl.Param{{Name: "object", Type: idl.TLOID}, {Name: "magistrates", Type: idl.TBytes}}},
-	idl.MethodSig{Name: "SetDefaultMagistrates",
-		Params: []idl.Param{{Name: "magistrates", Type: idl.TBytes}}},
-	idl.MethodSig{Name: "SetDefaultSchedulingAgent",
-		Params: []idl.Param{{Name: "agent", Type: idl.TLOID}}},
+// The class-mandatory remote methods (§3.7: "it will include at least
+// Create(), Derive(), InheritFrom(), Delete(), GetBinding(), and
+// GetInterface()") plus the reflective table hooks and notification
+// methods this implementation exposes.
+var (
+	Create = rt.M3("Create", rt.BytesParam("initState"), rt.LOIDParam("magistrateHint"), rt.LOIDParam("hostHint"),
+		madeParam("object"))
+	Derive = rt.M1("Derive", rt.Struct(
+		rt.Field(rt.StringParam("name"), func(s *Subclass) *string { return &s.Name }),
+		rt.Field(rt.StringParam("impl"), func(s *Subclass) *string { return &s.Impl }),
+		rt.Field(interfaceParam("interface"), func(s *Subclass) **idl.Interface { return &s.Interface }),
+		rt.Field(flagsParam("flags"), func(s *Subclass) *Flags { return &s.Flags }),
+		rt.Field(rt.LOIDParam("magistrateHint"), func(s *Subclass) *loid.LOID { return &s.MagistrateHint })),
+		madeParam("class"))
+	InheritFrom          = rt.M1("InheritFrom", rt.LOIDParam("base"), rt.None)
+	Delete               = rt.M1("Delete", rt.LOIDParam("object"), rt.None)
+	GetBinding           = rt.M1("GetBinding", rt.LOIDParam("object"), rt.BindingParam("b"))
+	RefreshBinding       = rt.M1("RefreshBinding", rt.BindingParam("stale"), rt.BindingParam("b"))
+	GetInstanceInterface = rt.M0("GetInstanceInterface", interfaceParam("interface"))
+	DescribeInstances    = rt.M0("DescribeInstances", rt.Struct(
+		rt.Field(rt.StringParam("implSpec"), func(c *Composition) *string { return &c.ImplSpec }),
+		rt.Field(interfaceParam("interface"), func(c *Composition) **idl.Interface { return &c.Interface }),
+		rt.Field(rt.StringListParam("parts"), func(c *Composition) *[]string { return &c.Parts })))
+	Info = rt.M0("Info", rt.Struct(
+		rt.Field(rt.StringParam("name"), func(s *Summary) *string { return &s.Name }),
+		rt.Field(rt.Uint64Param("classID"), func(s *Summary) *uint64 { return &s.ClassID }),
+		rt.Field(rt.LOIDParam("super"), func(s *Summary) *loid.LOID { return &s.Super }),
+		rt.Field(flagsParam("flags"), func(s *Summary) *Flags { return &s.Flags }),
+		rt.Field(rt.Uint64Param("instances"), func(s *Summary) *uint64 { return &s.Instances }),
+		rt.Field(rt.Uint64Param("subclasses"), func(s *Summary) *uint64 { return &s.Subclasses })))
+	RegisterInstance  = rt.M2("RegisterInstance", rt.LOIDParam("object"), rt.AddressParam("addr"), rt.None)
+	NotifyDeactivated = rt.M1("NotifyDeactivated", rt.LOIDParam("object"), rt.None)
+	Clone             = rt.M1("Clone", rt.LOIDParam("magistrateHint"), madeParam("class"))
+	GetRow            = rt.M1("GetRow", rt.LOIDParam("object"), rt.Struct(
+		rt.Field(rt.AddressParam("addr"), func(r *RowInfo) *oa.Address { return &r.Address }),
+		rt.Field(rt.LOIDListParam("magistrates"), func(r *RowInfo) *[]loid.LOID { return &r.CurrentMagistrates }),
+		rt.Field(rt.LOIDParam("schedulingAgent"), func(r *RowInfo) *loid.LOID { return &r.SchedulingAgent }),
+		rt.Field(rt.LOIDListParam("candidates"), func(r *RowInfo) *[]loid.LOID { return &r.CandidateMagistrates }),
+		rt.Field(rt.BoolParam("isSubclass"), func(r *RowInfo) *bool { return &r.IsSubclass })))
+	SetSchedulingAgent        = rt.M2("SetSchedulingAgent", rt.LOIDParam("object"), rt.LOIDParam("agent"), rt.None)
+	SetCandidateMagistrates   = rt.M2("SetCandidateMagistrates", rt.LOIDParam("object"), rt.LOIDListParam("magistrates"), rt.None)
+	SetCurrentMagistrates     = rt.M2("SetCurrentMagistrates", rt.LOIDParam("object"), rt.LOIDListParam("magistrates"), rt.None)
+	SetDefaultMagistrates     = rt.M1("SetDefaultMagistrates", rt.LOIDListParam("magistrates"), rt.None)
+	SetDefaultSchedulingAgent = rt.M1("SetDefaultSchedulingAgent", rt.LOIDParam("agent"), rt.None)
 )
+
+// Made names an object a class made and binds it: Create's instance,
+// Derive's and Clone's subclass.
+type Made struct {
+	LOID    loid.LOID
+	Binding binding.Binding
+}
+
+func madeParam(name string) rt.Codec[Made] {
+	return rt.Struct(
+		rt.Field(rt.LOIDParam(name), func(m *Made) *loid.LOID { return &m.LOID }),
+		rt.Field(rt.BindingParam("b"), func(m *Made) *binding.Binding { return &m.Binding }))
+}
+
+// Subclass is what Derive makes: the subclass's name, an overriding
+// implementation (empty inherits the superclass's unchanged), that
+// implementation's interface (nil inherits the superclass's — in the
+// paper the Legion-aware compiler supplies it from the IDL), its flags
+// and a Magistrate hint (loid.Nil for none).
+type Subclass struct {
+	Name, Impl     string
+	Interface      *idl.Interface
+	Flags          Flags
+	MagistrateHint loid.LOID
+}
+
+// Composition is how a class composes its instances (DescribeInstances).
+type Composition struct {
+	ImplSpec  string
+	Interface *idl.Interface
+	Parts     []string
+}
+
+// Summary is a class's Info.
+type Summary struct {
+	Name       string
+	ClassID    uint64
+	Super      loid.LOID
+	Flags      Flags
+	Instances  uint64
+	Subclasses uint64
+}
+
+// RowInfo is the client-side view of a logical-table row (Fig 16).
+type RowInfo struct {
+	Address              oa.Address
+	CurrentMagistrates   []loid.LOID
+	SchedulingAgent      loid.LOID
+	CandidateMagistrates []loid.LOID
+	IsSubclass           bool
+}
+
+// interfaceParam carries an interface in a bytes slot; empty is nil.
+func interfaceParam(name string) rt.Codec[*idl.Interface] {
+	return rt.Param(name, idl.TBytes,
+		func(in *idl.Interface) []byte {
+			if in == nil {
+				return nil
+			}
+			return in.Marshal(nil)
+		},
+		func(b []byte) (*idl.Interface, error) {
+			if len(b) == 0 {
+				return nil, nil
+			}
+			in, rest, err := idl.Unmarshal(b)
+			if err == nil && len(rest) != 0 {
+				err = fmt.Errorf("class: %d trailing interface bytes", len(rest))
+			}
+			return in, err
+		})
+}
+
+func flagsParam(name string) rt.Codec[Flags] {
+	return rt.Param(name, idl.TUint64,
+		func(f Flags) []byte { return wire.Uint64(uint64(f)) },
+		func(b []byte) (Flags, error) { v, err := wire.AsUint64(b); return Flags(v), err })
+}
+
+var server = rt.NewServer("LegionClass",
+	rt.Serve3(Create, (*ClassImpl).create),
+	rt.Serve1(Derive, func(c *ClassImpl, ctx context.Context, s Subclass) (Made, error) {
+		return c.deriveClass(ctx, s, false)
+	}),
+	rt.Serve1(InheritFrom, (*ClassImpl).inheritFrom),
+	rt.Serve1(Delete, (*ClassImpl).deleteObject),
+	rt.Serve1(GetBinding, func(c *ClassImpl, ctx context.Context, l loid.LOID) (binding.Binding, error) {
+		return c.bindingFor(ctx, l, oa.Address{})
+	}),
+	// RefreshBinding is GetBinding(binding) (§3.6): the caller asserts
+	// the passed binding is stale; if our table agrees with it, we
+	// re-consult the Magistrate rather than re-serving the stale address.
+	rt.Serve1(RefreshBinding, func(c *ClassImpl, ctx context.Context, stale binding.Binding) (binding.Binding, error) {
+		return c.bindingFor(ctx, stale.LOID, stale.Address)
+	}),
+	rt.Serve0(GetInstanceInterface, func(c *ClassImpl, _ context.Context) (*idl.Interface, error) {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.meta.InstanceInterface.Clone(""), nil
+	}),
+	rt.Serve0(DescribeInstances, func(c *ClassImpl, _ context.Context) (Composition, error) {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return Composition{implreg.CompositeSpec(c.meta.ImplParts), c.meta.InstanceInterface.Clone(""),
+			slices.Clone(c.meta.ImplParts)}, nil
+	}),
+	rt.Serve0(Info, (*ClassImpl).info),
+	rt.Serve2(RegisterInstance, func(c *ClassImpl, _ context.Context, l loid.LOID, addr oa.Address) (rt.Void, error) {
+		return c.registerInstance(l, addr, false)
+	}),
+	rt.Serve2(magistrate.NotifyAddress, func(c *ClassImpl, _ context.Context, l loid.LOID, addr oa.Address) (rt.Void, error) {
+		return c.registerInstance(l, addr, true)
+	}),
+	rt.Serve1(NotifyDeactivated, (*ClassImpl).notifyDeactivated),
+	rt.Serve1(Clone, (*ClassImpl).clone),
+	rt.Serve1(GetRow, (*ClassImpl).getRow),
+	rt.Serve2(SetSchedulingAgent, func(c *ClassImpl, _ context.Context, l, agent loid.LOID) (rt.Void, error) {
+		return c.updateRow(l, func(r *Row) { r.SchedulingAgent = agent })
+	}),
+	rt.Serve2(SetCandidateMagistrates, func(c *ClassImpl, _ context.Context, l loid.LOID, mags []loid.LOID) (rt.Void, error) {
+		return c.updateRow(l, func(r *Row) { r.CandidateMagistrates = mags })
+	}),
+	// SetCurrentMagistrates updates the Current Magistrate List (Fig 16)
+	// after a migration: the mover records which Magistrates now hold
+	// the object.
+	rt.Serve2(SetCurrentMagistrates, func(c *ClassImpl, _ context.Context, l loid.LOID, mags []loid.LOID) (rt.Void, error) {
+		return c.updateRow(l, func(r *Row) { r.CurrentMagistrates = mags })
+	}),
+	rt.Serve1(SetDefaultMagistrates, func(c *ClassImpl, _ context.Context, mags []loid.LOID) (rt.Void, error) {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		// Rows share the old list; replace it, never write into it.
+		c.meta.DefaultMagistrates = mags
+		return rt.Void{}, nil
+	}),
+	rt.Serve1(SetDefaultSchedulingAgent, func(c *ClassImpl, _ context.Context, agent loid.LOID) (rt.Void, error) {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		c.meta.DefaultSchedulingAgent = agent
+		return rt.Void{}, nil
+	}),
+	rt.Serve2(SubscribeAgent, func(c *ClassImpl, _ context.Context, agent loid.LOID, addr oa.Address) (rt.Void, error) {
+		c.subs.subscribe(agent, addr)
+		return rt.Void{}, nil
+	}),
+	rt.Serve1(UnsubscribeAgent, func(c *ClassImpl, _ context.Context, agent loid.LOID) (rt.Void, error) {
+		c.subs.unsubscribe(agent)
+		return rt.Void{}, nil
+	}),
+)
+
+// Interface is the member-function set every class object exports.
+var Interface = server.Interface()
 
 // ClassImpl is the generic class-object behaviour, parameterized by
 // Meta. It is registered in the implementation registry under ImplName,
@@ -137,92 +263,19 @@ func (c *ClassImpl) Interface() *idl.Interface { return Interface }
 func (c *ClassImpl) Bind(o *rt.Object) { c.obj = o }
 
 // Dispatch implements rt.Impl.
-func (c *ClassImpl) Dispatch(inv *rt.Invocation) ([][]byte, error) {
-	if handled, results, err := c.handlePropagation(inv); handled {
-		return results, err
-	}
-	switch inv.Method {
-	case "Create":
-		return c.create(inv)
-	case "Derive":
-		return c.derive(inv)
-	case "InheritFrom":
-		return c.inheritFrom(inv)
-	case "Delete":
-		return c.deleteObject(inv)
-	case "GetBinding":
-		return c.getBinding(inv)
-	case "RefreshBinding":
-		return c.refreshBinding(inv)
-	case "GetInstanceInterface":
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return [][]byte{c.meta.InstanceInterface.Marshal(nil)}, nil
-	case "DescribeInstances":
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return [][]byte{
-			wire.String(implreg.CompositeSpec(c.meta.ImplParts)),
-			c.meta.InstanceInterface.Marshal(nil),
-			wire.StringList(c.meta.ImplParts),
-		}, nil
-	case "Info":
-		return c.info()
-	case "RegisterInstance":
-		return c.registerInstance(inv, false)
-	case "NotifyAddress":
-		return c.registerInstance(inv, true)
-	case "NotifyDeactivated":
-		return c.notifyDeactivated(inv)
-	case "Clone":
-		return c.clone(inv)
-	case "GetRow":
-		return c.getRow(inv)
-	case "SetSchedulingAgent":
-		return c.setSchedulingAgent(inv)
-	case "SetCandidateMagistrates":
-		return c.setCandidateMagistrates(inv)
-	case "SetCurrentMagistrates":
-		return c.setCurrentMagistrates(inv)
-	case "SetDefaultMagistrates":
-		return c.setDefaultMagistrates(inv)
-	case "SetDefaultSchedulingAgent":
-		agent, err := argLOID(inv, 0)
-		if err != nil {
-			return nil, err
-		}
-		c.mu.Lock()
-		c.meta.DefaultSchedulingAgent = agent
-		c.mu.Unlock()
-		return nil, nil
-	}
-	return nil, &rt.NoSuchMethodError{Method: inv.Method}
-}
+func (c *ClassImpl) Dispatch(inv *rt.Invocation) ([][]byte, error) { return server.Dispatch(c, inv) }
 
 // create implements the class-mandatory Create(): instantiate a new
 // non-class object (§2.1.1 is-a), with the cooperation of a Magistrate
 // and Host Object (§4.2).
-func (c *ClassImpl) create(inv *rt.Invocation) ([][]byte, error) {
-	initState, err := inv.Arg(0)
-	if err != nil {
-		return nil, err
-	}
-	magHint, err := argLOID(inv, 1)
-	if err != nil {
-		return nil, err
-	}
-	hostHint, err := argLOID(inv, 2)
-	if err != nil {
-		return nil, err
-	}
-
+func (c *ClassImpl) create(ctx context.Context, initState []byte, magHint, hostHint loid.LOID) (Made, error) {
 	c.mu.Lock()
 	if c.meta.Flags.Abstract() {
 		c.mu.Unlock()
 		// "A class object whose Create() function is empty is said to
 		// be Abstract; no direct instances of an Abstract class can
 		// exist" (§2.1.2).
-		return nil, fmt.Errorf("class %s is Abstract: Create is empty", c.meta.Name)
+		return Made{}, fmt.Errorf("class %s is Abstract: Create is empty", c.meta.Name)
 	}
 	seq := c.meta.NextSeq
 	c.meta.NextSeq++
@@ -230,22 +283,22 @@ func (c *ClassImpl) create(inv *rt.Invocation) ([][]byte, error) {
 		loid.DeriveKey(fmt.Sprintf("%s/%d", c.meta.Name, seq+1)))
 	implSpec := implreg.CompositeSpec(c.meta.ImplParts)
 	mag, err := c.pickMagistrateLocked(magHint)
-	sched := c.meta.DefaultSchedulingAgent
+	schedAgent := c.meta.DefaultSchedulingAgent
 	candidates := c.meta.DefaultMagistrates
 	c.mu.Unlock()
 	if err != nil {
-		return nil, err
+		return Made{}, err
 	}
 
-	mc := magistrate.NewClient(c.obj.Caller(), mag)
+	mc := c.obj.Caller().To(mag)
 	// Scheduling hook (§3.7/§3.8): with no explicit host hint, the
 	// class may employ its Scheduling Agent to suggest a host, passing
 	// the suggestion through Instantiate's host hint. Placement falls
 	// back to the Magistrate's default policy if the agent is
 	// unreachable — scheduling is advice, not mechanism.
-	if hostHint.IsNil() && !sched.IsNil() {
-		if hosts, err := mc.ListHosts(); err == nil && len(hosts) > 0 {
-			if pick, err := pickHostVia(c.obj.Caller(), sched, hosts); err == nil {
+	if hostHint.IsNil() && !schedAgent.IsNil() {
+		if hosts, err := magistrate.ListHosts.Call(ctx, mc); err == nil && len(hosts) > 0 {
+			if pick, err := sched.PickHost.Call(ctx, c.obj.Caller().To(schedAgent), hosts); err == nil {
 				hostHint = pick
 			}
 		}
@@ -253,76 +306,40 @@ func (c *ClassImpl) create(inv *rt.Invocation) ([][]byte, error) {
 	// One Magistrate call registers and starts the object: a Create that
 	// fails leaves nothing behind, and one that succeeds writes nothing
 	// to the jurisdiction's store.
-	b, err := mc.InstantiateCtx(inv.Ctx(), l, implSpec, initState, hostHint)
+	b, err := magistrate.Instantiate.Call(ctx, mc, magistrate.Instance{Object: l, Impl: implSpec, State: initState, HostHint: hostHint})
 	if err != nil {
-		return nil, fmt.Errorf("class %s: instantiate %v with %v: %w", c.meta.Name, l, mag, err)
+		return Made{}, fmt.Errorf("class %s: instantiate %v with %v: %w", c.meta.Name, l, mag, err)
 	}
 	c.mu.Lock()
 	c.table[l.Ident()] = &Row{
 		Address:              b.Address,
 		CurrentMagistrates:   c.oneMagistrateLocked(mag),
-		SchedulingAgent:      sched,
+		SchedulingAgent:      schedAgent,
 		CandidateMagistrates: candidates,
 	}
 	c.mu.Unlock()
 	c.pushBinding(b)
-	return [][]byte{wire.LOID(l), wire.Binding(b)}, nil
+	return Made{l, b}, nil
 }
 
-// derive implements the class-mandatory Derive(): create a subclass
-// (§2.1.1 kind-of). The new class object is itself placed through a
-// Magistrate, and LegionClass is contacted for a fresh Class
-// Identifier (§3.7) — recording the responsibility pair (§4.1.3).
-func (c *ClassImpl) derive(inv *rt.Invocation) ([][]byte, error) {
-	name, err := argString(inv, 0)
-	if err != nil {
-		return nil, err
-	}
-	implName, err := argString(inv, 1)
-	if err != nil {
-		return nil, err
-	}
-	rawIfc, err := inv.Arg(2)
-	if err != nil {
-		return nil, err
-	}
-	// The interface argument describes the new implementation's
-	// methods; in the paper it would be produced by a Legion-aware
-	// compiler from the class's IDL (§2, §4.1). Empty means "inherit
-	// the superclass interface unchanged".
-	var newIfc *idl.Interface
-	if len(rawIfc) > 0 {
-		var rest []byte
-		newIfc, rest, err = idl.Unmarshal(rawIfc)
-		if err != nil || len(rest) != 0 {
-			return nil, fmt.Errorf("class %s: Derive interface argument: %v", c.meta.Name, err)
-		}
-	}
-	rawFlags, err := inv.Arg(3)
-	if err != nil {
-		return nil, err
-	}
-	flags, err := wire.AsUint64(rawFlags)
-	if err != nil {
-		return nil, err
-	}
-	magHint, err := argLOID(inv, 4)
-	if err != nil {
-		return nil, err
-	}
-	return c.deriveClass(inv.Ctx(), name, implName, newIfc, Flags(flags), magHint, false)
-}
+// Derive (the class-mandatory Derive(), §2.1.1 kind-of) creates a
+// subclass. The new class object is itself placed through a Magistrate,
+// and LegionClass is contacted for a fresh Class Identifier (§3.7) —
+// recording the responsibility pair (§4.1.3). The interface argument
+// describes the new implementation's methods; in the paper it would be
+// produced by a Legion-aware compiler from the class's IDL (§2, §4.1).
 
 // deriveClass makes and starts a subclass object for Derive and Clone.
 // ctx is the invocation's, so the LegionClass consult and the
 // Magistrate hop keep the caller's deadline and trace.
-func (c *ClassImpl) deriveClass(ctx context.Context, name, implName string, newIfc *idl.Interface, flags Flags, magHint loid.LOID, isClone bool) ([][]byte, error) {
+func (c *ClassImpl) deriveClass(ctx context.Context, sub Subclass, isClone bool) (Made, error) {
+	name, implName, newIfc := sub.Name, sub.Impl, sub.Interface
 	c.mu.Lock()
 	if c.meta.Flags.Private() && !isClone {
 		c.mu.Unlock()
 		// "A class object whose Derive() function is empty is said to
 		// be Private" (§2.1.2).
-		return nil, fmt.Errorf("class %s is Private: Derive is empty", c.meta.Name)
+		return Made{}, fmt.Errorf("class %s is Private: Derive is empty", c.meta.Name)
 	}
 	selfL := c.meta.Self
 	parentName := c.meta.Name
@@ -333,22 +350,13 @@ func (c *ClassImpl) deriveClass(ctx context.Context, name, implName string, newI
 	c.mu.Unlock()
 
 	if name == "" {
-		return nil, fmt.Errorf("class %s: Derive needs a subclass name", parentName)
+		return Made{}, fmt.Errorf("class %s: Derive needs a subclass name", parentName)
 	}
 	// Obtain a unique Class Identifier from LegionClass, which records
 	// that we are responsible for locating the new class (§4.1.3).
-	res, err := c.obj.Caller().CallCtx(ctx, loid.LegionClass, "NewClassID",
-		wire.LOID(selfL), wire.String(name))
+	newID, err := NewClassID.Call(ctx, c.obj.Caller().To(loid.LegionClass), selfL, name)
 	if err != nil {
-		return nil, fmt.Errorf("class %s: contact LegionClass: %w", parentName, err)
-	}
-	raw, err := res.Result(0)
-	if err != nil {
-		return nil, fmt.Errorf("class %s: NewClassID: %w", parentName, err)
-	}
-	newID, err := wire.AsUint64(raw)
-	if err != nil {
-		return nil, err
+		return Made{}, fmt.Errorf("class %s: NewClassID: %w", parentName, err)
 	}
 
 	// The subclass inherits the superclass's member functions (§2.1):
@@ -366,40 +374,41 @@ func (c *ClassImpl) deriveClass(ctx context.Context, name, implName string, newI
 		// order of the instance implementation.
 		childIfc = newIfc.Clone(name)
 		if err := childIfc.Merge(parentIfc, idl.ConflictKeep); err != nil {
-			return nil, err
+			return Made{}, err
 		}
 	}
 	childMeta := &Meta{
 		Self:                   loid.New(newID, 0, loid.DeriveKey(fmt.Sprintf("class/%s/%d", name, newID))),
 		Name:                   name,
 		Super:                  selfL,
-		Flags:                  flags,
+		Flags:                  sub.Flags,
 		ImplParts:              childParts,
 		InstanceInterface:      childIfc,
 		DefaultSchedulingAgent: parentSched,
 		DefaultMagistrates:     parentMags,
 	}
 	if err := childMeta.Validate(); err != nil {
-		return nil, err
+		return Made{}, err
 	}
 	childImpl, err := NewClassImpl(childMeta)
 	if err != nil {
-		return nil, err
+		return Made{}, err
 	}
 	childState, err := childImpl.SaveState()
 	if err != nil {
-		return nil, err
+		return Made{}, err
 	}
 
 	c.mu.Lock()
-	mag, err := c.pickMagistrateLocked(magHint)
+	mag, err := c.pickMagistrateLocked(sub.MagistrateHint)
 	c.mu.Unlock()
 	if err != nil {
-		return nil, err
+		return Made{}, err
 	}
-	b, err := magistrate.NewClient(c.obj.Caller(), mag).InstantiateCtx(ctx, childMeta.Self, ImplName, childState, loid.Nil)
+	b, err := magistrate.Instantiate.Call(ctx, c.obj.Caller().To(mag),
+		magistrate.Instance{Object: childMeta.Self, Impl: ImplName, State: childState})
 	if err != nil {
-		return nil, fmt.Errorf("class %s: instantiate subclass %s: %w", parentName, name, err)
+		return Made{}, fmt.Errorf("class %s: instantiate subclass %s: %w", parentName, name, err)
 	}
 	c.mu.Lock()
 	c.table[childMeta.Self.Ident()] = &Row{
@@ -410,51 +419,28 @@ func (c *ClassImpl) deriveClass(ctx context.Context, name, implName string, newI
 		IsSubclass:           true,
 	}
 	c.mu.Unlock()
-	return [][]byte{wire.LOID(childMeta.Self), wire.Binding(b)}, nil
+	return Made{childMeta.Self, b}, nil
 }
 
 // inheritFrom implements the class-mandatory InheritFrom() (§2.1):
 // "this function does not cause any new objects to be created; instead,
 // it serves to alter the composition of future instances of the class."
-func (c *ClassImpl) inheritFrom(inv *rt.Invocation) ([][]byte, error) {
-	base, err := argLOID(inv, 0)
-	if err != nil {
-		return nil, err
-	}
+func (c *ClassImpl) inheritFrom(ctx context.Context, base loid.LOID) (rt.Void, error) {
 	c.mu.Lock()
 	if c.meta.Flags.Fixed() {
 		name := c.meta.Name
 		c.mu.Unlock()
 		// "A class object whose InheritFrom() function is empty is said
 		// to be Fixed" (§2.1.2).
-		return nil, fmt.Errorf("class %s is Fixed: InheritFrom is empty", name)
+		return rt.Void{}, fmt.Errorf("class %s is Fixed: InheritFrom is empty", name)
 	}
 	name := c.meta.Name
 	c.mu.Unlock()
 
 	// Ask the base class how its instances are composed.
-	res, err := c.obj.Caller().Call(base, "DescribeInstances")
+	comp, err := DescribeInstances.Call(ctx, c.obj.Caller().To(base))
 	if err != nil {
-		return nil, fmt.Errorf("class %s: describe base %v: %w", name, base, err)
-	}
-	if rerr := res.Err(); rerr != nil {
-		return nil, fmt.Errorf("class %s: base %v: %w", name, base, rerr)
-	}
-	rawIfc, err := res.Result(1)
-	if err != nil {
-		return nil, err
-	}
-	baseIfc, rest, err := idl.Unmarshal(rawIfc)
-	if err != nil || len(rest) != 0 {
-		return nil, fmt.Errorf("class %s: base interface: %v", name, err)
-	}
-	rawParts, err := res.Result(2)
-	if err != nil {
-		return nil, err
-	}
-	baseParts, err := wire.AsStringList(rawParts)
-	if err != nil {
-		return nil, err
+		return rt.Void{}, fmt.Errorf("class %s: describe base %v: %w", name, base, err)
 	}
 
 	c.mu.Lock()
@@ -462,10 +448,10 @@ func (c *ClassImpl) inheritFrom(inv *rt.Invocation) ([][]byte, error) {
 	// "This causes B's member functions to be added to C's interface."
 	// Existing methods win (first base wins), matching the composite
 	// dispatch order.
-	if err := c.meta.InstanceInterface.Merge(baseIfc, idl.ConflictKeep); err != nil {
-		return nil, err
+	if err := c.meta.InstanceInterface.Merge(comp.Interface, idl.ConflictKeep); err != nil {
+		return rt.Void{}, err
 	}
-	for _, p := range baseParts {
+	for _, p := range comp.Parts {
 		if !contains(c.meta.ImplParts, p) {
 			c.meta.ImplParts = append(c.meta.ImplParts, p)
 		}
@@ -473,20 +459,16 @@ func (c *ClassImpl) inheritFrom(inv *rt.Invocation) ([][]byte, error) {
 	if !containsLOID(c.meta.Bases, base) {
 		c.meta.Bases = append(c.meta.Bases, base)
 	}
-	return nil, nil
+	return rt.Void{}, nil
 }
 
-func (c *ClassImpl) deleteObject(inv *rt.Invocation) ([][]byte, error) {
-	l, err := argLOID(inv, 0)
-	if err != nil {
-		return nil, err
-	}
+func (c *ClassImpl) deleteObject(ctx context.Context, l loid.LOID) (rt.Void, error) {
 	c.mu.Lock()
 	row, ok := c.table[l.Ident()]
 	if !ok {
 		name := c.meta.Name
 		c.mu.Unlock()
-		return nil, fmt.Errorf("class %s: unknown object %v", name, l)
+		return rt.Void{}, fmt.Errorf("class %s: unknown object %v", name, l)
 	}
 	mags := append([]loid.LOID(nil), row.CurrentMagistrates...)
 	delete(c.table, l.Ident())
@@ -496,50 +478,18 @@ func (c *ClassImpl) deleteObject(inv *rt.Invocation) ([][]byte, error) {
 	// (§3.8 Delete).
 	var firstErr error
 	for _, mag := range mags {
-		mc := magistrate.NewClient(c.obj.Caller(), mag)
-		if err := mc.Delete(l); err != nil && firstErr == nil {
+		if _, err := magistrate.Delete.Call(ctx, c.obj.Caller().To(mag), l); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
-	return nil, firstErr
+	return rt.Void{}, firstErr
 }
 
-// getBinding implements the class side of the binding mechanism
+// bindingFor implements the class side of the binding mechanism
 // (§4.1.2): answer from the logical table's Object Address field, or
 // consult the object's Magistrate — activating the object if need be.
-func (c *ClassImpl) getBinding(inv *rt.Invocation) ([][]byte, error) {
-	l, err := argLOID(inv, 0)
-	if err != nil {
-		return nil, err
-	}
-	b, err := c.bindingFor(inv.Ctx(), l, oa.Address{})
-	if err != nil {
-		return nil, err
-	}
-	return [][]byte{wire.Binding(b)}, nil
-}
-
-// refreshBinding is GetBinding(binding) (§3.6): the caller asserts the
-// passed binding is stale; if our table agrees with it, we re-consult
-// the Magistrate rather than re-serving the stale address.
-func (c *ClassImpl) refreshBinding(inv *rt.Invocation) ([][]byte, error) {
-	raw, err := inv.Arg(0)
-	if err != nil {
-		return nil, err
-	}
-	stale, err := wire.AsBinding(raw)
-	if err != nil {
-		return nil, err
-	}
-	b, err := c.bindingFor(inv.Ctx(), stale.LOID, stale.Address)
-	if err != nil {
-		return nil, err
-	}
-	return [][]byte{wire.Binding(b)}, nil
-}
-
-// bindingFor returns a binding for l, treating staleAddr (if non-zero)
-// as known-bad. ctx carries the original caller's remaining deadline
+// It returns a binding for l, treating staleAddr (if non-zero) as
+// known-bad. ctx carries the original caller's remaining deadline
 // and trace identity into the Magistrate/Host activation chain.
 func (c *ClassImpl) bindingFor(ctx context.Context, l loid.LOID, staleAddr oa.Address) (binding.Binding, error) {
 	c.mu.Lock()
@@ -566,8 +516,7 @@ func (c *ClassImpl) bindingFor(ctx context.Context, l loid.LOID, staleAddr oa.Ad
 	// of an Inert object can cause the object to be activated" (§4.1.2).
 	var lastErr error
 	for _, mag := range mags {
-		mc := magistrate.NewClient(c.obj.Caller(), mag)
-		b, err := mc.ActivateCtx(ctx, l, loid.Nil)
+		b, err := magistrate.Activate.Call(ctx, c.obj.Caller().To(mag), l, loid.Nil)
 		if err != nil {
 			lastErr = err
 			continue
@@ -588,50 +537,31 @@ func (c *ClassImpl) bindingFor(ctx context.Context, l loid.LOID, staleAddr oa.Ad
 	return binding.Binding{}, fmt.Errorf("class %s: cannot bind %v: %w", name, l, lastErr)
 }
 
-func (c *ClassImpl) info() ([][]byte, error) {
+func (c *ClassImpl) info(context.Context) (Summary, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var instances, subclasses uint64
+	s := Summary{Name: c.meta.Name, ClassID: c.meta.Self.ClassID, Super: c.meta.Super, Flags: c.meta.Flags}
 	for _, row := range c.table {
 		if row.IsSubclass {
-			subclasses++
+			s.Subclasses++
 		} else {
-			instances++
+			s.Instances++
 		}
 	}
-	return [][]byte{
-		wire.String(c.meta.Name),
-		wire.Uint64(c.meta.Self.ClassID),
-		wire.LOID(c.meta.Super),
-		wire.Uint64(uint64(c.meta.Flags)),
-		wire.Uint64(instances),
-		wire.Uint64(subclasses),
-	}, nil
+	return s, nil
 }
 
 // registerInstance records (or, for notify=true, updates) an instance
 // started out-of-band — the §4.2.1 bootstrap path where Host Objects
 // and Magistrates "contact the existing class object ... to tell it of
 // their existence", and the §4.1.4 address-propagation path.
-func (c *ClassImpl) registerInstance(inv *rt.Invocation, mustExist bool) ([][]byte, error) {
-	l, err := argLOID(inv, 0)
-	if err != nil {
-		return nil, err
-	}
-	raw, err := inv.Arg(1)
-	if err != nil {
-		return nil, err
-	}
-	addr, err := wire.AsAddress(raw)
-	if err != nil {
-		return nil, err
-	}
+func (c *ClassImpl) registerInstance(l loid.LOID, addr oa.Address, mustExist bool) (rt.Void, error) {
 	c.mu.Lock()
 	row, ok := c.table[l.Ident()]
 	if !ok {
 		if mustExist {
 			c.mu.Unlock()
-			return nil, fmt.Errorf("class %s: unknown object %v", c.meta.Name, l)
+			return rt.Void{}, fmt.Errorf("class %s: unknown object %v", c.meta.Name, l)
 		}
 		row = &Row{SchedulingAgent: c.meta.DefaultSchedulingAgent}
 		c.table[l.Ident()] = row
@@ -639,139 +569,50 @@ func (c *ClassImpl) registerInstance(inv *rt.Invocation, mustExist bool) ([][]by
 	row.Address = addr
 	c.mu.Unlock()
 	c.pushBinding(binding.Forever(l, addr))
-	return nil, nil
+	return rt.Void{}, nil
 }
 
-func (c *ClassImpl) notifyDeactivated(inv *rt.Invocation) ([][]byte, error) {
-	l, err := argLOID(inv, 0)
-	if err != nil {
-		return nil, err
-	}
+func (c *ClassImpl) notifyDeactivated(_ context.Context, l loid.LOID) (rt.Void, error) {
 	c.mu.Lock()
 	if row, ok := c.table[l.Ident()]; ok {
 		row.Address = oa.Address{}
 	}
 	c.mu.Unlock()
 	c.pushInvalidate(l)
-	return nil, nil
+	return rt.Void{}, nil
 }
 
 // clone implements the hot-class relief of §5.2.2: "the cloned class is
 // derived from the heavily used class without changing the interface in
 // any way."
-func (c *ClassImpl) clone(inv *rt.Invocation) ([][]byte, error) {
-	magHint, err := argLOID(inv, 0)
-	if err != nil {
-		return nil, err
-	}
+func (c *ClassImpl) clone(ctx context.Context, magHint loid.LOID) (Made, error) {
 	c.mu.Lock()
 	name := fmt.Sprintf("%s-clone%d", c.meta.Name, len(c.table))
 	c.mu.Unlock()
-	return c.deriveClass(inv.Ctx(), name, "", nil, 0, magHint, true)
+	return c.deriveClass(ctx, Subclass{Name: name, MagistrateHint: magHint}, true)
 }
 
-func (c *ClassImpl) getRow(inv *rt.Invocation) ([][]byte, error) {
-	l, err := argLOID(inv, 0)
-	if err != nil {
-		return nil, err
-	}
+func (c *ClassImpl) getRow(_ context.Context, l loid.LOID) (RowInfo, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	row, ok := c.table[l.Ident()]
 	if !ok {
-		return nil, fmt.Errorf("class %s: unknown object %v", c.meta.Name, l)
+		return RowInfo{}, fmt.Errorf("class %s: unknown object %v", c.meta.Name, l)
 	}
-	return [][]byte{
-		wire.Address(row.Address),
-		wire.LOIDList(row.CurrentMagistrates),
-		wire.LOID(row.SchedulingAgent),
-		wire.LOIDList(row.CandidateMagistrates),
-		wire.Bool(row.IsSubclass),
-	}, nil
+	return RowInfo{row.Address, row.CurrentMagistrates, row.SchedulingAgent, row.CandidateMagistrates, row.IsSubclass}, nil
 }
 
-func (c *ClassImpl) setSchedulingAgent(inv *rt.Invocation) ([][]byte, error) {
-	l, err := argLOID(inv, 0)
-	if err != nil {
-		return nil, err
-	}
-	agent, err := argLOID(inv, 1)
-	if err != nil {
-		return nil, err
-	}
+// updateRow applies set to l's row. The row's lists are replaced,
+// never written into: rows share them.
+func (c *ClassImpl) updateRow(l loid.LOID, set func(*Row)) (rt.Void, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	row, ok := c.table[l.Ident()]
 	if !ok {
-		return nil, fmt.Errorf("class %s: unknown object %v", c.meta.Name, l)
+		return rt.Void{}, fmt.Errorf("class %s: unknown object %v", c.meta.Name, l)
 	}
-	row.SchedulingAgent = agent
-	return nil, nil
-}
-
-func (c *ClassImpl) setCandidateMagistrates(inv *rt.Invocation) ([][]byte, error) {
-	l, err := argLOID(inv, 0)
-	if err != nil {
-		return nil, err
-	}
-	raw, err := inv.Arg(1)
-	if err != nil {
-		return nil, err
-	}
-	mags, err := wire.AsLOIDList(raw)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	row, ok := c.table[l.Ident()]
-	if !ok {
-		return nil, fmt.Errorf("class %s: unknown object %v", c.meta.Name, l)
-	}
-	row.CandidateMagistrates = mags
-	return nil, nil
-}
-
-// setCurrentMagistrates updates the Current Magistrate List (Fig 16)
-// after a migration: the mover records which Magistrates now hold the
-// object.
-func (c *ClassImpl) setCurrentMagistrates(inv *rt.Invocation) ([][]byte, error) {
-	l, err := argLOID(inv, 0)
-	if err != nil {
-		return nil, err
-	}
-	raw, err := inv.Arg(1)
-	if err != nil {
-		return nil, err
-	}
-	mags, err := wire.AsLOIDList(raw)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	row, ok := c.table[l.Ident()]
-	if !ok {
-		return nil, fmt.Errorf("class %s: unknown object %v", c.meta.Name, l)
-	}
-	row.CurrentMagistrates = mags
-	return nil, nil
-}
-
-func (c *ClassImpl) setDefaultMagistrates(inv *rt.Invocation) ([][]byte, error) {
-	raw, err := inv.Arg(0)
-	if err != nil {
-		return nil, err
-	}
-	mags, err := wire.AsLOIDList(raw)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	// Rows share the old list; replace it, never write into it.
-	c.meta.DefaultMagistrates = mags
-	return nil, nil
+	set(row)
+	return rt.Void{}, nil
 }
 
 // oneMagistrateLocked is the Current Magistrate List [mag] for a new
@@ -854,20 +695,6 @@ func (c *ClassImpl) RestoreState(state []byte) error {
 	return nil
 }
 
-// pickHostVia asks a Scheduling Agent to choose among candidate hosts
-// (the agent's PickHost member function, internal/sched).
-func pickHostVia(c *rt.Caller, agent loid.LOID, hosts []loid.LOID) (loid.LOID, error) {
-	res, err := c.Call(agent, "PickHost", wire.LOIDList(hosts))
-	if err != nil {
-		return loid.Nil, err
-	}
-	raw, err := res.Result(0)
-	if err != nil {
-		return loid.Nil, err
-	}
-	return wire.AsLOID(raw)
-}
-
 func contains(ss []string, s string) bool {
 	for _, x := range ss {
 		if x == s {
@@ -884,20 +711,4 @@ func containsLOID(ls []loid.LOID, l loid.LOID) bool {
 		}
 	}
 	return false
-}
-
-func argLOID(inv *rt.Invocation, i int) (loid.LOID, error) {
-	a, err := inv.Arg(i)
-	if err != nil {
-		return loid.Nil, err
-	}
-	return wire.AsLOID(a)
-}
-
-func argString(inv *rt.Invocation, i int) (string, error) {
-	a, err := inv.Arg(i)
-	if err != nil {
-		return "", err
-	}
-	return wire.AsString(a), nil
 }

@@ -1,404 +1,46 @@
 package class
 
 import (
-	"fmt"
+	"context"
 
 	"repro/internal/binding"
 	"repro/internal/idl"
 	"repro/internal/loid"
-	"repro/internal/oa"
 	"repro/internal/rt"
-	"repro/internal/wire"
 )
 
-// Client is a typed handle for invoking a class object's member
-// functions.
-type Client struct {
-	c   *rt.Caller
-	cls loid.LOID
-}
+// Client is a class-object handle. Calls go through the method
+// descriptors (Create.Call(ctx, cl.Ref, ...)); the wrappers below keep
+// the benchmark module compiling until it can change with them
+// (ROADMAP item 13).
+type Client struct{ rt.Ref }
 
-// NewClient wraps caller for invocations on the class object named cls.
-func NewClient(c *rt.Caller, cls loid.LOID) *Client {
-	return &Client{c: c, cls: cls}
-}
+// NewClient refers to the class object cls through c (ROADMAP item 13).
+func NewClient(c *rt.Caller, cls loid.LOID) *Client { return &Client{c.To(cls)} }
 
-// Class returns the target class object's LOID.
-func (cl *Client) Class() loid.LOID { return cl.cls }
+// Class is the class object's LOID (ROADMAP item 13).
+func (cl *Client) Class() loid.LOID { return cl.Target }
 
-// Create instantiates a new object of the class (§2.1.1 is-a),
-// returning its LOID and binding. Hints may be loid.Nil.
+// Create is Create.Call without a deadline (ROADMAP item 13).
 func (cl *Client) Create(initState []byte, magistrateHint, hostHint loid.LOID) (loid.LOID, binding.Binding, error) {
-	res, err := cl.c.Call(cl.cls, "Create", initState, wire.LOID(magistrateHint), wire.LOID(hostHint))
-	if err != nil {
-		return loid.Nil, binding.Binding{}, err
-	}
-	return loidAndBinding(res)
+	m, err := Create.Call(context.Background(), cl.Ref, initState, magistrateHint, hostHint)
+	return m.LOID, m.Binding, err
 }
 
-// Derive creates a subclass (§2.1.1 kind-of). impl may be empty to
-// inherit the superclass implementation unchanged; ifc describes the
-// overriding implementation's methods (nil inherits the superclass
-// interface unchanged — in the paper the Legion-aware compiler supplies
-// this from the IDL).
+// Derive is Derive.Call without a deadline (ROADMAP item 13).
 func (cl *Client) Derive(name, impl string, ifc *idl.Interface, flags Flags, magistrateHint loid.LOID) (loid.LOID, binding.Binding, error) {
-	var rawIfc []byte
-	if ifc != nil {
-		rawIfc = ifc.Marshal(nil)
-	}
-	res, err := cl.c.Call(cl.cls, "Derive",
-		wire.String(name), wire.String(impl), rawIfc,
-		wire.Uint64(uint64(flags)), wire.LOID(magistrateHint))
-	if err != nil {
-		return loid.Nil, binding.Binding{}, err
-	}
-	return loidAndBinding(res)
+	m, err := Derive.Call(context.Background(), cl.Ref, Subclass{name, impl, ifc, flags, magistrateHint})
+	return m.LOID, m.Binding, err
 }
 
-// InheritFrom adds base's member functions to the class's interface,
-// altering the composition of future instances (§2.1.1 inherits-from).
-func (cl *Client) InheritFrom(base loid.LOID) error {
-	res, err := cl.c.Call(cl.cls, "InheritFrom", wire.LOID(base))
-	if err != nil {
-		return err
-	}
-	return res.Err()
-}
-
-// Delete removes an instance or subclass from existence.
-func (cl *Client) Delete(l loid.LOID) error {
-	res, err := cl.c.Call(cl.cls, "Delete", wire.LOID(l))
-	if err != nil {
-		return err
-	}
-	return res.Err()
-}
-
-// GetBinding asks the class — the final authority for its objects — to
-// bind l (§4.1.2). This may activate an Inert object.
+// GetBinding is GetBinding.Call without a deadline (ROADMAP item 13).
 func (cl *Client) GetBinding(l loid.LOID) (binding.Binding, error) {
-	res, err := cl.c.Call(cl.cls, "GetBinding", wire.LOID(l))
-	if err != nil {
-		return binding.Binding{}, err
-	}
-	raw, err := res.Result(0)
-	if err != nil {
-		return binding.Binding{}, err
-	}
-	return wire.AsBinding(raw)
+	return GetBinding.Call(context.Background(), cl.Ref, l)
 }
 
-// RefreshBinding reports a stale binding and asks for a fresh one
-// (the GetBinding(binding) overload of §3.6).
-func (cl *Client) RefreshBinding(stale binding.Binding) (binding.Binding, error) {
-	res, err := cl.c.Call(cl.cls, "RefreshBinding", wire.Binding(stale))
-	if err != nil {
-		return binding.Binding{}, err
-	}
-	raw, err := res.Result(0)
-	if err != nil {
-		return binding.Binding{}, err
-	}
-	return wire.AsBinding(raw)
-}
-
-// GetInstanceInterface fetches the interface exported by instances of
-// the class.
-func (cl *Client) GetInstanceInterface() (*idl.Interface, error) {
-	res, err := cl.c.Call(cl.cls, "GetInstanceInterface")
-	if err != nil {
-		return nil, err
-	}
-	raw, err := res.Result(0)
-	if err != nil {
-		return nil, err
-	}
-	ifc, rest, err := idl.Unmarshal(raw)
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("class: trailing interface bytes")
-	}
-	return ifc, nil
-}
-
-// Info summarizes the class.
-type Info struct {
-	Name       string
-	ClassID    uint64
-	Super      loid.LOID
-	Flags      Flags
-	Instances  uint64
-	Subclasses uint64
-}
-
-// Info fetches the class summary.
-func (cl *Client) Info() (Info, error) {
-	res, err := cl.c.Call(cl.cls, "Info")
-	if err != nil {
-		return Info{}, err
-	}
-	var info Info
-	raw, err := res.Result(0)
-	if err != nil {
-		return Info{}, err
-	}
-	info.Name = wire.AsString(raw)
-	if raw, err = res.Result(1); err != nil {
-		return Info{}, err
-	}
-	if info.ClassID, err = wire.AsUint64(raw); err != nil {
-		return Info{}, err
-	}
-	if raw, err = res.Result(2); err != nil {
-		return Info{}, err
-	}
-	if info.Super, err = wire.AsLOID(raw); err != nil {
-		return Info{}, err
-	}
-	if raw, err = res.Result(3); err != nil {
-		return Info{}, err
-	}
-	f, err := wire.AsUint64(raw)
-	if err != nil {
-		return Info{}, err
-	}
-	info.Flags = Flags(f)
-	if raw, err = res.Result(4); err != nil {
-		return Info{}, err
-	}
-	if info.Instances, err = wire.AsUint64(raw); err != nil {
-		return Info{}, err
-	}
-	if raw, err = res.Result(5); err != nil {
-		return Info{}, err
-	}
-	if info.Subclasses, err = wire.AsUint64(raw); err != nil {
-		return Info{}, err
-	}
-	return info, nil
-}
-
-// RegisterInstance records an out-of-band-started instance (§4.2.1).
-func (cl *Client) RegisterInstance(l loid.LOID, addr oa.Address) error {
-	res, err := cl.c.Call(cl.cls, "RegisterInstance", wire.LOID(l), wire.Address(addr))
-	if err != nil {
-		return err
-	}
-	return res.Err()
-}
-
-// NotifyAddress propagates a known instance's new address (§4.1.4).
-func (cl *Client) NotifyAddress(l loid.LOID, addr oa.Address) error {
-	res, err := cl.c.Call(cl.cls, "NotifyAddress", wire.LOID(l), wire.Address(addr))
-	if err != nil {
-		return err
-	}
-	return res.Err()
-}
-
-// NotifyDeactivated clears the class's cached address for l.
-func (cl *Client) NotifyDeactivated(l loid.LOID) error {
-	res, err := cl.c.Call(cl.cls, "NotifyDeactivated", wire.LOID(l))
-	if err != nil {
-		return err
-	}
-	return res.Err()
-}
-
-// Clone derives a clone of a heavily used class (§5.2.2).
-func (cl *Client) Clone(magistrateHint loid.LOID) (loid.LOID, binding.Binding, error) {
-	res, err := cl.c.Call(cl.cls, "Clone", wire.LOID(magistrateHint))
-	if err != nil {
-		return loid.Nil, binding.Binding{}, err
-	}
-	return loidAndBinding(res)
-}
-
-// SetDefaultMagistrates sets the class's candidate magistrates for new
-// objects.
+// SetDefaultMagistrates is SetDefaultMagistrates.Call without a
+// deadline (ROADMAP item 13).
 func (cl *Client) SetDefaultMagistrates(mags []loid.LOID) error {
-	res, err := cl.c.Call(cl.cls, "SetDefaultMagistrates", wire.LOIDList(mags))
-	if err != nil {
-		return err
-	}
-	return res.Err()
-}
-
-// SetDefaultSchedulingAgent sets the Scheduling Agent inherited by the
-// class's new objects (§3.7).
-func (cl *Client) SetDefaultSchedulingAgent(agent loid.LOID) error {
-	res, err := cl.c.Call(cl.cls, "SetDefaultSchedulingAgent", wire.LOID(agent))
-	if err != nil {
-		return err
-	}
-	return res.Err()
-}
-
-// SetSchedulingAgent overrides the Scheduling Agent field for one of
-// the class's objects (a Fig 16 reflective hook).
-func (cl *Client) SetSchedulingAgent(l, agent loid.LOID) error {
-	res, err := cl.c.Call(cl.cls, "SetSchedulingAgent", wire.LOID(l), wire.LOID(agent))
-	if err != nil {
-		return err
-	}
-	return res.Err()
-}
-
-// SetCandidateMagistrates overrides the Candidate Magistrate List for
-// one of the class's objects.
-func (cl *Client) SetCandidateMagistrates(l loid.LOID, mags []loid.LOID) error {
-	res, err := cl.c.Call(cl.cls, "SetCandidateMagistrates", wire.LOID(l), wire.LOIDList(mags))
-	if err != nil {
-		return err
-	}
-	return res.Err()
-}
-
-// RowInfo is the client-side view of a logical-table row (Fig 16).
-type RowInfo struct {
-	Address              oa.Address
-	CurrentMagistrates   []loid.LOID
-	SchedulingAgent      loid.LOID
-	CandidateMagistrates []loid.LOID
-	IsSubclass           bool
-}
-
-// GetRow reads the logical-table row for l.
-func (cl *Client) GetRow(l loid.LOID) (RowInfo, error) {
-	res, err := cl.c.Call(cl.cls, "GetRow", wire.LOID(l))
-	if err != nil {
-		return RowInfo{}, err
-	}
-	var row RowInfo
-	raw, err := res.Result(0)
-	if err != nil {
-		return RowInfo{}, err
-	}
-	if row.Address, err = wire.AsAddress(raw); err != nil {
-		return RowInfo{}, err
-	}
-	if raw, err = res.Result(1); err != nil {
-		return RowInfo{}, err
-	}
-	if row.CurrentMagistrates, err = wire.AsLOIDList(raw); err != nil {
-		return RowInfo{}, err
-	}
-	if raw, err = res.Result(2); err != nil {
-		return RowInfo{}, err
-	}
-	if row.SchedulingAgent, err = wire.AsLOID(raw); err != nil {
-		return RowInfo{}, err
-	}
-	if raw, err = res.Result(3); err != nil {
-		return RowInfo{}, err
-	}
-	if row.CandidateMagistrates, err = wire.AsLOIDList(raw); err != nil {
-		return RowInfo{}, err
-	}
-	if raw, err = res.Result(4); err != nil {
-		return RowInfo{}, err
-	}
-	if row.IsSubclass, err = wire.AsBool(raw); err != nil {
-		return RowInfo{}, err
-	}
-	return row, nil
-}
-
-func loidAndBinding(res *rt.Result) (loid.LOID, binding.Binding, error) {
-	raw, err := res.Result(0)
-	if err != nil {
-		return loid.Nil, binding.Binding{}, err
-	}
-	l, err := wire.AsLOID(raw)
-	if err != nil {
-		return loid.Nil, binding.Binding{}, err
-	}
-	raw, err = res.Result(1)
-	if err != nil {
-		return loid.Nil, binding.Binding{}, err
-	}
-	b, err := wire.AsBinding(raw)
-	if err != nil {
-		return loid.Nil, binding.Binding{}, err
-	}
-	return l, b, nil
-}
-
-// MetaClient extends Client with the LegionClass-only functions.
-type MetaClient struct {
-	Client
-}
-
-// NewMetaClient wraps caller for invocations on LegionClass.
-func NewMetaClient(c *rt.Caller) *MetaClient {
-	return &MetaClient{Client: Client{c: c, cls: loid.LegionClass}}
-}
-
-// NewClassID allocates a Class Identifier, recording creator as
-// responsible for the new class.
-func (mc *MetaClient) NewClassID(creator loid.LOID, name string) (uint64, error) {
-	res, err := mc.c.Call(mc.cls, "NewClassID", wire.LOID(creator), wire.String(name))
-	if err != nil {
-		return 0, err
-	}
-	raw, err := res.Result(0)
-	if err != nil {
-		return 0, err
-	}
-	return wire.AsUint64(raw)
-}
-
-// WhoIsResponsible looks up the responsibility pair for a class.
-func (mc *MetaClient) WhoIsResponsible(cls loid.LOID) (loid.LOID, error) {
-	res, err := mc.c.Call(mc.cls, "WhoIsResponsible", wire.LOID(cls))
-	if err != nil {
-		return loid.Nil, err
-	}
-	raw, err := res.Result(0)
-	if err != nil {
-		return loid.Nil, err
-	}
-	return wire.AsLOID(raw)
-}
-
-// LocateClass performs one step of the recursive class location of
-// §4.1.3: either a direct binding, or the responsible class to recurse
-// through.
-func (mc *MetaClient) LocateClass(cls loid.LOID) (direct bool, b binding.Binding, responsible loid.LOID, err error) {
-	res, err := mc.c.Call(mc.cls, "LocateClass", wire.LOID(cls))
-	if err != nil {
-		return false, binding.Binding{}, loid.Nil, err
-	}
-	raw, err := res.Result(0)
-	if err != nil {
-		return false, binding.Binding{}, loid.Nil, err
-	}
-	if direct, err = wire.AsBool(raw); err != nil {
-		return false, binding.Binding{}, loid.Nil, err
-	}
-	if raw, err = res.Result(1); err != nil {
-		return false, binding.Binding{}, loid.Nil, err
-	}
-	if b, err = wire.AsBinding(raw); err != nil {
-		return false, binding.Binding{}, loid.Nil, err
-	}
-	if raw, err = res.Result(2); err != nil {
-		return false, binding.Binding{}, loid.Nil, err
-	}
-	if responsible, err = wire.AsLOID(raw); err != nil {
-		return false, binding.Binding{}, loid.Nil, err
-	}
-	return direct, b, responsible, nil
-}
-
-// RegisterClassBinding records a class object's address with
-// LegionClass.
-func (mc *MetaClient) RegisterClassBinding(cls loid.LOID, addr oa.Address) error {
-	res, err := mc.c.Call(mc.cls, "RegisterClassBinding", wire.LOID(cls), wire.Address(addr))
-	if err != nil {
-		return err
-	}
-	return res.Err()
+	_, err := SetDefaultMagistrates.Call(context.Background(), cl.Ref, mags)
+	return err
 }

@@ -1,6 +1,7 @@
 package class
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -9,36 +10,40 @@ import (
 	"repro/internal/loid"
 	"repro/internal/oa"
 	"repro/internal/rt"
-	"repro/internal/wire"
 )
 
-// MetaInterface is the member-function set of LegionClass beyond the
-// ordinary class-mandatory functions: the Class Identifier authority
-// and the responsibility-pair registry of §4.1.3.
-var MetaInterface = func() *idl.Interface {
-	in := Interface.Clone("LegionClassMeta")
-	for _, sig := range []idl.MethodSig{
-		{Name: "NewClassID",
-			Params:  []idl.Param{{Name: "creator", Type: idl.TLOID}, {Name: "name", Type: idl.TString}},
-			Returns: []idl.Param{{Name: "classID", Type: idl.TUint64}}},
-		{Name: "WhoIsResponsible",
-			Params:  []idl.Param{{Name: "class", Type: idl.TLOID}},
-			Returns: []idl.Param{{Name: "creator", Type: idl.TLOID}}},
-		{Name: "LocateClass",
-			Params: []idl.Param{{Name: "class", Type: idl.TLOID}},
-			Returns: []idl.Param{
-				{Name: "direct", Type: idl.TBool},
-				{Name: "b", Type: idl.TBinding},
-				{Name: "responsible", Type: idl.TLOID}}},
-		{Name: "RegisterClassBinding",
-			Params: []idl.Param{{Name: "class", Type: idl.TLOID}, {Name: "addr", Type: idl.TAddress}}},
-	} {
-		if err := in.Add(sig); err != nil {
-			panic(err)
-		}
-	}
-	return in
-}()
+// LegionClass's remote methods beyond the ordinary class-mandatory
+// ones: the Class Identifier authority and the responsibility-pair
+// registry of §4.1.3.
+var (
+	NewClassID       = rt.M2("NewClassID", rt.LOIDParam("creator"), rt.StringParam("name"), rt.Uint64Param("classID"))
+	WhoIsResponsible = rt.M1("WhoIsResponsible", rt.LOIDParam("class"), rt.LOIDParam("creator"))
+	LocateClass      = rt.M1("LocateClass", rt.LOIDParam("class"), rt.Struct(
+		rt.Field(rt.BoolParam("direct"), func(l *Location) *bool { return &l.Direct }),
+		rt.Field(rt.BindingParam("b"), func(l *Location) *binding.Binding { return &l.Binding }),
+		rt.Field(rt.LOIDParam("responsible"), func(l *Location) *loid.LOID { return &l.Responsible })))
+	RegisterClassBinding = rt.M2("RegisterClassBinding", rt.LOIDParam("class"), rt.AddressParam("addr"), rt.None)
+)
+
+// Location is one step of the recursive class location of §4.1.3:
+// either a direct binding, or the responsible class to recurse
+// through.
+type Location struct {
+	Direct      bool
+	Binding     binding.Binding
+	Responsible loid.LOID
+}
+
+var metaServer = rt.NewServer("LegionClassMeta", append(
+	rt.Embed(server, func(m *Metaclass) *ClassImpl { return m.ClassImpl }),
+	rt.Serve2(NewClassID, (*Metaclass).newClassID),
+	rt.Serve1(WhoIsResponsible, (*Metaclass).whoIsResponsible),
+	rt.Serve1(LocateClass, (*Metaclass).locateClass),
+	rt.Serve2(RegisterClassBinding, (*Metaclass).registerClassBinding),
+)...)
+
+// MetaInterface is the member-function set of LegionClass.
+var MetaInterface = metaServer.Interface()
 
 // Metaclass is LegionClass: the single logical class object from which
 // all classes are eventually derived. It hands out unique Class
@@ -89,17 +94,7 @@ func (m *Metaclass) Interface() *idl.Interface { return MetaInterface }
 
 // Dispatch implements rt.Impl.
 func (m *Metaclass) Dispatch(inv *rt.Invocation) ([][]byte, error) {
-	switch inv.Method {
-	case "NewClassID":
-		return m.newClassID(inv)
-	case "WhoIsResponsible":
-		return m.whoIsResponsible(inv)
-	case "LocateClass":
-		return m.locateClass(inv)
-	case "RegisterClassBinding":
-		return m.registerClassBinding(inv)
-	}
-	return m.ClassImpl.Dispatch(inv)
+	return metaServer.Dispatch(m, inv)
 }
 
 // newClassID allocates a fresh Class Identifier and records the
@@ -107,17 +102,9 @@ func (m *Metaclass) Dispatch(inv *rt.Invocation) ([][]byte, error) {
 // object D is created, the creating class C contacts LegionClass for a
 // new Class Identifier ... At this time, LegionClass can record that C
 // is responsible for locating D").
-func (m *Metaclass) newClassID(inv *rt.Invocation) ([][]byte, error) {
-	creator, err := argLOID(inv, 0)
-	if err != nil {
-		return nil, err
-	}
-	name, err := argString(inv, 1)
-	if err != nil {
-		return nil, err
-	}
+func (m *Metaclass) newClassID(_ context.Context, creator loid.LOID, name string) (uint64, error) {
 	if creator.IsNil() {
-		return nil, fmt.Errorf("LegionClass: NewClassID needs a creator")
+		return 0, fmt.Errorf("LegionClass: NewClassID needs a creator")
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -125,72 +112,51 @@ func (m *Metaclass) newClassID(inv *rt.Invocation) ([][]byte, error) {
 	m.nextID++
 	m.names[id] = name
 	m.pairs[loid.LOID{ClassID: id}] = creator.ID()
-	return [][]byte{wire.Uint64(id)}, nil
+	return id, nil
 }
 
-func (m *Metaclass) whoIsResponsible(inv *rt.Invocation) ([][]byte, error) {
-	cl, err := argLOID(inv, 0)
-	if err != nil {
-		return nil, err
-	}
+func (m *Metaclass) whoIsResponsible(_ context.Context, cl loid.LOID) (loid.LOID, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	creator, ok := m.pairs[cl.ID()]
 	if !ok {
-		return nil, fmt.Errorf("LegionClass: no responsibility pair for %v", cl)
+		return loid.Nil, fmt.Errorf("LegionClass: no responsibility pair for %v", cl)
 	}
-	return [][]byte{wire.LOID(creator)}, nil
+	return creator, nil
 }
 
 // locateClass is the agent-facing class location step (§4.1.3): for a
 // class LegionClass holds a binding for, answer (direct=true, binding);
 // otherwise answer (direct=false, responsible) and the caller recurses.
-func (m *Metaclass) locateClass(inv *rt.Invocation) ([][]byte, error) {
-	cl, err := argLOID(inv, 0)
-	if err != nil {
-		return nil, err
-	}
+func (m *Metaclass) locateClass(_ context.Context, cl loid.LOID) (Location, error) {
 	if !cl.IsClass() {
-		return nil, fmt.Errorf("LegionClass: %v is not a class LOID", cl)
+		return Location{}, fmt.Errorf("LegionClass: %v is not a class LOID", cl)
 	}
 	m.mu.Lock()
 	addr, direct := m.bindings[cl.ID()]
 	creator, hasPair := m.pairs[cl.ID()]
 	m.mu.Unlock()
 	if direct {
-		b := binding.Forever(cl, addr)
-		return [][]byte{wire.Bool(true), wire.Binding(b), wire.LOID(loid.Nil)}, nil
+		return Location{Direct: true, Binding: binding.Forever(cl, addr)}, nil
 	}
 	if hasPair {
-		return [][]byte{wire.Bool(false), wire.Binding(binding.Binding{}), wire.LOID(creator)}, nil
+		return Location{Responsible: creator}, nil
 	}
-	return nil, fmt.Errorf("LegionClass: unknown class %v", cl)
+	return Location{}, fmt.Errorf("LegionClass: unknown class %v", cl)
 }
 
 // registerClassBinding records where a class object is reachable.
 // Bootstrap uses it for the core Abstract classes; class objects also
 // refresh their own entry here if they migrate ("class bindings change
 // very slowly", §5.2.2).
-func (m *Metaclass) registerClassBinding(inv *rt.Invocation) ([][]byte, error) {
-	cl, err := argLOID(inv, 0)
-	if err != nil {
-		return nil, err
-	}
-	raw, err := inv.Arg(1)
-	if err != nil {
-		return nil, err
-	}
-	addr, err := wire.AsAddress(raw)
-	if err != nil {
-		return nil, err
-	}
+func (m *Metaclass) registerClassBinding(_ context.Context, cl loid.LOID, addr oa.Address) (rt.Void, error) {
 	if !cl.IsClass() {
-		return nil, fmt.Errorf("LegionClass: %v is not a class LOID", cl)
+		return rt.Void{}, fmt.Errorf("LegionClass: %v is not a class LOID", cl)
 	}
 	m.mu.Lock()
 	m.bindings[cl.ID()] = addr
 	m.mu.Unlock()
-	return nil, nil
+	return rt.Void{}, nil
 }
 
 // SaveState implements rt.Impl: LegionClass persists its allocation

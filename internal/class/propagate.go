@@ -4,11 +4,9 @@ import (
 	"sync"
 
 	"repro/internal/binding"
-	"repro/internal/idl"
 	"repro/internal/loid"
 	"repro/internal/oa"
 	"repro/internal/rt"
-	"repro/internal/wire"
 )
 
 // Binding propagation (§4.1.4): "Some classes may even attempt to
@@ -20,27 +18,16 @@ import (
 // state: they do not persist across class deactivation (a restarted
 // class simply stops pushing until agents re-subscribe).
 
-// propagateSigs are the subscription member functions added to the
-// class interface.
-var propagateSigs = []idl.MethodSig{
-	{Name: "SubscribeAgent",
-		Params: []idl.Param{
-			{Name: "agent", Type: idl.TLOID},
-			{Name: "addr", Type: idl.TAddress}}},
-	{Name: "UnsubscribeAgent",
-		Params: []idl.Param{{Name: "agent", Type: idl.TLOID}}},
-}
-
-func init() {
-	for _, sig := range propagateSigs {
-		if err := Interface.Add(sig); err != nil {
-			panic(err)
-		}
-		if err := MetaInterface.Add(sig); err != nil {
-			panic(err)
-		}
-	}
-}
+// The propagation protocol: agents subscribe to a class, and the class
+// pushes bindings to them. The pushes are Binding Agent methods,
+// declared here, with their sender, because package bindagent imports
+// this one; Binding Agents serve them.
+var (
+	SubscribeAgent   = rt.M2("SubscribeAgent", rt.LOIDParam("agent"), rt.AddressParam("addr"), rt.None)
+	UnsubscribeAgent = rt.M1("UnsubscribeAgent", rt.LOIDParam("agent"), rt.None)
+	AddBinding       = rt.M1("AddBinding", rt.BindingParam("b"), rt.None)
+	InvalidateLOID   = rt.M1("InvalidateLOID", rt.LOIDParam("target"), rt.None)
+)
 
 // subscribers tracks agent endpoints interested in this class's
 // binding news.
@@ -74,43 +61,14 @@ func (s *subscribers) snapshot() map[loid.LOID]oa.Address {
 	return out
 }
 
-// handlePropagation serves the subscription methods; it returns
-// (handled, results, err).
-func (c *ClassImpl) handlePropagation(inv *rt.Invocation) (bool, [][]byte, error) {
-	switch inv.Method {
-	case "SubscribeAgent":
-		agent, err := argLOID(inv, 0)
-		if err != nil {
-			return true, nil, err
-		}
-		raw, err := inv.Arg(1)
-		if err != nil {
-			return true, nil, err
-		}
-		addr, err := wire.AsAddress(raw)
-		if err != nil {
-			return true, nil, err
-		}
-		c.subs.subscribe(agent, addr)
-		return true, nil, nil
-	case "UnsubscribeAgent":
-		agent, err := argLOID(inv, 0)
-		if err != nil {
-			return true, nil, err
-		}
-		c.subs.unsubscribe(agent)
-		return true, nil, nil
-	}
-	return false, nil, nil
-}
-
-// pushBinding fans a fresh binding out to subscribed agents, one-way.
+// pushBinding fans a fresh binding out to subscribed agents, one-way:
+// no reply is awaited, so a push carries no deadline.
 func (c *ClassImpl) pushBinding(b binding.Binding) {
 	if c.obj == nil {
 		return
 	}
 	for agent, addr := range c.subs.snapshot() {
-		_ = c.obj.Caller().OneWayAddr(addr, agent, "AddBinding", wire.Binding(b))
+		_ = AddBinding.Send(c.obj.Caller().At(addr, agent), b)
 	}
 }
 
@@ -120,24 +78,6 @@ func (c *ClassImpl) pushInvalidate(l loid.LOID) {
 		return
 	}
 	for agent, addr := range c.subs.snapshot() {
-		_ = c.obj.Caller().OneWayAddr(addr, agent, "InvalidateLOID", wire.LOID(l))
+		_ = InvalidateLOID.Send(c.obj.Caller().At(addr, agent), l)
 	}
-}
-
-// SubscribeAgent is the client-side call.
-func (cl *Client) SubscribeAgent(agent loid.LOID, addr oa.Address) error {
-	res, err := cl.c.Call(cl.cls, "SubscribeAgent", wire.LOID(agent), wire.Address(addr))
-	if err != nil {
-		return err
-	}
-	return res.Err()
-}
-
-// UnsubscribeAgent is the client-side call.
-func (cl *Client) UnsubscribeAgent(agent loid.LOID) error {
-	res, err := cl.c.Call(cl.cls, "UnsubscribeAgent", wire.LOID(agent))
-	if err != nil {
-		return err
-	}
-	return res.Err()
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/class"
@@ -75,7 +76,7 @@ func TestClassObjectDeactivationAndRecovery(t *testing.T) {
 		t.Errorf("obj1 counter = %d, want 2", v)
 	}
 	// Class metadata survived too.
-	info, err := cl.Info()
+	info, err := class.Info.Call(context.Background(), cl.Ref)
 	if err != nil || info.Name != "Counter" || info.Instances != 3 {
 		t.Errorf("Info after migration = %+v, %v", info, err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/loid"
@@ -26,33 +27,34 @@ func TestContextObjectLifecycle(t *testing.T) {
 	// Alice binds names; Bob resolves them.
 	aliceC, _ := sys.NewClient(loid.New(300, 1, loid.DeriveKey("alice")))
 	bobC, _ := sys.NewClient(loid.New(300, 2, loid.DeriveKey("bob")))
-	alice := naming.NewClient(aliceC, ctxObj)
-	bob := naming.NewClient(bobC, ctxObj)
+	alice := aliceC.To(ctxObj)
+	bob := bobC.To(ctxObj)
 
 	target := loid.NewNoKey(700, 1)
-	if err := alice.Bind("/home/alice/data", target, false); err != nil {
+	if _, err := naming.BindName.Call(context.Background(), alice, "/home/alice/data", target, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := alice.Bind("/home/alice/app", loid.NewNoKey(700, 2), false); err != nil {
+	if _, err := naming.BindName.Call(context.Background(), alice, "/home/alice/app", loid.NewNoKey(700, 2), false); err != nil {
 		t.Fatal(err)
 	}
-	got, err := bob.Lookup("/home/alice/data")
+	got, err := naming.LookupName.Call(context.Background(), bob, "/home/alice/data")
 	if err != nil || got != target {
 		t.Fatalf("bob's lookup: %v, %v", got, err)
 	}
-	names, dirs, targets, err := bob.List("/home/alice")
+	rList, err := naming.ListNames.Call(context.Background(), bob, "/home/alice")
+	names, dirs, targets := rList.Names, rList.Dirs, rList.Targets
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(names) != 2 || len(dirs) != 0 || len(targets) != 2 {
 		t.Errorf("List = %v %v %v", names, dirs, targets)
 	}
-	if n, _ := bob.Len(); n != 2 {
+	if n, _ := naming.CountNames.Call(context.Background(), bob); n != 2 {
 		t.Errorf("Len = %d", n)
 	}
 
 	// Duplicate bind errors surface across the wire.
-	if err := alice.Bind("/home/alice/data", target, false); err == nil {
+	if _, err := naming.BindName.Call(context.Background(), alice, "/home/alice/data", target, false); err == nil {
 		t.Error("duplicate bind accepted")
 	}
 	// Deactivate the context; the next lookup transparently
@@ -61,15 +63,15 @@ func TestContextObjectLifecycle(t *testing.T) {
 	if err := mag.Deactivate(ctxObj); err != nil {
 		t.Fatal(err)
 	}
-	got, err = bob.Lookup("/home/alice/data")
+	got, err = naming.LookupName.Call(context.Background(), bob, "/home/alice/data")
 	if err != nil || got != target {
 		t.Fatalf("lookup after deactivation: %v, %v", got, err)
 	}
 	// Unbind works and missing names error.
-	if err := alice.Unbind("/home/alice/app"); err != nil {
+	if _, err := naming.UnbindName.Call(context.Background(), alice, "/home/alice/app"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bob.Lookup("/home/alice/app"); err == nil {
+	if _, err := naming.LookupName.Call(context.Background(), bob, "/home/alice/app"); err == nil {
 		t.Error("unbound name still resolves")
 	}
 }

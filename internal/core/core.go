@@ -8,6 +8,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -306,9 +307,9 @@ func (s *System) bootstrap() error {
 	s.boot = rt.NewCaller(bootNode, loid.NewNoKey(299, 1), nil)
 	s.boot.Timeout = s.Options.CallTimeout
 	needResolver = append(needResolver, s.boot)
-	mc := class.NewMetaClient(s.boot)
+	legionClass := s.boot.To(loid.LegionClass)
 	s.boot.AddBinding(bindingFor(loid.LegionClass, s.LegionClassAddr))
-	if err := mc.RegisterClassBinding(loid.LegionClass, s.LegionClassAddr); err != nil {
+	if _, err := class.RegisterClassBinding.Call(context.Background(), legionClass, loid.LegionClass, s.LegionClassAddr); err != nil {
 		return err
 	}
 
@@ -351,7 +352,7 @@ func (s *System) bootstrap() error {
 		caller.AddBinding(bindingFor(loid.LegionClass, s.LegionClassAddr))
 		needResolver = append(needResolver, caller)
 		s.CoreClassAddrs[cc.l.ID()] = node.Address()
-		if err := mc.RegisterClassBinding(cc.l, node.Address()); err != nil {
+		if _, err := class.RegisterClassBinding.Call(context.Background(), legionClass, cc.l, node.Address()); err != nil {
 			return err
 		}
 	}
@@ -391,7 +392,8 @@ func (s *System) bootstrap() error {
 	for i, j := range s.Jurisdictions {
 		mags[i] = j.Magistrate
 	}
-	return class.NewClient(s.boot, loid.LegionObject).SetDefaultMagistrates(mags)
+	_, err = class.SetDefaultMagistrates.Call(context.Background(), s.boot.To(loid.LegionObject), mags)
+	return err
 }
 
 // openStore opens the store of the jurisdiction at index j, per
@@ -430,9 +432,8 @@ func (s *System) bootAgents() error {
 		}
 		ref := AgentRef{LOID: al, Addr: node.Address()}
 		// Agents announce themselves to their class (§4.2.1).
-		agentClass := class.NewClient(s.boot, loid.LegionBindingAgent)
 		s.boot.AddBinding(bindingFor(loid.LegionBindingAgent, s.CoreClassAddrs[loid.LegionBindingAgent.ID()]))
-		if err := agentClass.RegisterInstance(al, node.Address()); err != nil {
+		if _, err := class.RegisterInstance.Call(context.Background(), s.boot.To(loid.LegionBindingAgent), al, node.Address()); err != nil {
 			return AgentRef{}, nil, err
 		}
 		return ref, agent, nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -74,11 +75,11 @@ func TestBootDefaults(t *testing.T) {
 		t.Fatalf("default agents: %d", len(sys.Leaves))
 	}
 	// All five core classes are registered and locatable.
-	mc := class.NewMetaClient(sys.BootClient())
+	meta := sys.BootClient().To(loid.LegionClass)
 	for _, cc := range loid.CoreClasses() {
-		direct, b, _, err := mc.LocateClass(cc)
-		if err != nil || !direct || b.Address.IsZero() {
-			t.Errorf("LocateClass(%v) = %v/%v, %v", cc, direct, b, err)
+		loc, err := class.LocateClass.Call(context.Background(), meta, cc)
+		if err != nil || !loc.Direct || loc.Binding.Address.IsZero() {
+			t.Errorf("LocateClass(%v) = %+v, %v", cc, loc, err)
 		}
 	}
 }
@@ -215,11 +216,11 @@ func TestMultiJurisdictionMigration(t *testing.T) {
 
 	// Move the object from jurisdiction 0 to jurisdiction 1.
 	src := magistrate.NewClient(sys.BootClient(), sys.Jurisdictions[0].Magistrate)
-	if err := src.Move(obj, sys.Jurisdictions[1].Magistrate); err != nil {
+	if _, err := magistrate.Move.Call(context.Background(), src.Ref, obj, sys.Jurisdictions[1].Magistrate); err != nil {
 		t.Fatal(err)
 	}
 	// Update the class's view (the mover's duty): new magistrate list.
-	if err := cl.SetCandidateMagistrates(obj, []loid.LOID{sys.Jurisdictions[1].Magistrate}); err != nil {
+	if _, err := class.SetCandidateMagistrates.Call(context.Background(), cl.Ref, obj, []loid.LOID{sys.Jurisdictions[1].Magistrate}); err != nil {
 		t.Fatal(err)
 	}
 	res, err := sys.BootClient().Call(cl.Class(), "SetCurrentMagistrates",
@@ -227,7 +228,7 @@ func TestMultiJurisdictionMigration(t *testing.T) {
 	if err != nil || res.Code != wire.OK {
 		t.Fatalf("SetCurrentMagistrates: %v %v", res, err)
 	}
-	if err := cl.NotifyDeactivated(obj); err != nil {
+	if _, err := class.NotifyDeactivated.Call(context.Background(), cl.Ref, obj); err != nil {
 		t.Fatal(err)
 	}
 	// The user's next call heals through the agent and reactivates in
@@ -241,9 +242,9 @@ func TestMultiJurisdictionMigration(t *testing.T) {
 		t.Errorf("counter = %d after migration, want 2", v)
 	}
 	// And it actually runs in jurisdiction 1 now.
-	known, active, err := magistrate.NewClient(sys.BootClient(), sys.Jurisdictions[1].Magistrate).HasObject(obj)
-	if err != nil || !known || !active {
-		t.Errorf("destination HasObject = %v/%v, %v", known, active, err)
+	st, err := magistrate.HasObject.Call(context.Background(), sys.BootClient().To(sys.Jurisdictions[1].Magistrate), obj)
+	if err != nil || !st.Known || !st.Active {
+		t.Errorf("destination HasObject = %+v, %v", st, err)
 	}
 }
 
@@ -280,7 +281,7 @@ func TestAgentTreeReducesLegionClassLoad(t *testing.T) {
 func TestHostAndMagistrateAnnouncedToClasses(t *testing.T) {
 	sys := bootSys(t, Options{Jurisdictions: 2, HostsPerJurisdiction: 2})
 	hc := class.NewClient(sys.BootClient(), loid.LegionHost)
-	info, err := hc.Info()
+	info, err := class.Info.Call(context.Background(), hc.Ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +289,7 @@ func TestHostAndMagistrateAnnouncedToClasses(t *testing.T) {
 		t.Errorf("LegionHost instances = %d, want 4", info.Instances)
 	}
 	mcl := class.NewClient(sys.BootClient(), loid.LegionMagistrate)
-	info, err = mcl.Info()
+	info, err = class.Info.Call(context.Background(), mcl.Ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +299,7 @@ func TestHostAndMagistrateAnnouncedToClasses(t *testing.T) {
 	// Host objects are resolvable by LOID through the agent, like any
 	// object (their class answers for them).
 	user, _ := sys.NewClient(loid.NewNoKey(300, 1))
-	st, err := host.NewClient(user, sys.Jurisdictions[1].Hosts[1]).GetState()
+	st, err := host.GetState.Call(context.Background(), user.To(sys.Jurisdictions[1].Hosts[1]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +368,7 @@ func TestAgentClientResolverInterface(t *testing.T) {
 		t.Fatalf("Resolve: %v %v", b, err)
 	}
 	// Propagate + stats round trip.
-	if err := ac.AddBinding(b); err != nil {
+	if _, err := class.AddBinding.Call(context.Background(), ac.Ref(), b); err != nil {
 		t.Fatal(err)
 	}
 	hits, misses, err := ac.CacheStats()
@@ -380,7 +381,7 @@ func TestAgentClientResolverInterface(t *testing.T) {
 	if err := ac.InvalidateLOID(obj); err != nil {
 		t.Fatal(err)
 	}
-	if err := ac.InvalidateBinding(b); err != nil {
+	if _, err := bindagent.InvalidateBinding.Call(context.Background(), ac.Ref(), b); err != nil {
 		t.Fatal(err)
 	}
 	// Refresh still produces a working binding.
@@ -434,7 +435,8 @@ func TestBootWithManyJurisdictionsAndAgents(t *testing.T) {
 func TestCloneRelievesHotClass(t *testing.T) {
 	sys := bootSys(t, Options{})
 	cl, clsL, _ := sys.DeriveClass("Hot", "counter", counterInterface(), 0)
-	cloneL, cloneB, err := cl.Clone(loid.Nil)
+	rClone, err := class.Clone.Call(context.Background(), cl.Ref, loid.Nil)
+	cloneL, cloneB := rClone.LOID, rClone.Binding
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/class"
@@ -8,7 +9,6 @@ import (
 	"repro/internal/loid"
 	"repro/internal/magistrate"
 	"repro/internal/oa"
-	"repro/internal/wire"
 )
 
 // Runtime growth (§4.2.1: "New Host Objects and Magistrates will be
@@ -68,12 +68,13 @@ func (s *System) SplitJurisdiction(src *Jurisdiction, objects []loid.LOID, class
 	}
 	// Transfer the back half of the hosts.
 	half := len(src.Hosts) / 2
-	srcMag := magistrate.NewClient(s.boot, src.Magistrate)
+	bg := context.Background()
+	srcMag := s.boot.To(src.Magistrate)
 	for i := half; i < len(src.Hosts); i++ {
 		if err := dst.enroll(s.boot, src.Hosts[i], src.HostAddrs[i], src.hostImpls[i], 0, 0); err != nil {
 			return nil, err
 		}
-		if err := srcMag.RemoveHost(src.Hosts[i]); err != nil {
+		if _, err := magistrate.RemoveHost.Call(bg, srcMag, src.Hosts[i]); err != nil {
 			return nil, err
 		}
 	}
@@ -81,18 +82,17 @@ func (s *System) SplitJurisdiction(src *Jurisdiction, objects []loid.LOID, class
 
 	// Migrate the chosen objects and update their classes' view.
 	for _, obj := range objects {
-		if err := srcMag.Move(obj, dst.Magistrate); err != nil {
+		if _, err := magistrate.Move.Call(bg, srcMag, obj, dst.Magistrate); err != nil {
 			return nil, fmt.Errorf("core: move %v: %w", obj, err)
 		}
 		cls := classOf(obj)
 		if cls.IsNil() {
 			continue
 		}
-		if res, err := s.boot.Call(cls, "SetCurrentMagistrates",
-			wire.LOID(obj), wire.LOIDList([]loid.LOID{dst.Magistrate})); err != nil || res.Code != wire.OK {
-			return nil, fmt.Errorf("core: update class for %v: %v %v", obj, res, err)
+		if _, err := class.SetCurrentMagistrates.Call(bg, s.boot.To(cls), obj, []loid.LOID{dst.Magistrate}); err != nil {
+			return nil, fmt.Errorf("core: update class for %v: %w", obj, err)
 		}
-		if err := class.NewClient(s.boot, cls).NotifyDeactivated(obj); err != nil {
+		if _, err := class.NotifyDeactivated.Call(bg, s.boot.To(cls), obj); err != nil {
 			return nil, err
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -60,7 +61,7 @@ func TestAddJurisdictionAtRuntime(t *testing.T) {
 		}
 	}
 	// The new jurisdiction is announced to the core classes.
-	info, err := class.NewClient(sys.BootClient(), loid.LegionMagistrate).Info()
+	info, err := class.Info.Call(context.Background(), sys.BootClient().To(loid.LegionMagistrate))
 	if err != nil || info.Instances != 2 {
 		t.Errorf("LegionMagistrate instances = %d, %v", info.Instances, err)
 	}
@@ -152,7 +153,8 @@ func TestSplitJurisdiction(t *testing.T) {
 		if v, _ := wire.AsUint64(raw); v != 2 {
 			t.Errorf("counter = %d after split, want 2", v)
 		}
-		known, _, _ := magistrate.NewClient(sys.BootClient(), dst.Magistrate).HasObject(obj)
+		rHasObject, _ := magistrate.HasObject.Call(context.Background(), sys.BootClient().To(dst.Magistrate), obj)
+		known := rHasObject.Known
 		if !known {
 			t.Errorf("dst magistrate does not know %v", obj)
 		}

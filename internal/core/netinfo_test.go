@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -60,7 +61,7 @@ func TestTCPSystemWithJoinedHost(t *testing.T) {
 
 	// The joined host is announced: LegionHost now counts 2 instances.
 	boot := sys.BootClient()
-	info, err := class.NewClient(boot, loid.LegionHost).Info()
+	info, err := class.Info.Call(context.Background(), boot.To(loid.LegionHost))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"repro/internal/class"
 	"testing"
 	"time"
 
@@ -21,7 +23,7 @@ func TestBindingPropagationToSubscribedAgents(t *testing.T) {
 		t.Fatal(err)
 	}
 	leaf := sys.Leaves[0]
-	if err := cl.SubscribeAgent(leaf.LOID, leaf.Addr); err != nil {
+	if _, err := class.SubscribeAgent.Call(context.Background(), cl.Ref, leaf.LOID, leaf.Addr); err != nil {
 		t.Fatal(err)
 	}
 
@@ -55,13 +57,13 @@ func TestBindingPropagationToSubscribedAgents(t *testing.T) {
 	waitForAgentHit(t, sys, obj, true)
 
 	// Delete: the agent hears the invalidation.
-	if err := cl.Delete(obj); err != nil {
+	if _, err := class.Delete.Call(context.Background(), cl.Ref, obj); err != nil {
 		t.Fatal(err)
 	}
 	waitForAgentHit(t, sys, obj, false)
 
 	// Unsubscribe works.
-	if err := cl.UnsubscribeAgent(leaf.LOID); err != nil {
+	if _, err := class.UnsubscribeAgent.Call(context.Background(), cl.Ref, leaf.LOID); err != nil {
 		t.Fatal(err)
 	}
 	obj2, _, err := cl.Create(nil, loid.Nil, loid.Nil)

@@ -73,11 +73,11 @@ func (r *frameRecorder) take(t *testing.T, name string) []byte {
 	return raw
 }
 
-// goldenCall issues one call of a core method at the recorder: to is
-// the target every call names, at its address.
+// goldenCall issues one call of a core method at the recorder: to
+// names the target through the test's caller, at its address at.
 type goldenCall struct {
 	name string
-	call func(c *rt.Caller, to loid.LOID, at oa.Address)
+	call func(ctx context.Context, to, at rt.Ref)
 }
 
 var (
@@ -93,127 +93,112 @@ var (
 )
 
 // goldenCalls issues one call to each core remote method, with fixed
-// arguments, the way the runtime's own callers issue it.
+// arguments. The frames were recorded from the hand-written clients
+// the descriptors replaced.
 func goldenCalls() []goldenCall {
-	bg := context.Background()
-	mag := func(c *rt.Caller, to loid.LOID) *magistrate.Client { return magistrate.NewClient(c, to) }
-	cls := func(c *rt.Caller, to loid.LOID) *class.Client { return class.NewClient(c, to) }
-	hst := func(c *rt.Caller, to loid.LOID) *host.Client { return host.NewClient(c, to) }
-	agt := func(c *rt.Caller, to loid.LOID, at oa.Address) *bindagent.Client {
-		return bindagent.NewClient(c, to, at)
-	}
-	ctx := func(c *rt.Caller, to loid.LOID) *naming.Client { return naming.NewClient(c, to) }
-	sch := func(c *rt.Caller, to loid.LOID) *sched.Client { return sched.NewClient(c, to) }
+	type r = rt.Ref
 	return []goldenCall{
-		{"magistrate.AddHost", func(c *rt.Caller, to loid.LOID, _ oa.Address) { mag(c, to).AddHost(gHost, gAddr) }},
-		{"magistrate.RemoveHost", func(c *rt.Caller, to loid.LOID, _ oa.Address) { mag(c, to).RemoveHost(gHost) }},
-		{"magistrate.ListHosts", func(c *rt.Caller, to loid.LOID, _ oa.Address) { mag(c, to).ListHosts() }},
-		{"magistrate.Register", func(c *rt.Caller, to loid.LOID, _ oa.Address) { mag(c, to).Register(gObj, "golden.impl", gState) }},
-		{"magistrate.Activate", func(c *rt.Caller, to loid.LOID, _ oa.Address) { mag(c, to).Activate(gObj, gHost) }},
-		{"magistrate.Instantiate", func(c *rt.Caller, to loid.LOID, _ oa.Address) {
-			mag(c, to).InstantiateCtx(bg, gObj, "golden.impl", gState, gHost)
+		{"magistrate.AddHost", func(ctx context.Context, to, _ r) { magistrate.AddHost.Call(ctx, to, gHost, gAddr) }},
+		{"magistrate.RemoveHost", func(ctx context.Context, to, _ r) { magistrate.RemoveHost.Call(ctx, to, gHost) }},
+		{"magistrate.ListHosts", func(ctx context.Context, to, _ r) { magistrate.ListHosts.Call(ctx, to) }},
+		{"magistrate.Register", func(ctx context.Context, to, _ r) { magistrate.Register.Call(ctx, to, gObj, "golden.impl", gState) }},
+		{"magistrate.Activate", func(ctx context.Context, to, _ r) { magistrate.Activate.Call(ctx, to, gObj, gHost) }},
+		{"magistrate.Instantiate", func(ctx context.Context, to, _ r) {
+			magistrate.Instantiate.Call(ctx, to, magistrate.Instance{Object: gObj, Impl: "golden.impl", State: gState, HostHint: gHost})
 		}},
-		{"magistrate.Deactivate", func(c *rt.Caller, to loid.LOID, _ oa.Address) { mag(c, to).Deactivate(gObj) }},
-		{"magistrate.Delete", func(c *rt.Caller, to loid.LOID, _ oa.Address) { mag(c, to).Delete(gObj) }},
-		{"magistrate.Copy", func(c *rt.Caller, to loid.LOID, _ oa.Address) { mag(c, to).Copy(gObj, gOther) }},
-		{"magistrate.Move", func(c *rt.Caller, to loid.LOID, _ oa.Address) { mag(c, to).Move(gObj, gOther) }},
-		{"magistrate.ReceiveOPR", func(c *rt.Caller, to loid.LOID, _ oa.Address) {
-			c.Call(to, "ReceiveOPR", wire.LOID(gObj), wire.String("golden.impl"), gState)
+		{"magistrate.Deactivate", func(ctx context.Context, to, _ r) { magistrate.Deactivate.Call(ctx, to, gObj) }},
+		{"magistrate.Delete", func(ctx context.Context, to, _ r) { magistrate.Delete.Call(ctx, to, gObj) }},
+		{"magistrate.Copy", func(ctx context.Context, to, _ r) { magistrate.Copy.Call(ctx, to, gObj, gOther) }},
+		{"magistrate.Move", func(ctx context.Context, to, _ r) { magistrate.Move.Call(ctx, to, gObj, gOther) }},
+		{"magistrate.ReceiveOPR", func(ctx context.Context, to, _ r) { magistrate.ReceiveOPR.Call(ctx, to, gObj, "golden.impl", gState) }},
+		{"magistrate.CheckpointBatch", func(ctx context.Context, _, at r) { host.CheckpointBatch.Call(ctx, at, gHost, []byte("golden batch")) }},
+		{"magistrate.GetBinding", func(ctx context.Context, to, _ r) { magistrate.GetBinding.Call(ctx, to, gObj) }},
+		{"magistrate.HasObject", func(ctx context.Context, to, _ r) { magistrate.HasObject.Call(ctx, to, gObj) }},
+		{"magistrate.ListObjects", func(ctx context.Context, to, _ r) { magistrate.ListObjects.Call(ctx, to) }},
+		{"magistrate.MigrateObject", func(ctx context.Context, to, _ r) { magistrate.MigrateObject.Call(ctx, to, gObj, gHost) }},
+		{"magistrate.ReportLoad", func(ctx context.Context, _, at r) { host.ReportLoad.Call(ctx, at, gHost, host.Load{Residents: 3}, nil) }},
+		{"magistrate.ReportLoad+telemetry", func(ctx context.Context, _, at r) {
+			host.ReportLoad.Call(ctx, at, gHost, host.Load{Residents: 3}, []byte("golden telemetry"))
 		}},
-		{"magistrate.CheckpointBatch", func(c *rt.Caller, to loid.LOID, _ oa.Address) {
-			mag(c, to).CheckpointBatch(gHost, []byte("golden batch"))
-		}},
-		{"magistrate.GetBinding", func(c *rt.Caller, to loid.LOID, _ oa.Address) { mag(c, to).GetBinding(gObj) }},
-		{"magistrate.HasObject", func(c *rt.Caller, to loid.LOID, _ oa.Address) { mag(c, to).HasObject(gObj) }},
-		{"magistrate.ListObjects", func(c *rt.Caller, to loid.LOID, _ oa.Address) { mag(c, to).ListObjects() }},
-		{"magistrate.MigrateObject", func(c *rt.Caller, to loid.LOID, _ oa.Address) { mag(c, to).Migrate(bg, gObj, gHost) }},
-		{"magistrate.ReportLoad", func(c *rt.Caller, to loid.LOID, at oa.Address) {
-			c.CallAddrCtx(bg, at, to, "ReportLoad", wire.LOID(gHost), host.Load{Residents: 3}.Marshal())
-		}},
-		{"magistrate.ReportLoad+telemetry", func(c *rt.Caller, to loid.LOID, at oa.Address) {
-			c.CallAddrCtx(bg, at, to, "ReportLoad", wire.LOID(gHost), host.Load{Residents: 3}.Marshal(), []byte("golden telemetry"))
-		}},
-		{"magistrate.GetLoads", func(c *rt.Caller, to loid.LOID, _ oa.Address) { mag(c, to).GetLoads() }},
-		{"magistrate.ListPlacements", func(c *rt.Caller, to loid.LOID, _ oa.Address) { mag(c, to).ListPlacements() }},
-		{"magistrate.Query", func(c *rt.Caller, to loid.LOID, _ oa.Address) { mag(c, to).Query("SELECT host FROM placements") }},
-		{"magistrate.AddSubMagistrate", func(c *rt.Caller, to loid.LOID, _ oa.Address) { mag(c, to).AddSubMagistrate(gOther, gAddr) }},
-		{"magistrate.RemoveSubMagistrate", func(c *rt.Caller, to loid.LOID, _ oa.Address) { mag(c, to).RemoveSubMagistrate(gOther) }},
-		{"magistrate.ListSubMagistrates", func(c *rt.Caller, to loid.LOID, _ oa.Address) { mag(c, to).ListSubMagistrates() }},
+		{"magistrate.GetLoads", func(ctx context.Context, to, _ r) { magistrate.GetLoads.Call(ctx, to) }},
+		{"magistrate.ListPlacements", func(ctx context.Context, to, _ r) { magistrate.ListPlacements.Call(ctx, to) }},
+		{"magistrate.Query", func(ctx context.Context, to, _ r) { magistrate.Query.Call(ctx, to, "SELECT host FROM placements") }},
+		{"magistrate.AddSubMagistrate", func(ctx context.Context, to, _ r) { magistrate.AddSubMagistrate.Call(ctx, to, gOther, gAddr) }},
+		{"magistrate.RemoveSubMagistrate", func(ctx context.Context, to, _ r) { magistrate.RemoveSubMagistrate.Call(ctx, to, gOther) }},
+		{"magistrate.ListSubMagistrates", func(ctx context.Context, to, _ r) { magistrate.ListSubMagistrates.Call(ctx, to) }},
 
-		{"class.Create", func(c *rt.Caller, to loid.LOID, _ oa.Address) { cls(c, to).Create(gState, gOther, gHost) }},
-		{"class.Derive", func(c *rt.Caller, to loid.LOID, _ oa.Address) {
-			cls(c, to).Derive("GoldenSub", "golden.impl", gIfc, class.FlagFixed, gOther)
+		{"class.Create", func(ctx context.Context, to, _ r) { class.Create.Call(ctx, to, gState, gOther, gHost) }},
+		{"class.Derive", func(ctx context.Context, to, _ r) {
+			class.Derive.Call(ctx, to, class.Subclass{Name: "GoldenSub", Impl: "golden.impl", Interface: gIfc, Flags: class.FlagFixed, MagistrateHint: gOther})
 		}},
-		{"class.Derive/inherit", func(c *rt.Caller, to loid.LOID, _ oa.Address) {
-			cls(c, to).Derive("GoldenSub", "", nil, 0, loid.Nil)
+		{"class.Derive/inherit", func(ctx context.Context, to, _ r) { class.Derive.Call(ctx, to, class.Subclass{Name: "GoldenSub"}) }},
+		{"class.InheritFrom", func(ctx context.Context, to, _ r) { class.InheritFrom.Call(ctx, to, gClass) }},
+		{"class.Delete", func(ctx context.Context, to, _ r) { class.Delete.Call(ctx, to, gObj) }},
+		{"class.GetBinding", func(ctx context.Context, to, _ r) { class.GetBinding.Call(ctx, to, gObj) }},
+		{"class.RefreshBinding", func(ctx context.Context, to, _ r) { class.RefreshBinding.Call(ctx, to, gBind) }},
+		{"class.GetInstanceInterface", func(ctx context.Context, to, _ r) { class.GetInstanceInterface.Call(ctx, to) }},
+		{"class.DescribeInstances", func(ctx context.Context, to, _ r) { class.DescribeInstances.Call(ctx, to) }},
+		{"class.Info", func(ctx context.Context, to, _ r) { class.Info.Call(ctx, to) }},
+		{"class.RegisterInstance", func(ctx context.Context, to, _ r) { class.RegisterInstance.Call(ctx, to, gObj, gAddr) }},
+		{"class.NotifyAddress", func(ctx context.Context, to, _ r) { magistrate.NotifyAddress.Call(ctx, to, gObj, gAddr) }},
+		{"class.NotifyDeactivated", func(ctx context.Context, to, _ r) { class.NotifyDeactivated.Call(ctx, to, gObj) }},
+		{"class.Clone", func(ctx context.Context, to, _ r) { class.Clone.Call(ctx, to, gOther) }},
+		{"class.GetRow", func(ctx context.Context, to, _ r) { class.GetRow.Call(ctx, to, gObj) }},
+		{"class.SetSchedulingAgent", func(ctx context.Context, to, _ r) { class.SetSchedulingAgent.Call(ctx, to, gObj, gOther) }},
+		{"class.SetCandidateMagistrates", func(ctx context.Context, to, _ r) {
+			class.SetCandidateMagistrates.Call(ctx, to, gObj, []loid.LOID{gOther, gHost})
 		}},
-		{"class.InheritFrom", func(c *rt.Caller, to loid.LOID, _ oa.Address) { cls(c, to).InheritFrom(gClass) }},
-		{"class.Delete", func(c *rt.Caller, to loid.LOID, _ oa.Address) { cls(c, to).Delete(gObj) }},
-		{"class.GetBinding", func(c *rt.Caller, to loid.LOID, _ oa.Address) { cls(c, to).GetBinding(gObj) }},
-		{"class.RefreshBinding", func(c *rt.Caller, to loid.LOID, _ oa.Address) { cls(c, to).RefreshBinding(gBind) }},
-		{"class.GetInstanceInterface", func(c *rt.Caller, to loid.LOID, _ oa.Address) { cls(c, to).GetInstanceInterface() }},
-		{"class.DescribeInstances", func(c *rt.Caller, to loid.LOID, _ oa.Address) { c.Call(to, "DescribeInstances") }},
-		{"class.Info", func(c *rt.Caller, to loid.LOID, _ oa.Address) { cls(c, to).Info() }},
-		{"class.RegisterInstance", func(c *rt.Caller, to loid.LOID, _ oa.Address) { cls(c, to).RegisterInstance(gObj, gAddr) }},
-		{"class.NotifyAddress", func(c *rt.Caller, to loid.LOID, _ oa.Address) { cls(c, to).NotifyAddress(gObj, gAddr) }},
-		{"class.NotifyDeactivated", func(c *rt.Caller, to loid.LOID, _ oa.Address) { cls(c, to).NotifyDeactivated(gObj) }},
-		{"class.Clone", func(c *rt.Caller, to loid.LOID, _ oa.Address) { cls(c, to).Clone(gOther) }},
-		{"class.GetRow", func(c *rt.Caller, to loid.LOID, _ oa.Address) { cls(c, to).GetRow(gObj) }},
-		{"class.SetSchedulingAgent", func(c *rt.Caller, to loid.LOID, _ oa.Address) { cls(c, to).SetSchedulingAgent(gObj, gOther) }},
-		{"class.SetCandidateMagistrates", func(c *rt.Caller, to loid.LOID, _ oa.Address) {
-			cls(c, to).SetCandidateMagistrates(gObj, []loid.LOID{gOther, gHost})
+		{"class.SetCurrentMagistrates", func(ctx context.Context, to, _ r) {
+			class.SetCurrentMagistrates.Call(ctx, to, gObj, []loid.LOID{gOther})
 		}},
-		{"class.SetCurrentMagistrates", func(c *rt.Caller, to loid.LOID, _ oa.Address) {
-			c.Call(to, "SetCurrentMagistrates", wire.LOID(gObj), wire.LOIDList([]loid.LOID{gOther}))
+		{"class.SetDefaultMagistrates", func(ctx context.Context, to, _ r) {
+			class.SetDefaultMagistrates.Call(ctx, to, []loid.LOID{gOther, gHost})
 		}},
-		{"class.SetDefaultMagistrates", func(c *rt.Caller, to loid.LOID, _ oa.Address) {
-			cls(c, to).SetDefaultMagistrates([]loid.LOID{gOther, gHost})
+		{"class.SetDefaultSchedulingAgent", func(ctx context.Context, to, _ r) { class.SetDefaultSchedulingAgent.Call(ctx, to, gOther) }},
+		{"class.SubscribeAgent", func(ctx context.Context, to, _ r) { class.SubscribeAgent.Call(ctx, to, gOther, gAddr) }},
+		{"class.UnsubscribeAgent", func(ctx context.Context, to, _ r) { class.UnsubscribeAgent.Call(ctx, to, gOther) }},
+		{"class.NewClassID", func(ctx context.Context, to, _ r) {
+			class.NewClassID.Call(ctx, to.C.To(loid.LegionClass), gClass, "GoldenSub")
 		}},
-		{"class.SetDefaultSchedulingAgent", func(c *rt.Caller, to loid.LOID, _ oa.Address) { cls(c, to).SetDefaultSchedulingAgent(gOther) }},
-		{"class.SubscribeAgent", func(c *rt.Caller, to loid.LOID, _ oa.Address) { cls(c, to).SubscribeAgent(gOther, gAddr) }},
-		{"class.UnsubscribeAgent", func(c *rt.Caller, to loid.LOID, _ oa.Address) { cls(c, to).UnsubscribeAgent(gOther) }},
-		{"class.NewClassID", func(c *rt.Caller, to loid.LOID, _ oa.Address) { class.NewMetaClient(c).NewClassID(gClass, "GoldenSub") }},
-		{"class.WhoIsResponsible", func(c *rt.Caller, to loid.LOID, _ oa.Address) { class.NewMetaClient(c).WhoIsResponsible(gClass) }},
-		{"class.LocateClass", func(c *rt.Caller, to loid.LOID, _ oa.Address) { class.NewMetaClient(c).LocateClass(gClass) }},
-		{"class.RegisterClassBinding", func(c *rt.Caller, to loid.LOID, _ oa.Address) {
-			class.NewMetaClient(c).RegisterClassBinding(gClass, gAddr)
+		{"class.WhoIsResponsible", func(ctx context.Context, to, _ r) {
+			class.WhoIsResponsible.Call(ctx, to.C.To(loid.LegionClass), gClass)
+		}},
+		{"class.LocateClass", func(ctx context.Context, to, _ r) { class.LocateClass.Call(ctx, to.C.To(loid.LegionClass), gClass) }},
+		{"class.RegisterClassBinding", func(ctx context.Context, to, _ r) {
+			class.RegisterClassBinding.Call(ctx, to.C.To(loid.LegionClass), gClass, gAddr)
 		}},
 
-		{"host.StartObject", func(c *rt.Caller, to loid.LOID, _ oa.Address) { hst(c, to).StartObject(gObj, "golden.impl", gState) }},
-		{"host.StopObject", func(c *rt.Caller, to loid.LOID, _ oa.Address) { hst(c, to).StopObject(gObj) }},
-		{"host.KillObject", func(c *rt.Caller, to loid.LOID, _ oa.Address) { hst(c, to).KillObject(gObj) }},
-		{"host.HasObject", func(c *rt.Caller, to loid.LOID, _ oa.Address) { hst(c, to).HasObject(gObj) }},
-		{"host.ListObjects", func(c *rt.Caller, to loid.LOID, _ oa.Address) { hst(c, to).ListObjects() }},
-		{"host.GetState", func(c *rt.Caller, to loid.LOID, _ oa.Address) { hst(c, to).GetState() }},
-		{"host.SetCPULoad", func(c *rt.Caller, to loid.LOID, _ oa.Address) { hst(c, to).SetCPULoad(3) }},
-		{"host.SetMemoryUsage", func(c *rt.Caller, to loid.LOID, _ oa.Address) { hst(c, to).SetMemoryUsage(4 << 20) }},
-		{"host.GetLoad", func(c *rt.Caller, to loid.LOID, _ oa.Address) { hst(c, to).GetLoad() }},
-		{"host.PrepareMigrate", func(c *rt.Caller, to loid.LOID, _ oa.Address) { hst(c, to).PrepareMigrate(bg, gObj) }},
-		{"host.AbortMigrate", func(c *rt.Caller, to loid.LOID, _ oa.Address) { hst(c, to).AbortMigrate(bg, gObj) }},
-		{"host.FinishMigrate", func(c *rt.Caller, to loid.LOID, _ oa.Address) { hst(c, to).FinishMigrate(bg, gObj, gAddr) }},
-		{"host.AdoptObjects", func(c *rt.Caller, to loid.LOID, _ oa.Address) { hst(c, to).AdoptObjects(bg, []byte("golden snapshot")) }},
+		{"host.StartObject", func(ctx context.Context, to, _ r) { host.StartObject.Call(ctx, to, gObj, "golden.impl", gState) }},
+		{"host.StopObject", func(ctx context.Context, to, _ r) { host.StopObject.Call(ctx, to, gObj) }},
+		{"host.KillObject", func(ctx context.Context, to, _ r) { host.KillObject.Call(ctx, to, gObj) }},
+		{"host.HasObject", func(ctx context.Context, to, _ r) { host.HasObject.Call(ctx, to, gObj) }},
+		{"host.ListObjects", func(ctx context.Context, to, _ r) { host.ListObjects.Call(ctx, to) }},
+		{"host.GetState", func(ctx context.Context, to, _ r) { host.GetState.Call(ctx, to) }},
+		{"host.SetCPULoad", func(ctx context.Context, to, _ r) { host.SetCPULoad.Call(ctx, to, 3) }},
+		{"host.SetMemoryUsage", func(ctx context.Context, to, _ r) { host.SetMemoryUsage.Call(ctx, to, 4<<20) }},
+		{"host.GetLoad", func(ctx context.Context, to, _ r) { host.GetLoad.Call(ctx, to) }},
+		{"host.PrepareMigrate", func(ctx context.Context, to, _ r) { host.PrepareMigrate.Call(ctx, to, gObj) }},
+		{"host.AbortMigrate", func(ctx context.Context, to, _ r) { host.AbortMigrate.Call(ctx, to, gObj) }},
+		{"host.FinishMigrate", func(ctx context.Context, to, _ r) { host.FinishMigrate.Call(ctx, to, gObj, gAddr) }},
+		{"host.AdoptObjects", func(ctx context.Context, to, _ r) { host.AdoptObjects.Call(ctx, to, []byte("golden snapshot")) }},
 
-		{"bindagent.GetBinding", func(c *rt.Caller, to loid.LOID, at oa.Address) { agt(c, to, at).Resolve(gObj) }},
-		{"bindagent.RebindStale", func(c *rt.Caller, to loid.LOID, at oa.Address) { agt(c, to, at).Refresh(gBind) }},
-		{"bindagent.AddBinding", func(c *rt.Caller, to loid.LOID, at oa.Address) { agt(c, to, at).AddBinding(gBind) }},
-		{"bindagent.AddBinding/oneway", func(c *rt.Caller, to loid.LOID, at oa.Address) {
-			c.OneWayAddr(at, to, "AddBinding", wire.Binding(gBind))
-		}},
-		{"bindagent.InvalidateLOID", func(c *rt.Caller, to loid.LOID, at oa.Address) { agt(c, to, at).InvalidateLOID(gObj) }},
-		{"bindagent.InvalidateLOID/oneway", func(c *rt.Caller, to loid.LOID, at oa.Address) {
-			c.OneWayAddr(at, to, "InvalidateLOID", wire.LOID(gObj))
-		}},
-		{"bindagent.InvalidateBinding", func(c *rt.Caller, to loid.LOID, at oa.Address) { agt(c, to, at).InvalidateBinding(gBind) }},
-		{"bindagent.CacheStats", func(c *rt.Caller, to loid.LOID, at oa.Address) { agt(c, to, at).CacheStats() }},
+		{"bindagent.GetBinding", func(ctx context.Context, _, at r) { bindagent.GetBinding.Call(ctx, at, gObj) }},
+		{"bindagent.RebindStale", func(ctx context.Context, _, at r) { bindagent.RebindStale.Call(ctx, at, gBind) }},
+		{"bindagent.AddBinding", func(ctx context.Context, _, at r) { class.AddBinding.Call(ctx, at, gBind) }},
+		{"bindagent.AddBinding/oneway", func(_ context.Context, _, at r) { class.AddBinding.Send(at, gBind) }},
+		{"bindagent.InvalidateLOID", func(ctx context.Context, _, at r) { class.InvalidateLOID.Call(ctx, at, gObj) }},
+		{"bindagent.InvalidateLOID/oneway", func(_ context.Context, _, at r) { class.InvalidateLOID.Send(at, gObj) }},
+		{"bindagent.InvalidateBinding", func(ctx context.Context, _, at r) { bindagent.InvalidateBinding.Call(ctx, at, gBind) }},
+		{"bindagent.CacheStats", func(ctx context.Context, _, at r) { bindagent.CacheStats.Call(ctx, at) }},
 
-		{"naming.BindName", func(c *rt.Caller, to loid.LOID, _ oa.Address) { ctx(c, to).Bind("golden/name", gObj, true) }},
-		{"naming.LookupName", func(c *rt.Caller, to loid.LOID, _ oa.Address) { ctx(c, to).Lookup("golden/name") }},
-		{"naming.UnbindName", func(c *rt.Caller, to loid.LOID, _ oa.Address) { ctx(c, to).Unbind("golden/name") }},
-		{"naming.ListNames", func(c *rt.Caller, to loid.LOID, _ oa.Address) { ctx(c, to).List("golden") }},
-		{"naming.CountNames", func(c *rt.Caller, to loid.LOID, _ oa.Address) { ctx(c, to).Len() }},
+		{"naming.BindName", func(ctx context.Context, to, _ r) { naming.BindName.Call(ctx, to, "golden/name", gObj, true) }},
+		{"naming.LookupName", func(ctx context.Context, to, _ r) { naming.LookupName.Call(ctx, to, "golden/name") }},
+		{"naming.UnbindName", func(ctx context.Context, to, _ r) { naming.UnbindName.Call(ctx, to, "golden/name") }},
+		{"naming.ListNames", func(ctx context.Context, to, _ r) { naming.ListNames.Call(ctx, to, "golden") }},
+		{"naming.CountNames", func(ctx context.Context, to, _ r) { naming.CountNames.Call(ctx, to) }},
 
-		{"sched.PickHost", func(c *rt.Caller, to loid.LOID, _ oa.Address) { sch(c, to).PickHost([]loid.LOID{gHost, gOther}) }},
-		{"sched.PolicyName", func(c *rt.Caller, to loid.LOID, _ oa.Address) { sch(c, to).PolicyName() }},
+		{"sched.PickHost", func(ctx context.Context, to, _ r) { sched.PickHost.Call(ctx, to, []loid.LOID{gHost, gOther}) }},
+		{"sched.PolicyName", func(ctx context.Context, to, _ r) { sched.PolicyName.Call(ctx, to) }},
 	}
 }
 
@@ -237,7 +222,7 @@ func TestCoreRequestFramesGolden(t *testing.T) {
 
 	var got strings.Builder
 	for _, gc := range goldenCalls() {
-		gc.call(c, to, at)
+		gc.call(context.Background(), c.To(to), c.At(at, to))
 		got.WriteString(gc.name + " " + hex.EncodeToString(rec.take(t, gc.name)) + "\n")
 	}
 	checkGolden(t, "testdata/rpc_frames.golden", got.String())

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
+	"repro/internal/class"
+	"repro/internal/sched"
 	"testing"
 
 	"repro/internal/host"
 	"repro/internal/loid"
-	"repro/internal/sched"
 )
 
 // TestSchedulingAgentDrivesPlacement exercises the §3.7 scheduling
@@ -22,7 +24,7 @@ func TestSchedulingAgentDrivesPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.SetDefaultSchedulingAgent(agent); err != nil {
+	if _, err := class.SetDefaultSchedulingAgent.Call(context.Background(), cl.Ref, agent); err != nil {
 		t.Fatal(err)
 	}
 
@@ -54,7 +56,7 @@ func TestSchedulingAgentDrivesPlacement(t *testing.T) {
 
 func hostLoad(t *testing.T, sys *System, h loid.LOID) uint64 {
 	t.Helper()
-	st, err := host.NewClient(sys.BootClient(), h).GetState()
+	st, err := host.GetState.Call(context.Background(), sys.BootClient().To(h))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +77,7 @@ func TestSchedulingAgentIsOrdinaryObject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	name, err := sched.NewClient(user, agent).PolicyName()
+	name, err := sched.PolicyName.Call(context.Background(), user.To(agent))
 	if err != nil || name != "round-robin" {
 		t.Errorf("PolicyName = %q, %v", name, err)
 	}
@@ -105,14 +107,14 @@ func TestRowLevelSchedulingAgentInheritance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.SetDefaultSchedulingAgent(agent); err != nil {
+	if _, err := class.SetDefaultSchedulingAgent.Call(context.Background(), cl.Ref, agent); err != nil {
 		t.Fatal(err)
 	}
 	obj, _, err := cl.Create(nil, loid.Nil, loid.Nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	row, err := cl.GetRow(obj)
+	row, err := class.GetRow.Call(context.Background(), cl.Ref, obj)
 	if err != nil {
 		t.Fatal(err)
 	}

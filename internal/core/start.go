@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -118,7 +119,7 @@ func (p proc) startHost(seq uint64, impls *implreg.Registry, leaf AgentRef, admi
 	if err != nil {
 		return nil, err
 	}
-	if err := class.NewClient(admin, loid.LegionHost).RegisterInstance(hl, node.Address()); err != nil {
+	if _, err := class.RegisterInstance.Call(context.Background(), admin.To(loid.LegionHost), hl, node.Address()); err != nil {
 		return nil, fmt.Errorf("core: register with LegionHost: %w", err)
 	}
 	return &JoinedHost{Host: h, LOID: hl, Node: node}, nil
@@ -131,7 +132,7 @@ func (p proc) startHost(seq uint64, impls *implreg.Registry, leaf AgentRef, admi
 // host enrolled a second time (ShareHost, SplitJurisdiction) passes 0,
 // as its loops already run.
 func (j *Jurisdiction) enroll(admin *rt.Caller, l loid.LOID, addr oa.Address, h *host.Host, ckpt, load time.Duration) error {
-	if err := magistrate.NewClient(admin, j.Magistrate).AddHost(l, addr); err != nil {
+	if _, err := magistrate.AddHost.Call(context.Background(), admin.To(j.Magistrate), l, addr); err != nil {
 		return err
 	}
 	if ckpt > 0 {
@@ -210,7 +211,7 @@ func (s *System) addJurisdiction(hosts int, saved []byte) (_ *Jurisdiction, err 
 	}
 	// "Magistrates also get started 'outside' of Legion, and they too
 	// contact their class, LegionMagistrate" (§4.2.1).
-	if err := class.NewClient(s.boot, loid.LegionMagistrate).RegisterInstance(ml, node.Address()); err != nil {
+	if _, err := class.RegisterInstance.Call(context.Background(), s.boot.To(loid.LegionMagistrate), ml, node.Address()); err != nil {
 		return nil, err
 	}
 	j.Magistrate, j.MagistrateAddr, j.mag = ml, node.Address(), mag

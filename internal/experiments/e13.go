@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
+	"repro/internal/class"
 	"time"
 
 	"repro/internal/magistrate"
@@ -51,7 +53,7 @@ func RunE13(scale Scale) (*Table, error) {
 		cl := s.Classes[0]
 		if subscribed {
 			for _, leaf := range s.Sys.Leaves {
-				if err := cl.SubscribeAgent(leaf.LOID, leaf.Addr); err != nil {
+				if _, err := class.SubscribeAgent.Call(context.Background(), cl.Ref, leaf.LOID, leaf.Addr); err != nil {
 					s.Close()
 					return nil, err
 				}

@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
+	"repro/internal/class"
+	"repro/internal/host"
 
 	"repro/internal/core"
 	"repro/internal/loid"
@@ -48,7 +51,7 @@ func RunE14(scale Scale) (*Table, error) {
 				s.Close()
 				return nil, err
 			}
-			if err := cl.SetDefaultSchedulingAgent(agent); err != nil {
+			if _, err := class.SetDefaultSchedulingAgent.Call(context.Background(), cl.Ref, agent); err != nil {
 				s.Close()
 				return nil, err
 			}
@@ -106,7 +109,7 @@ func RunE14(scale Scale) (*Table, error) {
 }
 
 func hostState(s *sim.Sim, hl loid.LOID) (uint64, error) {
-	st, err := hostClient(s, hl).GetState()
+	st, err := host.GetState.Call(context.Background(), s.Sys.BootClient().To(hl))
 	if err != nil {
 		return 0, err
 	}

@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
+	"repro/internal/class"
 	"sort"
 	"strings"
 	"time"
@@ -101,7 +103,7 @@ func RunE17(scale Scale) (*Table, error) {
 	if err := mc.Deactivate(obj); err != nil {
 		return nil, fmt.Errorf("E17 deactivate: %w", err)
 	}
-	if err := s.Classes[0].NotifyDeactivated(obj); err != nil {
+	if _, err := class.NotifyDeactivated.Call(context.Background(), s.Classes[0].Ref, obj); err != nil {
 		return nil, fmt.Errorf("E17 notify class: %w", err)
 	}
 	cli.Cache().InvalidateLOID(obj)

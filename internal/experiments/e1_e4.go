@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -88,7 +89,7 @@ func RunE1(scale Scale) (*Table, error) {
 		if err := mag.Deactivate(obj); err != nil {
 			return err
 		}
-		if err := cl.NotifyDeactivated(obj); err != nil {
+		if _, err := class.NotifyDeactivated.Call(context.Background(), cl.Ref, obj); err != nil {
 			return err
 		}
 		cli.Cache().InvalidateLOID(obj)
@@ -287,13 +288,13 @@ func RunE4(scale Scale) (*Table, error) {
 		hot := s.Classes[0]
 		targets := []*class.Client{hot}
 		for i := 0; i < clones; i++ {
-			cloneL, cloneB, err := hot.Clone(loid.Nil)
+			clone, err := class.Clone.Call(context.Background(), hot.Ref, loid.Nil)
 			if err != nil {
 				s.Close()
 				return nil, err
 			}
-			s.Sys.BootClient().AddBinding(cloneB)
-			targets = append(targets, class.NewClient(s.Sys.BootClient(), cloneL))
+			s.Sys.BootClient().AddBinding(clone.Binding)
+			targets = append(targets, class.NewClient(s.Sys.BootClient(), clone.LOID))
 		}
 		s.ResetMetrics()
 		start := time.Now()

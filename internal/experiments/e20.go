@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"repro/internal/magistrate"
 	"strconv"
 	"time"
 
@@ -90,7 +91,7 @@ func RunE20(scale Scale) (*Table, error) {
 	}
 	okAll := true
 	add := func(question, query string, validate func(rows int, first []string) string) error {
-		tab, err := mc.Query(query)
+		tab, err := magistrate.Query.Call(ctx, mc, query)
 		if err != nil {
 			return fmt.Errorf("e20: %s: %w", question, err)
 		}

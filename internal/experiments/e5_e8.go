@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
+	"repro/internal/class"
 	"time"
 
 	"repro/internal/binding"
@@ -141,22 +143,21 @@ func RunE6(scale Scale) (*Table, error) {
 			react += time.Since(t0)
 			// Move to the other jurisdiction and back.
 			t0 = time.Now()
-			if err := m0.Move(obj, m1.Magistrate()); err != nil {
+			if _, err := magistrate.Move.Call(context.Background(), m0.Ref, obj, m1.Target); err != nil {
 				s.Close()
 				return nil, fmt.Errorf("E6 move: %w", err)
 			}
 			move += time.Since(t0)
 			// Restore home (not timed): move back and fix the class.
-			if err := m1.Move(obj, m0.Magistrate()); err != nil {
+			if _, err := magistrate.Move.Call(context.Background(), m1.Ref, obj, m0.Target); err != nil {
 				s.Close()
 				return nil, fmt.Errorf("E6 move back: %w", err)
 			}
-			if res, err := boot.Call(cl.Class(), "SetCurrentMagistrates",
-				wire.LOID(obj), wire.LOIDList([]loid.LOID{m0.Magistrate()})); err != nil || res.Code != wire.OK {
+			if _, err := class.SetCurrentMagistrates.Call(context.Background(), cl.Ref, obj, []loid.LOID{m0.Target}); err != nil {
 				s.Close()
-				return nil, fmt.Errorf("E6 fix class: %v %v", res, err)
+				return nil, fmt.Errorf("E6 fix class: %w", err)
 			}
-			cl.NotifyDeactivated(obj)
+			_, _ = class.NotifyDeactivated.Call(context.Background(), cl.Ref, obj)
 			if _, err := m0.Activate(obj, loid.Nil); err != nil {
 				s.Close()
 				return nil, fmt.Errorf("E6 reactivate home: %w", err)
@@ -230,7 +231,7 @@ func RunE7(scale Scale) (*Table, error) {
 		cli.Timeout = 500 * time.Millisecond // fast failover on dead replicas
 		// Kill the first c.kill replicas.
 		for k := 0; k < c.kill; k++ {
-			if err := hostClients[k].KillObject(repLOID); err != nil {
+			if _, err := host.KillObject.Call(context.Background(), hostClients[k].Ref, repLOID); err != nil {
 				s.Close()
 				return nil, err
 			}

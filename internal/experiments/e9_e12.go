@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -231,7 +232,7 @@ func RunE11(scale Scale) (*Table, error) {
 		}
 		t0 := time.Now()
 		for _, b := range bases {
-			if err := target.InheritFrom(b); err != nil {
+			if _, err := class.InheritFrom.Call(context.Background(), target.Ref, b); err != nil {
 				s.Close()
 				return nil, fmt.Errorf("E11 inherit: %w", err)
 			}

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"repro/internal/bindagent"
-	"repro/internal/host"
-	"repro/internal/loid"
 	"repro/internal/sim"
 )
 
@@ -12,10 +10,4 @@ import (
 func agentOf(s *sim.Sim, i int) *bindagent.Client {
 	leaf := s.Sys.Leaves[i%len(s.Sys.Leaves)]
 	return bindagent.NewClient(s.Sys.BootClient(), leaf.LOID, leaf.Addr)
-}
-
-// hostClient builds a typed handle on a host object via the boot
-// caller.
-func hostClient(s *sim.Sim, hl loid.LOID) *host.Client {
-	return host.NewClient(s.Sys.BootClient(), hl)
 }

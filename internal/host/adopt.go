@@ -1,11 +1,11 @@
 package host
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/loid"
 	"repro/internal/persist"
-	"repro/internal/rt"
 	"repro/internal/wire"
 )
 
@@ -21,21 +21,17 @@ import (
 // the objects across several hosts. Objects already running here are
 // counted as adopted (idempotent, same as StartObject), and are not
 // torn down by a later failure in the same call.
-func (h *Host) adoptObjects(inv *rt.Invocation) ([][]byte, error) {
-	blob, err := inv.Arg(0)
-	if err != nil {
-		return nil, err
-	}
+func (h *Host) adoptObjects(_ context.Context, blob []byte) (uint64, error) {
 	_, oprs, err := persist.DecodeSnapshot(blob)
 	if err != nil {
-		return nil, fmt.Errorf("host %v: adopt: %w", h.self, err)
+		return 0, fmt.Errorf("host %v: adopt: %w", h.self, err)
 	}
 
 	h.mu.Lock()
 	if h.cpuLimit > 0 && uint64(len(h.running)+len(oprs)) > h.cpuLimit {
 		limit := h.cpuLimit
 		h.mu.Unlock()
-		return nil, fmt.Errorf("host %v: adopting %d objects would exceed capacity %d", h.self, len(oprs), limit)
+		return 0, fmt.Errorf("host %v: adopting %d objects would exceed capacity %d", h.self, len(oprs), limit)
 	}
 	h.mu.Unlock()
 
@@ -54,7 +50,7 @@ func (h *Host) adoptObjects(inv *rt.Invocation) ([][]byte, error) {
 				h.evict(s)
 				h.node.Unpark(s)
 			}
-			return nil, fmt.Errorf("host %v: adopt %v: %w", h.self, l, err)
+			return 0, fmt.Errorf("host %v: adopt %v: %w", h.self, l, err)
 		}
 		started = append(started, l)
 		adopted++
@@ -65,5 +61,5 @@ func (h *Host) adoptObjects(inv *rt.Invocation) ([][]byte, error) {
 		span.Event("adopt", fmt.Sprintf("%d objects in one snapshot", adopted))
 		span.Finish(wire.OK.String())
 	}
-	return [][]byte{wire.Uint64(uint64(adopted))}, nil
+	return uint64(adopted), nil
 }

@@ -142,20 +142,8 @@ func (h *Host) CheckpointNow() (int, error) {
 		if len(pending) == 0 {
 			return
 		}
-		blob := persist.EncodeOPRBatch(pending)
-		res, err := h.obj.Caller().CallAddrCtx(context.Background(), c.magAddr, c.mag, "CheckpointBatch",
-			wire.LOID(h.self), blob)
-		if err == nil {
-			err = res.Err()
-		}
-		var accepted uint64
-		if err == nil {
-			raw, rerr := res.Result(0)
-			if rerr == nil {
-				accepted, rerr = wire.AsUint64(raw)
-			}
-			err = rerr
-		}
+		accepted, err := CheckpointBatch.Call(context.Background(), h.obj.Caller().At(c.magAddr, c.mag),
+			h.self, persist.EncodeOPRBatch(pending))
 		if err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("host %v: checkpoint batch of %d: %w", h.self, len(pending), err)

@@ -6,215 +6,24 @@ import (
 	"repro/internal/loid"
 	"repro/internal/oa"
 	"repro/internal/rt"
-	"repro/internal/wire"
 )
 
-// Client is a typed handle for invoking a Host Object's member
-// functions through a communication layer.
-type Client struct {
-	c    *rt.Caller
-	host loid.LOID
-}
+// Client is a Host Object handle. Calls go through the method
+// descriptors (StartObject.Call(ctx, cl.Ref, ...)); the wrappers below
+// keep the benchmark module compiling until it can change with them
+// (ROADMAP item 13).
+type Client struct{ rt.Ref }
 
-// NewClient wraps caller for invocations on the Host Object named h.
-// The caller must be able to bind h (cached binding or resolver).
-func NewClient(c *rt.Caller, h loid.LOID) *Client {
-	return &Client{c: c, host: h}
-}
+// NewClient refers to the Host Object h through c (ROADMAP item 13).
+func NewClient(c *rt.Caller, h loid.LOID) *Client { return &Client{c.To(h)} }
 
-// Host returns the target Host Object's LOID.
-func (cl *Client) Host() loid.LOID { return cl.host }
-
-// StartObject asks the host to activate object l from (impl, state).
+// StartObject is StartObject.Call without a deadline (ROADMAP item 13).
 func (cl *Client) StartObject(l loid.LOID, impl string, state []byte) (oa.Address, error) {
-	return cl.StartObjectCtx(context.Background(), l, impl, state)
+	return StartObject.Call(context.Background(), cl.Ref, l, impl, state)
 }
 
-// StartObjectCtx is StartObject carrying the surrounding invocation's
-// deadline and trace identity, so activation appears as a hop of the
-// originating trace.
-func (cl *Client) StartObjectCtx(ctx context.Context, l loid.LOID, impl string, state []byte) (oa.Address, error) {
-	res, err := cl.c.CallCtx(ctx, cl.host, "StartObject", wire.LOID(l), wire.String(impl), state)
-	if err != nil {
-		return oa.Address{}, err
-	}
-	raw, err := res.Result(0)
-	if err != nil {
-		return oa.Address{}, err
-	}
-	return wire.AsAddress(raw)
-}
-
-// StopObject deactivates l, returning its saved state and impl name.
-func (cl *Client) StopObject(l loid.LOID) (state []byte, impl string, err error) {
-	res, err := cl.c.Call(cl.host, "StopObject", wire.LOID(l))
-	if err != nil {
-		return nil, "", err
-	}
-	if state, err = res.Result(0); err != nil {
-		return nil, "", err
-	}
-	rawImpl, err := res.Result(1)
-	if err != nil {
-		return nil, "", err
-	}
-	return state, wire.AsString(rawImpl), nil
-}
-
-// KillObject removes l without saving state.
-func (cl *Client) KillObject(l loid.LOID) error {
-	res, err := cl.c.Call(cl.host, "KillObject", wire.LOID(l))
-	if err != nil {
-		return err
-	}
-	return res.Err()
-}
-
-// HasObject reports whether l is running on the host.
-func (cl *Client) HasObject(l loid.LOID) (bool, error) {
-	res, err := cl.c.Call(cl.host, "HasObject", wire.LOID(l))
-	if err != nil {
-		return false, err
-	}
-	raw, err := res.Result(0)
-	if err != nil {
-		return false, err
-	}
-	return wire.AsBool(raw)
-}
-
-// ListObjects returns the objects running on the host.
-func (cl *Client) ListObjects() ([]loid.LOID, error) {
-	res, err := cl.c.Call(cl.host, "ListObjects")
-	if err != nil {
-		return nil, err
-	}
-	raw, err := res.Result(0)
-	if err != nil {
-		return nil, err
-	}
-	return wire.AsLOIDList(raw)
-}
-
-// State is a host load report.
-type State struct {
-	Objects  uint64
-	CPULimit uint64
-	MemLimit uint64
-}
-
-// GetState fetches the host's load report.
-func (cl *Client) GetState() (State, error) {
-	res, err := cl.c.Call(cl.host, "GetState")
-	if err != nil {
-		return State{}, err
-	}
-	var st State
-	raw, err := res.Result(0)
-	if err != nil {
-		return State{}, err
-	}
-	if st.Objects, err = wire.AsUint64(raw); err != nil {
-		return State{}, err
-	}
-	if raw, err = res.Result(1); err != nil {
-		return State{}, err
-	}
-	if st.CPULimit, err = wire.AsUint64(raw); err != nil {
-		return State{}, err
-	}
-	if raw, err = res.Result(2); err != nil {
-		return State{}, err
-	}
-	if st.MemLimit, err = wire.AsUint64(raw); err != nil {
-		return State{}, err
-	}
-	return st, nil
-}
-
-// GetLoad fetches the host's full load vector.
-func (cl *Client) GetLoad() (Load, error) {
-	res, err := cl.c.Call(cl.host, "GetLoad")
-	if err != nil {
-		return Load{}, err
-	}
-	raw, err := res.Result(0)
-	if err != nil {
-		return Load{}, err
-	}
-	return UnmarshalLoad(raw)
-}
-
-// PrepareMigrate drains l to a quiesce point (arrivals parked) and
-// returns its saved state and impl name, leaving the object gated on
-// the source. The caller must follow with FinishMigrate or
-// AbortMigrate.
-func (cl *Client) PrepareMigrate(ctx context.Context, l loid.LOID) (state []byte, impl string, err error) {
-	res, err := cl.c.CallCtx(ctx, cl.host, "PrepareMigrate", wire.LOID(l))
-	if err != nil {
-		return nil, "", err
-	}
-	if state, err = res.Result(0); err != nil {
-		return nil, "", err
-	}
-	rawImpl, err := res.Result(1)
-	if err != nil {
-		return nil, "", err
-	}
-	return state, wire.AsString(rawImpl), nil
-}
-
-// AbortMigrate reopens a prepared object on the source: parked calls
-// replay locally in arrival order.
-func (cl *Client) AbortMigrate(ctx context.Context, l loid.LOID) error {
-	res, err := cl.c.CallCtx(ctx, cl.host, "AbortMigrate", wire.LOID(l))
-	if err != nil {
-		return err
-	}
-	return res.Err()
-}
-
-// FinishMigrate commits a migration on the source: the local
-// incarnation dies and parked plus late-arriving calls forward one hop
-// to newAddr.
-func (cl *Client) FinishMigrate(ctx context.Context, l loid.LOID, newAddr oa.Address) error {
-	res, err := cl.c.CallCtx(ctx, cl.host, "FinishMigrate", wire.LOID(l), wire.Address(newAddr))
-	if err != nil {
-		return err
-	}
-	return res.Err()
-}
-
-// AdoptObjects ships an entire resident set (a persist.EncodeSnapshot
-// blob) to the host in one call; the host activates every object in it
-// or none. Returns how many objects are now running there.
-func (cl *Client) AdoptObjects(ctx context.Context, snapshot []byte) (uint64, error) {
-	res, err := cl.c.CallCtx(ctx, cl.host, "AdoptObjects", snapshot)
-	if err != nil {
-		return 0, err
-	}
-	raw, err := res.Result(0)
-	if err != nil {
-		return 0, err
-	}
-	return wire.AsUint64(raw)
-}
-
-// SetCPULoad sets the host's concurrent-object capacity (0 removes the
-// limit).
-func (cl *Client) SetCPULoad(limit uint64) error {
-	res, err := cl.c.Call(cl.host, "SetCPULoad", wire.Uint64(limit))
-	if err != nil {
-		return err
-	}
-	return res.Err()
-}
-
-// SetMemoryUsage sets the host's advisory memory budget.
-func (cl *Client) SetMemoryUsage(limit uint64) error {
-	res, err := cl.c.Call(cl.host, "SetMemoryUsage", wire.Uint64(limit))
-	if err != nil {
-		return err
-	}
-	return res.Err()
+// StopObject is StopObject.Call without a deadline (ROADMAP item 13).
+func (cl *Client) StopObject(l loid.LOID) ([]byte, string, error) {
+	s, err := StopObject.Call(context.Background(), cl.Ref, l)
+	return s.State, s.Impl, err
 }

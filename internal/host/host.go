@@ -22,53 +22,102 @@ import (
 	"repro/internal/wire"
 )
 
-// Interface is the member-function set every Host Object exports
-// (§3.9 names Activate, Deactivate, SetCPUload, SetMemoryUsage and
-// GetState; StartObject/StopObject are their object-granular forms).
-var Interface = idl.NewInterface("LegionHost",
-	idl.MethodSig{Name: "StartObject",
-		Params: []idl.Param{
-			{Name: "object", Type: idl.TLOID},
-			{Name: "impl", Type: idl.TString},
-			{Name: "state", Type: idl.TBytes},
-		},
-		Returns: []idl.Param{{Name: "addr", Type: idl.TAddress}}},
-	idl.MethodSig{Name: "StopObject",
-		Params:  []idl.Param{{Name: "object", Type: idl.TLOID}},
-		Returns: []idl.Param{{Name: "state", Type: idl.TBytes}, {Name: "impl", Type: idl.TString}}},
-	idl.MethodSig{Name: "KillObject",
-		Params: []idl.Param{{Name: "object", Type: idl.TLOID}}},
-	idl.MethodSig{Name: "HasObject",
-		Params:  []idl.Param{{Name: "object", Type: idl.TLOID}},
-		Returns: []idl.Param{{Name: "running", Type: idl.TBool}}},
-	idl.MethodSig{Name: "ListObjects",
-		Returns: []idl.Param{{Name: "objects", Type: idl.TBytes}}},
-	idl.MethodSig{Name: "GetState",
-		Returns: []idl.Param{
-			{Name: "objects", Type: idl.TUint64},
-			{Name: "cpuLimit", Type: idl.TUint64},
-			{Name: "memLimit", Type: idl.TUint64},
-		}},
-	idl.MethodSig{Name: "SetCPULoad",
-		Params: []idl.Param{{Name: "limit", Type: idl.TUint64}}},
-	idl.MethodSig{Name: "SetMemoryUsage",
-		Params: []idl.Param{{Name: "limit", Type: idl.TUint64}}},
-	idl.MethodSig{Name: "GetLoad",
-		Returns: []idl.Param{{Name: "load", Type: idl.TBytes}}},
-	idl.MethodSig{Name: "PrepareMigrate",
-		Params:  []idl.Param{{Name: "object", Type: idl.TLOID}},
-		Returns: []idl.Param{{Name: "state", Type: idl.TBytes}, {Name: "impl", Type: idl.TString}}},
-	idl.MethodSig{Name: "AbortMigrate",
-		Params: []idl.Param{{Name: "object", Type: idl.TLOID}}},
-	idl.MethodSig{Name: "FinishMigrate",
-		Params: []idl.Param{
-			{Name: "object", Type: idl.TLOID},
-			{Name: "newAddr", Type: idl.TAddress},
-		}},
-	idl.MethodSig{Name: "AdoptObjects",
-		Params:  []idl.Param{{Name: "snapshot", Type: idl.TBytes}},
-		Returns: []idl.Param{{Name: "adopted", Type: idl.TUint64}}},
+// The Host Object's remote methods (§3.9 names Activate, Deactivate,
+// SetCPUload, SetMemoryUsage and GetState; StartObject/StopObject are
+// their object-granular forms).
+var (
+	StartObject = rt.M3("StartObject", rt.LOIDParam("object"), rt.StringParam("impl"), rt.BytesParam("state"),
+		rt.AddressParam("addr"))
+	StopObject  = rt.M1("StopObject", rt.LOIDParam("object"), savedCodec)
+	KillObject  = rt.M1("KillObject", rt.LOIDParam("object"), rt.None)
+	HasObject   = rt.M1("HasObject", rt.LOIDParam("object"), rt.BoolParam("running"))
+	ListObjects = rt.M0("ListObjects", rt.LOIDListParam("objects"))
+	GetState    = rt.M0("GetState", rt.Struct(
+		rt.Field(rt.Uint64Param("objects"), func(s *State) *uint64 { return &s.Objects }),
+		rt.Field(rt.Uint64Param("cpuLimit"), func(s *State) *uint64 { return &s.CPULimit }),
+		rt.Field(rt.Uint64Param("memLimit"), func(s *State) *uint64 { return &s.MemLimit })))
+	SetCPULoad     = rt.M1("SetCPULoad", rt.Uint64Param("limit"), rt.None)
+	SetMemoryUsage = rt.M1("SetMemoryUsage", rt.Uint64Param("limit"), rt.None)
+	GetLoad        = rt.M0("GetLoad", rt.Param("load", idl.TBytes, Load.Marshal, UnmarshalLoad))
+	PrepareMigrate = rt.M1("PrepareMigrate", rt.LOIDParam("object"), savedCodec)
+	AbortMigrate   = rt.M1("AbortMigrate", rt.LOIDParam("object"), rt.None)
+	FinishMigrate  = rt.M2("FinishMigrate", rt.LOIDParam("object"), rt.AddressParam("newAddr"), rt.None)
+	AdoptObjects   = rt.M1("AdoptObjects", rt.BytesParam("snapshot"), rt.Uint64Param("adopted"))
 )
+
+// A Host Object's reports to its Magistrate are declared here, with
+// their sender, because package magistrate imports this one; the
+// Magistrate serves them.
+var (
+	ReportLoad = rt.M3("ReportLoad", rt.LOIDParam("host"), rt.Param("load", idl.TBytes, Load.Marshal, UnmarshalLoad),
+		rt.BytesParam("telemetry").Optional(), rt.None)
+	CheckpointBatch = rt.M2("CheckpointBatch", rt.LOIDParam("host"), rt.BytesParam("batch"), rt.Uint64Param("saved"))
+)
+
+// State is a host's capacity report (GetState).
+type State struct {
+	Objects  uint64
+	CPULimit uint64
+	MemLimit uint64
+}
+
+// Saved is an object's saved state and implementation name, as
+// StopObject and PrepareMigrate return them.
+type Saved struct {
+	State []byte
+	Impl  string
+}
+
+var savedCodec = rt.Struct(
+	rt.Field(rt.BytesParam("state"), func(s *Saved) *[]byte { return &s.State }),
+	rt.Field(rt.StringParam("impl"), func(s *Saved) *string { return &s.Impl }))
+
+var server = rt.NewServer("LegionHost",
+	rt.Serve3(StartObject, (*Host).startObject),
+	rt.Serve1(StopObject, (*Host).stopObject),
+	rt.Serve1(KillObject, (*Host).killObject),
+	rt.Serve1(HasObject, func(h *Host, _ context.Context, l loid.LOID) (bool, error) {
+		_, ok := h.node.Lookup(l)
+		return ok, nil
+	}),
+	rt.Serve0(ListObjects, func(h *Host, _ context.Context) ([]loid.LOID, error) {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		ls := make([]loid.LOID, 0, len(h.running))
+		for id := range h.running {
+			ls = append(ls, id.LOID())
+		}
+		return ls, nil
+	}),
+	rt.Serve0(GetState, func(h *Host, _ context.Context) (State, error) {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		return State{uint64(len(h.running)), h.cpuLimit, h.memLimit}, nil
+	}),
+	rt.Serve1(SetCPULoad, func(h *Host, _ context.Context, v uint64) (rt.Void, error) {
+		h.mu.Lock()
+		h.cpuLimit = v
+		h.mu.Unlock()
+		return rt.Void{}, nil
+	}),
+	rt.Serve1(SetMemoryUsage, func(h *Host, _ context.Context, v uint64) (rt.Void, error) {
+		h.mu.Lock()
+		h.memLimit = v
+		h.mu.Unlock()
+		return rt.Void{}, nil
+	}),
+	rt.Serve0(GetLoad, func(h *Host, _ context.Context) (Load, error) { return h.LoadNow(), nil }),
+	rt.Serve1(PrepareMigrate, (*Host).prepareMigrate),
+	rt.Serve1(AbortMigrate, func(h *Host, _ context.Context, l loid.LOID) (rt.Void, error) {
+		h.node.Unpark(l)
+		return rt.Void{}, nil
+	}),
+	rt.Serve2(FinishMigrate, (*Host).finishMigrate),
+	rt.Serve1(AdoptObjects, (*Host).adoptObjects),
+)
+
+// Interface is the member-function set every Host Object exports.
+var Interface = server.Interface()
 
 // ServiceConcurrency is how many dispatches may run at once on an
 // object whose implementation is registered concurrency-safe.
@@ -166,97 +215,24 @@ func (h *Host) Interface() *idl.Interface { return Interface }
 func (h *Host) Bind(o *rt.Object) { h.obj = o }
 
 // Dispatch implements rt.Impl.
-func (h *Host) Dispatch(inv *rt.Invocation) ([][]byte, error) {
-	switch inv.Method {
-	case "StartObject":
-		return h.startObject(inv)
-	case "StopObject":
-		return h.stopObject(inv)
-	case "KillObject":
-		return h.killObject(inv)
-	case "HasObject":
-		l, err := argLOID(inv, 0)
-		if err != nil {
-			return nil, err
-		}
-		_, ok := h.node.Lookup(l)
-		return [][]byte{wire.Bool(ok)}, nil
-	case "ListObjects":
-		h.mu.Lock()
-		ls := make([]loid.LOID, 0, len(h.running))
-		for id := range h.running {
-			ls = append(ls, id.LOID())
-		}
-		h.mu.Unlock()
-		return [][]byte{wire.LOIDList(ls)}, nil
-	case "GetState":
-		h.mu.Lock()
-		defer h.mu.Unlock()
-		return [][]byte{
-			wire.Uint64(uint64(len(h.running))),
-			wire.Uint64(h.cpuLimit),
-			wire.Uint64(h.memLimit),
-		}, nil
-	case "SetCPULoad":
-		v, err := argUint64(inv, 0)
-		if err != nil {
-			return nil, err
-		}
-		h.mu.Lock()
-		h.cpuLimit = v
-		h.mu.Unlock()
-		return nil, nil
-	case "SetMemoryUsage":
-		v, err := argUint64(inv, 0)
-		if err != nil {
-			return nil, err
-		}
-		h.mu.Lock()
-		h.memLimit = v
-		h.mu.Unlock()
-		return nil, nil
-	case "GetLoad":
-		return [][]byte{h.LoadNow().Marshal()}, nil
-	case "PrepareMigrate":
-		return h.prepareMigrate(inv)
-	case "AbortMigrate":
-		return h.abortMigrate(inv)
-	case "FinishMigrate":
-		return h.finishMigrate(inv)
-	case "AdoptObjects":
-		return h.adoptObjects(inv)
-	}
-	return nil, &rt.NoSuchMethodError{Method: inv.Method}
-}
+func (h *Host) Dispatch(inv *rt.Invocation) ([][]byte, error) { return server.Dispatch(h, inv) }
 
-func (h *Host) startObject(inv *rt.Invocation) ([][]byte, error) {
-	l, err := argLOID(inv, 0)
-	if err != nil {
-		return nil, err
-	}
-	implName, err := argString(inv, 1)
-	if err != nil {
-		return nil, err
-	}
-	state, err := inv.Arg(2)
-	if err != nil {
-		return nil, err
-	}
+func (h *Host) startObject(_ context.Context, l loid.LOID, implName string, state []byte) (oa.Address, error) {
 	// Idempotent activation: if the object is already running here,
 	// report its address.
 	if _, ok := h.node.Lookup(l); ok {
-		return [][]byte{wire.Address(h.Address())}, nil
+		return h.Address(), nil
 	}
 	h.mu.Lock()
 	if h.cpuLimit > 0 && uint64(len(h.running)) >= h.cpuLimit {
 		h.mu.Unlock()
-		return nil, fmt.Errorf("host %v at capacity (%d objects)", h.self, h.cpuLimit)
+		return oa.Address{}, fmt.Errorf("host %v at capacity (%d objects)", h.self, h.cpuLimit)
 	}
 	h.mu.Unlock()
 	if err := h.spawnResident(l, implName, state); err != nil {
-		return nil, err
+		return oa.Address{}, err
 	}
-	return [][]byte{wire.Address(h.Address())}, nil
+	return h.Address(), nil
 }
 
 // spawnResident builds an incarnation of implName for l, restores state
@@ -310,40 +286,32 @@ func (h *Host) evict(l loid.LOID) {
 // returns (state, implName). Because host and object share the node,
 // SaveState is delivered through the object's own mailbox (a message),
 // so it serializes after any in-flight method.
-func (h *Host) stopObject(inv *rt.Invocation) ([][]byte, error) {
-	l, err := argLOID(inv, 0)
-	if err != nil {
-		return nil, err
-	}
+func (h *Host) stopObject(ctx context.Context, l loid.LOID) (Saved, error) {
 	h.mu.Lock()
 	r, ok := h.running[l.Ident()]
 	h.mu.Unlock()
 	if !ok {
-		return nil, fmt.Errorf("host %v does not run %v", h.self, l)
+		return Saved{}, fmt.Errorf("host %v does not run %v", h.self, l)
 	}
-	res, err := h.obj.Caller().CallAddrCtx(context.Background(), h.Address(), l, "SaveState")
+	res, err := h.obj.Caller().CallAddrCtx(ctx, h.Address(), l, "SaveState")
 	if err != nil {
-		return nil, fmt.Errorf("host %v: save %v: %w", h.self, l, err)
+		return Saved{}, fmt.Errorf("host %v: save %v: %w", h.self, l, err)
 	}
 	state, err := res.Result(0)
 	if err != nil {
-		return nil, fmt.Errorf("host %v: save %v: %w", h.self, l, err)
+		return Saved{}, fmt.Errorf("host %v: save %v: %w", h.self, l, err)
 	}
 	h.evict(l)
 	// A pending migration drain gate must not outlive the object:
 	// bounce its parked frames back to their callers' retry loops.
 	h.node.Unpark(l)
-	return [][]byte{state, wire.String(r.impl)}, nil
+	return Saved{state, r.impl}, nil
 }
 
-func (h *Host) killObject(inv *rt.Invocation) ([][]byte, error) {
-	l, err := argLOID(inv, 0)
-	if err != nil {
-		return nil, err
-	}
+func (h *Host) killObject(_ context.Context, l loid.LOID) (rt.Void, error) {
 	h.evict(l)
 	h.node.Unpark(l)
-	return nil, nil
+	return rt.Void{}, nil
 }
 
 // CrashResidents models a machine crash from the host's side: every
@@ -395,29 +363,4 @@ func (h *Host) Running() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return len(h.running)
-}
-
-// argLOID, argString, argUint64 unpack typed invocation arguments.
-func argLOID(inv *rt.Invocation, i int) (loid.LOID, error) {
-	a, err := inv.Arg(i)
-	if err != nil {
-		return loid.Nil, err
-	}
-	return wire.AsLOID(a)
-}
-
-func argString(inv *rt.Invocation, i int) (string, error) {
-	a, err := inv.Arg(i)
-	if err != nil {
-		return "", err
-	}
-	return wire.AsString(a), nil
-}
-
-func argUint64(inv *rt.Invocation, i int) (uint64, error) {
-	a, err := inv.Arg(i)
-	if err != nil {
-		return 0, err
-	}
-	return wire.AsUint64(a)
 }

@@ -195,30 +195,30 @@ func TestStopUnknownObject(t *testing.T) {
 func TestKillObjectDiscardsState(t *testing.T) {
 	fx := newHostFixture(t)
 	fx.client.StartObject(objL, "counter", nil)
-	if err := fx.client.KillObject(objL); err != nil {
+	if _, err := KillObject.Call(context.Background(), fx.client.Ref, objL); err != nil {
 		t.Fatal(err)
 	}
 	if fx.host.Running() != 0 {
 		t.Error("object survived KillObject")
 	}
 	// Killing an absent object is not an error (idempotent reaping).
-	if err := fx.client.KillObject(objL); err != nil {
+	if _, err := KillObject.Call(context.Background(), fx.client.Ref, objL); err != nil {
 		t.Errorf("idempotent kill: %v", err)
 	}
 }
 
 func TestHasAndListObjects(t *testing.T) {
 	fx := newHostFixture(t)
-	if ok, _ := fx.client.HasObject(objL); ok {
+	if ok, _ := HasObject.Call(context.Background(), fx.client.Ref, objL); ok {
 		t.Error("HasObject before start")
 	}
 	fx.client.StartObject(objL, "counter", nil)
 	other := loid.NewNoKey(256, 2)
 	fx.client.StartObject(other, "counter", nil)
-	if ok, _ := fx.client.HasObject(objL); !ok {
+	if ok, _ := HasObject.Call(context.Background(), fx.client.Ref, objL); !ok {
 		t.Error("HasObject after start")
 	}
-	ls, err := fx.client.ListObjects()
+	ls, err := ListObjects.Call(context.Background(), fx.client.Ref)
 	if err != nil || len(ls) != 2 {
 		t.Errorf("ListObjects = %v, %v", ls, err)
 	}
@@ -226,7 +226,7 @@ func TestHasAndListObjects(t *testing.T) {
 
 func TestCapacityLimit(t *testing.T) {
 	fx := newHostFixture(t)
-	if err := fx.client.SetCPULoad(2); err != nil {
+	if _, err := SetCPULoad.Call(context.Background(), fx.client.Ref, 2); err != nil {
 		t.Fatal(err)
 	}
 	fx.client.StartObject(loid.NewNoKey(256, 1), "counter", nil)
@@ -244,10 +244,10 @@ func TestCapacityLimit(t *testing.T) {
 
 func TestGetStateReportsLoad(t *testing.T) {
 	fx := newHostFixture(t)
-	fx.client.SetCPULoad(8)
-	fx.client.SetMemoryUsage(1 << 20)
+	_, _ = SetCPULoad.Call(context.Background(), fx.client.Ref, 8)
+	_, _ = SetMemoryUsage.Call(context.Background(), fx.client.Ref, 1<<20)
 	fx.client.StartObject(objL, "counter", nil)
-	st, err := fx.client.GetState()
+	st, err := GetState.Call(context.Background(), fx.client.Ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,8 +258,8 @@ func TestGetStateReportsLoad(t *testing.T) {
 
 func TestHostStatePersistsLimits(t *testing.T) {
 	fx := newHostFixture(t)
-	fx.client.SetCPULoad(4)
-	fx.client.SetMemoryUsage(77)
+	_, _ = SetCPULoad.Call(context.Background(), fx.client.Ref, 4)
+	_, _ = SetMemoryUsage.Call(context.Background(), fx.client.Ref, 77)
 	blob, err := fx.host.SaveState()
 	if err != nil {
 		t.Fatal(err)

@@ -36,23 +36,19 @@ const tombstoneTTL = 30 * time.Second
 // so it serializes behind every already-accepted call, and it lands
 // despite the gate because the host's identity is the gate's exempt
 // caller.
-func (h *Host) prepareMigrate(inv *rt.Invocation) ([][]byte, error) {
-	l, err := argLOID(inv, 0)
-	if err != nil {
-		return nil, err
-	}
+func (h *Host) prepareMigrate(ctx context.Context, l loid.LOID) (Saved, error) {
 	h.mu.Lock()
 	r, ok := h.running[l.Ident()]
 	h.mu.Unlock()
 	if !ok {
-		return nil, fmt.Errorf("host %v does not run %v", h.self, l)
+		return Saved{}, fmt.Errorf("host %v does not run %v", h.self, l)
 	}
 	if err := h.node.Park(l, h.self); err != nil {
-		return nil, err
+		return Saved{}, err
 	}
 	clk := h.node.Clock()
 	t0 := clk.Now()
-	res, err := h.obj.Caller().CallAddrCtx(context.Background(), h.Address(), l, "SaveState")
+	res, err := h.obj.Caller().CallAddrCtx(ctx, h.Address(), l, "SaveState")
 	if err == nil {
 		err = res.Err()
 	}
@@ -63,21 +59,10 @@ func (h *Host) prepareMigrate(inv *rt.Invocation) ([][]byte, error) {
 	if err != nil {
 		// The drain failed; reopen the object before reporting.
 		h.node.Unpark(l)
-		return nil, fmt.Errorf("host %v: drain %v: %w", h.self, l, err)
+		return Saved{}, fmt.Errorf("host %v: drain %v: %w", h.self, l, err)
 	}
 	h.node.Registry().Histogram("mig/drain").Observe(clk.Since(t0))
-	return [][]byte{state, wire.String(r.impl)}, nil
-}
-
-// abortMigrate reopens a prepared object: parked calls replay into its
-// mailbox in arrival order and the object resumes service here.
-func (h *Host) abortMigrate(inv *rt.Invocation) ([][]byte, error) {
-	l, err := argLOID(inv, 0)
-	if err != nil {
-		return nil, err
-	}
-	h.node.Unpark(l)
-	return nil, nil
+	return Saved{state, r.impl}, nil
 }
 
 // finishMigrate commits a migration: the local incarnation dies, the
@@ -85,28 +70,16 @@ func (h *Host) abortMigrate(inv *rt.Invocation) ([][]byte, error) {
 // address, and a one-hop tombstone forwards late arrivals until its
 // TTL expires. The new address comes from the Magistrate, which has
 // already republished the binding.
-func (h *Host) finishMigrate(inv *rt.Invocation) ([][]byte, error) {
-	l, err := argLOID(inv, 0)
-	if err != nil {
-		return nil, err
-	}
-	rawAddr, err := inv.Arg(1)
-	if err != nil {
-		return nil, err
-	}
-	addr, err := wire.AsAddress(rawAddr)
-	if err != nil {
-		return nil, err
-	}
+func (h *Host) finishMigrate(_ context.Context, l loid.LOID, addr oa.Address) (rt.Void, error) {
 	if len(addr.Elements) == 0 {
-		return nil, fmt.Errorf("host %v: finish %v: empty destination address", h.self, l)
+		return rt.Void{}, fmt.Errorf("host %v: finish %v: empty destination address", h.self, l)
 	}
 	h.evict(l)
 	lid := l.ID()
 	h.node.ForwardParked(lid, addr.Elements[0])
 	node := h.node
 	node.Clock().AfterFunc(tombstoneTTL, func() { node.DropTombstone(lid) })
-	return nil, nil
+	return rt.Void{}, nil
 }
 
 // Load is the host's load vector — the placement signal Host Objects
@@ -257,15 +230,10 @@ func (h *Host) StartLoadReporter(mag loid.LOID, magAddr oa.Address, every time.D
 				ld := h.LoadNow()
 				// Best effort: a missed heartbeat just leaves the last
 				// report standing until the next tick. A configured
-				// telemetry sender piggybacks its delta report as an
+				// telemetry sender piggybacks its delta report as the
 				// optional third argument — one message carries both.
-				if tb := h.telemetry().Report(); tb != nil {
-					_, _ = h.obj.Caller().CallAddrCtx(context.Background(), magAddr, mag, "ReportLoad",
-						wire.LOID(h.self), ld.Marshal(), tb)
-				} else {
-					_, _ = h.obj.Caller().CallAddrCtx(context.Background(), magAddr, mag, "ReportLoad",
-						wire.LOID(h.self), ld.Marshal())
-				}
+				_, _ = ReportLoad.Call(context.Background(), h.obj.Caller().At(magAddr, mag),
+					h.self, ld, h.telemetry().Report())
 			}
 		}
 	}()

@@ -8,7 +8,6 @@ import (
 	"repro/internal/host"
 	"repro/internal/loid"
 	"repro/internal/persist"
-	"repro/internal/rt"
 	"repro/internal/wire"
 )
 
@@ -42,18 +41,10 @@ func (m *Magistrate) SetBulkAdoption(on bool) {
 // believes active on the sender are dropped — the deactivation path has
 // already persisted authoritative (post-shutdown) state; the accepted
 // count is returned.
-func (m *Magistrate) checkpointBatch(inv *rt.Invocation) ([][]byte, error) {
-	fromHost, err := argLOID(inv, 0)
-	if err != nil {
-		return nil, err
-	}
-	blob, err := inv.Arg(1)
-	if err != nil {
-		return nil, err
-	}
+func (m *Magistrate) checkpointBatch(_ context.Context, fromHost loid.LOID, blob []byte) (uint64, error) {
 	oprs, err := persist.DecodeOPRBatch(blob)
 	if err != nil {
-		return nil, fmt.Errorf("magistrate %v: checkpoint batch: %w", m.self, err)
+		return 0, fmt.Errorf("magistrate %v: checkpoint batch: %w", m.self, err)
 	}
 
 	// Filter to entries still live on the sender.
@@ -70,12 +61,12 @@ func (m *Magistrate) checkpointBatch(inv *rt.Invocation) ([][]byte, error) {
 	}
 	m.mu.Unlock()
 	if len(live) == 0 {
-		return [][]byte{wire.Uint64(0)}, nil
+		return 0, nil
 	}
 
 	addrs, err := m.store.PutBatch(live)
 	if err != nil {
-		return nil, fmt.Errorf("magistrate %v: checkpoint batch of %d: %w", m.self, len(live), err)
+		return 0, fmt.Errorf("magistrate %v: checkpoint batch of %d: %w", m.self, len(live), err)
 	}
 
 	// Swap in the new checkpoints; an entry whose life changed while we
@@ -104,7 +95,7 @@ func (m *Magistrate) checkpointBatch(inv *rt.Invocation) ([][]byte, error) {
 	}
 	m.reg().Counter("mag/ckpt_batches").Inc()
 	m.reg().Counter("mag/ckpt_batch_saved").Add(uint64(len(accepted)))
-	return [][]byte{wire.Uint64(uint64(len(accepted)))}, nil
+	return uint64(len(accepted)), nil
 }
 
 // bulkAdopt is the fast half of HostFailed recovery: instead of one
@@ -197,8 +188,8 @@ func (m *Magistrate) bulkAdopt(ls []loid.LOID) {
 	if hook != nil {
 		hook(target.l) // chaos seam: the target may die mid-ship here
 	}
-	hc := host.NewClient(m.obj.Caller(), target.l)
-	adopted, err := hc.AdoptObjects(context.Background(), blob)
+	hc := m.obj.Caller().To(target.l)
+	adopted, err := host.AdoptObjects.Call(context.Background(), hc, blob)
 	if err != nil {
 		fallback("adopt on "+target.l.String(), err)
 		return
@@ -231,7 +222,7 @@ func (m *Magistrate) bulkAdopt(ls []loid.LOID) {
 	m.mu.Unlock()
 	m.drop(stale...)
 	for _, l := range orphans {
-		_ = hc.KillObject(l)
+		_, _ = host.KillObject.Call(context.Background(), hc, l)
 	}
 	reg.Counter("mag/bulk_adoptions").Inc()
 	reg.Counter("mag/bulk_adopted_objects").Add(adopted)

@@ -1,14 +1,13 @@
 package magistrate
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/binding"
-	"repro/internal/idl"
 	"repro/internal/loid"
 	"repro/internal/oa"
 	"repro/internal/rt"
-	"repro/internal/wire"
 )
 
 // Jurisdiction hierarchies (§2.2: "Jurisdictions can be organized to
@@ -19,89 +18,61 @@ import (
 // would make delegated lookups chase their own tail until the caller's
 // timeout fires.
 
-var hierarchySigs = []idl.MethodSig{
-	{Name: "AddSubMagistrate",
-		Params: []idl.Param{{Name: "magistrate", Type: idl.TLOID}, {Name: "addr", Type: idl.TAddress}}},
-	{Name: "RemoveSubMagistrate",
-		Params: []idl.Param{{Name: "magistrate", Type: idl.TLOID}}},
-	{Name: "ListSubMagistrates",
-		Returns: []idl.Param{{Name: "magistrates", Type: idl.TBytes}}},
-}
-
-func init() {
-	for _, sig := range hierarchySigs {
-		if err := Interface.Add(sig); err != nil {
-			panic(err)
-		}
-	}
-}
+// The hierarchy's remote methods.
+var (
+	AddSubMagistrate    = rt.M2("AddSubMagistrate", rt.LOIDParam("magistrate"), rt.AddressParam("addr"), rt.None)
+	RemoveSubMagistrate = rt.M1("RemoveSubMagistrate", rt.LOIDParam("magistrate"), rt.None)
+	ListSubMagistrates  = rt.M0("ListSubMagistrates", rt.LOIDListParam("magistrates"))
+)
 
 type subEntry struct {
 	l    loid.LOID
 	addr oa.Address
 }
 
-// handleHierarchy serves the hierarchy methods; it returns (handled,
-// results, err).
-func (m *Magistrate) handleHierarchy(inv *rt.Invocation) (bool, [][]byte, error) {
-	switch inv.Method {
-	case "AddSubMagistrate":
-		l, err := argLOID(inv, 0)
-		if err != nil {
-			return true, nil, err
-		}
-		raw, err := inv.Arg(1)
-		if err != nil {
-			return true, nil, err
-		}
-		addr, err := wire.AsAddress(raw)
-		if err != nil {
-			return true, nil, err
-		}
-		if l.SameObject(m.self) {
-			return true, nil, fmt.Errorf("magistrate %v cannot be its own sub-magistrate", m.self)
-		}
-		m.mu.Lock()
-		replaced := false
-		for i := range m.subs {
-			if m.subs[i].l.SameObject(l) {
-				m.subs[i].addr = addr
-				replaced = true
-				break
-			}
-		}
-		if !replaced {
-			m.subs = append(m.subs, subEntry{l: l, addr: addr})
-		}
-		m.mu.Unlock()
-		if m.obj != nil {
-			m.obj.Caller().AddBinding(binding.Forever(l, addr))
-		}
-		return true, nil, nil
-	case "RemoveSubMagistrate":
-		l, err := argLOID(inv, 0)
-		if err != nil {
-			return true, nil, err
-		}
-		m.mu.Lock()
-		for i := range m.subs {
-			if m.subs[i].l.SameObject(l) {
-				m.subs = append(m.subs[:i], m.subs[i+1:]...)
-				break
-			}
-		}
-		m.mu.Unlock()
-		return true, nil, nil
-	case "ListSubMagistrates":
-		m.mu.Lock()
-		ls := make([]loid.LOID, 0, len(m.subs))
-		for _, s := range m.subs {
-			ls = append(ls, s.l)
-		}
-		m.mu.Unlock()
-		return true, [][]byte{wire.LOIDList(ls)}, nil
+func (m *Magistrate) addSub(_ context.Context, l loid.LOID, addr oa.Address) (rt.Void, error) {
+	if l.SameObject(m.self) {
+		return rt.Void{}, fmt.Errorf("magistrate %v cannot be its own sub-magistrate", m.self)
 	}
-	return false, nil, nil
+	m.mu.Lock()
+	replaced := false
+	for i := range m.subs {
+		if m.subs[i].l.SameObject(l) {
+			m.subs[i].addr = addr
+			replaced = true
+			break
+		}
+	}
+	if !replaced {
+		m.subs = append(m.subs, subEntry{l: l, addr: addr})
+	}
+	m.mu.Unlock()
+	if m.obj != nil {
+		m.obj.Caller().AddBinding(binding.Forever(l, addr))
+	}
+	return rt.Void{}, nil
+}
+
+func (m *Magistrate) removeSub(_ context.Context, l loid.LOID) (rt.Void, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for i := range m.subs {
+		if m.subs[i].l.SameObject(l) {
+			m.subs = append(m.subs[:i], m.subs[i+1:]...)
+			break
+		}
+	}
+	return rt.Void{}, nil
+}
+
+func (m *Magistrate) listSubs(context.Context) ([]loid.LOID, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	ls := make([]loid.LOID, 0, len(m.subs))
+	for _, s := range m.subs {
+		ls = append(ls, s.l)
+	}
+	return ls, nil
 }
 
 // subSnapshot copies the sub-magistrate list.
@@ -121,28 +92,16 @@ func (m *Magistrate) knowsLocally(l loid.LOID) bool {
 }
 
 // subFor finds the sub-magistrate (if any) that knows l, delegating
-// HasObject down the hierarchy.
-func (m *Magistrate) subFor(l loid.LOID) (*Client, bool) {
+// HasObject down the hierarchy with the caller's deadline and trace.
+func (m *Magistrate) subFor(ctx context.Context, l loid.LOID) (rt.Ref, bool) {
+	if m.obj == nil {
+		return rt.Ref{}, false
+	}
 	for _, s := range m.subSnapshot() {
-		sc := NewClient(m.obj.Caller(), s.l)
-		known, _, err := sc.HasObject(l)
-		if err == nil && known {
-			return sc, true
+		sub := m.obj.Caller().To(s.l)
+		if st, err := HasObject.Call(ctx, sub, l); err == nil && st.Known {
+			return sub, true
 		}
 	}
-	return nil, false
-}
-
-// delegate runs op against the sub-magistrate that knows l; it reports
-// whether delegation was possible.
-func (m *Magistrate) delegate(l loid.LOID, op func(*Client) ([][]byte, error)) ([][]byte, bool, error) {
-	if len(m.subSnapshot()) == 0 || m.obj == nil {
-		return nil, false, nil
-	}
-	sc, ok := m.subFor(l)
-	if !ok {
-		return nil, false, nil
-	}
-	out, err := op(sc)
-	return out, true, err
+	return rt.Ref{}, false
 }

@@ -30,68 +30,96 @@ import (
 	"repro/internal/wire"
 )
 
-// Interface is the member-function set every Magistrate exports (§3.8).
-var Interface = idl.NewInterface("LegionMagistrate",
-	idl.MethodSig{Name: "AddHost",
-		Params: []idl.Param{{Name: "host", Type: idl.TLOID}, {Name: "addr", Type: idl.TAddress}}},
-	idl.MethodSig{Name: "RemoveHost",
-		Params: []idl.Param{{Name: "host", Type: idl.TLOID}}},
-	idl.MethodSig{Name: "ListHosts",
-		Returns: []idl.Param{{Name: "hosts", Type: idl.TBytes}}},
-	idl.MethodSig{Name: "Register",
-		Params: []idl.Param{
-			{Name: "object", Type: idl.TLOID},
-			{Name: "impl", Type: idl.TString},
-			{Name: "state", Type: idl.TBytes}}},
-	idl.MethodSig{Name: "Activate",
-		Params:  []idl.Param{{Name: "object", Type: idl.TLOID}, {Name: "hostHint", Type: idl.TLOID}},
-		Returns: []idl.Param{{Name: "b", Type: idl.TBinding}}},
-	idl.MethodSig{Name: "Instantiate",
-		Params: []idl.Param{
-			{Name: "object", Type: idl.TLOID},
-			{Name: "impl", Type: idl.TString},
-			{Name: "state", Type: idl.TBytes},
-			{Name: "hostHint", Type: idl.TLOID}},
-		Returns: []idl.Param{{Name: "b", Type: idl.TBinding}}},
-	idl.MethodSig{Name: "Deactivate",
-		Params: []idl.Param{{Name: "object", Type: idl.TLOID}}},
-	idl.MethodSig{Name: "Delete",
-		Params: []idl.Param{{Name: "object", Type: idl.TLOID}}},
-	idl.MethodSig{Name: "Copy",
-		Params: []idl.Param{{Name: "object", Type: idl.TLOID}, {Name: "to", Type: idl.TLOID}}},
-	idl.MethodSig{Name: "Move",
-		Params: []idl.Param{{Name: "object", Type: idl.TLOID}, {Name: "to", Type: idl.TLOID}}},
-	idl.MethodSig{Name: "ReceiveOPR",
-		Params: []idl.Param{
-			{Name: "object", Type: idl.TLOID},
-			{Name: "impl", Type: idl.TString},
-			{Name: "state", Type: idl.TBytes}}},
-	idl.MethodSig{Name: "CheckpointBatch",
-		Params: []idl.Param{
-			{Name: "host", Type: idl.TLOID},
-			{Name: "batch", Type: idl.TBytes}},
-		Returns: []idl.Param{{Name: "saved", Type: idl.TUint64}}},
-	idl.MethodSig{Name: "GetBinding",
-		Params:  []idl.Param{{Name: "object", Type: idl.TLOID}},
-		Returns: []idl.Param{{Name: "b", Type: idl.TBinding}}},
-	idl.MethodSig{Name: "HasObject",
-		Params:  []idl.Param{{Name: "object", Type: idl.TLOID}},
-		Returns: []idl.Param{{Name: "known", Type: idl.TBool}, {Name: "active", Type: idl.TBool}}},
-	idl.MethodSig{Name: "ListObjects",
-		Returns: []idl.Param{{Name: "objects", Type: idl.TBytes}}},
-	idl.MethodSig{Name: "MigrateObject",
-		Params: []idl.Param{{Name: "object", Type: idl.TLOID}, {Name: "destHost", Type: idl.TLOID}}},
-	idl.MethodSig{Name: "ReportLoad",
-		Params: []idl.Param{{Name: "host", Type: idl.TLOID}, {Name: "load", Type: idl.TBytes},
-			{Name: "telemetry", Type: idl.TBytes}}},
-	idl.MethodSig{Name: "GetLoads",
-		Returns: []idl.Param{{Name: "loads", Type: idl.TBytes}}},
-	idl.MethodSig{Name: "ListPlacements",
-		Returns: []idl.Param{{Name: "placements", Type: idl.TBytes}}},
-	idl.MethodSig{Name: "Query",
-		Params:  []idl.Param{{Name: "lql", Type: idl.TString}},
-		Returns: []idl.Param{{Name: "table", Type: idl.TBytes}}},
+// The Magistrate's remote methods (§3.8).
+var (
+	AddHost    = rt.M2("AddHost", rt.LOIDParam("host"), rt.AddressParam("addr"), rt.None)
+	RemoveHost = rt.M1("RemoveHost", rt.LOIDParam("host"), rt.None)
+	ListHosts  = rt.M0("ListHosts", rt.LOIDListParam("hosts"))
+	Register   = rt.M3("Register", rt.LOIDParam("object"), rt.StringParam("impl"), rt.BytesParam("state"), rt.None)
+	// Activate's host hint may be absent: the one-argument Activate(LOID)
+	// of §3.8. Senders here always pass one, loid.Nil for none.
+	Activate = rt.M2("Activate", rt.LOIDParam("object"), rt.LOIDParam("hostHint").Optional(), rt.BindingParam("b"))
+	// Instantiate is the Create of §4.2 in one call: the object enters
+	// the jurisdiction already running.
+	Instantiate = rt.M1("Instantiate", rt.Struct(
+		rt.Field(rt.LOIDParam("object"), func(in *Instance) *loid.LOID { return &in.Object }),
+		rt.Field(rt.StringParam("impl"), func(in *Instance) *string { return &in.Impl }),
+		rt.Field(rt.BytesParam("state"), func(in *Instance) *[]byte { return &in.State }),
+		rt.Field(rt.LOIDParam("hostHint"), func(in *Instance) *loid.LOID { return &in.HostHint })),
+		rt.BindingParam("b"))
+	Deactivate = rt.M1("Deactivate", rt.LOIDParam("object"), rt.None)
+	Delete     = rt.M1("Delete", rt.LOIDParam("object"), rt.None)
+	Copy       = rt.M2("Copy", rt.LOIDParam("object"), rt.LOIDParam("to"), rt.None)
+	Move       = rt.M2("Move", rt.LOIDParam("object"), rt.LOIDParam("to"), rt.None)
+	ReceiveOPR = rt.M3("ReceiveOPR", rt.LOIDParam("object"), rt.StringParam("impl"), rt.BytesParam("state"), rt.None)
+	GetBinding = rt.M1("GetBinding", rt.LOIDParam("object"), rt.BindingParam("b"))
+	HasObject  = rt.M1("HasObject", rt.LOIDParam("object"), rt.Struct(
+		rt.Field(rt.BoolParam("known"), func(s *ObjectState) *bool { return &s.Known }),
+		rt.Field(rt.BoolParam("active"), func(s *ObjectState) *bool { return &s.Active })))
+	ListObjects    = rt.M0("ListObjects", rt.LOIDListParam("objects"))
+	MigrateObject  = rt.M2("MigrateObject", rt.LOIDParam("object"), rt.LOIDParam("destHost"), rt.None)
+	GetLoads       = rt.M0("GetLoads", rt.Param("loads", idl.TBytes, marshalLoads, UnmarshalLoads))
+	ListPlacements = rt.M0("ListPlacements", rt.Param("placements", idl.TBytes, marshalPlacements, UnmarshalPlacements))
+	Query          = rt.M1("Query", rt.StringParam("lql"), rt.Param("table", idl.TBytes, (*obs.Table).Marshal, obs.UnmarshalTable))
 )
+
+// NotifyAddress is the class-object method a Magistrate calls to report
+// an object's new address (§4.1.4). It is declared here, with its
+// sender, because package class imports this one; class objects serve
+// it.
+var NotifyAddress = rt.M2("NotifyAddress", rt.LOIDParam("object"), rt.AddressParam("addr"), rt.None)
+
+// Instance is what Instantiate starts: a new object, its implementation
+// and initial state, and a host hint (loid.Nil for none).
+type Instance struct {
+	Object   loid.LOID
+	Impl     string
+	State    []byte
+	HostHint loid.LOID
+}
+
+// ObjectState is HasObject's answer: whether the Magistrate knows an
+// object and whether it is active.
+type ObjectState struct{ Known, Active bool }
+
+var server = rt.NewServer("LegionMagistrate",
+	rt.Serve2(AddHost, (*Magistrate).addHost),
+	rt.Serve1(RemoveHost, (*Magistrate).removeHost),
+	rt.Serve0(ListHosts, (*Magistrate).listHosts),
+	rt.Serve3(Register, (*Magistrate).register),
+	rt.Serve2(Activate, (*Magistrate).activate),
+	rt.Serve1(Instantiate, (*Magistrate).instantiate),
+	rt.Serve1(Deactivate, func(m *Magistrate, ctx context.Context, l loid.LOID) (rt.Void, error) {
+		return rt.Void{}, m.deactivateByLOID(ctx, l)
+	}),
+	rt.Serve1(Delete, func(m *Magistrate, ctx context.Context, l loid.LOID) (rt.Void, error) {
+		return rt.Void{}, m.deleteByLOID(ctx, l)
+	}),
+	rt.Serve2(Copy, func(m *Magistrate, ctx context.Context, l, to loid.LOID) (rt.Void, error) {
+		return rt.Void{}, m.copyTo(ctx, l, to, false)
+	}),
+	rt.Serve2(Move, func(m *Magistrate, ctx context.Context, l, to loid.LOID) (rt.Void, error) {
+		return rt.Void{}, m.copyTo(ctx, l, to, true)
+	}),
+	rt.Serve3(ReceiveOPR, (*Magistrate).register),
+	rt.Serve2(host.CheckpointBatch, (*Magistrate).checkpointBatch),
+	rt.Serve1(GetBinding, (*Magistrate).getBinding),
+	rt.Serve1(HasObject, (*Magistrate).hasObject),
+	rt.Serve0(ListObjects, (*Magistrate).listObjects),
+	rt.Serve2(MigrateObject, func(m *Magistrate, ctx context.Context, l, dest loid.LOID) (rt.Void, error) {
+		return rt.Void{}, m.MigrateObject(ctx, l, dest)
+	}),
+	rt.Serve3(host.ReportLoad, (*Magistrate).reportLoad),
+	rt.Serve0(GetLoads, func(m *Magistrate, _ context.Context) ([]HostLoad, error) { return m.Loads(), nil }),
+	rt.Serve0(ListPlacements, func(m *Magistrate, _ context.Context) ([]Placement, error) { return m.Placements(), nil }),
+	rt.Serve1(Query, func(m *Magistrate, _ context.Context, q string) (*obs.Table, error) { return m.Plane().Query(q) }),
+	rt.Serve2(AddSubMagistrate, (*Magistrate).addSub),
+	rt.Serve1(RemoveSubMagistrate, (*Magistrate).removeSub),
+	rt.Serve0(ListSubMagistrates, (*Magistrate).listSubs),
+)
+
+// Interface is the member-function set every Magistrate exports (§3.8).
+var Interface = server.Interface()
 
 // ActivationFilter lets a Magistrate implementation refuse to run
 // particular objects or implementations — the DOE example of §2.1.3:
@@ -313,130 +341,67 @@ func (m *Magistrate) Interface() *idl.Interface { return Interface }
 func (m *Magistrate) Bind(o *rt.Object) { m.obj = o }
 
 // Dispatch implements rt.Impl.
-func (m *Magistrate) Dispatch(inv *rt.Invocation) ([][]byte, error) {
-	if handled, results, err := m.handleHierarchy(inv); handled {
-		return results, err
-	}
-	switch inv.Method {
-	case "AddHost":
-		return m.addHost(inv)
-	case "RemoveHost":
-		l, err := argLOID(inv, 0)
-		if err != nil {
-			return nil, err
-		}
-		m.mu.Lock()
-		for i, h := range m.hosts {
-			if h.l.SameObject(l) {
-				m.hosts = append(m.hosts[:i], m.hosts[i+1:]...)
-				break
-			}
-		}
-		m.mu.Unlock()
-		return nil, nil
-	case "ListHosts":
-		m.mu.Lock()
-		ls := make([]loid.LOID, 0, len(m.hosts))
-		for _, h := range m.hosts {
-			ls = append(ls, h.l)
-		}
-		m.mu.Unlock()
-		return [][]byte{wire.LOIDList(ls)}, nil
-	case "Register", "ReceiveOPR":
-		return m.register(inv)
-	case "CheckpointBatch":
-		return m.checkpointBatch(inv)
-	case "Activate":
-		return m.activate(inv)
-	case "Instantiate":
-		return m.instantiate(inv)
-	case "Deactivate":
-		return m.deactivate(inv)
-	case "Delete":
-		return m.delete(inv)
-	case "Copy":
-		return m.copyTo(inv, false)
-	case "Move":
-		return m.copyTo(inv, true)
-	case "GetBinding":
-		return m.getBinding(inv)
-	case "MigrateObject":
-		return m.migrateObject(inv)
-	case "ReportLoad":
-		return m.reportLoad(inv)
-	case "GetLoads":
-		return [][]byte{marshalLoads(m.Loads())}, nil
-	case "ListPlacements":
-		return [][]byte{marshalPlacements(m.Placements())}, nil
-	case "Query":
-		q, err := argString(inv, 0)
-		if err != nil {
-			return nil, err
-		}
-		t, err := m.Plane().Query(q)
-		if err != nil {
-			return nil, err
-		}
-		return [][]byte{t.Marshal()}, nil
-	case "HasObject":
-		l, err := argLOID(inv, 0)
-		if err != nil {
-			return nil, err
-		}
-		m.mu.Lock()
-		rec, known := m.table[l.Ident()]
-		active := known && rec.active
-		m.mu.Unlock()
-		if !known {
-			// The hierarchy presents the union of its jurisdictions.
-			if out, delegated, err := m.delegate(l, func(sc *Client) ([][]byte, error) {
-				k, a, err := sc.HasObject(l)
-				if err != nil {
-					return nil, err
-				}
-				return [][]byte{wire.Bool(k), wire.Bool(a)}, nil
-			}); delegated {
-				return out, err
-			}
-		}
-		return [][]byte{wire.Bool(known), wire.Bool(active)}, nil
-	case "ListObjects":
-		m.mu.Lock()
-		ls := make([]loid.LOID, 0, len(m.table))
-		for id := range m.table {
-			ls = append(ls, id.LOID())
-		}
-		m.mu.Unlock()
-		return [][]byte{wire.LOIDList(ls)}, nil
-	}
-	return nil, &rt.NoSuchMethodError{Method: inv.Method}
-}
+func (m *Magistrate) Dispatch(inv *rt.Invocation) ([][]byte, error) { return server.Dispatch(m, inv) }
 
-func (m *Magistrate) addHost(inv *rt.Invocation) ([][]byte, error) {
-	l, err := argLOID(inv, 0)
-	if err != nil {
-		return nil, err
-	}
-	raw, err := inv.Arg(1)
-	if err != nil {
-		return nil, err
-	}
-	addr, err := wire.AsAddress(raw)
-	if err != nil {
-		return nil, err
-	}
+func (m *Magistrate) addHost(_ context.Context, l loid.LOID, addr oa.Address) (rt.Void, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for i := range m.hosts {
 		if m.hosts[i].l.SameObject(l) {
 			m.hosts[i].addr = addr
 			m.seedHost(l, addr)
-			return nil, nil
+			return rt.Void{}, nil
 		}
 	}
 	m.hosts = append(m.hosts, hostEntry{l: l, addr: addr})
 	m.seedHost(l, addr)
-	return nil, nil
+	return rt.Void{}, nil
+}
+
+func (m *Magistrate) removeHost(_ context.Context, l loid.LOID) (rt.Void, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for i, h := range m.hosts {
+		if h.l.SameObject(l) {
+			m.hosts = append(m.hosts[:i], m.hosts[i+1:]...)
+			break
+		}
+	}
+	return rt.Void{}, nil
+}
+
+func (m *Magistrate) listHosts(context.Context) ([]loid.LOID, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	ls := make([]loid.LOID, 0, len(m.hosts))
+	for _, h := range m.hosts {
+		ls = append(ls, h.l)
+	}
+	return ls, nil
+}
+
+func (m *Magistrate) listObjects(context.Context) ([]loid.LOID, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	ls := make([]loid.LOID, 0, len(m.table))
+	for id := range m.table {
+		ls = append(ls, id.LOID())
+	}
+	return ls, nil
+}
+
+func (m *Magistrate) hasObject(ctx context.Context, l loid.LOID) (ObjectState, error) {
+	m.mu.Lock()
+	rec, known := m.table[l.Ident()]
+	st := ObjectState{Known: known, Active: known && rec.active}
+	m.mu.Unlock()
+	if !known {
+		// The hierarchy presents the union of its jurisdictions.
+		if sub, ok := m.subFor(ctx, l); ok {
+			return HasObject.Call(ctx, sub, l)
+		}
+	}
+	return st, nil
 }
 
 // seedHost caches the host's binding so the magistrate can call it by
@@ -447,22 +412,10 @@ func (m *Magistrate) seedHost(l loid.LOID, addr oa.Address) {
 	}
 }
 
-func (m *Magistrate) register(inv *rt.Invocation) ([][]byte, error) {
-	l, err := argLOID(inv, 0)
-	if err != nil {
-		return nil, err
-	}
-	implName, err := argString(inv, 1)
-	if err != nil {
-		return nil, err
-	}
-	state, err := inv.Arg(2)
-	if err != nil {
-		return nil, err
-	}
+func (m *Magistrate) register(_ context.Context, l loid.LOID, implName string, state []byte) (rt.Void, error) {
 	oprAddr, err := m.store.Put(persist.OPR{LOID: l, Impl: implName, State: state})
 	if err != nil {
-		return nil, fmt.Errorf("magistrate %v: %w", m.self, err)
+		return rt.Void{}, fmt.Errorf("magistrate %v: %w", m.self, err)
 	}
 	m.mu.Lock()
 	var replaced [2]persist.PersistentAddress
@@ -474,40 +427,21 @@ func (m *Magistrate) register(inv *rt.Invocation) ([][]byte, error) {
 	noteGeneration(m.plane, l, "register", loid.Nil, len(state))
 	m.mu.Unlock()
 	m.drop(replaced[:]...)
-	return nil, nil
+	return rt.Void{}, nil
 }
 
 // activate implements the overloaded Activate(LOID) and
 // Activate(LOID, LOID) of §3.8. The host hint may be the nil LOID.
-func (m *Magistrate) activate(inv *rt.Invocation) ([][]byte, error) {
-	l, err := argLOID(inv, 0)
-	if err != nil {
-		return nil, err
-	}
-	var hint loid.LOID
-	if len(inv.Args) > 1 {
-		if hint, err = wire.AsLOID(inv.Args[1]); err != nil {
-			return nil, err
-		}
-	}
-	b, known, err := m.activateLocal(inv.Ctx(), l, hint)
+func (m *Magistrate) activate(ctx context.Context, l, hint loid.LOID) (binding.Binding, error) {
+	b, known, err := m.activateLocal(ctx, l, hint)
 	if !known {
 		// Delegate down the hierarchy (§2.2).
-		if out, delegated, derr := m.delegate(l, func(sc *Client) ([][]byte, error) {
-			b, err := sc.ActivateCtx(inv.Ctx(), l, hint)
-			if err != nil {
-				return nil, err
-			}
-			return [][]byte{wire.Binding(b)}, nil
-		}); delegated {
-			return out, derr
+		if sub, ok := m.subFor(ctx, l); ok {
+			return Activate.Call(ctx, sub, l, hint)
 		}
-		return nil, fmt.Errorf("magistrate %v: unknown object %v", m.self, l)
+		return binding.Binding{}, fmt.Errorf("magistrate %v: unknown object %v", m.self, l)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return [][]byte{wire.Binding(b)}, nil
+	return b, err
 }
 
 // activateLocal activates an object this jurisdiction knows directly.
@@ -569,23 +503,8 @@ func (m *Magistrate) activateLocal(ctx context.Context, l, hint loid.LOID) (b bi
 // moment the object ran. Until a checkpoint or Deactivate files one,
 // the object is "active, no checkpoint", whose loss settles to a blank
 // OPR like any other.
-func (m *Magistrate) instantiate(inv *rt.Invocation) ([][]byte, error) {
-	l, err := argLOID(inv, 0)
-	if err != nil {
-		return nil, err
-	}
-	implName, err := argString(inv, 1)
-	if err != nil {
-		return nil, err
-	}
-	state, err := inv.Arg(2)
-	if err != nil {
-		return nil, err
-	}
-	hint, err := argLOID(inv, 3)
-	if err != nil {
-		return nil, err
-	}
+func (m *Magistrate) instantiate(ctx context.Context, in Instance) (binding.Binding, error) {
+	l, implName, hint := in.Object, in.Impl, in.HostHint
 	for {
 		m.mu.Lock()
 		rec, ok := m.table[l.Ident()]
@@ -595,33 +514,25 @@ func (m *Magistrate) instantiate(inv *rt.Invocation) ([][]byte, error) {
 		held := rec.impl
 		m.mu.Unlock()
 		if held != implName {
-			return nil, fmt.Errorf("magistrate %v: object %v already exists", m.self, l)
+			return binding.Binding{}, fmt.Errorf("magistrate %v: object %v already exists", m.self, l)
 		}
 		// A redelivery: the caller retried after a late or lost reply.
 		// Wait on the first delivery's claim and answer its binding. If
 		// that start failed, the record has left the table: start afresh.
-		b, known, err := m.activateLocal(inv.Ctx(), l, hint)
-		if known {
-			if err != nil {
-				return nil, err
-			}
-			return [][]byte{wire.Binding(b)}, nil
+		if b, known, err := m.activateLocal(ctx, l, hint); known {
+			return b, err
 		}
 	}
 	h, err := m.pickAdmittedLocked(l, implName, hint)
 	if err != nil {
 		m.mu.Unlock()
-		return nil, err
+		return binding.Binding{}, err
 	}
 	rec := &record{impl: implName}
 	m.table[l.Ident()] = rec
 	m.claimLocked(rec)
 	m.mu.Unlock()
-	b, err := m.startOn(inv.Ctx(), l, rec, h, !hint.IsNil(), persist.OPR{LOID: l, Impl: implName, State: state}, "")
-	if err != nil {
-		return nil, err
-	}
-	return [][]byte{wire.Binding(b)}, nil
+	return m.startOn(ctx, l, rec, h, !hint.IsNil(), persist.OPR{LOID: l, Impl: implName, State: in.State}, "")
 }
 
 // pickAdmittedLocked picks the host l is to start on (pickHostLocked)
@@ -651,7 +562,6 @@ func (m *Magistrate) pickAdmittedLocked(l loid.LOID, implName string, hint loid.
 // ever see it inert.
 func (m *Magistrate) startOn(ctx context.Context, l loid.LOID, rec *record, h hostEntry, pinned bool, opr persist.OPR, from persist.PersistentAddress) (binding.Binding, error) {
 	h, addr, err := m.startFirst(ctx, l, h, pinned, opr)
-	hc := host.NewClient(m.obj.Caller(), h.l)
 	m.mu.Lock()
 	m.releaseLocked(rec)
 	if err != nil {
@@ -664,7 +574,7 @@ func (m *Magistrate) startOn(ctx context.Context, l loid.LOID, rec *record, h ho
 	stale, ok := m.commitStartedLocked(l, rec, h.l, addr, from)
 	if !ok {
 		m.mu.Unlock()
-		_ = hc.KillObject(l)
+		_, _ = host.KillObject.Call(ctx, m.obj.Caller().To(h.l), l)
 		return binding.Binding{}, fmt.Errorf("magistrate %v: object %v deleted during activation", m.self, l)
 	}
 	b := m.bindingLocked(l, addr)
@@ -692,7 +602,7 @@ func (m *Magistrate) startOn(ctx context.Context, l loid.LOID, rec *record, h ho
 func (m *Magistrate) startFirst(ctx context.Context, l loid.LOID, h hostEntry, pinned bool, opr persist.OPR) (hostEntry, oa.Address, error) {
 	asked := []loid.LOID{h.l}
 	for {
-		addr, err := host.NewClient(m.obj.Caller(), h.l).StartObjectCtx(ctx, l, opr.Impl, opr.State)
+		addr, err := host.StartObject.Call(ctx, m.obj.Caller().To(h.l), l, opr.Impl, opr.State)
 		if addr.Equal(h.addr) {
 			// Objects run at their host's address: the record shares the
 			// pool entry's copy instead of keeping one each.
@@ -902,11 +812,7 @@ func (m *Magistrate) notifyClass(l loid.LOID, b binding.Binding) {
 	if cl.IsNil() || cl.SameObject(l) {
 		return
 	}
-	res, err := m.obj.Caller().Call(cl, "NotifyAddress", wire.LOID(l), wire.Address(b.Address))
-	if err == nil {
-		err = res.Err()
-	}
-	if err != nil {
+	if _, err := NotifyAddress.Call(context.Background(), m.obj.Caller().To(cl), l, b.Address); err != nil {
 		m.reg().Counter("mag/notify_class_failed").Inc()
 	}
 }
@@ -1117,26 +1023,14 @@ func noteGeneration(p *obs.Plane, l loid.LOID, kind string, host loid.LOID, byte
 	p.NoteGeneration(l.ID().String(), kind, hs, bytes)
 }
 
-func (m *Magistrate) deactivate(inv *rt.Invocation) ([][]byte, error) {
-	l, err := argLOID(inv, 0)
-	if err != nil {
-		return nil, err
-	}
-	if err := m.deactivateByLOID(l); err != nil {
-		return nil, err
-	}
-	return nil, nil
-}
-
-func (m *Magistrate) deactivateByLOID(l loid.LOID) error {
+func (m *Magistrate) deactivateByLOID(ctx context.Context, l loid.LOID) error {
 	m.mu.Lock()
 	rec, ok := m.waitSettledLocked(l.Ident())
 	if !ok {
 		m.mu.Unlock()
-		if _, delegated, derr := m.delegate(l, func(sc *Client) ([][]byte, error) {
-			return nil, sc.Deactivate(l)
-		}); delegated {
-			return derr
+		if sub, ok := m.subFor(ctx, l); ok {
+			_, err := Deactivate.Call(ctx, sub, l)
+			return err
 		}
 		return fmt.Errorf("magistrate %v: unknown object %v", m.self, l)
 	}
@@ -1147,48 +1041,35 @@ func (m *Magistrate) deactivateByLOID(l loid.LOID) error {
 	hostL := rec.host
 	m.mu.Unlock()
 
-	hc := host.NewClient(m.obj.Caller(), hostL)
-	state, implName, err := hc.StopObject(l)
+	saved, err := host.StopObject.Call(ctx, m.obj.Caller().To(hostL), l)
 	if err != nil {
 		return fmt.Errorf("magistrate %v: stop %v: %w", m.self, l, err)
 	}
-	oprAddr, err := m.store.Put(persist.OPR{LOID: l, Impl: implName, State: state})
+	oprAddr, err := m.store.Put(persist.OPR{LOID: l, Impl: saved.Impl, State: saved.State})
 	if err != nil {
 		return fmt.Errorf("magistrate %v: persist %v: %w", m.self, l, err)
 	}
 	m.mu.Lock()
 	m.unplace(rec)
 	rec.oprAddr = oprAddr
-	rec.impl = implName
+	rec.impl = saved.Impl
 	ckpt := rec.ckptAddr
 	rec.ckptAddr = ""
 	plane := m.plane
 	m.mu.Unlock()
 	m.drop(ckpt) // the clean-shutdown OPR supersedes any crash checkpoint
-	noteGeneration(plane, l, "deactivate", hostL, len(state))
+	noteGeneration(plane, l, "deactivate", hostL, len(saved.State))
 	return nil
 }
 
-func (m *Magistrate) delete(inv *rt.Invocation) ([][]byte, error) {
-	l, err := argLOID(inv, 0)
-	if err != nil {
-		return nil, err
-	}
-	if err := m.deleteByLOID(l); err != nil {
-		return nil, err
-	}
-	return nil, nil
-}
-
-func (m *Magistrate) deleteByLOID(l loid.LOID) error {
+func (m *Magistrate) deleteByLOID(ctx context.Context, l loid.LOID) error {
 	m.mu.Lock()
 	rec, ok := m.waitSettledLocked(l.Ident())
 	if !ok {
 		m.mu.Unlock()
-		if _, delegated, derr := m.delegate(l, func(sc *Client) ([][]byte, error) {
-			return nil, sc.Delete(l)
-		}); delegated {
-			return derr
+		if sub, ok := m.subFor(ctx, l); ok {
+			_, err := Delete.Call(ctx, sub, l)
+			return err
 		}
 		return fmt.Errorf("magistrate %v: unknown object %v", m.self, l)
 	}
@@ -1198,8 +1079,7 @@ func (m *Magistrate) deleteByLOID(l loid.LOID) error {
 	m.mu.Unlock()
 
 	if active {
-		hc := host.NewClient(m.obj.Caller(), hostL)
-		if err := hc.KillObject(l); err != nil {
+		if _, err := host.KillObject.Call(ctx, m.obj.Caller().To(hostL), l); err != nil {
 			return fmt.Errorf("magistrate %v: kill %v: %w", m.self, l, err)
 		}
 	}
@@ -1209,72 +1089,48 @@ func (m *Magistrate) deleteByLOID(l loid.LOID) error {
 
 // copyTo implements Copy (and, with move set, Move = Copy then Delete,
 // §3.8).
-func (m *Magistrate) copyTo(inv *rt.Invocation, move bool) ([][]byte, error) {
-	l, err := argLOID(inv, 0)
-	if err != nil {
-		return nil, err
-	}
-	to, err := argLOID(inv, 1)
-	if err != nil {
-		return nil, err
-	}
+func (m *Magistrate) copyTo(ctx context.Context, l, to loid.LOID, move bool) error {
 	// Copy "causes the Magistrate to deactivate the object, creating an
 	// Object Persistent Representation" (§3.8).
-	if err := m.deactivateByLOID(l); err != nil {
-		return nil, err
+	if err := m.deactivateByLOID(ctx, l); err != nil {
+		return err
 	}
 	m.mu.Lock()
 	rec, ok := m.table[l.Ident()]
 	if !ok {
 		m.mu.Unlock()
-		return nil, fmt.Errorf("magistrate %v: unknown object %v", m.self, l)
+		return fmt.Errorf("magistrate %v: unknown object %v", m.self, l)
 	}
 	oprAddr := rec.oprAddr
 	m.mu.Unlock()
 	opr, err := m.store.Get(oprAddr)
 	if err != nil {
-		return nil, fmt.Errorf("magistrate %v: %w", m.self, err)
+		return fmt.Errorf("magistrate %v: %w", m.self, err)
 	}
-	res, err := m.obj.Caller().Call(to, "ReceiveOPR", wire.LOID(l), wire.String(opr.Impl), opr.State)
-	if err != nil {
-		return nil, fmt.Errorf("magistrate %v: send OPR to %v: %w", m.self, to, err)
-	}
-	if err := res.Err(); err != nil {
-		return nil, fmt.Errorf("magistrate %v: %v rejected OPR: %w", m.self, to, err)
+	if _, err := ReceiveOPR.Call(ctx, m.obj.Caller().To(to), l, opr.Impl, opr.State); err != nil {
+		return fmt.Errorf("magistrate %v: send OPR to %v: %w", m.self, to, err)
 	}
 	if move {
-		if err := m.deleteByLOID(l); err != nil {
-			return nil, err
-		}
+		return m.deleteByLOID(ctx, l)
 	}
-	return nil, nil
+	return nil
 }
 
-func (m *Magistrate) getBinding(inv *rt.Invocation) ([][]byte, error) {
-	l, err := argLOID(inv, 0)
-	if err != nil {
-		return nil, err
-	}
+func (m *Magistrate) getBinding(ctx context.Context, l loid.LOID) (binding.Binding, error) {
 	m.mu.Lock()
 	rec, ok := m.table[l.Ident()]
 	if !ok {
 		m.mu.Unlock()
-		if out, delegated, derr := m.delegate(l, func(sc *Client) ([][]byte, error) {
-			b, err := sc.GetBinding(l)
-			if err != nil {
-				return nil, err
-			}
-			return [][]byte{wire.Binding(b)}, nil
-		}); delegated {
-			return out, derr
+		if sub, ok := m.subFor(ctx, l); ok {
+			return GetBinding.Call(ctx, sub, l)
 		}
-		return nil, fmt.Errorf("magistrate %v: unknown object %v", m.self, l)
+		return binding.Binding{}, fmt.Errorf("magistrate %v: unknown object %v", m.self, l)
 	}
 	defer m.mu.Unlock()
 	if !rec.active {
-		return nil, fmt.Errorf("magistrate %v: object %v is inert (use Activate)", m.self, l)
+		return binding.Binding{}, fmt.Errorf("magistrate %v: object %v is inert (use Activate)", m.self, l)
 	}
-	return [][]byte{wire.Binding(m.bindingLocked(l, rec.addr))}, nil
+	return m.bindingLocked(l, rec.addr), nil
 }
 
 // SaveState implements rt.Impl: the magistrate persists its table and
@@ -1420,20 +1276,4 @@ func (m *Magistrate) RestoreState(state []byte) error {
 		return fmt.Errorf("magistrate: %d trailing state bytes", len(state))
 	}
 	return nil
-}
-
-func argLOID(inv *rt.Invocation, i int) (loid.LOID, error) {
-	a, err := inv.Arg(i)
-	if err != nil {
-		return loid.Nil, err
-	}
-	return wire.AsLOID(a)
-}
-
-func argString(inv *rt.Invocation, i int) (string, error) {
-	a, err := inv.Arg(i)
-	if err != nil {
-		return "", err
-	}
-	return wire.AsString(a), nil
 }

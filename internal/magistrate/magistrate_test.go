@@ -104,7 +104,7 @@ func newFixture(t testing.TB, nHosts int) *fixture {
 	fx.client = NewClient(fx.caller, fx.magL)
 
 	for i, h := range fx.hosts {
-		if err := fx.client.AddHost(fx.hostLs[i], h.Address()); err != nil {
+		if _, err := AddHost.Call(context.Background(), fx.client.Ref, fx.hostLs[i], h.Address()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -115,11 +115,12 @@ var objL = loid.NewNoKey(256, 1)
 
 func TestRegisterActivate(t *testing.T) {
 	fx := newFixture(t, 2)
-	if err := fx.client.Register(objL, "counter", nil); err != nil {
+	if _, err := Register.Call(context.Background(), fx.client.Ref, objL, "counter", nil); err != nil {
 		t.Fatal(err)
 	}
 	// Registered but inert: known, not active, OPR in store.
-	known, active, err := fx.client.HasObject(objL)
+	rHasObject, err := HasObject.Call(context.Background(), fx.client.Ref, objL)
+	known, active := rHasObject.Known, rHasObject.Active
 	if err != nil || !known || active {
 		t.Fatalf("HasObject = %v/%v, %v", known, active, err)
 	}
@@ -147,7 +148,7 @@ func TestRegisterActivate(t *testing.T) {
 
 func TestActivateIdempotent(t *testing.T) {
 	fx := newFixture(t, 1)
-	fx.client.Register(objL, "counter", nil)
+	_, _ = Register.Call(context.Background(), fx.client.Ref, objL, "counter", nil)
 	b1, err := fx.client.Activate(objL, loid.Nil)
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +185,7 @@ func TestInstantiateRedelivery(t *testing.T) {
 	deliver := func() chan reply {
 		ch := make(chan reply, 1)
 		go func() {
-			b, err := fx.client.InstantiateCtx(context.Background(), objL, "gated", nil, loid.Nil)
+			b, err := Instantiate.Call(context.Background(), fx.client.Ref, Instance{objL, "gated", nil, loid.Nil})
 			ch <- reply{b, err}
 		}()
 		return ch
@@ -228,7 +229,7 @@ func TestInstantiateRedelivery(t *testing.T) {
 		t.Errorf("%d incarnations, %d running; want one", n, fx.hosts[0].Running())
 	}
 	// Only another impl under the same LOID is refused.
-	if _, err := fx.client.InstantiateCtx(context.Background(), objL, "counter", nil, loid.Nil); err == nil {
+	if _, err := Instantiate.Call(context.Background(), fx.client.Ref, Instance{objL, "counter", nil, loid.Nil}); err == nil {
 		t.Error("Instantiate under a held LOID with another impl succeeded")
 	}
 }
@@ -242,7 +243,7 @@ func TestActivateUnknown(t *testing.T) {
 
 func TestActivateHostHint(t *testing.T) {
 	fx := newFixture(t, 3)
-	fx.client.Register(objL, "counter", nil)
+	_, _ = Register.Call(context.Background(), fx.client.Ref, objL, "counter", nil)
 	hint := fx.hostLs[2]
 	if _, err := fx.client.Activate(objL, hint); err != nil {
 		t.Fatal(err)
@@ -253,7 +254,7 @@ func TestActivateHostHint(t *testing.T) {
 	// Bad hint refused.
 	other := loid.NewNoKey(loid.ClassIDLegionHost, 99)
 	l2 := loid.NewNoKey(256, 2)
-	fx.client.Register(l2, "counter", nil)
+	_, _ = Register.Call(context.Background(), fx.client.Ref, l2, "counter", nil)
 	if _, err := fx.client.Activate(l2, other); err == nil {
 		t.Error("foreign host hint accepted")
 	}
@@ -263,7 +264,7 @@ func TestRoundRobinPlacement(t *testing.T) {
 	fx := newFixture(t, 2)
 	for i := 0; i < 4; i++ {
 		l := loid.NewNoKey(256, uint64(i+1))
-		fx.client.Register(l, "counter", nil)
+		_, _ = Register.Call(context.Background(), fx.client.Ref, l, "counter", nil)
 		if _, err := fx.client.Activate(l, loid.Nil); err != nil {
 			t.Fatal(err)
 		}
@@ -275,7 +276,7 @@ func TestRoundRobinPlacement(t *testing.T) {
 
 func TestDeactivatePersistsState(t *testing.T) {
 	fx := newFixture(t, 1)
-	fx.client.Register(objL, "counter", nil)
+	_, _ = Register.Call(context.Background(), fx.client.Ref, objL, "counter", nil)
 	b, _ := fx.client.Activate(objL, loid.Nil)
 	fx.caller.AddBinding(b)
 	for i := 0; i < 3; i++ {
@@ -314,28 +315,28 @@ func TestDeactivatePersistsState(t *testing.T) {
 func TestDeleteActiveAndInert(t *testing.T) {
 	fx := newFixture(t, 1)
 	// Active delete.
-	fx.client.Register(objL, "counter", nil)
+	_, _ = Register.Call(context.Background(), fx.client.Ref, objL, "counter", nil)
 	fx.client.Activate(objL, loid.Nil)
-	if err := fx.client.Delete(objL); err != nil {
+	if _, err := Delete.Call(context.Background(), fx.client.Ref, objL); err != nil {
 		t.Fatal(err)
 	}
 	if fx.hosts[0].Running() != 0 || fx.store.Len() != 0 {
 		t.Error("delete left residue")
 	}
-	if known, _, _ := fx.client.HasObject(objL); known {
+	if st, _ := HasObject.Call(context.Background(), fx.client.Ref, objL); st.Known {
 		t.Error("deleted object still known")
 	}
 	// Inert delete.
 	l2 := loid.NewNoKey(256, 2)
-	fx.client.Register(l2, "counter", nil)
-	if err := fx.client.Delete(l2); err != nil {
+	_, _ = Register.Call(context.Background(), fx.client.Ref, l2, "counter", nil)
+	if _, err := Delete.Call(context.Background(), fx.client.Ref, l2); err != nil {
 		t.Fatal(err)
 	}
 	if fx.store.Len() != 0 {
 		t.Error("inert delete left OPR")
 	}
 	// Delete of unknown is an error.
-	if err := fx.client.Delete(loid.NewNoKey(256, 9)); err == nil {
+	if _, err := Delete.Call(context.Background(), fx.client.Ref, loid.NewNoKey(256, 9)); err == nil {
 		t.Error("unknown delete succeeded")
 	}
 }
@@ -371,7 +372,7 @@ func twoMagistrates(t *testing.T) (*fixture, *Magistrate, loid.LOID, *Client, *p
 	}
 	cl2 := NewClient(fx.caller, magL2)
 	fx.caller.AddBinding(binding.Forever(magL2, magNode2.Address()))
-	if err := cl2.AddHost(hl, h2.Address()); err != nil {
+	if _, err := AddHost.Call(context.Background(), cl2.Ref, hl, h2.Address()); err != nil {
 		t.Fatal(err)
 	}
 	// Magistrate 1 must be able to reach magistrate 2 (migration).
@@ -381,19 +382,20 @@ func twoMagistrates(t *testing.T) (*fixture, *Magistrate, loid.LOID, *Client, *p
 
 func TestCopyBetweenJurisdictions(t *testing.T) {
 	fx, _, magL2, cl2, store2, _ := twoMagistrates(t)
-	fx.client.Register(objL, "counter", nil)
+	_, _ = Register.Call(context.Background(), fx.client.Ref, objL, "counter", nil)
 	b, _ := fx.client.Activate(objL, loid.Nil)
 	fx.caller.AddBinding(b)
 	fx.caller.Call(objL, "Inc")
 
-	if err := fx.client.Copy(objL, magL2); err != nil {
+	if _, err := Copy.Call(context.Background(), fx.client.Ref, objL, magL2); err != nil {
 		t.Fatal(err)
 	}
 	// Copy deactivates locally and both jurisdictions hold an OPR.
 	if fx.store.Len() != 1 || store2.Len() != 1 {
 		t.Errorf("OPRs = %d/%d, want 1/1", fx.store.Len(), store2.Len())
 	}
-	known, _, _ := fx.client.HasObject(objL)
+	rHasObject2, _ := HasObject.Call(context.Background(), fx.client.Ref, objL)
+	known := rHasObject2.Known
 	if !known {
 		t.Error("source lost the object after Copy")
 	}
@@ -416,13 +418,13 @@ func TestCopyBetweenJurisdictions(t *testing.T) {
 
 func TestMoveBetweenJurisdictions(t *testing.T) {
 	fx, _, magL2, cl2, store2, hosts2 := twoMagistrates(t)
-	fx.client.Register(objL, "counter", nil)
+	_, _ = Register.Call(context.Background(), fx.client.Ref, objL, "counter", nil)
 	fx.client.Activate(objL, loid.Nil)
 
-	if err := fx.client.Move(objL, magL2); err != nil {
+	if _, err := Move.Call(context.Background(), fx.client.Ref, objL, magL2); err != nil {
 		t.Fatal(err)
 	}
-	if known, _, _ := fx.client.HasObject(objL); known {
+	if st, _ := HasObject.Call(context.Background(), fx.client.Ref, objL); st.Known {
 		t.Error("source still knows moved object")
 	}
 	if fx.store.Len() != 0 {
@@ -441,12 +443,12 @@ func TestMoveBetweenJurisdictions(t *testing.T) {
 
 func TestGetBinding(t *testing.T) {
 	fx := newFixture(t, 1)
-	fx.client.Register(objL, "counter", nil)
-	if _, err := fx.client.GetBinding(objL); err == nil {
+	_, _ = Register.Call(context.Background(), fx.client.Ref, objL, "counter", nil)
+	if _, err := GetBinding.Call(context.Background(), fx.client.Ref, objL); err == nil {
 		t.Error("GetBinding of inert object succeeded")
 	}
 	want, _ := fx.client.Activate(objL, loid.Nil)
-	got, err := fx.client.GetBinding(objL)
+	got, err := GetBinding.Call(context.Background(), fx.client.Ref, objL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +465,7 @@ func TestActivationFilterRefuses(t *testing.T) {
 		}
 		return nil
 	})
-	fx.client.Register(objL, "counter", nil)
+	_, _ = Register.Call(context.Background(), fx.client.Ref, objL, "counter", nil)
 	_, err := fx.client.Activate(objL, loid.Nil)
 	if err == nil || !strings.Contains(err.Error(), "refuses") {
 		t.Errorf("filter not applied: %v", err)
@@ -473,7 +475,7 @@ func TestActivationFilterRefuses(t *testing.T) {
 func TestBindingTTL(t *testing.T) {
 	fx := newFixture(t, 1)
 	fx.mag.BindingTTL = time.Hour
-	fx.client.Register(objL, "counter", nil)
+	_, _ = Register.Call(context.Background(), fx.client.Ref, objL, "counter", nil)
 	b, err := fx.client.Activate(objL, loid.Nil)
 	if err != nil {
 		t.Fatal(err)
@@ -492,7 +494,7 @@ func TestHostManagement(t *testing.T) {
 	if err != nil || len(hosts) != 2 {
 		t.Fatalf("ListHosts = %v, %v", hosts, err)
 	}
-	if err := fx.client.RemoveHost(fx.hostLs[0]); err != nil {
+	if _, err := RemoveHost.Call(context.Background(), fx.client.Ref, fx.hostLs[0]); err != nil {
 		t.Fatal(err)
 	}
 	hosts, _ = fx.client.ListHosts()
@@ -500,7 +502,7 @@ func TestHostManagement(t *testing.T) {
 		t.Errorf("after remove: %v", hosts)
 	}
 	// Re-adding a host updates rather than duplicates.
-	fx.client.AddHost(fx.hostLs[1], fx.hosts[1].Address())
+	_, _ = AddHost.Call(context.Background(), fx.client.Ref, fx.hostLs[1], fx.hosts[1].Address())
 	hosts, _ = fx.client.ListHosts()
 	if len(hosts) != 1 {
 		t.Errorf("duplicate host entries: %v", hosts)
@@ -509,8 +511,8 @@ func TestHostManagement(t *testing.T) {
 
 func TestListObjects(t *testing.T) {
 	fx := newFixture(t, 1)
-	fx.client.Register(objL, "counter", nil)
-	fx.client.Register(loid.NewNoKey(256, 2), "counter", nil)
+	_, _ = Register.Call(context.Background(), fx.client.Ref, objL, "counter", nil)
+	_, _ = Register.Call(context.Background(), fx.client.Ref, loid.NewNoKey(256, 2), "counter", nil)
 	ls, err := fx.client.ListObjects()
 	if err != nil || len(ls) != 2 {
 		t.Errorf("ListObjects = %v, %v", ls, err)
@@ -519,7 +521,7 @@ func TestListObjects(t *testing.T) {
 
 func TestMagistrateStateRoundTrip(t *testing.T) {
 	fx := newFixture(t, 2)
-	fx.client.Register(objL, "counter", []byte{})
+	_, _ = Register.Call(context.Background(), fx.client.Ref, objL, "counter", []byte{})
 	blob, err := fx.mag.SaveState()
 	if err != nil {
 		t.Fatal(err)
@@ -549,7 +551,7 @@ func TestMagistrateStateRoundTrip(t *testing.T) {
 // resolved by re-checking the record).
 func TestConcurrentActivationRace(t *testing.T) {
 	fx := newFixture(t, 2)
-	fx.client.Register(objL, "counter", nil)
+	_, _ = Register.Call(context.Background(), fx.client.Ref, objL, "counter", nil)
 
 	const racers = 8
 	type out struct {
@@ -632,36 +634,36 @@ func TestJurisdictionHierarchy(t *testing.T) {
 	// Enroll children (addresses from the fixture caller's cache).
 	b1, _ := fx.caller.Cache().Get(fx.magL)
 	b2, _ := fx.caller.Cache().Get(magL2)
-	if err := pc.AddSubMagistrate(fx.magL, b1.Address); err != nil {
+	if _, err := AddSubMagistrate.Call(context.Background(), pc.Ref, fx.magL, b1.Address); err != nil {
 		t.Fatal(err)
 	}
-	if err := pc.AddSubMagistrate(magL2, b2.Address); err != nil {
+	if _, err := AddSubMagistrate.Call(context.Background(), pc.Ref, magL2, b2.Address); err != nil {
 		t.Fatal(err)
 	}
-	subs, err := pc.ListSubMagistrates()
+	subs, err := ListSubMagistrates.Call(context.Background(), pc.Ref)
 	if err != nil || len(subs) != 2 {
 		t.Fatalf("ListSubMagistrates = %v, %v", subs, err)
 	}
 	// Self-enrollment refused (trivial cycle).
-	if err := pc.AddSubMagistrate(parentL, parentNode.Address()); err == nil {
+	if _, err := AddSubMagistrate.Call(context.Background(), pc.Ref, parentL, parentNode.Address()); err == nil {
 		t.Error("parent accepted itself as sub-magistrate")
 	}
 
 	// Objects registered with each child.
 	objA := loid.NewNoKey(256, 41)
 	objB := loid.NewNoKey(256, 42)
-	if err := fx.client.Register(objA, "counter", nil); err != nil {
+	if _, err := Register.Call(context.Background(), fx.client.Ref, objA, "counter", nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl2.Register(objB, "counter", nil); err != nil {
+	if _, err := Register.Call(context.Background(), cl2.Ref, objB, "counter", nil); err != nil {
 		t.Fatal(err)
 	}
 
 	// The parent sees the union of the hierarchy.
 	for _, obj := range []loid.LOID{objA, objB} {
-		known, _, err := pc.HasObject(obj)
-		if err != nil || !known {
-			t.Fatalf("parent HasObject(%v) = %v, %v", obj, known, err)
+		st, err := HasObject.Call(context.Background(), pc.Ref, obj)
+		if err != nil || !st.Known {
+			t.Fatalf("parent HasObject(%v) = %v, %v", obj, st.Known, err)
 		}
 	}
 	// Activate through the parent: delegated to the right child.
@@ -674,7 +676,7 @@ func TestJurisdictionHierarchy(t *testing.T) {
 		t.Fatalf("parent Activate(objB): %v %v", bB, err)
 	}
 	// GetBinding through the parent.
-	gb, err := pc.GetBinding(objB)
+	gb, err := GetBinding.Call(context.Background(), pc.Ref, objB)
 	if err != nil || !gb.Address.Equal(bB.Address) {
 		t.Fatalf("parent GetBinding(objB): %v %v", gb, err)
 	}
@@ -682,13 +684,13 @@ func TestJurisdictionHierarchy(t *testing.T) {
 	if err := pc.Deactivate(objA); err != nil {
 		t.Fatal(err)
 	}
-	if known, active, _ := pc.HasObject(objA); !known || active {
-		t.Errorf("after parent Deactivate: known=%v active=%v", known, active)
+	if st, _ := HasObject.Call(context.Background(), pc.Ref, objA); !st.Known || st.Active {
+		t.Errorf("after parent Deactivate: known=%v active=%v", st.Known, st.Active)
 	}
-	if err := pc.Delete(objB); err != nil {
+	if _, err := Delete.Call(context.Background(), pc.Ref, objB); err != nil {
 		t.Fatal(err)
 	}
-	if known, _, _ := pc.HasObject(objB); known {
+	if st, _ := HasObject.Call(context.Background(), pc.Ref, objB); st.Known {
 		t.Error("objB survived parent Delete")
 	}
 	// Unknown objects still error.
@@ -696,10 +698,10 @@ func TestJurisdictionHierarchy(t *testing.T) {
 		t.Error("parent activated unknown object")
 	}
 	// Removing a child stops delegation to it.
-	if err := pc.RemoveSubMagistrate(fx.magL); err != nil {
+	if _, err := RemoveSubMagistrate.Call(context.Background(), pc.Ref, fx.magL); err != nil {
 		t.Fatal(err)
 	}
-	if known, _, _ := pc.HasObject(objA); known {
+	if st, _ := HasObject.Call(context.Background(), pc.Ref, objA); st.Known {
 		t.Error("parent still sees removed child's object")
 	}
 }
@@ -710,7 +712,7 @@ func TestHierarchyPersistsInState(t *testing.T) {
 	fx := newFixture(t, 1)
 	sub := loid.NewNoKey(loid.ClassIDMagistrate, 77)
 	subAddr := oa.Single(oa.MemElement(777))
-	if err := fx.client.AddSubMagistrate(sub, subAddr); err != nil {
+	if _, err := AddSubMagistrate.Call(context.Background(), fx.client.Ref, sub, subAddr); err != nil {
 		t.Fatal(err)
 	}
 	blob, err := fx.mag.SaveState()

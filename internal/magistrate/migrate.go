@@ -96,19 +96,7 @@ func (m *Magistrate) hook(phase string, l, src, dest loid.LOID) {
 }
 
 // reportLoad files a host's heartbeat load vector.
-func (m *Magistrate) reportLoad(inv *rt.Invocation) ([][]byte, error) {
-	h, err := argLOID(inv, 0)
-	if err != nil {
-		return nil, err
-	}
-	raw, err := inv.Arg(1)
-	if err != nil {
-		return nil, err
-	}
-	ld, err := host.UnmarshalLoad(raw)
-	if err != nil {
-		return nil, err
-	}
+func (m *Magistrate) reportLoad(_ context.Context, h loid.LOID, ld host.Load, telemetry []byte) (rt.Void, error) {
 	m.mu.Lock()
 	m.loads[h.ID()] = loadEntry{ld: ld, at: m.now()}
 	plane := m.plane
@@ -117,14 +105,12 @@ func (m *Magistrate) reportLoad(inv *rt.Invocation) ([][]byte, error) {
 	// with a distinct registry additionally piggybacks its telemetry
 	// report as an optional third argument (older hosts send two).
 	plane.NoteLoad(h.String(), ld.Score(), ld.Residents, ld.DispatchRate, ld.MailboxDepth)
-	if len(inv.Args) > 2 {
-		if tb, err := inv.Arg(2); err == nil && len(tb) > 0 {
-			// A malformed report is a telemetry loss, not a heartbeat
-			// failure: the load vector above already landed.
-			_ = plane.Ingest(h.String(), tb)
-		}
+	if len(telemetry) > 0 {
+		// A malformed report is a telemetry loss, not a heartbeat
+		// failure: the load vector above already landed.
+		_ = plane.Ingest(h.String(), telemetry)
 	}
-	return nil, nil
+	return rt.Void{}, nil
 }
 
 // Loads returns the jurisdiction's per-host load view, in host-list
@@ -256,18 +242,6 @@ func UnmarshalPlacements(b []byte) ([]Placement, error) {
 	return out, nil
 }
 
-func (m *Magistrate) migrateObject(inv *rt.Invocation) ([][]byte, error) {
-	l, err := argLOID(inv, 0)
-	if err != nil {
-		return nil, err
-	}
-	dest, err := argLOID(inv, 1)
-	if err != nil {
-		return nil, err
-	}
-	return nil, m.MigrateObject(inv.Ctx(), l, dest)
-}
-
 // MigrateObject moves a running object to destHost without failing a
 // single call: the source drains it to a quiesce point (arrivals
 // parked), the quiesced state is checkpointed into the store and
@@ -347,14 +321,15 @@ func (m *Magistrate) MigrateObject(ctx context.Context, l, destHost loid.LOID) e
 
 // runMigration performs the phase sequence with rec claimed.
 func (m *Magistrate) runMigration(ctx context.Context, span *trace.Span, l loid.LOID, rec *record, src loid.LOID, dest hostEntry) error {
-	srcHC := host.NewClient(m.obj.Caller(), src)
-	destHC := host.NewClient(m.obj.Caller(), dest.l)
+	srcHC := m.obj.Caller().To(src)
+	destHC := m.obj.Caller().To(dest.l)
 
 	// Phase 1: drain. The source parks arrivals and saves state at the
 	// quiesce point.
-	state, implName, err := srcHC.PrepareMigrate(ctx, l)
+	saved, err := host.PrepareMigrate.Call(ctx, srcHC, l)
+	state, implName := saved.State, saved.Impl
 	if err != nil {
-		return m.abortToSource(l, rec, src, srcHC,
+		return m.abortToSource(ctx, l, rec, src, srcHC,
 			fmt.Errorf("magistrate %v: drain %v on %v: %w", m.self, l, src, err))
 	}
 	span.Event("migrate", fmt.Sprintf("%v drained on %v (%d state bytes)", l, src, len(state)))
@@ -364,7 +339,7 @@ func (m *Magistrate) runMigration(ctx context.Context, span *trace.Span, l loid.
 	// hosts die the object recovers exactly as drained.
 	ckptAddr, err := m.store.Put(persist.OPR{LOID: l, Impl: implName, State: state})
 	if err != nil {
-		return m.abortToSource(l, rec, src, srcHC,
+		return m.abortToSource(ctx, l, rec, src, srcHC,
 			fmt.Errorf("magistrate %v: checkpoint %v: %w", m.self, l, err))
 	}
 	m.mu.Lock()
@@ -374,12 +349,12 @@ func (m *Magistrate) runMigration(ctx context.Context, span *trace.Span, l loid.
 	m.drop(old)
 
 	// Phase 3: ship. Start the object on the destination.
-	addr, err := destHC.StartObjectCtx(ctx, l, implName, state)
+	addr, err := host.StartObject.Call(ctx, destHC, l, implName, state)
 	if err != nil {
 		// The destination may have partially started it; best-effort
 		// reap before reopening the source.
-		_ = destHC.KillObject(l)
-		return m.abortToSource(l, rec, src, srcHC,
+		_, _ = host.KillObject.Call(ctx, destHC, l)
+		return m.abortToSource(ctx, l, rec, src, srcHC,
 			fmt.Errorf("magistrate %v: start %v on %v: %w", m.self, l, dest.l, err))
 	}
 	span.Event("migrate", fmt.Sprintf("%v started on %v at %v", l, dest.l, addr))
@@ -389,15 +364,15 @@ func (m *Magistrate) runMigration(ctx context.Context, span *trace.Span, l loid.
 	m.mu.Lock()
 	if m.table[l.Ident()] != rec {
 		m.mu.Unlock()
-		_ = destHC.KillObject(l)
-		_ = srcHC.AbortMigrate(ctx, l)
+		_, _ = host.KillObject.Call(ctx, destHC, l)
+		_, _ = host.AbortMigrate.Call(ctx, srcHC, l)
 		return fmt.Errorf("magistrate %v: object %v deleted during migration", m.self, l)
 	}
 	if !m.hostKnownLocked(dest.l) {
 		// Destination crashed between ship and republish: the source
 		// incarnation is still whole, so reopen it.
 		m.mu.Unlock()
-		return m.abortToSource(l, rec, src, srcHC,
+		return m.abortToSource(ctx, l, rec, src, srcHC,
 			fmt.Errorf("magistrate %v: destination %v failed before republish", m.self, dest.l))
 	}
 	m.place(rec, dest.l, addr)
@@ -411,7 +386,7 @@ func (m *Magistrate) runMigration(ctx context.Context, span *trace.Span, l loid.
 	// parked + late frames one hop to the new home. A failure here is
 	// tolerable: if the source host died, its parked frames died with
 	// it and their callers heal via retry + binding refresh.
-	if err := srcHC.FinishMigrate(ctx, l, addr); err != nil {
+	if _, err := host.FinishMigrate.Call(ctx, srcHC, l, addr); err != nil {
 		m.reg().Counter("mig/finish_failed").Inc()
 		span.Event("migrate", fmt.Sprintf("%v commit on %v failed: %v (callers heal via refresh)", l, src, err))
 	}
@@ -426,11 +401,11 @@ func (m *Magistrate) runMigration(ctx context.Context, span *trace.Span, l loid.
 // — promoting the migration checkpoint when phase 2 wrote one — and
 // recovered, exactly as HostFailed would have done had the record not
 // been busy. The recovery waits for MigrateObject to release the claim.
-func (m *Magistrate) abortToSource(l loid.LOID, rec *record, src loid.LOID, srcHC *host.Client, cause error) error {
+func (m *Magistrate) abortToSource(ctx context.Context, l loid.LOID, rec *record, src loid.LOID, srcHC rt.Ref, cause error) error {
 	m.mu.Lock()
 	if m.hostKnownLocked(src) {
 		m.mu.Unlock()
-		if err := srcHC.AbortMigrate(context.Background(), l); err != nil {
+		if _, err := host.AbortMigrate.Call(ctx, srcHC, l); err != nil {
 			m.reg().Counter("mig/abort_failed").Inc()
 		}
 		return cause

@@ -137,7 +137,7 @@ func (w *walker) failHost(i int) []loid.LOID {
 func (w *walker) create() {
 	w.next++
 	l := loid.NewNoKey(256, w.next)
-	if err := w.fx.client.Register(l, "counter", nil); err != nil {
+	if _, err := Register.Call(context.Background(), w.fx.client.Ref, l, "counter", nil); err != nil {
 		w.t.Fatalf("step %d: register: %v", w.step, err)
 	}
 	w.objs = append(w.objs, l)
@@ -154,7 +154,7 @@ func (w *walker) instantiate() {
 		hint = w.fx.hostLs[in[w.g.intn(len(in))]]
 	}
 	records := w.fx.store.Stats().Records
-	if _, err := w.fx.client.InstantiateCtx(context.Background(), l, "counter", nil, hint); err != nil {
+	if _, err := Instantiate.Call(context.Background(), w.fx.client.Ref, Instance{l, "counter", nil, hint}); err != nil {
 		w.t.Fatalf("step %d: instantiate %v: %v", w.step, l, err)
 	}
 	if n := w.fx.store.Stats().Records; n != records {
@@ -175,13 +175,13 @@ func (w *walker) instantiateFails(impl string, withdrawn bool) {
 	}
 	hint := w.fx.hostLs[in[w.g.intn(len(in))]]
 	if withdrawn {
-		if err := w.fx.client.RemoveHost(hint); err != nil {
+		if _, err := RemoveHost.Call(context.Background(), w.fx.client.Ref, hint); err != nil {
 			w.t.Fatalf("step %d: remove host: %v", w.step, err)
 		}
 	}
 	w.next++
 	l := loid.NewNoKey(256, w.next)
-	if _, err := w.fx.client.InstantiateCtx(context.Background(), l, impl, nil, hint); err == nil {
+	if _, err := Instantiate.Call(context.Background(), w.fx.client.Ref, Instance{l, impl, nil, hint}); err == nil {
 		w.t.Fatalf("step %d: instantiate %v (%s) on %v succeeded", w.step, l, impl, hint)
 	}
 	m := w.fx.mag
@@ -232,7 +232,7 @@ func (w *walker) remove() {
 		return
 	}
 	i := w.g.intn(len(w.objs))
-	if err := w.fx.client.Delete(w.objs[i]); err != nil {
+	if _, err := Delete.Call(context.Background(), w.fx.client.Ref, w.objs[i]); err != nil {
 		w.t.Fatalf("step %d: delete %v: %v", w.step, w.objs[i], err)
 	}
 	w.objs = append(w.objs[:i], w.objs[i+1:]...)
@@ -367,7 +367,7 @@ func (w *walker) claimed() []loid.LOID {
 // residents keep running there and stay counted there.
 func (w *walker) removeHost() {
 	if in := w.pool(); len(in) >= 2 {
-		if err := w.fx.client.RemoveHost(w.fx.hostLs[in[w.g.intn(len(in))]]); err != nil {
+		if _, err := RemoveHost.Call(context.Background(), w.fx.client.Ref, w.fx.hostLs[in[w.g.intn(len(in))]]); err != nil {
 			w.t.Fatalf("step %d: remove host: %v", w.step, err)
 		}
 	}
@@ -399,7 +399,7 @@ func (w *walker) restore() {
 	w.fx.mag.ForgetHosts()
 	w.check("hosts forgotten")
 	for i, h := range w.fx.hosts {
-		if err := w.fx.client.AddHost(w.fx.hostLs[i], h.Address()); err != nil {
+		if _, err := AddHost.Call(context.Background(), w.fx.client.Ref, w.fx.hostLs[i], h.Address()); err != nil {
 			w.t.Fatalf("step %d: re-add host: %v", w.step, err)
 		}
 	}
@@ -544,7 +544,7 @@ func BenchmarkActivate(b *testing.B) {
 			ls := make([]loid.LOID, n)
 			for i := range ls {
 				ls[i] = loid.NewNoKey(256, uint64(i+1))
-				if err := fx.client.Register(ls[i], "counter", nil); err != nil {
+				if _, err := Register.Call(context.Background(), fx.client.Ref, ls[i], "counter", nil); err != nil {
 					b.Fatal(err)
 				}
 				if _, err := fx.client.Activate(ls[i], loid.Nil); err != nil {

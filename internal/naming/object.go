@@ -1,9 +1,11 @@
 package naming
 
 import (
+	"context"
+
 	"repro/internal/idl"
+	"repro/internal/loid"
 	"repro/internal/rt"
-	"repro/internal/wire"
 )
 
 // ImplName registers the context-object implementation: a naming
@@ -14,111 +16,97 @@ import (
 // use (§4.1) live in them.
 const ImplName = "legion.context"
 
-// Interface is the context object's member-function set.
-var Interface = idl.NewInterface("LegionContext",
-	idl.MethodSig{Name: "BindName",
-		Params: []idl.Param{
-			{Name: "path", Type: idl.TString},
-			{Name: "target", Type: idl.TLOID},
-			{Name: "replace", Type: idl.TBool}}},
-	idl.MethodSig{Name: "LookupName",
-		Params:  []idl.Param{{Name: "path", Type: idl.TString}},
-		Returns: []idl.Param{{Name: "target", Type: idl.TLOID}}},
-	idl.MethodSig{Name: "UnbindName",
-		Params: []idl.Param{{Name: "path", Type: idl.TString}}},
-	idl.MethodSig{Name: "ListNames",
-		Params: []idl.Param{{Name: "path", Type: idl.TString}},
-		Returns: []idl.Param{
-			{Name: "names", Type: idl.TBytes},
-			{Name: "dirs", Type: idl.TBytes},
-			{Name: "targets", Type: idl.TBytes}}},
-	idl.MethodSig{Name: "CountNames",
-		Returns: []idl.Param{{Name: "n", Type: idl.TUint64}}},
+// The context object's remote methods.
+var (
+	BindName   = rt.M3("BindName", rt.StringParam("path"), rt.LOIDParam("target"), rt.BoolParam("replace"), rt.None)
+	LookupName = rt.M1("LookupName", rt.StringParam("path"), rt.LOIDParam("target"))
+	UnbindName = rt.M1("UnbindName", rt.StringParam("path"), rt.None)
+	ListNames  = rt.M1("ListNames", rt.StringParam("path"), rt.Struct(
+		rt.Field(rt.StringListParam("names"), func(l *Listing) *[]string { return &l.Names }),
+		rt.Field(rt.StringListParam("dirs"), func(l *Listing) *[]string { return &l.Dirs }),
+		rt.Field(rt.Param("targets", idl.TBytes, marshalTargets, unmarshalTargets),
+			func(l *Listing) *[]loid.LOID { return &l.Targets })))
+	CountNames = rt.M0("CountNames", rt.Uint64Param("n"))
 )
 
-// NewContextImpl is the implreg factory for ImplName.
-func NewContextImpl() rt.Impl {
-	ctx := NewContext()
-	return &rt.Behavior{
-		Iface: Interface,
-		Handlers: map[string]rt.Handler{
-			"BindName": func(inv *rt.Invocation) ([][]byte, error) {
-				path, err := inv.Arg(0)
-				if err != nil {
-					return nil, err
-				}
-				rawTarget, err := inv.Arg(1)
-				if err != nil {
-					return nil, err
-				}
-				target, err := wire.AsLOID(rawTarget)
-				if err != nil {
-					return nil, err
-				}
-				rawReplace, err := inv.Arg(2)
-				if err != nil {
-					return nil, err
-				}
-				replace, err := wire.AsBool(rawReplace)
-				if err != nil {
-					return nil, err
-				}
-				return nil, ctx.Bind(wire.AsString(path), target, replace)
-			},
-			"LookupName": func(inv *rt.Invocation) ([][]byte, error) {
-				path, err := inv.Arg(0)
-				if err != nil {
-					return nil, err
-				}
-				l, err := ctx.Lookup(wire.AsString(path))
-				if err != nil {
-					return nil, err
-				}
-				return [][]byte{wire.LOID(l)}, nil
-			},
-			"UnbindName": func(inv *rt.Invocation) ([][]byte, error) {
-				path, err := inv.Arg(0)
-				if err != nil {
-					return nil, err
-				}
-				return nil, ctx.Unbind(wire.AsString(path))
-			},
-			"ListNames": func(inv *rt.Invocation) ([][]byte, error) {
-				path, err := inv.Arg(0)
-				if err != nil {
-					return nil, err
-				}
-				entries, err := ctx.List(wire.AsString(path))
-				if err != nil {
-					return nil, err
-				}
-				var names, dirs []string
-				var targets []byte
-				for _, e := range entries {
-					if e.IsDir {
-						dirs = append(dirs, e.Name)
-						continue
-					}
-					names = append(names, e.Name)
-					targets = e.LOID.Marshal(targets)
-				}
-				return [][]byte{wire.StringList(names), wire.StringList(dirs), targets}, nil
-			},
-			"CountNames": func(inv *rt.Invocation) ([][]byte, error) {
-				return [][]byte{wire.Uint64(uint64(ctx.Len()))}, nil
-			},
-		},
-		Save: func() ([]byte, error) { return ctx.Marshal(nil), nil },
-		Restore: func(state []byte) error {
-			if len(state) == 0 {
-				return nil
-			}
-			restored, err := UnmarshalContext(state)
-			if err != nil {
-				return err
-			}
-			ctx.Replace(restored)
-			return nil
-		},
+// Listing is one directory of a remote context (ListNames): its leaves
+// with their targets, in step, and its subdirectories.
+type Listing struct {
+	Names   []string
+	Dirs    []string
+	Targets []loid.LOID
+}
+
+// marshalTargets concatenates LOIDs, with no count: a Listing's names
+// carry it.
+func marshalTargets(ls []loid.LOID) []byte {
+	var out []byte
+	for _, l := range ls {
+		out = l.Marshal(out)
 	}
+	return out
+}
+
+func unmarshalTargets(b []byte) ([]loid.LOID, error) {
+	var ls []loid.LOID
+	for len(b) > 0 {
+		l, rest, err := loid.Unmarshal(b)
+		if err != nil {
+			return nil, err
+		}
+		ls, b = append(ls, l), rest
+	}
+	return ls, nil
+}
+
+var server = rt.NewServer("LegionContext",
+	rt.Serve3(BindName, func(c *Context, _ context.Context, path string, target loid.LOID, replace bool) (rt.Void, error) {
+		return rt.Void{}, c.Bind(path, target, replace)
+	}),
+	rt.Serve1(LookupName, func(c *Context, _ context.Context, path string) (loid.LOID, error) { return c.Lookup(path) }),
+	rt.Serve1(UnbindName, func(c *Context, _ context.Context, path string) (rt.Void, error) {
+		return rt.Void{}, c.Unbind(path)
+	}),
+	rt.Serve1(ListNames, func(c *Context, _ context.Context, path string) (Listing, error) {
+		entries, err := c.List(path)
+		var l Listing
+		for _, e := range entries {
+			if e.IsDir {
+				l.Dirs = append(l.Dirs, e.Name)
+			} else {
+				l.Names, l.Targets = append(l.Names, e.Name), append(l.Targets, e.LOID)
+			}
+		}
+		return l, err
+	}),
+	rt.Serve0(CountNames, func(c *Context, _ context.Context) (uint64, error) { return uint64(c.Len()), nil }),
+)
+
+// Interface is the context object's member-function set.
+var Interface = server.Interface()
+
+// contextObject serves a Context as a Legion object.
+type contextObject struct{ ctx *Context }
+
+// NewContextImpl is the implreg factory for ImplName.
+func NewContextImpl() rt.Impl { return contextObject{NewContext()} }
+
+func (o contextObject) Interface() *idl.Interface { return Interface }
+
+func (o contextObject) Dispatch(inv *rt.Invocation) ([][]byte, error) {
+	return server.Dispatch(o.ctx, inv)
+}
+
+func (o contextObject) SaveState() ([]byte, error) { return o.ctx.Marshal(nil), nil }
+
+func (o contextObject) RestoreState(state []byte) error {
+	if len(state) == 0 {
+		return nil
+	}
+	restored, err := UnmarshalContext(state)
+	if err != nil {
+		return err
+	}
+	o.ctx.Replace(restored)
+	return nil
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/magistrate"
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/rt"
 )
 
 // Rebalancer is the placement policy loop the paper leaves to
@@ -40,7 +41,7 @@ type Rebalancer struct {
 	// waiting out Interval.
 	Clock clock.Clock
 
-	cl  *magistrate.Client
+	mag rt.Ref
 	reg *metrics.Registry
 	rec *obs.Recorder // flight recorder for move decisions; nil when off
 
@@ -52,8 +53,8 @@ type Rebalancer struct {
 }
 
 // NewRebalancer builds a rebalancer with default tuning, driving the
-// Jurisdiction behind cl. reg may be nil.
-func NewRebalancer(cl *magistrate.Client, reg *metrics.Registry) *Rebalancer {
+// Jurisdiction of the Magistrate mag. reg may be nil.
+func NewRebalancer(mag rt.Ref, reg *metrics.Registry) *Rebalancer {
 	if reg == nil {
 		reg = metrics.Nop
 	}
@@ -63,7 +64,7 @@ func NewRebalancer(cl *magistrate.Client, reg *metrics.Registry) *Rebalancer {
 		SustainRounds:    2,
 		MaxMovesPerRound: 1,
 		MinResidents:     2,
-		cl:               cl,
+		mag:              mag,
 		reg:              reg,
 		hotRounds:        make(map[loid.LOID]int),
 	}
@@ -132,7 +133,7 @@ func (r *Rebalancer) Stop() {
 // drive rounds deterministically.
 func (r *Rebalancer) RoundNow(ctx context.Context) (int, error) {
 	r.reg.Counter("reb/rounds").Inc()
-	loads, err := r.cl.GetLoads()
+	loads, err := magistrate.GetLoads.Call(ctx, r.mag)
 	if err != nil {
 		return 0, err
 	}
@@ -173,7 +174,7 @@ func (r *Rebalancer) RoundNow(ctx context.Context) (int, error) {
 		return cold[i].Load.Score() < cold[j].Load.Score()
 	})
 
-	placements, err := r.cl.ListPlacements()
+	placements, err := magistrate.ListPlacements.Call(ctx, r.mag)
 	if err != nil {
 		return 0, err
 	}
@@ -213,7 +214,7 @@ func (r *Rebalancer) RoundNow(ctx context.Context) (int, error) {
 			return a.ClassSpecific < b.ClassSpecific
 		})
 		obj := residents[0].Object
-		if err := r.cl.Migrate(ctx, obj, dest); err != nil {
+		if _, err := magistrate.MigrateObject.Call(ctx, r.mag, obj, dest); err != nil {
 			r.reg.Counter("reb/move_failed").Inc()
 			r.recorder().Record(obs.KindRebalance, obj.String(),
 				fmt.Sprintf("move to %v FAILED: %v", dest, err), 0)

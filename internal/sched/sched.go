@@ -9,6 +9,7 @@
 package sched
 
 import (
+	"context"
 	"fmt"
 	"math/bits"
 	"sync"
@@ -18,17 +19,21 @@ import (
 	"repro/internal/idl"
 	"repro/internal/loid"
 	"repro/internal/rt"
-	"repro/internal/wire"
+)
+
+// The Scheduling Agent's remote methods.
+var (
+	PickHost   = rt.M1("PickHost", rt.LOIDListParam("candidates"), rt.LOIDParam("host"))
+	PolicyName = rt.M0("PolicyName", rt.StringParam("name"))
+)
+
+var server = rt.NewServer("LegionSchedulingAgent",
+	rt.Serve1(PickHost, (*Agent).pickHost),
+	rt.Serve0(PolicyName, func(a *Agent, _ context.Context) (string, error) { return a.policy.Name(), nil }),
 )
 
 // Interface is the member-function set of a Scheduling Agent.
-var Interface = idl.NewInterface("LegionSchedulingAgent",
-	idl.MethodSig{Name: "PickHost",
-		Params:  []idl.Param{{Name: "candidates", Type: idl.TBytes}},
-		Returns: []idl.Param{{Name: "host", Type: idl.TLOID}}},
-	idl.MethodSig{Name: "PolicyName",
-		Returns: []idl.Param{{Name: "name", Type: idl.TString}}},
-)
+var Interface = server.Interface()
 
 // Policy chooses one host from a non-empty candidate list. ask lets
 // load-aware policies query candidate Host Objects for their load
@@ -152,32 +157,17 @@ func (a *Agent) Interface() *idl.Interface { return Interface }
 func (a *Agent) Bind(o *rt.Object) { a.obj = o }
 
 // Dispatch implements rt.Impl.
-func (a *Agent) Dispatch(inv *rt.Invocation) ([][]byte, error) {
-	switch inv.Method {
-	case "PickHost":
-		raw, err := inv.Arg(0)
-		if err != nil {
-			return nil, err
-		}
-		cs, err := wire.AsLOIDList(raw)
-		if err != nil {
-			return nil, err
-		}
-		if len(cs) == 0 {
-			return nil, fmt.Errorf("sched: empty candidate list")
-		}
-		ask := func(h loid.LOID) (host.Load, error) {
-			return host.NewClient(a.obj.Caller(), h).GetLoad()
-		}
-		h, err := a.policy.Pick(cs, ask)
-		if err != nil {
-			return nil, err
-		}
-		return [][]byte{wire.LOID(h)}, nil
-	case "PolicyName":
-		return [][]byte{wire.String(a.policy.Name())}, nil
+func (a *Agent) Dispatch(inv *rt.Invocation) ([][]byte, error) { return server.Dispatch(a, inv) }
+
+// pickHost asks the policy for one of cs; a load-aware policy reads
+// the candidates' load vectors within the caller's deadline.
+func (a *Agent) pickHost(ctx context.Context, cs []loid.LOID) (loid.LOID, error) {
+	if len(cs) == 0 {
+		return loid.Nil, fmt.Errorf("sched: empty candidate list")
 	}
-	return nil, &rt.NoSuchMethodError{Method: inv.Method}
+	return a.policy.Pick(cs, func(h loid.LOID) (host.Load, error) {
+		return host.GetLoad.Call(ctx, a.obj.Caller().To(h))
+	})
 }
 
 // SaveState implements rt.Impl (policies are configuration, not
@@ -186,40 +176,3 @@ func (a *Agent) SaveState() ([]byte, error) { return nil, nil }
 
 // RestoreState implements rt.Impl.
 func (a *Agent) RestoreState([]byte) error { return nil }
-
-// Client is a typed handle on a remote Scheduling Agent.
-type Client struct {
-	c     *rt.Caller
-	agent loid.LOID
-}
-
-// NewClient wraps caller for invocations on the agent.
-func NewClient(c *rt.Caller, agent loid.LOID) *Client {
-	return &Client{c: c, agent: agent}
-}
-
-// PickHost asks the agent to choose among candidates.
-func (cl *Client) PickHost(candidates []loid.LOID) (loid.LOID, error) {
-	res, err := cl.c.Call(cl.agent, "PickHost", wire.LOIDList(candidates))
-	if err != nil {
-		return loid.Nil, err
-	}
-	raw, err := res.Result(0)
-	if err != nil {
-		return loid.Nil, err
-	}
-	return wire.AsLOID(raw)
-}
-
-// PolicyName reports the agent's policy.
-func (cl *Client) PolicyName() (string, error) {
-	res, err := cl.c.Call(cl.agent, "PolicyName")
-	if err != nil {
-		return "", err
-	}
-	raw, err := res.Result(0)
-	if err != nil {
-		return "", err
-	}
-	return wire.AsString(raw), nil
-}

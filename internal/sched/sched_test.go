@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -134,26 +135,26 @@ func TestAgentOverWire(t *testing.T) {
 	caller.Timeout = time.Second
 	caller.AddBinding(binding.Forever(agentL, agentNode.Address()))
 	caller.AddBinding(resolver[hostLs[0].ID()])
-	cl := NewClient(caller, agentL)
+	cl := caller.To(agentL)
 
 	// Load host 0 with two objects.
 	hc := host.NewClient(caller, hostLs[0])
 	hc.StartObject(loid.NewNoKey(256, 1), "noop", nil)
 	hc.StartObject(loid.NewNoKey(256, 2), "noop", nil)
 
-	picked, err := cl.PickHost(hostLs)
+	picked, err := PickHost.Call(context.Background(), cl, hostLs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !picked.SameObject(hostLs[1]) {
 		t.Errorf("picked %v, want the unloaded host %v", picked, hostLs[1])
 	}
-	name, err := cl.PolicyName()
+	name, err := PolicyName.Call(context.Background(), cl)
 	if err != nil || name != "least-loaded" {
 		t.Errorf("PolicyName = %q, %v", name, err)
 	}
 	// Empty candidate list is an error.
-	if _, err := cl.PickHost(nil); err == nil {
+	if _, err := PickHost.Call(context.Background(), cl, nil); err == nil {
 		t.Error("empty PickHost succeeded")
 	}
 }
@@ -163,7 +164,7 @@ func TestAgentOverWire(t *testing.T) {
 // right after Start counts towards the first round.
 func TestLoopStartSchedulesTicker(t *testing.T) {
 	v := clock.NewVirtual(time.Time{})
-	r := NewRebalancer(nil, nil)
+	r := NewRebalancer(rt.Ref{}, nil)
 	r.Clock = v
 	p0 := v.Pending()
 	r.Start()

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"repro/internal/rt"
 
 	"repro/internal/loid"
 	"repro/internal/magistrate"
@@ -16,11 +17,11 @@ import (
 
 // MagClient returns a typed magistrate client for jurisdiction j,
 // backed by the sim's boot caller.
-func (s *Sim) MagClient(j int) (*magistrate.Client, error) {
+func (s *Sim) MagClient(j int) (rt.Ref, error) {
 	if j >= len(s.Sys.Jurisdictions) {
-		return nil, fmt.Errorf("sim: no jurisdiction %d", j)
+		return rt.Ref{}, fmt.Errorf("sim: no jurisdiction %d", j)
 	}
-	return magistrate.NewClient(s.Sys.BootClient(), s.Sys.Jurisdictions[j].Magistrate), nil
+	return s.Sys.BootClient().To(s.Sys.Jurisdictions[j].Magistrate), nil
 }
 
 // MigrateObject live-migrates l to host h of jurisdiction j. The call
@@ -35,7 +36,8 @@ func (s *Sim) MigrateObject(ctx context.Context, l loid.LOID, j, h int) error {
 	if h >= len(jur.Hosts) {
 		return fmt.Errorf("sim: jurisdiction %d has no host %d", j, h)
 	}
-	return mc.Migrate(ctx, l, jur.Hosts[h])
+	_, err = magistrate.MigrateObject.Call(ctx, mc, l, jur.Hosts[h])
+	return err
 }
 
 // NewRebalancer builds a rebalancer watching jurisdiction j. The
@@ -98,11 +100,11 @@ func (s *Sim) SkewPlacement(j, h int) error {
 			continue
 		}
 		if p.Active {
-			if err := mc.Deactivate(p.Object); err != nil {
+			if _, err := magistrate.Deactivate.Call(context.Background(), mc, p.Object); err != nil {
 				return fmt.Errorf("sim: skew deactivate %v: %w", p.Object, err)
 			}
 		}
-		if _, err := mc.Activate(p.Object, hint); err != nil {
+		if _, err := magistrate.Activate.Call(context.Background(), mc, p.Object, hint); err != nil {
 			return fmt.Errorf("sim: skew activate %v on %v: %w", p.Object, hint, err)
 		}
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"repro/internal/magistrate"
 	"strconv"
 	"testing"
 
@@ -42,7 +43,7 @@ func TestLiveLQLOverTheWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab, err := mc.Query("select loid, host, p999 from objects order by p999 desc limit 5")
+	tab, err := magistrate.Query.Call(t.Context(), mc, "select loid, host, p999 from objects order by p999 desc limit 5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestLiveLQLOverTheWire(t *testing.T) {
 
 	// The exemplar trace attached to the slowest call must resolve to
 	// real spans in the tracer (the /debug/traces contract).
-	tab, err = mc.Query("select loid, trace from objects")
+	tab, err = magistrate.Query.Call(t.Context(), mc, "select loid, trace from objects")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestLiveLQLOverTheWire(t *testing.T) {
 	}
 
 	// The methods table aggregates the same traffic per method name.
-	tab, err = mc.Query("select method, calls from methods where method = Work")
+	tab, err = magistrate.Query.Call(t.Context(), mc, "select method, calls from methods where method = Work")
 	if err != nil || len(tab.Rows) != 1 {
 		t.Fatalf("methods table: %v\n%+v", err, tab)
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -187,7 +188,7 @@ func (s *Sim) RunChurn(classIdx, n int, deleteAfter bool) (ChurnResult, error) {
 	}
 	if deleteAfter {
 		for _, l := range created {
-			if err := cl.Delete(l); err != nil {
+			if _, err := class.Delete.Call(context.Background(), cl.Ref, l); err != nil {
 				res.Failures++
 				continue
 			}
@@ -210,25 +211,28 @@ func (s *Sim) MigrateRandom(mode string) (loid.LOID, error) {
 	}
 	target := s.Flat[s.Intn(len(s.Flat))]
 	boot := s.Sys.BootClient()
+	bg := context.Background()
 	// Find the holding magistrate.
 	for ji, j := range s.Sys.Jurisdictions {
-		mc := magistrate.NewClient(boot, j.Magistrate)
-		known, active, err := mc.HasObject(target)
-		if err != nil || !known {
+		mc := boot.To(j.Magistrate)
+		st, err := magistrate.HasObject.Call(bg, mc, target)
+		if err != nil || !st.Known {
 			continue
 		}
 		switch mode {
 		case "deactivate":
-			if !active {
+			if !st.Active {
 				return target, nil
 			}
-			return target, mc.Deactivate(target)
+			_, err := magistrate.Deactivate.Call(bg, mc, target)
+			return target, err
 		case "move":
 			dst := s.Sys.Jurisdictions[(ji+1)%len(s.Sys.Jurisdictions)]
 			if dst.Magistrate.SameObject(j.Magistrate) {
-				return target, mc.Deactivate(target)
+				_, err := magistrate.Deactivate.Call(bg, mc, target)
+				return target, err
 			}
-			if err := mc.Move(target, dst.Magistrate); err != nil {
+			if _, err := magistrate.Move.Call(bg, mc, target, dst.Magistrate); err != nil {
 				return target, err
 			}
 			// The mover updates the class's view (§4.1.4).
@@ -236,11 +240,11 @@ func (s *Sim) MigrateRandom(mode string) (loid.LOID, error) {
 			if cl == nil {
 				return target, fmt.Errorf("sim: no class for %v", target)
 			}
-			if res, err := boot.Call(cl.Class(), "SetCurrentMagistrates",
-				wire.LOID(target), wire.LOIDList([]loid.LOID{dst.Magistrate})); err != nil || res.Code != wire.OK {
-				return target, fmt.Errorf("sim: update class after move: %v %v", res, err)
+			if _, err := class.SetCurrentMagistrates.Call(bg, cl.Ref, target, []loid.LOID{dst.Magistrate}); err != nil {
+				return target, fmt.Errorf("sim: update class after move: %w", err)
 			}
-			return target, cl.NotifyDeactivated(target)
+			_, err := class.NotifyDeactivated.Call(bg, cl.Ref, target)
+			return target, err
 		default:
 			return loid.Nil, fmt.Errorf("sim: unknown migration mode %q", mode)
 		}
