@@ -2,211 +2,44 @@
 package main
 
 import (
+	"context"
+
 	"repro/internal/idl"
-	"repro/internal/loid"
 	"repro/internal/rt"
-	"repro/internal/wire"
 )
 
-// FileClient is a typed stub for invoking File objects.
-type FileClient struct {
-	c      *rt.Caller
-	target loid.LOID
-}
-
-// NewFileClient wraps caller for invocations on target.
-func NewFileClient(c *rt.Caller, target loid.LOID) *FileClient {
-	return &FileClient{c: c, target: target}
-}
-
-// Target returns the object this stub invokes.
-func (x *FileClient) Target() loid.LOID { return x.target }
-
-// ReadAt invokes the ReadAt member function.
-func (x *FileClient) ReadAt(argOffset uint64, argN uint64) (retData []byte, err error) {
-	var res *rt.Result
-	if res, err = x.c.Call(x.target, "ReadAt", wire.Uint64(argOffset), wire.Uint64(argN)); err != nil {
-		return retData, err
-	}
-	if err = res.Err(); err != nil {
-		return retData, err
-	}
-	{
-		var raw []byte
-		if raw, err = res.Result(0); err != nil {
-			return retData, err
-		}
-		retData = raw
-	}
-	return retData, err
-}
-
-// WriteAt invokes the WriteAt member function.
-func (x *FileClient) WriteAt(argOffset uint64, argData []byte) (retSize uint64, err error) {
-	var res *rt.Result
-	if res, err = x.c.Call(x.target, "WriteAt", wire.Uint64(argOffset), argData); err != nil {
-		return retSize, err
-	}
-	if err = res.Err(); err != nil {
-		return retSize, err
-	}
-	{
-		var raw []byte
-		if raw, err = res.Result(0); err != nil {
-			return retSize, err
-		}
-		if retSize, err = wire.AsUint64(raw); err != nil {
-			return retSize, err
-		}
-	}
-	return retSize, err
-}
-
-// Size invokes the Size member function.
-func (x *FileClient) Size() (retSize uint64, err error) {
-	var res *rt.Result
-	if res, err = x.c.Call(x.target, "Size"); err != nil {
-		return retSize, err
-	}
-	if err = res.Err(); err != nil {
-		return retSize, err
-	}
-	{
-		var raw []byte
-		if raw, err = res.Result(0); err != nil {
-			return retSize, err
-		}
-		if retSize, err = wire.AsUint64(raw); err != nil {
-			return retSize, err
-		}
-	}
-	return retSize, err
-}
-
-// Truncate invokes the Truncate member function.
-func (x *FileClient) Truncate(argSize uint64) (err error) {
-	var res *rt.Result
-	if res, err = x.c.Call(x.target, "Truncate", wire.Uint64(argSize)); err != nil {
-		return err
-	}
-	if err = res.Err(); err != nil {
-		return err
-	}
-	return err
-}
+// File's remote methods: call one with Call(ctx, caller.To(target), ...).
+var (
+	FileReadAt   = rt.M2("ReadAt", rt.Uint64Param("offset"), rt.Uint64Param("n"), rt.BytesParam("data"))
+	FileWriteAt  = rt.M2("WriteAt", rt.Uint64Param("offset"), rt.BytesParam("data"), rt.Uint64Param("size"))
+	FileSize     = rt.M0("Size", rt.Uint64Param("size"))
+	FileTruncate = rt.M1("Truncate", rt.Uint64Param("size"), rt.None)
+)
 
 // FileServer is the behaviour a Go object provides to serve File.
 type FileServer interface {
-	ReadAt(offset uint64, n uint64) ([]byte, error)
-	WriteAt(offset uint64, data []byte) (uint64, error)
-	Size() (uint64, error)
-	Truncate(size uint64) error
+	ReadAt(ctx context.Context, offset uint64, n uint64) ([]byte, error)
+	WriteAt(ctx context.Context, offset uint64, data []byte) (uint64, error)
+	Size(ctx context.Context) (uint64, error)
+	Truncate(ctx context.Context, size uint64) error
 }
 
-var fileInterface = idl.NewInterface("File",
-	idl.MethodSig{Name: "ReadAt", OneWay: false,
-		Params:  []idl.Param{{Name: "offset", Type: "uint64"}, {Name: "n", Type: "uint64"}},
-		Returns: []idl.Param{{Name: "data", Type: "bytes"}}},
-	idl.MethodSig{Name: "WriteAt", OneWay: false,
-		Params:  []idl.Param{{Name: "offset", Type: "uint64"}, {Name: "data", Type: "bytes"}},
-		Returns: []idl.Param{{Name: "size", Type: "uint64"}}},
-	idl.MethodSig{Name: "Size", OneWay: false,
-		Params:  []idl.Param{},
-		Returns: []idl.Param{{Name: "size", Type: "uint64"}}},
-	idl.MethodSig{Name: "Truncate", OneWay: false,
-		Params:  []idl.Param{{Name: "size", Type: "uint64"}},
-		Returns: []idl.Param{}},
+var fileMethods = rt.NewServer("File",
+	rt.Serve2(FileReadAt, FileServer.ReadAt),
+	rt.Serve2(FileWriteAt, FileServer.WriteAt),
+	rt.Serve0(FileSize, FileServer.Size),
+	rt.Serve1(FileTruncate, func(s FileServer, ctx context.Context, size uint64) (rt.Void, error) {
+		return rt.Void{}, s.Truncate(ctx, size)
+	}),
 )
 
 // FileInterface returns the IDL interface. Every call returns the same
 // value; Clone it before changing it.
-func FileInterface() *idl.Interface { return fileInterface }
+func FileInterface() *idl.Interface { return fileMethods.Interface() }
 
 // NewFileImpl adapts a FileServer into a Legion object implementation.
 // State persistence (SaveState/RestoreState) may be supplied; nil
 // save/restore yields a stateless object.
 func NewFileImpl(srv FileServer, save func() ([]byte, error), restore func([]byte) error) rt.Impl {
-	return &rt.Behavior{
-		Iface:   FileInterface(),
-		Save:    save,
-		Restore: restore,
-		Handlers: map[string]rt.Handler{
-			"ReadAt": func(inv *rt.Invocation) (_ [][]byte, err error) {
-				var p0 uint64
-				{
-					var raw []byte
-					if raw, err = inv.Arg(0); err != nil {
-						return nil, err
-					}
-					if p0, err = wire.AsUint64(raw); err != nil {
-						return nil, err
-					}
-				}
-				var p1 uint64
-				{
-					var raw []byte
-					if raw, err = inv.Arg(1); err != nil {
-						return nil, err
-					}
-					if p1, err = wire.AsUint64(raw); err != nil {
-						return nil, err
-					}
-				}
-				r0, serr := srv.ReadAt(p0, p1)
-				if serr != nil {
-					return nil, serr
-				}
-				return [][]byte{r0}, nil
-			},
-			"WriteAt": func(inv *rt.Invocation) (_ [][]byte, err error) {
-				var p0 uint64
-				{
-					var raw []byte
-					if raw, err = inv.Arg(0); err != nil {
-						return nil, err
-					}
-					if p0, err = wire.AsUint64(raw); err != nil {
-						return nil, err
-					}
-				}
-				var p1 []byte
-				{
-					var raw []byte
-					if raw, err = inv.Arg(1); err != nil {
-						return nil, err
-					}
-					p1 = raw
-				}
-				r0, serr := srv.WriteAt(p0, p1)
-				if serr != nil {
-					return nil, serr
-				}
-				return [][]byte{wire.Uint64(r0)}, nil
-			},
-			"Size": func(inv *rt.Invocation) (_ [][]byte, err error) {
-				r0, serr := srv.Size()
-				if serr != nil {
-					return nil, serr
-				}
-				return [][]byte{wire.Uint64(r0)}, nil
-			},
-			"Truncate": func(inv *rt.Invocation) (_ [][]byte, err error) {
-				var p0 uint64
-				{
-					var raw []byte
-					if raw, err = inv.Arg(0); err != nil {
-						return nil, err
-					}
-					if p0, err = wire.AsUint64(raw); err != nil {
-						return nil, err
-					}
-				}
-				serr := srv.Truncate(p0)
-				if serr != nil {
-					return nil, serr
-				}
-				return nil, nil
-			},
-		},
-	}
+	return fileMethods.Impl(srv, save, restore)
 }

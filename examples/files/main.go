@@ -29,7 +29,7 @@ type fileServer struct {
 	data []byte
 }
 
-func (f *fileServer) ReadAt(offset uint64, n uint64) ([]byte, error) {
+func (f *fileServer) ReadAt(_ context.Context, offset uint64, n uint64) ([]byte, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if offset >= uint64(len(f.data)) {
@@ -44,7 +44,7 @@ func (f *fileServer) ReadAt(offset uint64, n uint64) ([]byte, error) {
 	return out, nil
 }
 
-func (f *fileServer) WriteAt(offset uint64, data []byte) (uint64, error) {
+func (f *fileServer) WriteAt(_ context.Context, offset uint64, data []byte) (uint64, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	need := offset + uint64(len(data))
@@ -57,13 +57,13 @@ func (f *fileServer) WriteAt(offset uint64, data []byte) (uint64, error) {
 	return uint64(len(f.data)), nil
 }
 
-func (f *fileServer) Size() (uint64, error) {
+func (f *fileServer) Size(context.Context) (uint64, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return uint64(len(f.data)), nil
 }
 
-func (f *fileServer) Truncate(size uint64) error {
+func (f *fileServer) Truncate(_ context.Context, size uint64) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if size < uint64(len(f.data)) {
@@ -123,6 +123,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	bg := context.Background()
 	names := alice.To(ctxObj)
 
 	// Alice creates two files and names them.
@@ -131,22 +132,22 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if _, err := naming.BindName.Call(context.Background(), names, name, fl, false); err != nil {
+		if _, err := naming.BindName.Call(bg, names, name, fl, false); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("created %-24s -> %v\n", name, fl)
 	}
 
-	// Write through the generated, fully typed client.
-	notesLOID, err := naming.LookupName.Call(context.Background(), names, "/home/alice/notes.txt")
+	// Write through the generated, fully typed method descriptors.
+	notesLOID, err := naming.LookupName.Call(bg, names, "/home/alice/notes.txt")
 	if err != nil {
 		log.Fatal(err)
 	}
-	notes := NewFileClient(alice, notesLOID)
-	if _, err := notes.WriteAt(0, []byte("The Core Legion Object Model\n")); err != nil {
+	notes := alice.To(notesLOID)
+	if _, err := FileWriteAt.Call(bg, notes, 0, []byte("The Core Legion Object Model\n")); err != nil {
 		log.Fatal(err)
 	}
-	size, err := notes.WriteAt(29, []byte("Lewis & Grimshaw, 1995\n"))
+	size, err := FileWriteAt.Call(bg, notes, 29, []byte("Lewis & Grimshaw, 1995\n"))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -158,12 +159,12 @@ func main() {
 		log.Fatal(err)
 	}
 	bobNames := bob.To(ctxObj)
-	found, err := naming.LookupName.Call(context.Background(), bobNames, "/home/alice/notes.txt")
+	found, err := naming.LookupName.Call(bg, bobNames, "/home/alice/notes.txt")
 	if err != nil {
 		log.Fatal(err)
 	}
-	bobNotes := NewFileClient(bob, found)
-	data, err := bobNotes.ReadAt(0, 1024)
+	bobNotes := bob.To(found)
+	data, err := FileReadAt.Call(bg, bobNotes, 0, 1024)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -176,17 +177,17 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nfile deactivated; jurisdiction stores %d OPR(s)\n", sys.Jurisdictions[0].StoredOPRs())
-	line, err := bobNotes.ReadAt(29, 22)
+	line, err := FileReadAt.Call(bg, bobNotes, 29, 22)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("bob reads after reactivation: %q\n", line)
 
 	// Truncate + Size round out the interface.
-	if err := bobNotes.Truncate(28); err != nil {
+	if _, err := FileTruncate.Call(bg, bobNotes, 28); err != nil {
 		log.Fatal(err)
 	}
-	sz, err := bobNotes.Size()
+	sz, err := FileSize.Call(bg, bobNotes)
 	if err != nil {
 		log.Fatal(err)
 	}

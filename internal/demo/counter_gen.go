@@ -2,120 +2,36 @@
 package demo
 
 import (
+	"context"
+
 	"repro/internal/idl"
-	"repro/internal/loid"
 	"repro/internal/rt"
-	"repro/internal/wire"
 )
 
-// CounterClient is a typed stub for invoking Counter objects.
-type CounterClient struct {
-	c      *rt.Caller
-	target loid.LOID
-}
-
-// NewCounterClient wraps caller for invocations on target.
-func NewCounterClient(c *rt.Caller, target loid.LOID) *CounterClient {
-	return &CounterClient{c: c, target: target}
-}
-
-// Target returns the object this stub invokes.
-func (x *CounterClient) Target() loid.LOID { return x.target }
-
-// Add invokes the Add member function.
-func (x *CounterClient) Add(argDelta int64) (retValue int64, err error) {
-	var res *rt.Result
-	if res, err = x.c.Call(x.target, "Add", wire.Int64(argDelta)); err != nil {
-		return retValue, err
-	}
-	if err = res.Err(); err != nil {
-		return retValue, err
-	}
-	{
-		var raw []byte
-		if raw, err = res.Result(0); err != nil {
-			return retValue, err
-		}
-		if retValue, err = wire.AsInt64(raw); err != nil {
-			return retValue, err
-		}
-	}
-	return retValue, err
-}
-
-// Get invokes the Get member function.
-func (x *CounterClient) Get() (retValue int64, err error) {
-	var res *rt.Result
-	if res, err = x.c.Call(x.target, "Get"); err != nil {
-		return retValue, err
-	}
-	if err = res.Err(); err != nil {
-		return retValue, err
-	}
-	{
-		var raw []byte
-		if raw, err = res.Result(0); err != nil {
-			return retValue, err
-		}
-		if retValue, err = wire.AsInt64(raw); err != nil {
-			return retValue, err
-		}
-	}
-	return retValue, err
-}
+// Counter's remote methods: call one with Call(ctx, caller.To(target), ...).
+var (
+	CounterAdd = rt.M1("Add", rt.Int64Param("delta"), rt.Int64Param("value"))
+	CounterGet = rt.M0("Get", rt.Int64Param("value"))
+)
 
 // CounterServer is the behaviour a Go object provides to serve Counter.
 type CounterServer interface {
-	Add(delta int64) (int64, error)
-	Get() (int64, error)
+	Add(ctx context.Context, delta int64) (int64, error)
+	Get(ctx context.Context) (int64, error)
 }
 
-var counterInterface = idl.NewInterface("Counter",
-	idl.MethodSig{Name: "Add", OneWay: false,
-		Params:  []idl.Param{{Name: "delta", Type: "int64"}},
-		Returns: []idl.Param{{Name: "value", Type: "int64"}}},
-	idl.MethodSig{Name: "Get", OneWay: false,
-		Params:  []idl.Param{},
-		Returns: []idl.Param{{Name: "value", Type: "int64"}}},
+var counterMethods = rt.NewServer("Counter",
+	rt.Serve1(CounterAdd, CounterServer.Add),
+	rt.Serve0(CounterGet, CounterServer.Get),
 )
 
 // CounterInterface returns the IDL interface. Every call returns the same
 // value; Clone it before changing it.
-func CounterInterface() *idl.Interface { return counterInterface }
+func CounterInterface() *idl.Interface { return counterMethods.Interface() }
 
 // NewCounterImpl adapts a CounterServer into a Legion object implementation.
 // State persistence (SaveState/RestoreState) may be supplied; nil
 // save/restore yields a stateless object.
 func NewCounterImpl(srv CounterServer, save func() ([]byte, error), restore func([]byte) error) rt.Impl {
-	return &rt.Behavior{
-		Iface:   CounterInterface(),
-		Save:    save,
-		Restore: restore,
-		Handlers: map[string]rt.Handler{
-			"Add": func(inv *rt.Invocation) (_ [][]byte, err error) {
-				var p0 int64
-				{
-					var raw []byte
-					if raw, err = inv.Arg(0); err != nil {
-						return nil, err
-					}
-					if p0, err = wire.AsInt64(raw); err != nil {
-						return nil, err
-					}
-				}
-				r0, serr := srv.Add(p0)
-				if serr != nil {
-					return nil, serr
-				}
-				return [][]byte{wire.Int64(r0)}, nil
-			},
-			"Get": func(inv *rt.Invocation) (_ [][]byte, err error) {
-				r0, serr := srv.Get()
-				if serr != nil {
-					return nil, serr
-				}
-				return [][]byte{wire.Int64(r0)}, nil
-			},
-		},
-	}
+	return counterMethods.Impl(srv, save, restore)
 }

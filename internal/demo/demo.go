@@ -7,6 +7,7 @@
 package demo
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"sort"
@@ -45,56 +46,47 @@ interface Counter {
 // `legion-idl gen` from CounterIDL — see TestGeneratedMatchesIDL for
 // the equivalence check.
 
+// counter serves Counter through the generated binding.
+type counter struct {
+	mu sync.Mutex
+	v  int64
+}
+
+func (c *counter) Add(_ context.Context, d int64) (int64, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.v += d
+	return c.v, nil
+}
+
+func (c *counter) Get(context.Context) (int64, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.v, nil
+}
+
 // NewCounter builds a counter instance.
 func NewCounter() rt.Impl {
-	var (
-		mu sync.Mutex
-		v  int64
-	)
-	return &rt.Behavior{
-		Iface: CounterInterface(),
-		Handlers: map[string]rt.Handler{
-			"Add": func(inv *rt.Invocation) ([][]byte, error) {
-				raw, err := inv.Arg(0)
-				if err != nil {
-					return nil, err
-				}
-				d, err := wire.AsInt64(raw)
-				if err != nil {
-					return nil, err
-				}
-				mu.Lock()
-				v += d
-				out := v
-				mu.Unlock()
-				return [][]byte{wire.Int64(out)}, nil
-			},
-			"Get": func(inv *rt.Invocation) ([][]byte, error) {
-				mu.Lock()
-				out := v
-				mu.Unlock()
-				return [][]byte{wire.Int64(out)}, nil
-			},
+	c := &counter{}
+	return NewCounterImpl(c,
+		func() ([]byte, error) {
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			return wire.Int64(c.v), nil
 		},
-		Save: func() ([]byte, error) {
-			mu.Lock()
-			defer mu.Unlock()
-			return wire.Int64(v), nil
-		},
-		Restore: func(s []byte) error {
+		func(s []byte) error {
 			if len(s) == 0 {
 				return nil
 			}
-			val, err := wire.AsInt64(s)
+			v, err := wire.AsInt64(s)
 			if err != nil {
 				return err
 			}
-			mu.Lock()
-			v = val
-			mu.Unlock()
+			c.mu.Lock()
+			c.v = v
+			c.mu.Unlock()
 			return nil
-		},
-	}
+		})
 }
 
 // EchoIDL is the echo service's interface.

@@ -1,6 +1,7 @@
 package demo
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -32,22 +33,22 @@ type counterServer struct {
 	v  int64
 }
 
-func (s *counterServer) Add(delta int64) (int64, error) {
+func (s *counterServer) Add(_ context.Context, delta int64) (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.v += delta
 	return s.v, nil
 }
 
-func (s *counterServer) Get() (int64, error) {
+func (s *counterServer) Get(context.Context) (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.v, nil
 }
 
 // TestGeneratedStubsEndToEnd serves a generated impl and calls it
-// through the generated client — application code with no [][]byte in
-// sight, exactly what the Legion-aware compiler promises (§4.1).
+// through the generated descriptors — application code with no [][]byte
+// in sight, exactly what the Legion-aware compiler promises (§4.1).
 func TestGeneratedStubsEndToEnd(t *testing.T) {
 	f := transport.NewFabric(nil)
 	defer f.Close()
@@ -71,20 +72,16 @@ func TestGeneratedStubsEndToEnd(t *testing.T) {
 	caller := rt.NewCaller(cliNode, loid.NewNoKey(300, 1), nil)
 	caller.Timeout = 2 * time.Second
 	caller.AddBinding(binding.Forever(target, srvNode.Address()))
-	cc := NewCounterClient(caller, target)
-	if cc.Target() != target {
-		t.Error("Target wrong")
-	}
-
-	v, err := cc.Add(41)
+	cc := caller.To(target)
+	v, err := CounterAdd.Call(t.Context(), cc, 41)
 	if err != nil || v != 41 {
 		t.Fatalf("Add = %d, %v", v, err)
 	}
-	v, err = cc.Add(1)
+	v, err = CounterAdd.Call(t.Context(), cc, 1)
 	if err != nil || v != 42 {
 		t.Fatalf("Add = %d, %v", v, err)
 	}
-	v, err = cc.Get()
+	v, err = CounterGet.Call(t.Context(), cc)
 	if err != nil || v != 42 {
 		t.Fatalf("Get = %d, %v", v, err)
 	}

@@ -1,10 +1,11 @@
-// Package idlgen generates Go code from Legion IDL interfaces: a typed
-// client stub and a typed server binding. It stands in for the paper's
+// Package idlgen generates Go code from Legion IDL interfaces: one
+// typed method descriptor per IDL method (rt.Method0..Method3) and the
+// server adapter that serves them. It stands in for the paper's
 // "Legion-aware compiler" (§4.1): "a user will write a Legion
 // application program in her favorite language ... the compiler uses
 // the context to map string names to LOIDs" — here, the favorite
-// language is Go, and the compiler turns method signatures into
-// wire-level marshalling so application code never touches [][]byte.
+// language is Go, and a method call is the descriptor's Call, so
+// application code never touches [][]byte.
 package idlgen
 
 import (
@@ -15,119 +16,18 @@ import (
 	"repro/internal/idl"
 )
 
-// goType maps IDL parameter types to Go types.
-func goType(t idl.Type) (string, error) {
-	switch t {
-	case idl.TInt64:
-		return "int64", nil
-	case idl.TUint64:
-		return "uint64", nil
-	case idl.TString:
-		return "string", nil
-	case idl.TBool:
-		return "bool", nil
-	case idl.TBytes:
-		return "[]byte", nil
-	case idl.TLOID:
-		return "loid.LOID", nil
-	case idl.TAddress:
-		return "oa.Address", nil
-	case idl.TBinding:
-		return "binding.Binding", nil
-	case idl.TTime:
-		return "time.Time", nil
-	default:
-		return "", fmt.Errorf("idlgen: unmapped IDL type %q", t)
-	}
-}
-
-// encodeExpr returns the wire-encoding expression for a value of the
-// given IDL type.
-func encodeExpr(t idl.Type, expr string) string {
-	switch t {
-	case idl.TInt64:
-		return "wire.Int64(" + expr + ")"
-	case idl.TUint64:
-		return "wire.Uint64(" + expr + ")"
-	case idl.TString:
-		return "wire.String(" + expr + ")"
-	case idl.TBool:
-		return "wire.Bool(" + expr + ")"
-	case idl.TBytes:
-		return expr
-	case idl.TLOID:
-		return "wire.LOID(" + expr + ")"
-	case idl.TAddress:
-		return "wire.Address(" + expr + ")"
-	case idl.TBinding:
-		return "wire.Binding(" + expr + ")"
-	case idl.TTime:
-		return "wire.Time(" + expr + ")"
-	default:
-		return expr
-	}
-}
-
-// decodeStmt emits statements decoding raw (a []byte variable) into
-// dst; fallible decodes route errors through failRet.
-func decodeStmt(t idl.Type, dst, raw, failRet string) string {
-	switch t {
-	case idl.TString:
-		return fmt.Sprintf("%s = wire.AsString(%s)", dst, raw)
-	case idl.TBytes:
-		return fmt.Sprintf("%s = %s", dst, raw)
-	case idl.TInt64:
-		return fallible(dst, "wire.AsInt64", raw, failRet)
-	case idl.TUint64:
-		return fallible(dst, "wire.AsUint64", raw, failRet)
-	case idl.TBool:
-		return fallible(dst, "wire.AsBool", raw, failRet)
-	case idl.TLOID:
-		return fallible(dst, "wire.AsLOID", raw, failRet)
-	case idl.TAddress:
-		return fallible(dst, "wire.AsAddress", raw, failRet)
-	case idl.TBinding:
-		return fallible(dst, "wire.AsBinding", raw, failRet)
-	case idl.TTime:
-		return fallible(dst, "wire.AsTime", raw, failRet)
-	default:
-		return fmt.Sprintf("%s = %s", dst, raw)
-	}
-}
-
-func fallible(dst, fn, raw, failRet string) string {
-	return fmt.Sprintf("if %s, err = %s(%s); err != nil {\n\t\t\treturn %s\n\t\t}", dst, fn, raw, failRet)
-}
-
-// neededImports computes the repro-internal and stdlib imports the
-// generated file requires.
-func neededImports(in *idl.Interface, server bool) []string {
-	imports := map[string]bool{
-		"repro/internal/loid": true,
-		"repro/internal/rt":   true,
-		"repro/internal/wire": true,
-	}
-	if server {
-		imports["repro/internal/idl"] = true
-	}
-	for _, m := range in.Methods() {
-		for _, p := range append(append([]idl.Param{}, m.Params...), m.Returns...) {
-			switch p.Type {
-			case idl.TAddress:
-				imports["repro/internal/oa"] = true
-			case idl.TBinding:
-				imports["repro/internal/binding"] = true
-			case idl.TTime:
-				imports["time"] = true
-			}
-		}
-	}
-	out := make([]string, 0, len(imports))
-	for imp := range imports {
-		out = append(out, imp)
-	}
-	sort.Strings(out)
-	return out
+// idlTypes maps each IDL parameter type to its Go type, the rt codec
+// that carries it and the import the Go type needs.
+var idlTypes = map[idl.Type]struct{ goType, codec, imp string }{
+	idl.TInt64:   {"int64", "rt.Int64Param", ""},
+	idl.TUint64:  {"uint64", "rt.Uint64Param", ""},
+	idl.TString:  {"string", "rt.StringParam", ""},
+	idl.TBool:    {"bool", "rt.BoolParam", ""},
+	idl.TBytes:   {"[]byte", "rt.BytesParam", ""},
+	idl.TLOID:    {"loid.LOID", "rt.LOIDParam", "repro/internal/loid"},
+	idl.TAddress: {"oa.Address", "rt.AddressParam", "repro/internal/oa"},
+	idl.TBinding: {"binding.Binding", "rt.BindingParam", "repro/internal/binding"},
+	idl.TTime:    {"time.Time", "rt.TimeParam", "time"},
 }
 
 func exportName(s string) string {
@@ -145,7 +45,7 @@ var goKeywords = map[string]bool{
 	"goto": true, "if": true, "import": true, "interface": true,
 	"map": true, "package": true, "range": true, "return": true,
 	"select": true, "struct": true, "switch": true, "type": true,
-	"var": true,
+	"var": true, "ctx": true,
 }
 
 // paramIdent renders an IDL parameter name as a safe Go identifier.
@@ -156,179 +56,180 @@ func paramIdent(name string) string {
 	return name
 }
 
-// Generate emits a Go source file with a typed client stub and a typed
-// server binding for the interface.
+// method is one IDL method as the generator emits it.
+type method struct {
+	idl.MethodSig
+	desc string // descriptor variable, e.g. CounterAdd
+	// argStruct and resStruct mark a struct, named desc+"Args" or
+	// desc+"Results", that carries more than three arguments or more
+	// than one result.
+	argStruct, resStruct bool
+}
+
+// Generate emits a Go source file declaring the interface's methods as
+// descriptors, the server interface a Go object implements to serve
+// them, and the adapter that makes such an object a Legion object.
 func Generate(pkg string, in *idl.Interface) ([]byte, error) {
 	if in == nil || in.Len() == 0 {
 		return nil, fmt.Errorf("idlgen: empty interface")
 	}
 	name := exportName(in.Name)
+	imports := map[string]bool{"context": true, "repro/internal/idl": true, "repro/internal/rt": true}
+	var ms []method
+	for _, s := range in.Methods() {
+		for _, p := range append(append([]idl.Param{}, s.Params...), s.Returns...) {
+			t, ok := idlTypes[p.Type]
+			if !ok {
+				return nil, fmt.Errorf("idlgen: unmapped IDL type %q", p.Type)
+			}
+			if t.imp != "" {
+				imports[t.imp] = true
+			}
+		}
+		ms = append(ms, method{s, name + exportName(s.Name), len(s.Params) > 3, len(s.Returns) > 1})
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "// Code generated by legion-idl from interface %s. DO NOT EDIT.\n", in.Name)
-	fmt.Fprintf(&b, "package %s\n\n", pkg)
-	b.WriteString("import (\n")
-	for _, imp := range neededImports(in, true) {
-		if !strings.Contains(imp, "/") {
-			fmt.Fprintf(&b, "\t%q\n", imp)
-		}
+	fmt.Fprintf(&b, "package %s\n\nimport (\n", pkg)
+	paths := make([]string, 0, len(imports))
+	for imp := range imports {
+		paths = append(paths, imp)
 	}
-	for _, imp := range neededImports(in, true) {
-		if strings.Contains(imp, "/") {
-			fmt.Fprintf(&b, "\t%q\n", imp)
+	sort.Slice(paths, func(i, j int) bool { // standard library first
+		si, sj := !strings.Contains(paths[i], "/"), !strings.Contains(paths[j], "/")
+		if si != sj {
+			return si
 		}
+		return paths[i] < paths[j]
+	})
+	for i, imp := range paths {
+		if i > 0 && strings.Contains(imp, "/") && !strings.Contains(paths[i-1], "/") {
+			b.WriteString("\n")
+		}
+		fmt.Fprintf(&b, "\t%q\n", imp)
 	}
 	b.WriteString(")\n\n")
 
-	if err := generateClient(&b, name, in); err != nil {
-		return nil, err
+	fmt.Fprintf(&b, "// %s's remote methods: call one with Call(ctx, caller.To(target), ...).\nvar (\n", in.Name)
+	for _, m := range ms {
+		var codecs []string
+		if m.argStruct {
+			codecs = append(codecs, structCodec(m.desc+"Args", m.Params))
+		} else {
+			for _, p := range m.Params {
+				codecs = append(codecs, codec(p))
+			}
+		}
+		switch {
+		case m.resStruct:
+			codecs = append(codecs, structCodec(m.desc+"Results", m.Returns))
+		case len(m.Returns) == 1:
+			codecs = append(codecs, codec(m.Returns[0]))
+		case m.OneWay:
+			codecs = append(codecs, "rt.NoReply")
+		default:
+			codecs = append(codecs, "rt.None")
+		}
+		fmt.Fprintf(&b, "\t%s = rt.M%d(%q, %s)\n", m.desc, len(codecs)-1, m.Name, strings.Join(codecs, ", "))
 	}
-	if err := generateServer(&b, name, in); err != nil {
-		return nil, err
+	b.WriteString(")\n\n")
+
+	for _, m := range ms {
+		if m.argStruct {
+			writeStruct(&b, m.desc+"Args", "the arguments of "+m.Name, m.Params)
+		}
+		if m.resStruct {
+			writeStruct(&b, m.desc+"Results", "the results of "+m.Name, m.Returns)
+		}
 	}
-	return []byte(b.String()), nil
-}
 
-func generateClient(b *strings.Builder, name string, in *idl.Interface) error {
-	fmt.Fprintf(b, "// %sClient is a typed stub for invoking %s objects.\n", name, in.Name)
-	fmt.Fprintf(b, "type %sClient struct {\n\tc      *rt.Caller\n\ttarget loid.LOID\n}\n\n", name)
-	fmt.Fprintf(b, "// New%sClient wraps caller for invocations on target.\n", name)
-	fmt.Fprintf(b, "func New%sClient(c *rt.Caller, target loid.LOID) *%sClient {\n\treturn &%sClient{c: c, target: target}\n}\n\n", name, name, name)
-	fmt.Fprintf(b, "// Target returns the object this stub invokes.\nfunc (x *%sClient) Target() loid.LOID { return x.target }\n\n", name)
-
-	for _, m := range in.Methods() {
-		mName := exportName(m.Name)
-		// Signature.
-		var params, args []string
+	fmt.Fprintf(&b, "// %sServer is the behaviour a Go object provides to serve %s.\n", name, in.Name)
+	fmt.Fprintf(&b, "type %sServer interface {\n", name)
+	for _, m := range ms {
+		params := []string{"ctx context.Context"}
 		for _, p := range m.Params {
-			gt, err := goType(p.Type)
-			if err != nil {
-				return err
-			}
-			params = append(params, fmt.Sprintf("%s %s", "arg"+exportName(p.Name), gt))
-			args = append(args, encodeExpr(p.Type, "arg"+exportName(p.Name)))
+			params = append(params, paramIdent(p.Name)+" "+idlTypes[p.Type].goType)
 		}
-		var rets, retNames, zeroRets []string
-		for i, r := range m.Returns {
-			gt, err := goType(r.Type)
-			if err != nil {
-				return err
-			}
-			rn := fmt.Sprintf("ret%s", exportName(r.Name))
-			rets = append(rets, fmt.Sprintf("%s %s", rn, gt))
-			retNames = append(retNames, rn)
-			zeroRets = append(zeroRets, rn)
-			_ = i
-		}
-		rets = append(rets, "err error")
-		fmt.Fprintf(b, "// %s invokes the %s member function.\n", mName, m.Name)
-		fmt.Fprintf(b, "func (x *%sClient) %s(%s) (%s) {\n", name, mName, strings.Join(params, ", "), strings.Join(rets, ", "))
-		failRet := strings.Join(append(append([]string{}, retNames...), "err"), ", ")
-		if m.OneWay {
-			fmt.Fprintf(b, "\terr = x.c.OneWay(x.target, %q%s)\n\treturn %s\n}\n\n",
-				m.Name, argSuffix(args), failRet)
-			continue
-		}
-		fmt.Fprintf(b, "\tvar res *rt.Result\n")
-		fmt.Fprintf(b, "\tif res, err = x.c.Call(x.target, %q%s); err != nil {\n\t\treturn %s\n\t}\n",
-			m.Name, argSuffix(args), failRet)
-		fmt.Fprintf(b, "\tif err = res.Err(); err != nil {\n\t\treturn %s\n\t}\n", failRet)
-		for i, r := range m.Returns {
-			fmt.Fprintf(b, "\t{\n\t\tvar raw []byte\n\t\tif raw, err = res.Result(%d); err != nil {\n\t\t\treturn %s\n\t\t}\n", i, failRet)
-			fmt.Fprintf(b, "\t\t%s\n\t}\n", decodeStmt(r.Type, retNames[i], "raw", failRet))
-		}
-		fmt.Fprintf(b, "\treturn %s\n}\n\n", failRet)
-	}
-	return nil
-}
-
-func argSuffix(args []string) string {
-	if len(args) == 0 {
-		return ""
-	}
-	return ", " + strings.Join(args, ", ")
-}
-
-func generateServer(b *strings.Builder, name string, in *idl.Interface) error {
-	// Server interface.
-	fmt.Fprintf(b, "// %sServer is the behaviour a Go object provides to serve %s.\n", name, in.Name)
-	fmt.Fprintf(b, "type %sServer interface {\n", name)
-	for _, m := range in.Methods() {
-		var params, rets []string
-		for _, p := range m.Params {
-			gt, err := goType(p.Type)
-			if err != nil {
-				return err
-			}
-			params = append(params, fmt.Sprintf("%s %s", paramIdent(p.Name), gt))
-		}
-		for _, r := range m.Returns {
-			gt, err := goType(r.Type)
-			if err != nil {
-				return err
-			}
-			rets = append(rets, gt)
-		}
-		rets = append(rets, "error")
-		fmt.Fprintf(b, "\t%s(%s) (%s)\n", exportName(m.Name), strings.Join(params, ", "), strings.Join(rets, ", "))
+		fmt.Fprintf(&b, "\t%s(%s) %s\n", exportName(m.Name), strings.Join(params, ", "), results(m))
 	}
 	b.WriteString("}\n\n")
 
-	// Interface literal reconstruction: one value per class, built at
-	// package init and shared by every instance.
-	ifcVar := strings.ToLower(name[:1]) + name[1:] + "Interface"
-	fmt.Fprintf(b, "var %s = idl.NewInterface(%q,\n", ifcVar, in.Name)
-	for _, m := range in.Methods() {
-		fmt.Fprintf(b, "\tidl.MethodSig{Name: %q, OneWay: %v,\n\t\tParams: []idl.Param{", m.Name, m.OneWay)
-		for _, p := range m.Params {
-			fmt.Fprintf(b, "{Name: %q, Type: %q}, ", p.Name, string(p.Type))
-		}
-		b.WriteString("},\n\t\tReturns: []idl.Param{")
-		for _, r := range m.Returns {
-			fmt.Fprintf(b, "{Name: %q, Type: %q}, ", r.Name, string(r.Type))
-		}
-		b.WriteString("}},\n")
+	server := strings.ToLower(name[:1]) + name[1:] + "Methods"
+	fmt.Fprintf(&b, "var %s = rt.NewServer(%q,\n", server, in.Name)
+	for _, m := range ms {
+		fmt.Fprintf(&b, "\t%s,\n", serveEntry(name, m))
 	}
 	b.WriteString(")\n\n")
-	fmt.Fprintf(b, "// %sInterface returns the IDL interface. Every call returns the same\n// value; Clone it before changing it.\n", name)
-	fmt.Fprintf(b, "func %sInterface() *idl.Interface { return %s }\n\n", name, ifcVar)
+	fmt.Fprintf(&b, "// %sInterface returns the IDL interface. Every call returns the same\n// value; Clone it before changing it.\n", name)
+	fmt.Fprintf(&b, "func %sInterface() *idl.Interface { return %s.Interface() }\n\n", name, server)
+	fmt.Fprintf(&b, "// New%sImpl adapts a %sServer into a Legion object implementation.\n", name, name)
+	b.WriteString("// State persistence (SaveState/RestoreState) may be supplied; nil\n// save/restore yields a stateless object.\n")
+	fmt.Fprintf(&b, "func New%sImpl(srv %sServer, save func() ([]byte, error), restore func([]byte) error) rt.Impl {\n", name, name)
+	fmt.Fprintf(&b, "\treturn %s.Impl(srv, save, restore)\n}\n", server)
+	return []byte(b.String()), nil
+}
 
-	// Impl adapter.
-	fmt.Fprintf(b, "// New%sImpl adapts a %sServer into a Legion object implementation.\n", name, name)
-	fmt.Fprintf(b, "// State persistence (SaveState/RestoreState) may be supplied; nil\n// save/restore yields a stateless object.\n")
-	fmt.Fprintf(b, "func New%sImpl(srv %sServer, save func() ([]byte, error), restore func([]byte) error) rt.Impl {\n", name, name)
-	fmt.Fprintf(b, "\treturn &rt.Behavior{\n\t\tIface: %sInterface(),\n\t\tSave: save,\n\t\tRestore: restore,\n\t\tHandlers: map[string]rt.Handler{\n", name)
-	for _, m := range in.Methods() {
-		fmt.Fprintf(b, "\t\t\t%q: func(inv *rt.Invocation) (_ [][]byte, err error) {\n", m.Name)
-		// Decode params.
-		for i, p := range m.Params {
-			gt, _ := goType(p.Type)
-			fmt.Fprintf(b, "\t\t\t\tvar p%d %s\n", i, gt)
-			fmt.Fprintf(b, "\t\t\t\t{\n\t\t\t\t\tvar raw []byte\n\t\t\t\t\tif raw, err = inv.Arg(%d); err != nil {\n\t\t\t\t\t\treturn nil, err\n\t\t\t\t\t}\n", i)
-			stmt := decodeStmt(p.Type, fmt.Sprintf("p%d", i), "raw", "nil, err")
-			fmt.Fprintf(b, "\t\t\t\t\t%s\n\t\t\t\t}\n", strings.ReplaceAll(stmt, "\n\t\t\t", "\n\t\t\t\t\t"))
-		}
-		// Call the server.
-		var callArgs []string
-		for i := range m.Params {
-			callArgs = append(callArgs, fmt.Sprintf("p%d", i))
-		}
-		var outNames []string
-		for i := range m.Returns {
-			outNames = append(outNames, fmt.Sprintf("r%d", i))
-		}
-		lhs := strings.Join(append(append([]string{}, outNames...), "serr"), ", ")
-		fmt.Fprintf(b, "\t\t\t\t%s := srv.%s(%s)\n", lhs, exportName(m.Name), strings.Join(callArgs, ", "))
-		fmt.Fprintf(b, "\t\t\t\tif serr != nil {\n\t\t\t\t\treturn nil, serr\n\t\t\t\t}\n")
-		if len(m.Returns) == 0 {
-			fmt.Fprintf(b, "\t\t\t\treturn nil, nil\n\t\t\t},\n")
-			continue
-		}
-		var encoded []string
-		for i, r := range m.Returns {
-			encoded = append(encoded, encodeExpr(r.Type, fmt.Sprintf("r%d", i)))
-		}
-		fmt.Fprintf(b, "\t\t\t\treturn [][]byte{%s}, nil\n\t\t\t},\n", strings.Join(encoded, ", "))
+func codec(p idl.Param) string { return fmt.Sprintf("%s(%q)", idlTypes[p.Type].codec, p.Name) }
+
+// structCodec carries the struct typ over ps, one field each.
+func structCodec(typ string, ps []idl.Param) string {
+	fields := make([]string, len(ps))
+	for i, p := range ps {
+		fields[i] = fmt.Sprintf("\n\t\trt.Field(%s, func(v *%s) *%s { return &v.%s })",
+			codec(p), typ, idlTypes[p.Type].goType, exportName(p.Name))
 	}
-	b.WriteString("\t\t},\n\t}\n}\n")
-	return nil
+	return "rt.Struct(" + strings.Join(fields, ",") + ")"
+}
+
+func writeStruct(b *strings.Builder, typ, doc string, ps []idl.Param) {
+	fmt.Fprintf(b, "// %s carries %s.\ntype %s struct {\n", typ, doc, typ)
+	for _, p := range ps {
+		fmt.Fprintf(b, "\t%s %s\n", exportName(p.Name), idlTypes[p.Type].goType)
+	}
+	b.WriteString("}\n\n")
+}
+
+// results renders the server method's results.
+func results(m method) string {
+	switch {
+	case m.resStruct:
+		return fmt.Sprintf("(%sResults, error)", m.desc)
+	case len(m.Returns) == 1:
+		return fmt.Sprintf("(%s, error)", idlTypes[m.Returns[0].Type].goType)
+	default:
+		return "error"
+	}
+}
+
+// serveEntry serves m on the server interface: the method expression
+// itself when its shape is the descriptor's, else an adapter.
+func serveEntry(name string, m method) string {
+	n := len(m.Params)
+	if m.argStruct {
+		n = 1
+	}
+	serve := fmt.Sprintf("rt.Serve%d(%s, ", n, m.desc)
+	if !m.argStruct && (len(m.Returns) == 1 || m.resStruct) {
+		return serve + name + "Server." + exportName(m.Name) + ")"
+	}
+	params := []string{"s " + name + "Server", "ctx context.Context"}
+	args := []string{"ctx"}
+	switch {
+	case m.argStruct:
+		params = append(params, "a "+m.desc+"Args")
+		for _, p := range m.Params {
+			args = append(args, "a."+exportName(p.Name))
+		}
+	default:
+		for _, p := range m.Params {
+			params = append(params, paramIdent(p.Name)+" "+idlTypes[p.Type].goType)
+			args = append(args, paramIdent(p.Name))
+		}
+	}
+	call := fmt.Sprintf("s.%s(%s)", exportName(m.Name), strings.Join(args, ", "))
+	if len(m.Returns) == 0 {
+		return fmt.Sprintf("%sfunc(%s) (rt.Void, error) {\n\t\treturn rt.Void{}, %s\n\t})", serve, strings.Join(params, ", "), call)
+	}
+	res := strings.TrimSuffix(strings.TrimPrefix(results(m), "("), ", error)")
+	return fmt.Sprintf("%sfunc(%s) (%s, error) {\n\t\treturn %s\n\t})", serve, strings.Join(params, ", "), res, call)
 }

@@ -71,14 +71,15 @@ func TestGenerateContainsExpectedDecls(t *testing.T) {
 	}
 	s := string(code)
 	for _, want := range []string{
-		"type KitchenClient struct",
-		"func NewKitchenClient(",
+		"KitchenSink = rt.M1(\"sink\", rt.Struct(",
+		"type KitchenSinkArgs struct",
+		"type KitchenSinkResults struct",
+		"KitchenFire = rt.M1(\"fire\", rt.StringParam(\"msg\"), rt.NoReply)",
+		"KitchenPing = rt.M0(\"ping\", rt.None)",
 		"type KitchenServer interface",
+		"Sink(ctx context.Context, a int64, b uint64",
 		"func NewKitchenImpl(",
 		"func KitchenInterface() *idl.Interface",
-		"func (x *KitchenClient) Sink(",
-		"func (x *KitchenClient) Fire(",
-		"x.c.OneWay(x.target, \"fire\"",
 		"\"repro/internal/oa\"",
 		"\"repro/internal/binding\"",
 		"\"time\"",

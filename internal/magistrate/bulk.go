@@ -234,6 +234,6 @@ func (m *Magistrate) bulkAdopt(ls []loid.LOID) {
 	// does one by one.
 	for _, n := range notices {
 		noteGeneration(plane, n.l, "adopt", target.l, 0)
-		m.notifyClass(n.l, n.b)
+		m.notifyClass(context.Background(), n.l, n.b)
 	}
 }

@@ -574,7 +574,8 @@ func (m *Magistrate) startOn(ctx context.Context, l loid.LOID, rec *record, h ho
 	stale, ok := m.commitStartedLocked(l, rec, h.l, addr, from)
 	if !ok {
 		m.mu.Unlock()
-		_, _ = host.KillObject.Call(ctx, m.obj.Caller().To(h.l), l)
+		// Reaping is cleanup, not the caller's work: no deadline.
+		_, _ = host.KillObject.Call(context.Background(), m.obj.Caller().To(h.l), l)
 		return binding.Binding{}, fmt.Errorf("magistrate %v: object %v deleted during activation", m.self, l)
 	}
 	b := m.bindingLocked(l, addr)
@@ -798,7 +799,7 @@ func (m *Magistrate) reactivate(ls []loid.LOID) {
 		reg.Counter("mag/reactivations").Inc()
 		reg.Histogram("mag/reactivate").Observe(m.since(t0))
 		span.Event("reactivate", fmt.Sprintf("%v -> %v", l, b.Address))
-		m.notifyClass(l, b)
+		m.notifyClass(context.Background(), l, b)
 	}
 	span.Finish(wire.OK.String())
 }
@@ -807,12 +808,12 @@ func (m *Magistrate) reactivate(ls []loid.LOID) {
 // the instance table and any pushed bindings stay coherent. Best
 // effort: a class that cannot be reached (or does not know the
 // instance) is healed later by its own refresh machinery.
-func (m *Magistrate) notifyClass(l loid.LOID, b binding.Binding) {
+func (m *Magistrate) notifyClass(ctx context.Context, l loid.LOID, b binding.Binding) {
 	cl := l.ClassLOID()
 	if cl.IsNil() || cl.SameObject(l) {
 		return
 	}
-	if _, err := NotifyAddress.Call(context.Background(), m.obj.Caller().To(cl), l, b.Address); err != nil {
+	if _, err := NotifyAddress.Call(ctx, m.obj.Caller().To(cl), l, b.Address); err != nil {
 		m.reg().Counter("mag/notify_class_failed").Inc()
 	}
 }

@@ -329,7 +329,7 @@ func (m *Magistrate) runMigration(ctx context.Context, span *trace.Span, l loid.
 	saved, err := host.PrepareMigrate.Call(ctx, srcHC, l)
 	state, implName := saved.State, saved.Impl
 	if err != nil {
-		return m.abortToSource(ctx, l, rec, src, srcHC,
+		return m.abortToSource(l, rec, src, srcHC,
 			fmt.Errorf("magistrate %v: drain %v on %v: %w", m.self, l, src, err))
 	}
 	span.Event("migrate", fmt.Sprintf("%v drained on %v (%d state bytes)", l, src, len(state)))
@@ -339,7 +339,7 @@ func (m *Magistrate) runMigration(ctx context.Context, span *trace.Span, l loid.
 	// hosts die the object recovers exactly as drained.
 	ckptAddr, err := m.store.Put(persist.OPR{LOID: l, Impl: implName, State: state})
 	if err != nil {
-		return m.abortToSource(ctx, l, rec, src, srcHC,
+		return m.abortToSource(l, rec, src, srcHC,
 			fmt.Errorf("magistrate %v: checkpoint %v: %w", m.self, l, err))
 	}
 	m.mu.Lock()
@@ -353,8 +353,8 @@ func (m *Magistrate) runMigration(ctx context.Context, span *trace.Span, l loid.
 	if err != nil {
 		// The destination may have partially started it; best-effort
 		// reap before reopening the source.
-		_, _ = host.KillObject.Call(ctx, destHC, l)
-		return m.abortToSource(ctx, l, rec, src, srcHC,
+		_, _ = host.KillObject.Call(context.Background(), destHC, l)
+		return m.abortToSource(l, rec, src, srcHC,
 			fmt.Errorf("magistrate %v: start %v on %v: %w", m.self, l, dest.l, err))
 	}
 	span.Event("migrate", fmt.Sprintf("%v started on %v at %v", l, dest.l, addr))
@@ -364,7 +364,7 @@ func (m *Magistrate) runMigration(ctx context.Context, span *trace.Span, l loid.
 	m.mu.Lock()
 	if m.table[l.Ident()] != rec {
 		m.mu.Unlock()
-		_, _ = host.KillObject.Call(ctx, destHC, l)
+		_, _ = host.KillObject.Call(context.Background(), destHC, l)
 		_, _ = host.AbortMigrate.Call(ctx, srcHC, l)
 		return fmt.Errorf("magistrate %v: object %v deleted during migration", m.self, l)
 	}
@@ -372,13 +372,13 @@ func (m *Magistrate) runMigration(ctx context.Context, span *trace.Span, l loid.
 		// Destination crashed between ship and republish: the source
 		// incarnation is still whole, so reopen it.
 		m.mu.Unlock()
-		return m.abortToSource(ctx, l, rec, src, srcHC,
+		return m.abortToSource(l, rec, src, srcHC,
 			fmt.Errorf("magistrate %v: destination %v failed before republish", m.self, dest.l))
 	}
 	m.place(rec, dest.l, addr)
 	b := m.bindingLocked(l, addr)
 	m.mu.Unlock()
-	m.notifyClass(l, b)
+	m.notifyClass(ctx, l, b)
 	span.Event("migrate", fmt.Sprintf("%v binding republished -> %v", l, addr))
 	m.hook("republished", l, src, dest.l)
 
@@ -401,11 +401,12 @@ func (m *Magistrate) runMigration(ctx context.Context, span *trace.Span, l loid.
 // — promoting the migration checkpoint when phase 2 wrote one — and
 // recovered, exactly as HostFailed would have done had the record not
 // been busy. The recovery waits for MigrateObject to release the claim.
-func (m *Magistrate) abortToSource(ctx context.Context, l loid.LOID, rec *record, src loid.LOID, srcHC rt.Ref, cause error) error {
+func (m *Magistrate) abortToSource(l loid.LOID, rec *record, src loid.LOID, srcHC rt.Ref, cause error) error {
 	m.mu.Lock()
 	if m.hostKnownLocked(src) {
 		m.mu.Unlock()
-		if _, err := host.AbortMigrate.Call(ctx, srcHC, l); err != nil {
+		// The source reopens even when the caller's budget is spent.
+		if _, err := host.AbortMigrate.Call(context.Background(), srcHC, l); err != nil {
 			m.reg().Counter("mig/abort_failed").Inc()
 		}
 		return cause

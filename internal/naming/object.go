@@ -85,28 +85,18 @@ var server = rt.NewServer("LegionContext",
 // Interface is the context object's member-function set.
 var Interface = server.Interface()
 
-// contextObject serves a Context as a Legion object.
-type contextObject struct{ ctx *Context }
-
 // NewContextImpl is the implreg factory for ImplName.
-func NewContextImpl() rt.Impl { return contextObject{NewContext()} }
-
-func (o contextObject) Interface() *idl.Interface { return Interface }
-
-func (o contextObject) Dispatch(inv *rt.Invocation) ([][]byte, error) {
-	return server.Dispatch(o.ctx, inv)
-}
-
-func (o contextObject) SaveState() ([]byte, error) { return o.ctx.Marshal(nil), nil }
-
-func (o contextObject) RestoreState(state []byte) error {
-	if len(state) == 0 {
+func NewContextImpl() rt.Impl {
+	c := NewContext()
+	return server.Impl(c, func() ([]byte, error) { return c.Marshal(nil), nil }, func(state []byte) error {
+		if len(state) == 0 {
+			return nil
+		}
+		restored, err := UnmarshalContext(state)
+		if err != nil {
+			return err
+		}
+		c.Replace(restored)
 		return nil
-	}
-	restored, err := UnmarshalContext(state)
-	if err != nil {
-		return err
-	}
-	o.ctx.Replace(restored)
-	return nil
+	})
 }

@@ -448,3 +448,19 @@ func Embed[O, B any](base *Server[B], inner func(O) B) []Served[O] {
 	}
 	return out
 }
+
+// Impl makes s, served by t, a Legion object; save and restore may be
+// nil for a stateless object.
+func (t *Server[S]) Impl(s S, save func() ([]byte, error), restore func([]byte) error) Impl {
+	return &servedImpl[S]{t, s, Behavior{Iface: t.iface, Save: save, Restore: restore}}
+}
+
+// servedImpl is a Server's Impl: its table dispatches, and the embedded
+// Behavior supplies the interface and the state hooks.
+type servedImpl[S any] struct {
+	t *Server[S]
+	s S
+	Behavior
+}
+
+func (x *servedImpl[S]) Dispatch(inv *Invocation) ([][]byte, error) { return x.t.Dispatch(x.s, inv) }
