@@ -11,8 +11,8 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"repro/internal/class"
 
+	"repro/internal/class"
 	"repro/internal/core"
 	"repro/internal/demo"
 	"repro/internal/implreg"

@@ -2,11 +2,11 @@ package core
 
 import (
 	"context"
-	"repro/internal/class"
 	"testing"
 	"time"
 
 	"repro/internal/bindagent"
+	"repro/internal/class"
 	"repro/internal/loid"
 	"repro/internal/magistrate"
 	"repro/internal/wire"

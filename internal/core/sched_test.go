@@ -2,12 +2,12 @@ package core
 
 import (
 	"context"
-	"repro/internal/class"
-	"repro/internal/sched"
 	"testing"
 
+	"repro/internal/class"
 	"repro/internal/host"
 	"repro/internal/loid"
+	"repro/internal/sched"
 )
 
 // TestSchedulingAgentDrivesPlacement exercises the §3.7 scheduling

@@ -3,9 +3,9 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"repro/internal/class"
 	"time"
 
+	"repro/internal/class"
 	"repro/internal/magistrate"
 	"repro/internal/sim"
 	"repro/internal/wire"

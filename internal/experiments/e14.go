@@ -3,10 +3,10 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"repro/internal/class"
-	"repro/internal/host"
 
+	"repro/internal/class"
 	"repro/internal/core"
+	"repro/internal/host"
 	"repro/internal/loid"
 	"repro/internal/sim"
 )

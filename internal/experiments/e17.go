@@ -4,12 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"repro/internal/class"
 	"sort"
 	"strings"
 	"time"
 
 	"repro/internal/bindagent"
+	"repro/internal/class"
 	"repro/internal/magistrate"
 	"repro/internal/sim"
 	"repro/internal/trace"

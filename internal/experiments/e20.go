@@ -3,10 +3,10 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"repro/internal/magistrate"
 	"strconv"
 	"time"
 
+	"repro/internal/magistrate"
 	"repro/internal/sim"
 	"repro/internal/wire"
 )

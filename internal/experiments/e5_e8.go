@@ -3,10 +3,10 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"repro/internal/class"
 	"time"
 
 	"repro/internal/binding"
+	"repro/internal/class"
 	"repro/internal/host"
 	"repro/internal/loid"
 	"repro/internal/magistrate"

@@ -3,10 +3,10 @@ package sim
 import (
 	"context"
 	"fmt"
-	"repro/internal/rt"
 
 	"repro/internal/loid"
 	"repro/internal/magistrate"
+	"repro/internal/rt"
 	"repro/internal/sched"
 )
 

@@ -1,10 +1,10 @@
 package sim
 
 import (
-	"repro/internal/magistrate"
 	"strconv"
 	"testing"
 
+	"repro/internal/magistrate"
 	"repro/internal/wire"
 )
 
