@@ -1,9 +1,9 @@
 // Command legion-idl is the Legion-aware compiler's front half (§4.1):
 // it parses Legion IDL and either validates/pretty-prints it or
-// generates Go client stubs and server bindings.
+// generates Go method descriptors and a server adapter.
 //
 //	legion-idl check file.idl           # parse and canonicalize
-//	legion-idl gen -pkg myapp file.idl  # emit Go stubs to stdout
+//	legion-idl gen -pkg myapp file.idl  # emit Go descriptors to stdout
 package main
 
 import (

@@ -499,11 +499,11 @@ func TestDeleteInstance(t *testing.T) {
 
 func TestCloneSharesInterface(t *testing.T) {
 	fx := newFixture(t)
-	rClone, err := Clone.Call(context.Background(), fx.root.Ref, loid.Nil)
-	cloneL, cb := rClone.LOID, rClone.Binding
+	clone, err := Clone.Call(context.Background(), fx.root.Ref, loid.Nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cloneL, cb := clone.LOID, clone.Binding
 	fx.seedBinding(cb)
 	cloneCl := NewClient(fx.caller, cloneL)
 	// "without changing the interface in any way" (§5.2.2).
@@ -641,18 +641,16 @@ func TestLocateClassSteps(t *testing.T) {
 	fx := newFixture(t)
 	mc := fx.caller.To(loid.LegionClass)
 	// Direct: the root class is registered with LegionClass.
-	rLocateClass, err := LocateClass.Call(context.Background(), mc, fx.rootL)
-	direct, b := rLocateClass.Direct, rLocateClass.Binding
-	if err != nil || !direct || b.Address.IsZero() {
-		t.Fatalf("LocateClass(root) = %v/%v, %v", direct, b, err)
+	loc, err := LocateClass.Call(context.Background(), mc, fx.rootL)
+	if err != nil || !loc.Direct || loc.Binding.Address.IsZero() {
+		t.Fatalf("LocateClass(root) = %+v, %v", loc, err)
 	}
 	// Indirect: a derived class resolves through its creator.
 	sub, sb, _ := fx.root.Derive("Locatable", "", nil, 0, loid.Nil)
 	fx.seedBinding(sb)
-	rLocateClass2, err := LocateClass.Call(context.Background(), mc, sub)
-	direct, resp := rLocateClass2.Direct, rLocateClass2.Responsible
-	if err != nil || direct || !resp.SameObject(fx.rootL) {
-		t.Fatalf("LocateClass(sub) = %v/%v, %v", direct, resp, err)
+	loc, err = LocateClass.Call(context.Background(), mc, sub)
+	if err != nil || loc.Direct || !loc.Responsible.SameObject(fx.rootL) {
+		t.Fatalf("LocateClass(sub) = %+v, %v", loc, err)
 	}
 	// Unknown class errors.
 	if _, err := LocateClass.Call(context.Background(), mc, loid.NewNoKey(9999, 0)); err == nil {

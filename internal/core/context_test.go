@@ -41,11 +41,11 @@ func TestContextObjectLifecycle(t *testing.T) {
 	if err != nil || got != target {
 		t.Fatalf("bob's lookup: %v, %v", got, err)
 	}
-	rList, err := naming.ListNames.Call(context.Background(), bob, "/home/alice")
-	names, dirs, targets := rList.Names, rList.Dirs, rList.Targets
+	list, err := naming.ListNames.Call(context.Background(), bob, "/home/alice")
 	if err != nil {
 		t.Fatal(err)
 	}
+	names, dirs, targets := list.Names, list.Dirs, list.Targets
 	if len(names) != 2 || len(dirs) != 0 || len(targets) != 2 {
 		t.Errorf("List = %v %v %v", names, dirs, targets)
 	}

@@ -435,13 +435,12 @@ func TestBootWithManyJurisdictionsAndAgents(t *testing.T) {
 func TestCloneRelievesHotClass(t *testing.T) {
 	sys := bootSys(t, Options{})
 	cl, clsL, _ := sys.DeriveClass("Hot", "counter", counterInterface(), 0)
-	rClone, err := class.Clone.Call(context.Background(), cl.Ref, loid.Nil)
-	cloneL, cloneB := rClone.LOID, rClone.Binding
+	made, err := class.Clone.Call(context.Background(), cl.Ref, loid.Nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.BootClient().AddBinding(cloneB)
-	clone := class.NewClient(sys.BootClient(), cloneL)
+	sys.BootClient().AddBinding(made.Binding)
+	clone := class.NewClient(sys.BootClient(), made.LOID)
 	before := sys.Reg.Counter("req/obj/" + clsL.ID().String()).Value()
 	for i := 0; i < 5; i++ {
 		if _, _, err := clone.Create(nil, loid.Nil, loid.Nil); err != nil {

@@ -153,9 +153,7 @@ func TestSplitJurisdiction(t *testing.T) {
 		if v, _ := wire.AsUint64(raw); v != 2 {
 			t.Errorf("counter = %d after split, want 2", v)
 		}
-		rHasObject, _ := magistrate.HasObject.Call(context.Background(), sys.BootClient().To(dst.Magistrate), obj)
-		known := rHasObject.Known
-		if !known {
+		if st, _ := magistrate.HasObject.Call(context.Background(), sys.BootClient().To(dst.Magistrate), obj); !st.Known {
 			t.Errorf("dst magistrate does not know %v", obj)
 		}
 	}

@@ -113,16 +113,35 @@ func newFixture(t testing.TB, nHosts int) *fixture {
 
 var objL = loid.NewNoKey(256, 1)
 
+// TestActivateOneArgument: the overloaded Activate(LOID) of §3.8, sent
+// without a host hint, still activates.
+func TestActivateOneArgument(t *testing.T) {
+	fx := newFixture(t, 1)
+	if _, err := Register.Call(context.Background(), fx.client.Ref, objL, "counter", nil); err != nil {
+		t.Fatal(err)
+	}
+	res, err := fx.caller.Call(fx.magL, "Activate", wire.LOID(objL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := res.Result(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, err := wire.AsBinding(raw); err != nil || b.LOID != objL || b.Address.IsZero() {
+		t.Errorf("Activate(LOID) = %v, %v", b, err)
+	}
+}
+
 func TestRegisterActivate(t *testing.T) {
 	fx := newFixture(t, 2)
 	if _, err := Register.Call(context.Background(), fx.client.Ref, objL, "counter", nil); err != nil {
 		t.Fatal(err)
 	}
 	// Registered but inert: known, not active, OPR in store.
-	rHasObject, err := HasObject.Call(context.Background(), fx.client.Ref, objL)
-	known, active := rHasObject.Known, rHasObject.Active
-	if err != nil || !known || active {
-		t.Fatalf("HasObject = %v/%v, %v", known, active, err)
+	st, err := HasObject.Call(context.Background(), fx.client.Ref, objL)
+	if err != nil || !st.Known || st.Active {
+		t.Fatalf("HasObject = %+v, %v", st, err)
 	}
 	if fx.store.Len() != 1 {
 		t.Errorf("store has %d OPRs, want 1", fx.store.Len())
@@ -394,9 +413,7 @@ func TestCopyBetweenJurisdictions(t *testing.T) {
 	if fx.store.Len() != 1 || store2.Len() != 1 {
 		t.Errorf("OPRs = %d/%d, want 1/1", fx.store.Len(), store2.Len())
 	}
-	rHasObject2, _ := HasObject.Call(context.Background(), fx.client.Ref, objL)
-	known := rHasObject2.Known
-	if !known {
+	if st, _ := HasObject.Call(context.Background(), fx.client.Ref, objL); !st.Known {
 		t.Error("source lost the object after Copy")
 	}
 	// The destination can activate its copy, state intact.

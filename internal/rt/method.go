@@ -207,12 +207,6 @@ func (m *method[R]) declare(params ...[]idl.Param) {
 	}
 }
 
-// Name is the method's wire name.
-func (m *method[R]) Name() string { return m.sig.Name }
-
-// Sig is the method's idl signature.
-func (m *method[R]) Sig() idl.MethodSig { return m.sig }
-
 func (m *method[R]) slots() [][]byte { return make([][]byte, 0, len(m.sig.Params)) }
 
 // call invokes the method at to and decodes its result.
@@ -231,10 +225,11 @@ func (m *method[R]) call(ctx context.Context, to Ref, args [][]byte) (R, error) 
 	if err := res.Err(); err != nil {
 		return r, err
 	}
-	if n := len(m.res.params); len(res.Results) < n {
-		return r, fmt.Errorf("rt: %s: missing result %d (have %d)", m.sig.Name, len(res.Results), len(res.Results))
+	n := len(m.res.params)
+	if len(res.Results) < n {
+		return r, fmt.Errorf("rt: %s: %d results, want %d", m.sig.Name, len(res.Results), n)
 	}
-	return m.res.take(res.Results[:len(m.res.params)])
+	return m.res.take(res.Results[:n])
 }
 
 // send invokes the method at to without awaiting a reply.
@@ -308,9 +303,6 @@ func M3[A, B, C, R any](name string, a Codec[A], b Codec[B], c Codec[C], r Codec
 // Call invokes the method at to and awaits its result.
 func (m *Method0[R]) Call(ctx context.Context, to Ref) (R, error) { return m.call(ctx, to, nil) }
 
-// Send invokes the method at to with no reply expected.
-func (m *Method0[R]) Send(to Ref) error { return m.send(to, nil) }
-
 func (m *Method1[A, R]) args(a A) [][]byte { return m.a.append(m.slots(), a) }
 
 // Call invokes the method at to and awaits its result.
@@ -321,30 +313,14 @@ func (m *Method1[A, R]) Call(ctx context.Context, to Ref, a A) (R, error) {
 // Send invokes the method at to with no reply expected.
 func (m *Method1[A, R]) Send(to Ref, a A) error { return m.send(to, m.args(a)) }
 
-func (m *Method2[A, B, R]) args(a A, b B) [][]byte {
-	return m.b.append(m.a.append(m.slots(), a), b)
-}
-
 // Call invokes the method at to and awaits its result.
 func (m *Method2[A, B, R]) Call(ctx context.Context, to Ref, a A, b B) (R, error) {
-	return m.call(ctx, to, m.args(a, b))
-}
-
-// Send invokes the method at to with no reply expected.
-func (m *Method2[A, B, R]) Send(to Ref, a A, b B) error { return m.send(to, m.args(a, b)) }
-
-func (m *Method3[A, B, C, R]) args(a A, b B, c C) [][]byte {
-	return m.c.append(m.b.append(m.a.append(m.slots(), a), b), c)
+	return m.call(ctx, to, m.b.append(m.a.append(m.slots(), a), b))
 }
 
 // Call invokes the method at to and awaits its result.
 func (m *Method3[A, B, C, R]) Call(ctx context.Context, to Ref, a A, b B, c C) (R, error) {
-	return m.call(ctx, to, m.args(a, b, c))
-}
-
-// Send invokes the method at to with no reply expected.
-func (m *Method3[A, B, C, R]) Send(to Ref, a A, b B, c C) error {
-	return m.send(to, m.args(a, b, c))
+	return m.call(ctx, to, m.c.append(m.b.append(m.a.append(m.slots(), a), b), c))
 }
 
 // Served is one entry of a Server: a signature and the handler that

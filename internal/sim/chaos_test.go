@@ -321,7 +321,7 @@ func TestCheckpointClockDiesWithResident(t *testing.T) {
 		return -1
 	}
 	// The victim host must not run the class object (a moved class
-	// object is not re-announced; see ROADMAP item 1).
+	// object is not re-announced; see ROADMAP item 5).
 	home := 1 - hostOf(s.Classes[0].Class())
 	var l loid.LOID
 	for _, f := range s.Flat {
