@@ -2,6 +2,7 @@ package naming
 
 import (
 	"context"
+	"fmt"
 
 	"repro/internal/idl"
 	"repro/internal/loid"
@@ -25,7 +26,12 @@ var (
 		rt.Field(rt.StringListParam("names"), func(l *Listing) *[]string { return &l.Names }),
 		rt.Field(rt.StringListParam("dirs"), func(l *Listing) *[]string { return &l.Dirs }),
 		rt.Field(rt.Param("targets", idl.TBytes, marshalTargets, unmarshalTargets),
-			func(l *Listing) *[]loid.LOID { return &l.Targets })))
+			func(l *Listing) *[]loid.LOID { return &l.Targets })).Checked(func(l Listing) error {
+		if len(l.Targets) != len(l.Names) {
+			return fmt.Errorf("naming: %d names but %d targets", len(l.Names), len(l.Targets))
+		}
+		return nil
+	}))
 	CountNames = rt.M0("CountNames", rt.Uint64Param("n"))
 )
 

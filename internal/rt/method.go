@@ -54,6 +54,19 @@ func (c Codec[T]) Optional() Codec[T] {
 	return c
 }
 
+// Checked makes c refuse a decoded value that check rejects.
+func (c Codec[T]) Checked(check func(T) error) Codec[T] {
+	take := c.take
+	c.take = func(src [][]byte) (T, error) {
+		v, err := take(src)
+		if err == nil {
+			err = check(v)
+		}
+		return v, err
+	}
+	return c
+}
+
 // append encodes v after dst.
 func (c Codec[T]) append(dst [][]byte, v T) [][]byte {
 	n := len(dst)
