@@ -127,3 +127,31 @@ func TestMemStoreLen(t *testing.T) {
 		t.Errorf("Len = %d", s.Len())
 	}
 }
+
+// TestOPRCodecAllocs gates the allocations of the OPR codecs that
+// checkpointing and recovery run per object: a decode copies the impl
+// name and the state, an encode grows its buffer, and a batch is its
+// entries plus the batch buffer.
+func TestOPRCodecAllocs(t *testing.T) {
+	o := OPR{LOID: loid.NewNoKey(1000, 7), Impl: "bench.impl", State: make([]byte, 200), Saved: time.Unix(1700000000, 0)}
+	enc := o.Marshal(nil)
+	batch := make([]OPR, 64)
+	for i := range batch {
+		batch[i] = o
+	}
+	encBatch := EncodeOPRBatch(batch)
+	for _, c := range []struct {
+		name string
+		max  float64
+		run  func()
+	}{
+		{"Unmarshal", 2, func() { Unmarshal(enc) }},
+		{"OPR.Marshal", 3, func() { o.Marshal(nil) }},
+		{"DecodeOPRBatch of 64", 129, func() { DecodeOPRBatch(encBatch) }},
+		{"EncodeOPRBatch of 64", 208, func() { EncodeOPRBatch(batch) }},
+	} {
+		if n := testing.AllocsPerRun(50, c.run); n > c.max {
+			t.Errorf("%s: %.0f allocs, want <= %.0f", c.name, n, c.max)
+		}
+	}
+}

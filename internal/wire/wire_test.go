@@ -235,6 +235,15 @@ func TestValueCodecsAllocateOnce(t *testing.T) {
 	}
 }
 
+// TestAsLOIDListAllocs gates a LOID list decode at one allocation, the
+// result slice: ListHosts and ListObjects replies take this path.
+func TestAsLOIDListAllocs(t *testing.T) {
+	b := LOIDList([]loid.LOID{loid.NewNoKey(1, 2), loid.NewNoKey(3, 4), loid.NewNoKey(5, 6), loid.NewNoKey(7, 8)})
+	if n := testing.AllocsPerRun(100, func() { AsLOIDList(b) }); n > 1 {
+		t.Errorf("AsLOIDList of 4: %.0f allocs, want <= 1", n)
+	}
+}
+
 func TestListHelpers(t *testing.T) {
 	ls := []loid.LOID{loid.NewNoKey(1, 2), loid.NewNoKey(3, 4)}
 	got, err := AsLOIDList(LOIDList(ls))
