@@ -645,13 +645,13 @@ func (c *ClassImpl) pickMagistrateLocked(hint loid.LOID) (loid.LOID, error) {
 func (c *ClassImpl) SaveState() ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	w := &writer{}
-	c.meta.marshal(w)
-	w.u64(uint64(len(c.table)))
+	var w wire.Writer
+	c.meta.marshal(&w)
+	w.Count64(len(c.table))
 	for id, row := range c.table {
-		marshalRow(w, id.LOID(), row)
+		marshalRow(&w, id.LOID(), row)
 	}
-	return w.buf, nil
+	return w.Bytes(), nil
 }
 
 // RestoreState implements rt.Impl.
@@ -659,34 +659,24 @@ func (c *ClassImpl) RestoreState(state []byte) error {
 	if len(state) == 0 {
 		return nil
 	}
-	r := &reader{buf: state}
-	meta, err := unmarshalMeta(r)
+	r := wire.NewReader(state)
+	meta, err := unmarshalMeta(&r)
 	if err != nil {
 		return err
 	}
-	n, err := r.u64()
-	if err != nil {
-		return err
-	}
-	// Bound by what the remaining buffer could hold (each row carries
-	// at least one LOID) so corrupted counts cannot balloon the map.
-	if n > uint64(len(r.buf))/loid.EncodedSize {
-		return fmt.Errorf("class: table size %d exceeds buffer", n)
-	}
+	// Each row carries at least one LOID.
+	n := r.Count64(loid.EncodedSize)
 	table := make(map[loid.Ident]*Row, n)
-	for i := uint64(0); i < n; i++ {
-		l, row, err := unmarshalRow(r)
-		if err != nil {
-			return err
-		}
+	for i := 0; i < n; i++ {
+		l, row := unmarshalRow(&r)
 		// Restored rows share the class's default list like live ones.
 		if slices.Equal(row.CandidateMagistrates, meta.DefaultMagistrates) {
 			row.CandidateMagistrates = meta.DefaultMagistrates
 		}
 		table[l.Ident()] = row
 	}
-	if err := r.done(); err != nil {
-		return err
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("class: %w", err)
 	}
 	c.mu.Lock()
 	c.meta = meta

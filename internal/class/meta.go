@@ -15,6 +15,7 @@ import (
 	"repro/internal/idl"
 	"repro/internal/loid"
 	"repro/internal/oa"
+	"repro/internal/wire"
 )
 
 // Flags mark the special class types of §2.1.2.
@@ -122,64 +123,49 @@ func (m *Meta) Validate() error {
 	return nil
 }
 
-// marshal/unmarshal encode Meta inside the class state blob.
-func (m *Meta) marshal(w *writer) {
-	w.loid(m.Self)
-	w.str(m.Name)
-	w.loid(m.Super)
-	w.u64(uint64(m.Flags))
-	w.u64(uint64(len(m.ImplParts)))
+// maxField bounds a string or blob in class-object state (64 MiB).
+const maxField = 64 << 20
+
+// maxImplParts bounds a class's implementation composition.
+const maxImplParts = 1 << 16
+
+// marshal/unmarshalMeta encode Meta inside the class state blob.
+func (m *Meta) marshal(w *wire.Writer) {
+	w.LOID(m.Self)
+	w.Str32(m.Name)
+	w.LOID(m.Super)
+	w.U64(uint64(m.Flags))
+	w.Count64(len(m.ImplParts))
 	for _, p := range m.ImplParts {
-		w.str(p)
+		w.Str32(p)
 	}
-	w.loids(m.Bases)
+	writeLOIDs(w, m.Bases)
 	ifc := m.InstanceInterface
 	if ifc == nil {
 		ifc = idl.NewInterface(m.Name)
 	}
-	w.bytes(ifc.Marshal(nil))
-	w.u64(m.NextSeq)
-	w.loid(m.DefaultSchedulingAgent)
-	w.loids(m.DefaultMagistrates)
+	w.Bytes32(ifc.Marshal(nil))
+	w.U64(m.NextSeq)
+	w.LOID(m.DefaultSchedulingAgent)
+	writeLOIDs(w, m.DefaultMagistrates)
 }
 
-func unmarshalMeta(r *reader) (*Meta, error) {
-	m := &Meta{}
-	var err error
-	if m.Self, err = r.loid(); err != nil {
-		return nil, err
-	}
-	if m.Name, err = r.str(); err != nil {
-		return nil, err
-	}
-	if m.Super, err = r.loid(); err != nil {
-		return nil, err
-	}
-	f, err := r.u64()
-	if err != nil {
-		return nil, err
-	}
-	m.Flags = Flags(f)
-	np, err := r.u64()
-	if err != nil {
-		return nil, err
-	}
-	if np > 1<<16 {
+func unmarshalMeta(r *wire.Reader) (*Meta, error) {
+	m := &Meta{Self: r.LOID(), Name: r.Str32(maxField), Super: r.LOID(), Flags: Flags(r.U64())}
+	np := r.Count64(4)
+	if np > maxImplParts {
 		return nil, fmt.Errorf("class: %d impl parts exceeds limit", np)
 	}
-	for i := uint64(0); i < np; i++ {
-		p, err := r.str()
-		if err != nil {
-			return nil, err
-		}
-		m.ImplParts = append(m.ImplParts, p)
+	for i := 0; i < np; i++ {
+		m.ImplParts = append(m.ImplParts, r.Str32(maxField))
 	}
-	if m.Bases, err = r.loids(); err != nil {
-		return nil, err
-	}
-	rawIfc, err := r.bytes()
-	if err != nil {
-		return nil, err
+	m.Bases = readLOIDs(r)
+	rawIfc := r.Bytes32(maxField)
+	m.NextSeq = r.U64()
+	m.DefaultSchedulingAgent = r.LOID()
+	m.DefaultMagistrates = readLOIDs(r)
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("class: %w", err)
 	}
 	ifc, rest, err := idl.Unmarshal(rawIfc)
 	if err != nil {
@@ -189,53 +175,42 @@ func unmarshalMeta(r *reader) (*Meta, error) {
 		return nil, fmt.Errorf("class: trailing interface bytes")
 	}
 	m.InstanceInterface = ifc
-	if m.NextSeq, err = r.u64(); err != nil {
-		return nil, err
-	}
-	if m.DefaultSchedulingAgent, err = r.loid(); err != nil {
-		return nil, err
-	}
-	if m.DefaultMagistrates, err = r.loids(); err != nil {
-		return nil, err
-	}
 	return m, nil
 }
 
-func marshalRow(w *writer, l loid.LOID, row *Row) {
-	w.loid(l)
-	w.addr(row.Address)
-	w.loids(row.CurrentMagistrates)
-	w.loid(row.SchedulingAgent)
-	w.loids(row.CandidateMagistrates)
-	if row.IsSubclass {
-		w.u8(1)
-	} else {
-		w.u8(0)
+func writeLOIDs(w *wire.Writer, ls []loid.LOID) {
+	w.Count64(len(ls))
+	for _, l := range ls {
+		w.LOID(l)
 	}
 }
 
-func unmarshalRow(r *reader) (loid.LOID, *Row, error) {
-	l, err := r.loid()
-	if err != nil {
-		return loid.Nil, nil, err
+func readLOIDs(r *wire.Reader) []loid.LOID {
+	n := r.Count64(loid.EncodedSize)
+	out := make([]loid.LOID, 0, n)
+	for i := 0; i < n; i++ {
+		out = append(out, r.LOID())
 	}
-	row := &Row{}
-	if row.Address, err = r.addr(); err != nil {
-		return loid.Nil, nil, err
+	return out
+}
+
+func marshalRow(w *wire.Writer, l loid.LOID, row *Row) {
+	w.LOID(l)
+	w.Address(row.Address)
+	writeLOIDs(w, row.CurrentMagistrates)
+	w.LOID(row.SchedulingAgent)
+	writeLOIDs(w, row.CandidateMagistrates)
+	w.Bool(row.IsSubclass)
+}
+
+func unmarshalRow(r *wire.Reader) (loid.LOID, *Row) {
+	l := r.LOID()
+	row := &Row{
+		Address:              r.Address(),
+		CurrentMagistrates:   readLOIDs(r),
+		SchedulingAgent:      r.LOID(),
+		CandidateMagistrates: readLOIDs(r),
 	}
-	if row.CurrentMagistrates, err = r.loids(); err != nil {
-		return loid.Nil, nil, err
-	}
-	if row.SchedulingAgent, err = r.loid(); err != nil {
-		return loid.Nil, nil, err
-	}
-	if row.CandidateMagistrates, err = r.loids(); err != nil {
-		return loid.Nil, nil, err
-	}
-	sub, err := r.u8()
-	if err != nil {
-		return loid.Nil, nil, err
-	}
-	row.IsSubclass = sub == 1
-	return l, row, nil
+	row.IsSubclass = r.U8() == 1
+	return l, row
 }

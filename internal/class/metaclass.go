@@ -10,6 +10,7 @@ import (
 	"repro/internal/loid"
 	"repro/internal/oa"
 	"repro/internal/rt"
+	"repro/internal/wire"
 )
 
 // LegionClass's remote methods beyond the ordinary class-mandatory
@@ -168,25 +169,25 @@ func (m *Metaclass) SaveState() ([]byte, error) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	w := &writer{}
-	w.u64(m.nextID)
-	w.u64(uint64(len(m.pairs)))
+	var w wire.Writer
+	w.U64(m.nextID)
+	w.Count64(len(m.pairs))
 	for cl, creator := range m.pairs {
-		w.loid(cl)
-		w.loid(creator)
+		w.LOID(cl)
+		w.LOID(creator)
 	}
-	w.u64(uint64(len(m.bindings)))
+	w.Count64(len(m.bindings))
 	for cl, addr := range m.bindings {
-		w.loid(cl)
-		w.addr(addr)
+		w.LOID(cl)
+		w.Address(addr)
 	}
-	w.u64(uint64(len(m.names)))
+	w.Count64(len(m.names))
 	for id, name := range m.names {
-		w.u64(id)
-		w.str(name)
+		w.U64(id)
+		w.Str32(name)
 	}
-	w.bytes(base)
-	return w.buf, nil
+	w.Bytes32(base)
+	return w.Bytes(), nil
 }
 
 // RestoreState implements rt.Impl.
@@ -194,74 +195,29 @@ func (m *Metaclass) RestoreState(state []byte) error {
 	if len(state) == 0 {
 		return nil
 	}
-	r := &reader{buf: state}
-	nextID, err := r.u64()
-	if err != nil {
-		return err
-	}
-	np, err := r.u64()
-	if err != nil {
-		return err
-	}
-	if np > uint64(len(r.buf))/(2*loid.EncodedSize) {
-		return fmt.Errorf("class: pair count %d exceeds buffer", np)
-	}
+	r := wire.NewReader(state)
+	nextID := r.U64()
+	np := r.Count64(2 * loid.EncodedSize)
 	pairs := make(map[loid.LOID]loid.LOID, np)
-	for i := uint64(0); i < np; i++ {
-		cl, err := r.loid()
-		if err != nil {
-			return err
-		}
-		creator, err := r.loid()
-		if err != nil {
-			return err
-		}
-		pairs[cl] = creator
+	for i := 0; i < np; i++ {
+		cl := r.LOID()
+		pairs[cl] = r.LOID()
 	}
-	nb, err := r.u64()
-	if err != nil {
-		return err
-	}
-	if nb > uint64(len(r.buf))/loid.EncodedSize {
-		return fmt.Errorf("class: binding count %d exceeds buffer", nb)
-	}
+	nb := r.Count64(loid.EncodedSize)
 	bindings := make(map[loid.LOID]oa.Address, nb)
-	for i := uint64(0); i < nb; i++ {
-		cl, err := r.loid()
-		if err != nil {
-			return err
-		}
-		addr, err := r.addr()
-		if err != nil {
-			return err
-		}
-		bindings[cl] = addr
+	for i := 0; i < nb; i++ {
+		cl := r.LOID()
+		bindings[cl] = r.Address()
 	}
-	nn, err := r.u64()
-	if err != nil {
-		return err
-	}
-	if nn > uint64(len(r.buf))/12 {
-		return fmt.Errorf("class: name count %d exceeds buffer", nn)
-	}
+	nn := r.Count64(12)
 	names := make(map[uint64]string, nn)
-	for i := uint64(0); i < nn; i++ {
-		id, err := r.u64()
-		if err != nil {
-			return err
-		}
-		name, err := r.str()
-		if err != nil {
-			return err
-		}
-		names[id] = name
+	for i := 0; i < nn; i++ {
+		id := r.U64()
+		names[id] = r.Str32(maxField)
 	}
-	base, err := r.bytes()
-	if err != nil {
-		return err
-	}
-	if err := r.done(); err != nil {
-		return err
+	base := r.Bytes32(maxField)
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("class: %w", err)
 	}
 	if err := m.ClassImpl.RestoreState(base); err != nil {
 		return err

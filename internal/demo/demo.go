@@ -8,7 +8,6 @@ package demo
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
@@ -222,49 +221,28 @@ func NewKV() rt.Impl {
 				keys = append(keys, k)
 			}
 			sort.Strings(keys)
-			out := binary.BigEndian.AppendUint32(nil, uint32(len(keys)))
+			var w wire.Writer
+			w.Count32(len(keys))
 			for _, k := range keys {
-				out = binary.BigEndian.AppendUint32(out, uint32(len(k)))
-				out = append(out, k...)
-				out = binary.BigEndian.AppendUint32(out, uint32(len(m[k])))
-				out = append(out, m[k]...)
+				w.Str32(k)
+				w.Bytes32(m[k])
 			}
-			return out, nil
+			return w.Bytes(), nil
 		},
 		Restore: func(s []byte) error {
 			if len(s) == 0 {
 				return nil
 			}
-			if len(s) < 4 {
-				return fmt.Errorf("demo.kv: short state")
-			}
-			n := binary.BigEndian.Uint32(s[:4])
-			s = s[4:]
+			r := wire.NewReader(s)
+			// An entry is at least its two 4-byte lengths.
+			n := r.Count32(8)
 			next := make(map[string][]byte, n)
-			for i := uint32(0); i < n; i++ {
-				if len(s) < 4 {
-					return fmt.Errorf("demo.kv: truncated key length")
-				}
-				kl := binary.BigEndian.Uint32(s[:4])
-				s = s[4:]
-				if uint32(len(s)) < kl {
-					return fmt.Errorf("demo.kv: truncated key")
-				}
-				k := string(s[:kl])
-				s = s[kl:]
-				if len(s) < 4 {
-					return fmt.Errorf("demo.kv: truncated value length")
-				}
-				vl := binary.BigEndian.Uint32(s[:4])
-				s = s[4:]
-				if uint32(len(s)) < vl {
-					return fmt.Errorf("demo.kv: truncated value")
-				}
-				next[k] = append([]byte(nil), s[:vl]...)
-				s = s[vl:]
+			for i := 0; i < n; i++ {
+				k := r.Str32(wire.NoCap)
+				next[k] = append([]byte(nil), r.Bytes32(wire.NoCap)...)
 			}
-			if len(s) != 0 {
-				return fmt.Errorf("demo.kv: %d trailing state bytes", len(s))
+			if err := r.Done(); err != nil {
+				return fmt.Errorf("demo.kv: state: %w", err)
 			}
 			mu.Lock()
 			m = next

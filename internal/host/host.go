@@ -338,8 +338,10 @@ func (h *Host) CrashResidents() []loid.LOID {
 func (h *Host) SaveState() ([]byte, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	out := wire.Uint64(h.cpuLimit)
-	return append(out, wire.Uint64(h.memLimit)...), nil
+	var w wire.Writer
+	w.U64(h.cpuLimit)
+	w.U64(h.memLimit)
+	return w.Bytes(), nil
 }
 
 // RestoreState implements rt.Impl.
@@ -347,11 +349,11 @@ func (h *Host) RestoreState(state []byte) error {
 	if len(state) == 0 {
 		return nil
 	}
-	if len(state) != 16 {
-		return fmt.Errorf("host: bad state length %d", len(state))
+	r := wire.NewReader(state)
+	cpu, mem := r.U64(), r.U64()
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("host: state: %w", err)
 	}
-	cpu, _ := wire.AsUint64(state[:8])
-	mem, _ := wire.AsUint64(state[8:])
 	h.mu.Lock()
 	h.cpuLimit, h.memLimit = cpu, mem
 	h.mu.Unlock()

@@ -103,23 +103,21 @@ type Load struct {
 
 // Marshal encodes the vector as six u64 fields.
 func (ld Load) Marshal() []byte {
-	out := make([]byte, 0, 6*8)
+	w := wire.NewWriter(make([]byte, 0, 6*8))
 	for _, v := range [...]uint64{ld.Residents, ld.CPULimit, ld.MemLimit, ld.DispatchRate, ld.MailboxDepth, ld.CkptDirty} {
-		out = append(out, wire.Uint64(v)...)
+		w.U64(v)
 	}
-	return out
+	return w.Bytes()
 }
 
 // UnmarshalLoad decodes a Load marshalled by Marshal.
 func UnmarshalLoad(b []byte) (Load, error) {
-	if len(b) != 6*8 {
-		return Load{}, fmt.Errorf("host: bad load vector length %d", len(b))
+	r := wire.NewReader(b)
+	ld := Load{Residents: r.U64(), CPULimit: r.U64(), MemLimit: r.U64(), DispatchRate: r.U64(), MailboxDepth: r.U64(), CkptDirty: r.U64()}
+	if err := r.Done(); err != nil {
+		return Load{}, fmt.Errorf("host: load vector: %w", err)
 	}
-	var v [6]uint64
-	for i := range v {
-		v[i], _ = wire.AsUint64(b[i*8 : i*8+8])
-	}
-	return Load{Residents: v[0], CPULimit: v[1], MemLimit: v[2], DispatchRate: v[3], MailboxDepth: v[4], CkptDirty: v[5]}, nil
+	return ld, nil
 }
 
 // Score collapses the vector into one comparable hotness number.

@@ -8,10 +8,11 @@
 package idl
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
+
+	"repro/internal/wire"
 )
 
 // Type enumerates the wire types a parameter may have; they correspond
@@ -291,116 +292,64 @@ func (in *Interface) Format() string {
 // Marshal appends a binary encoding of the interface to dst, for
 // GetInterface() replies.
 func (in *Interface) Marshal(dst []byte) []byte {
-	dst = appendStr(dst, in.Name)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(in.Len()))
+	w := wire.NewWriter(dst)
+	w.Str32(in.Name)
+	w.Count32(in.Len())
 	for _, s := range in.Methods() {
-		dst = appendStr(dst, s.Name)
-		if s.OneWay {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
-		}
-		dst = appendParams(dst, s.Params)
-		dst = appendParams(dst, s.Returns)
+		w.Str32(s.Name)
+		w.Bool(s.OneWay)
+		writeParams(&w, s.Params)
+		writeParams(&w, s.Returns)
 	}
-	return dst
+	return w.Bytes()
 }
+
+// Limits on a decoded interface.
+const (
+	maxMethods = 1 << 16
+	maxParams  = 1 << 12
+	maxStr     = 1 << 20
+)
 
 // Unmarshal decodes an interface from the front of src, returning the
 // remainder.
 func Unmarshal(src []byte) (*Interface, []byte, error) {
-	name, src, err := takeStr(src)
-	if err != nil {
-		return nil, src, fmt.Errorf("idl: name: %w", err)
+	r := wire.NewReader(src)
+	in := &Interface{Name: r.Str32(maxStr), methods: map[string]MethodSig{}}
+	// A method is at least its name length, flag and two param counts.
+	n := r.Count32(13)
+	if n > maxMethods {
+		r.Fail(fmt.Errorf("method count %d exceeds limit", n))
 	}
-	if len(src) < 4 {
-		return nil, src, fmt.Errorf("idl: short method count")
-	}
-	n := binary.BigEndian.Uint32(src[:4])
-	src = src[4:]
-	if n > 1<<16 {
-		return nil, src, fmt.Errorf("idl: method count %d exceeds limit", n)
-	}
-	in := &Interface{Name: name, methods: map[string]MethodSig{}}
-	for i := uint32(0); i < n; i++ {
-		var s MethodSig
-		s.Name, src, err = takeStr(src)
-		if err != nil {
-			return nil, src, fmt.Errorf("idl: method name: %w", err)
-		}
-		if len(src) < 1 {
-			return nil, src, fmt.Errorf("idl: short oneway flag")
-		}
-		s.OneWay = src[0] == 1
-		src = src[1:]
-		s.Params, src, err = takeParams(src)
-		if err != nil {
-			return nil, src, fmt.Errorf("idl: params: %w", err)
-		}
-		s.Returns, src, err = takeParams(src)
-		if err != nil {
-			return nil, src, fmt.Errorf("idl: returns: %w", err)
-		}
-		if err := in.add(s, ConflictError); err != nil {
-			return nil, src, err
+	for i := 0; i < n && r.Err() == nil; i++ {
+		s := MethodSig{Name: r.Str32(maxStr), OneWay: r.U8() == 1, Params: readParams(&r), Returns: readParams(&r)}
+		if r.Err() == nil {
+			r.Fail(in.add(s, ConflictError))
 		}
 	}
-	return in, src, nil
+	if err := r.Err(); err != nil {
+		return nil, r.Rest(), fmt.Errorf("idl: %w", err)
+	}
+	return in, r.Rest(), nil
 }
 
-func appendParams(dst []byte, ps []Param) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(ps)))
+func writeParams(w *wire.Writer, ps []Param) {
+	w.Count32(len(ps))
 	for _, p := range ps {
-		dst = appendStr(dst, p.Name)
-		dst = appendStr(dst, string(p.Type))
+		w.Str32(p.Name)
+		w.Str32(string(p.Type))
 	}
-	return dst
 }
 
-func takeParams(src []byte) ([]Param, []byte, error) {
-	if len(src) < 4 {
-		return nil, src, fmt.Errorf("short param count")
-	}
-	n := binary.BigEndian.Uint32(src[:4])
-	src = src[4:]
-	if n > 1<<12 {
-		return nil, src, fmt.Errorf("param count %d exceeds limit", n)
+func readParams(r *wire.Reader) []Param {
+	n := r.Count32(8)
+	if n > maxParams {
+		r.Fail(fmt.Errorf("param count %d exceeds limit", n))
+		return nil
 	}
 	var ps []Param
-	for i := uint32(0); i < n; i++ {
-		var p Param
-		var err error
-		p.Name, src, err = takeStr(src)
-		if err != nil {
-			return nil, src, err
-		}
-		var ty string
-		ty, src, err = takeStr(src)
-		if err != nil {
-			return nil, src, err
-		}
-		p.Type = Type(ty)
-		ps = append(ps, p)
+	for i := 0; i < n; i++ {
+		ps = append(ps, Param{Name: r.Str32(maxStr), Type: Type(r.Str32(maxStr))})
 	}
-	return ps, src, nil
-}
-
-func appendStr(dst []byte, s string) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(s)))
-	return append(dst, s...)
-}
-
-func takeStr(src []byte) (string, []byte, error) {
-	if len(src) < 4 {
-		return "", src, fmt.Errorf("short string length")
-	}
-	n := binary.BigEndian.Uint32(src[:4])
-	src = src[4:]
-	if n > 1<<20 {
-		return "", src, fmt.Errorf("string length %d exceeds limit", n)
-	}
-	if uint32(len(src)) < n {
-		return "", src, fmt.Errorf("short string body")
-	}
-	return string(src[:n]), src[n:], nil
+	return ps
 }

@@ -1139,16 +1139,16 @@ func (m *Magistrate) getBinding(ctx context.Context, l loid.LOID) (binding.Bindi
 func (m *Magistrate) SaveState() ([]byte, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var out []byte
-	out = wire.Uint64(uint64(len(m.hosts)))
+	var w wire.Writer
+	w.Count64(len(m.hosts))
 	for _, h := range m.hosts {
-		out = h.l.Marshal(out)
-		out = h.addr.Marshal(out)
+		w.LOID(h.l)
+		w.Address(h.addr)
 	}
-	out = append(out, wire.Uint64(uint64(len(m.subs)))...)
+	w.Count64(len(m.subs))
 	for _, s := range m.subs {
-		out = s.l.Marshal(out)
-		out = s.addr.Marshal(out)
+		w.LOID(s.l)
+		w.Address(s.addr)
 	}
 	// Every record is saved but an unborn one, whose Instantiate has
 	// returned no binding yet (restored, it would mint a blank OPR for
@@ -1162,7 +1162,7 @@ func (m *Magistrate) SaveState() ([]byte, error) {
 			n--
 		}
 	}
-	out = append(out, wire.Uint64(uint64(n))...)
+	w.Count64(n)
 	for id, rec := range m.table {
 		if rec.unborn() {
 			continue
@@ -1171,13 +1171,11 @@ func (m *Magistrate) SaveState() ([]byte, error) {
 		if rec.active {
 			addr = rec.ckptAddr
 		}
-		out = id.LOID().Marshal(out)
-		out = append(out, wire.Uint64(uint64(len(rec.impl)))...)
-		out = append(out, rec.impl...)
-		out = append(out, wire.Uint64(uint64(len(addr)))...)
-		out = append(out, addr...)
+		w.LOID(id.LOID())
+		w.Str64(rec.impl)
+		w.Str64(string(addr))
 	}
-	return out, nil
+	return w.Bytes(), nil
 }
 
 // RestoreState implements rt.Impl. Active objects are not part of a
@@ -1189,92 +1187,43 @@ func (m *Magistrate) RestoreState(state []byte) error {
 	if len(state) == 0 {
 		return nil
 	}
+	r := wire.NewReader(state)
+	hosts := make([]hostEntry, r.Count64(loid.EncodedSize+4))
+	for i := range hosts {
+		hosts[i] = hostEntry{l: r.LOID(), addr: r.Address()}
+	}
+	subs := make([]subEntry, r.Count64(loid.EncodedSize+4))
+	for i := range subs {
+		subs[i] = subEntry{l: r.LOID(), addr: r.Address()}
+	}
+	// Each record is a LOID and two 8-byte lengths.
+	type saved struct {
+		l    loid.LOID
+		impl string
+		addr persist.PersistentAddress
+	}
+	recs := make([]saved, r.Count64(loid.EncodedSize+16))
+	for i := range recs {
+		recs[i] = saved{r.LOID(), r.Str64(wire.NoCap), persist.PersistentAddress(r.Str64(wire.NoCap))}
+	}
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("magistrate: state: %w", err)
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	take8 := func() (uint64, error) {
-		if len(state) < 8 {
-			return 0, fmt.Errorf("magistrate: truncated state")
-		}
-		v, _ := wire.AsUint64(state[:8])
-		state = state[8:]
-		return v, nil
-	}
-	nh, err := take8()
-	if err != nil {
-		return err
-	}
-	m.hosts = nil
-	for i := uint64(0); i < nh; i++ {
-		var h hostEntry
-		h.l, state, err = loid.Unmarshal(state)
-		if err != nil {
-			return fmt.Errorf("magistrate: %w", err)
-		}
-		h.addr, state, err = oa.Unmarshal(state)
-		if err != nil {
-			return fmt.Errorf("magistrate: %w", err)
-		}
-		m.hosts = append(m.hosts, h)
-	}
-	ns, err := take8()
-	if err != nil {
-		return err
-	}
-	m.subs = nil
-	for i := uint64(0); i < ns; i++ {
-		var s subEntry
-		s.l, state, err = loid.Unmarshal(state)
-		if err != nil {
-			return fmt.Errorf("magistrate: %w", err)
-		}
-		s.addr, state, err = oa.Unmarshal(state)
-		if err != nil {
-			return fmt.Errorf("magistrate: %w", err)
-		}
-		m.subs = append(m.subs, s)
-	}
-	nr, err := take8()
-	if err != nil {
-		return err
-	}
+	m.hosts, m.subs = hosts, subs
 	// The old table's records leave with it; every restored record is
 	// inert, so the resident counts restart from zero.
 	for _, rec := range m.table {
 		m.unplace(rec)
 	}
-	m.table = make(map[loid.Ident]*record, nr)
-	for i := uint64(0); i < nr; i++ {
-		var l loid.LOID
-		l, state, err = loid.Unmarshal(state)
-		if err != nil {
-			return fmt.Errorf("magistrate: %w", err)
-		}
-		ilen, err2 := take8()
-		if err2 != nil {
-			return err2
-		}
-		if uint64(len(state)) < ilen {
-			return fmt.Errorf("magistrate: truncated impl name")
-		}
-		implName := string(state[:ilen])
-		state = state[ilen:]
-		alen, err2 := take8()
-		if err2 != nil {
-			return err2
-		}
-		if uint64(len(state)) < alen {
-			return fmt.Errorf("magistrate: truncated opr address")
-		}
-		oprAddr := persist.PersistentAddress(state[:alen])
-		state = state[alen:]
-		if oprAddr == "" {
+	m.table = make(map[loid.Ident]*record, len(recs))
+	for _, s := range recs {
+		if s.addr == "" {
 			// Active with no checkpoint at save time: the state is gone.
-			oprAddr = m.mintBlank(l, implName)
+			s.addr = m.mintBlank(s.l, s.impl)
 		}
-		m.table[l.Ident()] = &record{impl: implName, oprAddr: oprAddr}
-	}
-	if len(state) != 0 {
-		return fmt.Errorf("magistrate: %d trailing state bytes", len(state))
+		m.table[s.l.Ident()] = &record{impl: s.impl, oprAddr: s.addr}
 	}
 	return nil
 }

@@ -152,92 +152,61 @@ func (m *Magistrate) Placements() []Placement {
 }
 
 func marshalLoads(ls []HostLoad) []byte {
-	out := wire.Uint64(uint64(len(ls)))
+	var w wire.Writer
+	w.Count64(len(ls))
 	for _, hl := range ls {
-		out = hl.Host.Marshal(out)
-		out = append(out, hl.Load.Marshal()...)
-		out = append(out, wire.Uint64(uint64(hl.Age.Milliseconds()))...)
+		w.LOID(hl.Host)
+		w.Raw(hl.Load.Marshal())
+		w.U64(uint64(hl.Age.Milliseconds()))
 	}
-	return out
+	return w.Bytes()
 }
+
+// loadBytes is the size of one host.Load vector.
+const loadBytes = 6 * 8
 
 // UnmarshalLoads decodes a GetLoads reply.
 func UnmarshalLoads(b []byte) ([]HostLoad, error) {
-	if len(b) < 8 {
-		return nil, fmt.Errorf("magistrate: truncated loads")
+	r := wire.NewReader(b)
+	out := make([]HostLoad, r.Count64(loid.EncodedSize+loadBytes+8))
+	for i := range out {
+		out[i].Host = r.LOID()
+		ld, err := host.UnmarshalLoad(r.Raw(loadBytes))
+		r.Fail(err)
+		out[i].Load = ld
+		out[i].Age = time.Duration(r.U64()) * time.Millisecond
 	}
-	n, _ := wire.AsUint64(b[:8])
-	b = b[8:]
-	out := make([]HostLoad, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var hl HostLoad
-		var err error
-		hl.Host, b, err = loid.Unmarshal(b)
-		if err != nil {
-			return nil, fmt.Errorf("magistrate: loads: %w", err)
-		}
-		if len(b) < 6*8+8 {
-			return nil, fmt.Errorf("magistrate: truncated loads")
-		}
-		if hl.Load, err = host.UnmarshalLoad(b[:6*8]); err != nil {
-			return nil, err
-		}
-		b = b[6*8:]
-		ms, _ := wire.AsUint64(b[:8])
-		b = b[8:]
-		hl.Age = time.Duration(ms) * time.Millisecond
-		out = append(out, hl)
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("magistrate: loads: %w", err)
 	}
 	return out, nil
 }
 
 func marshalPlacements(ps []Placement) []byte {
-	out := wire.Uint64(uint64(len(ps)))
+	var w wire.Writer
+	w.Count64(len(ps))
 	for _, p := range ps {
-		out = p.Object.Marshal(out)
-		out = p.Host.Marshal(out)
-		out = append(out, wire.Uint64(uint64(len(p.Impl)))...)
-		out = append(out, p.Impl...)
+		w.LOID(p.Object)
+		w.LOID(p.Host)
+		w.Str64(p.Impl)
 		var act uint64
 		if p.Active {
 			act = 1
 		}
-		out = append(out, wire.Uint64(act)...)
+		w.U64(act)
 	}
-	return out
+	return w.Bytes()
 }
 
 // UnmarshalPlacements decodes a ListPlacements reply.
 func UnmarshalPlacements(b []byte) ([]Placement, error) {
-	if len(b) < 8 {
-		return nil, fmt.Errorf("magistrate: truncated placements")
+	r := wire.NewReader(b)
+	out := make([]Placement, r.Count64(2*loid.EncodedSize+16))
+	for i := range out {
+		out[i] = Placement{Object: r.LOID(), Host: r.LOID(), Impl: r.Str64(wire.NoCap), Active: r.U64() == 1}
 	}
-	n, _ := wire.AsUint64(b[:8])
-	b = b[8:]
-	out := make([]Placement, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var p Placement
-		var err error
-		if p.Object, b, err = loid.Unmarshal(b); err != nil {
-			return nil, fmt.Errorf("magistrate: placements: %w", err)
-		}
-		if p.Host, b, err = loid.Unmarshal(b); err != nil {
-			return nil, fmt.Errorf("magistrate: placements: %w", err)
-		}
-		if len(b) < 8 {
-			return nil, fmt.Errorf("magistrate: truncated placements")
-		}
-		ilen, _ := wire.AsUint64(b[:8])
-		b = b[8:]
-		if uint64(len(b)) < ilen+8 {
-			return nil, fmt.Errorf("magistrate: truncated placements")
-		}
-		p.Impl = string(b[:ilen])
-		b = b[ilen:]
-		act, _ := wire.AsUint64(b[:8])
-		b = b[8:]
-		p.Active = act == 1
-		out = append(out, p)
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("magistrate: placements: %w", err)
 	}
 	return out, nil
 }

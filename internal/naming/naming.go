@@ -8,7 +8,6 @@
 package naming
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -16,6 +15,7 @@ import (
 	"sync"
 
 	"repro/internal/loid"
+	"repro/internal/wire"
 )
 
 var (
@@ -246,58 +246,44 @@ func (c *Context) Replace(other *Context) {
 
 // Marshal serializes the context as a flat list of (path, LOID) pairs.
 func (c *Context) Marshal(dst []byte) []byte {
-	type pair struct {
-		path string
-		l    loid.LOID
-	}
-	var pairs []pair
-	c.Walk(func(p string, l loid.LOID) { pairs = append(pairs, pair{p, l}) })
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(pairs)))
-	for _, p := range pairs {
-		dst = binary.BigEndian.AppendUint32(dst, uint32(len(p.path)))
-		dst = append(dst, p.path...)
-		dst = p.l.Marshal(dst)
-	}
-	return dst
+	var pairs wire.Writer
+	n := 0
+	c.Walk(func(p string, l loid.LOID) {
+		pairs.Str32(p)
+		pairs.LOID(l)
+		n++
+	})
+	w := wire.NewWriter(dst)
+	w.Count32(n)
+	w.Raw(pairs.Bytes())
+	return w.Bytes()
 }
+
+// Limits on a decoded context.
+const (
+	maxPairs   = 1 << 24
+	maxPathLen = 1 << 16
+)
 
 // UnmarshalContext rebuilds a context from Marshal output.
 func UnmarshalContext(src []byte) (*Context, error) {
-	if len(src) < 4 {
-		return nil, errors.New("naming: short pair count")
-	}
-	n := binary.BigEndian.Uint32(src[:4])
-	src = src[4:]
-	if n > 1<<24 {
+	r := wire.NewReader(src)
+	n := r.Count32(4 + loid.EncodedSize)
+	if n > maxPairs {
 		return nil, fmt.Errorf("naming: pair count %d exceeds limit", n)
 	}
 	c := NewContext()
-	for i := uint32(0); i < n; i++ {
-		if len(src) < 4 {
-			return nil, errors.New("naming: short path length")
-		}
-		pl := binary.BigEndian.Uint32(src[:4])
-		src = src[4:]
-		if pl > 1<<16 {
-			return nil, fmt.Errorf("naming: path length %d exceeds limit", pl)
-		}
-		if uint32(len(src)) < pl {
-			return nil, errors.New("naming: short path")
-		}
-		path := string(src[:pl])
-		src = src[pl:]
-		var l loid.LOID
-		var err error
-		l, src, err = loid.Unmarshal(src)
-		if err != nil {
+	for i := 0; i < n; i++ {
+		path, l := r.Str32(maxPathLen), r.LOID()
+		if err := r.Err(); err != nil {
 			return nil, fmt.Errorf("naming: %w", err)
 		}
 		if err := c.Bind(path, l, false); err != nil {
 			return nil, err
 		}
 	}
-	if len(src) != 0 {
-		return nil, fmt.Errorf("naming: %d trailing bytes", len(src))
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("naming: %w", err)
 	}
 	return c, nil
 }

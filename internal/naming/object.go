@@ -7,6 +7,7 @@ import (
 	"repro/internal/idl"
 	"repro/internal/loid"
 	"repro/internal/rt"
+	"repro/internal/wire"
 )
 
 // ImplName registers the context-object implementation: a naming
@@ -46,21 +47,21 @@ type Listing struct {
 // marshalTargets concatenates LOIDs, with no count: a Listing's names
 // carry it.
 func marshalTargets(ls []loid.LOID) []byte {
-	var out []byte
+	var w wire.Writer
 	for _, l := range ls {
-		out = l.Marshal(out)
+		w.LOID(l)
 	}
-	return out
+	return w.Bytes()
 }
 
 func unmarshalTargets(b []byte) ([]loid.LOID, error) {
+	r := wire.NewReader(b)
 	var ls []loid.LOID
-	for len(b) > 0 {
-		l, rest, err := loid.Unmarshal(b)
-		if err != nil {
-			return nil, err
-		}
-		ls, b = append(ls, l), rest
+	for r.Len() > 0 && r.Err() == nil {
+		ls = append(ls, r.LOID())
+	}
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	return ls, nil
 }

@@ -1,12 +1,12 @@
 package obs
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync"
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/wire"
 )
 
 // Report is the compact telemetry block a host piggybacks on its
@@ -59,152 +59,96 @@ const maxReportEvents = 64
 
 const reportVersion = 1
 
-func putU64(b []byte, v uint64) []byte {
-	var tmp [8]byte
-	binary.BigEndian.PutUint64(tmp[:], v)
-	return append(b, tmp[:]...)
-}
-
-func putStr(b []byte, s string) []byte {
-	b = putU64(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-type reportReader struct {
-	b   []byte
-	err error
-}
-
-func (r *reportReader) u64() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b) < 8 {
-		r.err = fmt.Errorf("obs: truncated report")
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.b[:8])
-	r.b = r.b[8:]
-	return v
-}
-
-func (r *reportReader) str() string {
-	n := r.u64()
-	if r.err != nil {
-		return ""
-	}
-	if n > uint64(len(r.b)) {
-		r.err = fmt.Errorf("obs: truncated report string")
-		return ""
-	}
-	s := string(r.b[:n])
-	r.b = r.b[n:]
-	return s
-}
-
 // Marshal encodes the report.
 func (rp *Report) Marshal() []byte {
-	b := []byte{reportVersion}
-	b = putU64(b, uint64(len(rp.Counters)))
+	w := wire.NewWriter([]byte{reportVersion})
+	w.Count64(len(rp.Counters))
 	for _, c := range rp.Counters {
-		b = putStr(b, c.Name)
-		b = putU64(b, c.Value)
+		w.Str64(c.Name)
+		w.U64(c.Value)
 	}
-	b = putU64(b, uint64(len(rp.Hists)))
+	w.Count64(len(rp.Hists))
 	for _, h := range rp.Hists {
-		b = putStr(b, h.Name)
-		b = putU64(b, h.Count)
-		b = putU64(b, uint64(h.Sum))
-		b = putU64(b, uint64(len(h.Buckets)))
+		w.Str64(h.Name)
+		w.U64(h.Count)
+		w.U64(uint64(h.Sum))
+		w.Count64(len(h.Buckets))
 		for _, bc := range h.Buckets {
-			b = putU64(b, uint64(bc.Bucket))
-			b = putU64(b, bc.Count)
+			w.U64(uint64(bc.Bucket))
+			w.U64(bc.Count)
 		}
-		b = putU64(b, uint64(len(h.Exemplars)))
+		w.Count64(len(h.Exemplars))
 		for _, ex := range h.Exemplars {
-			b = putU64(b, uint64(ex.Bucket))
-			b = putU64(b, uint64(ex.Dur))
-			b = putU64(b, ex.TraceID)
+			w.U64(uint64(ex.Bucket))
+			w.U64(uint64(ex.Dur))
+			w.U64(ex.TraceID)
 		}
 	}
-	b = putU64(b, uint64(len(rp.Events)))
+	w.Count64(len(rp.Events))
 	for _, e := range rp.Events {
-		b = putU64(b, e.Seq)
-		b = putU64(b, uint64(e.At.UnixNano()))
-		b = putStr(b, e.Host)
-		b = putStr(b, e.Kind)
-		b = putStr(b, e.Object)
-		b = putStr(b, e.Detail)
-		b = putU64(b, e.TraceID)
+		w.U64(e.Seq)
+		w.U64(uint64(e.At.UnixNano()))
+		w.Str64(e.Host)
+		w.Str64(e.Kind)
+		w.Str64(e.Object)
+		w.Str64(e.Detail)
+		w.U64(e.TraceID)
 	}
-	return b
+	return w.Bytes()
 }
 
-// maxReportSection bounds every length prefix in a report so a corrupt
-// frame cannot drive a huge allocation.
+// maxReportSection bounds every count in a report or table.
 const maxReportSection = 1 << 20
+
+// sectionCount reads a count of elements of at least minElemBytes
+// each, capped at maxReportSection.
+func sectionCount(r *wire.Reader, minElemBytes int, what string) int {
+	n := r.Count64(minElemBytes)
+	if n > maxReportSection {
+		r.Fail(fmt.Errorf("obs: absurd %s count %d", what, n))
+		return 0
+	}
+	return n
+}
 
 // UnmarshalReport decodes a report produced by Marshal.
 func UnmarshalReport(b []byte) (*Report, error) {
 	if len(b) == 0 || b[0] != reportVersion {
 		return nil, fmt.Errorf("obs: bad report version")
 	}
-	r := &reportReader{b: b[1:]}
+	r := wire.NewReader(b[1:])
 	rp := &Report{}
-	nc := r.u64()
-	if nc > maxReportSection {
-		return nil, fmt.Errorf("obs: absurd counter count %d", nc)
+	for i, n := 0, sectionCount(&r, 16, "counter"); i < n; i++ {
+		name := r.Str64(wire.NoCap)
+		rp.Counters = append(rp.Counters, metrics.NamedValue{Name: name, Value: r.U64()})
 	}
-	for i := uint64(0); i < nc && r.err == nil; i++ {
-		name := r.str()
-		rp.Counters = append(rp.Counters, metrics.NamedValue{Name: name, Value: r.u64()})
-	}
-	nh := r.u64()
-	if nh > maxReportSection {
-		return nil, fmt.Errorf("obs: absurd histogram count %d", nh)
-	}
-	for i := uint64(0); i < nh && r.err == nil; i++ {
-		var h HistSnap
-		h.Name = r.str()
-		h.Count = r.u64()
-		h.Sum = time.Duration(r.u64())
-		nb := r.u64()
-		if nb > maxReportSection {
-			return nil, fmt.Errorf("obs: absurd bucket count %d", nb)
+	for i, n := 0, sectionCount(&r, 40, "histogram"); i < n; i++ {
+		h := HistSnap{Name: r.Str64(wire.NoCap), Count: r.U64(), Sum: time.Duration(r.U64())}
+		for j, nb := 0, sectionCount(&r, 16, "bucket"); j < nb; j++ {
+			h.Buckets = append(h.Buckets, BucketCount{Bucket: int(r.U64()), Count: r.U64()})
 		}
-		for j := uint64(0); j < nb && r.err == nil; j++ {
-			h.Buckets = append(h.Buckets, BucketCount{Bucket: int(r.u64()), Count: r.u64()})
-		}
-		ne := r.u64()
-		if ne > maxReportSection {
-			return nil, fmt.Errorf("obs: absurd exemplar count %d", ne)
-		}
-		for j := uint64(0); j < ne && r.err == nil; j++ {
+		for j, ne := 0, sectionCount(&r, 24, "exemplar"); j < ne; j++ {
 			h.Exemplars = append(h.Exemplars, metrics.Exemplar{
-				Bucket:  int(r.u64()),
-				Dur:     time.Duration(r.u64()),
-				TraceID: r.u64(),
+				Bucket:  int(r.U64()),
+				Dur:     time.Duration(r.U64()),
+				TraceID: r.U64(),
 			})
 		}
 		rp.Hists = append(rp.Hists, h)
 	}
-	nev := r.u64()
-	if nev > maxReportSection {
-		return nil, fmt.Errorf("obs: absurd event count %d", nev)
+	for i, n := 0, sectionCount(&r, 56, "event"); i < n; i++ {
+		rp.Events = append(rp.Events, Event{
+			Seq:     r.U64(),
+			At:      time.Unix(0, int64(r.U64())),
+			Host:    r.Str64(wire.NoCap),
+			Kind:    r.Str64(wire.NoCap),
+			Object:  r.Str64(wire.NoCap),
+			Detail:  r.Str64(wire.NoCap),
+			TraceID: r.U64(),
+		})
 	}
-	for i := uint64(0); i < nev && r.err == nil; i++ {
-		var e Event
-		e.Seq = r.u64()
-		e.At = time.Unix(0, int64(r.u64()))
-		e.Host = r.str()
-		e.Kind = r.str()
-		e.Object = r.str()
-		e.Detail = r.str()
-		e.TraceID = r.u64()
-		rp.Events = append(rp.Events, e)
-	}
-	if r.err != nil {
-		return nil, r.err
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("obs: report: %w", err)
 	}
 	return rp, nil
 }

@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // Kind types an LQL value.
@@ -187,91 +189,65 @@ func (t *Table) JSON() []byte {
 
 // Marshal encodes the table for the Query member function's reply.
 func (t *Table) Marshal() []byte {
-	b := putU64(nil, uint64(len(t.Cols)))
+	var w wire.Writer
+	w.Count64(len(t.Cols))
 	for _, c := range t.Cols {
-		b = putStr(b, c)
+		w.Str64(c)
 	}
-	b = putU64(b, uint64(len(t.Rows)))
+	w.Count64(len(t.Rows))
 	for _, row := range t.Rows {
-		b = putU64(b, uint64(len(row)))
+		w.Count64(len(row))
 		for _, v := range row {
-			b = append(b, byte(v.K))
+			w.U8(byte(v.K))
 			switch v.K {
 			case KStr:
-				b = putStr(b, v.S)
+				w.Str64(v.S)
 			case KNum:
-				b = putU64(b, math.Float64bits(v.F))
+				w.U64(math.Float64bits(v.F))
 			case KDur:
-				b = putU64(b, uint64(v.D))
+				w.U64(uint64(v.D))
 			case KTime:
-				b = putU64(b, uint64(v.T.UnixNano()))
+				w.U64(uint64(v.T.UnixNano()))
 			case KBool:
-				if v.B {
-					b = append(b, 1)
-				} else {
-					b = append(b, 0)
-				}
+				w.Bool(v.B)
 			}
 		}
 	}
-	return b
+	return w.Bytes()
 }
 
 // UnmarshalTable decodes a Marshal-encoded table.
 func UnmarshalTable(b []byte) (*Table, error) {
-	r := &reportReader{b: b}
+	r := wire.NewReader(b)
 	t := &Table{}
-	nc := r.u64()
-	if nc > maxReportSection {
-		return nil, fmt.Errorf("obs: absurd column count %d", nc)
+	for i, n := 0, sectionCount(&r, 8, "column"); i < n; i++ {
+		t.Cols = append(t.Cols, r.Str64(wire.NoCap))
 	}
-	for i := uint64(0); i < nc && r.err == nil; i++ {
-		t.Cols = append(t.Cols, r.str())
-	}
-	nr := r.u64()
-	if nr > maxReportSection {
-		return nil, fmt.Errorf("obs: absurd row count %d", nr)
-	}
-	for i := uint64(0); i < nr && r.err == nil; i++ {
-		nv := r.u64()
-		if nv > maxReportSection {
-			return nil, fmt.Errorf("obs: absurd row width %d", nv)
-		}
-		row := make([]Value, 0, nv)
-		for j := uint64(0); j < nv && r.err == nil; j++ {
-			if len(r.b) < 1 {
-				r.err = fmt.Errorf("obs: truncated table")
-				break
-			}
-			k := Kind(r.b[0])
-			r.b = r.b[1:]
-			var v Value
-			v.K = k
-			switch k {
+	for i, n := 0, sectionCount(&r, 8, "row"); i < n; i++ {
+		// Every value is at least its kind byte and a bool's one byte.
+		row := make([]Value, sectionCount(&r, 2, "row width"))
+		for j := range row {
+			v := &row[j]
+			v.K = Kind(r.U8())
+			switch v.K {
 			case KStr:
-				v.S = r.str()
+				v.S = r.Str64(wire.NoCap)
 			case KNum:
-				v.F = math.Float64frombits(r.u64())
+				v.F = math.Float64frombits(r.U64())
 			case KDur:
-				v.D = time.Duration(r.u64())
+				v.D = time.Duration(r.U64())
 			case KTime:
-				v.T = time.Unix(0, int64(r.u64()))
+				v.T = time.Unix(0, int64(r.U64()))
 			case KBool:
-				if len(r.b) < 1 {
-					r.err = fmt.Errorf("obs: truncated table")
-					break
-				}
-				v.B = r.b[0] != 0
-				r.b = r.b[1:]
+				v.B = r.U8() != 0
 			default:
-				r.err = fmt.Errorf("obs: unknown value kind %d", k)
+				r.Fail(fmt.Errorf("obs: unknown value kind %d", v.K))
 			}
-			row = append(row, v)
 		}
 		t.Rows = append(t.Rows, row)
 	}
-	if r.err != nil {
-		return nil, r.err
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("obs: table: %w", err)
 	}
 	return t, nil
 }

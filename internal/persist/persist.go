@@ -10,12 +10,12 @@
 package persist
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"time"
 
 	"repro/internal/loid"
+	"repro/internal/wire"
 )
 
 // ErrNotFound reports a lookup of a persistent address that holds no
@@ -55,17 +55,16 @@ type OPR struct {
 
 // Marshal appends the binary encoding of the OPR to dst.
 func (o OPR) Marshal(dst []byte) []byte {
-	dst = o.LOID.Marshal(dst)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(o.Impl)))
-	dst = append(dst, o.Impl...)
-	dst = binary.BigEndian.AppendUint64(dst, uint64(len(o.State)))
-	dst = append(dst, o.State...)
+	w := wire.NewWriter(dst)
+	w.LOID(o.LOID)
+	w.Str32(o.Impl)
+	w.Bytes64(o.State)
 	var ns int64
 	if !o.Saved.IsZero() {
 		ns = o.Saved.UnixNano()
 	}
-	dst = binary.BigEndian.AppendUint64(dst, uint64(ns))
-	return dst
+	w.U64(uint64(ns))
+	return w.Bytes()
 }
 
 // maxStateLen bounds a decoded state blob (256 MiB).
@@ -78,42 +77,13 @@ const maxImplLen = 1 << 16
 
 // Unmarshal decodes an OPR.
 func Unmarshal(src []byte) (OPR, error) {
-	var o OPR
-	var err error
-	o.LOID, src, err = loid.Unmarshal(src)
-	if err != nil {
+	r := wire.NewReader(src)
+	o := OPR{LOID: r.LOID(), Impl: r.Str32(maxImplLen), State: append([]byte(nil), r.Bytes64(maxStateLen)...)}
+	ns := int64(r.U64())
+	if err := r.Done(); err != nil {
 		return OPR{}, fmt.Errorf("persist: %w", err)
 	}
-	if len(src) < 4 {
-		return OPR{}, errors.New("persist: short impl length")
-	}
-	n := binary.BigEndian.Uint32(src[:4])
-	src = src[4:]
-	if n > maxImplLen {
-		return OPR{}, fmt.Errorf("persist: impl name length %d exceeds limit", n)
-	}
-	if uint32(len(src)) < n {
-		return OPR{}, errors.New("persist: short impl name")
-	}
-	o.Impl = string(src[:n])
-	src = src[n:]
-	if len(src) < 8 {
-		return OPR{}, errors.New("persist: short state length")
-	}
-	sn := binary.BigEndian.Uint64(src[:8])
-	src = src[8:]
-	if sn > maxStateLen {
-		return OPR{}, fmt.Errorf("persist: state length %d exceeds limit", sn)
-	}
-	if uint64(len(src)) < sn {
-		return OPR{}, errors.New("persist: short state")
-	}
-	o.State = append([]byte(nil), src[:sn]...)
-	src = src[sn:]
-	if len(src) != 8 {
-		return OPR{}, fmt.Errorf("persist: bad trailer length %d", len(src))
-	}
-	if ns := int64(binary.BigEndian.Uint64(src)); ns != 0 {
+	if ns != 0 {
 		o.Saved = time.Unix(0, ns)
 	}
 	return o, nil

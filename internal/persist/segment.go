@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+
+	"repro/internal/wire"
 )
 
 // Segment record layout. Every mutation (put or delete) is one record
@@ -206,48 +208,33 @@ func DecodeSnapshot(b []byte) ([]PersistentAddress, []OPR, error) {
 // EncodeOPRBatch frames a set of OPRs for one wire message (the
 // CheckpointBatch RPC): u32 count, then length-prefixed OPR encodings.
 func EncodeOPRBatch(oprs []OPR) []byte {
-	out := binary.BigEndian.AppendUint32(nil, uint32(len(oprs)))
+	var w wire.Writer
+	w.Count32(len(oprs))
 	for _, o := range oprs {
-		body := o.Marshal(nil)
-		out = binary.BigEndian.AppendUint64(out, uint64(len(body)))
-		out = append(out, body...)
+		w.Bytes64(o.Marshal(nil))
 	}
-	return out
+	return w.Bytes()
 }
 
 // DecodeOPRBatch reverses EncodeOPRBatch. Any truncation or undecodable
 // entry fails the whole batch.
 func DecodeOPRBatch(b []byte) ([]OPR, error) {
-	if len(b) < 4 {
-		return nil, errors.New("persist: short OPR batch header")
-	}
-	count := int(binary.BigEndian.Uint32(b))
-	b = b[4:]
-	// Same stance as DecodeSnapshot: each entry carries at least its
-	// 8-byte length prefix, so an impossible count is corruption, not
-	// an allocation size.
-	if count > len(b)/8 {
-		return nil, fmt.Errorf("persist: OPR batch count %d exceeds %d payload bytes", count, len(b))
-	}
-	out := make([]OPR, 0, count)
-	for i := 0; i < count; i++ {
-		if len(b) < 8 {
-			return nil, fmt.Errorf("persist: OPR batch entry %d: short length", i)
+	r := wire.NewReader(b)
+	// Each entry carries at least its 8-byte length prefix.
+	out := make([]OPR, r.Count32(8))
+	for i := range out {
+		body := r.Bytes64(maxSegPayload)
+		if r.Err() != nil {
+			break
 		}
-		n := binary.BigEndian.Uint64(b)
-		b = b[8:]
-		if n > maxSegPayload || uint64(len(b)) < n {
-			return nil, fmt.Errorf("persist: OPR batch entry %d: bad length %d", i, n)
-		}
-		o, err := Unmarshal(b[:n])
+		o, err := Unmarshal(body)
 		if err != nil {
 			return nil, fmt.Errorf("persist: OPR batch entry %d: %w", i, err)
 		}
-		out = append(out, o)
-		b = b[n:]
+		out[i] = o
 	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("persist: %d trailing OPR batch bytes", len(b))
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("persist: OPR batch: %w", err)
 	}
 	return out, nil
 }

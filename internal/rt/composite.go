@@ -1,10 +1,10 @@
 package rt
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/idl"
+	"repro/internal/wire"
 )
 
 // Composite combines several implementation parts into one object
@@ -58,16 +58,16 @@ func (c *Composite) Dispatch(inv *Invocation) ([][]byte, error) {
 // SaveState implements Impl: the composite state is the length-prefixed
 // concatenation of the parts' states.
 func (c *Composite) SaveState() ([]byte, error) {
-	out := binary.BigEndian.AppendUint32(nil, uint32(len(c.parts)))
+	var w wire.Writer
+	w.Count32(len(c.parts))
 	for i, p := range c.parts {
 		s, err := p.SaveState()
 		if err != nil {
 			return nil, fmt.Errorf("rt: composite part %d: %w", i, err)
 		}
-		out = binary.BigEndian.AppendUint64(out, uint64(len(s)))
-		out = append(out, s...)
+		w.Bytes64(s)
 	}
-	return out, nil
+	return w.Bytes(), nil
 }
 
 // RestoreState implements Impl. An empty state leaves all parts at
@@ -76,30 +76,21 @@ func (c *Composite) RestoreState(state []byte) error {
 	if len(state) == 0 {
 		return nil
 	}
-	if len(state) < 4 {
-		return fmt.Errorf("rt: composite state too short")
-	}
-	n := binary.BigEndian.Uint32(state[:4])
-	state = state[4:]
-	if int(n) != len(c.parts) {
+	r := wire.NewReader(state)
+	if n := r.U32(); r.Err() == nil && int(n) != len(c.parts) {
 		return fmt.Errorf("rt: composite state has %d parts, impl has %d", n, len(c.parts))
 	}
-	for i := 0; i < int(n); i++ {
-		if len(state) < 8 {
-			return fmt.Errorf("rt: composite state truncated at part %d", i)
-		}
-		sz := binary.BigEndian.Uint64(state[:8])
-		state = state[8:]
-		if uint64(len(state)) < sz {
-			return fmt.Errorf("rt: composite state part %d truncated", i)
-		}
-		if err := c.parts[i].RestoreState(state[:sz]); err != nil {
+	parts := make([][]byte, len(c.parts))
+	for i := range parts {
+		parts[i] = r.Bytes64(wire.NoCap)
+	}
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("rt: composite state: %w", err)
+	}
+	for i, s := range parts {
+		if err := c.parts[i].RestoreState(s); err != nil {
 			return fmt.Errorf("rt: composite part %d: %w", i, err)
 		}
-		state = state[sz:]
-	}
-	if len(state) != 0 {
-		return fmt.Errorf("rt: composite state has %d trailing bytes", len(state))
 	}
 	return nil
 }

@@ -7,9 +7,7 @@
 package wire
 
 import (
-	"encoding/binary"
 	"fmt"
-	"sync"
 
 	"repro/internal/loid"
 	"repro/internal/oa"
@@ -157,45 +155,12 @@ const maxArgs = 1 << 16
 // maxArgLen bounds one argument (16 MiB).
 const maxArgLen = 16 << 20
 
-// Buf is a pooled marshal buffer. The invocation fast path marshals
-// every request, reply, and one-way into a Buf and recycles it once the
-// transport has taken its copy, so steady-state traffic does not
-// allocate a fresh buffer per message.
-type Buf struct {
-	B []byte
-}
-
-// maxPooledBuf caps what Put keeps: a huge argument blob should not pin
-// its buffer in the pool forever.
-const maxPooledBuf = 64 << 10
-
-var bufPool = sync.Pool{
-	New: func() any { return &Buf{B: make([]byte, 0, 1024)} },
-}
-
-// GetBuf returns a pooled buffer with zero length and non-trivial
-// capacity. Callers marshal into b.B and must call b.Put when the bytes
-// are no longer referenced.
-func GetBuf() *Buf {
-	b := bufPool.Get().(*Buf)
-	b.B = b.B[:0]
-	return b
-}
-
-// Put recycles the buffer. The caller must not touch b or b.B after.
-func (b *Buf) Put() {
-	if cap(b.B) > maxPooledBuf {
-		b.B = make([]byte, 0, 1024)
-	}
-	bufPool.Put(b)
-}
-
 // Marshal appends the binary encoding of m to dst.
 func (m *Message) Marshal(dst []byte) []byte { return m.AppendMarshal(dst) }
 
 // AppendMarshal appends the binary encoding of m to dst and returns the
 // extended slice. It is the allocation-transparent form used with
-// pooled buffers (GetBuf/Put).
+// pooled buffers (package buf).
 func (m *Message) AppendMarshal(dst []byte) []byte {
 	return appendV4(dst, m.Kind, m.ID, m.Code, m.Target, m.Method,
 		&m.Env, m.ReplyTo, m.ErrText, m.Args)
@@ -247,24 +212,4 @@ func (m *Message) String() string {
 	default:
 		return fmt.Sprintf("msg#%d kind%d", m.ID, m.Kind)
 	}
-}
-
-func appendString(dst []byte, s string) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(s)))
-	return append(dst, s...)
-}
-
-func takeString(src []byte) (string, []byte, error) {
-	if len(src) < 4 {
-		return "", src, fmt.Errorf("short string length")
-	}
-	n := binary.BigEndian.Uint32(src[:4])
-	src = src[4:]
-	if n > maxArgLen {
-		return "", src, fmt.Errorf("string length %d exceeds limit", n)
-	}
-	if uint32(len(src)) < n {
-		return "", src, fmt.Errorf("short string body")
-	}
-	return string(src[:n]), src[n:], nil
 }
