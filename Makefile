@@ -82,12 +82,14 @@ des-test:
 	$(GO) test -race -run 'TestReplayDeterminism|TestBreakerVirtualClock' ./internal/des ./internal/health
 	$(GO) run ./cmd/legion-bench -quick -run E22
 
-# Short fuzz pass over the wire decoder (v2/v3/v4 frames) and the
-# segment-record/snapshot codec: enough to catch a freshly introduced
-# parser panic without tying up CI.
+# Short fuzz pass over the wire decoder (v4 frames, the one version
+# parsed), the segment-record/snapshot codec and every state, OPR and
+# reply decoder: enough to catch a freshly introduced parser panic
+# without tying up CI.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzParseFrame -fuzztime 15s ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzSegmentRecord -fuzztime 15s ./internal/persist
+	$(GO) test -run xxx -fuzz FuzzDecoders -fuzztime 15s ./internal/core
 
 # vet also fails when any file needs gofmt.
 vet:
