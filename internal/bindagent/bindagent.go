@@ -20,6 +20,7 @@ import (
 	"repro/internal/loid"
 	"repro/internal/oa"
 	"repro/internal/rt"
+	"repro/internal/wire"
 )
 
 // The Binding Agent's remote methods (§3.6). The two overloads of
@@ -315,11 +316,11 @@ func (a *Agent) at(addr oa.Address, target loid.LOID) rt.Ref { return a.obj.Call
 // SaveState implements rt.Impl: the agent persists its wiring (parent
 // and LegionClass addresses); cached bindings are soft state.
 func (a *Agent) SaveState() ([]byte, error) {
-	var out []byte
-	out = a.parent.Marshal(out)
-	out = a.parentAddr.Marshal(out)
-	out = a.legionClassAddr.Marshal(out)
-	return out, nil
+	var w wire.Writer
+	w.LOID(a.parent)
+	w.Address(a.parentAddr)
+	w.Address(a.legionClassAddr)
+	return w.Bytes(), nil
 }
 
 // RestoreState implements rt.Impl.
@@ -327,19 +328,12 @@ func (a *Agent) RestoreState(state []byte) error {
 	if len(state) == 0 {
 		return nil
 	}
-	var err error
-	if a.parent, state, err = loid.Unmarshal(state); err != nil {
-		return err
+	r := wire.NewReader(state)
+	parent, parentAddr, legionClassAddr := r.LOID(), r.Address(), r.Address()
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("bindagent: state: %w", err)
 	}
-	if a.parentAddr, state, err = oa.Unmarshal(state); err != nil {
-		return err
-	}
-	if a.legionClassAddr, state, err = oa.Unmarshal(state); err != nil {
-		return err
-	}
-	if len(state) != 0 {
-		return fmt.Errorf("bindagent: %d trailing state bytes", len(state))
-	}
+	a.parent, a.parentAddr, a.legionClassAddr = parent, parentAddr, legionClassAddr
 	return nil
 }
 

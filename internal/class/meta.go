@@ -210,7 +210,7 @@ func unmarshalRow(r *wire.Reader) (loid.LOID, *Row) {
 		CurrentMagistrates:   readLOIDs(r),
 		SchedulingAgent:      r.LOID(),
 		CandidateMagistrates: readLOIDs(r),
+		IsSubclass:           r.U8() == 1,
 	}
-	row.IsSubclass = r.U8() == 1
 	return l, row
 }

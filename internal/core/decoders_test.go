@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bindagent"
 	"repro/internal/class"
 	"repro/internal/demo"
 	"repro/internal/host"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/loid"
 	"repro/internal/magistrate"
 	"repro/internal/naming"
+	"repro/internal/oa"
 	"repro/internal/obs"
 	"repro/internal/persist"
 	"repro/internal/rt"
@@ -41,6 +43,9 @@ var decoders = map[string]func(b []byte) error{
 	"magistrate.UnmarshalPlacements": decodes(magistrate.UnmarshalPlacements),
 	"magistrate.RestoreState": restores(func() rt.Impl {
 		return magistrate.New(loid.New(loid.ClassIDMagistrate, 5, loid.DeriveKey("forged/magistrate")), persist.NewMemStore())
+	}),
+	"bindagent.RestoreState": restores(func() rt.Impl {
+		return bindagent.New(loid.New(loid.ClassIDBindingAgent, 5, loid.DeriveKey("forged/agent")), 4, oa.Address{})
 	}),
 	"class.RestoreState": restores(class.NewEmptyClassImpl),
 	"class.Metaclass.RestoreState": restores(func() rt.Impl {
@@ -99,6 +104,7 @@ func forgedInputs() []struct {
 		{"magistrate.RestoreState", u64(1 << 40)},
 		{"magistrate.RestoreState", cat(u64(0), u64(1<<40))},
 		{"magistrate.RestoreState", cat(u64(0), u64(0), u64(1<<40))},
+		{"bindagent.RestoreState", cat(zeroLOID, []byte{1, 0, 0xff, 0xff})},
 		{"class.RestoreState", cat(zeroLOID, u32(1<<31))},
 		{"class.Metaclass.RestoreState", cat(u64(0), u64(1<<60))},
 		{"class.Metaclass.RestoreState", cat(u64(0), u64(0), u64(1<<60))},
