@@ -2,11 +2,61 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
+	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/loid"
 	"repro/internal/oa"
 )
+
+// seedFrame is one named frame shape.
+type seedFrame struct {
+	name string
+	data []byte
+}
+
+// seedFrames are the valid frames FuzzParseFrame seeds from, one per
+// shape; testdata/frames.golden pins their bytes.
+func seedFrames() []seedFrame {
+	req := sampleRequest()
+	req.Env.Deadline = 123
+	req.Env.TraceID, req.Env.SpanID, req.Env.ParentSpanID = 7, 8, 9
+	rep := req.Reply(ErrApp, "boom", [][]byte{String("result")})
+	rep.ReplyTo = oa.Single(oa.MemElement(3))
+	oneway := &Message{Kind: KindOneWay, Target: loid.NewNoKey(9, 9), Method: "Notify"}
+	noargs := &Message{Kind: KindRequest, ID: 1, Target: loid.NewNoKey(2, 3), Method: "Ping",
+		ReplyTo: oa.Single(oa.MemElement(1))}
+	multi := &Message{Kind: KindRequest, ID: 2, Target: loid.NewNoKey(2, 3), Method: "W",
+		ReplyTo: oa.Replicated(oa.SemAll, 0, oa.MemElement(1), oa.MemElement(2), oa.MemElement(3)),
+		Args:    [][]byte{nil, {}, {1}, bytes.Repeat([]byte{0xAB}, 300)}}
+	return []seedFrame{
+		{"request", req.Marshal(nil)},
+		{"reply", rep.Marshal(nil)},
+		{"oneway", oneway.Marshal(nil)},
+		{"noargs", noargs.Marshal(nil)},
+		{"multi", multi.Marshal(nil)},
+	}
+}
+
+// TestSeedFramesGolden pins the bytes of every frame shape the fuzz
+// corpus starts from: request, reply with error text and results,
+// one-way, no-arg request, and a multi-arg request with a replicated
+// reply-to.
+func TestSeedFramesGolden(t *testing.T) {
+	var got strings.Builder
+	for _, s := range seedFrames() {
+		got.WriteString(s.name + " " + hex.EncodeToString(s.data) + "\n")
+	}
+	want, err := os.ReadFile("testdata/frames.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("seed frames moved:\n got %s\nwant %s", got.String(), want)
+	}
+}
 
 // FuzzParseFrame drives the lazy decoder with arbitrary bytes. The
 // properties checked:
@@ -23,25 +73,15 @@ import (
 // both decoders must refuse; and the corruption shapes the unit tests
 // probe (truncations, trailing garbage, bad magic/version).
 func FuzzParseFrame(f *testing.F) {
-	req := sampleRequest()
-	req.Env.Deadline = 123
-	req.Env.TraceID, req.Env.SpanID, req.Env.ParentSpanID = 7, 8, 9
-	rep := req.Reply(ErrApp, "boom", [][]byte{String("result")})
-	rep.ReplyTo = oa.Single(oa.MemElement(3))
-	oneway := &Message{Kind: KindOneWay, Target: loid.NewNoKey(9, 9), Method: "Notify"}
-	noargs := &Message{Kind: KindRequest, ID: 1, Target: loid.NewNoKey(2, 3), Method: "Ping",
-		ReplyTo: oa.Single(oa.MemElement(1))}
-	multi := &Message{Kind: KindRequest, ID: 2, Target: loid.NewNoKey(2, 3), Method: "W",
-		ReplyTo: oa.Replicated(oa.SemAll, 0, oa.MemElement(1), oa.MemElement(2), oa.MemElement(3)),
-		Args:    [][]byte{nil, {}, {1}, bytes.Repeat([]byte{0xAB}, 300)}}
-	for _, m := range []*Message{req, rep, oneway, noargs, multi} {
+	seeds := seedFrames()
+	for _, s := range seeds {
 		for _, ver := range []byte{2, 3, 4} {
-			data := m.Marshal(nil)
+			data := append([]byte(nil), s.data...)
 			data[2] = ver
 			f.Add(data)
 		}
 	}
-	good := req.Marshal(nil)
+	good := seeds[0].data
 	f.Add(good[:len(good)/2])                       // truncation
 	f.Add(append(good[:len(good):len(good)], 0xFF)) // trailing garbage
 	bad := append([]byte(nil), good...)
