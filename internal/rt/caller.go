@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -246,7 +245,12 @@ func (c *Caller) InvokeCtx(ctx context.Context, target loid.LOID, method string,
 	if err != nil {
 		return nil, err
 	}
-	return c.sendRequest(b.Address, target, method, args, deadlineNanos(ctx), trace.FromContext(ctx))
+	waves := b.Address.Targets(c.intn)
+	if len(waves) == 0 {
+		return nil, fmt.Errorf("%w: empty address", ErrUnbound)
+	}
+	f, _, err := c.sendTo(waves[0], target, method, args, deadlineNanos(ctx), c.health.Load(), trace.FromContext(ctx), false)
+	return f, err
 }
 
 // Call is the synchronous convenience around InvokeCtx: it awaits the
@@ -284,7 +288,7 @@ func (c *Caller) callCtx(ctx context.Context, target loid.LOID, method string, a
 	}
 	for attempt := 0; ; attempt++ {
 		res, err := c.deliver(ctx, b.Address, target, method, args, span)
-		if err == nil && !retryable(res.Code) {
+		if err == nil && !wire.Retryable(res.Code) {
 			c.noteResponder(b, res.From, span)
 			return res, nil
 		}
@@ -421,7 +425,7 @@ func (c *Caller) OneWayAddr(addr oa.Address, target loid.LOID, method string, ar
 	for _, wave := range waves {
 		sent := false
 		for _, e := range wave {
-			if err := c.node.sendBuf(e, wb); err == nil {
+			if err := c.node.ep.SendBuf(e, wb); err == nil {
 				sent = true
 			} else {
 				lastErr = err
@@ -432,14 +436,6 @@ func (c *Caller) OneWayAddr(addr oa.Address, target loid.LOID, method string, ar
 		}
 	}
 	return lastErr
-}
-
-// retryable reports reply codes that mean "try another replica or a
-// refreshed binding" rather than a definitive answer. The
-// classification itself lives next to the codes (wire.Retryable) so
-// additions are audited — and table-tested — in one place.
-func retryable(code wire.Code) bool {
-	return wire.Retryable(code)
 }
 
 // timerPool recycles the per-wave reply timers; every synchronous call
@@ -498,11 +494,12 @@ func (c *Caller) armTimer(d time.Duration) callTimer {
 }
 
 func (t callTimer) release() {
-	if t.wall != nil {
+	switch {
+	case t.wall != nil:
 		putTimer(t.wall)
-		return
+	case t.virt != nil:
+		t.virt.Stop()
 	}
-	t.virt.Stop()
 }
 
 // deliver sends one request according to the address semantics and
@@ -523,30 +520,44 @@ func (t callTimer) release() {
 // (fail-fast instead of burning a wave timeout on a known-dead
 // replica), and every outcome is reported back: a send error or an
 // unanswered wave timeout is a failure; ANY reply — even a retryable
-// one — proves the endpoint alive. With no tracker and no context
-// deadline the function is byte-for-byte the PR 1 fast path.
+// one — proves the endpoint alive.
+//
+// A one-element address — what every cached binding to an unreplicated
+// object holds — is one wave of one element, built on the stack so the
+// call skips Targets and its allocations. When that element is this
+// node, the call may bypass the fabric entirely (serveCoResident). A
+// reply is polled for before any timer is armed: a synchronous delivery
+// (the mem fabric's zero-latency path, TCP within one TCP value) can
+// complete the future on this very goroutine during the send.
 func (c *Caller) deliver(ctx context.Context, addr oa.Address, target loid.LOID, method string, args [][]byte, span *trace.Span) (*Result, error) {
-	if len(addr.Elements) == 1 {
-		// Single destination, no failover: the overwhelmingly common
-		// case for a cached binding to an unreplicated object. Every
-		// semantic reduces to one wave of one element here, so the
-		// wave construction (two allocations) is skipped entirely.
-		return c.deliverOne(ctx, addr.Elements[0], target, method, args, span)
-	}
-	waves := addr.Targets(c.intn)
-	if len(waves) == 0 {
-		return nil, fmt.Errorf("%w: empty address", ErrUnbound)
-	}
 	deadline := deadlineOf(ctx)
 	var dlNanos int64
 	if !deadline.IsZero() {
+		if !c.now().Before(deadline) {
+			span.Event("deadline", "budget exhausted before send")
+			return &Result{Code: wire.ErrDeadlineExceeded, ErrText: ErrTimeout.Error()}, nil
+		}
 		dlNanos = deadline.UnixNano()
+	}
+	sc := span.Context()
+	var one [1]oa.Element
+	var oneWave [1][]oa.Element
+	waves := oneWave[:]
+	if len(addr.Elements) == 1 {
+		if res := c.serveCoResident(addr.Elements[0], target, method, args, dlNanos, sc); res != nil {
+			return res, nil
+		}
+		// A copy: waves are compacted in place, and the binding's
+		// elements are shared with every other caller.
+		one[0] = addr.Elements[0]
+		oneWave[0] = one[:]
+	} else if waves = addr.Targets(c.intn); len(waves) == 0 {
+		return nil, fmt.Errorf("%w: empty address", ErrUnbound)
 	}
 	var ctxDone <-chan struct{}
 	if ctx != nil {
 		ctxDone = ctx.Done()
 	}
-	sc := span.Context()
 	ht := c.health.Load()
 	if ht != nil && len(waves) > 1 {
 		sortWavesByHealth(ht, waves)
@@ -587,32 +598,33 @@ func (c *Caller) deliver(ctx context.Context, addr oa.Address, target loid.LOID,
 			last = &Result{Code: wire.ErrUnavailable, ErrText: err.Error()}
 			continue
 		}
-		var replied []bool
-		if ht != nil {
+		var repliedBuf [4]bool // reply attribution; wider waves allocate
+		replied := repliedBuf[:min(len(contacted), len(repliedBuf))]
+		if ht != nil && len(contacted) > len(repliedBuf) {
 			replied = make([]bool, len(contacted))
 		}
 		var waveLast *Result
-		timer := c.armTimer(waveTimeout)
-		collected := 0
-		waveDone := false
-		for !waveDone {
+		var timer callTimer // armed on the first wait, never for a synchronous reply
+		for collected := 0; collected < len(contacted); {
+			var res *Result
 			select {
-			case res := <-f.ch:
-				collected++
-				if ht != nil {
-					attributeReply(ht, contacted, replied, res.From, c.since(waveStart))
+			case res = <-f.ch:
+			default:
+				if timer.ch == nil {
+					timer = c.armTimer(waveTimeout)
 				}
-				if !retryable(res.Code) {
+				select {
+				case res = <-f.ch:
+				case <-timer.ch:
+				case <-ctxDone:
 					timer.release()
 					c.node.cancel(f.id)
 					c.node.putFuture(f)
-					return res, nil
+					span.Event("deadline", "context cancelled")
+					return &Result{Code: wire.ErrDeadlineExceeded, ErrText: ctx.Err().Error()}, nil
 				}
-				waveLast = res
-				if collected >= len(contacted) {
-					waveDone = true
-				}
-			case <-timer.ch:
+			}
+			if res == nil { // the wave timer fired
 				c.node.cancel(f.id)
 				if ht != nil {
 					// Endpoints that never answered within the wave
@@ -632,14 +644,19 @@ func (c *Caller) deliver(ctx context.Context, addr oa.Address, target loid.LOID,
 						waveLast = &Result{Code: wire.ErrUnavailable, ErrText: ErrTimeout.Error()}
 					}
 				}
-				waveDone = true
-			case <-ctxDone:
+				break
+			}
+			collected++
+			if ht != nil {
+				attributeReply(ht, contacted, replied, res.From, c.since(waveStart))
+			}
+			if !wire.Retryable(res.Code) {
 				timer.release()
 				c.node.cancel(f.id)
 				c.node.putFuture(f)
-				span.Event("deadline", "context cancelled")
-				return &Result{Code: wire.ErrDeadlineExceeded, ErrText: ctx.Err().Error()}, nil
+				return res, nil
 			}
+			waveLast = res
 		}
 		timer.release()
 		// The wave is settled: every contacted replica answered (the
@@ -663,6 +680,36 @@ func (c *Caller) deliver(ctx context.Context, addr oa.Address, target loid.LOID,
 	return last, nil
 }
 
+// serveCoResident runs the call on this goroutine, bypassing the fabric,
+// when e is this node and the target runs its methods safely on the
+// calling goroutine (an inline leaf, or an internally-synchronized
+// concurrent service object): no marshal, no correlation id, no
+// goroutine handoff — the paper's "as close to a raw message send as
+// possible" (§5.2.1), beaten only by not sending at all. It returns nil
+// when the call must take the transport: a registry miss, so a stale
+// binding still earns its ErrNoSuchObject and the refresh machinery
+// stays honest; a migration gate, which must see every arrival so the
+// loopback routes the call through the park/forward machinery; and a
+// stopped but not yet unregistered object, which the loopback answers
+// with the stale-binding verdict.
+func (c *Caller) serveCoResident(e oa.Element, target loid.LOID, method string, args [][]byte, dlNanos int64, sc trace.SpanContext) *Result {
+	if e != c.node.Element() {
+		return nil
+	}
+	v, ok := c.node.objects.Load(target.Ident())
+	if !ok {
+		return nil
+	}
+	o := v.(*Object)
+	if !(o.inline || o.mailbox.limit > 1) || o.mailbox.isClosed() || c.node.gated(target) {
+		return nil
+	}
+	env := c.env
+	env.Deadline = dlNanos
+	env.TraceID, env.SpanID, env.ParentSpanID = sc.TraceID, sc.SpanID, sc.ParentSpanID
+	return o.serveLocal(method, &env, args)
+}
+
 // filterWave drops endpoints whose breaker rejects traffic, compacting
 // in place (wave slices are freshly built by Targets, so mutation is
 // safe and allocation-free).
@@ -679,7 +726,10 @@ func filterWave(ht *health.Tracker, wave []oa.Element) []oa.Element {
 
 // sortWavesByHealth stably reorders failover waves so waves containing
 // the healthiest (and among equals, fastest) endpoints are tried
-// first — routing around sick replicas before they cost a timeout.
+// first — routing around sick replicas before they cost a timeout. It
+// is an insertion sort: waves are few, and sort.SliceStable would move
+// every wave list to the heap, the one deliver builds on its stack for
+// a one-element address included.
 func sortWavesByHealth(ht *health.Tracker, waves [][]oa.Element) {
 	rank := func(wave []oa.Element) (int, time.Duration) {
 		best, bestLat := int(^uint(0)>>1), time.Duration(0)
@@ -691,14 +741,16 @@ func sortWavesByHealth(ht *health.Tracker, waves [][]oa.Element) {
 		}
 		return best, bestLat
 	}
-	sort.SliceStable(waves, func(i, j int) bool {
-		ri, li := rank(waves[i])
-		rj, lj := rank(waves[j])
-		if ri != rj {
-			return ri < rj
+	less := func(a, b []oa.Element) bool {
+		ra, la := rank(a)
+		rb, lb := rank(b)
+		return ra < rb || (ra == rb && la < lb)
+	}
+	for i := 1; i < len(waves); i++ {
+		for j := i; j > 0 && less(waves[j], waves[j-1]); j-- {
+			waves[j], waves[j-1] = waves[j-1], waves[j]
 		}
-		return li < lj
-	})
+	}
 }
 
 // attributeReply credits a reply to the contacted endpoint it came
@@ -720,15 +772,6 @@ func attributeReply(ht *health.Tracker, contacted []oa.Element, replied []bool, 
 	ht.ReportSuccess(from, latency)
 }
 
-func (c *Caller) sendRequest(addr oa.Address, target loid.LOID, method string, args [][]byte, dlNanos int64, sc trace.SpanContext) (*Future, error) {
-	waves := addr.Targets(c.intn)
-	if len(waves) == 0 {
-		return nil, fmt.Errorf("%w: empty address", ErrUnbound)
-	}
-	f, _, err := c.sendTo(waves[0], target, method, args, dlNanos, c.health.Load(), sc, false)
-	return f, err
-}
-
 // sendTo transmits one request wave, returning the future and the
 // elements actually contacted (the input slice itself when every send
 // succeeded, so the common case does not allocate). The request is
@@ -748,7 +791,7 @@ func (c *Caller) sendTo(wave []oa.Element, target loid.LOID, method string, args
 	sent := 0
 	var lastErr error
 	for _, e := range wave {
-		if err := c.node.sendBuf(e, wb); err == nil {
+		if err := c.node.ep.SendBuf(e, wb); err == nil {
 			wave[sent] = e // compact in place; wave is freshly built by Targets
 			sent++
 		} else {
@@ -771,137 +814,6 @@ func (c *Caller) sendTo(wave []oa.Element, target loid.LOID, method string, args
 		c.node.adjustPending(f.id, sent-len(wave))
 	}
 	return f, wave[:sent], nil
-}
-
-// sendOne is sendTo for the single-destination fast path: one pooled
-// future, one marshal into a pooled buffer, one send — no wave
-// bookkeeping at all.
-func (c *Caller) sendOne(e oa.Element, target loid.LOID, method string, args [][]byte, dlNanos int64, ht *health.Tracker, sc trace.SpanContext) (*Future, error) {
-	f := c.node.newFuture(1, true)
-	env := c.env
-	env.Deadline = dlNanos
-	env.TraceID, env.SpanID, env.ParentSpanID = sc.TraceID, sc.SpanID, sc.ParentSpanID
-	wb := buf.Get()
-	wb.B = wire.AppendRequest(wb.B, wire.KindRequest, f.id, target, method, &env, c.node.Address(), args)
-	err := c.node.sendBuf(e, wb)
-	wb.Release()
-	if err != nil {
-		c.node.cancel(f.id)
-		c.node.putFuture(f)
-		if ht != nil {
-			ht.ReportFailure(e)
-		}
-		return nil, err
-	}
-	return f, nil
-}
-
-// deliverOne is deliver's single-destination fast path: one wave of
-// one element, the shape every cached binding to an unreplicated
-// object produces. Semantics match deliver exactly (deadline clipping,
-// breaker fail-fast, health attribution, retryable verdicts); what it
-// sheds is the per-wave bookkeeping, and — for a synchronous delivery
-// (the mem fabric's zero-latency path, TCP within one TCP value), which
-// can complete the future on this very goroutine during the send — the
-// reply is collected by a non-blocking poll before any timer is armed.
-//
-// When the target is co-resident AND runs its methods safely on the
-// calling goroutine (an inline leaf, or an internally-synchronized
-// concurrent service object), the call bypasses the fabric entirely:
-// no marshal, no correlation id, no goroutine handoff — the paper's
-// "as close to a raw message send as possible" (§5.2.1), beaten only
-// by not sending at all. A registry miss falls through to the
-// transport so a stale binding still earns its ErrNoSuchObject and the
-// refresh machinery stays honest.
-func (c *Caller) deliverOne(ctx context.Context, e oa.Element, target loid.LOID, method string, args [][]byte, span *trace.Span) (*Result, error) {
-	deadline := deadlineOf(ctx)
-	var dlNanos int64
-	if !deadline.IsZero() {
-		if !c.now().Before(deadline) {
-			span.Event("deadline", "budget exhausted before send")
-			return &Result{Code: wire.ErrDeadlineExceeded, ErrText: ErrTimeout.Error()}, nil
-		}
-		dlNanos = deadline.UnixNano()
-	}
-	sc := span.Context()
-	if e == c.node.Element() {
-		if v, ok := c.node.objects.Load(target.Ident()); ok {
-			o := v.(*Object)
-			// A migration gate must see every arrival: while one is up
-			// for the target, skip the bypass so the transport loopback
-			// routes this call through the park/forward machinery. So does
-			// a stopped but not yet unregistered object: the loopback
-			// answers with the stale-binding verdict.
-			if (o.inline || o.mailbox.limit > 1) && !o.mailbox.isClosed() && !c.node.gated(target) {
-				env := c.env
-				env.Deadline = dlNanos
-				env.TraceID, env.SpanID, env.ParentSpanID = sc.TraceID, sc.SpanID, sc.ParentSpanID
-				return o.serveLocal(method, &env, args), nil
-			}
-		}
-	}
-	ht := c.health.Load()
-	if ht != nil && !ht.Allow(e) {
-		span.Event("breaker", "all destinations circuit-open")
-		return &Result{Code: wire.ErrUnavailable, ErrText: "all destinations circuit-open"}, nil
-	}
-	waveTimeout := c.Timeout
-	if !deadline.IsZero() {
-		if remain := c.until(deadline); remain < waveTimeout {
-			waveTimeout = remain
-		}
-	}
-	var start time.Time
-	if ht != nil {
-		start = c.now()
-	}
-	f, err := c.sendOne(e, target, method, args, dlNanos, ht, sc)
-	if err != nil {
-		return &Result{Code: wire.ErrUnavailable, ErrText: err.Error()}, nil
-	}
-	// collect finishes the call once the (single) reply is in hand: the
-	// pending entry removed itself when the reply landed, so the future
-	// is free to recycle.
-	collect := func(res *Result) (*Result, error) {
-		if ht != nil && res.From != (oa.Element{}) {
-			ht.ReportSuccess(res.From, c.since(start))
-		}
-		c.node.putFuture(f)
-		return res, nil
-	}
-	select {
-	case res := <-f.ch:
-		return collect(res)
-	default:
-	}
-	var ctxDone <-chan struct{}
-	if ctx != nil {
-		ctxDone = ctx.Done()
-	}
-	timer := c.armTimer(waveTimeout)
-	select {
-	case res := <-f.ch:
-		timer.release()
-		return collect(res)
-	case <-timer.ch:
-		timer.release()
-		c.node.cancel(f.id)
-		c.node.putFuture(f)
-		if ht != nil {
-			ht.ReportFailure(e)
-		}
-		if !deadline.IsZero() && !c.now().Before(deadline) {
-			span.Event("deadline", "expired awaiting reply")
-			return &Result{Code: wire.ErrDeadlineExceeded, ErrText: ErrTimeout.Error()}, nil
-		}
-		return &Result{Code: wire.ErrUnavailable, ErrText: ErrTimeout.Error()}, nil
-	case <-ctxDone:
-		timer.release()
-		c.node.cancel(f.id)
-		c.node.putFuture(f)
-		span.Event("deadline", "context cancelled")
-		return &Result{Code: wire.ErrDeadlineExceeded, ErrText: ctx.Err().Error()}, nil
-	}
 }
 
 // intn returns a value in [0,n) from a lock-free splitmix64 stream;

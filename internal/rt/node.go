@@ -570,13 +570,3 @@ func (n *Node) adjustPending(id uint64, delta int) {
 	}
 	s.mu.Unlock()
 }
-
-// send transmits an encoded message to one element.
-func (n *Node) send(to oa.Element, data []byte) error {
-	return n.ep.Send(to, data)
-}
-
-// sendBuf transmits one frame zero-copy (see transport.Endpoint.SendBuf).
-func (n *Node) sendBuf(to oa.Element, b *buf.Buffer) error {
-	return n.ep.SendBuf(to, b)
-}

@@ -167,7 +167,7 @@ func (n *Node) dropAllGates() {
 }
 
 // gated reports whether l currently has a gate — the co-resident
-// bypass in deliverOne must fall through to the transport path while
+// bypass in deliver must fall through to the transport path while
 // one is up, or local callers would slip past the drain.
 func (n *Node) gated(l loid.LOID) bool {
 	if n.nGates.Load() == 0 {

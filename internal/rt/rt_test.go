@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/binding"
+	"repro/internal/buf"
 	"repro/internal/idl"
 	"repro/internal/loid"
 	"repro/internal/metrics"
@@ -814,7 +815,11 @@ func TestNodeGarbageCounter(t *testing.T) {
 	n1, _ := NewNode(f, reg, "g1")
 	defer n1.Close()
 	// Raw garbage straight to the endpoint.
-	if err := n1.send(n0.Element(), []byte{0xde, 0xad}); err != nil {
+	garbage := buf.Get()
+	garbage.B = append(garbage.B, 0xde, 0xad)
+	err := n1.ep.SendBuf(n0.Element(), garbage)
+	garbage.Release()
+	if err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
