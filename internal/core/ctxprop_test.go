@@ -141,11 +141,6 @@ type tapEndpoint struct {
 	t *frameTap
 }
 
-func (e tapEndpoint) Send(to oa.Element, data []byte) error {
-	e.t.note(data)
-	return e.Endpoint.Send(to, data)
-}
-
 func (e tapEndpoint) SendBuf(to oa.Element, b *buf.Buffer) error {
 	e.t.note(b.B)
 	return e.Endpoint.SendBuf(to, b)

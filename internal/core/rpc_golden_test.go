@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/bindagent"
 	"repro/internal/binding"
+	"repro/internal/buf"
 	"repro/internal/class"
 	"repro/internal/host"
 	"repro/internal/idl"
@@ -39,7 +40,7 @@ func newFrameRecorder(t *testing.T, f *transport.Fabric) *frameRecorder {
 		t.Fatal(err)
 	}
 	r := &frameRecorder{ep: ep}
-	ep.SetHandler(func(data []byte) {
+	ep.SetFrameHandler(func(_ *buf.Buffer, data []byte, _ bool) {
 		raw := append([]byte(nil), data...)
 		r.mu.Lock()
 		r.frames = append(r.frames, raw)
@@ -48,10 +49,13 @@ func newFrameRecorder(t *testing.T, f *transport.Fabric) *frameRecorder {
 		if fr.Parse(raw) != nil || fr.Kind != wire.KindRequest {
 			return
 		}
-		reply := (&wire.Message{Kind: wire.KindReply, ID: fr.ID, Target: fr.EnvCalling(),
-			Code: wire.ErrApp, ErrText: "recorded"}).Marshal(nil)
+		reply := buf.Get()
+		reply.B = wire.AppendReply(reply.B, fr.ID, fr.EnvCalling(), wire.ErrApp, "recorded", nil, oa.Address{})
 		to := fr.ReplyToElem(0)
-		go ep.Send(to, reply)
+		go func() {
+			ep.SendBuf(to, reply)
+			reply.Release()
+		}()
 	})
 	return r
 }

@@ -28,7 +28,7 @@ func TestFabricCrashSilentlyDrops(t *testing.T) {
 	a, _ := f.NewEndpoint()
 	b, _ := f.NewEndpoint()
 	col := newCollector()
-	b.SetHandler(col.handler)
+	b.SetFrameHandler(col.handler)
 
 	if !f.Crash(memID(t, b)) {
 		t.Fatal("Crash reported unknown endpoint")
@@ -37,11 +37,11 @@ func TestFabricCrashSilentlyDrops(t *testing.T) {
 		t.Fatal("Crashed() = false after Crash")
 	}
 	// Sends succeed (no error) but deliver nothing.
-	if err := a.Send(b.Element(), []byte("into the void")); err != nil {
+	if err := send(a, b.Element(), []byte("into the void")); err != nil {
 		t.Fatalf("send to crashed endpoint errored: %v (must be silent)", err)
 	}
 	// The crashed endpoint cannot send either.
-	if err := b.Send(a.Element(), []byte("from the grave")); err != nil {
+	if err := send(b, a.Element(), []byte("from the grave")); err != nil {
 		t.Fatalf("send from crashed endpoint errored: %v (must be silent)", err)
 	}
 	time.Sleep(20 * time.Millisecond)
@@ -59,7 +59,7 @@ func TestFabricCrashSilentlyDrops(t *testing.T) {
 	if !f.Restart(memID(t, b)) {
 		t.Fatal("Restart reported unknown endpoint")
 	}
-	if err := a.Send(b.Element(), []byte("back")); err != nil {
+	if err := send(a, b.Element(), []byte("back")); err != nil {
 		t.Fatal(err)
 	}
 	msgs := col.wait(t, 1)
@@ -77,16 +77,16 @@ func TestFabricPerLinkFaults(t *testing.T) {
 	b, _ := f.NewEndpoint()
 	c, _ := f.NewEndpoint()
 	colB, colC := newCollector(), newCollector()
-	b.SetHandler(colB.handler)
-	c.SetHandler(colC.handler)
+	b.SetFrameHandler(colB.handler)
+	c.SetFrameHandler(colC.handler)
 
 	// Total loss on a↔b only.
 	f.SetLinkLoss(memID(t, a), memID(t, b), 1.0)
 	for i := 0; i < 10; i++ {
-		if err := a.Send(b.Element(), []byte("lost")); err != nil {
+		if err := send(a, b.Element(), []byte("lost")); err != nil {
 			t.Fatal(err)
 		}
-		if err := a.Send(c.Element(), []byte("ok")); err != nil {
+		if err := send(a, c.Element(), []byte("ok")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -102,7 +102,7 @@ func TestFabricPerLinkFaults(t *testing.T) {
 	f.ClearLink(memID(t, a), memID(t, b))
 	f.SetLinkLatency(memID(t, a), memID(t, b), 30*time.Millisecond)
 	start := time.Now()
-	if err := a.Send(b.Element(), []byte("slow")); err != nil {
+	if err := send(a, b.Element(), []byte("slow")); err != nil {
 		t.Fatal(err)
 	}
 	colB.wait(t, 1)
@@ -120,10 +120,10 @@ func TestFabricDuplication(t *testing.T) {
 	a, _ := f.NewEndpoint()
 	b, _ := f.NewEndpoint()
 	col := newCollector()
-	b.SetHandler(col.handler)
+	b.SetFrameHandler(col.handler)
 	f.SetDuplicate(1.0)
 	for i := 0; i < 5; i++ {
-		if err := a.Send(b.Element(), []byte{byte(i)}); err != nil {
+		if err := send(a, b.Element(), []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -142,11 +142,11 @@ func TestFabricReorder(t *testing.T) {
 	a, _ := f.NewEndpoint()
 	b, _ := f.NewEndpoint()
 	col := newCollector()
-	b.SetHandler(col.handler)
+	b.SetFrameHandler(col.handler)
 	f.SetReorder(0.5, 5*time.Millisecond)
 	const n = 40
 	for i := 0; i < n; i++ {
-		if err := a.Send(b.Element(), []byte(fmt.Sprintf("%02d", i))); err != nil {
+		if err := send(a, b.Element(), []byte(fmt.Sprintf("%02d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -177,22 +177,22 @@ func TestFabricPartitionHeals(t *testing.T) {
 	a, _ := f.NewEndpoint()
 	b, _ := f.NewEndpoint()
 	colA, colB := newCollector(), newCollector()
-	a.SetHandler(colA.handler)
-	b.SetHandler(colB.handler)
+	a.SetFrameHandler(colA.handler)
+	b.SetFrameHandler(colB.handler)
 
 	f.Block(memID(t, a), memID(t, b))
-	if err := a.Send(b.Element(), []byte("x")); err != ErrUnreachable {
+	if err := send(a, b.Element(), []byte("x")); err != ErrUnreachable {
 		t.Fatalf("send across partition = %v, want ErrUnreachable", err)
 	}
-	if err := b.Send(a.Element(), []byte("x")); err != ErrUnreachable {
+	if err := send(b, a.Element(), []byte("x")); err != ErrUnreachable {
 		t.Fatalf("reverse send across partition = %v, want ErrUnreachable", err)
 	}
 
 	f.Unblock(memID(t, a), memID(t, b))
-	if err := a.Send(b.Element(), []byte("ping")); err != nil {
+	if err := send(a, b.Element(), []byte("ping")); err != nil {
 		t.Fatalf("send after heal: %v", err)
 	}
-	if err := b.Send(a.Element(), []byte("pong")); err != nil {
+	if err := send(b, a.Element(), []byte("pong")); err != nil {
 		t.Fatalf("reverse send after heal: %v", err)
 	}
 	if got := colB.wait(t, 1); string(got[0]) != "ping" {
@@ -206,7 +206,7 @@ func TestFabricPartitionHeals(t *testing.T) {
 // TestTCPDropSurfaced is the regression test for silent frame loss on
 // writer death: when a destination dies with frames queued or
 // mid-batch, the loss must be counted in net/tcp_dropped and reported
-// to a subsequent Send as an error — never swallowed.
+// to a subsequent SendBuf as an error — never swallowed.
 func TestTCPDropSurfaced(t *testing.T) {
 	testLossSurfaced(t, tcpHarness)
 }

@@ -24,7 +24,7 @@ type harness struct {
 	// foreign is an element of a type this transport cannot reach.
 	foreign oa.Element
 	// lossCounter names the counter of frames lost to a dead
-	// destination, which the transport also reports to the next Send;
+	// destination, which the transport also reports to the next SendBuf;
 	// empty when nothing in flight can be lost, for the reason noLoss
 	// gives.
 	lossCounter, noLoss string
@@ -128,7 +128,7 @@ func transportConformance(t *testing.T, h harness) {
 		eps[1].SetFrameHandler(func(_ *buf.Buffer, data []byte, sync bool) {
 			got <- delivery{string(data), sync}
 		})
-		if err := eps[0].Send(eps[1].Element(), []byte("hello")); err != nil {
+		if err := send(eps[0], eps[1].Element(), []byte("hello")); err != nil {
 			t.Fatal(err)
 		}
 		select {
@@ -148,8 +148,8 @@ func transportConformance(t *testing.T, h harness) {
 	t.Run("SelfSend", func(t *testing.T) {
 		ep := h.endpoints(t, nil, 1)[0]
 		col := newCollector()
-		ep.SetHandler(col.handler)
-		if err := ep.Send(ep.Element(), []byte("me")); err != nil {
+		ep.SetFrameHandler(col.handler)
+		if err := send(ep, ep.Element(), []byte("me")); err != nil {
 			t.Fatal(err)
 		}
 		if msgs := col.wait(t, 1); string(msgs[0]) != "me" {
@@ -170,7 +170,7 @@ func transportConformance(t *testing.T, h harness) {
 		var bad error
 		got := 0
 		all := make(chan struct{})
-		dst.SetHandler(func(data []byte) {
+		dst.SetFrameHandler(func(_ *buf.Buffer, data []byte, _ bool) {
 			s, seq := data[0], binary.BigEndian.Uint32(data[1:])
 			mu.Lock()
 			defer mu.Unlock()
@@ -190,7 +190,7 @@ func transportConformance(t *testing.T, h harness) {
 				frame := [5]byte{byte(s)}
 				for i := uint32(0); i < per; i++ {
 					binary.BigEndian.PutUint32(frame[1:], i)
-					if err := src.Send(dst.Element(), frame[:]); err != nil {
+					if err := send(src, dst.Element(), frame[:]); err != nil {
 						t.Errorf("sender %d seq %d: %v", s, i, err)
 						return
 					}
@@ -211,10 +211,10 @@ func transportConformance(t *testing.T, h harness) {
 		eps := h.endpoints(t, nil, 2)
 		a, dead := eps[0], eps[1]
 		dead.Close()
-		if err := a.Send(dead.Element(), []byte("x")); !errors.Is(err, ErrUnreachable) {
+		if err := send(a, dead.Element(), []byte("x")); !errors.Is(err, ErrUnreachable) {
 			t.Errorf("send to a closed endpoint: %v, want ErrUnreachable", err)
 		}
-		if err := a.Send(h.foreign, []byte("x")); !errors.Is(err, ErrUnreachable) {
+		if err := send(a, h.foreign, []byte("x")); !errors.Is(err, ErrUnreachable) {
 			t.Errorf("send to a foreign element: %v, want ErrUnreachable", err)
 		}
 	})
@@ -222,7 +222,7 @@ func transportConformance(t *testing.T, h harness) {
 	t.Run("SendAfterClose", func(t *testing.T) {
 		eps := h.endpoints(t, nil, 2)
 		eps[0].Close()
-		if err := eps[0].Send(eps[1].Element(), []byte("x")); !errors.Is(err, ErrClosed) {
+		if err := send(eps[0], eps[1].Element(), []byte("x")); !errors.Is(err, ErrClosed) {
 			t.Errorf("send from a closed endpoint: %v, want ErrClosed", err)
 		}
 	})
@@ -287,9 +287,8 @@ func transportConformance(t *testing.T, h harness) {
 	})
 }
 
-// testFramesReleased sends frames of several sizes, copied (Send) and
-// zero-copy (SendBuf), to a handler that parks every other one past its
-// return, as a mailbox does. Once the parked frames are released and
+// testFramesReleased sends frames of several sizes to a handler that
+// parks every other one past its return, as a mailbox does. Once the parked frames are released and
 // both endpoints closed, no pooled buffer may be left live.
 func testFramesReleased(t *testing.T, h harness) {
 	const frames = 200
@@ -312,18 +311,7 @@ func testFramesReleased(t *testing.T, h harness) {
 	})
 	sizes := []int{1, 900, 70000} // the last is larger than a TCP read window
 	for i := 0; i < frames; i++ {
-		payload := make([]byte, sizes[i%len(sizes)])
-		if i%2 == 0 {
-			if err := src.Send(dst.Element(), payload); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		fb := buf.Get()
-		fb.B = append(fb.B, payload...)
-		err := src.SendBuf(dst.Element(), fb)
-		fb.Release()
-		if err != nil {
+		if err := send(src, dst.Element(), make([]byte, sizes[i%len(sizes)])); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -345,17 +333,17 @@ func testFramesReleased(t *testing.T, h harness) {
 }
 
 // testLossSurfaced kills a connected destination and pumps frames at it
-// until the loss surfaces: the next Send must fail and the loss counter
+// until the loss surfaces: the next SendBuf must fail and the loss counter
 // must have moved — frames are never swallowed.
 func testLossSurfaced(t *testing.T, h harness) {
 	reg := metrics.NewRegistry()
 	eps := h.endpoints(t, reg, 2)
 	a, b := eps[0], eps[1]
 	col := newCollector()
-	b.SetHandler(col.handler)
+	b.SetFrameHandler(col.handler)
 
 	// Establish the connection.
-	if err := a.Send(b.Element(), []byte("warm")); err != nil {
+	if err := send(a, b.Element(), []byte("warm")); err != nil {
 		t.Fatal(err)
 	}
 	col.wait(t, 1)
@@ -369,7 +357,7 @@ func testLossSurfaced(t *testing.T, h harness) {
 	deadline := time.Now().Add(5 * time.Second)
 	var sendErr error
 	for sendErr == nil && time.Now().Before(deadline) {
-		sendErr = a.Send(b.Element(), payload)
+		sendErr = send(a, b.Element(), payload)
 	}
 	if sendErr == nil {
 		t.Fatal("no send error surfaced after destination death: frames were lost silently")
@@ -408,7 +396,7 @@ func startStalledFlow(t *testing.T, src, dst Endpoint) *stalledFlow {
 		all:     make(chan struct{}),
 		sendErr: make(chan error, 1),
 	}
-	dst.SetHandler(func(data []byte) {
+	dst.SetFrameHandler(func(_ *buf.Buffer, data []byte, _ bool) {
 		<-f.release
 		if seq := binary.BigEndian.Uint32(data); int64(seq) != f.got && f.bad == nil {
 			f.bad = fmt.Errorf("frame %d arrived in position %d", seq, f.got)
@@ -422,7 +410,7 @@ func startStalledFlow(t *testing.T, src, dst Endpoint) *stalledFlow {
 		frame := make([]byte, stallFrameSize)
 		for i := uint32(0); i < stallFrames; i++ {
 			binary.BigEndian.PutUint32(frame, i)
-			if err := src.Send(dst.Element(), frame); err != nil {
+			if err := send(src, dst.Element(), frame); err != nil {
 				f.sendErr <- err
 				return
 			}

@@ -373,16 +373,6 @@ type memEndpoint struct {
 
 func (e *memEndpoint) Element() oa.Element { return oa.MemElement(e.id) }
 
-// Send copies data into a pooled frame and sends it; SendBuf is the
-// zero-copy form.
-func (e *memEndpoint) Send(to oa.Element, data []byte) error {
-	fb := buf.Get()
-	fb.B = append(fb.B, data...)
-	err := e.SendBuf(to, fb)
-	fb.Release()
-	return err
-}
-
 func (e *memEndpoint) SendBuf(to oa.Element, b *buf.Buffer) error {
 	if e.closed() {
 		return ErrClosed
@@ -403,11 +393,6 @@ func (e *memEndpoint) closed() bool {
 	default:
 		return false
 	}
-}
-
-func (e *memEndpoint) SetHandler(h Handler) {
-	fh := FrameHandler(func(_ *buf.Buffer, data []byte, _ bool) { h(data) })
-	e.handler.Store(&fh)
 }
 
 func (e *memEndpoint) SetFrameHandler(h FrameHandler) {

@@ -38,7 +38,7 @@ const writerBatch = 64
 // sender and the socket. Senders that arrive while a write is in
 // progress enqueue and return; the writer carries their frames in its
 // next batch. One queue and one socket per destination is what makes
-// frames from one endpoint reach the destination in Send order.
+// frames from one endpoint reach the destination in SendBuf order.
 //
 // Inbound, every accepted connection (one per remote endpoint) gets its
 // own read loop delivering frames in pooled ref-counted buffers.
@@ -134,9 +134,9 @@ type tcpConn struct {
 	mu      sync.Mutex
 	space   sync.Cond     // on mu: the queue shrank, or the endpoint closed
 	conn    net.Conn      // nil until dialed, and again after a failure or Close
-	queue   []*buf.Buffer // frames not yet handed to the kernel, in Send order
+	queue   []*buf.Buffer // frames not yet handed to the kernel, in SendBuf order
 	writing bool          // a sender is draining queue
-	dropped uint64        // frames lost since the last report; surfaced on the next Send
+	dropped uint64        // frames lost since the last report; surfaced on the next SendBuf
 
 	// Writer scratch, touched only by the sender holding writing. out is
 	// the copy of iov that writev consumes.
@@ -146,11 +146,6 @@ type tcpConn struct {
 }
 
 func (e *tcpEndpoint) Element() oa.Element { return e.elem }
-
-func (e *tcpEndpoint) SetHandler(h Handler) {
-	fh := FrameHandler(func(_ *buf.Buffer, data []byte, _ bool) { h(data) })
-	e.handler.Store(&fh)
-}
 
 func (e *tcpEndpoint) SetFrameHandler(h FrameHandler) {
 	e.handler.Store(&h)
@@ -281,16 +276,6 @@ func frameLen(b []byte) int {
 		return 0
 	}
 	return int(binary.BigEndian.Uint32(b))
-}
-
-// Send copies data into a pooled frame and queues it; SendBuf is the
-// zero-copy form.
-func (e *tcpEndpoint) Send(to oa.Element, data []byte) error {
-	fb := buf.Get()
-	fb.B = append(fb.B, data...)
-	err := e.SendBuf(to, fb)
-	fb.Release()
-	return err
 }
 
 // SendBuf delivers one frame (the whole of b.B). A destination made by

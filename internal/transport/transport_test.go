@@ -5,9 +5,19 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/buf"
 	"repro/internal/metrics"
 	"repro/internal/oa"
 )
+
+// send copies data into a pooled frame and sends it from ep.
+func send(ep Endpoint, to oa.Element, data []byte) error {
+	fb := buf.Get()
+	fb.B = append(fb.B, data...)
+	err := ep.SendBuf(to, fb)
+	fb.Release()
+	return err
+}
 
 // collector accumulates received messages behind a lock and signals
 // arrivals on a channel.
@@ -21,8 +31,8 @@ func newCollector() *collector {
 	return &collector{ch: make(chan struct{}, 1024)}
 }
 
-func (c *collector) handler(data []byte) {
-	// The Handler contract only lends the buffer for the call; copy.
+func (c *collector) handler(_ *buf.Buffer, data []byte, _ bool) {
+	// The frame is only lent for the call; copy.
 	c.mu.Lock()
 	c.msgs = append(c.msgs, append([]byte(nil), data...))
 	c.mu.Unlock()
@@ -46,16 +56,26 @@ func (c *collector) wait(t *testing.T, n int) [][]byte {
 	return out
 }
 
+// TestFabricCopiesBuffer: a delayed delivery keeps the frame's bytes
+// on its own reference, so the receiver sees them as sent even after
+// the sender released its buffer and the pool handed storage out again.
 func TestFabricCopiesBuffer(t *testing.T) {
 	f := NewFabric(nil)
 	defer f.Close()
+	f.SetLatency(10 * time.Millisecond)
 	a, _ := f.NewEndpoint()
 	b, _ := f.NewEndpoint()
 	col := newCollector()
-	b.SetHandler(col.handler)
-	buf := []byte("original")
-	a.Send(b.Element(), buf)
-	copy(buf, "MUTATED!")
+	b.SetFrameHandler(col.handler)
+	fb := buf.Get()
+	fb.B = append(fb.B, "original"...)
+	if err := a.SendBuf(b.Element(), fb); err != nil {
+		t.Fatal(err)
+	}
+	fb.Release()
+	reused := buf.Get()
+	reused.B = append(reused.B, "MUTATED!"...)
+	defer reused.Release()
 	msgs := col.wait(t, 1)
 	if string(msgs[0]) != "original" {
 		t.Errorf("sender mutation visible to receiver: %q", msgs[0])
@@ -66,10 +86,10 @@ func TestFabricUnreachable(t *testing.T) {
 	f := NewFabric(nil)
 	defer f.Close()
 	a, _ := f.NewEndpoint()
-	if err := a.Send(oa.MemElement(9999), []byte("x")); err != ErrUnreachable {
+	if err := send(a, oa.MemElement(9999), []byte("x")); err != ErrUnreachable {
 		t.Errorf("err = %v, want ErrUnreachable", err)
 	}
-	if err := a.Send(oa.Element{Type: oa.TypeIP}, []byte("x")); err != ErrUnreachable {
+	if err := send(a, oa.Element{Type: oa.TypeIP}, []byte("x")); err != ErrUnreachable {
 		t.Errorf("wrong element type: err = %v", err)
 	}
 }
@@ -80,7 +100,7 @@ func TestFabricClosedEndpointUnreachable(t *testing.T) {
 	a, _ := f.NewEndpoint()
 	b, _ := f.NewEndpoint()
 	b.Close()
-	if err := a.Send(b.Element(), []byte("x")); err != ErrUnreachable {
+	if err := send(a, b.Element(), []byte("x")); err != ErrUnreachable {
 		t.Errorf("err = %v, want ErrUnreachable", err)
 	}
 	if f.Endpoints() != 1 {
@@ -94,15 +114,15 @@ func TestFabricPartition(t *testing.T) {
 	a, _ := f.NewEndpoint()
 	b, _ := f.NewEndpoint()
 	col := newCollector()
-	b.SetHandler(col.handler)
+	b.SetFrameHandler(col.handler)
 	aID, _ := oa.MemID(a.Element())
 	bID, _ := oa.MemID(b.Element())
 	f.Block(aID, bID)
-	if err := a.Send(b.Element(), []byte("x")); err != ErrUnreachable {
+	if err := send(a, b.Element(), []byte("x")); err != ErrUnreachable {
 		t.Fatalf("partitioned send err = %v", err)
 	}
 	f.Unblock(aID, bID)
-	if err := a.Send(b.Element(), []byte("y")); err != nil {
+	if err := send(a, b.Element(), []byte("y")); err != nil {
 		t.Fatal(err)
 	}
 	col.wait(t, 1)
@@ -116,9 +136,9 @@ func TestFabricLoss(t *testing.T) {
 	a, _ := f.NewEndpoint()
 	b, _ := f.NewEndpoint()
 	col := newCollector()
-	b.SetHandler(col.handler)
+	b.SetFrameHandler(col.handler)
 	for i := 0; i < 10; i++ {
-		if err := a.Send(b.Element(), []byte("x")); err != nil {
+		if err := send(a, b.Element(), []byte("x")); err != nil {
 			t.Fatal(err) // loss is silent, not an error
 		}
 	}
@@ -139,9 +159,9 @@ func TestFabricLatency(t *testing.T) {
 	a, _ := f.NewEndpoint()
 	b, _ := f.NewEndpoint()
 	col := newCollector()
-	b.SetHandler(col.handler)
+	b.SetFrameHandler(col.handler)
 	start := time.Now()
-	a.Send(b.Element(), []byte("x"))
+	send(a, b.Element(), []byte("x"))
 	col.wait(t, 1)
 	if d := time.Since(start); d < 25*time.Millisecond {
 		t.Errorf("delivered in %v, want >= ~30ms", d)
@@ -153,7 +173,7 @@ func TestFabricManyMessagesConcurrent(t *testing.T) {
 	defer f.Close()
 	dst, _ := f.NewEndpoint()
 	col := newCollector()
-	dst.SetHandler(col.handler)
+	dst.SetFrameHandler(col.handler)
 	const senders, per = 8, 100
 	var wg sync.WaitGroup
 	for s := 0; s < senders; s++ {
@@ -162,7 +182,7 @@ func TestFabricManyMessagesConcurrent(t *testing.T) {
 		go func(ep Endpoint) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				ep.Send(dst.Element(), []byte{byte(i)})
+				send(ep, dst.Element(), []byte{byte(i)})
 			}
 		}(ep)
 	}
@@ -196,13 +216,13 @@ func TestTCPBidirectionalAndReuse(t *testing.T) {
 	eps := tcpHarness.endpoints(t, reg, 2)
 	a, b := eps[0], eps[1]
 	colA, colB := newCollector(), newCollector()
-	a.SetHandler(colA.handler)
-	b.SetHandler(colB.handler)
+	a.SetFrameHandler(colA.handler)
+	b.SetFrameHandler(colB.handler)
 	for i := 0; i < 20; i++ {
-		if err := a.Send(b.Element(), []byte("ping")); err != nil {
+		if err := send(a, b.Element(), []byte("ping")); err != nil {
 			t.Fatal(err)
 		}
-		if err := b.Send(a.Element(), []byte("pong")); err != nil {
+		if err := send(b, a.Element(), []byte("pong")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -219,8 +239,8 @@ func TestTCPRedialAfterPeerRestart(t *testing.T) {
 	eps := tcpHarness.endpoints(t, reg, 2)
 	a, b := eps[0], eps[1]
 	col := newCollector()
-	b.SetHandler(col.handler)
-	if err := a.Send(b.Element(), []byte("1")); err != nil {
+	b.SetFrameHandler(col.handler)
+	if err := send(a, b.Element(), []byte("1")); err != nil {
 		t.Fatal(err)
 	}
 	col.wait(t, 1)
@@ -230,20 +250,20 @@ func TestTCPRedialAfterPeerRestart(t *testing.T) {
 	// First send may fail (cached conn broken + listener gone): either
 	// an error now or success into a void is acceptable, but it must
 	// not hang or panic.
-	a.Send(b.Element(), []byte("2"))
-	a.Send(b.Element(), []byte("3"))
+	send(a, b.Element(), []byte("2"))
+	send(a, b.Element(), []byte("3"))
 }
 
 func TestTCPRejectsOversizeFrame(t *testing.T) {
 	reg := metrics.NewRegistry()
 	eps := tcpHarness.endpoints(t, reg, 2)
 	a, b := eps[0], eps[1]
-	if err := a.Send(b.Element(), []byte("fits")); err != nil {
+	if err := send(a, b.Element(), []byte("fits")); err != nil {
 		t.Fatal(err)
 	}
 	wantDials(t, reg)
 	huge := make([]byte, maxFrame+1)
-	if err := a.Send(b.Element(), huge); err == nil {
+	if err := send(a, b.Element(), huge); err == nil {
 		t.Error("oversize frame accepted")
 	}
 }
@@ -253,7 +273,7 @@ func TestFabricSendAfterFabricClose(t *testing.T) {
 	a, _ := f.NewEndpoint()
 	b, _ := f.NewEndpoint()
 	f.Close()
-	if err := a.Send(b.Element(), []byte("x")); err != ErrClosed {
+	if err := send(a, b.Element(), []byte("x")); err != ErrClosed {
 		t.Errorf("err = %v, want ErrClosed", err)
 	}
 }
