@@ -22,17 +22,14 @@ func corrupt(rng *rand.Rand, valid []byte) []byte {
 	return buf
 }
 
-// TestUnmarshalNeverPanics feeds the message decoder random and
-// corrupted inputs: it must return errors, never panic or hang. A node
-// receiving garbage off the network must survive it.
+// TestUnmarshalNeverPanics feeds the frame decoder random and
+// corrupted inputs and reads every field of what it accepts: it must
+// return errors, never panic or hang. A node receiving garbage off the
+// network must survive it.
 func TestUnmarshalNeverPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	valid := (&Message{
-		Kind: KindRequest, ID: 7, Target: loid.NewNoKey(256, 1),
-		Method:  "GetBinding",
-		ReplyTo: oa.Single(oa.MemElement(3)),
-		Args:    [][]byte{String("x"), Uint64(9)},
-	}).Marshal(nil)
+	valid := AppendRequest(nil, KindRequest, 7, loid.NewNoKey(256, 1), "GetBinding", &Env{},
+		oa.Single(oa.MemElement(3)), [][]byte{String("x"), Uint64(9)})
 	for i := 0; i < 10000; i++ {
 		var buf []byte
 		if i%2 == 0 {
@@ -47,7 +44,10 @@ func TestUnmarshalNeverPanics(t *testing.T) {
 					t.Fatalf("panic on input %x: %v", buf, r)
 				}
 			}()
-			Unmarshal(buf)
+			var f Frame
+			if f.Parse(buf) == nil {
+				reencode(&f)
+			}
 		}()
 	}
 }

@@ -16,8 +16,7 @@ import (
 // fixed-width field at a fixed offset so a receiver can route a frame
 // (kind, id, code, target) by reading a handful of words, and decodes
 // the variable sections lazily as views into the received buffer: no
-// method-string copy, no argument copies, no Message allocation on the
-// hot path.
+// method-string copy and no argument copies on the hot path.
 //
 //	offset  size  field
 //	0       2     magic 0x4C47
@@ -363,18 +362,6 @@ func (f *Frame) ReplyToElem(i int) oa.Element {
 	return e
 }
 
-// ReplyToAddress materializes the full reply Object Address.
-func (f *Frame) ReplyToAddress() oa.Address {
-	a := oa.Address{Semantic: f.replySem, K: f.replyK}
-	if f.nReply > 0 {
-		a.Elements = make([]oa.Element, f.nReply)
-		for i := range a.Elements {
-			a.Elements[i] = f.ReplyToElem(i)
-		}
-	}
-	return a
-}
-
 // NumArgs returns the argument count.
 func (f *Frame) NumArgs() int { return f.nArgs }
 
@@ -384,18 +371,6 @@ func (f *Frame) Arg(i int) []byte {
 	off := f.argOff[i]
 	n := binary.BigEndian.Uint32(f.data[off:])
 	return f.data[off+4 : off+4+n]
-}
-
-// CopyArgs returns owned copies of all arguments (nil when none).
-func (f *Frame) CopyArgs() [][]byte {
-	if f.nArgs == 0 {
-		return nil
-	}
-	out := make([][]byte, f.nArgs)
-	for i := range out {
-		out[i] = append([]byte(nil), f.Arg(i)...)
-	}
-	return out
 }
 
 // ArgViews appends views of all arguments to dst (borrow semantics:
@@ -416,7 +391,7 @@ func putLOID(b []byte, l loid.LOID) {
 }
 
 // appendV4 emits one v4 frame. It is the single encoder behind
-// AppendRequest, AppendReply, and Message.AppendMarshal.
+// AppendRequest and AppendReply.
 func appendV4(dst []byte, kind Kind, id uint64, code Code, target loid.LOID,
 	method string, env *Env, replyTo oa.Address, errText string, args [][]byte) []byte {
 	if len(method) > maxMethodLen {
@@ -458,9 +433,9 @@ func appendV4(dst []byte, kind Kind, id uint64, code Code, target loid.LOID,
 	return dst
 }
 
-// AppendRequest emits a v4 request (or one-way, per kind) without
-// building a Message: the invocation fast path marshals straight from
-// its inputs into the destination buffer.
+// AppendRequest emits a v4 request (or one-way, per kind): the
+// invocation path marshals straight from its inputs into the
+// destination buffer.
 func AppendRequest(dst []byte, kind Kind, id uint64, target loid.LOID,
 	method string, env *Env, replyTo oa.Address, args [][]byte) []byte {
 	return appendV4(dst, kind, id, 0, target, method, env, replyTo, "", args)

@@ -6,108 +6,76 @@ import (
 	"testing"
 
 	"repro/internal/buf"
-	"repro/internal/oa"
 )
 
 // TestFrameLazyAccessorsV4 checks every lazy accessor against the
-// eager Message decode of the same v4 bytes.
+// inputs the frame was built from.
 func TestFrameLazyAccessorsV4(t *testing.T) {
-	m := sampleRequest()
-	m.Env.Deadline = 777
-	m.Env.TraceID, m.Env.SpanID, m.Env.ParentSpanID = 1, 2, 3
-	data := m.Marshal(nil)
+	env := sampleEnv
+	env.Deadline = 777
+	env.TraceID, env.SpanID, env.ParentSpanID = 1, 2, 3
+	data := sampleRequest(env)
 
 	var f Frame
 	if err := f.Parse(data); err != nil {
 		t.Fatal(err)
 	}
-	if f.Kind != m.Kind || f.ID != m.ID || f.Code != m.Code {
+	if f.Kind != KindRequest || f.ID != 42 || f.Code != OK {
 		t.Fatalf("eager fields mismatch: %+v", f)
 	}
-	if f.Target() != m.Target {
-		t.Errorf("Target = %v, want %v", f.Target(), m.Target)
+	if f.Target() != sampleTarget {
+		t.Errorf("Target = %v, want %v", f.Target(), sampleTarget)
 	}
-	if f.TargetID() != m.Target.Ident() {
-		t.Errorf("TargetID = %v, want %v", f.TargetID(), m.Target.Ident())
+	if f.TargetID() != sampleTarget.Ident() {
+		t.Errorf("TargetID = %v, want %v", f.TargetID(), sampleTarget.Ident())
 	}
-	if f.Env() != m.Env {
-		t.Errorf("Env = %+v, want %+v", f.Env(), m.Env)
+	if f.Deadline() != 777 || f.TraceID() != 1 || f.SpanID() != 2 || f.ParentSpanID() != 3 {
+		t.Errorf("deadline/trace = %d %d %d %d", f.Deadline(), f.TraceID(), f.SpanID(), f.ParentSpanID())
 	}
-	if f.EnvCalling() != m.Env.Calling {
+	if f.Env() != env {
+		t.Errorf("Env = %+v, want %+v", f.Env(), env)
+	}
+	if f.EnvCalling() != env.Calling {
 		t.Errorf("EnvCalling = %v", f.EnvCalling())
 	}
-	if string(f.MethodBytes()) != m.Method || f.Method() != m.Method {
-		t.Errorf("method = %q, want %q", f.Method(), m.Method)
+	if string(f.MethodBytes()) != "GetBinding" || f.Method() != "GetBinding" {
+		t.Errorf("method = %q, want GetBinding", f.Method())
 	}
-	if !f.ReplyToAddress().Equal(m.ReplyTo) {
-		t.Errorf("ReplyTo = %v, want %v", f.ReplyToAddress(), m.ReplyTo)
-	}
-	if f.ReplyToLen() != 1 || f.ReplyToElem(0) != m.ReplyTo.Elements[0] {
+	if !f.HasReplyTo() || f.ReplyToLen() != 1 || f.ReplyToElem(0) != sampleReplyTo.Elements[0] {
 		t.Errorf("ReplyToElem = %v", f.ReplyToElem(0))
 	}
-	if f.NumArgs() != 2 || !bytes.Equal(f.Arg(0), m.Args[0]) || !bytes.Equal(f.Arg(1), m.Args[1]) {
+	if f.NumArgs() != 2 || !bytes.Equal(f.Arg(0), sampleArgs[0]) || !bytes.Equal(f.Arg(1), sampleArgs[1]) {
 		t.Errorf("args mismatch")
 	}
 	views := f.ArgViews(nil)
-	if len(views) != 2 || !bytes.Equal(views[0], m.Args[0]) {
+	if len(views) != 2 || !bytes.Equal(views[0], sampleArgs[0]) {
 		t.Errorf("ArgViews mismatch")
 	}
-	// Views alias the input; copies must not.
-	if &data[0:1][0] != &data[0] {
-		t.Fatal("sanity")
-	}
-	copies := f.CopyArgs()
+	// Views alias the input.
 	data[len(data)-1] ^= 0xFF // corrupt the last arg byte in place
-	if bytes.Equal(f.Arg(1), copies[1]) {
-		t.Error("Arg must alias the frame bytes; CopyArgs must not")
+	if bytes.Equal(f.Arg(1), sampleArgs[1]) {
+		t.Error("Arg must alias the frame bytes")
 	}
 }
 
 // TestFrameRejectsLegacyVersions pins that v4 is the only version
-// spoken: a frame under a retired v2 or v3 header is refused by both
-// decoders, not misread as v4.
+// spoken: a frame under a retired v2 or v3 header is refused, not
+// misread as v4.
 func TestFrameRejectsLegacyVersions(t *testing.T) {
 	for _, ver := range []byte{2, 3} {
-		data := sampleRequest().Marshal(nil)
+		data := sampleRequest(sampleEnv)
 		data[2] = ver
 		var f Frame
 		if err := f.Parse(data); err == nil || !strings.Contains(err.Error(), "unsupported version") {
 			t.Errorf("v%d: Parse = %v, want unsupported version", ver, err)
 		}
-		if _, err := Unmarshal(data); err == nil || !strings.Contains(err.Error(), "unsupported version") {
-			t.Errorf("v%d: Unmarshal = %v, want unsupported version", ver, err)
-		}
-	}
-}
-
-// TestAppendRequestMatchesMessage pins the direct builders against the
-// Message encoder: same inputs, byte-identical frames.
-func TestAppendRequestMatchesMessage(t *testing.T) {
-	m := sampleRequest()
-	m.Env.Deadline = 99
-	direct := AppendRequest(nil, m.Kind, m.ID, m.Target, m.Method, &m.Env, m.ReplyTo, m.Args)
-	viaMsg := m.Marshal(nil)
-	if !bytes.Equal(direct, viaMsg) {
-		t.Fatalf("AppendRequest differs from Message.Marshal:\n%x\n%x", direct, viaMsg)
-	}
-}
-
-func TestAppendReplyMatchesMessage(t *testing.T) {
-	req := sampleRequest()
-	rep := req.Reply(ErrApp, "boom", [][]byte{String("r")})
-	rep.ReplyTo = oa.Single(oa.MemElement(4))
-	direct := AppendReply(nil, req.ID, req.Env.Calling, ErrApp, "boom",
-		[][]byte{String("r")}, oa.Single(oa.MemElement(4)))
-	viaMsg := rep.Marshal(nil)
-	if !bytes.Equal(direct, viaMsg) {
-		t.Fatalf("AppendReply differs from Message.Marshal:\n%x\n%x", direct, viaMsg)
 	}
 }
 
 // TestFrameTruncationsAllVersions runs the truncation sweep against the
 // lazy parser for the one accepted version, v4.
 func TestFrameTruncationsAllVersions(t *testing.T) {
-	data := sampleRequest().Marshal(nil)
+	data := sampleRequest(sampleEnv)
 	for n := 0; n < len(data); n++ {
 		var f Frame
 		if err := f.Parse(data[:n]); err == nil {
@@ -122,7 +90,7 @@ func TestFrameTruncationsAllVersions(t *testing.T) {
 
 func TestFrameOwnership(t *testing.T) {
 	b := buf.Get()
-	b.B = sampleRequest().Marshal(b.B)
+	b.B = append(b.B, sampleRequest(sampleEnv)...)
 	f := GetFrame()
 	if err := f.Parse(b.B); err != nil {
 		t.Fatal(err)
@@ -165,7 +133,7 @@ func TestInternMethod(t *testing.T) {
 // TestParseZeroAlloc pins the hot-path property the whole PR is built
 // on: parsing a small v4 request must not allocate.
 func TestParseZeroAlloc(t *testing.T) {
-	data := sampleRequest().Marshal(nil)
+	data := sampleRequest(sampleEnv)
 	f := GetFrame()
 	defer f.Close()
 	allocs := testing.AllocsPerRun(100, func() {
@@ -182,21 +150,11 @@ func TestParseZeroAlloc(t *testing.T) {
 }
 
 func BenchmarkParseFrameV4(b *testing.B) {
-	data := sampleRequest().Marshal(nil)
+	data := sampleRequest(sampleEnv)
 	var f Frame
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if err := f.Parse(data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkUnmarshalEager(b *testing.B) {
-	data := sampleRequest().Marshal(nil)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Unmarshal(data); err != nil {
 			b.Fatal(err)
 		}
 	}

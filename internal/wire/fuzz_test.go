@@ -20,24 +20,25 @@ type seedFrame struct {
 // seedFrames are the valid frames FuzzParseFrame seeds from, one per
 // shape; testdata/frames.golden pins their bytes.
 func seedFrames() []seedFrame {
-	req := sampleRequest()
-	req.Env.Deadline = 123
-	req.Env.TraceID, req.Env.SpanID, req.Env.ParentSpanID = 7, 8, 9
-	rep := req.Reply(ErrApp, "boom", [][]byte{String("result")})
-	rep.ReplyTo = oa.Single(oa.MemElement(3))
-	oneway := &Message{Kind: KindOneWay, Target: loid.NewNoKey(9, 9), Method: "Notify"}
-	noargs := &Message{Kind: KindRequest, ID: 1, Target: loid.NewNoKey(2, 3), Method: "Ping",
-		ReplyTo: oa.Single(oa.MemElement(1))}
-	multi := &Message{Kind: KindRequest, ID: 2, Target: loid.NewNoKey(2, 3), Method: "W",
-		ReplyTo: oa.Replicated(oa.SemAll, 0, oa.MemElement(1), oa.MemElement(2), oa.MemElement(3)),
-		Args:    [][]byte{nil, {}, {1}, bytes.Repeat([]byte{0xAB}, 300)}}
+	env := sampleEnv
+	env.Deadline = 123
+	env.TraceID, env.SpanID, env.ParentSpanID = 7, 8, 9
+	multiArgs := [][]byte{nil, {}, {1}, bytes.Repeat([]byte{0xAB}, 300)}
 	return []seedFrame{
-		{"request", req.Marshal(nil)},
-		{"reply", rep.Marshal(nil)},
-		{"oneway", oneway.Marshal(nil)},
-		{"noargs", noargs.Marshal(nil)},
-		{"multi", multi.Marshal(nil)},
+		{"request", sampleRequest(env)},
+		{"reply", AppendReply(nil, 42, env.Calling, ErrApp, "boom", [][]byte{String("result")}, oa.Single(oa.MemElement(3)))},
+		{"oneway", AppendRequest(nil, KindOneWay, 0, loid.NewNoKey(9, 9), "Notify", &Env{}, oa.Address{}, nil)},
+		{"noargs", AppendRequest(nil, KindRequest, 1, loid.NewNoKey(2, 3), "Ping", &Env{}, oa.Single(oa.MemElement(1)), nil)},
+		{"multi", AppendRequest(nil, KindRequest, 2, loid.NewNoKey(2, 3), "W", &Env{},
+			oa.Replicated(oa.SemAll, 0, oa.MemElement(1), oa.MemElement(2), oa.MemElement(3)), multiArgs)},
 	}
+}
+
+// reencode builds a frame anew from every field a parsed frame exposes.
+func reencode(f *Frame) []byte {
+	env := f.Env()
+	return appendV4(nil, f.Kind, f.ID, f.Code, f.Target(), string(f.MethodBytes()), &env,
+		replyTo(f), f.ErrText(), f.ArgViews(nil))
 }
 
 // TestSeedFramesGolden pins the bytes of every frame shape the fuzz
@@ -58,19 +59,19 @@ func TestSeedFramesGolden(t *testing.T) {
 	}
 }
 
-// FuzzParseFrame drives the lazy decoder with arbitrary bytes. The
+// FuzzParseFrame drives the frame decoder with arbitrary bytes. The
 // properties checked:
 //
 //  1. Parse never panics or reads out of bounds (the fuzz engine
-//     catches both).
-//  2. Parse and the eager Unmarshal agree on accept/reject.
-//  3. An accepted frame re-encodes (via the eager Message) to bytes
-//     that are accepted again and decode to the same message — the
-//     decoder cannot "accept" a frame into an unencodable state.
+//     catches both), in Parse itself or in any accessor of a frame it
+//     accepts.
+//  2. An accepted frame re-encodes from its fields to bytes that are
+//     accepted again and decode to the same fields — the decoder
+//     cannot "accept" a frame into an unencodable state.
 //
 // The seed corpus covers v4, the one accepted version, in the three
 // kinds; each seed frame again under a retired v2 and v3 header, which
-// both decoders must refuse; and the corruption shapes the unit tests
+// the decoder must refuse; and the corruption shapes the unit tests
 // probe (truncations, trailing garbage, bad magic/version).
 func FuzzParseFrame(f *testing.F) {
 	seeds := seedFrames()
@@ -95,35 +96,23 @@ func FuzzParseFrame(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var fr Frame
-		perr := fr.Parse(data)
-		m, uerr := Unmarshal(data)
-		if (perr == nil) != (uerr == nil) {
-			t.Fatalf("Parse err=%v but Unmarshal err=%v", perr, uerr)
-		}
-		if perr != nil {
+		if fr.Parse(data) != nil {
 			return
 		}
-		// Lazy and eager views of the accepted frame must agree.
-		if fr.Kind != m.Kind || fr.ID != m.ID || fr.Code != m.Code ||
-			fr.Target() != m.Target || fr.Env() != m.Env ||
-			string(fr.MethodBytes()) != m.Method || fr.ErrText() != m.ErrText ||
-			!fr.ReplyToAddress().Equal(m.ReplyTo) || fr.NumArgs() != len(m.Args) {
-			t.Fatalf("lazy/eager disagree on %x", data)
-		}
-		for i := range m.Args {
-			if !bytes.Equal(fr.Arg(i), m.Args[i]) {
-				t.Fatalf("arg %d disagrees", i)
-			}
-		}
-		// Round-trip: re-encode and decode again.
-		re := m.Marshal(nil)
-		m2, err := Unmarshal(re)
-		if err != nil {
+		var again Frame
+		if err := again.Parse(reencode(&fr)); err != nil {
 			t.Fatalf("re-encoded frame rejected: %v", err)
 		}
-		if m2.Kind != m.Kind || m2.ID != m.ID || m2.Method != m.Method ||
-			m2.Code != m.Code || m2.Env != m.Env || len(m2.Args) != len(m.Args) {
-			t.Fatalf("round-trip mutated the message")
+		if again.Kind != fr.Kind || again.ID != fr.ID || again.Code != fr.Code ||
+			again.Target() != fr.Target() || again.Env() != fr.Env() ||
+			!bytes.Equal(again.MethodBytes(), fr.MethodBytes()) || again.ErrText() != fr.ErrText() ||
+			!replyTo(&again).Equal(replyTo(&fr)) || again.NumArgs() != fr.NumArgs() {
+			t.Fatalf("round-trip mutated the frame %x", data)
+		}
+		for i := 0; i < fr.NumArgs(); i++ {
+			if !bytes.Equal(again.Arg(i), fr.Arg(i)) {
+				t.Fatalf("arg %d mutated", i)
+			}
 		}
 	})
 }

@@ -52,13 +52,10 @@ func TestRetryableCoversAllCodes(t *testing.T) {
 }
 
 func TestDeadlineRoundTrip(t *testing.T) {
-	m := sampleRequest()
-	m.Env.Deadline = 1234567890123456789
-	got, err := Unmarshal(m.Marshal(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Env.Deadline != m.Env.Deadline {
-		t.Fatalf("deadline round-trip: got %d want %d", got.Env.Deadline, m.Env.Deadline)
+	env := sampleEnv
+	env.Deadline = 1234567890123456789
+	f := parse(t, sampleRequest(env))
+	if f.Deadline() != env.Deadline || f.Env().Deadline != env.Deadline {
+		t.Fatalf("deadline round-trip: got %d want %d", f.Deadline(), env.Deadline)
 	}
 }

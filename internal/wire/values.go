@@ -12,8 +12,8 @@ import (
 )
 
 // This file provides the typed argument codec used by method
-// implementations. Arguments travel as opaque byte strings ([][]byte in
-// Message.Args); these helpers give method signatures a compact,
+// implementations. Arguments travel as opaque byte strings (a frame's
+// argument vector); these helpers give method signatures a compact,
 // self-consistent encoding for the types the core objects exchange:
 // strings, integers, booleans, LOIDs, Object Addresses, and bindings.
 

@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"repro/internal/loid"
-	"repro/internal/oa"
 )
 
 // Kind distinguishes the three message shapes.
@@ -124,23 +123,6 @@ type Env struct {
 	ParentSpanID uint64
 }
 
-// Message is one Legion protocol unit.
-type Message struct {
-	Kind   Kind
-	ID     uint64    // request/reply correlation id
-	Target loid.LOID // destination object
-	Method string    // member function name (requests only)
-	Env    Env
-	// ReplyTo is the Object Address of the sender's endpoint, used to
-	// route the reply (requests only).
-	ReplyTo oa.Address
-	// Args carries encoded parameters (requests) or results (replies).
-	Args [][]byte
-	// Code and ErrText describe reply outcomes.
-	Code    Code
-	ErrText string
-}
-
 const (
 	magic = 0x4C47 // "LG"
 	// version is the one frame version emitted and accepted: the
@@ -154,62 +136,3 @@ const maxArgs = 1 << 16
 
 // maxArgLen bounds one argument (16 MiB).
 const maxArgLen = 16 << 20
-
-// Marshal appends the binary encoding of m to dst.
-func (m *Message) Marshal(dst []byte) []byte { return m.AppendMarshal(dst) }
-
-// AppendMarshal appends the binary encoding of m to dst and returns the
-// extended slice. It is the allocation-transparent form used with
-// pooled buffers (package buf).
-func (m *Message) AppendMarshal(dst []byte) []byte {
-	return appendV4(dst, m.Kind, m.ID, m.Code, m.Target, m.Method,
-		&m.Env, m.ReplyTo, m.ErrText, m.Args)
-}
-
-// Unmarshal decodes one message from src; the whole of src must be the
-// message (transports frame messages themselves). It is the eager,
-// copy-everything decode built on the lazy Frame parser — callers that
-// only need a few fields use Frame directly.
-func Unmarshal(src []byte) (*Message, error) {
-	var f Frame
-	if err := f.Parse(src); err != nil {
-		return nil, err
-	}
-	m := &Message{
-		Kind:    f.Kind,
-		ID:      f.ID,
-		Target:  f.Target(),
-		Method:  string(f.MethodBytes()),
-		Env:     f.Env(),
-		ReplyTo: f.ReplyToAddress(),
-		Code:    f.Code,
-		ErrText: f.ErrText(),
-		Args:    f.CopyArgs(),
-	}
-	return m, nil
-}
-
-// ReplyTo builds the reply message for request m with the given outcome.
-func (m *Message) Reply(code Code, errText string, results [][]byte) *Message {
-	return &Message{
-		Kind:    KindReply,
-		ID:      m.ID,
-		Target:  m.Env.Calling,
-		Code:    code,
-		ErrText: errText,
-		Args:    results,
-	}
-}
-
-func (m *Message) String() string {
-	switch m.Kind {
-	case KindRequest:
-		return fmt.Sprintf("req#%d %v.%s(%d args)", m.ID, m.Target, m.Method, len(m.Args))
-	case KindOneWay:
-		return fmt.Sprintf("oneway#%d %v.%s(%d args)", m.ID, m.Target, m.Method, len(m.Args))
-	case KindReply:
-		return fmt.Sprintf("rep#%d %v %s", m.ID, m.Code, m.ErrText)
-	default:
-		return fmt.Sprintf("msg#%d kind%d", m.ID, m.Kind)
-	}
-}

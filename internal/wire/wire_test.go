@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -12,55 +11,69 @@ import (
 	"repro/internal/oa"
 )
 
-func sampleRequest() *Message {
-	return &Message{
-		Kind:   KindRequest,
-		ID:     42,
-		Target: loid.NewNoKey(256, 7),
-		Method: "GetBinding",
-		Env: Env{
-			Responsible: loid.NewNoKey(300, 1),
-			Security:    loid.NewNoKey(300, 2),
-			Calling:     loid.NewNoKey(300, 3),
-		},
-		ReplyTo: oa.Single(oa.MemElement(9)),
-		Args:    [][]byte{String("hello"), Uint64(5)},
+var (
+	sampleTarget = loid.NewNoKey(256, 7)
+	sampleEnv    = Env{
+		Responsible: loid.NewNoKey(300, 1),
+		Security:    loid.NewNoKey(300, 2),
+		Calling:     loid.NewNoKey(300, 3),
 	}
+	sampleReplyTo = oa.Single(oa.MemElement(9))
+	sampleArgs    = [][]byte{String("hello"), Uint64(5)}
+)
+
+// sampleRequest encodes request 42, GetBinding(sampleArgs) on
+// sampleTarget, sent under env from sampleReplyTo.
+func sampleRequest(env Env) []byte {
+	return AppendRequest(nil, KindRequest, 42, sampleTarget, "GetBinding", &env, sampleReplyTo, sampleArgs)
+}
+
+// parse parses data into a fresh Frame, failing t on error.
+func parse(t *testing.T, data []byte) *Frame {
+	t.Helper()
+	var f Frame
+	if err := f.Parse(data); err != nil {
+		t.Fatal(err)
+	}
+	return &f
+}
+
+// replyTo rebuilds a parsed frame's reply-to Object Address.
+func replyTo(f *Frame) oa.Address {
+	a := oa.Address{Semantic: f.replySem, K: f.replyK}
+	for i := 0; i < f.ReplyToLen(); i++ {
+		a.Elements = append(a.Elements, f.ReplyToElem(i))
+	}
+	return a
 }
 
 func TestMessageRoundTrip(t *testing.T) {
-	m := sampleRequest()
-	buf := m.Marshal(nil)
-	got, err := Unmarshal(buf)
-	if err != nil {
-		t.Fatal(err)
+	f := parse(t, sampleRequest(sampleEnv))
+	if f.Kind != KindRequest || f.ID != 42 || f.Target() != sampleTarget || f.Method() != "GetBinding" {
+		t.Errorf("header mismatch: %+v", f)
 	}
-	if got.Kind != m.Kind || got.ID != m.ID || got.Target != m.Target || got.Method != m.Method {
-		t.Errorf("header mismatch: %+v", got)
+	if f.Env() != sampleEnv {
+		t.Errorf("env mismatch: %+v", f.Env())
 	}
-	if got.Env != m.Env {
-		t.Errorf("env mismatch: %+v", got.Env)
+	if got := replyTo(f); !got.Equal(sampleReplyTo) {
+		t.Errorf("reply-to mismatch: %v", got)
 	}
-	if !got.ReplyTo.Equal(m.ReplyTo) {
-		t.Errorf("reply-to mismatch: %v", got.ReplyTo)
-	}
-	if len(got.Args) != 2 || !bytes.Equal(got.Args[0], m.Args[0]) || !bytes.Equal(got.Args[1], m.Args[1]) {
-		t.Errorf("args mismatch: %v", got.Args)
+	if f.NumArgs() != 2 || !bytes.Equal(f.Arg(0), sampleArgs[0]) || !bytes.Equal(f.Arg(1), sampleArgs[1]) {
+		t.Errorf("args mismatch: %v", f.ArgViews(nil))
 	}
 }
 
 func TestReplyRoundTrip(t *testing.T) {
-	req := sampleRequest()
-	rep := req.Reply(ErrDenied, "MayI refused", nil)
-	got, err := Unmarshal(rep.Marshal(nil))
-	if err != nil {
-		t.Fatal(err)
+	from := oa.Single(oa.MemElement(4))
+	f := parse(t, AppendReply(nil, 42, sampleEnv.Calling, ErrDenied, "MayI refused", nil, from))
+	if f.Kind != KindReply || f.ID != 42 || f.Code != ErrDenied || f.ErrText() != "MayI refused" {
+		t.Errorf("reply = %+v", f)
 	}
-	if got.Kind != KindReply || got.ID != req.ID || got.Code != ErrDenied || got.ErrText != "MayI refused" {
-		t.Errorf("reply = %+v", got)
+	if f.Target() != sampleEnv.Calling {
+		t.Errorf("reply target = %v, want calling agent", f.Target())
 	}
-	if got.Target != req.Env.Calling {
-		t.Errorf("reply target = %v, want calling agent", got.Target)
+	if got := replyTo(f); !got.Equal(from) {
+		t.Errorf("responder = %v, want %v", got, from)
 	}
 }
 
@@ -69,22 +82,19 @@ func TestRoundTripProperty(t *testing.T) {
 		if len(args) > 20 {
 			args = args[:20]
 		}
-		m := &Message{
-			Kind: KindRequest, ID: id, Target: loid.NewNoKey(1, 2),
-			Method: method, Args: args, Code: Code(code), ErrText: errText,
-		}
-		got, err := Unmarshal(m.Marshal(nil))
-		if err != nil {
+		var fr Frame
+		data := appendV4(nil, KindRequest, id, Code(code), loid.NewNoKey(1, 2), method, &Env{}, oa.Address{}, errText, args)
+		if fr.Parse(data) != nil {
 			return false
 		}
-		if got.ID != id || got.Method != method || got.Code != Code(code) || got.ErrText != errText {
+		if fr.ID != id || string(fr.MethodBytes()) != method || fr.Code != Code(code) || fr.ErrText() != errText {
 			return false
 		}
-		if len(got.Args) != len(args) {
+		if fr.NumArgs() != len(args) {
 			return false
 		}
 		for i := range args {
-			if !bytes.Equal(got.Args[i], args[i]) {
+			if !bytes.Equal(fr.Arg(i), args[i]) {
 				return false
 			}
 		}
@@ -95,46 +105,52 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestUnmarshalTruncations: every proper prefix of every seed frame
+// shape is refused.
 func TestUnmarshalTruncations(t *testing.T) {
-	buf := sampleRequest().Marshal(nil)
-	for n := 0; n < len(buf); n += 7 {
-		if _, err := Unmarshal(buf[:n]); err == nil {
-			t.Errorf("Unmarshal of %d-byte prefix succeeded", n)
+	for _, s := range seedFrames() {
+		for n := 0; n < len(s.data); n++ {
+			var f Frame
+			if f.Parse(s.data[:n]) == nil {
+				t.Errorf("%s: %d-byte prefix accepted", s.name, n)
+			}
 		}
 	}
 }
 
+// TestUnmarshalTrailingGarbage: a frame must be the whole input, for
+// every seed frame shape.
 func TestUnmarshalTrailingGarbage(t *testing.T) {
-	buf := append(sampleRequest().Marshal(nil), 0xFF)
-	if _, err := Unmarshal(buf); err == nil {
-		t.Error("trailing garbage accepted")
+	for _, s := range seedFrames() {
+		var f Frame
+		if f.Parse(append(append([]byte(nil), s.data...), 0xFF)) == nil {
+			t.Errorf("%s: trailing garbage accepted", s.name)
+		}
 	}
 }
 
 func TestUnmarshalBadMagicVersion(t *testing.T) {
-	buf := sampleRequest().Marshal(nil)
-	bad := append([]byte(nil), buf...)
+	data := sampleRequest(sampleEnv)
+	var f Frame
+	bad := append([]byte(nil), data...)
 	bad[0] = 0xFF
-	if _, err := Unmarshal(bad); err == nil {
+	if f.Parse(bad) == nil {
 		t.Error("bad magic accepted")
 	}
-	bad = append([]byte(nil), buf...)
+	bad = append([]byte(nil), data...)
 	bad[2] = 99
-	if _, err := Unmarshal(bad); err == nil {
+	if f.Parse(bad) == nil {
 		t.Error("bad version accepted")
 	}
 }
 
 // TestV3TraceFieldsRoundTrip checks the trace triple survives encoding.
 func TestV3TraceFieldsRoundTrip(t *testing.T) {
-	m := sampleRequest()
-	m.Env.TraceID, m.Env.SpanID, m.Env.ParentSpanID = 0xAAA1, 0xBBB2, 0xCCC3
-	got, err := Unmarshal(m.Marshal(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Env.TraceID != 0xAAA1 || got.Env.SpanID != 0xBBB2 || got.Env.ParentSpanID != 0xCCC3 {
-		t.Errorf("trace ids did not round-trip: %+v", got.Env)
+	env := sampleEnv
+	env.TraceID, env.SpanID, env.ParentSpanID = 0xAAA1, 0xBBB2, 0xCCC3
+	got := parse(t, sampleRequest(env)).Env()
+	if got.TraceID != 0xAAA1 || got.SpanID != 0xBBB2 || got.ParentSpanID != 0xCCC3 {
+		t.Errorf("trace ids did not round-trip: %+v", got)
 	}
 }
 
@@ -148,16 +164,6 @@ func TestCodeString(t *testing.T) {
 		if code.String() != want {
 			t.Errorf("Code(%d).String() = %q, want %q", code, code.String(), want)
 		}
-	}
-}
-
-func TestMessageString(t *testing.T) {
-	if s := sampleRequest().String(); !strings.Contains(s, "GetBinding") {
-		t.Errorf("String = %q", s)
-	}
-	rep := sampleRequest().Reply(OK, "", nil)
-	if s := rep.String(); !strings.Contains(s, "rep#42") {
-		t.Errorf("String = %q", s)
 	}
 }
 
