@@ -15,12 +15,14 @@ test:
 	$(GO) test ./...
 
 # The fast-path packages (sharded binding cache, lock-slimmed rt,
-# pooled transports) plus the durability layer (checkpoint loop vs
+# pooled transports, the frame codec and the tracer: CI's invocation
+# path race step) plus the durability layer (checkpoint loop vs
 # dispatch vs failover) are the ones worth paying the race detector for.
 race:
 	$(GO) test -race ./internal/binding ./internal/rt ./internal/transport \
-		./internal/persist ./internal/magistrate ./internal/sched ./internal/host \
-		./internal/obs ./internal/metrics ./internal/debughttp
+		./internal/wire ./internal/trace ./internal/persist ./internal/magistrate \
+		./internal/sched ./internal/host ./internal/obs ./internal/metrics \
+		./internal/debughttp
 
 # Crash-recovery smoke: the chaos/recovery tests and a quick E18 run
 # (host failover, churn with checkpoints, full -data-dir restart).

@@ -849,17 +849,7 @@ func (m *Magistrate) ForgetHosts() {
 // HostRecovered re-admits a restarted host to the jurisdiction (the
 // simulator's restart path; production hosts re-register via AddHost).
 func (m *Magistrate) HostRecovered(h loid.LOID, addr oa.Address) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for i := range m.hosts {
-		if m.hosts[i].l.SameObject(h) {
-			m.hosts[i].addr = addr
-			m.seedHost(h, addr)
-			return
-		}
-	}
-	m.hosts = append(m.hosts, hostEntry{l: h, addr: addr})
-	m.seedHost(h, addr)
+	m.addHost(context.Background(), h, addr)
 }
 
 func (m *Magistrate) bindingLocked(l loid.LOID, addr oa.Address) binding.Binding {
