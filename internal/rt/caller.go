@@ -438,9 +438,9 @@ func (c *Caller) OneWayAddr(addr oa.Address, target loid.LOID, method string, ar
 	return lastErr
 }
 
-// timerPool recycles the per-wave reply timers; every synchronous call
-// arms one, so allocating a fresh runtime timer per call is measurable
-// on the fast path.
+// timerPool recycles the per-wave reply timers; every call that waits
+// for its reply arms one, so allocating a fresh runtime timer per call
+// is measurable on the fast path.
 var timerPool sync.Pool
 
 func getTimer(d time.Duration) *time.Timer {
@@ -542,7 +542,7 @@ func (c *Caller) deliver(ctx context.Context, addr oa.Address, target loid.LOID,
 	sc := span.Context()
 	var one [1]oa.Element
 	var oneWave [1][]oa.Element
-	waves := oneWave[:]
+	var waves [][]oa.Element
 	if len(addr.Elements) == 1 {
 		if res := c.serveCoResident(addr.Elements[0], target, method, args, dlNanos, sc); res != nil {
 			return res, nil
@@ -551,8 +551,12 @@ func (c *Caller) deliver(ctx context.Context, addr oa.Address, target loid.LOID,
 		// elements are shared with every other caller.
 		one[0] = addr.Elements[0]
 		oneWave[0] = one[:]
-	} else if waves = addr.Targets(c.intn); len(waves) == 0 {
-		return nil, fmt.Errorf("%w: empty address", ErrUnbound)
+		waves = oneWave[:]
+	} else {
+		waves = addr.Targets(c.intn)
+		if len(waves) == 0 {
+			return nil, fmt.Errorf("%w: empty address", ErrUnbound)
+		}
 	}
 	var ctxDone <-chan struct{}
 	if ctx != nil {
@@ -598,9 +602,9 @@ func (c *Caller) deliver(ctx context.Context, addr oa.Address, target loid.LOID,
 			last = &Result{Code: wire.ErrUnavailable, ErrText: err.Error()}
 			continue
 		}
-		var repliedBuf [4]bool // reply attribution; wider waves allocate
-		replied := repliedBuf[:min(len(contacted), len(repliedBuf))]
-		if ht != nil && len(contacted) > len(repliedBuf) {
+		var repliedBuf [4]bool // reply attribution, off the heap for small waves
+		replied := repliedBuf[:]
+		if ht != nil && len(contacted) > len(replied) {
 			replied = make([]bool, len(contacted))
 		}
 		var waveLast *Result

@@ -474,9 +474,8 @@ func replyResult(f *wire.Frame) *Result {
 	return res
 }
 
-// replyFrame answers a request frame without materializing a Message:
-// the reply is marshalled straight into a pooled buffer and handed to
-// the transport zero-copy.
+// replyFrame answers a request frame: the reply is marshalled straight
+// into a pooled buffer and handed to the transport zero-copy.
 func (n *Node) replyFrame(req *wire.Frame, code wire.Code, errText string, results [][]byte) {
 	wb := buf.Get()
 	// Stamp the reply with this node's address (the from argument): the
