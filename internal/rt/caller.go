@@ -558,10 +558,10 @@ func (c *Caller) deliver(ctx context.Context, addr oa.Address, target loid.LOID,
 			return nil, fmt.Errorf("%w: empty address", ErrUnbound)
 		}
 	}
+	// The context's done channel is fetched with the first timer: a
+	// deadline context makes it on demand, and a synchronous reply
+	// needs none.
 	var ctxDone <-chan struct{}
-	if ctx != nil {
-		ctxDone = ctx.Done()
-	}
 	ht := c.health.Load()
 	if ht != nil && len(waves) > 1 {
 		sortWavesByHealth(ht, waves)
@@ -616,6 +616,9 @@ func (c *Caller) deliver(ctx context.Context, addr oa.Address, target loid.LOID,
 			default:
 				if timer.ch == nil {
 					timer = c.armTimer(waveTimeout)
+					if ctxDone == nil && ctx != nil {
+						ctxDone = ctx.Done()
+					}
 				}
 				select {
 				case res = <-f.ch:
@@ -656,7 +659,11 @@ func (c *Caller) deliver(ctx context.Context, addr oa.Address, target loid.LOID,
 			}
 			if !wire.Retryable(res.Code) {
 				timer.release()
-				c.node.cancel(f.id)
+				if collected < len(contacted) {
+					// Replies still outstanding keep the pending entry;
+					// the last reply removed it already.
+					c.node.cancel(f.id)
+				}
 				c.node.putFuture(f)
 				return res, nil
 			}
