@@ -16,13 +16,15 @@ test:
 
 # The fast-path packages (sharded binding cache, lock-slimmed rt,
 # pooled transports, the frame codec and the tracer: CI's invocation
-# path race step) plus the durability layer (checkpoint loop vs
-# dispatch vs failover) are the ones worth paying the race detector for.
+# path race step), the durability layer (checkpoint loop vs dispatch vs
+# failover) and the migration + scheduling packages CI races are the
+# ones worth paying the race detector for.
 race:
 	$(GO) test -race ./internal/binding ./internal/rt ./internal/transport \
 		./internal/wire ./internal/trace ./internal/persist ./internal/magistrate \
 		./internal/sched ./internal/host ./internal/obs ./internal/metrics \
-		./internal/debughttp
+		./internal/debughttp ./internal/class ./internal/bindagent \
+		./internal/naming ./internal/core
 
 # Crash-recovery smoke: the chaos/recovery tests and a quick E18 run
 # (host failover, churn with checkpoints, full -data-dir restart).

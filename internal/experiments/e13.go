@@ -33,10 +33,8 @@ func RunE13(scale Scale) (*Table, error) {
 	var lat [2]time.Duration
 	var classLoad [2]uint64
 	for i, subscribed := range []bool{false, true} {
-		// Three hosts so round-robin reactivation usually lands the
-		// object on a *different* host than before: with an even host
-		// count the parity can settle into same-host reactivation and
-		// bindings never actually go stale.
+		// Three hosts, so the rotating re-activation below usually lands
+		// the object on a *different* host than before.
 		s, err := sim.Build(sim.Config{
 			LeafAgents: agents, Clients: agents,
 			HostsPerJurisdiction: 3,
@@ -45,11 +43,6 @@ func RunE13(scale Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		// The disturbance needs reactivation to *move* the object: the
-		// load-aware default would put it right back on the host it
-		// left (its slot is now the emptiest), and no binding would
-		// ever go stale. Oblivious rotation restores the churn.
-		s.Sys.Jurisdictions[0].MagistrateImpl().SetObliviousPlacement(true)
 		cl := s.Classes[0]
 		if subscribed {
 			for _, leaf := range s.Sys.Leaves {
@@ -70,11 +63,20 @@ func RunE13(scale Scale) (*Table, error) {
 		}
 		s.ResetMetrics()
 		mag := magistrate.NewClient(s.Sys.BootClient(), s.Sys.Jurisdictions[0].Magistrate)
+		hosts := s.Sys.Jurisdictions[0].Hosts
 		var total time.Duration
 		refs, failures := 0, 0
 		for r := 0; r < rounds; r++ {
 			target := s.Flat[r%len(s.Flat)]
 			if err := mag.Deactivate(target); err != nil {
+				s.Close()
+				return nil, err
+			}
+			// The disturbance must *move* the object: the load-aware
+			// placement would put it right back on the host it left (its
+			// slot is now the emptiest), and no binding would ever go
+			// stale. The driver re-activates it on a rotating host.
+			if _, err := magistrate.Activate.Call(context.Background(), mag.Ref, target, hosts[r%len(hosts)]); err != nil {
 				s.Close()
 				return nil, err
 			}

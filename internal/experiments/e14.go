@@ -14,9 +14,10 @@ import (
 // RunE14 is the ablation for the scheduling hooks (§3.7, §3.8):
 // "complex scheduling policies are intended to be implemented outside
 // of the Magistrate in Scheduling Agents". With part of the load pinned
-// to one host (simulating externally-placed work), the magistrate's
-// oblivious round-robin keeps stacking objects there, while a
-// least-loaded Scheduling Agent steers new objects away.
+// to one host (simulating externally-placed work), a round-robin
+// Scheduling Agent keeps stacking objects there, while a least-loaded
+// one steers new objects away: the class hook, not the Magistrate,
+// decides.
 func RunE14(scale Scale) (*Table, error) {
 	creates := 12
 	if scale == Full {
@@ -25,12 +26,15 @@ func RunE14(scale Scale) (*Table, error) {
 	const hosts = 3
 	t := &Table{
 		ID:      "E14",
-		Title:   "Ablation: Scheduling Agents vs magistrate default placement (§3.7, §3.8)",
-		Claim:   "scheduling policy lives outside the Magistrate: a least-loaded Scheduling Agent consulted through the class hook balances placement that the Magistrate's oblivious default cannot",
+		Title:   "Ablation: placement policy in Scheduling Agents (§3.7, §3.8)",
+		Claim:   "scheduling policy lives outside the Magistrate: swapping the Scheduling Agent the class hook consults, round-robin for least-loaded, balances placement with no change to the Magistrate",
 		Columns: []string{"policy", "creates", "pinned-host objects", "max host objects", "min host objects", "imbalance"},
 	}
 	var imbalances []float64
-	for _, policy := range []string{"magistrate round-robin", "least-loaded agent"} {
+	for _, policy := range []struct{ name, impl string }{
+		{"round-robin agent", core.SchedRoundRobinImpl},
+		{"least-loaded agent", core.SchedLeastLoadedImpl},
+	} {
 		s, err := sim.Build(sim.Config{
 			HostsPerJurisdiction: hosts,
 			Classes:              1, ObjectsPerClass: 1, Clients: 1, Seed: 31,
@@ -40,24 +44,17 @@ func RunE14(scale Scale) (*Table, error) {
 		}
 		cl := s.Classes[0]
 		juris := s.Sys.Jurisdictions[0]
-		// The baseline is the *oblivious* magistrate of the ablation:
-		// rotate blindly, see nothing. (The production default is now
-		// load-aware — which is itself the policy the agent arm used to
-		// demonstrate — so the contrast needs the knob.)
-		juris.MagistrateImpl().SetObliviousPlacement(true)
-		if policy == "least-loaded agent" {
-			agent, err := s.Sys.NewSchedulingAgent(core.SchedLeastLoadedImpl)
-			if err != nil {
-				s.Close()
-				return nil, err
-			}
-			if _, err := class.SetDefaultSchedulingAgent.Call(context.Background(), cl.Ref, agent); err != nil {
-				s.Close()
-				return nil, err
-			}
+		agent, err := s.Sys.NewSchedulingAgent(policy.impl)
+		if err != nil {
+			s.Close()
+			return nil, err
+		}
+		if _, err := class.SetDefaultSchedulingAgent.Call(context.Background(), cl.Ref, agent); err != nil {
+			s.Close()
+			return nil, err
 		}
 		// Pin a third of the load onto host 0 — work placed by someone
-		// else that an oblivious policy cannot see.
+		// else that a round-robin policy cannot see.
 		pinned := creates / 3
 		for i := 0; i < pinned; i++ {
 			if _, _, err := cl.Create(nil, juris.Magistrate, juris.Hosts[0]); err != nil {
@@ -91,7 +88,7 @@ func RunE14(scale Scale) (*Table, error) {
 		imbalance := float64(maxL) / float64(minL+1)
 		imbalances = append(imbalances, imbalance)
 		t.Rows = append(t.Rows, []string{
-			policy,
+			policy.name,
 			fmt.Sprintf("%d", creates),
 			fmt.Sprintf("%d", loads[0]),
 			fmt.Sprintf("%d", maxL),

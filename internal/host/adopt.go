@@ -9,20 +9,19 @@ import (
 	"repro/internal/wire"
 )
 
-// adoptObjects is the bulk-adoption intake: a Magistrate recovering a
-// crashed host ships the dead host's entire resident set as one
-// snapshot stream (persist.EncodeSnapshot) and this host starts all of
-// them in one call, instead of the per-object StartObject round trips
-// the original E18 path pays.
+// adoptObjects is the adoption intake, the one way lost objects come
+// back: a Magistrate recovering a crashed host ships the lost set as one
+// OPR batch (persist.EncodeOPRBatch, the format CheckpointBatch carries
+// the other way) and this host starts all of them in one call.
 //
 // The call is all-or-nothing: if any object fails to start, everything
 // adopted by THIS call is killed again and the error is returned — the
-// Magistrate then falls back to per-OPR reactivation, which can spread
-// the objects across several hosts. Objects already running here are
-// counted as adopted (idempotent, same as StartObject), and are not
-// torn down by a later failure in the same call.
+// Magistrate then offers the set to its next host. Objects already
+// running here are counted as adopted (idempotent, same as
+// StartObject), and are not torn down by a later failure in the same
+// call.
 func (h *Host) adoptObjects(_ context.Context, blob []byte) (uint64, error) {
-	_, oprs, err := persist.DecodeSnapshot(blob)
+	oprs, err := persist.DecodeOPRBatch(blob)
 	if err != nil {
 		return 0, fmt.Errorf("host %v: adopt: %w", h.self, err)
 	}
@@ -58,7 +57,7 @@ func (h *Host) adoptObjects(_ context.Context, blob []byte) (uint64, error) {
 	reg.Counter("host/adoptions").Inc()
 	reg.Counter("host/adopted_objects").Add(uint64(adopted))
 	if span != nil {
-		span.Event("adopt", fmt.Sprintf("%d objects in one snapshot", adopted))
+		span.Event("adopt", fmt.Sprintf("%d objects in one batch", adopted))
 		span.Finish(wire.OK.String())
 	}
 	return uint64(adopted), nil

@@ -3,34 +3,25 @@ package magistrate
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"repro/internal/binding"
 	"repro/internal/host"
 	"repro/internal/loid"
 	"repro/internal/persist"
+	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
-// SetAdoptHook installs a chaos seam fired after the snapshot is
-// exported and before it ships to the chosen target — the exact moment
-// a mid-ship crash would land. Experiments use it to kill the target
-// host deterministically; the shipping failure must then fall back to
-// per-OPR reactivation without losing state or doubling incarnations.
-// Called outside the Magistrate's lock. nil removes it.
+// SetAdoptHook installs a chaos seam fired after an adoption batch is
+// encoded and before it ships to its target host — the exact moment a
+// mid-ship crash would land. Experiments use it to kill the target host
+// deterministically; the batch must then go to the next host without
+// losing state or doubling incarnations. Called outside the
+// Magistrate's lock. nil removes it.
 func (m *Magistrate) SetAdoptHook(h func(target loid.LOID)) {
 	m.mu.Lock()
 	m.adoptHook = h
-	m.mu.Unlock()
-}
-
-// SetBulkAdoption toggles snapshot-shipped recovery after a host
-// failure. On (the default), HostFailed ships the dead host's whole
-// resident set to one survivor in a single AdoptObjects call; off
-// forces the per-OPR reactivation path — the ablation baseline E21
-// measures bulk adoption against.
-func (m *Magistrate) SetBulkAdoption(on bool) {
-	m.mu.Lock()
-	m.noBulk = !on
 	m.mu.Unlock()
 }
 
@@ -98,106 +89,141 @@ func (m *Magistrate) checkpointBatch(_ context.Context, fromHost loid.LOID, blob
 	return uint64(len(accepted)), nil
 }
 
-// bulkAdopt is the fast half of HostFailed recovery: instead of one
-// StartObject round trip per crashed resident (reactivate), the
-// promoted OPRs are exported from the store as one snapshot stream and
-// shipped to a single surviving host in one AdoptObjects call. The
-// records are claimed, and committed, exactly as activateLocal/startOn
-// do one at a time, so concurrent Activate, Deactivate, and Delete
-// calls wait instead of racing a second incarnation into existence.
-// Any failure (no host, export error, the target refuses) releases the
-// claims and falls back to per-OPR reactivation, which can spread the
-// objects across hosts.
-func (m *Magistrate) bulkAdopt(ls []loid.LOID) {
-	span := m.tracer().RootAlways("call", "bulk.adopt", "magistrate")
-	reg := m.reg()
-	t0 := m.now()
+// adoptee is one lost object of an adoption round: its claimed record,
+// the address of the OPR it starts from, and that OPR once read.
+type adoptee struct {
+	rec  *record
+	from persist.PersistentAddress
+	opr  persist.OPR
+}
 
-	// Claim each inert record and collect its OPR address. Records
-	// already active, busy elsewhere, or without a persistent
-	// representation are left to the per-OPR path.
+// claimLost claims those of ls whose records are inert and unclaimed,
+// and returns the ones another actor holds. When it can claim none it
+// waits for a release first, holding no claim itself: abortToSource
+// recovers a record its own MigrateObject has yet to release. Objects
+// active again, or gone from the table, drop out.
+func (m *Magistrate) claimLost(ls []loid.LOID) (batch []adoptee, busy []loid.LOID) {
 	m.mu.Lock()
-	var (
-		ids   []loid.LOID
-		recs  []*record
-		addrs []persist.PersistentAddress
-		rest  []loid.LOID
-	)
-	for _, l := range ls {
-		rec, ok := m.table[l.Ident()]
-		if !ok || rec.active {
-			continue
-		}
-		if rec.busy || rec.oprAddr == "" {
-			rest = append(rest, l)
-			continue
-		}
-		m.claimLocked(rec)
-		ids = append(ids, l)
-		recs = append(recs, rec)
-		addrs = append(addrs, rec.oprAddr)
-	}
-	var target hostEntry
-	var perr error
-	if len(ids) > 0 {
-		target, perr = m.pickHostLocked(loid.Nil)
-		if perr == nil && m.filter != nil {
-			for i, l := range ids {
-				if ferr := m.filter(l, recs[i].impl, target.l); ferr != nil {
-					perr = fmt.Errorf("magistrate %v refuses to adopt %v: %w", m.self, l, ferr)
-					break
-				}
+	defer m.mu.Unlock()
+	for {
+		for _, l := range ls {
+			rec, ok := m.table[l.Ident()]
+			switch {
+			case !ok || rec.active:
+			case rec.busy:
+				busy = append(busy, l)
+			default:
+				m.claimLocked(rec)
+				batch = append(batch, adoptee{rec: rec, from: rec.oprAddr, opr: persist.OPR{LOID: l, Impl: rec.impl}})
 			}
 		}
-	}
-	m.mu.Unlock()
-
-	release := func() {
-		m.mu.Lock()
-		m.releaseLocked(recs...)
-		m.mu.Unlock()
-	}
-	fallback := func(why string, err error) {
-		release()
-		reg.Counter("mag/bulk_adopt_failed").Inc()
-		span.Event("bulk.adopt", fmt.Sprintf("%s: %v; falling back to per-OPR reactivation", why, err))
-		span.Finish(wire.ErrApp.String())
-		m.reactivate(append(ids, rest...))
-	}
-
-	if len(ids) == 0 {
-		release()
-		span.Finish(wire.OK.String())
-		if len(rest) > 0 {
-			m.reactivate(rest)
+		if len(batch) > 0 || len(busy) == 0 {
+			return batch, busy
 		}
+		ls, busy = busy, nil
+		m.cond.Wait()
+	}
+}
+
+// adoptRound starts a claimed batch of lost objects. Each OPR is read
+// from the store (readOPR: a corrupt one restarts its object blank); any
+// other read error leaves only that object inert. The rest ship in one
+// AdoptObjects call to the placement pick. A host whose call fails is
+// not asked again, and the set goes to the next admitted host of the
+// pool (unaskedAdmittedLocked, startFirst's rule). The activation
+// filter is applied per object: a host is sent the part of the set it
+// admits. Whatever no host takes is released inert, for the next
+// Activate.
+func (m *Magistrate) adoptRound(batch []adoptee) {
+	if len(batch) == 0 {
 		return
 	}
-	if perr != nil {
-		fallback("placement", perr)
-		return
+	span := m.tracer().RootAlways("call", "bulk.adopt", "magistrate")
+	t0 := m.now()
+	var pending []adoptee
+	var left []*record
+	for _, a := range batch {
+		opr, err := m.readOPR(a.opr.LOID, a.opr.Impl, a.from)
+		if err != nil {
+			span.Event("bulk.adopt", err.Error())
+			left = append(left, a.rec)
+			continue
+		}
+		a.opr = opr
+		pending = append(pending, a)
 	}
-	blob, err := m.store.ExportSnapshot(addrs)
+
+	var asked []loid.LOID
+	m.mu.Lock()
+	h, err := m.pickHostLocked(loid.Nil)
 	if err != nil {
-		fallback("snapshot export", err)
-		return
+		span.Event("bulk.adopt", err.Error())
 	}
+	for ok := err == nil; ok && len(pending) > 0; h, ok = m.unaskedAdmittedLocked(asked, oprsOf(pending)) {
+		asked = append(asked, h.l)
+		var take, rest []adoptee
+		for _, a := range pending {
+			if m.admitsLocked(h.l, a.opr) {
+				take = append(take, a)
+			} else {
+				rest = append(rest, a)
+			}
+		}
+		if len(take) == 0 {
+			continue
+		}
+		m.mu.Unlock()
+		if m.adoptOn(span, t0, h, take) {
+			pending = rest
+		}
+		m.mu.Lock()
+	}
+	for _, a := range pending {
+		left = append(left, a.rec)
+	}
+	m.releaseLocked(left...)
+	m.mu.Unlock()
+	if len(left) > 0 {
+		span.Finish(wire.ErrApp.String())
+	} else {
+		span.Finish(wire.OK.String())
+	}
+}
+
+// oprsOf returns the OPRs of as.
+func oprsOf(as []adoptee) []persist.OPR {
+	oprs := make([]persist.OPR, len(as))
+	for i, a := range as {
+		oprs[i] = a.opr
+	}
+	return oprs
+}
+
+// adoptOn ships take to h in one AdoptObjects call (persist.EncodeOPRBatch,
+// the format checkpoints travel in). If h starts them all, each object
+// is committed there, exactly as startOn commits one, and its class is
+// told the new address. It reports whether h took the set; if not, the
+// claims stay held for the caller's next host.
+func (m *Magistrate) adoptOn(span *trace.Span, t0 time.Time, h hostEntry, take []adoptee) bool {
+	reg := m.reg()
+	blob := persist.EncodeOPRBatch(oprsOf(take))
 	m.mu.Lock()
 	hook := m.adoptHook
 	m.mu.Unlock()
 	if hook != nil {
-		hook(target.l) // chaos seam: the target may die mid-ship here
+		hook(h.l) // chaos seam: the target may die mid-ship here
 	}
-	hc := m.obj.Caller().To(target.l)
+	hc := m.obj.Caller().To(h.l)
 	adopted, err := host.AdoptObjects.Call(context.Background(), hc, blob)
 	if err != nil {
-		fallback("adopt on "+target.l.String(), err)
-		return
+		reg.Counter("mag/bulk_adopt_failed").Inc()
+		span.Event("bulk.adopt", fmt.Sprintf("adopt on %v: %v", h.l, err))
+		return false
 	}
 
-	// Commit: every shipped object now runs at the target host. A record
-	// that vanished while the adoption was in flight leaves an orphan on
-	// the target; reap it, as startOn does.
+	// Commit: every shipped object now runs at h. A record that vanished
+	// while the adoption was in flight leaves an orphan on h; reap it,
+	// as startOn does.
 	type notice struct {
 		l loid.LOID
 		b binding.Binding
@@ -206,17 +232,18 @@ func (m *Magistrate) bulkAdopt(ls []loid.LOID) {
 		orphans []loid.LOID
 		stale   []persist.PersistentAddress
 	)
-	notices := make([]notice, 0, len(ids))
+	notices := make([]notice, 0, len(take))
 	m.mu.Lock()
-	m.releaseLocked(recs...)
-	for i, l := range ids {
-		s, ok := m.commitStartedLocked(l, recs[i], target.l, target.addr, addrs[i])
+	for _, a := range take {
+		m.releaseLocked(a.rec)
+		l := a.opr.LOID
+		s, ok := m.commitStartedLocked(l, a.rec, h.l, h.addr, a.from)
 		if !ok {
 			orphans = append(orphans, l)
 			continue
 		}
 		stale = append(stale, s[:]...)
-		notices = append(notices, notice{l: l, b: m.bindingLocked(l, target.addr)})
+		notices = append(notices, notice{l: l, b: m.bindingLocked(l, h.addr)})
 	}
 	plane := m.plane
 	m.mu.Unlock()
@@ -227,13 +254,12 @@ func (m *Magistrate) bulkAdopt(ls []loid.LOID) {
 	reg.Counter("mag/bulk_adoptions").Inc()
 	reg.Counter("mag/bulk_adopted_objects").Add(adopted)
 	reg.Histogram("mag/bulk_adopt").Observe(m.since(t0))
-	span.Event("bulk.adopt", fmt.Sprintf("%d objects -> %v", adopted, target.l))
-	span.Finish(wire.OK.String())
+	span.Event("bulk.adopt", fmt.Sprintf("%d objects -> %v", adopted, h.l))
 
-	// Repair the naming chain for each adopted object, as reactivate
-	// does one by one.
+	// Repair the naming chain for each adopted object.
 	for _, n := range notices {
-		noteGeneration(plane, n.l, "adopt", target.l, 0)
+		noteGeneration(plane, n.l, "adopt", h.l, 0)
 		m.notifyClass(context.Background(), n.l, n.b)
 	}
+	return true
 }

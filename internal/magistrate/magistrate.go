@@ -173,13 +173,9 @@ type Magistrate struct {
 	filter ActivationFilter
 
 	// loads holds the newest heartbeat load vector per host
-	// (ReportLoad); lastPick is the placement hysteresis anchor;
-	// oblivious forces the pure rotating-cursor placement of the
-	// pre-load-aware magistrate (ablation baselines and experiments
-	// that need reactivation to move objects between hosts).
-	loads     map[loid.LOID]loadEntry
-	lastPick  loid.LOID
-	oblivious bool
+	// (ReportLoad); lastPick is the placement hysteresis anchor.
+	loads    map[loid.LOID]loadEntry
+	lastPick loid.LOID
 
 	// residents counts, per host, the table's records that are active
 	// there — the placement score's resident term and Loads()'s view.
@@ -195,12 +191,8 @@ type Magistrate struct {
 	// migHook observes migration phase boundaries (test injection).
 	migHook MigrateHook
 
-	// noBulk disables bulk adoption after a host failure, forcing the
-	// per-OPR reactivation path (ablation baseline; see
-	// SetBulkAdoption). Zero value = bulk adoption enabled.
-	noBulk bool
-	// adoptHook observes the moment between snapshot export and
-	// shipping (chaos injection; see SetAdoptHook).
+	// adoptHook observes the moment an adoption batch ships (chaos
+	// injection; see SetAdoptHook).
 	adoptHook func(target loid.LOID)
 
 	// plane is the cluster observability plane this Magistrate feeds
@@ -474,25 +466,34 @@ func (m *Magistrate) activateLocal(ctx context.Context, l, hint loid.LOID) (b bi
 	}
 	m.claimLocked(rec)
 	m.mu.Unlock()
-	opr, err := m.store.Get(oprAddr)
-	if errors.Is(err, persist.ErrCorrupt) {
-		// The representation is damaged (now quarantined by the store).
-		// Availability beats amnesia: bring the object back with empty
-		// state rather than leaving it permanently unactivatable.
-		m.reg().Counter("mag/opr_corrupt").Inc()
-		sp := m.tracer().RootAlways("serve", "opr.corrupt", "magistrate")
-		sp.Event("opr.corrupt", fmt.Sprintf("%v: %v", l, err))
-		sp.Finish(wire.ErrApp.String())
-		opr, err = persist.OPR{LOID: l, Impl: implName}, nil
-	}
+	opr, err := m.readOPR(l, implName, oprAddr)
 	if err != nil {
 		m.mu.Lock()
 		m.releaseLocked(rec)
 		m.mu.Unlock()
-		return binding.Binding{}, true, fmt.Errorf("magistrate %v: opr for %v: %w", m.self, l, err)
+		return binding.Binding{}, true, err
 	}
 	b, err = m.startOn(ctx, l, rec, h, !hint.IsNil(), opr, oprAddr)
 	return b, true, err
+}
+
+// readOPR reads l's OPR at addr. A damaged one (ErrCorrupt; the store
+// has quarantined it) reads as a blank OPR: availability beats amnesia,
+// so the object comes back with empty state rather than staying
+// unactivatable for good.
+func (m *Magistrate) readOPR(l loid.LOID, impl string, addr persist.PersistentAddress) (persist.OPR, error) {
+	opr, err := m.store.Get(addr)
+	if errors.Is(err, persist.ErrCorrupt) {
+		m.reg().Counter("mag/opr_corrupt").Inc()
+		sp := m.tracer().RootAlways("serve", "opr.corrupt", "magistrate")
+		sp.Event("opr.corrupt", fmt.Sprintf("%v: %v", l, err))
+		sp.Finish(wire.ErrApp.String())
+		return persist.OPR{LOID: l, Impl: impl}, nil
+	}
+	if err != nil {
+		return persist.OPR{}, fmt.Errorf("magistrate %v: opr for %v: %w", m.self, l, err)
+	}
+	return opr, nil
 }
 
 // instantiate implements Instantiate: a new object enters the
@@ -548,6 +549,12 @@ func (m *Magistrate) pickAdmittedLocked(l loid.LOID, implName string, hint loid.
 		}
 	}
 	return h, nil
+}
+
+// admitsLocked reports whether the activation filter lets o's object
+// run on h. m.mu held.
+func (m *Magistrate) admitsLocked(h loid.LOID, o persist.OPR) bool {
+	return m.filter == nil || m.filter(o.LOID, o.Impl, h) == nil
 }
 
 // startOn starts rec's object on h from opr, the representation filed
@@ -613,7 +620,7 @@ func (m *Magistrate) startFirst(ctx context.Context, l loid.LOID, h hostEntry, p
 			return h, addr, err
 		}
 		m.mu.Lock()
-		next, ok := m.unaskedAdmittedLocked(l, opr.Impl, asked)
+		next, ok := m.unaskedAdmittedLocked(asked, []persist.OPR{opr})
 		m.mu.Unlock()
 		if !ok {
 			return h, addr, err
@@ -624,16 +631,19 @@ func (m *Magistrate) startFirst(ctx context.Context, l loid.LOID, h hostEntry, p
 }
 
 // unaskedAdmittedLocked returns the first host of the pool that is not
-// in asked and that the activation filter admits for l. m.mu held.
-func (m *Magistrate) unaskedAdmittedLocked(l loid.LOID, implName string, asked []loid.LOID) (hostEntry, bool) {
+// in asked and that the activation filter admits for at least one of
+// oprs: the next host to try, for one object (startFirst) or for an
+// adoption's set (adoptRound). m.mu held.
+func (m *Magistrate) unaskedAdmittedLocked(asked []loid.LOID, oprs []persist.OPR) (hostEntry, bool) {
 	for _, h := range m.hosts {
 		if slices.ContainsFunc(asked, h.l.SameObject) {
 			continue
 		}
-		if m.filter != nil && m.filter(l, implName, h.l) != nil {
-			continue
+		for _, o := range oprs {
+			if m.admitsLocked(h.l, o) {
+				return h, true
+			}
 		}
-		return h, true
 	}
 	return hostEntry{}, false
 }
@@ -716,25 +726,22 @@ func (m *Magistrate) mintBlank(l loid.LOID, impl string) persist.PersistentAddre
 	return a
 }
 
-// recoverLost brings back objects settleLostLocked left inert: with no
-// surviving host it leaves them for the next Activate; otherwise two or
-// more ship to one survivor as a bulk adoption (unless SetBulkAdoption
-// turned that off) and fewer are reactivated one OPR at a time. It is
-// the only way a lost object comes back, and it runs in the background
-// so that a caller still holding a claim never waits on itself.
+// recoverLost brings back objects settleLostLocked left inert, whatever
+// their number. It is the only way a lost object comes back: one
+// background loop whose every round claims the lost records that are
+// still inert (claimLost) and ships them from their OPRs to a surviving
+// host in one AdoptObjects call (adoptRound). Records another actor
+// holds are left to a later round, and what no host takes stays inert
+// for the next Activate. Running in the background, the loop never
+// makes a caller still holding a claim wait on itself.
 func (m *Magistrate) recoverLost(ls []loid.LOID) {
-	m.mu.Lock()
-	survivors := len(m.hosts) > 0
-	bulk := !m.noBulk && len(ls) >= 2
-	m.mu.Unlock()
-	switch {
-	case len(ls) == 0 || !survivors:
-		// Nothing lost, or nowhere to run it: the next Activate will.
-	case bulk:
-		go m.bulkAdopt(ls)
-	default:
-		go m.reactivate(ls)
-	}
+	go func() {
+		for len(ls) > 0 {
+			var batch []adoptee
+			batch, ls = m.claimLost(ls)
+			m.adoptRound(batch)
+		}
+	}()
 }
 
 // HostFailed records the crash of a host (invoked by whatever failure
@@ -746,12 +753,13 @@ func (m *Magistrate) recoverLost(ls []loid.LOID) {
 // every phase boundary and settles the record itself, so settling it
 // here would race it into a second incarnation.
 //
-// If surviving hosts remain, the affected objects are reactivated
-// EAGERLY in the background ("the Magistrate can always activate the
-// object using the information in the OPR", §3.1.1) and the class
-// objects are told the new addresses; callers racing ahead of that
-// heal through the ordinary stale-binding refresh path either way.
-// The affected LOIDs are returned so callers can log or wait on them.
+// The affected objects are then recovered EAGERLY in the background
+// (recoverLost: "the Magistrate can always activate the object using
+// the information in the OPR", §3.1.1), in one adoption per surviving
+// host taken, and the class objects are told the new addresses; callers
+// racing ahead of that heal through the ordinary stale-binding refresh
+// path either way. The affected LOIDs are returned so callers can log
+// or wait on them.
 func (m *Magistrate) HostFailed(h loid.LOID) []loid.LOID {
 	m.mu.Lock()
 	for i, he := range m.hosts {
@@ -777,31 +785,6 @@ func (m *Magistrate) HostFailed(h loid.LOID) []loid.LOID {
 	}
 	m.recoverLost(affected)
 	return affected
-}
-
-// reactivate brings crashed residents back on surviving hosts and
-// repairs the naming chain: each object's class is told the new
-// address (NotifyAddress), which updates the instance row and pushes
-// the fresh binding to subscribed Binding Agents. Failures are left
-// for the refresh path — an object that cannot start now will be
-// retried by the next caller that misses on it.
-func (m *Magistrate) reactivate(ls []loid.LOID) {
-	span := m.tracer().RootAlways("call", "reactivate", "magistrate")
-	reg := m.reg()
-	for _, l := range ls {
-		t0 := m.now()
-		b, known, err := m.activateLocal(context.Background(), l, loid.Nil)
-		if !known || err != nil {
-			span.Event("reactivate", fmt.Sprintf("%v failed: %v", l, err))
-			reg.Counter("mag/reactivate_failed").Inc()
-			continue
-		}
-		reg.Counter("mag/reactivations").Inc()
-		reg.Histogram("mag/reactivate").Observe(m.since(t0))
-		span.Event("reactivate", fmt.Sprintf("%v -> %v", l, b.Address))
-		m.notifyClass(context.Background(), l, b)
-	}
-	span.Finish(wire.OK.String())
 }
 
 // notifyClass tells an object's class object about its new address so
@@ -909,12 +892,6 @@ func (m *Magistrate) pickHostLocked(hint loid.LOID) (hostEntry, error) {
 	}
 	if len(m.hosts) == 1 {
 		return m.hosts[0], nil
-	}
-	if m.oblivious {
-		h := m.hosts[m.rr%len(m.hosts)]
-		m.rr++
-		m.lastPick = h.l
-		return h, nil
 	}
 	now := m.now()
 	var best, last hostEntry

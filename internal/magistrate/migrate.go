@@ -57,18 +57,6 @@ type Placement struct {
 // Called outside the Magistrate's lock.
 type MigrateHook func(phase string, object, src, dest loid.LOID)
 
-// SetObliviousPlacement toggles load-aware placement off: picks fall
-// back to a pure rotating cursor that ignores residency and load, the
-// magistrate's pre-load-aware default. The jurisdiction owner's knob —
-// E13/E14 use it as an ablation baseline and as a churn source (a
-// load-aware magistrate reactivates an object right back onto the host
-// it left, which is correct and therefore useless as a disturbance).
-func (m *Magistrate) SetObliviousPlacement(v bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.oblivious = v
-}
-
 // SetMigrateHook installs the phase observer (test instrumentation).
 func (m *Magistrate) SetMigrateHook(h MigrateHook) {
 	m.mu.Lock()
@@ -369,7 +357,8 @@ func (m *Magistrate) runMigration(ctx context.Context, span *trace.Span, l loid.
 // incarnation. If the source died meanwhile, the record is settled lost
 // — promoting the migration checkpoint when phase 2 wrote one — and
 // recovered, exactly as HostFailed would have done had the record not
-// been busy. The recovery waits for MigrateObject to release the claim.
+// been busy. The recovery's adopt loop waits for MigrateObject to
+// release the claim.
 func (m *Magistrate) abortToSource(l loid.LOID, rec *record, src loid.LOID, srcHC rt.Ref, cause error) error {
 	m.mu.Lock()
 	if m.hostKnownLocked(src) {

@@ -101,8 +101,8 @@ func (w *walker) placed() (ls []loid.LOID, on []loid.LOID) {
 	return ls, on
 }
 
-// settle waits for the background half of HostFailed (reactivation or
-// bulk adoption): every listed object active again, nothing in flight.
+// settle waits for the background half of HostFailed (the adoption
+// loop): every listed object active again, nothing in flight.
 func (w *walker) settle(ls []loid.LOID) {
 	w.t.Helper()
 	m := w.fx.mag
@@ -300,9 +300,9 @@ func (w *walker) migrate(crashAt, side string, cancel bool) {
 	w.settle(append(affected, l))
 }
 
-// hostFailed crashes the fullest host of the pool (bulk adoption needs
-// two residents to ship), recovering with or without bulk adoption.
-func (w *walker) hostFailed(bulk bool) {
+// hostFailed crashes the fullest host of the pool and lets the
+// adoption loop bring its residents back.
+func (w *walker) hostFailed() {
 	in := w.pool()
 	if len(in) < 2 {
 		return
@@ -316,7 +316,6 @@ func (w *walker) hostFailed(bulk bool) {
 		}
 	}
 	m.mu.Unlock()
-	m.SetBulkAdoption(bulk)
 	// The lost objects' callers, whose bindings went stale, re-activate
 	// them while the adoption holds its claims: each activation waits on
 	// a claim and must be woken when the adoption releases it.
@@ -434,8 +433,7 @@ func TestResidentCountsMatchTable(t *testing.T) {
 				{"migrate/src-fails-prepared-abort", func() { w.migrate("prepared", "src", true) }},
 				{"migrate/dest-fails-shipped", func() { w.migrate("shipped", "dest", false) }},
 				{"migrate/dest-fails-republished", func() { w.migrate("republished", "dest", false) }},
-				{"host-failed/per-opr", func() { w.hostFailed(false) }},
-				{"host-failed/bulk", func() { w.hostFailed(true) }},
+				{"host-failed", w.hostFailed}, {"host-failed", w.hostFailed},
 				{"remove-host", w.removeHost},
 				{"host-recovered", w.hostRecovered}, {"host-recovered", w.hostRecovered},
 				{"host-recovered", w.hostRecovered}, {"host-recovered", w.hostRecovered},
@@ -462,7 +460,7 @@ func TestResidentCountsMatchTable(t *testing.T) {
 				w.checkSettled()
 			}
 			// The walk must have gone down every settlement path.
-			for _, c := range []string{"mig/success", "mig/aborts", "mag/reactivations", "mag/bulk_adoptions"} {
+			for _, c := range []string{"mig/success", "mig/aborts", "mag/bulk_adoptions"} {
 				if w.fx.reg.CounterValue(c) == 0 {
 					t.Errorf("walk never exercised %s", c)
 				}

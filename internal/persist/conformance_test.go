@@ -180,38 +180,6 @@ func storeConformance(t *testing.T, open func(t *testing.T, dir string) Store) {
 			}
 		}
 	})
-	t.Run("SnapshotRoundTrip", func(t *testing.T) {
-		// Every built-in backend must export a bulk-adoption snapshot.
-		s := mk(t)
-		var addrs []PersistentAddress
-		for i := 0; i < 4; i++ {
-			a, err := s.Put(OPR{LOID: loid.NewNoKey(256, uint64(i+1)), Impl: "w", State: []byte{byte(i), 0xEE}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			addrs = append(addrs, a)
-		}
-		blob, err := s.ExportSnapshot(addrs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotAddrs, oprs, err := DecodeSnapshot(blob)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(gotAddrs) != len(addrs) || len(oprs) != len(addrs) {
-			t.Fatalf("snapshot decoded %d/%d records, want %d", len(gotAddrs), len(oprs), len(addrs))
-		}
-		for i, o := range oprs {
-			if gotAddrs[i] != addrs[i] || o.State[0] != byte(i) {
-				t.Errorf("snapshot record %d = %s %+v", i, gotAddrs[i], o)
-			}
-		}
-		// Truncation anywhere must be an error, never a partial set.
-		if _, _, err := DecodeSnapshot(blob[:len(blob)-3]); err == nil {
-			t.Error("truncated snapshot decoded without error")
-		}
-	})
 	t.Run("ConcurrentPuts", func(t *testing.T) {
 		s := mk(t)
 		const n = 32
@@ -340,8 +308,8 @@ func storeConformance(t *testing.T, open func(t *testing.T, dir string) Store) {
 	})
 	t.Run("CorruptRecord", func(t *testing.T) {
 		// Bit rot inside a record's bytes on disk is reported as
-		// ErrCorrupt, by Get and by ExportSnapshot (the bulk-adoption
-		// read), so the Magistrate never activates a silently wrong OPR.
+		// ErrCorrupt by Get, the read every activation and adoption
+		// makes, so the Magistrate never activates a silently wrong OPR.
 		dir := t.TempDir()
 		s := open(t, dir)
 		marker := []byte("precious checkpoint bytes")
@@ -354,9 +322,6 @@ func storeConformance(t *testing.T, open func(t *testing.T, dir string) Store) {
 		}
 		if got, err := s.Get(addr); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("Get of a corrupt record = %+v, %v; want ErrCorrupt", got, err)
-		}
-		if _, err := s.ExportSnapshot([]PersistentAddress{addr}); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("ExportSnapshot of a corrupt record = %v, want ErrCorrupt", err)
 		}
 	})
 }

@@ -109,9 +109,6 @@ type Store interface {
 	Delete(addr PersistentAddress) error
 	// List enumerates every persistent address in the store.
 	List() ([]PersistentAddress, error)
-	// ExportSnapshot serialises the OPRs at addrs into one
-	// self-validating stream (EncodeSnapshot): the unit of bulk adoption.
-	ExportSnapshot(addrs []PersistentAddress) ([]byte, error)
 	// Stats is a point-in-time view of the store for the observability
 	// plane.
 	Stats() StoreStats

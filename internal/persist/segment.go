@@ -36,7 +36,6 @@ const (
 	maxSegAddrLen = 4096
 	maxSegPayload = maxStateLen + maxImplLen + 64
 	segFileMagic  = "LSEGV01\n"
-	snapshotMagic = "LSNAPV1\n"
 	segFilePrefix = "seg-"
 	segFileExt    = ".seg"
 )
@@ -142,69 +141,6 @@ func decodeSegRecord(b []byte, prevChain uint32) (segRecord, int, error) {
 	return rec, total, nil
 }
 
-// EncodeSnapshot serialises a set of OPRs (with their persistent
-// addresses) into one self-validating stream: the snapshot magic, a
-// record count, then one put record per OPR with the chain seeded from
-// zero. This is the unit of bulk adoption — a Magistrate ships a failed
-// host's entire resident set to a survivor as one of these.
-func EncodeSnapshot(addrs []PersistentAddress, oprs []OPR) ([]byte, error) {
-	if len(addrs) != len(oprs) {
-		return nil, fmt.Errorf("persist: snapshot addr/opr count mismatch %d != %d", len(addrs), len(oprs))
-	}
-	out := append([]byte(nil), snapshotMagic...)
-	out = binary.BigEndian.AppendUint32(out, uint32(len(oprs)))
-	chain := uint32(0)
-	for i, o := range oprs {
-		out, chain = appendSegRecord(out, segKindPut, addrs[i], o.Marshal(nil), chain)
-	}
-	return out, nil
-}
-
-// DecodeSnapshot validates and decodes a snapshot stream. Any
-// truncation, corruption, or count mismatch is an error — a bulk
-// adoption is all-or-nothing; a partial set would strand objects.
-func DecodeSnapshot(b []byte) ([]PersistentAddress, []OPR, error) {
-	if len(b) < len(snapshotMagic)+4 || string(b[:len(snapshotMagic)]) != snapshotMagic {
-		return nil, nil, fmt.Errorf("%w: bad snapshot header", ErrCorrupt)
-	}
-	count := int(binary.BigEndian.Uint32(b[len(snapshotMagic):]))
-	b = b[len(snapshotMagic)+4:]
-	// Every record is at least a header, so a count the remaining bytes
-	// cannot possibly hold is corruption — reject it before it sizes an
-	// allocation (fuzz-found: a forged count word must not drive a
-	// multi-GB make).
-	if count > len(b)/segRecHdrLen {
-		return nil, nil, fmt.Errorf("%w: snapshot count %d exceeds %d payload bytes", ErrCorrupt, count, len(b))
-	}
-	addrs := make([]PersistentAddress, 0, count)
-	oprs := make([]OPR, 0, count)
-	chain := uint32(0)
-	for i := 0; i < count; i++ {
-		rec, n, err := decodeSegRecord(b, chain)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%w: snapshot record %d: %v", ErrCorrupt, i, err)
-		}
-		if !rec.chainOK {
-			return nil, nil, fmt.Errorf("%w: snapshot record %d: chain broken", ErrCorrupt, i)
-		}
-		if rec.kind != segKindPut {
-			return nil, nil, fmt.Errorf("%w: snapshot record %d: not a put", ErrCorrupt, i)
-		}
-		o, err := Unmarshal(rec.payload)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%w: snapshot record %d: %v", ErrCorrupt, i, err)
-		}
-		addrs = append(addrs, rec.addr)
-		oprs = append(oprs, o)
-		chain = rec.chain
-		b = b[n:]
-	}
-	if len(b) != 0 {
-		return nil, nil, fmt.Errorf("%w: %d trailing snapshot bytes", ErrCorrupt, len(b))
-	}
-	return addrs, oprs, nil
-}
-
 // EncodeOPRBatch frames a set of OPRs for one wire message (the
 // CheckpointBatch RPC): u32 count, then length-prefixed OPR encodings.
 func EncodeOPRBatch(oprs []OPR) []byte {
@@ -237,21 +173,4 @@ func DecodeOPRBatch(b []byte) ([]OPR, error) {
 		return nil, fmt.Errorf("persist: OPR batch: %w", err)
 	}
 	return out, nil
-}
-
-// exportSnapshot is the shared Store.ExportSnapshot: read each OPR
-// through the store's own Get (so per-backend validation applies) and
-// encode the stream.
-func exportSnapshot(s Store, addrs []PersistentAddress) ([]byte, error) {
-	oprs := make([]OPR, 0, len(addrs))
-	kept := make([]PersistentAddress, 0, len(addrs))
-	for _, a := range addrs {
-		o, err := s.Get(a)
-		if err != nil {
-			return nil, fmt.Errorf("persist: snapshot export %s: %w", a, err)
-		}
-		kept = append(kept, a)
-		oprs = append(oprs, o)
-	}
-	return EncodeSnapshot(kept, oprs)
 }

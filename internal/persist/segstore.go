@@ -646,11 +646,6 @@ func (s *SegmentStore) List() ([]PersistentAddress, error) {
 	return out, nil
 }
 
-// ExportSnapshot implements Store.
-func (s *SegmentStore) ExportSnapshot(addrs []PersistentAddress) ([]byte, error) {
-	return exportSnapshot(s, addrs)
-}
-
 // ---- compaction ----
 
 // CompactNow scans sealed segments and rewrites any whose dead fraction

@@ -97,11 +97,6 @@ func (s *MemStore) List() ([]PersistentAddress, error) {
 	return out, nil
 }
 
-// ExportSnapshot implements Store.
-func (s *MemStore) ExportSnapshot(addrs []PersistentAddress) ([]byte, error) {
-	return exportSnapshot(s, addrs)
-}
-
 // Stats implements Store.
 func (s *MemStore) Stats() StoreStats {
 	s.mu.Lock()

@@ -137,11 +137,9 @@ func TestCrashRecoveryWithCheckpoints(t *testing.T) {
 			t.Errorf("%v: count = %d after recovery, want %d (state lost)", l, v, pre[l]+1)
 		}
 	}
-	// The eager background recovery covered every lost object — either
-	// through one snapshot-shipped bulk adoption or per-OPR reactivation.
+	// The eager background recovery adopted every lost object.
 	recovered := func() uint64 {
-		return s.Reg.Counter("mag/reactivations").Value() +
-			s.Reg.Counter("mag/bulk_adopted_objects").Value()
+		return s.Reg.Counter("mag/bulk_adopted_objects").Value()
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
