@@ -755,11 +755,11 @@ func (m *Magistrate) recoverLost(ls []loid.LOID) {
 //
 // The affected objects are then recovered EAGERLY in the background
 // (recoverLost: "the Magistrate can always activate the object using
-// the information in the OPR", §3.1.1), in one adoption per surviving
-// host taken, and the class objects are told the new addresses; callers
-// racing ahead of that heal through the ordinary stale-binding refresh
-// path either way. The affected LOIDs are returned so callers can log
-// or wait on them.
+// the information in the OPR", §3.1.1), normally all on one survivor
+// in one AdoptObjects call, and the class objects are told the new
+// addresses; callers racing ahead of that heal through the ordinary
+// stale-binding refresh path either way. The affected LOIDs are
+// returned so callers can log or wait on them.
 func (m *Magistrate) HostFailed(h loid.LOID) []loid.LOID {
 	m.mu.Lock()
 	for i, he := range m.hosts {
