@@ -520,6 +520,7 @@ func FuzzSegmentRecord(f *testing.F) {
 	f.Add(rec)
 	f.Add(rec2)
 	f.Add(rec[:len(rec)/2])
+	f.Add(EncodeOPRBatch([]OPR{segOPR(2)}))
 	f.Add([]byte(segRecMagic))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		rec, n, err := decodeSegRecord(b, 0)
@@ -534,6 +535,11 @@ func FuzzSegmentRecord(f *testing.F) {
 			if !bytes.Equal(re[:15], b[:15]) || !bytes.Equal(re[segRecHdrLen:n], b[segRecHdrLen:n]) {
 				t.Fatalf("accepted record does not round-trip")
 			}
+		}
+		// The checkpoint batch decoder shares the codec; it must be
+		// equally panic-free.
+		if oprs, berr := DecodeOPRBatch(b); berr != nil && oprs != nil {
+			t.Fatalf("failed batch decode returned %d OPRs", len(oprs))
 		}
 	})
 }
