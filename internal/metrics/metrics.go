@@ -235,12 +235,12 @@ func (h *Histogram) Snapshot() HistStats {
 		s.Buckets[i] = h.buckets[i].Load()
 	}
 	for i := range h.exDur {
+		// ObserveExemplar wins the duration slot before it stores the
+		// trace: a slot whose trace is still 0 names no trace yet.
 		if enc := h.exDur[i].Load(); enc > 0 {
-			s.Exemplars = append(s.Exemplars, Exemplar{
-				Bucket:  i,
-				Dur:     time.Duration(enc - 1),
-				TraceID: h.exTrace[i].Load(),
-			})
+			if tr := h.exTrace[i].Load(); tr != 0 {
+				s.Exemplars = append(s.Exemplars, Exemplar{Bucket: i, Dur: time.Duration(enc - 1), TraceID: tr})
+			}
 		}
 	}
 	if s.Count == 0 {
