@@ -1,0 +1,218 @@
+package magistrate
+
+import (
+	"context"
+	"errors"
+	"testing"
+	"time"
+
+	"repro/internal/binding"
+	"repro/internal/host"
+	"repro/internal/loid"
+	"repro/internal/oa"
+)
+
+// register files an inert counter for each of ids.
+func register(t *testing.T, fx *fixture, ids ...uint64) []loid.LOID {
+	t.Helper()
+	ls := make([]loid.LOID, len(ids))
+	for i, id := range ids {
+		ls[i] = loid.NewNoKey(256, id)
+		if _, err := Register.Call(context.Background(), fx.client.Ref, ls[i], "counter", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ls
+}
+
+// incarnations counts the fixture's hosts that run l.
+func incarnations(fx *fixture, l loid.LOID) int {
+	n := 0
+	for _, h := range fx.hosts {
+		if _, ok := h.Node().Lookup(l); ok {
+			n++
+		}
+	}
+	return n
+}
+
+// checkStarted holds each of ls to one incarnation, on want when want
+// is not nil, and the resident counts to the table.
+func checkStarted(t *testing.T, fx *fixture, ls []loid.LOID, want loid.LOID) {
+	t.Helper()
+	for _, l := range ls {
+		fx.mag.mu.Lock()
+		rec := fx.mag.table[l.Ident()]
+		active, on := rec.active, rec.host
+		fx.mag.mu.Unlock()
+		if !active {
+			t.Errorf("%v is inert", l)
+		} else if !want.IsNil() && !on.SameObject(want) {
+			t.Errorf("%v runs on %v, want %v", l, on, want)
+		}
+		if n := incarnations(fx, l); n != 1 {
+			t.Errorf("%v: %d incarnations, want 1", l, n)
+		}
+	}
+	if err := fx.mag.CheckResidentCounts(); err != nil {
+		t.Error(err)
+	}
+}
+
+// checkInert holds each of ls to an inert, unclaimed record that no
+// host runs, and the resident counts to the table.
+func checkInert(t *testing.T, fx *fixture, ls []loid.LOID) {
+	t.Helper()
+	for _, l := range ls {
+		fx.mag.mu.Lock()
+		rec := fx.mag.table[l.Ident()]
+		active, busy := rec.active, rec.busy
+		fx.mag.mu.Unlock()
+		if active || busy {
+			t.Errorf("%v: active %v, claimed %v; want inert and unclaimed", l, active, busy)
+		}
+		if n := incarnations(fx, l); n != 0 {
+			t.Errorf("%v: %d incarnations, want none", l, n)
+		}
+	}
+	if err := fx.mag.CheckResidentCounts(); err != nil {
+		t.Error(err)
+	}
+}
+
+// silence drops every frame between the Magistrate and host i; host i
+// stays in the pool.
+func silence(t *testing.T, fx *fixture, i int) {
+	t.Helper()
+	a, ok1 := oa.MemID(fx.mag.obj.Node().Element())
+	b, ok2 := oa.MemID(fx.hosts[i].Node().Element())
+	if !ok1 || !ok2 {
+		t.Fatal("not a mem element")
+	}
+	fx.fabric.Block(a, b)
+}
+
+// shortCalls bounds each of the Magistrate's own calls, so a host that
+// never answers costs the test little.
+func shortCalls(fx *fixture) { fx.mag.obj.Caller().Timeout = 100 * time.Millisecond }
+
+// TestStartRound pins the one start round Activate, Instantiate and
+// HostFailed recovery share: each host is sent the part of the set the
+// activation filter admits there; a host that answers with an error is
+// passed over; a host that does not answer ends the round, because the
+// set may still start there.
+func TestStartRound(t *testing.T) {
+	t.Run("per-host-filter", func(t *testing.T) {
+		fx := newFixture(t, 2)
+		refused := fx.hostLs[0]
+		fx.mag.SetFilter(func(_ loid.LOID, _ string, on loid.LOID) error {
+			if on.SameObject(refused) {
+				return errors.New("not on this host")
+			}
+			return nil
+		})
+		ls := register(t, fx, 1, 2, 3, 4)
+		for _, l := range ls {
+			if _, err := fx.client.Activate(l, loid.Nil); err != nil {
+				t.Fatalf("Activate %v: %v", l, err)
+			}
+		}
+		born := loid.NewNoKey(256, 5)
+		if _, err := Instantiate.Call(context.Background(), fx.client.Ref, Instance{born, "counter", nil, loid.Nil}); err != nil {
+			t.Fatalf("Instantiate: %v", err)
+		}
+		checkStarted(t, fx, append(ls, born), fx.hostLs[1])
+	})
+
+	t.Run("refused-start", func(t *testing.T) {
+		fx := newFixture(t, 2)
+		ls := register(t, fx, 1, 2, 3, 4)
+		// One resident on host 0 and two on host 1 make host 0 the pick;
+		// a limit of one puts it at capacity.
+		for i, on := range []int{0, 1, 1} {
+			if _, err := fx.client.Activate(ls[i], fx.hostLs[on]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fx.caller.AddBinding(binding.Forever(fx.hostLs[0], fx.hosts[0].Address()))
+		if _, err := host.SetCPULoad.Call(context.Background(), fx.caller.To(fx.hostLs[0]), 1); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fx.client.Activate(ls[3], loid.Nil); err != nil {
+			t.Fatalf("Activate with the pick at capacity: %v", err)
+		}
+		checkStarted(t, fx, ls[3:], fx.hostLs[1])
+		checkStarted(t, fx, ls[:3], loid.Nil)
+	})
+
+	t.Run("unanswered-activate", func(t *testing.T) {
+		fx := newFixture(t, 2)
+		shortCalls(fx)
+		ls := register(t, fx, 1)
+		silence(t, fx, 0) // the first pick of an empty pool
+		if _, err := fx.client.Activate(ls[0], loid.Nil); err == nil {
+			t.Fatal("Activate succeeded with the pick silent")
+		}
+		checkInert(t, fx, ls)
+		fx.mag.HostFailed(fx.hostLs[0])
+		if _, err := fx.client.Activate(ls[0], loid.Nil); err != nil {
+			t.Fatalf("Activate after HostFailed: %v", err)
+		}
+		checkStarted(t, fx, ls, fx.hostLs[1])
+	})
+
+	t.Run("unanswered-recovery", func(t *testing.T) {
+		fx := newFixture(t, 3)
+		shortCalls(fx)
+		ls := startCounters(t, fx, 0, 3)
+		// One resident on host 2 makes host 1 the recovery target.
+		other := register(t, fx, 99)
+		if _, err := fx.client.Activate(other[0], fx.hostLs[2]); err != nil {
+			t.Fatal(err)
+		}
+		silence(t, fx, 1)
+		fx.hosts[0].CrashResidents()
+		lost := fx.mag.HostFailed(fx.hostLs[0])
+		if len(lost) != len(ls) {
+			t.Fatalf("lost %v, want %d objects", lost, len(ls))
+		}
+		waitRound(t, fx)
+		checkInert(t, fx, ls)
+		if n := fx.hosts[2].Running(); n != 1 {
+			t.Errorf("host 2 runs %d objects, want only its own", n)
+		}
+		if n := fx.reg.CounterValue("mag/bulk_adopt_failed"); n != 1 {
+			t.Errorf("mag/bulk_adopt_failed = %d, want 1", n)
+		}
+		// Released inert, each still starts from its checkpoint.
+		fx.mag.HostFailed(fx.hostLs[1])
+		for k, l := range ls {
+			if v := inc(t, fx, l); v != uint64(k+2) {
+				t.Errorf("object %d: counter = %d, want %d", k, v, k+2)
+			}
+		}
+		checkStarted(t, fx, ls, fx.hostLs[2])
+	})
+}
+
+// waitRound waits until a recovery round has made its one call and
+// released its claims.
+func waitRound(t *testing.T, fx *fixture) {
+	t.Helper()
+	m := fx.mag
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		called := fx.reg.CounterValue("mag/bulk_adopt_failed")+fx.reg.CounterValue("mag/bulk_adoptions") > 0
+		busy := false
+		m.mu.Lock()
+		for _, rec := range m.table {
+			busy = busy || rec.busy
+		}
+		m.mu.Unlock()
+		if called && !busy {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the recovery round never settled")
+		}
+	}
+}
