@@ -124,7 +124,7 @@ func (r *Registry) newSimple(name string) (rt.Impl, error) {
 	e, ok := r.m[name]
 	r.mu.RUnlock()
 	if !ok {
-		return nil, &rt.UnknownImplError{Impl: name}
+		return nil, fmt.Errorf("implreg: unknown implementation %q", name)
 	}
 	return e.f(), nil
 }

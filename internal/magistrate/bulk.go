@@ -3,13 +3,9 @@ package magistrate
 import (
 	"context"
 	"fmt"
-	"time"
 
-	"repro/internal/binding"
-	"repro/internal/host"
 	"repro/internal/loid"
 	"repro/internal/persist"
-	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
@@ -89,20 +85,12 @@ func (m *Magistrate) checkpointBatch(_ context.Context, fromHost loid.LOID, blob
 	return uint64(len(accepted)), nil
 }
 
-// adoptee is one lost object of an adoption round: its claimed record,
-// the address of the OPR it starts from, and that OPR once read.
-type adoptee struct {
-	rec  *record
-	from persist.PersistentAddress
-	opr  persist.OPR
-}
-
 // claimLost claims those of ls whose records are inert and unclaimed,
 // and returns the ones another actor holds. When it can claim none it
 // waits for a release first, holding no claim itself: abortToSource
 // recovers a record its own MigrateObject has yet to release. Objects
 // active again, or gone from the table, drop out.
-func (m *Magistrate) claimLost(ls []loid.LOID) (batch []adoptee, busy []loid.LOID) {
+func (m *Magistrate) claimLost(ls []loid.LOID) (batch []starting, busy []loid.LOID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for {
@@ -114,7 +102,7 @@ func (m *Magistrate) claimLost(ls []loid.LOID) (batch []adoptee, busy []loid.LOI
 				busy = append(busy, l)
 			default:
 				m.claimLocked(rec)
-				batch = append(batch, adoptee{rec: rec, from: rec.oprAddr, opr: persist.OPR{LOID: l, Impl: rec.impl}})
+				batch = append(batch, starting{rec: rec, from: rec.oprAddr, opr: persist.OPR{LOID: l, Impl: rec.impl}})
 			}
 		}
 		if len(batch) > 0 || len(busy) == 0 {
@@ -127,20 +115,18 @@ func (m *Magistrate) claimLost(ls []loid.LOID) (batch []adoptee, busy []loid.LOI
 
 // adoptRound starts a claimed batch of lost objects. Each OPR is read
 // from the store (readOPR: a corrupt one restarts its object blank); any
-// other read error leaves only that object inert. The rest ship in one
-// AdoptObjects call to the placement pick. A host whose call fails is
-// not asked again, and the set goes to the next admitted host of the
-// pool (unaskedAdmittedLocked, startFirst's rule). The activation
-// filter is applied per object: a host is sent the part of the set it
-// admits. Whatever no host takes is released inert, for the next
-// Activate.
-func (m *Magistrate) adoptRound(batch []adoptee) {
+// other read error leaves only that object inert. The rest go to the
+// start round (startSet) with no host hint, the adopt hook firing before
+// each call; whatever no host takes stays inert for the next Activate.
+// The round's calls are counted here, and each object started is
+// announced to its class.
+func (m *Magistrate) adoptRound(batch []starting) {
 	if len(batch) == 0 {
 		return
 	}
 	span := m.tracer().RootAlways("call", "bulk.adopt", "magistrate")
 	t0 := m.now()
-	var pending []adoptee
+	var read []starting
 	var left []*record
 	for _, a := range batch {
 		opr, err := m.readOPR(a.opr.LOID, a.opr.Impl, a.from)
@@ -150,116 +136,35 @@ func (m *Magistrate) adoptRound(batch []adoptee) {
 			continue
 		}
 		a.opr = opr
-		pending = append(pending, a)
+		read = append(read, a)
 	}
-
-	var asked []loid.LOID
 	m.mu.Lock()
-	h, err := m.pickHostLocked(loid.Nil)
+	m.releaseLocked(left...)
+	hook, plane := m.adoptHook, m.plane
+	m.mu.Unlock()
+
+	took, failed, err := m.startSet(context.Background(), read, loid.Nil, hook)
+	reg := m.reg()
+	reg.Counter("mag/bulk_adopt_failed").Add(uint64(failed))
+	reg.Counter("mag/bulk_adoptions").Add(uint64(took))
+	for range took {
+		reg.Histogram("mag/bulk_adopt").Observe(m.since(t0))
+	}
+	adopted := 0
+	for _, a := range read {
+		if !a.on.IsNil() {
+			adopted++
+			noteGeneration(plane, a.opr.LOID, "adopt", a.on, 0)
+			m.notifyClass(context.Background(), a.opr.LOID, a.b)
+		}
+	}
+	reg.Counter("mag/bulk_adopted_objects").Add(uint64(adopted))
 	if err != nil {
 		span.Event("bulk.adopt", err.Error())
 	}
-	for ok := err == nil; ok && len(pending) > 0; h, ok = m.unaskedAdmittedLocked(asked, oprsOf(pending)) {
-		asked = append(asked, h.l)
-		var take, rest []adoptee
-		for _, a := range pending {
-			if m.admitsLocked(h.l, a.opr) {
-				take = append(take, a)
-			} else {
-				rest = append(rest, a)
-			}
-		}
-		if len(take) == 0 {
-			continue
-		}
-		m.mu.Unlock()
-		if m.adoptOn(span, t0, h, take) {
-			pending = rest
-		}
-		m.mu.Lock()
-	}
-	for _, a := range pending {
-		left = append(left, a.rec)
-	}
-	m.releaseLocked(left...)
-	m.mu.Unlock()
-	if len(left) > 0 {
+	if adopted < len(batch) {
 		span.Finish(wire.ErrApp.String())
 	} else {
 		span.Finish(wire.OK.String())
 	}
-}
-
-// oprsOf returns the OPRs of as.
-func oprsOf(as []adoptee) []persist.OPR {
-	oprs := make([]persist.OPR, len(as))
-	for i, a := range as {
-		oprs[i] = a.opr
-	}
-	return oprs
-}
-
-// adoptOn ships take to h in one AdoptObjects call (persist.EncodeOPRBatch,
-// the format checkpoints travel in). If h starts them all, each object
-// is committed there, exactly as startOn commits one, and its class is
-// told the new address. It reports whether h took the set; if not, the
-// claims stay held for the caller's next host.
-func (m *Magistrate) adoptOn(span *trace.Span, t0 time.Time, h hostEntry, take []adoptee) bool {
-	reg := m.reg()
-	blob := persist.EncodeOPRBatch(oprsOf(take))
-	m.mu.Lock()
-	hook := m.adoptHook
-	m.mu.Unlock()
-	if hook != nil {
-		hook(h.l) // chaos seam: the target may die mid-ship here
-	}
-	hc := m.obj.Caller().To(h.l)
-	adopted, err := host.AdoptObjects.Call(context.Background(), hc, blob)
-	if err != nil {
-		reg.Counter("mag/bulk_adopt_failed").Inc()
-		span.Event("bulk.adopt", fmt.Sprintf("adopt on %v: %v", h.l, err))
-		return false
-	}
-
-	// Commit: every shipped object now runs at h. A record that vanished
-	// while the adoption was in flight leaves an orphan on h; reap it,
-	// as startOn does.
-	type notice struct {
-		l loid.LOID
-		b binding.Binding
-	}
-	var (
-		orphans []loid.LOID
-		stale   []persist.PersistentAddress
-	)
-	notices := make([]notice, 0, len(take))
-	m.mu.Lock()
-	for _, a := range take {
-		m.releaseLocked(a.rec)
-		l := a.opr.LOID
-		s, ok := m.commitStartedLocked(l, a.rec, h.l, h.addr, a.from)
-		if !ok {
-			orphans = append(orphans, l)
-			continue
-		}
-		stale = append(stale, s[:]...)
-		notices = append(notices, notice{l: l, b: m.bindingLocked(l, h.addr)})
-	}
-	plane := m.plane
-	m.mu.Unlock()
-	m.drop(stale...)
-	for _, l := range orphans {
-		_, _ = host.KillObject.Call(context.Background(), hc, l)
-	}
-	reg.Counter("mag/bulk_adoptions").Inc()
-	reg.Counter("mag/bulk_adopted_objects").Add(adopted)
-	reg.Histogram("mag/bulk_adopt").Observe(m.since(t0))
-	span.Event("bulk.adopt", fmt.Sprintf("%d objects -> %v", adopted, h.l))
-
-	// Repair the naming chain for each adopted object.
-	for _, n := range notices {
-		noteGeneration(plane, n.l, "adopt", h.l, 0)
-		m.notifyClass(context.Background(), n.l, n.b)
-	}
-	return true
 }

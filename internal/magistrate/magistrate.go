@@ -459,11 +459,6 @@ func (m *Magistrate) activateLocal(ctx context.Context, l, hint loid.LOID) (b bi
 		return b, true, nil
 	}
 	implName, oprAddr := rec.impl, rec.oprAddr
-	h, err := m.pickAdmittedLocked(l, implName, hint)
-	if err != nil {
-		m.mu.Unlock()
-		return binding.Binding{}, true, err
-	}
 	m.claimLocked(rec)
 	m.mu.Unlock()
 	opr, err := m.readOPR(l, implName, oprAddr)
@@ -473,7 +468,7 @@ func (m *Magistrate) activateLocal(ctx context.Context, l, hint loid.LOID) (b bi
 		m.mu.Unlock()
 		return binding.Binding{}, true, err
 	}
-	b, err = m.startOn(ctx, l, rec, h, !hint.IsNil(), opr, oprAddr)
+	b, err = m.startOne(ctx, starting{rec: rec, from: oprAddr, opr: opr}, hint)
 	return b, true, err
 }
 
@@ -524,123 +519,196 @@ func (m *Magistrate) instantiate(ctx context.Context, in Instance) (binding.Bind
 			return b, err
 		}
 	}
-	h, err := m.pickAdmittedLocked(l, implName, hint)
-	if err != nil {
-		m.mu.Unlock()
-		return binding.Binding{}, err
-	}
 	rec := &record{impl: implName}
 	m.table[l.Ident()] = rec
 	m.claimLocked(rec)
 	m.mu.Unlock()
-	return m.startOn(ctx, l, rec, h, !hint.IsNil(), persist.OPR{LOID: l, Impl: implName, State: in.State}, "")
+	return m.startOne(ctx, starting{rec: rec, opr: persist.OPR{LOID: l, Impl: implName, State: in.State}}, hint)
 }
 
-// pickAdmittedLocked picks the host l is to start on (pickHostLocked)
-// and applies the activation filter there. m.mu held.
-func (m *Magistrate) pickAdmittedLocked(l loid.LOID, implName string, hint loid.LOID) (hostEntry, error) {
-	h, err := m.pickHostLocked(hint)
-	if err != nil {
-		return hostEntry{}, err
-	}
-	if m.filter != nil {
-		if ferr := m.filter(l, implName, h.l); ferr != nil {
-			return hostEntry{}, fmt.Errorf("magistrate %v refuses to activate %v: %w", m.self, l, ferr)
-		}
-	}
-	return h, nil
+// starting is one object of a start round: its claimed record, the OPR
+// it starts from and the address that OPR is filed at ("" for a new
+// object: the state Instantiate was handed is filed nowhere). The round
+// sets on and b once the object runs.
+type starting struct {
+	rec  *record
+	from persist.PersistentAddress
+	opr  persist.OPR
+	on   loid.LOID       // the host it started on; nil while it has not
+	b    binding.Binding // its binding there
 }
 
-// admitsLocked reports whether the activation filter lets o's object
-// run on h. m.mu held.
-func (m *Magistrate) admitsLocked(h loid.LOID, o persist.OPR) bool {
-	return m.filter == nil || m.filter(o.LOID, o.Impl, h) == nil
-}
-
-// startOn starts rec's object on h from opr, the representation filed
-// at from, or, when from is "", the state a new object was handed
-// (instantiate), which is filed nowhere. A host that refuses because it
-// lacks the implementation is passed over unless the caller pinned h
-// (see startFirst). rec is claimed by the caller; startOn releases the
-// claim, whatever the outcome, in the critical section that commits the
-// started object, so no other actor (HostFailed above all) sees it
-// placed yet still claimed. A new object that fails to start leaves the
-// table in that same critical section: with nothing filed, no actor may
-// ever see it inert.
-func (m *Magistrate) startOn(ctx context.Context, l loid.LOID, rec *record, h hostEntry, pinned bool, opr persist.OPR, from persist.PersistentAddress) (binding.Binding, error) {
-	h, addr, err := m.startFirst(ctx, l, h, pinned, opr)
-	m.mu.Lock()
-	m.releaseLocked(rec)
-	if err != nil {
-		if from == "" && m.table[l.Ident()] == rec {
-			delete(m.table, l.Ident())
-		}
-		m.mu.Unlock()
-		return binding.Binding{}, fmt.Errorf("magistrate %v: start %v on %v: %w", m.self, l, h.l, err)
+// startOne starts one claimed object and returns its binding: the tail
+// Activate and Instantiate share.
+func (m *Magistrate) startOne(ctx context.Context, s starting, hint loid.LOID) (binding.Binding, error) {
+	set := []starting{s}
+	if _, _, err := m.startSet(ctx, set, hint, nil); set[0].on.IsNil() {
+		return binding.Binding{}, err
 	}
-	stale, ok := m.commitStartedLocked(l, rec, h.l, addr, from)
-	if !ok {
-		m.mu.Unlock()
-		// Reaping is cleanup, not the caller's work: no deadline.
-		_, _ = host.KillObject.Call(context.Background(), m.obj.Caller().To(h.l), l)
-		return binding.Binding{}, fmt.Errorf("magistrate %v: object %v deleted during activation", m.self, l)
-	}
-	b := m.bindingLocked(l, addr)
-	plane := m.plane
-	m.mu.Unlock()
-	m.drop(stale[:]...)
-	if from == "" {
+	l, on, plane := s.opr.LOID, set[0].on, m.Plane()
+	if s.from == "" {
 		// A new object is registered only once it runs: a failed
 		// Instantiate leaves no generation behind.
-		noteGeneration(plane, l, "register", loid.Nil, len(opr.State))
+		noteGeneration(plane, l, "register", loid.Nil, len(s.opr.State))
 	}
-	noteGeneration(plane, l, "activate", h.l, len(opr.State))
+	noteGeneration(plane, l, "activate", on, len(s.opr.State))
 	if plane != nil {
-		plane.Record(obs.KindActivate, l.ID().String(), "started on "+h.l.String(), trace.FromContext(ctx).TraceID)
+		plane.Record(obs.KindActivate, l.ID().String(), "started on "+on.String(), trace.FromContext(ctx).TraceID)
 	}
-	return b, nil
+	return set[0].b, nil
 }
 
-// startFirst asks h to start l from opr and returns the host that ran
-// it. Hosts need not carry every implementation (a process that joins
-// with only its own code), so a refusal for want of one
-// (wire.ErrUnknownImpl) moves on: each admitted host of the pool not yet
-// asked is tried once, in pool order, before the refusal is returned. A
-// host the caller named by hint is pinned and has no fallback.
-func (m *Magistrate) startFirst(ctx context.Context, l loid.LOID, h hostEntry, pinned bool, opr persist.OPR) (hostEntry, oa.Address, error) {
-	asked := []loid.LOID{h.l}
-	for {
-		addr, err := host.StartObject.Call(ctx, m.obj.Caller().To(h.l), l, opr.Impl, opr.State)
+// startSet is the one start round: Activate, Instantiate and HostFailed
+// recovery all take objects from Inert to Active through it (§3.1.1). It
+// asks the hinted host only, or else the placement pick and then each
+// host of the pool not yet asked that the activation filter admits for
+// part of what is left, in pool order. Each host is sent the part of
+// the set the filter admits there, in one call (startOn).
+//
+// A host that answers with an error started nothing (AdoptObjects is
+// all or nothing) and is passed over, as is one that has left the pool.
+// A call that gets no answer from a host still in the pool ends the
+// round: the set may yet start there, and offering it to another host
+// could leave two incarnations.
+//
+// What a host took is committed (commitStartedLocked) and its claim
+// released in one critical section, so no other actor (HostFailed above
+// all) sees it placed yet still claimed; an object whose record left
+// the table meanwhile is reaped. The other claims are released when the
+// round ends, and a new object that did not start leaves the table in
+// that same critical section: with nothing filed, no actor may ever see
+// it inert. hook, when set, runs before each call. startSet returns the
+// number of calls hosts took and the number that failed, and why the
+// last object left over did not start.
+func (m *Magistrate) startSet(ctx context.Context, set []starting, hint loid.LOID, hook func(loid.LOID)) (took, failed int, err error) {
+	pending := make([]*starting, len(set))
+	for i := range set {
+		pending[i] = &set[i]
+	}
+	var (
+		stale   []persist.PersistentAddress
+		orphans [][2]loid.LOID // host, object
+	)
+	m.mu.Lock()
+	h, err := m.pickHostLocked(hint)
+	for asked, ok := []loid.LOID(nil), err == nil; ok && len(pending) > 0; h, ok = m.nextHostLocked(hint, asked, pending) {
+		asked = append(asked, h.l)
+		// The part of the set the filter admits on h moves to the front.
+		n := 0
+		for i, s := range pending {
+			if ferr := m.admitLocked(h.l, s.opr); ferr != nil {
+				err = ferr
+				continue
+			}
+			pending[n], pending[i] = s, pending[n]
+			n++
+		}
+		if n == 0 {
+			continue
+		}
+		take := pending[:n]
+		m.mu.Unlock()
+		if hook != nil {
+			hook(h.l) // chaos seam: the target may die mid-ship here
+		}
+		addr, cerr := m.startOn(ctx, h, take)
+		m.mu.Lock()
+		if cerr != nil {
+			failed++
+			err = fmt.Errorf("magistrate %v: start on %v: %w", m.self, h.l, cerr)
+			if !refused(cerr) && m.hostKnownLocked(h.l) {
+				break
+			}
+			continue
+		}
+		took++
+		pending = pending[n:]
+		for _, s := range take {
+			l := s.opr.LOID
+			m.releaseLocked(s.rec)
+			st, ok := m.commitStartedLocked(l, s.rec, h.l, addr, s.from)
+			if !ok {
+				orphans = append(orphans, [2]loid.LOID{h.l, l})
+				err = fmt.Errorf("magistrate %v: object %v deleted during activation", m.self, l)
+				continue
+			}
+			stale = append(stale, st[:]...)
+			s.on, s.b = h.l, m.bindingLocked(l, addr)
+		}
+	}
+	for _, s := range pending {
+		if id := s.opr.LOID.Ident(); s.from == "" && m.table[id] == s.rec {
+			delete(m.table, id)
+		}
+		m.releaseLocked(s.rec)
+	}
+	m.mu.Unlock()
+	m.drop(stale...)
+	for _, o := range orphans {
+		// Reaping is cleanup, not the caller's work: no deadline.
+		_, _ = host.KillObject.Call(context.Background(), m.obj.Caller().To(o[0]), o[1])
+	}
+	return took, failed, err
+}
+
+// startOn asks h to start take in one call: a set of one by StartObject,
+// its state passed as is; a larger one as one persist.EncodeOPRBatch in
+// one AdoptObjects call, which is all or nothing. It returns the address
+// the objects run at.
+func (m *Magistrate) startOn(ctx context.Context, h hostEntry, take []*starting) (oa.Address, error) {
+	hc := m.obj.Caller().To(h.l)
+	if len(take) == 1 {
+		o := take[0].opr
+		addr, err := host.StartObject.Call(ctx, hc, o.LOID, o.Impl, o.State)
 		if addr.Equal(h.addr) {
 			// Objects run at their host's address: the record shares the
 			// pool entry's copy instead of keeping one each.
 			addr = h.addr
 		}
-		if pinned || !rt.IsCode(err, wire.ErrUnknownImpl) {
-			return h, addr, err
-		}
-		m.mu.Lock()
-		next, ok := m.unaskedAdmittedLocked(asked, []persist.OPR{opr})
-		m.mu.Unlock()
-		if !ok {
-			return h, addr, err
-		}
-		h = next
-		asked = append(asked, h.l)
+		return addr, err
 	}
+	oprs := make([]persist.OPR, len(take))
+	for i, s := range take {
+		oprs[i] = s.opr
+	}
+	_, err := host.AdoptObjects.Call(ctx, hc, persist.EncodeOPRBatch(oprs))
+	return h.addr, err
 }
 
-// unaskedAdmittedLocked returns the first host of the pool that is not
-// in asked and that the activation filter admits for at least one of
-// oprs: the next host to try, for one object (startFirst) or for an
-// adoption's set (adoptRound). m.mu held.
-func (m *Magistrate) unaskedAdmittedLocked(asked []loid.LOID, oprs []persist.OPR) (hostEntry, bool) {
+// refused reports whether err is a host's answer, after which it has
+// started nothing, rather than a call that got none (ErrUnavailable, a
+// deadline, a transport error), after which it still may.
+func refused(err error) bool {
+	var re *rt.ResultError
+	return errors.As(err, &re) && re.Code != wire.ErrUnavailable && re.Code != wire.ErrDeadlineExceeded
+}
+
+// admitLocked applies the activation filter to o's object on h: nil
+// admits it. m.mu held.
+func (m *Magistrate) admitLocked(h loid.LOID, o persist.OPR) error {
+	if m.filter == nil {
+		return nil
+	}
+	if err := m.filter(o.LOID, o.Impl, h); err != nil {
+		return fmt.Errorf("magistrate %v refuses to activate %v: %w", m.self, o.LOID, err)
+	}
+	return nil
+}
+
+// nextHostLocked returns the first host of the pool not in asked that
+// the activation filter admits for at least one of left: the next host
+// of a start round, which has none when it is pinned to a hinted host.
+// m.mu held.
+func (m *Magistrate) nextHostLocked(hint loid.LOID, asked []loid.LOID, left []*starting) (hostEntry, bool) {
+	if !hint.IsNil() {
+		return hostEntry{}, false
+	}
 	for _, h := range m.hosts {
 		if slices.ContainsFunc(asked, h.l.SameObject) {
 			continue
 		}
-		for _, o := range oprs {
-			if m.admitsLocked(h.l, o) {
+		for _, s := range left {
+			if m.admitLocked(h.l, s.opr) == nil {
 				return h, true
 			}
 		}
@@ -737,7 +805,7 @@ func (m *Magistrate) mintBlank(l loid.LOID, impl string) persist.PersistentAddre
 func (m *Magistrate) recoverLost(ls []loid.LOID) {
 	go func() {
 		for len(ls) > 0 {
-			var batch []adoptee
+			var batch []starting
 			batch, ls = m.claimLost(ls)
 			m.adoptRound(batch)
 		}

@@ -164,10 +164,10 @@ func (w *walker) instantiate() {
 }
 
 // instantiateFails runs an Instantiate that must fail and leave nothing:
-// impl "refused" is turned away by the walk's activation filter before
-// any record exists; impl "absent" passes the filter but no host can
-// start it, so its record is inserted and must leave with the claim.
-// With withdrawn set, the hinted host has just left the pool.
+// impl "refused" is turned away by the walk's activation filter on every
+// host; impl "absent" passes the filter but no host can start it. Either
+// way its record is inserted and must leave with the claim. With
+// withdrawn set, the hinted host has just left the pool.
 func (w *walker) instantiateFails(impl string, withdrawn bool) {
 	in := w.pool()
 	if len(in) < 2 {

@@ -157,17 +157,6 @@ type NoSuchMethodError struct{ Method string }
 
 func (e *NoSuchMethodError) Error() string { return fmt.Sprintf("no such method %q", e.Method) }
 
-// UnknownImplError reports that an object was asked to instantiate an
-// implementation its registry lacks — a Host Object whose process does
-// not carry that code. A Dispatch error wrapping it replies
-// wire.ErrUnknownImpl, so the caller can place the object elsewhere
-// without matching error text.
-type UnknownImplError struct{ Impl string }
-
-func (e *UnknownImplError) Error() string {
-	return fmt.Sprintf("implreg: unknown implementation %q", e.Impl)
-}
-
 // Behavior is a map-based Impl for objects defined as a set of handler
 // functions. Save/Restore may be nil for stateless objects.
 type Behavior struct {

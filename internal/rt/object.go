@@ -1,7 +1,6 @@
 package rt
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -436,10 +435,6 @@ func (o *Object) dispatch(r *serveRec, method string, span *trace.Span) (wire.Co
 	if err != nil {
 		if _, ok := err.(*NoSuchMethodError); ok {
 			return wire.ErrNoSuchMethod, err.Error(), nil
-		}
-		var ue *UnknownImplError
-		if errors.As(err, &ue) {
-			return wire.ErrUnknownImpl, err.Error(), nil
 		}
 		return wire.ErrApp, err.Error(), results
 	}

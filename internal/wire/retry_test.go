@@ -7,11 +7,11 @@ import "testing"
 // list — and therefore to decide its retryability explicitly.
 var allCodes = []Code{
 	OK, ErrApp, ErrNoSuchMethod, ErrNoSuchObject, ErrDenied,
-	ErrUnavailable, ErrBadRequest, ErrDeadlineExceeded, ErrUnknownImpl,
+	ErrUnavailable, ErrBadRequest, ErrDeadlineExceeded,
 }
 
 // lastCode is the highest defined Code. Bump it when adding a code.
-const lastCode = ErrUnknownImpl
+const lastCode = ErrDeadlineExceeded
 
 func TestRetryableCoversAllCodes(t *testing.T) {
 	if int(lastCode)+1 != len(allCodes) {
@@ -26,7 +26,6 @@ func TestRetryableCoversAllCodes(t *testing.T) {
 		ErrUnavailable:      true,
 		ErrBadRequest:       false,
 		ErrDeadlineExceeded: false, // definitive: the budget is gone, a retry cannot restore it
-		ErrUnknownImpl:      false, // definitive for this host; the Magistrate tries another
 	}
 	for _, c := range allCodes {
 		w, ok := want[c]

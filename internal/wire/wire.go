@@ -51,10 +51,6 @@ const (
 	// before the method could run (or before a reply arrived). The
 	// answer is definitive — retrying cannot help, the budget is gone.
 	ErrDeadlineExceeded Code = 7
-	// ErrUnknownImpl: the target was asked to instantiate an
-	// implementation it does not have (a Host Object whose registry
-	// lacks it). Definitive for this target; another host may have it.
-	ErrUnknownImpl Code = 8
 )
 
 // Retryable reports reply codes that mean "try another replica or a
@@ -68,7 +64,7 @@ func Retryable(c Code) bool {
 		// The endpoint no longer hosts the target / could not be
 		// reached: another replica or a refreshed binding may succeed.
 		return true
-	case OK, ErrApp, ErrNoSuchMethod, ErrDenied, ErrBadRequest, ErrDeadlineExceeded, ErrUnknownImpl:
+	case OK, ErrApp, ErrNoSuchMethod, ErrDenied, ErrBadRequest, ErrDeadlineExceeded:
 		// The target answered (or the budget is spent): definitive.
 		return false
 	default:
@@ -96,8 +92,6 @@ func (c Code) String() string {
 		return "bad-request"
 	case ErrDeadlineExceeded:
 		return "deadline-exceeded"
-	case ErrUnknownImpl:
-		return "unknown-impl"
 	default:
 		return fmt.Sprintf("code%d", uint16(c))
 	}
