@@ -9,10 +9,10 @@ import (
 	"repro/internal/wire"
 )
 
-// SetAdoptHook installs a chaos seam fired after an adoption batch is
-// encoded and before it ships to its target host — the exact moment a
-// mid-ship crash would land. Experiments use it to kill the target host
-// deterministically; the batch must then go to the next host without
+// SetAdoptHook installs a chaos seam fired before each call of a
+// recovery round ships to its target host — the exact moment a mid-ship
+// crash would land. Experiments use it to kill the target host
+// deterministically; the set must then go to the next host without
 // losing state or doubling incarnations. Called outside the
 // Magistrate's lock. nil removes it.
 func (m *Magistrate) SetAdoptHook(h func(target loid.LOID)) {

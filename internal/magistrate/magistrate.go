@@ -797,11 +797,12 @@ func (m *Magistrate) mintBlank(l loid.LOID, impl string) persist.PersistentAddre
 // recoverLost brings back objects settleLostLocked left inert, whatever
 // their number. It is the only way a lost object comes back: one
 // background loop whose every round claims the lost records that are
-// still inert (claimLost) and ships them from their OPRs to a surviving
-// host in one AdoptObjects call (adoptRound). Records another actor
-// holds are left to a later round, and what no host takes stays inert
-// for the next Activate. Running in the background, the loop never
-// makes a caller still holding a claim wait on itself.
+// still inert (claimLost) and starts them from their OPRs on a
+// surviving host through the start round (adoptRound, startSet).
+// Records another actor holds are left to a later round, and what no
+// host takes stays inert for the next Activate. Running in the
+// background, the loop never makes a caller still holding a claim wait
+// on itself.
 func (m *Magistrate) recoverLost(ls []loid.LOID) {
 	go func() {
 		for len(ls) > 0 {
