@@ -239,7 +239,11 @@ func (h *Histogram) Snapshot() HistStats {
 		// trace: a slot whose trace is still 0 names no trace yet.
 		if enc := h.exDur[i].Load(); enc > 0 {
 			if tr := h.exTrace[i].Load(); tr != 0 {
-				s.Exemplars = append(s.Exemplars, Exemplar{Bucket: i, Dur: time.Duration(enc - 1), TraceID: tr})
+				s.Exemplars = append(s.Exemplars, Exemplar{
+					Bucket:  i,
+					Dur:     time.Duration(enc - 1),
+					TraceID: tr,
+				})
 			}
 		}
 	}
