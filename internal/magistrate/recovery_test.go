@@ -140,13 +140,7 @@ func checkRecovered(t *testing.T, fx *fixture, ls []loid.LOID, avoid loid.LOID) 
 		if hostOf[l].SameObject(avoid) {
 			t.Errorf("%v came back on %v", l, avoid)
 		}
-		n := 0
-		for _, h := range fx.hosts {
-			if _, ok := h.Node().Lookup(l); ok {
-				n++
-			}
-		}
-		if n != 1 {
+		if n := incarnations(fx, l); n != 1 {
 			t.Errorf("%v: %d incarnations, want 1", l, n)
 		}
 	}
