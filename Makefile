@@ -42,12 +42,18 @@ migrate-test:
 	$(GO) test -race ./internal/sched ./internal/host ./internal/magistrate
 	$(GO) run ./cmd/legion-bench -quick -run E19
 
-# Observability plane: the lock-free flight recorder and exemplar
-# histograms under the race detector, the debug surface scraped during
-# live churn, the wire'd LQL path, and a quick E20 run (five canned
-# operator queries against a cluster under migration).
+# Observability plane: the one lock-free ring (flight recorder, spans,
+# epochs, remote events) and exemplar histograms under the race
+# detector, the ring's concurrent put/snapshot test on several core
+# counts, the debug surface scraped during live churn, the wire'd LQL
+# path, and a quick E20 run (five canned operator queries against a
+# cluster under migration).
+RING_RUN = TestRingConcurrentPutSnapshot
+
 obs-test:
-	$(GO) test -race ./internal/obs ./internal/metrics ./internal/debughttp
+	$(call check-run,./internal/trace,$(RING_RUN))
+	$(GO) test -race ./internal/obs ./internal/metrics ./internal/debughttp ./internal/trace
+	$(GO) test -race -cpu 1,2,4,8 -run '$(RING_RUN)' ./internal/trace
 	$(GO) test -race -run 'TestLiveLQLOverTheWire' ./internal/sim
 	$(GO) run ./cmd/legion-bench -quick -run E20
 

@@ -119,7 +119,7 @@ func benchParallelInvoke(b *testing.B, srvTr, cliTr transport.Transport, tracer 
 		// The serve-path observer rides along wherever the tracer does
 		// (legiond installs both behind -debug-addr); it must not move
 		// the allocation count.
-		server.SetObserver(obs.NewNodeObserver(metrics.NewRegistry(), obs.NewRecorder("bench", 256), 0))
+		server.SetObserver(obs.NewNodeObserver(metrics.NewRegistry(), obs.NewRecorder("bench")))
 	}
 
 	target := loid.New(700, 1, loid.DeriveKey("bench/parallel"))

@@ -46,9 +46,9 @@ func main() {
 	magIdx := flag.Int("magistrate", 0, "host: index of the jurisdiction to join")
 	dataDir := flag.String("data-dir", "", "core: durable home for the whole system — OPRs, checkpoints, and tables persist here across daemon restarts")
 	ckptEvery := flag.Duration("checkpoint", 0, "checkpoint residents' state this often (0 disables; core and host modes)")
-	loadReport := flag.Duration("load-report", 0, "report host load vectors to the Magistrate this often — feeds load-aware placement and /debug/placements (0 disables; core and host modes)")
+	loadReport := flag.Duration("load-report", 0, "report host load vectors to the Magistrate this often — feeds load-aware placement and the hosts LQL table (0 disables; core and host modes)")
 	storeBackend := flag.String("store", "", "core: jurisdiction storage engine: mem | segment (default: segment with -data-dir, else mem)")
-	debugAddr := flag.String("debug-addr", "", "serve the observability surface (metrics, traces, health, pprof) on this address; empty disables it")
+	debugAddr := flag.String("debug-addr", "", "serve the observability surface (metrics, LQL queries, pprof) on this address; empty disables it")
 	traceSample := flag.Int("trace-sample", trace.DefaultSampleEvery, "trace one invocation in N (1 = every invocation); effective with -debug-addr")
 	flag.Parse()
 
@@ -88,7 +88,7 @@ func main() {
 				Tracer:   opts.Tracer,
 			})
 			if opts.LoadReportEvery == 0 {
-				// /debug/placements is dead air without load reports.
+				// The hosts table is dead air without load reports.
 				opts.LoadReportEvery = time.Second
 			}
 		}
@@ -98,13 +98,7 @@ func main() {
 		}
 		defer sys.Close()
 		if *debugAddr != "" {
-			bound, stopDebug, err := debughttp.Serve(*debugAddr, debughttp.Options{
-				Registry:   opts.Registry,
-				Tracer:     opts.Tracer,
-				Health:     opts.Health,
-				Placements: placementsView(sys),
-				Obs:        opts.Obs,
-			})
+			bound, stopDebug, err := debughttp.Serve(*debugAddr, opts.Obs)
 			if err != nil {
 				log.Fatalf("legiond: debug listener: %v", err)
 			}
@@ -161,11 +155,7 @@ func main() {
 				// Telemetry rides the load report; give it a carrier.
 				remote.LoadReportEvery = time.Second
 			}
-			bound, stopDebug, err := debughttp.Serve(*debugAddr, debughttp.Options{
-				Registry: remote.Reg,
-				Tracer:   remote.Tracer,
-				Obs:      remote.Obs,
-			})
+			bound, stopDebug, err := debughttp.Serve(*debugAddr, remote.Obs)
 			if err != nil {
 				log.Fatalf("legiond: debug listener: %v", err)
 			}
@@ -182,42 +172,6 @@ func main() {
 	default:
 		fmt.Fprintf(os.Stderr, "legiond: unknown mode %q\n", *mode)
 		os.Exit(2)
-	}
-}
-
-// placementsView adapts the in-process Magistrates' load and placement
-// tables into the debug surface's transport-free row types.
-func placementsView(sys *core.System) func() []debughttp.PlacementView {
-	return func() []debughttp.PlacementView {
-		views := make([]debughttp.PlacementView, 0, len(sys.Jurisdictions))
-		for _, j := range sys.Jurisdictions {
-			v := debughttp.PlacementView{Jurisdiction: j.Magistrate.String()}
-			for _, hl := range j.MagistrateImpl().Loads() {
-				v.Hosts = append(v.Hosts, debughttp.PlacementHost{
-					Host:         hl.Host.String(),
-					Residents:    int(hl.Load.Residents),
-					MailboxDepth: int(hl.Load.MailboxDepth),
-					DispatchRate: float64(hl.Load.DispatchRate),
-					CkptDirty:    int(hl.Load.CkptDirty),
-					Score:        hl.Load.Score(),
-					Age:          hl.Age,
-				})
-			}
-			for _, p := range j.MagistrateImpl().Placements() {
-				host := ""
-				if p.Active {
-					host = p.Host.String()
-				}
-				v.Objects = append(v.Objects, debughttp.PlacementObject{
-					Object: p.Object.String(),
-					Impl:   p.Impl,
-					Host:   host,
-					Active: p.Active,
-				})
-			}
-			views = append(views, v)
-		}
-		return views
 	}
 }
 

@@ -53,7 +53,7 @@ func TestCreateFailureLeavesNothing(t *testing.T) {
 // Instantiate are hops of the caller's trace, under its Derive span.
 func TestDeriveTraceCoversInstantiate(t *testing.T) {
 	fx := newFixture(t)
-	tr := trace.New(trace.Config{SampleEvery: 1, Capacity: 1024})
+	tr := trace.New(trace.Config{SampleEvery: 1})
 	for _, n := range fx.nodes {
 		n.SetTracer(tr)
 	}

@@ -248,8 +248,10 @@ func Boot(opts Options) (*System, error) {
 	}
 	if opts.Health != nil && opts.Obs != nil {
 		// Breaker transitions are exactly the kind of rare, significant
-		// moment the flight recorder exists for.
+		// moment the flight recorder exists for, and the breakers table
+		// reads the tracker's current state.
 		plane := opts.Obs
+		plane.SetHealth(opts.Health)
 		opts.Health.SetNotify(func(e oa.Element, st health.State) {
 			plane.Record(obs.KindBreaker, e.String(), "breaker "+st.String(), 0)
 		})

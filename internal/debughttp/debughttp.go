@@ -1,13 +1,14 @@
 // Package debughttp is the live observability surface: an opt-in HTTP
-// listener exposing the node's metrics registry in Prometheus text
-// format, recent invocation traces (human timeline or Chrome
-// trace-event JSON), circuit-breaker state, and the stdlib pprof and
-// expvar handlers. It is wired into legiond behind -debug-addr and is
-// off by default — the invocation fast path never pays for it.
+// listener over one observability plane. It exposes the plane's
+// metrics registry in Prometheus text format, LQL queries over every
+// plane table (placements, hosts, events, breakers, spans, ...), and
+// the stdlib pprof and expvar handlers. It is wired into legiond
+// behind -debug-addr and is off by default — the invocation fast path
+// never pays for it.
 //
-// Everything here reads snapshots (Registry.Counters/Histograms,
-// Tracer.Spans, Tracker.Snapshot): a scrape never takes a lock the
-// invocation path contends on.
+// Everything here reads snapshots (Registry.Counters/Histograms and
+// the plane's tables): a scrape never takes a lock the invocation path
+// contends on.
 package debughttp
 
 import (
@@ -16,117 +17,43 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sort"
 	"strconv"
 	"strings"
-	"time"
 
-	"repro/internal/health"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
-// Options selects what the handler can show. Nil fields render as
-// empty sections rather than errors, so a partially wired node still
-// serves what it has.
-type Options struct {
-	// Registry supplies /metrics (counters + histograms).
-	Registry *metrics.Registry
-	// Tracer supplies /debug/traces.
-	Tracer *trace.Tracer
-	// Health supplies /debug/health (breaker states, EWMA latency).
-	Health *health.Tracker
-	// Placements supplies /debug/placements. The callback is invoked
-	// per scrape; it should snapshot the Magistrates' placement and
-	// load tables. Nil disables the endpoint (host-only processes have
-	// no placement authority to show).
-	Placements func() []PlacementView
-	// Obs supplies /debug/query (LQL over the observability plane) and
-	// /debug/events (the merged flight-recorder timeline). Nil disables
-	// both endpoints.
-	Obs *obs.Plane
-}
-
-// PlacementHost is one host row of a jurisdiction's placement view:
-// the load vector the Magistrate last heard, plus its derived score.
-type PlacementHost struct {
-	Host         string
-	Residents    int
-	MailboxDepth int
-	DispatchRate float64 // dispatches/sec
-	CkptDirty    int
-	Score        float64
-	// Age is the time since the host's last load report; negative when
-	// the host has never reported (placement falls back to residency
-	// counts alone).
-	Age time.Duration
-}
-
-// PlacementObject is one object row: where the Magistrate's table
-// places it right now.
-type PlacementObject struct {
-	Object string
-	Impl   string
-	Host   string
-	Active bool
-}
-
-// PlacementView is one jurisdiction's placement table.
-type PlacementView struct {
-	Jurisdiction string
-	Hosts        []PlacementHost
-	Objects      []PlacementObject
-}
-
-// Handler builds the debug mux:
+// Handler builds the debug mux over plane (a nil plane serves an empty
+// /metrics and a 404 /debug/query):
 //
-//	/               — index of everything below
+//	/               — index of everything below, with the LQL tables
 //	/metrics        — Prometheus text exposition
-//	/debug/traces   — recent trace IDs; ?id=<hex> for one trace's hop
-//	                  timeline, &format=chrome for trace-event JSON
-//	/debug/health   — per-endpoint breaker state
-//	/debug/placements — per-jurisdiction host loads and object placements
-//	/debug/query    — LQL over the observability plane (?q=<lql>,
-//	                  &format=json for machine output)
-//	/debug/events   — merged cluster flight-recorder timeline
+//	/debug/query    — LQL over the plane (?q=<lql>; &format=json for
+//	                  machine output, &format=chrome on a spans query
+//	                  for Chrome trace-event JSON)
 //	/debug/pprof/   — stdlib profiles
 //	/debug/vars     — expvar JSON
-func Handler(opts Options) http.Handler {
+func Handler(plane *obs.Plane) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
 			http.NotFound(w, r)
 			return
 		}
-		fmt.Fprint(w, "legion debug surface\n\n"+
+		fmt.Fprintf(w, "legion debug surface\n\n"+
 			"/metrics        Prometheus text metrics\n"+
-			"/debug/traces   recent traces (?id=<hex>&format=chrome)\n"+
-			"/debug/health   circuit-breaker state per endpoint\n"+
-			"/debug/placements  host load vectors and object placements\n"+
-			"/debug/query    LQL query (?q=select+*+from+hosts&format=json)\n"+
-			"/debug/events   flight-recorder event timeline\n"+
+			"/debug/query    LQL query (?q=select+*+from+hosts&format=json|chrome)\n"+
 			"/debug/pprof/   runtime profiles\n"+
-			"/debug/vars     expvar JSON\n")
+			"/debug/vars     expvar JSON\n\n"+
+			"LQL tables: %s\n", strings.Join(plane.Tables(), " "))
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		writeMetrics(w, opts.Registry)
-	})
-	mux.HandleFunc("/debug/traces", func(w http.ResponseWriter, r *http.Request) {
-		serveTraces(w, r, opts.Tracer)
-	})
-	mux.HandleFunc("/debug/health", func(w http.ResponseWriter, r *http.Request) {
-		serveHealth(w, opts.Health)
-	})
-	mux.HandleFunc("/debug/placements", func(w http.ResponseWriter, r *http.Request) {
-		servePlacements(w, opts.Placements)
+		writeMetrics(w, plane.Registry())
 	})
 	mux.HandleFunc("/debug/query", func(w http.ResponseWriter, r *http.Request) {
-		serveQuery(w, r, opts.Obs)
-	})
-	mux.HandleFunc("/debug/events", func(w http.ResponseWriter, r *http.Request) {
-		serveEvents(w, opts.Obs)
+		serveQuery(w, r, plane)
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -137,15 +64,15 @@ func Handler(opts Options) http.Handler {
 	return mux
 }
 
-// Serve listens on addr and serves Handler(opts) until the listener
+// Serve listens on addr and serves Handler(plane) until the listener
 // fails. It returns the bound address (useful with a ":0" addr) and a
 // stop function. Serving starts before Serve returns.
-func Serve(addr string, opts Options) (bound string, stop func(), err error) {
+func Serve(addr string, plane *obs.Plane) (bound string, stop func(), err error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", nil, err
 	}
-	srv := &http.Server{Handler: Handler(opts)}
+	srv := &http.Server{Handler: Handler(plane)}
 	go func() { _ = srv.Serve(ln) }()
 	return ln.Addr().String(), func() { _ = srv.Close() }, nil
 }
@@ -199,89 +126,6 @@ func writeMetrics(w http.ResponseWriter, reg *metrics.Registry) {
 	}
 }
 
-func serveTraces(w http.ResponseWriter, r *http.Request, tr *trace.Tracer) {
-	if tr == nil {
-		http.Error(w, "tracing disabled (no tracer installed)", http.StatusNotFound)
-		return
-	}
-	idStr := r.URL.Query().Get("id")
-	if idStr == "" {
-		ids := tr.TraceIDs()
-		fmt.Fprintf(w, "%d recent traces (newest first); ?id=<hex> for a timeline\n\n", len(ids))
-		for _, id := range ids {
-			spans := tr.Trace(id)
-			root := "?"
-			for _, s := range spans {
-				if s.Context().ParentSpanID == 0 {
-					root = s.Name
-					break
-				}
-			}
-			fmt.Fprintf(w, "%016x  %2d spans  %s\n", id, len(spans), root)
-		}
-		return
-	}
-	id, err := strconv.ParseUint(strings.TrimPrefix(idStr, "0x"), 16, 64)
-	if err != nil {
-		http.Error(w, "bad trace id: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	spans := tr.Trace(id)
-	if len(spans) == 0 {
-		http.Error(w, "no such trace (evicted or never sampled)", http.StatusNotFound)
-		return
-	}
-	if r.URL.Query().Get("format") == "chrome" {
-		out, err := trace.ChromeJSON(spans)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(out)
-		return
-	}
-	fmt.Fprintln(w, trace.Timeline(spans))
-}
-
-func servePlacements(w http.ResponseWriter, fn func() []PlacementView) {
-	if fn == nil {
-		fmt.Fprintln(w, "no placement source installed (host-only process?)")
-		return
-	}
-	views := fn()
-	if len(views) == 0 {
-		fmt.Fprintln(w, "no jurisdictions")
-		return
-	}
-	for vi, v := range views {
-		if vi > 0 {
-			fmt.Fprintln(w)
-		}
-		fmt.Fprintf(w, "jurisdiction %s — %d hosts, %d objects\n\n",
-			v.Jurisdiction, len(v.Hosts), len(v.Objects))
-		fmt.Fprintf(w, "  %-24s %9s %7s %9s %6s %7s %8s\n",
-			"host", "residents", "depth", "disp/s", "dirty", "score", "report")
-		for _, h := range v.Hosts {
-			age := "never"
-			if h.Age >= 0 {
-				age = h.Age.Truncate(time.Millisecond).String() + " ago"
-			}
-			fmt.Fprintf(w, "  %-24s %9d %7d %9.1f %6d %7.2f %8s\n",
-				h.Host, h.Residents, h.MailboxDepth, h.DispatchRate,
-				h.CkptDirty, h.Score, age)
-		}
-		fmt.Fprintln(w)
-		for _, o := range v.Objects {
-			state := "inert"
-			if o.Active {
-				state = "active"
-			}
-			fmt.Fprintf(w, "  %-24s %-16s %-7s %s\n", o.Object, o.Impl, state, o.Host)
-		}
-	}
-}
-
 func serveQuery(w http.ResponseWriter, r *http.Request, p *obs.Plane) {
 	if p == nil {
 		http.Error(w, "no observability plane installed", http.StatusNotFound)
@@ -300,38 +144,19 @@ func serveQuery(w http.ResponseWriter, r *http.Request, p *obs.Plane) {
 		http.Error(w, "query error: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	if r.URL.Query().Get("format") == "json" {
+	switch r.URL.Query().Get("format") {
+	case "json":
 		w.Header().Set("Content-Type", "application/json")
 		_, _ = w.Write(t.JSON())
-		return
-	}
-	fmt.Fprint(w, t.Format())
-}
-
-func serveEvents(w http.ResponseWriter, p *obs.Plane) {
-	if p == nil {
-		http.Error(w, "no observability plane installed", http.StatusNotFound)
-		return
-	}
-	evs := p.Events()
-	fmt.Fprintf(w, "%d flight-recorder events (oldest first)\n\n", len(evs))
-	for _, e := range evs {
-		fmt.Fprintln(w, e.String())
-	}
-}
-
-func serveHealth(w http.ResponseWriter, tr *health.Tracker) {
-	if tr == nil {
-		fmt.Fprintln(w, "no health tracker installed")
-		return
-	}
-	snap := tr.Snapshot()
-	sort.SliceStable(snap, func(i, j int) bool {
-		return snap[i].State > snap[j].State // sickest first
-	})
-	fmt.Fprintf(w, "%d tracked endpoints\n\n", len(snap))
-	for _, eh := range snap {
-		fmt.Fprintf(w, "%-24s %-9s consec=%d ewma=%s\n",
-			eh.Element, eh.State, eh.Consecutive, eh.EWMA)
+	case "chrome":
+		out, err := p.ChromeJSON(t)
+		if err != nil {
+			http.Error(w, "query error: "+err.Error(), http.StatusBadRequest)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = w.Write(out)
+	default:
+		fmt.Fprint(w, t.Format())
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/health"
 	"repro/internal/metrics"
 	"repro/internal/oa"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -22,13 +24,28 @@ func get(t *testing.T, h http.Handler, path string) (int, string) {
 	return rec.Code, rec.Body.String()
 }
 
+// query runs one LQL query through /debug/query.
+func query(t *testing.T, h http.Handler, q, format string) (int, string) {
+	t.Helper()
+	path := "/debug/query?q=" + url.QueryEscape(q)
+	if format != "" {
+		path += "&format=" + format
+	}
+	return get(t, h, path)
+}
+
+// planeWith builds a plane over reg (and tr, which may be nil).
+func planeWith(reg *metrics.Registry, tr *trace.Tracer) *obs.Plane {
+	return obs.NewPlane(obs.Config{Host: "test", Registry: reg, Tracer: tr})
+}
+
 func TestMetricsExposition(t *testing.T) {
 	reg := metrics.NewRegistry()
 	reg.Counter("rt/calls").Add(7)
 	reg.Histogram("invoke.latency").Observe(3 * time.Millisecond)
 	reg.Histogram("invoke.latency").Observe(900 * time.Millisecond)
 
-	code, body := get(t, Handler(Options{Registry: reg}), "/metrics")
+	code, body := get(t, Handler(planeWith(reg, nil)), "/metrics")
 	if code != 200 {
 		t.Fatalf("/metrics status = %d", code)
 	}
@@ -86,6 +103,8 @@ type parseErr struct{ s string }
 
 func (e *parseErr) Error() string { return "not a uint: " + e.s }
 
+// TestTracesEndpoint: the trace list, one trace's spans and its Chrome
+// export are spans queries.
 func TestTracesEndpoint(t *testing.T) {
 	tr := trace.New(trace.Config{SampleEvery: 1})
 	root := tr.Root("call", "Work", "client-0")
@@ -93,45 +112,47 @@ func TestTracesEndpoint(t *testing.T) {
 	child.Event("cache", "hit")
 	child.Finish("OK")
 	root.Finish("OK")
-	id := root.Context().TraceID
+	id := hex(root.Context().TraceID)
 
-	h := Handler(Options{Tracer: tr})
+	h := Handler(planeWith(nil, tr))
 
-	code, body := get(t, h, "/debug/traces")
-	if code != 200 || !strings.Contains(body, "1 recent traces") {
-		t.Fatalf("trace list: %d %q", code, body)
+	code, body := query(t, h, "select trace, name from spans where parent = ''", "json")
+	var roots []map[string]any
+	if err := json.Unmarshal([]byte(body), &roots); code != 200 || err != nil || len(roots) != 1 || roots[0]["trace"] != id {
+		t.Fatalf("trace list: %d %v %q", code, err, body)
 	}
 
-	code, body = get(t, h, "/debug/traces?id="+hex(id))
+	code, body = query(t, h, "select * from spans where trace = '"+id+"' order by start", "")
 	if code != 200 {
-		t.Fatalf("timeline status = %d: %s", code, body)
+		t.Fatalf("one trace's spans status = %d: %s", code, body)
 	}
-	for _, want := range []string{"client-0", "host-1", "cache: hit"} {
+	for _, want := range []string{"client-0", "host-1"} {
 		if !strings.Contains(body, want) {
-			t.Errorf("timeline missing %q in:\n%s", want, body)
+			t.Errorf("trace spans missing %q in:\n%s", want, body)
 		}
 	}
 
-	code, body = get(t, h, "/debug/traces?id="+hex(id)+"&format=chrome")
+	code, body = query(t, h, "select span from spans where trace = '"+id+"'", "chrome")
 	if code != 200 {
-		t.Fatalf("chrome export status = %d", code)
+		t.Fatalf("chrome export status = %d: %s", code, body)
 	}
 	var events []map[string]any
 	if err := json.Unmarshal([]byte(body), &events); err != nil {
 		t.Fatalf("chrome export is not JSON: %v", err)
 	}
-	if len(events) == 0 {
-		t.Fatal("chrome export empty")
+	want, _ := trace.ChromeJSON(tr.Trace(root.Context().TraceID))
+	if !strings.Contains(body, "cache: hit") || len(body) != len(want) {
+		t.Errorf("chrome export is not trace.ChromeJSON of the trace:\n%s\nwant\n%s", body, want)
+	}
+	if code, _ := query(t, h, "select trace from spans", "chrome"); code != 400 {
+		t.Errorf("chrome export without the span column: status %d, want 400", code)
 	}
 
-	if code, _ := get(t, h, "/debug/traces?id=ffffffffffffffff"); code != 404 {
-		t.Errorf("unknown trace id status = %d, want 404", code)
+	if _, body := query(t, h, "select * from spans where trace = 'ffffffffffffffff'", "json"); body != "[]" {
+		t.Errorf("unknown trace id: %q, want no rows", body)
 	}
-	if code, _ := get(t, h, "/debug/traces?id=zzz"); code != 400 {
-		t.Errorf("bad trace id status = %d, want 400", code)
-	}
-	if code, _ := get(t, Handler(Options{}), "/debug/traces"); code != 404 {
-		t.Errorf("no-tracer status = %d, want 404", code)
+	if _, body := query(t, Handler(planeWith(nil, nil)), "select * from spans", "json"); body != "[]" {
+		t.Errorf("no-tracer spans: %q, want no rows", body)
 	}
 }
 
@@ -145,18 +166,21 @@ func hex(v uint64) string {
 	return string(out)
 }
 
+// TestHealthEndpoint: breaker state is the breakers table.
 func TestHealthEndpoint(t *testing.T) {
 	tr := health.NewTracker(health.Config{FailureThreshold: 1, OpenDuration: time.Minute}, nil)
 	tr.ReportSuccess(oa.MemElement(1), 2*time.Millisecond)
 	tr.ReportFailure(oa.MemElement(2))
+	plane := planeWith(nil, nil)
+	plane.SetHealth(tr)
 
-	code, body := get(t, Handler(Options{Health: tr}), "/debug/health")
+	code, body := query(t, Handler(plane), "select * from breakers", "")
 	if code != 200 {
-		t.Fatalf("/debug/health status = %d", code)
+		t.Fatalf("breakers status = %d", code)
 	}
-	if !strings.Contains(body, "2 tracked endpoints") ||
+	if strings.Count(body, "\n") != 2+2 || // header, rule, 2 endpoints
 		!strings.Contains(body, "open") || !strings.Contains(body, "closed") {
-		t.Errorf("health body:\n%s", body)
+		t.Errorf("breakers body:\n%s", body)
 	}
 	// Sickest-first ordering: the open breaker line precedes the closed.
 	if strings.Index(body, "open") > strings.Index(body, "closed") {
@@ -164,29 +188,40 @@ func TestHealthEndpoint(t *testing.T) {
 	}
 }
 
+// TestPlacementsEndpoint: host loads and object placements are the
+// hosts and placements tables.
 func TestPlacementsEndpoint(t *testing.T) {
-	code, body := get(t, Handler(Options{}), "/debug/placements")
-	if code != 200 || !strings.Contains(body, "no placement source") {
-		t.Errorf("nil source: %d %q", code, body)
+	plane := planeWith(nil, nil)
+	h := Handler(plane)
+	if code, body := query(t, h, "select * from placements", "json"); code != 200 || body != "[]" {
+		t.Errorf("no source: %d %q", code, body)
 	}
-	views := func() []PlacementView {
-		return []PlacementView{{
-			Jurisdiction: "L6.1",
-			Hosts: []PlacementHost{
-				{Host: "L7.1", Residents: 3, MailboxDepth: 2, DispatchRate: 41, Score: 3.7, Age: 120 * time.Millisecond},
-				{Host: "L7.2", Residents: 0, Age: -1},
-			},
-			Objects: []PlacementObject{
-				{Object: "L256.1", Impl: "demo.counter", Host: "L7.1", Active: true},
-				{Object: "L256.2", Impl: "demo.counter", Active: false},
-			},
-		}}
-	}
-	code, body = get(t, Handler(Options{Placements: views}), "/debug/placements")
+	plane.AddHostSource(func() []obs.HostView {
+		return []obs.HostView{
+			{Host: "L7.1", Residents: 3, Mailbox: 2, Rate: 41, Score: 3.7, Age: 120 * time.Millisecond},
+			{Host: "L7.2", Residents: 0, Age: -1},
+		}
+	})
+	plane.AddObjectSource(func() []obs.ObjectView {
+		return []obs.ObjectView{
+			{LOID: "L256.1", Impl: "demo.counter", Host: "L7.1", Active: true},
+			{LOID: "L256.2", Impl: "demo.counter", Active: false},
+		}
+	})
+	code, body := query(t, h, "select host, age, reported from hosts", "")
 	if code != 200 {
-		t.Fatalf("/debug/placements status = %d", code)
+		t.Fatalf("hosts status = %d", code)
 	}
-	for _, want := range []string{"jurisdiction L6.1", "L7.1", "never", "ago", "demo.counter", "active", "inert"} {
+	for _, want := range []string{"L7.1", "120ms", "true", "L7.2", "false"} {
+		if !strings.Contains(body, want) {
+			t.Errorf("hosts body missing %q:\n%s", want, body)
+		}
+	}
+	code, body = query(t, h, "select loid, impl, active, host from placements", "")
+	if code != 200 {
+		t.Fatalf("placements status = %d", code)
+	}
+	for _, want := range []string{"L256.1", "demo.counter", "true", "L7.1", "L256.2", "false"} {
 		if !strings.Contains(body, want) {
 			t.Errorf("placements body missing %q:\n%s", want, body)
 		}
@@ -194,7 +229,7 @@ func TestPlacementsEndpoint(t *testing.T) {
 }
 
 func TestPprofAndVars(t *testing.T) {
-	h := Handler(Options{})
+	h := Handler(nil)
 	if code, body := get(t, h, "/debug/pprof/"); code != 200 || !strings.Contains(body, "goroutine") {
 		t.Errorf("/debug/pprof/ = %d", code)
 	}
@@ -204,7 +239,7 @@ func TestPprofAndVars(t *testing.T) {
 }
 
 func TestServeBindsAndStops(t *testing.T) {
-	addr, stop, err := Serve("127.0.0.1:0", Options{Registry: metrics.NewRegistry()})
+	addr, stop, err := Serve("127.0.0.1:0", planeWith(metrics.NewRegistry(), nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ func TestMetricsHelpLines(t *testing.T) {
 	reg := metrics.NewRegistry()
 	reg.Counter("rt/calls").Inc()
 	reg.Histogram("invoke.latency").Observe(time.Millisecond)
-	_, body := get(t, Handler(Options{Registry: reg}), "/metrics")
+	_, body := get(t, Handler(planeWith(reg, nil)), "/metrics")
 	for _, want := range []string{
 		`# HELP legion_rt_calls legion counter "rt/calls"`,
 		"# TYPE legion_rt_calls counter",
@@ -52,7 +52,7 @@ func TestQueryEndpoint(t *testing.T) {
 			{LOID: "L256.2", Impl: "demo.counter", Host: "L7.2", Active: true},
 		}
 	})
-	h := Handler(Options{Obs: plane})
+	h := Handler(plane)
 
 	if code, body := get(t, h, "/debug/query"); code != 200 || !strings.Contains(body, "objects") {
 		t.Errorf("help page: %d %q", code, body)
@@ -76,62 +76,56 @@ func TestQueryEndpoint(t *testing.T) {
 		!strings.Contains(body, "query error") {
 		t.Errorf("bad query: %d %q", code, body)
 	}
-	if code, _ := get(t, Handler(Options{}), "/debug/query?q=select+*+from+hosts"); code != 404 {
+	if code, _ := get(t, Handler(nil), "/debug/query?q=select+*+from+hosts"); code != 404 {
 		t.Errorf("no-plane status = %d, want 404", code)
+	}
+	if code, body := get(t, h, "/"); code != 200 || !strings.Contains(body, "breakers spans obs") {
+		t.Errorf("index does not list the LQL tables: %d %q", code, body)
 	}
 }
 
+// TestEventsEndpoint: the merged flight-recorder timeline is the
+// events table.
 func TestEventsEndpoint(t *testing.T) {
 	plane := obs.NewPlane(obs.Config{Host: "test"})
 	plane.Record(obs.KindMigrate, "L256.1", "prepared h1 -> h2", 0)
 	plane.Record(obs.KindFailover, "L7.1", "host failed", 0)
-	code, body := get(t, Handler(Options{Obs: plane}), "/debug/events")
+	code, body := query(t, Handler(plane), "select kind, object, detail from events", "")
 	if code != 200 {
-		t.Fatalf("/debug/events status = %d", code)
+		t.Fatalf("events status = %d", code)
 	}
-	for _, want := range []string{"2 flight-recorder events", "migrate", "prepared h1 -> h2", "failover"} {
+	if n := strings.Count(body, "\n") - 2; n != 2 {
+		t.Errorf("%d flight-recorder events, want 2:\n%s", n, body)
+	}
+	for _, want := range []string{"migrate", "prepared h1 -> h2", "failover"} {
 		if !strings.Contains(body, want) {
 			t.Errorf("events body missing %q:\n%s", want, body)
 		}
 	}
-	if code, _ := get(t, Handler(Options{}), "/debug/events"); code != 404 {
+	if code, _ := query(t, Handler(nil), "select * from events", ""); code != 404 {
 		t.Errorf("no-plane status = %d, want 404", code)
 	}
 }
 
-// TestDebugSurfaceUnderChurn scrapes /debug/placements, /debug/health,
-// /debug/query, and /debug/events while live migrations, rebalancer
-// rounds, and breaker transitions run underneath — the debug surface
-// must stay lock-safe against the machinery it observes (run with
-// -race).
+// TestDebugSurfaceUnderChurn scrapes the breakers, events, spans,
+// hosts and placements tables through /debug/query while live
+// migrations, rebalancer rounds, and breaker transitions run
+// underneath — the debug surface must stay lock-safe against the
+// machinery it observes (run with -race).
 func TestDebugSurfaceUnderChurn(t *testing.T) {
 	s, err := sim.Build(sim.Config{
 		HostsPerJurisdiction: 2,
 		ObjectsPerClass:      4,
 		LoadReportEvery:      10 * time.Millisecond,
 		Obs:                  true,
+		TraceSampleEvery:     1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	tracker := health.NewTracker(health.Config{FailureThreshold: 2, OpenDuration: 5 * time.Millisecond}, s.Reg)
-	jur := s.Sys.Jurisdictions[0]
-	h := Handler(Options{
-		Registry: s.Reg,
-		Health:   tracker,
-		Obs:      s.Plane,
-		Placements: func() []PlacementView {
-			v := PlacementView{Jurisdiction: jur.Magistrate.String()}
-			for _, hl := range jur.MagistrateImpl().Loads() {
-				v.Hosts = append(v.Hosts, PlacementHost{Host: hl.Host.String(), Residents: int(hl.Load.Residents), Age: hl.Age})
-			}
-			for _, p := range jur.MagistrateImpl().Placements() {
-				v.Objects = append(v.Objects, PlacementObject{Object: p.Object.String(), Impl: p.Impl, Host: p.Host.String(), Active: p.Active})
-			}
-			return []PlacementView{v}
-		},
-	})
+	tracker := s.EnableHealth(health.Config{FailureThreshold: 2, OpenDuration: 5 * time.Millisecond})
+	h := Handler(s.Plane)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -166,7 +160,7 @@ func TestDebugSurfaceUnderChurn(t *testing.T) {
 			}
 		}
 	}()
-	// Breaker transitions under the /debug/health scrapes.
+	// Breaker transitions under the breakers scrapes.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -187,9 +181,10 @@ func TestDebugSurfaceUnderChurn(t *testing.T) {
 
 	deadline := time.After(1500 * time.Millisecond)
 	paths := []string{
-		"/debug/placements",
-		"/debug/health",
-		"/debug/events",
+		"/debug/query?q=select+*+from+breakers",
+		"/debug/query?q=select+*+from+events",
+		"/debug/query?q=select+*+from+spans",
+		"/debug/query?q=select+*+from+obs",
 		"/debug/query?q=select+loid,+host,+active+from+placements",
 		"/debug/query?q=select+*+from+hosts",
 		"/metrics",

@@ -300,7 +300,7 @@ func (t *Tracker) Rank(e oa.Element) int {
 }
 
 // EndpointHealth is a point-in-time view of one endpoint's record,
-// as enumerated by Snapshot (for the debug surface).
+// as enumerated by Snapshot (for the breakers LQL table).
 type EndpointHealth struct {
 	Element     oa.Element
 	State       State

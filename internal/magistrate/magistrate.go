@@ -296,9 +296,6 @@ func (m *Magistrate) SetPlane(p *obs.Plane) {
 			Records:     st.Records,
 			Segments:    st.Segments,
 			Quarantined: st.Quarantined,
-			GCSegments:  st.GCSegments,
-			GCRecords:   st.GCRecords,
-			GroupCommit: st.GroupCommit,
 		}
 	})
 	p.AddHostSource(func() []obs.HostView {

@@ -11,7 +11,7 @@
 //	literal:= 'string' | "string" | number | duration | true | false
 //
 // Tables: objects, placements, hosts, events, checkpoints, methods,
-// metrics, epochs (see Plane). Durations are Go literals (1ms, 250us);
+// metrics, epochs, breakers, spans, obs (see Plane). Durations are Go literals (1ms, 250us);
 // LIKE matches with % wildcards. Keywords and column names are
 // case-insensitive; everything evaluates server-side over live state,
 // so a query is one message regardless of cluster size.

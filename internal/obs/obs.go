@@ -13,8 +13,9 @@ package obs
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
+
+	"repro/internal/trace"
 )
 
 // Event kinds — the flight-recorder taxonomy. Kinds are plain strings
@@ -52,33 +53,26 @@ func (e Event) String() string {
 		e.At.Format("15:04:05.000"), e.Host, e.Kind, e.Object, e.Detail, id)
 }
 
-// defaultRingSize is the per-host flight-recorder capacity. Events are
-// rare (phase transitions, failures, slow calls), so a thousand entries
-// is minutes-to-hours of history.
-const defaultRingSize = 1024
+// eventRing is the per-host flight-recorder capacity. Events are rare
+// (phase transitions, failures, slow calls), so a thousand entries is
+// minutes-to-hours of history.
+const eventRing = 1024
 
-// Recorder is a lock-free ring of flight-recorder events. Record is an
-// atomic sequence claim plus a pointer store — writers never block each
-// other or readers — and a nil *Recorder discards, so runtime hooks can
-// stay unconditionally wired. A reader racing a lapping writer may see
-// a slightly newer event in an old slot; Events sorts by Seq so the
-// result is still a coherent suffix of history.
+// Recorder is the flight recorder: a trace.Ring of events. Record
+// claims a sequence number, stamps it into the event and publishes it,
+// so writers never block each other or readers, and a nil *Recorder
+// discards, so runtime hooks can stay unconditionally wired. Events
+// sorts by Seq, so a read racing a lapping writer is still a coherent
+// suffix of history.
 type Recorder struct {
 	host string
-	seq  atomic.Uint64
-	ring []atomic.Pointer[Event]
+	ring *trace.Ring[Event]
 }
 
 // NewRecorder builds a recorder stamping events with the given host
-// name. size is rounded up to at least 16 (0 means default).
-func NewRecorder(host string, size int) *Recorder {
-	if size <= 0 {
-		size = defaultRingSize
-	}
-	if size < 16 {
-		size = 16
-	}
-	return &Recorder{host: host, ring: make([]atomic.Pointer[Event], size)}
+// name.
+func NewRecorder(host string) *Recorder {
+	return &Recorder{host: host, ring: trace.NewRing[Event](eventRing)}
 }
 
 // Record appends one event. Safe for concurrent use; nil-receiver
@@ -87,16 +81,16 @@ func (r *Recorder) Record(kind, object, detail string, traceID uint64) {
 	if r == nil {
 		return
 	}
-	e := &Event{
-		Seq:     r.seq.Add(1),
+	seq := r.ring.Claim()
+	r.ring.Store(seq, &Event{
+		Seq:     seq,
 		At:      time.Now(),
 		Host:    r.host,
 		Kind:    kind,
 		Object:  object,
 		Detail:  detail,
 		TraceID: traceID,
-	}
-	r.ring[(e.Seq-1)%uint64(len(r.ring))].Store(e)
+	})
 }
 
 // Seq returns the number of events ever recorded.
@@ -104,7 +98,7 @@ func (r *Recorder) Seq() uint64 {
 	if r == nil {
 		return 0
 	}
-	return r.seq.Load()
+	return r.ring.Written()
 }
 
 // Events returns the retained history in sequence order.
@@ -119,9 +113,9 @@ func (r *Recorder) EventsSince(since uint64) []Event {
 	if r == nil {
 		return nil
 	}
-	out := make([]Event, 0, len(r.ring))
-	for i := range r.ring {
-		if e := r.ring[i].Load(); e != nil && e.Seq > since {
+	var out []Event
+	for _, e := range r.ring.Snapshot() {
+		if e.Seq > since {
 			out = append(out, *e)
 		}
 	}

@@ -7,10 +7,11 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/trace"
 )
 
 func TestRecorderBasics(t *testing.T) {
-	r := NewRecorder("h1", 8)
+	r := NewRecorder("h1")
 	r.Record(KindMigrate, "L256.1", "prepared", 42)
 	r.Record(KindSlowCall, "obj/L256.1", "Work", 7)
 	evs := r.Events()
@@ -29,7 +30,7 @@ func TestRecorderBasics(t *testing.T) {
 }
 
 func TestRecorderWrapKeepsNewest(t *testing.T) {
-	r := NewRecorder("h1", 16)
+	r := &Recorder{host: "h1", ring: trace.NewRing[Event](16)}
 	for i := 0; i < 100; i++ {
 		r.Record(KindForward, "", "", 0)
 	}
@@ -39,6 +40,9 @@ func TestRecorderWrapKeepsNewest(t *testing.T) {
 	}
 	if evs[len(evs)-1].Seq != 100 {
 		t.Fatalf("newest seq = %d, want 100", evs[len(evs)-1].Seq)
+	}
+	if r.Seq() != 100 || r.ring.Overwritten() != 84 {
+		t.Fatalf("seq %d overwritten %d, want 100 and 84", r.Seq(), r.ring.Overwritten())
 	}
 	for i := 1; i < len(evs); i++ {
 		if evs[i].Seq <= evs[i-1].Seq {
@@ -59,7 +63,7 @@ func TestRecorderNilSafe(t *testing.T) {
 // reader drains Events — the lock-free ring must stay coherent (run
 // with -race).
 func TestRecorderConcurrent(t *testing.T) {
-	r := NewRecorder("h1", 64)
+	r := &Recorder{host: "h1", ring: trace.NewRing[Event](64)}
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	wg.Add(1)
@@ -101,10 +105,10 @@ func TestRecorderConcurrent(t *testing.T) {
 
 func TestNodeObserverRecordsMethodAndSlowCall(t *testing.T) {
 	reg := metrics.NewRegistry()
-	rec := NewRecorder("h1", 16)
-	ob := NewNodeObserver(reg, rec, 5*time.Millisecond)
+	rec := NewRecorder("h1")
+	ob := NewNodeObserver(reg, rec)
 	ob.ServeDone("obj/L256.1", "Work", 2*time.Millisecond, 99)
-	ob.ServeDone("obj/L256.1", "Work", 8*time.Millisecond, 100)
+	ob.ServeDone("obj/L256.1", "Work", slowCall+time.Millisecond, 100)
 	st := reg.HistogramSnapshot("method/Work")
 	if st.Count != 2 {
 		t.Fatalf("method hist count = %d, want 2", st.Count)
@@ -128,7 +132,7 @@ func TestNodeObserverRecordsMethodAndSlowCall(t *testing.T) {
 
 func TestTelemetryDeltaFiltering(t *testing.T) {
 	reg := metrics.NewRegistry()
-	rec := NewRecorder("h1", 16)
+	rec := NewRecorder("h1")
 	tel := NewTelemetry(reg, rec)
 
 	reg.Counter("req/obj/L256.1").Add(5)
@@ -191,7 +195,7 @@ func TestPlaneIngestAndQuery(t *testing.T) {
 
 	// A remote host ships telemetry: its counters/hists/events merge in.
 	remoteReg := metrics.NewRegistry()
-	remoteRec := NewRecorder("host/9", 16)
+	remoteRec := NewRecorder("host/9")
 	remoteReg.Counter("req/obj/L256.1").Add(7)
 	remoteReg.Histogram("lat/obj/L256.1").ObserveExemplar(3*time.Millisecond, 0xabc)
 	remoteRec.Record(KindCheckpoint, "L256.1", "filed", 0)
@@ -239,7 +243,8 @@ func TestPlaneIngestAndQuery(t *testing.T) {
 }
 
 func TestPlaneGenerationsAndEpochs(t *testing.T) {
-	plane := NewPlane(Config{Host: "mag", Epochs: 4})
+	plane := NewPlane(Config{Host: "mag"})
+	plane.epochs = trace.NewRing[Epoch](4)
 	plane.NoteGeneration("L256.1", "register", "", 10)
 	plane.NoteGeneration("L256.1", "checkpoint", "host/1", 20)
 	plane.NoteGeneration("L256.1", "migrate", "host/2", 20)
@@ -261,6 +266,10 @@ func TestPlaneGenerationsAndEpochs(t *testing.T) {
 	}
 	if eps[len(eps)-1].Score != 9 {
 		t.Fatalf("newest epoch score = %v, want 9", eps[len(eps)-1].Score)
+	}
+	tab, err = plane.Query("select written, overwritten from obs where name = epochs")
+	if err != nil || len(tab.Rows) != 1 || tab.Rows[0][0].F != 10 || tab.Rows[0][1].F != 6 {
+		t.Fatalf("obs table epochs row: %v %+v", err, tab)
 	}
 }
 

@@ -8,9 +8,9 @@ import (
 	"repro/internal/metrics"
 )
 
-// DefaultSlowCall is the serve latency above which a call is logged to
-// the flight recorder.
-const DefaultSlowCall = 10 * time.Millisecond
+// slowCall is the serve latency above which a call is logged to the
+// flight recorder.
+const slowCall = 10 * time.Millisecond
 
 // NodeObserver implements rt.Observer: it turns serve-path completions
 // into SLO-grade per-method and per-component latency histograms (with
@@ -22,24 +22,19 @@ const DefaultSlowCall = 10 * time.Millisecond
 // the (wire-interned) method and component strings, and the histograms
 // themselves are lock-free.
 type NodeObserver struct {
-	reg  *metrics.Registry
-	rec  *Recorder
-	slow time.Duration
+	reg *metrics.Registry
+	rec *Recorder
 
 	methods sync.Map // method string -> *metrics.Histogram ("method/<m>")
 	comps   sync.Map // component string -> *metrics.Histogram ("lat/<c>")
 }
 
 // NewNodeObserver builds an observer recording into reg and rec.
-// slow <= 0 takes DefaultSlowCall.
-func NewNodeObserver(reg *metrics.Registry, rec *Recorder, slow time.Duration) *NodeObserver {
+func NewNodeObserver(reg *metrics.Registry, rec *Recorder) *NodeObserver {
 	if reg == nil {
 		reg = metrics.Nop
 	}
-	if slow <= 0 {
-		slow = DefaultSlowCall
-	}
-	return &NodeObserver{reg: reg, rec: rec, slow: slow}
+	return &NodeObserver{reg: reg, rec: rec}
 }
 
 // Recorder returns the observer's flight recorder.
@@ -67,7 +62,7 @@ func (ob *NodeObserver) compHist(c string) *metrics.Histogram {
 func (ob *NodeObserver) ServeDone(component, method string, d time.Duration, traceID uint64) {
 	ob.methodHist(method).ObserveExemplar(d, traceID)
 	ob.compHist(component).ObserveExemplar(d, traceID)
-	if d >= ob.slow {
+	if d >= slowCall {
 		// Slow calls are rare by construction; the detail string
 		// allocation is off the common path.
 		ob.rec.Record(KindSlowCall, component, method+" took "+d.Round(time.Microsecond).String(), traceID)
@@ -79,7 +74,8 @@ func (ob *NodeObserver) Note(kind, object, detail string, traceID uint64) {
 	ob.rec.Record(kind, object, detail, traceID)
 }
 
-// formatTrace renders a TraceID the way /debug/traces expects it.
+// formatTrace renders a trace or span ID as 16 hex digits, the form
+// the spans table's trace, span and parent columns use.
 func formatTrace(id uint64) string {
 	if id == 0 {
 		return ""

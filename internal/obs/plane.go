@@ -7,26 +7,21 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/health"
 	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
-// Config tunes a Plane. Zero fields take the documented defaults.
+// Config names what a Plane observes.
 type Config struct {
 	// Host names this process in recorded events.
 	Host string
 	// Registry is the process's live metrics (required for useful
 	// queries; nil reads as empty).
 	Registry *metrics.Registry
-	// Tracer resolves exemplar TraceIDs locally (may be nil).
+	// Tracer serves the spans table and resolves exemplar TraceIDs
+	// locally (may be nil).
 	Tracer *trace.Tracer
-	// SlowCall is the flight-recorder slow-call threshold
-	// (default DefaultSlowCall).
-	SlowCall time.Duration
-	// Epochs is the cluster-timeline ring capacity (default 256).
-	Epochs int
-	// EventRing is the local flight-recorder capacity (default 1024).
-	EventRing int
 }
 
 // ObjectView is one placement row a metadata source contributes.
@@ -45,9 +40,6 @@ type StoreView struct {
 	Records     int
 	Segments    int
 	Quarantined int
-	GCSegments  int
-	GCRecords   int
-	GroupCommit uint64
 }
 
 // HostView is one host-health row a metadata source contributes.
@@ -58,7 +50,7 @@ type HostView struct {
 	Rate      uint64 // dispatches/sec from the load vector
 	Mailbox   uint64
 	Dirty     uint64
-	Age       time.Duration // staleness of the last heartbeat
+	Age       time.Duration // staleness of the last heartbeat; negative if the host never reported
 }
 
 // Epoch is one entry of the cluster timeline: a host heartbeat with
@@ -88,8 +80,12 @@ type Generation struct {
 // maxGensPerObject bounds each object's retained OPR history.
 const maxGensPerObject = 64
 
-// maxRemoteEvents bounds the merged remote flight-recorder history.
-const maxRemoteEvents = 4096
+// Ring capacities: the cluster timeline and the merged remote
+// flight-recorder history.
+const (
+	epochRing       = 256
+	remoteEventRing = 4096
+)
 
 // remoteHost is the plane's view of one telemetry-reporting host.
 type remoteHost struct {
@@ -105,24 +101,22 @@ type remoteHost struct {
 // queries over the result. All methods are safe for concurrent use
 // and nil-receiver safe, so wiring it everywhere is free when off.
 type Plane struct {
-	host string
-	reg  *metrics.Registry
-	tr   *trace.Tracer
-	rec  *Recorder
-	ob   *NodeObserver
+	host         string
+	reg          *metrics.Registry
+	tr           *trace.Tracer
+	rec          *Recorder
+	ob           *NodeObserver
+	epochs       *trace.Ring[Epoch]
+	remoteEvents *trace.Ring[Event]
 
-	mu           sync.Mutex
-	remotes      map[string]*remoteHost
-	epochs       []Epoch
-	epochCap     int
-	nextEpoch    int
-	wrapped      bool
-	gens         map[string][]Generation
-	genCount     map[string]int
-	remoteEvents []Event
-	objectSrcs   []func() []ObjectView
-	hostSrcs     []func() []HostView
-	storeSrcs    []func() StoreView
+	mu         sync.Mutex
+	health     *health.Tracker
+	remotes    map[string]*remoteHost
+	gens       map[string][]Generation
+	genCount   map[string]int
+	objectSrcs []func() []ObjectView
+	hostSrcs   []func() []HostView
+	storeSrcs  []func() StoreView
 }
 
 // NewPlane builds a plane.
@@ -130,22 +124,30 @@ func NewPlane(cfg Config) *Plane {
 	if cfg.Registry == nil {
 		cfg.Registry = metrics.NewRegistry()
 	}
-	if cfg.Epochs <= 0 {
-		cfg.Epochs = 256
-	}
-	rec := NewRecorder(cfg.Host, cfg.EventRing)
+	rec := NewRecorder(cfg.Host)
 	return &Plane{
-		host:     cfg.Host,
-		reg:      cfg.Registry,
-		tr:       cfg.Tracer,
-		rec:      rec,
-		ob:       NewNodeObserver(cfg.Registry, rec, cfg.SlowCall),
-		remotes:  make(map[string]*remoteHost),
-		epochs:   make([]Epoch, cfg.Epochs),
-		epochCap: cfg.Epochs,
-		gens:     make(map[string][]Generation),
-		genCount: make(map[string]int),
+		host:         cfg.Host,
+		reg:          cfg.Registry,
+		tr:           cfg.Tracer,
+		rec:          rec,
+		ob:           NewNodeObserver(cfg.Registry, rec),
+		epochs:       trace.NewRing[Epoch](epochRing),
+		remoteEvents: trace.NewRing[Event](remoteEventRing),
+		remotes:      make(map[string]*remoteHost),
+		gens:         make(map[string][]Generation),
+		genCount:     make(map[string]int),
 	}
+}
+
+// SetHealth gives the plane the process's breaker tracker, which the
+// breakers table reads. nil detaches it.
+func (p *Plane) SetHealth(t *health.Tracker) {
+	if p == nil {
+		return
+	}
+	p.mu.Lock()
+	p.health = t
+	p.mu.Unlock()
 }
 
 // Recorder returns the plane's local flight recorder (nil-safe).
@@ -227,17 +229,10 @@ func (p *Plane) NoteLoad(host string, score float64, residents, rate, mailbox ui
 	if p == nil {
 		return
 	}
-	p.mu.Lock()
-	p.epochs[p.nextEpoch] = Epoch{
+	p.epochs.Put(&Epoch{
 		Host: host, At: time.Now(), Score: score,
 		Residents: residents, Rate: rate, Mailbox: mailbox,
-	}
-	p.nextEpoch++
-	if p.nextEpoch == p.epochCap {
-		p.nextEpoch = 0
-		p.wrapped = true
-	}
-	p.mu.Unlock()
+	})
 }
 
 // Ingest merges one host's piggybacked telemetry report into the
@@ -269,10 +264,7 @@ func (p *Plane) Ingest(host string, b []byte) error {
 		if e.Host == "" {
 			e.Host = host
 		}
-		p.remoteEvents = append(p.remoteEvents, e)
-	}
-	if n := len(p.remoteEvents); n > maxRemoteEvents {
-		p.remoteEvents = append(p.remoteEvents[:0], p.remoteEvents[n-maxRemoteEvents:]...)
+		p.remoteEvents.Put(&e)
 	}
 	return nil
 }
@@ -317,9 +309,9 @@ func (p *Plane) Events() []Event {
 		return nil
 	}
 	out := p.rec.Events()
-	p.mu.Lock()
-	out = append(out, p.remoteEvents...)
-	p.mu.Unlock()
+	for _, e := range p.remoteEvents.Snapshot() {
+		out = append(out, *e)
+	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].At.Before(out[j].At) })
 	return out
 }
@@ -329,13 +321,10 @@ func (p *Plane) Epochs() []Epoch {
 	if p == nil {
 		return nil
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	var out []Epoch
-	if p.wrapped {
-		out = append(out, p.epochs[p.nextEpoch:]...)
+	for _, e := range p.epochs.Snapshot() {
+		out = append(out, *e)
 	}
-	out = append(out, p.epochs[:p.nextEpoch]...)
 	return out
 }
 
@@ -426,7 +415,8 @@ func (p *Plane) Query(q string) (*Table, error) {
 
 // Tables lists the plane's queryable tables (Source).
 func (p *Plane) Tables() []string {
-	return []string{"objects", "placements", "hosts", "events", "checkpoints", "methods", "metrics", "epochs"}
+	return []string{"objects", "placements", "hosts", "events", "checkpoints", "methods", "metrics", "epochs",
+		"breakers", "spans", "obs"}
 }
 
 // Table materializes one base table (Source).
@@ -448,6 +438,12 @@ func (p *Plane) Table(name string) (*Table, error) {
 		return p.metricsTable(), nil
 	case "epochs":
 		return p.epochsTable(), nil
+	case "breakers":
+		return p.breakersTable(), nil
+	case "spans":
+		return p.spansTable(), nil
+	case "obs":
+		return p.obsTable(), nil
 	}
 	return nil, fmt.Errorf("unknown table %q", name)
 }
@@ -505,7 +501,9 @@ func (p *Plane) hostsTable() *Table {
 	p.mu.Lock()
 	srcs := append([]func() []HostView(nil), p.hostSrcs...)
 	p.mu.Unlock()
-	t := &Table{Cols: []string{"host", "score", "residents", "rate", "mailbox", "dirty", "age"}}
+	// A host that never reported has no age: it reads 0 with reported
+	// false, so "age > 1s" alone cannot mistake it for a fresh one.
+	t := &Table{Cols: []string{"host", "score", "residents", "rate", "mailbox", "dirty", "age", "reported"}}
 	seen := make(map[string]bool)
 	for _, src := range srcs {
 		for _, h := range src() {
@@ -516,7 +514,7 @@ func (p *Plane) hostsTable() *Table {
 			t.Rows = append(t.Rows, []Value{
 				Str(h.Host), Num(h.Score), Num(float64(h.Residents)),
 				Num(float64(h.Rate)), Num(float64(h.Mailbox)),
-				Num(float64(h.Dirty)), Dur(h.Age),
+				Num(float64(h.Dirty)), Dur(max(h.Age, 0)), Bool(h.Age >= 0),
 			})
 		}
 	}
@@ -603,4 +601,75 @@ func (p *Plane) epochsTable() *Table {
 		})
 	}
 	return t
+}
+
+// breakersTable shows the health tracker's breakers, sickest first.
+func (p *Plane) breakersTable() *Table {
+	p.mu.Lock()
+	h := p.health
+	p.mu.Unlock()
+	t := &Table{Cols: []string{"element", "state", "consec", "ewma"}}
+	if h == nil {
+		return t
+	}
+	snap := h.Snapshot()
+	sort.SliceStable(snap, func(i, j int) bool { return snap[i].State > snap[j].State })
+	for _, eh := range snap {
+		t.Rows = append(t.Rows, []Value{
+			Str(eh.Element.String()), Str(eh.State.String()),
+			Num(float64(eh.Consecutive)), Dur(eh.EWMA),
+		})
+	}
+	return t
+}
+
+// spansTable shows the tracer's retained spans, oldest first. A root
+// span's parent is "".
+func (p *Plane) spansTable() *Table {
+	t := &Table{Cols: []string{"trace", "span", "parent", "kind", "name", "component", "start", "dur", "outcome"}}
+	for _, s := range p.tr.Spans() {
+		sc := s.Context()
+		t.Rows = append(t.Rows, []Value{
+			Str(formatTrace(sc.TraceID)), Str(formatTrace(sc.SpanID)), Str(formatTrace(sc.ParentSpanID)),
+			Str(s.Kind), Str(s.Name), Str(s.Component), TimeOf(s.Start), Dur(s.Duration()), Str(s.Outcome),
+		})
+	}
+	return t
+}
+
+// ChromeJSON renders the spans a spans query selected as Chrome
+// trace-event JSON (trace.ChromeJSON); the query must keep the span
+// column.
+func (p *Plane) ChromeJSON(t *Table) ([]byte, error) {
+	ci := t.colIndex("span")
+	if ci < 0 {
+		return nil, fmt.Errorf("obs: chrome format needs a spans query that keeps the span column")
+	}
+	want := make(map[string]bool, len(t.Rows))
+	for _, row := range t.Rows {
+		want[row[ci].S] = true
+	}
+	var spans []*trace.Span
+	for _, s := range p.Tracer().Spans() {
+		if want[formatTrace(s.Context().SpanID)] {
+			spans = append(spans, s)
+		}
+	}
+	return trace.ChromeJSON(spans)
+}
+
+// obsTable reports the plane's own bounded histories: one row per
+// ring, with what wrap-around has overwritten.
+func (p *Plane) obsTable() *Table {
+	t := &Table{Cols: []string{"name", "capacity", "written", "overwritten"}}
+	t.Rows = append(t.Rows, ringRow("events", p.rec.ring), ringRow("remote-events", p.remoteEvents),
+		ringRow("epochs", p.epochs))
+	if r := p.tr.Ring(); r != nil {
+		t.Rows = append(t.Rows, ringRow("spans", r))
+	}
+	return t
+}
+
+func ringRow[T any](name string, r *trace.Ring[T]) []Value {
+	return []Value{Str(name), Num(float64(r.Cap())), Num(float64(r.Written())), Num(float64(r.Overwritten()))}
 }

@@ -54,7 +54,7 @@ func (hs *HistSnap) Stats() metrics.HistStats {
 
 // maxReportEvents caps the events section of one report; a host that
 // logged more since the last heartbeat ships the newest ones (the
-// older remain readable on the host's own /debug/events).
+// older remain readable in the events table of the host's own plane).
 const maxReportEvents = 64
 
 const reportVersion = 1

@@ -22,7 +22,7 @@ import (
 func TestServeRecordHygiene(t *testing.T) {
 	_, nodes := newTestFabricNodes(t, 2)
 	srv, cli := nodes[0], nodes[1]
-	tr := trace.New(trace.Config{SampleEvery: 1, Capacity: 256})
+	tr := trace.New(trace.Config{SampleEvery: 1})
 	srv.SetTracer(tr)
 
 	// What the handler was lent, and what it saw during the call: a copy

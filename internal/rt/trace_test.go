@@ -18,7 +18,7 @@ import (
 // event on the call span — the §4.1 chain made visible.
 func TestTraceSpansCrossHops(t *testing.T) {
 	_, nodes := newTestFabricNodes(t, 2)
-	tr := trace.New(trace.Config{SampleEvery: 1, Capacity: 256})
+	tr := trace.New(trace.Config{SampleEvery: 1})
 	for _, n := range nodes {
 		n.SetTracer(tr)
 	}
@@ -71,7 +71,7 @@ func TestTraceSpansCrossHops(t *testing.T) {
 // trace spans three nodes.
 func TestTraceNestedCallJoins(t *testing.T) {
 	_, nodes := newTestFabricNodes(t, 3)
-	tr := trace.New(trace.Config{SampleEvery: 1, Capacity: 256})
+	tr := trace.New(trace.Config{SampleEvery: 1})
 	for _, n := range nodes {
 		n.SetTracer(tr)
 	}
@@ -135,7 +135,7 @@ func TestTraceDisabledZeroOverheadPath(t *testing.T) {
 // trace ids downstream.
 func TestTraceUnsampledRootNotRecorded(t *testing.T) {
 	_, nodes := newTestFabricNodes(t, 2)
-	tr := trace.New(trace.Config{SampleEvery: 1 << 30, Capacity: 16})
+	tr := trace.New(trace.Config{SampleEvery: 1 << 30})
 	for _, n := range nodes {
 		n.SetTracer(tr)
 	}
@@ -158,7 +158,7 @@ func TestTraceUnsampledRootNotRecorded(t *testing.T) {
 // the ErrDeadlineExceeded the caller saw.
 func TestTraceDeadlineRejectionEvent(t *testing.T) {
 	_, nodes := newTestFabricNodes(t, 2)
-	tr := trace.New(trace.Config{SampleEvery: 1, Capacity: 64})
+	tr := trace.New(trace.Config{SampleEvery: 1})
 	for _, n := range nodes {
 		n.SetTracer(tr)
 	}

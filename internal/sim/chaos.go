@@ -118,12 +118,13 @@ func (s *Sim) RestartHost(j, h int) error {
 
 // EnableHealth installs one shared health tracker across every client
 // — failure evidence observed by one client immediately benefits the
-// others (cooperative detection).
+// others (cooperative detection). The plane's breakers table reads it.
 func (s *Sim) EnableHealth(cfg health.Config) *health.Tracker {
 	tr := health.NewTracker(cfg, s.Reg)
 	for _, c := range s.Clients {
 		c.SetHealth(tr)
 	}
+	s.Plane.SetHealth(tr)
 	return tr
 }
 
@@ -132,6 +133,7 @@ func (s *Sim) DisableHealth() {
 	for _, c := range s.Clients {
 		c.SetHealth(nil)
 	}
+	s.Plane.SetHealth(nil)
 }
 
 // StartHealthDetector closes the detection loop: when the shared

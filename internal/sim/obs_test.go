@@ -69,7 +69,7 @@ func TestLiveLQLOverTheWire(t *testing.T) {
 	}
 
 	// The exemplar trace attached to the slowest call must resolve to
-	// real spans in the tracer (the /debug/traces contract).
+	// real spans, both in the tracer and through the spans table.
 	tab, err = magistrate.Query.Call(t.Context(), mc, "select loid, trace from objects")
 	if err != nil {
 		t.Fatal(err)
@@ -87,6 +87,10 @@ func TestLiveLQLOverTheWire(t *testing.T) {
 		if spans := s.Tracer.Trace(id); len(spans) == 0 {
 			t.Fatalf("exemplar trace %s for %s has no recorded spans", tr, row[0].S)
 		}
+		spans, err := magistrate.Query.Call(t.Context(), mc, "select span from spans where trace = '"+tr+"'")
+		if err != nil || len(spans.Rows) == 0 {
+			t.Fatalf("exemplar trace %s has no rows in the spans table: %v", tr, err)
+		}
 		resolved++
 	}
 	if resolved == 0 {
@@ -100,5 +104,26 @@ func TestLiveLQLOverTheWire(t *testing.T) {
 	}
 	if want := float64(4 * len(s.Flat)); tab.Rows[0][1].F < want {
 		t.Fatalf("method Work calls = %v, want >= %v", tab.Rows[0][1].F, want)
+	}
+}
+
+// TestHostsTableTellsNeverReported: the Magistrate reads a host that
+// never sent a load report with a negative age. The hosts table must
+// not render it as a host that reported just now.
+func TestHostsTableTellsNeverReported(t *testing.T) {
+	s, err := Build(Config{HostsPerJurisdiction: 2, Obs: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	tab, err := s.Query("select host, age from hosts where reported = false")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tab.Rows) != 2 {
+		t.Fatalf("want both silent hosts unreported, got:\n%s", tab.Format())
+	}
+	if tab, err = s.Query("select host from hosts where reported = true"); err != nil || len(tab.Rows) != 0 {
+		t.Fatalf("a host with no load report reads as reported: %v\n%+v", err, tab)
 	}
 }

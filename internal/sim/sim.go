@@ -142,9 +142,6 @@ type Config struct {
 	// histograms with trace exemplars, a flight recorder on every node,
 	// and LQL queries over the Magistrates' live metadata (Sim.Query).
 	Obs bool
-	// SlowCall overrides the plane's slow-call threshold (0 keeps
-	// obs.DefaultSlowCall); only meaningful with Obs.
-	SlowCall time.Duration
 	// Clock, when set, puts the whole deployment on an explicit time
 	// base (see core.Options.Clock). A clock.Virtual makes every reply
 	// timer, backoff, TTL, and loop tick deterministic — tests drive
@@ -223,7 +220,6 @@ func Build(cfg Config) (*Sim, error) {
 			Host:     "sim",
 			Registry: reg,
 			Tracer:   tracer,
-			SlowCall: cfg.SlowCall,
 		})
 	}
 	tmpData, dataDir := "", cfg.DataDir

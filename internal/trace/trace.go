@@ -13,7 +13,7 @@
 //   - Root spans are sampled 1-in-N (SampleEvery); an unsampled root
 //     costs one atomic add. Child spans of a sampled trace are always
 //     recorded, so a sampled trace is complete across hops.
-//   - Finished spans land in a fixed-size ring of atomic pointers; no
+//   - Finished spans land in a fixed-size Ring of atomic pointers; no
 //     lock is taken on the record path and memory is bounded.
 //   - All *Tracer and *Span methods are nil-receiver safe, so call
 //     sites in the runtime are unconditional.
@@ -99,16 +99,14 @@ func (s *Span) Duration() time.Duration {
 // invocation per this many roots.
 const DefaultSampleEvery = 64
 
-// DefaultCapacity is the default ring size (finished spans retained).
-const DefaultCapacity = 4096
+// spanRing is the number of finished spans a Tracer retains.
+const spanRing = 4096
 
 // Config parameterizes a Tracer.
 type Config struct {
 	// SampleEvery samples one root span per SampleEvery Root calls.
 	// 1 traces everything; 0 means DefaultSampleEvery.
 	SampleEvery int
-	// Capacity is the span ring size; 0 means DefaultCapacity.
-	Capacity int
 }
 
 // Tracer hands out spans and retains the most recent finished ones in
@@ -118,8 +116,7 @@ type Tracer struct {
 	sampleEvery uint64
 	rootSeq     atomic.Uint64 // counts Root calls, drives sampling
 	idSeq       atomic.Uint64 // unique span/trace ids
-	pos         atomic.Uint64 // next ring slot
-	ring        []atomic.Pointer[Span]
+	ring        *Ring[Span]
 }
 
 // New builds a Tracer.
@@ -127,12 +124,9 @@ func New(cfg Config) *Tracer {
 	if cfg.SampleEvery <= 0 {
 		cfg.SampleEvery = DefaultSampleEvery
 	}
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = DefaultCapacity
-	}
 	return &Tracer{
 		sampleEvery: uint64(cfg.SampleEvery),
-		ring:        make([]atomic.Pointer[Span], cfg.Capacity),
+		ring:        NewRing[Span](spanRing),
 	}
 }
 
@@ -209,8 +203,7 @@ func (t *Tracer) record(s *Span) {
 	if t == nil {
 		return
 	}
-	i := (t.pos.Add(1) - 1) % uint64(len(t.ring))
-	t.ring[i].Store(s)
+	t.ring.Put(s)
 }
 
 // Spans returns every finished span currently retained, oldest-first
@@ -219,15 +212,16 @@ func (t *Tracer) Spans() []*Span {
 	if t == nil {
 		return nil
 	}
-	n := uint64(len(t.ring))
-	pos := t.pos.Load()
-	out := make([]*Span, 0, n)
-	for off := uint64(0); off < n; off++ {
-		if s := t.ring[(pos+off)%n].Load(); s != nil {
-			out = append(out, s)
-		}
+	return t.ring.Snapshot()
+}
+
+// Ring returns the span ring, for reporting its capacity and
+// overwrites; nil on a nil tracer.
+func (t *Tracer) Ring() *Ring[Span] {
+	if t == nil {
+		return nil
 	}
-	return out
+	return t.ring
 }
 
 // Trace returns every retained span of one trace.

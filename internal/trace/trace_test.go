@@ -9,7 +9,7 @@ import (
 )
 
 func TestSampling(t *testing.T) {
-	tr := New(Config{SampleEvery: 4, Capacity: 64})
+	tr := New(Config{SampleEvery: 4})
 	var sampled int
 	for i := 0; i < 40; i++ {
 		if s := tr.Root("call", "M", "c"); s != nil {
@@ -21,14 +21,14 @@ func TestSampling(t *testing.T) {
 		t.Errorf("sampled %d of 40 roots at 1-in-4, want 10", sampled)
 	}
 
-	every := New(Config{SampleEvery: 1, Capacity: 8})
+	every := New(Config{SampleEvery: 1})
 	if every.Root("call", "M", "c") == nil {
 		t.Error("SampleEvery=1 must sample every root")
 	}
 }
 
 func TestChildOfSampledTraceAlwaysRecorded(t *testing.T) {
-	tr := New(Config{SampleEvery: 1, Capacity: 64})
+	tr := New(Config{SampleEvery: 1})
 	root := tr.Root("call", "M", "client")
 	child := tr.Child(root.Context(), "serve", "M", "server")
 	if child == nil {
@@ -61,7 +61,8 @@ func TestNilSafety(t *testing.T) {
 }
 
 func TestRingWraparound(t *testing.T) {
-	tr := New(Config{SampleEvery: 1, Capacity: 4})
+	tr := New(Config{SampleEvery: 1})
+	tr.ring = NewRing[Span](4)
 	var last SpanContext
 	for i := 0; i < 10; i++ {
 		s := tr.Root("call", "M", "c")
@@ -76,10 +77,13 @@ func TestRingWraparound(t *testing.T) {
 	if spans[len(spans)-1].Context() != last {
 		t.Errorf("newest span not last in ring order")
 	}
+	if got := tr.Ring().Overwritten(); got != 6 {
+		t.Errorf("span ring overwrote %d, want 6", got)
+	}
 }
 
 func TestTraceAndTraceIDs(t *testing.T) {
-	tr := New(Config{SampleEvery: 1, Capacity: 64})
+	tr := New(Config{SampleEvery: 1})
 	a := tr.Root("call", "A", "c")
 	tr.Child(a.Context(), "serve", "A", "s").Finish("OK")
 	a.Finish("OK")
@@ -114,7 +118,8 @@ func TestContextRoundTrip(t *testing.T) {
 }
 
 func TestConcurrentRootsAndRecords(t *testing.T) {
-	tr := New(Config{SampleEvery: 2, Capacity: 128})
+	tr := New(Config{SampleEvery: 2})
+	tr.ring = NewRing[Span](128)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -145,7 +150,7 @@ func TestConcurrentRootsAndRecords(t *testing.T) {
 }
 
 func TestTimelineRendering(t *testing.T) {
-	tr := New(Config{SampleEvery: 1, Capacity: 16})
+	tr := New(Config{SampleEvery: 1})
 	root := tr.Root("call", "Work", "client-0")
 	child := tr.Child(root.Context(), "serve", "Work", "host-1")
 	child.Event("cache", "miss")
@@ -177,7 +182,7 @@ func TestTimelineRendering(t *testing.T) {
 func indent(s string) int { return len(s) - len(strings.TrimLeft(s, " ")) }
 
 func TestChromeJSON(t *testing.T) {
-	tr := New(Config{SampleEvery: 1, Capacity: 16})
+	tr := New(Config{SampleEvery: 1})
 	root := tr.Root("call", "Work", "client-0")
 	child := tr.Child(root.Context(), "serve", "Work", "host-1")
 	child.Event("retry", "wave 2")
