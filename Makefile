@@ -46,8 +46,8 @@ migrate-test:
 # epochs, remote events) and exemplar histograms under the race
 # detector, the ring's concurrent put/snapshot test on several core
 # counts, the debug surface scraped during live churn, the wire'd LQL
-# path, and a quick E20 run (five canned operator queries against a
-# cluster under migration).
+# path, and E20 (five canned operator queries against a cluster under
+# migration).
 RING_RUN = TestRingConcurrentPutSnapshot
 
 obs-test:
@@ -55,7 +55,7 @@ obs-test:
 	$(GO) test -race ./internal/obs ./internal/metrics ./internal/debughttp ./internal/trace
 	$(GO) test -race -cpu 1,2,4,8 -run '$(RING_RUN)' ./internal/trace
 	$(GO) test -race -run 'TestLiveLQLOverTheWire' ./internal/sim
-	$(GO) run ./cmd/legion-bench -quick -run E20
+	$(GO) test -run 'TestAllQuick/E20$$' ./internal/experiments
 
 # check-run PKGS,REGEX fails unless every |-separated alternative of a
 # -run REGEX names at least one test in PKGS, so renaming a test cannot
@@ -84,9 +84,9 @@ store-matrix:
 	$(GO) test -race -run '$(RESTART_RUN)' ./internal/core ./internal/sim
 	$(GO) test -race -count 2 -cpu 1,2,4,8 -run '$(LIFECYCLE_RUN)' ./internal/magistrate
 
-# Storage engine gauntlet: the fault matrix and a quick E21 run.
+# Storage engine gauntlet: the fault matrix and E21.
 store-test: store-matrix
-	$(GO) run ./cmd/legion-bench -quick -run E21
+	$(GO) test -run 'TestAllQuick/E21$$' ./internal/experiments
 
 # Discrete-event scale harness: the clock seam and virtual clock under
 # the race detector, the deterministic-replay guarantee (same seed →

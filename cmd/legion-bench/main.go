@@ -1,13 +1,14 @@
-// Command legion-bench regenerates the evaluation tables of
-// EXPERIMENTS.md. The paper ("The Core Legion Object Model") publishes
-// no measured tables; each experiment validates one of its
-// claim-bearing sections instead — see DESIGN.md for the index.
+// Command legion-bench regenerates the timed and scale tables of
+// EXPERIMENTS.md: E15–E19 and E22. The paper ("The Core Legion Object
+// Model") publishes no measured tables; each experiment validates one
+// of its claim-bearing sections instead. The other claims are checked
+// by tier-1 tests — see DESIGN.md for the index.
 //
 // Usage:
 //
 //	legion-bench                 # run every experiment at full scale
 //	legion-bench -quick          # fast pass (same configurations the tests use)
-//	legion-bench -run E3,E9      # selected experiments
+//	legion-bench -run E15,E19    # selected experiments
 //	legion-bench -list           # list experiments
 package main
 

@@ -11,18 +11,15 @@ import (
 	"repro/internal/wire"
 )
 
-// RunE13 is the ablation for explicit binding propagation (§4.1.4:
+// runE13 is the ablation for explicit binding propagation (§4.1.4:
 // "Some classes may even attempt to reduce the number of stale
 // bindings by explicitly propagating news of an object's migration or
 // removal"). Several clients behind distinct Binding Agents chase an
 // object that keeps being deactivated; with subscription-based pushes
 // enabled, agents hear the news instead of each independently paying
 // the refresh path.
-func RunE13(scale Scale) (*Table, error) {
-	rounds := 20
-	if scale == Full {
-		rounds = 80
-	}
+func runE13() (*Table, error) {
+	const rounds = 80
 	const agents = 4
 	t := &Table{
 		ID:      "E13",
@@ -62,21 +59,21 @@ func RunE13(scale Scale) (*Table, error) {
 			}
 		}
 		s.ResetMetrics()
-		mag := magistrate.NewClient(s.Sys.BootClient(), s.Sys.Jurisdictions[0].Magistrate)
+		mag := s.Sys.BootClient().To(s.Sys.Jurisdictions[0].Magistrate)
 		hosts := s.Sys.Jurisdictions[0].Hosts
 		var total time.Duration
 		refs, failures := 0, 0
 		for r := 0; r < rounds; r++ {
 			target := s.Flat[r%len(s.Flat)]
-			if err := mag.Deactivate(target); err != nil {
+			if _, err := magistrate.Deactivate.Call(context.Background(), mag, target); err != nil {
 				s.Close()
 				return nil, err
 			}
 			// The disturbance must *move* the object: the load-aware
 			// placement would put it right back on the host it left (its
 			// slot is now the emptiest), and no binding would ever go
-			// stale. The driver re-activates it on a rotating host.
-			if _, err := magistrate.Activate.Call(context.Background(), mag.Ref, target, hosts[r%len(hosts)]); err != nil {
+			// stale. The run re-activates it on a rotating host.
+			if _, err := magistrate.Activate.Call(context.Background(), mag, target, hosts[r%len(hosts)]); err != nil {
 				s.Close()
 				return nil, err
 			}

@@ -11,18 +11,15 @@ import (
 	"repro/internal/sim"
 )
 
-// RunE14 is the ablation for the scheduling hooks (§3.7, §3.8):
+// runE14 is the ablation for the scheduling hooks (§3.7, §3.8):
 // "complex scheduling policies are intended to be implemented outside
 // of the Magistrate in Scheduling Agents". With part of the load pinned
 // to one host (simulating externally-placed work), a round-robin
 // Scheduling Agent keeps stacking objects there, while a least-loaded
 // one steers new objects away: the class hook, not the Magistrate,
 // decides.
-func RunE14(scale Scale) (*Table, error) {
-	creates := 12
-	if scale == Full {
-		creates = 45
-	}
+func runE14() (*Table, error) {
+	const creates = 45
 	const hosts = 3
 	t := &Table{
 		ID:      "E14",
@@ -57,14 +54,14 @@ func RunE14(scale Scale) (*Table, error) {
 		// else that a round-robin policy cannot see.
 		pinned := creates / 3
 		for i := 0; i < pinned; i++ {
-			if _, _, err := cl.Create(nil, juris.Magistrate, juris.Hosts[0]); err != nil {
+			if _, err := class.Create.Call(context.Background(), cl.Ref, nil, juris.Magistrate, juris.Hosts[0]); err != nil {
 				s.Close()
 				return nil, err
 			}
 		}
 		// The rest are unpinned: placement is the policy's call.
 		for i := 0; i < creates-pinned; i++ {
-			if _, _, err := cl.Create(nil, loid.Nil, loid.Nil); err != nil {
+			if _, err := class.Create.Call(context.Background(), cl.Ref, nil, loid.Nil, loid.Nil); err != nil {
 				s.Close()
 				return nil, err
 			}

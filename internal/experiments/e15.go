@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
+	"repro/internal/class"
 	"repro/internal/sim"
 	"repro/internal/wire"
 )
@@ -34,7 +36,8 @@ func RunE15(scale Scale) (*Table, error) {
 	s.Sys.Fabric.SetLatency(oneWay)
 	obj := s.Flat[0]
 	cli := s.Clients[0]
-	agent := agentOf(s, 0)
+	leaf := s.Sys.Leaves[0]
+	agent := s.Sys.BootClient().At(leaf.Addr, leaf.LOID)
 	netSent := s.Reg.Counter("net/sent")
 
 	if res, err := cli.Call(obj, "Work"); err != nil || res.Code != wire.OK {
@@ -73,7 +76,8 @@ func RunE15(scale Scale) (*Table, error) {
 		}},
 		{"L2 class table", func() error {
 			cli.Cache().InvalidateLOID(obj)
-			return agent.InvalidateLOID(obj)
+			_, err := class.InvalidateLOID.Call(context.Background(), agent, obj)
+			return err
 		}},
 	}
 	holds := true

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/bindagent"
 	"repro/internal/class"
 	"repro/internal/magistrate"
 	"repro/internal/sim"
@@ -99,8 +98,7 @@ func RunE17(scale Scale) (*Table, error) {
 
 	// Cold path: push the object back to its Object Persistent
 	// Representation and forget it everywhere the §4.1 chain caches.
-	mc := magistrate.NewClient(boot, s.Sys.Jurisdictions[0].Magistrate)
-	if err := mc.Deactivate(obj); err != nil {
+	if _, err := magistrate.Deactivate.Call(context.Background(), boot.To(s.Sys.Jurisdictions[0].Magistrate), obj); err != nil {
 		return nil, fmt.Errorf("E17 deactivate: %w", err)
 	}
 	if _, err := class.NotifyDeactivated.Call(context.Background(), s.Classes[0].Ref, obj); err != nil {
@@ -108,8 +106,7 @@ func RunE17(scale Scale) (*Table, error) {
 	}
 	cli.Cache().InvalidateLOID(obj)
 	for _, leaf := range s.Sys.Agents {
-		ac := bindagent.NewClient(boot, leaf.LOID, leaf.Addr)
-		if err := ac.InvalidateLOID(obj); err != nil {
+		if _, err := class.InvalidateLOID.Call(context.Background(), boot.At(leaf.Addr, leaf.LOID), obj); err != nil {
 			return nil, fmt.Errorf("E17 invalidate agent %v: %w", leaf.LOID, err)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/class"
 	"repro/internal/core"
 	"repro/internal/health"
 	"repro/internal/implreg"
@@ -334,12 +335,12 @@ func e18Restart(scale Scale) (*e18Result, error) {
 	}
 	var flat []loid.LOID
 	for i := 0; i < objects; i++ {
-		l, _, err := cl.Create(nil, loid.Nil, loid.Nil)
+		made, err := class.Create.Call(context.Background(), cl.Ref, nil, loid.Nil, loid.Nil)
 		if err != nil {
 			sys.Close()
 			return nil, err
 		}
-		flat = append(flat, l)
+		flat = append(flat, made.LOID)
 	}
 	cli, err := sys.NewClient(loid.NewNoKey(300, 1))
 	if err != nil {

@@ -124,13 +124,6 @@ func (r *e19Result) row() []string {
 	}
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // e19Retry is the client retry envelope every scenario runs under: the
 // zero-failed-call guarantee is "no offered call fails within its
 // deadline", with parked/bounced/forward-lost attempts healed by
@@ -239,13 +232,6 @@ func e19UnderTraffic(scale Scale) (*e19Result, error) {
 		return nil, fmt.Errorf("E19 under traffic: %w", err)
 	}
 	return res, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // e19CrashAt runs one migration with a host crash injected at the

@@ -12,16 +12,13 @@ import (
 	"repro/internal/wire"
 )
 
-// RunE1 reproduces Fig 17 / §4.1.2: the binding resolution escalation
+// runE1 reproduces Fig 17 / §4.1.2: the binding resolution escalation
 // path. A reference is timed with the binding present at each level:
 // the caller's local cache, the Binding Agent's cache, the class
 // object's logical table, and finally nowhere — forcing the Magistrate
 // to activate the object. Each added level must cost more.
-func RunE1(scale Scale) (*Table, error) {
-	iters := 50
-	if scale == Full {
-		iters = 300
-	}
+func runE1() (*Table, error) {
+	const iters = 300
 	s, err := sim.Build(sim.Config{Classes: 1, ObjectsPerClass: 1, Clients: 1})
 	if err != nil {
 		return nil, err
@@ -31,8 +28,14 @@ func RunE1(scale Scale) (*Table, error) {
 	cli := s.Clients[0]
 	cl := s.Classes[0]
 	boot := s.Sys.BootClient()
-	mag := magistrate.NewClient(boot, s.Sys.Jurisdictions[0].Magistrate)
-	agentClient := agentOf(s, 0)
+	ctx := context.Background()
+	mag := boot.To(s.Sys.Jurisdictions[0].Magistrate)
+	leaf := s.Sys.Leaves[0]
+	agent := boot.At(leaf.Addr, leaf.LOID)
+	dropAgent := func() error {
+		_, err := class.InvalidateLOID.Call(ctx, agent, obj)
+		return err
+	}
 
 	// One warm-up call populates all levels.
 	if res, err := cli.Call(obj, "Work"); err != nil || res.Code != wire.OK {
@@ -79,21 +82,21 @@ func RunE1(scale Scale) (*Table, error) {
 	// Level 2: local+agent miss, class table hit.
 	l2, m2, err := measure(func() error {
 		cli.Cache().InvalidateLOID(obj)
-		return agentClient.InvalidateLOID(obj)
+		return dropAgent()
 	})
 	if err != nil {
 		return nil, err
 	}
 	// Level 3: nothing knows an address — Magistrate must activate.
 	l3, m3, err := measure(func() error {
-		if err := mag.Deactivate(obj); err != nil {
+		if _, err := magistrate.Deactivate.Call(ctx, mag, obj); err != nil {
 			return err
 		}
-		if _, err := class.NotifyDeactivated.Call(context.Background(), cl.Ref, obj); err != nil {
+		if _, err := class.NotifyDeactivated.Call(ctx, cl.Ref, obj); err != nil {
 			return err
 		}
 		cli.Cache().InvalidateLOID(obj)
-		return agentClient.InvalidateLOID(obj)
+		return dropAgent()
 	})
 	if err != nil {
 		return nil, err
@@ -122,15 +125,12 @@ func RunE1(scale Scale) (*Table, error) {
 	return t, nil
 }
 
-// RunE2 reproduces §5.2.1: each object maintains a binding cache, so
+// runE2 reproduces §5.2.1: each object maintains a binding cache, so
 // its Binding Agent is consulted only on local misses. Sweeping the
 // client cache size over a fixed working set shows hit rate rising and
 // agent traffic falling.
-func RunE2(scale Scale) (*Table, error) {
-	objects, refs := 64, 512
-	if scale == Full {
-		objects, refs = 256, 4096
-	}
+func runE2() (*Table, error) {
+	const objects, refs = 256, 4096
 	sizes := []int{1, 8, 64, 512}
 	t := &Table{
 		ID:      "E2",
@@ -180,15 +180,12 @@ func RunE2(scale Scale) (*Table, error) {
 	return t, nil
 }
 
-// RunE3 reproduces §5.2.2's combining-tree argument: organizing
+// runE3 reproduces §5.2.2's combining-tree argument: organizing
 // Binding Agents into a k-ary tree eliminates leaf traffic to
 // LegionClass, and per-component load does not grow with client count
 // (the distributed systems principle).
-func RunE3(scale Scale) (*Table, error) {
-	clients, refsPerClient := 8, 16
-	if scale == Full {
-		clients, refsPerClient = 16, 64
-	}
+func runE3() (*Table, error) {
+	const clients, refsPerClient = 16, 64
 	type cfg struct {
 		leaves, fanout int
 		label          string
@@ -206,11 +203,13 @@ func RunE3(scale Scale) (*Table, error) {
 		Claim:   "a k-ary tree of Binding Agents eliminates traffic from leaf agents to LegionClass, arbitrarily reducing its load; no component's request count may grow with system size",
 		Columns: []string{"topology", "LegionClass req/1k refs", "class objects req/1k refs", "max single agent req/1k refs"},
 	}
-	type outcome struct {
-		flat bool
-		lc   float64
-	}
-	var outs []outcome
+	// Each tree must put less load on LegionClass than the flat layout
+	// of as many leaves (listed first), and the trees less than the flat
+	// layouts on average.
+	flatAt := make(map[int]float64)
+	var flatMean, treeMean float64
+	var nf, nt int
+	var worse []string
 	for _, c := range cfgs {
 		s, err := sim.Build(sim.Config{
 			Classes: 2, ObjectsPerClass: 16, Clients: clients,
@@ -236,40 +235,36 @@ func RunE3(scale Scale) (*Table, error) {
 			per1k(res.ClassRequests, res.References),
 			per1k(maxAgent.Value, res.References),
 		})
-		outs = append(outs, outcome{flat: c.fanout == 0,
-			lc: float64(res.LegionClassRequests) * 1000 / float64(res.References)})
-		s.Close()
-	}
-	var flatMean, treeMean float64
-	var nf, nt int
-	for _, o := range outs {
-		if o.flat {
-			flatMean += o.lc
+		lc := float64(res.LegionClassRequests) * 1000 / float64(res.References)
+		if c.fanout == 0 {
+			flatAt[c.leaves] = lc
+			flatMean += lc
 			nf++
 		} else {
-			treeMean += o.lc
+			if lc >= flatAt[c.leaves] {
+				worse = append(worse, fmt.Sprintf("%s %.1f vs flat %.1f", c.label, lc, flatAt[c.leaves]))
+			}
+			treeMean += lc
 			nt++
 		}
+		s.Close()
 	}
 	flatMean /= float64(nf)
 	treeMean /= float64(nt)
-	if treeMean < flatMean {
-		t.Finding = fmt.Sprintf("holds: tree topologies place %.1f LegionClass req/1k vs %.1f flat", treeMean, flatMean)
+	if treeMean < flatMean && len(worse) == 0 {
+		t.Finding = fmt.Sprintf("holds: tree topologies place %.1f LegionClass req/1k vs %.1f flat, and each tree less than the flat layout of as many leaves", treeMean, flatMean)
 	} else {
-		t.Finding = fmt.Sprintf("fails: tree %.1f vs flat %.1f", treeMean, flatMean)
+		t.Finding = fmt.Sprintf("fails: tree %.1f vs flat %.1f; trees not below flat: %v", treeMean, flatMean, worse)
 	}
 	return t, nil
 }
 
-// RunE4 reproduces §5.2.2's class-cloning relief: "the problem of
+// runE4 reproduces §5.2.2's class-cloning relief: "the problem of
 // popular class objects becoming bottlenecks can be alleviated by
 // cloning class objects ... new instantiation and derivation requests
 // are passed to the cloned object."
-func RunE4(scale Scale) (*Table, error) {
-	creates := 24
-	if scale == Full {
-		creates = 96
-	}
+func runE4() (*Table, error) {
+	const creates = 96
 	t := &Table{
 		ID:      "E4",
 		Title:   "Cloning hot class objects (§5.2.2)",
@@ -294,12 +289,12 @@ func RunE4(scale Scale) (*Table, error) {
 				return nil, err
 			}
 			s.Sys.BootClient().AddBinding(clone.Binding)
-			targets = append(targets, class.NewClient(s.Sys.BootClient(), clone.LOID))
+			targets = append(targets, &class.Client{Ref: s.Sys.BootClient().To(clone.LOID)})
 		}
 		s.ResetMetrics()
 		start := time.Now()
 		for i := 0; i < creates; i++ {
-			if _, _, err := targets[i%len(targets)].Create(nil, loid.Nil, loid.Nil); err != nil {
+			if _, err := class.Create.Call(context.Background(), targets[i%len(targets)].Ref, nil, loid.Nil, loid.Nil); err != nil {
 				s.Close()
 				return nil, fmt.Errorf("E4 create via target %d: %w", i%len(targets), err)
 			}

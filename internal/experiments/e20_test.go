@@ -11,7 +11,7 @@ import (
 	"repro/internal/wire"
 )
 
-// RunE20 validates the observability plane end to end: a deployment
+// runE20 validates the observability plane end to end: a deployment
 // under churn and live migration must be *queryable* — the questions an
 // operator actually asks ("what is hot?", "where is the load?", "what
 // was slow, and show me the trace", "where has this object lived?",
@@ -20,7 +20,7 @@ import (
 // telemetry, exemplar traces resolvable in the tracer, and the flight
 // recorder's timeline intact. The queries travel the real invocation
 // path (legion query's wire roundtrip), not an in-process shortcut.
-func RunE20(scale Scale) (*Table, error) {
+func runE20() (*Table, error) {
 	t := &Table{
 		ID:      "E20",
 		Title:   "Observability plane: LQL over a cluster under churn and migration",
@@ -28,10 +28,7 @@ func RunE20(scale Scale) (*Table, error) {
 		Columns: []string{"question", "query", "rows", "validated"},
 	}
 
-	baseCalls, hotCalls, churnN := 5, 50, 20
-	if scale == Full {
-		baseCalls, hotCalls, churnN = 20, 200, 100
-	}
+	const baseCalls, hotCalls, churnN = 20, 200, 100
 
 	s, err := sim.Build(sim.Config{
 		HostsPerJurisdiction: 3,

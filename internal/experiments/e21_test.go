@@ -12,7 +12,7 @@ import (
 	"repro/internal/sim"
 )
 
-// RunE21 exercises the crash-consistent segment-log jurisdiction store
+// runE21 exercises the crash-consistent segment-log jurisdiction store
 // and bulk adoption. The durability contract under test: a Put/PutBatch
 // that returned nil was group-committed and survives ANY later storage
 // fault (torn write, fsync error, crash mid-compaction, a transient
@@ -23,7 +23,7 @@ import (
 // one incarnation per object, including when the adoption target
 // itself dies mid-ship. How fast recovery is, is measured where its
 // spread is known: ckpt_failover's recover_p50_ms.
-func RunE21(scale Scale) (*Table, error) {
+func runE21() (*Table, error) {
 	t := &Table{
 		ID:      "E21",
 		Title:   "Crash-consistent segment store and bulk adoption (§3.1.1, §4.3)",
@@ -33,14 +33,14 @@ func RunE21(scale Scale) (*Table, error) {
 
 	for _, f := range []struct {
 		name string
-		run  func(Scale) (*e21FaultResult, error)
+		run  func() (*e21FaultResult, error)
 	}{
 		{"torn write (power fail mid-append)", e21TornWrite},
 		{"fsync error (sticky write failure)", e21FsyncError},
 		{"crash mid-compaction", e21MidCompaction},
 		{"transient read fault (short read)", e21ReadFault},
 	} {
-		r, err := f.run(scale)
+		r, err := f.run()
 		if err != nil {
 			return nil, fmt.Errorf("E21 %s: %w", f.name, err)
 		}
@@ -54,12 +54,12 @@ func RunE21(scale Scale) (*Table, error) {
 		}
 	}
 
-	bulk, err := e21Recovery(scale, e21Bulk)
+	bulk, err := e21Recovery(e21Bulk)
 	if err != nil {
 		return nil, err
 	}
 	t.Rows = append(t.Rows, bulk.row("bulk adoption (segment store)"))
-	midShip, err := e21Recovery(scale, e21MidShip)
+	midShip, err := e21Recovery(e21MidShip)
 	if err != nil {
 		return nil, err
 	}
@@ -119,7 +119,7 @@ func e21OPR(i int) persist.OPR {
 // e21TornWrite: acknowledged puts, then a power failure that tears a
 // later append in half. Recovery truncates the torn tail; everything
 // acked before the crash must read back intact.
-func e21TornWrite(Scale) (*e21FaultResult, error) {
+func e21TornWrite() (*e21FaultResult, error) {
 	dir, err := os.MkdirTemp("", "e21-torn-")
 	if err != nil {
 		return nil, err
@@ -149,7 +149,7 @@ func e21TornWrite(Scale) (*e21FaultResult, error) {
 // e21FsyncError: the Nth fsync fails without crashing. The store must
 // refuse the batch (unacknowledged) and fail all later writes, while
 // everything acked before stays durable and readable.
-func e21FsyncError(Scale) (*e21FaultResult, error) {
+func e21FsyncError() (*e21FaultResult, error) {
 	dir, err := os.MkdirTemp("", "e21-fsync-")
 	if err != nil {
 		return nil, err
@@ -183,7 +183,7 @@ func e21FsyncError(Scale) (*e21FaultResult, error) {
 // the middle of rewriting a segment. The old segment (or a harmless
 // duplicate) must survive; recovery keeps every live record and every
 // delete deleted.
-func e21MidCompaction(Scale) (*e21FaultResult, error) {
+func e21MidCompaction() (*e21FaultResult, error) {
 	dir, err := os.MkdirTemp("", "e21-compact-")
 	if err != nil {
 		return nil, err
@@ -250,7 +250,7 @@ func e21MidCompaction(Scale) (*e21FaultResult, error) {
 // e21ReadFault: a transient short read under Get. The faulted read
 // must fail (never return a partial OPR) and, the fault passed, every
 // acknowledged record must read back whole.
-func e21ReadFault(Scale) (*e21FaultResult, error) {
+func e21ReadFault() (*e21FaultResult, error) {
 	dir, err := os.MkdirTemp("", "e21-read-")
 	if err != nil {
 		return nil, err
@@ -330,11 +330,8 @@ func (r *e21RecResult) row(name string) []string {
 // retries, so the number is the recovery path's own latency). Then
 // every object is probed for state loss and the whole deployment is
 // swept for double incarnations.
-func e21Recovery(scale Scale, mode e21Mode) (*e21RecResult, error) {
-	objects := 24
-	if scale == Full {
-		objects = 64
-	}
+func e21Recovery(mode e21Mode) (*e21RecResult, error) {
+	const objects = 64
 	s, err := sim.Build(sim.Config{
 		HostsPerJurisdiction: 3,
 		ObjectsPerClass:      objects,

@@ -11,21 +11,19 @@ import (
 	"repro/internal/loid"
 	"repro/internal/magistrate"
 	"repro/internal/oa"
+	"repro/internal/rt"
 	"repro/internal/sim"
 	"repro/internal/wire"
 )
 
-// RunE5 reproduces §4.1.4: "Legion expects the presence of stale
+// runE5 reproduces §4.1.4: "Legion expects the presence of stale
 // bindings... When an object attempts to communicate with an invalid
 // Object Address, the Legion communication layer is expected to detect
 // that it has become invalid [and] request that the binding be
 // refreshed." We deactivate objects mid-stream at varying rates and
 // measure recovery.
-func RunE5(scale Scale) (*Table, error) {
-	refs := 120
-	if scale == Full {
-		refs = 600
-	}
+func runE5() (*Table, error) {
+	const refs = 600
 	t := &Table{
 		ID:      "E5",
 		Title:   "Stale binding detection and refresh (§4.1.4)",
@@ -88,19 +86,13 @@ func RunE5(scale Scale) (*Table, error) {
 	return t, nil
 }
 
-// RunE6 reproduces §3.1/Fig 11: Magistrates move objects between
+// runE6 reproduces §3.1/Fig 11: Magistrates move objects between
 // Active and Inert states through the jurisdiction's shared storage,
 // and migrate them between jurisdictions, with cost scaling in the
 // state size.
-func RunE6(scale Scale) (*Table, error) {
-	iters := 10
-	if scale == Full {
-		iters = 40
-	}
-	sizes := []uint64{0, 1 << 10, 64 << 10}
-	if scale == Full {
-		sizes = append(sizes, 1<<20)
-	}
+func runE6() (*Table, error) {
+	const iters = 40
+	sizes := []uint64{0, 1 << 10, 64 << 10, 1 << 20}
 	t := &Table{
 		ID:      "E6",
 		Title:   "Object lifecycle: activate / deactivate / migrate (Fig 11, §3.1, §3.8)",
@@ -118,8 +110,9 @@ func RunE6(scale Scale) (*Table, error) {
 		obj := s.Flat[0]
 		cli := s.Clients[0]
 		boot := s.Sys.BootClient()
-		m0 := magistrate.NewClient(boot, s.Sys.Jurisdictions[0].Magistrate)
-		m1 := magistrate.NewClient(boot, s.Sys.Jurisdictions[1].Magistrate)
+		ctx := context.Background()
+		m0 := boot.To(s.Sys.Jurisdictions[0].Magistrate)
+		m1 := boot.To(s.Sys.Jurisdictions[1].Magistrate)
 		cl := s.Classes[0]
 		// Install the padded state.
 		if res, err := cli.Call(obj, "Pad", wire.Uint64(size)); err != nil || res.Code != wire.OK {
@@ -130,35 +123,35 @@ func RunE6(scale Scale) (*Table, error) {
 		var deact, react, move time.Duration
 		for i := 0; i < iters; i++ {
 			t0 := time.Now()
-			if err := m0.Deactivate(obj); err != nil {
+			if _, err := magistrate.Deactivate.Call(ctx, m0, obj); err != nil {
 				s.Close()
 				return nil, fmt.Errorf("E6 deactivate: %w", err)
 			}
 			deact += time.Since(t0)
 			t0 = time.Now()
-			if _, err := m0.Activate(obj, loid.Nil); err != nil {
+			if _, err := magistrate.Activate.Call(ctx, m0, obj, loid.Nil); err != nil {
 				s.Close()
 				return nil, fmt.Errorf("E6 activate: %w", err)
 			}
 			react += time.Since(t0)
 			// Move to the other jurisdiction and back.
 			t0 = time.Now()
-			if _, err := magistrate.Move.Call(context.Background(), m0.Ref, obj, m1.Target); err != nil {
+			if _, err := magistrate.Move.Call(ctx, m0, obj, m1.Target); err != nil {
 				s.Close()
 				return nil, fmt.Errorf("E6 move: %w", err)
 			}
 			move += time.Since(t0)
 			// Restore home (not timed): move back and fix the class.
-			if _, err := magistrate.Move.Call(context.Background(), m1.Ref, obj, m0.Target); err != nil {
+			if _, err := magistrate.Move.Call(ctx, m1, obj, m0.Target); err != nil {
 				s.Close()
 				return nil, fmt.Errorf("E6 move back: %w", err)
 			}
-			if _, err := class.SetCurrentMagistrates.Call(context.Background(), cl.Ref, obj, []loid.LOID{m0.Target}); err != nil {
+			if _, err := class.SetCurrentMagistrates.Call(ctx, cl.Ref, obj, []loid.LOID{m0.Target}); err != nil {
 				s.Close()
 				return nil, fmt.Errorf("E6 fix class: %w", err)
 			}
-			_, _ = class.NotifyDeactivated.Call(context.Background(), cl.Ref, obj)
-			if _, err := m0.Activate(obj, loid.Nil); err != nil {
+			_, _ = class.NotifyDeactivated.Call(ctx, cl.Ref, obj)
+			if _, err := magistrate.Activate.Call(ctx, m0, obj, loid.Nil); err != nil {
 				s.Close()
 				return nil, fmt.Errorf("E6 reactivate home: %w", err)
 			}
@@ -173,14 +166,11 @@ func RunE6(scale Scale) (*Table, error) {
 	return t, nil
 }
 
-// RunE7 reproduces §4.3: a single LOID names a replicated object — an
+// runE7 reproduces §4.3: a single LOID names a replicated object — an
 // Object Address with several elements plus a semantic — and the
 // semantics mask replica failures without changing application code.
-func RunE7(scale Scale) (*Table, error) {
-	calls := 40
-	if scale == Full {
-		calls = 200
-	}
+func runE7() (*Table, error) {
+	const calls = 200
 	t := &Table{
 		ID:      "E7",
 		Title:   "Object replication via Object Address semantics (§4.3, §3.4)",
@@ -214,16 +204,16 @@ func RunE7(scale Scale) (*Table, error) {
 		repLOID := loid.New(900, 1, loid.DeriveKey("replicated"))
 		boot := s.Sys.BootClient()
 		var elems []oa.Element
-		var hostClients []*host.Client
+		var hostRefs []rt.Ref
 		for i, hl := range s.Sys.Jurisdictions[0].Hosts {
-			hc := host.NewClient(boot, hl)
-			addr, err := hc.StartObject(repLOID, sim.WorkerImplName, nil)
+			hc := boot.To(hl)
+			addr, err := host.StartObject.Call(context.Background(), hc, repLOID, sim.WorkerImplName, nil)
 			if err != nil {
 				s.Close()
 				return nil, fmt.Errorf("E7 replica %d: %w", i, err)
 			}
 			elems = append(elems, addr.Primary())
-			hostClients = append(hostClients, hc)
+			hostRefs = append(hostRefs, hc)
 		}
 		repAddr := oa.Replicated(c.sem, 1, elems...)
 		cli := s.Clients[0]
@@ -231,7 +221,7 @@ func RunE7(scale Scale) (*Table, error) {
 		cli.Timeout = 500 * time.Millisecond // fast failover on dead replicas
 		// Kill the first c.kill replicas.
 		for k := 0; k < c.kill; k++ {
-			if _, err := host.KillObject.Call(context.Background(), hostClients[k].Ref, repLOID); err != nil {
+			if _, err := host.KillObject.Call(context.Background(), hostRefs[k], repLOID); err != nil {
 				s.Close()
 				return nil, err
 			}
@@ -266,14 +256,11 @@ func RunE7(scale Scale) (*Table, error) {
 	return t, nil
 }
 
-// RunE8 reproduces §3.7/§2.1: classes generate unique instance LOIDs
+// runE8 reproduces §3.7/§2.1: classes generate unique instance LOIDs
 // entirely locally (Class Specific as a sequence number), while Derive
 // contacts LegionClass exactly once per new class.
-func RunE8(scale Scale) (*Table, error) {
-	creates := 32
-	if scale == Full {
-		creates = 128
-	}
+func runE8() (*Table, error) {
+	const creates = 128
 	t := &Table{
 		ID:      "E8",
 		Title:   "Object and class creation (§3.7, §4.2)",
@@ -294,7 +281,8 @@ func RunE8(scale Scale) (*Table, error) {
 		start := time.Now()
 		for i := 0; i < creates; i++ {
 			cl := s.Classes[i%classes]
-			l, _, err := cl.Create(nil, loid.Nil, loid.Nil)
+			made, err := class.Create.Call(context.Background(), cl.Ref, nil, loid.Nil, loid.Nil)
+			l := made.LOID
 			if err != nil {
 				s.Close()
 				return nil, fmt.Errorf("E8 create: %w", err)
@@ -310,6 +298,9 @@ func RunE8(scale Scale) (*Table, error) {
 		if dup {
 			uniq = "NO"
 		}
+		if (lc != 0 || dup) && t.Finding == "" {
+			t.Finding = fmt.Sprintf("fails: %d creates over %d classes made %d LegionClass requests, unique LOIDs %s", creates, classes, lc, uniq)
+		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("Create over %d classes", classes),
 			fmt.Sprintf("%d", creates),
@@ -322,10 +313,7 @@ func RunE8(scale Scale) (*Table, error) {
 	}
 	// Derive workload: LegionClass consulted once per derive.
 	{
-		derives := 8
-		if scale == Full {
-			derives = 24
-		}
+		const derives = 24
 		s, err := sim.Build(sim.Config{Classes: 1, ObjectsPerClass: 1, Clients: 1})
 		if err != nil {
 			return nil, err
@@ -333,7 +321,7 @@ func RunE8(scale Scale) (*Table, error) {
 		s.ResetMetrics()
 		start := time.Now()
 		for i := 0; i < derives; i++ {
-			if _, _, err := s.Classes[0].Derive(fmt.Sprintf("Sub%d", i), "", nil, 0, loid.Nil); err != nil {
+			if _, err := class.Derive.Call(context.Background(), s.Classes[0].Ref, class.Subclass{Name: fmt.Sprintf("Sub%d", i)}); err != nil {
 				s.Close()
 				return nil, fmt.Errorf("E8 derive: %w", err)
 			}
@@ -349,8 +337,8 @@ func RunE8(scale Scale) (*Table, error) {
 			"yes",
 		})
 		s.Close()
-		if lc < uint64(derives) {
-			t.Finding = fmt.Sprintf("unexpected: %d derives but only %d LegionClass requests", derives, lc)
+		if lc != derives && t.Finding == "" {
+			t.Finding = fmt.Sprintf("fails: %d derives made %d LegionClass requests, not one each", derives, lc)
 		}
 	}
 	if t.Finding == "" {

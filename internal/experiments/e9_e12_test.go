@@ -14,19 +14,15 @@ import (
 	"repro/internal/wire"
 )
 
-// RunE9 reproduces the whole-system scalability claim of §5.2: with
+// runE9 reproduces the whole-system scalability claim of §5.2: with
 // local caching, the agent tree, and decentralized classes in place,
 // "the number of requests to any particular system component must not
 // be an increasing function of the number of hosts in the system." We
 // grow the deployment (hosts, objects, clients all proportionally) and
 // measure the most-loaded component of each kind per 1k references.
-func RunE9(scale Scale) (*Table, error) {
-	sizes := []int{2, 4, 8}
-	refsPerClient := 24
-	if scale == Full {
-		sizes = []int{2, 4, 8, 16}
-		refsPerClient = 64
-	}
+func runE9() (*Table, error) {
+	sizes := []int{2, 4, 8, 16}
+	const refsPerClient = 64
 	t := &Table{
 		ID:      "E9",
 		Title:   "System scaling: per-component load vs system size (§5.2)",
@@ -100,42 +96,42 @@ func RunE9(scale Scale) (*Table, error) {
 	return t, nil
 }
 
-// RunE10 reproduces §4.1.3: locating the responsible class may recurse
+// runE10 reproduces §4.1.3: locating the responsible class may recurse
 // up the kind-of chain to LegionClass, but responsibility-pair and
 // class-binding caching makes warm lookups independent of chain depth.
-func RunE10(scale Scale) (*Table, error) {
-	depths := []int{1, 2, 4}
-	if scale == Full {
-		depths = append(depths, 8)
-	}
+func runE10() (*Table, error) {
+	depths := []int{1, 2, 4, 8}
 	t := &Table{
 		ID:      "E10",
 		Title:   "Recursive class location (§4.1.3)",
 		Claim:   "cold lookups walk the kind-of chain (one LegionClass consult per unseen class); warm lookups hit the agent's pair/binding caches and cost O(1) regardless of depth",
 		Columns: []string{"chain depth", "cold LegionClass reqs", "cold latency", "warm LegionClass reqs", "warm latency"},
 	}
+	var prevCold uint64
+	finding := ""
 	for _, depth := range depths {
 		s, err := sim.Build(sim.Config{Classes: 1, ObjectsPerClass: 1, Clients: 1})
 		if err != nil {
 			return nil, err
 		}
 		// Build the chain under the sim's base class.
-		cur := s.Classes[0]
+		cur := s.Classes[0].Ref
 		boot := s.Sys.BootClient()
 		for d := 0; d < depth; d++ {
-			subL, subB, err := cur.Derive(fmt.Sprintf("Chain%d", d), "", nil, 0, loid.Nil)
+			sub, err := class.Derive.Call(context.Background(), cur, class.Subclass{Name: fmt.Sprintf("Chain%d", d)})
 			if err != nil {
 				s.Close()
 				return nil, fmt.Errorf("E10 derive depth %d: %w", d, err)
 			}
-			boot.AddBinding(subB)
-			cur = class.NewClient(boot, subL)
+			boot.AddBinding(sub.Binding)
+			cur = boot.To(sub.LOID)
 		}
-		obj, _, err := cur.Create(nil, loid.Nil, loid.Nil)
+		made, err := class.Create.Call(context.Background(), cur, nil, loid.Nil, loid.Nil)
 		if err != nil {
 			s.Close()
 			return nil, err
 		}
+		obj := made.LOID
 		// Cold client resolve.
 		s.ResetMetrics()
 		cli, err := s.Sys.NewClient(loid.NewNoKey(300, 999))
@@ -167,6 +163,10 @@ func RunE10(scale Scale) (*Table, error) {
 			return nil, fmt.Errorf("E10 warm call: %v %v", res, err)
 		}
 		warmLC := s.Reg.Counter("req/class/LegionClass").Value()
+		if (coldLC <= prevCold || warmLC != 0) && finding == "" {
+			finding = fmt.Sprintf("fails: depth %d took %d cold consults (previous depth %d) and %d warm", depth, coldLC, prevCold, warmLC)
+		}
+		prevCold = coldLC
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", depth),
 			fmt.Sprintf("%d", coldLC),
@@ -176,18 +176,18 @@ func RunE10(scale Scale) (*Table, error) {
 		})
 		s.Close()
 	}
-	t.Finding = "holds: cold LegionClass consults grow with depth; warm consults are zero at every depth"
+	t.Finding = finding
+	if t.Finding == "" {
+		t.Finding = "holds: cold LegionClass consults grow with depth; warm consults are zero at every depth"
+	}
 	return t, nil
 }
 
-// RunE11 reproduces §2.1: run-time multiple inheritance. InheritFrom
+// runE11 reproduces §2.1: run-time multiple inheritance. InheritFrom
 // merges base interfaces into the class; instance composition reflects
 // the inheritance process; cost grows mildly with base count.
-func RunE11(scale Scale) (*Table, error) {
-	counts := []int{1, 2, 4}
-	if scale == Full {
-		counts = append(counts, 8)
-	}
+func runE11() (*Table, error) {
+	counts := []int{1, 2, 4, 8}
 	t := &Table{
 		ID:      "E11",
 		Title:   "Run-time multiple inheritance (§2.1)",
@@ -222,13 +222,13 @@ func RunE11(scale Scale) (*Table, error) {
 					},
 				}
 			})
-			baseL, baseB, err := s.Classes[0].Derive(fmt.Sprintf("Base%d", i), implName, ifc, 0, loid.Nil)
+			base, err := class.Derive.Call(context.Background(), s.Classes[0].Ref, class.Subclass{Name: fmt.Sprintf("Base%d", i), Impl: implName, Interface: ifc})
 			if err != nil {
 				s.Close()
 				return nil, err
 			}
-			boot.AddBinding(baseB)
-			bases = append(bases, baseL)
+			boot.AddBinding(base.Binding)
+			bases = append(bases, base.LOID)
 		}
 		t0 := time.Now()
 		for _, b := range bases {
@@ -239,11 +239,12 @@ func RunE11(scale Scale) (*Table, error) {
 		}
 		inheritCost := time.Since(t0)
 		t0 = time.Now()
-		obj, _, err := target.Create(nil, loid.Nil, loid.Nil)
+		made, err := class.Create.Call(context.Background(), target.Ref, nil, loid.Nil, loid.Nil)
 		if err != nil {
 			s.Close()
 			return nil, err
 		}
+		obj := made.LOID
 		createLat := time.Since(t0)
 		// Count instance methods via GetInterface on the live object.
 		cli := s.Clients[0]
@@ -267,14 +268,16 @@ func RunE11(scale Scale) (*Table, error) {
 		// And the inherited methods actually dispatch to the base
 		// implementations ("composition reflects the way the class was
 		// defined", §2.1).
-		res, err = cli.Call(obj, "BaseMethod0")
-		if err != nil || res.Code != wire.OK {
-			s.Close()
-			return nil, fmt.Errorf("E11: BaseMethod0 dispatch: %v %v", res, err)
-		}
-		if tag, _ := res.Result(0); wire.AsString(tag) != "from-base-0" {
-			s.Close()
-			return nil, fmt.Errorf("E11: BaseMethod0 answered %q", tag)
+		for i := 0; i < n; i++ {
+			res, err = cli.Call(obj, fmt.Sprintf("BaseMethod%d", i))
+			if err != nil || res.Code != wire.OK {
+				s.Close()
+				return nil, fmt.Errorf("E11: BaseMethod%d dispatch: %v %v", i, res, err)
+			}
+			if tag, _ := res.Result(0); wire.AsString(tag) != fmt.Sprintf("from-base-%d", i) {
+				s.Close()
+				return nil, fmt.Errorf("E11: BaseMethod%d answered %q", i, tag)
+			}
 		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", n),
@@ -288,14 +291,11 @@ func RunE11(scale Scale) (*Table, error) {
 	return t, nil
 }
 
-// RunE12 reproduces §2.4: every invocation runs in the (RA, SA, CA)
+// runE12 reproduces §2.4: every invocation runs in the (RA, SA, CA)
 // environment and is checked by MayI; the default empty policy costs
 // nothing, and richer policies price in proportionally.
-func RunE12(scale Scale) (*Table, error) {
-	calls := 300
-	if scale == Full {
-		calls = 2000
-	}
+func runE12() (*Table, error) {
+	const calls = 2000
 	t := &Table{
 		ID:      "E12",
 		Title:   "MayI enforcement cost (§2.4)",
@@ -303,14 +303,16 @@ func RunE12(scale Scale) (*Table, error) {
 		Columns: []string{"policy", "allowed calls/sec", "outsider result"},
 	}
 	alice := loid.New(300, 1, loid.DeriveKey("client/0")) // sim's first client identity
+	finding := ""
 	for _, p := range []struct {
-		name   string
-		policy security.Policy
+		name     string
+		policy   security.Policy
+		outsider string // what the second client's call must meet
 	}{
-		{"none (default empty)", nil},
-		{"allow-all", security.AllowAll{}},
-		{"acl", aclFor(alice)},
-		{"keyed-acl", keyedFor(alice)},
+		{"none (default empty)", nil, "allowed"},
+		{"allow-all", security.AllowAll{}, "allowed"},
+		{"acl", aclFor(alice), "denied"},
+		{"keyed-acl", keyedFor(alice), "denied"},
 	} {
 		s, err := sim.Build(sim.Config{Classes: 1, ObjectsPerClass: 1, Clients: 2})
 		if err != nil {
@@ -354,8 +356,14 @@ func RunE12(scale Scale) (*Table, error) {
 			outcome,
 		})
 		s.Close()
+		if outcome != p.outsider && finding == "" {
+			finding = fmt.Sprintf("fails: the outsider was %s under %s, want %s", outcome, p.name, p.outsider)
+		}
 	}
-	t.Finding = "holds: empty/allow-all admit everyone at full speed; ACL policies deny the outsider with small overhead for the granted caller"
+	t.Finding = finding
+	if t.Finding == "" {
+		t.Finding = "holds: empty/allow-all admit everyone at full speed; ACL policies deny the outsider with small overhead for the granted caller"
+	}
 	return t, nil
 }
 
