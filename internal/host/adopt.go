@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/loid"
+	"repro/internal/oa"
 	"repro/internal/persist"
 	"repro/internal/wire"
 )
@@ -46,8 +47,7 @@ func (h *Host) adoptObjects(_ context.Context, blob []byte) (uint64, error) {
 		}
 		if err := h.spawnResident(l, o.Impl, o.State); err != nil {
 			for _, s := range started {
-				h.evict(s)
-				h.node.Unpark(s)
+				h.evict(s, oa.Element{})
 			}
 			return 0, fmt.Errorf("host %v: adopt %v: %w", h.self, l, err)
 		}

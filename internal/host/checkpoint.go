@@ -176,17 +176,9 @@ func (h *Host) CheckpointNow() (int, error) {
 		if last, ok := r.savedClock(); ok && last == clock {
 			continue // idle since last round
 		}
-		// SaveState goes through the object's own mailbox, so it
-		// serializes after any in-flight method (read clock first: a
-		// mutation that lands mid-save is re-checkpointed next round).
-		res, err := h.obj.Caller().CallAddrCtx(context.Background(), h.Address(), l, "SaveState")
-		if err == nil {
-			err = res.Err()
-		}
-		var state []byte
-		if err == nil {
-			state, err = res.Result(0)
-		}
+		// The clock is read before the save: a mutation that lands
+		// mid-save is re-checkpointed next round.
+		state, err := h.saveState(context.Background(), l)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("host %v: checkpoint %v: %w", h.self, l, err)

@@ -107,7 +107,7 @@ var server = rt.NewServer("LegionHost",
 		return rt.Void{}, nil
 	}),
 	rt.Serve0(GetLoad, func(h *Host, _ context.Context) (Load, error) { return h.LoadNow(), nil }),
-	rt.Serve1(PrepareMigrate, (*Host).prepareMigrate),
+	rt.Serve1(PrepareMigrate, (*Host).drain),
 	rt.Serve1(AbortMigrate, func(h *Host, _ context.Context, l loid.LOID) (rt.Void, error) {
 		h.node.Unpark(l)
 		return rt.Void{}, nil
@@ -270,55 +270,47 @@ func (h *Host) spawnResident(l loid.LOID, implName string, state []byte) error {
 	return nil
 }
 
-// evict kills l's incarnation and forgets it as a resident: the one way
-// an object leaves the host other than a crash (stop, kill, an undone
-// adoption, migrate-out). What becomes of calls parked at a migration
-// gate — bounced back to their callers by Unpark, or sent on by
-// ForwardParked — is the caller's choice.
-func (h *Host) evict(l loid.LOID) {
+// evict kills l's incarnation, forgets it as a resident and settles its
+// migration gate. Given a destination (migrate-out), the gate turns into
+// a forwarding tombstone aimed there before the kill, so no arrival
+// meets the dead incarnation; otherwise the calls parked there bounce
+// back to their callers' retry loops. It is the one way an object
+// leaves the host other than a crash (stop, kill, an undone adoption,
+// migrate-out).
+func (h *Host) evict(l loid.LOID, to oa.Element) {
+	if to != (oa.Element{}) {
+		h.node.ForwardParked(l, to)
+	}
 	h.node.Kill(l)
 	h.mu.Lock()
 	delete(h.running, l.Ident())
 	h.mu.Unlock()
+	h.node.Unpark(l) // a no-op on a tombstone
 }
 
-// stopObject saves the object's state, removes it from the node, and
-// returns (state, implName). Because host and object share the node,
-// SaveState is delivered through the object's own mailbox (a message),
-// so it serializes after any in-flight method.
+// stopObject drains the object as a migration does (drain), removes it
+// from the node and returns (state, implName): the state holds every
+// call the object answered, and the calls parked during the drain
+// bounce to their callers, which refresh and reach the next incarnation.
 func (h *Host) stopObject(ctx context.Context, l loid.LOID) (Saved, error) {
-	h.mu.Lock()
-	r, ok := h.running[l.Ident()]
-	h.mu.Unlock()
-	if !ok {
-		return Saved{}, fmt.Errorf("host %v does not run %v", h.self, l)
+	s, err := h.drain(ctx, l)
+	if err == nil {
+		h.evict(l, oa.Element{})
 	}
-	res, err := h.obj.Caller().CallAddrCtx(ctx, h.Address(), l, "SaveState")
-	if err != nil {
-		return Saved{}, fmt.Errorf("host %v: save %v: %w", h.self, l, err)
-	}
-	state, err := res.Result(0)
-	if err != nil {
-		return Saved{}, fmt.Errorf("host %v: save %v: %w", h.self, l, err)
-	}
-	h.evict(l)
-	// A pending migration drain gate must not outlive the object:
-	// bounce its parked frames back to their callers' retry loops.
-	h.node.Unpark(l)
-	return Saved{state, r.impl}, nil
+	return s, err
 }
 
 func (h *Host) killObject(_ context.Context, l loid.LOID) (rt.Void, error) {
-	h.evict(l)
-	h.node.Unpark(l)
+	h.evict(l, oa.Element{})
 	return rt.Void{}, nil
 }
 
 // CrashResidents models a machine crash from the host's side: every
 // resident object is torn down WITHOUT SaveState — volatile state is
-// simply gone, exactly as on a power failure. Returns the LOIDs that
-// were lost. (The chaos controller pairs this with crashing the node's
-// network endpoint and notifying the Magistrate via HostFailed.)
+// simply gone, exactly as on a power failure — and its migration gate
+// goes with it, the calls parked there unanswered. Returns the LOIDs
+// that were lost. (The chaos controller pairs this with crashing the
+// node's network endpoint and notifying the Magistrate via HostFailed.)
 func (h *Host) CrashResidents() []loid.LOID {
 	h.mu.Lock()
 	lost := make([]loid.LOID, 0, len(h.running))
@@ -329,6 +321,7 @@ func (h *Host) CrashResidents() []loid.LOID {
 	h.mu.Unlock()
 	for _, l := range lost {
 		h.node.Kill(l)
+		h.node.DropGate(l)
 	}
 	return lost
 }

@@ -207,6 +207,34 @@ func TestKillObjectDiscardsState(t *testing.T) {
 	}
 }
 
+// TestCrashDropsDrainGate: a crash in the middle of a drain takes the
+// object's migration gate with it. A call to the dead object then meets
+// the ordinary verdict for an object that is not here, at once, instead
+// of parking at a gate nobody will settle until its wave times out.
+func TestCrashDropsDrainGate(t *testing.T) {
+	fx := newHostFixture(t)
+	addr, err := fx.client.StartObject(objL, "counter", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fx.caller.AddBinding(binding.Forever(objL, addr))
+	if _, err := PrepareMigrate.Call(context.Background(), fx.client.Ref, objL); err != nil {
+		t.Fatal(err)
+	}
+	if lost := fx.host.CrashResidents(); len(lost) != 1 {
+		t.Fatalf("crash lost %v, want the one resident", lost)
+	}
+	fx.caller.Retry.MaxAttempts = 1
+	t0 := time.Now()
+	res, err := fx.caller.Call(objL, "Inc")
+	if err != nil || res.Code != wire.ErrNoSuchObject {
+		t.Errorf("call after the crash: %v %v, want ErrNoSuchObject", res, err)
+	}
+	if d := time.Since(t0); d > fx.caller.Timeout/4 {
+		t.Errorf("call after the crash answered after %v, wave timeout %v", d, fx.caller.Timeout)
+	}
+}
+
 func TestHasAndListObjects(t *testing.T) {
 	fx := newHostFixture(t)
 	if ok, _ := HasObject.Call(context.Background(), fx.client.Ref, objL); ok {

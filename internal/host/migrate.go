@@ -29,14 +29,15 @@ import (
 // every active caller has been re-pointed by the reply-address hint.
 const tombstoneTTL = 30 * time.Second
 
-// prepareMigrate parks l's arrivals and drains its mailbox to a
-// quiesce point, returning (state, implName) with the object still
-// alive (but gated) locally. The SaveState that defines the quiesce
-// point is sent through the object's own mailbox AFTER the gate is up,
-// so it serializes behind every already-accepted call, and it lands
-// despite the gate because the host's identity is the gate's exempt
-// caller.
-func (h *Host) prepareMigrate(ctx context.Context, l loid.LOID) (Saved, error) {
+// drain parks l's arrivals and drains its mailbox to a quiesce point,
+// returning (state, implName) with the object still alive (but gated)
+// locally: PrepareMigrate, and the first half of every stop, so every
+// planned exit of a running object starts here. The SaveState that
+// defines the quiesce point is sent through the object's own mailbox
+// AFTER the gate is up, so it serializes behind every already-accepted
+// call, and it lands despite the gate because the host's identity is
+// the gate's exempt caller. A failed drain reopens the object.
+func (h *Host) drain(ctx context.Context, l loid.LOID) (Saved, error) {
 	h.mu.Lock()
 	r, ok := h.running[l.Ident()]
 	h.mu.Unlock()
@@ -48,16 +49,8 @@ func (h *Host) prepareMigrate(ctx context.Context, l loid.LOID) (Saved, error) {
 	}
 	clk := h.node.Clock()
 	t0 := clk.Now()
-	res, err := h.obj.Caller().CallAddrCtx(ctx, h.Address(), l, "SaveState")
-	if err == nil {
-		err = res.Err()
-	}
-	var state []byte
-	if err == nil {
-		state, err = res.Result(0)
-	}
+	state, err := h.saveState(ctx, l)
 	if err != nil {
-		// The drain failed; reopen the object before reporting.
 		h.node.Unpark(l)
 		return Saved{}, fmt.Errorf("host %v: drain %v: %w", h.self, l, err)
 	}
@@ -65,18 +58,30 @@ func (h *Host) prepareMigrate(ctx context.Context, l loid.LOID) (Saved, error) {
 	return Saved{state, r.impl}, nil
 }
 
-// finishMigrate commits a migration: the local incarnation dies, the
-// parked calls are flushed — in arrival order — to the object's new
-// address, and a one-hop tombstone forwards late arrivals until its
-// TTL expires. The new address comes from the Magistrate, which has
-// already republished the binding.
+// saveState asks l for its state through l's own mailbox, so the save
+// serializes after every call already accepted there.
+func (h *Host) saveState(ctx context.Context, l loid.LOID) ([]byte, error) {
+	res, err := h.obj.Caller().CallAddrCtx(ctx, h.Address(), l, "SaveState")
+	if err == nil {
+		err = res.Err()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return res.Result(0)
+}
+
+// finishMigrate commits a migration: the parked calls are flushed — in
+// arrival order — to the object's new address, the gate stays as a
+// one-hop tombstone that forwards late arrivals until its TTL expires,
+// and the local incarnation dies (evict). The new address comes from
+// the Magistrate, which has already republished the binding.
 func (h *Host) finishMigrate(_ context.Context, l loid.LOID, addr oa.Address) (rt.Void, error) {
 	if len(addr.Elements) == 0 {
 		return rt.Void{}, fmt.Errorf("host %v: finish %v: empty destination address", h.self, l)
 	}
-	h.evict(l)
+	h.evict(l, addr.Elements[0])
 	lid := l.ID()
-	h.node.ForwardParked(lid, addr.Elements[0])
 	node := h.node
 	node.Clock().AfterFunc(tombstoneTTL, func() { node.DropTombstone(lid) })
 	return rt.Void{}, nil

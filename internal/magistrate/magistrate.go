@@ -335,14 +335,11 @@ func (m *Magistrate) Dispatch(inv *rt.Invocation) ([][]byte, error) { return ser
 func (m *Magistrate) addHost(_ context.Context, l loid.LOID, addr oa.Address) (rt.Void, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for i := range m.hosts {
-		if m.hosts[i].l.SameObject(l) {
-			m.hosts[i].addr = addr
-			m.seedHost(l, addr)
-			return rt.Void{}, nil
-		}
+	if i := m.hostIndexLocked(l); i >= 0 {
+		m.hosts[i].addr = addr
+	} else {
+		m.hosts = append(m.hosts, hostEntry{l: l, addr: addr})
 	}
-	m.hosts = append(m.hosts, hostEntry{l: l, addr: addr})
 	m.seedHost(l, addr)
 	return rt.Void{}, nil
 }
@@ -350,12 +347,7 @@ func (m *Magistrate) addHost(_ context.Context, l loid.LOID, addr oa.Address) (r
 func (m *Magistrate) removeHost(_ context.Context, l loid.LOID) (rt.Void, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for i, h := range m.hosts {
-		if h.l.SameObject(l) {
-			m.hosts = append(m.hosts[:i], m.hosts[i+1:]...)
-			break
-		}
-	}
+	m.dropHostLocked(l)
 	return rt.Void{}, nil
 }
 
@@ -745,8 +737,9 @@ func (m *Magistrate) drop(addrs ...persist.PersistentAddress) {
 }
 
 // claimLocked marks rec busy for its caller — an activation, a bulk
-// adoption or a migration — which must later release it. claimLocked
-// and releaseLocked are the only writers of rec.busy. m.mu held.
+// adoption, a deactivation or a migration — which must later release
+// it. claimLocked and releaseLocked are the only writers of rec.busy.
+// m.mu held.
 func (m *Magistrate) claimLocked(rec *record) { rec.busy = true }
 
 // releaseLocked ends the claims on recs and wakes every actor waiting
@@ -758,13 +751,33 @@ func (m *Magistrate) releaseLocked(recs ...*record) {
 	m.cond.Broadcast()
 }
 
+// release ends the claim a deactivation or a migration holds on l's
+// active record. HostFailed skipped the claimed record, so if the host
+// it is still placed on has left the jurisdiction meanwhile, release
+// settles it lost and recovers it, as HostFailed would have. It reports
+// whether it did.
+func (m *Magistrate) release(l loid.LOID, rec *record) bool {
+	m.mu.Lock()
+	m.releaseLocked(rec)
+	lost := rec.active && !m.hostKnownLocked(rec.host) && m.table[l.Ident()] == rec
+	if lost {
+		m.settleLostLocked(l.ID(), rec)
+	}
+	m.mu.Unlock()
+	if lost {
+		m.recoverLost([]loid.LOID{l.ID()})
+	}
+	return lost
+}
+
 // settleLostLocked turns rec, active on a host that is gone, into an
 // inert record the Magistrate can activate again (§3.1.1). The running
 // state died with the host, so the newest checkpoint is promoted to the
 // authoritative OPR; without one an OPR already on file stands; without
 // either a blank OPR is minted and the object restarts from its initial
 // state. It is the only code that settles a lost incarnation, for
-// HostFailed and for a migration whose host died under it. m.mu held.
+// HostFailed and for the release of a claim whose host died under it.
+// m.mu held.
 func (m *Magistrate) settleLostLocked(id loid.LOID, rec *record) {
 	lostOn := rec.host
 	m.unplace(rec)
@@ -815,9 +828,9 @@ func (m *Magistrate) recoverLost(ls []loid.LOID) {
 // object that was active on h is settled inert (settleLostLocked): a
 // crash loses the host's volatile memory, so each comes back from its
 // last checkpoint, or else from its initial state. A record that is
-// busy is left to its claimant: a migration re-checks host liveness at
-// every phase boundary and settles the record itself, so settling it
-// here would race it into a second incarnation.
+// busy is left to its claimant: a migration or deactivation settles it
+// as it releases the claim (release), so settling it here would race
+// it into a second incarnation.
 //
 // The affected objects are then recovered EAGERLY in the background
 // (recoverLost: "the Magistrate can always activate the object using
@@ -828,12 +841,7 @@ func (m *Magistrate) recoverLost(ls []loid.LOID) {
 // returned so callers can log or wait on them.
 func (m *Magistrate) HostFailed(h loid.LOID) []loid.LOID {
 	m.mu.Lock()
-	for i, he := range m.hosts {
-		if he.l.SameObject(h) {
-			m.hosts = append(m.hosts[:i], m.hosts[i+1:]...)
-			break
-		}
-	}
+	m.dropHostLocked(h)
 	var affected []loid.LOID
 	for id, rec := range m.table {
 		if rec.active && rec.host.SameObject(h) && !rec.busy {
@@ -949,10 +957,8 @@ func (m *Magistrate) pickHostLocked(hint loid.LOID) (hostEntry, error) {
 		return hostEntry{}, fmt.Errorf("magistrate %v has no hosts", m.self)
 	}
 	if !hint.IsNil() {
-		for _, h := range m.hosts {
-			if h.l.SameObject(hint) {
-				return h, nil
-			}
+		if i := m.hostIndexLocked(hint); i >= 0 {
+			return m.hosts[i], nil
 		}
 		return hostEntry{}, fmt.Errorf("magistrate %v: hinted host %v not in jurisdiction", m.self, hint)
 	}
@@ -1073,7 +1079,9 @@ func (m *Magistrate) deactivateByLOID(ctx context.Context, l loid.LOID) error {
 		return nil // already inert
 	}
 	hostL := rec.host
+	m.claimLocked(rec)
 	m.mu.Unlock()
+	defer m.release(l, rec)
 
 	saved, err := host.StopObject.Call(ctx, m.obj.Caller().To(hostL), l)
 	if err != nil {
@@ -1084,6 +1092,11 @@ func (m *Magistrate) deactivateByLOID(ctx context.Context, l loid.LOID) error {
 		return fmt.Errorf("magistrate %v: persist %v: %w", m.self, l, err)
 	}
 	m.mu.Lock()
+	if m.table[l.Ident()] != rec { // replaced by Register or RestoreState
+		m.mu.Unlock()
+		m.drop(oprAddr)
+		return fmt.Errorf("magistrate %v: object %v left the table during deactivation", m.self, l)
+	}
 	m.unplace(rec)
 	rec.oprAddr = oprAddr
 	rec.impl = saved.Impl

@@ -14,6 +14,7 @@ package magistrate
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/host"
@@ -207,10 +208,9 @@ func UnmarshalPlacements(b []byte) ([]Placement, error) {
 // the object already runs on destHost.
 //
 // Partial failures settle exactly-once: any failure before the binding
-// republishes aborts back to the source (or, if the source is gone,
-// settles the record lost and recovers it); a destination that dies
-// after republish is caught by the deferred settlement here —
-// HostFailed deliberately skips the busy record.
+// republishes aborts back to the source; a source that died before
+// republish, or a destination after it, is caught as the claim is
+// released (release) — HostFailed deliberately skips the busy record.
 func (m *Magistrate) MigrateObject(ctx context.Context, l, destHost loid.LOID) error {
 	reg := m.reg()
 	reg.Counter("mig/attempts").Inc()
@@ -230,19 +230,12 @@ func (m *Magistrate) MigrateObject(ctx context.Context, l, destHost loid.LOID) e
 		m.mu.Unlock()
 		return nil // already there
 	}
-	var dest hostEntry
-	found := false
-	for _, h := range m.hosts {
-		if h.l.SameObject(destHost) {
-			dest, found = h, true
-			break
-		}
-	}
-	if !found {
+	i := m.hostIndexLocked(destHost)
+	if i < 0 {
 		m.mu.Unlock()
 		return fmt.Errorf("magistrate %v: destination host %v not in jurisdiction", m.self, destHost)
 	}
-	src := rec.host
+	src, dest := rec.host, m.hosts[i]
 	m.claimLocked(rec)
 	m.mu.Unlock()
 
@@ -251,18 +244,10 @@ func (m *Magistrate) MigrateObject(ctx context.Context, l, destHost loid.LOID) e
 	err := m.runMigration(ctx, span, l, rec, src, dest)
 
 	// Settlement. The claim made HostFailed skip this record, so a
-	// destination crash after republish left it placed on a dead host;
-	// settle it now, as HostFailed would have.
-	m.mu.Lock()
-	m.releaseLocked(rec)
-	destGone := rec.active && rec.host.SameObject(dest.l) && !m.hostKnownLocked(dest.l)
-	if destGone {
-		m.settleLostLocked(l.ID(), rec)
-	}
-	m.mu.Unlock()
-	if destGone {
-		span.Event("migrate", fmt.Sprintf("%v: destination died post-republish; recovering from checkpoint", l))
-		m.recoverLost([]loid.LOID{l.ID()})
+	// source that died before republish, or a destination after it,
+	// left it placed on a dead host; release settles it.
+	if m.release(l, rec) {
+		span.Event("migrate", fmt.Sprintf("%v: its host died under the migration; recovering from checkpoint", l))
 	}
 
 	if err != nil {
@@ -286,7 +271,7 @@ func (m *Magistrate) runMigration(ctx context.Context, span *trace.Span, l loid.
 	saved, err := host.PrepareMigrate.Call(ctx, srcHC, l)
 	state, implName := saved.State, saved.Impl
 	if err != nil {
-		return m.abortToSource(l, rec, src, srcHC,
+		return m.abortToSource(l, src, srcHC,
 			fmt.Errorf("magistrate %v: drain %v on %v: %w", m.self, l, src, err))
 	}
 	span.Event("migrate", fmt.Sprintf("%v drained on %v (%d state bytes)", l, src, len(state)))
@@ -296,7 +281,7 @@ func (m *Magistrate) runMigration(ctx context.Context, span *trace.Span, l loid.
 	// hosts die the object recovers exactly as drained.
 	ckptAddr, err := m.store.Put(persist.OPR{LOID: l, Impl: implName, State: state})
 	if err != nil {
-		return m.abortToSource(l, rec, src, srcHC,
+		return m.abortToSource(l, src, srcHC,
 			fmt.Errorf("magistrate %v: checkpoint %v: %w", m.self, l, err))
 	}
 	m.mu.Lock()
@@ -311,7 +296,7 @@ func (m *Magistrate) runMigration(ctx context.Context, span *trace.Span, l loid.
 		// The destination may have partially started it; best-effort
 		// reap before reopening the source.
 		_, _ = host.KillObject.Call(context.Background(), destHC, l)
-		return m.abortToSource(l, rec, src, srcHC,
+		return m.abortToSource(l, src, srcHC,
 			fmt.Errorf("magistrate %v: start %v on %v: %w", m.self, l, dest.l, err))
 	}
 	span.Event("migrate", fmt.Sprintf("%v started on %v at %v", l, dest.l, addr))
@@ -329,7 +314,7 @@ func (m *Magistrate) runMigration(ctx context.Context, span *trace.Span, l loid.
 		// Destination crashed between ship and republish: the source
 		// incarnation is still whole, so reopen it.
 		m.mu.Unlock()
-		return m.abortToSource(l, rec, src, srcHC,
+		return m.abortToSource(l, src, srcHC,
 			fmt.Errorf("magistrate %v: destination %v failed before republish", m.self, dest.l))
 	}
 	m.place(rec, dest.l, addr)
@@ -354,38 +339,36 @@ func (m *Magistrate) runMigration(ctx context.Context, span *trace.Span, l loid.
 // abortToSource unwinds a migration that failed before republish. If
 // the source host is still in the jurisdiction, the object reopens
 // there (parked calls replay in order) and remains the active
-// incarnation. If the source died meanwhile, the record is settled lost
-// — promoting the migration checkpoint when phase 2 wrote one — and
-// recovered, exactly as HostFailed would have done had the record not
-// been busy. The recovery's adopt loop waits for MigrateObject to
-// release the claim.
-func (m *Magistrate) abortToSource(l loid.LOID, rec *record, src loid.LOID, srcHC rt.Ref, cause error) error {
+// incarnation. If the source died meanwhile, the record is still placed
+// there, and MigrateObject's release settles it lost — promoting the
+// migration checkpoint when phase 2 wrote one — and recovers it.
+func (m *Magistrate) abortToSource(l, src loid.LOID, srcHC rt.Ref, cause error) error {
 	m.mu.Lock()
-	if m.hostKnownLocked(src) {
-		m.mu.Unlock()
-		// The source reopens even when the caller's budget is spent.
+	known := m.hostKnownLocked(src)
+	m.mu.Unlock()
+	// The source reopens even when the caller's budget is spent.
+	if known {
 		if _, err := host.AbortMigrate.Call(context.Background(), srcHC, l); err != nil {
 			m.reg().Counter("mig/abort_failed").Inc()
 		}
-		return cause
 	}
-	var lost []loid.LOID
-	if rec.active && rec.host.SameObject(src) {
-		m.settleLostLocked(l.ID(), rec)
-		lost = []loid.LOID{l.ID()}
-	}
-	m.mu.Unlock()
-	m.recoverLost(lost)
 	return cause
 }
 
-// hostKnownLocked reports whether h is currently in the jurisdiction's
-// host list (m.mu held).
-func (m *Magistrate) hostKnownLocked(h loid.LOID) bool {
-	for _, he := range m.hosts {
-		if he.l.SameObject(h) {
-			return true
-		}
+// hostIndexLocked returns h's position in the jurisdiction's host list,
+// or -1 when h is not in it. m.mu held.
+func (m *Magistrate) hostIndexLocked(h loid.LOID) int {
+	return slices.IndexFunc(m.hosts, func(e hostEntry) bool { return e.l.SameObject(h) })
+}
+
+// hostKnownLocked reports whether h is in the jurisdiction's host list.
+// m.mu held.
+func (m *Magistrate) hostKnownLocked(h loid.LOID) bool { return m.hostIndexLocked(h) >= 0 }
+
+// dropHostLocked takes h out of the jurisdiction's host list, if it is
+// there. m.mu held.
+func (m *Magistrate) dropHostLocked(h loid.LOID) {
+	if i := m.hostIndexLocked(h); i >= 0 {
+		m.hosts = slices.Delete(m.hosts, i, i+1)
 	}
-	return false
 }

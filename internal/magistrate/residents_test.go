@@ -10,6 +10,8 @@ import (
 
 	"repro/internal/loid"
 	"repro/internal/oa"
+	"repro/internal/persist"
+	"repro/internal/rt"
 )
 
 // The Magistrate keeps a resident count per host (place/unplace) in
@@ -53,24 +55,61 @@ func (w *walker) check(when string) {
 }
 
 // checkSettled holds the table to what a finished step leaves behind:
-// no record still claimed, and every inert record activatable — its
-// OPR readable from the store. (Inside a migration the claim is held,
-// so this runs between steps only.)
+// no record still claimed, every inert record activatable — its OPR
+// readable from the store — and nothing in the store that no record
+// refers to. (Inside a migration the claim is held, so this runs
+// between steps only. A recovery may still be dropping the OPRs it
+// started from when its records are already active, so the store gets
+// a moment to catch up; an orphan never does.)
 func (w *walker) checkSettled() {
 	w.t.Helper()
 	m := w.fx.mag
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	for id, rec := range m.table {
 		if rec.busy {
+			m.mu.Unlock()
 			w.t.Fatalf("step %d (%s): %v left busy", w.step, w.op, id)
 		}
 		if !rec.active {
 			if _, err := m.store.Get(rec.oprAddr); err != nil {
+				m.mu.Unlock()
 				w.t.Fatalf("step %d (%s): inert %v has no readable OPR (%q): %v", w.step, w.op, id, rec.oprAddr, err)
 			}
 		}
 	}
+	m.mu.Unlock()
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		orphan := w.orphan()
+		if orphan == "" {
+			return
+		}
+		if time.Now().After(deadline) {
+			w.t.Fatalf("step %d (%s): the store keeps %q, which no record refers to", w.step, w.op, orphan)
+		}
+	}
+}
+
+// orphan returns an address in the store that is no record's OPR or
+// checkpoint, or "" when there is none.
+func (w *walker) orphan() persist.PersistentAddress {
+	w.t.Helper()
+	m := w.fx.mag
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	held := make(map[persist.PersistentAddress]bool, 2*len(m.table))
+	for _, rec := range m.table {
+		held[rec.oprAddr], held[rec.ckptAddr] = true, true
+	}
+	addrs, err := m.store.List()
+	if err != nil {
+		w.t.Fatalf("step %d (%s): list the store: %v", w.step, w.op, err)
+	}
+	for _, a := range addrs {
+		if !held[a] {
+			return a
+		}
+	}
+	return ""
 }
 
 // pool returns the indexes of the fixture's hosts currently in m.hosts.
@@ -470,6 +509,59 @@ func TestResidentCountsMatchTable(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestDeleteDuringDeactivate: a Delete that lands while a Deactivate's
+// SaveState is still running waits for the Deactivate's claim, then
+// deletes the inert record and the OPR the Deactivate filed. Without the
+// claim both succeed and the store keeps an OPR for an object the
+// Magistrate no longer knows.
+func TestDeleteDuringDeactivate(t *testing.T) {
+	fx := newFixture(t, 1)
+	saving, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	fx.impls.MustRegister("slowsave", func() rt.Impl {
+		impl := counterFactory().(*rt.Behavior)
+		save := impl.Save
+		impl.Save = func() ([]byte, error) {
+			once.Do(func() { close(saving); <-release })
+			return save()
+		}
+		return impl
+	})
+	if _, err := Register.Call(context.Background(), fx.client.Ref, objL, "slowsave", nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fx.client.Activate(objL, loid.Nil); err != nil {
+		t.Fatal(err)
+	}
+	deactivated, deleted := make(chan error, 1), make(chan error, 1)
+	go func() { deactivated <- fx.client.Deactivate(objL) }()
+	<-saving
+	served := fx.mag.obj.Node().Served()
+	go func() {
+		_, err := Delete.Call(context.Background(), fx.client.Ref, objL)
+		deleted <- err
+	}()
+	for fx.mag.obj.Node().Served() == served { // the Delete is in the Magistrate
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	if err := <-deactivated; err != nil {
+		t.Errorf("deactivate: %v", err)
+	}
+	if err := <-deleted; err != nil {
+		t.Errorf("delete: %v", err)
+	}
+	if st, err := HasObject.Call(context.Background(), fx.client.Ref, objL); err != nil || st.Known {
+		t.Errorf("after the delete: %+v, %v", st, err)
+	}
+	if n := fx.hosts[0].Running(); n != 0 {
+		t.Errorf("host still runs %d objects", n)
+	}
+	w := &walker{t: t, fx: fx, op: "delete during deactivate"}
+	w.check("done")
+	w.checkSettled()
 }
 
 func permutation(g *splitmix64, n int) []int {

@@ -301,6 +301,52 @@ func TestMailboxDepthBoundAndStop(t *testing.T) {
 	}
 }
 
+// TestKillAnswersBacklog: a request queued behind a running method when
+// its object is killed is answered ErrNoSuchObject at once — the verdict
+// a closed mailbox gives a late arrival — so its caller refreshes its
+// binding instead of waiting out its reply wave.
+func TestKillAnswersBacklog(t *testing.T) {
+	_, nodes := newTestFabricNodes(t, 2)
+	srv, cli := nodes[0], nodes[1]
+	impl := newGatedImpl(false, true)
+	o, err := srv.Spawn(echoLOID, impl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := clientOn(cli, clientLOID)
+	c.AddBinding(binding.Forever(echoLOID, srv.Address()))
+	invoke := func(seq uint64) *Future {
+		t.Helper()
+		fu, err := c.InvokeCtx(context.Background(), echoLOID, "Seq", wire.Uint64(1), wire.Uint64(seq))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fu
+	}
+	running := invoke(1)
+	for impl.entered.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	queued := invoke(2)
+	if got := o.QueueLen(); got != 1 {
+		t.Fatalf("QueueLen = %d, want the second call queued", got)
+	}
+
+	t0 := time.Now()
+	srv.Kill(echoLOID)
+	res, err := queued.Wait(c.Timeout)
+	if err != nil || res.Code != wire.ErrNoSuchObject {
+		t.Errorf("queued call: %v %v, want ErrNoSuchObject", res, err)
+	}
+	if d := time.Since(t0); d > c.Timeout/4 {
+		t.Errorf("queued call answered after %v, wave timeout %v", d, c.Timeout)
+	}
+	close(impl.hold)
+	if _, err := running.Wait(c.Timeout); err != nil {
+		t.Errorf("running call: %v", err)
+	}
+}
+
 // TestCallerCacheLazy: a Caller builds its binding cache on first use,
 // exactly once, on its node's time base.
 func TestCallerCacheLazy(t *testing.T) {

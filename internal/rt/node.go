@@ -245,7 +245,7 @@ func (n *Node) Spawn(l loid.LOID, impl Impl, opts ...SpawnOption) (*Object, erro
 	n.mu.Unlock()
 	// A live incarnation supersedes any leftover migration tombstone
 	// (the object migrated back here): clear it or it would shadow us.
-	n.clearGate(l)
+	n.clearGate(l, true)
 	return o, nil
 }
 
@@ -259,8 +259,8 @@ func (n *Node) Lookup(l loid.LOID) (*Object, bool) {
 }
 
 // Kill deactivates the object registered under l and removes it from
-// the node. Subsequent messages for l are answered ErrNoSuchObject. It
-// reports whether an object was removed.
+// the node. Requests still queued in its mailbox, and later ones, are
+// answered ErrNoSuchObject. It reports whether an object was removed.
 func (n *Node) Kill(l loid.LOID) bool {
 	n.mu.Lock()
 	v, ok := n.objects.LoadAndDelete(l.Ident())

@@ -458,10 +458,12 @@ func (o *Object) FullInterface() *idl.Interface {
 // stop deactivates the object; Kill and Close take it out of the
 // node's table first, so it runs once per object.
 func (o *Object) stop() {
-	// Queued frames hold pooled buffers no drainer will serve now;
-	// release them.
+	// No drainer will serve the queued frames now: answer each as a
+	// closed mailbox answers a late arrival, so its caller refreshes at
+	// once instead of waiting out its reply wave.
 	backlog := o.mailbox.close()
 	for f := backlog.Pop(); f != nil; f = backlog.Pop() {
+		o.node.replyStopped(f)
 		f.Close()
 	}
 	if s, ok := o.impl.(Stopper); ok {

@@ -64,56 +64,45 @@ func (n *Node) Park(l loid.LOID, exempt loid.LOID) error {
 // path of a migration. Replayed frames keep their position ahead of
 // new arrivals: the replay happens before the gate comes out of the
 // table, and receivers that already hold the gate observe dead and
-// deliver normally. Returns the number of frames replayed.
-func (n *Node) Unpark(l loid.LOID) int {
+// deliver normally. When the object is gone (evict's call, after a
+// stop or a kill) the frames bounce to their callers' retry loops.
+func (n *Node) Unpark(l loid.LOID) {
 	n.gmu.Lock()
+	defer n.gmu.Unlock()
 	g, ok := n.gates[l.Ident()]
 	if !ok || g.forwarding {
-		n.gmu.Unlock()
-		return 0
+		return
 	}
-	o, live := n.Lookup(l)
-	replayed := 0
-	for f := g.q.Pop(); f != nil; f = g.q.Pop() {
-		switch {
-		case !live:
-			n.bounceParked(f, "object gone during migration abort")
-		case o.enqueue(f, false, n.gateEpoch.Load()) == putOK: // no Park while we hold gmu
-			replayed++
-		default:
-			// A full (or just stopped) mailbox must not block the abort;
-			// bounce to the caller's retry loop instead.
-			n.bounceParked(f, "mailbox full during migration abort")
+	if o, live := n.Lookup(l); live {
+		for f := g.q.Pop(); f != nil; f = g.q.Pop() {
+			// No Park while we hold gmu. A full (or just stopped)
+			// mailbox must not block the abort; bounce instead.
+			if o.enqueue(f, false, n.gateEpoch.Load()) != putOK {
+				n.bounceParked(f, "mailbox full during migration abort")
+			}
 		}
 	}
-	g.dead = true
-	delete(n.gates, l.Ident())
-	n.nGates.Add(-1)
-	n.gmu.Unlock()
-	return replayed
+	n.removeGateLocked(l.Ident(), g, true)
 }
 
 // ForwardParked flips l's drain gate into a one-hop forwarding
 // tombstone aimed at to: queued frames are flushed there in arrival
 // order, and subsequent arrivals are forwarded as they come — the
-// commit path of a migration, run after the local incarnation is
-// killed. Returns the number of frames flushed.
-func (n *Node) ForwardParked(l loid.LOID, to oa.Element) int {
+// commit path of a migration, run before the local incarnation is
+// killed.
+func (n *Node) ForwardParked(l loid.LOID, to oa.Element) {
 	n.gmu.Lock()
 	defer n.gmu.Unlock()
 	g, ok := n.gates[l.Ident()]
 	if !ok {
-		return 0
+		return
 	}
 	g.forwarding = true
 	g.to = to
-	flushed := 0
 	for f := g.q.Pop(); f != nil; f = g.q.Pop() {
 		n.forwardFrame(f, to)
 		f.Close()
-		flushed++
 	}
-	return flushed
 }
 
 // DropTombstone removes l's forwarding tombstone (installed by
@@ -127,43 +116,56 @@ func (n *Node) DropTombstone(l loid.LOID) bool {
 	if !ok || !g.forwarding {
 		return false
 	}
-	g.dead = true
-	delete(n.gates, l.Ident())
-	n.nGates.Add(-1)
+	n.removeGateLocked(l.Ident(), g, false)
 	return true
 }
 
-// clearGate drops any gate for l unconditionally — Spawn installs the
-// object again (a migration returning home), so a leftover tombstone
-// must not shadow the live incarnation.
-func (n *Node) clearGate(l loid.LOID) {
+// clearGate drops any gate for l. Spawn calls it with bounce set: the
+// object is installed again (a migration returning home), so a leftover
+// tombstone must not shadow the live incarnation, and what is parked
+// goes back to its callers' retry loops. A crash (DropGate) releases
+// the parked frames unanswered.
+func (n *Node) clearGate(l loid.LOID, bounce bool) {
 	if n.nGates.Load() == 0 {
 		return
 	}
 	n.gmu.Lock()
 	if g, ok := n.gates[l.Ident()]; ok {
-		for f := g.q.Pop(); f != nil; f = g.q.Pop() {
-			n.bounceParked(f, "object respawned during migration")
-		}
-		g.dead = true
-		delete(n.gates, l.Ident())
-		n.nGates.Add(-1)
+		n.removeGateLocked(l.Ident(), g, bounce)
 	}
 	n.gmu.Unlock()
 }
+
+// DropGate removes l's gate, parking or forwarding, and releases its
+// parked frames unanswered: a crash answers nothing, and takes the gates
+// of the objects it kills with it. Later arrivals for l meet the
+// ordinary verdict for an object that is not here.
+func (n *Node) DropGate(l loid.LOID) { n.clearGate(l, false) }
 
 // dropAllGates releases every gate (node shutdown).
 func (n *Node) dropAllGates() {
 	n.gmu.Lock()
 	for id, g := range n.gates {
-		for f := g.q.Pop(); f != nil; f = g.q.Pop() {
-			f.Close()
-		}
-		g.dead = true
-		delete(n.gates, id)
-		n.nGates.Add(-1)
+		n.removeGateLocked(id, g, false)
 	}
 	n.gmu.Unlock()
+}
+
+// removeGateLocked empties g — bouncing its frames to their callers, or
+// releasing them unanswered — and takes it out of the gate table; a
+// receiver that already holds it sees dead and delivers normally.
+// n.gmu held.
+func (n *Node) removeGateLocked(id loid.Ident, g *gate, bounce bool) {
+	for f := g.q.Pop(); f != nil; f = g.q.Pop() {
+		if bounce {
+			n.bounceParked(f, "migration gate removed")
+		} else {
+			f.Close()
+		}
+	}
+	g.dead = true
+	delete(n.gates, id)
+	n.nGates.Add(-1)
 }
 
 // gated reports whether l currently has a gate — the co-resident
