@@ -518,17 +518,7 @@ func TestResidentCountsMatchTable(t *testing.T) {
 // Magistrate no longer knows.
 func TestDeleteDuringDeactivate(t *testing.T) {
 	fx := newFixture(t, 1)
-	saving, release := make(chan struct{}), make(chan struct{})
-	var once sync.Once
-	fx.impls.MustRegister("slowsave", func() rt.Impl {
-		impl := counterFactory().(*rt.Behavior)
-		save := impl.Save
-		impl.Save = func() ([]byte, error) {
-			once.Do(func() { close(saving); <-release })
-			return save()
-		}
-		return impl
-	})
+	saving, release := registerSlowSave(fx)
 	if _, err := Register.Call(context.Background(), fx.client.Ref, objL, "slowsave", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -562,6 +552,62 @@ func TestDeleteDuringDeactivate(t *testing.T) {
 	w := &walker{t: t, fx: fx, op: "delete during deactivate"}
 	w.check("done")
 	w.checkSettled()
+}
+
+// TestDeactivateHostDiesUnderClaim: the host dies while a Deactivate
+// holds the record's claim and waits for the save. HostFailed leaves the
+// claimed record to the Deactivate, which fails at its deadline; its
+// release settles the record lost and the recovery loop starts it on the
+// survivor — one incarnation, nothing left in the store.
+func TestDeactivateHostDiesUnderClaim(t *testing.T) {
+	fx := newFixture(t, 2)
+	saving, release := registerSlowSave(fx)
+	defer close(release) // the dead incarnation's save returns into nothing
+	if _, err := Register.Call(context.Background(), fx.client.Ref, objL, "slowsave", nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fx.client.Activate(objL, fx.hostLs[0]); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	defer cancel()
+	deactivated := make(chan error, 1)
+	go func() {
+		_, err := Deactivate.Call(ctx, fx.client.Ref, objL)
+		deactivated <- err
+	}()
+	<-saving
+	fx.hosts[0].CrashResidents()
+	if affected := fx.mag.HostFailed(fx.hostLs[0]); len(affected) != 0 {
+		t.Errorf("HostFailed settled %v under the Deactivate's claim", affected)
+	}
+	if err := <-deactivated; err == nil {
+		t.Error("Deactivate succeeded with its host dead")
+	}
+	w := &walker{t: t, fx: fx, op: "host dies under deactivate"}
+	w.settle([]loid.LOID{objL})
+	w.check("done")
+	w.checkSettled()
+	if n := fx.hosts[1].Running(); n != 1 {
+		t.Errorf("the survivor runs %d objects, want the recovered one", n)
+	}
+}
+
+// registerSlowSave registers impl "slowsave" on fx's hosts: a counter
+// whose first SaveState closes saving, then waits for release to close.
+func registerSlowSave(fx *fixture) (saving, release chan struct{}) {
+	saving, release = make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	fx.impls.MustRegister("slowsave", func() rt.Impl {
+		impl := counterFactory().(*rt.Behavior)
+		save := impl.Save
+		impl.Save = func() ([]byte, error) {
+			once.Do(func() { close(saving); <-release })
+			return save()
+		}
+		return impl
+	})
+	return saving, release
 }
 
 func permutation(g *splitmix64, n int) []int {
