@@ -68,7 +68,7 @@ endef
 
 STORE_RUN = TestSegment|TestBackendConformance|TestWriteFileAtomic
 RESTART_RUN = TestCrash|TestRestart
-LIFECYCLE_RUN = TestResidentCountsMatchTable|TestConcurrentActivationRace|TestHostFailedRecovery|TestStartRound|TestDeleteDuringDeactivate|TestDeactivateHostDiesUnderClaim
+LIFECYCLE_RUN = TestResidentCountsMatchTable|TestConcurrentActivationRace|TestHostFailedRecovery|TestStartRound|TestDeleteDuringDeactivate|TestDeactivateHostDiesUnderClaim|TestDeactivatePutFails
 
 # Storage fault matrix: the fault-injected recovery tests (torn writes,
 # fsync errors, crash tails, mid-compaction crashes), the backend

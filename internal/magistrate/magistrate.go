@@ -1089,7 +1089,25 @@ func (m *Magistrate) deactivateByLOID(ctx context.Context, l loid.LOID) error {
 	}
 	oprAddr, err := m.store.Put(persist.OPR{LOID: l, Impl: saved.Impl, State: saved.State})
 	if err != nil {
-		return fmt.Errorf("magistrate %v: persist %v: %w", m.self, l, err)
+		err = fmt.Errorf("magistrate %v: persist %v: %w", m.self, l, err)
+		// The host has evicted the object and the store refused its
+		// state: start it again where it ran, from the state in hand, so
+		// the active record names a live incarnation.
+		hc := m.obj.Caller().To(hostL)
+		addr, serr := host.StartObject.Call(ctx, hc, l, saved.Impl, saved.State)
+		if serr != nil {
+			return errors.Join(err, fmt.Errorf("magistrate %v: restart %v on %v: %w", m.self, l, hostL, serr))
+		}
+		m.mu.Lock()
+		kept := m.table[l.Ident()] == rec
+		if kept {
+			m.place(rec, hostL, addr)
+		}
+		m.mu.Unlock()
+		if !kept { // replaced meanwhile: the restart has no record
+			_, _ = host.KillObject.Call(context.Background(), hc, l)
+		}
+		return err
 	}
 	m.mu.Lock()
 	if m.table[l.Ident()] != rec { // replaced by Register or RestoreState

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -701,4 +702,44 @@ func BenchmarkActivate(b *testing.B) {
 			}
 		})
 	}
+}
+
+// failingPut is a Store whose next Put fails once armed.
+type failingPut struct {
+	persist.Store
+	armed atomic.Bool
+}
+
+func (s *failingPut) Put(o persist.OPR) (persist.PersistentAddress, error) {
+	if s.armed.CompareAndSwap(true, false) {
+		return "", errors.New("injected put failure")
+	}
+	return s.Store.Put(o)
+}
+
+// TestDeactivatePutFails: the host has evicted the object when the store
+// refuses its OPR. The Deactivate fails, and the object runs again on
+// the same host from the state the host handed over: the next Inc
+// continues the count, and the table is settled.
+func TestDeactivatePutFails(t *testing.T) {
+	fx := newFixture(t, 1)
+	store := &failingPut{Store: fx.store}
+	fx.mag.store = store
+	if _, err := Register.Call(context.Background(), fx.client.Ref, objL, "counter", nil); err != nil {
+		t.Fatal(err)
+	}
+	before := inc(t, fx, objL)
+	store.armed.Store(true)
+	if err := fx.client.Deactivate(objL); err == nil {
+		t.Fatal("Deactivate succeeded with the store refusing its OPR")
+	}
+	if n := fx.hosts[0].Running(); n != 1 {
+		t.Errorf("host runs %d objects after the failed Deactivate, want 1", n)
+	}
+	if got := inc(t, fx, objL); got != before+1 {
+		t.Errorf("Inc after the failed Deactivate = %d, want %d", got, before+1)
+	}
+	w := &walker{t: t, fx: fx, op: "deactivate, put fails"}
+	w.check("done")
+	w.checkSettled()
 }

@@ -249,7 +249,7 @@ func (c *Caller) InvokeCtx(ctx context.Context, target loid.LOID, method string,
 	if len(waves) == 0 {
 		return nil, fmt.Errorf("%w: empty address", ErrUnbound)
 	}
-	f, _, err := c.sendTo(waves[0], target, method, args, deadlineNanos(ctx), c.health.Load(), trace.FromContext(ctx), false)
+	f, _, err := c.sendTo(waves[0], target, method, args, deadlineNanos(ctx), c.health.Load(), trace.FromContext(ctx), false, false)
 	return f, err
 }
 
@@ -528,7 +528,12 @@ func (t callTimer) release() {
 // node, the call may bypass the fabric entirely (serveCoResident). A
 // reply is polled for before any timer is armed: a synchronous delivery
 // (the mem fabric's zero-latency path, TCP within one TCP value) can
-// complete the future on this very goroutine during the send.
+// complete the future on this very goroutine during the send. It does
+// whenever the receiver serves the request on this goroutine, which the
+// request's wait mark allows (wire.MarkWaits): it is set for a
+// one-element address when the caller waits with no deadline and no
+// way to cancel, since the method then runs below this loop and no
+// timer of its can fire.
 func (c *Caller) deliver(ctx context.Context, addr oa.Address, target loid.LOID, method string, args [][]byte, span *trace.Span) (*Result, error) {
 	deadline := deadlineOf(ctx)
 	var dlNanos int64
@@ -543,6 +548,7 @@ func (c *Caller) deliver(ctx context.Context, addr oa.Address, target loid.LOID,
 	var one [1]oa.Element
 	var oneWave [1][]oa.Element
 	var waves [][]oa.Element
+	waits := false
 	if len(addr.Elements) == 1 {
 		if res := c.serveCoResident(addr.Elements[0], target, method, args, dlNanos, sc); res != nil {
 			return res, nil
@@ -552,6 +558,7 @@ func (c *Caller) deliver(ctx context.Context, addr oa.Address, target loid.LOID,
 		one[0] = addr.Elements[0]
 		oneWave[0] = one[:]
 		waves = oneWave[:]
+		waits = dlNanos == 0 && (ctx == nil || ctx.Done() == nil)
 	} else {
 		waves = addr.Targets(c.intn)
 		if len(waves) == 0 {
@@ -597,7 +604,7 @@ func (c *Caller) deliver(ctx context.Context, addr oa.Address, target loid.LOID,
 		if ht != nil {
 			waveStart = c.now()
 		}
-		f, contacted, err := c.sendTo(wave, target, method, args, dlNanos, ht, sc, true)
+		f, contacted, err := c.sendTo(wave, target, method, args, dlNanos, ht, sc, true, waits)
 		if err != nil {
 			last = &Result{Code: wire.ErrUnavailable, ErrText: err.Error()}
 			continue
@@ -791,14 +798,18 @@ func attributeReply(ht *health.Tracker, contacted []oa.Element, replied []bool, 
 // return takes its own reference, so the buffer recycles the moment
 // the last holder lets go. Send failures are reported to ht when
 // installed. pooled futures are recycled by the deliver loop; futures
-// escaping to users must pass pooled=false.
-func (c *Caller) sendTo(wave []oa.Element, target loid.LOID, method string, args [][]byte, dlNanos int64, ht *health.Tracker, sc trace.SpanContext, pooled bool) (*Future, []oa.Element, error) {
+// escaping to users must pass pooled=false. waits marks the request as
+// one its sender blocks on (wire.MarkWaits): only deliver sets it.
+func (c *Caller) sendTo(wave []oa.Element, target loid.LOID, method string, args [][]byte, dlNanos int64, ht *health.Tracker, sc trace.SpanContext, pooled, waits bool) (*Future, []oa.Element, error) {
 	f := c.node.newFuture(len(wave), pooled)
 	env := c.env
 	env.Deadline = dlNanos
 	env.TraceID, env.SpanID, env.ParentSpanID = sc.TraceID, sc.SpanID, sc.ParentSpanID
 	wb := buf.Get()
 	wb.B = wire.AppendRequest(wb.B, wire.KindRequest, f.id, target, method, &env, c.node.Address(), args)
+	if waits {
+		wire.MarkWaits(wb.B)
+	}
 	sent := 0
 	var lastErr error
 	for _, e := range wave {

@@ -9,9 +9,11 @@ import (
 // object owns a mailbox, not a goroutine: the delivery that finds no
 // goroutine draining the object's mailbox (mailbox.put's putDrain)
 // hands the object to an idle dispatch goroutine, or starts one when
-// none is idle. That goroutine serves the mailbox until it is empty,
-// then waits idle for the next object, holding no reference to the
-// last. A method that blocks holds only its own goroutine.
+// none is idle; a delivery on the goroutine of a sender waiting on the
+// reply serves that request itself instead (Object.serveOne), and hands
+// off only a backlog. A dispatch goroutine serves the mailbox until it
+// is empty, then waits idle for the next object, holding no reference
+// to the last. A method that blocks holds only its own goroutine.
 //
 // Idle goroutines wait in shards, and both the hand-off and the return
 // to idle pick the shard of the Go scheduler processor (P) they run on,

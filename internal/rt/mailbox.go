@@ -16,8 +16,8 @@ const mailboxDepth = 1024
 // themselves (wire.FrameQueue), so an idle object's mailbox is this
 // struct and nothing else. No goroutine waits on an empty mailbox: the
 // put that finds fewer than limit drainers running takes a drainer's
-// place for its caller to fill (dispatch.go), and a drainer leaves once
-// next finds nothing to serve. Deliverers block while mailboxDepth
+// place for its caller to fill (dispatch.go, or Object.serveOne), and a
+// drainer leaves once next finds nothing to serve. Deliverers block while mailboxDepth
 // frames wait (back-pressure), and close wakes them for good.
 type mailbox struct {
 	mu      sync.Mutex
@@ -93,6 +93,19 @@ func (m *mailbox) next() *wire.Frame {
 	// atomic compare.
 	m.notFull.Signal()
 	return f
+}
+
+// leave counts a drainer out when no frame waits (or the mailbox
+// closed) and reports whether it did; false leaves the drainer's place
+// taken for the caller to fill.
+func (m *mailbox) leave() bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.q.Len() == 0 || m.closed.Load() {
+		m.running--
+		return true
+	}
+	return false
 }
 
 func (m *mailbox) len() int {

@@ -322,7 +322,7 @@ func (n *Node) receiveFrame(b *buf.Buffer, data []byte, sync bool) {
 		n.completeReply(f)
 		f.Close()
 	case wire.KindRequest, wire.KindOneWay:
-		n.routeRequest(f, b)
+		n.routeRequest(f, b, sync)
 	default:
 		n.cGarbage.Inc()
 		f.Close()
@@ -330,8 +330,11 @@ func (n *Node) receiveFrame(b *buf.Buffer, data []byte, sync bool) {
 }
 
 // routeRequest routes one parsed request frame to its target: through the
-// target's migration gate if one is up, else to the object.
-func (n *Node) routeRequest(f *wire.Frame, b *buf.Buffer) {
+// target's migration gate if one is up, else to the object. sync is
+// receiveFrame's: with it, a request whose sender waits on the reply
+// (Frame.Waits) may be served right here when no drainer is running
+// (Object.enqueue).
+func (n *Node) routeRequest(f *wire.Frame, b *buf.Buffer, sync bool) {
 	for {
 		epoch := n.gateEpoch.Load() // before the gate check; see mailbox.put
 		if n.nGates.Load() != 0 {
@@ -375,7 +378,7 @@ func (n *Node) routeRequest(f *wire.Frame, b *buf.Buffer) {
 			f.Own(b) // the mailbox outlives this call: pin the buffer
 			b = nil  // once, however often the gate check repeats
 		}
-		switch o.enqueue(f, true, epoch) {
+		switch o.enqueue(f, true, epoch, sync && f.Waits()) {
 		case putOK:
 			return
 		case putRefused:

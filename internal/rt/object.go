@@ -19,8 +19,9 @@ import (
 // its behaviour, its security policy, and its mailbox. The mailbox
 // accepts messages in any order while a method runs (§2); methods
 // execute one at a time, on a dispatch goroutine the object holds only
-// while its mailbox has requests to serve (dispatch.go). An idle object
-// owns no goroutine.
+// while its mailbox has requests to serve (dispatch.go), or on the
+// goroutine of a same-process caller waiting on the reply (serveOne).
+// An idle object owns no goroutine.
 type Object struct {
 	node   *Node
 	self   loid.LOID
@@ -114,6 +115,14 @@ func WithConcurrency(n int) SpawnOption {
 // sequential model: inline dispatches are serialized with a mutex.
 // Objects spawned with WithConcurrency run inline dispatches
 // concurrently, exactly like their mailbox drainers would.
+//
+// The mailbox path no longer hands off for a waiting same-process
+// caller either: a synchronous delivery of a request whose sender
+// blocks on the reply is served on the sender's goroutine whenever no
+// drainer is running (Object.serveOne), with the mailbox's ordering and
+// gate checks intact. What this option still saves is the queue itself,
+// and the hand-off for asynchronous deliveries (socket read loops,
+// InvokeCtx, calls with a deadline).
 func WithInlineDispatch() SpawnOption {
 	return func(o *Object) { o.inline = true }
 }
@@ -158,16 +167,39 @@ func (o *Object) QueueLen() int { return o.mailbox.len() }
 // SetPolicy replaces the object's MayI policy at run time.
 func (o *Object) SetPolicy(p security.Policy) { o.policy = p }
 
-// enqueue puts f in o's mailbox (see mailbox.put) and, when the put
-// took a drainer's place, hands o to a dispatch goroutine. It answers
+// enqueue puts f in o's mailbox (see mailbox.put). When the put took a
+// drainer's place and inPlace is set, the delivering goroutine, whose
+// sender is blocked on the reply, fills it and serves one frame itself
+// (serveOne); otherwise o goes to a dispatch goroutine. It answers
 // putOK, putRefused or putRegate.
-func (o *Object) enqueue(f *wire.Frame, wait bool, epoch uint64) int {
+func (o *Object) enqueue(f *wire.Frame, wait bool, epoch uint64, inPlace bool) int {
 	verdict := o.mailbox.put(f, wait, epoch, &o.node.gateEpoch)
 	if verdict == putDrain {
-		startDrain(o)
+		if inPlace {
+			o.serveOne()
+		} else {
+			startDrain(o)
+		}
 		verdict = putOK
 	}
 	return verdict
+}
+
+// serveOne is a drainer that serves at most one frame, the head of the
+// queue, on the goroutine that took the drainer's place. It then counts
+// itself out, or, when frames arrived meanwhile, hands its place and
+// that backlog to a dispatch goroutine: a sender's goroutine serves its
+// own request, never other senders' queue.
+func (o *Object) serveOne() {
+	f := o.mailbox.next()
+	if f == nil {
+		return // stopped since the put; next counted us out
+	}
+	o.serve(f)
+	f.Close()
+	if !o.mailbox.leave() {
+		startDrain(o)
+	}
 }
 
 // drain serves o's mailbox on a dispatch goroutine until it is empty.

@@ -77,7 +77,7 @@ func (n *Node) Unpark(l loid.LOID) {
 		for f := g.q.Pop(); f != nil; f = g.q.Pop() {
 			// No Park while we hold gmu. A full (or just stopped)
 			// mailbox must not block the abort; bounce instead.
-			if o.enqueue(f, false, n.gateEpoch.Load()) != putOK {
+			if o.enqueue(f, false, n.gateEpoch.Load(), false) != putOK {
 				n.bounceParked(f, "mailbox full during migration abort")
 			}
 		}
@@ -240,7 +240,10 @@ func (n *Node) handleGated(g *gate, f *wire.Frame, b *buf.Buffer) bool {
 // forwardFrame re-sends a parked or tombstoned frame one hop. The
 // frame's bytes may alias a larger transport window, so they are
 // copied into a fresh pooled buffer, stamped with the forwarded flag,
-// and handed to the endpoint. The reply-to inside the frame still
+// and handed to the endpoint. The stamp clears the frame's wait mark:
+// a forward runs under n.gmu, and the new host must not serve the
+// method on this goroutine, where a call back to this node would wait
+// for that very lock. The reply-to inside the frame still
 // names the original caller: the new host answers it directly, and the
 // reply's from-address doubles as the caller's binding-refresh hint.
 func (n *Node) forwardFrame(f *wire.Frame, to oa.Element) {

@@ -60,6 +60,13 @@ const maxMethodLen = 1<<16 - 1
 // forwarding cycles structurally impossible.
 const fwdFlag = 0x80
 
+// waitFlag is the next bit of the kind byte: set on a request whose
+// sender blocks on the reply with no deadline of its own, so a receiver
+// delivering it on the sender's goroutine may serve it right there
+// (rt's mailbox). Only requests carry it, and a forward clears it: the
+// forwarder's goroutine is not the one waiting.
+const waitFlag = 0x40
+
 // Frame is one lazily-decoded wire message. Parse records section
 // offsets into the raw bytes; accessors decode on demand and return
 // views into the underlying buffer wherever possible. A Frame is valid
@@ -71,10 +78,11 @@ type Frame struct {
 	owner *buf.Buffer
 	next  *Frame // FrameQueue link; nil while the frame is in no queue
 
-	fwd  bool
-	Kind Kind
-	ID   uint64
-	Code Code
+	fwd   bool
+	waits bool
+	Kind  Kind
+	ID    uint64
+	Code  Code
 
 	replySem oa.Semantic
 	replyK   byte
@@ -175,8 +183,9 @@ func (f *Frame) Parse(data []byte) error {
 	if data[2] != version {
 		return fmt.Errorf("wire: unsupported version %d", data[2])
 	}
-	f.Kind = Kind(data[3] &^ fwdFlag)
+	f.Kind = Kind(data[3] &^ (fwdFlag | waitFlag))
 	f.fwd = data[3]&fwdFlag != 0
+	f.waits = data[3]&waitFlag != 0 && f.Kind == KindRequest
 	if len(data) < v4Fixed {
 		return fmt.Errorf("wire: short v4 frame: %d bytes", len(data))
 	}
@@ -264,6 +273,10 @@ func (f *Frame) parseErrAndArgs(data []byte, p uint32) (uint32, error) {
 // tombstone (one hop already consumed).
 func (f *Frame) Forwarded() bool { return f.fwd }
 
+// Waits reports whether the request's sender blocks on its reply with
+// no deadline (MarkWaits). A reply or one-way frame never waits.
+func (f *Frame) Waits() bool { return f.waits }
+
 // Raw returns the frame's backing bytes — one whole encoded frame —
 // valid only while the frame is. A forwarder copies them into a fresh
 // buffer (the view may alias a larger transport window) before
@@ -271,10 +284,20 @@ func (f *Frame) Forwarded() bool { return f.fwd }
 func (f *Frame) Raw() []byte { return f.data }
 
 // MarkForwarded stamps an encoded frame as having consumed its one
-// forwarding hop. data must hold a frame header (Append* output).
+// forwarding hop, and clears its wait mark. data must hold a frame
+// header (Append* output).
 func MarkForwarded(data []byte) {
 	if len(data) > 3 {
-		data[3] |= fwdFlag
+		data[3] = data[3]&^waitFlag | fwdFlag
+	}
+}
+
+// MarkWaits stamps an encoded request as one whose sender blocks on the
+// reply (Waits). Other kinds are left as they are. data must hold a
+// frame header (Append* output).
+func MarkWaits(data []byte) {
+	if len(data) > 3 && Kind(data[3]&^(fwdFlag|waitFlag)) == KindRequest {
+		data[3] |= waitFlag
 	}
 }
 

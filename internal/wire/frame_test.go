@@ -193,3 +193,37 @@ func TestFrameQueueFIFO(t *testing.T) {
 		f.Close()
 	}
 }
+
+// TestWaitMark: a marked request parses to the same Kind with Waits
+// set; a forward clears the mark (the forwarder is not the waiter); a
+// reply or a one-way request never carries it.
+func TestWaitMark(t *testing.T) {
+	data := sampleRequest(sampleEnv)
+	if parse(t, data).Waits() {
+		t.Fatal("an unmarked request waits")
+	}
+	MarkWaits(data)
+	f := parse(t, data)
+	if f.Kind != KindRequest || !f.Waits() || f.Forwarded() {
+		t.Fatalf("marked request: kind %d, waits %v, forwarded %v", f.Kind, f.Waits(), f.Forwarded())
+	}
+	MarkForwarded(data)
+	if f := parse(t, data); f.Kind != KindRequest || f.Waits() || !f.Forwarded() {
+		t.Fatalf("forwarded request: kind %d, waits %v, forwarded %v", f.Kind, f.Waits(), f.Forwarded())
+	}
+
+	for _, other := range [][]byte{
+		AppendReply(nil, 42, sampleTarget, OK, "", nil, sampleReplyTo),
+		AppendRequest(nil, KindOneWay, 0, sampleTarget, "Notify", &Env{}, sampleReplyTo, nil),
+	} {
+		kind := parse(t, other).Kind
+		MarkWaits(other)
+		if f := parse(t, other); f.Kind != kind || f.Waits() {
+			t.Errorf("kind %d after MarkWaits: kind %d, waits %v", kind, f.Kind, f.Waits())
+		}
+		other[3] |= waitFlag // set by hand: the kind still parses, and still does not wait
+		if f := parse(t, other); f.Kind != kind || f.Waits() {
+			t.Errorf("kind %d with the bit set: kind %d, waits %v", kind, f.Kind, f.Waits())
+		}
+	}
+}

@@ -37,8 +37,12 @@ func seedFrames() []seedFrame {
 // reencode builds a frame anew from every field a parsed frame exposes.
 func reencode(f *Frame) []byte {
 	env := f.Env()
-	return appendV4(nil, f.Kind, f.ID, f.Code, f.Target(), string(f.MethodBytes()), &env,
+	data := appendV4(nil, f.Kind, f.ID, f.Code, f.Target(), string(f.MethodBytes()), &env,
 		replyTo(f), f.ErrText(), f.ArgViews(nil))
+	if f.Waits() {
+		MarkWaits(data)
+	}
+	return data
 }
 
 // TestSeedFramesGolden pins the bytes of every frame shape the fuzz
@@ -72,7 +76,8 @@ func TestSeedFramesGolden(t *testing.T) {
 // The seed corpus covers v4, the one accepted version, in the three
 // kinds; each seed frame again under a retired v2 and v3 header, which
 // the decoder must refuse; and the corruption shapes the unit tests
-// probe (truncations, trailing garbage, bad magic/version).
+// probe (truncations, trailing garbage, bad magic/version), plus a
+// request marked as waited on.
 func FuzzParseFrame(f *testing.F) {
 	seeds := seedFrames()
 	for _, s := range seeds {
@@ -91,6 +96,9 @@ func FuzzParseFrame(f *testing.F) {
 	bad2 := append([]byte(nil), good...)
 	bad2[2] = 99 // bad version
 	f.Add(bad2)
+	waits := append([]byte(nil), good...)
+	MarkWaits(waits) // a request whose sender waits on the reply
+	f.Add(waits)
 	f.Add([]byte{})
 	f.Add([]byte{0x4C, 0x47, 4, 1})
 
@@ -103,7 +111,7 @@ func FuzzParseFrame(f *testing.F) {
 		if err := again.Parse(reencode(&fr)); err != nil {
 			t.Fatalf("re-encoded frame rejected: %v", err)
 		}
-		if again.Kind != fr.Kind || again.ID != fr.ID || again.Code != fr.Code ||
+		if again.Kind != fr.Kind || again.Waits() != fr.Waits() || again.ID != fr.ID || again.Code != fr.Code ||
 			again.Target() != fr.Target() || again.Env() != fr.Env() ||
 			!bytes.Equal(again.MethodBytes(), fr.MethodBytes()) || again.ErrText() != fr.ErrText() ||
 			!replyTo(&again).Equal(replyTo(&fr)) || again.NumArgs() != fr.NumArgs() {
