@@ -68,14 +68,14 @@ endef
 
 STORE_RUN = TestSegment|TestBackendConformance|TestWriteFileAtomic
 RESTART_RUN = TestCrash|TestRestart
-LIFECYCLE_RUN = TestResidentCountsMatchTable|TestConcurrentActivationRace|TestHostFailedRecovery|TestStartRound|TestDeleteDuringDeactivate|TestDeactivateHostDiesUnderClaim|TestDeactivatePutFails
+LIFECYCLE_RUN = TestResidentCountsMatchTable|TestConcurrentActivationRace|TestHostFailedRecovery|TestStartRound|TestDeleteDuringDeactivate|TestDeactivateHostDiesUnderClaim|TestDeactivatePutFails|TestInstantiateRedelivery|TestInstantiateSetPlacesAsLone
 
 # Storage fault matrix: the fault-injected recovery tests (torn writes,
 # fsync errors, crash tails, mid-compaction crashes), the backend
 # conformance suite and the atomic snapshot write under the race
 # detector, then the chaos tests driven over the segment backend, then
-# the Magistrate's lifecycle tests (start round, recovery, resident
-# counts) on several core counts.
+# the Magistrate's lifecycle tests (start round, set instantiation,
+# recovery, resident counts) on several core counts.
 store-matrix:
 	$(call check-run,./internal/persist,$(STORE_RUN))
 	$(call check-run,./internal/core ./internal/sim,$(RESTART_RUN))

@@ -58,11 +58,11 @@ func (b Binding) String() string {
 func (b Binding) EncodedSize() int { return loid.EncodedSize + b.Address.EncodedSize() + 8 }
 
 // Marshal appends the binary encoding of b to dst, growing it at most
-// once, to the exact size. Expiry is encoded as Unix nanoseconds, with
-// 0 meaning "never".
+// once, to at least twice its capacity (as oa.Address.Marshal). Expiry
+// is encoded as Unix nanoseconds, with 0 meaning "never".
 func (b Binding) Marshal(dst []byte) []byte {
 	if n := b.EncodedSize(); cap(dst)-len(dst) < n {
-		dst = append(make([]byte, 0, len(dst)+n), dst...)
+		dst = append(make([]byte, 0, max(2*cap(dst), len(dst)+n)), dst...)
 	}
 	dst = b.LOID.Marshal(dst)
 	dst = b.Address.Marshal(dst)

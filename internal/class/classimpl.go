@@ -2,6 +2,7 @@ package class
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -24,6 +25,14 @@ import (
 var (
 	Create = rt.M3("Create", rt.BytesParam("initState"), rt.LOIDParam("magistrateHint"), rt.LOIDParam("hostHint"),
 		madeParam("object"))
+	// CreateSet is Create for a set: Count objects, made as Count lone
+	// Creates would make them, at one Instantiate per Magistrate.
+	CreateSet = rt.M1("CreateSet", rt.Struct(
+		rt.Field(rt.Uint64Param("count"), func(s *NewSet) *uint64 { return &s.Count }),
+		rt.Field(rt.BytesParam("initState"), func(s *NewSet) *[]byte { return &s.InitState }),
+		rt.Field(rt.LOIDParam("magistrateHint"), func(s *NewSet) *loid.LOID { return &s.MagistrateHint }),
+		rt.Field(rt.LOIDParam("hostHint"), func(s *NewSet) *loid.LOID { return &s.HostHint })),
+		madeListParam("objects"))
 	Derive = rt.M1("Derive", rt.Struct(
 		rt.Field(rt.StringParam("name"), func(s *Subclass) *string { return &s.Name }),
 		rt.Field(rt.StringParam("impl"), func(s *Subclass) *string { return &s.Impl }),
@@ -75,6 +84,46 @@ func madeParam(name string) rt.Codec[Made] {
 		rt.Field(rt.LOIDParam(name), func(m *Made) *loid.LOID { return &m.LOID }),
 		rt.Field(rt.BindingParam("b"), func(m *Made) *binding.Binding { return &m.Binding }))
 }
+
+// madeListParam carries a list of instances in a bytes slot, as a
+// binding list: each instance is the object its binding names.
+func madeListParam(name string) rt.Codec[[]Made] {
+	return rt.Param(name, idl.TBytes,
+		func(ms []Made) []byte {
+			n := 4
+			for _, m := range ms {
+				n += m.Binding.EncodedSize()
+			}
+			w := wire.NewWriter(make([]byte, 0, n))
+			w.Count32(len(ms))
+			for _, m := range ms {
+				w.Binding(m.Binding)
+			}
+			return w.Bytes()
+		},
+		func(b []byte) ([]Made, error) {
+			bs, err := wire.AsBindingList(b)
+			ms := make([]Made, len(bs))
+			for i, b := range bs {
+				ms[i] = Made{b.LOID, b}
+			}
+			return ms, err
+		})
+}
+
+// NewSet is what CreateSet makes: Count instances, each from
+// InitState, with Create's Magistrate and host hints (loid.Nil for
+// none).
+type NewSet struct {
+	Count          uint64
+	InitState      []byte
+	MagistrateHint loid.LOID
+	HostHint       loid.LOID
+}
+
+// maxSet bounds a CreateSet's count: its Instantiate sets and its
+// answer stay well inside a frame.
+const maxSet = 1 << 16
 
 // Subclass is what Derive makes: the subclass's name, an overriding
 // implementation (empty inherits the superclass's unchanged), that
@@ -142,7 +191,23 @@ func flagsParam(name string) rt.Codec[Flags] {
 }
 
 var server = rt.NewServer("LegionClass",
-	rt.Serve3(Create, (*ClassImpl).create),
+	rt.Serve3(Create, func(c *ClassImpl, ctx context.Context, initState []byte, magHint, hostHint loid.LOID) (Made, error) {
+		var one [1]Made
+		if err := c.createSet(ctx, one[:], initState, magHint, hostHint); err != nil {
+			return Made{}, err
+		}
+		return one[0], nil
+	}),
+	rt.Serve1(CreateSet, func(c *ClassImpl, ctx context.Context, s NewSet) ([]Made, error) {
+		if s.Count == 0 || s.Count > maxSet {
+			return nil, fmt.Errorf("class %s: CreateSet of %d objects, want 1 to %d", c.Meta().Name, s.Count, maxSet)
+		}
+		made := make([]Made, s.Count)
+		if err := c.createSet(ctx, made, s.InitState, s.MagistrateHint, s.HostHint); err != nil {
+			return nil, err
+		}
+		return made, nil
+	}),
 	rt.Serve1(Derive, func(c *ClassImpl, ctx context.Context, s Subclass) (Made, error) {
 		return c.deriveClass(ctx, s, false)
 	}),
@@ -265,61 +330,129 @@ func (c *ClassImpl) Bind(o *rt.Object) { c.obj = o }
 // Dispatch implements rt.Impl.
 func (c *ClassImpl) Dispatch(inv *rt.Invocation) ([][]byte, error) { return server.Dispatch(c, inv) }
 
-// create implements the class-mandatory Create(): instantiate a new
-// non-class object (§2.1.1 is-a), with the cooperation of a Magistrate
-// and Host Object (§4.2).
-func (c *ClassImpl) create(ctx context.Context, initState []byte, magHint, hostHint loid.LOID) (Made, error) {
+// createSet makes len(made) new non-class objects (§2.1.1 is-a), each
+// with the cooperation of a Magistrate and a Host Object (§4.2), and
+// fills made in: CreateSet, and the class-mandatory Create() as a set of
+// one. The objects are made as that many lone Creates would make them.
+// One critical section takes their sequence numbers and picks each
+// one's Magistrate (the hint, or the rotation over the defaults), and a
+// Scheduling Agent, if the class has one and no host is hinted, is
+// asked for each object in turn. Each Magistrate is then sent its share
+// in one Instantiate. An object that starts nowhere leaves nothing
+// behind and gets no row; the error names the first such object, and
+// the others are made and recorded all the same.
+func (c *ClassImpl) createSet(ctx context.Context, made []Made, initState []byte, magHint, hostHint loid.LOID) error {
 	c.mu.Lock()
+	name := c.meta.Name
 	if c.meta.Flags.Abstract() {
 		c.mu.Unlock()
 		// "A class object whose Create() function is empty is said to
 		// be Abstract; no direct instances of an Abstract class can
 		// exist" (§2.1.2).
-		return Made{}, fmt.Errorf("class %s is Abstract: Create is empty", c.meta.Name)
+		return fmt.Errorf("class %s is Abstract: Create is empty", name)
 	}
-	seq := c.meta.NextSeq
-	c.meta.NextSeq++
-	l := loid.New(c.meta.Self.ClassID, seq+1,
-		loid.DeriveKey(fmt.Sprintf("%s/%d", c.meta.Name, seq+1)))
+	mags := make([]loid.LOID, len(made))
+	for i := range made {
+		seq := c.meta.NextSeq
+		c.meta.NextSeq++
+		made[i].LOID = loid.New(c.meta.Self.ClassID, seq+1,
+			loid.DeriveKey(fmt.Sprintf("%s/%d", name, seq+1)))
+		var err error
+		if mags[i], err = c.pickMagistrateLocked(magHint); err != nil {
+			c.mu.Unlock()
+			return err
+		}
+	}
 	implSpec := implreg.CompositeSpec(c.meta.ImplParts)
-	mag, err := c.pickMagistrateLocked(magHint)
 	schedAgent := c.meta.DefaultSchedulingAgent
 	candidates := c.meta.DefaultMagistrates
 	c.mu.Unlock()
-	if err != nil {
-		return Made{}, err
-	}
 
-	mc := c.obj.Caller().To(mag)
-	// Scheduling hook (§3.7/§3.8): with no explicit host hint, the
-	// class may employ its Scheduling Agent to suggest a host, passing
-	// the suggestion through Instantiate's host hint. Placement falls
-	// back to the Magistrate's default policy if the agent is
-	// unreachable — scheduling is advice, not mechanism.
-	if hostHint.IsNil() && !schedAgent.IsNil() {
-		if hosts, err := magistrate.ListHosts.Call(ctx, mc); err == nil && len(hosts) > 0 {
-			if pick, err := sched.PickHost.Call(ctx, c.obj.Caller().To(schedAgent), hosts); err == nil {
-				hostHint = pick
+	set := make([]magistrate.Instance, len(made))
+	for i, m := range made {
+		set[i] = magistrate.Instance{Object: m.LOID, Impl: implSpec, State: initState, HostHint: hostHint}
+		// Scheduling hook (§3.7/§3.8): with no explicit host hint, the
+		// class may employ its Scheduling Agent to suggest a host, passing
+		// the suggestion through Instantiate's host hint. Placement falls
+		// back to the Magistrate's default policy if the agent is
+		// unreachable — scheduling is advice, not mechanism.
+		if hostHint.IsNil() && !schedAgent.IsNil() {
+			if hosts, err := magistrate.ListHosts.Call(ctx, c.obj.Caller().To(mags[i])); err == nil && len(hosts) > 0 {
+				if pick, err := sched.PickHost.Call(ctx, c.obj.Caller().To(schedAgent), hosts); err == nil {
+					set[i].HostHint = pick
+				}
 			}
 		}
 	}
-	// One Magistrate call registers and starts the object: a Create that
-	// fails leaves nothing behind, and one that succeeds writes nothing
-	// to the jurisdiction's store.
-	b, err := magistrate.Instantiate.Call(ctx, mc, magistrate.Instance{Object: l, Impl: implSpec, State: initState, HostHint: hostHint})
-	if err != nil {
-		return Made{}, fmt.Errorf("class %s: instantiate %v with %v: %w", c.meta.Name, l, mag, err)
+
+	// One Magistrate call registers and starts each Magistrate's share,
+	// its objects in order, in the order the Magistrates were first
+	// picked: an object that fails leaves nothing behind, and one that
+	// succeeds writes nothing to the jurisdiction's store.
+	first, firstErr := len(made), error(nil)
+	for i, mag := range mags {
+		if slices.Index(mags, mag) < i {
+			continue // its share has gone
+		}
+		// share[j] is set[at[j]]; at is nil when the share is the set.
+		share, at := set, []int(nil)
+		if slices.ContainsFunc(mags, func(m loid.LOID) bool { return m != mag }) {
+			share = nil
+			for j, m := range mags {
+				if m == mag {
+					share, at = append(share, set[j]), append(at, j)
+				}
+			}
+		}
+		bs, err := c.instantiate(ctx, mag, share)
+		for j, b := range bs {
+			k := j
+			if at != nil {
+				k = at[j]
+			}
+			if !b.Address.IsZero() {
+				made[k].Binding = b
+			} else if k < first {
+				first, firstErr = k, fmt.Errorf("class %s: instantiate %v with %v: %w", name, made[k].LOID, mag, err)
+			}
+		}
 	}
 	c.mu.Lock()
-	c.table[l.Ident()] = &Row{
-		Address:              b.Address,
-		CurrentMagistrates:   c.oneMagistrateLocked(mag),
-		SchedulingAgent:      schedAgent,
-		CandidateMagistrates: candidates,
+	for i, m := range made {
+		if m.Binding.Address.IsZero() {
+			continue
+		}
+		c.table[m.LOID.Ident()] = &Row{
+			Address:              m.Binding.Address,
+			CurrentMagistrates:   c.oneMagistrateLocked(mags[i]),
+			SchedulingAgent:      schedAgent,
+			CandidateMagistrates: candidates,
+		}
 	}
 	c.mu.Unlock()
-	c.pushBinding(b)
-	return Made{l, b}, nil
+	for _, m := range made {
+		if !m.Binding.Address.IsZero() {
+			c.pushBinding(m.Binding)
+		}
+	}
+	return firstErr
+}
+
+// instantiate sends mag one Instantiate for set. It returns a binding
+// per object, the zero binding for one that did not start, and why the
+// first such did not.
+func (c *ClassImpl) instantiate(ctx context.Context, mag loid.LOID, set []magistrate.Instance) ([]binding.Binding, error) {
+	r, err := magistrate.Instantiate.Call(ctx, c.obj.Caller().To(mag), set)
+	if err == nil && len(r.Bindings) != len(set) {
+		err = fmt.Errorf("magistrate %v answered %d bindings for %d objects", mag, len(r.Bindings), len(set))
+	}
+	if err != nil {
+		return make([]binding.Binding, len(set)), err
+	}
+	if r.Failure != "" {
+		err = errors.New(r.Failure)
+	}
+	return r.Bindings, err
 }
 
 // Derive (the class-mandatory Derive(), §2.1.1 kind-of) creates a
@@ -405,9 +538,9 @@ func (c *ClassImpl) deriveClass(ctx context.Context, sub Subclass, isClone bool)
 	if err != nil {
 		return Made{}, err
 	}
-	b, err := magistrate.Instantiate.Call(ctx, c.obj.Caller().To(mag),
-		magistrate.Instance{Object: childMeta.Self, Impl: ImplName, State: childState})
-	if err != nil {
+	bs, err := c.instantiate(ctx, mag, []magistrate.Instance{{Object: childMeta.Self, Impl: ImplName, State: childState}})
+	b := bs[0]
+	if b.Address.IsZero() {
 		return Made{}, fmt.Errorf("class %s: instantiate subclass %s: %w", parentName, name, err)
 	}
 	c.mu.Lock()

@@ -1,7 +1,10 @@
 package class
 
 import (
+	"context"
 	"errors"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/loid"
@@ -45,6 +48,48 @@ func TestCreateFailureLeavesNothing(t *testing.T) {
 	}
 	if n := fx.store.Stats().Records; n != records {
 		t.Errorf("the refused Create took the store from %d records to %d", records, n)
+	}
+}
+
+// TestCreateSetPartialFailure: CreateSet makes its objects as lone
+// Creates would, in LOID order. An object no host will run leaves
+// nothing behind: no row in the class, no record in the Magistrate.
+// The error names the first such object, and the others are made and
+// recorded all the same.
+func TestCreateSetPartialFailure(t *testing.T) {
+	fx := newFixture(t)
+	fx.mag.SetFilter(func(l loid.LOID, _ string, _ loid.LOID) error {
+		if l.ClassSpecific == 2 || l.ClassSpecific == 4 {
+			return errors.New("not run here")
+		}
+		return nil
+	})
+	_, err := CreateSet.Call(context.Background(), fx.root.Ref, NewSet{Count: 5})
+	if err == nil {
+		t.Fatal("CreateSet succeeded past a filter that refuses two of its objects")
+	}
+	if want := loid.NewNoKey(fx.rootL.ClassID, 2).ID().String(); !strings.Contains(err.Error(), want) {
+		t.Errorf("CreateSet error %q does not name the first refused object %s", err, want)
+	}
+	held, err := magistrate.ListObjects.Call(context.Background(), fx.caller.To(fx.magL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seq := uint64(1); seq <= 5; seq++ {
+		refused := seq == 2 || seq == 4
+		_, rowErr := GetRow.Call(context.Background(), fx.root.Ref, loid.NewNoKey(fx.rootL.ClassID, seq))
+		if hasRow := rowErr == nil; hasRow == refused {
+			t.Errorf("object %d: row %v, refused %v", seq, hasRow, refused)
+		}
+		recorded := slices.ContainsFunc(held, func(l loid.LOID) bool {
+			return l.ClassID == fx.rootL.ClassID && l.ClassSpecific == seq
+		})
+		if recorded == refused {
+			t.Errorf("object %d: Magistrate record %v, refused %v", seq, recorded, refused)
+		}
+	}
+	if n := fx.store.Stats().Records; n != 0 {
+		t.Errorf("the store holds %d records after a CreateSet", n)
 	}
 }
 

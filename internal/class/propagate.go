@@ -51,9 +51,14 @@ func (s *subscribers) unsubscribe(agent loid.LOID) {
 	delete(s.subs, agent.ID())
 }
 
+// snapshot copies the subscriber table; nil when nobody subscribed, so
+// a push to no one (every Create of an unwatched class) allocates nothing.
 func (s *subscribers) snapshot() map[loid.LOID]oa.Address {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if len(s.subs) == 0 {
+		return nil
+	}
 	out := make(map[loid.LOID]oa.Address, len(s.subs))
 	for k, v := range s.subs {
 		out[k] = v

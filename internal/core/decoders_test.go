@@ -41,6 +41,7 @@ func decodes[T any](dec func([]byte) (T, error)) func(b []byte) error {
 var decoders = map[string]func(b []byte) error{
 	"magistrate.UnmarshalLoads":      decodes(magistrate.UnmarshalLoads),
 	"magistrate.UnmarshalPlacements": decodes(magistrate.UnmarshalPlacements),
+	"magistrate.UnmarshalInstances":  decodes(magistrate.UnmarshalInstances),
 	"magistrate.RestoreState": restores(func() rt.Impl {
 		return magistrate.New(loid.New(loid.ClassIDMagistrate, 5, loid.DeriveKey("forged/magistrate")), persist.NewMemStore())
 	}),
@@ -72,6 +73,7 @@ var decoders = map[string]func(b []byte) error{
 		return c
 	}),
 	"wire.AsLOIDList":      decodes(wire.AsLOIDList),
+	"wire.AsBindingList":   decodes(wire.AsBindingList),
 	"wire.AsStringList":    decodes(wire.AsStringList),
 	"host.UnmarshalLoad":   decodes(host.UnmarshalLoad),
 	"demo.KV.RestoreState": restores(demo.NewKV),
@@ -101,6 +103,7 @@ func forgedInputs() []struct {
 	}{
 		{"magistrate.UnmarshalLoads", u64(1 << 62)},
 		{"magistrate.UnmarshalPlacements", u64(1 << 62)},
+		{"magistrate.UnmarshalInstances", u32(1 << 31)},
 		{"magistrate.RestoreState", u64(1 << 40)},
 		{"magistrate.RestoreState", cat(u64(0), u64(1<<40))},
 		{"magistrate.RestoreState", cat(u64(0), u64(0), u64(1<<40))},
@@ -129,6 +132,7 @@ func forgedInputs() []struct {
 		{"persist.DecodeOPRBatch", cat(u32(1), u64(1<<40))},
 		{"rt.Composite.RestoreState", cat(u32(2), u64(1<<40))},
 		{"wire.AsLOIDList", u32(1 << 31)},
+		{"wire.AsBindingList", u32(1 << 31)},
 		{"wire.AsStringList", u32(1 << 16)},
 		{"wire.AsStringList", cat(u32(1), u32(1<<24))},
 		{"host.UnmarshalLoad", u64(1 << 62)},

@@ -108,7 +108,7 @@ func goldenCalls() []goldenCall {
 		{"magistrate.Register", func(ctx context.Context, to, _ r) { magistrate.Register.Call(ctx, to, gObj, "golden.impl", gState) }},
 		{"magistrate.Activate", func(ctx context.Context, to, _ r) { magistrate.Activate.Call(ctx, to, gObj, gHost) }},
 		{"magistrate.Instantiate", func(ctx context.Context, to, _ r) {
-			magistrate.Instantiate.Call(ctx, to, magistrate.Instance{Object: gObj, Impl: "golden.impl", State: gState, HostHint: gHost})
+			magistrate.Instantiate.Call(ctx, to, []magistrate.Instance{{Object: gObj, Impl: "golden.impl", State: gState, HostHint: gHost}})
 		}},
 		{"magistrate.Deactivate", func(ctx context.Context, to, _ r) { magistrate.Deactivate.Call(ctx, to, gObj) }},
 		{"magistrate.Delete", func(ctx context.Context, to, _ r) { magistrate.Delete.Call(ctx, to, gObj) }},
@@ -132,6 +132,9 @@ func goldenCalls() []goldenCall {
 		{"magistrate.ListSubMagistrates", func(ctx context.Context, to, _ r) { magistrate.ListSubMagistrates.Call(ctx, to) }},
 
 		{"class.Create", func(ctx context.Context, to, _ r) { class.Create.Call(ctx, to, gState, gOther, gHost) }},
+		{"class.CreateSet", func(ctx context.Context, to, _ r) {
+			class.CreateSet.Call(ctx, to, class.NewSet{Count: 3, InitState: gState, MagistrateHint: gOther, HostHint: gHost})
+		}},
 		{"class.Derive", func(ctx context.Context, to, _ r) {
 			class.Derive.Call(ctx, to, class.Subclass{Name: "GoldenSub", Impl: "golden.impl", Interface: gIfc, Flags: class.FlagFixed, MagistrateHint: gOther})
 		}},

@@ -10,14 +10,16 @@ import (
 	"repro/internal/wire"
 )
 
-// adoptObjects is the adoption intake, the one way lost objects come
-// back: a Magistrate recovering a crashed host ships the lost set as one
-// OPR batch (persist.EncodeOPRBatch, the format CheckpointBatch carries
-// the other way) and this host starts all of them in one call.
+// adoptObjects is the set intake: a Magistrate ships a set of objects as
+// one OPR batch (persist.EncodeOPRBatch, the format CheckpointBatch
+// carries the other way) and this host starts all of them in one call.
+// It is the one way lost objects come back (a recovery's lost set) and
+// the way new ones arrive in bulk (an Instantiate's planned share).
 //
-// The call is all-or-nothing: if any object fails to start, everything
-// adopted by THIS call is killed again and the error is returned — the
-// Magistrate then offers the set to its next host. Objects already
+// The call is all-or-nothing: capacity is reserved for the whole set or
+// refused, and if any object fails to start, everything adopted by THIS
+// call is killed again and the error is returned — the Magistrate then
+// offers the set, or each of its objects, elsewhere. Objects already
 // running here are counted as adopted (idempotent, same as
 // StartObject), and are not torn down by a later failure in the same
 // call.
@@ -27,17 +29,16 @@ func (h *Host) adoptObjects(_ context.Context, blob []byte) (uint64, error) {
 		return 0, fmt.Errorf("host %v: adopt: %w", h.self, err)
 	}
 
-	h.mu.Lock()
-	if h.cpuLimit > 0 && uint64(len(h.running)+len(oprs)) > h.cpuLimit {
-		limit := h.cpuLimit
-		h.mu.Unlock()
-		return 0, fmt.Errorf("host %v: adopting %d objects would exceed capacity %d", h.self, len(oprs), limit)
+	// The whole set is admitted at once; what does not become a resident
+	// is given back when the call ends.
+	if err := h.reserve(len(oprs)); err != nil {
+		return 0, fmt.Errorf("host %v: adopt: %w", h.self, err)
 	}
-	h.mu.Unlock()
+	var started []loid.LOID
+	defer func() { h.unreserve(len(oprs) - len(started)) }()
 
 	reg := h.node.Registry()
 	span := h.node.Tracer().RootAlways("serve", "adopt", "host")
-	var started []loid.LOID
 	adopted := 0
 	for _, o := range oprs {
 		l := o.LOID

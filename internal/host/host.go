@@ -136,8 +136,12 @@ type Host struct {
 	impls  *implreg.Registry
 	newRes ResolverFactory
 
-	mu       sync.Mutex
-	running  map[loid.Ident]*resident
+	mu      sync.Mutex
+	running map[loid.Ident]*resident
+	// arriving counts the objects admitted (reserve) but not yet
+	// resident: capacity is checked against running plus arriving, so
+	// starts that race all see each other's admissions.
+	arriving uint64
 	cpuLimit uint64 // max concurrently active objects; 0 = unlimited
 	memLimit uint64 // advisory memory budget, reported via GetState
 	obj      *rt.Object
@@ -223,22 +227,41 @@ func (h *Host) startObject(_ context.Context, l loid.LOID, implName string, stat
 	if _, ok := h.node.Lookup(l); ok {
 		return h.Address(), nil
 	}
-	h.mu.Lock()
-	if h.cpuLimit > 0 && uint64(len(h.running)) >= h.cpuLimit {
-		h.mu.Unlock()
-		return oa.Address{}, fmt.Errorf("host %v at capacity (%d objects)", h.self, h.cpuLimit)
+	if err := h.reserve(1); err != nil {
+		return oa.Address{}, err
 	}
-	h.mu.Unlock()
 	if err := h.spawnResident(l, implName, state); err != nil {
+		h.unreserve(1)
 		return oa.Address{}, err
 	}
 	return h.Address(), nil
 }
 
+// reserve admits n arriving objects against the capacity limit in one
+// critical section, or refuses them all. Each admitted object either
+// becomes a resident (spawnResident takes its reservation) or is given
+// back (unreserve).
+func (h *Host) reserve(n int) error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.cpuLimit > 0 && uint64(len(h.running))+h.arriving+uint64(n) > h.cpuLimit {
+		return fmt.Errorf("host %v at capacity (%d objects): cannot start %d more", h.self, h.cpuLimit, n)
+	}
+	h.arriving += uint64(n)
+	return nil
+}
+
+func (h *Host) unreserve(n int) {
+	h.mu.Lock()
+	h.arriving -= uint64(n)
+	h.mu.Unlock()
+}
+
 // spawnResident builds an incarnation of implName for l, restores state
 // into it (empty state = fresh object), starts it on the host's node and
-// records it as a resident: the one way an object arrives here, by
-// StartObject or by AdoptObjects.
+// records it as a resident, in the critical section that takes one of
+// the reservations its caller holds: the one way an object arrives
+// here, by StartObject or by AdoptObjects.
 func (h *Host) spawnResident(l loid.LOID, implName string, state []byte) error {
 	impl, err := h.impls.New(implName)
 	if err != nil {
@@ -266,6 +289,7 @@ func (h *Host) spawnResident(l loid.LOID, implName string, state []byte) error {
 	}
 	h.mu.Lock()
 	h.running[l.Ident()] = &resident{impl: implName}
+	h.arriving--
 	h.mu.Unlock()
 	return nil
 }

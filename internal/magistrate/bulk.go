@@ -118,8 +118,11 @@ func (m *Magistrate) claimLost(ls []loid.LOID) (batch []starting, busy []loid.LO
 // other read error leaves only that object inert. The rest go to the
 // start round (startSet) with no host hint, the adopt hook firing before
 // each call; whatever no host takes stays inert for the next Activate.
-// The round's calls are counted here, and each object started is
-// announced to its class.
+// Each call is counted once all it did is done: a failed one as its
+// answer lands, before any later call of the round settles an object
+// (an observer that sees the objects settled sees the failure too); one
+// a host took once the round has dropped the OPRs it consumed. Each
+// object started is announced to its class.
 func (m *Magistrate) adoptRound(batch []starting) {
 	if len(batch) == 0 {
 		return
@@ -143,20 +146,29 @@ func (m *Magistrate) adoptRound(batch []starting) {
 	hook, plane := m.adoptHook, m.plane
 	m.mu.Unlock()
 
-	took, failed, err := m.startSet(context.Background(), read, loid.Nil, hook)
 	reg := m.reg()
-	reg.Counter("mag/bulk_adopt_failed").Add(uint64(failed))
+	took := 0
+	m.startSet(context.Background(), read, loid.Nil, hostEntry{}, roundHooks{before: hook, after: func(err error) {
+		if err != nil {
+			reg.Counter("mag/bulk_adopt_failed").Inc()
+		} else {
+			took++
+		}
+	}})
 	reg.Counter("mag/bulk_adoptions").Add(uint64(took))
 	for range took {
 		reg.Histogram("mag/bulk_adopt").Observe(m.since(t0))
 	}
 	adopted := 0
+	var err error
 	for _, a := range read {
-		if !a.on.IsNil() {
-			adopted++
-			noteGeneration(plane, a.opr.LOID, "adopt", a.on, 0)
-			m.notifyClass(context.Background(), a.opr.LOID, a.b)
+		if a.on.IsNil() {
+			err = a.err
+			continue
 		}
+		adopted++
+		noteGeneration(plane, a.opr.LOID, "adopt", a.on, 0)
+		m.notifyClass(context.Background(), a.opr.LOID, a.b)
 	}
 	reg.Counter("mag/bulk_adopted_objects").Add(uint64(adopted))
 	if err != nil {

@@ -39,14 +39,11 @@ var (
 	// Activate's host hint may be absent: the one-argument Activate(LOID)
 	// of §3.8. Senders here always pass one, loid.Nil for none.
 	Activate = rt.M2("Activate", rt.LOIDParam("object"), rt.LOIDParam("hostHint").Optional(), rt.BindingParam("b"))
-	// Instantiate is the Create of §4.2 in one call: the object enters
-	// the jurisdiction already running.
-	Instantiate = rt.M1("Instantiate", rt.Struct(
-		rt.Field(rt.LOIDParam("object"), func(in *Instance) *loid.LOID { return &in.Object }),
-		rt.Field(rt.StringParam("impl"), func(in *Instance) *string { return &in.Impl }),
-		rt.Field(rt.BytesParam("state"), func(in *Instance) *[]byte { return &in.State }),
-		rt.Field(rt.LOIDParam("hostHint"), func(in *Instance) *loid.LOID { return &in.HostHint })),
-		rt.BindingParam("b"))
+	// Instantiate is the Create of §4.2 in one call for a set of
+	// objects: each enters the jurisdiction already running.
+	Instantiate = rt.M1("Instantiate", rt.Param("set", idl.TBytes, MarshalInstances, UnmarshalInstances), rt.Struct(
+		rt.Field(rt.BindingListParam("bindings"), func(r *Instantiated) *[]binding.Binding { return &r.Bindings }),
+		rt.Field(rt.StringParam("failure"), func(r *Instantiated) *string { return &r.Failure })))
 	Deactivate = rt.M1("Deactivate", rt.LOIDParam("object"), rt.None)
 	Delete     = rt.M1("Delete", rt.LOIDParam("object"), rt.None)
 	Copy       = rt.M2("Copy", rt.LOIDParam("object"), rt.LOIDParam("to"), rt.None)
@@ -69,13 +66,52 @@ var (
 // it.
 var NotifyAddress = rt.M2("NotifyAddress", rt.LOIDParam("object"), rt.AddressParam("addr"), rt.None)
 
-// Instance is what Instantiate starts: a new object, its implementation
-// and initial state, and a host hint (loid.Nil for none).
+// Instance is one object Instantiate starts: a new object, its
+// implementation and initial state, and a host hint (loid.Nil for none).
 type Instance struct {
 	Object   loid.LOID
 	Impl     string
 	State    []byte
 	HostHint loid.LOID
+}
+
+// Instantiated is Instantiate's answer: a binding per instance, in the
+// set's order, the zero binding for one that did not start, and why the
+// first that did not start failed ("" when all run).
+type Instantiated struct {
+	Bindings []binding.Binding
+	Failure  string
+}
+
+// MarshalInstances encodes an Instantiate set.
+func MarshalInstances(set []Instance) []byte {
+	n := 4
+	for _, in := range set {
+		n += 2*loid.EncodedSize + 8 + len(in.Impl) + len(in.State)
+	}
+	w := wire.NewWriter(make([]byte, 0, n))
+	w.Count32(len(set))
+	for _, in := range set {
+		w.LOID(in.Object)
+		w.Str32(in.Impl)
+		w.Bytes32(in.State)
+		w.LOID(in.HostHint)
+	}
+	return w.Bytes()
+}
+
+// UnmarshalInstances decodes an Instantiate set. The states alias b.
+func UnmarshalInstances(b []byte) ([]Instance, error) {
+	r := wire.NewReader(b)
+	// Each instance is two LOIDs and two 4-byte lengths at least.
+	set := make([]Instance, r.Count32(2*loid.EncodedSize+8))
+	for i := range set {
+		set[i] = Instance{r.LOID(), r.Str32(wire.NoCap), r.Bytes32(wire.NoCap), r.LOID()}
+	}
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("magistrate: instance set: %w", err)
+	}
+	return set, nil
 }
 
 // ObjectState is HasObject's answer: whether the Magistrate knows an
@@ -457,8 +493,13 @@ func (m *Magistrate) activateLocal(ctx context.Context, l, hint loid.LOID) (b bi
 		m.mu.Unlock()
 		return binding.Binding{}, true, err
 	}
-	b, err = m.startOne(ctx, starting{rec: rec, from: oprAddr, opr: opr}, hint)
-	return b, true, err
+	set := []starting{{rec: rec, from: oprAddr, opr: opr}}
+	m.startSet(ctx, set, hint, hostEntry{}, roundHooks{})
+	if set[0].on.IsNil() {
+		return binding.Binding{}, true, set[0].err
+	}
+	m.noteStarted(ctx, m.Plane(), &set[0])
+	return set[0].b, true, nil
 }
 
 // readOPR reads l's OPR at addr. A damaged one (ErrCorrupt; the store
@@ -480,7 +521,7 @@ func (m *Magistrate) readOPR(l loid.LOID, impl string, addr persist.PersistentAd
 	return opr, nil
 }
 
-// instantiate implements Instantiate: a new object enters the
+// instantiate implements Instantiate: each object of the set enters the
 // jurisdiction already running (§4.2). Its record is inserted claimed
 // and started from the state in the invocation — borrowed bytes that go
 // to the host inside this dispatch and are never retained — so a Create
@@ -488,98 +529,245 @@ func (m *Magistrate) readOPR(l loid.LOID, impl string, addr persist.PersistentAd
 // moment the object ran. Until a checkpoint or Deactivate files one,
 // the object is "active, no checkpoint", whose loss settles to a blank
 // OPR like any other.
-func (m *Magistrate) instantiate(ctx context.Context, in Instance) (binding.Binding, error) {
-	l, implName, hint := in.Object, in.Impl, in.HostHint
-	for {
-		m.mu.Lock()
-		rec, ok := m.table[l.Ident()]
-		if !ok {
-			break // m.mu stays held for the insert
+//
+// The set's records are claimed, and each new object's host planned
+// (planLocked), in one critical section. Each host is then offered its
+// planned share in one call; a share of one, and each object of a share
+// its host refuses, goes through a lone start round from its planned
+// host, so capacity limits and the activation filter act on it as on a
+// lone Create. An object that starts nowhere leaves the table.
+//
+// An object already in the table under the same implementation is a
+// redelivery: the caller retried after a late or lost reply. It waits
+// on the first delivery's claim and answers that binding; if that start
+// failed, the record has left the table and it starts afresh.
+func (m *Magistrate) instantiate(ctx context.Context, set []Instance) (Instantiated, error) {
+	// objs[i] starts set[i]; its rec stays nil when set[i] is already in
+	// the table.
+	objs := make([]starting, len(set))
+	var again []int
+	m.mu.Lock()
+	for i, in := range set {
+		s := &objs[i]
+		s.opr = persist.OPR{LOID: in.Object, Impl: in.Impl, State: in.State}
+		if rec, ok := m.table[in.Object.Ident()]; ok {
+			if rec.impl != in.Impl {
+				s.err = fmt.Errorf("magistrate %v: object %v already exists", m.self, in.Object)
+			} else {
+				again = append(again, i)
+			}
+			continue
 		}
-		held := rec.impl
-		m.mu.Unlock()
-		if held != implName {
-			return binding.Binding{}, fmt.Errorf("magistrate %v: object %v already exists", m.self, l)
-		}
-		// A redelivery: the caller retried after a late or lost reply.
-		// Wait on the first delivery's claim and answer its binding. If
-		// that start failed, the record has left the table: start afresh.
-		if b, known, err := m.activateLocal(ctx, l, hint); known {
-			return b, err
+		s.rec = &record{impl: in.Impl}
+		m.table[in.Object.Ident()] = s.rec
+		m.claimLocked(s.rec)
+	}
+	plan := m.planLocked(objs, set)
+
+	// The planned shares, in the order their hosts were first picked. A
+	// lone object is its own lone round.
+	type share struct {
+		h    hostEntry
+		take []*starting
+	}
+	var (
+		shares   []share
+		unplaced []*starting
+		rd       round
+	)
+	for i := range objs {
+		s := &objs[i]
+		switch {
+		case s.rec == nil:
+		case s.err != nil:
+			unplaced = append(unplaced, s)
+		case len(objs) > 1:
+			j := slices.IndexFunc(shares, func(sh share) bool { return sh.h.l.SameObject(plan[i].l) })
+			if j < 0 {
+				j = len(shares)
+				shares = append(shares, share{h: plan[i]})
+			}
+			shares[j].take = append(shares[j].take, s)
 		}
 	}
-	rec := &record{impl: implName}
-	m.table[l.Ident()] = rec
-	m.claimLocked(rec)
-	m.mu.Unlock()
-	return m.startOne(ctx, starting{rec: rec, opr: persist.OPR{LOID: l, Impl: implName, State: in.State}}, hint)
+	for _, sh := range shares {
+		if len(sh.take) == 1 || !m.hostKnownLocked(sh.h.l) {
+			continue
+		}
+		err := m.offerLocked(ctx, &rd, sh.h, sh.take, roundHooks{})
+		if err == nil {
+			continue
+		}
+		if !refused(err) && m.hostKnownLocked(sh.h.l) {
+			// No answer: the share may yet start there.
+			for _, s := range sh.take {
+				s.err = fmt.Errorf("magistrate %v: start on %v: %w", m.self, sh.h.l, err)
+				unplaced = append(unplaced, s)
+			}
+		}
+	}
+	m.endRoundLocked(&rd, unplaced)
+
+	// What no share took starts alone, in the set's order: a share of
+	// one, a refused share, and one whose host left the pool meanwhile.
+	out := Instantiated{Bindings: make([]binding.Binding, len(set))}
+	plane := m.Plane()
+	for i := range objs {
+		s := &objs[i]
+		if s.rec == nil {
+			continue
+		}
+		if s.on.IsNil() && s.err == nil {
+			m.startSet(ctx, objs[i:i+1], set[i].HostHint, plan[i], roundHooks{})
+		}
+		if !s.on.IsNil() {
+			m.noteStarted(ctx, plane, s)
+			out.Bindings[i] = s.b
+		}
+	}
+
+	var retry []Instance
+	var retryAt []int
+	for _, i := range again {
+		b, known, err := m.activateLocal(ctx, set[i].Object, set[i].HostHint)
+		if !known {
+			retry, retryAt = append(retry, set[i]), append(retryAt, i)
+			continue
+		}
+		out.Bindings[i], objs[i].err = b, err
+	}
+	if len(retry) > 0 {
+		r, _ := m.instantiate(ctx, retry)
+		for j, i := range retryAt {
+			out.Bindings[i] = r.Bindings[j]
+			if r.Bindings[j].Address.IsZero() {
+				objs[i].err = errors.New(r.Failure)
+			}
+		}
+	}
+	for i, s := range objs {
+		if out.Bindings[i].Address.IsZero() {
+			out.Failure = fmt.Sprintf("magistrate %v: %v did not start: %v", m.self, s.opr.LOID, s.err)
+			break
+		}
+	}
+	return out, nil
+}
+
+// planLocked plans the host of each new object of objs (one with a
+// record) as a lone start at this point of the set would pick it: the
+// placement pick for its hint in set (pickHostLocked, whose cursor and
+// hysteresis anchor move as they would), or, where the activation
+// filter refuses the object there, the first host of the pool that
+// admits it. The set's earlier plans count as residents while it plans.
+// An object no host admits gets the reason as its err and no plan.
+// m.mu held.
+func (m *Magistrate) planLocked(objs []starting, set []Instance) []hostEntry {
+	plan := make([]hostEntry, len(objs))
+	for i := range objs {
+		s := &objs[i]
+		if s.rec == nil {
+			continue
+		}
+		hint := set[i].HostHint
+		h, err := m.pickHostLocked(hint)
+		if err == nil {
+			if err = m.admitLocked(h.l, s.opr); err != nil {
+				if next, ok := m.nextHostLocked(hint, []loid.LOID{h.l}, []*starting{s}); ok {
+					h, err = next, nil
+				}
+			}
+		}
+		if err != nil {
+			s.err = err
+			continue
+		}
+		plan[i] = h
+		m.residents[h.l.ID()]++
+	}
+	for _, h := range plan {
+		if !h.l.IsNil() {
+			m.uncountLocked(h.l)
+		}
+	}
+	return plan
 }
 
 // starting is one object of a start round: its claimed record, the OPR
 // it starts from and the address that OPR is filed at ("" for a new
 // object: the state Instantiate was handed is filed nowhere). The round
-// sets on and b once the object runs.
+// sets on and b once the object runs, or err once it gives up on it.
 type starting struct {
 	rec  *record
 	from persist.PersistentAddress
 	opr  persist.OPR
 	on   loid.LOID       // the host it started on; nil while it has not
 	b    binding.Binding // its binding there
+	err  error           // why it did not start
 }
 
-// startOne starts one claimed object and returns its binding: the tail
-// Activate and Instantiate share.
-func (m *Magistrate) startOne(ctx context.Context, s starting, hint loid.LOID) (binding.Binding, error) {
-	set := []starting{s}
-	if _, _, err := m.startSet(ctx, set, hint, nil); set[0].on.IsNil() {
-		return binding.Binding{}, err
-	}
-	l, on, plane := s.opr.LOID, set[0].on, m.Plane()
+// noteStarted logs a started object's generations and flight-recorder
+// event, as Activate and Instantiate report each object they start.
+func (m *Magistrate) noteStarted(ctx context.Context, plane *obs.Plane, s *starting) {
+	l := s.opr.LOID
 	if s.from == "" {
 		// A new object is registered only once it runs: a failed
 		// Instantiate leaves no generation behind.
 		noteGeneration(plane, l, "register", loid.Nil, len(s.opr.State))
 	}
-	noteGeneration(plane, l, "activate", on, len(s.opr.State))
+	noteGeneration(plane, l, "activate", s.on, len(s.opr.State))
 	if plane != nil {
-		plane.Record(obs.KindActivate, l.ID().String(), "started on "+on.String(), trace.FromContext(ctx).TraceID)
+		plane.Record(obs.KindActivate, l.ID().String(), "started on "+s.on.String(), trace.FromContext(ctx).TraceID)
 	}
-	return set[0].b, nil
+}
+
+// roundHooks observe a start round's host calls. before runs as a call
+// ships, outside m.mu: the chaos seam SetAdoptHook installs. after runs
+// with the call's outcome, m.mu held, before any claim the call settles
+// is released and before the round asks another host. Either may be
+// nil.
+type roundHooks struct {
+	before func(target loid.LOID)
+	after  func(err error)
+}
+
+// round is what a start round leaves to do once m.mu is released: the
+// representations its starts made stale, to drop, and the incarnations
+// whose records left the table while they started, to reap (host,
+// object).
+type round struct {
+	stale   []persist.PersistentAddress
+	orphans [][2]loid.LOID
 }
 
 // startSet is the one start round: Activate, Instantiate and HostFailed
 // recovery all take objects from Inert to Active through it (§3.1.1). It
-// asks the hinted host only, or else the placement pick and then each
-// host of the pool not yet asked that the activation filter admits for
-// part of what is left, in pool order. Each host is sent the part of
-// the set the filter admits there, in one call (startOn).
+// asks the hinted host only, or else first (the placement pick when
+// first is the zero entry or has left the pool) and then each host of
+// the pool not yet asked that the activation filter admits for part of
+// what is left, in pool order. Each host is sent the part of the set
+// the filter admits there, in one call (offerLocked).
 //
 // A host that answers with an error started nothing (AdoptObjects is
 // all or nothing) and is passed over, as is one that has left the pool.
 // A call that gets no answer from a host still in the pool ends the
 // round: the set may yet start there, and offering it to another host
-// could leave two incarnations.
-//
-// What a host took is committed (commitStartedLocked) and its claim
-// released in one critical section, so no other actor (HostFailed above
-// all) sees it placed yet still claimed; an object whose record left
-// the table meanwhile is reaped. The other claims are released when the
-// round ends, and a new object that did not start leaves the table in
-// that same critical section: with nothing filed, no actor may ever see
-// it inert. hook, when set, runs before each call. startSet returns the
-// number of calls hosts took and the number that failed, and why the
-// last object left over did not start.
-func (m *Magistrate) startSet(ctx context.Context, set []starting, hint loid.LOID, hook func(loid.LOID)) (took, failed int, err error) {
+// could leave two incarnations. Each object left over gets the round's
+// last error as its err, and the round ends (endRoundLocked).
+func (m *Magistrate) startSet(ctx context.Context, set []starting, hint loid.LOID, first hostEntry, hooks roundHooks) {
 	pending := make([]*starting, len(set))
 	for i := range set {
 		pending[i] = &set[i]
 	}
-	var (
-		stale   []persist.PersistentAddress
-		orphans [][2]loid.LOID // host, object
-	)
+	var rd round
 	m.mu.Lock()
-	h, err := m.pickHostLocked(hint)
+	h, err := first, error(nil)
+	if !h.l.IsNil() && !m.hostKnownLocked(h.l) {
+		h = hostEntry{} // it left the pool since it was planned
+	}
+	if h.l.IsNil() {
+		h, err = m.pickHostLocked(hint)
+	}
 	for asked, ok := []loid.LOID(nil), err == nil; ok && len(pending) > 0; h, ok = m.nextHostLocked(hint, asked, pending) {
 		asked = append(asked, h.l)
 		// The part of the set the filter admits on h moves to the front.
@@ -595,49 +783,75 @@ func (m *Magistrate) startSet(ctx context.Context, set []starting, hint loid.LOI
 		if n == 0 {
 			continue
 		}
-		take := pending[:n]
-		m.mu.Unlock()
-		if hook != nil {
-			hook(h.l) // chaos seam: the target may die mid-ship here
-		}
-		addr, cerr := m.startOn(ctx, h, take)
-		m.mu.Lock()
-		if cerr != nil {
-			failed++
+		if cerr := m.offerLocked(ctx, &rd, h, pending[:n], hooks); cerr != nil {
 			err = fmt.Errorf("magistrate %v: start on %v: %w", m.self, h.l, cerr)
 			if !refused(cerr) && m.hostKnownLocked(h.l) {
 				break
 			}
 			continue
 		}
-		took++
 		pending = pending[n:]
-		for _, s := range take {
-			l := s.opr.LOID
-			m.releaseLocked(s.rec)
-			st, ok := m.commitStartedLocked(l, s.rec, h.l, addr, s.from)
-			if !ok {
-				orphans = append(orphans, [2]loid.LOID{h.l, l})
-				err = fmt.Errorf("magistrate %v: object %v deleted during activation", m.self, l)
-				continue
-			}
-			stale = append(stale, st[:]...)
-			s.on, s.b = h.l, m.bindingLocked(l, addr)
-		}
 	}
 	for _, s := range pending {
+		s.err = err
+	}
+	m.endRoundLocked(&rd, pending)
+}
+
+// offerLocked asks h to start take in one call (startOn), with m.mu
+// released around it, and returns the call's error, after which h has
+// started none of them. What h took is committed (commitStartedLocked)
+// and its claim released in one critical section, so no other actor
+// (HostFailed above all) sees it placed yet still claimed; an object
+// whose record left the table meanwhile is an orphan, reaped when the
+// round ends. m.mu held.
+func (m *Magistrate) offerLocked(ctx context.Context, rd *round, h hostEntry, take []*starting, hooks roundHooks) error {
+	m.mu.Unlock()
+	if hooks.before != nil {
+		hooks.before(h.l) // chaos seam: the target may die mid-ship here
+	}
+	addr, err := m.startOn(ctx, h, take)
+	m.mu.Lock()
+	if hooks.after != nil {
+		hooks.after(err)
+	}
+	if err != nil {
+		return err
+	}
+	for _, s := range take {
+		l := s.opr.LOID
+		m.releaseLocked(s.rec)
+		st, ok := m.commitStartedLocked(l, s.rec, h.l, addr, s.from)
+		if !ok {
+			rd.orphans = append(rd.orphans, [2]loid.LOID{h.l, l})
+			s.err = fmt.Errorf("magistrate %v: object %v deleted during activation", m.self, l)
+			continue
+		}
+		rd.stale = append(rd.stale, st[:]...)
+		s.on, s.b = h.l, m.bindingLocked(l, addr)
+	}
+	return nil
+}
+
+// endRoundLocked ends a start round. The claims of left, the objects it
+// did not start, are released, and a new one among them leaves the table
+// in the same critical section: with nothing filed, no actor may ever
+// see it inert. Then, with m.mu released, the round's stale
+// representations are dropped and its orphans reaped. m.mu held on
+// entry, released on return.
+func (m *Magistrate) endRoundLocked(rd *round, left []*starting) {
+	for _, s := range left {
 		if id := s.opr.LOID.Ident(); s.from == "" && m.table[id] == s.rec {
 			delete(m.table, id)
 		}
 		m.releaseLocked(s.rec)
 	}
 	m.mu.Unlock()
-	m.drop(stale...)
-	for _, o := range orphans {
+	m.drop(rd.stale...)
+	for _, o := range rd.orphans {
 		// Reaping is cleanup, not the caller's work: no deadline.
 		_, _ = host.KillObject.Call(context.Background(), m.obj.Caller().To(o[0]), o[1])
 	}
-	return took, failed, err
 }
 
 // startOn asks h to start take in one call: a set of one by StartObject,
@@ -1014,13 +1228,19 @@ func (m *Magistrate) unplace(rec *record) {
 	if !rec.active {
 		return
 	}
-	h := rec.host.ID()
-	if n := m.residents[h]; n > 1 {
-		m.residents[h] = n - 1
-	} else {
-		delete(m.residents, h)
-	}
+	m.uncountLocked(rec.host)
 	rec.active, rec.host, rec.addr = false, loid.Nil, oa.Address{}
+}
+
+// uncountLocked takes one off h's resident count, deleting a zero
+// entry. m.mu held.
+func (m *Magistrate) uncountLocked(h loid.LOID) {
+	id := h.ID()
+	if n := m.residents[id]; n > 1 {
+		m.residents[id] = n - 1
+	} else {
+		delete(m.residents, id)
+	}
 }
 
 // CheckResidentCounts recounts the table and reports the first host

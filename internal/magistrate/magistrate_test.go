@@ -113,6 +113,19 @@ func newFixture(t testing.TB, nHosts int) *fixture {
 
 var objL = loid.NewNoKey(256, 1)
 
+// instantiateOne sends Instantiate a set of one, as a lone Create does,
+// and returns the object's binding or why it did not start.
+func instantiateOne(fx *fixture, in Instance) (binding.Binding, error) {
+	r, err := Instantiate.Call(context.Background(), fx.client.Ref, []Instance{in})
+	if err != nil {
+		return binding.Binding{}, err
+	}
+	if r.Bindings[0].Address.IsZero() {
+		return binding.Binding{}, errors.New(r.Failure)
+	}
+	return r.Bindings[0], nil
+}
+
 // TestActivateOneArgument: the overloaded Activate(LOID) of §3.8, sent
 // without a host hint, still activates.
 func TestActivateOneArgument(t *testing.T) {
@@ -204,7 +217,7 @@ func TestInstantiateRedelivery(t *testing.T) {
 	deliver := func() chan reply {
 		ch := make(chan reply, 1)
 		go func() {
-			b, err := Instantiate.Call(context.Background(), fx.client.Ref, Instance{objL, "gated", nil, loid.Nil})
+			b, err := instantiateOne(fx, Instance{objL, "gated", nil, loid.Nil})
 			ch <- reply{b, err}
 		}()
 		return ch
@@ -248,8 +261,63 @@ func TestInstantiateRedelivery(t *testing.T) {
 		t.Errorf("%d incarnations, %d running; want one", n, fx.hosts[0].Running())
 	}
 	// Only another impl under the same LOID is refused.
-	if _, err := Instantiate.Call(context.Background(), fx.client.Ref, Instance{objL, "counter", nil, loid.Nil}); err == nil {
+	if _, err := instantiateOne(fx, Instance{objL, "counter", nil, loid.Nil}); err == nil {
 		t.Error("Instantiate under a held LOID with another impl succeeded")
+	}
+
+	// A set delivered twice, the second time while the first is still
+	// starting and once more after it committed: each object starts
+	// once, and every delivery answers the first's bindings.
+	setEntered, setGate := make(chan struct{}), make(chan struct{})
+	var setStarts atomic.Int32
+	fx.impls.MustRegister("gated-set", func() rt.Impl {
+		if setStarts.Add(1) == 1 {
+			close(setEntered)
+			<-setGate
+		}
+		return counterFactory()
+	})
+	set := make([]Instance, 3)
+	for k := range set {
+		set[k] = Instance{loid.NewNoKey(256, uint64(k+2)), "gated-set", nil, loid.Nil}
+	}
+	type setReply struct {
+		r   Instantiated
+		err error
+	}
+	deliverSet := func() chan setReply {
+		ch := make(chan setReply, 1)
+		go func() {
+			r, err := Instantiate.Call(context.Background(), fx.client.Ref, set)
+			ch <- setReply{r, err}
+		}()
+		return ch
+	}
+	firstSet := deliverSet()
+	<-setEntered
+	secondSet := deliverSet()
+	select {
+	case r := <-secondSet:
+		t.Fatalf("set redelivery answered while the first was starting: %v, %v", r.r, r.err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(setGate)
+	s1, s2 := <-firstSet, <-secondSet
+	s3 := <-deliverSet()
+	for _, r := range []setReply{s1, s2, s3} {
+		if r.err != nil || r.r.Failure != "" || len(r.r.Bindings) != len(set) {
+			t.Fatalf("set delivery: %v %q, %d bindings", r.err, r.r.Failure, len(r.r.Bindings))
+		}
+	}
+	for k := range set {
+		for _, r := range []setReply{s2, s3} {
+			if !r.r.Bindings[k].Equal(s1.r.Bindings[k]) {
+				t.Errorf("object %d: redelivery bound %v, first %v", k, r.r.Bindings[k], s1.r.Bindings[k])
+			}
+		}
+	}
+	if n := setStarts.Load(); n != int32(len(set)) || fx.hosts[0].Running() != 1+len(set) {
+		t.Errorf("%d incarnations of the set's %d objects, %d running in all", n, len(set), fx.hosts[0].Running())
 	}
 }
 

@@ -194,7 +194,7 @@ func (w *walker) instantiate() {
 		hint = w.fx.hostLs[in[w.g.intn(len(in))]]
 	}
 	records := w.fx.store.Stats().Records
-	if _, err := Instantiate.Call(context.Background(), w.fx.client.Ref, Instance{l, "counter", nil, hint}); err != nil {
+	if _, err := instantiateOne(w.fx, Instance{l, "counter", nil, hint}); err != nil {
 		w.t.Fatalf("step %d: instantiate %v: %v", w.step, l, err)
 	}
 	if n := w.fx.store.Stats().Records; n != records {
@@ -221,7 +221,7 @@ func (w *walker) instantiateFails(impl string, withdrawn bool) {
 	}
 	w.next++
 	l := loid.NewNoKey(256, w.next)
-	if _, err := Instantiate.Call(context.Background(), w.fx.client.Ref, Instance{l, impl, nil, hint}); err == nil {
+	if _, err := instantiateOne(w.fx, Instance{l, impl, nil, hint}); err == nil {
 		w.t.Fatalf("step %d: instantiate %v (%s) on %v succeeded", w.step, l, impl, hint)
 	}
 	m := w.fx.mag

@@ -3,6 +3,7 @@ package magistrate
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -118,7 +119,7 @@ func TestStartRound(t *testing.T) {
 			}
 		}
 		born := loid.NewNoKey(256, 5)
-		if _, err := Instantiate.Call(context.Background(), fx.client.Ref, Instance{born, "counter", nil, loid.Nil}); err != nil {
+		if _, err := instantiateOne(fx, Instance{born, "counter", nil, loid.Nil}); err != nil {
 			t.Fatalf("Instantiate: %v", err)
 		}
 		checkStarted(t, fx, append(ls, born), fx.hostLs[1])
@@ -215,4 +216,107 @@ func waitRound(t *testing.T, fx *fixture) {
 			t.Fatal("the recovery round never settled")
 		}
 	}
+}
+
+// TestInstantiateSetPlacesAsLone pins the planner: a set Instantiate
+// puts each object where that many lone Instantiates, one after the
+// other, would put it — with the activation filter turning the pick
+// away, with hints, and with a host at its capacity limit refusing its
+// share, whose objects then start one by one from their planned host.
+// Nothing is started twice and nothing is left claimed or filed.
+func TestInstantiateSetPlacesAsLone(t *testing.T) {
+	oddOffHost0 := func(fx *fixture) {
+		fx.mag.SetFilter(func(l loid.LOID, _ string, on loid.LOID) error {
+			if l.ClassSpecific%2 == 1 && on.SameObject(fx.hostLs[0]) {
+				return errors.New("odd objects are not run on host 0")
+			}
+			return nil
+		})
+	}
+	limitHost0 := func(fx *fixture) {
+		fx.caller.AddBinding(binding.Forever(fx.hostLs[0], fx.hosts[0].Address()))
+		if _, err := host.SetCPULoad.Call(context.Background(), fx.caller.To(fx.hostLs[0]), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		name    string
+		hosts   int
+		n       int
+		hinted  func(k int) int // host index to hint, -1 for none
+		setup   func(fx *fixture)
+		onHost0 int // objects host 0 ends up running
+	}{
+		{"spread", 3, 10, nil, nil, 3},
+		{"filter-refuses-pick", 3, 10, nil, oddOffHost0, 3},
+		{"hinted", 3, 9, func(k int) int { return k%4 - 1 }, nil, 3},
+		// Host 0 is planned two of the four and refuses them as a
+		// share; the first then starts there alone, the second moves on.
+		{"refused-share", 2, 4, nil, limitHost0, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			set := make([]Instance, c.n)
+			for k := range set {
+				set[k] = Instance{Object: loid.NewNoKey(256, uint64(k+1)), Impl: "counter"}
+			}
+			run := func(lone bool) (*fixture, []loid.LOID) {
+				fx := newFixture(t, c.hosts)
+				if c.setup != nil {
+					c.setup(fx)
+				}
+				ins := slices.Clone(set)
+				for k := range ins {
+					if c.hinted != nil && c.hinted(k) >= 0 {
+						ins[k].HostHint = fx.hostLs[c.hinted(k)]
+					}
+				}
+				on := make([]loid.LOID, len(ins))
+				if lone {
+					for k, in := range ins {
+						b, err := instantiateOne(fx, in)
+						if err != nil {
+							t.Fatalf("lone Instantiate %d: %v", k, err)
+						}
+						on[k] = hostAt(fx, b.Address)
+					}
+				} else {
+					r, err := Instantiate.Call(context.Background(), fx.client.Ref, ins)
+					if err != nil || r.Failure != "" {
+						t.Fatalf("set Instantiate: %v %q", err, r.Failure)
+					}
+					for k, b := range r.Bindings {
+						on[k] = hostAt(fx, b.Address)
+					}
+				}
+				w := &walker{t: t, fx: fx}
+				w.checkSettled()
+				return fx, on
+			}
+			fx, got := run(false)
+			_, want := run(true)
+			for k := range set {
+				if !got[k].SameObject(want[k]) {
+					t.Errorf("object %d: set put it on %v, lone on %v", k, got[k], want[k])
+				}
+			}
+			ls := make([]loid.LOID, len(set))
+			for k, in := range set {
+				ls[k] = in.Object
+			}
+			checkStarted(t, fx, ls, loid.Nil)
+			if n := fx.hosts[0].Running(); n != c.onHost0 {
+				t.Errorf("host 0 runs %d objects, want %d", n, c.onHost0)
+			}
+		})
+	}
+}
+
+// hostAt names the fixture host whose node is at addr.
+func hostAt(fx *fixture, addr oa.Address) loid.LOID {
+	for i, h := range fx.hosts {
+		if h.Address().Equal(addr) {
+			return fx.hostLs[i]
+		}
+	}
+	return loid.Nil
 }

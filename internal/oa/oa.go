@@ -249,10 +249,11 @@ func (a Address) EncodedSize() int { return 4 + len(a.Elements)*ElementSize }
 
 // Marshal appends the canonical binary encoding of a to dst:
 // semantic(1) k(1) count(2) then count elements of ElementSize bytes.
-// dst grows at most once, to the exact size.
+// dst grows at most once, to at least twice its capacity, so a run of
+// addresses appended to one buffer copies it O(log n) times.
 func (a Address) Marshal(dst []byte) []byte {
 	if n := a.EncodedSize(); cap(dst)-len(dst) < n {
-		dst = append(make([]byte, 0, len(dst)+n), dst...)
+		dst = append(make([]byte, 0, max(2*cap(dst), len(dst)+n)), dst...)
 	}
 	dst = append(dst, byte(a.Semantic), a.K)
 	var n [2]byte

@@ -120,6 +120,11 @@ func LOIDListParam(name string) Codec[[]loid.LOID] {
 	return Param(name, idl.TBytes, wire.LOIDList, wire.AsLOIDList)
 }
 
+// BindingListParam carries a binding list in a bytes slot.
+func BindingListParam(name string) Codec[[]binding.Binding] {
+	return Param(name, idl.TBytes, wire.BindingList, wire.AsBindingList)
+}
+
 // StringListParam carries a string list in a bytes slot.
 func StringListParam(name string) Codec[[]string] {
 	return Param(name, idl.TBytes, wire.StringList, wire.AsStringList)

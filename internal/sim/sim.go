@@ -8,6 +8,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -203,8 +204,12 @@ type Sim struct {
 	tmpData string
 }
 
+// buildSet is the most objects Build makes in one CreateSet.
+const buildSet = 1024
+
 // Build boots a system per cfg and populates classes, objects, and
-// clients.
+// clients. Each class's objects are made in sets of at most buildSet,
+// as that many lone Creates would make them.
 func Build(cfg Config) (*Sim, error) {
 	cfg.fill()
 	impls := implreg.NewRegistry()
@@ -277,13 +282,16 @@ func Build(cfg Config) (*Sim, error) {
 		}
 		s.Classes = append(s.Classes, cl)
 		start := len(s.Flat)
-		for o := 0; o < cfg.ObjectsPerClass; o++ {
-			l, _, err := cl.Create(nil, loid.Nil, loid.Nil)
+		for o := 0; o < cfg.ObjectsPerClass; o += buildSet {
+			n := min(buildSet, cfg.ObjectsPerClass-o)
+			made, err := class.CreateSet.Call(context.Background(), cl.Ref, class.NewSet{Count: uint64(n)})
 			if err != nil {
 				sys.Close()
-				return nil, fmt.Errorf("sim: create object %d of %s: %w", o, name, err)
+				return nil, fmt.Errorf("sim: create objects %d to %d of %s: %w", o, o+n-1, name, err)
 			}
-			s.Flat = append(s.Flat, l)
+			for _, m := range made {
+				s.Flat = append(s.Flat, m.LOID)
+			}
 		}
 		// A class's objects are its run of Flat, not a second copy.
 		end := len(s.Flat)

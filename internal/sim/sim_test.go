@@ -1,11 +1,16 @@
 package sim
 
 import (
+	"context"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/binding"
+	"repro/internal/class"
 	"repro/internal/clock"
+	"repro/internal/loid"
 	"repro/internal/wire"
 )
 
@@ -27,6 +32,69 @@ func TestBuildPopulation(t *testing.T) {
 	if len(s.Classes) != 2 || len(s.Flat) != 6 || len(s.Clients) != 2 {
 		t.Fatalf("population: %d classes, %d objects, %d clients",
 			len(s.Classes), len(s.Flat), len(s.Clients))
+	}
+}
+
+// placements maps every object of the deployment to the host running
+// it.
+func placements(s *Sim) map[loid.LOID]loid.LOID {
+	on := make(map[loid.LOID]loid.LOID)
+	for _, j := range s.Sys.Jurisdictions {
+		for _, p := range j.MagistrateImpl().Placements() {
+			on[p.Object.ID()] = p.Host
+		}
+	}
+	return on
+}
+
+// TestBuildPlacesAsLoneCreates: Build makes each class's population in
+// sets, and a set lands exactly where as many lone Creates would. On
+// each jurisdictions × hosts shape, a deployment built in sets and one
+// whose objects are made by sequential Creates hold the same LOIDs, in
+// the same order, each on the same host.
+func TestBuildPlacesAsLoneCreates(t *testing.T) {
+	const n = 3*buildSet - 71 // whole sets and a partial one
+	for _, shape := range []struct{ j, h int }{{2, 3}, {1, 4}, {3, 2}} {
+		t.Run(fmt.Sprintf("%dx%d", shape.j, shape.h), func(t *testing.T) {
+			sets := smallSim(t, Config{Jurisdictions: shape.j, HostsPerJurisdiction: shape.h, ObjectsPerClass: n})
+			lone := smallSim(t, Config{Jurisdictions: shape.j, HostsPerJurisdiction: shape.h, ObjectsPerClass: 1})
+			for len(lone.Flat) < n {
+				m, err := class.Create.Call(context.Background(), lone.Classes[0].Ref, nil, loid.Nil, loid.Nil)
+				if err != nil {
+					t.Fatalf("lone Create %d: %v", len(lone.Flat), err)
+				}
+				lone.Flat = append(lone.Flat, m.LOID)
+			}
+			if !slices.Equal(sets.Flat, lone.Flat) {
+				t.Fatal("sets and lone Creates made different LOIDs")
+			}
+			got, want := placements(sets), placements(lone)
+			differ := 0
+			for _, l := range lone.Flat {
+				if !got[l.ID()].SameObject(want[l.ID()]) {
+					differ++
+				}
+			}
+			if differ != 0 || len(got) != len(want) {
+				t.Errorf("%d of %d objects on another host than lone Creates put them (%d placements vs %d)",
+					differ, n, len(got), len(want))
+			}
+		})
+	}
+}
+
+// TestBuildRequestsDoNotGrowWithObjects: the class, Magistrate and Host
+// objects serve as many requests to build 64 objects as 1 024 — one
+// CreateSet, one Instantiate per Magistrate and one start call per host
+// — where a Create per object cost them three requests each.
+func TestBuildRequestsDoNotGrowWithObjects(t *testing.T) {
+	served := func(n int) uint64 {
+		s := smallSim(t, Config{Jurisdictions: 2, HostsPerJurisdiction: 2, ObjectsPerClass: n})
+		classes, _ := s.ClassRequests(s.Classes)
+		return classes + s.Reg.SumCounters("req/magistrate/") + s.Reg.SumCounters("req/host/")
+	}
+	if few, many := served(64), served(buildSet); few != many {
+		t.Errorf("building 64 objects served %d requests, %d objects %d", few, buildSet, many)
 	}
 }
 

@@ -156,6 +156,35 @@ func AsLOIDList(b []byte) ([]loid.LOID, error) {
 	return out, nil
 }
 
+// BindingList encodes a list of bindings.
+func BindingList(bs []binding.Binding) []byte {
+	n := 4
+	for _, b := range bs {
+		n += b.EncodedSize()
+	}
+	w := NewWriter(make([]byte, 0, n))
+	w.Count32(len(bs))
+	for _, b := range bs {
+		w.Binding(b)
+	}
+	return w.Bytes()
+}
+
+// AsBindingList decodes a list of bindings.
+func AsBindingList(b []byte) ([]binding.Binding, error) {
+	r := NewReader(b)
+	// Each binding is a LOID, an address header and an expiry at least.
+	n := r.Count32(loid.EncodedSize + 4 + 8)
+	out := make([]binding.Binding, 0, n)
+	for i := 0; i < n; i++ {
+		out = append(out, r.Binding())
+	}
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("binding list: %w", err)
+	}
+	return out, nil
+}
+
 // StringList encodes a list of strings.
 func StringList(ss []string) []byte {
 	var w Writer
@@ -226,8 +255,9 @@ func (w *Writer) Bytes64(b []byte) { w.U64(uint64(len(b))); w.Raw(b) }
 func (w *Writer) Str32(s string)   { w.U32(uint32(len(s))); w.buf = append(w.buf, s...) }
 func (w *Writer) Str64(s string)   { w.U64(uint64(len(s))); w.buf = append(w.buf, s...) }
 
-func (w *Writer) LOID(l loid.LOID)     { w.buf = l.Marshal(w.buf) }
-func (w *Writer) Address(a oa.Address) { w.buf = a.Marshal(w.buf) }
+func (w *Writer) LOID(l loid.LOID)          { w.buf = l.Marshal(w.buf) }
+func (w *Writer) Address(a oa.Address)      { w.buf = a.Marshal(w.buf) }
+func (w *Writer) Binding(b binding.Binding) { w.buf = b.Marshal(w.buf) }
 
 // NoCap is the limit of a length prefix whose format sets none: the
 // bytes that remain are its only bound.
@@ -363,4 +393,13 @@ func (r *Reader) Address() oa.Address {
 	a, rest, err := oa.Unmarshal(r.buf)
 	r.buf, r.err = rest, err
 	return a
+}
+
+func (r *Reader) Binding() binding.Binding {
+	if r.err != nil {
+		return binding.Binding{}
+	}
+	b, rest, err := binding.Unmarshal(r.buf)
+	r.buf, r.err = rest, err
+	return b
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"math/bits"
 	"testing"
 	"testing/quick"
 	"time"
@@ -241,6 +242,34 @@ func TestValueCodecsAllocateOnce(t *testing.T) {
 	}
 }
 
+// TestWriterAddressRunAmortized: a run of addresses appended to one
+// Writer (a class's saved table, a Magistrate's host list) grows the
+// buffer by append's amortized rule. Growing it to the exact size each
+// time made every address after the first copy the whole buffer: n
+// addresses, n allocations and O(n²) bytes copied.
+func TestWriterAddressRunAmortized(t *testing.T) {
+	const n = 1024
+	a := oa.Single(oa.MemElement(1))
+	bd := binding.Forever(loid.NewNoKey(5, 6), a)
+	for _, c := range []struct {
+		name string
+		put  func(w *Writer)
+	}{
+		{"Address", func(w *Writer) { w.Address(a) }},
+		{"Binding", func(w *Writer) { w.Binding(bd) }},
+	} {
+		allocs := testing.AllocsPerRun(10, func() {
+			var w Writer
+			for range n {
+				c.put(&w)
+			}
+		})
+		if limit := 3 * float64(bits.Len(n)); allocs > limit {
+			t.Errorf("%d × %s into one Writer: %.0f allocs, want <= %.0f", n, c.name, allocs, limit)
+		}
+	}
+}
+
 // TestAsLOIDListAllocs gates a LOID list decode at one allocation, the
 // result slice: ListHosts and ListObjects replies take this path.
 func TestAsLOIDListAllocs(t *testing.T) {
@@ -252,6 +281,10 @@ func TestAsLOIDListAllocs(t *testing.T) {
 
 func TestListHelpers(t *testing.T) {
 	ls := []loid.LOID{loid.NewNoKey(1, 2), loid.NewNoKey(3, 4)}
+	bs := []binding.Binding{binding.Forever(ls[0], oa.Single(oa.MemElement(1))), {LOID: ls[1]}}
+	if got, err := AsBindingList(BindingList(bs)); err != nil || len(got) != 2 || !got[0].Equal(bs[0]) || !got[1].Equal(bs[1]) {
+		t.Errorf("binding list round trip: %v %v", got, err)
+	}
 	got, err := AsLOIDList(LOIDList(ls))
 	if err != nil || len(got) != 2 || got[0] != ls[0] || got[1] != ls[1] {
 		t.Errorf("LOID list round trip: %v %v", got, err)
