@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race fuzz-smoke vet check experiments crash-test migrate-test obs-test store-matrix store-test des-test
+.PHONY: all build test race fuzz-smoke vet check experiments crash-test migrate-test obs-test store-matrix store-test
 
 all: check
 
@@ -17,14 +17,15 @@ test:
 # The fast-path packages (sharded binding cache, lock-slimmed rt,
 # pooled transports, the frame codec and the tracer: CI's invocation
 # path race step), the durability layer (checkpoint loop vs dispatch vs
-# failover) and the migration + scheduling packages CI races are the
-# ones worth paying the race detector for.
+# failover), the migration + scheduling packages CI races, and the
+# virtual clock with the breaker that runs on it are the ones worth
+# paying the race detector for.
 race:
 	$(GO) test -race ./internal/binding ./internal/rt ./internal/transport \
 		./internal/wire ./internal/trace ./internal/persist ./internal/magistrate \
 		./internal/sched ./internal/host ./internal/obs ./internal/metrics \
 		./internal/debughttp ./internal/class ./internal/bindagent \
-		./internal/naming ./internal/core
+		./internal/naming ./internal/core ./internal/clock ./internal/health
 
 # Crash-recovery smoke: the chaos/recovery tests and a quick E18 run
 # (host failover, churn with checkpoints, full -data-dir restart).
@@ -87,15 +88,6 @@ store-matrix:
 # Storage engine gauntlet: the fault matrix and E21.
 store-test: store-matrix
 	$(GO) test -run 'TestAllQuick/E21$$' ./internal/experiments
-
-# Discrete-event scale harness: the clock seam and virtual clock under
-# the race detector, the deterministic-replay guarantee (same seed →
-# byte-identical event logs), and a quick E22 run (10^4-object knee
-# ladders). The full 10^6-object sweep is `legion-bench -run E22`.
-des-test:
-	$(GO) test -race ./internal/clock ./internal/des
-	$(GO) test -race -run 'TestReplayDeterminism|TestBreakerVirtualClock' ./internal/des ./internal/health
-	$(GO) run ./cmd/legion-bench -quick -run E22
 
 # Short fuzz pass over the wire decoder (v4 frames, the one version
 # parsed), the segment-record/snapshot codec and every state, OPR and

@@ -1,8 +1,9 @@
-// Command legion-bench regenerates the timed and scale tables of
-// EXPERIMENTS.md: E15–E19 and E22. The paper ("The Core Legion Object
-// Model") publishes no measured tables; each experiment validates one
-// of its claim-bearing sections instead. The other claims are checked
-// by tier-1 tests — see DESIGN.md for the index.
+// Command legion-bench regenerates the timed tables of EXPERIMENTS.md:
+// E15–E19. The paper ("The Core Legion Object Model") publishes no
+// measured tables; each experiment validates one of its claim-bearing
+// sections instead. The other claims are checked by tier-1 tests, and
+// E22's fan-in capacities by two Go benchmarks — see DESIGN.md for the
+// index.
 //
 // Usage:
 //

@@ -90,7 +90,7 @@ func greetFactory() rt.Impl {
 	}
 }
 
-func newFixture(t *testing.T) *fixture {
+func newFixture(t testing.TB) *fixture {
 	t.Helper()
 	fx := &fixture{
 		fabric:   transport.NewFabric(nil),

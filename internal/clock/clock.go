@@ -4,11 +4,11 @@
 // in sched/host, migration phases in magistrate — does it through a
 // Clock, so a deployment can run against the real clock (Wall) or
 // against a deterministic event-queue clock (Virtual) that advances
-// only when told to. The Virtual clock is what makes the
-// discrete-event scale harness (internal/des, experiment E22) and the
-// deterministic-replay tests possible: simulated hours of heartbeats,
-// probe windows, and backoffs execute in milliseconds of wall time,
-// in a reproducible order.
+// only when told to. The Virtual clock is what makes the virtual-clock
+// tests possible (sim's TestVirtualClockDeployment, health's breaker
+// windows, the host and sched loop tests): simulated hours of
+// heartbeats, probe windows, binding TTLs and backoffs execute in
+// milliseconds of wall time, in a reproducible order.
 //
 // The seam is free on the fast path: components store a nil Clock to
 // mean "wall", so the common case is one nil check before the direct

@@ -140,28 +140,6 @@ func TestVirtualTicker(t *testing.T) {
 	}
 }
 
-func TestVirtualStep(t *testing.T) {
-	v := NewVirtual(time.Time{})
-	var fired []time.Duration
-	v.AfterFunc(3*time.Second, func() { fired = append(fired, v.Since(Epoch)) })
-	v.AfterFunc(time.Second, func() { fired = append(fired, v.Since(Epoch)) })
-	if !v.Step() {
-		t.Fatalf("Step with events returned false")
-	}
-	if got := v.Since(Epoch); got != time.Second {
-		t.Fatalf("after first Step clock at %v, want 1s", got)
-	}
-	if !v.Step() || v.Step() {
-		t.Fatalf("Step count wrong")
-	}
-	if len(fired) != 2 || fired[0] != time.Second || fired[1] != 3*time.Second {
-		t.Fatalf("fired = %v", fired)
-	}
-	if _, ok := v.NextAt(); ok {
-		t.Fatalf("NextAt after drain should be false")
-	}
-}
-
 func TestVirtualConcurrentWaiters(t *testing.T) {
 	v := NewVirtual(time.Time{})
 	const workers = 16

@@ -12,12 +12,11 @@ import (
 var Epoch = time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC)
 
 // Virtual is a deterministic event-queue clock. Time stands still
-// until a test or simulation driver calls Advance/AdvanceTo/Step;
+// until a test or simulation driver calls Advance or AdvanceTo;
 // advancing fires every due timer, ticker, sleeper, and AfterFunc in
 // strict (time, schedule-order) sequence on the advancing goroutine.
 // Two runs that schedule the same events in the same order therefore
-// fire them in the same order — the property the deterministic-replay
-// tests assert.
+// fire them in the same order.
 //
 // All methods are safe for concurrent use: worker goroutines may
 // Sleep or block on timers while a driver goroutine advances.
@@ -80,7 +79,7 @@ func (h *eventHeap) Pop() any {
 }
 
 // schedule registers an event d from now (due immediately when d <= 0;
-// it still waits for the next Advance/Step, like a 0-duration
+// it still waits for the next Advance, like a 0-duration
 // time.Timer waits for the runtime). Caller must hold v.mu.
 func (v *Virtual) scheduleLocked(d time.Duration, period time.Duration, fire func(time.Time)) *vevent {
 	if d < 0 {
@@ -252,32 +251,6 @@ func (v *Virtual) AdvanceTo(t time.Time) {
 	}
 }
 
-// Step advances to the next scheduled event and fires it (plus any
-// events sharing its instant), returning false when nothing is
-// scheduled. It is the DES driver's inner loop: time leaps from event
-// to event with no wall-clock waiting in between.
-func (v *Virtual) Step() bool {
-	v.mu.Lock()
-	var at time.Time
-	fired := false
-	for {
-		e := v.peekLocked()
-		if e == nil || (fired && !e.at.Equal(at)) {
-			break
-		}
-		at = e.at
-		v.fireNextLocked(e.at)
-		fired = true
-	}
-	fns := v.deferredFns
-	v.deferredFns = nil
-	v.mu.Unlock()
-	for _, f := range fns {
-		f()
-	}
-	return fired
-}
-
 // peekLocked returns the earliest live event, discarding cancelled
 // ones.
 func (v *Virtual) peekLocked() *vevent {
@@ -322,18 +295,6 @@ func (v *Virtual) Pending() int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	return v.pending
-}
-
-// NextAt reports the instant of the earliest scheduled event, false
-// when none is.
-func (v *Virtual) NextAt() (time.Time, bool) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	e := v.peekLocked()
-	if e == nil {
-		return time.Time{}, false
-	}
-	return e.at, true
 }
 
 // BlockUntil waits until at least n events are scheduled — the

@@ -112,9 +112,8 @@ type Options struct {
 	// Clock is the system-wide time base (nil = wall clock). A
 	// clock.Virtual here puts every node's reply timers, deadlines and
 	// retry backoffs, every Magistrate's TTLs and load staleness, and
-	// every host loop onto deterministic simulated time — the
-	// foundation of the deterministic-replay tests and the DES
-	// harness. The caller drives it with Advance/Step.
+	// every host loop onto deterministic simulated time. The caller
+	// drives it with Advance.
 	Clock clock.Clock
 }
 

@@ -1,12 +1,13 @@
-// Package experiments implements the timed and scale claims of the
-// evaluation: wide-area latency (E15), availability under crash churn
-// (E16), per-hop trace attribution (E17), crash recovery (E18), live
-// migration (E19) and the million-object DES (E22). Each has a Quick
-// and a Full configuration, because the Full runs take seconds to
-// minutes. cmd/legion-bench prints these tables. Every other claim
-// (E1–E14, E20, E21) runs only in this package's tests, as
-// TestAllQuick/EN at its full configuration; EXPERIMENTS.md names the
-// command for each, and DESIGN.md carries the index.
+// Package experiments implements the timed claims of the evaluation:
+// wide-area latency (E15), availability under crash churn (E16),
+// per-hop trace attribution (E17), crash recovery (E18) and live
+// migration (E19). Each has a Quick and a Full configuration, because
+// the Full runs take seconds to minutes. cmd/legion-bench prints these
+// tables. Every other claim (E1–E14, E20, E21) runs only in this
+// package's tests, as TestAllQuick/EN at its full configuration; E22
+// is two benchmarks in internal/magistrate and internal/class.
+// EXPERIMENTS.md names the command for each, and DESIGN.md carries the
+// index.
 package experiments
 
 import (
@@ -94,7 +95,6 @@ func All() []Runner {
 		{"E17", "trace-attribution", RunE17},
 		{"E18", "crash-recovery", RunE18},
 		{"E19", "live-migration", RunE19},
-		{"E22", "des-scale", RunE22},
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // tier1 lists the claims that only the tests run, each at the
 // configuration EXPERIMENTS.md publishes. Their runs take under a
 // second each, so they need no Quick variant and no place in
-// legion-bench; All keeps the timed and scale claims.
+// legion-bench; All keeps the timed claims.
 var tier1 = []struct {
 	ID  string
 	Run func() (*Table, error)
@@ -104,7 +104,7 @@ func TestFind(t *testing.T) {
 	if r := Find("live-migration"); r == nil || r.ID != "E19" {
 		t.Error("Find by name failed")
 	}
-	if r := Find("e22"); r == nil {
+	if r := Find("e19"); r == nil {
 		t.Error("Find case-insensitive failed")
 	}
 	if Find("E99") != nil {

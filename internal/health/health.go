@@ -71,7 +71,7 @@ type Config struct {
 	Alpha float64
 	// Clock supplies the probe-window time base (nil = wall). Virtual
 	// clocks make breaker open/half-open transitions deterministic in
-	// tests and the DES harness.
+	// tests.
 	Clock clock.Clock
 }
 

@@ -37,8 +37,7 @@ type Rebalancer struct {
 	// (there is nothing useful to move).
 	MinResidents uint64
 	// Clock drives the sampling ticker (nil = wall). A virtual clock
-	// lets tests and the DES harness step rebalance rounds without
-	// waiting out Interval.
+	// lets tests step rebalance rounds without waiting out Interval.
 	Clock clock.Clock
 
 	mag rt.Ref
