@@ -69,7 +69,7 @@ endef
 
 STORE_RUN = TestSegment|TestBackendConformance|TestWriteFileAtomic
 RESTART_RUN = TestCrash|TestRestart
-LIFECYCLE_RUN = TestResidentCountsMatchTable|TestConcurrentActivationRace|TestHostFailedRecovery|TestStartRound|TestDeleteDuringDeactivate|TestDeactivateHostDiesUnderClaim|TestDeactivatePutFails|TestInstantiateRedelivery|TestInstantiateSetPlacesAsLone
+LIFECYCLE_RUN = TestResidentCountsMatchTable|TestConcurrentActivationRace|TestHostFailedRecovery|TestStartRound|TestDeleteDuringDeactivate|TestDeactivateHostDiesUnderClaim|TestDeactivatePutFails|TestInstantiateRedelivery|TestInstantiateSetPlacesAsLone|TestStartKeepsItsSource|TestStartOnDepartedHost
 
 # Storage fault matrix: the fault-injected recovery tests (torn writes,
 # fsync errors, crash tails, mid-compaction crashes), the backend

@@ -26,27 +26,26 @@ var wallClockFuncs = map[string]bool{
 // or over its count, fails TestWallClockUsesAllowlisted; a count that
 // falls may be lowered here.
 var wallClockUses = map[string]int{
-	"cmd/legion-bench/main.go":          2,
-	"cmd/legion/main.go":                2,
-	"internal/binding/cache.go":         1,
-	"internal/experiments/e15.go":       2,
-	"internal/experiments/e18.go":       4,
-	"internal/experiments/e19.go":       9,
-	"internal/health/health.go":         1,
-	"internal/magistrate/magistrate.go": 2,
-	"internal/obs/obs.go":               1,
-	"internal/obs/plane.go":             4,
-	"internal/persist/segstore.go":      1,
-	"internal/persist/store.go":         1,
-	"internal/rt/caller.go":             1,
-	"internal/rt/impl.go":               1,
-	"internal/rt/node.go":               2,
-	"internal/rt/retry.go":              1,
-	"internal/sim/chaos.go":             3,
-	"internal/sim/workload.go":          6,
-	"internal/trace/trace.go":           4,
-	"internal/transport/mem.go":         2,
-	"internal/transport/tcp.go":         1,
+	"cmd/legion-bench/main.go":     2,
+	"cmd/legion/main.go":           2,
+	"internal/binding/cache.go":    1,
+	"internal/experiments/e15.go":  2,
+	"internal/experiments/e18.go":  4,
+	"internal/experiments/e19.go":  9,
+	"internal/health/health.go":    1,
+	"internal/obs/obs.go":          1,
+	"internal/obs/plane.go":        4,
+	"internal/persist/segstore.go": 1,
+	"internal/persist/store.go":    1,
+	"internal/rt/caller.go":        1,
+	"internal/rt/impl.go":          1,
+	"internal/rt/node.go":          2,
+	"internal/rt/retry.go":         1,
+	"internal/sim/chaos.go":        3,
+	"internal/sim/workload.go":     6,
+	"internal/trace/trace.go":      4,
+	"internal/transport/mem.go":    2,
+	"internal/transport/tcp.go":    1,
 }
 
 // TestWallClockUsesAllowlisted holds the wall clock to the files that

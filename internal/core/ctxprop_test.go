@@ -290,7 +290,7 @@ func TestNestedCoreCallsCarryDeadlineAndTrace(t *testing.T) {
 	for _, name := range []string{
 		// Create, Derive, activation and migration.
 		"ListHosts", "PickHost", "GetLoad", "Instantiate", "NewClassID", "StartObject",
-		"DescribeInstances", "StopObject", "KillObject", "Activate", "GetBinding",
+		"DescribeInstances", "KillObject", "Activate", "GetBinding",
 		"LocateClass", "PrepareMigrate", "FinishMigrate", "NotifyAddress",
 		// Copy, Move and the hierarchy.
 		"ReceiveOPR", "HasObject", "Deactivate", "Delete",

@@ -15,8 +15,8 @@ import (
 
 // TestDiskBackedVault boots a system whose jurisdiction storage is a
 // real directory: deactivation writes the object's OPR into the segment
-// log under DataDir/j0, reactivation reads it back from disk and
-// consumes it, and the state round-trips.
+// log under DataDir/j0, reactivation reads it back from disk and keeps
+// it as the new incarnation's checkpoint, and the state round-trips.
 func TestDiskBackedVault(t *testing.T) {
 	dataDir := t.TempDir()
 	sys := bootSys(t, Options{DataDir: dataDir})
@@ -59,8 +59,8 @@ func TestDiskBackedVault(t *testing.T) {
 	if v, _ := wire.AsUint64(raw); v != 4 {
 		t.Errorf("counter = %d after disk round trip, want 4", v)
 	}
-	if n := j.StoredOPRs(); n != 0 {
-		t.Errorf("StoredOPRs after reactivation = %d, want 0: the consumed OPR is still stored", n)
+	if n := j.StoredOPRs(); n != 1 {
+		t.Errorf("StoredOPRs after reactivation = %d, want 1: the OPR kept as the incarnation's checkpoint", n)
 	}
 }
 

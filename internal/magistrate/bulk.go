@@ -87,9 +87,9 @@ func (m *Magistrate) checkpointBatch(_ context.Context, fromHost loid.LOID, blob
 
 // claimLost claims those of ls whose records are inert and unclaimed,
 // and returns the ones another actor holds. When it can claim none it
-// waits for a release first, holding no claim itself: abortToSource
-// recovers a record its own MigrateObject has yet to release. Objects
-// active again, or gone from the table, drop out.
+// waits for a release first, holding no claim itself: the claimant's
+// release settles the record and may start it. Objects active again,
+// or gone from the table, drop out.
 func (m *Magistrate) claimLost(ls []loid.LOID) (batch []starting, busy []loid.LOID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -121,40 +121,41 @@ func (m *Magistrate) claimLost(ls []loid.LOID) (batch []starting, busy []loid.LO
 // Each call is counted once all it did is done: a failed one as its
 // answer lands, before any later call of the round settles an object
 // (an observer that sees the objects settled sees the failure too); one
-// a host took once the round has dropped the OPRs it consumed. Each
-// object started is announced to its class.
+// a host took, or one discarded because its host left the pool, once
+// the round has ended. Each object started is announced to its class.
 func (m *Magistrate) adoptRound(batch []starting) {
 	if len(batch) == 0 {
 		return
 	}
 	span := m.tracer().RootAlways("call", "bulk.adopt", "magistrate")
 	t0 := m.now()
-	var read []starting
-	var left []*record
+	var read, unread []starting
 	for _, a := range batch {
-		opr, err := m.readOPR(a.opr.LOID, a.opr.Impl, a.from)
-		if err != nil {
+		var err error
+		if a.opr, err = m.readOPR(a.opr.LOID, a.opr.Impl, a.from); err != nil {
 			span.Event("bulk.adopt", err.Error())
-			left = append(left, a.rec)
-			continue
+			unread = append(unread, a)
+		} else {
+			read = append(read, a)
 		}
-		a.opr = opr
-		read = append(read, a)
 	}
+	m.unclaim(unread)
 	m.mu.Lock()
-	m.releaseLocked(left...)
 	hook, plane := m.adoptHook, m.plane
 	m.mu.Unlock()
 
 	reg := m.reg()
 	took := 0
-	m.startSet(context.Background(), read, loid.Nil, hostEntry{}, roundHooks{before: hook, after: func(err error) {
+	discarded := m.startSet(context.Background(), read, loid.Nil, hostEntry{}, roundHooks{before: hook, after: func(err error) {
 		if err != nil {
 			reg.Counter("mag/bulk_adopt_failed").Inc()
 		} else {
 			took++
 		}
 	}})
+	m.unclaim(read)
+	took -= discarded
+	reg.Counter("mag/bulk_adopt_failed").Add(uint64(discarded))
 	reg.Counter("mag/bulk_adoptions").Add(uint64(took))
 	for range took {
 		reg.Histogram("mag/bulk_adopt").Observe(m.since(t0))

@@ -171,20 +171,19 @@ type record struct {
 	// its object starts (or it leaves the table). See unborn.
 	oprAddr persist.PersistentAddress
 	// ckptAddr is the newest crash-recovery checkpoint of an ACTIVE
-	// object (Host checkpointers ship these via CheckpointBatch). If the
-	// host dies, HostFailed promotes it to oprAddr so the object
-	// reactivates with its checkpointed state instead of a blank one.
+	// object: what its incarnation started from, then what its host
+	// ships (CheckpointBatch), or what a planned exit drained, once it
+	// aborts. If the host dies, HostFailed promotes it to oprAddr.
 	ckptAddr persist.PersistentAddress
 	// active, host and addr say where the object runs. place and
 	// unplace (below) are their only writers: they keep the Magistrate's
 	// per-host resident counts in step with the table.
 	active bool
-	// busy marks a record claimed by an in-flight activation, bulk
-	// adoption or live migration. The claimant owns the record's fate
-	// while it is set: Activate, Deactivate, Delete and MigrateObject
-	// wait for it (an active record still answers Activate), and
-	// HostFailed leaves it to the claimant's own settlement. claimLocked
-	// and releaseLocked are its only writers.
+	// busy marks a record claimed by a start round or a planned exit
+	// (Deactivate, MigrateObject), which owns its fate while it is set:
+	// Activate (of an inert record), Deactivate, Delete and MigrateObject
+	// wait for it, and HostFailed leaves it to the claimant's release.
+	// claimLocked and releaseLocked are its only writers.
 	busy bool
 	host loid.LOID  // host running the object, if active
 	addr oa.Address // object address, if active
@@ -241,8 +240,8 @@ type Magistrate struct {
 	BindingTTL time.Duration
 
 	// clk is the Magistrate's time base for binding TTLs, load
-	// staleness, and phase timing histograms (nil = wall). Set once at
-	// construction via SetClock, before the Magistrate serves traffic.
+	// staleness, and phase timing histograms. Set once at construction
+	// via SetClock, before the Magistrate serves traffic.
 	clk clock.Clock
 
 	obj *rt.Object
@@ -261,6 +260,7 @@ func New(self loid.LOID, store persist.Store) *Magistrate {
 		table:     make(map[loid.Ident]*record),
 		loads:     make(map[loid.LOID]loadEntry),
 		residents: make(map[loid.LOID]int),
+		clk:       clock.Wall,
 	}
 	m.cond = sync.NewCond(&m.mu)
 	return m
@@ -271,28 +271,13 @@ func (m *Magistrate) LOID() loid.LOID { return m.self }
 
 // SetClock installs the Magistrate's time base (nil or clock.Wall =
 // wall clock). Call before the Magistrate serves traffic.
-func (m *Magistrate) SetClock(c clock.Clock) {
-	if c == clock.Wall {
-		c = nil
-	}
-	m.clk = c
-}
+func (m *Magistrate) SetClock(c clock.Clock) { m.clk = clock.Of(c) }
 
 // now reads the Magistrate's clock.
-func (m *Magistrate) now() time.Time {
-	if m.clk != nil {
-		return m.clk.Now()
-	}
-	return time.Now()
-}
+func (m *Magistrate) now() time.Time { return m.clk.Now() }
 
 // since is now().Sub(t) on the Magistrate's clock.
-func (m *Magistrate) since(t time.Time) time.Duration {
-	if m.clk != nil {
-		return m.clk.Since(t)
-	}
-	return time.Since(t)
-}
+func (m *Magistrate) since(t time.Time) time.Duration { return m.clk.Since(t) }
 
 // SetFilter installs the activation filter (local configuration by the
 // jurisdiction's owner, not a remote method).
@@ -487,14 +472,11 @@ func (m *Magistrate) activateLocal(ctx context.Context, l, hint loid.LOID) (b bi
 	m.claimLocked(rec)
 	m.mu.Unlock()
 	opr, err := m.readOPR(l, implName, oprAddr)
-	if err != nil {
-		m.mu.Lock()
-		m.releaseLocked(rec)
-		m.mu.Unlock()
-		return binding.Binding{}, true, err
+	set := []starting{{rec: rec, from: oprAddr, opr: opr, err: err}}
+	if err == nil {
+		m.startSet(ctx, set, hint, hostEntry{}, roundHooks{})
 	}
-	set := []starting{{rec: rec, from: oprAddr, opr: opr}}
-	m.startSet(ctx, set, hint, hostEntry{}, roundHooks{})
+	m.unclaim(set)
 	if set[0].on.IsNil() {
 		return binding.Binding{}, true, set[0].err
 	}
@@ -525,10 +507,9 @@ func (m *Magistrate) readOPR(l loid.LOID, impl string, addr persist.PersistentAd
 // jurisdiction already running (§4.2). Its record is inserted claimed
 // and started from the state in the invocation — borrowed bytes that go
 // to the host inside this dispatch and are never retained — so a Create
-// writes nothing to the store: an OPR put here would be deleted the
-// moment the object ran. Until a checkpoint or Deactivate files one,
-// the object is "active, no checkpoint", whose loss settles to a blank
-// OPR like any other.
+// writes nothing to the store. Until a checkpoint or Deactivate files
+// one, the object is "active, no checkpoint", whose loss settles to a
+// blank OPR.
 //
 // The set's records are claimed, and each new object's host planned
 // (planLocked), in one critical section. Each host is then offered its
@@ -571,42 +552,34 @@ func (m *Magistrate) instantiate(ctx context.Context, set []Instance) (Instantia
 		take []*starting
 	}
 	var (
-		shares   []share
-		unplaced []*starting
-		rd       round
+		shares []share
+		rd     round
 	)
 	for i := range objs {
 		s := &objs[i]
-		switch {
-		case s.rec == nil:
-		case s.err != nil:
-			unplaced = append(unplaced, s)
-		case len(objs) > 1:
-			j := slices.IndexFunc(shares, func(sh share) bool { return sh.h.l.SameObject(plan[i].l) })
-			if j < 0 {
-				j = len(shares)
-				shares = append(shares, share{h: plan[i]})
-			}
-			shares[j].take = append(shares[j].take, s)
+		if s.rec == nil || s.err != nil || len(objs) == 1 {
+			continue
 		}
+		j := slices.IndexFunc(shares, func(sh share) bool { return sh.h.l.SameObject(plan[i].l) })
+		if j < 0 {
+			j = len(shares)
+			shares = append(shares, share{h: plan[i]})
+		}
+		shares[j].take = append(shares[j].take, s)
 	}
 	for _, sh := range shares {
 		if len(sh.take) == 1 || !m.hostKnownLocked(sh.h.l) {
 			continue
 		}
 		err := m.offerLocked(ctx, &rd, sh.h, sh.take, roundHooks{})
-		if err == nil {
-			continue
-		}
-		if !refused(err) && m.hostKnownLocked(sh.h.l) {
+		if err != nil && !refused(err) && m.hostKnownLocked(sh.h.l) {
 			// No answer: the share may yet start there.
 			for _, s := range sh.take {
 				s.err = fmt.Errorf("magistrate %v: start on %v: %w", m.self, sh.h.l, err)
-				unplaced = append(unplaced, s)
 			}
 		}
 	}
-	m.endRoundLocked(&rd, unplaced)
+	m.endRoundLocked(&rd)
 
 	// What no share took starts alone, in the set's order: a share of
 	// one, a refused share, and one whose host left the pool meanwhile.
@@ -625,25 +598,15 @@ func (m *Magistrate) instantiate(ctx context.Context, set []Instance) (Instantia
 			out.Bindings[i] = s.b
 		}
 	}
+	m.unclaim(objs)
 
-	var retry []Instance
-	var retryAt []int
 	for _, i := range again {
 		b, known, err := m.activateLocal(ctx, set[i].Object, set[i].HostHint)
-		if !known {
-			retry, retryAt = append(retry, set[i]), append(retryAt, i)
-			continue
+		if !known { // the first delivery failed: start it afresh
+			r, _ := m.instantiate(ctx, set[i:i+1])
+			b, err = r.Bindings[0], errors.New(r.Failure)
 		}
 		out.Bindings[i], objs[i].err = b, err
-	}
-	if len(retry) > 0 {
-		r, _ := m.instantiate(ctx, retry)
-		for j, i := range retryAt {
-			out.Bindings[i] = r.Bindings[j]
-			if r.Bindings[j].Address.IsZero() {
-				objs[i].err = errors.New(r.Failure)
-			}
-		}
 	}
 	for i, s := range objs {
 		if out.Bindings[i].Address.IsZero() {
@@ -695,15 +658,16 @@ func (m *Magistrate) planLocked(objs []starting, set []Instance) []hostEntry {
 
 // starting is one object of a start round: its claimed record, the OPR
 // it starts from and the address that OPR is filed at ("" for a new
-// object: the state Instantiate was handed is filed nowhere). The round
-// sets on and b once the object runs, or err once it gives up on it.
+// object). A moving (migrating) object's claim outlasts its commit. The
+// round sets on and b once the object runs, or err once it gives up.
 type starting struct {
-	rec  *record
-	from persist.PersistentAddress
-	opr  persist.OPR
-	on   loid.LOID       // the host it started on; nil while it has not
-	b    binding.Binding // its binding there
-	err  error           // why it did not start
+	rec    *record
+	from   persist.PersistentAddress
+	opr    persist.OPR
+	moving bool
+	on     loid.LOID       // the host it started on; nil while it has not
+	b      binding.Binding // its binding there
+	err    error           // why it did not start
 }
 
 // noteStarted logs a started object's generations and flight-recorder
@@ -721,10 +685,9 @@ func (m *Magistrate) noteStarted(ctx context.Context, plane *obs.Plane, s *start
 	}
 }
 
-// roundHooks observe a start round's host calls. before runs as a call
-// ships, outside m.mu: the chaos seam SetAdoptHook installs. after runs
-// with the call's outcome, m.mu held, before any claim the call settles
-// is released and before the round asks another host. Either may be
+// roundHooks observe a start round's host calls, outside m.mu: before
+// as a call ships (SetAdoptHook's seam), after with its answer, before
+// the round commits anything (a migration's "shipped"). Either may be
 // nil.
 type roundHooks struct {
 	before func(target loid.LOID)
@@ -733,28 +696,30 @@ type roundHooks struct {
 
 // round is what a start round leaves to do once m.mu is released: the
 // representations its starts made stale, to drop, and the incarnations
-// whose records left the table while they started, to reap (host,
-// object).
+// it did not commit, to reap (host, object). discarded counts the calls
+// answered by a host that had left the pool.
 type round struct {
-	stale   []persist.PersistentAddress
-	orphans [][2]loid.LOID
+	stale     []persist.PersistentAddress
+	orphans   [][2]loid.LOID
+	discarded int
 }
 
-// startSet is the one start round: Activate, Instantiate and HostFailed
-// recovery all take objects from Inert to Active through it (§3.1.1). It
-// asks the hinted host only, or else first (the placement pick when
-// first is the zero entry or has left the pool) and then each host of
-// the pool not yet asked that the activation filter admits for part of
-// what is left, in pool order. Each host is sent the part of the set
-// the filter admits there, in one call (offerLocked).
+// startSet is the one start round, the only code that starts objects:
+// Activate, Instantiate, HostFailed recovery and MigrateObject all go
+// through it (§3.1.1). It asks the hinted host only, or else first (the
+// placement pick when first is the zero entry or has left the pool) and
+// then each host of the pool not yet asked that the activation filter
+// admits for part of what is left, in pool order. Each host is sent the
+// part of the set the filter admits there, in one call (offerLocked).
 //
 // A host that answers with an error started nothing (AdoptObjects is
-// all or nothing) and is passed over, as is one that has left the pool.
-// A call that gets no answer from a host still in the pool ends the
-// round: the set may yet start there, and offering it to another host
-// could leave two incarnations. Each object left over gets the round's
-// last error as its err, and the round ends (endRoundLocked).
-func (m *Magistrate) startSet(ctx context.Context, set []starting, hint loid.LOID, first hostEntry, hooks roundHooks) {
+// all or nothing) and is passed over, as is one that has left the pool,
+// before the call or during it. A call that gets no answer from a host
+// still in the pool ends the round: the set may yet start there, and
+// offering it to another host could leave two incarnations. What is
+// left gets the round's last error and goes back to the caller still
+// claimed. It returns the round's discarded calls.
+func (m *Magistrate) startSet(ctx context.Context, set []starting, hint loid.LOID, first hostEntry, hooks roundHooks) int {
 	pending := make([]*starting, len(set))
 	for i := range set {
 		pending[i] = &set[i]
@@ -795,37 +760,48 @@ func (m *Magistrate) startSet(ctx context.Context, set []starting, hint loid.LOI
 	for _, s := range pending {
 		s.err = err
 	}
-	m.endRoundLocked(&rd, pending)
+	m.endRoundLocked(&rd)
+	return rd.discarded
 }
 
 // offerLocked asks h to start take in one call (startOn), with m.mu
 // released around it, and returns the call's error, after which h has
-// started none of them. What h took is committed (commitStartedLocked)
-// and its claim released in one critical section, so no other actor
+// started none of them. If h left the pool during the call, what it
+// started is orphaned and the call fails as if refused. Otherwise what
+// h took is committed (commitStartedLocked) and, but for a moving
+// object, its claim released in one critical section, so no other actor
 // (HostFailed above all) sees it placed yet still claimed; an object
-// whose record left the table meanwhile is an orphan, reaped when the
-// round ends. m.mu held.
+// whose record left the table meanwhile is an orphan too. m.mu held.
 func (m *Magistrate) offerLocked(ctx context.Context, rd *round, h hostEntry, take []*starting, hooks roundHooks) error {
 	m.mu.Unlock()
 	if hooks.before != nil {
 		hooks.before(h.l) // chaos seam: the target may die mid-ship here
 	}
 	addr, err := m.startOn(ctx, h, take)
-	m.mu.Lock()
 	if hooks.after != nil {
 		hooks.after(err)
+	}
+	m.mu.Lock()
+	if err == nil && !m.hostKnownLocked(h.l) {
+		rd.discarded++
+		for _, s := range take {
+			rd.orphans = append(rd.orphans, [2]loid.LOID{h.l, s.opr.LOID})
+		}
+		err = fmt.Errorf("magistrate %v: host %v left the pool during the start", m.self, h.l)
 	}
 	if err != nil {
 		return err
 	}
 	for _, s := range take {
 		l := s.opr.LOID
-		m.releaseLocked(s.rec)
 		st, ok := m.commitStartedLocked(l, s.rec, h.l, addr, s.from)
 		if !ok {
 			rd.orphans = append(rd.orphans, [2]loid.LOID{h.l, l})
-			s.err = fmt.Errorf("magistrate %v: object %v deleted during activation", m.self, l)
+			s.err = fmt.Errorf("magistrate %v: object %v left the table while it started", m.self, l)
 			continue
+		}
+		if !s.moving {
+			m.releaseLocked(s.rec)
 		}
 		rd.stale = append(rd.stale, st[:]...)
 		s.on, s.b = h.l, m.bindingLocked(l, addr)
@@ -833,19 +809,28 @@ func (m *Magistrate) offerLocked(ctx context.Context, rd *round, h hostEntry, ta
 	return nil
 }
 
-// endRoundLocked ends a start round. The claims of left, the objects it
-// did not start, are released, and a new one among them leaves the table
-// in the same critical section: with nothing filed, no actor may ever
-// see it inert. Then, with m.mu released, the round's stale
-// representations are dropped and its orphans reaped. m.mu held on
-// entry, released on return.
-func (m *Magistrate) endRoundLocked(rd *round, left []*starting) {
-	for _, s := range left {
+// unclaim releases the claims a start round handed back: those of the
+// objects of set it did not start. A new object among them leaves the
+// table in the same critical section: with nothing filed, no actor may
+// ever see it inert.
+func (m *Magistrate) unclaim(set []starting) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, s := range set {
+		if s.rec == nil || !s.on.IsNil() {
+			continue
+		}
 		if id := s.opr.LOID.Ident(); s.from == "" && m.table[id] == s.rec {
 			delete(m.table, id)
 		}
 		m.releaseLocked(s.rec)
 	}
+}
+
+// endRoundLocked ends a start round: with m.mu released, the round's
+// stale representations are dropped and its orphans reaped. m.mu held
+// on entry, released on return.
+func (m *Magistrate) endRoundLocked(rd *round) {
 	m.mu.Unlock()
 	m.drop(rd.stale...)
 	for _, o := range rd.orphans {
@@ -920,23 +905,25 @@ func (m *Magistrate) nextHostLocked(hint loid.LOID, asked []loid.LOID, left []*s
 }
 
 // commitStartedLocked records that rec's object, started from the OPR
-// at from, now runs on host at addr. It returns the representations the
-// start made stale — the consumed OPR and any checkpoint left by an
-// earlier incarnation — for the caller to drop once m.mu is released (a
-// store delete may fsync). ok is false when rec left the table while the
-// object started (deleted, or replaced by Register or RestoreState): the
-// new incarnation is an orphan the caller must reap, and rec's
-// representations are left to whoever removed it. m.mu held.
+// at from, now runs on host at addr. from stays on file as the new
+// incarnation's checkpoint, so a crash before the host's next checkpoint
+// round brings the object back as it started, not blank. It returns any
+// older representation, now stale, for the caller to drop once m.mu is
+// released (a store delete may fsync). ok is false when rec left the
+// table while the object started (deleted, or replaced by Register or
+// RestoreState): the new incarnation is an orphan the caller must reap,
+// and rec's representations are left to whoever removed it. m.mu held.
 func (m *Magistrate) commitStartedLocked(l loid.LOID, rec *record, host loid.LOID, addr oa.Address, from persist.PersistentAddress) (stale [2]persist.PersistentAddress, ok bool) {
 	if m.table[l.Ident()] != rec {
 		return stale, false
 	}
 	m.place(rec, host, addr)
-	stale[0] = from
-	if rec.ckptAddr != from {
-		stale[1] = rec.ckptAddr
+	for i, a := range [2]persist.PersistentAddress{rec.oprAddr, rec.ckptAddr} {
+		if a != from {
+			stale[i] = a
+		}
 	}
-	rec.oprAddr, rec.ckptAddr = "", ""
+	rec.oprAddr, rec.ckptAddr = "", from
 	return stale, true
 }
 
@@ -968,8 +955,8 @@ func (m *Magistrate) releaseLocked(recs ...*record) {
 // release ends the claim a deactivation or a migration holds on l's
 // active record. HostFailed skipped the claimed record, so if the host
 // it is still placed on has left the jurisdiction meanwhile, release
-// settles it lost and recovers it, as HostFailed would have. It reports
-// whether it did.
+// settles it lost and recovers it, as HostFailed would have: the only
+// code that settles a claimed record. It reports whether it did.
 func (m *Magistrate) release(l loid.LOID, rec *record) bool {
 	m.mu.Lock()
 	m.releaseLocked(rec)
@@ -987,24 +974,19 @@ func (m *Magistrate) release(l loid.LOID, rec *record) bool {
 // settleLostLocked turns rec, active on a host that is gone, into an
 // inert record the Magistrate can activate again (§3.1.1). The running
 // state died with the host, so the newest checkpoint is promoted to the
-// authoritative OPR; without one an OPR already on file stands; without
-// either a blank OPR is minted and the object restarts from its initial
-// state. It is the only code that settles a lost incarnation, for
+// authoritative OPR; without one (an Instantiated object not yet
+// checkpointed) a blank OPR is minted and the object restarts from its
+// initial state. It is the only code that settles a lost incarnation, for
 // HostFailed and for the release of a claim whose host died under it.
 // m.mu held.
 func (m *Magistrate) settleLostLocked(id loid.LOID, rec *record) {
 	lostOn := rec.host
 	m.unplace(rec)
-	switch {
-	case rec.ckptAddr != "":
-		if rec.oprAddr != "" {
-			_ = m.store.Delete(rec.oprAddr)
-		}
-		rec.oprAddr = rec.ckptAddr
-		rec.ckptAddr = ""
-		noteGeneration(m.plane, id, "promote", lostOn, 0)
-	case rec.oprAddr == "":
+	rec.oprAddr, rec.ckptAddr = rec.ckptAddr, ""
+	if rec.oprAddr == "" {
 		rec.oprAddr = m.mintBlank(id, rec.impl)
+	} else {
+		noteGeneration(m.plane, id, "promote", lostOn, 0)
 	}
 }
 
@@ -1283,6 +1265,10 @@ func noteGeneration(p *obs.Plane, l loid.LOID, kind string, host loid.LOID, byte
 	p.NoteGeneration(l.ID().String(), kind, hs, bytes)
 }
 
+// deactivateByLOID implements Deactivate (§3.8): drain the object and
+// file its state (drainAndFile), kill the drained incarnation, and the
+// filed state is the OPR. On a failure the object reopens where it ran
+// (abortToSource), the filed state, if any, its checkpoint.
 func (m *Magistrate) deactivateByLOID(ctx context.Context, l loid.LOID) error {
 	m.mu.Lock()
 	rec, ok := m.waitSettledLocked(l.Ident())
@@ -1298,52 +1284,30 @@ func (m *Magistrate) deactivateByLOID(ctx context.Context, l loid.LOID) error {
 		m.mu.Unlock()
 		return nil // already inert
 	}
-	hostL := rec.host
+	src := rec.host
 	m.claimLocked(rec)
 	m.mu.Unlock()
 	defer m.release(l, rec)
 
-	saved, err := host.StopObject.Call(ctx, m.obj.Caller().To(hostL), l)
+	saved, opr, err := m.drainAndFile(ctx, l, src, nil)
 	if err != nil {
-		return fmt.Errorf("magistrate %v: stop %v: %w", m.self, l, err)
+		return m.abortToSource(l, src, rec, "", err)
 	}
-	oprAddr, err := m.store.Put(persist.OPR{LOID: l, Impl: saved.Impl, State: saved.State})
-	if err != nil {
-		err = fmt.Errorf("magistrate %v: persist %v: %w", m.self, l, err)
-		// The host has evicted the object and the store refused its
-		// state: start it again where it ran, from the state in hand, so
-		// the active record names a live incarnation.
-		hc := m.obj.Caller().To(hostL)
-		addr, serr := host.StartObject.Call(ctx, hc, l, saved.Impl, saved.State)
-		if serr != nil {
-			return errors.Join(err, fmt.Errorf("magistrate %v: restart %v on %v: %w", m.self, l, hostL, serr))
-		}
-		m.mu.Lock()
-		kept := m.table[l.Ident()] == rec
-		if kept {
-			m.place(rec, hostL, addr)
-		}
-		m.mu.Unlock()
-		if !kept { // replaced meanwhile: the restart has no record
-			_, _ = host.KillObject.Call(context.Background(), hc, l)
-		}
-		return err
+	if _, err := host.KillObject.Call(ctx, m.obj.Caller().To(src), l); err != nil {
+		return m.abortToSource(l, src, rec, opr, fmt.Errorf("magistrate %v: stop %v: %w", m.self, l, err))
 	}
 	m.mu.Lock()
 	if m.table[l.Ident()] != rec { // replaced by Register or RestoreState
 		m.mu.Unlock()
-		m.drop(oprAddr)
+		m.drop(opr)
 		return fmt.Errorf("magistrate %v: object %v left the table during deactivation", m.self, l)
 	}
 	m.unplace(rec)
-	rec.oprAddr = oprAddr
-	rec.impl = saved.Impl
 	ckpt := rec.ckptAddr
-	rec.ckptAddr = ""
-	plane := m.plane
+	rec.oprAddr, rec.ckptAddr, rec.impl = opr, "", saved.Impl
+	noteGeneration(m.plane, l, "deactivate", src, len(saved.State))
 	m.mu.Unlock()
-	m.drop(ckpt) // the clean-shutdown OPR supersedes any crash checkpoint
-	noteGeneration(plane, l, "deactivate", hostL, len(saved.State))
+	m.drop(ckpt) // the drained state supersedes any checkpoint
 	return nil
 }
 

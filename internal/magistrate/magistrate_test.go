@@ -166,9 +166,16 @@ func TestRegisterActivate(t *testing.T) {
 	if b.LOID != objL || b.Address.IsZero() {
 		t.Errorf("binding = %v", b)
 	}
-	// Activation consumed the OPR.
-	if fx.store.Len() != 0 {
-		t.Errorf("store has %d OPRs after activation", fx.store.Len())
+	// The OPR activation started from stays on file as the
+	// incarnation's checkpoint: one record, no other.
+	if fx.store.Len() != 1 {
+		t.Errorf("store has %d OPRs after activation, want 1", fx.store.Len())
+	}
+	fx.mag.mu.Lock()
+	opr, ckpt := fx.mag.table[objL.Ident()].oprAddr, fx.mag.table[objL.Ident()].ckptAddr
+	fx.mag.mu.Unlock()
+	if opr != "" || ckpt == "" {
+		t.Errorf("record after activation: OPR %q, checkpoint %q; want the OPR kept as the checkpoint", opr, ckpt)
 	}
 	// The binding works.
 	fx.caller.AddBinding(b)
@@ -632,8 +639,8 @@ func TestMagistrateStateRoundTrip(t *testing.T) {
 
 // TestConcurrentActivationRace: many clients Activate the same inert
 // object simultaneously; exactly one activation happens and every
-// caller receives a working binding (the OPR-consumed race is
-// resolved by re-checking the record).
+// caller receives a working binding (the racers wait on the first
+// one's claim and re-check the record).
 func TestConcurrentActivationRace(t *testing.T) {
 	fx := newFixture(t, 2)
 	_, _ = Register.Call(context.Background(), fx.client.Ref, objL, "counter", nil)

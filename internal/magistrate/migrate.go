@@ -1,14 +1,15 @@
-// Live migration, magistrate side. MigrateObject drives the phases —
-// drain on the source, checkpoint the shipped state, start on the
-// destination, republish the binding, commit the source's forwarding
-// tombstone — and owns every partial-failure outcome: whichever side
-// dies mid-flight, the object ends with exactly one incarnation (or
-// one authoritative persistent representation awaiting reactivation),
-// never zero and never two.
+// Live migration, magistrate side, and the steps it shares with
+// Deactivate: both planned exits drain the object and file its state
+// (drainAndFile), then finish or reopen the source (abortToSource).
+// MigrateObject finishes through the start round, pinned to the
+// destination: whichever side dies mid-flight, the object ends with
+// exactly one incarnation (or one authoritative persistent
+// representation awaiting reactivation), never zero and never two.
 //
 // The same file carries the jurisdiction's load table (ReportLoad
 // heartbeats from Host Objects) and the placement/rebalancing read
 // APIs (GetLoads, ListPlacements) that Scheduling Agents consume.
+
 package magistrate
 
 import (
@@ -67,8 +68,7 @@ func (m *Magistrate) SetMigrateHook(h MigrateHook) {
 
 func (m *Magistrate) hook(phase string, l, src, dest loid.LOID) {
 	m.mu.Lock()
-	h := m.migHook
-	plane := m.plane
+	h, plane := m.migHook, m.plane
 	m.mu.Unlock()
 	// Every phase boundary is a flight-recorder event; the commit is
 	// additionally an entry in the object's incarnation history.
@@ -202,10 +202,9 @@ func UnmarshalPlacements(b []byte) ([]Placement, error) {
 
 // MigrateObject moves a running object to destHost without failing a
 // single call: the source drains it to a quiesce point (arrivals
-// parked), the quiesced state is checkpointed into the store and
-// started on the destination, the binding republishes, and the source
-// flips its park queue into a one-hop forwarding tombstone. A no-op if
-// the object already runs on destHost.
+// parked), the state is checkpointed and started on the destination,
+// the binding republishes, and the source flips its park queue into a
+// one-hop forwarding tombstone. A no-op if it already runs on destHost.
 //
 // Partial failures settle exactly-once: any failure before the binding
 // republishes aborts back to the source; a source that died before
@@ -230,22 +229,21 @@ func (m *Magistrate) MigrateObject(ctx context.Context, l, destHost loid.LOID) e
 		m.mu.Unlock()
 		return nil // already there
 	}
-	i := m.hostIndexLocked(destHost)
-	if i < 0 {
+	if !m.hostKnownLocked(destHost) {
 		m.mu.Unlock()
 		return fmt.Errorf("magistrate %v: destination host %v not in jurisdiction", m.self, destHost)
 	}
-	src, dest := rec.host, m.hosts[i]
+	src := rec.host
 	m.claimLocked(rec)
 	m.mu.Unlock()
 
 	span := m.tracer().RootAlways("call", "migrate", "magistrate")
-	span.Event("migrate", fmt.Sprintf("%v: %v -> %v", l, src, dest.l))
-	err := m.runMigration(ctx, span, l, rec, src, dest)
+	span.Event("migrate", fmt.Sprintf("%v: %v -> %v", l, src, destHost))
+	err := m.runMigration(ctx, span, l, rec, src, destHost)
 
-	// Settlement. The claim made HostFailed skip this record, so a
-	// source that died before republish, or a destination after it,
-	// left it placed on a dead host; release settles it.
+	// Settlement: HostFailed skipped the claimed record, so a source that
+	// died before republish, or a destination after it, left it placed on
+	// a dead host; release settles it.
 	if m.release(l, rec) {
 		span.Event("migrate", fmt.Sprintf("%v: its host died under the migration; recovering from checkpoint", l))
 	}
@@ -262,93 +260,88 @@ func (m *Magistrate) MigrateObject(ctx context.Context, l, destHost loid.LOID) e
 }
 
 // runMigration performs the phase sequence with rec claimed.
-func (m *Magistrate) runMigration(ctx context.Context, span *trace.Span, l loid.LOID, rec *record, src loid.LOID, dest hostEntry) error {
-	srcHC := m.obj.Caller().To(src)
-	destHC := m.obj.Caller().To(dest.l)
-
-	// Phase 1: drain. The source parks arrivals and saves state at the
-	// quiesce point.
-	saved, err := host.PrepareMigrate.Call(ctx, srcHC, l)
-	state, implName := saved.State, saved.Impl
+func (m *Magistrate) runMigration(ctx context.Context, span *trace.Span, l loid.LOID, rec *record, src, dest loid.LOID) error {
+	// Phases 1 and 2: drain on the source and file the drained state.
+	// From here on, even if both hosts die the object recovers exactly
+	// as drained: the commit or the abort makes it the checkpoint.
+	saved, ckpt, err := m.drainAndFile(ctx, l, src, func(saved host.Saved) {
+		span.Event("migrate", fmt.Sprintf("%v drained on %v (%d state bytes)", l, src, len(saved.State)))
+		m.hook("prepared", l, src, dest)
+	})
 	if err != nil {
-		return m.abortToSource(l, src, srcHC,
-			fmt.Errorf("magistrate %v: drain %v on %v: %w", m.self, l, src, err))
+		return m.abortToSource(l, src, rec, "", err)
 	}
-	span.Event("migrate", fmt.Sprintf("%v drained on %v (%d state bytes)", l, src, len(state)))
-	m.hook("prepared", l, src, dest.l)
 
-	// Phase 2: checkpoint the shipped state. From here on, even if both
-	// hosts die the object recovers exactly as drained.
-	ckptAddr, err := m.store.Put(persist.OPR{LOID: l, Impl: implName, State: state})
-	if err != nil {
-		return m.abortToSource(l, src, srcHC,
-			fmt.Errorf("magistrate %v: checkpoint %v: %w", m.self, l, err))
+	// Phases 3 and 4: ship and republish. The start round, pinned to the
+	// destination, starts the object there from the checkpoint and
+	// commits it, the claim still held; a start it did not commit is
+	// reaped.
+	set := []starting{{rec: rec, from: ckpt, opr: persist.OPR{LOID: l, Impl: saved.Impl, State: saved.State}, moving: true}}
+	m.startSet(ctx, set, dest, hostEntry{}, roundHooks{after: func(err error) {
+		if err == nil {
+			m.hook("shipped", l, src, dest)
+		}
+	}})
+	if set[0].on.IsNil() {
+		return m.abortToSource(l, src, rec, ckpt, set[0].err)
 	}
-	m.mu.Lock()
-	old := rec.ckptAddr
-	rec.ckptAddr = ckptAddr
-	m.mu.Unlock()
-	m.drop(old)
-
-	// Phase 3: ship. Start the object on the destination.
-	addr, err := host.StartObject.Call(ctx, destHC, l, implName, state)
-	if err != nil {
-		// The destination may have partially started it; best-effort
-		// reap before reopening the source.
-		_, _ = host.KillObject.Call(context.Background(), destHC, l)
-		return m.abortToSource(l, src, srcHC,
-			fmt.Errorf("magistrate %v: start %v on %v: %w", m.self, l, dest.l, err))
-	}
-	span.Event("migrate", fmt.Sprintf("%v started on %v at %v", l, dest.l, addr))
-	m.hook("shipped", l, src, dest.l)
-
-	// Phase 4: republish. The binding atomically flips to the new home.
-	m.mu.Lock()
-	if m.table[l.Ident()] != rec {
-		m.mu.Unlock()
-		_, _ = host.KillObject.Call(context.Background(), destHC, l)
-		_, _ = host.AbortMigrate.Call(ctx, srcHC, l)
-		return fmt.Errorf("magistrate %v: object %v deleted during migration", m.self, l)
-	}
-	if !m.hostKnownLocked(dest.l) {
-		// Destination crashed between ship and republish: the source
-		// incarnation is still whole, so reopen it.
-		m.mu.Unlock()
-		return m.abortToSource(l, src, srcHC,
-			fmt.Errorf("magistrate %v: destination %v failed before republish", m.self, dest.l))
-	}
-	m.place(rec, dest.l, addr)
-	b := m.bindingLocked(l, addr)
-	m.mu.Unlock()
+	b := set[0].b
 	m.notifyClass(ctx, l, b)
-	span.Event("migrate", fmt.Sprintf("%v binding republished -> %v", l, addr))
-	m.hook("republished", l, src, dest.l)
+	span.Event("migrate", fmt.Sprintf("%v binding republished -> %v", l, b.Address))
+	m.hook("republished", l, src, dest)
 
 	// Phase 5: commit. The source kills its incarnation and forwards
 	// parked + late frames one hop to the new home. A failure here is
 	// tolerable: if the source host died, its parked frames died with
 	// it and their callers heal via retry + binding refresh.
-	if _, err := host.FinishMigrate.Call(ctx, srcHC, l, addr); err != nil {
+	if _, err := host.FinishMigrate.Call(ctx, m.obj.Caller().To(src), l, b.Address); err != nil {
 		m.reg().Counter("mig/finish_failed").Inc()
 		span.Event("migrate", fmt.Sprintf("%v commit on %v failed: %v (callers heal via refresh)", l, src, err))
 	}
-	m.hook("committed", l, src, dest.l)
+	m.hook("committed", l, src, dest)
 	return nil
 }
 
-// abortToSource unwinds a migration that failed before republish. If
-// the source host is still in the jurisdiction, the object reopens
-// there (parked calls replay in order) and remains the active
-// incarnation. If the source died meanwhile, the record is still placed
-// there, and MigrateObject's release settles it lost — promoting the
-// migration checkpoint when phase 2 wrote one — and recovers it.
-func (m *Magistrate) abortToSource(l, src loid.LOID, srcHC rt.Ref, cause error) error {
+// drainAndFile is the first half of both planned exits: the object is
+// drained on src (PrepareMigrate: arrivals park, the state is saved at a
+// quiesce point) and that state filed in the store. It returns the state
+// and its address, which the exit's commit or abort gives the record;
+// drained, if not nil, runs between the two steps. On an error the
+// caller aborts (abortToSource).
+func (m *Magistrate) drainAndFile(ctx context.Context, l, src loid.LOID, drained func(host.Saved)) (host.Saved, persist.PersistentAddress, error) {
+	saved, err := host.PrepareMigrate.Call(ctx, m.obj.Caller().To(src), l)
+	if err != nil {
+		return saved, "", fmt.Errorf("magistrate %v: drain %v on %v: %w", m.self, l, src, err)
+	}
+	if drained != nil {
+		drained(saved)
+	}
+	addr, err := m.store.Put(persist.OPR{LOID: l, Impl: saved.Impl, State: saved.State})
+	if err != nil {
+		return saved, "", fmt.Errorf("magistrate %v: file %v: %w", m.self, l, err)
+	}
+	return saved, addr, nil
+}
+
+// abortToSource unwinds a planned exit that failed before the object
+// left its host. filed, when not empty, is the drained state the exit
+// filed: it becomes rec's checkpoint, the newest state of the object.
+// If the source host is still in the jurisdiction, the object reopens
+// there (parked calls replay in order). If it died meanwhile, the
+// caller's release settles the record lost — promoting that checkpoint
+// — and recovers it.
+func (m *Magistrate) abortToSource(l, src loid.LOID, rec *record, filed persist.PersistentAddress, cause error) error {
 	m.mu.Lock()
 	known := m.hostKnownLocked(src)
+	stale := filed
+	if filed != "" && m.table[l.Ident()] == rec {
+		stale, rec.ckptAddr = rec.ckptAddr, filed
+	}
 	m.mu.Unlock()
+	m.drop(stale)
 	// The source reopens even when the caller's budget is spent.
 	if known {
-		if _, err := host.AbortMigrate.Call(context.Background(), srcHC, l); err != nil {
+		if _, err := host.AbortMigrate.Call(context.Background(), m.obj.Caller().To(src), l); err != nil {
 			m.reg().Counter("mig/abort_failed").Inc()
 		}
 	}

@@ -717,10 +717,10 @@ func (s *failingPut) Put(o persist.OPR) (persist.PersistentAddress, error) {
 	return s.Store.Put(o)
 }
 
-// TestDeactivatePutFails: the host has evicted the object when the store
-// refuses its OPR. The Deactivate fails, and the object runs again on
-// the same host from the state the host handed over: the next Inc
-// continues the count, and the table is settled.
+// TestDeactivatePutFails: the store refuses the OPR of a drained
+// object. The Deactivate fails, and the object reopens on the same
+// host, which never let it go: the next Inc continues the count, and
+// the table is settled.
 func TestDeactivatePutFails(t *testing.T) {
 	fx := newFixture(t, 1)
 	store := &failingPut{Store: fx.store}

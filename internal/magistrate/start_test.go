@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,6 +12,8 @@ import (
 	"repro/internal/host"
 	"repro/internal/loid"
 	"repro/internal/oa"
+	"repro/internal/persist"
+	"repro/internal/wire"
 )
 
 // register files an inert counter for each of ids.
@@ -319,4 +322,153 @@ func hostAt(fx *fixture, addr oa.Address) loid.LOID {
 		}
 	}
 	return loid.Nil
+}
+
+// hostIndex returns the index among the fixture's hosts of the host the
+// Magistrate places l on, or -1 when it is inert.
+func hostIndex(fx *fixture, l loid.LOID) int {
+	fx.mag.mu.Lock()
+	on := fx.mag.table[l.Ident()].host
+	fx.mag.mu.Unlock()
+	return slices.IndexFunc(fx.hostLs, on.SameObject)
+}
+
+// TestStartKeepsItsSource: the representation a start consumes stays on
+// file as the new incarnation's checkpoint until a newer one replaces
+// it. Each case crashes the object's host before any checkpoint round,
+// and the object comes back with the state it started from, not blank:
+// one filed by Register, one filed by Deactivate, one a recovery
+// started from, and one a migration drained.
+func TestStartKeepsItsSource(t *testing.T) {
+	t.Run("register", func(t *testing.T) {
+		fx := newFixture(t, 2)
+		if _, err := Register.Call(context.Background(), fx.client.Ref, objL, "counter", wire.Uint64(41)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fx.client.Activate(objL, fx.hostLs[0]); err != nil {
+			t.Fatal(err)
+		}
+		crash(t, fx, 0)
+		if v := inc(t, fx, objL); v != 42 {
+			t.Errorf("Inc after the crash = %d, want 42", v)
+		}
+	})
+
+	t.Run("deactivate", func(t *testing.T) {
+		fx := newFixture(t, 2)
+		register(t, fx, 1)
+		for range 5 {
+			inc(t, fx, objL)
+		}
+		if err := fx.client.Deactivate(objL); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fx.client.Activate(objL, fx.hostLs[0]); err != nil {
+			t.Fatal(err)
+		}
+		crash(t, fx, 0)
+		if v := inc(t, fx, objL); v != 6 {
+			t.Errorf("Inc after the crash = %d, want 6", v)
+		}
+	})
+
+	t.Run("recovery", func(t *testing.T) {
+		fx := newFixture(t, 3)
+		ls := startCounters(t, fx, 0, 1)
+		crash(t, fx, 0)
+		crash(t, fx, hostIndex(fx, ls[0]))
+		if v := inc(t, fx, ls[0]); v != 2 {
+			t.Errorf("Inc after two crashes = %d, want 2", v)
+		}
+		checkStarted(t, fx, ls, loid.Nil)
+	})
+
+	t.Run("migration", func(t *testing.T) {
+		fx := newFixture(t, 3)
+		register(t, fx, 1)
+		if _, err := fx.client.Activate(objL, fx.hostLs[0]); err != nil {
+			t.Fatal(err)
+		}
+		for range 3 {
+			inc(t, fx, objL)
+		}
+		// A checkpoint the source sampled before the drain lands after
+		// the drained state is filed: the commit keeps the drained one.
+		fx.mag.SetMigrateHook(func(phase string, _, src, _ loid.LOID) {
+			if phase == "shipped" {
+				old := persist.EncodeOPRBatch([]persist.OPR{{LOID: objL, Impl: "counter", State: wire.Uint64(1)}})
+				if _, err := fx.mag.checkpointBatch(context.Background(), src, old); err != nil {
+					t.Error(err)
+				}
+			}
+		})
+		if err := fx.mag.MigrateObject(context.Background(), objL, fx.hostLs[1]); err != nil {
+			t.Fatal(err)
+		}
+		crash(t, fx, 1)
+		if v := inc(t, fx, objL); v != 4 {
+			t.Errorf("Inc after the destination crashed = %d, want 4", v)
+		}
+	})
+}
+
+// TestStartOnDepartedHost: a start round commits only onto a host still
+// in the pool. A host declared failed while its start is on the wire
+// answers for objects the Magistrate no longer places there: they are
+// reaped, and the round moves on as after a refusal.
+func TestStartOnDepartedHost(t *testing.T) {
+	t.Run("recovery", func(t *testing.T) {
+		fx := newFixture(t, 3)
+		ls := startCounters(t, fx, 0, 3)
+		var once sync.Once
+		fx.mag.SetAdoptHook(func(target loid.LOID) {
+			once.Do(func() { fx.mag.HostFailed(target) })
+		})
+		crash(t, fx, 0)
+		for deadline := time.Now().Add(10 * time.Second); fx.reg.CounterValue("mag/bulk_adoptions") == 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("the recovery round never ended")
+			}
+		}
+		w := &walker{t: t, fx: fx, op: "start on a departed host"}
+		in := w.pool()
+		for _, l := range ls {
+			if i := hostIndex(fx, l); !slices.Contains(in, i) {
+				t.Errorf("%v runs on host %d, outside the pool %v", l, i, in)
+			}
+		}
+		checkStarted(t, fx, ls, loid.Nil)
+		for k, l := range ls {
+			if v := inc(t, fx, l); v != uint64(k+2) {
+				t.Errorf("object %d: counter = %d, want %d", k, v, k+2)
+			}
+		}
+		if n := fx.reg.CounterValue("mag/bulk_adopt_failed"); n != 1 {
+			t.Errorf("mag/bulk_adopt_failed = %d, want 1", n)
+		}
+		w.checkSettled()
+	})
+
+	t.Run("migration", func(t *testing.T) {
+		fx := newFixture(t, 3)
+		register(t, fx, 1)
+		if _, err := fx.client.Activate(objL, fx.hostLs[0]); err != nil {
+			t.Fatal(err)
+		}
+		inc(t, fx, objL)
+		fx.mag.SetMigrateHook(func(phase string, _, _, dest loid.LOID) {
+			if phase == "shipped" {
+				fx.mag.HostFailed(dest)
+			}
+		})
+		if err := fx.mag.MigrateObject(context.Background(), objL, fx.hostLs[1]); err == nil {
+			t.Fatal("the migration succeeded onto a failed host")
+		}
+		checkStarted(t, fx, []loid.LOID{objL}, fx.hostLs[0])
+		if v := inc(t, fx, objL); v != 2 {
+			t.Errorf("Inc after the aborted migration = %d, want 2", v)
+		}
+		w := &walker{t: t, fx: fx, op: "migrate onto a departed host"}
+		w.checkSettled()
+	})
 }
