@@ -19,6 +19,8 @@ import (
 	"repro/internal/implreg"
 	"repro/internal/loid"
 	"repro/internal/oa"
+	"repro/internal/persist"
+	"repro/internal/rt"
 	"repro/internal/wire"
 )
 
@@ -35,19 +37,22 @@ func main() {
 	defer sys.Close()
 	boot := sys.BootClient()
 
-	// Start the same echo object — one LOID — on all three hosts.
+	// Start the same echo object — one LOID — on all three hosts. An
+	// object runs at its host's address.
 	repLOID := loid.New(900, 1, loid.DeriveKey("replicated-echo"))
+	j := sys.Jurisdictions[0]
 	var elems []oa.Element
-	var hostClients []*host.Client
-	for i, hl := range sys.Jurisdictions[0].Hosts {
-		hc := host.NewClient(boot, hl)
-		addr, err := hc.StartObject(repLOID, demo.EchoImpl, nil)
-		if err != nil {
+	var hostRefs []rt.Ref
+	for i, hl := range j.Hosts {
+		hc := boot.To(hl)
+		set := []persist.OPR{{LOID: repLOID, Impl: demo.EchoImpl}}
+		if _, err := host.StartObjects.Call(context.Background(), hc, set); err != nil {
 			log.Fatal(err)
 		}
+		addr := j.HostAddrs[i]
 		fmt.Printf("replica %d of %v running on host %v at %v\n", i+1, repLOID, hl, addr)
 		elems = append(elems, addr.Primary())
-		hostClients = append(hostClients, hc)
+		hostRefs = append(hostRefs, hc)
 	}
 
 	user, err := sys.NewClient(loid.New(300, 1, loid.DeriveKey("user")))
@@ -83,7 +88,7 @@ func main() {
 	// Semantic 3: ordered failover — kill replica 1, the semantic
 	// hides it.
 	fmt.Println("\nkilling replica 1 ...")
-	if _, err := host.KillObject.Call(context.Background(), hostClients[0].Ref, repLOID); err != nil {
+	if _, err := host.KillObject.Call(context.Background(), hostRefs[0], repLOID); err != nil {
 		log.Fatal(err)
 	}
 	user.Cache().InvalidateLOID(repLOID)
@@ -92,7 +97,7 @@ func main() {
 
 	// Kill another one: still served by the last survivor.
 	fmt.Println("killing replica 2 ...")
-	if _, err := host.KillObject.Call(context.Background(), hostClients[1].Ref, repLOID); err != nil {
+	if _, err := host.KillObject.Call(context.Background(), hostRefs[1], repLOID); err != nil {
 		log.Fatal(err)
 	}
 	user.Cache().InvalidateLOID(repLOID)
@@ -101,7 +106,7 @@ func main() {
 
 	// Kill the last: now the failure is visible — as it must be.
 	fmt.Println("killing replica 3 ...")
-	if _, err := host.KillObject.Call(context.Background(), hostClients[2].Ref, repLOID); err != nil {
+	if _, err := host.KillObject.Call(context.Background(), hostRefs[2], repLOID); err != nil {
 		log.Fatal(err)
 	}
 	user.Cache().InvalidateLOID(repLOID)

@@ -289,7 +289,7 @@ func TestNestedCoreCallsCarryDeadlineAndTrace(t *testing.T) {
 	issued := map[string]bool{}
 	for _, name := range []string{
 		// Create, Derive, activation and migration.
-		"ListHosts", "PickHost", "GetLoad", "Instantiate", "NewClassID", "StartObject",
+		"ListHosts", "PickHost", "GetLoad", "Instantiate", "NewClassID", "StartObjects",
 		"DescribeInstances", "KillObject", "Activate", "GetBinding",
 		"LocateClass", "PrepareMigrate", "FinishMigrate", "NotifyAddress",
 		// Copy, Move and the hierarchy.

@@ -1,20 +1,23 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/bindagent"
 	"repro/internal/host"
 	"repro/internal/loid"
 	"repro/internal/magistrate"
+	"repro/internal/persist"
 )
 
 // TestCoreRPCAllocs gates the allocations of a mem round trip through
 // three core remote methods on their warm paths: Activate of an active
 // object, a Binding Agent GetBinding that hits the agent's cache, and a
-// StartObject of an object the host already runs. The ceilings are the
-// counts measured before the methods were declared as typed
-// descriptors; a declaration layer may not add to them.
+// StartObjects of a set of one object the host already runs, the set
+// built per call. The ceilings are the counts measured before the
+// methods were declared as typed descriptors; a declaration layer may
+// not add to them.
 func TestCoreRPCAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -33,7 +36,7 @@ func TestCoreRPCAllocs(t *testing.T) {
 	mc := magistrate.NewClient(boot, j.Magistrate)
 	leaf := sys.Leaves[0]
 	agent := bindagent.NewClient(boot, leaf.LOID, leaf.Addr)
-	hc := host.NewClient(boot, j.Hosts[0])
+	hc := boot.To(j.Hosts[0])
 	for _, tc := range []struct {
 		name string
 		max  float64
@@ -41,7 +44,10 @@ func TestCoreRPCAllocs(t *testing.T) {
 	}{
 		{"Activate", 8, func() error { _, err := mc.Activate(obj, loid.Nil); return err }},
 		{"GetBinding", 7, func() error { _, err := agent.Resolve(obj); return err }},
-		{"StartObject", 9, func() error { _, err := hc.StartObject(obj, "counter", nil); return err }},
+		{"StartObjects", 9, func() error {
+			_, err := host.StartObjects.Call(context.Background(), hc, []persist.OPR{{LOID: obj, Impl: "counter"}})
+			return err
+		}},
 	} {
 		if err := tc.call(); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)

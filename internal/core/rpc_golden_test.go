@@ -18,6 +18,7 @@ import (
 	"repro/internal/magistrate"
 	"repro/internal/naming"
 	"repro/internal/oa"
+	"repro/internal/persist"
 	"repro/internal/rt"
 	"repro/internal/sched"
 	"repro/internal/transport"
@@ -92,6 +93,7 @@ var (
 	gAddr  = oa.Single(oa.MemElement(42))
 	gBind  = binding.Forever(gObj, gAddr)
 	gState = []byte("golden state")
+	gOPRs  = []persist.OPR{{LOID: gObj, Impl: "golden.impl", State: gState}}
 	gIfc   = idl.NewInterface("Golden",
 		idl.MethodSig{Name: "Ping", Returns: []idl.Param{{Name: "n", Type: idl.TUint64}}})
 )
@@ -115,7 +117,7 @@ func goldenCalls() []goldenCall {
 		{"magistrate.Copy", func(ctx context.Context, to, _ r) { magistrate.Copy.Call(ctx, to, gObj, gOther) }},
 		{"magistrate.Move", func(ctx context.Context, to, _ r) { magistrate.Move.Call(ctx, to, gObj, gOther) }},
 		{"magistrate.ReceiveOPR", func(ctx context.Context, to, _ r) { magistrate.ReceiveOPR.Call(ctx, to, gObj, "golden.impl", gState) }},
-		{"magistrate.CheckpointBatch", func(ctx context.Context, _, at r) { host.CheckpointBatch.Call(ctx, at, gHost, []byte("golden batch")) }},
+		{"magistrate.CheckpointBatch", func(ctx context.Context, _, at r) { host.CheckpointBatch.Call(ctx, at, gHost, gOPRs) }},
 		{"magistrate.GetBinding", func(ctx context.Context, to, _ r) { magistrate.GetBinding.Call(ctx, to, gObj) }},
 		{"magistrate.HasObject", func(ctx context.Context, to, _ r) { magistrate.HasObject.Call(ctx, to, gObj) }},
 		{"magistrate.ListObjects", func(ctx context.Context, to, _ r) { magistrate.ListObjects.Call(ctx, to) }},
@@ -175,7 +177,7 @@ func goldenCalls() []goldenCall {
 			class.RegisterClassBinding.Call(ctx, to.C.To(loid.LegionClass), gClass, gAddr)
 		}},
 
-		{"host.StartObject", func(ctx context.Context, to, _ r) { host.StartObject.Call(ctx, to, gObj, "golden.impl", gState) }},
+		{"host.StartObjects", func(ctx context.Context, to, _ r) { host.StartObjects.Call(ctx, to, gOPRs) }},
 		{"host.StopObject", func(ctx context.Context, to, _ r) { host.StopObject.Call(ctx, to, gObj) }},
 		{"host.KillObject", func(ctx context.Context, to, _ r) { host.KillObject.Call(ctx, to, gObj) }},
 		{"host.HasObject", func(ctx context.Context, to, _ r) { host.HasObject.Call(ctx, to, gObj) }},
@@ -187,7 +189,6 @@ func goldenCalls() []goldenCall {
 		{"host.PrepareMigrate", func(ctx context.Context, to, _ r) { host.PrepareMigrate.Call(ctx, to, gObj) }},
 		{"host.AbortMigrate", func(ctx context.Context, to, _ r) { host.AbortMigrate.Call(ctx, to, gObj) }},
 		{"host.FinishMigrate", func(ctx context.Context, to, _ r) { host.FinishMigrate.Call(ctx, to, gObj, gAddr) }},
-		{"host.AdoptObjects", func(ctx context.Context, to, _ r) { host.AdoptObjects.Call(ctx, to, []byte("golden snapshot")) }},
 
 		{"bindagent.GetBinding", func(ctx context.Context, _, at r) { bindagent.GetBinding.Call(ctx, at, gObj) }},
 		{"bindagent.RebindStale", func(ctx context.Context, _, at r) { bindagent.RebindStale.Call(ctx, at, gBind) }},

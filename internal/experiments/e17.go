@@ -24,7 +24,7 @@ import (
 //   - cold: the object was deactivated and every cache invalidated, so
 //     the trace additionally crosses the Binding Agent (resolution),
 //     the class object (binding lookup), the Magistrate (activation),
-//     and the Host Object (StartObject) before the method runs.
+//     and the Host Object (StartObjects) before the method runs.
 //
 // The experiment is the tracing pipeline's acceptance test: a single
 // trace id must stitch all of those hops, on their distinct nodes, into
@@ -131,7 +131,7 @@ func RunE17(scale Scale) (*Table, error) {
 		{"binding agent (resolve)", "bindagent/", "GetBinding", false},
 		{"class object (lookup)", "obj/", "GetBinding", false},
 		{"magistrate (activate)", "magistrate/", "Activate", false},
-		{"host object (start)", "host/", "StartObject", false},
+		{"host object (start)", "host/", "StartObjects", false},
 		{"method execution", "obj/", "Work", true},
 	}
 	agg := func(spans []*trace.Span, prefix, method string) (int, time.Duration) {

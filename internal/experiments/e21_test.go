@@ -19,7 +19,7 @@ import (
 // read fault) — recovery may quarantine damage but never silently loses
 // an acknowledged record. On top of that store, a host failure is
 // healed by shipping the dead host's whole checkpointed resident set to
-// one survivor in a single AdoptObjects call, which must keep exactly
+// one survivor in a single StartObjects call, which must keep exactly
 // one incarnation per object, including when the adoption target
 // itself dies mid-ship. How fast recovery is, is measured where its
 // spread is known: ckpt_failover's recover_p50_ms.

@@ -11,6 +11,7 @@ import (
 	"repro/internal/loid"
 	"repro/internal/magistrate"
 	"repro/internal/oa"
+	"repro/internal/persist"
 	"repro/internal/rt"
 	"repro/internal/sim"
 	"repro/internal/wire"
@@ -205,14 +206,15 @@ func runE7() (*Table, error) {
 		boot := s.Sys.BootClient()
 		var elems []oa.Element
 		var hostRefs []rt.Ref
-		for i, hl := range s.Sys.Jurisdictions[0].Hosts {
+		j := s.Sys.Jurisdictions[0]
+		for i, hl := range j.Hosts {
 			hc := boot.To(hl)
-			addr, err := host.StartObject.Call(context.Background(), hc, repLOID, sim.WorkerImplName, nil)
-			if err != nil {
+			set := []persist.OPR{{LOID: repLOID, Impl: sim.WorkerImplName}}
+			if _, err := host.StartObjects.Call(context.Background(), hc, set); err != nil {
 				s.Close()
 				return nil, fmt.Errorf("E7 replica %d: %w", i, err)
 			}
-			elems = append(elems, addr.Primary())
+			elems = append(elems, j.HostAddrs[i].Primary())
 			hostRefs = append(hostRefs, hc)
 		}
 		repAddr := oa.Replicated(c.sem, 1, elems...)

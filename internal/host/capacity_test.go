@@ -102,7 +102,7 @@ func TestConcurrentStartsRespectCapacity(t *testing.T) {
 		for i := range 8 {
 			l := loid.NewNoKey(256, uint64(i+1))
 			calls = append(calls, func() error {
-				_, err := StartObject.Call(ctx(), g.ref, l, "gated", nil)
+				_, err := StartObjects.Call(ctx(), g.ref, []persist.OPR{{LOID: l, Impl: "gated"}})
 				return err
 			})
 		}
@@ -117,12 +117,12 @@ func TestConcurrentStartsRespectCapacity(t *testing.T) {
 		g := newGatedHost(t, fx, 3)
 		var calls []func() error
 		for i := range 2 {
-			set := persist.EncodeOPRBatch([]persist.OPR{
+			set := []persist.OPR{
 				{LOID: loid.NewNoKey(256, uint64(2*i+1)), Impl: "gated"},
 				{LOID: loid.NewNoKey(256, uint64(2*i+2)), Impl: "gated"},
-			})
+			}
 			calls = append(calls, func() error {
-				_, err := AdoptObjects.Call(ctx(), g.ref, set)
+				_, err := StartObjects.Call(ctx(), g.ref, set)
 				return err
 			})
 		}

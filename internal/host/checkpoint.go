@@ -142,8 +142,7 @@ func (h *Host) CheckpointNow() (int, error) {
 		if len(pending) == 0 {
 			return
 		}
-		accepted, err := CheckpointBatch.Call(context.Background(), h.obj.Caller().At(c.magAddr, c.mag),
-			h.self, persist.EncodeOPRBatch(pending))
+		accepted, err := CheckpointBatch.Call(context.Background(), h.obj.Caller().At(c.magAddr, c.mag), h.self, pending)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("host %v: checkpoint batch of %d: %w", h.self, len(pending), err)

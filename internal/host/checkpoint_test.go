@@ -20,11 +20,7 @@ type filings struct {
 }
 
 var filingServer = rt.NewServer("Magistrate",
-	rt.Serve2(CheckpointBatch, func(f *filings, _ context.Context, _ loid.LOID, batch []byte) (uint64, error) {
-		oprs, err := persist.DecodeOPRBatch(batch)
-		if err != nil {
-			return 0, err
-		}
+	rt.Serve2(CheckpointBatch, func(f *filings, _ context.Context, _ loid.LOID, oprs []persist.OPR) (uint64, error) {
 		f.mu.Lock()
 		defer f.mu.Unlock()
 		for _, o := range oprs {
@@ -55,7 +51,7 @@ func TestCheckpointRoundHeldBySave(t *testing.T) {
 			},
 		}
 	})
-	if _, err := fx.client.StartObject(objL, "blocking", nil); err != nil {
+	if _, err := fx.start(objL, "blocking", nil); err != nil {
 		t.Fatal(err)
 	}
 

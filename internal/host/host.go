@@ -10,6 +10,7 @@ package host
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -18,21 +19,21 @@ import (
 	"repro/internal/loid"
 	"repro/internal/oa"
 	"repro/internal/obs"
+	"repro/internal/persist"
 	"repro/internal/rt"
 	"repro/internal/wire"
 )
 
 // The Host Object's remote methods (§3.9 names Activate, Deactivate,
-// SetCPUload, SetMemoryUsage and GetState; StartObject/StopObject are
-// their object-granular forms).
+// SetCPUload, SetMemoryUsage and GetState; StartObjects and StopObject
+// are their object-granular forms, StartObjects for a set of objects).
 var (
-	StartObject = rt.M3("StartObject", rt.LOIDParam("object"), rt.StringParam("impl"), rt.BytesParam("state"),
-		rt.AddressParam("addr"))
-	StopObject  = rt.M1("StopObject", rt.LOIDParam("object"), savedCodec)
-	KillObject  = rt.M1("KillObject", rt.LOIDParam("object"), rt.None)
-	HasObject   = rt.M1("HasObject", rt.LOIDParam("object"), rt.BoolParam("running"))
-	ListObjects = rt.M0("ListObjects", rt.LOIDListParam("objects"))
-	GetState    = rt.M0("GetState", rt.Struct(
+	StartObjects = rt.M1("StartObjects", oprSetParam("set"), rt.Uint64Param("started"))
+	StopObject   = rt.M1("StopObject", rt.LOIDParam("object"), savedCodec)
+	KillObject   = rt.M1("KillObject", rt.LOIDParam("object"), rt.None)
+	HasObject    = rt.M1("HasObject", rt.LOIDParam("object"), rt.BoolParam("running"))
+	ListObjects  = rt.M0("ListObjects", rt.LOIDListParam("objects"))
+	GetState     = rt.M0("GetState", rt.Struct(
 		rt.Field(rt.Uint64Param("objects"), func(s *State) *uint64 { return &s.Objects }),
 		rt.Field(rt.Uint64Param("cpuLimit"), func(s *State) *uint64 { return &s.CPULimit }),
 		rt.Field(rt.Uint64Param("memLimit"), func(s *State) *uint64 { return &s.MemLimit })))
@@ -42,7 +43,6 @@ var (
 	PrepareMigrate = rt.M1("PrepareMigrate", rt.LOIDParam("object"), savedCodec)
 	AbortMigrate   = rt.M1("AbortMigrate", rt.LOIDParam("object"), rt.None)
 	FinishMigrate  = rt.M2("FinishMigrate", rt.LOIDParam("object"), rt.AddressParam("newAddr"), rt.None)
-	AdoptObjects   = rt.M1("AdoptObjects", rt.BytesParam("snapshot"), rt.Uint64Param("adopted"))
 )
 
 // A Host Object's reports to its Magistrate are declared here, with
@@ -51,8 +51,15 @@ var (
 var (
 	ReportLoad = rt.M3("ReportLoad", rt.LOIDParam("host"), rt.Param("load", idl.TBytes, Load.Marshal, UnmarshalLoad),
 		rt.BytesParam("telemetry").Optional(), rt.None)
-	CheckpointBatch = rt.M2("CheckpointBatch", rt.LOIDParam("host"), rt.BytesParam("batch"), rt.Uint64Param("saved"))
+	CheckpointBatch = rt.M2("CheckpointBatch", rt.LOIDParam("host"), oprSetParam("batch"), rt.Uint64Param("saved"))
 )
+
+// oprSetParam carries a set of OPRs in one bytes slot, framed by
+// persist.EncodeOPRBatch. The decoded states alias the invocation's
+// frame: a handler borrows them for the call.
+func oprSetParam(name string) rt.Codec[[]persist.OPR] {
+	return rt.Param(name, idl.TBytes, persist.EncodeOPRBatch, persist.DecodeOPRBatch)
+}
 
 // State is a host's capacity report (GetState).
 type State struct {
@@ -73,7 +80,7 @@ var savedCodec = rt.Struct(
 	rt.Field(rt.StringParam("impl"), func(s *Saved) *string { return &s.Impl }))
 
 var server = rt.NewServer("LegionHost",
-	rt.Serve3(StartObject, (*Host).startObject),
+	rt.Serve1(StartObjects, (*Host).startObjects),
 	rt.Serve1(StopObject, (*Host).stopObject),
 	rt.Serve1(KillObject, (*Host).killObject),
 	rt.Serve1(HasObject, func(h *Host, _ context.Context, l loid.LOID) (bool, error) {
@@ -113,7 +120,6 @@ var server = rt.NewServer("LegionHost",
 		return rt.Void{}, nil
 	}),
 	rt.Serve2(FinishMigrate, (*Host).finishMigrate),
-	rt.Serve1(AdoptObjects, (*Host).adoptObjects),
 )
 
 // Interface is the member-function set every Host Object exports.
@@ -153,7 +159,7 @@ type Host struct {
 }
 
 // resident is everything the host keeps about one object it runs. The
-// record is made when the object arrives (start, adoption) and dropped
+// record is made when the object arrives (StartObjects) and dropped
 // when it leaves (stop, kill, crash, migrate-out), so per-object state
 // cannot outlive the incarnation it describes: an object that comes
 // back gets a fresh record.
@@ -221,20 +227,37 @@ func (h *Host) Bind(o *rt.Object) { h.obj = o }
 // Dispatch implements rt.Impl.
 func (h *Host) Dispatch(inv *rt.Invocation) ([][]byte, error) { return server.Dispatch(h, inv) }
 
-func (h *Host) startObject(_ context.Context, l loid.LOID, implName string, state []byte) (oa.Address, error) {
-	// Idempotent activation: if the object is already running here,
-	// report its address.
-	if _, ok := h.node.Lookup(l); ok {
-		return h.Address(), nil
+// startObjects is the one way objects arrive here: a Magistrate ships a
+// set of OPRs (a lone activation's set of one, an Instantiate share, a
+// recovery's lost set, a migrating object) and the host starts all of
+// them in one call. An object already running here counts as started
+// and takes no capacity, so a start retried after its reply was lost is
+// answered even by a full host. The rest are admitted in one step
+// (reserve) and started all or nothing: if one fails to start, the ones
+// this call started are killed again and the error is returned, and the
+// Magistrate offers the set elsewhere.
+func (h *Host) startObjects(_ context.Context, set []persist.OPR) (uint64, error) {
+	n := len(set)
+	arrivals := slices.DeleteFunc(set, func(o persist.OPR) bool {
+		_, ok := h.node.Lookup(o.LOID)
+		return ok
+	})
+	if len(arrivals) == 0 {
+		return uint64(n), nil
 	}
-	if err := h.reserve(1); err != nil {
-		return oa.Address{}, err
+	if err := h.reserve(len(arrivals)); err != nil {
+		return 0, err
 	}
-	if err := h.spawnResident(l, implName, state); err != nil {
-		h.unreserve(1)
-		return oa.Address{}, err
+	for i, o := range arrivals {
+		if err := h.spawnResident(o.LOID, o.Impl, o.State); err != nil {
+			h.unreserve(len(arrivals) - i)
+			for _, s := range arrivals[:i] {
+				h.evict(s.LOID, oa.Element{})
+			}
+			return 0, fmt.Errorf("host %v: start %v: %w", h.self, o.LOID, err)
+		}
 	}
-	return h.Address(), nil
+	return uint64(n), nil
 }
 
 // reserve admits n arriving objects against the capacity limit in one
@@ -261,7 +284,7 @@ func (h *Host) unreserve(n int) {
 // into it (empty state = fresh object), starts it on the host's node and
 // records it as a resident, in the critical section that takes one of
 // the reservations its caller holds: the one way an object arrives
-// here, by StartObject or by AdoptObjects.
+// here, for startObjects.
 func (h *Host) spawnResident(l loid.LOID, implName string, state []byte) error {
 	impl, err := h.impls.New(implName)
 	if err != nil {
@@ -299,7 +322,7 @@ func (h *Host) spawnResident(l loid.LOID, implName string, state []byte) error {
 // a forwarding tombstone aimed there before the kill, so no arrival
 // meets the dead incarnation; otherwise the calls parked there bounce
 // back to their callers' retry loops. It is the one way an object
-// leaves the host other than a crash (stop, kill, an undone adoption,
+// leaves the host other than a crash (stop, kill, an undone start,
 // migrate-out).
 func (h *Host) evict(l loid.LOID, to oa.Element) {
 	if to != (oa.Element{}) {

@@ -11,6 +11,8 @@ import (
 	"repro/internal/idl"
 	"repro/internal/implreg"
 	"repro/internal/loid"
+	"repro/internal/oa"
+	"repro/internal/persist"
 	"repro/internal/rt"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -82,16 +84,29 @@ func newHostFixture(t *testing.T) *hostFixture {
 
 var objL = loid.NewNoKey(256, 1)
 
+// startSet starts a set of counters on the fixture's host.
+func (fx *hostFixture) startSet(ls ...loid.LOID) (uint64, error) {
+	set := make([]persist.OPR, len(ls))
+	for i, l := range ls {
+		set[i] = persist.OPR{LOID: l, Impl: "counter"}
+	}
+	return StartObjects.Call(context.Background(), fx.client.Ref, set)
+}
+
+// start starts l on the fixture's host as a set of one and returns the
+// host's address, where every object it starts runs.
+func (fx *hostFixture) start(l loid.LOID, impl string, state []byte) (oa.Address, error) {
+	_, err := StartObjects.Call(context.Background(), fx.client.Ref, []persist.OPR{{LOID: l, Impl: impl, State: state}})
+	return fx.host.Address(), err
+}
+
 func TestStartObjectAndInvoke(t *testing.T) {
 	fx := newHostFixture(t)
-	addr, err := fx.client.StartObject(objL, "counter", nil)
-	if err != nil {
-		t.Fatal(err)
+	n, err := fx.startSet(objL)
+	if err != nil || n != 1 {
+		t.Fatalf("StartObjects of one: %d started, %v", n, err)
 	}
-	if !addr.Equal(fx.host.Address()) {
-		t.Errorf("addr = %v, want host address", addr)
-	}
-	fx.caller.AddBinding(binding.Forever(objL, addr))
+	fx.caller.AddBinding(binding.Forever(objL, fx.host.Address()))
 	res, err := fx.caller.Call(objL, "Inc")
 	if err != nil || res.Code != wire.OK {
 		t.Fatalf("Inc: %v %v", res, err)
@@ -101,34 +116,47 @@ func TestStartObjectAndInvoke(t *testing.T) {
 	}
 }
 
+// TestStartObjectIdempotent: an object the host already runs counts as
+// started and takes no capacity. A second start of it is answered, even
+// by a full host (a start retried after its reply was lost), and a set
+// reserves capacity only for the objects that arrive.
 func TestStartObjectIdempotent(t *testing.T) {
 	fx := newHostFixture(t)
-	a1, err := fx.client.StartObject(objL, "counter", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, err := fx.client.StartObject(objL, "counter", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a1.Equal(a2) {
-		t.Error("re-activation changed address")
+	for i := range 2 {
+		if n, err := fx.startSet(objL); err != nil || n != 1 {
+			t.Fatalf("start %d of X: %d started, %v", i+1, n, err)
+		}
 	}
 	if fx.host.Running() != 1 {
 		t.Errorf("Running = %d", fx.host.Running())
+	}
+	if _, err := SetCPULoad.Call(context.Background(), fx.client.Ref, 1); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := fx.startSet(objL); err != nil || n != 1 {
+		t.Errorf("full host running X, set {X}: %d started, %v; want 1, nil", n, err)
+	}
+	if _, err := SetCPULoad.Call(context.Background(), fx.client.Ref, 2); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := fx.startSet(objL, loid.NewNoKey(256, 2)); err != nil || n != 2 {
+		t.Errorf("limit 2 running X, set {X, Y}: %d started, %v; want 2, nil", n, err)
+	}
+	if fx.host.Running() != 2 {
+		t.Errorf("Running = %d, want 2", fx.host.Running())
 	}
 }
 
 func TestStartObjectUnknownImpl(t *testing.T) {
 	fx := newHostFixture(t)
-	if _, err := fx.client.StartObject(objL, "ghost", nil); err == nil {
+	if _, err := fx.start(objL, "ghost", nil); err == nil {
 		t.Error("unknown impl started")
 	}
 }
 
 func TestStartObjectRestoresState(t *testing.T) {
 	fx := newHostFixture(t)
-	addr, err := fx.client.StartObject(objL, "counter", wire.Uint64(41))
+	addr, err := fx.start(objL, "counter", wire.Uint64(41))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +173,7 @@ func TestStartObjectRestoresState(t *testing.T) {
 
 func TestStopObjectSavesState(t *testing.T) {
 	fx := newHostFixture(t)
-	addr, _ := fx.client.StartObject(objL, "counter", nil)
+	addr, _ := fx.start(objL, "counter", nil)
 	fx.caller.AddBinding(binding.Forever(objL, addr))
 	for i := 0; i < 5; i++ {
 		fx.caller.Call(objL, "Inc")
@@ -170,7 +198,7 @@ func TestStopObjectSavesState(t *testing.T) {
 		t.Errorf("post-stop call = %v", res.Code)
 	}
 	// Reactivation from the saved state continues the count.
-	addr, err = fx.client.StartObject(objL, impl, state)
+	addr, err = fx.start(objL, impl, state)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +222,7 @@ func TestStopUnknownObject(t *testing.T) {
 
 func TestKillObjectDiscardsState(t *testing.T) {
 	fx := newHostFixture(t)
-	fx.client.StartObject(objL, "counter", nil)
+	fx.start(objL, "counter", nil)
 	if _, err := KillObject.Call(context.Background(), fx.client.Ref, objL); err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +241,7 @@ func TestKillObjectDiscardsState(t *testing.T) {
 // of parking at a gate nobody will settle until its wave times out.
 func TestCrashDropsDrainGate(t *testing.T) {
 	fx := newHostFixture(t)
-	addr, err := fx.client.StartObject(objL, "counter", nil)
+	addr, err := fx.start(objL, "counter", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,9 +268,9 @@ func TestHasAndListObjects(t *testing.T) {
 	if ok, _ := HasObject.Call(context.Background(), fx.client.Ref, objL); ok {
 		t.Error("HasObject before start")
 	}
-	fx.client.StartObject(objL, "counter", nil)
+	fx.start(objL, "counter", nil)
 	other := loid.NewNoKey(256, 2)
-	fx.client.StartObject(other, "counter", nil)
+	fx.start(other, "counter", nil)
 	if ok, _ := HasObject.Call(context.Background(), fx.client.Ref, objL); !ok {
 		t.Error("HasObject after start")
 	}
@@ -257,15 +285,15 @@ func TestCapacityLimit(t *testing.T) {
 	if _, err := SetCPULoad.Call(context.Background(), fx.client.Ref, 2); err != nil {
 		t.Fatal(err)
 	}
-	fx.client.StartObject(loid.NewNoKey(256, 1), "counter", nil)
-	fx.client.StartObject(loid.NewNoKey(256, 2), "counter", nil)
-	_, err := fx.client.StartObject(loid.NewNoKey(256, 3), "counter", nil)
+	fx.start(loid.NewNoKey(256, 1), "counter", nil)
+	fx.start(loid.NewNoKey(256, 2), "counter", nil)
+	_, err := fx.start(loid.NewNoKey(256, 3), "counter", nil)
 	if err == nil || !strings.Contains(err.Error(), "capacity") {
 		t.Errorf("over-capacity start: %v", err)
 	}
 	// Stopping one frees a slot.
 	fx.client.StopObject(loid.NewNoKey(256, 1))
-	if _, err := fx.client.StartObject(loid.NewNoKey(256, 3), "counter", nil); err != nil {
+	if _, err := fx.start(loid.NewNoKey(256, 3), "counter", nil); err != nil {
 		t.Errorf("start after free: %v", err)
 	}
 }
@@ -274,7 +302,7 @@ func TestGetStateReportsLoad(t *testing.T) {
 	fx := newHostFixture(t)
 	_, _ = SetCPULoad.Call(context.Background(), fx.client.Ref, 8)
 	_, _ = SetMemoryUsage.Call(context.Background(), fx.client.Ref, 1<<20)
-	fx.client.StartObject(objL, "counter", nil)
+	fx.start(objL, "counter", nil)
 	st, err := GetState.Call(context.Background(), fx.client.Ref)
 	if err != nil {
 		t.Fatal(err)
@@ -327,7 +355,7 @@ func TestConcurrentImplGetsWorkers(t *testing.T) {
 		}
 	})
 	l := loid.NewNoKey(256, 70)
-	addr, err := fx.client.StartObject(l, "slowpair", nil)
+	addr, err := fx.start(l, "slowpair", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,18 +22,13 @@ func (m *Magistrate) SetAdoptHook(h func(target loid.LOID)) {
 }
 
 // checkpointBatch is the checkpoint intake: one RPC carries a host's
-// whole dirty set (persist.EncodeOPRBatch), persisted under one group
-// commit instead of one fsync per object. Only the newest checkpoint of
-// each object is kept. Entries whose object the Magistrate no longer
-// believes active on the sender are dropped — the deactivation path has
-// already persisted authoritative (post-shutdown) state; the accepted
-// count is returned.
-func (m *Magistrate) checkpointBatch(_ context.Context, fromHost loid.LOID, blob []byte) (uint64, error) {
-	oprs, err := persist.DecodeOPRBatch(blob)
-	if err != nil {
-		return 0, fmt.Errorf("magistrate %v: checkpoint batch: %w", m.self, err)
-	}
-
+// whole dirty set, persisted under one group commit instead of one
+// fsync per object; the checkpoints it replaces are dropped under one
+// more. Only the newest checkpoint of each object is kept. Entries
+// whose object the Magistrate no longer believes active on the sender
+// are dropped — the deactivation path has already persisted
+// authoritative (post-shutdown) state; the accepted count is returned.
+func (m *Magistrate) checkpointBatch(_ context.Context, fromHost loid.LOID, oprs []persist.OPR) (uint64, error) {
 	// Filter to entries still live on the sender.
 	m.mu.Lock()
 	live := oprs[:0]

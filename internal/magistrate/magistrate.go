@@ -712,7 +712,7 @@ type round struct {
 // admits for part of what is left, in pool order. Each host is sent the
 // part of the set the filter admits there, in one call (offerLocked).
 //
-// A host that answers with an error started nothing (AdoptObjects is
+// A host that answers with an error started nothing (StartObjects is
 // all or nothing) and is passed over, as is one that has left the pool,
 // before the call or during it. A call that gets no answer from a host
 // still in the pool ends the round: the set may yet start there, and
@@ -764,20 +764,26 @@ func (m *Magistrate) startSet(ctx context.Context, set []starting, hint loid.LOI
 	return rd.discarded
 }
 
-// offerLocked asks h to start take in one call (startOn), with m.mu
+// offerLocked asks h to start take in one StartObjects call, with m.mu
 // released around it, and returns the call's error, after which h has
-// started none of them. If h left the pool during the call, what it
-// started is orphaned and the call fails as if refused. Otherwise what
-// h took is committed (commitStartedLocked) and, but for a moving
-// object, its claim released in one critical section, so no other actor
-// (HostFailed above all) sees it placed yet still claimed; an object
-// whose record left the table meanwhile is an orphan too. m.mu held.
+// started none of them (the call is all or nothing). If h left the pool
+// during the call, what it started is orphaned and the call fails as if
+// refused. Otherwise what h took is committed (commitStartedLocked) at
+// the host's address, each record sharing the pool entry's copy, and,
+// but for a moving object, its claim released in one critical section,
+// so no other actor (HostFailed above all) sees it placed yet still
+// claimed; an object whose record left the table meanwhile is an orphan
+// too. m.mu held.
 func (m *Magistrate) offerLocked(ctx context.Context, rd *round, h hostEntry, take []*starting, hooks roundHooks) error {
 	m.mu.Unlock()
 	if hooks.before != nil {
 		hooks.before(h.l) // chaos seam: the target may die mid-ship here
 	}
-	addr, err := m.startOn(ctx, h, take)
+	oprs := make([]persist.OPR, len(take))
+	for i, s := range take {
+		oprs[i] = s.opr
+	}
+	_, err := host.StartObjects.Call(ctx, m.obj.Caller().To(h.l), oprs)
 	if hooks.after != nil {
 		hooks.after(err)
 	}
@@ -794,7 +800,7 @@ func (m *Magistrate) offerLocked(ctx context.Context, rd *round, h hostEntry, ta
 	}
 	for _, s := range take {
 		l := s.opr.LOID
-		st, ok := m.commitStartedLocked(l, s.rec, h.l, addr, s.from)
+		st, ok := m.commitStartedLocked(l, s.rec, h.l, h.addr, s.from)
 		if !ok {
 			rd.orphans = append(rd.orphans, [2]loid.LOID{h.l, l})
 			s.err = fmt.Errorf("magistrate %v: object %v left the table while it started", m.self, l)
@@ -804,7 +810,7 @@ func (m *Magistrate) offerLocked(ctx context.Context, rd *round, h hostEntry, ta
 			m.releaseLocked(s.rec)
 		}
 		rd.stale = append(rd.stale, st[:]...)
-		s.on, s.b = h.l, m.bindingLocked(l, addr)
+		s.on, s.b = h.l, m.bindingLocked(l, h.addr)
 	}
 	return nil
 }
@@ -837,30 +843,6 @@ func (m *Magistrate) endRoundLocked(rd *round) {
 		// Reaping is cleanup, not the caller's work: no deadline.
 		_, _ = host.KillObject.Call(context.Background(), m.obj.Caller().To(o[0]), o[1])
 	}
-}
-
-// startOn asks h to start take in one call: a set of one by StartObject,
-// its state passed as is; a larger one as one persist.EncodeOPRBatch in
-// one AdoptObjects call, which is all or nothing. It returns the address
-// the objects run at.
-func (m *Magistrate) startOn(ctx context.Context, h hostEntry, take []*starting) (oa.Address, error) {
-	hc := m.obj.Caller().To(h.l)
-	if len(take) == 1 {
-		o := take[0].opr
-		addr, err := host.StartObject.Call(ctx, hc, o.LOID, o.Impl, o.State)
-		if addr.Equal(h.addr) {
-			// Objects run at their host's address: the record shares the
-			// pool entry's copy instead of keeping one each.
-			addr = h.addr
-		}
-		return addr, err
-	}
-	oprs := make([]persist.OPR, len(take))
-	for i, s := range take {
-		oprs[i] = s.opr
-	}
-	_, err := host.AdoptObjects.Call(ctx, hc, persist.EncodeOPRBatch(oprs))
-	return h.addr, err
 }
 
 // refused reports whether err is a host's answer, after which it has
@@ -928,13 +910,11 @@ func (m *Magistrate) commitStartedLocked(l loid.LOID, rec *record, host loid.LOI
 }
 
 // drop deletes persistent representations nothing refers to any more,
-// skipping empty addresses. Call it without m.mu: a delete may fsync.
+// skipping empty addresses, in one store call (one group commit). Call
+// it without m.mu: a delete may fsync.
 func (m *Magistrate) drop(addrs ...persist.PersistentAddress) {
-	for _, a := range addrs {
-		if a != "" {
-			_ = m.store.Delete(a)
-		}
-	}
+	addrs = slices.DeleteFunc(addrs, func(a persist.PersistentAddress) bool { return a == "" })
+	_ = m.store.Delete(addrs...) // a failed delete leaves only garbage
 }
 
 // claimLocked marks rec busy for its caller — an activation, a bulk
@@ -1031,7 +1011,7 @@ func (m *Magistrate) recoverLost(ls []loid.LOID) {
 // The affected objects are then recovered EAGERLY in the background
 // (recoverLost: "the Magistrate can always activate the object using
 // the information in the OPR", §3.1.1), normally all on one survivor
-// in one AdoptObjects call, and the class objects are told the new
+// in one StartObjects call, and the class objects are told the new
 // addresses; callers racing ahead of that heal through the ordinary
 // stale-binding refresh path either way. The affected LOIDs are
 // returned so callers can log or wait on them.

@@ -230,7 +230,7 @@ func TestInstantiateRedelivery(t *testing.T) {
 		return ch
 	}
 	first := deliver()
-	<-entered // the first delivery holds the claim, inside StartObject
+	<-entered // the first delivery holds the claim, inside StartObjects
 
 	st, err := fx.mag.SaveState()
 	if err != nil {

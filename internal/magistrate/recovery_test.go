@@ -9,6 +9,7 @@ import (
 	"repro/internal/host"
 	"repro/internal/implreg"
 	"repro/internal/loid"
+	"repro/internal/metrics"
 	"repro/internal/persist"
 	"repro/internal/rt"
 	"repro/internal/wire"
@@ -72,6 +73,47 @@ func startCounters(t *testing.T, fx *fixture, i, n int) []loid.LOID {
 		t.Fatalf("checkpoint: %d saved, %v; want %d", saved, err, n)
 	}
 	return ls
+}
+
+// TestCheckpointRoundCommitsTwice: a checkpoint round costs the segment
+// store two group commits however many objects it carries, one for the
+// new checkpoints and one for the tombstones of those they replace.
+func TestCheckpointRoundCommitsTwice(t *testing.T) {
+	fx := newFixture(t, 1)
+	reg := metrics.NewRegistry()
+	st, err := persist.NewSegmentStore(t.TempDir(), persist.SegmentOptions{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	fx.mag.store = st
+	const n = 64
+	ls := make([]loid.LOID, n)
+	for k := range ls {
+		ls[k] = loid.NewNoKey(256, uint64(k+1))
+		if _, err := Register.Call(context.Background(), fx.client.Ref, ls[k], "counter", nil); err != nil {
+			t.Fatal(err)
+		}
+		inc(t, fx, ls[k])
+	}
+	h := fx.hosts[0]
+	h.StartCheckpointer(fx.magL, mustAddr(t, fx), time.Hour)
+	defer h.StopCheckpointer()
+	for round := range 2 {
+		for _, l := range ls {
+			inc(t, fx, l)
+		}
+		before := reg.CounterValue("persist/group_commit")
+		if saved, err := h.CheckpointNow(); err != nil || saved != n {
+			t.Fatalf("round %d: %d saved, %v; want %d", round+1, saved, err, n)
+		}
+		if got := reg.CounterValue("persist/group_commit") - before; got != 2 {
+			t.Errorf("round %d of %d objects: %d group commits, want 2", round+1, n, got)
+		}
+		if recs := st.Stats().Records; recs != n {
+			t.Errorf("round %d: the store holds %d OPRs, want one per object (%d)", round+1, recs, n)
+		}
+	}
 }
 
 // inc calls l's Inc where the Magistrate says it runs.

@@ -396,7 +396,7 @@ func TestStartKeepsItsSource(t *testing.T) {
 		// the drained state is filed: the commit keeps the drained one.
 		fx.mag.SetMigrateHook(func(phase string, _, src, _ loid.LOID) {
 			if phase == "shipped" {
-				old := persist.EncodeOPRBatch([]persist.OPR{{LOID: objL, Impl: "counter", State: wire.Uint64(1)}})
+				old := []persist.OPR{{LOID: objL, Impl: "counter", State: wire.Uint64(1)}}
 				if _, err := fx.mag.checkpointBatch(context.Background(), src, old); err != nil {
 					t.Error(err)
 				}

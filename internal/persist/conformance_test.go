@@ -86,6 +86,46 @@ func storeConformance(t *testing.T, open func(t *testing.T, dir string) Store) {
 			t.Errorf("double Delete = %v", err)
 		}
 	})
+	t.Run("DeleteSet", func(t *testing.T) {
+		// One Delete of several addresses removes each that exists, on
+		// disk too, and reports a missing or repeated one as
+		// ErrNotFound.
+		dir := t.TempDir()
+		s := open(t, dir)
+		oprs := make([]OPR, 4)
+		for i := range oprs {
+			oprs[i] = OPR{LOID: loid.NewNoKey(256, uint64(i+1)), Impl: "d"}
+		}
+		addrs, err := s.PutBatch(oprs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Delete(addrs[0], "no-such-address", addrs[2], addrs[2]); !errors.Is(err, ErrNotFound) {
+			t.Errorf("Delete with a missing and a repeated address = %v, want ErrNotFound", err)
+		}
+		if err := s.Delete(); err != nil {
+			t.Errorf("Delete of no address = %v", err)
+		}
+		check := func(s Store, when string) {
+			for i, a := range addrs {
+				_, err := s.Get(a)
+				if deleted := i%2 == 0; deleted != errors.Is(err, ErrNotFound) {
+					t.Errorf("%s: Get of record %d = %v, deleted %v", when, i, err, deleted)
+				}
+			}
+			if n := s.Stats().Records; n != 2 {
+				t.Errorf("%s: %d records, want 2", when, n)
+			}
+		}
+		check(s, "after Delete")
+		if s.Stats().Backend == "mem" {
+			return
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		check(open(t, dir), "after reopen")
+	})
 	t.Run("ListComplete", func(t *testing.T) {
 		s := mk(t)
 		want := map[PersistentAddress]bool{}

@@ -75,10 +75,20 @@ const maxStateLen = 256 << 20
 // before the trailer check has a chance to reject it.
 const maxImplLen = 1 << 16
 
-// Unmarshal decodes an OPR.
+// encodedLen is the length of o's Marshal encoding.
+func (o OPR) encodedLen() int { return loid.EncodedSize + 4 + len(o.Impl) + 8 + len(o.State) + 8 }
+
+// Unmarshal decodes an OPR. Its state is a copy of src's.
 func Unmarshal(src []byte) (OPR, error) {
+	o, err := unmarshal(src)
+	o.State = append([]byte(nil), o.State...)
+	return o, err
+}
+
+// unmarshal decodes an OPR whose state aliases src.
+func unmarshal(src []byte) (OPR, error) {
 	r := wire.NewReader(src)
-	o := OPR{LOID: r.LOID(), Impl: r.Str32(maxImplLen), State: append([]byte(nil), r.Bytes64(maxStateLen)...)}
+	o := OPR{LOID: r.LOID(), Impl: r.Str32(maxImplLen), State: r.Bytes64(maxStateLen)}
 	ns := int64(r.U64())
 	if err := r.Done(); err != nil {
 		return OPR{}, fmt.Errorf("persist: %w", err)
@@ -104,9 +114,10 @@ type Store interface {
 	// Get reads the OPR at addr. A record that fails validation is
 	// reported as ErrCorrupt, never returned.
 	Get(addr PersistentAddress) (OPR, error)
-	// Delete removes the OPR at addr; deleting a missing address is an
-	// error (ErrNotFound).
-	Delete(addr PersistentAddress) error
+	// Delete removes the OPRs at addrs with one durability round-trip
+	// (one group commit on the segment backend). A missing address is
+	// an error (ErrNotFound); the others are still removed.
+	Delete(addrs ...PersistentAddress) error
 	// List enumerates every persistent address in the store.
 	List() ([]PersistentAddress, error)
 	// Stats is a point-in-time view of the store for the observability

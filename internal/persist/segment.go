@@ -141,19 +141,23 @@ func decodeSegRecord(b []byte, prevChain uint32) (segRecord, int, error) {
 	return rec, total, nil
 }
 
-// EncodeOPRBatch frames a set of OPRs for one wire message (the
-// CheckpointBatch RPC): u32 count, then length-prefixed OPR encodings.
+// EncodeOPRBatch frames a set of OPRs for one wire message (a host's
+// StartObjects and CheckpointBatch): u32 count, then length-prefixed
+// OPR encodings, written into one buffer sized up front.
 func EncodeOPRBatch(oprs []OPR) []byte {
-	var w wire.Writer
-	w.Count32(len(oprs))
+	n := 4
 	for _, o := range oprs {
-		w.Bytes64(o.Marshal(nil))
+		n += 8 + o.encodedLen()
 	}
-	return w.Bytes()
+	b := binary.BigEndian.AppendUint32(make([]byte, 0, n), uint32(len(oprs)))
+	for _, o := range oprs {
+		b = o.Marshal(binary.BigEndian.AppendUint64(b, uint64(o.encodedLen())))
+	}
+	return b
 }
 
-// DecodeOPRBatch reverses EncodeOPRBatch. Any truncation or undecodable
-// entry fails the whole batch.
+// DecodeOPRBatch reverses EncodeOPRBatch. The states alias b. Any
+// truncation or undecodable entry fails the whole batch.
 func DecodeOPRBatch(b []byte) ([]OPR, error) {
 	r := wire.NewReader(b)
 	// Each entry carries at least its 8-byte length prefix.
@@ -163,7 +167,7 @@ func DecodeOPRBatch(b []byte) ([]OPR, error) {
 		if r.Err() != nil {
 			break
 		}
-		o, err := Unmarshal(body)
+		o, err := unmarshal(body)
 		if err != nil {
 			return nil, fmt.Errorf("persist: OPR batch entry %d: %w", i, err)
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -457,7 +458,7 @@ func (s *SegmentStore) PutBatch(oprs []OPR) ([]PersistentAddress, error) {
 		addrs[i] = addr
 		buf, s.chain = appendSegRecord(buf[:0], segKindPut, addr, o.Marshal(nil), s.chain)
 		off := s.activeSize
-		if err := s.appendLocked(buf); err != nil {
+		if err := s.appendLocked(buf, 1); err != nil {
 			s.mu.Unlock()
 			return nil, err
 		}
@@ -477,40 +478,54 @@ func (s *SegmentStore) PutBatch(oprs []OPR) ([]PersistentAddress, error) {
 	return addrs, nil
 }
 
-// Delete implements Store: append a tombstone record and commit it.
-func (s *SegmentStore) Delete(addr PersistentAddress) error {
+// Delete implements Store: append the tombstones of addrs in one write
+// and commit them together. A missing address, or one named twice, is
+// reported as ErrNotFound; the others are still deleted.
+func (s *SegmentStore) Delete(addrs ...PersistentAddress) error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.werr != nil {
-		err := s.werr
-		s.mu.Unlock()
+		return s.werr
+	}
+	var (
+		buf     []byte
+		dead    []PersistentAddress
+		missing error
+	)
+	for _, addr := range addrs {
+		if _, ok := s.index[addr]; !ok || slices.Contains(dead, addr) {
+			if missing == nil {
+				missing = fmt.Errorf("%w: %s", ErrNotFound, addr)
+			}
+			continue
+		}
+		buf, s.chain = appendSegRecord(buf, segKindDelete, addr, nil, s.chain)
+		dead = append(dead, addr)
+	}
+	if len(dead) == 0 {
+		return missing
+	}
+	if err := s.appendLocked(buf, len(dead)); err != nil {
 		return err
 	}
-	loc, ok := s.index[addr]
-	if !ok {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrNotFound, addr)
+	for _, addr := range dead {
+		s.segments[s.activeSeg].tombs[addr] = s.index[addr].seg
 	}
-	var buf []byte
-	buf, s.chain = appendSegRecord(nil, segKindDelete, addr, nil, s.chain)
-	if err := s.appendLocked(buf); err != nil {
-		s.mu.Unlock()
+	if err := s.commitWaitLocked(s.bumpEpochLocked(len(dead))); err != nil {
 		return err
 	}
-	s.segments[s.activeSeg].tombs[addr] = loc.seg
-	epoch := s.bumpEpochLocked(1)
-	err := s.commitWaitLocked(epoch)
-	if err == nil {
+	for _, addr := range dead {
 		delete(s.index, addr)
 	}
-	s.mu.Unlock()
-	return err
+	return missing
 }
 
-// appendLocked writes raw record bytes to the active segment. A write
-// error (including an injected torn write) is a sticky store failure:
-// the log tail is now indeterminate. A failed or closed store takes no
-// more appends — after Close there is no active segment to write.
-func (s *SegmentStore) appendLocked(b []byte) error {
+// appendLocked writes recs records' raw bytes to the active segment. A
+// write error (including an injected torn write) is a sticky store
+// failure: the log tail is now indeterminate. A failed or closed store
+// takes no more appends — after Close there is no active segment to
+// write.
+func (s *SegmentStore) appendLocked(b []byte, recs int) error {
 	if s.werr != nil {
 		return s.werr
 	}
@@ -520,7 +535,7 @@ func (s *SegmentStore) appendLocked(b []byte) error {
 	}
 	s.activeSize += int64(len(b))
 	if info := s.segments[s.activeSeg]; info != nil {
-		info.records++
+		info.records += recs
 		info.bytes = s.activeSize
 	}
 	return nil
@@ -763,7 +778,7 @@ func (s *SegmentStore) compactSegment(seg uint64) error {
 		var buf []byte
 		buf, s.chain = appendSegRecord(nil, segKindPut, addr, payload, s.chain)
 		off := s.activeSize
-		if err := s.appendLocked(buf); err != nil {
+		if err := s.appendLocked(buf, 1); err != nil {
 			s.mu.Unlock()
 			return err
 		}
@@ -782,7 +797,7 @@ func (s *SegmentStore) compactSegment(seg uint64) error {
 		}
 		var buf []byte
 		buf, s.chain = appendSegRecord(nil, segKindDelete, addr, nil, s.chain)
-		if err := s.appendLocked(buf); err != nil {
+		if err := s.appendLocked(buf, 1); err != nil {
 			s.mu.Unlock()
 			return err
 		}

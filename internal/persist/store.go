@@ -72,17 +72,23 @@ func (s *MemStore) Get(addr PersistentAddress) (OPR, error) {
 }
 
 // Delete implements Store.
-func (s *MemStore) Delete(addr PersistentAddress) error {
+func (s *MemStore) Delete(addrs ...PersistentAddress) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
-	if _, ok := s.objs[addr]; !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, addr)
+	var missing error
+	for _, addr := range addrs {
+		if _, ok := s.objs[addr]; !ok {
+			if missing == nil {
+				missing = fmt.Errorf("%w: %s", ErrNotFound, addr)
+			}
+			continue
+		}
+		delete(s.objs, addr)
 	}
-	delete(s.objs, addr)
-	return nil
+	return missing
 }
 
 // List implements Store.

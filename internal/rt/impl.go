@@ -136,7 +136,9 @@ type Impl interface {
 	// SaveState serializes the object's state for an Object Persistent
 	// Representation (§3.1.1).
 	SaveState() ([]byte, error)
-	// RestoreState reinitializes the object from a SaveState blob.
+	// RestoreState reinitializes the object from a SaveState blob. The
+	// blob is borrowed for the call (a host's StartObjects passes bytes
+	// of its request frame): an implementation copies what it keeps.
 	RestoreState(state []byte) error
 }
 

@@ -11,6 +11,7 @@ import (
 	"repro/internal/idl"
 	"repro/internal/implreg"
 	"repro/internal/loid"
+	"repro/internal/persist"
 	"repro/internal/rt"
 	"repro/internal/transport"
 )
@@ -138,9 +139,10 @@ func TestAgentOverWire(t *testing.T) {
 	cl := caller.To(agentL)
 
 	// Load host 0 with two objects.
-	hc := host.NewClient(caller, hostLs[0])
-	hc.StartObject(loid.NewNoKey(256, 1), "noop", nil)
-	hc.StartObject(loid.NewNoKey(256, 2), "noop", nil)
+	set := []persist.OPR{{LOID: loid.NewNoKey(256, 1), Impl: "noop"}, {LOID: loid.NewNoKey(256, 2), Impl: "noop"}}
+	if _, err := host.StartObjects.Call(context.Background(), caller.To(hostLs[0]), set); err != nil {
+		t.Fatal(err)
+	}
 
 	picked, err := PickHost.Call(context.Background(), cl, hostLs)
 	if err != nil {
