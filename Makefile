@@ -35,12 +35,17 @@ crash-test:
 	$(GO) run ./cmd/legion-bench -quick -run E18
 
 # Live-migration gauntlet: the FIFO storm (both transports, leak
-# tracking on), the magistrate migration/rebalance tests, and a quick
+# tracking on), the magistrate migration/rebalance tests, the rebalancer
+# levelling a skewed jurisdiction on several core counts, and a quick
 # E19 run (crash injection at every phase boundary + rebalancer).
+REBALANCE_RUN = TestRebalancerLevels
+
 migrate-test:
+	$(call check-run,./internal/sim,$(REBALANCE_RUN))
 	$(GO) test -race -run 'TestMigrationStormFIFO|TestStaleBindingRefreshAfterMigration' ./internal/rt
 	$(GO) test -race -tags buftrack -run TestMigrationStormFIFO ./internal/rt
 	$(GO) test -race ./internal/sched ./internal/host ./internal/magistrate
+	$(GO) test -race -count 2 -cpu 1,2,4,8 -run '$(REBALANCE_RUN)' ./internal/sim
 	$(GO) run ./cmd/legion-bench -quick -run E19
 
 # Observability plane: the one lock-free ring (flight recorder, spans,
@@ -70,7 +75,7 @@ endef
 STORE_RUN = TestSegment|TestBackendConformance|TestWriteFileAtomic
 RESTART_RUN = TestCrash|TestRestart
 HOST_RUN = TestConcurrentStartsRespectCapacity|TestStartObjectIdempotent
-LIFECYCLE_RUN = TestResidentCountsMatchTable|TestConcurrentActivationRace|TestHostFailedRecovery|TestStartRound|TestDeleteDuringDeactivate|TestDeactivateHostDiesUnderClaim|TestDeactivatePutFails|TestInstantiateRedelivery|TestInstantiateSetPlacesAsLone|TestStartKeepsItsSource|TestStartOnDepartedHost
+LIFECYCLE_RUN = TestResidentCountsMatchTable|TestConcurrentActivationRace|TestHostFailedRecovery|TestStartRound|TestDeleteDuringDeactivate|TestDeactivateHostDiesUnderClaim|TestDeactivatePutFails|TestInstantiateRedelivery|TestInstantiateSetPlacesAsLone|TestStartKeepsItsSource|TestStartOnDepartedHost|TestMoveResidents
 
 # Storage fault matrix: the fault-injected recovery tests (torn writes,
 # fsync errors, crash tails, mid-compaction crashes), the backend
@@ -78,7 +83,7 @@ LIFECYCLE_RUN = TestResidentCountsMatchTable|TestConcurrentActivationRace|TestHo
 # detector, then the chaos tests driven over the segment backend, then
 # the host's start admission (capacity, already-running objects) and
 # the Magistrate's lifecycle tests (start round, set instantiation,
-# recovery, resident counts) on several core counts.
+# recovery, set moves, resident counts) on several core counts.
 store-matrix:
 	$(call check-run,./internal/persist,$(STORE_RUN))
 	$(call check-run,./internal/core ./internal/sim,$(RESTART_RUN))

@@ -81,13 +81,18 @@ commands:
   magistrate MAG-IDX              list a jurisdiction's objects and hosts
   migrate MAG-IDX LOID HOST-LOID  live-migrate to another host, zero failed calls
   loads MAG-IDX                   print the jurisdiction's host load vectors
-  rebalance MAG-IDX [ROUNDS]      run the load rebalancer (default: until interrupted)
+  rebalance MAG-IDX [ROUNDS]      run the load rebalancer, one round a second: the hottest
+                                  host sheds residents to the coldest (default: until interrupted)
   query [MAG-IDX] "LQL"           run an LQL query on the observability plane, e.g.
                                   query "select loid, host, p999 from objects order by p999 desc limit 5"
   top [MAG-IDX] [ITERATIONS]      live cluster view: hosts, hottest objects, recent events
                                   (refreshes every second; default: until interrupted)
 `)
 }
+
+// rebalanceEvery is the pause between two rounds of the rebalance
+// command.
+const rebalanceEvery = time.Second
 
 func dispatch(ni *core.NetInfo, cli *rt.Caller, args []string) error {
 	bg := context.Background()
@@ -346,8 +351,8 @@ func dispatch(ni *core.NetInfo, cli *rt.Caller, args []string) error {
 			}
 		}
 		rb := sched.NewRebalancer(mc, nil)
-		fmt.Printf("rebalancing jurisdiction %v (hot > %.1fx mean for %d rounds moves <= %d objects/round)\n",
-			mc.Target, rb.HotFactor, rb.SustainRounds, rb.MaxMovesPerRound)
+		fmt.Printf("rebalancing jurisdiction %v (hot > %.1fx mean for %d rounds sheds towards the mean)\n",
+			mc.Target, rb.HotFactor, rb.SustainRounds)
 		for i := 0; rounds == 0 || i < rounds; i++ {
 			moved, err := rb.RoundNow(bg)
 			if err != nil {
@@ -357,7 +362,7 @@ func dispatch(ni *core.NetInfo, cli *rt.Caller, args []string) error {
 				fmt.Printf("round %d: moved %d object(s)\n", i+1, moved)
 			}
 			if rounds == 0 || i+1 < rounds {
-				time.Sleep(rb.Interval)
+				time.Sleep(rebalanceEvery)
 			}
 		}
 		return nil

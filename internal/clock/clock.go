@@ -1,12 +1,12 @@
 // Package clock is the runtime's time seam. Every component that
 // reads the wall clock, sleeps, or arms a timer — reply deadlines in
-// rt, breaker probe windows in health, heartbeat and rebalancer loops
-// in sched/host, migration phases in magistrate — does it through a
+// rt, breaker probe windows in health, heartbeat and checkpoint loops
+// in host, migration phases in magistrate — does it through a
 // Clock, so a deployment can run against the real clock (Wall) or
 // against a deterministic event-queue clock (Virtual) that advances
 // only when told to. The Virtual clock is what makes the virtual-clock
 // tests possible (sim's TestVirtualClockDeployment, health's breaker
-// windows, the host and sched loop tests): simulated hours of
+// windows, the host loop tests): simulated hours of
 // heartbeats, probe windows, binding TTLs and backoffs execute in
 // milliseconds of wall time, in a reproducible order.
 //

@@ -228,11 +228,8 @@ func TestNestedCoreCallsCarryDeadlineAndTrace(t *testing.T) {
 		return err
 	})
 	step("MigrateObject", func(ctx context.Context) error {
-		st, err := magistrate.ListPlacements.Call(ctx, mag0)
-		if err != nil {
-			return err
-		}
-		for _, p := range st {
+		var err error
+		for _, p := range j0.MagistrateImpl().Placements() {
 			if p.Object.SameObject(objs[0]) {
 				dest := j0.Hosts[0]
 				if p.Host.SameObject(dest) {

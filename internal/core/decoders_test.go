@@ -39,9 +39,8 @@ func decodes[T any](dec func([]byte) (T, error)) func(b []byte) error {
 // decoders lists every exported decoder of a state, OPR or reply
 // format, and the RestoreState of every core object and composite.
 var decoders = map[string]func(b []byte) error{
-	"magistrate.UnmarshalLoads":      decodes(magistrate.UnmarshalLoads),
-	"magistrate.UnmarshalPlacements": decodes(magistrate.UnmarshalPlacements),
-	"magistrate.UnmarshalInstances":  decodes(magistrate.UnmarshalInstances),
+	"magistrate.UnmarshalLoads":     decodes(magistrate.UnmarshalLoads),
+	"magistrate.UnmarshalInstances": decodes(magistrate.UnmarshalInstances),
 	"magistrate.RestoreState": restores(func() rt.Impl {
 		return magistrate.New(loid.New(loid.ClassIDMagistrate, 5, loid.DeriveKey("forged/magistrate")), persist.NewMemStore())
 	}),
@@ -102,7 +101,6 @@ func forgedInputs() []struct {
 		in      []byte
 	}{
 		{"magistrate.UnmarshalLoads", u64(1 << 62)},
-		{"magistrate.UnmarshalPlacements", u64(1 << 62)},
 		{"magistrate.UnmarshalInstances", u32(1 << 31)},
 		{"magistrate.RestoreState", u64(1 << 40)},
 		{"magistrate.RestoreState", cat(u64(0), u64(1<<40))},

@@ -127,7 +127,7 @@ func goldenCalls() []goldenCall {
 			host.ReportLoad.Call(ctx, at, gHost, host.Load{Residents: 3}, []byte("golden telemetry"))
 		}},
 		{"magistrate.GetLoads", func(ctx context.Context, to, _ r) { magistrate.GetLoads.Call(ctx, to) }},
-		{"magistrate.ListPlacements", func(ctx context.Context, to, _ r) { magistrate.ListPlacements.Call(ctx, to) }},
+		{"magistrate.MoveResidents", func(ctx context.Context, to, _ r) { magistrate.MoveResidents.Call(ctx, to, gHost, gOther, 3) }},
 		{"magistrate.Query", func(ctx context.Context, to, _ r) { magistrate.Query.Call(ctx, to, "SELECT host FROM placements") }},
 		{"magistrate.AddSubMagistrate", func(ctx context.Context, to, _ r) { magistrate.AddSubMagistrate.Call(ctx, to, gOther, gAddr) }},
 		{"magistrate.RemoveSubMagistrate", func(ctx context.Context, to, _ r) { magistrate.RemoveSubMagistrate.Call(ctx, to, gOther) }},

@@ -108,7 +108,6 @@ func stateFormats(t *testing.T) []stateFormat {
 	mustDispatch(t, mag, "ReportLoad", wire.LOID(gHost), load.Marshal(), nil)
 	vc.Advance(1500 * time.Millisecond)
 	loads := mustDispatch(t, mag, "GetLoads")[0]
-	placements := mustDispatch(t, mag, "ListPlacements")[0]
 
 	// A class object with one row, and LegionClass with one entry in
 	// each of its maps.
@@ -184,13 +183,6 @@ func stateFormats(t *testing.T) []stateFormat {
 			ls, err := magistrate.UnmarshalLoads(b)
 			if err == nil && (len(ls) != 1 || ls[0].Load != want || ls[0].Age != 1500*time.Millisecond) {
 				err = fmt.Errorf("decoded %+v", ls)
-			}
-			return err
-		}},
-		{"magistrate.placements", placements, func(b []byte) error {
-			ps, err := magistrate.UnmarshalPlacements(b)
-			if err == nil && (len(ps) != 1 || !ps[0].Object.SameObject(gObj) || ps[0].Impl != "golden.impl" || ps[0].Active) {
-				err = fmt.Errorf("decoded %+v", ps)
 			}
 			return err
 		}},

@@ -372,7 +372,6 @@ func e19Rebalance(scale Scale) (*e19Result, error) {
 	}
 	reb.HotFactor = 1.2
 	reb.SustainRounds = 1
-	reb.MaxMovesPerRound = 2
 
 	var fr sim.FaultResult
 	var wg sync.WaitGroup

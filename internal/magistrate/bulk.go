@@ -141,7 +141,7 @@ func (m *Magistrate) adoptRound(batch []starting) {
 
 	reg := m.reg()
 	took := 0
-	discarded := m.startSet(context.Background(), read, loid.Nil, hostEntry{}, roundHooks{before: hook, after: func(err error) {
+	discarded := m.startSet(context.Background(), read, loid.Nil, hostEntry{}, roundHooks{before: hook, after: func(_ []*starting, err error) {
 		if err != nil {
 			reg.Counter("mag/bulk_adopt_failed").Inc()
 		} else {

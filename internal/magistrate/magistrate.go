@@ -53,11 +53,13 @@ var (
 	HasObject  = rt.M1("HasObject", rt.LOIDParam("object"), rt.Struct(
 		rt.Field(rt.BoolParam("known"), func(s *ObjectState) *bool { return &s.Known }),
 		rt.Field(rt.BoolParam("active"), func(s *ObjectState) *bool { return &s.Active })))
-	ListObjects    = rt.M0("ListObjects", rt.LOIDListParam("objects"))
-	MigrateObject  = rt.M2("MigrateObject", rt.LOIDParam("object"), rt.LOIDParam("destHost"), rt.None)
-	GetLoads       = rt.M0("GetLoads", rt.Param("loads", idl.TBytes, marshalLoads, UnmarshalLoads))
-	ListPlacements = rt.M0("ListPlacements", rt.Param("placements", idl.TBytes, marshalPlacements, UnmarshalPlacements))
-	Query          = rt.M1("Query", rt.StringParam("lql"), rt.Param("table", idl.TBytes, (*obs.Table).Marshal, obs.UnmarshalTable))
+	ListObjects   = rt.M0("ListObjects", rt.LOIDListParam("objects"))
+	MigrateObject = rt.M2("MigrateObject", rt.LOIDParam("object"), rt.LOIDParam("destHost"), rt.None)
+	GetLoads      = rt.M0("GetLoads", rt.Param("loads", idl.TBytes, marshalLoads, UnmarshalLoads))
+	// MoveResidents moves up to n residents of host from to host to, in
+	// one move (a Scheduling Agent's rebalancing step, §3.7).
+	MoveResidents = rt.M3("MoveResidents", rt.LOIDParam("from"), rt.LOIDParam("to"), rt.Uint64Param("n"), rt.Uint64Param("moved"))
+	Query         = rt.M1("Query", rt.StringParam("lql"), rt.Param("table", idl.TBytes, (*obs.Table).Marshal, obs.UnmarshalTable))
 )
 
 // NotifyAddress is the class-object method a Magistrate calls to report
@@ -147,7 +149,7 @@ var server = rt.NewServer("LegionMagistrate",
 	}),
 	rt.Serve3(host.ReportLoad, (*Magistrate).reportLoad),
 	rt.Serve0(GetLoads, func(m *Magistrate, _ context.Context) ([]HostLoad, error) { return m.Loads(), nil }),
-	rt.Serve0(ListPlacements, func(m *Magistrate, _ context.Context) ([]Placement, error) { return m.Placements(), nil }),
+	rt.Serve3(MoveResidents, (*Magistrate).moveResidents),
 	rt.Serve1(Query, func(m *Magistrate, _ context.Context, q string) (*obs.Table, error) { return m.Plane().Query(q) }),
 	rt.Serve2(AddSubMagistrate, (*Magistrate).addSub),
 	rt.Serve1(RemoveSubMagistrate, (*Magistrate).removeSub),
@@ -658,16 +660,17 @@ func (m *Magistrate) planLocked(objs []starting, set []Instance) []hostEntry {
 
 // starting is one object of a start round: its claimed record, the OPR
 // it starts from and the address that OPR is filed at ("" for a new
-// object). A moving (migrating) object's claim outlasts its commit. The
+// object). src is nil but for an object that leaves a host (a planned
+// exit, drainAndFile): a moving object's claim outlasts its commit. The
 // round sets on and b once the object runs, or err once it gives up.
 type starting struct {
-	rec    *record
-	from   persist.PersistentAddress
-	opr    persist.OPR
-	moving bool
-	on     loid.LOID       // the host it started on; nil while it has not
-	b      binding.Binding // its binding there
-	err    error           // why it did not start
+	rec  *record
+	from persist.PersistentAddress
+	opr  persist.OPR
+	src  loid.LOID
+	on   loid.LOID       // the host it started on; nil while it has not
+	b    binding.Binding // its binding there
+	err  error           // why it did not start
 }
 
 // noteStarted logs a started object's generations and flight-recorder
@@ -686,12 +689,12 @@ func (m *Magistrate) noteStarted(ctx context.Context, plane *obs.Plane, s *start
 }
 
 // roundHooks observe a start round's host calls, outside m.mu: before
-// as a call ships (SetAdoptHook's seam), after with its answer, before
-// the round commits anything (a migration's "shipped"). Either may be
-// nil.
+// as a call ships (SetAdoptHook's seam), after with the objects it
+// carried and its answer, before the round commits any of them (a
+// move's "shipped"). Either may be nil.
 type roundHooks struct {
 	before func(target loid.LOID)
-	after  func(err error)
+	after  func(take []*starting, err error)
 }
 
 // round is what a start round leaves to do once m.mu is released: the
@@ -785,7 +788,7 @@ func (m *Magistrate) offerLocked(ctx context.Context, rd *round, h hostEntry, ta
 	}
 	_, err := host.StartObjects.Call(ctx, m.obj.Caller().To(h.l), oprs)
 	if hooks.after != nil {
-		hooks.after(err)
+		hooks.after(take, err)
 	}
 	m.mu.Lock()
 	if err == nil && !m.hostKnownLocked(h.l) {
@@ -806,7 +809,7 @@ func (m *Magistrate) offerLocked(ctx context.Context, rd *round, h hostEntry, ta
 			s.err = fmt.Errorf("magistrate %v: object %v left the table while it started", m.self, l)
 			continue
 		}
-		if !s.moving {
+		if s.src.IsNil() {
 			m.releaseLocked(s.rec)
 		}
 		rd.stale = append(rd.stale, st[:]...)
@@ -1269,10 +1272,11 @@ func (m *Magistrate) deactivateByLOID(ctx context.Context, l loid.LOID) error {
 	m.mu.Unlock()
 	defer m.release(l, rec)
 
-	saved, opr, err := m.drainAndFile(ctx, l, src, nil)
-	if err != nil {
-		return m.abortToSource(l, src, rec, "", err)
+	set := []starting{{rec: rec, opr: persist.OPR{LOID: l}, src: src}}
+	if m.drainAndFile(ctx, set, nil) == 0 {
+		return m.abortToSource(l, src, rec, "", set[0].err)
 	}
+	saved, opr := set[0].opr, set[0].from
 	if _, err := host.KillObject.Call(ctx, m.obj.Caller().To(src), l); err != nil {
 		return m.abortToSource(l, src, rec, opr, fmt.Errorf("magistrate %v: stop %v: %w", m.self, l, err))
 	}

@@ -1,18 +1,21 @@
 // Live migration, magistrate side, and the steps it shares with
-// Deactivate: both planned exits drain the object and file its state
-// (drainAndFile), then finish or reopen the source (abortToSource).
-// MigrateObject finishes through the start round, pinned to the
-// destination: whichever side dies mid-flight, the object ends with
-// exactly one incarnation (or one authoritative persistent
-// representation awaiting reactivation), never zero and never two.
+// Deactivate: both planned exits drain objects and file their states
+// (drainAndFile), then finish or reopen the source (abortToSource). A
+// move (move) takes a set of residents to one destination through one
+// start round: MigrateObject moves a set of one, MoveResidents a set the
+// Magistrate picks from its own table. Whichever side dies mid-flight,
+// each object ends with exactly one incarnation (or one authoritative
+// persistent representation awaiting reactivation), never zero and
+// never two.
 //
 // The same file carries the jurisdiction's load table (ReportLoad
-// heartbeats from Host Objects) and the placement/rebalancing read
-// APIs (GetLoads, ListPlacements) that Scheduling Agents consume.
+// heartbeats from Host Objects), the GetLoads view Scheduling Agents
+// consume, and the in-process placement read (Placements).
 
 package magistrate
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -23,7 +26,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/persist"
 	"repro/internal/rt"
-	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
@@ -171,50 +173,10 @@ func UnmarshalLoads(b []byte) ([]HostLoad, error) {
 	return out, nil
 }
 
-func marshalPlacements(ps []Placement) []byte {
-	var w wire.Writer
-	w.Count64(len(ps))
-	for _, p := range ps {
-		w.LOID(p.Object)
-		w.LOID(p.Host)
-		w.Str64(p.Impl)
-		var act uint64
-		if p.Active {
-			act = 1
-		}
-		w.U64(act)
-	}
-	return w.Bytes()
-}
-
-// UnmarshalPlacements decodes a ListPlacements reply.
-func UnmarshalPlacements(b []byte) ([]Placement, error) {
-	r := wire.NewReader(b)
-	out := make([]Placement, r.Count64(2*loid.EncodedSize+16))
-	for i := range out {
-		out[i] = Placement{Object: r.LOID(), Host: r.LOID(), Impl: r.Str64(wire.NoCap), Active: r.U64() == 1}
-	}
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("magistrate: placements: %w", err)
-	}
-	return out, nil
-}
-
 // MigrateObject moves a running object to destHost without failing a
-// single call: the source drains it to a quiesce point (arrivals
-// parked), the state is checkpointed and started on the destination,
-// the binding republishes, and the source flips its park queue into a
-// one-hop forwarding tombstone. A no-op if it already runs on destHost.
-//
-// Partial failures settle exactly-once: any failure before the binding
-// republishes aborts back to the source; a source that died before
-// republish, or a destination after it, is caught as the claim is
-// released (release) — HostFailed deliberately skips the busy record.
+// single call: it is a move (move) of a set of one. A no-op if the
+// object already runs on destHost.
 func (m *Magistrate) MigrateObject(ctx context.Context, l, destHost loid.LOID) error {
-	reg := m.reg()
-	reg.Counter("mig/attempts").Inc()
-	t0 := m.now()
-
 	m.mu.Lock()
 	rec, ok := m.waitSettledLocked(l.Ident())
 	if !ok {
@@ -233,94 +195,168 @@ func (m *Magistrate) MigrateObject(ctx context.Context, l, destHost loid.LOID) e
 		m.mu.Unlock()
 		return fmt.Errorf("magistrate %v: destination host %v not in jurisdiction", m.self, destHost)
 	}
-	src := rec.host
 	m.claimLocked(rec)
+	set := []starting{{rec: rec, opr: persist.OPR{LOID: l}, src: rec.host}}
 	m.mu.Unlock()
-
-	span := m.tracer().RootAlways("call", "migrate", "magistrate")
-	span.Event("migrate", fmt.Sprintf("%v: %v -> %v", l, src, destHost))
-	err := m.runMigration(ctx, span, l, rec, src, destHost)
-
-	// Settlement: HostFailed skipped the claimed record, so a source that
-	// died before republish, or a destination after it, left it placed on
-	// a dead host; release settles it.
-	if m.release(l, rec) {
-		span.Event("migrate", fmt.Sprintf("%v: its host died under the migration; recovering from checkpoint", l))
-	}
-
-	if err != nil {
-		reg.Counter("mig/aborts").Inc()
-		span.Finish(wire.ErrApp.String())
-		return err
-	}
-	reg.Counter("mig/success").Inc()
-	reg.Histogram("mig/total").Observe(m.since(t0))
-	span.Finish(wire.OK.String())
-	return nil
+	_, err := m.move(ctx, set, destHost)
+	return err
 }
 
-// runMigration performs the phase sequence with rec claimed.
-func (m *Magistrate) runMigration(ctx context.Context, span *trace.Span, l loid.LOID, rec *record, src, dest loid.LOID) error {
-	// Phases 1 and 2: drain on the source and file the drained state.
-	// From here on, even if both hosts die the object recovers exactly
-	// as drained: the commit or the abort makes it the checkpoint.
-	saved, ckpt, err := m.drainAndFile(ctx, l, src, func(saved host.Saved) {
-		span.Event("migrate", fmt.Sprintf("%v drained on %v (%d state bytes)", l, src, len(saved.State)))
-		m.hook("prepared", l, src, dest)
-	})
-	if err != nil {
-		return m.abortToSource(l, src, rec, "", err)
+// moveResidents moves up to n residents of host from to host to, in one
+// move (move), and returns how many moved. A resident is taken if it is
+// active on from, not claimed, and admitted on to by the activation
+// filter, in (ClassID, ClassSpecific) order, so a rebalancing round is
+// reproducible. The residents are picked and claimed in one critical
+// section, in one walk of the table.
+func (m *Magistrate) moveResidents(ctx context.Context, from, to loid.LOID, n uint64) (uint64, error) {
+	m.mu.Lock()
+	if !m.hostKnownLocked(to) {
+		m.mu.Unlock()
+		return 0, fmt.Errorf("magistrate %v: destination host %v not in jurisdiction", m.self, to)
 	}
+	var set []starting
+	for id, rec := range m.table {
+		o := persist.OPR{LOID: id.LOID(), Impl: rec.impl}
+		if rec.active && !rec.busy && rec.host.SameObject(from) && !rec.host.SameObject(to) && m.admitLocked(to, o) == nil {
+			set = append(set, starting{rec: rec, opr: o, src: rec.host})
+		}
+	}
+	slices.SortFunc(set, func(a, b starting) int {
+		x, y := a.opr.LOID, b.opr.LOID
+		return cmp.Or(cmp.Compare(x.ClassID, y.ClassID), cmp.Compare(x.ClassSpecific, y.ClassSpecific))
+	})
+	set = set[:min(n, uint64(len(set)))]
+	for _, s := range set {
+		m.claimLocked(s.rec)
+	}
+	m.mu.Unlock()
+	if len(set) == 0 {
+		return 0, nil
+	}
+	return m.move(ctx, set, to)
+}
+
+// move takes set, each object claimed and running on its src, to dest
+// without failing a single call (DESIGN §10), and returns how many
+// moved, with the last error if any did not. The drained states are
+// filed in one PutBatch (drainAndFile) and started on dest in one start
+// round pinned there. Then, object by object, the source forwards to
+// the new home (FinishMigrate), or, if the object did not start, it
+// reopens (abortToSource); and the claim is released, which settles an
+// object whose host died under it (HostFailed skips claimed records).
+// The phase hooks fire per object: "prepared" after its drain,
+// "shipped" once the start call answered, then "republished" and
+// "committed".
+func (m *Magistrate) move(ctx context.Context, set []starting, dest loid.LOID) (moved uint64, err error) {
+	reg := m.reg()
+	reg.Counter("mig/attempts").Add(uint64(len(set)))
+	t0 := m.now()
+	span := m.tracer().RootAlways("call", "migrate", "magistrate")
+	for _, s := range set {
+		span.Event("migrate", fmt.Sprintf("%v: %v -> %v", s.opr.LOID, s.src, dest))
+	}
+
+	// Phases 1 and 2: drain on the source and file the drained state.
+	// From here on, even if both hosts die an object recovers exactly as
+	// drained: the commit or the abort makes it the checkpoint.
+	filed := m.drainAndFile(ctx, set, func(s *starting) {
+		span.Event("migrate", fmt.Sprintf("%v drained on %v (%d state bytes)", s.opr.LOID, s.src, len(s.opr.State)))
+		m.hook("prepared", s.opr.LOID, s.src, dest)
+	})
 
 	// Phases 3 and 4: ship and republish. The start round, pinned to the
-	// destination, starts the object there from the checkpoint and
-	// commits it, the claim still held; a start it did not commit is
-	// reaped.
-	set := []starting{{rec: rec, from: ckpt, opr: persist.OPR{LOID: l, Impl: saved.Impl, State: saved.State}, moving: true}}
-	m.startSet(ctx, set, dest, hostEntry{}, roundHooks{after: func(err error) {
-		if err == nil {
-			m.hook("shipped", l, src, dest)
+	// destination, starts the filed objects there and commits them, the
+	// claims still held; a start it did not commit is reaped.
+	m.startSet(ctx, set[:filed], dest, hostEntry{}, roundHooks{after: func(take []*starting, err error) {
+		if err != nil {
+			return
+		}
+		for _, s := range take {
+			m.hook("shipped", s.opr.LOID, s.src, dest)
 		}
 	}})
-	if set[0].on.IsNil() {
-		return m.abortToSource(l, src, rec, ckpt, set[0].err)
+	for i := range set {
+		s := &set[i]
+		l := s.opr.LOID
+		if s.on.IsNil() {
+			s.err = m.abortToSource(l, s.src, s.rec, s.from, s.err)
+		} else {
+			m.notifyClass(ctx, l, s.b)
+			span.Event("migrate", fmt.Sprintf("%v binding republished -> %v", l, s.b.Address))
+			m.hook("republished", l, s.src, dest)
+			// Phase 5: commit. The source kills its incarnation and
+			// forwards parked + late frames one hop to the new home. A
+			// failure here is tolerable: if the source host died, its
+			// parked frames died with it and their callers heal via
+			// retry + binding refresh.
+			if _, ferr := host.FinishMigrate.Call(ctx, m.obj.Caller().To(s.src), l, s.b.Address); ferr != nil {
+				reg.Counter("mig/finish_failed").Inc()
+				span.Event("migrate", fmt.Sprintf("%v commit on %v failed: %v (callers heal via refresh)", l, s.src, ferr))
+			}
+			m.hook("committed", l, s.src, dest)
+		}
+		if m.release(l, s.rec) {
+			span.Event("migrate", fmt.Sprintf("%v: its host died under the migration; recovering from checkpoint", l))
+		}
+		if s.err != nil {
+			reg.Counter("mig/aborts").Inc()
+			err = s.err
+			continue
+		}
+		reg.Counter("mig/success").Inc()
+		reg.Histogram("mig/total").Observe(m.since(t0))
+		moved++
 	}
-	b := set[0].b
-	m.notifyClass(ctx, l, b)
-	span.Event("migrate", fmt.Sprintf("%v binding republished -> %v", l, b.Address))
-	m.hook("republished", l, src, dest)
-
-	// Phase 5: commit. The source kills its incarnation and forwards
-	// parked + late frames one hop to the new home. A failure here is
-	// tolerable: if the source host died, its parked frames died with
-	// it and their callers heal via retry + binding refresh.
-	if _, err := host.FinishMigrate.Call(ctx, m.obj.Caller().To(src), l, b.Address); err != nil {
-		m.reg().Counter("mig/finish_failed").Inc()
-		span.Event("migrate", fmt.Sprintf("%v commit on %v failed: %v (callers heal via refresh)", l, src, err))
+	if err != nil {
+		span.Finish(wire.ErrApp.String())
+	} else {
+		span.Finish(wire.OK.String())
 	}
-	m.hook("committed", l, src, dest)
-	return nil
+	return moved, err
 }
 
-// drainAndFile is the first half of both planned exits: the object is
-// drained on src (PrepareMigrate: arrivals park, the state is saved at a
-// quiesce point) and that state filed in the store. It returns the state
-// and its address, which the exit's commit or abort gives the record;
-// drained, if not nil, runs between the two steps. On an error the
-// caller aborts (abortToSource).
-func (m *Magistrate) drainAndFile(ctx context.Context, l, src loid.LOID, drained func(host.Saved)) (host.Saved, persist.PersistentAddress, error) {
-	saved, err := host.PrepareMigrate.Call(ctx, m.obj.Caller().To(src), l)
-	if err != nil {
-		return saved, "", fmt.Errorf("magistrate %v: drain %v on %v: %w", m.self, l, src, err)
+// drainAndFile is the first half of both planned exits. Each object of
+// set is drained on its src (PrepareMigrate: arrivals park, the state is
+// saved at a quiesce point) and gets the drained state in opr; drained,
+// if not nil, runs for it then. The drained states are then filed in
+// one PutBatch (one group commit), each object getting its address in
+// from, which the exit's commit or abort gives the record. An object
+// that was not drained, or not filed, gets err instead, and the caller
+// aborts it (abortToSource). The filed objects end at the front of set,
+// in order; it returns how many there are.
+func (m *Magistrate) drainAndFile(ctx context.Context, set []starting, drained func(*starting)) (filed int) {
+	var oprs []persist.OPR
+	for i := range set {
+		s := &set[i]
+		saved, err := host.PrepareMigrate.Call(ctx, m.obj.Caller().To(s.src), s.opr.LOID)
+		if err != nil {
+			s.err = fmt.Errorf("magistrate %v: drain %v on %v: %w", m.self, s.opr.LOID, s.src, err)
+			continue
+		}
+		s.opr.Impl, s.opr.State = saved.Impl, saved.State
+		if drained != nil {
+			drained(s)
+		}
+		oprs = append(oprs, s.opr)
 	}
-	if drained != nil {
-		drained(saved)
+	if len(oprs) == 0 {
+		return 0
 	}
-	addr, err := m.store.Put(persist.OPR{LOID: l, Impl: saved.Impl, State: saved.State})
-	if err != nil {
-		return saved, "", fmt.Errorf("magistrate %v: file %v: %w", m.self, l, err)
+	addrs, err := m.store.PutBatch(oprs)
+	for i := range set {
+		s := &set[i]
+		if s.err != nil {
+			continue
+		}
+		if err != nil {
+			s.err = fmt.Errorf("magistrate %v: file %v: %w", m.self, s.opr.LOID, err)
+			continue
+		}
+		s.from = addrs[filed]
+		set[filed], set[i] = set[i], set[filed]
+		filed++
 	}
-	return saved, addr, nil
+	return filed
 }
 
 // abortToSource unwinds a planned exit that failed before the object

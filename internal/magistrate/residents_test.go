@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -340,6 +341,77 @@ func (w *walker) migrate(crashAt, side string, cancel bool) {
 	w.settle(append(affected, l))
 }
 
+// moveResidents moves some of the residents of a random host of the
+// pool to another in one MoveResidents. With crashAt set, it moves them
+// all, and the destination fails at that phase boundary of the set's
+// middle object: the set's records are claimed, so HostFailed leaves
+// them to the move, which reopens each on its source.
+func (w *walker) moveResidents(crashAt string) {
+	ls, on := w.placed()
+	in := w.pool()
+	var froms []int
+	for _, i := range in {
+		if slices.ContainsFunc(on, w.fx.hostLs[i].SameObject) {
+			froms = append(froms, i)
+		}
+	}
+	if len(froms) == 0 || len(in) < 2 {
+		return
+	}
+	from := froms[w.g.intn(len(froms))]
+	var dests []int
+	for _, i := range in {
+		if i != from {
+			dests = append(dests, i)
+		}
+	}
+	to := dests[w.g.intn(len(dests))]
+	residents := 0
+	for _, h := range on {
+		if h.SameObject(w.fx.hostLs[from]) {
+			residents++
+		}
+	}
+	n := 1 + w.g.intn(residents)
+	if crashAt != "" && len(in) < 3 {
+		crashAt = "" // keep a survivor besides the other side
+	}
+	if crashAt != "" {
+		n = residents // the host is evacuated; the crash lands mid-set
+	}
+
+	var affected []loid.LOID
+	reached := 0
+	w.fx.mag.SetMigrateHook(func(phase string, _, _, d loid.LOID) {
+		w.check("at " + phase)
+		if phase != crashAt {
+			return
+		}
+		if reached++; reached != n/2+1 {
+			return
+		}
+		for i, hl := range w.fx.hostLs {
+			if hl.SameObject(d) {
+				affected = w.failHost(i)
+				w.injected[w.op]++
+			}
+		}
+		w.check("HostFailed(dest) at " + phase)
+	})
+	ctx, stop := context.WithTimeout(context.Background(), 5*time.Second)
+	defer stop()
+	moved, err := MoveResidents.Call(ctx, w.fx.client.Ref, w.fx.hostLs[from], w.fx.hostLs[to], uint64(n))
+	w.fx.mag.SetMigrateHook(nil)
+	switch {
+	case crashAt == "" && (err != nil || moved != uint64(n)):
+		w.t.Fatalf("step %d: move %d of %d residents: %d moved, %v", w.step, n, residents, moved, err)
+	case crashAt != "" && err == nil:
+		w.t.Fatalf("step %d: move %d with the destination failed at %s succeeded", w.step, n, crashAt)
+	}
+	w.check("move returned")
+	w.settle(append(affected, ls...))
+}
+
 // hostFailed crashes the fullest host of the pool and lets the
 // adoption loop bring its residents back.
 func (w *walker) hostFailed() {
@@ -473,6 +545,8 @@ func TestResidentCountsMatchTable(t *testing.T) {
 				{"migrate/src-fails-prepared-abort", func() { w.migrate("prepared", "src", true) }},
 				{"migrate/dest-fails-shipped", func() { w.migrate("shipped", "dest", false) }},
 				{"migrate/dest-fails-republished", func() { w.migrate("republished", "dest", false) }},
+				{"move-residents", func() { w.moveResidents("") }},
+				{"move-residents/dest-fails-shipped", func() { w.moveResidents("shipped") }},
 				{"host-failed", w.hostFailed}, {"host-failed", w.hostFailed},
 				{"remove-host", w.removeHost},
 				{"host-recovered", w.hostRecovered}, {"host-recovered", w.hostRecovered},
@@ -505,8 +579,8 @@ func TestResidentCountsMatchTable(t *testing.T) {
 					t.Errorf("walk never exercised %s", c)
 				}
 			}
-			if len(w.injected) != 4 {
-				t.Errorf("HostFailed landed on a migrating record in %v, want all four injections", w.injected)
+			if len(w.injected) != 5 {
+				t.Errorf("HostFailed landed on a migrating record in %v, want all five injections", w.injected)
 			}
 		})
 	}
@@ -704,7 +778,7 @@ func BenchmarkActivate(b *testing.B) {
 	}
 }
 
-// failingPut is a Store whose next Put fails once armed.
+// failingPut is a Store whose next Put or PutBatch fails once armed.
 type failingPut struct {
 	persist.Store
 	armed atomic.Bool
@@ -715,6 +789,13 @@ func (s *failingPut) Put(o persist.OPR) (persist.PersistentAddress, error) {
 		return "", errors.New("injected put failure")
 	}
 	return s.Store.Put(o)
+}
+
+func (s *failingPut) PutBatch(oprs []persist.OPR) ([]persist.PersistentAddress, error) {
+	if s.armed.CompareAndSwap(true, false) {
+		return nil, errors.New("injected put failure")
+	}
+	return s.Store.PutBatch(oprs)
 }
 
 // TestDeactivatePutFails: the store refuses the OPR of a drained

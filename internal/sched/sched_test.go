@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/binding"
-	"repro/internal/clock"
 	"repro/internal/host"
 	"repro/internal/idl"
 	"repro/internal/implreg"
@@ -158,20 +157,5 @@ func TestAgentOverWire(t *testing.T) {
 	// Empty candidate list is an error.
 	if _, err := PickHost.Call(context.Background(), cl, nil); err == nil {
 		t.Error("empty PickHost succeeded")
-	}
-}
-
-// TestLoopStartSchedulesTicker: Rebalancer.Start has scheduled its
-// ticker by the time it returns, so time a virtual clock advances
-// right after Start counts towards the first round.
-func TestLoopStartSchedulesTicker(t *testing.T) {
-	v := clock.NewVirtual(time.Time{})
-	r := NewRebalancer(rt.Ref{}, nil)
-	r.Clock = v
-	p0 := v.Pending()
-	r.Start()
-	t.Cleanup(r.Stop)
-	if got := v.Pending(); got != p0+1 {
-		t.Errorf("after Start %d events are pending, want %d", got, p0+1)
 	}
 }

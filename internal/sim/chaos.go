@@ -128,14 +128,6 @@ func (s *Sim) EnableHealth(cfg health.Config) *health.Tracker {
 	return tr
 }
 
-// DisableHealth removes the health layer from every client.
-func (s *Sim) DisableHealth() {
-	for _, c := range s.Clients {
-		c.SetHealth(nil)
-	}
-	s.Plane.SetHealth(nil)
-}
-
 // StartHealthDetector closes the detection loop: when the shared
 // tracker's breaker for a host's endpoint opens, the jurisdiction's
 // Magistrate is told the host failed, making its residents inert and
