@@ -36,9 +36,10 @@ crash-test:
 
 # Live-migration gauntlet: the FIFO storm (both transports, leak
 # tracking on), the magistrate migration/rebalance tests, the rebalancer
-# levelling a skewed jurisdiction on several core counts, and a quick
-# E19 run (crash injection at every phase boundary + rebalancer).
-REBALANCE_RUN = TestRebalancerLevels
+# levelling a skewed jurisdiction (and leaving a level one alone) on
+# several core counts, and a quick E19 run (crash injection at every
+# phase boundary + rebalancer).
+REBALANCE_RUN = TestRebalancerLevels|TestRebalancerKeepsHostsAtMean
 
 migrate-test:
 	$(call check-run,./internal/sim,$(REBALANCE_RUN))
@@ -74,7 +75,7 @@ endef
 
 STORE_RUN = TestSegment|TestBackendConformance|TestWriteFileAtomic
 RESTART_RUN = TestCrash|TestRestart
-HOST_RUN = TestConcurrentStartsRespectCapacity|TestStartObjectIdempotent
+HOST_RUN = TestConcurrentStartsRespectCapacity|TestStartObjectIdempotent|TestExitSetVerbs
 LIFECYCLE_RUN = TestResidentCountsMatchTable|TestConcurrentActivationRace|TestHostFailedRecovery|TestStartRound|TestDeleteDuringDeactivate|TestDeactivateHostDiesUnderClaim|TestDeactivatePutFails|TestInstantiateRedelivery|TestInstantiateSetPlacesAsLone|TestStartKeepsItsSource|TestStartOnDepartedHost|TestMoveResidents
 
 # Storage fault matrix: the fault-injected recovery tests (torn writes,
@@ -82,8 +83,9 @@ LIFECYCLE_RUN = TestResidentCountsMatchTable|TestConcurrentActivationRace|TestHo
 # conformance suite and the atomic snapshot write under the race
 # detector, then the chaos tests driven over the segment backend, then
 # the host's start admission (capacity, already-running objects) and
-# the Magistrate's lifecycle tests (start round, set instantiation,
-# recovery, set moves, resident counts) on several core counts.
+# exit set verbs (drain, evict, reopen), and the Magistrate's lifecycle
+# tests (start round, set instantiation, recovery, set moves, resident
+# counts) on several core counts.
 store-matrix:
 	$(call check-run,./internal/persist,$(STORE_RUN))
 	$(call check-run,./internal/core ./internal/sim,$(RESTART_RUN))

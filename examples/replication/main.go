@@ -88,7 +88,7 @@ func main() {
 	// Semantic 3: ordered failover — kill replica 1, the semantic
 	// hides it.
 	fmt.Println("\nkilling replica 1 ...")
-	if _, err := host.KillObject.Call(context.Background(), hostRefs[0], repLOID); err != nil {
+	if _, err := host.EvictObjects.Call(context.Background(), hostRefs[0], []loid.LOID{repLOID}, oa.Address{}); err != nil {
 		log.Fatal(err)
 	}
 	user.Cache().InvalidateLOID(repLOID)
@@ -97,7 +97,7 @@ func main() {
 
 	// Kill another one: still served by the last survivor.
 	fmt.Println("killing replica 2 ...")
-	if _, err := host.KillObject.Call(context.Background(), hostRefs[1], repLOID); err != nil {
+	if _, err := host.EvictObjects.Call(context.Background(), hostRefs[1], []loid.LOID{repLOID}, oa.Address{}); err != nil {
 		log.Fatal(err)
 	}
 	user.Cache().InvalidateLOID(repLOID)
@@ -106,7 +106,7 @@ func main() {
 
 	// Kill the last: now the failure is visible — as it must be.
 	fmt.Println("killing replica 3 ...")
-	if _, err := host.KillObject.Call(context.Background(), hostRefs[2], repLOID); err != nil {
+	if _, err := host.EvictObjects.Call(context.Background(), hostRefs[2], []loid.LOID{repLOID}, oa.Address{}); err != nil {
 		log.Fatal(err)
 	}
 	user.Cache().InvalidateLOID(repLOID)

@@ -287,8 +287,8 @@ func TestNestedCoreCallsCarryDeadlineAndTrace(t *testing.T) {
 	for _, name := range []string{
 		// Create, Derive, activation and migration.
 		"ListHosts", "PickHost", "GetLoad", "Instantiate", "NewClassID", "StartObjects",
-		"DescribeInstances", "KillObject", "Activate", "GetBinding",
-		"LocateClass", "PrepareMigrate", "FinishMigrate", "NotifyAddress",
+		"DescribeInstances", "EvictObjects", "Activate", "GetBinding",
+		"LocateClass", "DrainObjects", "NotifyAddress",
 		// Copy, Move and the hierarchy.
 		"ReceiveOPR", "HasObject", "Deactivate", "Delete",
 	} {

@@ -179,16 +179,16 @@ func goldenCalls() []goldenCall {
 
 		{"host.StartObjects", func(ctx context.Context, to, _ r) { host.StartObjects.Call(ctx, to, gOPRs) }},
 		{"host.StopObject", func(ctx context.Context, to, _ r) { host.StopObject.Call(ctx, to, gObj) }},
-		{"host.KillObject", func(ctx context.Context, to, _ r) { host.KillObject.Call(ctx, to, gObj) }},
-		{"host.HasObject", func(ctx context.Context, to, _ r) { host.HasObject.Call(ctx, to, gObj) }},
-		{"host.ListObjects", func(ctx context.Context, to, _ r) { host.ListObjects.Call(ctx, to) }},
 		{"host.GetState", func(ctx context.Context, to, _ r) { host.GetState.Call(ctx, to) }},
 		{"host.SetCPULoad", func(ctx context.Context, to, _ r) { host.SetCPULoad.Call(ctx, to, 3) }},
 		{"host.SetMemoryUsage", func(ctx context.Context, to, _ r) { host.SetMemoryUsage.Call(ctx, to, 4<<20) }},
 		{"host.GetLoad", func(ctx context.Context, to, _ r) { host.GetLoad.Call(ctx, to) }},
-		{"host.PrepareMigrate", func(ctx context.Context, to, _ r) { host.PrepareMigrate.Call(ctx, to, gObj) }},
-		{"host.AbortMigrate", func(ctx context.Context, to, _ r) { host.AbortMigrate.Call(ctx, to, gObj) }},
-		{"host.FinishMigrate", func(ctx context.Context, to, _ r) { host.FinishMigrate.Call(ctx, to, gObj, gAddr) }},
+		{"host.DrainObjects", func(ctx context.Context, to, _ r) { host.DrainObjects.Call(ctx, to, []loid.LOID{gObj}) }},
+		{"host.EvictObjects", func(ctx context.Context, to, _ r) { host.EvictObjects.Call(ctx, to, []loid.LOID{gObj}, gAddr) }},
+		{"host.EvictObjects/no-address", func(ctx context.Context, to, _ r) {
+			host.EvictObjects.Call(ctx, to, []loid.LOID{gObj}, oa.Address{})
+		}},
+		{"host.ReopenObjects", func(ctx context.Context, to, _ r) { host.ReopenObjects.Call(ctx, to, []loid.LOID{gObj}) }},
 
 		{"bindagent.GetBinding", func(ctx context.Context, _, at r) { bindagent.GetBinding.Call(ctx, at, gObj) }},
 		{"bindagent.RebindStale", func(ctx context.Context, _, at r) { bindagent.RebindStale.Call(ctx, at, gBind) }},

@@ -223,7 +223,7 @@ func runE7() (*Table, error) {
 		cli.Timeout = 500 * time.Millisecond // fast failover on dead replicas
 		// Kill the first c.kill replicas.
 		for k := 0; k < c.kill; k++ {
-			if _, err := host.KillObject.Call(context.Background(), hostRefs[k], repLOID); err != nil {
+			if _, err := host.EvictObjects.Call(context.Background(), hostRefs[k], []loid.LOID{repLOID}, oa.Address{}); err != nil {
 				s.Close()
 				return nil, err
 			}

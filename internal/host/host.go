@@ -3,8 +3,9 @@
 // deciding which objects can run on the host it represents". A Host
 // Object starts and stops objects on its node, enforces its capacity
 // and access policy, reaps stopped objects, and reports load through
-// GetState. Host Objects are started from outside Legion (§4.2.1) and
-// register themselves with the class LegionHost.
+// GetState; objects arrive and leave in sets. Host Objects are started
+// from outside Legion (§4.2.1) and register themselves with the class
+// LegionHost.
 package host
 
 import (
@@ -26,13 +27,11 @@ import (
 
 // The Host Object's remote methods (§3.9 names Activate, Deactivate,
 // SetCPUload, SetMemoryUsage and GetState; StartObjects and StopObject
-// are their object-granular forms, StartObjects for a set of objects).
+// are their object-granular forms; StartObjects and a planned exit's
+// DrainObjects, EvictObjects and ReopenObjects each take a set).
 var (
 	StartObjects = rt.M1("StartObjects", oprSetParam("set"), rt.Uint64Param("started"))
 	StopObject   = rt.M1("StopObject", rt.LOIDParam("object"), savedCodec)
-	KillObject   = rt.M1("KillObject", rt.LOIDParam("object"), rt.None)
-	HasObject    = rt.M1("HasObject", rt.LOIDParam("object"), rt.BoolParam("running"))
-	ListObjects  = rt.M0("ListObjects", rt.LOIDListParam("objects"))
 	GetState     = rt.M0("GetState", rt.Struct(
 		rt.Field(rt.Uint64Param("objects"), func(s *State) *uint64 { return &s.Objects }),
 		rt.Field(rt.Uint64Param("cpuLimit"), func(s *State) *uint64 { return &s.CPULimit }),
@@ -40,9 +39,9 @@ var (
 	SetCPULoad     = rt.M1("SetCPULoad", rt.Uint64Param("limit"), rt.None)
 	SetMemoryUsage = rt.M1("SetMemoryUsage", rt.Uint64Param("limit"), rt.None)
 	GetLoad        = rt.M0("GetLoad", rt.Param("load", idl.TBytes, Load.Marshal, UnmarshalLoad))
-	PrepareMigrate = rt.M1("PrepareMigrate", rt.LOIDParam("object"), savedCodec)
-	AbortMigrate   = rt.M1("AbortMigrate", rt.LOIDParam("object"), rt.None)
-	FinishMigrate  = rt.M2("FinishMigrate", rt.LOIDParam("object"), rt.AddressParam("newAddr"), rt.None)
+	DrainObjects   = rt.M1("DrainObjects", rt.LOIDListParam("objects"), oprSetParam("drained"))
+	EvictObjects   = rt.M2("EvictObjects", rt.LOIDListParam("objects"), rt.AddressParam("newAddr").Optional(), rt.None)
+	ReopenObjects  = rt.M1("ReopenObjects", rt.LOIDListParam("objects"), rt.None)
 )
 
 // A Host Object's reports to its Magistrate are declared here, with
@@ -68,34 +67,14 @@ type State struct {
 	MemLimit uint64
 }
 
-// Saved is an object's saved state and implementation name, as
-// StopObject and PrepareMigrate return them.
-type Saved struct {
-	State []byte
-	Impl  string
-}
-
+// savedCodec carries StopObject's answer: the state and implementation.
 var savedCodec = rt.Struct(
-	rt.Field(rt.BytesParam("state"), func(s *Saved) *[]byte { return &s.State }),
-	rt.Field(rt.StringParam("impl"), func(s *Saved) *string { return &s.Impl }))
+	rt.Field(rt.BytesParam("state"), func(o *persist.OPR) *[]byte { return &o.State }),
+	rt.Field(rt.StringParam("impl"), func(o *persist.OPR) *string { return &o.Impl }))
 
 var server = rt.NewServer("LegionHost",
 	rt.Serve1(StartObjects, (*Host).startObjects),
 	rt.Serve1(StopObject, (*Host).stopObject),
-	rt.Serve1(KillObject, (*Host).killObject),
-	rt.Serve1(HasObject, func(h *Host, _ context.Context, l loid.LOID) (bool, error) {
-		_, ok := h.node.Lookup(l)
-		return ok, nil
-	}),
-	rt.Serve0(ListObjects, func(h *Host, _ context.Context) ([]loid.LOID, error) {
-		h.mu.Lock()
-		defer h.mu.Unlock()
-		ls := make([]loid.LOID, 0, len(h.running))
-		for id := range h.running {
-			ls = append(ls, id.LOID())
-		}
-		return ls, nil
-	}),
 	rt.Serve0(GetState, func(h *Host, _ context.Context) (State, error) {
 		h.mu.Lock()
 		defer h.mu.Unlock()
@@ -114,12 +93,14 @@ var server = rt.NewServer("LegionHost",
 		return rt.Void{}, nil
 	}),
 	rt.Serve0(GetLoad, func(h *Host, _ context.Context) (Load, error) { return h.LoadNow(), nil }),
-	rt.Serve1(PrepareMigrate, (*Host).drain),
-	rt.Serve1(AbortMigrate, func(h *Host, _ context.Context, l loid.LOID) (rt.Void, error) {
-		h.node.Unpark(l)
+	rt.Serve1(DrainObjects, (*Host).drainObjects),
+	rt.Serve2(EvictObjects, (*Host).evictObjects),
+	rt.Serve1(ReopenObjects, func(h *Host, _ context.Context, ls []loid.LOID) (rt.Void, error) {
+		for _, l := range ls {
+			h.node.Unpark(l)
+		}
 		return rt.Void{}, nil
 	}),
-	rt.Serve2(FinishMigrate, (*Host).finishMigrate),
 )
 
 // Interface is the member-function set every Host Object exports.
@@ -322,8 +303,8 @@ func (h *Host) spawnResident(l loid.LOID, implName string, state []byte) error {
 // a forwarding tombstone aimed there before the kill, so no arrival
 // meets the dead incarnation; otherwise the calls parked there bounce
 // back to their callers' retry loops. It is the one way an object
-// leaves the host other than a crash (stop, kill, an undone start,
-// migrate-out).
+// leaves the host other than a crash (stop, an undone start,
+// EvictObjects).
 func (h *Host) evict(l loid.LOID, to oa.Element) {
 	if to != (oa.Element{}) {
 		h.node.ForwardParked(l, to)
@@ -339,17 +320,12 @@ func (h *Host) evict(l loid.LOID, to oa.Element) {
 // from the node and returns (state, implName): the state holds every
 // call the object answered, and the calls parked during the drain
 // bounce to their callers, which refresh and reach the next incarnation.
-func (h *Host) stopObject(ctx context.Context, l loid.LOID) (Saved, error) {
+func (h *Host) stopObject(ctx context.Context, l loid.LOID) (persist.OPR, error) {
 	s, err := h.drain(ctx, l)
 	if err == nil {
 		h.evict(l, oa.Element{})
 	}
 	return s, err
-}
-
-func (h *Host) killObject(_ context.Context, l loid.LOID) (rt.Void, error) {
-	h.evict(l, oa.Element{})
-	return rt.Void{}, nil
 }
 
 // CrashResidents models a machine crash from the host's side: every

@@ -2,6 +2,7 @@ package host
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/idl"
 	"repro/internal/implreg"
 	"repro/internal/loid"
+	"repro/internal/metrics"
 	"repro/internal/oa"
 	"repro/internal/persist"
 	"repro/internal/rt"
@@ -47,6 +49,7 @@ func counterFactory() rt.Impl {
 
 type hostFixture struct {
 	fabric *transport.Fabric
+	reg    *metrics.Registry // the host node's
 	host   *Host
 	hostL  loid.LOID
 	client *Client
@@ -60,7 +63,8 @@ func newHostFixture(t *testing.T) *hostFixture {
 	impls := implreg.NewRegistry()
 	impls.MustRegister("counter", counterFactory)
 
-	hostNode, err := rt.NewNode(f, nil, "host0")
+	reg := metrics.NewRegistry()
+	hostNode, err := rt.NewNode(f, reg, "host0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +83,7 @@ func newHostFixture(t *testing.T) *hostFixture {
 	caller := rt.NewCaller(clientNode, loid.NewNoKey(300, 1), nil)
 	caller.Timeout = time.Second
 	caller.AddBinding(binding.Forever(hostL, hostNode.Address()))
-	return &hostFixture{fabric: f, host: h, hostL: hostL, client: NewClient(caller, hostL), caller: caller}
+	return &hostFixture{fabric: f, reg: reg, host: h, hostL: hostL, client: NewClient(caller, hostL), caller: caller}
 }
 
 var objL = loid.NewNoKey(256, 1)
@@ -220,18 +224,18 @@ func TestStopUnknownObject(t *testing.T) {
 	}
 }
 
-func TestKillObjectDiscardsState(t *testing.T) {
+func TestEvictObjectsDiscardsState(t *testing.T) {
 	fx := newHostFixture(t)
 	fx.start(objL, "counter", nil)
-	if _, err := KillObject.Call(context.Background(), fx.client.Ref, objL); err != nil {
+	if _, err := EvictObjects.Call(context.Background(), fx.client.Ref, []loid.LOID{objL}, oa.Address{}); err != nil {
 		t.Fatal(err)
 	}
 	if fx.host.Running() != 0 {
-		t.Error("object survived KillObject")
+		t.Error("object survived EvictObjects")
 	}
-	// Killing an absent object is not an error (idempotent reaping).
-	if _, err := KillObject.Call(context.Background(), fx.client.Ref, objL); err != nil {
-		t.Errorf("idempotent kill: %v", err)
+	// Evicting an absent object is not an error (idempotent reaping).
+	if _, err := EvictObjects.Call(context.Background(), fx.client.Ref, []loid.LOID{objL}, oa.Address{}); err != nil {
+		t.Errorf("idempotent evict: %v", err)
 	}
 }
 
@@ -246,7 +250,7 @@ func TestCrashDropsDrainGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	fx.caller.AddBinding(binding.Forever(objL, addr))
-	if _, err := PrepareMigrate.Call(context.Background(), fx.client.Ref, objL); err != nil {
+	if _, err := DrainObjects.Call(context.Background(), fx.client.Ref, []loid.LOID{objL}); err != nil {
 		t.Fatal(err)
 	}
 	if lost := fx.host.CrashResidents(); len(lost) != 1 {
@@ -263,20 +267,115 @@ func TestCrashDropsDrainGate(t *testing.T) {
 	}
 }
 
-func TestHasAndListObjects(t *testing.T) {
+// TestExitSetVerbs: each exit verb takes a set. DrainObjects of
+// {X, Y, Z}, where Y cannot save its state, answers X and Z in order,
+// and Y keeps serving. EvictObjects with an address forwards X's parked
+// calls there in arrival order, and a late call after them; and
+// ReopenObjects replays Z's parked calls locally, in arrival order.
+func TestExitSetVerbs(t *testing.T) {
 	fx := newHostFixture(t)
-	if ok, _ := HasObject.Call(context.Background(), fx.client.Ref, objL); ok {
-		t.Error("HasObject before start")
+	fx.host.impls.MustRegister("nosave", func() rt.Impl {
+		impl := counterFactory().(*rt.Behavior)
+		impl.Save = func() ([]byte, error) { return nil, errors.New("cannot save") }
+		return impl
+	})
+	x, y, z := loid.NewNoKey(256, 1), loid.NewNoKey(256, 2), loid.NewNoKey(256, 3)
+	for _, o := range []persist.OPR{{LOID: x, Impl: "counter"}, {LOID: y, Impl: "nosave"}, {LOID: z, Impl: "counter", State: wire.Uint64(10)}} {
+		if _, err := fx.start(o.LOID, o.Impl, o.State); err != nil {
+			t.Fatal(err)
+		}
+		fx.caller.AddBinding(binding.Forever(o.LOID, fx.host.Address()))
 	}
-	fx.start(objL, "counter", nil)
-	other := loid.NewNoKey(256, 2)
-	fx.start(other, "counter", nil)
-	if ok, _ := HasObject.Call(context.Background(), fx.client.Ref, objL); !ok {
-		t.Error("HasObject after start")
+	inc := func(l loid.LOID) uint64 {
+		t.Helper()
+		res, err := fx.caller.Call(l, "Inc")
+		if err == nil {
+			err = res.Err()
+		}
+		if err != nil {
+			t.Fatalf("Inc %v: %v", l, err)
+		}
+		raw, _ := res.Result(0)
+		v, _ := wire.AsUint64(raw)
+		return v
 	}
-	ls, err := ListObjects.Call(context.Background(), fx.client.Ref)
-	if err != nil || len(ls) != 2 {
-		t.Errorf("ListObjects = %v, %v", ls, err)
+	inc(x)
+
+	drained, err := DrainObjects.Call(context.Background(), fx.client.Ref, []loid.LOID{x, y, z})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(drained) != 2 || !drained[0].LOID.SameObject(x) || !drained[1].LOID.SameObject(z) {
+		t.Fatalf("DrainObjects of {X, Y, Z} answered %v, want X and Z", drained)
+	}
+	for i, want := range []uint64{1, 10} {
+		if v, _ := wire.AsUint64(drained[i].State); v != want || drained[i].Impl != "counter" {
+			t.Errorf("drained %v: %s state %d, want counter state %d", drained[i].LOID, drained[i].Impl, v, want)
+		}
+	}
+	if got := inc(y); got != 1 {
+		t.Errorf("Y after its failed drain counts %d, want 1", got)
+	}
+
+	// Three calls park at each of X and Z.
+	const parked = 3
+	calls := map[loid.LOID][]*rt.Future{}
+	for range parked {
+		for _, l := range []loid.LOID{x, z} {
+			fu, err := fx.caller.InvokeCtx(context.Background(), l, "Inc")
+			if err != nil {
+				t.Fatal(err)
+			}
+			calls[l] = append(calls[l], fu)
+		}
+	}
+	for deadline := time.Now().Add(2 * time.Second); fx.reg.CounterValue("mig/parked") < 2*parked; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d calls parked, want %d", fx.reg.CounterValue("mig/parked"), 2*parked)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// X's new home runs it from its drained state.
+	dst, err := rt.NewNode(fx.fabric, nil, "dest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { dst.Close() })
+	moved := counterFactory()
+	if err := moved.RestoreState(drained[0].State); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dst.Spawn(x, moved); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := EvictObjects.Call(context.Background(), fx.client.Ref, []loid.LOID{x}, dst.Address()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReopenObjects.Call(context.Background(), fx.client.Ref, []loid.LOID{z}); err != nil {
+		t.Fatal(err)
+	}
+	for l, base := range map[loid.LOID]uint64{x: 1, z: 10} {
+		for k, fu := range calls[l] {
+			res, err := fu.Wait(2 * time.Second)
+			if err == nil {
+				err = res.Err()
+			}
+			if err != nil {
+				t.Fatalf("parked call %d to %v: %v", k, l, err)
+			}
+			raw, _ := res.Result(0)
+			if v, _ := wire.AsUint64(raw); v != base+uint64(k)+1 {
+				t.Errorf("parked call %d to %v counts %d, want %d (arrival order)", k, l, v, base+uint64(k)+1)
+			}
+		}
+	}
+	if _, ok := fx.host.Node().Lookup(x); ok || fx.host.Running() != 2 {
+		t.Errorf("after evicting X the host runs %d objects, X among them: %v", fx.host.Running(), ok)
+	}
+	fx.caller.AddBinding(binding.Forever(x, fx.host.Address()))
+	if got := inc(x); got != 1+parked+1 {
+		t.Errorf("a late call to X through the tombstone counts %d, want %d", got, 1+parked+1)
 	}
 }
 

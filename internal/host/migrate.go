@@ -1,11 +1,10 @@
-// Live migration, host side. The Host Object owns the mechanical half
-// of moving a resident: PrepareMigrate drains the object to a quiesce
-// point with new arrivals parked, AbortMigrate replays the parked
-// calls locally, and FinishMigrate kills the local incarnation and
-// flips the park queue into a one-hop forwarding tombstone aimed at
-// the object's new home. The Magistrate drives the phases and owns the
-// only authoritative copy of "where the object is" — the host never
-// decides a migration's outcome on its own.
+// Planned exits, host side, each verb for a set of residents:
+// DrainObjects drains each to a quiesce point with new arrivals parked,
+// ReopenObjects replays the parked calls locally, and EvictObjects kills
+// the local incarnations, first turning each park queue into a one-hop
+// forwarding tombstone when given the objects' new address. The
+// Magistrate drives the phases and owns the only authoritative copy of
+// "where the object is" — the host never decides an exit's outcome.
 //
 // The same file carries the host's load vector: the heartbeat report
 // Scheduling Agents and the Magistrate's placement policy consume.
@@ -19,6 +18,7 @@ import (
 
 	"repro/internal/loid"
 	"repro/internal/oa"
+	"repro/internal/persist"
 	"repro/internal/rt"
 	"repro/internal/wire"
 )
@@ -30,32 +30,32 @@ import (
 const tombstoneTTL = 30 * time.Second
 
 // drain parks l's arrivals and drains its mailbox to a quiesce point,
-// returning (state, implName) with the object still alive (but gated)
-// locally: PrepareMigrate, and the first half of every stop, so every
-// planned exit of a running object starts here. The SaveState that
-// defines the quiesce point is sent through the object's own mailbox
-// AFTER the gate is up, so it serializes behind every already-accepted
-// call, and it lands despite the gate because the host's identity is
-// the gate's exempt caller. A failed drain reopens the object.
-func (h *Host) drain(ctx context.Context, l loid.LOID) (Saved, error) {
+// returning its OPR with the object still alive (but gated) locally:
+// DrainObjects, and the first half of every stop, so every planned exit
+// of a running object starts here. The SaveState that defines the
+// quiesce point is sent through the object's own mailbox AFTER the gate
+// is up, so it serializes behind every already-accepted call, and it
+// lands despite the gate because the host's identity is the gate's
+// exempt caller. A failed drain reopens the object.
+func (h *Host) drain(ctx context.Context, l loid.LOID) (persist.OPR, error) {
 	h.mu.Lock()
 	r, ok := h.running[l.Ident()]
 	h.mu.Unlock()
 	if !ok {
-		return Saved{}, fmt.Errorf("host %v does not run %v", h.self, l)
+		return persist.OPR{}, fmt.Errorf("host %v does not run %v", h.self, l)
 	}
 	if err := h.node.Park(l, h.self); err != nil {
-		return Saved{}, err
+		return persist.OPR{}, err
 	}
 	clk := h.node.Clock()
 	t0 := clk.Now()
 	state, err := h.saveState(ctx, l)
 	if err != nil {
 		h.node.Unpark(l)
-		return Saved{}, fmt.Errorf("host %v: drain %v: %w", h.self, l, err)
+		return persist.OPR{}, fmt.Errorf("host %v: drain %v: %w", h.self, l, err)
 	}
 	h.node.Registry().Histogram("mig/drain").Observe(clk.Since(t0))
-	return Saved{state, r.impl}, nil
+	return persist.OPR{LOID: l, Impl: r.impl, State: state}, nil
 }
 
 // saveState asks l for its state through l's own mailbox, so the save
@@ -71,19 +71,43 @@ func (h *Host) saveState(ctx context.Context, l loid.LOID) ([]byte, error) {
 	return res.Result(0)
 }
 
-// finishMigrate commits a migration: the parked calls are flushed — in
-// arrival order — to the object's new address, the gate stays as a
-// one-hop tombstone that forwards late arrivals until its TTL expires,
-// and the local incarnation dies (evict). The new address comes from
-// the Magistrate, which has already republished the binding.
-func (h *Host) finishMigrate(_ context.Context, l loid.LOID, addr oa.Address) (rt.Void, error) {
-	if len(addr.Elements) == 0 {
-		return rt.Void{}, fmt.Errorf("host %v: finish %v: empty destination address", h.self, l)
+// drainObjects drains ls in order and answers the drained objects' OPRs
+// in that order. One whose drain fails reopens and is left out; if none
+// drained, the last failure is the answer.
+func (h *Host) drainObjects(ctx context.Context, ls []loid.LOID) ([]persist.OPR, error) {
+	var err error
+	set := make([]persist.OPR, 0, len(ls))
+	for _, l := range ls {
+		o, derr := h.drain(ctx, l)
+		if derr != nil {
+			err = derr
+			continue
+		}
+		set = append(set, o)
 	}
-	h.evict(l, addr.Elements[0])
-	lid := l.ID()
-	node := h.node
-	node.Clock().AfterFunc(tombstoneTTL, func() { node.DropTombstone(lid) })
+	if len(set) > 0 {
+		err = nil
+	}
+	return set, err
+}
+
+// evictObjects ends a planned exit: each object of ls dies here
+// (evict). Given the objects' new address (a move's commit), parked
+// calls are flushed there in arrival order and late ones forwarded until
+// the TTL expires; with none, they bounce back to their callers.
+func (h *Host) evictObjects(_ context.Context, ls []loid.LOID, addr oa.Address) (rt.Void, error) {
+	to := addr.Primary()
+	for _, l := range ls {
+		h.evict(l, to)
+	}
+	if to != (oa.Element{}) {
+		node := h.node
+		node.Clock().AfterFunc(tombstoneTTL, func() {
+			for _, l := range ls {
+				node.DropTombstone(l)
+			}
+		})
+	}
 	return rt.Void{}, nil
 }
 

@@ -699,12 +699,20 @@ type roundHooks struct {
 
 // round is what a start round leaves to do once m.mu is released: the
 // representations its starts made stale, to drop, and the incarnations
-// it did not commit, to reap (host, object). discarded counts the calls
+// it did not commit, to reap, per host. discarded counts the calls
 // answered by a host that had left the pool.
 type round struct {
 	stale     []persist.PersistentAddress
-	orphans   [][2]loid.LOID
+	orphans   map[loid.LOID][]loid.LOID
 	discarded int
+}
+
+// orphan adds l, started on h but not committed, to the round's orphans.
+func (rd *round) orphan(h, l loid.LOID) {
+	if rd.orphans == nil {
+		rd.orphans = make(map[loid.LOID][]loid.LOID)
+	}
+	rd.orphans[h] = append(rd.orphans[h], l)
 }
 
 // startSet is the one start round, the only code that starts objects:
@@ -794,7 +802,7 @@ func (m *Magistrate) offerLocked(ctx context.Context, rd *round, h hostEntry, ta
 	if err == nil && !m.hostKnownLocked(h.l) {
 		rd.discarded++
 		for _, s := range take {
-			rd.orphans = append(rd.orphans, [2]loid.LOID{h.l, s.opr.LOID})
+			rd.orphan(h.l, s.opr.LOID)
 		}
 		err = fmt.Errorf("magistrate %v: host %v left the pool during the start", m.self, h.l)
 	}
@@ -805,7 +813,7 @@ func (m *Magistrate) offerLocked(ctx context.Context, rd *round, h hostEntry, ta
 		l := s.opr.LOID
 		st, ok := m.commitStartedLocked(l, s.rec, h.l, h.addr, s.from)
 		if !ok {
-			rd.orphans = append(rd.orphans, [2]loid.LOID{h.l, l})
+			rd.orphan(h.l, l)
 			s.err = fmt.Errorf("magistrate %v: object %v left the table while it started", m.self, l)
 			continue
 		}
@@ -837,14 +845,14 @@ func (m *Magistrate) unclaim(set []starting) {
 }
 
 // endRoundLocked ends a start round: with m.mu released, the round's
-// stale representations are dropped and its orphans reaped. m.mu held
-// on entry, released on return.
+// stale representations are dropped and its orphans reaped, in one
+// EvictObjects per host. m.mu held on entry, released on return.
 func (m *Magistrate) endRoundLocked(rd *round) {
 	m.mu.Unlock()
 	m.drop(rd.stale...)
-	for _, o := range rd.orphans {
+	for h, ls := range rd.orphans {
 		// Reaping is cleanup, not the caller's work: no deadline.
-		_, _ = host.KillObject.Call(context.Background(), m.obj.Caller().To(o[0]), o[1])
+		_, _ = host.EvictObjects.Call(context.Background(), m.obj.Caller().To(h), ls, oa.Address{})
 	}
 }
 
@@ -1079,7 +1087,7 @@ func (m *Magistrate) tracer() *trace.Tracer {
 func (m *Magistrate) ForgetHosts() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.hosts = nil
+	m.hosts, m.subs = nil, nil
 }
 
 // HostRecovered re-admits a restarted host to the jurisdiction (the
@@ -1249,7 +1257,7 @@ func noteGeneration(p *obs.Plane, l loid.LOID, kind string, host loid.LOID, byte
 }
 
 // deactivateByLOID implements Deactivate (§3.8): drain the object and
-// file its state (drainAndFile), kill the drained incarnation, and the
+// file its state (drainAndFile), evict the drained incarnation, and the
 // filed state is the OPR. On a failure the object reopens where it ran
 // (abortToSource), the filed state, if any, its checkpoint.
 func (m *Magistrate) deactivateByLOID(ctx context.Context, l loid.LOID) error {
@@ -1274,11 +1282,13 @@ func (m *Magistrate) deactivateByLOID(ctx context.Context, l loid.LOID) error {
 
 	set := []starting{{rec: rec, opr: persist.OPR{LOID: l}, src: src}}
 	if m.drainAndFile(ctx, set, nil) == 0 {
-		return m.abortToSource(l, src, rec, "", set[0].err)
+		m.abortToSource(set)
+		return set[0].err
 	}
 	saved, opr := set[0].opr, set[0].from
-	if _, err := host.KillObject.Call(ctx, m.obj.Caller().To(src), l); err != nil {
-		return m.abortToSource(l, src, rec, opr, fmt.Errorf("magistrate %v: stop %v: %w", m.self, l, err))
+	if _, err := host.EvictObjects.Call(ctx, m.obj.Caller().To(src), []loid.LOID{l}, oa.Address{}); err != nil {
+		m.abortToSource(set)
+		return fmt.Errorf("magistrate %v: stop %v: %w", m.self, l, err)
 	}
 	m.mu.Lock()
 	if m.table[l.Ident()] != rec { // replaced by Register or RestoreState
@@ -1312,7 +1322,7 @@ func (m *Magistrate) deleteByLOID(ctx context.Context, l loid.LOID) error {
 	m.mu.Unlock()
 
 	if active {
-		if _, err := host.KillObject.Call(ctx, m.obj.Caller().To(hostL), l); err != nil {
+		if _, err := host.EvictObjects.Call(ctx, m.obj.Caller().To(hostL), []loid.LOID{l}, oa.Address{}); err != nil {
 			return fmt.Errorf("magistrate %v: kill %v: %w", m.self, l, err)
 		}
 	}

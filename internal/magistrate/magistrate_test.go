@@ -819,3 +819,25 @@ func TestHierarchyPersistsInState(t *testing.T) {
 		t.Errorf("restored subs = %+v", m2.subs)
 	}
 }
+
+// TestForgetHostsDropsSubs: ForgetHosts drops the sub-magistrates a
+// restored state names along with its hosts, so no lookup of an unknown
+// LOID asks a Magistrate of a previous life.
+func TestForgetHostsDropsSubs(t *testing.T) {
+	fx := newFixture(t, 1)
+	if _, err := AddSubMagistrate.Call(context.Background(), fx.client.Ref, loid.NewNoKey(loid.ClassIDMagistrate, 77), oa.Single(oa.MemElement(777))); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := fx.mag.SaveState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2 := New(loid.NewNoKey(loid.ClassIDMagistrate, 9), fx.store)
+	if err := m2.RestoreState(blob); err != nil {
+		t.Fatal(err)
+	}
+	m2.ForgetHosts()
+	if subs, _ := m2.listSubs(context.Background()); len(subs) != 0 {
+		t.Errorf("after ForgetHosts the Magistrate lists subs %v", subs)
+	}
+}

@@ -17,12 +17,14 @@ package magistrate
 import (
 	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"time"
 
 	"repro/internal/host"
 	"repro/internal/loid"
+	"repro/internal/oa"
 	"repro/internal/obs"
 	"repro/internal/persist"
 	"repro/internal/rt"
@@ -236,32 +238,33 @@ func (m *Magistrate) moveResidents(ctx context.Context, from, to loid.LOID, n ui
 	return m.move(ctx, set, to)
 }
 
-// move takes set, each object claimed and running on its src, to dest
-// without failing a single call (DESIGN §10), and returns how many
-// moved, with the last error if any did not. The drained states are
-// filed in one PutBatch (drainAndFile) and started on dest in one start
-// round pinned there. Then, object by object, the source forwards to
-// the new home (FinishMigrate), or, if the object did not start, it
-// reopens (abortToSource); and the claim is released, which settles an
-// object whose host died under it (HostFailed skips claimed records).
-// The phase hooks fire per object: "prepared" after its drain,
-// "shipped" once the start call answered, then "republished" and
-// "committed".
+// move takes set, each object claimed and running on set[0].src, to
+// dest without failing a single call (DESIGN §10), and returns how many
+// moved, with the last error if any did not. The set is drained and
+// filed (drainAndFile) and started on dest by one start round pinned
+// there; the source then evicts the started objects in one call and
+// reopens the rest in another (abortToSource), the classes are told, and
+// the claims are released, which settles an object whose host died
+// under it (HostFailed skips claimed records). The phase hooks fire per
+// object: "prepared" after its drain, "shipped" once the start call
+// answered, "republished" after the round's commit, and "committed"
+// after the eviction.
 func (m *Magistrate) move(ctx context.Context, set []starting, dest loid.LOID) (moved uint64, err error) {
 	reg := m.reg()
 	reg.Counter("mig/attempts").Add(uint64(len(set)))
 	t0 := m.now()
+	src := set[0].src
 	span := m.tracer().RootAlways("call", "migrate", "magistrate")
 	for _, s := range set {
-		span.Event("migrate", fmt.Sprintf("%v: %v -> %v", s.opr.LOID, s.src, dest))
+		span.Event("migrate", fmt.Sprintf("%v: %v -> %v", s.opr.LOID, src, dest))
 	}
 
 	// Phases 1 and 2: drain on the source and file the drained state.
 	// From here on, even if both hosts die an object recovers exactly as
 	// drained: the commit or the abort makes it the checkpoint.
 	filed := m.drainAndFile(ctx, set, func(s *starting) {
-		span.Event("migrate", fmt.Sprintf("%v drained on %v (%d state bytes)", s.opr.LOID, s.src, len(s.opr.State)))
-		m.hook("prepared", s.opr.LOID, s.src, dest)
+		span.Event("migrate", fmt.Sprintf("%v drained on %v (%d state bytes)", s.opr.LOID, src, len(s.opr.State)))
+		m.hook("prepared", s.opr.LOID, src, dest)
 	})
 
 	// Phases 3 and 4: ship and republish. The start round, pinned to the
@@ -272,28 +275,38 @@ func (m *Magistrate) move(ctx context.Context, set []starting, dest loid.LOID) (
 			return
 		}
 		for _, s := range take {
-			m.hook("shipped", s.opr.LOID, s.src, dest)
+			m.hook("shipped", s.opr.LOID, src, dest)
 		}
 	}})
+	var gone []loid.LOID
+	var to oa.Address
+	for _, s := range set {
+		if !s.on.IsNil() {
+			span.Event("migrate", fmt.Sprintf("%v binding republished -> %v", s.opr.LOID, s.b.Address))
+			m.hook("republished", s.opr.LOID, src, dest)
+			gone, to = append(gone, s.opr.LOID), s.b.Address
+		}
+	}
+	if back := slices.DeleteFunc(slices.Clone(set), func(s starting) bool { return !s.on.IsNil() }); len(back) > 0 {
+		m.abortToSource(back)
+	}
+	// Phase 5: commit. The source kills the started incarnations and
+	// forwards parked + late frames one hop to the new home. A failure is
+	// tolerable: a dead source's parked frames died with it, and their
+	// callers heal via retry + refresh. The classes are told after it: a
+	// class object in the set parks its calls at the source until then.
+	if len(gone) > 0 {
+		if _, ferr := host.EvictObjects.Call(ctx, m.obj.Caller().To(src), gone, to); ferr != nil {
+			reg.Counter("mig/finish_failed").Inc()
+			span.Event("migrate", fmt.Sprintf("commit of %d on %v failed: %v (callers heal via refresh)", len(gone), src, ferr))
+		}
+	}
 	for i := range set {
 		s := &set[i]
 		l := s.opr.LOID
-		if s.on.IsNil() {
-			s.err = m.abortToSource(l, s.src, s.rec, s.from, s.err)
-		} else {
+		if !s.on.IsNil() {
 			m.notifyClass(ctx, l, s.b)
-			span.Event("migrate", fmt.Sprintf("%v binding republished -> %v", l, s.b.Address))
-			m.hook("republished", l, s.src, dest)
-			// Phase 5: commit. The source kills its incarnation and
-			// forwards parked + late frames one hop to the new home. A
-			// failure here is tolerable: if the source host died, its
-			// parked frames died with it and their callers heal via
-			// retry + binding refresh.
-			if _, ferr := host.FinishMigrate.Call(ctx, m.obj.Caller().To(s.src), l, s.b.Address); ferr != nil {
-				reg.Counter("mig/finish_failed").Inc()
-				span.Event("migrate", fmt.Sprintf("%v commit on %v failed: %v (callers heal via refresh)", l, s.src, ferr))
-			}
-			m.hook("committed", l, s.src, dest)
+			m.hook("committed", l, src, dest)
 		}
 		if m.release(l, s.rec) {
 			span.Event("migrate", fmt.Sprintf("%v: its host died under the migration; recovering from checkpoint", l))
@@ -315,73 +328,87 @@ func (m *Magistrate) move(ctx context.Context, set []starting, dest loid.LOID) (
 	return moved, err
 }
 
-// drainAndFile is the first half of both planned exits. Each object of
-// set is drained on its src (PrepareMigrate: arrivals park, the state is
-// saved at a quiesce point) and gets the drained state in opr; drained,
-// if not nil, runs for it then. The drained states are then filed in
-// one PutBatch (one group commit), each object getting its address in
-// from, which the exit's commit or abort gives the record. An object
-// that was not drained, or not filed, gets err instead, and the caller
+// errNotDrained is why an object left out of its source's DrainObjects
+// answer did not leave: its drain failed there, and it reopened.
+var errNotDrained = errors.New("not drained")
+
+// drainAndFile is the first half of every planned exit. The objects of
+// set, all on set[0].src, are drained there in one DrainObjects call
+// (arrivals park, each state is saved at a quiesce point), each getting
+// its state in opr; drained, if not nil, runs for it then. The states
+// are filed in one PutBatch (one group commit), each object getting its
+// address in from, which the exit's commit or abort gives the record.
+// An object not drained or not filed gets err instead, and the caller
 // aborts it (abortToSource). The filed objects end at the front of set,
 // in order; it returns how many there are.
 func (m *Magistrate) drainAndFile(ctx context.Context, set []starting, drained func(*starting)) (filed int) {
-	var oprs []persist.OPR
+	src := set[0].src
+	got, err := host.DrainObjects.Call(ctx, m.obj.Caller().To(src), loids(set))
+	// The host answers the drained objects in the order asked; they move
+	// to the front of set.
 	for i := range set {
 		s := &set[i]
-		saved, err := host.PrepareMigrate.Call(ctx, m.obj.Caller().To(s.src), s.opr.LOID)
-		if err != nil {
-			s.err = fmt.Errorf("magistrate %v: drain %v on %v: %w", m.self, s.opr.LOID, s.src, err)
+		if filed == len(got) || !got[filed].LOID.SameObject(s.opr.LOID) {
+			s.err = fmt.Errorf("magistrate %v: drain %v on %v: %w", m.self, s.opr.LOID, src, cmp.Or(err, errNotDrained))
 			continue
 		}
-		s.opr.Impl, s.opr.State = saved.Impl, saved.State
+		s.opr = got[filed]
 		if drained != nil {
 			drained(s)
 		}
-		oprs = append(oprs, s.opr)
-	}
-	if len(oprs) == 0 {
-		return 0
-	}
-	addrs, err := m.store.PutBatch(oprs)
-	for i := range set {
-		s := &set[i]
-		if s.err != nil {
-			continue
-		}
-		if err != nil {
-			s.err = fmt.Errorf("magistrate %v: file %v: %w", m.self, s.opr.LOID, err)
-			continue
-		}
-		s.from = addrs[filed]
 		set[filed], set[i] = set[i], set[filed]
 		filed++
+	}
+	if filed == 0 {
+		return 0
+	}
+	addrs, err := m.store.PutBatch(got[:filed])
+	for i := range set[:filed] {
+		if err != nil {
+			set[i].err = fmt.Errorf("magistrate %v: file %v: %w", m.self, set[i].opr.LOID, err)
+		} else {
+			set[i].from = addrs[i]
+		}
+	}
+	if err != nil {
+		return 0
 	}
 	return filed
 }
 
-// abortToSource unwinds a planned exit that failed before the object
-// left its host. filed, when not empty, is the drained state the exit
-// filed: it becomes rec's checkpoint, the newest state of the object.
-// If the source host is still in the jurisdiction, the object reopens
-// there (parked calls replay in order). If it died meanwhile, the
-// caller's release settles the record lost — promoting that checkpoint
-// — and recovers it.
-func (m *Magistrate) abortToSource(l, src loid.LOID, rec *record, filed persist.PersistentAddress, cause error) error {
+// abortToSource unwinds a planned exit of set, objects that did not
+// leave set[0].src. An object's filed state (from), if any, becomes its
+// record's checkpoint, the newest state of the object. If the source is
+// still in the jurisdiction, the objects reopen there in one call
+// (parked calls replay in order); if it died, the caller's release
+// settles each record lost — promoting that checkpoint — and recovers it.
+func (m *Magistrate) abortToSource(set []starting) {
+	stale := make([]persist.PersistentAddress, len(set))
 	m.mu.Lock()
-	known := m.hostKnownLocked(src)
-	stale := filed
-	if filed != "" && m.table[l.Ident()] == rec {
-		stale, rec.ckptAddr = rec.ckptAddr, filed
+	known := m.hostKnownLocked(set[0].src)
+	for i, s := range set {
+		stale[i] = s.from
+		if s.from != "" && m.table[s.opr.LOID.Ident()] == s.rec {
+			stale[i], s.rec.ckptAddr = s.rec.ckptAddr, s.from
+		}
 	}
 	m.mu.Unlock()
-	m.drop(stale)
+	m.drop(stale...)
 	// The source reopens even when the caller's budget is spent.
 	if known {
-		if _, err := host.AbortMigrate.Call(context.Background(), m.obj.Caller().To(src), l); err != nil {
+		if _, err := host.ReopenObjects.Call(context.Background(), m.obj.Caller().To(set[0].src), loids(set)); err != nil {
 			m.reg().Counter("mig/abort_failed").Inc()
 		}
 	}
-	return cause
+}
+
+// loids returns the objects of set.
+func loids(set []starting) []loid.LOID {
+	ls := make([]loid.LOID, len(set))
+	for i, s := range set {
+		ls[i] = s.opr.LOID
+	}
+	return ls
 }
 
 // hostIndexLocked returns h's position in the jurisdiction's host list,

@@ -46,12 +46,14 @@ func residentsOn(t *testing.T, fx *fixture, i int, ls []loid.LOID) {
 }
 
 // TestMoveResidents: MoveResidents takes a set of residents from host A
-// to host B in one move. B serves one StartObjects call and the store
-// commits as often for a set of 16 as for a set of one; every count
-// survives, and each object runs on exactly one host. With n below the
-// residents, exactly n move, the first in (ClassID, ClassSpecific)
-// order; a claimed record is skipped, and a resident the filter refuses
-// on B is never drained.
+// to host B in one move. A's Host Object serves two requests (one
+// DrainObjects, one EvictObjects) and B one StartObjects call, and the
+// store commits as often, for a set of 16 as for a set of one; every
+// count survives, and each object runs on exactly one host and sees the
+// phase hooks in protocol order, as a MigrateObject's set of one does.
+// With n below the residents, exactly n move, the first in (ClassID,
+// ClassSpecific) order; a claimed record is skipped, and a resident the
+// filter refuses on B is never drained.
 func TestMoveResidents(t *testing.T) {
 	commits := map[int]uint64{}
 	for _, n := range []int{1, 16} {
@@ -62,6 +64,12 @@ func TestMoveResidents(t *testing.T) {
 				ls[k] = loid.NewNoKey(256, uint64(k+1))
 			}
 			residentsOn(t, fx, 0, ls)
+			phases := map[loid.LOID][]string{}
+			fx.mag.SetMigrateHook(func(phase string, l, _, _ loid.LOID) { phases[l] = append(phases[l], phase) })
+			// A's Host Object counts the requests it serves; the
+			// residents' own SaveState dispatches are not among them.
+			srcHost, _ := fx.hosts[0].Node().Lookup(fx.hostLs[0])
+			asked := srcHost.Mutations()
 			served := fx.hosts[1].Node().Served()
 			before := reg.CounterValue("persist/group_commit")
 			moved, err := MoveResidents.Call(context.Background(), fx.client.Ref, fx.hostLs[0], fx.hostLs[1], uint64(n))
@@ -69,6 +77,9 @@ func TestMoveResidents(t *testing.T) {
 				t.Fatalf("MoveResidents = %d, %v; want %d", moved, err, n)
 			}
 			commits[n] = reg.CounterValue("persist/group_commit") - before
+			if got := srcHost.Mutations() - asked; got != 2 {
+				t.Errorf("A's Host Object served %d requests for a set of %d, want one DrainObjects and one EvictObjects", got, n)
+			}
 			if got := fx.hosts[1].Node().Served() - served; got != 1 {
 				t.Errorf("B served %d requests for a set of %d, want one StartObjects", got, n)
 			}
@@ -77,6 +88,21 @@ func TestMoveResidents(t *testing.T) {
 				if got := inc(t, fx, l); got != uint64(k+2) {
 					t.Errorf("%v counts %d after the move, want %d", l, got, k+2)
 				}
+			}
+			// Each object sees the phases in order, as does a set of one
+			// (MigrateObject).
+			want := []string{"prepared", "shipped", "republished", "committed"}
+			for _, l := range ls {
+				if !slices.Equal(phases[l], want) {
+					t.Errorf("%v saw phases %v, want %v", l, phases[l], want)
+				}
+			}
+			clear(phases)
+			if _, err := MigrateObject.Call(context.Background(), fx.client.Ref, ls[0], fx.hostLs[0]); err != nil {
+				t.Fatal(err)
+			}
+			if len(phases) != 1 || !slices.Equal(phases[ls[0]], want) {
+				t.Errorf("MigrateObject of %v: phases %v, want %v", ls[0], phases, want)
 			}
 		})
 	}

@@ -73,7 +73,9 @@ func (r *Rebalancer) recorder() *obs.Recorder {
 // the hottest such host to the coldest other host, in one MoveResidents
 // call. It returns how many objects moved. The count levels the two
 // hosts towards the mean resident count m (rounded down):
-// max(1, min(hot − m, m − cold)) residents. The caller runs the rounds.
+// min(hot − m, m − cold) residents, so a round never takes a host below
+// m; a host hot by its traffic alone, at or under m, sheds nothing. The
+// caller runs the rounds.
 func (r *Rebalancer) RoundNow(ctx context.Context) (int, error) {
 	r.reg.Counter("reb/rounds").Inc()
 	loads, err := magistrate.GetLoads.Call(ctx, r.mag)
@@ -116,7 +118,10 @@ func (r *Rebalancer) RoundNow(ctx context.Context) (int, error) {
 		}
 	}
 	m := int64(residents) / int64(len(loads))
-	n := max(1, min(int64(hot.Load.Residents)-m, m-int64(cold.Load.Residents)))
+	n := min(int64(hot.Load.Residents)-m, m-int64(cold.Load.Residents))
+	if n <= 0 {
+		return 0, nil
+	}
 
 	moved, err := magistrate.MoveResidents.Call(ctx, r.mag, hot.Host, cold.Host, uint64(n))
 	if err != nil {

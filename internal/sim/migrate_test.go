@@ -4,6 +4,8 @@ import (
 	"context"
 	"slices"
 	"testing"
+
+	"repro/internal/host"
 )
 
 // TestRebalancerLevels: from every object of a 3-host jurisdiction on
@@ -58,5 +60,44 @@ func TestRebalancerLevels(t *testing.T) {
 	}
 	if err := s.Sys.Jurisdictions[0].MagistrateImpl().CheckResidentCounts(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRebalancerKeepsHostsAtMean: a host that reads hot by its traffic
+// alone, at the mean resident count, sheds nothing. Three hosts run
+// equal shares and one reports a high dispatch rate; the round moves 0.
+func TestRebalancerKeepsHostsAtMean(t *testing.T) {
+	s := smallSim(t, Config{HostsPerJurisdiction: 3, ObjectsPerClass: 17, Clients: 1})
+	before, err := s.PlacementCounts(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slices.Max(before) != slices.Min(before) {
+		t.Fatalf("placement %v is not level", before)
+	}
+	mc, err := s.MagClient(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := host.ReportLoad.Call(context.Background(), mc, s.Sys.Jurisdictions[0].Hosts[0], host.Load{DispatchRate: 4000}, nil); err != nil {
+		t.Fatal(err)
+	}
+	rb, err := s.NewRebalancer(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb.SustainRounds = 1
+	loads, mean := s.Sys.Jurisdictions[0].MagistrateImpl().Loads(), 0.0
+	for _, hl := range loads {
+		mean += hl.Load.Score() / float64(len(loads))
+	}
+	if hot := loads[0].Load.Score(); hot <= rb.HotFactor*mean {
+		t.Fatalf("host 0 scores %.1f against a mean of %.1f: not hot", hot, mean)
+	}
+	if n, err := rb.RoundNow(context.Background()); err != nil || n != 0 {
+		t.Errorf("round over %v with host 0 hot by traffic moved %d, %v; want 0", before, n, err)
+	}
+	if after, _ := s.PlacementCounts(0); !slices.Equal(after, before) {
+		t.Errorf("placement %v -> %v", before, after)
 	}
 }
