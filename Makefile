@@ -75,26 +75,20 @@ endef
 
 STORE_RUN = TestSegment|TestBackendConformance|TestWriteFileAtomic
 RESTART_RUN = TestCrash|TestRestart
-HOST_RUN = TestConcurrentStartsRespectCapacity|TestStartObjectIdempotent|TestExitSetVerbs
-LIFECYCLE_RUN = TestResidentCountsMatchTable|TestConcurrentActivationRace|TestHostFailedRecovery|TestStartRound|TestDeleteDuringDeactivate|TestDeactivateHostDiesUnderClaim|TestDeactivatePutFails|TestInstantiateRedelivery|TestInstantiateSetPlacesAsLone|TestStartKeepsItsSource|TestStartOnDepartedHost|TestMoveResidents
 
 # Storage fault matrix: the fault-injected recovery tests (torn writes,
 # fsync errors, crash tails, mid-compaction crashes), the backend
 # conformance suite and the atomic snapshot write under the race
 # detector, then the chaos tests driven over the segment backend, then
-# the host's start admission (capacity, already-running objects) and
-# exit set verbs (drain, evict, reopen), and the Magistrate's lifecycle
-# tests (start round, set instantiation, recovery, set moves, resident
-# counts) on several core counts.
+# the whole Host Object package (start admission, exit set verbs) and
+# the whole Magistrate package (start round, set instantiation,
+# recovery, set moves, resident counts) on several core counts.
 store-matrix:
 	$(call check-run,./internal/persist,$(STORE_RUN))
 	$(call check-run,./internal/core ./internal/sim,$(RESTART_RUN))
-	$(call check-run,./internal/host,$(HOST_RUN))
-	$(call check-run,./internal/magistrate,$(LIFECYCLE_RUN))
 	$(GO) test -race -run '$(STORE_RUN)' ./internal/persist
 	$(GO) test -race -run '$(RESTART_RUN)' ./internal/core ./internal/sim
-	$(GO) test -race -count 2 -cpu 1,2,4,8 -run '$(HOST_RUN)' ./internal/host
-	$(GO) test -race -count 2 -cpu 1,2,4,8 -run '$(LIFECYCLE_RUN)' ./internal/magistrate
+	$(GO) test -race -count 2 -cpu 1,2,4,8 ./internal/magistrate ./internal/host
 
 # Storage engine gauntlet: the fault matrix and E21.
 store-test: store-matrix

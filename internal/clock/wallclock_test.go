@@ -40,7 +40,6 @@ var wallClockUses = map[string]int{
 	"internal/rt/caller.go":        1,
 	"internal/rt/impl.go":          1,
 	"internal/rt/node.go":          2,
-	"internal/rt/retry.go":         1,
 	"internal/sim/chaos.go":        3,
 	"internal/sim/workload.go":     6,
 	"internal/trace/trace.go":      4,

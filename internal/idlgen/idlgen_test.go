@@ -2,9 +2,12 @@ package idlgen
 
 import (
 	"bytes"
+	"go/ast"
 	"go/format"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
 	"strings"
 	"testing"
@@ -35,8 +38,16 @@ func TestGenerateParsesAsGo(t *testing.T) {
 		t.Fatal(err)
 	}
 	fset := token.NewFileSet()
-	if _, err := parser.ParseFile(fset, "gen.go", code, 0); err != nil {
+	f, err := parser.ParseFile(fset, "gen.go", code, 0)
+	if err != nil {
 		t.Fatalf("generated code does not parse: %v\n%s", err, code)
+	}
+	// And it type-checks against the packages it imports from source, so
+	// every codec it names for an IDL type (rt.TimeParam for time, ...)
+	// must exist there.
+	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
+	if _, err := conf.Check("kitchen", fset, []*ast.File{f}, nil); err != nil {
+		t.Fatalf("generated code does not type-check: %v\n%s", err, code)
 	}
 	// And it is gofmt-stable after one formatting pass.
 	formatted, err := format.Source(code)

@@ -83,9 +83,9 @@ func (m *Magistrate) checkpointBatch(_ context.Context, fromHost loid.LOID, oprs
 // claimLost claims those of ls whose records are inert and unclaimed,
 // and returns the ones another actor holds. When it can claim none it
 // waits for a release first, holding no claim itself: the claimant's
-// release settles the record and may start it. Objects active again,
-// or gone from the table, drop out.
-func (m *Magistrate) claimLost(ls []loid.LOID) (batch []starting, busy []loid.LOID) {
+// settle settles the record and may start it. Objects active again, or
+// gone from the table, drop out.
+func (m *Magistrate) claimLost(ls []loid.LOID) (batch []*starting, busy []loid.LOID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for {
@@ -97,7 +97,7 @@ func (m *Magistrate) claimLost(ls []loid.LOID) (batch []starting, busy []loid.LO
 				busy = append(busy, l)
 			default:
 				m.claimLocked(rec)
-				batch = append(batch, starting{rec: rec, from: rec.oprAddr, opr: persist.OPR{LOID: l, Impl: rec.impl}})
+				batch = append(batch, &starting{rec: rec, from: rec.oprAddr, opr: persist.OPR{LOID: l, Impl: rec.impl}})
 			}
 		}
 		if len(batch) > 0 || len(busy) == 0 {
@@ -108,47 +108,48 @@ func (m *Magistrate) claimLost(ls []loid.LOID) (batch []starting, busy []loid.LO
 	}
 }
 
-// adoptRound starts a claimed batch of lost objects. Each OPR is read
-// from the store (readOPR: a corrupt one restarts its object blank); any
-// other read error leaves only that object inert. The rest go to the
-// start round (startSet) with no host hint, the adopt hook firing before
-// each call; whatever no host takes stays inert for the next Activate.
+// adoptRound starts a claimed batch of lost objects and settles it.
+// Each OPR is read from the store (readOPR: a corrupt one restarts its
+// object blank); any other read error leaves only that object inert.
+// The rest go to the start round (startSet) with no host hint, the adopt
+// hook firing before each call; whatever no host takes stays inert for
+// the next Activate.
 // Each call is counted once all it did is done: a failed one as its
 // answer lands, before any later call of the round settles an object
 // (an observer that sees the objects settled sees the failure too); one
 // a host took, or one discarded because its host left the pool, once
 // the round has ended. Each object started is announced to its class.
-func (m *Magistrate) adoptRound(batch []starting) {
+func (m *Magistrate) adoptRound(batch []*starting) {
 	if len(batch) == 0 {
 		return
 	}
 	span := m.tracer().RootAlways("call", "bulk.adopt", "magistrate")
 	t0 := m.now()
-	var read, unread []starting
+	var read []*starting
 	for _, a := range batch {
+		// An unread object's zeroed OPR names no record, so settle only
+		// ends its claim: the record stays in the table, inert.
 		var err error
 		if a.opr, err = m.readOPR(a.opr.LOID, a.opr.Impl, a.from); err != nil {
 			span.Event("bulk.adopt", err.Error())
-			unread = append(unread, a)
 		} else {
 			read = append(read, a)
 		}
 	}
-	m.unclaim(unread)
 	m.mu.Lock()
 	hook, plane := m.adoptHook, m.plane
 	m.mu.Unlock()
 
 	reg := m.reg()
 	took := 0
-	discarded := m.startSet(context.Background(), read, loid.Nil, hostEntry{}, roundHooks{before: hook, after: func(_ []*starting, err error) {
+	discarded, _ := m.startSet(context.Background(), read, loid.Nil, hostEntry{}, roundHooks{before: hook, after: func(_ []*starting, err error) {
 		if err != nil {
 			reg.Counter("mag/bulk_adopt_failed").Inc()
 		} else {
 			took++
 		}
 	}})
-	m.unclaim(read)
+	m.settle(batch)
 	took -= discarded
 	reg.Counter("mag/bulk_adopt_failed").Add(uint64(discarded))
 	reg.Counter("mag/bulk_adoptions").Add(uint64(took))

@@ -82,15 +82,6 @@ func (m *Magistrate) subSnapshot() []subEntry {
 	return append([]subEntry(nil), m.subs...)
 }
 
-// knowsLocally reports whether the object is in this magistrate's own
-// table.
-func (m *Magistrate) knowsLocally(l loid.LOID) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	_, ok := m.table[l.Ident()]
-	return ok
-}
-
 // subFor finds the sub-magistrate (if any) that knows l, delegating
 // HasObject down the hierarchy with the caller's deadline and trace.
 func (m *Magistrate) subFor(ctx context.Context, l loid.LOID) (rt.Ref, bool) {

@@ -184,7 +184,7 @@ type record struct {
 	// busy marks a record claimed by a start round or a planned exit
 	// (Deactivate, MigrateObject), which owns its fate while it is set:
 	// Activate (of an inert record), Deactivate, Delete and MigrateObject
-	// wait for it, and HostFailed leaves it to the claimant's release.
+	// wait for it, and HostFailed leaves it to the claimant's settle.
 	// claimLocked and releaseLocked are its only writers.
 	busy bool
 	host loid.LOID  // host running the object, if active
@@ -474,16 +474,16 @@ func (m *Magistrate) activateLocal(ctx context.Context, l, hint loid.LOID) (b bi
 	m.claimLocked(rec)
 	m.mu.Unlock()
 	opr, err := m.readOPR(l, implName, oprAddr)
-	set := []starting{{rec: rec, from: oprAddr, opr: opr, err: err}}
+	s := &starting{rec: rec, from: oprAddr, opr: opr, err: err}
 	if err == nil {
-		m.startSet(ctx, set, hint, hostEntry{}, roundHooks{})
+		m.startSet(ctx, []*starting{s}, hint, hostEntry{}, roundHooks{})
 	}
-	m.unclaim(set)
-	if set[0].on.IsNil() {
-		return binding.Binding{}, true, set[0].err
+	m.settle([]*starting{s})
+	if s.on.IsNil() {
+		return binding.Binding{}, true, s.err
 	}
-	m.noteStarted(ctx, m.Plane(), &set[0])
-	return set[0].b, true, nil
+	m.noteStarted(ctx, m.Plane(), s)
+	return s.b, true, nil
 }
 
 // readOPR reads l's OPR at addr. A damaged one (ErrCorrupt; the store
@@ -515,10 +515,12 @@ func (m *Magistrate) readOPR(l loid.LOID, impl string, addr persist.PersistentAd
 //
 // The set's records are claimed, and each new object's host planned
 // (planLocked), in one critical section. Each host is then offered its
-// planned share in one call; a share of one, and each object of a share
-// its host refuses, goes through a lone start round from its planned
-// host, so capacity limits and the activation filter act on it as on a
-// lone Create. An object that starts nowhere leaves the table.
+// planned share by a start round pinned to it. A share of one, and each
+// object of a share its host refused or left the pool under, goes
+// through a lone start round from its planned host, so capacity limits
+// and the activation filter act on it as on a lone Create; an object
+// whose share got no answer does not, as it may yet start there. An
+// object that starts nowhere leaves the table.
 //
 // An object already in the table under the same implementation is a
 // redelivery: the caller retried after a late or lost reply. It waits
@@ -527,12 +529,12 @@ func (m *Magistrate) readOPR(l loid.LOID, impl string, addr persist.PersistentAd
 func (m *Magistrate) instantiate(ctx context.Context, set []Instance) (Instantiated, error) {
 	// objs[i] starts set[i]; its rec stays nil when set[i] is already in
 	// the table.
-	objs := make([]starting, len(set))
+	objs := make([]*starting, len(set))
 	var again []int
 	m.mu.Lock()
 	for i, in := range set {
-		s := &objs[i]
-		s.opr = persist.OPR{LOID: in.Object, Impl: in.Impl, State: in.State}
+		s := &starting{opr: persist.OPR{LOID: in.Object, Impl: in.Impl, State: in.State}}
+		objs[i] = s
 		if rec, ok := m.table[in.Object.Ident()]; ok {
 			if rec.impl != in.Impl {
 				s.err = fmt.Errorf("magistrate %v: object %v already exists", m.self, in.Object)
@@ -546,49 +548,45 @@ func (m *Magistrate) instantiate(ctx context.Context, set []Instance) (Instantia
 		m.claimLocked(s.rec)
 	}
 	plan := m.planLocked(objs, set)
+	m.mu.Unlock()
 
 	// The planned shares, in the order their hosts were first picked. A
 	// lone object is its own lone round.
 	type share struct {
-		h    hostEntry
+		h    loid.LOID
 		take []*starting
 	}
-	var (
-		shares []share
-		rd     round
-	)
-	for i := range objs {
-		s := &objs[i]
+	var shares []share
+	for i, s := range objs {
 		if s.rec == nil || s.err != nil || len(objs) == 1 {
 			continue
 		}
-		j := slices.IndexFunc(shares, func(sh share) bool { return sh.h.l.SameObject(plan[i].l) })
+		j := slices.IndexFunc(shares, func(sh share) bool { return sh.h.SameObject(plan[i].l) })
 		if j < 0 {
 			j = len(shares)
-			shares = append(shares, share{h: plan[i]})
+			shares = append(shares, share{h: plan[i].l})
 		}
 		shares[j].take = append(shares[j].take, s)
 	}
 	for _, sh := range shares {
-		if len(sh.take) == 1 || !m.hostKnownLocked(sh.h.l) {
+		if len(sh.take) == 1 {
 			continue
 		}
-		err := m.offerLocked(ctx, &rd, sh.h, sh.take, roundHooks{})
-		if err != nil && !refused(err) && m.hostKnownLocked(sh.h.l) {
-			// No answer: the share may yet start there.
-			for _, s := range sh.take {
-				s.err = fmt.Errorf("magistrate %v: start on %v: %w", m.self, sh.h.l, err)
+		if _, unanswered := m.startSet(ctx, sh.take, sh.h, hostEntry{}, roundHooks{}); unanswered {
+			continue // the share may yet start there
+		}
+		for _, s := range sh.take {
+			if s.on.IsNil() {
+				s.err = nil // refused, or its host left the pool
 			}
 		}
 	}
-	m.endRoundLocked(&rd)
 
 	// What no share took starts alone, in the set's order: a share of
 	// one, a refused share, and one whose host left the pool meanwhile.
 	out := Instantiated{Bindings: make([]binding.Binding, len(set))}
 	plane := m.Plane()
-	for i := range objs {
-		s := &objs[i]
+	for i, s := range objs {
 		if s.rec == nil {
 			continue
 		}
@@ -600,7 +598,7 @@ func (m *Magistrate) instantiate(ctx context.Context, set []Instance) (Instantia
 			out.Bindings[i] = s.b
 		}
 	}
-	m.unclaim(objs)
+	m.settle(objs)
 
 	for _, i := range again {
 		b, known, err := m.activateLocal(ctx, set[i].Object, set[i].HostHint)
@@ -627,10 +625,9 @@ func (m *Magistrate) instantiate(ctx context.Context, set []Instance) (Instantia
 // admits it. The set's earlier plans count as residents while it plans.
 // An object no host admits gets the reason as its err and no plan.
 // m.mu held.
-func (m *Magistrate) planLocked(objs []starting, set []Instance) []hostEntry {
+func (m *Magistrate) planLocked(objs []*starting, set []Instance) []hostEntry {
 	plan := make([]hostEntry, len(objs))
-	for i := range objs {
-		s := &objs[i]
+	for i, s := range objs {
 		if s.rec == nil {
 			continue
 		}
@@ -638,7 +635,7 @@ func (m *Magistrate) planLocked(objs []starting, set []Instance) []hostEntry {
 		h, err := m.pickHostLocked(hint)
 		if err == nil {
 			if err = m.admitLocked(h.l, s.opr); err != nil {
-				if next, ok := m.nextHostLocked(hint, []loid.LOID{h.l}, []*starting{s}); ok {
+				if next, ok := m.nextHostLocked(hint, []loid.LOID{h.l}, objs[i:i+1]); ok {
 					h, err = next, nil
 				}
 			}
@@ -658,11 +655,13 @@ func (m *Magistrate) planLocked(objs []starting, set []Instance) []hostEntry {
 	return plan
 }
 
-// starting is one object of a start round: its claimed record, the OPR
-// it starts from and the address that OPR is filed at ("" for a new
-// object). src is nil but for an object that leaves a host (a planned
-// exit, drainAndFile): a moving object's claim outlasts its commit. The
-// round sets on and b once the object runs, or err once it gives up.
+// starting is one object of a claimed set, from its claim to its
+// settlement (settle): its claimed record, the OPR it starts from and
+// the address that OPR is filed at ("" for a new object). src is nil but
+// for an object that leaves a host (a planned exit, drainAndFile): a
+// moving object's claim outlasts its commit. A start round sets on and b
+// once the object runs, or err once it gives up. Every claimed set is a
+// []*starting.
 type starting struct {
 	rec  *record
 	from persist.PersistentAddress
@@ -716,7 +715,8 @@ func (rd *round) orphan(h, l loid.LOID) {
 }
 
 // startSet is the one start round, the only code that starts objects:
-// Activate, Instantiate, HostFailed recovery and MigrateObject all go
+// Activate, Instantiate (each planned share, pinned to its host, then
+// each object alone), HostFailed recovery and MigrateObject all go
 // through it (§3.1.1). It asks the hinted host only, or else first (the
 // placement pick when first is the zero entry or has left the pool) and
 // then each host of the pool not yet asked that the activation filter
@@ -729,19 +729,14 @@ func (rd *round) orphan(h, l loid.LOID) {
 // still in the pool ends the round: the set may yet start there, and
 // offering it to another host could leave two incarnations. What is
 // left gets the round's last error and goes back to the caller still
-// claimed. It returns the round's discarded calls.
-func (m *Magistrate) startSet(ctx context.Context, set []starting, hint loid.LOID, first hostEntry, hooks roundHooks) int {
-	pending := make([]*starting, len(set))
-	for i := range set {
-		pending[i] = &set[i]
-	}
+// claimed. It returns the round's discarded calls, and whether it ended
+// on a call that got no answer.
+func (m *Magistrate) startSet(ctx context.Context, set []*starting, hint loid.LOID, first hostEntry, hooks roundHooks) (discarded int, unanswered bool) {
+	pending := slices.Clone(set)
 	var rd round
 	m.mu.Lock()
 	h, err := first, error(nil)
-	if !h.l.IsNil() && !m.hostKnownLocked(h.l) {
-		h = hostEntry{} // it left the pool since it was planned
-	}
-	if h.l.IsNil() {
+	if h.l.IsNil() || !m.hostKnownLocked(h.l) { // none, or it left the pool since it was planned
 		h, err = m.pickHostLocked(hint)
 	}
 	for asked, ok := []loid.LOID(nil), err == nil; ok && len(pending) > 0; h, ok = m.nextHostLocked(hint, asked, pending) {
@@ -761,7 +756,7 @@ func (m *Magistrate) startSet(ctx context.Context, set []starting, hint loid.LOI
 		}
 		if cerr := m.offerLocked(ctx, &rd, h, pending[:n], hooks); cerr != nil {
 			err = fmt.Errorf("magistrate %v: start on %v: %w", m.self, h.l, cerr)
-			if !refused(cerr) && m.hostKnownLocked(h.l) {
+			if unanswered = !refused(cerr) && m.hostKnownLocked(h.l); unanswered {
 				break
 			}
 			continue
@@ -772,7 +767,7 @@ func (m *Magistrate) startSet(ctx context.Context, set []starting, hint loid.LOI
 		s.err = err
 	}
 	m.endRoundLocked(&rd)
-	return rd.discarded
+	return rd.discarded, unanswered
 }
 
 // offerLocked asks h to start take in one StartObjects call, with m.mu
@@ -824,24 +819,6 @@ func (m *Magistrate) offerLocked(ctx context.Context, rd *round, h hostEntry, ta
 		s.on, s.b = h.l, m.bindingLocked(l, h.addr)
 	}
 	return nil
-}
-
-// unclaim releases the claims a start round handed back: those of the
-// objects of set it did not start. A new object among them leaves the
-// table in the same critical section: with nothing filed, no actor may
-// ever see it inert.
-func (m *Magistrate) unclaim(set []starting) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, s := range set {
-		if s.rec == nil || !s.on.IsNil() {
-			continue
-		}
-		if id := s.opr.LOID.Ident(); s.from == "" && m.table[id] == s.rec {
-			delete(m.table, id)
-		}
-		m.releaseLocked(s.rec)
-	}
 }
 
 // endRoundLocked ends a start round: with m.mu released, the round's
@@ -934,31 +911,40 @@ func (m *Magistrate) drop(addrs ...persist.PersistentAddress) {
 // m.mu held.
 func (m *Magistrate) claimLocked(rec *record) { rec.busy = true }
 
-// releaseLocked ends the claims on recs and wakes every actor waiting
-// for a record to settle. m.mu held.
-func (m *Magistrate) releaseLocked(recs ...*record) {
-	for _, rec := range recs {
-		rec.busy = false
-	}
+// releaseLocked ends the claim on rec and wakes every actor waiting for
+// a record to settle. m.mu held.
+func (m *Magistrate) releaseLocked(rec *record) {
+	rec.busy = false
 	m.cond.Broadcast()
 }
 
-// release ends the claim a deactivation or a migration holds on l's
-// active record. HostFailed skipped the claimed record, so if the host
-// it is still placed on has left the jurisdiction meanwhile, release
-// settles it lost and recovers it, as HostFailed would have: the only
-// code that settles a claimed record. It reports whether it did.
-func (m *Magistrate) release(l loid.LOID, rec *record) bool {
+// settle ends the claims its caller holds on set, in one critical
+// section, once the set's start round or planned exit is over. A
+// started object that is not moving is skipped: the round's commit
+// released it. An unborn object that did not start leaves the table:
+// with nothing filed, no actor may ever see it inert. An object still
+// placed on a host that has left the jurisdiction is settled lost, as
+// HostFailed, which skips claimed records, would have: settle is the
+// only code that settles a claimed record. The lost objects are
+// recovered in one recoverLost call and returned.
+func (m *Magistrate) settle(set []*starting) (lost []loid.LOID) {
 	m.mu.Lock()
-	m.releaseLocked(rec)
-	lost := rec.active && !m.hostKnownLocked(rec.host) && m.table[l.Ident()] == rec
-	if lost {
-		m.settleLostLocked(l.ID(), rec)
+	for _, s := range set {
+		if s.rec == nil || (!s.on.IsNil() && s.src.IsNil()) {
+			continue
+		}
+		if id := s.opr.LOID.Ident(); m.table[id] == s.rec {
+			if s.rec.unborn() {
+				delete(m.table, id)
+			} else if s.rec.active && !m.hostKnownLocked(s.rec.host) {
+				m.settleLostLocked(s.opr.LOID.ID(), s.rec)
+				lost = append(lost, s.opr.LOID.ID())
+			}
+		}
+		m.releaseLocked(s.rec)
 	}
 	m.mu.Unlock()
-	if lost {
-		m.recoverLost([]loid.LOID{l.ID()})
-	}
+	m.recoverLost(lost)
 	return lost
 }
 
@@ -968,8 +954,8 @@ func (m *Magistrate) release(l loid.LOID, rec *record) bool {
 // authoritative OPR; without one (an Instantiated object not yet
 // checkpointed) a blank OPR is minted and the object restarts from its
 // initial state. It is the only code that settles a lost incarnation, for
-// HostFailed and for the release of a claim whose host died under it.
-// m.mu held.
+// HostFailed and for settle, of a claim whose host died under it. m.mu
+// held.
 func (m *Magistrate) settleLostLocked(id loid.LOID, rec *record) {
 	lostOn := rec.host
 	m.unplace(rec)
@@ -999,11 +985,14 @@ func (m *Magistrate) mintBlank(l loid.LOID, impl string) persist.PersistentAddre
 // Records another actor holds are left to a later round, and what no
 // host takes stays inert for the next Activate. Running in the
 // background, the loop never makes a caller still holding a claim wait
-// on itself.
+// on itself; with nothing lost, it does not run.
 func (m *Magistrate) recoverLost(ls []loid.LOID) {
+	if len(ls) == 0 {
+		return
+	}
 	go func() {
 		for len(ls) > 0 {
-			var batch []starting
+			var batch []*starting
 			batch, ls = m.claimLost(ls)
 			m.adoptRound(batch)
 		}
@@ -1015,9 +1004,9 @@ func (m *Magistrate) recoverLost(ls []loid.LOID) {
 // object that was active on h is settled inert (settleLostLocked): a
 // crash loses the host's volatile memory, so each comes back from its
 // last checkpoint, or else from its initial state. A record that is
-// busy is left to its claimant: a migration or deactivation settles it
-// as it releases the claim (release), so settling it here would race
-// it into a second incarnation.
+// busy is left to its claimant: a start round, migration or
+// deactivation settles it as it ends the claim (settle), so settling it
+// here would race it into a second incarnation.
 //
 // The affected objects are then recovered EAGERLY in the background
 // (recoverLost: "the Magistrate can always activate the object using
@@ -1278,9 +1267,9 @@ func (m *Magistrate) deactivateByLOID(ctx context.Context, l loid.LOID) error {
 	src := rec.host
 	m.claimLocked(rec)
 	m.mu.Unlock()
-	defer m.release(l, rec)
+	set := []*starting{{rec: rec, opr: persist.OPR{LOID: l}, src: src}}
+	defer m.settle(set)
 
-	set := []starting{{rec: rec, opr: persist.OPR{LOID: l}, src: src}}
 	if m.drainAndFile(ctx, set, nil) == 0 {
 		m.abortToSource(set)
 		return set[0].err

@@ -198,7 +198,7 @@ func (m *Magistrate) MigrateObject(ctx context.Context, l, destHost loid.LOID) e
 		return fmt.Errorf("magistrate %v: destination host %v not in jurisdiction", m.self, destHost)
 	}
 	m.claimLocked(rec)
-	set := []starting{{rec: rec, opr: persist.OPR{LOID: l}, src: rec.host}}
+	set := []*starting{{rec: rec, opr: persist.OPR{LOID: l}, src: rec.host}}
 	m.mu.Unlock()
 	_, err := m.move(ctx, set, destHost)
 	return err
@@ -216,14 +216,14 @@ func (m *Magistrate) moveResidents(ctx context.Context, from, to loid.LOID, n ui
 		m.mu.Unlock()
 		return 0, fmt.Errorf("magistrate %v: destination host %v not in jurisdiction", m.self, to)
 	}
-	var set []starting
+	var set []*starting
 	for id, rec := range m.table {
 		o := persist.OPR{LOID: id.LOID(), Impl: rec.impl}
 		if rec.active && !rec.busy && rec.host.SameObject(from) && !rec.host.SameObject(to) && m.admitLocked(to, o) == nil {
-			set = append(set, starting{rec: rec, opr: o, src: rec.host})
+			set = append(set, &starting{rec: rec, opr: o, src: rec.host})
 		}
 	}
-	slices.SortFunc(set, func(a, b starting) int {
+	slices.SortFunc(set, func(a, b *starting) int {
 		x, y := a.opr.LOID, b.opr.LOID
 		return cmp.Or(cmp.Compare(x.ClassID, y.ClassID), cmp.Compare(x.ClassSpecific, y.ClassSpecific))
 	})
@@ -244,12 +244,12 @@ func (m *Magistrate) moveResidents(ctx context.Context, from, to loid.LOID, n ui
 // filed (drainAndFile) and started on dest by one start round pinned
 // there; the source then evicts the started objects in one call and
 // reopens the rest in another (abortToSource), the classes are told, and
-// the claims are released, which settles an object whose host died
-// under it (HostFailed skips claimed records). The phase hooks fire per
-// object: "prepared" after its drain, "shipped" once the start call
-// answered, "republished" after the round's commit, and "committed"
-// after the eviction.
-func (m *Magistrate) move(ctx context.Context, set []starting, dest loid.LOID) (moved uint64, err error) {
+// the set is settled (settle), which recovers in one round the objects
+// whose host died under them (HostFailed skips claimed records). The
+// phase hooks fire per object: "prepared" after its drain, "shipped"
+// once the start call answered, "republished" after the round's commit,
+// and "committed" after the eviction.
+func (m *Magistrate) move(ctx context.Context, set []*starting, dest loid.LOID) (moved uint64, err error) {
 	reg := m.reg()
 	reg.Counter("mig/attempts").Add(uint64(len(set)))
 	t0 := m.now()
@@ -287,7 +287,7 @@ func (m *Magistrate) move(ctx context.Context, set []starting, dest loid.LOID) (
 			gone, to = append(gone, s.opr.LOID), s.b.Address
 		}
 	}
-	if back := slices.DeleteFunc(slices.Clone(set), func(s starting) bool { return !s.on.IsNil() }); len(back) > 0 {
+	if back := slices.DeleteFunc(slices.Clone(set), func(s *starting) bool { return !s.on.IsNil() }); len(back) > 0 {
 		m.abortToSource(back)
 	}
 	// Phase 5: commit. The source kills the started incarnations and
@@ -301,24 +301,20 @@ func (m *Magistrate) move(ctx context.Context, set []starting, dest loid.LOID) (
 			span.Event("migrate", fmt.Sprintf("commit of %d on %v failed: %v (callers heal via refresh)", len(gone), src, ferr))
 		}
 	}
-	for i := range set {
-		s := &set[i]
-		l := s.opr.LOID
-		if !s.on.IsNil() {
-			m.notifyClass(ctx, l, s.b)
-			m.hook("committed", l, src, dest)
-		}
-		if m.release(l, s.rec) {
-			span.Event("migrate", fmt.Sprintf("%v: its host died under the migration; recovering from checkpoint", l))
-		}
-		if s.err != nil {
+	for _, s := range set {
+		if s.on.IsNil() {
 			reg.Counter("mig/aborts").Inc()
 			err = s.err
 			continue
 		}
+		m.notifyClass(ctx, s.opr.LOID, s.b)
+		m.hook("committed", s.opr.LOID, src, dest)
 		reg.Counter("mig/success").Inc()
 		reg.Histogram("mig/total").Observe(m.since(t0))
 		moved++
+	}
+	for _, l := range m.settle(set) {
+		span.Event("migrate", fmt.Sprintf("%v: its host died under the migration; recovering from checkpoint", l))
 	}
 	if err != nil {
 		span.Finish(wire.ErrApp.String())
@@ -341,13 +337,12 @@ var errNotDrained = errors.New("not drained")
 // An object not drained or not filed gets err instead, and the caller
 // aborts it (abortToSource). The filed objects end at the front of set,
 // in order; it returns how many there are.
-func (m *Magistrate) drainAndFile(ctx context.Context, set []starting, drained func(*starting)) (filed int) {
+func (m *Magistrate) drainAndFile(ctx context.Context, set []*starting, drained func(*starting)) (filed int) {
 	src := set[0].src
 	got, err := host.DrainObjects.Call(ctx, m.obj.Caller().To(src), loids(set))
 	// The host answers the drained objects in the order asked; they move
 	// to the front of set.
-	for i := range set {
-		s := &set[i]
+	for i, s := range set {
 		if filed == len(got) || !got[filed].LOID.SameObject(s.opr.LOID) {
 			s.err = fmt.Errorf("magistrate %v: drain %v on %v: %w", m.self, s.opr.LOID, src, cmp.Or(err, errNotDrained))
 			continue
@@ -356,22 +351,21 @@ func (m *Magistrate) drainAndFile(ctx context.Context, set []starting, drained f
 		if drained != nil {
 			drained(s)
 		}
-		set[filed], set[i] = set[i], set[filed]
+		set[filed], set[i] = s, set[filed]
 		filed++
 	}
 	if filed == 0 {
 		return 0
 	}
 	addrs, err := m.store.PutBatch(got[:filed])
-	for i := range set[:filed] {
-		if err != nil {
-			set[i].err = fmt.Errorf("magistrate %v: file %v: %w", m.self, set[i].opr.LOID, err)
-		} else {
-			set[i].from = addrs[i]
-		}
-	}
 	if err != nil {
+		for _, s := range set[:filed] {
+			s.err = fmt.Errorf("magistrate %v: file %v: %w", m.self, s.opr.LOID, err)
+		}
 		return 0
+	}
+	for i, s := range set[:filed] {
+		s.from = addrs[i]
 	}
 	return filed
 }
@@ -380,9 +374,10 @@ func (m *Magistrate) drainAndFile(ctx context.Context, set []starting, drained f
 // leave set[0].src. An object's filed state (from), if any, becomes its
 // record's checkpoint, the newest state of the object. If the source is
 // still in the jurisdiction, the objects reopen there in one call
-// (parked calls replay in order); if it died, the caller's release
-// settles each record lost — promoting that checkpoint — and recovers it.
-func (m *Magistrate) abortToSource(set []starting) {
+// (parked calls replay in order); if it died, the caller's settle
+// settles each record lost — promoting that checkpoint — and recovers
+// them all in one round.
+func (m *Magistrate) abortToSource(set []*starting) {
 	stale := make([]persist.PersistentAddress, len(set))
 	m.mu.Lock()
 	known := m.hostKnownLocked(set[0].src)
@@ -403,7 +398,7 @@ func (m *Magistrate) abortToSource(set []starting) {
 }
 
 // loids returns the objects of set.
-func loids(set []starting) []loid.LOID {
+func loids(set []*starting) []loid.LOID {
 	ls := make([]loid.LOID, len(set))
 	for i, s := range set {
 		ls[i] = s.opr.LOID

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/loid"
 	"repro/internal/metrics"
@@ -112,6 +114,82 @@ func TestMoveResidents(t *testing.T) {
 	}
 	t.Run("picks", testMovePicks)
 	t.Run("failures", testMoveFailures)
+	t.Run("source-lost", func(t *testing.T) { testMoveLost(t, "prepared", 0, true) })
+	t.Run("destination-lost", func(t *testing.T) { testMoveLost(t, "republished", 1, false) })
+}
+
+// testMoveLost: 16 checkpointed residents move from host 0 to host 1,
+// and host dies (0 the source, 1 the destination) fails at the move's
+// first phase boundary named phase, the store refusing the drained
+// states if refuse is set. The objects lost with it come back in one
+// recovery round, as after a HostFailed of the same residents:
+// mag/bulk_adoptions rises by one, the survivors serve one StartObjects
+// between them, and each object runs once on a survivor with its count.
+func testMoveLost(t *testing.T, phase string, dies int, refuse bool) {
+	fx := newFixture(t, 3)
+	ls := startCounters(t, fx, 0, 16)
+	store := &failingPut{Store: fx.store}
+	fx.mag.store = store
+	// The survivors' Host Objects count the requests they serve; the
+	// source's DrainObjects and EvictObjects are among them if it lives.
+	var survivors []*rt.Object
+	exits := uint64(0)
+	for i, h := range fx.hosts {
+		if i != dies {
+			o, _ := h.Node().Lookup(fx.hostLs[i])
+			survivors = append(survivors, o)
+		}
+	}
+	if dies != 0 {
+		exits = 2
+	}
+	served := func() (n uint64) {
+		for _, o := range survivors {
+			n += o.Mutations()
+		}
+		return n
+	}
+	asked, adoptions := served(), fx.reg.CounterValue("mag/bulk_adoptions")
+	var once sync.Once
+	fx.mag.SetMigrateHook(func(p string, _, _, _ loid.LOID) {
+		if p == phase {
+			once.Do(func() {
+				fx.hosts[dies].CrashResidents()
+				fx.mag.HostFailed(fx.hostLs[dies])
+				store.armed.Store(refuse)
+			})
+		}
+	})
+	if _, err := MoveResidents.Call(context.Background(), fx.client.Ref, fx.hostLs[0], fx.hostLs[1], 16); refuse && err == nil {
+		t.Fatal("MoveResidents succeeded with the store refusing its states")
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		settled := fx.reg.CounterValue("mag/bulk_adoptions") > adoptions
+		fx.mag.mu.Lock()
+		for _, l := range ls {
+			rec := fx.mag.table[l.Ident()]
+			settled = settled && rec.active && !rec.busy
+		}
+		fx.mag.mu.Unlock()
+		if settled {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the lost objects never came back")
+		}
+	}
+	if got := fx.reg.CounterValue("mag/bulk_adoptions") - adoptions; got != 1 {
+		t.Errorf("mag/bulk_adoptions rose by %d, want one recovery round", got)
+	}
+	if got := served() - asked - exits; got != 1 {
+		t.Errorf("the survivors served %d StartObjects, want 1", got)
+	}
+	checkRecovered(t, fx, ls, fx.hostLs[dies])
+	for k, l := range ls {
+		if got := inc(t, fx, l); got != uint64(k+2) {
+			t.Errorf("%v counts %d after the move, want %d", l, got, k+2)
+		}
+	}
 }
 
 // testMoveFailures: a resident whose drain fails stays where it ran and

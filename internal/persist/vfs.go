@@ -184,9 +184,6 @@ func (v *FaultVFS) Crash() { v.crashed.Store(true) }
 // Crashed reports whether the crash point fired.
 func (v *FaultVFS) Crashed() bool { return v.crashed.Load() }
 
-// Writes returns how many data writes have been attempted.
-func (v *FaultVFS) Writes() int { return int(v.writes.Load()) }
-
 func (v *FaultVFS) check() error {
 	if v.crashed.Load() {
 		return ErrCrashed

@@ -77,7 +77,7 @@ func NewRetryBudget(capacity, refillPerSec float64) *RetryBudget {
 	if refillPerSec < 0 {
 		refillPerSec = 0
 	}
-	// last is stamped lazily on the first Take so the refill baseline
+	// last is stamped lazily on the first take so the refill baseline
 	// comes from whichever clock the caller runs on (a budget built
 	// before a virtual clock is installed would otherwise never refill:
 	// construction wall time sits far ahead of the virtual epoch).
@@ -88,12 +88,10 @@ func NewRetryBudget(capacity, refillPerSec float64) *RetryBudget {
 	}
 }
 
-// Take consumes one retry token, reporting false when the budget is
-// exhausted (the caller should give up rather than amplify load).
-func (b *RetryBudget) Take() bool { return b.takeAt(time.Now()) }
-
-// takeAt is Take against an explicit instant, so callers behind a
-// virtual clock refill deterministically.
+// takeAt consumes one retry token at now, reporting false when the
+// budget is exhausted (the caller should give up rather than amplify
+// load). now comes from the caller's clock, so callers behind a virtual
+// clock refill deterministically.
 func (b *RetryBudget) takeAt(now time.Time) bool {
 	if b == nil {
 		return true
