@@ -63,6 +63,10 @@ func mustNoErr(b *testing.B, err error) {
 // mem-mailbox is the call the benchmark rig's rt.allocs_per_call counts:
 // default mailbox dispatch to a sim.worker, whose Work returns one 8-byte
 // result (the handler's result slice and bytes are two of its allocs).
+// mem-callers is that call in the shape of the warm_mem workload: each
+// goroutine calls its own sim.worker through its own Caller, on one
+// shared client node, with a real metrics.Registry, so the only lines
+// two goroutines can both write are the runtime's own.
 func BenchmarkParallelInvoke(b *testing.B) {
 	b.Run("mem", func(b *testing.B) {
 		f := transport.NewFabric(nil)
@@ -77,6 +81,7 @@ func BenchmarkParallelInvoke(b *testing.B) {
 		defer f.Close()
 		benchParallelInvoke(b, f, f, nil, true)
 	})
+	b.Run("mem-callers", benchParallelCallers)
 }
 
 // BenchmarkParallelInvokeTraced is BenchmarkParallelInvoke with the
@@ -147,6 +152,41 @@ func benchParallelInvoke(b *testing.B, srvTr, cliTr transport.Transport, tracer 
 		c := rt.NewCaller(clientNode, loid.New(701, id, loid.DeriveKey(fmt.Sprintf("bench/cli/%d", id))), nil)
 		c.Timeout = 10 * time.Second
 		c.AddBinding(bind)
+		for pb.Next() {
+			res, err := c.Call(target, "Work")
+			if !mustOK(b, res, err) {
+				return
+			}
+		}
+	})
+}
+
+// benchParallelCallers is the mem-callers row: one Caller and one
+// default-option sim.worker per goroutine, the callers sharing one
+// client node, both nodes and the fabric counting into one registry.
+func benchParallelCallers(b *testing.B) {
+	reg := metrics.NewRegistry()
+	f := transport.NewFabric(reg)
+	defer f.Close()
+	server, err := rt.NewNode(f, reg, "bench-srv")
+	mustNoErr(b, err)
+	defer server.Close()
+	clientNode, err := rt.NewNode(f, reg, "bench-cli")
+	mustNoErr(b, err)
+	defer clientNode.Close()
+
+	var callerSeq atomic.Uint64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		id := callerSeq.Add(1)
+		target := loid.New(700, id, loid.DeriveKey(fmt.Sprintf("bench/callers/%d", id)))
+		if _, err := server.Spawn(target, sim.NewWorkerImpl()); err != nil {
+			b.Error(err)
+			return
+		}
+		c := rt.NewCaller(clientNode, loid.New(701, id, loid.DeriveKey(fmt.Sprintf("bench/cli/%d", id))), nil)
+		c.Timeout = 10 * time.Second
+		c.AddBinding(binding.Forever(target, server.Address()))
 		for pb.Next() {
 			res, err := c.Call(target, "Work")
 			if !mustOK(b, res, err) {

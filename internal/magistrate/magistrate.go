@@ -168,9 +168,11 @@ type ActivationFilter func(object loid.LOID, impl string, onHost loid.LOID) erro
 
 type record struct {
 	impl string
-	// oprAddr is set iff the record is inert, with one exception: the
+	// oprAddr is set iff the record is inert, with two exceptions: the
 	// record Instantiate inserts is inert, claimed and has none until
-	// its object starts (or it leaves the table). See unborn.
+	// its object starts (or it leaves the table), see unborn; and a lost
+	// object whose blank OPR the store refused (settleLostLocked) has
+	// none, which reads as a blank OPR (readOPR).
 	oprAddr persist.PersistentAddress
 	// ckptAddr is the newest crash-recovery checkpoint of an ACTIVE
 	// object: what its incarnation started from, then what its host
@@ -187,14 +189,13 @@ type record struct {
 	// wait for it, and HostFailed leaves it to the claimant's settle.
 	// claimLocked and releaseLocked are its only writers.
 	busy bool
-	host loid.LOID  // host running the object, if active
-	addr oa.Address // object address, if active
+	// unborn marks a record Instantiate has inserted whose object has
+	// not started yet: no binding has been returned to anyone, and
+	// nothing is filed for it. Its first place clears it. m.mu held.
+	unborn bool
+	host   loid.LOID  // host running the object, if active
+	addr   oa.Address // object address, if active
 }
-
-// unborn reports a record Instantiate has inserted but whose object has
-// not started yet: no binding has been returned to anyone, and nothing
-// is filed for it. m.mu held.
-func (r *record) unborn() bool { return r.busy && !r.active && r.oprAddr == "" }
 
 // Magistrate is the Magistrate implementation.
 type Magistrate struct {
@@ -489,8 +490,12 @@ func (m *Magistrate) activateLocal(ctx context.Context, l, hint loid.LOID) (b bi
 // readOPR reads l's OPR at addr. A damaged one (ErrCorrupt; the store
 // has quarantined it) reads as a blank OPR: availability beats amnesia,
 // so the object comes back with empty state rather than staying
-// unactivatable for good.
+// unactivatable for good. So does no address at all: the record of a
+// lost object whose blank OPR the store refused (settleLostLocked).
 func (m *Magistrate) readOPR(l loid.LOID, impl string, addr persist.PersistentAddress) (persist.OPR, error) {
+	if addr == "" {
+		return persist.OPR{LOID: l, Impl: impl}, nil
+	}
 	opr, err := m.store.Get(addr)
 	if errors.Is(err, persist.ErrCorrupt) {
 		m.reg().Counter("mag/opr_corrupt").Inc()
@@ -543,7 +548,7 @@ func (m *Magistrate) instantiate(ctx context.Context, set []Instance) (Instantia
 			}
 			continue
 		}
-		s.rec = &record{impl: in.Impl}
+		s.rec = &record{impl: in.Impl, unborn: true}
 		m.table[in.Object.Ident()] = s.rec
 		m.claimLocked(s.rec)
 	}
@@ -934,7 +939,7 @@ func (m *Magistrate) settle(set []*starting) (lost []loid.LOID) {
 			continue
 		}
 		if id := s.opr.LOID.Ident(); m.table[id] == s.rec {
-			if s.rec.unborn() {
+			if s.rec.unborn {
 				delete(m.table, id)
 			} else if s.rec.active && !m.hostKnownLocked(s.rec.host) {
 				m.settleLostLocked(s.opr.LOID.ID(), s.rec)
@@ -968,7 +973,8 @@ func (m *Magistrate) settleLostLocked(id loid.LOID, rec *record) {
 }
 
 // mintBlank persists an empty-state OPR for l, so a record whose state
-// is gone stays activatable. It returns "" when the store refuses.
+// is gone stays activatable. It returns "" when the store refuses, an
+// address readOPR reads as the same blank OPR.
 func (m *Magistrate) mintBlank(l loid.LOID, impl string) persist.PersistentAddress {
 	a, err := m.store.Put(persist.OPR{LOID: l, Impl: impl})
 	if err != nil {
@@ -1179,7 +1185,7 @@ func (m *Magistrate) pickHostLocked(hint loid.LOID) (hostEntry, error) {
 // re-check m.table[id] == rec first — and m.mu must be held.
 func (m *Magistrate) place(rec *record, host loid.LOID, addr oa.Address) {
 	m.unplace(rec)
-	rec.active, rec.host, rec.addr = true, host, addr
+	rec.active, rec.host, rec.addr, rec.unborn = true, host, addr, false
 	m.residents[host.ID()]++
 }
 
@@ -1389,13 +1395,13 @@ func (m *Magistrate) SaveState() ([]byte, error) {
 	// blank restart). Inert records keep their authoritative OPR address.
 	n := len(m.table)
 	for _, rec := range m.table {
-		if rec.unborn() {
+		if rec.unborn {
 			n--
 		}
 	}
 	w.Count64(n)
 	for id, rec := range m.table {
-		if rec.unborn() {
+		if rec.unborn {
 			continue
 		}
 		addr := rec.oprAddr

@@ -245,7 +245,8 @@ func (m *Magistrate) moveResidents(ctx context.Context, from, to loid.LOID, n ui
 // there; the source then evicts the started objects in one call and
 // reopens the rest in another (abortToSource), the classes are told, and
 // the set is settled (settle), which recovers in one round the objects
-// whose host died under them (HostFailed skips claimed records). The
+// whose host died under them (HostFailed skips claimed records); those
+// count as not moved, with an error. The
 // phase hooks fire per object: "prepared" after its drain, "shipped"
 // once the start call answered, "republished" after the round's commit,
 // and "committed" after the eviction.
@@ -309,12 +310,25 @@ func (m *Magistrate) move(ctx context.Context, set []*starting, dest loid.LOID) 
 		}
 		m.notifyClass(ctx, s.opr.LOID, s.b)
 		m.hook("committed", s.opr.LOID, src, dest)
-		reg.Counter("mig/success").Inc()
-		reg.Histogram("mig/total").Observe(m.since(t0))
-		moved++
 	}
+	// An object counts as moved only if settle did not find it lost: a
+	// destination that died after the commit took it along, and recovery
+	// places it wherever its round picks.
+	lost := map[loid.Ident]bool{}
 	for _, l := range m.settle(set) {
+		lost[l.Ident()] = true
 		span.Event("migrate", fmt.Sprintf("%v: its host died under the migration; recovering from checkpoint", l))
+	}
+	for _, s := range set {
+		switch {
+		case s.on.IsNil():
+		case lost[s.opr.LOID.Ident()]:
+			err = fmt.Errorf("magistrate %v: %v lost with host %v during its move; recovering from checkpoint", m.self, s.opr.LOID, s.on)
+		default:
+			reg.Counter("mig/success").Inc()
+			reg.Histogram("mig/total").Observe(m.since(t0))
+			moved++
+		}
 	}
 	if err != nil {
 		span.Finish(wire.ErrApp.String())

@@ -121,10 +121,12 @@ func TestMoveResidents(t *testing.T) {
 // testMoveLost: 16 checkpointed residents move from host 0 to host 1,
 // and host dies (0 the source, 1 the destination) fails at the move's
 // first phase boundary named phase, the store refusing the drained
-// states if refuse is set. The objects lost with it come back in one
-// recovery round, as after a HostFailed of the same residents:
-// mag/bulk_adoptions rises by one, the survivors serve one StartObjects
-// between them, and each object runs once on a survivor with its count.
+// states if refuse is set. The move answers 0 moved and an error, and
+// counts no mig/success: none of the 16 ends where it was sent. The
+// objects lost with the host come back in one recovery round, as after
+// a HostFailed of the same residents: mag/bulk_adoptions rises by one,
+// the survivors serve one StartObjects between them, and each object
+// runs once on a survivor with its count.
 func testMoveLost(t *testing.T, phase string, dies int, refuse bool) {
 	fx := newFixture(t, 3)
 	ls := startCounters(t, fx, 0, 16)
@@ -160,8 +162,12 @@ func testMoveLost(t *testing.T, phase string, dies int, refuse bool) {
 			})
 		}
 	})
-	if _, err := MoveResidents.Call(context.Background(), fx.client.Ref, fx.hostLs[0], fx.hostLs[1], 16); refuse && err == nil {
-		t.Fatal("MoveResidents succeeded with the store refusing its states")
+	successes := fx.reg.CounterValue("mig/success")
+	if moved, err := MoveResidents.Call(context.Background(), fx.client.Ref, fx.hostLs[0], fx.hostLs[1], 16); moved != 0 || err == nil {
+		t.Errorf("MoveResidents = %d, %v; want 0 moved and an error", moved, err)
+	}
+	if got := fx.reg.CounterValue("mig/success") - successes; got != 0 {
+		t.Errorf("mig/success rose by %d, want 0", got)
 	}
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
 		settled := fx.reg.CounterValue("mag/bulk_adoptions") > adoptions

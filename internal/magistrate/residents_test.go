@@ -824,3 +824,49 @@ func TestDeactivatePutFails(t *testing.T) {
 	w.check("done")
 	w.checkSettled()
 }
+
+// TestLostBlankRefusedActivates: an Instantiated object with no
+// checkpoint dies with its host, and the store refuses the blank OPR
+// its record is given. The record, left with no OPR address, reads as
+// a blank OPR: the object comes back with its initial state instead of
+// failing every Activate for good. While the activation filter refuses
+// it, its failed starts leave the record in the table, inert: it is
+// not mistaken for an unborn Instantiate.
+func TestLostBlankRefusedActivates(t *testing.T) {
+	fx := newFixture(t, 2)
+	store := &failingPut{Store: fx.store}
+	fx.mag.store = store
+	if _, err := instantiateOne(fx, Instance{Object: objL, Impl: "counter", HostHint: fx.hostLs[0]}); err != nil {
+		t.Fatal(err)
+	}
+	if got := inc(t, fx, objL); got != 1 {
+		t.Fatalf("Inc = %d, want 1", got)
+	}
+	store.armed.Store(true)
+	fx.mag.SetFilter(func(loid.LOID, string, loid.LOID) error { return errors.New("not now") })
+	fx.hosts[0].CrashResidents()
+	fx.mag.HostFailed(fx.hostLs[0])
+	if store.armed.Load() {
+		t.Fatal("HostFailed stored no blank OPR for the lost object")
+	}
+	if _, err := fx.client.Activate(objL, loid.Nil); err == nil {
+		t.Fatal("Activate succeeded with the filter refusing the object")
+	}
+	fx.mag.mu.Lock()
+	rec, ok := fx.mag.table[objL.Ident()]
+	inert := ok && !rec.active && rec.oprAddr == ""
+	fx.mag.mu.Unlock()
+	if !inert {
+		t.Fatalf("after a refused start the record is %+v (in table: %v), want it inert with no OPR address", rec, ok)
+	}
+	fx.mag.SetFilter(nil)
+	for want := uint64(1); want <= 2; want++ {
+		if got := inc(t, fx, objL); got != want {
+			t.Fatalf("Inc after the refused blank OPR = %d, want %d", got, want)
+		}
+	}
+	checkRecovered(t, fx, []loid.LOID{objL}, fx.hostLs[0])
+	w := &walker{t: t, fx: fx, op: "lost, blank refused"}
+	w.check("done")
+	w.checkSettled()
+}

@@ -55,6 +55,10 @@ type Caller struct {
 	node *Node
 	self loid.LOID
 	env  wire.Env
+	// shard is this caller's pending shard, dealt by its node at
+	// construction: its correlation ids are drawn there and its
+	// co-resident serves counted in that serve stripe.
+	shard uint8
 
 	resolver atomic.Pointer[resolverRef]
 	cache    atomic.Pointer[binding.Cache]
@@ -82,6 +86,7 @@ func NewCaller(node *Node, self loid.LOID, resolver Resolver) *Caller {
 		node:    node,
 		self:    self,
 		env:     security.Env(self),
+		shard:   uint8(node.nextShard.Add(1) & (pendingShards - 1)),
 		Timeout: 2 * time.Second,
 	}
 	c.resolver.Store(&resolverRef{r: resolver})
@@ -451,11 +456,18 @@ func getTimer(d time.Duration) *time.Timer {
 	return time.NewTimer(d)
 }
 
+// putTimer pools t only when no fire can reach its next user. A timer
+// that fired and whose value is not in its channel either was read by
+// the wait or is still on its way (the module's go 1.22 keeps the
+// asynchronous timer channel): pooled, that value would end a later
+// call's wave early with a false timeout, so the timer is left to the
+// collector.
 func putTimer(t *time.Timer) {
 	if !t.Stop() {
 		select {
 		case <-t.C:
 		default:
+			return
 		}
 	}
 	timerPool.Put(t)
@@ -725,7 +737,7 @@ func (c *Caller) serveCoResident(e oa.Element, target loid.LOID, method string, 
 	env := c.env
 	env.Deadline = dlNanos
 	env.TraceID, env.SpanID, env.ParentSpanID = sc.TraceID, sc.SpanID, sc.ParentSpanID
-	return o.serveLocal(method, &env, args)
+	return o.serveLocal(c.shard, method, &env, args)
 }
 
 // filterWave drops endpoints whose breaker rejects traffic, compacting
@@ -801,7 +813,7 @@ func attributeReply(ht *health.Tracker, contacted []oa.Element, replied []bool, 
 // escaping to users must pass pooled=false. waits marks the request as
 // one its sender blocks on (wire.MarkWaits): only deliver sets it.
 func (c *Caller) sendTo(wave []oa.Element, target loid.LOID, method string, args [][]byte, dlNanos int64, ht *health.Tracker, sc trace.SpanContext, pooled, waits bool) (*Future, []oa.Element, error) {
-	f := c.node.newFuture(len(wave), pooled)
+	f := c.node.newFuture(c.shard, len(wave), pooled)
 	env := c.env
 	env.Deadline = dlNanos
 	env.TraceID, env.SpanID, env.ParentSpanID = sc.TraceID, sc.SpanID, sc.ParentSpanID

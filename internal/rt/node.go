@@ -17,13 +17,35 @@ import (
 )
 
 // pendingShards stripes the pending-future table so concurrent callers
-// and concurrent replies do not serialize on one lock. Power of two.
-const pendingShards = 16
+// and concurrent replies do not serialize on one lock. Power of two: a
+// correlation id's low shardBits bits name the shard it was drawn from.
+const (
+	pendingShards = 1 << shardBits
+	shardBits     = 4
+)
 
-// pendingShard is one stripe of the correlation-id → Future table.
+// lineSize is what padded per-caller state is rounded up to: two 64 B
+// cache lines, so the adjacent-line prefetcher does not pair one
+// caller's line with another's either.
+const lineSize = 128
+
+// pendingShard is one stripe of the correlation-id → Future table. Each
+// Caller draws its ids from one shard (Caller.shard), so callers on
+// different shards write no common cache line: the shard's lock, its id
+// sequence and its map share the shard's own padded line pair.
 type pendingShard struct {
-	mu sync.Mutex
-	m  map[uint64]*Future
+	mu  sync.Mutex
+	seq uint64 // ids drawn so far; an id is seq<<shardBits | shard index
+	m   map[uint64]*Future
+	_   [lineSize - 24]byte
+}
+
+// serveStripe is one padded cell of a node's serve count (Node.Served).
+// A serve bumps the stripe its request id's shard bits name, so serves
+// for callers on different shards write different lines.
+type serveStripe struct {
+	n atomic.Uint64
+	_ [lineSize - 8]byte
 }
 
 // Node hosts active Legion objects on one transport endpoint. In the
@@ -35,10 +57,11 @@ type pendingShard struct {
 // (§4.1.4).
 //
 // The receive and send paths are built for concurrency: object lookup
-// is a lock-free sync.Map read, the pending-future table is striped
-// across pendingShards locks, and the node's hot metric counters are
-// interned at construction so no per-message string concatenation
-// happens.
+// is a lock-free sync.Map read, the pending-future table and the serve
+// count are striped across pendingShards padded cells, each caller
+// keeping to one (DESIGN §5, what a warm call writes), and the node's
+// hot metric counters are interned at construction so no per-message
+// string concatenation happens.
 type Node struct {
 	ep   transport.Endpoint
 	reg  *metrics.Registry
@@ -47,9 +70,6 @@ type Node struct {
 	mu      sync.Mutex // serializes Spawn/Kill/Close transitions
 	objects sync.Map   // loid.Ident -> *Object
 	closed  atomic.Bool
-
-	pending [pendingShards]pendingShard
-	nextMsg atomic.Uint64
 
 	// tracer collects invocation spans for this node's objects and
 	// callers; nil (the default) disables tracing at the cost of one
@@ -73,10 +93,6 @@ type Node struct {
 	// gate that goes up in between is not missed.
 	gateEpoch atomic.Uint64
 
-	// served counts dispatched requests (all residents); Host Objects
-	// derive their dispatch-rate load signal from its delta.
-	served atomic.Uint64
-
 	// clk is the node's time source: nil means the wall clock, so the
 	// invocation fast path pays one nil check, not an interface call.
 	// Every timing decision on the node — reply timers, deadline
@@ -91,6 +107,18 @@ type Node struct {
 	cParked    *metrics.Counter
 	cForwarded *metrics.Counter
 	cSpawns    *metrics.Counter // dispatch goroutines started (dispatch.go)
+
+	// nextShard deals pending shards to Callers round-robin; it is
+	// written once per NewCaller, never per call.
+	nextShard atomic.Uint32
+
+	// The per-call lines, after a pad that keeps the fields above (read
+	// on every delivery) off the first of them.
+	_       [lineSize]byte
+	pending [pendingShards]pendingShard
+	// served counts dispatched requests (all residents), striped by the
+	// request's shard; Served sums it.
+	served [pendingShards]serveStripe
 }
 
 // NewNode creates a node with a fresh endpoint on t. Metrics are
@@ -141,7 +169,16 @@ func (n *Node) Registry() *metrics.Registry { return n.reg }
 // Served returns the number of requests dispatched on this node since
 // it started; Host Objects difference it across heartbeats for their
 // dispatch-rate load signal.
-func (n *Node) Served() uint64 { return n.served.Load() }
+func (n *Node) Served() (total uint64) {
+	for i := range n.served {
+		total += n.served[i].n.Load()
+	}
+	return total
+}
+
+// countServe counts one dispatched request in the serve stripe that id,
+// a correlation id or a shard index, names.
+func (n *Node) countServe(id uint64) { n.served[id&(pendingShards-1)].n.Add(1) }
 
 // SetClock installs the node's time source (nil restores the wall
 // clock). Install before the node serves traffic: callers and objects
@@ -503,12 +540,15 @@ const futureChanCap = 8
 // fresh table entry per call is measurable on the fast path.
 var futurePool sync.Pool
 
-// newFuture registers a pending future under a fresh correlation id,
-// expecting up to expect replies (one per replica contacted). pooled
-// futures are recycled by the deliver loop (putFuture) once out of the
-// table; futures handed to users (InvokeCtx) are never pooled — their
-// lifetime is the user's business.
-func (n *Node) newFuture(expect int, pooled bool) *Future {
+// newFuture registers a pending future under a fresh correlation id
+// drawn from pending shard shard, the calling Caller's own, expecting up
+// to expect replies (one per replica contacted). The id is drawn and
+// entered under the shard's lock in one critical section, so no line
+// another shard's callers write is touched. pooled futures are recycled
+// by the deliver loop (putFuture) once out of the table; futures handed
+// to users (InvokeCtx) are never pooled — their lifetime is the user's
+// business.
+func (n *Node) newFuture(shard uint8, expect int, pooled bool) *Future {
 	if expect < 1 {
 		expect = 1
 	}
@@ -524,9 +564,10 @@ func (n *Node) newFuture(expect int, pooled bool) *Future {
 	}
 	f.node = n
 	f.remaining = expect
-	f.id = n.nextMsg.Add(1)
-	s := &n.pending[f.id&(pendingShards-1)]
+	s := &n.pending[shard]
 	s.mu.Lock()
+	s.seq++
+	f.id = s.seq<<shardBits | uint64(shard)
 	s.m[f.id] = f
 	s.mu.Unlock()
 	return f

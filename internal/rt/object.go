@@ -253,7 +253,7 @@ func (r *serveRec) release() {
 // which copies any results that alias the request), and the caller
 // closes it after serve returns.
 func (o *Object) serve(f *wire.Frame) {
-	o.node.served.Add(1)
+	o.node.countServe(f.ID)
 	if o.cReq != nil {
 		o.cReq.Inc()
 	}
@@ -319,13 +319,14 @@ func (o *Object) serve(f *wire.Frame) {
 // the method directly — no marshal, no transport, no correlation id —
 // and builds the Result in place. Semantics mirror serve: per-object
 // metrics, the serve span, deadline rejection, MayI, and panic
-// confinement all apply identically.
-func (o *Object) serveLocal(method string, env *wire.Env, args [][]byte) *Result {
+// confinement all apply identically. shard is the calling Caller's
+// pending shard: its serve stripe counts the call.
+func (o *Object) serveLocal(shard uint8, method string, env *wire.Env, args [][]byte) *Result {
 	if o.mailbox.limit <= 1 {
 		o.dmu.Lock()
 		defer o.dmu.Unlock()
 	}
-	o.node.served.Add(1)
+	o.node.countServe(uint64(shard))
 	if o.cReq != nil {
 		o.cReq.Inc()
 	}
