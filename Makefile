@@ -37,16 +37,22 @@ crash-test:
 # Live-migration gauntlet: the FIFO storm (both transports, leak
 # tracking on), the magistrate migration/rebalance tests, the rebalancer
 # levelling a skewed jurisdiction (and leaving a level one alone) on
-# several core counts, and a quick E19 run (crash injection at every
-# phase boundary + rebalancer).
+# several core counts, the news of a moved or recovered set (one
+# NotifyAddress per class, one push per subscribed agent) on several
+# core counts, and a quick E19 run (crash injection at every phase
+# boundary + rebalancer).
 REBALANCE_RUN = TestRebalancerLevels|TestRebalancerKeepsHostsAtMean
+NEWS_RUN = TestSetNewsIsOneMessage|TestMoveResidents|TestAgentPushesAreSets|TestRegisterInstanceAndNotifyAddress
+NEWS_PKGS = ./internal/core ./internal/magistrate ./internal/bindagent ./internal/class
 
 migrate-test:
 	$(call check-run,./internal/sim,$(REBALANCE_RUN))
+	$(call check-run,$(NEWS_PKGS),$(NEWS_RUN))
 	$(GO) test -race -run 'TestMigrationStormFIFO|TestStaleBindingRefreshAfterMigration' ./internal/rt
 	$(GO) test -race -tags buftrack -run TestMigrationStormFIFO ./internal/rt
 	$(GO) test -race ./internal/sched ./internal/host ./internal/magistrate
 	$(GO) test -race -count 2 -cpu 1,2,4,8 -run '$(REBALANCE_RUN)' ./internal/sim
+	$(GO) test -race -count 2 -cpu 1,2,4,8 -run '$(NEWS_RUN)' $(NEWS_PKGS)
 	$(GO) run ./cmd/legion-bench -quick -run E19
 
 # Observability plane: the one lock-free ring (flight recorder, spans,

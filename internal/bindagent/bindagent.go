@@ -44,12 +44,16 @@ type Stats struct{ Hits, Misses uint64 }
 var server = rt.NewServer("LegionBindingAgent",
 	rt.Serve1(GetBinding, (*Agent).getBinding),
 	rt.Serve1(RebindStale, (*Agent).rebindStale),
-	rt.Serve1(class.AddBinding, func(a *Agent, _ context.Context, b binding.Binding) (rt.Void, error) {
-		a.cache.Add(b)
+	rt.Serve1(class.AddBinding, func(a *Agent, _ context.Context, bs []binding.Binding) (rt.Void, error) {
+		for _, b := range bs {
+			a.cache.Add(b)
+		}
 		return rt.Void{}, nil
 	}),
-	rt.Serve1(class.InvalidateLOID, func(a *Agent, _ context.Context, l loid.LOID) (rt.Void, error) {
-		a.cache.InvalidateLOID(l)
+	rt.Serve1(class.InvalidateLOID, func(a *Agent, _ context.Context, ls []loid.LOID) (rt.Void, error) {
+		for _, l := range ls {
+			a.cache.InvalidateLOID(l)
+		}
 		return rt.Void{}, nil
 	}),
 	rt.Serve1(InvalidateBinding, func(a *Agent, _ context.Context, b binding.Binding) (rt.Void, error) {

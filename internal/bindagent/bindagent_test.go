@@ -374,12 +374,44 @@ func TestAgentTreeRefreshPropagates(t *testing.T) {
 	}
 }
 
+// TestAgentPushesAreSets: a class's news reaches an agent as sets. One
+// AddBinding of k bindings fills k cache entries, and one InvalidateLOID
+// of k LOIDs drops them all.
+func TestAgentPushesAreSets(t *testing.T) {
+	fx := newFixture(t)
+	agent, ac, _ := fx.newAgent("a", 1, 0)
+	const k = 32
+	bs := make([]binding.Binding, k)
+	ls := make([]loid.LOID, k)
+	for i := range bs {
+		ls[i] = loid.NewNoKey(100, uint64(i+1))
+		bs[i] = binding.Forever(ls[i], oa.Single(oa.MemElement(uint64(4000+i))))
+	}
+	if _, err := class.AddBinding.Call(context.Background(), ac.Ref(), bs); err != nil {
+		t.Fatal(err)
+	}
+	if n := agent.Cache().Len(); n != k {
+		t.Errorf("one AddBinding of %d bindings left %d cache entries, want %d", k, n, k)
+	}
+	for _, b := range bs {
+		if got, ok := agent.Cache().Get(b.LOID); !ok || !got.Address.Equal(b.Address) {
+			t.Errorf("cache holds %v, %v for %v, want %v", got, ok, b.LOID, b.Address)
+		}
+	}
+	if _, err := class.InvalidateLOID.Call(context.Background(), ac.Ref(), ls); err != nil {
+		t.Fatal(err)
+	}
+	if n := agent.Cache().Len(); n != 0 {
+		t.Errorf("one InvalidateLOID of %d LOIDs left %d cache entries, want 0", k, n)
+	}
+}
+
 func TestAgentExplicitCacheManagement(t *testing.T) {
 	fx := newFixture(t)
 	agent, ac, _ := fx.newAgent("a", 1, 0)
 	obj := loid.NewNoKey(100, 77)
 	b := binding.Forever(obj, oa.Single(oa.MemElement(4242)))
-	if _, err := class.AddBinding.Call(context.Background(), ac.Ref(), b); err != nil {
+	if _, err := class.AddBinding.Call(context.Background(), ac.Ref(), []binding.Binding{b}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ac.Resolve(obj)
@@ -396,7 +428,7 @@ func TestAgentExplicitCacheManagement(t *testing.T) {
 	if _, ok := agent.Cache().Get(obj); ok {
 		t.Error("InvalidateBinding left matching entry")
 	}
-	_, _ = class.AddBinding.Call(context.Background(), ac.Ref(), b)
+	_, _ = class.AddBinding.Call(context.Background(), ac.Ref(), []binding.Binding{b})
 	ac.InvalidateLOID(obj)
 	if _, ok := agent.Cache().Get(obj); ok {
 		t.Error("InvalidateLOID left entry")

@@ -74,10 +74,10 @@ func (c *Client) Refresh(stale binding.Binding) (binding.Binding, error) {
 	return c.RefreshCtx(context.Background(), stale)
 }
 
-// InvalidateLOID is class.InvalidateLOID.Call without a deadline
-// (ROADMAP item 13).
+// InvalidateLOID is class.InvalidateLOID.Call of a set of one, without
+// a deadline (ROADMAP item 13).
 func (c *Client) InvalidateLOID(l loid.LOID) error {
-	_, err := class.InvalidateLOID.Call(context.Background(), c.Ref(), l)
+	_, err := class.InvalidateLOID.Call(context.Background(), c.Ref(), []loid.LOID{l})
 	return err
 }
 

@@ -728,34 +728,47 @@ func TestMetaValidate(t *testing.T) {
 	}
 }
 
+// TestRegisterInstanceAndNotifyAddress: RegisterInstance records an
+// instance started out-of-band, and one NotifyAddress carries a set: it
+// updates every known row and answers an error naming the unknown one.
 func TestRegisterInstanceAndNotifyAddress(t *testing.T) {
 	fx := newFixture(t)
 	// Out-of-band instance registration (§4.2.1 bootstrap path).
-	inst := loid.NewNoKey(100, 900)
+	known := []loid.LOID{loid.NewNoKey(100, 900), loid.NewNoKey(100, 902)}
 	addr := oa.Single(oa.MemElement(424242))
-	if _, err := RegisterInstance.Call(context.Background(), fx.root.Ref, inst, addr); err != nil {
-		t.Fatal(err)
+	for _, l := range known {
+		if _, err := RegisterInstance.Call(context.Background(), fx.root.Ref, l, addr); err != nil {
+			t.Fatal(err)
+		}
 	}
-	row, err := GetRow.Call(context.Background(), fx.root.Ref, inst)
+	row, err := GetRow.Call(context.Background(), fx.root.Ref, known[0])
 	if err != nil || !row.Address.Equal(addr) {
 		t.Fatalf("row after RegisterInstance: %+v, %v", row, err)
 	}
-	// NotifyAddress updates a known row ...
-	addr2 := oa.Single(oa.MemElement(424243))
-	if _, err := magistrate.NotifyAddress.Call(context.Background(), fx.root.Ref, inst, addr2); err != nil {
-		t.Fatal(err)
+	// NotifyAddress updates the known rows of its set ...
+	unknown := loid.NewNoKey(100, 901)
+	addrs := []oa.Address{oa.Single(oa.MemElement(424243)), oa.Single(oa.MemElement(424244))}
+	set := []binding.Binding{
+		binding.Forever(known[0], addrs[0]),
+		binding.Forever(unknown, addrs[0]),
+		binding.Forever(known[1], addrs[1]),
 	}
-	row, _ = GetRow.Call(context.Background(), fx.root.Ref, inst)
-	if !row.Address.Equal(addr2) {
-		t.Error("NotifyAddress did not update")
+	_, err = magistrate.NotifyAddress.Call(context.Background(), fx.root.Ref, set)
+	// ... and names the unknown one.
+	if err == nil || !strings.Contains(err.Error(), unknown.String()) {
+		t.Errorf("NotifyAddress with %v unknown answered %v, want an error naming it", unknown, err)
 	}
-	// ... but refuses unknown objects.
-	if _, err := magistrate.NotifyAddress.Call(context.Background(), fx.root.Ref, loid.NewNoKey(100, 901), addr2); err == nil {
-		t.Error("NotifyAddress for unknown object accepted")
+	for i, l := range known {
+		if row, _ := GetRow.Call(context.Background(), fx.root.Ref, l); !row.Address.Equal(addrs[i]) {
+			t.Errorf("NotifyAddress left %v at %v, want %v", l, row.Address, addrs[i])
+		}
 	}
-	// GetBinding serves the registered address directly.
-	b, err := fx.root.GetBinding(inst)
-	if err != nil || !b.Address.Equal(addr2) {
+	if _, err := GetRow.Call(context.Background(), fx.root.Ref, unknown); err == nil {
+		t.Errorf("NotifyAddress recorded the unknown %v", unknown)
+	}
+	// GetBinding serves the notified address directly.
+	b, err := fx.root.GetBinding(known[0])
+	if err != nil || !b.Address.Equal(addrs[0]) {
 		t.Errorf("GetBinding = %v, %v", b, err)
 	}
 }

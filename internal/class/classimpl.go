@@ -235,10 +235,10 @@ var server = rt.NewServer("LegionClass",
 	}),
 	rt.Serve0(Info, (*ClassImpl).info),
 	rt.Serve2(RegisterInstance, func(c *ClassImpl, _ context.Context, l loid.LOID, addr oa.Address) (rt.Void, error) {
-		return c.registerInstance(l, addr, false)
+		return c.registerInstances([]binding.Binding{binding.Forever(l, addr)}, false)
 	}),
-	rt.Serve2(magistrate.NotifyAddress, func(c *ClassImpl, _ context.Context, l loid.LOID, addr oa.Address) (rt.Void, error) {
-		return c.registerInstance(l, addr, true)
+	rt.Serve1(magistrate.NotifyAddress, func(c *ClassImpl, _ context.Context, bs []binding.Binding) (rt.Void, error) {
+		return c.registerInstances(bs, true)
 	}),
 	rt.Serve1(NotifyDeactivated, (*ClassImpl).notifyDeactivated),
 	rt.Serve1(Clone, (*ClassImpl).clone),
@@ -430,11 +430,14 @@ func (c *ClassImpl) createSet(ctx context.Context, made []Made, initState []byte
 		}
 	}
 	c.mu.Unlock()
-	for _, m := range made {
-		if !m.Binding.Address.IsZero() {
-			c.pushBinding(m.Binding)
+	push(c, AddBinding, func() (bs []binding.Binding) {
+		for _, m := range made {
+			if !m.Binding.Address.IsZero() {
+				bs = append(bs, m.Binding)
+			}
 		}
-	}
+		return bs
+	})
 	return firstErr
 }
 
@@ -606,7 +609,7 @@ func (c *ClassImpl) deleteObject(ctx context.Context, l loid.LOID) (rt.Void, err
 	mags := append([]loid.LOID(nil), row.CurrentMagistrates...)
 	delete(c.table, l.Ident())
 	c.mu.Unlock()
-	c.pushInvalidate(l)
+	push(c, InvalidateLOID, func() []loid.LOID { return []loid.LOID{l} })
 	// Tell every holding magistrate to remove Active and Inert copies
 	// (§3.8 Delete).
 	var firstErr error
@@ -661,7 +664,7 @@ func (c *ClassImpl) bindingFor(ctx context.Context, l loid.LOID, staleAddr oa.Ad
 		c.mu.Unlock()
 		// News of the (re)activation reaches subscribed agents before
 		// they next see the stale address (§4.1.4).
-		c.pushBinding(b)
+		push(c, AddBinding, func() []binding.Binding { return []binding.Binding{b} })
 		return b, nil
 	}
 	if lastErr == nil {
@@ -684,25 +687,33 @@ func (c *ClassImpl) info(context.Context) (Summary, error) {
 	return s, nil
 }
 
-// registerInstance records (or, for notify=true, updates) an instance
+// registerInstances records (or, for mustExist, updates) instances
 // started out-of-band — the §4.2.1 bootstrap path where Host Objects
 // and Magistrates "contact the existing class object ... to tell it of
-// their existence", and the §4.1.4 address-propagation path.
-func (c *ClassImpl) registerInstance(l loid.LOID, addr oa.Address, mustExist bool) (rt.Void, error) {
+// their existence", and the §4.1.4 address-propagation path, where a
+// Magistrate reports a set. With mustExist, an unknown instance is
+// left out, the rest are updated, and the error names the first one.
+func (c *ClassImpl) registerInstances(bs []binding.Binding, mustExist bool) (rt.Void, error) {
+	var unknown error
 	c.mu.Lock()
-	row, ok := c.table[l.Ident()]
-	if !ok {
-		if mustExist {
-			c.mu.Unlock()
-			return rt.Void{}, fmt.Errorf("class %s: unknown object %v", c.meta.Name, l)
+	bs = slices.DeleteFunc(bs, func(b binding.Binding) bool {
+		row, ok := c.table[b.LOID.Ident()]
+		if !ok && mustExist {
+			if unknown == nil {
+				unknown = fmt.Errorf("class %s: unknown object %v", c.meta.Name, b.LOID)
+			}
+			return true
 		}
-		row = &Row{SchedulingAgent: c.meta.DefaultSchedulingAgent}
-		c.table[l.Ident()] = row
-	}
-	row.Address = addr
+		if !ok {
+			row = &Row{SchedulingAgent: c.meta.DefaultSchedulingAgent}
+			c.table[b.LOID.Ident()] = row
+		}
+		row.Address = b.Address
+		return false
+	})
 	c.mu.Unlock()
-	c.pushBinding(binding.Forever(l, addr))
-	return rt.Void{}, nil
+	push(c, AddBinding, func() []binding.Binding { return bs })
+	return rt.Void{}, unknown
 }
 
 func (c *ClassImpl) notifyDeactivated(_ context.Context, l loid.LOID) (rt.Void, error) {
@@ -711,7 +722,7 @@ func (c *ClassImpl) notifyDeactivated(_ context.Context, l loid.LOID) (rt.Void, 
 		row.Address = oa.Address{}
 	}
 	c.mu.Unlock()
-	c.pushInvalidate(l)
+	push(c, InvalidateLOID, func() []loid.LOID { return []loid.LOID{l} })
 	return rt.Void{}, nil
 }
 

@@ -1,9 +1,9 @@
 package class
 
 import (
+	"maps"
 	"sync"
 
-	"repro/internal/binding"
 	"repro/internal/loid"
 	"repro/internal/oa"
 	"repro/internal/rt"
@@ -12,21 +12,22 @@ import (
 // Binding propagation (§4.1.4): "Some classes may even attempt to
 // reduce the number of stale bindings by explicitly propagating news
 // of an object's migration or removal." Binding Agents subscribe to a
-// class; whenever the class learns a new address for one of its
-// objects — or removes one — it pushes AddBinding / InvalidateLOID
-// one-way notifications to every subscriber. Subscriptions are soft
-// state: they do not persist across class deactivation (a restarted
-// class simply stops pushing until agents re-subscribe).
+// class; whenever the class learns new addresses for a set of its
+// objects — or removes some — it pushes one AddBinding / InvalidateLOID
+// one-way notification carrying the whole set to every subscriber.
+// Subscriptions are soft state: they do not persist across class
+// deactivation (a restarted class simply stops pushing until agents
+// re-subscribe).
 
 // The propagation protocol: agents subscribe to a class, and the class
-// pushes bindings to them. The pushes are Binding Agent methods,
-// declared here, with their sender, because package bindagent imports
-// this one; Binding Agents serve them.
+// pushes sets of bindings to them. The pushes are Binding Agent
+// methods, declared here, with their sender, because package bindagent
+// imports this one; Binding Agents serve them.
 var (
 	SubscribeAgent   = rt.M2("SubscribeAgent", rt.LOIDParam("agent"), rt.AddressParam("addr"), rt.None)
 	UnsubscribeAgent = rt.M1("UnsubscribeAgent", rt.LOIDParam("agent"), rt.None)
-	AddBinding       = rt.M1("AddBinding", rt.BindingParam("b"), rt.None)
-	InvalidateLOID   = rt.M1("InvalidateLOID", rt.LOIDParam("target"), rt.None)
+	AddBinding       = rt.M1("AddBinding", rt.BindingListParam("bindings"), rt.None)
+	InvalidateLOID   = rt.M1("InvalidateLOID", rt.LOIDListParam("targets"), rt.None)
 )
 
 // subscribers tracks agent endpoints interested in this class's
@@ -59,30 +60,23 @@ func (s *subscribers) snapshot() map[loid.LOID]oa.Address {
 	if len(s.subs) == 0 {
 		return nil
 	}
-	out := make(map[loid.LOID]oa.Address, len(s.subs))
-	for k, v := range s.subs {
-		out[k] = v
-	}
-	return out
+	return maps.Clone(s.subs)
 }
 
-// pushBinding fans a fresh binding out to subscribed agents, one-way:
-// no reply is awaited, so a push carries no deadline.
-func (c *ClassImpl) pushBinding(b binding.Binding) {
+// push sends each subscribed agent one m carrying the set news builds,
+// one-way: no reply is awaited, so a push carries no deadline. news
+// runs only if an agent subscribed, so a push to no one (every Create
+// of an unwatched class) allocates nothing.
+func push[S any](c *ClassImpl, m *rt.Method1[S, rt.Void], news func() S) {
 	if c.obj == nil {
 		return
 	}
-	for agent, addr := range c.subs.snapshot() {
-		_ = AddBinding.Send(c.obj.Caller().At(addr, agent), b)
-	}
-}
-
-// pushInvalidate tells subscribed agents an object is gone.
-func (c *ClassImpl) pushInvalidate(l loid.LOID) {
-	if c.obj == nil {
+	subs := c.subs.snapshot()
+	if subs == nil {
 		return
 	}
-	for agent, addr := range c.subs.snapshot() {
-		_ = InvalidateLOID.Send(c.obj.Caller().At(addr, agent), l)
+	set := news()
+	for agent, addr := range subs {
+		_ = m.Send(c.obj.Caller().At(addr, agent), set)
 	}
 }

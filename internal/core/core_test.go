@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/bindagent"
+	"repro/internal/binding"
 	"repro/internal/class"
 	"repro/internal/host"
 	"repro/internal/idl"
@@ -368,7 +369,7 @@ func TestAgentClientResolverInterface(t *testing.T) {
 		t.Fatalf("Resolve: %v %v", b, err)
 	}
 	// Propagate + stats round trip.
-	if _, err := class.AddBinding.Call(context.Background(), ac.Ref(), b); err != nil {
+	if _, err := class.AddBinding.Call(context.Background(), ac.Ref(), []binding.Binding{b}); err != nil {
 		t.Fatal(err)
 	}
 	hits, misses, err := ac.CacheStats()

@@ -149,7 +149,7 @@ func goldenCalls() []goldenCall {
 		{"class.DescribeInstances", func(ctx context.Context, to, _ r) { class.DescribeInstances.Call(ctx, to) }},
 		{"class.Info", func(ctx context.Context, to, _ r) { class.Info.Call(ctx, to) }},
 		{"class.RegisterInstance", func(ctx context.Context, to, _ r) { class.RegisterInstance.Call(ctx, to, gObj, gAddr) }},
-		{"class.NotifyAddress", func(ctx context.Context, to, _ r) { magistrate.NotifyAddress.Call(ctx, to, gObj, gAddr) }},
+		{"class.NotifyAddress", func(ctx context.Context, to, _ r) { magistrate.NotifyAddress.Call(ctx, to, []binding.Binding{gBind}) }},
 		{"class.NotifyDeactivated", func(ctx context.Context, to, _ r) { class.NotifyDeactivated.Call(ctx, to, gObj) }},
 		{"class.Clone", func(ctx context.Context, to, _ r) { class.Clone.Call(ctx, to, gOther) }},
 		{"class.GetRow", func(ctx context.Context, to, _ r) { class.GetRow.Call(ctx, to, gObj) }},
@@ -192,10 +192,10 @@ func goldenCalls() []goldenCall {
 
 		{"bindagent.GetBinding", func(ctx context.Context, _, at r) { bindagent.GetBinding.Call(ctx, at, gObj) }},
 		{"bindagent.RebindStale", func(ctx context.Context, _, at r) { bindagent.RebindStale.Call(ctx, at, gBind) }},
-		{"bindagent.AddBinding", func(ctx context.Context, _, at r) { class.AddBinding.Call(ctx, at, gBind) }},
-		{"bindagent.AddBinding/oneway", func(_ context.Context, _, at r) { class.AddBinding.Send(at, gBind) }},
-		{"bindagent.InvalidateLOID", func(ctx context.Context, _, at r) { class.InvalidateLOID.Call(ctx, at, gObj) }},
-		{"bindagent.InvalidateLOID/oneway", func(_ context.Context, _, at r) { class.InvalidateLOID.Send(at, gObj) }},
+		{"bindagent.AddBinding", func(ctx context.Context, _, at r) { class.AddBinding.Call(ctx, at, []binding.Binding{gBind}) }},
+		{"bindagent.AddBinding/oneway", func(_ context.Context, _, at r) { class.AddBinding.Send(at, []binding.Binding{gBind}) }},
+		{"bindagent.InvalidateLOID", func(ctx context.Context, _, at r) { class.InvalidateLOID.Call(ctx, at, []loid.LOID{gObj}) }},
+		{"bindagent.InvalidateLOID/oneway", func(_ context.Context, _, at r) { class.InvalidateLOID.Send(at, []loid.LOID{gObj}) }},
 		{"bindagent.InvalidateBinding", func(ctx context.Context, _, at r) { bindagent.InvalidateBinding.Call(ctx, at, gBind) }},
 		{"bindagent.CacheStats", func(ctx context.Context, _, at r) { bindagent.CacheStats.Call(ctx, at) }},
 

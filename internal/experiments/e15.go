@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/class"
+	"repro/internal/loid"
 	"repro/internal/sim"
 	"repro/internal/wire"
 )
@@ -76,7 +77,7 @@ func RunE15(scale Scale) (*Table, error) {
 		}},
 		{"L2 class table", func() error {
 			cli.Cache().InvalidateLOID(obj)
-			_, err := class.InvalidateLOID.Call(context.Background(), agent, obj)
+			_, err := class.InvalidateLOID.Call(context.Background(), agent, []loid.LOID{obj})
 			return err
 		}},
 	}

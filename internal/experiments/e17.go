@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/class"
+	"repro/internal/loid"
 	"repro/internal/magistrate"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -106,7 +107,7 @@ func RunE17(scale Scale) (*Table, error) {
 	}
 	cli.Cache().InvalidateLOID(obj)
 	for _, leaf := range s.Sys.Agents {
-		if _, err := class.InvalidateLOID.Call(context.Background(), boot.At(leaf.Addr, leaf.LOID), obj); err != nil {
+		if _, err := class.InvalidateLOID.Call(context.Background(), boot.At(leaf.Addr, leaf.LOID), []loid.LOID{obj}); err != nil {
 			return nil, fmt.Errorf("E17 invalidate agent %v: %w", leaf.LOID, err)
 		}
 	}

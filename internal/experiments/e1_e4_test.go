@@ -33,7 +33,7 @@ func runE1() (*Table, error) {
 	leaf := s.Sys.Leaves[0]
 	agent := boot.At(leaf.Addr, leaf.LOID)
 	dropAgent := func() error {
-		_, err := class.InvalidateLOID.Call(ctx, agent, obj)
+		_, err := class.InvalidateLOID.Call(ctx, agent, []loid.LOID{obj})
 		return err
 	}
 

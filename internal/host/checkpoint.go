@@ -3,6 +3,7 @@ package host
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sync"
 	"time"
 
@@ -29,10 +30,9 @@ const (
 // Magistrate can always activate the object" (§3.1.1) extended to
 // hosts that die without warning.
 type checkpointer struct {
+	*loop
 	mag     loid.LOID
 	magAddr oa.Address
-	stop    chan struct{}
-	wg      sync.WaitGroup
 
 	// mu admits one round at a time. What each resident last had
 	// checkpointed lives in its resident record, not here, so it goes
@@ -53,38 +53,12 @@ type ckptMark struct {
 // second call while a loop is running is a no-op. every <= 0 picks a
 // 1s default.
 func (h *Host) StartCheckpointer(mag loid.LOID, magAddr oa.Address, every time.Duration) {
-	if every <= 0 {
-		every = time.Second
-	}
 	h.mu.Lock()
-	if h.ckpt != nil {
-		h.mu.Unlock()
-		return
+	defer h.mu.Unlock()
+	if h.ckpt == nil {
+		h.ckpt = &checkpointer{mag: mag, magAddr: magAddr,
+			loop: h.startLoop(every, time.Second, func() { h.CheckpointNow() })}
 	}
-	c := &checkpointer{
-		mag:     mag,
-		magAddr: magAddr,
-		stop:    make(chan struct{}),
-	}
-	h.ckpt = c
-	h.mu.Unlock()
-
-	// The ticker starts before Start returns, so time advanced on a
-	// virtual clock right after Start counts towards the first tick.
-	tick := h.node.Clock().NewTicker(every)
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		defer tick.Stop()
-		for {
-			select {
-			case <-c.stop:
-				return
-			case <-tick.C():
-				h.CheckpointNow()
-			}
-		}
-	}()
 }
 
 // StopCheckpointer halts the loop (waiting for an in-flight round).
@@ -94,11 +68,9 @@ func (h *Host) StopCheckpointer() {
 	c := h.ckpt
 	h.ckpt = nil
 	h.mu.Unlock()
-	if c == nil {
-		return
+	if c != nil {
+		c.halt()
 	}
-	close(c.stop)
-	c.wg.Wait()
 }
 
 // CheckpointNow runs one checkpoint round synchronously: every dirty
@@ -117,10 +89,7 @@ func (h *Host) CheckpointNow() (int, error) {
 		h.mu.Unlock()
 		return 0, fmt.Errorf("host %v: no checkpointer", h.self)
 	}
-	targets := make(map[loid.Ident]*resident, len(h.running))
-	for id, r := range h.running {
-		targets[id] = r
-	}
+	targets := maps.Clone(h.running)
 	h.mu.Unlock()
 
 	// One round at a time: concurrent CheckpointNow calls (ticker vs.

@@ -14,6 +14,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/idl"
 	"repro/internal/implreg"
@@ -133,10 +134,49 @@ type Host struct {
 	memLimit uint64 // advisory memory budget, reported via GetState
 	obj      *rt.Object
 	ckpt     *checkpointer  // periodic durability loop; nil when off
-	loadRep  *loadReporter  // heartbeat load reports; nil when off
+	loadRep  *loop          // heartbeat load reports; nil when off
 	telem    *obs.Telemetry // piggybacked telemetry; nil when off
 
 	meter loadMeter // dispatch-rate sampling for the load vector
+}
+
+// loop runs a round on each tick of its own ticker, on its own
+// goroutine, until halted: the checkpointer and the load reporter.
+type loop struct{ stop, done chan struct{} }
+
+// startLoop starts a loop running round every interval (def when
+// every <= 0). The ticker starts before startLoop returns, so time
+// advanced on a virtual clock right after a Start counts towards the
+// first tick.
+func (h *Host) startLoop(every, def time.Duration, round func()) *loop {
+	if every <= 0 {
+		every = def
+	}
+	l := &loop{stop: make(chan struct{}), done: make(chan struct{})}
+	tick := h.node.Clock().NewTicker(every)
+	go func() {
+		defer close(l.done)
+		defer tick.Stop()
+		for {
+			select {
+			case <-l.stop:
+				return
+			case <-tick.C():
+				round()
+			}
+		}
+	}()
+	return l
+}
+
+// halt stops the loop and waits for an in-flight round. A nil loop is
+// one that never ran.
+func (l *loop) halt() {
+	if l == nil {
+		return
+	}
+	close(l.stop)
+	<-l.done
 }
 
 // resident is everything the host keeps about one object it runs. The

@@ -13,6 +13,7 @@ package host
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sync"
 	"time"
 
@@ -178,10 +179,7 @@ func (h *Host) LoadNow() Load {
 		CPULimit:  h.cpuLimit,
 		MemLimit:  h.memLimit,
 	}
-	residents := make(map[loid.Ident]*resident, len(h.running))
-	for id, r := range h.running {
-		residents[id] = r
-	}
+	residents := maps.Clone(h.running)
 	checkpointing := h.ckpt != nil
 	h.mu.Unlock()
 
@@ -219,51 +217,23 @@ func (m *loadMeter) rate(served uint64, now time.Time) uint64 {
 	return m.lastRate
 }
 
-// loadReporter is the heartbeat loop pushing LoadNow to the
-// jurisdiction's Magistrate.
-type loadReporter struct {
-	stop chan struct{}
-	wg   sync.WaitGroup
-}
-
 // StartLoadReporter begins heartbeating this host's load vector to the
 // Magistrate at (mag, magAddr) every interval. Idempotent while a loop
 // runs; every <= 0 picks a 250ms default.
 func (h *Host) StartLoadReporter(mag loid.LOID, magAddr oa.Address, every time.Duration) {
-	if every <= 0 {
-		every = 250 * time.Millisecond
-	}
 	h.mu.Lock()
+	defer h.mu.Unlock()
 	if h.loadRep != nil {
-		h.mu.Unlock()
 		return
 	}
-	r := &loadReporter{stop: make(chan struct{})}
-	h.loadRep = r
-	h.mu.Unlock()
-
-	// The ticker starts before Start returns, so time advanced on a
-	// virtual clock right after Start counts towards the first tick.
-	tick := h.node.Clock().NewTicker(every)
-	r.wg.Add(1)
-	go func() {
-		defer r.wg.Done()
-		defer tick.Stop()
-		for {
-			select {
-			case <-r.stop:
-				return
-			case <-tick.C():
-				ld := h.LoadNow()
-				// Best effort: a missed heartbeat just leaves the last
-				// report standing until the next tick. A configured
-				// telemetry sender piggybacks its delta report as the
-				// optional third argument — one message carries both.
-				_, _ = ReportLoad.Call(context.Background(), h.obj.Caller().At(magAddr, mag),
-					h.self, ld, h.telemetry().Report())
-			}
-		}
-	}()
+	h.loadRep = h.startLoop(every, 250*time.Millisecond, func() {
+		// Best effort: a missed heartbeat just leaves the last report
+		// standing until the next tick. A configured telemetry sender
+		// piggybacks its delta report as the optional third argument —
+		// one message carries both.
+		_, _ = ReportLoad.Call(context.Background(), h.obj.Caller().At(magAddr, mag),
+			h.self, h.LoadNow(), h.telemetry().Report())
+	})
 }
 
 // StopLoadReporter halts the heartbeat loop (waiting for an in-flight
@@ -273,9 +243,5 @@ func (h *Host) StopLoadReporter() {
 	r := h.loadRep
 	h.loadRep = nil
 	h.mu.Unlock()
-	if r == nil {
-		return
-	}
-	close(r.stop)
-	r.wg.Wait()
+	r.halt()
 }

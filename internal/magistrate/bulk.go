@@ -118,7 +118,8 @@ func (m *Magistrate) claimLost(ls []loid.LOID) (batch []*starting, busy []loid.L
 // answer lands, before any later call of the round settles an object
 // (an observer that sees the objects settled sees the failure too); one
 // a host took, or one discarded because its host left the pool, once
-// the round has ended. Each object started is announced to its class.
+// the round has ended. The objects started are announced to their
+// classes, one call per class.
 func (m *Magistrate) adoptRound(batch []*starting) {
 	if len(batch) == 0 {
 		return
@@ -165,8 +166,8 @@ func (m *Magistrate) adoptRound(batch []*starting) {
 		}
 		adopted++
 		noteGeneration(plane, a.opr.LOID, "adopt", a.on, 0)
-		m.notifyClass(context.Background(), a.opr.LOID, a.b)
 	}
+	m.notifyClasses(context.Background(), read)
 	reg.Counter("mag/bulk_adopted_objects").Add(uint64(adopted))
 	if err != nil {
 		span.Event("bulk.adopt", err.Error())

@@ -63,10 +63,10 @@ var (
 )
 
 // NotifyAddress is the class-object method a Magistrate calls to report
-// an object's new address (§4.1.4). It is declared here, with its
-// sender, because package class imports this one; class objects serve
-// it.
-var NotifyAddress = rt.M2("NotifyAddress", rt.LOIDParam("object"), rt.AddressParam("addr"), rt.None)
+// the new bindings of a set of the class's objects (§4.1.4), one call
+// per class per round. It is declared here, with its sender, because
+// package class imports this one; class objects serve it.
+var NotifyAddress = rt.M1("NotifyAddress", rt.BindingListParam("objects"), rt.None)
 
 // Instance is one object Instantiate starts: a new object, its
 // implementation and initial state, and a host hint (loid.Nil for none).
@@ -1043,17 +1043,27 @@ func (m *Magistrate) HostFailed(h loid.LOID) []loid.LOID {
 	return affected
 }
 
-// notifyClass tells an object's class object about its new address so
-// the instance table and any pushed bindings stay coherent. Best
-// effort: a class that cannot be reached (or does not know the
-// instance) is healed later by its own refresh machinery.
-func (m *Magistrate) notifyClass(ctx context.Context, l loid.LOID, b binding.Binding) {
-	cl := l.ClassLOID()
-	if cl.IsNil() || cl.SameObject(l) {
-		return
+// notifyClasses tells the class objects of a round's started objects
+// their new bindings, one NotifyAddress per class in the order the
+// classes first appear in set, so the instance tables and any pushed
+// bindings stay coherent. A class object is its own class and is not
+// told. Best effort: a class that cannot be reached (or does not know
+// an instance) is healed later by its own refresh machinery.
+func (m *Magistrate) notifyClasses(ctx context.Context, set []*starting) {
+	var classes []loid.LOID
+	news := map[loid.Ident][]binding.Binding{}
+	for _, s := range set {
+		if cl := s.opr.LOID.ClassLOID(); !s.on.IsNil() && !cl.IsNil() && !cl.SameObject(s.opr.LOID) {
+			if news[cl.Ident()] == nil {
+				classes = append(classes, cl)
+			}
+			news[cl.Ident()] = append(news[cl.Ident()], s.b)
+		}
 	}
-	if _, err := NotifyAddress.Call(ctx, m.obj.Caller().To(cl), l, b.Address); err != nil {
-		m.reg().Counter("mag/notify_class_failed").Inc()
+	for _, cl := range classes {
+		if _, err := NotifyAddress.Call(ctx, m.obj.Caller().To(cl), news[cl.Ident()]); err != nil {
+			m.reg().Counter("mag/notify_class_failed").Inc()
+		}
 	}
 }
 

@@ -302,13 +302,13 @@ func (m *Magistrate) move(ctx context.Context, set []*starting, dest loid.LOID) 
 			span.Event("migrate", fmt.Sprintf("commit of %d on %v failed: %v (callers heal via refresh)", len(gone), src, ferr))
 		}
 	}
+	m.notifyClasses(ctx, set)
 	for _, s := range set {
 		if s.on.IsNil() {
 			reg.Counter("mig/aborts").Inc()
 			err = s.err
 			continue
 		}
-		m.notifyClass(ctx, s.opr.LOID, s.b)
 		m.hook("committed", s.opr.LOID, src, dest)
 	}
 	// An object counts as moved only if settle did not find it lost: a

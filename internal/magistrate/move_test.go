@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/binding"
 	"repro/internal/loid"
 	"repro/internal/metrics"
 	"repro/internal/persist"
@@ -47,10 +48,42 @@ func residentsOn(t *testing.T, fx *fixture, i int, ls []loid.LOID) {
 	}
 }
 
+// notices stands in for a class object: it counts the NotifyAddress
+// calls it serves and the bindings they carry.
+type notices struct {
+	mu             sync.Mutex
+	calls, objects int
+}
+
+// classStub spawns a notices as the class object cl and binds it in the
+// Magistrate's cache.
+func classStub(t *testing.T, fx *fixture, cl loid.LOID) *notices {
+	t.Helper()
+	node, err := rt.NewNode(fx.fabric, nil, "class")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { node.Close() })
+	n := &notices{}
+	srv := rt.NewServer("ClassStub", rt.Serve1(NotifyAddress, func(n *notices, _ context.Context, bs []binding.Binding) (rt.Void, error) {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		n.calls++
+		n.objects += len(bs)
+		return rt.Void{}, nil
+	}))
+	if _, err := node.Spawn(cl, srv.Impl(n, nil, nil)); err != nil {
+		t.Fatal(err)
+	}
+	fx.mag.obj.Caller().AddBinding(binding.Forever(cl, node.Address()))
+	return n
+}
+
 // TestMoveResidents: MoveResidents takes a set of residents from host A
 // to host B in one move. A's Host Object serves two requests (one
-// DrainObjects, one EvictObjects) and B one StartObjects call, and the
-// store commits as often, for a set of 16 as for a set of one; every
+// DrainObjects, one EvictObjects), B one StartObjects call and their
+// class one NotifyAddress, and the store commits as often, for a set of
+// 16 as for a set of one; every
 // count survives, and each object runs on exactly one host and sees the
 // phase hooks in protocol order, as a MigrateObject's set of one does.
 // With n below the residents, exactly n move, the first in (ClassID,
@@ -66,6 +99,7 @@ func TestMoveResidents(t *testing.T) {
 				ls[k] = loid.NewNoKey(256, uint64(k+1))
 			}
 			residentsOn(t, fx, 0, ls)
+			news := classStub(t, fx, ls[0].ClassLOID())
 			phases := map[loid.LOID][]string{}
 			fx.mag.SetMigrateHook(func(phase string, l, _, _ loid.LOID) { phases[l] = append(phases[l], phase) })
 			// A's Host Object counts the requests it serves; the
@@ -85,6 +119,11 @@ func TestMoveResidents(t *testing.T) {
 			if got := fx.hosts[1].Node().Served() - served; got != 1 {
 				t.Errorf("B served %d requests for a set of %d, want one StartObjects", got, n)
 			}
+			news.mu.Lock()
+			if news.calls != 1 || news.objects != n {
+				t.Errorf("the class served %d NotifyAddress carrying %d objects, want 1 carrying %d", news.calls, news.objects, n)
+			}
+			news.mu.Unlock()
 			checkStarted(t, fx, ls, fx.hostLs[1])
 			for k, l := range ls {
 				if got := inc(t, fx, l); got != uint64(k+2) {
