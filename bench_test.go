@@ -58,7 +58,7 @@ func mustNoErr(b *testing.B, err error) {
 // a raw message send as possible, under load. Run with -benchmem; see
 // EXPERIMENTS.md.
 //
-// mem and tcp call an inline leaf whose Work returns nothing, so their
+// mem and tcp call a concurrent leaf whose Work returns nothing, so their
 // allocs/op is the runtime's own cost of a whole call, caller and server.
 // mem-mailbox is the call the benchmark rig's rt.allocs_per_call counts:
 // default mailbox dispatch to a sim.worker, whose Work returns one 8-byte
@@ -106,11 +106,11 @@ func BenchmarkParallelInvokeTraced(b *testing.B) {
 	})
 }
 
-// benchParallelInvoke drives Work at one object: an inline leaf, or with
-// mailbox a default-option sim.worker. The server node is built on srvTr
-// and the client node on cliTr; the tcp rows pass two TCP values, as two
-// processes would have, so each call crosses a real socket rather than
-// the same-process path.
+// benchParallelInvoke drives Work at one object: a leaf spawned
+// WithConcurrency(GOMAXPROCS), or with mailbox a default-option
+// sim.worker. The server node is built on srvTr and the client node on
+// cliTr; the tcp rows pass two TCP values, as two processes would have,
+// so each call crosses a real socket rather than the same-process path.
 func benchParallelInvoke(b *testing.B, srvTr, cliTr transport.Transport, tracer *trace.Tracer, mailbox bool) {
 	server, err := rt.NewNode(srvTr, nil, "bench-srv")
 	mustNoErr(b, err)
@@ -137,10 +137,9 @@ func benchParallelInvoke(b *testing.B, srvTr, cliTr transport.Transport, tracer 
 				"Work": func(*rt.Invocation) ([][]byte, error) { return nil, nil },
 			},
 		}
-		// Work is a leaf method (no nested calls, never blocks), so it is
-		// exactly what inline dispatch is for: requests execute on the
-		// delivering goroutine with no mailbox handoff.
-		_, err = server.Spawn(target, impl, rt.WithConcurrency(runtime.GOMAXPROCS(0)), rt.WithInlineDispatch())
+		// Work keeps no state, so every processor may run it at once: a
+		// waiting caller serves its own request from the mailbox.
+		_, err = server.Spawn(target, impl, rt.WithConcurrency(runtime.GOMAXPROCS(0)))
 	}
 	mustNoErr(b, err)
 	bind := binding.Forever(target, server.Address())

@@ -507,7 +507,7 @@ func mustLookup(t *testing.T, sys *System, path string) loid.LOID {
 	return l
 }
 
-// TestCoResidentCallBypassesFabric proves the inline dispatch bypass:
+// TestCoResidentCallBypassesFabric proves the co-resident bypass:
 // a caller on the same node as a concurrency-safe object invokes it
 // without a single frame crossing the fabric — no marshal, no
 // correlation id, no net/sent traffic. A caller on a different node

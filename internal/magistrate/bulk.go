@@ -63,10 +63,8 @@ func (m *Magistrate) checkpointBatch(_ context.Context, fromHost loid.LOID, oprs
 			stale = append(stale, addrs[i])
 			continue
 		}
-		if rec2.ckptAddr != "" {
-			stale = append(stale, rec2.ckptAddr)
-		}
-		rec2.ckptAddr = addrs[i]
+		stale = append(stale, rec2.filed) // drop skips an empty one
+		rec2.filed = addrs[i]
 		accepted = append(accepted, i)
 	}
 	plane := m.plane
@@ -97,7 +95,7 @@ func (m *Magistrate) claimLost(ls []loid.LOID) (batch []*starting, busy []loid.L
 				busy = append(busy, l)
 			default:
 				m.claimLocked(rec)
-				batch = append(batch, &starting{rec: rec, from: rec.oprAddr, opr: persist.OPR{LOID: l, Impl: rec.impl}})
+				batch = append(batch, &starting{rec: rec, from: rec.filed, opr: persist.OPR{LOID: l, Impl: rec.impl}})
 			}
 		}
 		if len(batch) > 0 || len(busy) == 0 {

@@ -168,17 +168,17 @@ type ActivationFilter func(object loid.LOID, impl string, onHost loid.LOID) erro
 
 type record struct {
 	impl string
-	// oprAddr is set iff the record is inert, with two exceptions: the
-	// record Instantiate inserts is inert, claimed and has none until
-	// its object starts (or it leaves the table), see unborn; and a lost
+	// filed is the record's one persistent representation; its role
+	// follows active. An inert record's is its OPR, set with two
+	// exceptions: the record Instantiate inserts has none until its
+	// object starts (or it leaves the table), see unborn; and a lost
 	// object whose blank OPR the store refused (settleLostLocked) has
-	// none, which reads as a blank OPR (readOPR).
-	oprAddr persist.PersistentAddress
-	// ckptAddr is the newest crash-recovery checkpoint of an ACTIVE
-	// object: what its incarnation started from, then what its host
-	// ships (CheckpointBatch), or what a planned exit drained, once it
-	// aborts. If the host dies, HostFailed promotes it to oprAddr.
-	ckptAddr persist.PersistentAddress
+	// none, which reads as a blank OPR (readOPR). An active record's is
+	// its newest crash-recovery checkpoint: what its incarnation started
+	// from, then what its host ships (CheckpointBatch), or what a
+	// planned exit drained, once it aborts. If the host dies, it is the
+	// OPR the object restarts from.
+	filed persist.PersistentAddress
 	// active, host and addr say where the object runs. place and
 	// unplace (below) are their only writers: they keep the Magistrate's
 	// per-host resident counts in step with the table.
@@ -423,15 +423,15 @@ func (m *Magistrate) register(_ context.Context, l loid.LOID, implName string, s
 		return rt.Void{}, fmt.Errorf("magistrate %v: %w", m.self, err)
 	}
 	m.mu.Lock()
-	var replaced [2]persist.PersistentAddress
+	var replaced persist.PersistentAddress
 	if old, ok := m.table[l.Ident()]; ok {
-		replaced = [2]persist.PersistentAddress{old.oprAddr, old.ckptAddr}
+		replaced = old.filed
 		m.unplace(old) // it leaves the table
 	}
-	m.table[l.Ident()] = &record{impl: implName, oprAddr: oprAddr}
+	m.table[l.Ident()] = &record{impl: implName, filed: oprAddr}
 	noteGeneration(m.plane, l, "register", loid.Nil, len(state))
 	m.mu.Unlock()
-	m.drop(replaced[:]...)
+	m.drop(replaced)
 	return rt.Void{}, nil
 }
 
@@ -471,7 +471,7 @@ func (m *Magistrate) activateLocal(ctx context.Context, l, hint loid.LOID) (b bi
 		m.mu.Unlock()
 		return b, true, nil
 	}
-	implName, oprAddr := rec.impl, rec.oprAddr
+	implName, oprAddr := rec.impl, rec.filed
 	m.claimLocked(rec)
 	m.mu.Unlock()
 	opr, err := m.readOPR(l, implName, oprAddr)
@@ -820,7 +820,7 @@ func (m *Magistrate) offerLocked(ctx context.Context, rd *round, h hostEntry, ta
 		if s.src.IsNil() {
 			m.releaseLocked(s.rec)
 		}
-		rd.stale = append(rd.stale, st[:]...)
+		rd.stale = append(rd.stale, st)
 		s.on, s.b = h.l, m.bindingLocked(l, h.addr)
 	}
 	return nil
@@ -882,23 +882,21 @@ func (m *Magistrate) nextHostLocked(hint loid.LOID, asked []loid.LOID, left []*s
 // commitStartedLocked records that rec's object, started from the OPR
 // at from, now runs on host at addr. from stays on file as the new
 // incarnation's checkpoint, so a crash before the host's next checkpoint
-// round brings the object back as it started, not blank. It returns any
-// older representation, now stale, for the caller to drop once m.mu is
+// round brings the object back as it started, not blank. It returns the
+// older representation, if any, now stale, for the caller to drop once m.mu is
 // released (a store delete may fsync). ok is false when rec left the
 // table while the object started (deleted, or replaced by Register or
 // RestoreState): the new incarnation is an orphan the caller must reap,
 // and rec's representations are left to whoever removed it. m.mu held.
-func (m *Magistrate) commitStartedLocked(l loid.LOID, rec *record, host loid.LOID, addr oa.Address, from persist.PersistentAddress) (stale [2]persist.PersistentAddress, ok bool) {
+func (m *Magistrate) commitStartedLocked(l loid.LOID, rec *record, host loid.LOID, addr oa.Address, from persist.PersistentAddress) (stale persist.PersistentAddress, ok bool) {
 	if m.table[l.Ident()] != rec {
-		return stale, false
+		return "", false
 	}
 	m.place(rec, host, addr)
-	for i, a := range [2]persist.PersistentAddress{rec.oprAddr, rec.ckptAddr} {
-		if a != from {
-			stale[i] = a
-		}
+	if rec.filed != from {
+		stale = rec.filed
 	}
-	rec.oprAddr, rec.ckptAddr = "", from
+	rec.filed = from
 	return stale, true
 }
 
@@ -955,18 +953,17 @@ func (m *Magistrate) settle(set []*starting) (lost []loid.LOID) {
 
 // settleLostLocked turns rec, active on a host that is gone, into an
 // inert record the Magistrate can activate again (§3.1.1). The running
-// state died with the host, so the newest checkpoint is promoted to the
-// authoritative OPR; without one (an Instantiated object not yet
-// checkpointed) a blank OPR is minted and the object restarts from its
-// initial state. It is the only code that settles a lost incarnation, for
+// state died with the host, so the newest checkpoint, filed as it is,
+// becomes the authoritative OPR; without one (an Instantiated object not
+// yet checkpointed) a blank OPR is minted and the object restarts from
+// its initial state. It is the only code that settles a lost incarnation, for
 // HostFailed and for settle, of a claim whose host died under it. m.mu
 // held.
 func (m *Magistrate) settleLostLocked(id loid.LOID, rec *record) {
 	lostOn := rec.host
 	m.unplace(rec)
-	rec.oprAddr, rec.ckptAddr = rec.ckptAddr, ""
-	if rec.oprAddr == "" {
-		rec.oprAddr = m.mintBlank(id, rec.impl)
+	if rec.filed == "" {
+		rec.filed = m.mintBlank(id, rec.impl)
 	} else {
 		noteGeneration(m.plane, id, "promote", lostOn, 0)
 	}
@@ -1302,8 +1299,8 @@ func (m *Magistrate) deactivateByLOID(ctx context.Context, l loid.LOID) error {
 		return fmt.Errorf("magistrate %v: object %v left the table during deactivation", m.self, l)
 	}
 	m.unplace(rec)
-	ckpt := rec.ckptAddr
-	rec.oprAddr, rec.ckptAddr, rec.impl = opr, "", saved.Impl
+	ckpt := rec.filed
+	rec.filed, rec.impl = opr, saved.Impl
 	noteGeneration(m.plane, l, "deactivate", src, len(saved.State))
 	m.mu.Unlock()
 	m.drop(ckpt) // the drained state supersedes any checkpoint
@@ -1321,7 +1318,7 @@ func (m *Magistrate) deleteByLOID(ctx context.Context, l loid.LOID) error {
 		}
 		return fmt.Errorf("magistrate %v: unknown object %v", m.self, l)
 	}
-	active, hostL, oprAddr, ckptAddr := rec.active, rec.host, rec.oprAddr, rec.ckptAddr
+	active, hostL, filed := rec.active, rec.host, rec.filed
 	m.unplace(rec) // it leaves the table
 	delete(m.table, l.Ident())
 	m.mu.Unlock()
@@ -1331,7 +1328,7 @@ func (m *Magistrate) deleteByLOID(ctx context.Context, l loid.LOID) error {
 			return fmt.Errorf("magistrate %v: kill %v: %w", m.self, l, err)
 		}
 	}
-	m.drop(oprAddr, ckptAddr)
+	m.drop(filed)
 	return nil
 }
 
@@ -1349,7 +1346,7 @@ func (m *Magistrate) copyTo(ctx context.Context, l, to loid.LOID, move bool) err
 		m.mu.Unlock()
 		return fmt.Errorf("magistrate %v: unknown object %v", m.self, l)
 	}
-	oprAddr := rec.oprAddr
+	oprAddr := rec.filed
 	m.mu.Unlock()
 	opr, err := m.store.Get(oprAddr)
 	if err != nil {
@@ -1414,13 +1411,9 @@ func (m *Magistrate) SaveState() ([]byte, error) {
 		if rec.unborn {
 			continue
 		}
-		addr := rec.oprAddr
-		if rec.active {
-			addr = rec.ckptAddr
-		}
 		w.LOID(id.LOID())
 		w.Str64(rec.impl)
-		w.Str64(string(addr))
+		w.Str64(string(rec.filed))
 	}
 	return w.Bytes(), nil
 }
@@ -1444,14 +1437,11 @@ func (m *Magistrate) RestoreState(state []byte) error {
 		subs[i] = subEntry{l: r.LOID(), addr: r.Address()}
 	}
 	// Each record is a LOID and two 8-byte lengths.
-	type saved struct {
-		l    loid.LOID
-		impl string
-		addr persist.PersistentAddress
-	}
-	recs := make([]saved, r.Count64(loid.EncodedSize+16))
-	for i := range recs {
-		recs[i] = saved{r.LOID(), r.Str64(wire.NoCap), persist.PersistentAddress(r.Str64(wire.NoCap))}
+	n := r.Count64(loid.EncodedSize + 16)
+	table := make(map[loid.Ident]*record, n)
+	for range n {
+		id := r.LOID().Ident()
+		table[id] = &record{impl: r.Str64(wire.NoCap), filed: persist.PersistentAddress(r.Str64(wire.NoCap))}
 	}
 	if err := r.Done(); err != nil {
 		return fmt.Errorf("magistrate: state: %w", err)
@@ -1464,13 +1454,12 @@ func (m *Magistrate) RestoreState(state []byte) error {
 	for _, rec := range m.table {
 		m.unplace(rec)
 	}
-	m.table = make(map[loid.Ident]*record, len(recs))
-	for _, s := range recs {
-		if s.addr == "" {
+	m.table = table
+	for id, rec := range table {
+		if rec.filed == "" {
 			// Active with no checkpoint at save time: the state is gone.
-			s.addr = m.mintBlank(s.l, s.impl)
+			rec.filed = m.mintBlank(id.LOID(), rec.impl)
 		}
-		m.table[s.l.Ident()] = &record{impl: s.impl, oprAddr: s.addr}
 	}
 	return nil
 }

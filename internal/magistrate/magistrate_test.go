@@ -172,10 +172,10 @@ func TestRegisterActivate(t *testing.T) {
 		t.Errorf("store has %d OPRs after activation, want 1", fx.store.Len())
 	}
 	fx.mag.mu.Lock()
-	opr, ckpt := fx.mag.table[objL.Ident()].oprAddr, fx.mag.table[objL.Ident()].ckptAddr
+	active, filed := fx.mag.table[objL.Ident()].active, fx.mag.table[objL.Ident()].filed
 	fx.mag.mu.Unlock()
-	if opr != "" || ckpt == "" {
-		t.Errorf("record after activation: OPR %q, checkpoint %q; want the OPR kept as the checkpoint", opr, ckpt)
+	if !active || filed == "" {
+		t.Errorf("record after activation: active %v, filed %q; want the OPR kept as the checkpoint", active, filed)
 	}
 	// The binding works.
 	fx.caller.AddBinding(b)
@@ -626,7 +626,7 @@ func TestMagistrateStateRoundTrip(t *testing.T) {
 		t.Errorf("restored hosts = %d", len(m2.hosts))
 	}
 	rec, ok := m2.table[objL.Ident()]
-	if !ok || rec.impl != "counter" || rec.oprAddr == "" {
+	if !ok || rec.impl != "counter" || rec.filed == "" {
 		t.Errorf("restored record = %+v, %v", rec, ok)
 	}
 	if err := m2.RestoreState(blob[:len(blob)-1]); err == nil {

@@ -389,7 +389,7 @@ func (m *Magistrate) drainAndFile(ctx context.Context, set []*starting, drained 
 // record's checkpoint, the newest state of the object. If the source is
 // still in the jurisdiction, the objects reopen there in one call
 // (parked calls replay in order); if it died, the caller's settle
-// settles each record lost — promoting that checkpoint — and recovers
+// settles each record lost, that checkpoint its OPR, and recovers
 // them all in one round.
 func (m *Magistrate) abortToSource(set []*starting) {
 	stale := make([]persist.PersistentAddress, len(set))
@@ -398,7 +398,7 @@ func (m *Magistrate) abortToSource(set []*starting) {
 	for i, s := range set {
 		stale[i] = s.from
 		if s.from != "" && m.table[s.opr.LOID.Ident()] == s.rec {
-			stale[i], s.rec.ckptAddr = s.rec.ckptAddr, s.from
+			stale[i], s.rec.filed = s.rec.filed, s.from
 		}
 	}
 	m.mu.Unlock()

@@ -212,7 +212,7 @@ func TestHostFailedRecovery(t *testing.T) {
 		ls := startCounters(t, fx, 0, 4)
 		const bad = 2
 		fx.mag.mu.Lock()
-		addr := fx.mag.table[ls[bad].Ident()].ckptAddr
+		addr := fx.mag.table[ls[bad].Ident()].filed
 		fx.mag.mu.Unlock()
 		if err := fx.store.Delete(addr); err != nil {
 			t.Fatal(err)

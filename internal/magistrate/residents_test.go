@@ -73,9 +73,9 @@ func (w *walker) checkSettled() {
 			w.t.Fatalf("step %d (%s): %v left busy", w.step, w.op, id)
 		}
 		if !rec.active {
-			if _, err := m.store.Get(rec.oprAddr); err != nil {
+			if _, err := m.store.Get(rec.filed); err != nil {
 				m.mu.Unlock()
-				w.t.Fatalf("step %d (%s): inert %v has no readable OPR (%q): %v", w.step, w.op, id, rec.oprAddr, err)
+				w.t.Fatalf("step %d (%s): inert %v has no readable OPR (%q): %v", w.step, w.op, id, rec.filed, err)
 			}
 		}
 	}
@@ -98,9 +98,9 @@ func (w *walker) orphan() persist.PersistentAddress {
 	m := w.fx.mag
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	held := make(map[persist.PersistentAddress]bool, 2*len(m.table))
+	held := make(map[persist.PersistentAddress]bool, len(m.table))
 	for _, rec := range m.table {
-		held[rec.oprAddr], held[rec.ckptAddr] = true, true
+		held[rec.filed] = true
 	}
 	addrs, err := m.store.List()
 	if err != nil {
@@ -854,7 +854,7 @@ func TestLostBlankRefusedActivates(t *testing.T) {
 	}
 	fx.mag.mu.Lock()
 	rec, ok := fx.mag.table[objL.Ident()]
-	inert := ok && !rec.active && rec.oprAddr == ""
+	inert := ok && !rec.active && rec.filed == ""
 	fx.mag.mu.Unlock()
 	if !inert {
 		t.Fatalf("after a refused start the record is %+v (in table: %v), want it inert with no OPR address", rec, ok)

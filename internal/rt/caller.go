@@ -711,17 +711,19 @@ func (c *Caller) deliver(ctx context.Context, addr oa.Address, target loid.LOID,
 }
 
 // serveCoResident runs the call on this goroutine, bypassing the fabric,
-// when e is this node and the target runs its methods safely on the
-// calling goroutine (an inline leaf, or an internally-synchronized
-// concurrent service object): no marshal, no correlation id, no
-// goroutine handoff — the paper's "as close to a raw message send as
-// possible" (§5.2.1), beaten only by not sending at all. It returns nil
+// when e is this node and the target is an internally-synchronized
+// service object (WithConcurrency above 1), which may run its methods
+// on any goroutine: no marshal, no correlation id, no goroutine
+// handoff — the paper's "as close to a raw message send as possible"
+// (§5.2.1), beaten only by not sending at all. It returns nil
 // when the call must take the transport: a registry miss, so a stale
 // binding still earns its ErrNoSuchObject and the refresh machinery
 // stays honest; a migration gate, which must see every arrival so the
 // loopback routes the call through the park/forward machinery; and a
 // stopped but not yet unregistered object, which the loopback answers
-// with the stale-binding verdict.
+// with the stale-binding verdict. A single-worker object always takes
+// the loopback, so its mailbox keeps its per-sender FIFO and its one
+// method at a time.
 func (c *Caller) serveCoResident(e oa.Element, target loid.LOID, method string, args [][]byte, dlNanos int64, sc trace.SpanContext) *Result {
 	if e != c.node.Element() {
 		return nil
@@ -731,7 +733,7 @@ func (c *Caller) serveCoResident(e oa.Element, target loid.LOID, method string, 
 		return nil
 	}
 	o := v.(*Object)
-	if !(o.inline || o.mailbox.limit > 1) || o.mailbox.isClosed() || c.node.gated(target) {
+	if o.mailbox.limit <= 1 || o.mailbox.isClosed() || c.node.gated(target) {
 		return nil
 	}
 	env := c.env

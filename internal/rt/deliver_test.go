@@ -107,16 +107,16 @@ func TestDeliverSingleDestination(t *testing.T) {
 		health   string // none, success, failure or open (left as opened)
 		wantFrom bool   // the Result names its responder
 	}{
-		{name: "co-resident inline bypass", setup: func(t *testing.T, f *fixture) oa.Element {
-			spawnEcho(t, f.nodes[0], echoLOID, WithInlineDispatch())
+		{name: "co-resident single worker takes the loopback", setup: func(t *testing.T, f *fixture) oa.Element {
+			spawnEcho(t, f.nodes[0], echoLOID)
 			return local(f)
-		}, code: wire.OK, frames: 0, served: 1, health: "none", wantFrom: true},
+		}, code: wire.OK, frames: 2, served: 1, health: "success", wantFrom: true},
 		{name: "co-resident concurrent bypass", setup: func(t *testing.T, f *fixture) oa.Element {
 			spawnEcho(t, f.nodes[0], echoLOID, WithConcurrency(4))
 			return local(f)
 		}, code: wire.OK, frames: 0, served: 1, health: "none", wantFrom: true},
 		{name: "gated target takes the loopback", setup: func(t *testing.T, f *fixture) oa.Element {
-			spawnEcho(t, f.nodes[0], echoLOID, WithInlineDispatch())
+			spawnEcho(t, f.nodes[0], echoLOID)
 			// The caller is exempt, so the gate lets the frame through
 			// to the object: the reply proves the bypass was skipped.
 			if err := f.nodes[0].Park(echoLOID, clientLOID); err != nil {
@@ -125,7 +125,7 @@ func TestDeliverSingleDestination(t *testing.T) {
 			return local(f)
 		}, code: wire.OK, frames: 2, served: 1, health: "success", wantFrom: true},
 		{name: "stopped target takes the loopback", setup: func(t *testing.T, f *fixture) oa.Element {
-			spawnEcho(t, f.nodes[0], echoLOID, WithInlineDispatch())
+			spawnEcho(t, f.nodes[0], echoLOID)
 			o, _ := f.nodes[0].Lookup(echoLOID)
 			o.stop() // stopped, not yet unregistered
 			return local(f)
@@ -143,7 +143,7 @@ func TestDeliverSingleDestination(t *testing.T) {
 		{name: "context cancelled", setup: func(t *testing.T, f *fixture) oa.Element { return silent(f) },
 			ctx: cancelled, code: wire.ErrDeadlineExceeded, errText: context.Canceled.Error(), frames: 1, health: "none"},
 		{name: "synchronous reply", setup: func(t *testing.T, f *fixture) oa.Element {
-			spawnEcho(t, f.nodes[1], echoLOID, WithInlineDispatch())
+			spawnEcho(t, f.nodes[1], echoLOID)
 			return f.nodes[1].Element()
 		}, code: wire.OK, frames: 2, health: "success", wantFrom: true},
 	} {

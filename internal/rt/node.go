@@ -252,8 +252,10 @@ func (n *Node) Observer() Observer {
 }
 
 // Spawn activates an object on this node: the impl becomes reachable
-// at the node's address under l. label names the object in metrics
-// (e.g. "class/L256.0"); empty disables per-object counting.
+// at the node's address under l, and every request to it goes through
+// its mailbox (WithConcurrency sets how many run at once). label names
+// the object in metrics (e.g. "class/L256.0"); empty disables
+// per-object counting.
 func (n *Node) Spawn(l loid.LOID, impl Impl, opts ...SpawnOption) (*Object, error) {
 	o := &Object{node: n, self: l, impl: impl}
 	for _, opt := range opts {
@@ -266,7 +268,7 @@ func (n *Node) Spawn(l loid.LOID, impl Impl, opts ...SpawnOption) (*Object, erro
 		o.label = name[len("req/"):] // one string for the label and the counter's name
 	}
 	// Bind before the object is reachable: the first request may be
-	// dispatched the moment it is published, inline or co-resident.
+	// dispatched the moment it is published.
 	if b, ok := impl.(Binder); ok {
 		b.Bind(o)
 	}
@@ -367,10 +369,12 @@ func (n *Node) receiveFrame(b *buf.Buffer, data []byte, sync bool) {
 }
 
 // routeRequest routes one parsed request frame to its target: through the
-// target's migration gate if one is up, else to the object. sync is
-// receiveFrame's: with it, a request whose sender waits on the reply
-// (Frame.Waits) may be served right here when no drainer is running
-// (Object.enqueue).
+// target's migration gate if one is up, else into the object's mailbox,
+// the one way a frame reaches an object. sync is receiveFrame's: with
+// it, a request whose sender waits on the reply (Frame.Waits) may be
+// served right here when no drainer is running (Object.enqueue); any
+// other request goes to a dispatch goroutine, so a method that blocks
+// never holds a socket's read loop.
 func (n *Node) routeRequest(f *wire.Frame, b *buf.Buffer, sync bool) {
 	for {
 		epoch := n.gateEpoch.Load() // before the gate check; see mailbox.put
@@ -396,21 +400,6 @@ func (n *Node) routeRequest(f *wire.Frame, b *buf.Buffer, sync bool) {
 			return
 		}
 		o := v.(*Object)
-		if o.inline {
-			// Leaf-method fast path (WithInlineDispatch): run the method
-			// right here — on the sender's goroutine for a synchronous
-			// delivery, on the read loop for a socket — skipping the
-			// mailbox handoff and its goroutine switches entirely. The
-			// frame's bytes stay valid for the duration of the call (the
-			// transport's reference pins b), so no Own is needed.
-			if o.mailbox.isClosed() {
-				n.replyStopped(f)
-			} else {
-				o.serveInline(f)
-			}
-			f.Close()
-			return
-		}
 		if b != nil {
 			f.Own(b) // the mailbox outlives this call: pin the buffer
 			b = nil  // once, however often the gate check repeats

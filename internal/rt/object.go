@@ -18,10 +18,13 @@ import (
 // Object is the runtime handle of one active Legion object: its LOID,
 // its behaviour, its security policy, and its mailbox. The mailbox
 // accepts messages in any order while a method runs (§2); methods
-// execute one at a time, on a dispatch goroutine the object holds only
-// while its mailbox has requests to serve (dispatch.go), or on the
-// goroutine of a same-process caller waiting on the reply (serveOne).
-// An idle object owns no goroutine.
+// execute one at a time, in per-sender FIFO order and behind any
+// migration gate, on a dispatch goroutine the object holds only while
+// its mailbox has requests to serve (dispatch.go), or on the goroutine
+// of a same-process caller waiting on the reply (serveOne). Every
+// request takes the mailbox; only an object spawned WithConcurrency
+// above 1 also takes a co-resident caller's call on that caller's
+// goroutine (Caller.serveCoResident). An idle object owns no goroutine.
 type Object struct {
 	node   *Node
 	self   loid.LOID
@@ -34,15 +37,6 @@ type Object struct {
 	// resolver it gets.
 	caller atomic.Pointer[Caller]
 	newRes func(self loid.LOID) Resolver
-
-	// inline marks the object for inline dispatch (WithInlineDispatch):
-	// requests run on the delivering goroutine instead of being handed
-	// to the mailbox.
-	inline bool
-	// dmu serializes dispatch for single-worker objects whose methods
-	// may run off a mailbox drainer (inline dispatch, co-resident
-	// bypass), preserving the one-method-at-a-time model.
-	dmu sync.Mutex
 
 	// cReq is the interned "req/<label>" counter (nil when unlabeled),
 	// so serving a request never builds a metric name string.
@@ -98,33 +92,14 @@ func WithConcurrency(n int) SpawnOption {
 	return func(o *Object) { o.mailbox.limit = int32(min(n, math.MaxInt32)) }
 }
 
-// WithInlineDispatch opts the object into inline dispatch: incoming
-// requests execute directly on the delivering goroutine — the sender's
-// own goroutine for co-resident and in-memory-fabric callers, the read
-// loop for TCP — instead of being queued to the mailbox for a dispatch
-// goroutine. This removes every goroutine handoff from the invocation
-// path and is what makes a cached-binding call "as close to a raw
-// message send as possible" (§5.2.1).
+// WithInlineDispatch has no effect: every object takes its mailbox,
+// and a same-process caller waiting on the reply is served on its own
+// goroutine anyway (Object.serveOne).
 //
-// The option is ONLY for leaf methods: fast, non-blocking handlers
-// that invoke no other objects. A method that blocks holds the
-// delivering goroutine hostage — the caller's timeout machinery sits
-// below it on the same stack and cannot fire — and a method that makes
-// nested calls can deadlock the transport (its reply may need the very
-// read loop the method is occupying). Single-worker objects keep their
-// sequential model: inline dispatches are serialized with a mutex.
-// Objects spawned with WithConcurrency run inline dispatches
-// concurrently, exactly like their mailbox drainers would.
-//
-// The mailbox path no longer hands off for a waiting same-process
-// caller either: a synchronous delivery of a request whose sender
-// blocks on the reply is served on the sender's goroutine whenever no
-// drainer is running (Object.serveOne), with the mailbox's ordering and
-// gate checks intact. What this option still saves is the queue itself,
-// and the hand-off for asynchronous deliveries (socket read loops,
-// InvokeCtx, calls with a deadline).
+// Deprecated: it remains only because the benchmark harness still
+// passes it; spawn without it.
 func WithInlineDispatch() SpawnOption {
-	return func(o *Object) { o.inline = true }
+	return func(*Object) {}
 }
 
 // LOID returns the object's name.
@@ -210,18 +185,6 @@ func (o *Object) drain() {
 	}
 }
 
-// serveInline runs one request on the delivering goroutine (see
-// WithInlineDispatch). Single-worker objects are serialized with the
-// dispatch mutex so inline deliveries from concurrent senders keep the
-// one-method-at-a-time model.
-func (o *Object) serveInline(f *wire.Frame) {
-	if o.mailbox.limit <= 1 {
-		o.dmu.Lock()
-		defer o.dmu.Unlock()
-	}
-	o.serve(f)
-}
-
 // serveRec is the scratch one dispatch runs on: the Invocation the Impl
 // sees, the context its Ctx returns, and the first inlineArgs argument
 // views. serve and serveLocal take one per call and zero and return it
@@ -253,12 +216,45 @@ func (r *serveRec) release() {
 // which copies any results that alias the request), and the caller
 // closes it after serve returns.
 func (o *Object) serve(f *wire.Frame) {
-	o.node.countServe(f.ID)
+	r := getServeRec()
+	r.inv.Env = f.Env()
+	if f.NumArgs() > 0 {
+		r.inv.Args = f.ArgViews(r.args[:0])
+	}
+	code, errText, results := o.run(f.ID, f.Method(), r)
+	if f.Kind == wire.KindRequest && f.HasReplyTo() {
+		o.node.replyFrame(f, code, errText, results)
+	}
+	// The results may alias r.args (an echo); the reply is marshalled.
+	r.release()
+}
+
+// serveLocal is the co-resident bypass: the caller's goroutine runs
+// the method directly — no marshal, no transport, no correlation id —
+// and builds the Result in place. shard is the calling Caller's
+// pending shard: its serve stripe counts the call.
+func (o *Object) serveLocal(shard uint8, method string, env *wire.Env, args [][]byte) *Result {
+	r := getServeRec()
+	r.inv.Env = *env
+	r.inv.Args = args // the caller's own slice: results that alias it outlive r
+	code, errText, results := o.run(uint64(shard), method, r)
+	r.release()
+	return &Result{Code: code, ErrText: errText, Results: results, From: o.node.Element()}
+}
+
+// run is the one dispatch body of serve and serveLocal: it counts the
+// serve in the stripe id names and under "req/<label>", reports it to
+// the node's observer, grows a serve span for a traced call, rejects a
+// call whose deadline already passed, and runs the rest through
+// safeDispatch. r holds the call's environment and arguments; the
+// caller answers the outcome and releases r.
+func (o *Object) run(id uint64, method string, r *serveRec) (code wire.Code, errText string, results [][]byte) {
+	o.node.countServe(id)
 	if o.cReq != nil {
 		o.cReq.Inc()
 	}
-	method := f.Method()
-	tid := f.TraceID()
+	env := &r.inv.Env
+	tid := env.TraceID
 	// An installed observer gets per-method serve latency; when absent
 	// (the default, and all benchmarks) the cost is one atomic load.
 	var ob Observer
@@ -274,99 +270,30 @@ func (o *Object) serve(f *wire.Frame) {
 	var span *trace.Span
 	if tid != 0 {
 		span = o.node.tracer.Load().Child(
-			trace.SpanContext{TraceID: tid, SpanID: f.SpanID()},
+			trace.SpanContext{TraceID: tid, SpanID: env.SpanID},
 			"serve", method, o.component())
 	}
 	// A request whose propagated deadline already expired is not worth
 	// running: the caller has given up, and the answer — if one is
 	// still listening — is definitive either way.
-	if dl := f.Deadline(); dl != 0 && o.node.now().UnixNano() > dl {
+	if env.Deadline != 0 && o.node.now().UnixNano() > env.Deadline {
+		code, errText = wire.ErrDeadlineExceeded, "deadline expired before dispatch"
 		if span != nil {
 			span.Event("deadline", "expired before dispatch")
-			span.Finish(wire.ErrDeadlineExceeded.String())
 		}
-		if f.Kind == wire.KindRequest && f.HasReplyTo() {
-			o.node.replyFrame(f, wire.ErrDeadlineExceeded, "deadline expired before dispatch", nil)
-		}
-		if ob != nil {
-			ob.ServeDone(o.component(), method, o.node.since(start), tid)
-		}
-		return
-	}
-	r := getServeRec()
-	r.inv.Env = f.Env()
-	if f.NumArgs() > 0 {
-		r.inv.Args = f.ArgViews(r.args[:0])
-	}
-	code, errText, results := o.safeDispatch(r, method, span)
-	if span != nil {
-		if errText != "" {
+	} else {
+		code, errText, results = o.safeDispatch(r, method, span)
+		if span != nil && errText != "" {
 			span.Event("error", errText)
 		}
+	}
+	if span != nil {
 		span.Finish(code.String())
 	}
-	if f.Kind == wire.KindRequest && f.HasReplyTo() {
-		o.node.replyFrame(f, code, errText, results)
-	}
-	// The results may alias r.args (an echo); the reply is marshalled.
-	r.release()
 	if ob != nil {
 		ob.ServeDone(o.component(), method, o.node.since(start), tid)
 	}
-}
-
-// serveLocal is the co-resident bypass: the caller's goroutine runs
-// the method directly — no marshal, no transport, no correlation id —
-// and builds the Result in place. Semantics mirror serve: per-object
-// metrics, the serve span, deadline rejection, MayI, and panic
-// confinement all apply identically. shard is the calling Caller's
-// pending shard: its serve stripe counts the call.
-func (o *Object) serveLocal(shard uint8, method string, env *wire.Env, args [][]byte) *Result {
-	if o.mailbox.limit <= 1 {
-		o.dmu.Lock()
-		defer o.dmu.Unlock()
-	}
-	o.node.countServe(uint64(shard))
-	if o.cReq != nil {
-		o.cReq.Inc()
-	}
-	var ob Observer
-	var start time.Time
-	if p := o.node.observer.Load(); p != nil {
-		ob = *p
-		start = o.node.now()
-	}
-	var span *trace.Span
-	if env.TraceID != 0 {
-		span = o.node.tracer.Load().Child(
-			trace.SpanContext{TraceID: env.TraceID, SpanID: env.SpanID},
-			"serve", method, o.component())
-	}
-	if env.Deadline != 0 && o.node.now().UnixNano() > env.Deadline {
-		if span != nil {
-			span.Event("deadline", "expired before dispatch")
-			span.Finish(wire.ErrDeadlineExceeded.String())
-		}
-		if ob != nil {
-			ob.ServeDone(o.component(), method, o.node.since(start), env.TraceID)
-		}
-		return &Result{Code: wire.ErrDeadlineExceeded, ErrText: "deadline expired before dispatch", From: o.node.Element()}
-	}
-	r := getServeRec()
-	r.inv.Env = *env
-	r.inv.Args = args // the caller's own slice: results that alias it outlive r
-	code, errText, results := o.safeDispatch(r, method, span)
-	r.release()
-	if span != nil {
-		if errText != "" {
-			span.Event("error", errText)
-		}
-		span.Finish(code.String())
-	}
-	if ob != nil {
-		ob.ServeDone(o.component(), method, o.node.since(start), env.TraceID)
-	}
-	return &Result{Code: code, ErrText: errText, Results: results, From: o.node.Element()}
+	return code, errText, results
 }
 
 // component names this object in trace spans: its metric label when it

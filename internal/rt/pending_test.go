@@ -34,7 +34,8 @@ func TestPendingTableCallerShards(t *testing.T) {
 	}
 	fab, nodes := newTestFabricNodes(t, 2)
 	local, remote := loid.NewNoKey(256, 2), echoLOID
-	spawnEcho(t, nodes[0], local, WithInlineDispatch())
+	// Concurrent, so a co-resident call bypasses the table.
+	spawnEcho(t, nodes[0], local, WithConcurrency(4))
 	spawnEcho(t, nodes[1], remote)
 	silent, err := fab.NewEndpoint()
 	if err != nil {

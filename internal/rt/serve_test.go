@@ -3,12 +3,14 @@ package rt
 import (
 	"context"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/binding"
 	"repro/internal/idl"
 	"repro/internal/loid"
+	"repro/internal/metrics"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -45,11 +47,12 @@ func TestServeRecordHygiene(t *testing.T) {
 		ctxTrace = trace.FromContext(inv.Ctx())
 		return nil, nil
 	}
-	// Look runs inline: on the zero-latency fabric the whole call, the
-	// record's release included, happens on the calling goroutine, so the
-	// test may read lent once the call returns.
+	// Look's object is concurrent, so Relay's nested call below takes the
+	// co-resident bypass. A framed call is served on a dispatch goroutine
+	// that releases the record after the reply is out: invoke waits for
+	// the object's mailbox to have no drainer before the test reads lent.
 	target := loid.NewNoKey(256, 71)
-	if _, err := srv.Spawn(target, &Behavior{
+	o, err := srv.Spawn(target, &Behavior{
 		Iface: idl.NewInterface("Hygiene", idl.MethodSig{Name: "Look"}, idl.MethodSig{Name: "Boom"}),
 		Handlers: map[string]Handler{
 			"Look": look,
@@ -58,7 +61,8 @@ func TestServeRecordHygiene(t *testing.T) {
 				panic("boom")
 			},
 		},
-	}, WithInlineDispatch()); err != nil {
+	}, WithConcurrency(2))
+	if err != nil {
 		t.Fatal(err)
 	}
 	c := clientOn(cli, clientLOID)
@@ -79,6 +83,11 @@ func TestServeRecordHygiene(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		waitFor(t, "the serve released its record", func() bool {
+			o.mailbox.mu.Lock()
+			defer o.mailbox.mu.Unlock()
+			return o.mailbox.running == 0
+		})
 		return res
 	}
 	zeroed := func(when string) {
@@ -170,4 +179,68 @@ func TestServeRecordHygiene(t *testing.T) {
 	if !outer.Deadline.Equal(deadline) || outerArg != "x" {
 		t.Errorf("the outer Invocation changed under a nested call: %+v, argument %q", outer, outerArg)
 	}
+}
+
+// TestBlockingMethodFreesReadLoop: a method that blocks holds only its
+// own goroutine, never the read loop of the connection its request came
+// in on. Over one client connection between two TCP values, X's Block
+// waits on a channel, and a call to Y sent after it must still be
+// answered within its 500 ms deadline. X passes WithInlineDispatch,
+// which once ran a request on the read loop and now changes nothing.
+// CI runs it at -race -count 20 -cpu 1,2,4,8.
+func TestBlockingMethodFreesReadLoop(t *testing.T) {
+	reg := metrics.NewRegistry()
+	tr := ownTCP(reg)
+	srv, err := NewNode(tr(), nil, "srv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cli, err := NewNode(tr(), nil, "cli")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	entered, release := make(chan struct{}, 1), make(chan struct{})
+	free := sync.OnceFunc(func() { close(release) })
+	defer free() // before the nodes close
+
+	x, y := loid.NewNoKey(505, 2), echoLOID
+	if _, err := srv.Spawn(x, &Behavior{
+		Iface: idl.NewInterface("Held", idl.MethodSig{Name: "Block"}),
+		Handlers: map[string]Handler{
+			"Block": func(*Invocation) ([][]byte, error) {
+				entered <- struct{}{}
+				<-release
+				return nil, nil
+			},
+		},
+	}, WithInlineDispatch()); err != nil {
+		t.Fatal(err)
+	}
+	spawnEcho(t, srv, y)
+	c := clientOn(cli, clientLOID)
+	c.AddBinding(binding.Forever(x, srv.Address()))
+	c.AddBinding(binding.Forever(y, srv.Address()))
+
+	fu, err := c.InvokeCtx(context.Background(), x, "Block")
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Block never ran")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+	defer cancel()
+	res, err := c.CallCtx(ctx, y, "Echo", []byte("y"))
+	if err != nil || res.Code != wire.OK {
+		t.Fatalf("Y behind a blocked X answered %v %v: the blocking method holds the read loop", res, err)
+	}
+	free()
+	if res, err := fu.Wait(5 * time.Second); err != nil || res.Code != wire.OK {
+		t.Fatalf("Block: %v %v", res, err)
+	}
+	wantDials(t, reg)
 }

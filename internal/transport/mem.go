@@ -337,7 +337,7 @@ func (f *Fabric) sendBufFrom(from uint64, to oa.Element, fb *buf.Buffer) error {
 	// goroutine — no copy, no queue, no pump wakeup, and no reference
 	// traffic (the sender's reference pins the buffer for the duration
 	// of the call). sync=true tells the handler the sender is blocked
-	// on it, so inline dispatch of the method itself is safe.
+	// on it, so serving the request on this goroutine is safe.
 	if ep.closed() {
 		return ErrUnreachable
 	}
